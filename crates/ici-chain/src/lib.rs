@@ -10,6 +10,8 @@
 //! * [`state`] — the replicated account state and its root commitment;
 //! * [`store`] — per-node storage with header-only / partial-body support
 //!   and byte-accurate accounting;
+//! * [`locator`] — compact, lazily built transaction index (8 B/tx) that
+//!   answers "where is this transaction?" without rescanning the chain;
 //! * [`builder`] — block assembly against a scratch state;
 //! * [`validation`] — linkage, signature, execution, and state-root checks,
 //!   including the range-split used by collaborative verification;
@@ -56,6 +58,7 @@ pub mod builder;
 pub mod codec;
 pub mod genesis;
 pub mod hashing;
+pub mod locator;
 pub mod mempool;
 pub mod shard;
 pub mod state;
@@ -65,6 +68,7 @@ pub mod validation;
 
 pub use block::{Block, BlockHeader, BlockId, Height};
 pub use genesis::GenesisConfig;
+pub use locator::TxLocator;
 pub use mempool::Mempool;
 pub use state::WorldState;
 pub use store::ChainStore;

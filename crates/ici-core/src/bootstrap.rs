@@ -66,10 +66,9 @@ impl IciNetwork {
     ) -> Result<BootstrapReport, IciError> {
         let _span = ici_telemetry::span!("core/bootstrap");
         let node = self.net.join(coord);
-        let cluster = {
-            let topology = self.net.topology().clone();
-            self.membership.join(node, coord, &topology, policy)
-        };
+        let cluster = self
+            .membership
+            .join(node, coord, self.net.topology(), policy);
         self.holdings.push(NodeHoldings::new());
         let start = self.clock;
 

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::config::ConfigError;
 use ici_chain::block::Height;
+use ici_chain::transaction::TxId;
 use ici_chain::validation::ValidationError;
 use ici_net::node::NodeId;
 
@@ -28,6 +29,8 @@ pub enum IciError {
     },
     /// A queried block does not exist.
     UnknownHeight(Height),
+    /// A queried transaction is not on the committed chain.
+    UnknownTransaction(TxId),
     /// The queried body is not retrievable from any live node.
     BodyUnavailable(Height),
     /// The node id is not part of the network.
@@ -59,6 +62,7 @@ impl fmt::Display for IciError {
                 "cluster c{cluster} cannot reach quorum: {live} live, {needed} needed"
             ),
             IciError::UnknownHeight(h) => write!(f, "no block at height {h}"),
+            IciError::UnknownTransaction(id) => write!(f, "no transaction {id} on chain"),
             IciError::BodyUnavailable(h) => {
                 write!(f, "body at height {h} unavailable from any live node")
             }
@@ -104,6 +108,10 @@ mod tests {
             .to_string()
             .contains("nodes"));
         assert!(IciError::UnknownHeight(9).to_string().contains('9'));
+        let id = ici_crypto::Sha256::digest(b"absent");
+        assert!(IciError::UnknownTransaction(id)
+            .to_string()
+            .contains(&id.to_string()));
         assert!(IciError::NoQuorum {
             cluster: 2,
             live: 3,

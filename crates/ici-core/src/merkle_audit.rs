@@ -75,13 +75,93 @@ pub fn attribute_corrupt_shards(reference: &Block, suspect_leaves: &[Vec<u8>]) -
     corrupt
 }
 
+/// What re-deriving one committed height's transaction tree found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct HeightVerdict {
+    /// The re-derived root matches the header and, for a non-empty
+    /// block, the spot-checked inclusion proof verifies.
+    clean: bool,
+    /// An inclusion proof was checked and verified.
+    proved: bool,
+}
+
+impl HeightVerdict {
+    /// Re-derives `block`'s transaction tree and judges it against the
+    /// committed header.
+    fn derive(block: &Block) -> HeightVerdict {
+        // Every live replica is re-hashed: a holder whose disk diverged
+        // from the commitment would fail here.
+        let tree = block.tx_tree();
+        if tree.root() != block.header().tx_root {
+            return HeightVerdict {
+                clean: false,
+                proved: false,
+            };
+        }
+        // Spot-check one inclusion proof per non-empty block, the
+        // height-keyed representative transaction.
+        let tx_count = block.transactions().len();
+        if tx_count == 0 {
+            return HeightVerdict {
+                clean: true,
+                proved: false,
+            };
+        }
+        let index = (block.height() as usize) % tx_count; // modulo keeps it in range
+        let proved = tree.prove(index).is_some_and(|proof| {
+            block
+                .transactions()
+                .get(index)
+                .is_some_and(|tx| proof.verify(&tx.to_bytes(), block.header().tx_root))
+        });
+        HeightVerdict {
+            clean: proved,
+            proved,
+        }
+    }
+}
+
+/// The height verdicts one audit pass has derived so far.
+///
+/// A committed block is immutable, so whether its re-derived tree
+/// matches its header does not depend on which cluster asks. Clusters
+/// audited in the same pass — one round's repair certificates, one
+/// [`IciNetwork::merkle_audit_all`] — therefore share each height's
+/// derivation instead of repeating it per cluster. A pass belongs to one
+/// chain length: handed a chain that has since grown it starts over, so
+/// nothing is carried from one round's audit into the next.
+#[derive(Clone, Debug, Default)]
+pub struct MerkleAuditPass {
+    /// Two bytes per height of the chain the pass started on; `None`
+    /// until some cluster's audit derives the height.
+    verdicts: Vec<Option<HeightVerdict>>,
+}
+
+impl MerkleAuditPass {
+    /// A pass with nothing derived yet.
+    pub fn new() -> MerkleAuditPass {
+        MerkleAuditPass::default()
+    }
+}
+
 impl IciNetwork {
-    /// Runs the shard-level Merkle audit on `cluster`.
+    /// Runs the shard-level Merkle audit on `cluster`, stand-alone.
     ///
     /// The cluster's live members split the committed height range; each
     /// member re-derives the transaction Merkle root of every replica in
     /// its slice and verifies one inclusion proof per non-empty block.
     pub fn merkle_audit(&self, cluster: ClusterId) -> MerkleAuditReport {
+        self.merkle_audit_in(&mut MerkleAuditPass::new(), cluster)
+    }
+
+    /// [`IciNetwork::merkle_audit`] as part of `pass`: heights an earlier
+    /// cluster of the same pass already derived are not derived again.
+    /// The report is the one the stand-alone audit would return.
+    pub fn merkle_audit_in(
+        &self,
+        pass: &mut MerkleAuditPass,
+        cluster: ClusterId,
+    ) -> MerkleAuditReport {
         let _span = ici_telemetry::span!("core/merkle_audit", cluster = cluster.get());
         let members = self.live_members(cluster);
         let chain_len = self.chain_len() as usize; // chain length bounded by memory
@@ -97,15 +177,21 @@ impl IciNetwork {
             report.missing = (0..self.chain_len()).collect();
             return report;
         }
+        if pass.verdicts.len() != chain_len {
+            pass.verdicts.clear();
+            pass.verdicts.resize(chain_len, None);
+        }
 
         // One contiguous height slice per live member, exactly like the
         // signature split in collaborative verification. The slices are
         // walked on the main thread (cheap holder lookups); the Merkle
-        // re-derivations — the expensive part — fan out per height.
+        // re-derivations still owed — the expensive part — fan out per
+        // height.
+        let mut audited = Vec::new();
         let mut work = Vec::new();
         for (start, end) in split_ranges(chain_len, members.len()) {
-            for height in start..end {
-                let height = height as Height; // usize height widens losslessly
+            for index in start..end {
+                let height = index as Height; // usize height widens losslessly
                 let holders = members
                     .iter()
                     .filter(|m| {
@@ -122,38 +208,32 @@ impl IciNetwork {
                     report.missing.push(height);
                     continue;
                 };
-                work.push((height, holders, block.clone()));
+                audited.push((index, holders));
+                if pass.verdicts[index].is_none() {
+                    work.push((index, block.clone()));
+                }
             }
         }
-        let outcomes = ici_par::par_map(work, |_, (height, holders, block)| {
-            // Every live replica is re-hashed: a holder whose disk
-            // diverged from the commitment would fail here.
-            let tree = block.tx_tree();
-            if tree.root() != block.header().tx_root {
-                return (height, holders, false, false);
-            }
-            // Spot-check one inclusion proof per non-empty block, the
-            // height-keyed representative transaction.
-            let tx_count = block.transactions().len();
-            if tx_count == 0 {
-                return (height, holders, true, false);
-            }
-            let index = (height as usize) % tx_count; // modulo keeps it in range
-            let proved = tree.prove(index).is_some_and(|proof| {
-                block
-                    .transactions()
-                    .get(index)
-                    .is_some_and(|tx| proof.verify(&tx.to_bytes(), block.header().tx_root))
-            });
-            (height, holders, proved, proved)
-        });
-        for (height, holders, clean, proved) in outcomes {
+        ici_telemetry::counter_add(
+            "core/merkle_audit_trees",
+            Label::Global,
+            work.len() as u64, // counter magnitude
+        );
+        for (index, verdict) in ici_par::par_map(work, |_, (index, block)| {
+            (index, HeightVerdict::derive(&block))
+        }) {
+            pass.verdicts[index] = Some(verdict);
+        }
+        for (index, holders) in audited {
+            let Some(verdict) = pass.verdicts[index] else {
+                continue; // every audited height was derived above
+            };
             report.heights_checked += 1;
             report.shards_verified += holders;
-            if !clean {
-                report.root_mismatches.push(height);
+            if !verdict.clean {
+                report.root_mismatches.push(index as Height); // widens losslessly
             }
-            if proved {
+            if verdict.proved {
                 report.proofs_checked += 1;
             }
         }
@@ -167,11 +247,12 @@ impl IciNetwork {
         report
     }
 
-    /// Audits every cluster; returns per-cluster reports.
+    /// Audits every cluster in one pass; returns per-cluster reports.
     pub fn merkle_audit_all(&self) -> Vec<MerkleAuditReport> {
+        let mut pass = MerkleAuditPass::new();
         self.clusters()
             .into_iter()
-            .map(|c| self.merkle_audit(c))
+            .map(|c| self.merkle_audit_in(&mut pass, c))
             .collect()
     }
 }
@@ -186,8 +267,12 @@ mod tests {
     use ici_net::node::NodeId;
 
     fn network_with_blocks(blocks: u64) -> IciNetwork {
+        network_of(24, blocks)
+    }
+
+    fn network_of(nodes: usize, blocks: u64) -> IciNetwork {
         let config = IciConfig::builder()
-            .nodes(24)
+            .nodes(nodes)
             .cluster_size(8)
             .replication(2)
             .genesis(GenesisConfig::uniform(32, 10_000_000))
@@ -339,5 +424,113 @@ mod tests {
         assert_eq!(report.heights_checked, 0);
         assert_eq!(report.missing.len(), 4); // genesis + 3
         assert!(!report.is_clean());
+    }
+
+    /// Four clusters in the four states an audit meets: healthy,
+    /// crashed-then-repaired, a body lost, fully dead.
+    fn network_in_every_audit_state() -> IciNetwork {
+        let mut net = network_of(32, 6);
+        let clusters = net.clusters();
+        let members = |net: &IciNetwork, c: usize| net.membership().active_members(clusters[c]);
+        let victim = members(&net, 1)[0];
+        net.crash_node(victim).expect("known");
+        net.repair_cluster(clusters[1]);
+        for m in members(&net, 2) {
+            if net.holdings(m).expect("known").has_body(3) {
+                net.crash_node(m).expect("known");
+            }
+        }
+        for m in members(&net, 3) {
+            net.crash_node(m).expect("known");
+        }
+        net
+    }
+
+    /// Sum of the `core/merkle_audit_trees` counter recorded by `f`.
+    fn trees_derived_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        // Left on: no other test in this binary reads the flag.
+        ici_telemetry::set_enabled(true);
+        ici_telemetry::reset();
+        let out = f();
+        let snap = ici_telemetry::snapshot();
+        let trees = snap
+            .counters
+            .iter()
+            .filter(|c| c.name == "core/merkle_audit_trees")
+            .map(|c| c.value)
+            .sum();
+        (out, trees)
+    }
+
+    #[test]
+    fn shared_pass_reports_equal_stand_alone_audits() {
+        let net = network_in_every_audit_state();
+        for threads in [1, 4] {
+            ici_par::set_threads(threads);
+            let shared = net.merkle_audit_all();
+            assert_eq!(shared.len(), 4);
+            for (cluster, report) in net.clusters().into_iter().zip(&shared) {
+                assert_eq!(
+                    *report,
+                    net.merkle_audit(cluster),
+                    "threads={threads} cluster={cluster:?}"
+                );
+            }
+            assert!(shared[0].is_clean() && shared[1].is_clean());
+            assert_eq!(shared[2].missing, vec![3]);
+            assert_eq!(shared[3].heights_checked, 0);
+            assert_eq!(shared[3].missing.len(), 7);
+        }
+    }
+
+    #[test]
+    fn repair_then_audit_in_one_pass_equals_stand_alone_audits() {
+        // The fault runner's certify loop: each cluster is repaired and
+        // then audited, all clusters of the round sharing one pass.
+        for threads in [1, 4] {
+            ici_par::set_threads(threads);
+            let mut net = network_of(32, 6);
+            for cluster in net.clusters() {
+                let victim = net.membership().active_members(cluster)[0];
+                net.crash_node(victim).expect("known");
+            }
+            let mut pass = MerkleAuditPass::new();
+            for cluster in net.clusters() {
+                net.repair_cluster(cluster);
+                let shared = net.merkle_audit_in(&mut pass, cluster);
+                assert_eq!(shared, net.merkle_audit(cluster), "threads={threads}");
+                assert!(shared.is_clean(), "{shared:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pass_derives_each_audited_height_once_and_restarts_when_the_chain_grows() {
+        let mut net = network_in_every_audit_state();
+        // Heights some live member of some cluster holds: all seven here
+        // (the healthy cluster alone covers the chain).
+        let (reports, trees) = trees_derived_by(|| net.merkle_audit_all());
+        assert_eq!(reports.len(), 4);
+        assert_eq!(trees, 7);
+        // Stand-alone audits share nothing: one tree per height checked.
+        let (checked, trees) = trees_derived_by(|| {
+            net.clusters()
+                .into_iter()
+                .map(|c| net.merkle_audit(c).heights_checked as u64)
+                .sum::<u64>()
+        });
+        assert_eq!(trees, checked);
+        assert_eq!(checked, 7 + 7 + 6);
+
+        // A pass outlives its chain length only by starting over.
+        let healthy = net.clusters()[0];
+        let mut pass = MerkleAuditPass::new();
+        let (_, first) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
+        let (_, again) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
+        assert_eq!((first, again), (7, 0));
+        net.propose_block(Vec::new()).expect("commits");
+        let (grown, rederived) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
+        assert_eq!(rederived, 8);
+        assert_eq!(grown, net.merkle_audit(healthy));
     }
 }

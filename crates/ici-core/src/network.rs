@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 
 use ici_chain::block::{Block, BlockHeader, Height};
+use ici_chain::locator::TxLocator;
 use ici_chain::state::WorldState;
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::Membership;
@@ -37,6 +38,10 @@ pub struct IciNetwork {
     /// The committed chain, genesis first. Authoritative copy; per-node
     /// replicas are tracked in `holdings`.
     pub(crate) chain: Vec<Block>,
+    /// Transaction index over a prefix of `chain`. Read-side only:
+    /// [`IciNetwork::query_transaction`] extends it to the tip, block
+    /// commit never touches it.
+    pub(crate) locator: TxLocator,
     /// Post-state of the tip.
     pub(crate) state: WorldState,
     /// Per-node storage accounting, indexed by node id.
@@ -83,6 +88,7 @@ impl IciNetwork {
             net,
             membership,
             chain: vec![genesis],
+            locator: TxLocator::new(),
             state,
             holdings,
             clock: SimTime::ZERO,
@@ -144,6 +150,12 @@ impl IciNetwork {
     /// The post-state of the tip.
     pub fn state(&self) -> &WorldState {
         &self.state
+    }
+
+    /// The transaction locator (how much of the chain reads have
+    /// indexed so far).
+    pub fn tx_locator(&self) -> &TxLocator {
+        &self.locator
     }
 
     /// Per-block commit records (excludes genesis).

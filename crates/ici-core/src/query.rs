@@ -15,6 +15,7 @@
 //! serving peer is needed.
 
 use ici_chain::block::Height;
+use ici_crypto::sha256::Digest;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -91,45 +92,48 @@ impl IciNetwork {
             });
         }
 
-        // Tier 2: intra-cluster owners.
-        let my_cluster = self.membership.cluster_of(requester);
-        let local_members = self.membership.active_members(my_cluster);
-        let local_owners = self.dispatch_owners(&block_id, height, &local_members);
-        for owner in local_owners {
-            if let Some(report) = self.round_trip(
-                requester,
-                owner,
-                height,
-                body_bytes,
-                QueryTier::IntraCluster,
-            ) {
-                return Ok(report);
-            }
-        }
-
-        // Tier 3: any live holder anywhere.
-        for cluster in self.clusters() {
-            if cluster == my_cluster {
-                continue;
-            }
-            let members = self.membership.active_members(cluster);
-            for owner in self.dispatch_owners(&block_id, height, &members) {
-                if let Some(report) = self.round_trip(
-                    requester,
-                    owner,
-                    height,
-                    body_bytes,
-                    QueryTier::CrossCluster,
-                ) {
-                    return Ok(report);
-                }
-            }
-        }
-        Err(IciError::BodyUnavailable(height))
+        // Tiers 2 and 3: the first live holder that answers.
+        self.first_served(requester, &block_id, height, |net, server, tier| {
+            net.round_trip(requester, server, height, body_bytes, tier)
+        })
+        .ok_or(IciError::BodyUnavailable(height))
     }
 
-    /// One request/response exchange with `server`, if it is live and
-    /// actually holds the body.
+    /// Walks the assigned owners of block `(block_id, height)` tier by
+    /// tier — the requester's own cluster first, then every other cluster
+    /// in id order — offering each live holder of the body to `serve`
+    /// until one call answers. Owners are ranked one cluster at a time,
+    /// so a read its own cluster serves never ranks the others.
+    pub(crate) fn first_served<T>(
+        &mut self,
+        requester: NodeId,
+        block_id: &Digest,
+        height: Height,
+        mut serve: impl FnMut(&mut IciNetwork, NodeId, QueryTier) -> Option<T>,
+    ) -> Option<T> {
+        let mut ask_cluster = |net: &mut IciNetwork, cluster, tier| {
+            let members = net.membership.active_members(cluster);
+            for owner in net.dispatch_owners(block_id, height, &members) {
+                if net.net.is_up(owner) && net.holdings[owner.index()].has_body(height) {
+                    if let Some(answer) = serve(net, owner, tier) {
+                        return Some(answer);
+                    }
+                }
+            }
+            None
+        };
+        let my_cluster = self.membership.cluster_of(requester);
+        if let Some(answer) = ask_cluster(self, my_cluster, QueryTier::IntraCluster) {
+            return Some(answer);
+        }
+        self.clusters()
+            .into_iter()
+            .filter(|cluster| *cluster != my_cluster)
+            .find_map(|cluster| ask_cluster(self, cluster, QueryTier::CrossCluster))
+    }
+
+    /// One request/response exchange with `server`, a live holder of the
+    /// body.
     fn round_trip(
         &mut self,
         requester: NodeId,
@@ -138,9 +142,6 @@ impl IciNetwork {
         body_bytes: u64,
         tier: QueryTier,
     ) -> Option<QueryReport> {
-        if !self.net.is_up(server) || !self.holdings[server.index()].has_body(height) {
-            return None;
-        }
         let there = self
             .net
             .send(requester, server, MessageKind::Query, QUERY_BYTES)

@@ -40,27 +40,30 @@ pub struct TxProofReport {
 }
 
 impl IciNetwork {
-    /// Locates `tx_id` in the committed chain (the simulator's global
-    /// index; real nodes keep the same map for their own transactions).
+    /// Locates `tx_id` in the committed chain: the first occurrence in
+    /// chain order, as `(height, index within the block)`.
+    ///
+    /// The blocks the [`TxLocator`](ici_chain::locator::TxLocator) has
+    /// indexed are answered by binary search with the id re-derived to
+    /// confirm; blocks committed since the last
+    /// [`IciNetwork::query_transaction`] are scanned. Never indexes, so
+    /// on a network that has served no transaction query it is the plain
+    /// genesis-first scan.
     pub fn locate_transaction(&self, tx_id: &TxId) -> Option<(Height, u64)> {
-        for block in &self.chain {
-            for (i, tx) in block.transactions().iter().enumerate() {
-                if tx.id() == *tx_id {
-                    return Some((block.height(), i as u64));
-                }
-            }
-        }
-        None
+        self.locator.locate(&self.chain, tx_id)
     }
 
     /// Fetches `tx_id` with a Merkle proof on behalf of `requester` and
     /// verifies the proof against the requester's header chain.
     ///
+    /// Brings the transaction locator up to the tip first (the write
+    /// path never does), so only the first query after a run of commits
+    /// pays for hashing the new blocks' transaction ids.
+    ///
     /// # Errors
     ///
     /// * [`IciError::UnknownNode`] / [`IciError::NodeDown`] — bad requester;
-    /// * [`IciError::UnknownHeight`] — the transaction is not on chain
-    ///   (reported against height `u64::MAX`);
+    /// * [`IciError::UnknownTransaction`] — the transaction is not on chain;
     /// * [`IciError::BodyUnavailable`] — no live owner can serve it.
     pub fn query_transaction(
         &mut self,
@@ -73,29 +76,18 @@ impl IciNetwork {
         if !self.net.is_up(requester) {
             return Err(IciError::NodeDown(requester));
         }
+        self.locator.catch_up(&self.chain);
         let (height, index) = self
             .locate_transaction(tx_id)
-            .ok_or(IciError::UnknownHeight(u64::MAX))?;
-        let block = &self.chain[height as usize];
-        let block_id = block.id();
-        let tx_root = block.header().tx_root;
+            .ok_or(IciError::UnknownTransaction(*tx_id))?;
+        let block_id = self.chain[height as usize].id();
 
-        // Find a live holder: intra-cluster owners first, then anywhere.
-        let my_cluster = self.membership.cluster_of(requester);
-        let mut candidates: Vec<NodeId> = Vec::new();
-        let local = self.membership.active_members(my_cluster);
-        candidates.extend(self.dispatch_owners(&block_id, height, &local));
-        for cluster in self.clusters() {
-            if cluster == my_cluster {
-                continue;
-            }
-            let members = self.membership.active_members(cluster);
-            candidates.extend(self.dispatch_owners(&block_id, height, &members));
-        }
-        let server = candidates
-            .into_iter()
-            .find(|n| self.net.is_up(*n) && self.holdings[n.index()].has_body(height))
+        // The first live holder: intra-cluster owners first, then anywhere.
+        let server = self
+            .first_served(requester, &block_id, height, |_, holder, _| Some(holder))
             .ok_or(IciError::BodyUnavailable(height))?;
+        let block = &self.chain[height as usize];
+        let tx_root = block.header().tx_root;
 
         // The server builds the proof from its stored body.
         let tree = block.tx_tree();
@@ -215,10 +207,10 @@ mod tests {
     fn unknown_transaction_is_an_error() {
         let (mut net, _) = network_with_txs();
         let bogus = ici_crypto::Sha256::digest(b"never committed");
-        assert!(matches!(
+        assert_eq!(
             net.query_transaction(NodeId::new(0), &bogus),
-            Err(IciError::UnknownHeight(_))
-        ));
+            Err(IciError::UnknownTransaction(bogus))
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ici_consensus::pbft::VOTE_BYTES;
 use ici_consensus::verdicts::{tally_votes, VerdictOutcome, VerifierVote};
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
-use ici_core::StageBoundary;
+use ici_core::{MerkleAuditPass, StageBoundary};
 use ici_faults::plan::{
     ByzantineConfig, ChurnConfig, FaultError, FaultPlanConfig, MessageFaultSpec, PartitionPolicy,
     VerdictFault,
@@ -687,7 +687,9 @@ pub fn run_ici_under_faults(
         }
 
         // 4. Survivors re-replicate every cluster touched by churn, and
-        //    the shard-level Merkle audit certifies each repair.
+        //    the shard-level Merkle audit certifies each repair. The
+        //    round's certificates share one audit pass: a height is
+        //    re-derived once per round, not once per repaired cluster.
         let mut affected: Vec<_> = round
             .crashes
             .iter()
@@ -697,13 +699,14 @@ pub fn run_ici_under_faults(
             .collect();
         affected.sort_unstable_by_key(|c| c.get());
         affected.dedup();
+        let mut audit_pass = MerkleAuditPass::new();
         for cluster in affected {
             summary.recovery_attempts += 1;
             let report = network.repair_cluster(cluster);
             summary.repair_transfers += report.transfers;
             summary.repair_bytes += report.bytes;
             summary.cross_cluster_fetches += report.cross_cluster_fetches.len();
-            let audit = network.merkle_audit(cluster);
+            let audit = network.merkle_audit_in(&mut audit_pass, cluster);
             if report.unrecoverable.is_empty() && audit.is_clean() {
                 summary.recovery_successes += 1;
             } else {

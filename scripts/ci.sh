@@ -18,6 +18,14 @@ ICI_PAR_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (4-wide pool, ICI_PAR_THREADS=4)"
 ICI_PAR_THREADS=4 cargo test -q --workspace
 
+echo "==> benchmark package (tests, then all six workloads at smoke size)"
+# benchmark/ is its own workspace, so --workspace never reaches it. Its
+# src/surface.rs is the frozen list of repo functions the benchmark
+# calls: building and smoke-running it here is what catches a PR that
+# renames or drops one of them.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+
 echo "==> ici-lint"
 cargo run -q -p ici-lint
 
