@@ -26,10 +26,10 @@ use ici_baselines::rapidchain::RapidChainConfig;
 use ici_bench::{emit, quiet_link, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig};
-use ici_sim::baseline_faults::{
-    run_full_under_faults, run_rapidchain_under_faults, BaselineFaultSummary,
+use ici_sim::fault_run::{
+    run_full_under_faults, run_ici_under_faults, run_rapidchain_under_faults, FaultProfile,
+    FaultRunSummary,
 };
-use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, FaultRunSummary};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -66,78 +66,6 @@ fn byz_profile(seed: u64, rounds: usize, min_live: usize) -> FaultProfile {
     }
 }
 
-/// One comparison column, shared between ICI and baseline summaries.
-struct Column {
-    name: &'static str,
-    committed: u64,
-    skipped: usize,
-    byz_skipped: usize,
-    equiv_attempts: usize,
-    equiv_detected: usize,
-    equiv_rate: f64,
-    breaches: usize,
-    flips: usize,
-    withholds: usize,
-    liars: usize,
-    liar_rate: f64,
-    wasted: u64,
-    total: u64,
-    min_live: usize,
-    fingerprint: u64,
-}
-
-impl Column {
-    fn from_ici(summary: &FaultRunSummary, total: u64) -> Column {
-        Column {
-            name: "ici",
-            committed: summary.committed_blocks,
-            skipped: summary.skipped_rounds,
-            byz_skipped: summary.byz_skipped_rounds,
-            equiv_attempts: summary.equivocation_attempts,
-            equiv_detected: summary.equivocations_detected,
-            equiv_rate: summary.equivocation_detection_rate(),
-            breaches: summary.safety_breaches,
-            flips: summary.verdict_flips,
-            withholds: summary.verdict_withholds,
-            liars: summary.liars_detected,
-            liar_rate: summary.liar_detection_rate(),
-            wasted: summary.wasted_bytes,
-            total,
-            min_live: summary.min_live_nodes,
-            fingerprint: summary.plan_fingerprint,
-        }
-    }
-
-    fn from_baseline(summary: &BaselineFaultSummary) -> Column {
-        Column {
-            name: summary.strategy,
-            committed: summary.committed_blocks,
-            skipped: summary.skipped_rounds,
-            byz_skipped: summary.byz_skipped_rounds,
-            equiv_attempts: summary.equivocation_attempts,
-            equiv_detected: summary.equivocations_detected,
-            equiv_rate: summary.equivocation_detection_rate(),
-            breaches: summary.safety_breaches,
-            flips: summary.verdict_flips,
-            withholds: summary.verdict_withholds,
-            liars: summary.liars_detected,
-            liar_rate: summary.liar_detection_rate(),
-            wasted: summary.wasted_bytes,
-            total: summary.total_bytes,
-            min_live: summary.min_live_nodes,
-            fingerprint: summary.plan_fingerprint,
-        }
-    }
-
-    fn wasted_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.wasted as f64 / self.total as f64
-        }
-    }
-}
-
 fn main() {
     let scale = Scale::from_args();
     let seed = seed_from_args();
@@ -155,14 +83,13 @@ fn main() {
         .seed(seed)
         .build()
         .expect("valid configuration");
-    let (ici_net, ici) = run_ici_under_faults(
+    let (_, ici) = run_ici_under_faults(
         ici_config,
         txs_per_block,
         standard_workload(seed),
         byz_profile(seed, rounds, min_live),
     )
     .expect("fault plan builds over the formed clusters");
-    let ici_total = ici_net.net().meter().total().bytes;
 
     let full_config = FullConfig {
         nodes,
@@ -193,67 +120,67 @@ fn main() {
     )
     .expect("fault plan builds over the committees");
 
-    let columns = [
-        Column::from_ici(&ici, ici_total),
-        Column::from_baseline(&full),
-        Column::from_baseline(&rapidchain),
-    ];
+    let columns = [&ici, &full, &rapidchain];
 
     let mut comparison = Table::new(
         format!("E-byz: Byzantine survivability, N={nodes}, c={cluster_size}, seed={seed}"),
         ["metric", "ici", "full", "rapidchain"],
     );
-    let row3 = |t: &mut Table, metric: &str, f: &dyn Fn(&Column) -> String| {
+    let row3 = |t: &mut Table, metric: &str, f: &dyn Fn(&FaultRunSummary) -> String| {
         t.row([
             metric.to_string(),
-            f(&columns[0]),
-            f(&columns[1]),
-            f(&columns[2]),
+            f(columns[0]),
+            f(columns[1]),
+            f(columns[2]),
         ]);
     };
     row3(&mut comparison, "committed blocks", &|c| {
-        c.committed.to_string()
+        c.committed_blocks.to_string()
     });
     row3(&mut comparison, "skipped rounds", &|c| {
-        c.skipped.to_string()
+        c.skipped_rounds.to_string()
     });
     row3(&mut comparison, "rounds lost to Byzantine action", &|c| {
-        c.byz_skipped.to_string()
+        c.byz_skipped_rounds.to_string()
     });
     row3(&mut comparison, "equivocation attempts", &|c| {
-        c.equiv_attempts.to_string()
+        c.equivocation_attempts.to_string()
     });
     row3(&mut comparison, "equivocations detected", &|c| {
-        c.equiv_detected.to_string()
+        c.equivocations_detected.to_string()
     });
     row3(&mut comparison, "equivocation detection rate", &|c| {
-        format!("{:.1}%", c.equiv_rate * 100.0)
+        format!("{:.1}%", c.equivocation_detection_rate() * 100.0)
     });
     row3(&mut comparison, "undetected equivocations (hazard)", &|c| {
-        c.breaches.to_string()
+        c.safety_breaches.to_string()
     });
-    row3(&mut comparison, "verdict flips", &|c| c.flips.to_string());
+    row3(&mut comparison, "verdict flips", &|c| {
+        c.verdict_flips.to_string()
+    });
     row3(&mut comparison, "verdict withholds", &|c| {
-        c.withholds.to_string()
+        c.verdict_withholds.to_string()
     });
     row3(&mut comparison, "lying verifiers named", &|c| {
-        c.liars.to_string()
+        c.liars_detected.to_string()
     });
     row3(&mut comparison, "liar detection rate", &|c| {
-        format!("{:.1}%", c.liar_rate * 100.0)
+        format!("{:.1}%", c.liar_detection_rate() * 100.0)
     });
     row3(&mut comparison, "wasted bytes (killed blocks)", &|c| {
-        format_bytes(c.wasted)
+        format_bytes(c.wasted_bytes)
     });
-    row3(&mut comparison, "total bytes", &|c| format_bytes(c.total));
+    row3(&mut comparison, "total bytes", &|c| {
+        format_bytes(c.total_bytes)
+    });
     row3(&mut comparison, "wasted fraction", &|c| {
         format!("{:.2}%", c.wasted_fraction() * 100.0)
     });
     row3(&mut comparison, "min live nodes", &|c| {
-        c.min_live.to_string()
+        c.min_live_nodes.to_string()
     });
     row3(&mut comparison, "fault schedule fingerprint", &|c| {
-        format!("{:016x}", c.fingerprint)
+        format!("{:016x}", c.plan_fingerprint)
     });
 
     let mut detail = Table::new(
@@ -283,11 +210,11 @@ fn main() {
     // expose every equivocation (honest witnesses in both audience
     // halves at this scale) without a single undetected split, name
     // every lying verifier, and still finish with clean storage.
-    for c in &columns {
+    for c in columns {
         assert!(
-            c.equiv_attempts > 0,
+            c.equivocation_attempts > 0,
             "vacuous run: `{}` saw no equivocation attempts",
-            c.name
+            c.strategy
         );
     }
     assert!(

@@ -1,13 +1,19 @@
-//! Experiment harness: runners, statistics, tables, and result export.
+//! Experiment harness: run drivers, statistics, tables, and result export.
 //!
-//! * [`runner`] — drives ICIStrategy and both baselines over a shared
-//!   workload and reduces each run to a [`runner::RunSummary`];
-//! * [`fault_run`] — the failure-aware runner: drives a run through a
-//!   deterministic `ici-faults` schedule and certifies recovery with the
-//!   shard-level Merkle audit;
-//! * [`baseline_faults`] — the same fault plans driven through the
-//!   full-replication and RapidChain baselines, for apples-to-apples
-//!   survivability comparisons (`e_byz`);
+//! * [`strategy`] — the [`Strategy`] trait the drivers are written
+//!   against, implemented for ICIStrategy and both baselines; every
+//!   per-strategy difference lives there, in one table;
+//! * [`runner`] — [`runner::run`], the fault-free driver: pre-generate
+//!   the workload, commit every round, reduce to a
+//!   [`runner::RunSummary`] (`run_ici` / `run_full` / `run_rapidchain`
+//!   instantiate it);
+//! * [`fault_run`] — [`fault_run::run_under_faults`], the failure-aware
+//!   driver: one round loop takes any strategy through a deterministic
+//!   `ici-faults` schedule of churn, message faults and Byzantine
+//!   action and reduces it to a [`fault_run::FaultRunSummary`]
+//!   (`run_ici_under_faults` / `run_full_under_faults` /
+//!   `run_rapidchain_under_faults` instantiate it), so survivability
+//!   columns (`e_byz`) differ only by the strategy under test;
 //! * [`latency`] — latency percentile summaries;
 //! * [`table`] — paper-style ASCII tables and CSV;
 //! * [`report`] — JSON export of experiment records for `EXPERIMENTS.md`
@@ -34,18 +40,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline_faults;
 pub mod fault_run;
 pub mod latency;
 pub mod report;
 pub mod runner;
+pub mod strategy;
 pub mod table;
 
-pub use baseline_faults::{
-    run_full_under_faults, run_rapidchain_under_faults, BaselineFaultSummary,
+pub use fault_run::{
+    run_full_under_faults, run_ici_under_faults, run_rapidchain_under_faults, run_under_faults,
+    FaultProfile, FaultRunSummary,
 };
-pub use fault_run::{run_ici_under_faults, FaultProfile, FaultRunSummary};
 pub use latency::LatencyStats;
 pub use report::ExperimentRecord;
-pub use runner::{run_full, run_ici, run_rapidchain, RunSummary};
+pub use runner::{run, run_full, run_ici, run_rapidchain, RunSummary};
+pub use strategy::Strategy;
 pub use table::{fmt_f64, Table};

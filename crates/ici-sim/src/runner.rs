@@ -1,9 +1,11 @@
-//! High-level experiment runners.
+//! The fault-free run driver.
 //!
-//! Each runner drives one strategy over a deterministic workload and
+//! [`run`] drives any [`Strategy`] over a deterministic workload and
 //! reduces the run to a [`RunSummary`] with the quantities the paper's
 //! tables report: per-node storage, per-block communication, commit
-//! latency, and throughput. The bench binaries are thin loops over these.
+//! latency, and throughput. [`run_ici`], [`run_full`] and
+//! [`run_rapidchain`] are its three instantiations; the bench binaries
+//! are thin loops over them.
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
@@ -14,10 +16,16 @@ use ici_storage::stats::StorageStats;
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 use crate::latency::LatencyStats;
+use crate::strategy::Strategy;
 
-/// Initial balance granted to each workload account at genesis — large
-/// enough that no run exhausts a sender.
-const GENESIS_BALANCE: u64 = u64::MAX / 1_000_000;
+/// `part / whole`, or `when_empty` if there is no whole.
+pub(crate) fn ratio(part: f64, whole: f64, when_empty: f64) -> f64 {
+    if whole == 0.0 {
+        when_empty
+    } else {
+        part / whole
+    }
+}
 
 /// One strategy's run, reduced to the reported quantities.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,318 +57,185 @@ pub struct RunSummary {
 impl RunSummary {
     /// Per-node mean storage over the full-replica size, in `[0, 1]`.
     pub fn storage_fraction(&self) -> f64 {
-        if self.ledger_bytes == 0 {
-            0.0
-        } else {
-            self.storage.mean / self.ledger_bytes as f64
+        ratio(self.storage.mean, self.ledger_bytes as f64, 0.0)
+    }
+
+    /// Reduces a finished run to the reported quantities.
+    fn of<S: Strategy>(strategy: &S) -> RunSummary {
+        let (mut blocks, mut txs, mut messages, mut bytes) = (0u64, 0u64, 0u64, 0u64);
+        for commit in strategy.commits() {
+            blocks += 1;
+            txs += u64::from(commit.tx_count);
+            messages += commit.messages;
+            bytes += commit.bytes;
+        }
+        let per_block = |total: u64| ratio(total as f64, blocks as f64, 0.0);
+        let final_clock_ms = strategy.now().as_micros() as f64 / 1_000.0;
+        RunSummary {
+            strategy: S::LABEL.into(),
+            nodes: strategy.net().len(),
+            committed_blocks: blocks,
+            total_txs: txs,
+            storage: StorageStats::from_bytes(strategy.stored_bytes()),
+            ledger_bytes: strategy.ledger_bytes(),
+            mean_block_messages: per_block(messages),
+            mean_block_bytes: per_block(bytes),
+            commit_latency: LatencyStats::from_durations(strategy.commits().map(|c| c.latency)),
+            throughput_tps: ratio(txs as f64, final_clock_ms / 1_000.0, 0.0),
+            final_clock_ms,
         }
     }
 }
 
-fn genesis_for(workload: &WorkloadConfig) -> GenesisConfig {
-    GenesisConfig::uniform(workload.accounts, GENESIS_BALANCE)
+/// The genesis every run starts from: each workload account funded
+/// with a balance large enough that no run exhausts a sender.
+pub(crate) fn genesis_for(workload: &WorkloadConfig) -> GenesisConfig {
+    GenesisConfig::uniform(workload.accounts, u64::MAX / 1_000_000)
 }
 
-/// Appends one per-round time-series sample (see `ici_trace::series`).
-/// Runners call this only under `ICI_TELEMETRY=1`, like every other
+/// Collects one run's per-round time series (see `ici_trace::series`).
+/// Drivers sample only under `ICI_TELEMETRY=1`, like every other
 /// exported-but-not-committed section.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_round(
-    samples: &mut Vec<ici_trace::series::RoundSample>,
-    tracker: &mut ici_trace::series::TrafficTracker,
-    round: u64,
-    height: u64,
-    at_us: u64,
-    committed_txs: u64,
-    generated_txs: u64,
-    live_nodes: u64,
-    stored_bytes: Vec<u64>,
-    meter: &ici_net::metrics::TrafficMeter,
-) {
-    let traffic = tracker.delta(
-        meter
-            .by_kind()
-            .iter()
-            .map(|(kind, c)| (kind.name(), c.messages, c.bytes)),
-    );
-    samples.push(ici_trace::series::RoundSample {
-        round,
-        height,
-        at_us,
-        committed_txs,
-        mempool_depth: generated_txs.saturating_sub(committed_txs),
-        live_nodes,
-        stored_bytes,
-        traffic,
-    });
+#[derive(Default)]
+pub(crate) struct RoundSeries {
+    samples: Vec<ici_trace::series::RoundSample>,
+    tracker: ici_trace::series::TrafficTracker,
 }
 
-/// Registers a finished run's samples under `label/n=<nodes>`.
-pub(crate) fn finish_series(
-    label: &str,
-    nodes: usize,
-    samples: Vec<ici_trace::series::RoundSample>,
-) {
-    if !samples.is_empty() {
-        ici_trace::series::push(ici_trace::series::RunSeries {
-            run: format!("{label}/n={nodes}"),
-            samples,
+impl RoundSeries {
+    /// Appends the sample for `round`, taken from `strategy` as it
+    /// stands.
+    pub(crate) fn sample<S: Strategy>(&mut self, strategy: &S, round: usize, generated_txs: u64) {
+        let (mut height, mut committed_txs) = (0, 0u64);
+        for commit in strategy.commits() {
+            height = commit.height;
+            committed_txs += u64::from(commit.tx_count);
+        }
+        let traffic = self.tracker.delta(
+            strategy
+                .net()
+                .meter()
+                .by_kind()
+                .iter()
+                .map(|(kind, c)| (kind.name(), c.messages, c.bytes)),
+        );
+        self.samples.push(ici_trace::series::RoundSample {
+            round: round as u64,
+            height,
+            at_us: strategy.now().as_micros(),
+            committed_txs,
+            mempool_depth: generated_txs.saturating_sub(committed_txs),
+            live_nodes: strategy.net().live_nodes().len() as u64,
+            stored_bytes: strategy.stored_bytes(),
+            traffic,
         });
+    }
+
+    /// Registers the finished run's samples under `label/n=<nodes>`.
+    pub(crate) fn finish(self, label: &str, nodes: usize) {
+        if !self.samples.is_empty() {
+            ici_trace::series::push(ici_trace::series::RunSeries {
+                run: format!("{label}/n={nodes}"),
+                samples: self.samples,
+            });
+        }
     }
 }
 
-/// Runs ICIStrategy for `blocks` blocks of `txs_per_block` transactions.
+/// Runs `S` for `rounds` rounds, each committing one block of
+/// `txs_per_block` transactions on every lane.
 ///
-/// The genesis allocation is derived from the workload so every generated
-/// transaction is funded.
+/// The genesis allocation is derived from the workload so every
+/// generated transaction is funded. Batches are pre-generated so a
+/// pipelined strategy can keep several heights in flight; the
+/// cumulative counts reproduce the per-round mempool depth a lazy loop
+/// would have sampled, keeping the series identical at every pipeline
+/// depth.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid or a block fails to commit (all
-/// nodes are honest and live in this runner; use the failure API directly
-/// for crash experiments).
+/// Panics if the configuration is invalid or a block fails to commit
+/// (all nodes are honest and live here; use
+/// [`crate::fault_run::run_under_faults`] for crash experiments).
+pub fn run<S: Strategy>(
+    config: S::Config,
+    rounds: usize,
+    txs_per_block: usize,
+    workload: WorkloadConfig,
+) -> (S, RunSummary) {
+    let mut strategy = S::build(config, genesis_for(&workload));
+    // One generator per lane, seeded `seed ^ lane * 0x9E3779B9`, so
+    // nonces stay sequential within each lane's ledger and a single-lane
+    // strategy draws the workload's own stream; every round commits a
+    // block on every lane (all RapidChain shards). The fault driver
+    // differs on both counts — one lane visited per round, the same
+    // seed on every lane — and the committed records pin each driver's
+    // choice, so the asymmetry is kept on purpose.
+    let mut generators: Vec<WorkloadGenerator> = (0..strategy.lanes())
+        .map(|lane| {
+            WorkloadGenerator::new(WorkloadConfig {
+                seed: workload.seed ^ (lane as u64).wrapping_mul(0x9E37_79B9),
+                ..workload
+            })
+        })
+        .collect();
+    let mut batches = Vec::with_capacity(rounds * generators.len());
+    let mut cumulative_generated = Vec::with_capacity(rounds);
+    let mut generated = 0u64;
+    for _ in 0..rounds {
+        for generator in &mut generators {
+            let batch = generator.batch(txs_per_block);
+            generated += batch.len() as u64;
+            batches.push(batch);
+        }
+        cumulative_generated.push(generated);
+    }
+    let mut series = RoundSeries::default();
+    strategy.commit_all(batches, |strategy, round| {
+        if ici_telemetry::enabled() {
+            series.sample(strategy, round, cumulative_generated[round]);
+        }
+    });
+    series.finish(S::LABEL, strategy.net().len());
+
+    let summary = RunSummary::of(&strategy);
+    strategy.net().meter().publish_telemetry();
+    (strategy, summary)
+}
+
+/// [`run`] for ICIStrategy: `blocks` blocks of `txs_per_block`
+/// transactions through the pipelined lifecycle.
 pub fn run_ici(
-    mut config: IciConfig,
+    config: IciConfig,
     blocks: usize,
     txs_per_block: usize,
     workload: WorkloadConfig,
 ) -> (IciNetwork, RunSummary) {
     let _span = ici_telemetry::span!("sim/run_ici");
-    config.genesis = genesis_for(&workload);
-    let mut network = IciNetwork::new(config).expect("valid configuration");
-    let mut generator = WorkloadGenerator::new(workload);
-    // Batches are pre-generated so the pipelined driver can keep
-    // several heights in flight; the cumulative counts reproduce the
-    // per-round mempool depth a lazy loop would have sampled, keeping
-    // the series identical at every pipeline depth.
-    let mut batches = Vec::with_capacity(blocks);
-    let mut cumulative_generated = Vec::with_capacity(blocks);
-    let mut generated = 0u64;
-    for _ in 0..blocks {
-        let batch = generator.batch(txs_per_block);
-        generated += batch.len() as u64;
-        cumulative_generated.push(generated);
-        batches.push(batch);
-    }
-    let mut samples = Vec::new();
-    let mut tracker = ici_trace::series::TrafficTracker::new();
-    let depth = ici_par::pipeline_depth();
-    network
-        .propose_blocks_pipelined(batches, depth, |net, round| {
-            if ici_telemetry::enabled() {
-                let log = net.commit_log();
-                sample_round(
-                    &mut samples,
-                    &mut tracker,
-                    round as u64,
-                    log.last().map_or(0, |r| r.height),
-                    net.now().as_micros(),
-                    log.iter().map(|r| r.tx_count as u64).sum(),
-                    cumulative_generated[round],
-                    net.net().live_nodes().len() as u64,
-                    net.storage_bytes(),
-                    net.net().meter(),
-                );
-            }
-        })
-        .expect("block commits");
-    finish_series("ICIStrategy", network.config().nodes, samples);
-
-    let log = network.commit_log();
-    let total_txs: u64 = log.iter().map(|r| r.tx_count as u64).sum();
-    let latencies = log.iter().map(|r| r.commit_latency());
-    let commit_latency = LatencyStats::from_durations(latencies);
-    let final_clock_ms = network.now().as_micros() as f64 / 1_000.0;
-    let summary = RunSummary {
-        strategy: "ICIStrategy".into(),
-        nodes: network.config().nodes,
-        committed_blocks: log.len() as u64,
-        total_txs,
-        storage: network.storage_stats(),
-        ledger_bytes: network.full_replica_bytes(),
-        mean_block_messages: mean(log.iter().map(|r| r.messages)),
-        mean_block_bytes: mean(log.iter().map(|r| r.bytes)),
-        commit_latency,
-        throughput_tps: tps(total_txs, final_clock_ms),
-        final_clock_ms,
-    };
-    network.net().meter().publish_telemetry();
-    (network, summary)
+    run(config, blocks, txs_per_block, workload)
 }
 
-/// Runs the full-replication baseline.
-///
-/// # Panics
-///
-/// Panics if a block fails to commit.
+/// [`run`] for the full-replication baseline.
 pub fn run_full(
-    mut config: FullConfig,
+    config: FullConfig,
     blocks: usize,
     txs_per_block: usize,
     workload: WorkloadConfig,
 ) -> (FullReplicationNetwork, RunSummary) {
     let _span = ici_telemetry::span!("sim/run_full");
-    config.genesis = genesis_for(&workload);
-    let nodes = config.nodes;
-    let mut network = FullReplicationNetwork::new(config);
-    let mut generator = WorkloadGenerator::new(workload);
-    let mut generated = 0u64;
-    let mut samples = Vec::new();
-    let mut tracker = ici_trace::series::TrafficTracker::new();
-    for round in 0..blocks {
-        let batch = generator.batch(txs_per_block);
-        generated += batch.len() as u64;
-        network.propose_block(batch).expect("block commits");
-        if ici_telemetry::enabled() {
-            let log = network.commit_log();
-            sample_round(
-                &mut samples,
-                &mut tracker,
-                round as u64,
-                log.last().map_or(0, |r| r.height),
-                network.now().as_micros(),
-                log.iter().map(|r| r.tx_count as u64).sum(),
-                generated,
-                network.net().live_nodes().len() as u64,
-                vec![network.storage_bytes_per_node(); nodes],
-                network.net().meter(),
-            );
-        }
-    }
-    finish_series("FullReplication", nodes, samples);
-
-    let log = network.commit_log();
-    let total_txs: u64 = log.iter().map(|r| r.tx_count as u64).sum();
-    let commit_latency = LatencyStats::from_durations(log.iter().map(|r| r.commit_latency()));
-    let per_node = network.storage_bytes_per_node();
-    let final_clock_ms = network.now().as_micros() as f64 / 1_000.0;
-    let summary = RunSummary {
-        strategy: "FullReplication".into(),
-        nodes,
-        committed_blocks: log.len() as u64,
-        total_txs,
-        storage: StorageStats::from_bytes(std::iter::repeat(per_node).take(nodes)),
-        ledger_bytes: per_node,
-        mean_block_messages: mean(log.iter().map(|r| r.messages)),
-        mean_block_bytes: mean(log.iter().map(|r| r.bytes)),
-        commit_latency,
-        throughput_tps: tps(total_txs, final_clock_ms),
-        final_clock_ms,
-    };
-    network.net().meter().publish_telemetry();
-    (network, summary)
+    run(config, blocks, txs_per_block, workload)
 }
 
-/// Runs the RapidChain baseline for `rounds` rounds, each committing one
-/// block of `txs_per_block` per shard (shards progress in parallel).
-///
-/// # Panics
-///
-/// Panics if a shard block fails to commit.
+/// [`run`] for the RapidChain baseline: each of `rounds` rounds commits
+/// one block of `txs_per_block` per shard (shards progress in parallel).
 pub fn run_rapidchain(
-    mut config: RapidChainConfig,
+    config: RapidChainConfig,
     rounds: usize,
     txs_per_block: usize,
     workload: WorkloadConfig,
 ) -> (RapidChainNetwork, RunSummary) {
     let _span = ici_telemetry::span!("sim/run_rapidchain");
-    config.genesis = genesis_for(&workload);
-    let nodes = config.nodes;
-    let mut network = RapidChainNetwork::new(config);
-    // One independent generator per shard so nonces stay sequential within
-    // each shard's ledger.
-    let mut generators: Vec<WorkloadGenerator> = (0..network.shard_count())
-        .map(|s| {
-            WorkloadGenerator::new(WorkloadConfig {
-                seed: workload.seed ^ (s as u64).wrapping_mul(0x9E37_79B9),
-                ..workload
-            })
-        })
-        .collect();
-    let mut generated = 0u64;
-    let mut samples = Vec::new();
-    let mut tracker = ici_trace::series::TrafficTracker::new();
-    for round in 0..rounds {
-        // One batch per shard, committed as a single parallel round: every
-        // committee runs its proposal concurrently on the `ici-par` pool.
-        let batches: Vec<_> = generators
-            .iter_mut()
-            .enumerate()
-            .map(|(shard, generator)| (shard, generator.batch(txs_per_block)))
-            .collect();
-        generated += batches.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-        let heights = network.propose_round(batches);
-        assert!(heights.iter().all(Option::is_some), "shard commits");
-        if ici_telemetry::enabled() {
-            let log = network.commit_log();
-            sample_round(
-                &mut samples,
-                &mut tracker,
-                round as u64,
-                round as u64 + 1,
-                network.now().as_micros(),
-                log.iter().map(|r| r.tx_count as u64).sum(),
-                generated,
-                network.net().live_nodes().len() as u64,
-                network.storage_bytes(),
-                network.net().meter(),
-            );
-        }
-    }
-    finish_series("RapidChain", nodes, samples);
-
-    let log = network.commit_log();
-    let total_txs: u64 = log.iter().map(|r| r.tx_count as u64).sum();
-    let commit_latency = LatencyStats::from_durations(log.iter().map(|r| r.commit_latency()));
-    let storage_bytes = network.storage_bytes();
-    let ledger_bytes: u64 = {
-        // One replica of the whole (sharded) ledger = sum over shards.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut total = 0u64;
-        for shard in 0..network.shard_count() {
-            if seen.insert(shard) {
-                for h in 0..network.shard_chain_len(shard) {
-                    let b = network.shard_block(shard, h).expect("exists");
-                    total += (ici_chain::block::BlockHeader::ENCODED_LEN
-                        + b.header().body_len as usize) as u64;
-                }
-            }
-        }
-        total
-    };
-    let final_clock_ms = network.now().as_micros() as f64 / 1_000.0;
-    let summary = RunSummary {
-        strategy: "RapidChain".into(),
-        nodes,
-        committed_blocks: log.len() as u64,
-        total_txs,
-        storage: StorageStats::from_bytes(storage_bytes),
-        ledger_bytes,
-        mean_block_messages: mean(log.iter().map(|r| r.messages)),
-        mean_block_bytes: mean(log.iter().map(|r| r.bytes)),
-        commit_latency,
-        throughput_tps: tps(total_txs, final_clock_ms),
-        final_clock_ms,
-    };
-    network.net().meter().publish_telemetry();
-    (network, summary)
-}
-
-fn mean<I: IntoIterator<Item = u64>>(values: I) -> f64 {
-    let v: Vec<u64> = values.into_iter().collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<u64>() as f64 / v.len() as f64
-    }
-}
-
-fn tps(txs: u64, clock_ms: f64) -> f64 {
-    if clock_ms <= 0.0 {
-        0.0
-    } else {
-        txs as f64 / (clock_ms / 1_000.0)
-    }
+    run(config, rounds, txs_per_block, workload)
 }
 
 #[cfg(test)]

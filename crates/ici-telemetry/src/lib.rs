@@ -86,6 +86,16 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Serializes unit tests that toggle [`set_enabled`]: the flag is
+/// process-global while collectors are thread-local, so without the
+/// guard a concurrently running test can flip recording off
+/// mid-assertion.
+#[cfg(test)]
+pub(crate) fn flag_guard() -> std::sync::MutexGuard<'static, ()> {
+    static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Enables telemetry when `ICI_TELEMETRY` is set to `1` or `true`.
 /// Returns the resulting enabled state.
 pub fn init_from_env() -> bool {
@@ -191,6 +201,7 @@ mod tests {
 
     #[test]
     fn enable_flag_round_trips() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);
@@ -225,6 +236,7 @@ mod tests {
 
     #[test]
     fn init_from_env_defaults_off() {
+        let _flag = crate::flag_guard();
         std::env::remove_var(ENV_VAR);
         set_enabled(false);
         assert!(!init_from_env());

@@ -274,6 +274,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_dropped() {
+        let _flag = crate::flag_guard();
         set_enabled(false);
         crate::reset();
         counter_add("t/disabled", Label::Global, 5);
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_label() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         counter_add("t/c", Label::Cluster(1), 2);
@@ -307,6 +309,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_write() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         gauge_set("t/g", Label::Global, 1.5);
@@ -319,6 +322,7 @@ mod tests {
 
     #[test]
     fn drain_and_merge_round_trip() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         counter_add("t/merge_c", Label::Global, 3);

@@ -427,6 +427,7 @@ mod tests {
     use crate::{counter_add, observe, set_enabled, Label};
 
     fn populated() -> TelemetrySnapshot {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         reset();
         counter_add("a/c", Label::Cluster(1), 4);
@@ -494,6 +495,7 @@ mod tests {
 
     #[test]
     fn top_spans_rank_by_self_time() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         reset();
         {

@@ -136,6 +136,7 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
+        let _flag = crate::flag_guard();
         set_enabled(false);
         crate::reset();
         {
@@ -149,6 +150,7 @@ mod tests {
 
     #[test]
     fn nested_spans_split_self_and_child_time() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         {
@@ -183,6 +185,7 @@ mod tests {
 
     #[test]
     fn events_preserve_tree_shape() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         {
@@ -201,6 +204,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_aggregate() {
+        let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
         for _ in 0..5 {

@@ -39,6 +39,19 @@ cmp results/LINT.check.json results/LINT.json || {
 }
 rm results/LINT.check.json
 
+echo "==> every committed experiment record regenerates byte for byte (all e* bins)"
+# The records are the oracle for any change to the runners, the
+# lifecycle or the workload: each bin at its default seed must rewrite
+# its committed results/e*.json without moving a byte.
+for src in crates/ici-bench/src/bin/e*.rs; do
+    "./target/release/$(basename "$src" .rs)" >/dev/null
+done
+git diff --quiet -- 'results/e*.json' || {
+    echo "experiment records drifted from the committed results/:"
+    git diff --stat -- 'results/e*.json'
+    exit 1
+}
+
 echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1, pipeline depth 2)"
 # Depth 2 overlaps heights, so the stage machine's occupancy gauges and
 # stage spans must show up in the telemetry section.
@@ -125,12 +138,37 @@ print(f"    trace OK: {len(slices)} events on {len(last)} tracks, "
 EOF
 rm results/TRACE_e1.chrome.json
 
-echo "==> fault-injection smoke (E-fault, pinned seed, replayed twice)"
-cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
-cp results/e_fault.json results/e_fault.replay.json
-cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
-cmp results/e_fault.replay.json results/e_fault.json
-rm results/e_fault.replay.json
+# replay_matrix <bin> <record>: a pinned-seed experiment must replay
+# byte for byte, stay put across pipeline depth {1,4} x threads {1,4}
+# (depth 1 is the sequential reference lifecycle), and match the
+# committed record.
+replay_matrix() {
+    local bin="$1" record="$2" depth t
+    cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
+    cp "$record" "$record.ref"
+    cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
+    cmp "$record.ref" "$record" || { echo "$bin did not replay byte for byte"; exit 1; }
+    for depth in 1 4; do
+        for t in 1 4; do
+            ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
+                cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
+            cmp "$record.ref" "$record" || {
+                echo "$record diverged at depth=$depth threads=$t"; exit 1;
+            }
+        done
+    done
+    rm "$record.ref"
+    git diff --quiet -- "$record" || {
+        echo "$bin drifted from committed $record; regenerate with"
+        echo "  cargo run -q --release -p ici-bench --bin $bin -- --seed 42"
+        exit 1
+    }
+    echo "    determinism OK: $record replays, matches the committed record, and is"
+    echo "    byte-identical across depth {1,4} x threads {1,4}"
+}
+
+echo "==> fault-injection smoke (E-fault, pinned seed: replay, depth x threads, drift)"
+replay_matrix e_fault results/e_fault.json
 python3 - <<'EOF'
 import json
 with open("results/e_fault.json") as f:
@@ -166,34 +204,8 @@ EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 
-echo "==> depth x threads determinism (E-fault, pinned seed)"
-ICI_PIPELINE_DEPTH=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
-cp results/e_fault.json results/e_fault.ref.json
-for depth in 1 4; do
-    for t in 1 4; do
-        [ "$depth" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
-        cmp results/e_fault.ref.json results/e_fault.json || {
-            echo "e_fault.json diverged at depth=$depth threads=$t"; exit 1;
-        }
-    done
-done
-rm results/e_fault.ref.json
-echo "    determinism OK: e_fault.json byte-identical across depth {1,4} x threads {1,4}"
-
-echo "==> Byzantine smoke (E-byz, pinned seed, replayed twice)"
-cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
-cp results/e_byz.json results/e_byz.replay.json
-cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
-cmp results/e_byz.replay.json results/e_byz.json
-rm results/e_byz.replay.json
-git diff --quiet -- results/e_byz.json || {
-    echo "E-byz drifted from committed results/e_byz.json; regenerate with"
-    echo "  cargo run -q --release -p ici-bench --bin e_byz -- --seed 42"
-    exit 1
-}
+echo "==> Byzantine smoke (E-byz, pinned seed: replay, depth x threads, drift)"
+replay_matrix e_byz results/e_byz.json
 python3 - <<'EOF'
 import json
 with open("results/e_byz.json") as f:
@@ -212,23 +224,6 @@ print(f"    byz smoke OK: byte-identical replay, "
       f"{rows['wasted fraction'][full]} (full) / "
       f"{rows['wasted fraction'][rapidchain]} (rapidchain)")
 EOF
-
-echo "==> depth x threads determinism (E-byz, pinned seed)"
-ICI_PIPELINE_DEPTH=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
-cp results/e_byz.json results/e_byz.ref.json
-for depth in 1 4; do
-    for t in 1 4; do
-        [ "$depth" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
-        cmp results/e_byz.ref.json results/e_byz.json || {
-            echo "e_byz.json diverged at depth=$depth threads=$t"; exit 1;
-        }
-    done
-done
-rm results/e_byz.ref.json
-echo "    determinism OK: e_byz.json byte-identical across depth {1,4} x threads {1,4}"
 
 echo "==> scale smoke (E-scale, pinned seed, shards {1,4} x threads {1,4})"
 # The committed record holds only deterministic tables (counts, roots,
