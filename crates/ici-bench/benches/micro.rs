@@ -15,7 +15,7 @@ use ici_crypto::gf256::Gf256;
 use ici_crypto::hmac::hmac_sha256;
 use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
-use ici_crypto::sha256::Sha256;
+use ici_crypto::sha256::{kernels, Sha256};
 use ici_crypto::sig::Keypair;
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
@@ -27,6 +27,18 @@ fn bench_sha256() {
     for size in [64usize, 1_024, 65_536] {
         let data = vec![0xA5u8; size];
         bench(&format!("sha256/{size}B"), || Sha256::digest(&data));
+    }
+    // The raw compression kernels side by side, same input sizes (no
+    // padding block): what the CPU's SHA extensions buy on this host.
+    for (name, kernel) in kernels() {
+        for size in [64usize, 1_024, 65_536] {
+            let blocks = vec![[0xA5u8; 64]; size / 64];
+            bench(&format!("sha256/{name}/{size}B"), || {
+                let mut state = [0u32; 8];
+                kernel(&mut state, &blocks);
+                state
+            });
+        }
     }
 }
 

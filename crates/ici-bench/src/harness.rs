@@ -13,7 +13,13 @@
 //! * `ICI_BENCH_MIN_ITERS` — minimum timed iterations (default 10).
 //! * `ICI_BENCH_JSON=1` — emit one machine-readable JSON line per
 //!   benchmark instead of the aligned text line.
+//!
+//! Text output opens with one `host:` line (CPU count, the SHA-256
+//! kernel the CPU selected); every JSON row carries the kernel as
+//! `"sha256"`.
 
+use ici_crypto::Sha256;
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 /// Runs one benchmark and prints a result line.
@@ -108,17 +114,26 @@ fn report(name: &str, samples_ns: &mut [u128]) {
         println!("{name:<44} no samples");
         return;
     };
+    // Every number below is host time, and most of it is hashing: say
+    // which SHA-256 kernel this CPU selected, so no row is ambiguous
+    // about the hardware behind it.
+    let sha256 = Sha256::backend();
     if std::env::var("ICI_BENCH_JSON")
         .map(|v| v == "1")
         .unwrap_or(false)
     {
         println!(
             "{{\"name\": \"{name}\", \"iters\": {}, \"min_ns\": {}, \"median_ns\": {}, \
-             \"mean_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}",
+             \"mean_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"sha256\": \"{sha256}\"}}",
             s.iters, s.min_ns, s.median_ns, s.mean_ns, s.p90_ns, s.p99_ns,
         );
         return;
     }
+    static HOST_LINE: Once = Once::new();
+    HOST_LINE.call_once(|| {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        println!("host: {cpus} cpu(s), sha256 kernel {sha256}");
+    });
     println!(
         "{name:<44} min {:>11}  median {:>11}  mean {:>11}  p90 {:>11}  p99 {:>11}  ({} iters)",
         fmt_ns(s.min_ns),

@@ -3,7 +3,9 @@
 //! Everything here is implemented from scratch (no external crypto crates):
 //!
 //! * [`sha256`] — SHA-256 and double-SHA-256 (FIPS 180-4), the hash family
-//!   used for block/transaction identifiers and every derived lottery.
+//!   used for block/transaction identifiers and every derived lottery. One
+//!   compression seam, two kernels: the x86-64 SHA extensions when the CPU
+//!   has them (detected at run time), a portable loop everywhere else.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104/4231).
 //! * [`merkle`] — domain-separated Merkle trees with inclusion proofs.
 //! * [`sig`] — `SimSig`, a size- and cost-faithful simulated signature
@@ -22,7 +24,9 @@
 //! assert_eq!(id, Digest::from_hex(&id.to_hex()).unwrap());
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` (not `forbid`) so `sha256_x86` can carve out the hardware
+// intrinsics of the SHA-NI kernel; see lint.toml `unsafe_files`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gf256;
@@ -31,6 +35,8 @@ pub mod lottery;
 pub mod merkle;
 pub mod rs;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha256_x86;
 pub mod sig;
 
 pub use merkle::{MerkleProof, MerkleTree};

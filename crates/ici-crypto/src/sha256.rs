@@ -34,7 +34,7 @@ const H0: [u32; 8] = [
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a_2f98,
     0x7137_4491,
     0xb5c0_fbcf,
@@ -257,6 +257,17 @@ impl Sha256 {
         h.finalize()
     }
 
+    /// The compression kernel this CPU selects: `"x86-sha"` when the
+    /// x86-64 SHA extensions are present, `"portable"` otherwise. Both
+    /// compute the same FIPS 180-4 digests; only host time differs.
+    pub fn backend() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha256_x86::available() {
+            return "x86-sha";
+        }
+        "portable"
+    }
+
     /// Appends `data` to the message being hashed.
     pub fn update(&mut self, data: &[u8]) -> &mut Sha256 {
         self.length = self.length.wrapping_add(data.len() as u64);
@@ -268,8 +279,7 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffered = 0;
             }
             if input.is_empty() {
@@ -278,13 +288,14 @@ impl Sha256 {
                 return self;
             }
         }
-        while let Some(block) = input.first_chunk::<64>() {
-            let block = *block;
-            self.compress(&block);
-            input = &input[64..];
+        // Every whole block of this call goes to the kernel at once, so
+        // the state stays in registers across them.
+        let (blocks, tail) = input.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        self.buffer[..input.len()].copy_from_slice(input);
-        self.buffered = input.len();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
         self
     }
 
@@ -297,26 +308,105 @@ impl Sha256 {
             ici_telemetry::Label::Global,
             self.length,
         );
-        let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // Don't let the padding itself inflate the recorded length.
-        self.length = self.length.wrapping_sub(1);
-        while self.buffered != 56 {
-            self.update(&[0u8]);
-            self.length = self.length.wrapping_sub(1);
+        // Message, the 0x80 byte and the 8-byte length, in 64-byte blocks.
+        ici_telemetry::counter_add(
+            "crypto/sha256_compressions",
+            ici_telemetry::Label::Global,
+            self.length.wrapping_add(9).div_ceil(64),
+        );
+        // Padding, in place (`buffered < 64` always holds here): 0x80,
+        // zeros, then the 64-bit big-endian bit length closing a block.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it gets a block of its own.
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer.fill(0);
         }
-        self.update(&bit_len.to_be_bytes());
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        self.buffer[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+        state_digest(&self.state)
     }
+}
 
-    /// The SHA-256 compression function over one 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The digest a final hash state stands for: its words, big-endian.
+fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// A compression kernel: folds whole 64-byte blocks into a hash state.
+pub type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// Every kernel this CPU can run, under its [`Sha256::backend`] name,
+/// the portable one first. For benchmarks and tests that run them side
+/// by side; everything else goes through [`Sha256`], which picks.
+pub fn kernels() -> Vec<(&'static str, Kernel)> {
+    let mut all: Vec<(&'static str, Kernel)> = vec![("portable", compress_blocks_portable)];
+    if Sha256::backend() != "portable" {
+        // On such a CPU the seam *is* the hardware kernel.
+        all.push((Sha256::backend(), compress_blocks));
+    }
+    all
+}
+
+/// The one seam both kernels sit behind: folds `blocks` into `state`.
+///
+/// The CPU decides, nothing else: the x86-64 SHA extensions when
+/// present, the portable loop on every other CPU and target.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(test)]
+    if FORCE_PORTABLE.get() {
+        return compress_blocks_portable(state, blocks);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set only by [`with_portable_kernel`].
+    static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Unit tests only: runs `f` with this thread's hashing pinned to the
+/// portable kernel, so whatever sits on top of [`Sha256`] (HMAC,
+/// `SimSig`) can be checked under both kernels on one host.
+#[cfg(test)]
+pub(crate) fn with_portable_kernel<R>(f: impl FnOnce() -> R) -> R {
+    let before = FORCE_PORTABLE.replace(true);
+    let out = f();
+    FORCE_PORTABLE.set(before);
+    out
+}
+
+#[cfg(test)]
+const HARDWARE_SKIPPED: &str = "hardware kernel skipped: this CPU has no SHA extensions";
+
+/// Unit tests only: runs `check` once per way this crate can hash on
+/// this host — on the kernel the CPU selected, then pinned to the
+/// portable one. `scripts/ci.sh` greps for the note printed when the
+/// two coincide.
+#[cfg(test)]
+pub(crate) fn under_every_kernel(check: impl Fn(&str)) {
+    check(Sha256::backend());
+    if Sha256::backend() == "portable" {
+        println!("{HARDWARE_SKIPPED}");
+    } else {
+        with_portable_kernel(|| check("portable (forced)"));
+    }
+}
+
+/// The portable kernel: the FIPS 180-4 §6.2.2 compression function,
+/// one block after another, in plain integer arithmetic.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for i in 0..16 {
             let o = i * 4;
@@ -331,7 +421,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -353,14 +443,9 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 
@@ -376,48 +461,212 @@ pub fn double_sha256(data: &[u8]) -> Digest {
 mod tests {
     use super::*;
 
+    use ici_rng::Xoshiro256;
+
+    /// One-shot digest straight on `kernel`, padded the textbook way
+    /// (message ‖ 0x80 ‖ zeros ‖ bit length, in a fresh buffer) — on
+    /// purpose not the in-place padding of `finalize`, so the two check
+    /// each other — and handed to the kernel as one multi-block call.
+    fn digest_on(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let (blocks, tail) = padded.as_chunks::<64>();
+        assert!(tail.is_empty());
+        assert_eq!(blocks.len() as u64, (data.len() as u64 + 9).div_ceil(64));
+        let mut state = H0;
+        kernel(&mut state, blocks);
+        state_digest(&state)
+    }
+
+    /// Feeds `data` to a streaming hasher in seeded random pieces.
+    fn digest_in_random_splits(rng: &mut Xoshiro256, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        let mut rest = data;
+        while !rest.is_empty() {
+            // Mostly short pieces (fields streamed by the codec), now
+            // and then one spanning many blocks.
+            let cap = if rng.gen_bool(0.2) { rest.len() } else { 130 };
+            let take = rng.gen_range(0usize..=cap.min(rest.len()));
+            h.update(&rest[..take]);
+            rest = &rest[take..];
+        }
+        h.finalize()
+    }
+
     /// NIST / FIPS 180-4 example vectors plus well-known reference digests.
+    const NIST_VECTORS: &[(&[u8], &str)] = &[
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+        (
+            b"The quick brown fox jumps over the lazy dog",
+            "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592",
+        ),
+    ];
+
     #[test]
     fn nist_vectors() {
-        let cases: &[(&[u8], &str)] = &[
-            (
-                b"",
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                b"abc",
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-            ),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-            (
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-            ),
-            (
-                b"The quick brown fox jumps over the lazy dog",
-                "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592",
-            ),
-        ];
-        for (input, expected) in cases {
+        for (input, expected) in NIST_VECTORS {
             assert_eq!(Sha256::digest(input).to_hex(), *expected, "input {input:?}");
+        }
+    }
+
+    #[test]
+    fn nist_vectors_on_each_kernel_directly() {
+        assert_eq!(kernels()[0].0, "portable");
+        for (name, kernel) in kernels() {
+            for (input, expected) in NIST_VECTORS {
+                assert_eq!(
+                    digest_on(kernel, input).to_hex(),
+                    *expected,
+                    "kernel {name}, input {input:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn million_a() {
         // FIPS 180-4: one million repetitions of 'a'.
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        under_every_kernel(|kernel| {
+            let mut h = Sha256::new();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                h.finalize().to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "kernel {kernel}"
+            );
+        });
+    }
+
+    /// The differential: every kernel called directly, the streaming
+    /// hasher on the selected kernel and the streaming hasher pinned to
+    /// the portable one all give the one-shot digest, for every length
+    /// around the padding and block boundaries and a seeded sample of
+    /// long messages, each fed in seeded random `update` splits.
+    #[test]
+    fn kernels_agree_on_every_length_and_split() {
+        println!("sha256 backend: {}", Sha256::backend());
+        if kernels().len() == 1 {
+            println!("{HARDWARE_SKIPPED}");
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let mut rng = Xoshiro256::seed_from_u64(0x5A_256);
+        let mut lengths: Vec<usize> = (0..=300).collect();
+        lengths.extend((0..24).map(|_| rng.gen_range(301usize..=70 * 1024)));
+        lengths.extend([64 * 1024, 70 * 1024]);
+        for len in lengths {
+            let data = rng.gen_bytes(len);
+            let oneshot = Sha256::digest(&data);
+            for (name, kernel) in kernels() {
+                assert_eq!(
+                    digest_on(kernel, &data),
+                    oneshot,
+                    "kernel {name}, len {len}"
+                );
+            }
+            assert_eq!(
+                with_portable_kernel(|| Sha256::digest(&data)),
+                oneshot,
+                "portable kernel, len {len}"
+            );
+            for round in 0..3 {
+                let mut splits = rng.fork(round);
+                let mut same_splits = splits.clone();
+                assert_eq!(
+                    digest_in_random_splits(&mut splits, &data),
+                    oneshot,
+                    "selected kernel, len {len}, split round {round}"
+                );
+                assert_eq!(
+                    with_portable_kernel(|| digest_in_random_splits(&mut same_splits, &data)),
+                    oneshot,
+                    "portable kernel, len {len}, split round {round}"
+                );
+            }
+        }
+    }
+
+    /// Where padding and buffering change shape: 55/56 (the length
+    /// stops fitting the last block), 63/64/65 and 119/120 (the same,
+    /// one block on). Every such length, split at every such offset.
+    #[test]
+    fn kernels_agree_at_the_pinned_boundaries() {
+        const EDGES: [usize; 7] = [55, 56, 63, 64, 65, 119, 120];
+        let data: Vec<u8> = (0..128u32).map(|i| (i * 37 % 251) as u8).collect();
+        let portable = kernels()[0].1;
+        for (name, kernel) in kernels() {
+            for len in EDGES {
+                assert_eq!(
+                    digest_on(kernel, &data[..len]),
+                    digest_on(portable, &data[..len]),
+                    "kernel {name}, len {len}"
+                );
+            }
+        }
+        under_every_kernel(|kernel| {
+            for len in EDGES {
+                let message = &data[..len];
+                let reference = digest_on(portable, message);
+                for split in EDGES.into_iter().filter(|s| *s <= len) {
+                    let mut h = Sha256::new();
+                    h.update(&message[..split]);
+                    h.update(&message[split..]);
+                    assert_eq!(
+                        h.finalize(),
+                        reference,
+                        "kernel {kernel}, len {len}, split {split}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// `finalize` reports the message bytes (never the padding), one
+    /// digest, and the blocks it takes to hold message, 0x80 and length.
+    #[test]
+    fn finalize_counts_message_bytes_and_compressions() {
+        // Left on: no other test in this binary reads the flag, and
+        // the collector is per thread.
+        ici_telemetry::set_enabled(true);
+        for (len, compressions) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            ici_telemetry::reset();
+            Sha256::digest(&vec![7u8; len]);
+            let snap = ici_telemetry::snapshot();
+            let counter = |name: &str| {
+                snap.counters
+                    .iter()
+                    .filter(|c| c.name == name)
+                    .map(|c| c.value)
+                    .sum::<u64>()
+            };
+            assert_eq!(counter("crypto/sha256_digests"), 1, "len {len}");
+            assert_eq!(counter("crypto/sha256_bytes"), len as u64, "len {len}");
+            assert_eq!(
+                counter("crypto/sha256_compressions"),
+                compressions,
+                "len {len}"
+            );
+        }
     }
 
     #[test]

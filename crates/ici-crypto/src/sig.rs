@@ -167,6 +167,20 @@ mod tests {
         assert!(pair.public().verify(b"msg", &sig));
     }
 
+    /// A signature made under one SHA-256 kernel is the same bytes, and
+    /// verifies, under the other: nodes with and without the SHA
+    /// extensions must accept each other's blocks.
+    #[test]
+    fn signatures_cross_verify_between_kernels() {
+        let msg: Vec<u8> = (0..300u16).map(|i| (i % 251) as u8).collect();
+        let selected = Keypair::from_seed(4).sign(&msg);
+        crate::sha256::under_every_kernel(|kernel| {
+            let pair = Keypair::from_seed(4);
+            assert_eq!(pair.sign(&msg), selected, "kernel {kernel}");
+            assert!(pair.public().verify(&msg, &selected), "kernel {kernel}");
+        });
+    }
+
     #[test]
     fn verify_rejects_wrong_message() {
         let pair = Keypair::from_seed(1);

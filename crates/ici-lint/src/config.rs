@@ -24,7 +24,7 @@ pub struct Config {
     /// `#![deny(unsafe_code)]` in its root instead of `forbid`, so the
     /// listed file can opt back in with `#![allow(unsafe_code)]`.
     /// Reserved for code that is impossible in safe Rust (the counting
-    /// `GlobalAlloc` in ici-bench).
+    /// `GlobalAlloc` in ici-bench, the SHA-NI intrinsics in ici-crypto).
     pub unsafe_files: Vec<String>,
     /// Crates gated by `unordered-iter` (protocol crates plus anything
     /// whose output feeds byte-compared artifacts, e.g. ici-workload).
@@ -70,7 +70,10 @@ impl Default for Config {
             .map(|s| s.to_string())
             .collect(),
             deps_allow: Vec::new(),
-            unsafe_files: vec!["ici-bench/src/alloc.rs".to_string()],
+            unsafe_files: vec![
+                "ici-bench/src/alloc.rs".to_string(),
+                "ici-crypto/src/sha256_x86.rs".to_string(),
+            ],
             determinism_crates: [
                 "ici-core",
                 "ici-consensus",

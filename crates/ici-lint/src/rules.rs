@@ -589,6 +589,31 @@ mod tests {
     }
 
     #[test]
+    fn unsafe_rule_confines_ici_crypto_to_its_one_kernel_file() {
+        let files = vec![
+            file(
+                "ici-crypto",
+                "crates/ici-crypto/src/lib.rs",
+                "#![deny(unsafe_code)]\nmod sha256_x86;\npub mod sha256;\n",
+            ),
+            file(
+                "ici-crypto",
+                "crates/ici-crypto/src/sha256_x86.rs",
+                "#![allow(unsafe_code)]\npub(crate) fn f() { unsafe { g() } }\n",
+            ),
+            file(
+                "ici-crypto",
+                "crates/ici-crypto/src/sha256.rs",
+                "pub fn h(p: *const u8) -> u8 { unsafe { *p } }\n",
+            ),
+        ];
+        let findings = check_unsafe(&files, &proto_config());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].file, "crates/ici-crypto/src/sha256.rs");
+        assert!(findings[0].message.contains("`unsafe` keyword"));
+    }
+
+    #[test]
     fn rehash_rule_flags_materialized_hashing_in_protocol_crates() {
         let files = vec![
             file(

@@ -12,6 +12,23 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> SHA-256 kernel (ici-crypto differential suite)"
+# Every host-time number below depends on which compression kernel the
+# CPU selected, so name it once. A CPU that lists sha_ni but runs the
+# suite with the hardware kernel skipped has a detection bug: digests
+# stay right (the portable path), so only this check would notice the
+# ~6x hashing cost coming back.
+KERNEL_OUT=$(cargo test -q -p ici-crypto --lib kernels_agree -- --nocapture 2>&1) || {
+    printf '%s\n' "$KERNEL_OUT"
+    exit 1
+}
+printf '%s\n' "$KERNEL_OUT" | grep -m1 '^sha256 backend: ' | sed 's/^/    /'
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
+    printf '%s\n' "$KERNEL_OUT" | grep -q 'hardware kernel skipped'; then
+    echo "/proc/cpuinfo lists sha_ni but ici-crypto fell back to the portable kernel"
+    exit 1
+fi
+
 echo "==> cargo test (serial pool, ICI_PAR_THREADS=1)"
 ICI_PAR_THREADS=1 cargo test -q --workspace
 
