@@ -1,5 +1,6 @@
-//! Micro-benchmarks over the substrates: hashing, MACs, Merkle trees,
-//! erasure coding, assignment, codec, and clustering. These bound the
+//! Micro-benchmarks over the substrates: the simulated network's
+//! per-message cost, hashing, MACs, Merkle trees, erasure coding,
+//! assignment, codec, and clustering. These bound the
 //! cost-model constants used by the simulator and expose regressions in
 //! the hot paths.
 //!
@@ -17,6 +18,9 @@ use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
 use ici_crypto::sha256::{kernels, Sha256};
 use ici_crypto::sig::Keypair;
+use ici_net::link::LinkModel;
+use ici_net::metrics::MessageKind;
+use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::{
@@ -138,7 +142,50 @@ fn bench_clustering() {
     );
 }
 
+/// The simulated network's own cost per message, in batches large
+/// enough to dwarf the harness's two clock reads: plain sends on a warm
+/// 512-node meter, one voter's broadcast to its 15 peers, and the
+/// fork → broadcast → absorb a cluster's traffic goes through.
+fn bench_net() {
+    let quiet = LinkModel {
+        max_jitter_ms: 0.0,
+        ..LinkModel::default()
+    };
+    let nodes = 512u64;
+    let mut net = Network::new(
+        Topology::generate(nodes as usize, &Placement::default(), 3),
+        quiet,
+    );
+    let vote = ici_consensus::pbft::VOTE_BYTES;
+    bench("net/send/x1000", || {
+        for i in 0..1_000u64 {
+            let (from, to) = (NodeId::new(i % nodes), NodeId::new((i * 7 + 1) % nodes));
+            std::hint::black_box(net.send(from, to, MessageKind::Vote, vote));
+        }
+    });
+    // One cluster of ids spread over the network, as k-means leaves them.
+    let cluster: Vec<NodeId> = (0..16).map(|i| NodeId::new(i * 31 + 5)).collect();
+    let (voter, peers) = (cluster[0], &cluster[1..]);
+    bench("net/broadcast_c16/x64", || {
+        for _ in 0..64 {
+            net.broadcast(voter, peers, MessageKind::Vote, vote, |_, sent| {
+                std::hint::black_box(sent);
+            });
+        }
+    });
+    bench("net/fork_absorb_c16/x64", || {
+        for stream in 0..64 {
+            let mut fork = net.fork(stream);
+            fork.broadcast(voter, peers, MessageKind::Vote, vote, |_, sent| {
+                std::hint::black_box(sent);
+            });
+            net.absorb(fork);
+        }
+    });
+}
+
 fn main() {
+    bench_net();
     bench_sha256();
     bench_hmac();
     bench_simsig();

@@ -16,6 +16,7 @@ use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_crypto::sig::Keypair;
+use ici_net::faults::FaultConfig;
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -85,13 +86,35 @@ fn bench_ici_block() {
     }
 }
 
-/// E3/E5 code path: one intra-cluster PBFT commit.
+/// E3/E5 code path: one intra-cluster PBFT commit, on each side of the
+/// vote-round selection — a quiet network settles its two vote rounds in
+/// closed form, a jittery or faulty one sends every vote.
 fn bench_pbft() {
-    for size in [16usize, 64] {
+    let network = |size: usize, link: LinkModel, lossy: bool| {
+        let mut net = Network::new(Topology::generate(size, &Placement::default(), 9), link);
+        if lossy {
+            net.set_faults(FaultConfig {
+                seed: 9,
+                drop_prob: 0.05,
+                dup_prob: 0.02,
+                delay_prob: 0.05,
+                max_extra_delay_ms: 20.0,
+                partition: None,
+            });
+        }
+        net
+    };
+    for (name, size, link, lossy) in [
+        ("pbft/commit_c16/quiet", 16usize, quiet_link(), false),
+        ("pbft/commit_c16/jittery", 16, LinkModel::default(), false),
+        ("pbft/commit_c16/faulty", 16, LinkModel::default(), true),
+        ("pbft/commit_c128/quiet", 128, quiet_link(), false),
+    ] {
         let members: Vec<NodeId> = (0..size as u64).map(NodeId::new).collect();
+        let base = network(size, link, lossy);
         bench_with_setup(
-            &format!("pbft_commit/{size}"),
-            || fresh_network(size),
+            name,
+            || base.clone(),
             |mut net| {
                 run_pbft_commit(
                     &mut net,

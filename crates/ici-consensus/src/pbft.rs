@@ -2,17 +2,36 @@
 //!
 //! ICIStrategy commits blocks inside a cluster with a three-phase BFT
 //! exchange (pre-prepare → prepare → commit) over the simulated network.
-//! Every transmission goes through [`Network::send`], so the run leaves the
-//! communication experiments an exact byte/message trace; latencies come
-//! out of the link model and the per-member validation cost.
+//! Every transmission is charged to the network's meter, so the run
+//! leaves the communication experiments an exact byte/message trace;
+//! latencies come out of the link model and the per-member validation
+//! cost.
 //!
 //! The model is faithful for the honest-crash setting the paper evaluates:
 //! crashed members neither validate nor vote, quorums are computed over the
 //! configured membership, and a member commits at the arrival of its
 //! `2f+1`-th commit vote.
+//!
+//! # Two ways to run a vote round
+//!
+//! A vote round is an all-to-all exchange, `c·(c−1)` messages. On a
+//! network whose sends are deterministic without drawing anything —
+//! [`Network::sends_are_stream_independent`] (no jitter, no installed
+//! faults) and not [`Network::sends_are_traced`] — every outcome is
+//! known up front: a vote from a live voter to a live member arrives
+//! after the pair's fixed link delay, and nothing else arrives. Such a
+//! round runs in closed form ([`closed_round`]): one symmetric delay
+//! table per call, arrival = send time + delay, the quorum instant by
+//! selection, and the meter charged per member instead of per message.
+//! Any other network keeps the per-message exchange
+//! ([`message_round`]), where each vote consumes its sequence number,
+//! fault draw and trace id through [`Network::broadcast`]. The choice
+//! reads only those two properties of the network, and nothing can
+//! tell the paths apart afterwards: the closed form needs no
+//! randomness because a quiet network consumes none, and the sequence
+//! numbers the per-message forks would have burnt die with the forks.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -49,12 +68,8 @@ impl CommitReport {
     /// Time at which the `quorum`-th member committed — the cluster-level
     /// commit instant.
     pub fn quorum_commit(&self) -> Option<SimTime> {
-        if !self.is_committed() {
-            return None;
-        }
         let mut times: Vec<SimTime> = self.commit_times.values().copied().collect();
-        times.sort_unstable();
-        Some(times[self.quorum - 1])
+        quorum_arrival(&mut times, self.quorum)
     }
 
     /// Latest member commit time.
@@ -73,7 +88,8 @@ where
     P: Fn(NodeId) -> (MessageKind, u64),
     V: Fn(NodeId) -> Duration,
 {
-    /// Cluster membership (quorums are computed over its length).
+    /// Cluster membership, distinct ids (quorums are computed over its
+    /// length).
     pub members: &'a [NodeId],
     /// The proposing member.
     pub leader: NodeId,
@@ -107,8 +123,9 @@ where
         return report;
     }
 
-    // Phase 1 — pre-prepare: leader ships the payload.
-    let mut ready: BTreeMap<NodeId, SimTime> = BTreeMap::new();
+    // Phase 1 — pre-prepare: leader ships the payload. From here on a
+    // member is its index in `members`.
+    let mut ready: Vec<Option<SimTime>> = Vec::with_capacity(c);
     let mut payload_bytes = 0u64;
     for &m in members {
         let arrival = if m == inputs.leader {
@@ -120,15 +137,18 @@ where
                 .delay()
                 .map(|d| inputs.start + d)
         };
-        if let Some(at) = arrival {
-            ready.insert(m, at + (inputs.validation)(m));
-        }
+        ready.push(arrival.map(|at| at + (inputs.validation)(m)));
     }
     if ici_trace::enabled() {
         // Dissemination + validation stage: proposal to the last member
         // becoming vote-ready, keyed by the network's causal context.
         let ctx = net.trace_ctx();
-        let done = ready.values().max().copied().unwrap_or(inputs.start);
+        let done = ready
+            .iter()
+            .flatten()
+            .max()
+            .copied()
+            .unwrap_or(inputs.start);
         ici_trace::stage(
             "consensus/preprepare",
             inputs.start.as_micros(),
@@ -144,12 +164,10 @@ where
 
     // Phase 2 — prepare: each ready member broadcasts a vote; a member is
     // *prepared* at its q-th prepare arrival (own vote counts at send time).
-    let prepared = vote_round(net, members, &ready, q);
-
     // Phase 3 — commit: same pattern over commit votes.
-    let committed = vote_round(net, members, &prepared, q);
+    let committed = vote_rounds(net, members, ready, q, 2);
 
-    report.commit_times = committed;
+    report.commit_times = by_member(members, committed);
     ici_telemetry::counter_add(
         if report.is_committed() {
             "consensus/pbft_committed"
@@ -184,10 +202,11 @@ where
     report
 }
 
-/// Runs `rounds` successive all-to-all vote exchanges starting from
-/// `ready` (per-member readiness times), with quorum `q` per round.
-/// Returns the final per-member quorum times. Used directly by consensus
-/// variants that handle dissemination themselves (e.g. IDA-gossip).
+/// Runs `rounds` successive all-to-all vote exchanges among the distinct
+/// ids of `members`, starting from `ready` (per-member readiness times),
+/// with quorum `q >= 1` per round. Returns the final per-member quorum
+/// times. Used directly by consensus variants that handle dissemination
+/// themselves (e.g. IDA-gossip).
 pub fn run_vote_rounds(
     net: &mut Network,
     members: &[NodeId],
@@ -195,114 +214,204 @@ pub fn run_vote_rounds(
     q: usize,
     rounds: usize,
 ) -> BTreeMap<NodeId, SimTime> {
-    let mut times = ready.clone();
-    for _ in 0..rounds {
-        times = vote_round(net, members, &times, q);
+    let times = members.iter().map(|m| ready.get(m).copied()).collect();
+    by_member(members, vote_rounds(net, members, times, q, rounds))
+}
+
+/// Per-member instants, indexed like `members`: `None` where a member
+/// has nothing to send (or reached no quorum).
+type Times = Vec<Option<SimTime>>;
+
+/// `times` keyed by member id, members without an instant left out.
+fn by_member(members: &[NodeId], times: Times) -> BTreeMap<NodeId, SimTime> {
+    members
+        .iter()
+        .zip(times)
+        .filter_map(|(&m, at)| Some((m, at?)))
+        .collect()
+}
+
+/// `rounds` vote rounds over member-index arrays, on the path the
+/// network's observable properties select (see the module docs).
+fn vote_rounds(
+    net: &mut Network,
+    members: &[NodeId],
+    mut times: Times,
+    q: usize,
+    rounds: usize,
+) -> Times {
+    let up: Vec<bool> = members.iter().map(|&m| net.is_up(m)).collect();
+    if net.sends_are_stream_independent() && !net.sends_are_traced() {
+        let delays = vote_delays(net, members);
+        for _ in 0..rounds {
+            times = closed_round(net, members, &up, &delays, &times, q);
+        }
+    } else {
+        for _ in 0..rounds {
+            times = message_round(net, members, &up, &times, q);
+        }
     }
     times
 }
 
-/// Voters per network fork in a vote round. Fixed (not thread-derived) so
-/// the chunking — and therefore every jitter stream — is identical at any
-/// `ICI_PAR_THREADS`.
-const VOTERS_PER_FORK: usize = 16;
+/// Link delay of one vote between every pair of `members`, row-major
+/// `c × c`. Distance is symmetric and a quiet link adds no jitter, so
+/// each pair is computed once and mirrored.
+fn vote_delays(net: &Network, members: &[NodeId]) -> Vec<Duration> {
+    let c = members.len();
+    let mut delays = vec![Duration::ZERO; c * c];
+    for (i, &a) in members.iter().enumerate() {
+        for (j, &b) in members.iter().enumerate().skip(i + 1) {
+            let delay = net.link().transit(net.topology(), a, b, VOTE_BYTES, 0);
+            delays[i * c + j] = delay;
+            delays[j * c + i] = delay;
+        }
+    }
+    delays
+}
 
-/// Each member in `send_times` broadcasts a vote at its send time; returns,
-/// for every member that collects `q` votes (its own included), the arrival
-/// time of the `q`-th.
+/// The `q`-th smallest of `arrivals`, if there are that many.
+fn quorum_arrival(arrivals: &mut [SimTime], q: usize) -> Option<SimTime> {
+    let nth = q.checked_sub(1)?;
+    (nth < arrivals.len()).then(|| *arrivals.select_nth_unstable(nth).1)
+}
+
+/// One vote round on a quiet, untraced network, without sending: every
+/// live member with a send time broadcasts a vote then, each vote to a
+/// live member arrives after the pair's link delay, and a live member's
+/// result is its `q`-th arrival (its own vote counts at send time).
 ///
-/// Voters broadcast through network forks so the all-to-all exchange
-/// parallelises and stays byte-identical at any `ICI_PAR_THREADS`. On a
-/// jitter-free, fault-free network no send consumes randomness, so voters
-/// are batched [`VOTERS_PER_FORK`] to a fork (stream = chunk index) to
-/// amortise the per-fork meter; otherwise each voter keeps its own fork
-/// (stream = voter id) so the jitter and fault draws each vote makes are a
-/// function of the voter alone. Each fork sorts its own arrivals in
-/// parallel; the merge walks the sorted chunks destination by destination
-/// with one reusable scratch buffer, so no committee-squared flat copy is
-/// made.
-fn vote_round(
+/// Leaves `net` exactly as [`message_round`] would: each live voter is
+/// charged `c − 1` votes (crashed addressees included — the bytes left
+/// the uplink), each member the votes addressed to it, and the sequence
+/// stream advances once.
+fn closed_round(
     net: &mut Network,
     members: &[NodeId],
-    send_times: &BTreeMap<NodeId, SimTime>,
+    up: &[bool],
+    delays: &[Duration],
+    send_times: &[Option<SimTime>],
     q: usize,
-) -> BTreeMap<NodeId, SimTime> {
+) -> Times {
     let _span = ici_telemetry::span!("consensus/vote_round");
-    let voters: Vec<(NodeId, SimTime)> = members
+    let c = members.len();
+    let voters: Vec<(usize, SimTime)> = send_times
         .iter()
-        .filter_map(|&voter| send_times.get(&voter).map(|&at| (voter, at)))
+        .enumerate()
+        .filter_map(|(i, at)| Some((i, (*at)?)))
+        .filter(|&(i, _)| up[i])
         .collect();
-    let work: Vec<(Vec<(NodeId, SimTime)>, Network)> = if net.sends_are_stream_independent() {
-        voters
-            .chunks(VOTERS_PER_FORK)
-            .enumerate()
-            .map(|(i, chunk)| (chunk.to_vec(), net.fork(i as u64)))
-            .collect()
-    } else {
-        voters
-            .iter()
-            .map(|&(voter, at)| (vec![(voter, at)], net.fork(voter.index() as u64)))
-            .collect()
-    };
     net.advance_stream();
-    let dests: Arc<Vec<NodeId>> = Arc::new(members.to_vec());
-    let broadcasts = ici_par::par_map(work, move |_, (chunk, mut fork)| {
-        let mut sent: Vec<(NodeId, SimTime)> = Vec::with_capacity(chunk.len() * dests.len());
-        for &(voter, at) in &chunk {
-            for &dest in dests.iter() {
-                if dest == voter {
-                    sent.push((dest, at));
-                    continue;
-                }
-                if let Some(delay) = fork
-                    .send(voter, dest, MessageKind::Vote, VOTE_BYTES)
-                    .delay()
-                {
-                    sent.push((dest, at + delay));
-                }
+
+    let meter = net.meter_mut();
+    let peers = (c as u64).saturating_sub(1);
+    for (j, &member) in members.iter().enumerate() {
+        let votes_in = voters.len() as u64 - u64::from(up[j] && send_times[j].is_some());
+        if votes_in > 0 {
+            meter.charge_receiver(member, votes_in, votes_in * VOTE_BYTES);
+        }
+    }
+    if peers > 0 {
+        for &(i, _) in &voters {
+            meter.charge_sender(members[i], MessageKind::Vote, peers, peers * VOTE_BYTES);
+        }
+    }
+
+    let mut arrivals: Vec<SimTime> = Vec::with_capacity(c);
+    (0..c)
+        .map(|j| {
+            if !up[j] {
+                return None;
+            }
+            arrivals.clear();
+            arrivals.extend(send_times[j]);
+            arrivals.extend(
+                voters
+                    .iter()
+                    .filter(|&&(i, _)| i != j)
+                    .map(|&(i, at)| at + delays[i * c + j]),
+            );
+            quorum_arrival(&mut arrivals, q)
+        })
+        .collect()
+}
+
+/// Voters per network fork when [`message_round`] runs on a network
+/// whose sends draw no randomness (it is there because sends are
+/// traced): a fixed batch size, so the chunking — and with it every
+/// trace id, which is a function of the fork's sequence position — does
+/// not depend on anything but the membership.
+const VOTERS_PER_FORK: usize = 16;
+
+/// One vote round, message by message: each member with a send time
+/// broadcasts a vote at that time; returns, for every live member that
+/// collects `q` votes (its own included, at send time), the arrival time
+/// of the `q`-th.
+///
+/// Voters broadcast through network forks, absorbed in voter order. On
+/// a jittery or faulty network each voter has its own fork (stream =
+/// voter id), so the jitter and fault draws a vote makes are a function
+/// of the voter alone; where sends draw nothing, voters share a fork
+/// per [`VOTERS_PER_FORK`] (stream = chunk index).
+fn message_round(
+    net: &mut Network,
+    members: &[NodeId],
+    up: &[bool],
+    send_times: &[Option<SimTime>],
+    q: usize,
+) -> Times {
+    let _span = ici_telemetry::span!("consensus/vote_round");
+    let c = members.len();
+    // Row `j` collects the arrivals at member `j`: at most one per voter.
+    let mut arrivals = vec![SimTime::ZERO; c * c];
+    let mut arrived = vec![0usize; c];
+    let voters: Vec<(usize, SimTime)> = send_times
+        .iter()
+        .enumerate()
+        .filter_map(|(i, at)| Some((i, (*at)?)))
+        .collect();
+    let shared_forks = net.sends_are_stream_independent();
+    let per_fork = if shared_forks { VOTERS_PER_FORK } else { 1 };
+    for (chunk_index, chunk) in voters.chunks(per_fork).enumerate() {
+        let stream = if shared_forks {
+            chunk_index as u64
+        } else {
+            members[chunk[0].0].index() as u64
+        };
+        let mut fork = net.fork(stream);
+        for &(i, at) in chunk {
+            arrivals[i * c + arrived[i]] = at;
+            arrived[i] += 1;
+            // Everyone but the voter itself, in member order.
+            for (first, receivers) in [(0, &members[..i]), (i + 1, &members[i + 1..])] {
+                let mut j = first;
+                fork.broadcast(
+                    members[i],
+                    receivers,
+                    MessageKind::Vote,
+                    VOTE_BYTES,
+                    |_, sent| {
+                        if let Some(delay) = sent.delay() {
+                            arrivals[j * c + arrived[j]] = at + delay;
+                            arrived[j] += 1;
+                        }
+                        j += 1;
+                    },
+                );
             }
         }
-        sent.sort_unstable();
-        (sent, fork)
-    });
-    let mut sorted: Vec<Vec<(NodeId, SimTime)>> = Vec::with_capacity(broadcasts.len());
-    for (sent, fork) in broadcasts {
         net.absorb(fork);
-        sorted.push(sent);
     }
-    // Destination-ordered merge over the sorted chunks: gather each
-    // destination's arrival times into the scratch buffer, take the q-th
-    // smallest — the same value a per-destination sort would produce.
-    let mut cursors = vec![0usize; sorted.len()];
-    let mut scratch: Vec<SimTime> = Vec::with_capacity(members.len());
-    let mut out = BTreeMap::new();
-    loop {
-        let mut dest: Option<NodeId> = None;
-        for (ci, chunk) in sorted.iter().enumerate() {
-            if let Some(&(d, _)) = chunk.get(cursors[ci]) {
-                dest = Some(match dest {
-                    Some(cur) if cur <= d => cur,
-                    _ => d,
-                });
+    net.advance_stream();
+
+    (0..c)
+        .map(|j| {
+            if !up[j] {
+                return None;
             }
-        }
-        let Some(d) = dest else { break };
-        scratch.clear();
-        for (ci, chunk) in sorted.iter().enumerate() {
-            while let Some(&(dd, t)) = chunk.get(cursors[ci]) {
-                if dd != d {
-                    break;
-                }
-                scratch.push(t);
-                cursors[ci] += 1;
-            }
-        }
-        if net.is_up(d) && scratch.len() >= q {
-            scratch.sort_unstable();
-            out.insert(d, scratch[q - 1]);
-        }
-    }
-    out
+            quorum_arrival(&mut arrivals[j * c..j * c + arrived[j]], q)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -460,24 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_times_are_thread_count_invariant_under_jitter() {
-        let m = members(12);
-        let mut run_with = |threads: usize| {
-            ici_par::set_threads(threads);
-            let topo = Topology::generate(12, &Placement::Uniform { side: 20.0 }, 3);
-            let mut net = Network::new(topo, LinkModel::default());
-            let report = run(&mut net, &m, NodeId::new(0));
-            (report.commit_times, net.meter().total().messages)
-        };
-        let serial = run_with(1);
-        let parallel = run_with(4);
-        assert_eq!(
-            serial, parallel,
-            "jittery commit must not depend on threads"
-        );
-    }
-
-    #[test]
     fn commit_emits_causally_linked_stage_events() {
         ici_trace::reset();
         ici_trace::set_enabled(true);
@@ -518,6 +609,214 @@ mod tests {
             .events
             .iter()
             .all(|e| e.kind != ici_trace::TraceKind::Send));
+    }
+
+    /// A vote exchange to run both ways: membership, liveness, who has
+    /// something to send and when, quorum, rounds.
+    #[derive(Clone, Debug)]
+    struct Exchange {
+        /// Member ids; repeats are dropped, order kept.
+        members: Vec<u64>,
+        crashed: Vec<u64>,
+        /// Member positions with no send time.
+        silent: Vec<usize>,
+        /// Send time per member position, µs (0 past the end).
+        times: Vec<u64>,
+        q: usize,
+        rounds: usize,
+    }
+
+    impl ici_prop::Shrink for Exchange {
+        fn shrink_candidates(&self) -> Vec<Exchange> {
+            let mut out = Vec::new();
+            for members in self.members.shrink_candidates() {
+                out.push(Exchange {
+                    members,
+                    ..self.clone()
+                });
+            }
+            for crashed in self.crashed.shrink_candidates() {
+                out.push(Exchange {
+                    crashed,
+                    ..self.clone()
+                });
+            }
+            for silent in self.silent.shrink_candidates() {
+                out.push(Exchange {
+                    silent,
+                    ..self.clone()
+                });
+            }
+            for times in self.times.shrink_candidates() {
+                out.push(Exchange {
+                    times,
+                    ..self.clone()
+                });
+            }
+            for (q, rounds) in (self.q, self.rounds).shrink_candidates() {
+                out.push(Exchange {
+                    q,
+                    rounds,
+                    ..self.clone()
+                });
+            }
+            out
+        }
+    }
+
+    /// Ids the generated networks span.
+    const UNIVERSE: u64 = 64;
+
+    /// Closed-form rounds against per-message rounds on the same quiet
+    /// network: equal results, equal meter down to every node, and the
+    /// parent's sequence stream left at the same position.
+    #[test]
+    fn closed_form_rounds_match_the_message_exchange() {
+        let result = ici_prop::check(
+            "closed-form vote rounds match the per-message exchange",
+            &ici_prop::Config {
+                seed: 0x00C1_05ED,
+                cases: 300,
+                ..ici_prop::Config::default()
+            },
+            |rng| {
+                let c = rng.gen_range(1usize..41);
+                let mut ids: Vec<u64> = (0..UNIVERSE).collect();
+                rng.shuffle(&mut ids);
+                ids.truncate(c);
+                let crashes = rng.gen_range(0usize..c.min(12) + 1);
+                Exchange {
+                    // Any id: members (senders, receivers, a would-be
+                    // leader) and bystanders alike.
+                    crashed: (0..crashes)
+                        .map(|_| rng.gen_range(0u64..UNIVERSE))
+                        .collect(),
+                    silent: (0..rng.gen_range(0usize..4))
+                        .map(|_| rng.gen_range(0usize..c))
+                        .collect(),
+                    times: (0..c).map(|_| rng.gen_range(0u64..400_000)).collect(),
+                    q: rng.gen_range(1usize..c + 1),
+                    rounds: rng.gen_range(1usize..4),
+                    members: ids,
+                }
+            },
+            |case: &Exchange| {
+                let mut members: Vec<NodeId> = Vec::new();
+                for &id in &case.members {
+                    let id = NodeId::new(id % UNIVERSE);
+                    if !members.contains(&id) {
+                        members.push(id);
+                    }
+                }
+                let c = members.len();
+                let mut quiet = network(UNIVERSE as usize);
+                for &id in &case.crashed {
+                    quiet.crash(NodeId::new(id % UNIVERSE));
+                }
+                assert!(quiet.sends_are_stream_independent());
+                let start: Times = (0..c)
+                    .map(|i| {
+                        (!case.silent.contains(&i))
+                            .then(|| SimTime::from_micros(case.times.get(i).copied().unwrap_or(0)))
+                    })
+                    .collect();
+                let q = case.q.clamp(1, c.max(1));
+                let up: Vec<bool> = members.iter().map(|&m| quiet.is_up(m)).collect();
+
+                let mut by_message = quiet.clone();
+                let mut expected = start.clone();
+                for _ in 0..case.rounds {
+                    expected = message_round(&mut by_message, &members, &up, &expected, q);
+                }
+                let mut closed = quiet.clone();
+                let delays = vote_delays(&closed, &members);
+                let mut got = start.clone();
+                for _ in 0..case.rounds {
+                    got = closed_round(&mut closed, &members, &up, &delays, &got, q);
+                }
+
+                if got != expected {
+                    return Err(format!("times {got:?} vs {expected:?}"));
+                }
+                let (a, b) = (closed.meter(), by_message.meter());
+                if a.total() != b.total() || a.by_kind() != b.by_kind() {
+                    return Err(format!("meter {:?} vs {:?}", a.by_kind(), b.by_kind()));
+                }
+                for node in (0..UNIVERSE).map(NodeId::new) {
+                    if a.sent_by(node) != b.sent_by(node)
+                        || a.received_by(node) != b.received_by(node)
+                    {
+                        return Err(format!(
+                            "{node}: sent {:?} vs {:?}, received {:?} vs {:?}",
+                            a.sent_by(node),
+                            b.sent_by(node),
+                            a.received_by(node),
+                            b.received_by(node)
+                        ));
+                    }
+                }
+                if closed.next_send_trace_id() != by_message.next_send_trace_id() {
+                    return Err("sequence streams ended apart".to_string());
+                }
+                Ok(())
+            },
+        );
+        if let Err(failure) = result {
+            panic!("{failure}");
+        }
+    }
+
+    #[test]
+    fn vote_rounds_map_in_and_out_by_member_id() {
+        // Ids out of order, one voter missing from `ready`, one entry of
+        // `ready` that is no member: the map interface lines them up.
+        let m = [
+            NodeId::new(5),
+            NodeId::new(1),
+            NodeId::new(3),
+            NodeId::new(0),
+        ];
+        let ready: BTreeMap<NodeId, SimTime> = [(5, 10), (3, 30), (0, 20), (7, 1)]
+            .into_iter()
+            .map(|(id, ms)| (NodeId::new(id), SimTime::from_millis(ms)))
+            .collect();
+        let mut net = network(8);
+        let out = run_vote_rounds(&mut net, &m, &ready, 3, 1);
+        // Three voters reach everyone: all four members hold a quorum of 3.
+        assert_eq!(out.keys().copied().collect::<Vec<_>>(), {
+            let mut sorted = m.to_vec();
+            sorted.sort();
+            sorted
+        });
+        assert!(
+            out[&NodeId::new(1)] > SimTime::from_millis(30),
+            "needs all three"
+        );
+        assert_eq!(net.meter().kind(MessageKind::Vote).messages, 9);
+        assert_eq!(net.meter().sent_by(NodeId::new(1)).messages, 0);
+        assert_eq!(net.meter().received_by(NodeId::new(1)).messages, 3);
+        assert_eq!(net.meter().received_by(NodeId::new(5)).messages, 2);
+    }
+
+    #[test]
+    fn jittery_and_faulty_networks_vote_message_by_message() {
+        // A per-message exchange is recognisable by its jitter: on the
+        // default link two identical rounds cannot produce the quiet
+        // link's exact pairwise delays.
+        let m = members(7);
+        let ready: Times = vec![Some(SimTime::ZERO); 7];
+        let topo = Topology::generate(7, &Placement::Uniform { side: 20.0 }, 3);
+        let mut jittery = Network::new(topo, LinkModel::default());
+        assert!(!jittery.sends_are_stream_independent());
+        let mut quiet = network(7);
+        let on_jitter = vote_rounds(&mut jittery, &m, ready.clone(), 5, 1);
+        let on_quiet = vote_rounds(&mut quiet, &m, ready, 5, 1);
+        assert_ne!(on_jitter, on_quiet);
+        assert_eq!(
+            jittery.meter().total(),
+            quiet.meter().total(),
+            "same traffic either way"
+        );
     }
 
     #[test]

@@ -32,11 +32,18 @@
 //!   sequence stream);
 //! * [`stage_distribute`] — home-cluster PBFT plus the leader-to-leader
 //!   block hops, all on forks, on a **zero-based clock**;
-//! * [`stage_verify`] — the remote clusters' PBFT rounds (the hot path,
-//!   internally parallel via `ici-par`), also zero-based;
+//! * [`stage_verify`] — the remote clusters' PBFT rounds (the hot path:
+//!   one plain loop over the clusters), also zero-based;
 //! * [`IciNetwork::stage_commit`] — absorbs fork traffic, shifts every
 //!   zero-based instant by the block's `proposed_at`, executes the block,
 //!   and records the commit.
+//!
+//! Membership and owner assignment are computed once, in the build
+//! stage, and travel with the height: each committed cluster's member
+//! list and owner set reach the commit stage as built. That is sound
+//! because membership cannot change in between — joins and leaves need
+//! `&mut IciNetwork`, which the driver holds from build to commit, and
+//! a [`StageBoundary`] callback is handed the simulated network only.
 //!
 //! Running the middle stages zero-based is exact, not approximate: link
 //! jitter and fault draws depend only on each fork's sequence stream,
@@ -132,6 +139,13 @@ pub enum StageBoundary {
     AfterVerify,
 }
 
+/// Who stores what in one cluster if it commits the height: every live
+/// member appends the header, live owners attach the body.
+pub(crate) struct ClusterStorage {
+    pub(crate) members: Vec<NodeId>,
+    pub(crate) owners: BTreeSet<NodeId>,
+}
+
 /// One remote cluster's dissemination work order, snapshotted at build.
 pub(crate) struct RemoteDispatch {
     pub(crate) cluster: ClusterId,
@@ -204,6 +218,8 @@ pub struct DistributedHeight {
     pub(crate) block: Block,
     pub(crate) home: ClusterId,
     pub(crate) leader: NodeId,
+    pub(crate) home_members: Vec<NodeId>,
+    pub(crate) home_owners: BTreeSet<NodeId>,
     pub(crate) home_fork: Network,
     pub(crate) home_commit_rel: SimTime,
     pub(crate) verifies: Vec<RemoteVerify>,
@@ -246,6 +262,8 @@ pub struct VerifiedHeight {
     pub(crate) remote_forks: Vec<Network>,
     pub(crate) home_commit_rel: SimTime,
     pub(crate) cluster_commits_rel: BTreeMap<ClusterId, SimTime>,
+    /// Storage orders of exactly the clusters in `cluster_commits_rel`.
+    pub(crate) committed: Vec<ClusterStorage>,
     pub(crate) network_commit_rel: SimTime,
     pub(crate) missed: Vec<ClusterId>,
     pub(crate) n_txs: usize,
@@ -422,6 +440,13 @@ impl IciNetwork {
     /// — so the trace and telemetry streams are identical whichever
     /// thread (or pipeline depth) produced them.
     ///
+    /// Who stores what comes from the member lists and owner sets
+    /// [`IciNetwork::stage_build`] computed (`verified.committed`), not
+    /// from a second rendezvous pass: membership is the same now as
+    /// then, because nothing that changes it can run while the driver
+    /// holds `&mut self` between the two stages. Liveness *can* change
+    /// in between (stage-boundary crashes), so it is read here.
+    ///
     /// # Errors
     ///
     /// * [`IciError::NoQuorum`] — carried over from a failed home
@@ -460,7 +485,6 @@ impl IciNetwork {
 
         let height = verified.height;
         let block = verified.block;
-        let block_id = block.id();
         let home = verified.home;
         let leader = verified.leader;
         let n_txs = verified.n_txs;
@@ -480,18 +504,13 @@ impl IciNetwork {
 
         // Storage: live members of committed clusters take the header;
         // live owners take the body.
-        for (&cluster, _) in &cluster_commits {
-            let members = self.membership.active_members(cluster);
-            let owners: BTreeSet<NodeId> = self
-                .dispatch_owners(&block_id, height, &members)
-                .into_iter()
-                .collect();
-            for m in members {
+        for storage in verified.committed {
+            for m in storage.members {
                 if !self.net.is_up(m) {
                     continue;
                 }
                 self.holdings[m.index()].add_header();
-                if owners.contains(&m) {
+                if storage.owners.contains(&m) {
                     self.holdings[m.index()].add_body(height, body_bytes);
                 }
             }
@@ -677,6 +696,8 @@ pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
             block: built.block,
             home: built.home,
             leader: built.leader,
+            home_members: built.home_members,
+            home_owners: built.home_owners,
             home_fork: built.home_fork,
             home_commit_rel: SimTime::ZERO,
             verifies: Vec::new(),
@@ -770,6 +791,8 @@ pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
         block: built.block,
         home: built.home,
         leader: built.leader,
+        home_members: built.home_members,
+        home_owners: built.home_owners,
         home_fork: built.home_fork,
         home_commit_rel,
         verifies,
@@ -785,7 +808,7 @@ pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
 }
 
 /// Stage 3: every remote cluster's PBFT round (collaborative verify +
-/// votes), internally parallel via the `ici-par` pool, zero-based.
+/// votes), one after another, zero-based.
 ///
 /// A free function over an owned payload so a pipeline worker can run
 /// it without touching [`IciNetwork`].
@@ -799,11 +822,16 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
     let height = distributed.height;
 
     let mut cluster_commits_rel = BTreeMap::new();
+    let mut committed = Vec::new();
     let mut missed = distributed.missed;
     let mut remote_forks = Vec::new();
     if distributed.failed.is_none() {
         cluster_commits_rel.insert(distributed.home, distributed.home_commit_rel);
-        let results = ici_par::par_map(distributed.verifies, move |_, rv| {
+        committed.push(ClusterStorage {
+            members: distributed.home_members,
+            owners: distributed.home_owners,
+        });
+        for rv in distributed.verifies {
             let _cluster_span =
                 ici_telemetry::span!("core/remote_commit", cluster = rv.cluster.get());
             let mut fork = rv.fork;
@@ -827,15 +855,16 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
                     },
                 },
             );
-            (rv.cluster, report.quorum_commit(), fork)
-        });
-        for (cluster, commit, fork) in results {
             remote_forks.push(fork);
-            match commit {
+            match report.quorum_commit() {
                 Some(t) => {
-                    cluster_commits_rel.insert(cluster, t);
+                    cluster_commits_rel.insert(rv.cluster, t);
+                    committed.push(ClusterStorage {
+                        members: rv.members,
+                        owners: rv.owners,
+                    });
                 }
-                None => missed.push(cluster),
+                None => missed.push(rv.cluster),
             }
         }
     }
@@ -874,6 +903,7 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
         remote_forks,
         home_commit_rel: distributed.home_commit_rel,
         cluster_commits_rel,
+        committed,
         network_commit_rel,
         missed,
         n_txs,

@@ -46,6 +46,7 @@
 pub mod cost;
 pub mod faults;
 pub mod link;
+mod liveness;
 pub mod metrics;
 pub mod network;
 pub mod node;

@@ -66,6 +66,14 @@ impl LinkModel {
         Duration::from_millis_f64(unit * self.max_jitter_ms)
     }
 
+    /// Propagation plus jitter of the `seq`-th message `from → to` over
+    /// `topology`: the part of [`LinkModel::transit`] that does not
+    /// depend on the payload size.
+    pub fn flight(&self, topology: &Topology, from: NodeId, to: NodeId, seq: u64) -> Duration {
+        Duration::from_millis_f64(self.base_ms + topology.distance_ms(from, to))
+            + self.jitter(from, to, seq)
+    }
+
     /// Full transit time of the `seq`-th message `from → to` carrying
     /// `bytes`, over `topology`.
     pub fn transit(
@@ -76,8 +84,7 @@ impl LinkModel {
         bytes: u64,
         seq: u64,
     ) -> Duration {
-        let propagation = Duration::from_millis_f64(self.base_ms + topology.distance_ms(from, to));
-        propagation + self.serialization(bytes) + self.jitter(from, to, seq)
+        self.flight(topology, from, to, seq) + self.serialization(bytes)
     }
 }
 

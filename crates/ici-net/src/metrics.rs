@@ -4,7 +4,6 @@
 //! the communication experiments (E3, E4) can report exactly where the bytes
 //! went — full bodies vs headers vs votes vs repair traffic.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::node::NodeId;
@@ -87,18 +86,35 @@ pub struct Counter {
 }
 
 impl Counter {
-    fn add(&mut self, bytes: u64) {
-        self.messages += 1;
+    fn add(&mut self, messages: u64, bytes: u64) {
+        self.messages += messages;
         self.bytes += bytes;
     }
 }
 
+/// One charged node's uplink and downlink counters.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeCounters {
+    id: NodeId,
+    sent: Counter,
+    received: Counter,
+}
+
 /// Aggregated traffic statistics for a run.
+///
+/// Flat by construction: one counter per [`MessageKind`] in an array,
+/// and the per-node counters in one vector sorted by node id that holds
+/// **only nodes that were charged**. A fresh meter therefore allocates
+/// nothing, a fork that meters one cluster carries `c` entries rather
+/// than `N`, and [`TrafficMeter::merge`] walks the child's entries — a
+/// fork/absorb pair stays proportional to what the fork touched, not to
+/// the network. Once every node has been charged (the root meter of any
+/// run longer than a few blocks) the vector is dense and a lookup is a
+/// single index.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficMeter {
-    by_kind: BTreeMap<MessageKind, Counter>,
-    sent_by_node: BTreeMap<NodeId, Counter>,
-    received_by_node: BTreeMap<NodeId, Counter>,
+    by_kind: [Counter; MessageKind::ALL.len()],
+    nodes: Vec<NodeCounters>,
     total: Counter,
 }
 
@@ -108,12 +124,59 @@ impl TrafficMeter {
         TrafficMeter::default()
     }
 
+    /// Where `node`'s entry is (`Ok`) or would be inserted (`Err`). A
+    /// dense vector — every id below its length present — answers with
+    /// one index; otherwise binary search.
+    fn position(&self, node: NodeId) -> Result<usize, usize> {
+        let dense = node.index();
+        if self.nodes.get(dense).is_some_and(|e| e.id == node) {
+            return Ok(dense);
+        }
+        self.nodes.binary_search_by_key(&node, |e| e.id)
+    }
+
+    /// `node`'s entry, inserted at zero if it was never charged.
+    fn slot(&mut self, node: NodeId) -> &mut NodeCounters {
+        let at = self.position(node).unwrap_or_else(|at| {
+            self.nodes.insert(
+                at,
+                NodeCounters {
+                    id: node,
+                    ..NodeCounters::default()
+                },
+            );
+            at
+        });
+        &mut self.nodes[at]
+    }
+
+    fn find(&self, node: NodeId) -> Option<&NodeCounters> {
+        self.position(node).ok().map(|at| &self.nodes[at])
+    }
+
     /// Charges one message of `bytes` payload from `from` to `to`.
     pub fn record(&mut self, from: NodeId, to: NodeId, kind: MessageKind, bytes: u64) {
-        self.by_kind.entry(kind).or_default().add(bytes);
-        self.sent_by_node.entry(from).or_default().add(bytes);
-        self.received_by_node.entry(to).or_default().add(bytes);
-        self.total.add(bytes);
+        self.charge_sender(from, kind, 1, bytes);
+        self.charge_receiver(to, 1, bytes);
+    }
+
+    /// The sender half of a charge: `messages` messages of `kind`
+    /// totalling `bytes` left `from`'s uplink. Every message charged
+    /// here must also be charged to its addressee with
+    /// [`TrafficMeter::charge_receiver`]; callers that settle many
+    /// same-sender messages at once use the pair to touch the sender,
+    /// class and total counters once instead of once per message.
+    pub fn charge_sender(&mut self, from: NodeId, kind: MessageKind, messages: u64, bytes: u64) {
+        self.by_kind[kind as usize].add(messages, bytes);
+        self.slot(from).sent.add(messages, bytes);
+        self.total.add(messages, bytes);
+    }
+
+    /// The receiver half of a charge: `messages` messages totalling
+    /// `bytes` were addressed to `to` (delivered or not — the meter
+    /// counts what senders put on the wire).
+    pub fn charge_receiver(&mut self, to: NodeId, messages: u64, bytes: u64) {
+        self.slot(to).received.add(messages, bytes);
     }
 
     /// Mirrors the accumulated per-class totals into the workspace
@@ -125,7 +188,7 @@ impl TrafficMeter {
         if !ici_telemetry::enabled() {
             return;
         }
-        for (kind, c) in &self.by_kind {
+        for (kind, c) in self.by_kind() {
             let phase = ici_telemetry::Label::Phase(kind.name());
             ici_telemetry::counter_add("net/messages", phase, c.messages);
             ici_telemetry::counter_add("net/bytes", phase, c.bytes);
@@ -139,32 +202,34 @@ impl TrafficMeter {
 
     /// Counter for one class.
     pub fn kind(&self, kind: MessageKind) -> Counter {
-        self.by_kind.get(&kind).copied().unwrap_or_default()
+        self.by_kind[kind as usize]
     }
 
-    /// Per-class table, ascending by kind.
-    pub fn by_kind(&self) -> &BTreeMap<MessageKind, Counter> {
-        &self.by_kind
+    /// Per-class table, ascending by kind; classes that never carried a
+    /// message are absent.
+    pub fn by_kind(&self) -> Vec<(MessageKind, Counter)> {
+        MessageKind::ALL
+            .into_iter()
+            .map(|kind| (kind, self.kind(kind)))
+            .filter(|(_, c)| c.messages > 0)
+            .collect()
     }
 
     /// Bytes sent by `node`.
     pub fn sent_by(&self, node: NodeId) -> Counter {
-        self.sent_by_node.get(&node).copied().unwrap_or_default()
+        self.find(node).map(|e| e.sent).unwrap_or_default()
     }
 
     /// Bytes received by `node`.
     pub fn received_by(&self, node: NodeId) -> Counter {
-        self.received_by_node
-            .get(&node)
-            .copied()
-            .unwrap_or_default()
+        self.find(node).map(|e| e.received).unwrap_or_default()
     }
 
     /// The maximum bytes received by any single node (load hotspot).
     pub fn max_received_bytes(&self) -> u64 {
-        self.received_by_node
-            .values()
-            .map(|c| c.bytes)
+        self.nodes
+            .iter()
+            .map(|e| e.received.bytes)
             .max()
             .unwrap_or(0)
     }
@@ -174,31 +239,263 @@ impl TrafficMeter {
         *self = TrafficMeter::default();
     }
 
-    /// Folds another meter's counts into this one.
+    /// Folds another meter's counts into this one, in time proportional
+    /// to the nodes `other` charged.
     pub fn merge(&mut self, other: &TrafficMeter) {
+        for (mine, theirs) in self.by_kind.iter_mut().zip(&other.by_kind) {
+            mine.add(theirs.messages, theirs.bytes);
+        }
+        for theirs in &other.nodes {
+            let mine = self.slot(theirs.id);
+            mine.sent.add(theirs.sent.messages, theirs.sent.bytes);
+            mine.received
+                .add(theirs.received.messages, theirs.received.bytes);
+        }
+        self.total.add(other.total.messages, other.total.bytes);
+    }
+}
+
+/// The meter this module shipped before it went flat — three ordered
+/// maps, one entry call each per message — kept as the reference the
+/// model tests below compare the flat layout against.
+#[cfg(test)]
+#[derive(Default)]
+struct MapMeter {
+    by_kind: std::collections::BTreeMap<MessageKind, Counter>,
+    sent_by_node: std::collections::BTreeMap<NodeId, Counter>,
+    received_by_node: std::collections::BTreeMap<NodeId, Counter>,
+    total: Counter,
+}
+
+#[cfg(test)]
+impl MapMeter {
+    fn record(&mut self, from: NodeId, to: NodeId, kind: MessageKind, bytes: u64) {
+        self.by_kind.entry(kind).or_default().add(1, bytes);
+        self.sent_by_node.entry(from).or_default().add(1, bytes);
+        self.received_by_node.entry(to).or_default().add(1, bytes);
+        self.total.add(1, bytes);
+    }
+
+    fn max_received_bytes(&self) -> u64 {
+        self.received_by_node
+            .values()
+            .map(|c| c.bytes)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn merge(&mut self, other: &MapMeter) {
         for (kind, c) in &other.by_kind {
-            let e = self.by_kind.entry(*kind).or_default();
-            e.messages += c.messages;
-            e.bytes += c.bytes;
+            self.by_kind
+                .entry(*kind)
+                .or_default()
+                .add(c.messages, c.bytes);
         }
         for (node, c) in &other.sent_by_node {
-            let e = self.sent_by_node.entry(*node).or_default();
-            e.messages += c.messages;
-            e.bytes += c.bytes;
+            self.sent_by_node
+                .entry(*node)
+                .or_default()
+                .add(c.messages, c.bytes);
         }
         for (node, c) in &other.received_by_node {
-            let e = self.received_by_node.entry(*node).or_default();
-            e.messages += c.messages;
-            e.bytes += c.bytes;
+            self.received_by_node
+                .entry(*node)
+                .or_default()
+                .add(c.messages, c.bytes);
         }
-        self.total.messages += other.total.messages;
-        self.total.bytes += other.total.bytes;
+        self.total.add(other.total.messages, other.total.bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ici_prop::{check, Config, Shrink};
+
+    /// One step of a model run over a parent meter and a child (fork)
+    /// meter.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Charge one message to the child (`true`) or the parent.
+        Record {
+            child: bool,
+            from: u64,
+            to: u64,
+            kind: usize,
+            bytes: u64,
+        },
+        /// Fold the child into the parent and start a fresh child — an
+        /// absorb.
+        Merge,
+        /// Reset the parent.
+        Reset,
+    }
+
+    impl Shrink for Step {
+        fn shrink_candidates(&self) -> Vec<Step> {
+            let Step::Record {
+                child,
+                from,
+                to,
+                kind,
+                bytes,
+            } = *self
+            else {
+                return Vec::new();
+            };
+            ((from, to), bytes)
+                .shrink_candidates()
+                .into_iter()
+                .map(|((from, to), bytes)| Step::Record {
+                    child,
+                    from,
+                    to,
+                    kind,
+                    bytes,
+                })
+                .collect()
+        }
+    }
+
+    /// Every observable of the flat meter against the map meter.
+    fn compare(flat: &TrafficMeter, model: &MapMeter, ids: u64) -> Result<(), String> {
+        if flat.total() != model.total {
+            return Err(format!("total {:?} vs {:?}", flat.total(), model.total));
+        }
+        for kind in MessageKind::ALL {
+            let want = model.by_kind.get(&kind).copied().unwrap_or_default();
+            if flat.kind(kind) != want {
+                return Err(format!("{kind}: {:?} vs {want:?}", flat.kind(kind)));
+            }
+        }
+        let table: Vec<(MessageKind, Counter)> =
+            model.by_kind.iter().map(|(k, c)| (*k, *c)).collect();
+        if flat.by_kind() != table {
+            return Err(format!("table {:?} vs {table:?}", flat.by_kind()));
+        }
+        for node in (0..ids).map(NodeId::new) {
+            let sent = model.sent_by_node.get(&node).copied().unwrap_or_default();
+            let received = model
+                .received_by_node
+                .get(&node)
+                .copied()
+                .unwrap_or_default();
+            if flat.sent_by(node) != sent || flat.received_by(node) != received {
+                return Err(format!("{node}: sent/received differ"));
+            }
+        }
+        if flat.max_received_bytes() != model.max_received_bytes() {
+            return Err("max_received_bytes differs".to_string());
+        }
+        Ok(())
+    }
+
+    /// Random record/merge/reset sequences over sparse ids: the parent
+    /// regularly holds ids its child never saw and the other way round,
+    /// and both are compared after every step.
+    #[test]
+    fn flat_meter_agrees_with_the_map_meter_model() {
+        const IDS: u64 = 48;
+        let result = check(
+            "flat meter matches the map meter",
+            &Config {
+                seed: 0x0003_E7E2,
+                cases: 96,
+                ..Config::default()
+            },
+            |rng| {
+                let len = rng.gen_range(0usize..120);
+                (0..len)
+                    .map(|_| match rng.gen_range(0u64..12) {
+                        0 => Step::Reset,
+                        1 | 2 => Step::Merge,
+                        _ => Step::Record {
+                            child: rng.gen_range(0u64..2) == 0,
+                            from: rng.gen_range(0u64..IDS),
+                            to: rng.gen_range(0u64..IDS),
+                            kind: rng.gen_range(0usize..MessageKind::ALL.len()),
+                            bytes: rng.gen_range(0u64..5_000),
+                        },
+                    })
+                    .collect::<Vec<Step>>()
+            },
+            |steps: &Vec<Step>| {
+                let (mut flat, mut model) = (TrafficMeter::new(), MapMeter::default());
+                let (mut flat_child, mut model_child) = (TrafficMeter::new(), MapMeter::default());
+                for step in steps {
+                    match *step {
+                        Step::Record {
+                            child,
+                            from,
+                            to,
+                            kind,
+                            bytes,
+                        } => {
+                            let (from, to) = (NodeId::new(from), NodeId::new(to));
+                            let kind = MessageKind::ALL[kind];
+                            if child {
+                                flat_child.record(from, to, kind, bytes);
+                                model_child.record(from, to, kind, bytes);
+                            } else {
+                                flat.record(from, to, kind, bytes);
+                                model.record(from, to, kind, bytes);
+                            }
+                        }
+                        Step::Merge => {
+                            flat.merge(&flat_child);
+                            model.merge(&model_child);
+                            flat_child = TrafficMeter::new();
+                            model_child = MapMeter::default();
+                        }
+                        Step::Reset => {
+                            flat.reset();
+                            model = MapMeter::default();
+                        }
+                    }
+                    compare(&flat, &model, IDS)?;
+                    compare(&flat_child, &model_child, IDS)?;
+                }
+                Ok(())
+            },
+        );
+        if let Err(failure) = result {
+            panic!("{failure}");
+        }
+    }
+
+    #[test]
+    fn kinds_index_the_class_array_in_declaration_order() {
+        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
+
+    #[test]
+    fn split_charges_add_up_to_records() {
+        let (a, b, c) = (NodeId::new(4), NodeId::new(9), NodeId::new(2));
+        let mut recorded = TrafficMeter::new();
+        for to in [b, c, c] {
+            recorded.record(a, to, MessageKind::Vote, 112);
+        }
+        let mut charged = TrafficMeter::new();
+        charged.charge_receiver(b, 1, 112);
+        charged.charge_receiver(c, 2, 224);
+        charged.charge_sender(a, MessageKind::Vote, 3, 336);
+        assert_eq!(charged.total(), recorded.total());
+        assert_eq!(charged.by_kind(), recorded.by_kind());
+        for node in [a, b, c] {
+            assert_eq!(charged.sent_by(node), recorded.sent_by(node));
+            assert_eq!(charged.received_by(node), recorded.received_by(node));
+        }
+    }
+
+    #[test]
+    fn a_meter_holds_only_the_nodes_it_charged() {
+        let mut m = TrafficMeter::new();
+        assert_eq!(m.nodes.capacity(), 0, "a fresh meter allocates nothing");
+        m.record(NodeId::new(500), NodeId::new(7), MessageKind::Control, 1);
+        assert_eq!(m.nodes.len(), 2, "not one slot per id below 500");
+    }
 
     #[test]
     fn record_accumulates_everywhere() {

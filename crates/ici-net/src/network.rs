@@ -1,15 +1,16 @@
 //! The network facade: topology + link model + liveness + metering.
 //!
 //! Protocols talk to [`Network`] exclusively: every simulated transmission
-//! goes through [`Network::send`], which meters the bytes, checks endpoint
-//! liveness, and returns the transit delay the caller uses to schedule the
-//! delivery event.
+//! goes through [`Network::send`] — or [`Network::broadcast`], the same
+//! thing for one sender and many receivers — which meters the bytes,
+//! checks endpoint liveness, and returns the transit delay the caller
+//! uses to schedule the delivery event.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::faults::{FaultConfig, SendFault};
 use crate::link::LinkModel;
+use crate::liveness::DownSet;
 use crate::metrics::{MessageKind, TrafficMeter};
 use crate::node::NodeId;
 use crate::time::Duration;
@@ -52,11 +53,11 @@ pub struct Network {
     link: LinkModel,
     meter: TrafficMeter,
     // Liveness and fault state sit behind `Arc`s so a fork is a pair of
-    // refcount bumps instead of a `HashSet`/config deep copy — PBFT
-    // takes hundreds of forks per height, and under fault plans the
-    // down-set is populated. Mutators go through `Arc::make_mut`
+    // refcount bumps instead of a bit-set/config deep copy — a height
+    // takes one fork per cluster, plus one per voter on a jittery or
+    // faulty network. Mutators go through `Arc::make_mut`
     // (copy-on-write), so forks never observe later parent changes.
-    down: Arc<HashSet<NodeId>>,
+    down: Arc<DownSet>,
     faults: Option<Arc<FaultConfig>>,
     seq: u64,
     trace: ici_trace::SendCtx,
@@ -77,7 +78,7 @@ impl Network {
             topology: Arc::new(topology),
             link,
             meter: TrafficMeter::new(),
-            down: Arc::new(HashSet::new()),
+            down: Arc::new(DownSet::default()),
             faults: None,
             seq: 0,
             trace: ici_trace::SendCtx::default(),
@@ -95,6 +96,12 @@ impl Network {
     /// The causal context currently stamped onto traced sends.
     pub fn trace_ctx(&self) -> ici_trace::SendCtx {
         self.trace
+    }
+
+    /// Whether sends from this network currently emit trace events:
+    /// tracing is on and the installed context opted sends in.
+    pub fn sends_are_traced(&self) -> bool {
+        ici_trace::enabled() && self.trace.sends
     }
 
     /// The trace id the next send from this network will carry: a pure
@@ -130,6 +137,17 @@ impl Network {
         &self.meter
     }
 
+    /// The meter, for a protocol that has worked out a batch of sends
+    /// itself (who transmits, to whom, how many bytes) and settles the
+    /// charge in bulk through [`TrafficMeter::charge_sender`] and
+    /// [`TrafficMeter::charge_receiver`] instead of one
+    /// [`Network::send`] per message. Only sound where sends are
+    /// deterministic without the network's help — see
+    /// [`Network::sends_are_stream_independent`].
+    pub fn meter_mut(&mut self) -> &mut TrafficMeter {
+        &mut self.meter
+    }
+
     /// Resets traffic counters (topology and liveness are kept).
     pub fn reset_meter(&mut self) {
         self.meter.reset();
@@ -163,7 +181,7 @@ impl Network {
 
     /// Brings `node` back.
     pub fn recover(&mut self, node: NodeId) {
-        Arc::make_mut(&mut self.down).remove(&node);
+        Arc::make_mut(&mut self.down).remove(node);
     }
 
     /// Adopts `src`'s liveness and fault state wholesale (two refcount
@@ -183,7 +201,7 @@ impl Network {
 
     /// Whether `node` is currently alive.
     pub fn is_up(&self, node: NodeId) -> bool {
-        !self.down.contains(&node)
+        !self.down.contains(node)
     }
 
     /// Ids of all live nodes.
@@ -203,9 +221,12 @@ impl Network {
     /// stream position: no fault config is installed (inert configs are
     /// normalized to `None`) and the link draws zero jitter, so `send`
     /// consumes a sequence number but never turns it into randomness.
-    /// Protocols may then batch actors onto shared forks without
-    /// changing any delivered byte; jittery or faulty networks must keep
-    /// per-actor forks to preserve their committed traces.
+    /// Every outcome is then a function of liveness and geometry, so a
+    /// protocol may batch actors onto shared forks, or work a batch of
+    /// sends out itself and charge the meter in bulk
+    /// ([`Network::meter_mut`]), without changing any delivered byte;
+    /// jittery or faulty networks must keep per-actor forks and
+    /// per-message sends to preserve their committed traces.
     pub fn sends_are_stream_independent(&self) -> bool {
         self.faults.is_none() && self.link.max_jitter_ms <= 0.0
     }
@@ -222,60 +243,99 @@ impl Network {
     /// messages carry extra transit time (which reorders them past later
     /// traffic), and duplicates are metered as retransmissions.
     pub fn send(&mut self, from: NodeId, to: NodeId, kind: MessageKind, bytes: u64) -> SendOutcome {
+        let mut outcome = SendOutcome::SenderDown;
+        self.broadcast(from, &[to], kind, bytes, |_, sent| outcome = sent);
+        outcome
+    }
+
+    /// Transmits `bytes` of `kind` from `from` to every entry of
+    /// `receivers`, handing each receiver and its outcome to `each` in
+    /// list order. Exactly [`Network::send`] called once per receiver —
+    /// same sequence numbers, fault draws, trace ids and per-node
+    /// metering — with everything that depends on the sender alone done
+    /// once: the liveness check, the sender/class/total charge (summed
+    /// over the copies that left the uplink) and the serialization
+    /// delay.
+    pub fn broadcast(
+        &mut self,
+        from: NodeId,
+        receivers: &[NodeId],
+        kind: MessageKind,
+        bytes: u64,
+        mut each: impl FnMut(NodeId, SendOutcome),
+    ) {
         if !self.is_up(from) {
-            return SendOutcome::SenderDown;
+            for &to in receivers {
+                each(to, SendOutcome::SenderDown);
+            }
+            return;
         }
-        let seq = self.seq;
-        self.seq += 1;
-        let outcome = if !self.is_up(to) {
-            // Bytes still leave the sender's uplink.
-            self.meter.record(from, to, kind, bytes);
-            SendOutcome::ReceiverDown
-        } else {
-            let fault = match &self.faults {
-                Some(config) => config.decide(from, to, seq),
-                None => SendFault::Deliver {
-                    extra_delay: Duration::ZERO,
-                    copies: 1,
-                },
-            };
-            match fault {
-                SendFault::Drop => {
-                    self.meter.record(from, to, kind, bytes);
-                    ici_telemetry::counter_add("net/fault_drops", ici_telemetry::Label::Global, 1);
-                    SendOutcome::Dropped
-                }
-                SendFault::Deliver {
-                    extra_delay,
-                    copies,
-                } => {
-                    for _ in 0..copies.max(1) {
-                        self.meter.record(from, to, kind, bytes);
-                    }
-                    if copies > 1 {
+        let serialization = self.link.serialization(bytes);
+        let traced = self.sends_are_traced();
+        let mut copies_sent = 0u64;
+        for &to in receivers {
+            let seq = self.seq;
+            self.seq += 1;
+            let (copies, outcome) = if !self.is_up(to) {
+                // Bytes still leave the sender's uplink.
+                (1, SendOutcome::ReceiverDown)
+            } else {
+                let fault = match &self.faults {
+                    Some(config) => config.decide(from, to, seq),
+                    None => SendFault::Deliver {
+                        extra_delay: Duration::ZERO,
+                        copies: 1,
+                    },
+                };
+                match fault {
+                    SendFault::Drop => {
                         ici_telemetry::counter_add(
-                            "net/fault_duplicates",
-                            ici_telemetry::Label::Global,
-                            u64::from(copies - 1),
-                        );
-                    }
-                    if extra_delay > Duration::ZERO {
-                        ici_telemetry::counter_add(
-                            "net/fault_delays",
+                            "net/fault_drops",
                             ici_telemetry::Label::Global,
                             1,
                         );
+                        (1, SendOutcome::Dropped)
                     }
-                    SendOutcome::Delivered(
-                        self.link.transit(&self.topology, from, to, bytes, seq) + extra_delay,
-                    )
+                    SendFault::Deliver {
+                        extra_delay,
+                        copies,
+                    } => {
+                        if copies > 1 {
+                            ici_telemetry::counter_add(
+                                "net/fault_duplicates",
+                                ici_telemetry::Label::Global,
+                                u64::from(copies - 1),
+                            );
+                        }
+                        if extra_delay > Duration::ZERO {
+                            ici_telemetry::counter_add(
+                                "net/fault_delays",
+                                ici_telemetry::Label::Global,
+                                1,
+                            );
+                        }
+                        (
+                            u64::from(copies.max(1)),
+                            SendOutcome::Delivered(
+                                self.link.flight(&self.topology, from, to, seq)
+                                    + serialization
+                                    + extra_delay,
+                            ),
+                        )
+                    }
                 }
+            };
+            self.meter.charge_receiver(to, copies, copies * bytes);
+            copies_sent += copies;
+            if traced {
+                self.trace_send(seq, from, to, kind, bytes, outcome);
             }
-        };
-        if ici_trace::enabled() && self.trace.sends {
-            self.trace_send(seq, from, to, kind, bytes, outcome);
+            each(to, outcome);
         }
-        outcome
+        if copies_sent > 0 {
+            self.meter
+                .charge_sender(from, kind, copies_sent, copies_sent * bytes);
+        }
     }
 
     /// Records one traced transmission. Outlined so the untraced send
@@ -323,11 +383,11 @@ impl Network {
     /// a batch so subsequent parent traffic draws fresh randomness, and
     /// fold each child's traffic back with [`Network::absorb`].
     ///
-    /// A fork allocates nothing beyond the `Network` struct itself: the
-    /// topology, down-set, and fault config are `Arc`-shared, and the
-    /// fresh meter's maps are empty (`BTreeMap`s allocate on first
-    /// insert), so zero-start forks carry no setup cost proportional to
-    /// network size or fault state.
+    /// A fork allocates nothing: the topology, down-set, and fault
+    /// config are `Arc`-shared, and the fresh meter's per-node vector is
+    /// empty until the first charge and then holds only the nodes the
+    /// fork charged, so a fork/absorb pair costs in proportion to what
+    /// the fork touched, never to network size or fault state.
     pub fn fork(&mut self, stream: u64) -> Network {
         Network {
             topology: Arc::clone(&self.topology),
@@ -431,6 +491,44 @@ mod tests {
             .send(id, NodeId::new(0), MessageKind::Bootstrap, 10)
             .delay()
             .is_some());
+    }
+
+    #[test]
+    fn forks_keep_the_liveness_they_were_taken_with() {
+        let mut parent = net(6);
+        parent.crash(NodeId::new(1));
+        let mut before = parent.fork(0);
+        parent.crash(NodeId::new(2));
+        parent.recover(NodeId::new(1));
+        let after = parent.fork(1);
+        assert!(!before.is_up(NodeId::new(1)) && before.is_up(NodeId::new(2)));
+        assert_eq!(before.down_count(), 1);
+        assert!(after.is_up(NodeId::new(1)) && !after.is_up(NodeId::new(2)));
+        // Copy-on-write both ways: a fork's crash stays in the fork.
+        before.crash(NodeId::new(4));
+        assert!(parent.is_up(NodeId::new(4)) && after.is_up(NodeId::new(4)));
+        assert_eq!(parent.down_count(), 1);
+    }
+
+    #[test]
+    fn liveness_covers_ids_the_topology_does_not_hold_yet() {
+        let mut net = net(3);
+        let later = NodeId::new(70);
+        assert!(net.is_up(later), "unknown ids are not crashed");
+        net.crash(later);
+        net.crash(later);
+        assert!(!net.is_up(later) && net.is_up(NodeId::new(69)));
+        assert_eq!(net.down_count(), 1);
+        let joined = net.join(Coord::new(2.0, 2.0));
+        assert_eq!(joined, NodeId::new(3));
+        assert!(net.is_up(joined));
+        net.crash(joined);
+        assert_eq!(net.down_count(), 2);
+        net.recover(later);
+        net.recover(later);
+        net.recover(joined);
+        assert_eq!(net.down_count(), 0);
+        assert_eq!(net.live_nodes().len(), 4);
     }
 
     #[test]

@@ -92,13 +92,13 @@ fn meter_totals_are_consistent() {
             let _ = net.send(NodeId::new(from), NodeId::new(to), kind, bytes);
         }
         let meter = net.meter();
-        let by_kind: u64 = meter.by_kind().values().map(|c| c.bytes).sum();
+        let by_kind: u64 = meter.by_kind().iter().map(|(_, c)| c.bytes).sum();
         assert_eq!(meter.total().bytes, by_kind);
         let by_sender: u64 = (0..10u64)
             .map(|n| meter.sent_by(NodeId::new(n)).bytes)
             .sum();
         assert_eq!(meter.total().bytes, by_sender);
-        let msgs_by_kind: u64 = meter.by_kind().values().map(|c| c.messages).sum();
+        let msgs_by_kind: u64 = meter.by_kind().iter().map(|(_, c)| c.messages).sum();
         assert_eq!(meter.total().messages, msgs_by_kind);
     }
 }

@@ -152,19 +152,21 @@ pub fn set_threads(n: usize) {
 
 /// Environment variable sizing the block-lifecycle pipeline at first
 /// use: how many heights may be in flight across the stage machine.
-/// `1` forces the sequential reference path; `0` or unset means
-/// "match the effective thread count" ([`threads`]).
+/// `0`, `1` or unset is the sequential reference lifecycle: overlap is
+/// opt-in, because at simulated-message cost a block is a few thread
+/// wake-ups long and the stage machine has little left to hide (DESIGN.md,
+/// "Pipelined lifecycle", has the measurement).
 pub const PIPELINE_ENV_VAR: &str = "ICI_PIPELINE_DEPTH";
 
-/// Configured pipeline depth; `0` means "follow [`threads`]".
+/// Configured pipeline depth; `0` means "not set: the default of 1".
 static PIPELINE_DEPTH: AtomicUsize = AtomicUsize::new(0);
 static PIPELINE_ENV_READ: AtomicUsize = AtomicUsize::new(0);
 
 /// The configured block-pipeline depth (resolving `ICI_PIPELINE_DEPTH`
-/// on first use). With no explicit override the depth follows the
-/// *current* [`threads`] value, so `set_threads(1)` also forces the
-/// sequential lifecycle — committed artifacts are byte-identical at
-/// every depth, so this only changes scheduling.
+/// on first use). With no explicit override the depth is 1, the
+/// sequential lifecycle, whatever [`threads`] says — committed
+/// artifacts are byte-identical at every depth, so this only changes
+/// scheduling.
 pub fn pipeline_depth() -> usize {
     let current = PIPELINE_DEPTH.load(Ordering::Relaxed);
     if current != 0 {
@@ -181,12 +183,11 @@ pub fn pipeline_depth() -> usize {
             return n;
         }
     }
-    threads()
+    1
 }
 
 /// Overrides the pipeline depth (clamped to `MAX_THREADS`); `0` reverts
-/// to the default of following [`threads`]. Scheduling-only, like
-/// [`set_threads`].
+/// to the default of 1. Scheduling-only, like [`set_threads`].
 pub fn set_pipeline_depth(n: usize) {
     PIPELINE_ENV_READ.store(1, Ordering::Relaxed);
     PIPELINE_DEPTH.store(n.min(MAX_THREADS), Ordering::Relaxed);
@@ -638,9 +639,9 @@ mod tests {
         set_pipeline_depth(MAX_THREADS + 5);
         assert_eq!(pipeline_depth(), MAX_THREADS);
         set_pipeline_depth(0);
-        // Default follows the effective thread count (some positive
-        // value; other tests race on the exact number).
-        assert!(pipeline_depth() >= 1);
+        // Unset is the sequential lifecycle, whatever the thread count.
+        set_threads(4);
+        assert_eq!(pipeline_depth(), 1);
         set_pipeline_depth(4);
         assert_eq!(pipeline_depth(), 4);
         set_pipeline_depth(0);

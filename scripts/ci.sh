@@ -321,15 +321,17 @@ ICI_PAR_THREADS=4 cargo test -q --release --test shrink_determinism --test repro
 echo "    shrinker OK: minimal reproducer pinned at 1 and 4 threads"
 
 echo "==> parallel speedup bench (E1 + E7, 1 vs 4 threads, pipelined lifecycle)"
-# The pipeline depth follows the thread count, so the serial leg runs
-# the sequential reference lifecycle and the parallel leg overlaps
-# heights across the stage machine. Best-of-3 keeps scheduler noise out
-# of the committed trajectory.
-bench_wall() { # bench_wall <bin> <threads> -> best-of-3 wall seconds
+# An unset ICI_PIPELINE_DEPTH is the sequential lifecycle at any thread
+# count, so the depth is set on both legs: the serial leg runs the
+# sequential reference lifecycle (1 thread, depth 1) and the parallel
+# leg overlaps 4 heights across the stage machine on a 4-wide pool.
+# Best-of-3 keeps scheduler noise out of the committed trajectory.
+bench_wall() { # bench_wall <bin> <threads = depth> -> best-of-3 wall seconds
     local best="inf" start end
     for _ in 1 2 3; do
         start=$(python3 -c 'import time; print(time.monotonic())')
-        ICI_PAR_THREADS="$2" cargo run -q --release -p ici-bench --bin "$1" >/dev/null
+        ICI_PAR_THREADS="$2" ICI_PIPELINE_DEPTH="$2" \
+            cargo run -q --release -p ici-bench --bin "$1" >/dev/null
         end=$(python3 -c 'import time; print(time.monotonic())')
         best=$(python3 -c "print(min(float('$best'), $end - $start))")
     done
