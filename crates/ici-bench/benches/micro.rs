@@ -9,8 +9,12 @@
 //! `ICI_BENCH_BUDGET_MS`.
 
 use ici_bench::harness::{bench, bench_with_setup};
+use ici_chain::block::Block;
+use ici_chain::builder::BlockBuilder;
 use ici_chain::codec::{Decode, Encode};
+use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::{Address, Transaction};
+use ici_chain::validation::validate_block;
 use ici_cluster::kmeans::{balanced_kmeans, KMeansConfig};
 use ici_crypto::gf256::Gf256;
 use ici_crypto::hmac::hmac_sha256;
@@ -26,6 +30,7 @@ use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
+use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn bench_sha256() {
     for size in [64usize, 1_024, 65_536] {
@@ -184,8 +189,95 @@ fn bench_net() {
     });
 }
 
+/// One `ici_bigblock`-shaped block (1 000 transactions over 4 096
+/// accounts) priced on both sides of every hash a block pays once: a
+/// signature's first check against its remembered verdict, apply on a
+/// state without and with a v2 lattice to maintain, and validation of a
+/// body nobody has checked against one its builder already did.
+fn bench_block_path() {
+    let genesis_cfg = GenesisConfig::uniform(4_096, 1_000_000);
+    let genesis = genesis_cfg.genesis_block();
+    let flat = genesis_cfg.initial_state();
+    let mut lattice = flat.clone();
+    lattice.sharded_root();
+    // Never verified: every clone of this batch starts with unknown verdicts.
+    let unchecked = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 4_096,
+        seed: 17,
+        ..WorkloadConfig::default()
+    })
+    .batch(1_000);
+    let checked = unchecked.clone();
+    assert!(checked.iter().all(Transaction::verify_signature));
+    let verify_all = |txs: Vec<Transaction>| {
+        let valid = txs.iter().filter(|tx| tx.verify_signature()).count();
+        (valid, txs)
+    };
+    bench_with_setup(
+        "tx/verify_signature/first/x1000",
+        || unchecked.clone(),
+        verify_all,
+    );
+    bench_with_setup(
+        "tx/verify_signature/memo/x1000",
+        || checked.clone(),
+        verify_all,
+    );
+    // What a verified-set keyed by transaction id would pay per lookup
+    // before it saved anything.
+    bench("tx/id/x1000", || {
+        checked
+            .iter()
+            .fold(0u8, |acc, tx| acc ^ tx.id().as_bytes()[0])
+    });
+
+    let collector = Address::from_seed(0);
+    for (name, state) in [("flat", &flat), ("lattice", &lattice)] {
+        bench_with_setup(
+            &format!("state/apply_1000tx/{name}"),
+            || state.clone(),
+            |mut state| {
+                for tx in &checked {
+                    state.apply(tx, collector).expect("valid stream");
+                }
+                state
+            },
+        );
+    }
+
+    bench("block/tx_root/1000", || Block::compute_tx_root(&checked));
+
+    let filled = |batch: &[Transaction]| {
+        let mut builder = BlockBuilder::new(genesis.header(), flat.clone(), 0, 1);
+        assert_eq!(builder.fill(batch.iter().cloned()), batch.len());
+        builder
+    };
+    bench_with_setup(
+        "builder/seal_1000tx",
+        || filled(&checked),
+        BlockBuilder::seal,
+    );
+
+    let header = *filled(&checked).seal().header();
+    let validate = |block: Block| {
+        validate_block(&block, genesis.header(), &flat).expect("valid block");
+        block
+    };
+    bench_with_setup(
+        "validate_block/1000tx/cold",
+        || Block::from_parts(header, unchecked.clone()).expect("same body"),
+        validate,
+    );
+    bench_with_setup(
+        "validate_block/1000tx/memo",
+        || Block::from_parts(header, checked.clone()).expect("same body"),
+        validate,
+    );
+}
+
 fn main() {
     bench_net();
+    bench_block_path();
     bench_sha256();
     bench_hmac();
     bench_simsig();

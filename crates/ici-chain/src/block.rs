@@ -230,31 +230,14 @@ impl Block {
         MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.transactions))
     }
 
-    /// Streams every transaction encoding into a leaf hasher, on the
-    /// `ici-par` pool for wide blocks. Byte-identical to hashing
-    /// materialized encodings at any thread count.
+    /// Streams every transaction encoding into a leaf hasher. Not pooled:
+    /// a fan-out needs an owned copy of every transaction and measured
+    /// slower than this loop over the borrowed body (ROADMAP item 1).
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
-        /// Below this many leaves the pool overhead exceeds the hashing.
-        const PAR_THRESHOLD_LEAVES: usize = 256;
-        /// Leaves per parallel task (data-derived geometry).
-        const CHUNK_LEAVES: usize = 64;
-        if transactions.len() >= PAR_THRESHOLD_LEAVES && ici_par::threads() > 1 {
-            let owned: Vec<Transaction> = transactions.to_vec();
-            ici_par::par_chunks(owned, CHUNK_LEAVES, |_, chunk| {
-                chunk
-                    .iter()
-                    .map(hashing::leaf_hash_encodable)
-                    .collect::<Vec<Digest>>()
-            })
-            .into_iter()
-            .flatten()
+        transactions
+            .iter()
+            .map(hashing::leaf_hash_encodable)
             .collect()
-        } else {
-            transactions
-                .iter()
-                .map(hashing::leaf_hash_encodable)
-                .collect()
-        }
     }
 
     /// The block header.

@@ -187,7 +187,15 @@ impl BlockBuilder {
     }
 
     /// Seals the block, consuming the builder.
-    pub fn seal(mut self) -> Block {
+    pub fn seal(self) -> Block {
+        self.seal_with_state().0
+    }
+
+    /// Seals and also returns the post-state (so the proposer need not
+    /// re-execute its own block). The state is the one the root was just
+    /// computed on, moved out — under the v2 commitment its bucket-root
+    /// cache is warm.
+    pub fn seal_with_state(mut self) -> (Block, WorldState) {
         let _span = ici_telemetry::span!("chain/block_build");
         ici_telemetry::observe(
             "chain/block_txs",
@@ -195,7 +203,7 @@ impl BlockBuilder {
             self.transactions.len() as u64,
         );
         let state_root = self.state.root_for(self.commitment);
-        Block::new(
+        let block = Block::new(
             BlockHeader {
                 height: self.height,
                 parent: self.parent,
@@ -208,14 +216,8 @@ impl BlockBuilder {
                 body_len: 0,
             },
             self.transactions,
-        )
-    }
-
-    /// Seals and also returns the post-state (so the proposer need not
-    /// re-execute its own block).
-    pub fn seal_with_state(self) -> (Block, WorldState) {
-        let state = self.state.clone();
-        (self.seal(), state)
+        );
+        (block, self.state)
     }
 }
 
@@ -266,6 +268,19 @@ mod tests {
         let mut replay = state;
         replay.apply_block(&block).expect("replays");
         assert_eq!(replay.root(), block.header().state_root);
+    }
+
+    #[test]
+    fn v2_seal_returns_the_state_it_rooted() {
+        let (genesis, state) = setup();
+        let mut b = BlockBuilder::new(genesis.header(), state, 3, 500);
+        b.commitment(StateCommitment::ShardedV2);
+        b.push(transfer(0, 0, 10)).expect("valid");
+        let (block, mut post) = b.seal_with_state();
+        // A state without a lattice, or one copied before the root was
+        // taken, reports every bucket dirty.
+        assert_eq!(post.dirty_buckets(), 0, "bucket-root cache must be warm");
+        assert_eq!(post.sharded_root(), block.header().state_root);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //!   last call are re-derived, so per-block commitment cost is
 //!   proportional to touched accounts, not total accounts. The value is
 //!   independent of the physical shard count and thread count.
+//!
+//! The lattice is materialised lazily: a state carries none until its
+//! first [`WorldState::sharded_root`], which builds it in one pass over
+//! the accounts; from then on it is maintained per mutation and travels
+//! with every clone. A state that only ever seals under the flat v1 root
+//! never hashes an account leaf.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -182,6 +188,37 @@ impl BucketAcc {
 /// inline — the fan-out overhead would dominate.
 const PAR_SIG_MIN_TXS: usize = 64;
 
+/// One physical shard: the accounts of a contiguous address range.
+type Shard = Arc<BTreeMap<Address, AccountState>>;
+
+/// The v2 commitment's bookkeeping, held only by states that have been
+/// asked for [`WorldState::sharded_root`].
+#[derive(Clone, Debug)]
+struct Lattice {
+    /// Accumulator per logical bucket (always [`STATE_BUCKETS`]).
+    acc: Vec<BucketAcc>,
+    /// Cached bucket roots; `None` marks a bucket dirtied since the last
+    /// [`WorldState::sharded_root`] call.
+    cached: Vec<Option<Digest>>,
+}
+
+impl Lattice {
+    /// Accumulates every account of `shards` — one leaf hash each.
+    fn build(shards: &[Shard]) -> Lattice {
+        ici_telemetry::counter_add("state/lattice_builds", ici_telemetry::Label::Global, 1);
+        let mut acc = vec![BucketAcc::default(); STATE_BUCKETS];
+        for (address, acct) in shards.iter().flat_map(|s| s.iter()) {
+            let bucket = &mut acc[shard::bucket_of(address)];
+            bucket.add(&acct_hash(address, acct));
+            bucket.count += 1;
+        }
+        Lattice {
+            acc,
+            cached: vec![None; STATE_BUCKETS],
+        }
+    }
+}
+
 /// The full account state, keyed by address.
 ///
 /// Backed by range-partitioned `BTreeMap` shards so iteration order — and
@@ -191,12 +228,10 @@ const PAR_SIG_MIN_TXS: usize = 64;
 pub struct WorldState {
     /// Physical shards in address order; `Arc` so clones are O(shards)
     /// and mutation copies only the touched shard.
-    shards: Vec<Arc<BTreeMap<Address, AccountState>>>,
-    /// Lattice accumulator per logical bucket (always [`STATE_BUCKETS`]).
-    acc: Vec<BucketAcc>,
-    /// Cached v2 bucket roots; `None` marks a bucket dirtied since the
-    /// last [`WorldState::sharded_root`] call.
-    cached: Vec<Option<Digest>>,
+    shards: Vec<Shard>,
+    /// `None` until the first [`WorldState::sharded_root`]; maintained
+    /// per mutation from then on, and carried by clones.
+    lattice: Option<Lattice>,
 }
 
 impl Default for WorldState {
@@ -231,8 +266,7 @@ impl WorldState {
             shards: (0..shard_count)
                 .map(|_| Arc::new(BTreeMap::new()))
                 .collect(),
-            acc: vec![BucketAcc::default(); STATE_BUCKETS],
-            cached: vec![None; STATE_BUCKETS],
+            lattice: None,
         }
     }
 
@@ -266,31 +300,33 @@ impl WorldState {
         self.shards.iter().flat_map(|s| s.iter())
     }
 
-    /// Read-modify-write on one account through the commitment
-    /// bookkeeping: subtracts the old leaf hash from the bucket
-    /// accumulator, applies `f`, adds the new leaf hash, and marks the
-    /// bucket dirty. Absent accounts start from the default (zero) state.
+    /// Read-modify-write on one account; absent accounts start from the
+    /// default (zero) state. With a lattice in place this also moves the
+    /// account's leaf hash in its bucket accumulator (sub old, add new)
+    /// and marks the bucket dirty.
     fn update_account<F: FnOnce(&mut AccountState)>(&mut self, address: Address, f: F) {
         let shard_idx = shard::shard_of(&address, self.shards.len());
-        let bucket = shard::bucket_of(&address);
         let map = Arc::make_mut(&mut self.shards[shard_idx]);
+        let Some(lattice) = &mut self.lattice else {
+            f(map.entry(address).or_default());
+            return;
+        };
+        let bucket = shard::bucket_of(&address);
+        let acc = &mut lattice.acc[bucket];
         match map.entry(address) {
             std::collections::btree_map::Entry::Occupied(mut occupied) => {
-                let old = acct_hash(&address, occupied.get());
+                acc.sub(&acct_hash(&address, occupied.get()));
                 f(occupied.get_mut());
-                let new = acct_hash(&address, occupied.get());
-                self.acc[bucket].sub(&old);
-                self.acc[bucket].add(&new);
+                acc.add(&acct_hash(&address, occupied.get()));
             }
             std::collections::btree_map::Entry::Vacant(vacant) => {
                 let mut acct = AccountState::default();
                 f(&mut acct);
-                let new = acct_hash(&address, vacant.insert(acct));
-                self.acc[bucket].add(&new);
-                self.acc[bucket].count += 1;
+                acc.add(&acct_hash(&address, vacant.insert(acct)));
+                acc.count += 1;
             }
         }
-        self.cached[bucket] = None;
+        lattice.cached[bucket] = None;
     }
 
     /// Looks up an account, returning the default (zero) state if absent.
@@ -339,12 +375,14 @@ impl WorldState {
         if !tx.verify_signature() {
             return Err(StateError::BadSignature);
         }
-        self.check_presigned(tx)
+        self.check_presigned(tx).map(|_sender| ())
     }
 
     /// [`WorldState::check`] minus signature verification — the path for
     /// transactions whose signatures were already verified in bulk.
-    fn check_presigned(&self, tx: &Transaction) -> Result<(), StateError> {
+    /// Returns the sender address it derived, for the mutation that
+    /// follows.
+    fn check_presigned(&self, tx: &Transaction) -> Result<Address, StateError> {
         let sender = tx.sender_address();
         let account = self.account(&sender);
         if tx.nonce() != account.nonce {
@@ -365,13 +403,13 @@ impl WorldState {
                 required,
             });
         }
-        Ok(())
+        Ok(sender)
     }
 
-    /// Moves the checked transaction's funds (debit sender, credit
-    /// recipient and fee collector).
-    fn apply_mutations(&mut self, tx: &Transaction, fee_collector: Address) {
-        let sender = tx.sender_address();
+    /// Moves the checked transaction's funds (debit `sender`, the address
+    /// [`WorldState::check_presigned`] derived; credit recipient and fee
+    /// collector).
+    fn apply_mutations(&mut self, tx: &Transaction, sender: Address, fee_collector: Address) {
         self.update_account(sender, |acct| {
             acct.balance -= tx.amount() + tx.fee();
             acct.nonce += 1;
@@ -390,9 +428,10 @@ impl WorldState {
     /// Fails (leaving the state untouched) under the same conditions as
     /// [`WorldState::check`].
     pub fn apply(&mut self, tx: &Transaction, fee_collector: Address) -> Result<(), StateError> {
-        self.check(tx)?;
-        self.apply_mutations(tx, fee_collector);
-        Ok(())
+        if !tx.verify_signature() {
+            return Err(StateError::BadSignature);
+        }
+        self.apply_presigned(tx, fee_collector)
     }
 
     /// [`WorldState::apply`] for a transaction whose signature was already
@@ -402,8 +441,8 @@ impl WorldState {
         tx: &Transaction,
         fee_collector: Address,
     ) -> Result<(), StateError> {
-        self.check_presigned(tx)?;
-        self.apply_mutations(tx, fee_collector);
+        let sender = self.check_presigned(tx)?;
+        self.apply_mutations(tx, sender, fee_collector);
         Ok(())
     }
 
@@ -482,7 +521,9 @@ impl WorldState {
     /// Number of logical buckets whose cached v2 root is stale — the
     /// work the next [`WorldState::sharded_root`] call will do.
     pub fn dirty_buckets(&self) -> usize {
-        self.cached.iter().filter(|c| c.is_none()).count()
+        self.lattice.as_ref().map_or(STATE_BUCKETS, |lattice| {
+            lattice.cached.iter().filter(|c| c.is_none()).count()
+        })
     }
 
     /// The incremental v2 commitment: re-derives only the bucket roots
@@ -490,11 +531,17 @@ impl WorldState {
     /// buckets, never total accounts) and hashes the 64 bucket roots in
     /// bucket order under the `ici-state-v2:` domain tag. Independent of
     /// physical shard count and thread count.
+    ///
+    /// The first call on a state (or on a clone of a state that never
+    /// had one) builds the lattice: one leaf hash per account, once.
     pub fn sharded_root(&mut self) -> Digest {
+        let Lattice { acc, cached } = self
+            .lattice
+            .get_or_insert_with(|| Lattice::build(&self.shards));
         let mut recomputed = 0u64;
-        for (bucket, slot) in self.cached.iter_mut().enumerate() {
+        for (bucket, slot) in cached.iter_mut().enumerate() {
             if slot.is_none() {
-                *slot = Some(self.acc[bucket].root(bucket as u32));
+                *slot = Some(acc[bucket].root(bucket as u32));
                 recomputed += 1;
             }
         }
@@ -506,7 +553,7 @@ impl WorldState {
         let mut h = Sha256::new();
         h.update(COMBINED_TAG);
         h.update(&(STATE_BUCKETS as u32).to_be_bytes());
-        for slot in &self.cached {
+        for slot in cached.iter() {
             if let Some(digest) = slot {
                 h.update(digest.as_bytes());
             }
@@ -525,6 +572,125 @@ impl WorldState {
     /// Total supply across all accounts (conserved by [`WorldState::apply`]).
     pub fn total_supply(&self) -> u64 {
         self.accounts().map(|(_, a)| a.balance).sum()
+    }
+}
+
+/// The bookkeeping this module shipped before the lattice went lazy —
+/// accumulators from construction on, two leaf hashes moved by every
+/// mutation whether or not anyone asks for the v2 root — kept as the
+/// reference the differential test below compares [`WorldState`] against.
+#[cfg(test)]
+#[derive(Clone)]
+struct EagerState {
+    accounts: BTreeMap<Address, AccountState>,
+    acc: Vec<BucketAcc>,
+    cached: Vec<Option<Digest>>,
+}
+
+#[cfg(test)]
+impl EagerState {
+    fn with_balances(balances: &[(Address, u64)]) -> EagerState {
+        let mut state = EagerState {
+            accounts: BTreeMap::new(),
+            acc: vec![BucketAcc::default(); STATE_BUCKETS],
+            cached: vec![None; STATE_BUCKETS],
+        };
+        for &(addr, balance) in balances {
+            state.update_account(addr, |acct| *acct = AccountState { balance, nonce: 0 });
+        }
+        state
+    }
+
+    fn update_account<F: FnOnce(&mut AccountState)>(&mut self, address: Address, f: F) {
+        let bucket = shard::bucket_of(&address);
+        match self.accounts.entry(address) {
+            std::collections::btree_map::Entry::Occupied(mut occupied) => {
+                let old = acct_hash(&address, occupied.get());
+                f(occupied.get_mut());
+                let new = acct_hash(&address, occupied.get());
+                self.acc[bucket].sub(&old);
+                self.acc[bucket].add(&new);
+            }
+            std::collections::btree_map::Entry::Vacant(vacant) => {
+                let mut acct = AccountState::default();
+                f(&mut acct);
+                let new = acct_hash(&address, vacant.insert(acct));
+                self.acc[bucket].add(&new);
+                self.acc[bucket].count += 1;
+            }
+        }
+        self.cached[bucket] = None;
+    }
+
+    fn credit(&mut self, address: Address, amount: u64) {
+        self.update_account(address, |acct| {
+            acct.balance = acct.balance.saturating_add(amount);
+        });
+    }
+
+    fn apply(&mut self, tx: &Transaction, fee_collector: Address) -> Result<(), StateError> {
+        if !tx.sender().verify(&tx.signing_bytes(), tx.signature()) {
+            return Err(StateError::BadSignature);
+        }
+        let sender = tx.sender_address();
+        let account = self.accounts.get(&sender).copied().unwrap_or_default();
+        if tx.nonce() != account.nonce {
+            return Err(StateError::BadNonce {
+                sender,
+                expected: account.nonce,
+                actual: tx.nonce(),
+            });
+        }
+        let required = tx
+            .amount()
+            .checked_add(tx.fee())
+            .ok_or(StateError::AmountOverflow)?;
+        if account.balance < required {
+            return Err(StateError::InsufficientBalance {
+                sender,
+                available: account.balance,
+                required,
+            });
+        }
+        self.update_account(sender, |acct| {
+            acct.balance -= required;
+            acct.nonce += 1;
+        });
+        self.credit(tx.recipient(), tx.amount());
+        if tx.fee() > 0 {
+            self.credit(fee_collector, tx.fee());
+        }
+        Ok(())
+    }
+
+    fn root(&self) -> Digest {
+        let mut h = Sha256::new();
+        h.update(b"ici-state-v1:");
+        for (addr, acct) in &self.accounts {
+            h.update(addr.as_bytes());
+            h.update(&acct.balance.to_be_bytes());
+            h.update(&acct.nonce.to_be_bytes());
+        }
+        h.finalize()
+    }
+
+    fn dirty_buckets(&self) -> usize {
+        self.cached.iter().filter(|c| c.is_none()).count()
+    }
+
+    fn sharded_root(&mut self) -> Digest {
+        for (bucket, slot) in self.cached.iter_mut().enumerate() {
+            if slot.is_none() {
+                *slot = Some(self.acc[bucket].root(bucket as u32));
+            }
+        }
+        let mut h = Sha256::new();
+        h.update(COMBINED_TAG);
+        h.update(&(STATE_BUCKETS as u32).to_be_bytes());
+        for digest in self.cached.iter().flatten() {
+            h.update(digest.as_bytes());
+        }
+        h.finalize()
     }
 }
 
@@ -755,5 +921,93 @@ mod tests {
             WorldState::with_shards(1).sharded_root(),
             WorldState::with_shards(64).sharded_root()
         );
+    }
+
+    /// Random interleavings of apply / credit / clone / v1 root / v2 root
+    /// against the eager reference: a state rooted at construction, one
+    /// rooted only at the end and the clones taken along the way agree
+    /// with it on every answer, at every shard count.
+    #[test]
+    fn lazy_lattice_matches_the_eager_reference() {
+        use ici_rng::Xoshiro256;
+
+        let universe = 24u64;
+        let funded: Vec<(Address, u64)> = (0..universe)
+            .map(|s| (Address::from_seed(s), 500))
+            .collect();
+        let agree = |what: &str, lazy: &mut WorldState, eager: &mut EagerState, rooted: bool| {
+            assert_eq!(lazy.root(), eager.root(), "{what}: v1 root");
+            if rooted {
+                assert_eq!(lazy.dirty_buckets(), eager.dirty_buckets(), "{what}: dirty");
+                assert_eq!(lazy.sharded_root(), eager.sharded_root(), "{what}: v2 root");
+                assert_eq!(lazy.dirty_buckets(), 0, "{what}: cache warm after a root");
+            }
+        };
+        for shards in [1usize, 4, 64] {
+            for seed in 0..6u64 {
+                let mut rng = Xoshiro256::seed_from_u64(seed * 31 + shards as u64);
+                let mut eager = EagerState::with_balances(&funded);
+                // `early` builds its lattice before the first mutation,
+                // `late` after the last one.
+                let mut early = WorldState::with_balances_sharded(funded.iter().copied(), shards);
+                let mut late = early.clone();
+                agree("fresh", &mut early, &mut eager, true);
+                for step in 0..160 {
+                    let what = format!("shards {shards} seed {seed} step {step}");
+                    match rng.gen_range(0u32..10) {
+                        0..=4 => {
+                            let sender = rng.gen_range(0..universe);
+                            let from = Address::from_seed(sender);
+                            // Mostly the right nonce and an affordable
+                            // amount; sometimes neither.
+                            let nonce = early.nonce(&from) + u64::from(rng.gen_bool(0.1));
+                            let tx = Transaction::signed(
+                                &Keypair::from_seed(sender),
+                                Address::from_seed(rng.gen_range(0..universe + 8)),
+                                rng.gen_range(0u64..400),
+                                rng.gen_range(0u64..3),
+                                nonce,
+                                Vec::new(),
+                            );
+                            let collector = Address::from_seed(rng.gen_range(0..universe + 8));
+                            let expected = eager.apply(&tx, collector);
+                            assert_eq!(early.apply(&tx, collector), expected, "{what}");
+                            assert_eq!(late.apply(&tx, collector), expected, "{what}");
+                        }
+                        5 | 6 => {
+                            let to = Address::from_seed(rng.gen_range(0..universe + 8));
+                            let amount = rng.gen_range(0u64..50);
+                            eager.credit(to, amount);
+                            early.credit(to, amount);
+                            late.credit(to, amount);
+                        }
+                        7 => {
+                            // A clone carries the lattice (or its absence)
+                            // and diverges without touching the original.
+                            let (mut fork, mut late_fork, mut eager_fork) =
+                                (early.clone(), late.clone(), eager.clone());
+                            let to = Address::from_seed(rng.gen_range(0..universe));
+                            eager_fork.credit(to, 7);
+                            fork.credit(to, 7);
+                            late_fork.credit(to, 7);
+                            agree(&what, &mut fork, &mut eager_fork, true);
+                            assert_eq!(late_fork.dirty_buckets(), STATE_BUCKETS, "{what}");
+                            assert_eq!(late_fork.sharded_root(), fork.sharded_root(), "{what}");
+                            if rng.gen_bool(0.5) {
+                                early = early.clone();
+                            }
+                        }
+                        8 => agree(&what, &mut early, &mut eager, true),
+                        _ => agree(&what, &mut late, &mut eager, false),
+                    }
+                    assert_eq!(early.dirty_buckets(), eager.dirty_buckets(), "{what}");
+                    assert_eq!(late.dirty_buckets(), STATE_BUCKETS, "{what}: never rooted");
+                }
+                assert!(early == late, "lattice timing must not affect equality");
+                agree("end", &mut early, &mut eager, true);
+                assert_eq!(late.sharded_root(), early.sharded_root());
+                assert_eq!(late.dirty_buckets(), 0);
+            }
+        }
     }
 }

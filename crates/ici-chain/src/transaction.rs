@@ -7,6 +7,7 @@
 //! transaction sizes realistically.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use ici_crypto::sha256::{Digest, Sha256};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
@@ -74,7 +75,13 @@ impl Decode for Address {
 }
 
 /// A signed account-model transfer.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Immutable once built: no method changes a field after [`signed`] or
+/// `decode` returns, which is what lets the signature verdict be
+/// remembered in the value itself.
+///
+/// [`signed`]: Transaction::signed
+#[derive(Clone)]
 pub struct Transaction {
     sender: PublicKey,
     recipient: Address,
@@ -83,6 +90,78 @@ pub struct Transaction {
     nonce: u64,
     payload: Vec<u8>,
     signature: Signature,
+    /// Memoised [`Transaction::verify_signature`] verdict. Cloning
+    /// carries it along; deliberately excluded from `PartialEq` and
+    /// `Debug` (it is derived state), like `Block`'s id cache.
+    verdict: SigVerdict,
+}
+
+/// The signature verdict of one transaction, remembered after the first
+/// check: one byte in the struct's tail padding. The verdict is a pure
+/// function of the transaction's immutable bytes, so racing writers store
+/// the same value and the cell publishes nothing but itself — `Relaxed`
+/// is enough.
+struct SigVerdict(AtomicU8);
+
+impl SigVerdict {
+    const UNKNOWN: u8 = 0;
+    const VALID: u8 = 1;
+    const INVALID: u8 = 2;
+
+    fn unknown() -> SigVerdict {
+        SigVerdict(AtomicU8::new(SigVerdict::UNKNOWN))
+    }
+
+    fn get(&self) -> Option<bool> {
+        match self.0.load(Ordering::Relaxed) {
+            SigVerdict::VALID => Some(true),
+            SigVerdict::INVALID => Some(false),
+            _ => None,
+        }
+    }
+
+    fn set(&self, valid: bool) {
+        let state = if valid {
+            SigVerdict::VALID
+        } else {
+            SigVerdict::INVALID
+        };
+        self.0.store(state, Ordering::Relaxed);
+    }
+}
+
+impl Clone for SigVerdict {
+    fn clone(&self) -> SigVerdict {
+        SigVerdict(AtomicU8::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Transaction) -> bool {
+        self.sender == other.sender
+            && self.recipient == other.recipient
+            && self.amount == other.amount
+            && self.fee == other.fee
+            && self.nonce == other.nonce
+            && self.payload == other.payload
+            && self.signature == other.signature
+    }
+}
+
+impl Eq for Transaction {}
+
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transaction")
+            .field("sender", &self.sender)
+            .field("recipient", &self.recipient)
+            .field("amount", &self.amount)
+            .field("fee", &self.fee)
+            .field("nonce", &self.nonce)
+            .field("payload", &self.payload)
+            .field("signature", &self.signature)
+            .finish()
+    }
 }
 
 impl Transaction {
@@ -105,6 +184,7 @@ impl Transaction {
             nonce,
             payload,
             signature: Signature::from_bytes([0u8; 64]),
+            verdict: SigVerdict::unknown(),
         };
         tx.signature = sender_pair.sign(&tx.signing_bytes());
         tx
@@ -160,19 +240,42 @@ impl Transaction {
     /// under a domain prefix).
     pub fn signing_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(64 + self.payload.len());
-        w.put_bytes(b"ici-tx-v1:");
-        self.sender.encode(&mut w);
-        self.recipient.encode(&mut w);
-        self.amount.encode(&mut w);
-        self.fee.encode(&mut w);
-        self.nonce.encode(&mut w);
-        self.payload.encode(&mut w);
+        self.encode_signing_fields(&mut w);
         w.into_bytes()
     }
 
+    fn encode_signing_fields(&self, w: &mut Writer) {
+        w.put_bytes(b"ici-tx-v1:");
+        self.sender.encode(w);
+        self.recipient.encode(w);
+        self.amount.encode(w);
+        self.fee.encode(w);
+        self.nonce.encode(w);
+        // The bytes `Vec<u8>::encode` writes, in one call instead of one
+        // per payload byte.
+        w.put_len_prefixed(&self.payload);
+    }
+
     /// Checks the signature against the sender key.
+    ///
+    /// The first call hashes (streaming the signing fields into both
+    /// signature passes, no buffer); the verdict is then remembered in
+    /// this transaction and its later clones, so every further ask —
+    /// admission, build, validation, a collaborative slice — is a load.
     pub fn verify_signature(&self) -> bool {
-        self.sender.verify(&self.signing_bytes(), &self.signature)
+        if let Some(valid) = self.verdict.get() {
+            return valid;
+        }
+        let valid = self.sender.verify_streamed(
+            |hasher| {
+                let mut w = Writer::hashing(hasher);
+                self.encode_signing_fields(&mut w);
+                w.into_digest()
+            },
+            &self.signature,
+        );
+        self.verdict.set(valid);
+        valid
     }
 }
 
@@ -202,6 +305,7 @@ impl Decode for Transaction {
             nonce: u64::decode(r)?,
             payload: r.take_len_prefixed()?.to_vec(),
             signature: Signature::decode(r)?,
+            verdict: SigVerdict::unknown(),
         })
     }
 }

@@ -18,9 +18,14 @@
 //!    header; assigned owners attach the body. The intra-cluster integrity
 //!    invariant holds by construction and is auditable at any time.
 //!
-//! The leader does not re-verify mempool signatures at proposal time
-//! (transactions are verified on mempool admission, as in deployed chains);
-//! execution and hashing are charged through the cost model.
+//! Every stage that handles a transaction asks for its signature — the
+//! leader's `BlockBuilder::push` at proposal time, each member's
+//! collaborative slice, commit-stage validation — and none of the asks is
+//! skipped. The hashing is paid once per transaction object: the first
+//! `Transaction::verify_signature` remembers its verdict in the
+//! transaction, which the shared `Arc<[Transaction]>` body carries to
+//! every later stage. Simulated time is unaffected — execution and hashing
+//! are charged through the cost model.
 //!
 //! # Staged execution
 //!

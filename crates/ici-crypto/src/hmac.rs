@@ -28,6 +28,23 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     HmacSha256::new(key).update(message).finalize()
 }
 
+/// `HMAC-SHA256(key, message)` for a message the caller streams instead
+/// of materializing: `message` receives the inner hasher, already keyed,
+/// feeds every message byte into it and returns its digest. Equals
+/// [`hmac_sha256`] over the concatenation of what was fed.
+pub fn hmac_sha256_streamed(key: &[u8], message: impl FnOnce(Sha256) -> Digest) -> Digest {
+    let HmacSha256 { inner, outer_key } = HmacSha256::new(key);
+    outer_pass(&outer_key, &message(inner))
+}
+
+/// The outer hash: `SHA256(key ^ opad ‖ inner digest)`.
+fn outer_pass(outer_key: &[u8; BLOCK_LEN], inner_digest: &Digest) -> Digest {
+    let mut outer = Sha256::new();
+    outer.update(outer_key);
+    outer.update(inner_digest.as_bytes());
+    outer.finalize()
+}
+
 /// Streaming HMAC-SHA256.
 ///
 /// The message can be fed incrementally, which lets callers authenticate
@@ -69,11 +86,7 @@ impl HmacSha256 {
 
     /// Completes the MAC computation.
     pub fn finalize(&self) -> Digest {
-        let inner_digest = self.inner.clone().finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        outer_pass(&self.outer_key, &self.inner.clone().finalize())
     }
 
     /// Verifies `tag` against the accumulated message in constant time
@@ -155,6 +168,19 @@ mod tests {
             mac.update(&msg[..split]);
             mac.update(&msg[split..]);
             assert_eq!(mac.finalize(), oneshot, "split {split}");
+        }
+    }
+
+    #[test]
+    fn streamed_matches_oneshot() {
+        let key = b"a moderately long simulation key";
+        let msg: Vec<u8> = (0..300u16).map(|i| (i % 256) as u8).collect();
+        for split in [0, 1, 63, 64, 65, 150, msg.len()] {
+            let streamed = hmac_sha256_streamed(key, |mut inner| {
+                inner.update(&msg[..split]).update(&msg[split..]);
+                inner.finalize()
+            });
+            assert_eq!(streamed, hmac_sha256(key, &msg), "split {split}");
         }
     }
 

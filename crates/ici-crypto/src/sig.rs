@@ -27,8 +27,8 @@
 
 use std::fmt;
 
-use crate::hmac::hmac_sha256;
-use crate::sha256::Sha256;
+use crate::hmac::hmac_sha256_streamed;
+use crate::sha256::{Digest, Sha256};
 
 /// Length of an encoded public key (matches a compressed secp256k1 point).
 pub const PUBLIC_KEY_LEN: usize = 33;
@@ -52,6 +52,18 @@ impl PublicKey {
 
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        self.verify_streamed(|hasher| feed_slice(hasher, message), signature)
+    }
+
+    /// [`PublicKey::verify`] over a message the caller streams instead of
+    /// materializing: `message` is called once per hash pass with a
+    /// pre-keyed hasher, feeds the same message bytes into it each time
+    /// and returns its digest.
+    pub fn verify_streamed(
+        &self,
+        message: impl Fn(Sha256) -> Digest,
+        signature: &Signature,
+    ) -> bool {
         Signature::compute(self, message).0 == signature.0
     }
 
@@ -94,14 +106,20 @@ impl Signature {
         Signature(bytes)
     }
 
-    fn compute(public: &PublicKey, message: &[u8]) -> Signature {
-        let half_a = hmac_sha256(&public.0, message);
-        let half_b = hmac_sha256(half_a.as_bytes(), message);
+    fn compute(public: &PublicKey, message: impl Fn(Sha256) -> Digest) -> Signature {
+        let half_a = hmac_sha256_streamed(&public.0, &message);
+        let half_b = hmac_sha256_streamed(half_a.as_bytes(), &message);
         let mut out = [0u8; SIGNATURE_LEN];
         out[..32].copy_from_slice(half_a.as_bytes());
         out[32..].copy_from_slice(half_b.as_bytes());
         Signature(out)
     }
+}
+
+/// The whole-slice message feed behind the `&[u8]` entry points.
+fn feed_slice(mut hasher: Sha256, message: &[u8]) -> Digest {
+    hasher.update(message);
+    hasher.finalize()
 }
 
 impl fmt::Debug for Signature {
@@ -146,7 +164,7 @@ impl Keypair {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature::compute(&self.public, message)
+        Signature::compute(&self.public, |hasher| feed_slice(hasher, message))
     }
 }
 
@@ -179,6 +197,25 @@ mod tests {
             assert_eq!(pair.sign(&msg), selected, "kernel {kernel}");
             assert!(pair.public().verify(&msg, &selected), "kernel {kernel}");
         });
+    }
+
+    #[test]
+    fn streamed_verify_matches_slice_verify() {
+        let pair = Keypair::from_seed(6);
+        let bytes: Vec<u8> = (0..200u16).map(|i| (i % 251) as u8).collect();
+        let msg: &[u8] = &bytes;
+        let sig = pair.sign(msg);
+        let in_pieces = |cut: usize| {
+            move |mut hasher: Sha256| {
+                hasher.update(&msg[..cut]).update(&msg[cut..]);
+                hasher.finalize()
+            }
+        };
+        for cut in [0, 1, 64, 199, 200] {
+            assert!(pair.public().verify_streamed(in_pieces(cut), &sig));
+        }
+        let other = Keypair::from_seed(7).public();
+        assert!(!other.verify_streamed(in_pieces(10), &sig));
     }
 
     #[test]

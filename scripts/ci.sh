@@ -265,6 +265,24 @@ for s in 1 4; do
 done
 echo "    determinism OK: e_scale.json byte-identical across shards {1,4} x threads {1,4}"
 
+echo "==> scale telemetry smoke (E-scale with ICI_TELEMETRY=1: lattice builds)"
+# The v2 lattice is built at a state's first sharded_root() and carried
+# by clones. E-scale constructs two states per run (the proposer's and
+# the end-of-run replay reference; the validator's is a clone), so two
+# builds. One per block would be an O(accounts) re-materialisation the
+# peak-live ceiling below only catches indirectly.
+ICI_TELEMETRY=1 ./target/release/e_scale --seed 42 >/dev/null
+python3 - <<'EOF'
+import json
+with open("results/e_scale.json") as f:
+    counters = json.load(f)["telemetry"]["counters"]
+builds = sum(c["value"] for c in counters if c["name"] == "state/lattice_builds")
+assert builds == 2, f"state/lattice_builds = {builds}, want one per constructed state (2)"
+print(f"    lattice OK: {builds} builds for 2 constructed states")
+EOF
+# Restore the deterministic (telemetry-free) record the repo commits.
+./target/release/e_scale --seed 42 >/dev/null
+
 echo "==> scale bench (E-scale, 4 shards x 4 threads, peak-live ceiling)"
 SCALE_OUT=$(ICI_STATE_SHARDS=4 ICI_PAR_THREADS=4 ICI_ALLOC_STATS=1 \
     ./target/release/e_scale --seed 42)

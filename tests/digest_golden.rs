@@ -57,6 +57,12 @@ fn two_block_chain_digests_are_pinned() {
             block.header().state_root.to_hex(),
             "486c3a6ad33aa4d6e9189579dad330df39aa361ccfb2b0b481f8a303be301e2a",
         ),
+        // Taken at the commit before the v2 lattice went lazy.
+        (
+            "sharded-v2 state root",
+            net.state().clone().sharded_root().to_hex(),
+            "76e41d192d15f1292c53892b98bdf061893ef5129a8a606d77094566d2b4d6d9",
+        ),
         (
             "SimSig signature",
             hex(first_tx.signature().as_bytes()),

@@ -458,6 +458,124 @@ fn fault_plans_leave_recoverable_networks_repairable() {
     ));
 }
 
+/// One signed transaction, optionally damaged by one bit flip on the wire.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct TxVerdictScenario {
+    seed: u64,
+    payload_len: usize,
+    /// Bit of the encoding to flip (modulo its length) before decoding.
+    flip_bit: Option<usize>,
+}
+
+impl Shrink for TxVerdictScenario {
+    fn shrink_candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        if self.flip_bit.is_some() {
+            out.push(TxVerdictScenario {
+                flip_bit: None,
+                ..self.clone()
+            });
+        }
+        for v in shrink_toward(self.payload_len, 0) {
+            out.push(TxVerdictScenario {
+                payload_len: v,
+                ..self.clone()
+            });
+        }
+        for v in shrink_toward_u64(self.seed, 0) {
+            out.push(TxVerdictScenario {
+                seed: v,
+                ..self.clone()
+            });
+        }
+        out
+    }
+}
+
+/// The verdict a transaction remembers is the verdict a fresh check
+/// computes — first ask or later, from the original or from a clone taken
+/// on either side of the first ask, from two threads at once — and
+/// remembering it is invisible to equality, `Debug` and the struct's size.
+#[test]
+fn remembered_signature_verdict_equals_a_fresh_check() {
+    use ici_chain::codec::{Decode, Encode};
+    use ici_chain::transaction::{Address, Transaction};
+    use ici_crypto::sig::Keypair;
+
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Transaction>();
+    assert_eq!(std::mem::size_of::<Transaction>(), 168);
+
+    require_pass(check(
+        "remembered verdict == fresh check",
+        &Config {
+            cases: CASES * 16,
+            ..cfg(0x51C)
+        },
+        |rng| TxVerdictScenario {
+            seed: rng.gen_range(0u64..10_000),
+            payload_len: rng.gen_range(0usize..200),
+            flip_bit: rng.gen_bool(0.75).then(|| rng.gen_range(0usize..4_096)),
+        },
+        |s: &TxVerdictScenario| {
+            let signed = Transaction::signed(
+                &Keypair::from_seed(s.seed % 64),
+                Address::from_seed(s.seed + 1),
+                s.seed % 1_000,
+                s.seed % 7,
+                s.seed % 5,
+                vec![s.seed as u8; s.payload_len],
+            );
+            let mut bytes = signed.to_bytes();
+            if let Some(bit) = s.flip_bit {
+                let bit = bit % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            let Ok(tx) = Transaction::from_bytes(&bytes) else {
+                return Ok(()); // the flip hit the payload length prefix
+            };
+            let expected = tx.sender().verify(&tx.signing_bytes(), tx.signature());
+            if expected != (tx == signed) {
+                return Err(format!("fresh check says {expected} for a damaged copy"));
+            }
+
+            let before = tx.clone();
+            let gate = std::sync::Barrier::new(2);
+            let ask = || {
+                gate.wait();
+                tx.verify_signature()
+            };
+            let raced = std::thread::scope(|scope| {
+                let other = scope.spawn(ask);
+                (ask(), other.join().expect("verifier thread"))
+            });
+            if raced != (expected, expected) {
+                return Err(format!(
+                    "racing first asks gave {raced:?}, fresh {expected}"
+                ));
+            }
+            if before != tx || format!("{before:?}") != format!("{tx:?}") {
+                return Err("a remembered verdict leaked into equality or Debug".into());
+            }
+            let after = tx.clone();
+            for (which, copy) in [
+                ("original", &tx),
+                ("clone before", &before),
+                ("clone after", &after),
+            ] {
+                for ask in 1..=2 {
+                    if copy.verify_signature() != expected {
+                        return Err(format!(
+                            "{which}, ask {ask}: not the fresh verdict {expected}"
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        },
+    ));
+}
+
 /// A random transaction history applied through the sharded state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ShardScenario {
