@@ -8,6 +8,9 @@
 //! `cargo bench` needs no external dependencies. Tune with
 //! `ICI_BENCH_BUDGET_MS`.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+
 use ici_bench::harness::{bench, bench_with_setup};
 use ici_chain::block::Block;
 use ici_chain::builder::BlockBuilder;
@@ -16,6 +19,9 @@ use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::{Address, Transaction};
 use ici_chain::validation::validate_block;
 use ici_cluster::kmeans::{balanced_kmeans, KMeansConfig};
+use ici_core::config::IciConfig;
+use ici_core::holdings::NodeHoldings;
+use ici_core::network::IciNetwork;
 use ici_crypto::gf256::Gf256;
 use ici_crypto::hmac::hmac_sha256;
 use ici_crypto::merkle::MerkleTree;
@@ -30,6 +36,8 @@ use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
+use ici_storage::audit::Holdings;
+use ici_storage::recovery::{plan_recovery, BlockRef};
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn bench_sha256() {
@@ -275,9 +283,132 @@ fn bench_block_path() {
     );
 }
 
+/// What a fault round pays per cluster — holdings bookkeeping, the
+/// integrity audit, recovery planning, the repair certificate — and the
+/// from-scratch Merkle oracle beside it, on an `ici_churn`-shaped
+/// deployment (N=128, c=16, r=2, 40-tx blocks) at two chain lengths 64×
+/// apart: a row that reads the same at both does not grow with the
+/// chain.
+fn bench_holdings_and_audits() {
+    for heights in [64u64, 4_096] {
+        // A node's share at r/c = 2/16: every eighth height.
+        let mut share = NodeHoldings::new();
+        for h in (0..heights).step_by(8) {
+            share.add_body(h, 100);
+        }
+        bench_with_setup(
+            &format!("holdings/add_body/x1000/h{heights}"),
+            || share.clone(),
+            |mut held| {
+                // The next thousand bodies of its share, as the chain grows.
+                for h in (heights..).step_by(8).take(1_000) {
+                    held.add_body(h, 100);
+                }
+                held
+            },
+        );
+        bench(&format!("holdings/has_body/x1000/h{heights}"), || {
+            (0..1_000u64)
+                .filter(|i| share.has_body(std::hint::black_box(i * 37 % heights)))
+                .count()
+        });
+
+        let mut workload = WorkloadGenerator::new(ici_bench::standard_workload(17));
+        let config = IciConfig::builder()
+            .nodes(128)
+            .cluster_size(16)
+            .replication(2)
+            .link(ici_bench::quiet_link())
+            .genesis(GenesisConfig::uniform(256, u64::MAX / 1_000_000))
+            .seed(17)
+            .build()
+            .expect("valid configuration");
+        let mut net = IciNetwork::new(config).expect("constructs");
+        for _ in 1..heights {
+            net.propose_block(workload.batch(40)).expect("commits");
+        }
+        // Re-clustering salts its seed with the chain length, so the
+        // first call may move nodes; from the second on (same length,
+        // same partition) it only prunes replicas past the assignment —
+        // how the crash row below returns to the same state every sample.
+        net.reconfigure_clusters();
+        let cluster = net.clusters()[0];
+        let members = net.membership().active_members(cluster);
+        net.repair_and_certify(cluster); // first sight: every height hashed once
+
+        bench(&format!("audit/cluster_c16/h{heights}"), || {
+            net.audit(cluster)
+        });
+        bench(&format!("merkle_audit/all_c16x8/h{heights}"), || {
+            net.merkle_audit_all()
+        });
+
+        // One member down, planned through the public slice planner.
+        let holdings: Holdings = members
+            .iter()
+            .map(|m| {
+                let held = net.holdings(*m).expect("member").body_heights().clone();
+                (*m, held)
+            })
+            .collect();
+        let live: BTreeSet<NodeId> = members[1..].iter().copied().collect();
+        let blocks: Vec<BlockRef> = (0..net.chain_len())
+            .map(|h| {
+                let block = net.block(h).expect("committed");
+                BlockRef {
+                    id: block.id(),
+                    height: h,
+                    body_bytes: u64::from(block.header().body_len),
+                }
+            })
+            .collect();
+        bench(&format!("repair/plan_c16_one_crash/h{heights}"), || {
+            plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2)
+        });
+
+        // The certificate after a member crashed: the repair re-homes
+        // its share (an eighth of the chain) and every written height
+        // is hashed again. Before the next sample the member restarts
+        // and the surplus is pruned.
+        let restart = |net: &mut IciNetwork, down: &mut Option<NodeId>| {
+            if let Some(node) = down.take() {
+                net.recover_node(node).expect("known node");
+                net.reconfigure_clusters();
+            }
+        };
+        let net = RefCell::new(net);
+        let mut victims = members.iter().copied().cycle();
+        let mut down = None;
+        bench_with_setup(
+            &format!("merkle_audit/certify_after_one_crash/h{heights}"),
+            || {
+                let mut net = net.borrow_mut();
+                restart(&mut net, &mut down);
+                down = victims.next();
+                net.crash_node(down.expect("cycles")).expect("known node");
+            },
+            |()| net.borrow_mut().repair_and_certify(cluster),
+        );
+        restart(&mut net.borrow_mut(), &mut down);
+
+        // A quiet round's certificate: nothing to repair, one new height
+        // to hash. Each sample commits that height first, so the chain
+        // ends a few hundred blocks past `heights`.
+        bench_with_setup(
+            &format!("merkle_audit/certify_quiet_round/h{heights}"),
+            || {
+                let batch = workload.batch(40);
+                net.borrow_mut().propose_block(batch).expect("commits");
+            },
+            |()| net.borrow_mut().repair_and_certify(cluster),
+        );
+    }
+}
+
 fn main() {
     bench_net();
     bench_block_path();
+    bench_holdings_and_audits();
     bench_sha256();
     bench_hmac();
     bench_simsig();

@@ -137,7 +137,7 @@ impl IciNetwork {
                         *t = (*t).max(finish) + delay;
                     }
                 }
-                self.holdings[node.index()].add_body(height, bytes);
+                self.store_replica(node, height, bytes);
                 body_bytes += bytes;
                 bodies += 1;
             }

@@ -6,13 +6,10 @@
 //! that restore `r` live replicas per block, metered as
 //! [`MessageKind::Repair`] traffic.
 
-use std::collections::BTreeSet;
-
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
-use ici_storage::audit::Holdings;
-use ici_storage::recovery::{plan_recovery, BlockRef, RecoveryPlan};
+use ici_storage::recovery::{plan_chain_recovery, BlockRef, RecoveryPlan};
 
 use ici_cluster::partition::ClusterId;
 
@@ -69,26 +66,15 @@ impl IciNetwork {
     /// Plans and executes re-replication for `cluster`, restoring every
     /// block to `r` live replicas where possible.
     pub fn repair_cluster(&mut self, cluster: ClusterId) -> RepairReport {
-        let members = self.membership.active_members(cluster);
-        let live: BTreeSet<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|m| self.net.is_up(*m))
-            .collect();
-
-        let mut holdings = Holdings::new();
-        for m in &members {
-            holdings.insert(*m, self.holdings[m.index()].body_heights().clone());
-        }
-        let blocks: Vec<BlockRef> = self
-            .chain
-            .iter()
-            .map(|b| BlockRef {
-                id: b.id(),
-                height: b.height(),
-                body_bytes: b.header().body_len as u64,
-            })
-            .collect();
+        let live = self.live_holdings(cluster);
+        let block_at = |height| {
+            let block = &self.chain[height as usize]; // the planner asks below chain length
+            BlockRef {
+                id: block.id(),
+                height,
+                body_bytes: block.header().body_len as u64,
+            }
+        };
 
         let plan: RecoveryPlan = {
             let r = self.config.replication;
@@ -108,7 +94,7 @@ impl IciNetwork {
                     "configured"
                 }
             }
-            plan_recovery(&blocks, &holdings, &live, &Dispatch(self), r)
+            plan_chain_recovery(self.chain_len(), block_at, &live, &Dispatch(self), r)
         };
 
         // Execute: transfers from distinct sources run in parallel; each
@@ -129,7 +115,7 @@ impl IciNetwork {
                     *acc += delay;
                 }
             }
-            self.holdings[t.destination.index()].add_body(t.height, t.bytes);
+            self.store_replica(t.destination, t.height, t.bytes);
             bytes += t.bytes;
             executed += 1;
         }
@@ -141,7 +127,6 @@ impl IciNetwork {
         // more locally per extra replica — both metered as repair).
         let mut fetched = Vec::new();
         let mut lost = Vec::new();
-        let live_vec: Vec<NodeId> = live.iter().copied().collect();
         for height in plan.unrecoverable {
             let block = &self.chain[height as usize];
             let body_bytes = block.header().body_len as u64;
@@ -155,8 +140,8 @@ impl IciNetwork {
                 lost.push(height);
                 continue;
             };
-            let owners =
-                self.dispatch_owners_with_r(&id, height, &live_vec, self.config.replication);
+            let live = self.live_members(cluster);
+            let owners = self.dispatch_owners_with_r(&id, height, &live, self.config.replication);
             let Some(&first) = owners.first() else {
                 lost.push(height);
                 continue;
@@ -171,7 +156,7 @@ impl IciNetwork {
                     *acc += delay;
                 }
             }
-            self.holdings[first.index()].add_body(height, body_bytes);
+            self.store_replica(first, height, body_bytes);
             bytes += body_bytes;
             for &owner in owners.iter().skip(1) {
                 if body_bytes > 0 {
@@ -184,7 +169,7 @@ impl IciNetwork {
                         *acc += delay;
                     }
                 }
-                self.holdings[owner.index()].add_body(height, body_bytes);
+                self.store_replica(owner, height, body_bytes);
                 bytes += body_bytes;
             }
             fetched.push(height);

@@ -8,9 +8,8 @@
 //! protocol-correctness tests exercise real `ChainStore`s at small scale in
 //! `ici-chain`; this mirror keeps the same numbers at scale.
 
-use std::collections::BTreeSet;
-
 use ici_chain::block::{BlockHeader, Height};
+use ici_storage::audit::HeightSet;
 
 /// What one node stores.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -18,7 +17,7 @@ pub struct NodeHoldings {
     /// Number of headers held (== chain length known to the node).
     headers: u64,
     /// Heights whose bodies are held.
-    bodies: BTreeSet<Height>,
+    bodies: HeightSet,
     /// Exact bytes of held bodies.
     body_bytes: u64,
 }
@@ -62,7 +61,7 @@ impl NodeHoldings {
     }
 
     /// Heights held, ascending.
-    pub fn body_heights(&self) -> &BTreeSet<Height> {
+    pub fn body_heights(&self) -> &HeightSet {
         &self.bodies
     }
 
@@ -120,10 +119,7 @@ mod tests {
         assert!(h.drop_body(1, 500));
         assert!(!h.drop_body(1, 500));
         assert_eq!(h.body_bytes(), 300);
-        assert_eq!(
-            h.body_heights().iter().copied().collect::<Vec<_>>(),
-            vec![0]
-        );
+        assert_eq!(h.body_heights().iter().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use error::IciError;
 pub use failure::RepairReport;
 pub use holdings::NodeHoldings;
 pub use lifecycle::{BlockCommitRecord, StageBoundary};
-pub use merkle_audit::{attribute_corrupt_shards, MerkleAuditPass, MerkleAuditReport};
+pub use merkle_audit::{attribute_corrupt_shards, MerkleAuditReport};
 pub use network::IciNetwork;
 pub use query::{QueryReport, QueryTier};
 pub use reconfig::{DepartReport, ReconfigReport};

@@ -520,6 +520,7 @@ impl IciNetwork {
                 }
             }
         }
+        self.tip = *block.header();
         self.chain.push(block);
         self.clock = network_commit;
 

@@ -4,24 +4,31 @@
 //! module checks *content*. After a crash-and-recover cycle the fault
 //! harness must show that what re-replication put back is the block the
 //! header committed to, not merely that some replica exists. The audit
-//! mirrors the collaborative split used for verification: the cluster's
-//! live members divide the height range with
-//! [`ici_chain::validation::split_ranges`], and each member re-derives
-//! the Merkle root of every body replica its slice covers, comparing it
-//! to the committed header's `tx_root` and spot-checking one transaction
-//! inclusion proof per height.
+//! re-derives the Merkle root of every body replica the cluster's live
+//! members hold, comparing it to the committed header's `tx_root` and
+//! spot-checking one transaction inclusion proof per height.
+//!
+//! Two entry points, one rule each. [`IciNetwork::merkle_audit`] and
+//! [`IciNetwork::merkle_audit_all`] hash everything, every time, and
+//! remember nothing: they are the oracle. The fault loop's
+//! [`IciNetwork::repair_and_certify`] hashes a replica **when it is
+//! written**: a height is derived the first time a certificate covers it
+//! and again after every post-commit write of its body (a repair
+//! transfer, a cross-cluster fetch, a migration, a joiner's download),
+//! and not in rounds that wrote nothing to it. Its report is the one the
+//! stand-alone audit would return.
 //!
 //! Pure logic — no traffic or simulated time is charged (the lifecycle's
-//! cost model owns that); use it as the ground-truth check after
-//! [`IciNetwork::repair_cluster`].
+//! cost model owns that).
 
 use ici_chain::block::{Block, Height};
 use ici_chain::codec::Encode;
-use ici_chain::validation::split_ranges;
 use ici_cluster::partition::ClusterId;
 use ici_crypto::merkle::hash_leaf;
+use ici_storage::audit::ReplicaCount;
 use ici_telemetry::Label;
 
+use crate::failure::RepairReport;
 use crate::network::IciNetwork;
 
 /// Outcome of one cluster's shard-level Merkle audit.
@@ -77,7 +84,7 @@ pub fn attribute_corrupt_shards(reference: &Block, suspect_leaves: &[Vec<u8>]) -
 
 /// What re-deriving one committed height's transaction tree found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct HeightVerdict {
+pub(crate) struct HeightVerdict {
     /// The re-derived root matches the header and, for a non-empty
     /// block, the spot-checked inclusion proof verifies.
     clean: bool,
@@ -89,8 +96,6 @@ impl HeightVerdict {
     /// Re-derives `block`'s transaction tree and judges it against the
     /// committed header.
     fn derive(block: &Block) -> HeightVerdict {
-        // Every live replica is re-hashed: a holder whose disk diverged
-        // from the commitment would fail here.
         let tree = block.tx_tree();
         if tree.root() != block.header().tx_root {
             return HeightVerdict {
@@ -121,139 +126,87 @@ impl HeightVerdict {
     }
 }
 
-/// The height verdicts one audit pass has derived so far.
-///
-/// A committed block is immutable, so whether its re-derived tree
-/// matches its header does not depend on which cluster asks. Clusters
-/// audited in the same pass — one round's repair certificates, one
-/// [`IciNetwork::merkle_audit_all`] — therefore share each height's
-/// derivation instead of repeating it per cluster. A pass belongs to one
-/// chain length: handed a chain that has since grown it starts over, so
-/// nothing is carried from one round's audit into the next.
-#[derive(Clone, Debug, Default)]
-pub struct MerkleAuditPass {
-    /// Two bytes per height of the chain the pass started on; `None`
-    /// until some cluster's audit derives the height.
-    verdicts: Vec<Option<HeightVerdict>>,
-}
-
-impl MerkleAuditPass {
-    /// A pass with nothing derived yet.
-    pub fn new() -> MerkleAuditPass {
-        MerkleAuditPass::default()
-    }
-}
+/// Height verdicts, indexed by height; `None` (or past the end) where
+/// the next audit reading the ledger has to derive the tree.
+pub(crate) type Verdicts = Vec<Option<HeightVerdict>>;
 
 impl IciNetwork {
-    /// Runs the shard-level Merkle audit on `cluster`, stand-alone.
-    ///
-    /// The cluster's live members split the committed height range; each
-    /// member re-derives the transaction Merkle root of every replica in
-    /// its slice and verifies one inclusion proof per non-empty block.
+    /// Runs the shard-level Merkle audit on `cluster`, from scratch: the
+    /// transaction Merkle root of every replica a live member holds is
+    /// re-derived and one inclusion proof per non-empty block verified,
+    /// whatever earlier audits or certificates found.
     pub fn merkle_audit(&self, cluster: ClusterId) -> MerkleAuditReport {
-        self.merkle_audit_in(&mut MerkleAuditPass::new(), cluster)
+        self.merkle_audit_over(&mut Verdicts::new(), cluster)
     }
 
-    /// [`IciNetwork::merkle_audit`] as part of `pass`: heights an earlier
-    /// cluster of the same pass already derived are not derived again.
-    /// The report is the one the stand-alone audit would return.
-    pub fn merkle_audit_in(
-        &self,
-        pass: &mut MerkleAuditPass,
-        cluster: ClusterId,
-    ) -> MerkleAuditReport {
+    /// Audits every cluster from scratch; returns per-cluster reports. A
+    /// committed block is immutable, so the clusters of this one call
+    /// share each height's derivation; nothing outlives the call.
+    pub fn merkle_audit_all(&self) -> Vec<MerkleAuditReport> {
+        let mut verdicts = Verdicts::new();
+        self.clusters()
+            .into_iter()
+            .map(|c| self.merkle_audit_over(&mut verdicts, c))
+            .collect()
+    }
+
+    /// Re-replicates `cluster` ([`IciNetwork::repair_cluster`]) and
+    /// certifies the result with a Merkle audit that hashes what was
+    /// written: the heights this repair — or any write since the last
+    /// certificate that covered them — put a replica of, plus heights no
+    /// certificate has covered yet. The report equals
+    /// [`IciNetwork::merkle_audit`]'s, field for field.
+    pub fn repair_and_certify(&mut self, cluster: ClusterId) -> (RepairReport, MerkleAuditReport) {
+        let repair = self.repair_cluster(cluster);
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        let audit = self.merkle_audit_over(&mut verdicts, cluster);
+        self.verdicts = verdicts;
+        (repair, audit)
+    }
+
+    /// The audit of `cluster`, deriving the heights `verdicts` has no
+    /// entry for and recording them there.
+    fn merkle_audit_over(&self, verdicts: &mut Verdicts, cluster: ClusterId) -> MerkleAuditReport {
         let _span = ici_telemetry::span!("core/merkle_audit", cluster = cluster.get());
-        let members = self.live_members(cluster);
-        let chain_len = self.chain_len() as usize; // chain length bounded by memory
+        let live = self.live_holdings(cluster);
+        let count = ReplicaCount::of(live.iter().map(|(_, held)| *held), self.chain_len());
+        let missing = count.with_count(0);
         let mut report = MerkleAuditReport {
             cluster: cluster.get(),
-            heights_checked: 0,
-            shards_verified: 0,
+            heights_checked: self.chain.len() - missing.len(),
+            // Every live replica is re-hashed: a holder whose disk
+            // diverged from the commitment would fail here.
+            shards_verified: count.replicas(),
             proofs_checked: 0,
             root_mismatches: Vec::new(),
-            missing: Vec::new(),
+            missing: missing.iter().collect(),
         };
-        if members.is_empty() {
-            report.missing = (0..self.chain_len()).collect();
-            return report;
+        if verdicts.len() < self.chain.len() {
+            verdicts.resize(self.chain.len(), None);
         }
-        if pass.verdicts.len() != chain_len {
-            pass.verdicts.clear();
-            pass.verdicts.resize(chain_len, None);
-        }
-
-        // One contiguous height slice per live member, exactly like the
-        // signature split in collaborative verification. The slices are
-        // walked on the main thread (cheap holder lookups); the Merkle
-        // re-derivations still owed — the expensive part — fan out per
-        // height.
-        let mut audited = Vec::new();
-        let mut work = Vec::new();
-        for (start, end) in split_ranges(chain_len, members.len()) {
-            for index in start..end {
-                let height = index as Height; // usize height widens losslessly
-                let holders = members
-                    .iter()
-                    .filter(|m| {
-                        self.holdings
-                            .get(m.index())
-                            .is_some_and(|h| h.has_body(height))
-                    })
-                    .count();
-                if holders == 0 {
-                    report.missing.push(height);
-                    continue;
-                }
-                let Some(block) = self.block(height) else {
-                    report.missing.push(height);
-                    continue;
-                };
-                audited.push((index, holders));
-                if pass.verdicts[index].is_none() {
-                    work.push((index, block.clone()));
-                }
+        let mut derived = 0u64;
+        for ((height, block), slot) in (0..).zip(&self.chain).zip(verdicts.iter_mut()) {
+            if missing.contains(&height) {
+                continue; // nothing to hash
             }
-        }
-        ici_telemetry::counter_add(
-            "core/merkle_audit_trees",
-            Label::Global,
-            work.len() as u64, // counter magnitude
-        );
-        for (index, verdict) in ici_par::par_map(work, |_, (index, block)| {
-            (index, HeightVerdict::derive(&block))
-        }) {
-            pass.verdicts[index] = Some(verdict);
-        }
-        for (index, holders) in audited {
-            let Some(verdict) = pass.verdicts[index] else {
-                continue; // every audited height was derived above
-            };
-            report.heights_checked += 1;
-            report.shards_verified += holders;
+            let verdict = *slot.get_or_insert_with(|| {
+                derived += 1;
+                HeightVerdict::derive(block)
+            });
             if !verdict.clean {
-                report.root_mismatches.push(index as Height); // widens losslessly
+                report.root_mismatches.push(height);
             }
             if verdict.proved {
                 report.proofs_checked += 1;
             }
         }
-        report.root_mismatches.sort_unstable();
-        report.root_mismatches.dedup();
+        ici_telemetry::counter_add("core/merkle_audit_trees", Label::Global, derived);
         ici_telemetry::counter_add(
             "core/merkle_audit_shards",
             Label::Cluster(u64::from(cluster.get())),
             report.shards_verified as u64, // counter magnitude
         );
         report
-    }
-
-    /// Audits every cluster in one pass; returns per-cluster reports.
-    pub fn merkle_audit_all(&self) -> Vec<MerkleAuditReport> {
-        let mut pass = MerkleAuditPass::new();
-        self.clusters()
-            .into_iter()
-            .map(|c| self.merkle_audit_in(&mut pass, c))
-            .collect()
     }
 }
 
@@ -463,55 +416,113 @@ mod tests {
     }
 
     #[test]
-    fn shared_pass_reports_equal_stand_alone_audits() {
+    fn audit_all_reports_equal_stand_alone_audits() {
         let net = network_in_every_audit_state();
-        for threads in [1, 4] {
-            ici_par::set_threads(threads);
-            let shared = net.merkle_audit_all();
-            assert_eq!(shared.len(), 4);
-            for (cluster, report) in net.clusters().into_iter().zip(&shared) {
-                assert_eq!(
-                    *report,
-                    net.merkle_audit(cluster),
-                    "threads={threads} cluster={cluster:?}"
-                );
-            }
-            assert!(shared[0].is_clean() && shared[1].is_clean());
-            assert_eq!(shared[2].missing, vec![3]);
-            assert_eq!(shared[3].heights_checked, 0);
-            assert_eq!(shared[3].missing.len(), 7);
+        let shared = net.merkle_audit_all();
+        assert_eq!(shared.len(), 4);
+        for (cluster, report) in net.clusters().into_iter().zip(&shared) {
+            assert_eq!(*report, net.merkle_audit(cluster), "cluster={cluster:?}");
+        }
+        assert!(shared[0].is_clean() && shared[1].is_clean());
+        assert_eq!(shared[2].missing, vec![3]);
+        assert_eq!(shared[3].heights_checked, 0);
+        assert_eq!(shared[3].missing.len(), 7);
+    }
+
+    #[test]
+    fn repair_certificates_equal_stand_alone_audits() {
+        // The fault runner's certify loop: each churned cluster is
+        // repaired and its certificate issued from the network's ledger.
+        let mut net = network_of(32, 6);
+        for cluster in net.clusters() {
+            let victim = net.membership().active_members(cluster)[0];
+            net.crash_node(victim).expect("known");
+        }
+        for cluster in net.clusters() {
+            let (repair, certificate) = net.repair_and_certify(cluster);
+            assert!(repair.unrecoverable.is_empty(), "{repair:?}");
+            assert_eq!(certificate, net.merkle_audit(cluster));
+            assert!(certificate.is_clean(), "{certificate:?}");
+        }
+    }
+
+    /// Every `(member, height)` replica `cluster` holds.
+    fn replicas_of(net: &IciNetwork, cluster: ClusterId) -> Vec<(NodeId, Height)> {
+        net.membership()
+            .active_members(cluster)
+            .into_iter()
+            .flat_map(|m| {
+                let held = net.holdings(m).expect("known").body_heights();
+                held.iter().map(move |h| (m, h))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_certificate_hashes_what_was_written_and_a_stand_alone_audit_everything() {
+        let mut net = network_of(32, 6);
+        let clusters = net.clusters();
+        let (quiet, churned) = (clusters[0], clusters[1]);
+
+        // First sight: no certificate has covered anything yet.
+        let (_, first) = trees_derived_by(|| net.repair_and_certify(quiet));
+        let (_, again) = trees_derived_by(|| net.repair_and_certify(quiet));
+        assert_eq!((first, again), (7, 0));
+
+        // A quiet round: one tree, the new height — for the first
+        // cluster certified; the round's other certificates owe nothing.
+        net.propose_block(Vec::new()).expect("commits");
+        let ((repair, certificate), trees) = trees_derived_by(|| net.repair_and_certify(quiet));
+        assert_eq!((repair.transfers, trees), (0, 1));
+        assert_eq!(certificate, net.merkle_audit(quiet));
+        let (_, trees) = trees_derived_by(|| net.repair_and_certify(churned));
+        assert_eq!(trees, 0);
+
+        // The round after a crash: the new height plus every height the
+        // repair wrote a replica of, and nothing else.
+        let victim = net
+            .membership()
+            .active_members(churned)
+            .into_iter()
+            .find(|m| net.holdings(*m).expect("known").body_count() > 1)
+            .expect("some member holds bodies");
+        net.crash_node(victim).expect("known");
+        net.propose_block(Vec::new()).expect("commits");
+        let before = replicas_of(&net, churned);
+        let ((repair, certificate), trees) = trees_derived_by(|| net.repair_and_certify(churned));
+        let mut owed: Vec<Height> = replicas_of(&net, churned)
+            .into_iter()
+            .filter(|replica| !before.contains(replica))
+            .map(|(_, height)| height)
+            .chain([net.chain_len() - 1])
+            .collect();
+        owed.sort_unstable();
+        owed.dedup();
+        assert!(repair.transfers > 1, "{repair:?}");
+        assert!(owed.len() > 1 && owed.len() < 9, "{owed:?}");
+        assert_eq!(trees, owed.len() as u64);
+        assert_eq!(certificate, net.merkle_audit(churned));
+        // Nothing was written since: the next certificate owes nothing.
+        let (_, trees) = trees_derived_by(|| net.repair_and_certify(churned));
+        assert_eq!(trees, 0);
+
+        // Stand-alone audits remember nothing and read no ledger: one
+        // tree per height checked, every time.
+        for _ in 0..2 {
+            let (report, trees) = trees_derived_by(|| net.merkle_audit(churned));
+            assert_eq!((report.heights_checked, trees), (9, 9));
         }
     }
 
     #[test]
-    fn repair_then_audit_in_one_pass_equals_stand_alone_audits() {
-        // The fault runner's certify loop: each cluster is repaired and
-        // then audited, all clusters of the round sharing one pass.
-        for threads in [1, 4] {
-            ici_par::set_threads(threads);
-            let mut net = network_of(32, 6);
-            for cluster in net.clusters() {
-                let victim = net.membership().active_members(cluster)[0];
-                net.crash_node(victim).expect("known");
-            }
-            let mut pass = MerkleAuditPass::new();
-            for cluster in net.clusters() {
-                net.repair_cluster(cluster);
-                let shared = net.merkle_audit_in(&mut pass, cluster);
-                assert_eq!(shared, net.merkle_audit(cluster), "threads={threads}");
-                assert!(shared.is_clean(), "{shared:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_pass_derives_each_audited_height_once_and_restarts_when_the_chain_grows() {
-        let mut net = network_in_every_audit_state();
+    fn audit_all_derives_each_held_height_once_per_call() {
+        let net = network_in_every_audit_state();
         // Heights some live member of some cluster holds: all seven here
         // (the healthy cluster alone covers the chain).
-        let (reports, trees) = trees_derived_by(|| net.merkle_audit_all());
-        assert_eq!(reports.len(), 4);
-        assert_eq!(trees, 7);
+        for _ in 0..2 {
+            let (reports, trees) = trees_derived_by(|| net.merkle_audit_all());
+            assert_eq!((reports.len(), trees), (4, 7));
+        }
         // Stand-alone audits share nothing: one tree per height checked.
         let (checked, trees) = trees_derived_by(|| {
             net.clusters()
@@ -521,16 +532,5 @@ mod tests {
         });
         assert_eq!(trees, checked);
         assert_eq!(checked, 7 + 7 + 6);
-
-        // A pass outlives its chain length only by starting over.
-        let healthy = net.clusters()[0];
-        let mut pass = MerkleAuditPass::new();
-        let (_, first) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
-        let (_, again) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
-        assert_eq!((first, again), (7, 0));
-        net.propose_block(Vec::new()).expect("commits");
-        let (grown, rederived) = trees_derived_by(|| net.merkle_audit_in(&mut pass, healthy));
-        assert_eq!(rederived, 8);
-        assert_eq!(grown, net.merkle_audit(healthy));
     }
 }

@@ -6,8 +6,6 @@
 //! ([`crate::lifecycle`], [`crate::query`], [`crate::bootstrap`],
 //! [`crate::failure`]), all as `impl IciNetwork` blocks.
 
-use std::collections::BTreeSet;
-
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::locator::TxLocator;
 use ici_chain::state::WorldState;
@@ -22,13 +20,14 @@ use ici_net::topology::Topology;
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
-use ici_storage::audit::{audit_cluster, Holdings, IntegrityReport};
+use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
 use crate::config::{Assignment, Clustering, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
 use crate::lifecycle::BlockCommitRecord;
+use crate::merkle_audit::Verdicts;
 
 /// A complete simulated ICIStrategy deployment.
 pub struct IciNetwork {
@@ -38,6 +37,9 @@ pub struct IciNetwork {
     /// The committed chain, genesis first. Authoritative copy; per-node
     /// replicas are tracked in `holdings`.
     pub(crate) chain: Vec<Block>,
+    /// Header of the last block of `chain`, by value: written at
+    /// construction and beside the one `chain.push`.
+    pub(crate) tip: BlockHeader,
     /// Transaction index over a prefix of `chain`. Read-side only:
     /// [`IciNetwork::query_transaction`] extends it to the tip, block
     /// commit never touches it.
@@ -50,6 +52,11 @@ pub struct IciNetwork {
     pub(crate) clock: SimTime,
     /// One record per committed block (after genesis).
     pub(crate) commit_log: Vec<BlockCommitRecord>,
+    /// What the repair certificates have hashed so far, two bytes a
+    /// height: `None` (or past the end) until a certificate derives the
+    /// height, and again once a replica of it is written after commit.
+    /// Only [`IciNetwork::repair_and_certify`] reads it.
+    pub(crate) verdicts: Verdicts,
 }
 
 impl IciNetwork {
@@ -87,12 +94,14 @@ impl IciNetwork {
             config,
             net,
             membership,
+            tip: *genesis.header(),
             chain: vec![genesis],
             locator: TxLocator::new(),
             state,
             holdings,
             clock: SimTime::ZERO,
             commit_log: Vec::new(),
+            verdicts: Verdicts::new(),
         };
         for cluster in network.clusters() {
             for owner in network.owners_in_cluster(cluster, &genesis_id, 0) {
@@ -139,12 +148,7 @@ impl IciNetwork {
 
     /// The tip header.
     pub fn tip(&self) -> &BlockHeader {
-        self.chain
-            .last()
-            // lint:allow(panic) -- the constructor seeds genesis and
-            // blocks are only appended; the chain is never empty
-            .expect("chain holds at least genesis")
-            .header()
+        &self.tip
     }
 
     /// The post-state of the tip.
@@ -245,18 +249,35 @@ impl IciNetwork {
             .sum()
     }
 
+    /// Each network-live active member of `cluster`, ascending, with the
+    /// heights whose bodies it holds.
+    pub(crate) fn live_holdings(&self, cluster: ClusterId) -> Vec<(NodeId, &HeightSet)> {
+        self.membership
+            .active_members(cluster)
+            .into_iter()
+            .filter(|m| self.net.is_up(*m))
+            .map(|m| (m, self.holdings[m.index()].body_heights()))
+            .collect()
+    }
+
+    /// Writes the body at `height` to `node`'s store after the block
+    /// committed (repair, migration, a joiner's download). Whatever a
+    /// certificate concluded about the height predates this replica, so
+    /// the next one covering it hashes it again.
+    pub(crate) fn store_replica(&mut self, node: NodeId, height: Height, bytes: u64) {
+        // height < chain length, which memory bounds
+        if let Some(verdict) = self.verdicts.get_mut(height as usize) {
+            *verdict = None;
+        }
+        ici_telemetry::counter_add("core/replicas_written", ici_telemetry::Label::Global, 1);
+        self.holdings[node.index()].add_body(height, bytes);
+    }
+
     /// Audits intra-cluster integrity of `cluster` against the committed
     /// chain, counting only network-live members.
     pub fn audit(&self, cluster: ClusterId) -> IntegrityReport {
-        let mut snapshot = Holdings::new();
-        let mut live = BTreeSet::new();
-        for member in self.membership.active_members(cluster) {
-            snapshot.insert(member, self.holdings[member.index()].body_heights().clone());
-            if self.net.is_up(member) {
-                live.insert(member);
-            }
-        }
-        audit_cluster(&snapshot, &live, self.chain_len())
+        let live = self.live_holdings(cluster);
+        audit_replicas(live.iter().map(|(_, held)| *held), self.chain_len())
     }
 
     /// Audits every cluster; returns per-cluster reports.

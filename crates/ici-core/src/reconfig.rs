@@ -11,13 +11,12 @@
 //! The ablation benchmark `e9_assignment` quantifies how much data a
 //! reconfiguration moves under each assignment strategy.
 
-use std::collections::BTreeSet;
-
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::Membership;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
+use ici_storage::audit::HeightSet;
 
 use crate::config::Clustering;
 use crate::error::IciError;
@@ -138,10 +137,10 @@ impl IciNetwork {
 
         // Phase 1 — fetch: every new owner that lacks its body pulls it
         // from a live pre-migration holder (snapshot taken up front).
-        let holders_snapshot: Vec<BTreeSet<u64>> = self
+        let holders_snapshot: Vec<HeightSet> = self
             .holdings
             .iter()
-            .map(|h| h.body_heights().iter().copied().collect())
+            .map(|h| h.body_heights().clone())
             .collect();
         let live_holder = |height: u64, net: &ici_net::network::Network| -> Option<NodeId> {
             (0..n as u64)
@@ -177,7 +176,7 @@ impl IciNetwork {
                             *per_source.entry(source).or_insert(Duration::ZERO) += delay;
                         }
                     }
-                    self.holdings[owner.index()].add_body(height, body_bytes);
+                    self.store_replica(owner, height, body_bytes);
                     fetched += 1;
                     bytes_moved += body_bytes;
                 }
@@ -191,11 +190,7 @@ impl IciNetwork {
             let node = NodeId::new(node_idx as u64);
             let cluster = self.membership.cluster_of(node);
             let members = self.membership.active_members(cluster);
-            let held: Vec<u64> = self.holdings[node_idx]
-                .body_heights()
-                .iter()
-                .copied()
-                .collect();
+            let held: Vec<u64> = self.holdings[node_idx].body_heights().iter().collect();
             for height in held {
                 let block = &self.chain[height as usize];
                 let owners = self.dispatch_owners(&block.id(), height, &members);

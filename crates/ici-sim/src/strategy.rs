@@ -35,7 +35,7 @@ use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::Transaction;
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
-use ici_core::{MerkleAuditPass, RepairReport, StageBoundary};
+use ici_core::{RepairReport, StageBoundary};
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -282,9 +282,8 @@ impl Strategy for IciNetwork {
     }
 
     /// Survivors re-replicate every cluster touched by churn, and the
-    /// shard-level Merkle audit certifies each repair. The round's
-    /// certificates share one audit pass: a height is re-derived once
-    /// per round, not once per repaired cluster.
+    /// shard-level Merkle audit certifies each repair by hashing what
+    /// it wrote (and the round's new height).
     fn after_fault_round(&mut self, touched: &[NodeId], summary: &mut FaultRunSummary) {
         let mut affected: Vec<_> = touched
             .iter()
@@ -292,12 +291,10 @@ impl Strategy for IciNetwork {
             .collect();
         affected.sort_unstable_by_key(|c| c.get());
         affected.dedup();
-        let mut audit_pass = MerkleAuditPass::new();
         for cluster in affected {
             summary.recovery_attempts += 1;
-            let report = self.repair_cluster(cluster);
+            let (report, audit) = self.repair_and_certify(cluster);
             absorb_repair(summary, &report);
-            let audit = self.merkle_audit_in(&mut audit_pass, cluster);
             if report.unrecoverable.is_empty() && audit.is_clean() {
                 summary.recovery_successes += 1;
             }

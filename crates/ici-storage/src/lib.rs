@@ -30,6 +30,9 @@ pub mod stats;
 pub use assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
-pub use audit::{audit_cluster, audit_network, Holdings, IntegrityReport};
-pub use recovery::{plan_recovery, BlockRef, RecoveryPlan, Transfer};
+pub use audit::{
+    audit_cluster, audit_network, audit_replicas, HeightSet, Holdings, IntegrityReport,
+    ReplicaCount,
+};
+pub use recovery::{plan_chain_recovery, plan_recovery, BlockRef, RecoveryPlan, Transfer};
 pub use stats::{format_bytes, StorageStats};

@@ -15,7 +15,7 @@ use ici_net::node::NodeId;
 use ici_chain::block::Height;
 
 use crate::assignment::AssignmentStrategy;
-use crate::audit::Holdings;
+use crate::audit::{HeightSet, Holdings, ReplicaCount};
 
 /// One planned body transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,19 +80,57 @@ pub fn plan_recovery<S: AssignmentStrategy + ?Sized>(
     strategy: &S,
     r: usize,
 ) -> RecoveryPlan {
+    static NOTHING: HeightSet = HeightSet::new();
+    let live: Vec<(NodeId, &HeightSet)> = live
+        .iter()
+        .map(|n| (*n, holdings.get(n).unwrap_or(&NOTHING)))
+        .collect();
+    let chain_len = blocks.iter().map(|b| b.height + 1).max().unwrap_or(0);
+    let owed = heights_owed(&live, chain_len, r);
+    let blocks = blocks.iter().filter(|b| owed.contains(&b.height)).copied();
+    plan_transfers(blocks, &live, strategy, r)
+}
+
+/// [`plan_recovery`] for a whole chain over borrowed holdings: `live` is
+/// each live member, ascending, with the heights it holds, and `block_at`
+/// describes a height of `0..chain_len`. It is asked only for the heights
+/// the plan has to act on, so a cluster at full replication costs one
+/// [`ReplicaCount`] and nothing per block.
+pub fn plan_chain_recovery<S: AssignmentStrategy + ?Sized>(
+    chain_len: Height,
+    block_at: impl Fn(Height) -> BlockRef,
+    live: &[(NodeId, &HeightSet)],
+    strategy: &S,
+    r: usize,
+) -> RecoveryPlan {
+    let owed = heights_owed(live, chain_len, r);
+    plan_transfers(owed.iter().map(block_at), live, strategy, r)
+}
+
+/// The heights of `0..chain_len` a plan acts on: those below the
+/// replication target `min(r, live members)`, and those nobody holds
+/// (which a target of 0 — a dead cluster — would otherwise hide).
+fn heights_owed(live: &[(NodeId, &HeightSet)], chain_len: Height, r: usize) -> HeightSet {
+    let count = ReplicaCount::of(live.iter().map(|(_, held)| *held), chain_len);
+    count.below(r.min(live.len()).max(1))
+}
+
+/// The plan for `blocks`, each of which is owed a replica or lost.
+fn plan_transfers<S: AssignmentStrategy + ?Sized>(
+    blocks: impl Iterator<Item = BlockRef>,
+    live: &[(NodeId, &HeightSet)],
+    strategy: &S,
+    r: usize,
+) -> RecoveryPlan {
     let _span = ici_telemetry::span!("storage/plan_recovery");
-    let live_members: Vec<NodeId> = live.iter().copied().collect();
+    let live_members: Vec<NodeId> = live.iter().map(|(n, _)| *n).collect();
     let mut plan = RecoveryPlan::default();
 
     for block in blocks {
-        let holders: Vec<NodeId> = live_members
+        let holders: Vec<NodeId> = live
             .iter()
-            .copied()
-            .filter(|n| {
-                holdings
-                    .get(n)
-                    .map_or(false, |heights| heights.contains(&block.height))
-            })
+            .filter(|(_, held)| held.contains(&block.height))
+            .map(|(n, _)| *n)
             .collect();
 
         if holders.is_empty() {
@@ -100,31 +138,18 @@ pub fn plan_recovery<S: AssignmentStrategy + ?Sized>(
             continue;
         }
         let deficit = r.min(live_members.len()).saturating_sub(holders.len());
-        if deficit == 0 {
-            continue;
-        }
 
         // New owners: assignment order over live members, skipping current
         // holders, taking `deficit`.
         let preferred = strategy.owners(&block.id, block.height, &live_members, live_members.len());
-        let mut added = 0;
-        let mut source_cursor = 0;
-        for candidate in preferred {
-            if added == deficit {
-                break;
-            }
-            if holders.contains(&candidate) {
-                continue;
-            }
-            let source = holders[source_cursor % holders.len()];
-            source_cursor += 1;
+        let new_owners = preferred.into_iter().filter(|c| !holders.contains(c));
+        for (destination, &source) in new_owners.take(deficit).zip(holders.iter().cycle()) {
             plan.transfers.push(Transfer {
                 height: block.height,
                 source,
-                destination: candidate,
+                destination,
                 bytes: block.body_bytes,
             });
-            added += 1;
         }
     }
     plan.transfers.sort_by_key(|t| (t.height, t.destination));

@@ -216,7 +216,18 @@ gauges = [g for g in t["gauges"] if g["name"] == "faults/live_nodes"]
 assert gauges, "faults/live_nodes gauge missing"
 assert any(s["name"].startswith("cluster/kmeans") for s in t["spans"]), \
     "cluster/kmeans spans missing"
-print(f"    fault telemetry OK: {len(gauges)} live-node gauge rows")
+# A replica is hashed when it is written: each height once when a
+# certificate first sees it, once in the from-scratch final ruling, and
+# once more per replica a repair wrote. A return to re-deriving the
+# chain every round blows through this; wall clock on a noisy host
+# would not say so.
+counter = lambda name: sum(c["value"] for c in t["counters"] if c["name"] == name)
+trees, chain_len = counter("core/merkle_audit_trees"), counter("core/blocks_committed") + 1
+ceiling = 2 * chain_len + counter("core/replicas_written")
+assert 0 < trees <= ceiling, \
+    f"core/merkle_audit_trees = {trees}, want at most 2 x {chain_len} heights + written replicas = {ceiling}"
+print(f"    fault telemetry OK: {len(gauges)} live-node gauge rows, "
+      f"{trees} Merkle trees derived (ceiling {ceiling})")
 EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null

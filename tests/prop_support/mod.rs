@@ -18,7 +18,7 @@
 
 #![allow(dead_code)] // each test binary uses a different subset
 
-use ici_prop::Shrink;
+use ici_prop::{Failure, Pass, Shrink};
 use ici_rng::Xoshiro256;
 use icistrategy::faults::plan::{ByzantineConfig, ChurnConfig};
 use icistrategy::prelude::*;
@@ -115,6 +115,18 @@ impl FaultScenario {
             ..WorkloadConfig::default()
         };
         run_ici_under_faults(config, self.txs_per_block, workload, self.profile()).ok()
+    }
+}
+
+/// Panics with the shrunk counterexample *and* its reproducer text, so
+/// a failure in CI is one copy-paste away from a committed regression
+/// test.
+pub fn require_pass<T: std::fmt::Debug>(result: Result<Pass, Failure<T>>) {
+    if let Err(failure) = result {
+        panic!(
+            "{failure}\n--- reproducer (commit under tests/reproducers/) ---\n{}",
+            failure.reproducer().to_text()
+        );
     }
 }
 

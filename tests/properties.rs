@@ -9,10 +9,12 @@
 
 mod prop_support;
 
-use ici_prop::{check, Config, Failure, Pass, Shrink};
+use ici_prop::{check, Config, Shrink};
 use ici_rng::Xoshiro256;
 use icistrategy::prelude::*;
-use prop_support::{gen_fault_scenario, shrink_toward, shrink_toward_u64, FaultScenario};
+use prop_support::{
+    gen_fault_scenario, require_pass, shrink_toward, shrink_toward_u64, FaultScenario,
+};
 
 const CASES: usize = if cfg!(feature = "heavy-tests") {
     64
@@ -25,18 +27,6 @@ fn cfg(seed: u64) -> Config {
         seed,
         cases: CASES,
         ..Config::default()
-    }
-}
-
-/// Panics with the shrunk counterexample *and* its reproducer text, so
-/// a failure in CI is one copy-paste away from a committed regression
-/// test.
-fn require_pass<T: std::fmt::Debug>(result: Result<Pass, Failure<T>>) {
-    if let Err(failure) = result {
-        panic!(
-            "{failure}\n--- reproducer (commit under tests/reproducers/) ---\n{}",
-            failure.reproducer().to_text()
-        );
     }
 }
 
