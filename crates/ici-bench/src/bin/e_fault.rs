@@ -72,7 +72,7 @@ fn main() {
         // inert config draws nothing, keeping e_fault.json byte-stable.
         byzantine: ByzantineConfig::default(),
         // Every third round also loses a verifier *between* lifecycle
-        // stages of the proposal itself — the staged pipeline's
+        // stages of the proposal itself — the staged lifecycle's
         // boundary re-sync is part of what this experiment certifies.
         stage_churn: StageChurn { interval: 3 },
     };

@@ -22,7 +22,7 @@ pub enum IciError {
     NoQuorum {
         /// Cluster that failed to commit.
         cluster: u32,
-        /// Live members available.
+        /// Members of it that were live when the vote ran.
         live: usize,
         /// Quorum required.
         needed: usize,
@@ -39,12 +39,6 @@ pub enum IciError {
     NodeDown(NodeId),
     /// The node already departed the network and cannot depart again.
     AlreadyDeparted(NodeId),
-    /// A pipeline stage worker went away mid-run (channel disconnect),
-    /// so the in-flight height could not complete.
-    PipelineStalled {
-        /// Stage whose channel disconnected (`"distribute"` / `"verify"`).
-        stage: &'static str,
-    },
 }
 
 impl fmt::Display for IciError {
@@ -69,9 +63,6 @@ impl fmt::Display for IciError {
             IciError::UnknownNode(n) => write!(f, "unknown node {n}"),
             IciError::NodeDown(n) => write!(f, "node {n} is crashed"),
             IciError::AlreadyDeparted(n) => write!(f, "node {n} already departed"),
-            IciError::PipelineStalled { stage } => {
-                write!(f, "pipeline stage '{stage}' disconnected mid-run")
-            }
         }
     }
 }

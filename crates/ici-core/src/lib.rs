@@ -10,8 +10,7 @@
 //! only.
 //!
 //! Crate map: [`config`] (parameters), [`network`] (the deployment),
-//! [`lifecycle`] (propose→commit→store), [`pipeline`] (overlapping
-//! heights across lifecycle stages), [`verify`] (the collaborative
+//! [`lifecycle`] (propose→commit→store), [`verify`] (the collaborative
 //! checking logic), [`query`] (tiered reads), [`spv`] (light transaction
 //! proofs), [`bootstrap`] (joins), [`failure`] (crashes and
 //! re-replication), [`merkle_audit`] (shard-level content audit),
@@ -57,7 +56,6 @@ pub mod holdings;
 pub mod lifecycle;
 pub mod merkle_audit;
 pub mod network;
-pub mod pipeline;
 pub mod query;
 pub mod reconfig;
 pub mod spv;

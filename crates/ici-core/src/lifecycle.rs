@@ -27,43 +27,48 @@
 //! every later stage. Simulated time is unaffected — execution and hashing
 //! are charged through the cost model.
 //!
-//! # Staged execution
+//! # Stages
 //!
-//! The lifecycle is factored into four explicit stages so heights can
-//! overlap in a pipeline (see [`crate::pipeline`]):
+//! There is one lifecycle, [`IciNetwork::propose_block_staged`], and it
+//! runs one height at a time on the calling thread. It is cut into four
+//! stages so that a caller can act *between* them (the
+//! [`StageBoundary`] hooks: fault campaigns crash nodes mid-proposal,
+//! the benchmark times each stage), not so that heights can overlap:
 //!
-//! * [`IciNetwork::stage_build`] — election, block assembly, and network
-//!   forks for every cluster (the only stage that advances the parent
-//!   sequence stream);
-//! * [`stage_distribute`] — home-cluster PBFT plus the leader-to-leader
-//!   block hops, all on forks, on a **zero-based clock**;
-//! * [`stage_verify`] — the remote clusters' PBFT rounds (the hot path:
-//!   one plain loop over the clusters), also zero-based;
-//! * [`IciNetwork::stage_commit`] — absorbs fork traffic, shifts every
-//!   zero-based instant by the block's `proposed_at`, executes the block,
-//!   and records the commit.
+//! * `stage_build` — election, block assembly at the tip, and one network
+//!   fork per cluster (the only stage that advances the parent sequence
+//!   stream);
+//! * `stage_distribute` — the home cluster's vote round plus the
+//!   leader-to-leader block hops, each on its cluster's fork;
+//! * `stage_verify` — the remote clusters' vote rounds, one plain loop
+//!   over the clusters;
+//! * `stage_commit` — absorbs every fork's traffic, executes the block,
+//!   writes storage holdings and records the commit.
+//!
+//! The four share one value, the height in flight: build creates it,
+//! distribute and verify fill in each cluster's arrival and commit
+//! instant through `&mut`, commit consumes it. A block's proposal
+//! instant is the committed clock plus its build cost, known as soon as
+//! the block is sealed, so every stage runs on the absolute simulation
+//! clock and records trace events and telemetry as it goes.
 //!
 //! Membership and owner assignment are computed once, in the build
 //! stage, and travel with the height: each committed cluster's member
 //! list and owner set reach the commit stage as built. That is sound
 //! because membership cannot change in between — joins and leaves need
-//! `&mut IciNetwork`, which the driver holds from build to commit, and
-//! a [`StageBoundary`] callback is handed the simulated network only.
+//! `&mut IciNetwork`, which the lifecycle holds from build to commit,
+//! and a [`StageBoundary`] callback is handed the simulated network
+//! only. Liveness *can* change there, so every fork re-reads it after
+//! each boundary.
 //!
-//! Running the middle stages zero-based is exact, not approximate: link
-//! jitter and fault draws depend only on each fork's sequence stream,
-//! never on absolute time, so commit instants are affine in the stage
-//! start (`ici-consensus` proves this property in its
-//! `start_time_offsets_everything` test). The sequential composition
-//! [`IciNetwork::propose_block`] uses the same stage functions and the
-//! same trace capture/shift mechanics as the pipelined driver, so a
-//! depth-1 run is byte-identical to a depth-N run.
+//! [`IciNetwork::propose_block`] is the staged lifecycle with a callback
+//! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
+//! loop over it that the fault-free runner drives.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
-use ici_chain::state::WorldState;
 use ici_chain::transaction::Transaction;
 use ici_chain::validation::validate_block;
 use ici_cluster::partition::ClusterId;
@@ -83,6 +88,9 @@ use crate::network::IciNetwork;
 /// Bytes of one commit-certificate signature entry (signature + signer id +
 /// digest reference).
 pub const CERT_ENTRY_BYTES: u64 = 96;
+
+/// Bytes of one encoded block header on the wire.
+const HEADER_BYTES: u64 = BlockHeader::ENCODED_LEN as u64;
 
 /// Everything recorded about one committed block.
 #[derive(Clone, Debug)]
@@ -144,157 +152,60 @@ pub enum StageBoundary {
     AfterVerify,
 }
 
-/// Who stores what in one cluster if it commits the height: every live
-/// member appends the header, live owners attach the body.
-pub(crate) struct ClusterStorage {
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) owners: BTreeSet<NodeId>,
+/// One cluster's part of the height in flight. Who belongs, who owns the
+/// body and who leads are frozen at build; the two instants are filled
+/// in as the stages reach the cluster.
+struct ClusterLeg {
+    cluster: ClusterId,
+    /// Active members at build, crashed ones included.
+    members: Vec<NodeId>,
+    /// The members assigned this block's body.
+    owners: BTreeSet<NodeId>,
+    /// Who proposes the block inside the cluster: the proposer at home,
+    /// elsewhere the member elected among those live at build — `None`
+    /// when none was.
+    leader: Option<NodeId>,
+    /// The cluster's own network fork. All its traffic for the height
+    /// lands here and is absorbed at commit, whatever the outcome.
+    fork: Network,
+    /// When `leader` holds the block and proposes it locally: the
+    /// proposal instant at home, the end of the certificate check after
+    /// the leader-to-leader hop elsewhere. `None` until then, and for
+    /// good when there is no leader or the hop was lost.
+    arrival: Option<SimTime>,
+    /// The cluster's quorum-commit instant, once its vote round reached
+    /// one.
+    commit: Option<SimTime>,
 }
 
-/// One remote cluster's dissemination work order, snapshotted at build.
-pub(crate) struct RemoteDispatch {
-    pub(crate) cluster: ClusterId,
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) leader: Option<NodeId>,
-    pub(crate) owners: BTreeSet<NodeId>,
-    pub(crate) fork: Network,
+/// The one height in flight: build creates it, distribute and verify
+/// fill in its legs through `&mut`, commit consumes it.
+struct HeightInFlight {
+    block: Block,
+    /// Causal trace id of the block.
+    block_tid: u64,
+    proposer: NodeId,
+    /// When the proposer starts proposing: the committed clock plus the
+    /// block's build cost.
+    proposed_at: SimTime,
+    home: ClusterLeg,
+    /// Every other cluster, ascending by id.
+    remotes: Vec<ClusterLeg>,
+    cost: CostModel,
 }
 
-/// Output of the build stage: a sealed block plus everything the later
-/// stages need, fully owned so it can cross a pipeline channel.
-pub struct BuiltHeight {
-    pub(crate) height: Height,
-    pub(crate) parent: BlockHeader,
-    pub(crate) block: Block,
-    pub(crate) home: ClusterId,
-    pub(crate) leader: NodeId,
-    pub(crate) home_members: Vec<NodeId>,
-    pub(crate) home_owners: BTreeSet<NodeId>,
-    pub(crate) home_live: usize,
-    pub(crate) home_fork: Network,
-    pub(crate) remotes: Vec<RemoteDispatch>,
-    pub(crate) cost: CostModel,
-    pub(crate) n_txs: usize,
-    pub(crate) header_bytes: u64,
-    pub(crate) body_bytes: u64,
-    pub(crate) build_cost: Duration,
-    pub(crate) block_tid: u64,
-}
-
-impl BuiltHeight {
-    /// Header of the sealed block — the speculative parent for the next
-    /// height in a pipelined run.
-    pub fn header(&self) -> &BlockHeader {
-        self.block.header()
-    }
-
+impl HeightInFlight {
     /// Re-snapshots liveness and fault configuration on every carried
     /// fork from the live network (stage-boundary fault hook).
-    pub fn sync_liveness_from(&mut self, net: &Network) {
-        self.home_fork.sync_liveness_from(net);
-        for remote in &mut self.remotes {
-            remote.fork.sync_liveness_from(net);
+    fn sync_liveness_from(&mut self, net: &Network) {
+        self.home.fork.sync_liveness_from(net);
+        for leg in &mut self.remotes {
+            leg.fork.sync_liveness_from(net);
         }
     }
 }
 
-/// One remote cluster ready for its PBFT round: the block hop arrived
-/// at `arrival_rel` (zero-based) and the fork's trace context already
-/// points at the hop event.
-pub(crate) struct RemoteVerify {
-    pub(crate) cluster: ClusterId,
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) leader: NodeId,
-    pub(crate) owners: BTreeSet<NodeId>,
-    pub(crate) fork: Network,
-    pub(crate) arrival_rel: SimTime,
-}
-
-/// Output of the distribute stage. All instants are zero-based; the
-/// commit stage shifts them by the block's `proposed_at`.
-pub struct DistributedHeight {
-    /// Set when the home cluster failed to commit. The payload still
-    /// flows to [`IciNetwork::stage_commit`] so the traffic the failed
-    /// consensus generated is absorbed into the meter, exactly as a
-    /// non-staged run would have counted it.
-    pub(crate) failed: Option<IciError>,
-    pub(crate) height: Height,
-    pub(crate) parent: BlockHeader,
-    pub(crate) block: Block,
-    pub(crate) home: ClusterId,
-    pub(crate) leader: NodeId,
-    pub(crate) home_members: Vec<NodeId>,
-    pub(crate) home_owners: BTreeSet<NodeId>,
-    pub(crate) home_fork: Network,
-    pub(crate) home_commit_rel: SimTime,
-    pub(crate) verifies: Vec<RemoteVerify>,
-    /// Forks of clusters that missed dissemination (no live leader or a
-    /// dropped hop); still absorbed at commit for meter fidelity.
-    pub(crate) idle_forks: Vec<Network>,
-    pub(crate) missed: Vec<ClusterId>,
-    pub(crate) cost: CostModel,
-    pub(crate) n_txs: usize,
-    pub(crate) header_bytes: u64,
-    pub(crate) body_bytes: u64,
-    pub(crate) build_cost: Duration,
-    pub(crate) block_tid: u64,
-}
-
-impl DistributedHeight {
-    /// Re-snapshots liveness and fault configuration on every carried
-    /// fork from the live network (stage-boundary fault hook).
-    pub fn sync_liveness_from(&mut self, net: &Network) {
-        self.home_fork.sync_liveness_from(net);
-        for verify in &mut self.verifies {
-            verify.fork.sync_liveness_from(net);
-        }
-        for fork in &mut self.idle_forks {
-            fork.sync_liveness_from(net);
-        }
-    }
-}
-
-/// Output of the verify stage: every cluster's commit instant
-/// (zero-based) plus the forks whose traffic the commit stage absorbs.
-pub struct VerifiedHeight {
-    pub(crate) failed: Option<IciError>,
-    pub(crate) height: Height,
-    pub(crate) parent: BlockHeader,
-    pub(crate) block: Block,
-    pub(crate) home: ClusterId,
-    pub(crate) leader: NodeId,
-    pub(crate) home_fork: Network,
-    pub(crate) remote_forks: Vec<Network>,
-    pub(crate) home_commit_rel: SimTime,
-    pub(crate) cluster_commits_rel: BTreeMap<ClusterId, SimTime>,
-    /// Storage orders of exactly the clusters in `cluster_commits_rel`.
-    pub(crate) committed: Vec<ClusterStorage>,
-    pub(crate) network_commit_rel: SimTime,
-    pub(crate) missed: Vec<ClusterId>,
-    pub(crate) n_txs: usize,
-    pub(crate) body_bytes: u64,
-    pub(crate) build_cost: Duration,
-    pub(crate) block_tid: u64,
-}
-
-/// Runs `f` capturing the trace events and telemetry it records, so a
-/// stage's observability can be merged at the commit sync point in a
-/// fixed order regardless of which thread ran the stage.
-pub(crate) fn capture_stage<T>(
-    f: impl FnOnce() -> T,
-) -> (T, ici_trace::TraceDelta, ici_telemetry::TelemetryDelta) {
-    let ((out, trace), telemetry) = ici_telemetry::capture(|| ici_trace::capture(f));
-    (out, trace, telemetry)
-}
-
-/// Shifts a zero-based stage instant into absolute simulation time.
-fn shift_time(base: SimTime, rel: SimTime) -> SimTime {
-    SimTime::from_micros(base.as_micros().saturating_add(rel.as_micros()))
-}
-
-/// Causal trace id of the block at `height` with id `block_id`. Derived
-/// from data known at build time (never from `proposed_at`, which a
-/// pipelined run only learns at commit).
+/// Causal trace id of the block at `height` with id `block_id`.
 fn block_trace_id(height: Height, block_id: &Digest) -> u64 {
     let mut salt = [0u8; 8];
     salt.copy_from_slice(&block_id.as_bytes()[..8]);
@@ -305,20 +216,11 @@ impl IciNetwork {
     /// Selects the proposer cluster for `height`: clusters are ranked by a
     /// hash lottery on the parent id; the first with any live member wins.
     pub fn proposer_cluster(&self, height: Height) -> Option<ClusterId> {
-        self.proposer_cluster_for(&self.tip().id(), height)
-    }
-
-    /// Lottery over an explicit parent id — the pipelined driver ranks
-    /// against a speculative tip that is not yet committed.
-    pub(crate) fn proposer_cluster_for(
-        &self,
-        parent_id: &Digest,
-        height: Height,
-    ) -> Option<ClusterId> {
+        let parent_id = self.tip().id();
         let mut scored: Vec<(u64, ClusterId)> = self
             .clusters()
             .into_iter()
-            .map(|c| (lottery_score(parent_id, height, c.get() as u64), c))
+            .map(|c| (lottery_score(&parent_id, height, c.get() as u64), c))
             .collect();
         scored.sort_unstable();
         scored
@@ -327,200 +229,173 @@ impl IciNetwork {
             .find(|c| !self.live_members(*c).is_empty())
     }
 
-    /// Stage 1: election, block assembly, and per-cluster network forks.
-    ///
-    /// `parent` and `pre_state` are passed explicitly (rather than read
-    /// from the committed tip) so the pipelined driver can build height
-    /// H+1 against the speculative output of height H. Returns the
-    /// payload for [`stage_distribute`] plus the builder's speculative
-    /// post-state for chaining.
+    /// Opens `cluster`'s leg of the height carrying `block`: owners
+    /// assigned over `members`, and a network fork keyed by the cluster
+    /// id, so every cluster — home included — draws jitter independently
+    /// of thread count and sibling clusters.
+    fn open_leg(
+        &mut self,
+        cluster: ClusterId,
+        members: Vec<NodeId>,
+        leader: Option<NodeId>,
+        block: &Block,
+    ) -> ClusterLeg {
+        let owners = self
+            .dispatch_owners(&block.id(), block.height(), &members)
+            .into_iter()
+            .collect();
+        ClusterLeg {
+            cluster,
+            members,
+            owners,
+            leader,
+            fork: self.net.fork(u64::from(cluster.get())),
+            arrival: None,
+            commit: None,
+        }
+    }
+
+    /// Stage 1: election, block assembly on the committed tip and state,
+    /// and per-cluster network forks.
     ///
     /// This is the only stage that touches the parent network's
-    /// sequence stream (one [`Network::advance_stream`] after forking),
-    /// so the fork seeds every height draws are independent of how far
-    /// earlier heights have progressed.
+    /// sequence stream: one [`Network::advance_stream`] after forking, so
+    /// the next height's forks draw fresh randomness.
     ///
     /// # Errors
     ///
     /// [`IciError::NoLeader`] — no live proposer anywhere.
-    pub(crate) fn stage_build(
-        &mut self,
-        parent: BlockHeader,
-        pre_state: WorldState,
-        pending: Vec<Transaction>,
-    ) -> Result<(BuiltHeight, WorldState), IciError> {
+    fn stage_build(&mut self, pending: Vec<Transaction>) -> Result<HeightInFlight, IciError> {
         let _span = ici_telemetry::span!("core/stage_build");
+        let parent = self.tip;
         let parent_id = parent.id();
         let height = parent.height + 1;
-        let header_bytes = BlockHeader::ENCODED_LEN as u64;
 
-        let home = self
-            .proposer_cluster_for(&parent_id, height)
-            .ok_or(IciError::NoLeader)?;
+        let home = self.proposer_cluster(height).ok_or(IciError::NoLeader)?;
         let home_members = self.membership.active_members(home);
-        let leader = {
-            let net = &self.net;
-            elect_live_leader(&parent_id, height, &home_members, |n| net.is_up(n))
-                .ok_or(IciError::NoLeader)?
-        };
+        let proposer = elect_live_leader(&parent_id, height, &home_members, |n| self.net.is_up(n))
+            .ok_or(IciError::NoLeader)?;
 
         // Build the block at the leader. The timestamp is derived from
         // the parent alone (strictly monotonic, which is all validation
-        // requires) — never from the commit clock, whose value for this
-        // height is unknown while earlier heights are still in flight.
+        // requires), not from the simulation clock.
         let timestamp_ms = parent.timestamp_ms + 1;
-        let mut builder = BlockBuilder::new(&parent, pre_state, leader.get(), timestamp_ms);
+        let mut builder =
+            BlockBuilder::new(&parent, self.state.clone(), proposer.get(), timestamp_ms);
         builder.fill(pending);
-        let (block, spec_state) = builder.seal_with_state();
-        let block_id = block.id();
-        let n_txs = block.transactions().len();
-        let body_bytes = block.body_len() as u64;
-        let build_cost =
-            self.config.cost.apply_transactions(n_txs) + self.config.cost.hash(body_bytes);
-        let block_tid = block_trace_id(height, &block_id);
+        let block = builder.seal();
+        let cost = self.config.cost;
+        let build_cost = cost.apply_transactions(block.transactions().len())
+            + cost.hash(block.body_len() as u64);
+        let proposed_at = self.clock + build_cost;
 
-        let home_owners: BTreeSet<NodeId> = self
-            .dispatch_owners(&block_id, height, &home_members)
-            .into_iter()
-            .collect();
-        let home_live = self.live_members(home).len();
-        // Each cluster — home included — gets a network fork keyed by
-        // its cluster id, so every cluster draws jitter independently of
-        // thread count, sibling clusters, and pipeline depth.
-        let home_fork = self.net.fork(u64::from(home.get()));
-        let remotes: Vec<RemoteDispatch> = self
+        let mut home = self.open_leg(home, home_members, Some(proposer), &block);
+        home.arrival = Some(proposed_at);
+        let remotes = self
             .clusters()
             .into_iter()
-            .filter(|&other| other != home)
+            .filter(|&other| other != home.cluster)
             .map(|other| {
                 let members = self.membership.active_members(other);
-                let leader = {
-                    let net = &self.net;
-                    elect_live_leader(&parent_id, height, &members, |n| net.is_up(n))
-                };
-                let owners: BTreeSet<NodeId> = self
-                    .dispatch_owners(&block_id, height, &members)
-                    .into_iter()
-                    .collect();
-                let fork = self.net.fork(u64::from(other.get()));
-                RemoteDispatch {
-                    cluster: other,
-                    members,
-                    leader,
-                    owners,
-                    fork,
-                }
+                let leader = elect_live_leader(&parent_id, height, &members, |n| self.net.is_up(n));
+                self.open_leg(other, members, leader, &block)
             })
             .collect();
         self.net.advance_stream();
 
-        Ok((
-            BuiltHeight {
-                height,
-                parent,
-                block,
-                home,
-                leader,
-                home_members,
-                home_owners,
-                home_live,
-                home_fork,
-                remotes,
-                cost: self.config.cost,
-                n_txs,
-                header_bytes,
-                body_bytes,
-                build_cost,
-                block_tid,
-            },
-            spec_state,
-        ))
+        Ok(HeightInFlight {
+            block_tid: block_trace_id(height, &block.id()),
+            block,
+            proposer,
+            proposed_at,
+            home,
+            remotes,
+            cost,
+        })
     }
 
-    /// Stage 4: absorbs every fork's traffic, shifts the zero-based
-    /// stage results by the block's `proposed_at`, executes the block,
+    /// Stage 4: absorbs every fork's traffic, executes the block,
     /// updates storage holdings, and records the commit.
     ///
-    /// The stage deltas are merged here — distribute first, then verify
-    /// — so the trace and telemetry streams are identical whichever
-    /// thread (or pipeline depth) produced them.
-    ///
     /// Who stores what comes from the member lists and owner sets
-    /// [`IciNetwork::stage_build`] computed (`verified.committed`), not
-    /// from a second rendezvous pass: membership is the same now as
-    /// then, because nothing that changes it can run while the driver
-    /// holds `&mut self` between the two stages. Liveness *can* change
-    /// in between (stage-boundary crashes), so it is read here.
+    /// `stage_build` put in the legs, not from a second rendezvous pass:
+    /// membership is the same now as then, because nothing that changes
+    /// it can run while the lifecycle holds `&mut self` between the two
+    /// stages. Liveness *can* change in between (stage-boundary
+    /// crashes), so it is read here.
     ///
     /// # Errors
     ///
-    /// * [`IciError::NoQuorum`] — carried over from a failed home
-    ///   commit; the failed consensus traffic is still absorbed first.
+    /// * [`IciError::NoQuorum`] — `home_commit` carried over from a
+    ///   failed home vote; the failed consensus traffic is still
+    ///   absorbed first.
     /// * [`IciError::InvalidBlock`] — defensive: the sealed block failed
     ///   authoritative validation (indicates an internal bug).
-    pub(crate) fn stage_commit(
+    fn stage_commit(
         &mut self,
-        verified: VerifiedHeight,
-        mut dist_trace: ici_trace::TraceDelta,
-        dist_telemetry: ici_telemetry::TelemetryDelta,
-        mut verify_trace: ici_trace::TraceDelta,
-        verify_telemetry: ici_telemetry::TelemetryDelta,
+        flight: HeightInFlight,
+        home_commit: Result<SimTime, IciError>,
     ) -> Result<&BlockCommitRecord, IciError> {
         let _span = ici_telemetry::span!("core/stage_commit");
         let meter_before = self.net.meter().total();
-        let proposed_at = self.clock + verified.build_cost;
+        let HeightInFlight {
+            block,
+            block_tid,
+            proposer,
+            proposed_at,
+            home,
+            remotes,
+            ..
+        } = flight;
+        let height = block.height();
+        let body_bytes = block.body_len() as u64;
+        let home_cluster = home.cluster;
 
-        // Traffic first — also on failure: a failed consensus still sent
-        // its messages, and the meter must say so.
-        self.net.absorb(verified.home_fork);
-        for fork in verified.remote_forks {
-            self.net.absorb(fork);
-        }
-        let offset = proposed_at.as_micros();
-        dist_trace.shift(offset);
-        ici_trace::merge_delta(dist_trace);
-        verify_trace.shift(offset);
-        ici_trace::merge_delta(verify_trace);
-        ici_telemetry::merge_delta(dist_telemetry);
-        ici_telemetry::merge_delta(verify_telemetry);
+        // Authoritative execution (defensive re-validation) of a height
+        // whose home cluster committed, ruled on before anything is
+        // written.
+        let executed = home_commit.and_then(|home_commit| {
+            let post = validate_block(&block, &self.tip, &self.state)?;
+            Ok((home_commit, post))
+        });
 
-        if let Some(err) = verified.failed {
-            return Err(err);
-        }
-
-        let height = verified.height;
-        let block = verified.block;
-        let home = verified.home;
-        let leader = verified.leader;
-        let n_txs = verified.n_txs;
-        let body_bytes = verified.body_bytes;
-        let home_commit = shift_time(proposed_at, verified.home_commit_rel);
-        let cluster_commits: BTreeMap<ClusterId, SimTime> = verified
-            .cluster_commits_rel
-            .iter()
-            .map(|(&c, &t)| (c, shift_time(proposed_at, t)))
-            .collect();
-        let network_commit = shift_time(proposed_at, verified.network_commit_rel);
-        let mut missed = verified.missed;
-
-        // Authoritative execution (defensive re-validation).
-        let post = validate_block(&block, &verified.parent, &self.state)?;
-        self.state = post;
-
-        // Storage: live members of committed clusters take the header;
-        // live owners take the body.
-        for storage in verified.committed {
-            for m in storage.members {
+        // One pass over the clusters. Traffic first — also on failure: a
+        // failed consensus still sent its messages, and the meter must
+        // say so. Then, for a height that stands, storage: live members
+        // of committed clusters take the header; live owners take the
+        // body.
+        let mut commits = Vec::with_capacity(1 + remotes.len());
+        let mut missed = Vec::new();
+        for leg in std::iter::once(home).chain(remotes) {
+            self.net.absorb(leg.fork);
+            if executed.is_err() {
+                continue;
+            }
+            let Some(at) = leg.commit else {
+                missed.push(leg.cluster);
+                continue;
+            };
+            commits.push((leg.cluster, at));
+            for m in leg.members {
                 if !self.net.is_up(m) {
                     continue;
                 }
                 self.holdings[m.index()].add_header();
-                if storage.owners.contains(&m) {
+                if leg.owners.contains(&m) {
                     self.holdings[m.index()].add_body(height, body_bytes);
                 }
             }
         }
+        let (home_commit, post) = executed?;
+        let network_commit = commits
+            .iter()
+            .fold(home_commit, |latest, &(_, at)| latest.max(at));
+        // Collected, not inserted one by one: the record outlives the
+        // block, and a map built from the sorted pairs packs its nodes.
+        let cluster_commits: BTreeMap<ClusterId, SimTime> = commits.into_iter().collect();
+        self.state = post;
         self.tip = *block.header();
+        let tx_count = block.transactions().len() as u32;
         self.chain.push(block);
         self.clock = network_commit;
 
@@ -547,10 +422,10 @@ impl IciNetwork {
                 proposed_at.as_micros(),
                 network_commit.saturating_since(proposed_at).as_micros(),
                 height,
-                Some(u64::from(home.get())),
-                Some(leader.get()),
+                Some(u64::from(home_cluster.get())),
+                Some(proposer.get()),
                 body_bytes,
-                verified.block_tid,
+                block_tid,
                 0,
             );
             ici_trace::stage(
@@ -561,28 +436,24 @@ impl IciNetwork {
                 None,
                 None,
                 body_bytes,
-                ici_trace::derive_id(verified.block_tid, 3),
-                verified.block_tid,
+                ici_trace::derive_id(block_tid, 3),
+                block_tid,
             );
         }
-        missed.sort_unstable_by_key(|c| c.get());
-        self.commit_log.push(BlockCommitRecord {
+        Ok(self.commit_log.push_mut(BlockCommitRecord {
             height,
-            proposer: leader,
-            proposer_cluster: home,
+            proposer,
+            proposer_cluster: home_cluster,
             proposed_at,
             home_commit,
             cluster_commits,
             network_commit,
             missed_clusters: missed,
-            tx_count: n_txs as u32,
+            tx_count,
             body_bytes,
             messages: meter_after.messages - meter_before.messages,
             bytes: meter_after.bytes - meter_before.bytes,
-        });
-        // lint:allow(panic) -- the record was pushed two statements up;
-        // `last()` on a freshly extended Vec cannot be None
-        Ok(self.commit_log.last().expect("just pushed"))
+        }))
     }
 
     /// Runs the full lifecycle for one block assembled from `pending`.
@@ -606,8 +477,10 @@ impl IciNetwork {
     /// Like [`IciNetwork::propose_block`], pausing at every
     /// [`StageBoundary`] to run `at_boundary` with mutable access to the
     /// simulated network. Fault campaigns crash or recover nodes there;
-    /// the stage payload re-snapshots liveness before continuing. With a
-    /// no-op callback this is exactly `propose_block`.
+    /// the height's forks re-snapshot liveness before continuing. Every
+    /// boundary of a built height is visited, also when its home cluster
+    /// fails to commit. With a no-op callback this is exactly
+    /// `propose_block`.
     ///
     /// # Errors
     ///
@@ -618,304 +491,223 @@ impl IciNetwork {
         mut at_boundary: impl FnMut(StageBoundary, &mut Network),
     ) -> Result<&BlockCommitRecord, IciError> {
         let _span = ici_telemetry::span!("core/block_lifecycle");
-        let parent = *self.tip();
-        let pre_state = self.state.clone();
-        let (mut built, _spec_state) = self.stage_build(parent, pre_state, pending)?;
+        let mut flight = self.stage_build(pending)?;
         at_boundary(StageBoundary::AfterBuild, &mut self.net);
-        built.sync_liveness_from(&self.net);
-        let (mut distributed, dist_trace, dist_telemetry) =
-            capture_stage(|| stage_distribute(built));
+        flight.sync_liveness_from(&self.net);
+        let home_commit = stage_distribute(&mut flight);
         at_boundary(StageBoundary::AfterDistribute, &mut self.net);
-        distributed.sync_liveness_from(&self.net);
-        let (verified, verify_trace, verify_telemetry) =
-            capture_stage(|| stage_verify(distributed));
+        flight.sync_liveness_from(&self.net);
+        if let Ok(home_commit) = home_commit {
+            stage_verify(&mut flight, home_commit);
+        }
         at_boundary(StageBoundary::AfterVerify, &mut self.net);
-        self.stage_commit(
-            verified,
-            dist_trace,
-            dist_telemetry,
-            verify_trace,
-            verify_telemetry,
-        )
+        self.stage_commit(flight, home_commit)
+    }
+
+    /// Commits one block per batch in `batches`, in order. `after_commit`
+    /// runs after each commit with the committed batch's index (round
+    /// sampling hooks in here).
+    ///
+    /// # Errors
+    ///
+    /// The first height that fails ends the run with its error: its batch
+    /// is not reported to `after_commit` and no later batch is built.
+    pub fn propose_blocks(
+        &mut self,
+        batches: Vec<Vec<Transaction>>,
+        mut after_commit: impl FnMut(&IciNetwork, usize),
+    ) -> Result<(), IciError> {
+        for (index, pending) in batches.into_iter().enumerate() {
+            self.propose_block(pending)?;
+            after_commit(self, index);
+        }
+        Ok(())
+    }
+
+    // Kept for the frozen benchmark only: `benchmark/src/surface.rs`
+    // still passes a depth, which is ignored — one height is in flight,
+    // always. The next `benchmark` PR calls `propose_blocks` and removes
+    // this shim with the two depth shims in `ici-par`; nothing else may
+    // call it.
+    #[doc(hidden)]
+    pub fn propose_blocks_pipelined(
+        &mut self,
+        batches: Vec<Vec<Transaction>>,
+        _depth: usize,
+        after_commit: impl FnMut(&IciNetwork, usize),
+    ) -> Result<(), IciError> {
+        self.propose_blocks(batches, after_commit)
     }
 }
 
-/// Stage 2: home-cluster PBFT commit plus the leader-to-leader block
-/// hops, entirely on the forks carried by `built`, on a zero-based
-/// clock.
-///
-/// A free function over an owned payload so a pipeline worker can run
-/// it without touching [`IciNetwork`]. On home-quorum failure the
-/// result carries the error and the partially-spent home fork; it still
-/// flows to the commit stage for meter fidelity.
-pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
-    let _span = ici_telemetry::span!("core/stage_distribute", cluster = built.home.get());
-    let tracing = ici_trace::enabled();
-    let height = built.height;
-    let block_tid = built.block_tid;
-    let cost = built.cost;
-    let header_bytes = built.header_bytes;
-    let body_bytes = built.body_bytes;
+/// One cluster's vote round on its own fork, proposed by `leader` at
+/// `start`: the body to the owners, the header to everyone else, every
+/// member validating its `1/c` share before it votes. Home and remote
+/// clusters run the same round. Records the quorum-commit instant in the
+/// leg and returns the quorum the round needed.
+fn vote_round(
+    leg: &mut ClusterLeg,
+    leader: NodeId,
+    start: SimTime,
+    block: &Block,
+    cost: &CostModel,
+) -> usize {
+    let c = leg.members.len();
+    let n_txs = block.transactions().len();
+    let body_bytes = block.body_len() as u64;
+    let owners = &leg.owners;
+    let report = run_pbft_commit(
+        &mut leg.fork,
+        PbftInputs {
+            members: &leg.members,
+            leader,
+            start,
+            payload: |m| {
+                if owners.contains(&m) {
+                    (MessageKind::BlockBody, HEADER_BYTES + body_bytes)
+                } else {
+                    (MessageKind::BlockHeader, HEADER_BYTES)
+                }
+            },
+            validation: |_| cost.collaborative_member_validation(n_txs, body_bytes, c),
+        },
+    );
+    leg.commit = report.quorum_commit();
+    report.quorum
+}
 
+/// Stage 2: the home cluster's vote round plus the leader-to-leader
+/// block hops, each on the fork of the cluster it concerns. Returns the
+/// home cluster's commit instant.
+///
+/// # Errors
+///
+/// [`IciError::NoQuorum`] — the home cluster did not commit. `live`
+/// counts its members as the vote saw them, after the boundary's
+/// liveness re-sync. The height still goes on to the commit stage, which
+/// absorbs the traffic the failed round sent.
+fn stage_distribute(flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
+    let _span = ici_telemetry::span!("core/stage_distribute", cluster = flight.home.cluster.get());
+    let tracing = ici_trace::enabled();
+    let height = flight.block.height();
+    let block_tid = flight.block_tid;
+    let proposed_at = flight.proposed_at;
+    let body_bytes = flight.block.body_len() as u64;
+
+    let home = &mut flight.home;
     if tracing {
-        built.home_fork.set_trace_ctx(ici_trace::SendCtx {
+        home.fork.set_trace_ctx(ici_trace::SendCtx {
             sends: false,
-            at_us: 0,
+            at_us: proposed_at.as_micros(),
             height,
-            cluster: Some(u64::from(built.home.get())),
+            cluster: Some(u64::from(home.cluster.get())),
             parent: block_tid,
         });
     }
-    let c_home = built.home_members.len();
-    let n_txs = built.n_txs;
-    let home_owners = &built.home_owners;
-    let report = run_pbft_commit(
-        &mut built.home_fork,
-        PbftInputs {
-            members: &built.home_members,
-            leader: built.leader,
-            start: SimTime::ZERO,
-            payload: |m| {
-                if home_owners.contains(&m) {
-                    (MessageKind::BlockBody, header_bytes + body_bytes)
-                } else {
-                    (MessageKind::BlockHeader, header_bytes)
-                }
-            },
-            validation: |_| cost.collaborative_member_validation(n_txs, body_bytes, c_home),
-        },
+    let quorum = vote_round(
+        home,
+        flight.proposer,
+        proposed_at,
+        &flight.block,
+        &flight.cost,
     );
-    let home_commit_rel = if report.is_committed() {
-        report.quorum_commit()
-    } else {
-        None
+    let Some(home_commit) = home.commit else {
+        return Err(IciError::NoQuorum {
+            cluster: home.cluster.get(),
+            live: home.members.iter().filter(|&&m| home.fork.is_up(m)).count(),
+            needed: quorum,
+        });
     };
-    let Some(home_commit_rel) = home_commit_rel else {
-        return DistributedHeight {
-            failed: Some(IciError::NoQuorum {
-                cluster: built.home.get(),
-                live: built.home_live,
-                needed: report.quorum,
-            }),
-            height,
-            parent: built.parent,
-            block: built.block,
-            home: built.home,
-            leader: built.leader,
-            home_members: built.home_members,
-            home_owners: built.home_owners,
-            home_fork: built.home_fork,
-            home_commit_rel: SimTime::ZERO,
-            verifies: Vec::new(),
-            idle_forks: built.remotes.into_iter().map(|r| r.fork).collect(),
-            missed: Vec::new(),
-            cost,
-            n_txs,
-            header_bytes,
-            body_bytes,
-            build_cost: built.build_cost,
-            block_tid,
-        };
-    };
-    let cert_bytes = report.quorum as u64 * CERT_ENTRY_BYTES;
+    let cert_bytes = quorum as u64 * CERT_ENTRY_BYTES;
 
     // Leader → remote-leader hops. Each hop draws its delay from the
     // remote cluster's own fork stream, so hop jitter is independent of
-    // sibling clusters and of when the remote PBFT later runs.
-    let mut verifies = Vec::with_capacity(built.remotes.len());
-    let mut idle_forks = Vec::new();
-    let mut missed = Vec::new();
-    for remote in built.remotes {
-        let mut fork = remote.fork;
-        let Some(remote_leader) = remote.leader else {
-            missed.push(remote.cluster);
-            idle_forks.push(fork);
+    // sibling clusters and of when the remote vote round later runs.
+    for leg in &mut flight.remotes {
+        let Some(remote_leader) = leg.leader else {
             continue;
         };
+        let cluster = Some(u64::from(leg.cluster.get()));
         if tracing {
-            fork.set_trace_ctx(ici_trace::SendCtx {
+            leg.fork.set_trace_ctx(ici_trace::SendCtx {
                 sends: true,
-                at_us: home_commit_rel.as_micros(),
+                at_us: home_commit.as_micros(),
                 height,
-                cluster: Some(u64::from(remote.cluster.get())),
+                cluster,
                 parent: block_tid,
             });
         }
-        let hop_tid = fork.next_send_trace_id();
-        let Some(delay) = fork
+        let hop_tid = leg.fork.next_send_trace_id();
+        let Some(delay) = leg
+            .fork
             .send(
-                built.leader,
+                flight.proposer,
                 remote_leader,
                 MessageKind::BlockFull,
-                header_bytes + body_bytes + cert_bytes,
+                HEADER_BYTES + body_bytes + cert_bytes,
             )
             .delay()
         else {
-            missed.push(remote.cluster);
-            idle_forks.push(fork);
             continue;
         };
         // The remote leader checks the commit certificate before
         // re-proposing locally.
-        let arrival_rel = home_commit_rel + delay + cost.verify_signatures(report.quorum);
+        let arrival = home_commit + delay + flight.cost.verify_signatures(quorum);
         if tracing {
-            fork.set_trace_ctx(ici_trace::SendCtx {
+            leg.fork.set_trace_ctx(ici_trace::SendCtx {
                 sends: false,
-                at_us: arrival_rel.as_micros(),
+                at_us: arrival.as_micros(),
                 height,
-                cluster: Some(u64::from(remote.cluster.get())),
+                cluster,
                 parent: hop_tid,
             });
         }
-        verifies.push(RemoteVerify {
-            cluster: remote.cluster,
-            members: remote.members,
-            leader: remote_leader,
-            owners: remote.owners,
-            fork,
-            arrival_rel,
-        });
+        leg.arrival = Some(arrival);
     }
     if tracing {
         ici_trace::stage(
             "core/distribute",
-            0,
-            home_commit_rel.as_micros(),
+            proposed_at.as_micros(),
+            home_commit.saturating_since(proposed_at).as_micros(),
             height,
-            Some(u64::from(built.home.get())),
-            Some(built.leader.get()),
+            Some(u64::from(flight.home.cluster.get())),
+            Some(flight.proposer.get()),
             body_bytes + cert_bytes,
             ici_trace::derive_id(block_tid, 4),
             block_tid,
         );
     }
-
-    DistributedHeight {
-        failed: None,
-        height,
-        parent: built.parent,
-        block: built.block,
-        home: built.home,
-        leader: built.leader,
-        home_members: built.home_members,
-        home_owners: built.home_owners,
-        home_fork: built.home_fork,
-        home_commit_rel,
-        verifies,
-        idle_forks,
-        missed,
-        cost,
-        n_txs,
-        header_bytes,
-        body_bytes,
-        build_cost: built.build_cost,
-        block_tid,
-    }
+    Ok(home_commit)
 }
 
-/// Stage 3: every remote cluster's PBFT round (collaborative verify +
-/// votes), one after another, zero-based.
-///
-/// A free function over an owned payload so a pipeline worker can run
-/// it without touching [`IciNetwork`].
-pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
+/// Stage 3: the vote round (collaborative verify + votes) of every
+/// remote cluster the block reached, one after another. Runs only for a
+/// height whose home cluster committed, at `home_commit`.
+fn stage_verify(flight: &mut HeightInFlight, home_commit: SimTime) {
     let _span = ici_telemetry::span!("core/stage_verify");
-    let tracing = ici_trace::enabled();
-    let cost = distributed.cost;
-    let header_bytes = distributed.header_bytes;
-    let body_bytes = distributed.body_bytes;
-    let n_txs = distributed.n_txs;
-    let height = distributed.height;
-
-    let mut cluster_commits_rel = BTreeMap::new();
-    let mut committed = Vec::new();
-    let mut missed = distributed.missed;
-    let mut remote_forks = Vec::new();
-    if distributed.failed.is_none() {
-        cluster_commits_rel.insert(distributed.home, distributed.home_commit_rel);
-        committed.push(ClusterStorage {
-            members: distributed.home_members,
-            owners: distributed.home_owners,
-        });
-        for rv in distributed.verifies {
-            let _cluster_span =
-                ici_telemetry::span!("core/remote_commit", cluster = rv.cluster.get());
-            let mut fork = rv.fork;
-            let c_remote = rv.members.len();
-            let owners = &rv.owners;
-            let report = run_pbft_commit(
-                &mut fork,
-                PbftInputs {
-                    members: &rv.members,
-                    leader: rv.leader,
-                    start: rv.arrival_rel,
-                    payload: |m| {
-                        if owners.contains(&m) {
-                            (MessageKind::BlockBody, header_bytes + body_bytes)
-                        } else {
-                            (MessageKind::BlockHeader, header_bytes)
-                        }
-                    },
-                    validation: |_| {
-                        cost.collaborative_member_validation(n_txs, body_bytes, c_remote)
-                    },
-                },
-            );
-            remote_forks.push(fork);
-            match report.quorum_commit() {
-                Some(t) => {
-                    cluster_commits_rel.insert(rv.cluster, t);
-                    committed.push(ClusterStorage {
-                        members: rv.members,
-                        owners: rv.owners,
-                    });
-                }
-                None => missed.push(rv.cluster),
-            }
+    let mut network_commit = home_commit;
+    for leg in &mut flight.remotes {
+        let (Some(leader), Some(arrival)) = (leg.leader, leg.arrival) else {
+            continue;
+        };
+        let _cluster_span = ici_telemetry::span!("core/remote_commit", cluster = leg.cluster.get());
+        vote_round(leg, leader, arrival, &flight.block, &flight.cost);
+        if let Some(at) = leg.commit {
+            network_commit = network_commit.max(at);
         }
     }
-    remote_forks.extend(distributed.idle_forks);
-    // The home cluster's commit is always in the map on success, so
-    // `max` has a witness; fall back to it rather than panicking.
-    let network_commit_rel = cluster_commits_rel
-        .values()
-        .max()
-        .copied()
-        .unwrap_or(distributed.home_commit_rel);
-    if tracing && distributed.failed.is_none() {
+    if ici_trace::enabled() {
         ici_trace::stage(
             "core/verify",
-            distributed.home_commit_rel.as_micros(),
-            network_commit_rel
-                .saturating_since(distributed.home_commit_rel)
-                .as_micros(),
-            height,
+            home_commit.as_micros(),
+            network_commit.saturating_since(home_commit).as_micros(),
+            flight.block.height(),
             None,
             None,
-            body_bytes,
-            ici_trace::derive_id(distributed.block_tid, 5),
-            distributed.block_tid,
+            flight.block.body_len() as u64,
+            ici_trace::derive_id(flight.block_tid, 5),
+            flight.block_tid,
         );
-    }
-
-    VerifiedHeight {
-        failed: distributed.failed,
-        height,
-        parent: distributed.parent,
-        block: distributed.block,
-        home: distributed.home,
-        leader: distributed.leader,
-        home_fork: distributed.home_fork,
-        remote_forks,
-        home_commit_rel: distributed.home_commit_rel,
-        cluster_commits_rel,
-        committed,
-        network_commit_rel,
-        missed,
-        n_txs,
-        body_bytes,
-        build_cost: distributed.build_cost,
-        block_tid: distributed.block_tid,
     }
 }
 
@@ -1101,9 +893,8 @@ mod tests {
         assert_eq!(store.parent, block.id);
         assert_eq!(store.at_us, record.network_commit.as_micros());
 
-        // The pipeline stage spans descend from the block root and sit
-        // inside its [proposed_at, network_commit] window after the
-        // commit-time shift.
+        // The stage spans descend from the block root and sit inside
+        // its [proposed_at, network_commit] window.
         let dist = snap
             .events
             .iter()
@@ -1218,5 +1009,104 @@ mod tests {
             .clone();
         assert_eq!(record.proposer, reference.proposer);
         assert_eq!(record.height, 1);
+    }
+
+    #[test]
+    fn after_commit_sees_every_height_in_order() {
+        let mut net = network(32, 8, 2);
+        let mut seen = Vec::new();
+        net.propose_blocks(
+            (0..4).map(|round| transfers(3, round)).collect(),
+            |net, index| {
+                seen.push((index, net.commit_log().len()));
+            },
+        )
+        .expect("commits");
+        assert_eq!(seen, [(0, 1), (1, 2), (2, 3), (3, 4)]);
+    }
+
+    /// Four followers of height 1's home cluster: with them crashed the
+    /// cluster is two short of its quorum of six.
+    fn home_followers(net: &IciNetwork) -> Vec<NodeId> {
+        let home = net.proposer_cluster(1).expect("live cluster");
+        let proposer = network(32, 8, 2)
+            .propose_block(Vec::new())
+            .expect("commits")
+            .proposer;
+        net.membership()
+            .active_members(home)
+            .into_iter()
+            .filter(|&m| m != proposer)
+            .take(4)
+            .collect()
+    }
+
+    #[test]
+    fn height_that_loses_home_quorum_leaves_only_its_traffic() {
+        let mut net = network(32, 8, 2);
+        let home = net.proposer_cluster(1).expect("live cluster");
+        let victims = home_followers(&net);
+        let tip = *net.tip();
+        let state_root = net.state().root();
+        let holdings = net.holdings.clone();
+
+        let err = net
+            .propose_block_staged(transfers(3, 0), |stage, sim| {
+                if stage == StageBoundary::AfterBuild {
+                    for &victim in &victims {
+                        sim.crash(victim);
+                    }
+                }
+            })
+            .expect_err("four of eight cannot reach a quorum of six");
+        // `live` is what the vote saw, not what the build saw.
+        assert_eq!(
+            err,
+            IciError::NoQuorum {
+                cluster: home.get(),
+                live: 4,
+                needed: 6
+            }
+        );
+        // The failed round's messages are on the meter: 7 pre-prepares,
+        // then 7 prepares from each of the 4 live members; nobody
+        // prepared, so no commit votes and no leader-to-leader hops.
+        assert_eq!(net.net().meter().total().messages, 7 + 4 * 7);
+        // Nothing else moved.
+        assert_eq!(net.chain_len(), 1);
+        assert_eq!(*net.tip(), tip);
+        assert_eq!(net.now(), SimTime::ZERO);
+        assert_eq!(net.state().root(), state_root);
+        assert!(net.commit_log().is_empty());
+        assert_eq!(net.holdings, holdings);
+    }
+
+    #[test]
+    fn propose_blocks_stops_at_the_first_failed_height() {
+        let mut net = network(32, 8, 2);
+        for victim in home_followers(&net) {
+            net.crash_node(victim).expect("known node");
+        }
+        let mut twin = network(32, 8, 2);
+        for victim in home_followers(&twin) {
+            twin.crash_node(victim).expect("known node");
+        }
+        let one_failed_height = {
+            twin.propose_block(transfers(3, 0)).expect_err("no quorum");
+            twin.net().meter().total()
+        };
+
+        let mut reported = Vec::new();
+        let err = net
+            .propose_blocks(
+                (0..3).map(|round| transfers(3, round)).collect(),
+                |_, index| reported.push(index),
+            )
+            .expect_err("the first height cannot commit");
+        assert!(matches!(err, IciError::NoQuorum { live: 4, .. }), "{err}");
+        assert!(reported.is_empty(), "a failed batch was reported");
+        assert_eq!(net.chain_len(), 1);
+        // A second built height would have sent its own failed round.
+        assert_eq!(net.net().meter().total(), one_failed_height);
     }
 }

@@ -31,13 +31,11 @@ pub struct Config {
     pub determinism_crates: Vec<String>,
     /// Path substrings (forward slashes) sanctioned to read the process
     /// environment (`env-read` rule). Reserved for configuration entry
-    /// points like the ici-par thread-count and pipeline-depth
-    /// overrides (`ICI_PAR_THREADS`, `ICI_PIPELINE_DEPTH`), both
-    /// scheduling-only.
+    /// points like the ici-par thread-count override
+    /// (`ICI_PAR_THREADS`), which is scheduling-only.
     pub env_read_files: Vec<String>,
-    /// Crates allowed to spawn OS threads (`rogue-thread` rule). The
-    /// lifecycle stage machine borrows its workers from ici-par's
-    /// `stage_scope`, keeping every other crate thread-free.
+    /// Crates allowed to spawn OS threads (`rogue-thread` rule): the
+    /// ici-par pool, keeping every other crate thread-free.
     pub thread_crates: Vec<String>,
 }
 

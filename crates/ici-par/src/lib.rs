@@ -63,8 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
-
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -113,7 +111,7 @@ thread_local! {
 /// only means another thread panicked mid-critical-section; the queue
 /// and counters stay structurally valid, and dropping work on the
 /// floor would deadlock callers.
-pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -150,88 +148,19 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Environment variable sizing the block-lifecycle pipeline at first
-/// use: how many heights may be in flight across the stage machine.
-/// `0`, `1` or unset is the sequential reference lifecycle: overlap is
-/// opt-in, because at simulated-message cost a block is a few thread
-/// wake-ups long and the stage machine has little left to hide (DESIGN.md,
-/// "Pipelined lifecycle", has the measurement).
-pub const PIPELINE_ENV_VAR: &str = "ICI_PIPELINE_DEPTH";
-
-/// Configured pipeline depth; `0` means "not set: the default of 1".
-static PIPELINE_DEPTH: AtomicUsize = AtomicUsize::new(0);
-static PIPELINE_ENV_READ: AtomicUsize = AtomicUsize::new(0);
-
-/// The configured block-pipeline depth (resolving `ICI_PIPELINE_DEPTH`
-/// on first use). With no explicit override the depth is 1, the
-/// sequential lifecycle, whatever [`threads`] says — committed
-/// artifacts are byte-identical at every depth, so this only changes
-/// scheduling.
+// Kept for the frozen benchmark only: `benchmark/src/surface.rs` prints
+// the depth on its host line and resets it between phases. The stage
+// machine they sized is gone — one height is in flight, always — so the
+// depth is the constant 1 and setting it does nothing. The next
+// `benchmark` PR removes both, with the depth-taking shim of
+// `IciNetwork::propose_blocks` in `ici-core`; nothing else may call
+// them.
+#[doc(hidden)]
 pub fn pipeline_depth() -> usize {
-    let current = PIPELINE_DEPTH.load(Ordering::Relaxed);
-    if current != 0 {
-        return current;
-    }
-    if PIPELINE_ENV_READ.swap(1, Ordering::Relaxed) == 0 {
-        let from_env = std::env::var(PIPELINE_ENV_VAR)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        if let Some(n) = from_env {
-            let n = n.min(MAX_THREADS);
-            PIPELINE_DEPTH.store(n, Ordering::Relaxed);
-            return n;
-        }
-    }
     1
 }
-
-/// Overrides the pipeline depth (clamped to `MAX_THREADS`); `0` reverts
-/// to the default of 1. Scheduling-only, like [`set_threads`].
-pub fn set_pipeline_depth(n: usize) {
-    PIPELINE_ENV_READ.store(1, Ordering::Relaxed);
-    PIPELINE_DEPTH.store(n.min(MAX_THREADS), Ordering::Relaxed);
-}
-
-/// Handle for spawning named, scoped pipeline-stage workers.
-///
-/// The workspace's `rogue-thread` lint confines OS-thread creation to
-/// this crate, so the stage machine in `ici-core` borrows its workers
-/// from here: [`stage_scope`] wraps [`std::thread::scope`], and every
-/// worker is named `ici-stage-<name>` for debuggers and profilers.
-/// Scoped workers may borrow from the caller's stack and are joined
-/// when the scope closes; a worker panic is re-raised at scope exit,
-/// mirroring [`par_map`]'s panic propagation.
-pub struct StageScope<'scope, 'env: 'scope> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> StageScope<'scope, 'env> {
-    /// Spawns a stage worker named `ici-stage-<name>`. Returns whether
-    /// the OS accepted the spawn; on `false` the closure is lost
-    /// (thread creation failed under resource exhaustion) and the
-    /// caller must degrade — with the stage machine, the worker's
-    /// channel endpoints die with the closure, so its neighbours
-    /// observe a disconnect rather than a hang.
-    pub fn spawn<F>(&self, name: &str, f: F) -> bool
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        std::thread::Builder::new()
-            .name(format!("ici-stage-{name}"))
-            .spawn_scoped(self.scope, f)
-            .is_ok()
-    }
-}
-
-/// Runs `f` with a [`StageScope`] whose workers are all joined before
-/// this returns (see [`std::thread::scope`]).
-pub fn stage_scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&StageScope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|scope| f(&StageScope { scope }))
-}
+#[doc(hidden)]
+pub fn set_pipeline_depth(_n: usize) {}
 
 /// Whether the current thread is a pool worker.
 fn in_worker() -> bool {
@@ -630,47 +559,5 @@ mod tests {
         assert_eq!(threads(), MAX_THREADS);
         set_threads(4);
         assert_eq!(threads(), 4);
-    }
-
-    #[test]
-    fn pipeline_depth_override_and_default() {
-        set_pipeline_depth(2);
-        assert_eq!(pipeline_depth(), 2);
-        set_pipeline_depth(MAX_THREADS + 5);
-        assert_eq!(pipeline_depth(), MAX_THREADS);
-        set_pipeline_depth(0);
-        // Unset is the sequential lifecycle, whatever the thread count.
-        set_threads(4);
-        assert_eq!(pipeline_depth(), 1);
-        set_pipeline_depth(4);
-        assert_eq!(pipeline_depth(), 4);
-        set_pipeline_depth(0);
-    }
-
-    #[test]
-    fn stage_scope_workers_drive_a_two_stage_pipeline() {
-        // Wide enough that the non-interleaved send-all-then-recv-all
-        // pattern below cannot fill either queue.
-        let (tx_a, rx_a) = channel::bounded::<u64>(8);
-        let (tx_b, rx_b) = channel::bounded::<u64>(8);
-        let out = stage_scope(|scope| {
-            assert!(scope.spawn("double", move || {
-                while let Ok(x) = rx_a.recv() {
-                    if tx_b.send(x * 2).is_err() {
-                        break;
-                    }
-                }
-            }));
-            let mut out = Vec::new();
-            for x in 0..8u64 {
-                tx_a.send(x).expect("worker alive");
-            }
-            drop(tx_a);
-            while let Ok(y) = rx_b.recv() {
-                out.push(y);
-            }
-            out
-        });
-        assert_eq!(out, (0..8u64).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -146,11 +146,10 @@ impl RoundSeries {
 /// `txs_per_block` transactions on every lane.
 ///
 /// The genesis allocation is derived from the workload so every
-/// generated transaction is funded. Batches are pre-generated so a
-/// pipelined strategy can keep several heights in flight; the
-/// cumulative counts reproduce the per-round mempool depth a lazy loop
-/// would have sampled, keeping the series identical at every pipeline
-/// depth.
+/// generated transaction is funded. Batches are generated up front,
+/// because [`Strategy::commit_all`] takes the whole run; the cumulative
+/// counts reproduce the per-round mempool depth a lazy loop would have
+/// sampled.
 ///
 /// # Panics
 ///
@@ -204,7 +203,7 @@ pub fn run<S: Strategy>(
 }
 
 /// [`run`] for ICIStrategy: `blocks` blocks of `txs_per_block`
-/// transactions through the pipelined lifecycle.
+/// transactions through [`IciNetwork::propose_blocks`].
 pub fn run_ici(
     config: IciConfig,
     blocks: usize,
@@ -345,24 +344,6 @@ mod tests {
         ici_par::set_threads(4);
         let (_, parallel) = run_ici(config(), 3, 5, workload());
         assert_eq!(serial, parallel, "summary must not depend on threads");
-    }
-
-    #[test]
-    fn jittery_summary_is_pipeline_depth_invariant() {
-        let config = || {
-            IciConfig::builder()
-                .nodes(24)
-                .cluster_size(8)
-                .replication(2)
-                .build()
-                .expect("valid")
-        };
-        ici_par::set_pipeline_depth(1);
-        let (_, serial) = run_ici(config(), 4, 5, workload());
-        ici_par::set_pipeline_depth(4);
-        let (_, piped) = run_ici(config(), 4, 5, workload());
-        ici_par::set_pipeline_depth(0);
-        assert_eq!(serial, piped, "summary must not depend on pipeline depth");
     }
 
     #[test]

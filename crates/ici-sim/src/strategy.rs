@@ -250,16 +250,16 @@ impl Strategy for IciNetwork {
         committed
     }
 
-    /// Fault-free ICI keeps the pipelined driver rather than calling
+    /// Fault-free ICI calls the network's own loop rather than
     /// [`Strategy::propose`] per round: routing it through the fault
-    /// loop would drop the overlap between heights and add a per-round
-    /// audit, and the committed records pin the pipelined run.
+    /// loop would add a per-round repair and audit, and the committed
+    /// records pin the run without them.
     fn commit_all(
         &mut self,
         batches: Vec<Vec<Transaction>>,
         after_round: impl FnMut(&IciNetwork, usize),
     ) {
-        self.propose_blocks_pipelined(batches, ici_par::pipeline_depth(), after_round)
+        self.propose_blocks(batches, after_round)
             .expect("block commits");
     }
 

@@ -187,25 +187,6 @@ pub fn merge_delta(delta: TelemetryDelta) {
     });
 }
 
-/// Runs `f` and returns its result together with the telemetry it
-/// recorded on this thread, isolated from state already buffered.
-///
-/// Pre-existing counters, histograms, spans, and events are held aside
-/// and restored before returning; the captured delta is handed to the
-/// caller to [`merge_delta`] at a deterministic point (the pipeline
-/// commit stage merges stage deltas in fixed stage order). When
-/// telemetry is disabled this is a plain call with an empty delta.
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TelemetryDelta) {
-    if !crate::enabled() {
-        return (f(), TelemetryDelta::default());
-    }
-    let held = drain_delta();
-    let out = f();
-    let captured = drain_delta();
-    merge_delta(held);
-    (out, captured)
-}
-
 /// Runs `f` with the thread's collector; silently skipped on re-entry.
 pub(crate) fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     COLLECTOR.with(|c| c.try_borrow_mut().ok().map(|mut c| f(&mut c)))

@@ -391,55 +391,6 @@ impl TraceDelta {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.dropped == 0
     }
-
-    /// Shifts every captured event's virtual timestamp forward by
-    /// `offset_us`.
-    ///
-    /// Pipeline stages execute on a zero-based clock (their absolute
-    /// start is unknown until the height commits); the commit stage
-    /// shifts each stage's delta by the block's `proposed_at` before
-    /// merging, which is exact because jitter and fault draws depend
-    /// only on the sequence stream, never on absolute time.
-    pub fn shift(&mut self, offset_us: u64) {
-        for event in &mut self.events {
-            event.at_us = event.at_us.saturating_add(offset_us);
-        }
-    }
-}
-
-/// Runs `f` and returns its result together with every trace event it
-/// recorded on this thread, isolated from events already buffered.
-///
-/// Events recorded before the call are held aside and restored — with
-/// their original sequence numbers — before returning, and the local
-/// sequence counter is rewound to its pre-call value. A later
-/// [`merge_delta`] of the captured delta therefore assigns exactly the
-/// seqs direct recording would have, which is what keeps canonical
-/// exports byte-identical whether a pipeline stage ran inline on this
-/// thread (depth 1) or on a stage worker (depth N). Nested `ici-par`
-/// calls inside `f` merge their worker deltas into this thread first,
-/// so they are captured too. When tracing is disabled this is a plain
-/// call with an empty delta.
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TraceDelta) {
-    if !enabled() {
-        return (f(), TraceDelta::default());
-    }
-    let (held_events, held_dropped, held_seq) = with_collector(|c| {
-        (
-            std::mem::take(&mut c.events),
-            std::mem::take(&mut c.dropped),
-            c.next_seq,
-        )
-    })
-    .unwrap_or_default();
-    let out = f();
-    let captured = drain_delta();
-    with_collector(|c| {
-        c.events = held_events;
-        c.dropped = held_dropped;
-        c.next_seq = held_seq;
-    });
-    (out, captured)
 }
 
 /// Drains the calling thread's buffered events. Cheap no-op when
@@ -586,43 +537,6 @@ mod tests {
         assert_eq!(names, ["t/after", "t/local"]);
         assert_eq!(snap.events[0].seq, 1);
         assert_eq!(snap.events[1].seq, 2);
-        reset();
-    }
-
-    #[test]
-    fn capture_is_seq_transparent() {
-        let _flag = flag_guard();
-        set_enabled(true);
-        reset();
-        stage_named("t/before");
-        let ((), delta) = capture(|| stage_named("t/inside"));
-        assert_eq!(delta.events.len(), 1);
-        // Deferred merge assigns exactly the seqs direct recording
-        // would have: before=0, inside=1, after=2.
-        merge_delta(delta);
-        stage_named("t/after");
-        set_enabled(false);
-        let snap = snapshot();
-        let names: Vec<_> = snap.events.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["t/before", "t/inside", "t/after"]);
-        let seqs: Vec<_> = snap.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [0, 1, 2]);
-        reset();
-    }
-
-    #[test]
-    fn shift_offsets_every_captured_timestamp() {
-        let _flag = flag_guard();
-        set_enabled(true);
-        reset();
-        let ((), mut delta) = capture(|| {
-            stage("t/s", 10, 5, 1, None, None, 0, mint_id(1), 0);
-            stage("t/s2", 20, 5, 1, None, None, 0, mint_id(2), 0);
-        });
-        set_enabled(false);
-        delta.shift(1000);
-        let at: Vec<_> = delta.events.iter().map(|e| e.at_us).collect();
-        assert_eq!(at, [1010, 1020]);
         reset();
     }
 

@@ -69,10 +69,8 @@ git diff --quiet -- 'results/e*.json' || {
     exit 1
 }
 
-echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1, pipeline depth 2)"
-# Depth 2 overlaps heights, so the stage machine's occupancy gauges and
-# stage spans must show up in the telemetry section.
-ICI_TELEMETRY=1 ICI_PIPELINE_DEPTH=2 cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
+echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1)"
+ICI_TELEMETRY=1 cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
 python3 - <<'EOF'
 import json
 with open("results/e1.json") as f:
@@ -82,10 +80,6 @@ assert t is not None, "results/e1.json has no telemetry section"
 assert t["spans"], "telemetry.spans is empty"
 assert t["counters"], "telemetry.counters is empty"
 subsystems = {s["name"].split("/", 1)[0] for s in t["spans"]}
-gauges = {g["name"] for g in t["gauges"]}
-assert "pipeline/in_flight" in gauges, f"pipeline occupancy gauge missing: {sorted(gauges)}"
-assert any(g.startswith("pipeline/queue_") for g in gauges), \
-    f"pipeline queue-depth gauges missing: {sorted(gauges)}"
 stage_spans = {s["name"] for s in t["spans"] if s["name"].startswith("core/stage_")}
 assert {"core/stage_build", "core/stage_distribute", "core/stage_verify",
         "core/stage_commit"} <= stage_spans, f"lifecycle stage spans missing: {stage_spans}"
@@ -96,36 +90,32 @@ for key in ("committed_txs", "mempool_depth", "live_nodes", "stored_bytes", "tra
     assert key in sample, f"series sample missing {key}"
 print(f"    telemetry OK: {len(t['spans'])} span rows, "
       f"{len(t['counters'])} counters, subsystems: {', '.join(sorted(subsystems))}")
-print(f"    pipeline OK: occupancy + queue gauges and all four stage spans present")
+print(f"    lifecycle OK: all four stage spans present")
 print(f"    series OK: {len(series)} runs, "
       f"{sum(len(s['samples']) for s in series)} round samples")
 EOF
 
-echo "==> causal trace smoke (E1 with ICI_TRACE=1, depth {1,4} x threads {1,4})"
-# Depth- and thread-count determinism: the canonical event log and the
-# Chrome export must come out byte-identical whether the lifecycle runs
-# sequentially (depth 1, the reference path) or overlapped (depth 4),
-# on a serial or a 4-wide pool — and the canonical log must match the
-# committed baseline at every matrix point.
+echo "==> causal trace smoke (E1 with ICI_TRACE=1, threads {1,4})"
+# Thread-count determinism: the canonical event log and the Chrome
+# export must come out byte-identical on a serial and on a 4-wide pool
+# — and the canonical log must match the committed baseline on both.
 first=1
-for depth in 1 4; do
-    for t in 1 4; do
-        ICI_TRACE=1 ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
-        if [ "$first" = 1 ]; then
-            cp results/TRACE_e1.chrome.json results/TRACE_e1.chrome.ref.json
-            first=0
-        else
-            cmp results/TRACE_e1.chrome.ref.json results/TRACE_e1.chrome.json || {
-                echo "chrome trace diverged at depth=$depth threads=$t"; exit 1;
-            }
-        fi
-        git diff --quiet -- results/TRACE_e1.json || {
-            echo "trace drifted from committed results/TRACE_e1.json at depth=$depth threads=$t;"
-            echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
-            exit 1
+for t in 1 4; do
+    ICI_TRACE=1 ICI_PAR_THREADS=$t \
+        cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
+    if [ "$first" = 1 ]; then
+        cp results/TRACE_e1.chrome.json results/TRACE_e1.chrome.ref.json
+        first=0
+    else
+        cmp results/TRACE_e1.chrome.ref.json results/TRACE_e1.chrome.json || {
+            echo "chrome trace diverged at threads=$t"; exit 1;
         }
-    done
+    fi
+    git diff --quiet -- results/TRACE_e1.json || {
+        echo "trace drifted from committed results/TRACE_e1.json at threads=$t;"
+        echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
+        exit 1
+    }
 done
 rm results/TRACE_e1.chrome.ref.json
 # Tracing must never leak into the result record itself.
@@ -151,28 +141,25 @@ with open("results/TRACE_e1.json") as f:
 assert canonical["dropped"] == 0, "e1 trace overflowed the event ring"
 assert len(canonical["events"]) == len(slices), "canonical/chrome event counts differ"
 print(f"    trace OK: {len(slices)} events on {len(last)} tracks, "
-      f"byte-identical across depth {{1,4}} x threads {{1,4}}")
+      f"byte-identical across threads {{1,4}}")
 EOF
 rm results/TRACE_e1.chrome.json
 
 # replay_matrix <bin> <record>: a pinned-seed experiment must replay
-# byte for byte, stay put across pipeline depth {1,4} x threads {1,4}
-# (depth 1 is the sequential reference lifecycle), and match the
-# committed record.
+# byte for byte, stay put across threads {1,4}, and match the committed
+# record.
 replay_matrix() {
-    local bin="$1" record="$2" depth t
+    local bin="$1" record="$2" t
     cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
     cp "$record" "$record.ref"
     cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
     cmp "$record.ref" "$record" || { echo "$bin did not replay byte for byte"; exit 1; }
-    for depth in 1 4; do
-        for t in 1 4; do
-            ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-                cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
-            cmp "$record.ref" "$record" || {
-                echo "$record diverged at depth=$depth threads=$t"; exit 1;
-            }
-        done
+    for t in 1 4; do
+        ICI_PAR_THREADS=$t \
+            cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
+        cmp "$record.ref" "$record" || {
+            echo "$record diverged at threads=$t"; exit 1;
+        }
     done
     rm "$record.ref"
     git diff --quiet -- "$record" || {
@@ -181,10 +168,10 @@ replay_matrix() {
         exit 1
     }
     echo "    determinism OK: $record replays, matches the committed record, and is"
-    echo "    byte-identical across depth {1,4} x threads {1,4}"
+    echo "    byte-identical across threads {1,4}"
 }
 
-echo "==> fault-injection smoke (E-fault, pinned seed: replay, depth x threads, drift)"
+echo "==> fault-injection smoke (E-fault, pinned seed: replay, threads, drift)"
 replay_matrix e_fault results/e_fault.json
 python3 - <<'EOF'
 import json
@@ -232,7 +219,7 @@ EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 
-echo "==> Byzantine smoke (E-byz, pinned seed: replay, depth x threads, drift)"
+echo "==> Byzantine smoke (E-byz, pinned seed: replay, threads, drift)"
 replay_matrix e_byz results/e_byz.json
 python3 - <<'EOF'
 import json
@@ -349,17 +336,14 @@ ICI_PAR_THREADS=1 cargo test -q --release --test shrink_determinism --test repro
 ICI_PAR_THREADS=4 cargo test -q --release --test shrink_determinism --test reproducers
 echo "    shrinker OK: minimal reproducer pinned at 1 and 4 threads"
 
-echo "==> parallel speedup bench (E1 + E7, 1 vs 4 threads, pipelined lifecycle)"
-# An unset ICI_PIPELINE_DEPTH is the sequential lifecycle at any thread
-# count, so the depth is set on both legs: the serial leg runs the
-# sequential reference lifecycle (1 thread, depth 1) and the parallel
-# leg overlaps 4 heights across the stage machine on a 4-wide pool.
+echo "==> parallel speedup bench (E1 + E7, 1 vs 4 threads)"
+# What the ici-par pool alone buys each experiment end to end.
 # Best-of-3 keeps scheduler noise out of the committed trajectory.
-bench_wall() { # bench_wall <bin> <threads = depth> -> best-of-3 wall seconds
+bench_wall() { # bench_wall <bin> <threads> -> best-of-3 wall seconds
     local best="inf" start end
     for _ in 1 2 3; do
         start=$(python3 -c 'import time; print(time.monotonic())')
-        ICI_PAR_THREADS="$2" ICI_PIPELINE_DEPTH="$2" \
+        ICI_PAR_THREADS="$2" \
             cargo run -q --release -p ici-bench --bin "$1" >/dev/null
         end=$(python3 -c 'import time; print(time.monotonic())')
         best=$(python3 -c "print(min(float('$best'), $end - $start))")
@@ -378,9 +362,8 @@ MAX_THREADS = 256  # ici_par::MAX_THREADS
 host_cpus = os.cpu_count() or 1
 # What ici-par actually resolves for ICI_PAR_THREADS=4: the env value
 # clamped to MAX_THREADS (the pool oversubscribes a narrower host).
-# Recorded per run so scripts/bench_compare can judge each speedup gate
-# against the hardware that produced it (advisory when host_cpus <
-# effective_threads).
+# Recorded per run so a reader can judge each speedup against the
+# hardware that produced it.
 effective = min(REQUESTED, MAX_THREADS)
 def run(bin_name, serial, parallel):
     return {"bin": bin_name, "host_cpus": host_cpus,
@@ -389,7 +372,7 @@ def run(bin_name, serial, parallel):
             "speedup": round(serial / parallel, 3) if parallel > 0 else None}
 record = {
     "id": "BENCH_par",
-    "title": "ici-par wall-clock: serial vs 4-wide pool, pipelined lifecycle",
+    "title": "ici-par wall-clock: serial vs 4-wide pool",
     "host_cpus": host_cpus,
     "effective_threads": effective,
     "runs": [
@@ -404,11 +387,10 @@ for r in record["runs"]:
     print(f"    {r['bin']}: {r['serial_s']:.2f}s serial, "
           f"{r['parallel_s']:.2f}s at 4 threads ({r['speedup']}x, best of 3)")
 if host_cpus < effective:
-    # Annotate, don't fail: speedup on a width-clamped host is bounded by
-    # the hardware, not by the decomposition (bench_compare turns the
-    # speedup floors advisory from the per-run fields).
+    # Speedup on a width-clamped host is bounded by the hardware, not by
+    # the decomposition.
     print(f"    note: host has {host_cpus} CPU(s) < {effective} "
-          f"pool threads - width-clamped, speedup gates advisory")
+          f"pool threads - width-clamped")
 EOF
 
 echo "==> allocation bench (ICI_ALLOC_STATS=1, e1/e7/e_fault at 4 threads)"

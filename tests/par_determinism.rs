@@ -10,8 +10,10 @@
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, KMeansConfig};
 use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
+use ici_faults::plan::ChurnConfig;
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
+use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
 use ici_sim::{run_ici, ExperimentRecord, Table};
 use icistrategy::prelude::*;
 
@@ -23,6 +25,26 @@ fn under_both_pools<T>(f: impl Fn() -> T) -> (T, T) {
     ici_par::set_threads(4);
     let parallel = f();
     (serial, parallel)
+}
+
+/// The deployment the whole-run cases share. Jittery default link:
+/// arrival times go through the forked sequence streams, so the full
+/// lifecycle determinism story is on the line.
+fn config(seed: u64) -> IciConfig {
+    IciConfig::builder()
+        .nodes(24)
+        .cluster_size(8)
+        .replication(2)
+        .seed(seed)
+        .build()
+        .expect("valid")
+}
+
+fn workload() -> WorkloadConfig {
+    WorkloadConfig {
+        accounts: 32,
+        ..WorkloadConfig::default()
+    }
 }
 
 #[test]
@@ -84,22 +106,7 @@ fn trace_exports_are_identical_across_thread_counts() {
     let (serial, parallel) = under_both_pools(|| {
         ici_trace::set_enabled(true);
         ici_trace::reset();
-        let config = IciConfig::builder()
-            .nodes(24)
-            .cluster_size(8)
-            .replication(2)
-            .seed(5)
-            .build()
-            .expect("valid");
-        let _ = run_ici(
-            config,
-            3,
-            5,
-            WorkloadConfig {
-                accounts: 32,
-                ..WorkloadConfig::default()
-            },
-        );
+        let _ = run_ici(config(5), 3, 5, workload());
         let snap = ici_trace::snapshot();
         ici_trace::set_enabled(false);
         ici_trace::reset();
@@ -122,25 +129,8 @@ fn trace_exports_are_identical_across_thread_counts() {
 
 #[test]
 fn experiment_record_json_is_identical_across_thread_counts() {
-    // Jittery default link: arrival times go through the forked sequence
-    // streams, so this exercises the full lifecycle determinism story.
     let (serial, parallel) = under_both_pools(|| {
-        let config = IciConfig::builder()
-            .nodes(24)
-            .cluster_size(8)
-            .replication(2)
-            .seed(5)
-            .build()
-            .expect("valid");
-        let (_, summary) = run_ici(
-            config,
-            3,
-            5,
-            WorkloadConfig {
-                accounts: 32,
-                ..WorkloadConfig::default()
-            },
-        );
+        let (_, summary) = run_ici(config(5), 3, 5, workload());
         let mut table = Table::new("determinism probe", ["metric", "value"]);
         table.row([
             "mean storage bytes".to_string(),
@@ -163,4 +153,55 @@ fn experiment_record_json_is_identical_across_thread_counts() {
         .to_json()
     });
     assert_eq!(serial, parallel);
+}
+
+#[test]
+fn round_series_json_is_identical_across_thread_counts() {
+    // The per-round series rides the telemetry gate, so no committed
+    // record carries it; this is the check that it too is a function of
+    // the run alone.
+    let (serial, parallel) = under_both_pools(|| {
+        ici_telemetry::set_enabled(true);
+        let _ = ici_trace::series::drain();
+        let _ = run_ici(config(5), 3, 5, workload());
+        let series = ici_trace::series::drain();
+        ici_telemetry::set_enabled(false);
+        let _ = ici_telemetry::drain_delta();
+        ici_trace::series::render_json(&series, "")
+    });
+    assert!(
+        serial.contains("\"samples\""),
+        "run registered no per-round series"
+    );
+    assert_eq!(serial, parallel, "round series diverged");
+}
+
+#[test]
+fn stage_boundary_fault_plan_replays_identically_across_thread_counts() {
+    // A crash landing *between* lifecycle stages must replay exactly:
+    // the staged lifecycle re-syncs every fork's liveness at each
+    // boundary from one authoritative network.
+    let profile = FaultProfile {
+        seed: 11,
+        rounds: 10,
+        churn: ChurnConfig {
+            crash_prob: 0.08,
+            restart_prob: 0.4,
+            min_live_per_cluster: 3,
+            ..ChurnConfig::default()
+        },
+        stage_churn: StageChurn { interval: 2 },
+        ..FaultProfile::default()
+    };
+    let (serial, parallel) = under_both_pools(|| {
+        let (_, summary) =
+            run_ici_under_faults(config(7), 4, workload(), profile).expect("plan builds");
+        summary
+    });
+    assert!(
+        serial.stage_crash_events > 0,
+        "stage churn never fired: {}",
+        serial.plan_render
+    );
+    assert_eq!(serial, parallel, "fault replay diverged");
 }

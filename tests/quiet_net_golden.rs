@@ -9,8 +9,7 @@
 //! per-message vote exchange, so they pin the closed form against it:
 //! per-height proposal and commit instants, per-height traffic, the
 //! per-class table, a digest over every node's sent and received
-//! counters, and the final clock — at pipeline depth {1, 4} ×
-//! `ici-par` threads {1, 4}.
+//! counters, and the final clock — at `ici-par` threads {1, 4}.
 //!
 //! Clusters and committees are larger than 16 and carry crashed
 //! members, so quorums are reached with votes missing and the
@@ -36,15 +35,13 @@ fn workload() -> WorkloadGenerator {
     })
 }
 
-/// Runs `line` over depth {1, 4} × threads {1, 4} and checks each
-/// against the pinned text.
+/// Runs `line` at threads {1, 4} and checks each against the pinned
+/// text.
 fn pinned(expected: &str, line: impl Fn() -> String) {
-    for (depth, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-        ici_par::set_pipeline_depth(depth);
+    for threads in [1, 4] {
         ici_par::set_threads(threads);
-        assert_eq!(line(), expected, "at depth {depth}, {threads} thread(s)");
+        assert_eq!(line(), expected, "at {threads} thread(s)");
     }
-    ici_par::set_pipeline_depth(0);
     ici_par::set_threads(1);
 }
 
@@ -96,7 +93,7 @@ fn ici_line() -> String {
     let mut workload = workload();
     let mut run = |net: &mut IciNetwork| {
         let batches: Vec<Vec<Transaction>> = (0..3).map(|_| workload.batch(8)).collect();
-        net.propose_blocks_pipelined(batches, ici_par::pipeline_depth(), |_, _| {})
+        net.propose_blocks(batches, |_, _| {})
             .expect("every height commits");
     };
     run(&mut net);

@@ -231,8 +231,7 @@ fn committing_blocks_never_touches_the_locator() {
     net.propose_block_staged(workload.batch(5), |_, _| {})
         .expect("commits");
     let batches = (0..4).map(|_| workload.batch(5)).collect();
-    net.propose_blocks_pipelined(batches, 2, |_, _| {})
-        .expect("commits");
+    net.propose_blocks(batches, |_, _| {}).expect("commits");
     assert_eq!(net.chain_len(), 7);
     assert_eq!(net.tx_locator().indexed_blocks(), 0);
 
