@@ -175,63 +175,45 @@ impl RapidChainNetwork {
         }
     }
 
-    /// Commits one block per entry of `batches` (shard id, pending txs),
-    /// with every shard's proposal running concurrently on the `ici-par`
-    /// pool — committees are disjoint, so shards only meet at the meter.
+    /// Commits one block per entry of `batches` (shard id, pending txs) —
+    /// committees are disjoint, so shards only meet at the meter.
     ///
     /// Each proposal runs on a [`Network::fork`] (stream = shard id), which
     /// doubles as its **per-record traffic meter**: the fork starts at zero,
     /// so its totals are exactly the commit's messages/bytes, with no
-    /// before/after diff against the shared meter — the coupling that used
-    /// to force shards to commit one at a time. Forks are absorbed and
-    /// results applied in `batches` order, so the commit log and aggregate
-    /// meter are identical at any `ICI_PAR_THREADS`.
+    /// before/after diff against the shared meter. Every fork is taken
+    /// before the round's first proposal runs, and forks are absorbed and
+    /// results applied in `batches` order after the last one has.
     ///
     /// Entries must name distinct shards: a duplicate builds on the parent
-    /// snapshotted before the round, fails the apply-time parent check, and
+    /// as it stood before the round, fails the apply-time parent check, and
     /// reports `None`. Returns each entry's committed height.
     pub fn propose_round(
         &mut self,
         batches: Vec<(usize, Vec<Transaction>)>,
     ) -> Vec<Option<Height>> {
-        struct ShardJob {
-            shard: usize,
-            committee: Vec<NodeId>,
-            parent: BlockHeader,
-            state: WorldState,
-            clock: SimTime,
-            pending: Vec<Transaction>,
-            fork: Network,
-        }
-        let jobs: Vec<ShardJob> = batches
-            .into_iter()
-            .map(|(shard, pending)| ShardJob {
-                committee: self.committee(shard).to_vec(),
-                parent: *self.shard_chains[shard].last().expect("genesis").header(),
-                state: self.shard_states[shard].clone(),
-                clock: self.shard_clocks[shard],
-                fork: self.net.fork(shard as u64),
-                shard,
-                pending,
-            })
+        let forks: Vec<Network> = batches
+            .iter()
+            .map(|(shard, _)| self.net.fork(*shard as u64))
             .collect();
         self.net.advance_stream();
-        let cost = self.config.cost.clone();
-        let ida = self.config.ida.clone();
-        let outcomes = ici_par::par_map(jobs, move |_, job| {
-            let mut fork = job.fork;
-            let result = RapidChainNetwork::propose_in(
-                &mut fork,
-                &cost,
-                &ida,
-                &job.committee,
-                job.parent,
-                &job.state,
-                job.clock,
-                job.pending,
-            );
-            (job.shard, result, fork)
-        });
+        let outcomes: Vec<_> = batches
+            .into_iter()
+            .zip(forks)
+            .map(|((shard, pending), mut fork)| {
+                let result = RapidChainNetwork::propose_in(
+                    &mut fork,
+                    &self.config.cost,
+                    &self.config.ida,
+                    self.committee(shard),
+                    *self.shard_chains[shard].last().expect("genesis").header(),
+                    &self.shard_states[shard],
+                    self.shard_clocks[shard],
+                    pending,
+                );
+                (shard, result, fork)
+            })
+            .collect();
         let mut heights = Vec::with_capacity(outcomes.len());
         for (shard, result, fork) in outcomes {
             self.net.absorb(fork);

@@ -12,8 +12,7 @@
 //! Two output channels, deliberately separate:
 //!
 //! * `results/e_scale.json` — deterministic tables only (counts, roots,
-//!   ratios). Byte-identical across the shards {1,4} × threads {1,4}
-//!   matrix; CI compares them.
+//!   ratios). Byte-identical at shards 1 and 4; CI compares them.
 //! * A `SCALE_STATS` stdout line — wall-clock throughput, commit-latency
 //!   percentiles, and the allocator's peak-live-bytes high-water mark.
 //!   Host-dependent, so it feeds the regenerated
@@ -59,7 +58,6 @@ fn main() {
         Scale::Paper => (1_000_000, 60, 1_000),
     };
     let shard_count = ici_chain::shard::state_shards();
-    let threads = ici_par::threads();
 
     // Funded universe + two long-lived states: the proposer's and an
     // independent validator's (advanced in place — no per-block clone).
@@ -269,7 +267,7 @@ fn main() {
         p99_ns: 0,
     });
     println!(
-        "SCALE_STATS id=E_scale accounts={accounts} shards={shard_count} threads={threads} \
+        "SCALE_STATS id=E_scale accounts={accounts} shards={shard_count} \
          committed={committed_txs} wall_s={wall_s:.3} tps={:.1} commit_p50_ns={} \
          commit_p90_ns={} commit_p99_ns={} peak_live_bytes={}",
         committed_txs as f64 / wall_s,

@@ -230,9 +230,7 @@ impl Block {
         MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.transactions))
     }
 
-    /// Streams every transaction encoding into a leaf hasher. Not pooled:
-    /// a fan-out needs an owned copy of every transaction and measured
-    /// slower than this loop over the borrowed body (ROADMAP item 1).
+    /// Streams every transaction encoding into a leaf hasher.
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
         transactions
             .iter()

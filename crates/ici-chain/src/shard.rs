@@ -12,8 +12,8 @@
 //! default 1 = the sequential reference path): a power of two in
 //! `[1, 64]`, so every logical bucket lies wholly inside one physical
 //! shard and both the v1 and v2 commitments are independent of the
-//! shard count. Like `ICI_PAR_THREADS`, the knob is scheduling/layout
-//! only — committed artifacts are byte-identical at every setting.
+//! shard count. The knob is layout only — committed artifacts are
+//! byte-identical at every setting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

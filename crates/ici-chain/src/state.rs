@@ -24,7 +24,7 @@
 //!   cached bucket roots in bucket order. Only buckets dirtied since the
 //!   last call are re-derived, so per-block commitment cost is
 //!   proportional to touched accounts, not total accounts. The value is
-//!   independent of the physical shard count and thread count.
+//!   independent of the physical shard count.
 //!
 //! The lattice is materialised lazily: a state carries none until its
 //! first [`WorldState::sharded_root`], which builds it in one pass over
@@ -183,10 +183,6 @@ impl BucketAcc {
         h.finalize()
     }
 }
-
-/// Below this many transactions, a block's signatures are verified
-/// inline — the fan-out overhead would dominate.
-const PAR_SIG_MIN_TXS: usize = 64;
 
 /// One physical shard: the accounts of a contiguous address range.
 type Shard = Arc<BTreeMap<Address, AccountState>>;
@@ -378,10 +374,8 @@ impl WorldState {
         self.check_presigned(tx).map(|_sender| ())
     }
 
-    /// [`WorldState::check`] minus signature verification — the path for
-    /// transactions whose signatures were already verified in bulk.
-    /// Returns the sender address it derived, for the mutation that
-    /// follows.
+    /// [`WorldState::check`] minus signature verification. Returns the
+    /// sender address it derived, for the mutation that follows.
     fn check_presigned(&self, tx: &Transaction) -> Result<Address, StateError> {
         let sender = tx.sender_address();
         let account = self.account(&sender);
@@ -431,59 +425,13 @@ impl WorldState {
         if !tx.verify_signature() {
             return Err(StateError::BadSignature);
         }
-        self.apply_presigned(tx, fee_collector)
-    }
-
-    /// [`WorldState::apply`] for a transaction whose signature was already
-    /// verified (block apply verifies signatures in bulk up front).
-    fn apply_presigned(
-        &mut self,
-        tx: &Transaction,
-        fee_collector: Address,
-    ) -> Result<(), StateError> {
         let sender = self.check_presigned(tx)?;
         self.apply_mutations(tx, sender, fee_collector);
         Ok(())
     }
 
-    /// Verifies every transaction signature of `block`, fanned out over
-    /// the `ici-par` pool grouped by sender shard. Pure per-transaction
-    /// work with index-ordered gathering, so the result — and everything
-    /// downstream — is byte-identical at any shard × thread count.
-    fn verify_signatures(block: &Block) -> Vec<bool> {
-        let txs = block.transactions_shared();
-        let shard_count = shard::state_shards();
-        if txs.len() < PAR_SIG_MIN_TXS || shard_count == 1 {
-            return txs.iter().map(Transaction::verify_signature).collect();
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, tx) in txs.iter().enumerate() {
-            groups[shard::shard_of(&tx.sender_address(), shard_count)].push(i);
-        }
-        let tasks: Vec<(Arc<[Transaction]>, Vec<usize>)> = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|g| (Arc::clone(&txs), g))
-            .collect();
-        let verified = ici_par::par_map(tasks, |_, (txs, indices)| {
-            indices
-                .into_iter()
-                .map(|i| (i, txs[i].verify_signature()))
-                .collect::<Vec<(usize, bool)>>()
-        });
-        let mut ok = vec![false; txs.len()];
-        for group in verified {
-            for (i, valid) in group {
-                ok[i] = valid;
-            }
-        }
-        ok
-    }
-
-    /// Applies every transaction of `block`, paying fees to the proposer's
-    /// derived address. Signatures are verified up front, fanned out
-    /// per sender shard; the balance machine itself runs sequentially so
-    /// failure semantics match the reference path exactly.
+    /// Applies every transaction of `block` in order, paying fees to the
+    /// proposer's derived address.
     ///
     /// # Errors
     ///
@@ -492,12 +440,8 @@ impl WorldState {
     /// clone first — see [`crate::validation`]).
     pub fn apply_block(&mut self, block: &Block) -> Result<(), (usize, StateError)> {
         let collector = Address::from_seed(block.header().proposer);
-        let sig_ok = Self::verify_signatures(block);
         for (i, tx) in block.transactions().iter().enumerate() {
-            if !sig_ok[i] {
-                return Err((i, StateError::BadSignature));
-            }
-            self.apply_presigned(tx, collector).map_err(|e| (i, e))?;
+            self.apply(tx, collector).map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -530,7 +474,7 @@ impl WorldState {
     /// dirtied since the last call (cost proportional to touched
     /// buckets, never total accounts) and hashes the 64 bucket roots in
     /// bucket order under the `ici-state-v2:` domain tag. Independent of
-    /// physical shard count and thread count.
+    /// the physical shard count.
     ///
     /// The first call on a state (or on a clone of a state that never
     /// had one) builds the lattice: one leaf hash per account, once.

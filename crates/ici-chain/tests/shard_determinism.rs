@@ -1,8 +1,8 @@
 //! Determinism suite for the sharded world state and mempool.
 //!
 //! The scale tier's contract is byte-identity: any physical shard count
-//! × thread count must produce exactly the results of the sequential
-//! single-shard reference — v1 flat roots, v2 bucket roots, block apply
+//! must produce exactly the results of the single-shard reference — v1
+//! flat roots, v2 bucket roots, block apply
 //! outcomes (including the failure index and the partially-applied
 //! state a mid-block error leaves behind), and mempool admission /
 //! selection order. [`ReferenceMempool`] below is a verbatim copy of
@@ -66,8 +66,6 @@ impl TxGen {
     }
 }
 
-/// Blocks big enough (96 txs) to cross the `PAR_SIG_MIN_TXS` threshold,
-/// so the parallel signature fan-out actually runs when threads > 1.
 fn block_at(height: u64, txs: Vec<Transaction>) -> Block {
     Block::new(
         BlockHeader {
@@ -96,8 +94,8 @@ fn corrupt_payload(tx: &Transaction) -> Transaction {
     mutated
 }
 
-/// Sharded states at every shard × thread combination replay the same
-/// blocks to identical v1 roots, v2 roots, and account contents.
+/// Sharded states at every shard count replay the same blocks to
+/// identical v1 roots, v2 roots, and account contents.
 #[test]
 fn sharded_replay_is_byte_identical_across_matrix() {
     let mut gen = TxGen::new(0x5D01);
@@ -105,8 +103,6 @@ fn sharded_replay_is_byte_identical_across_matrix() {
         .map(|h| block_at(h, (0..96).map(|_| gen.next()).collect()))
         .collect();
 
-    // Sequential reference: one shard, one thread.
-    ici_par::set_threads(1);
     let mut reference = WorldState::with_balances_sharded(funded(), 1);
     for block in &blocks {
         reference.apply_block(block).expect("reference applies");
@@ -114,50 +110,41 @@ fn sharded_replay_is_byte_identical_across_matrix() {
     let v1 = reference.root();
     let v2 = reference.sharded_root();
 
-    for threads in [1usize, 4] {
-        ici_par::set_threads(threads);
-        for shards in SHARD_COUNTS {
-            let mut state = WorldState::with_balances_sharded(funded(), shards);
-            assert_eq!(state.shard_count(), shards);
-            for block in &blocks {
-                state
-                    .apply_block(block)
-                    .unwrap_or_else(|(i, e)| panic!("s={shards} t={threads} tx {i}: {e}"));
-            }
-            assert_eq!(state.root(), v1, "v1 root s={shards} t={threads}");
-            assert_eq!(state.sharded_root(), v2, "v2 root s={shards} t={threads}");
-            assert_eq!(state, reference, "contents s={shards} t={threads}");
+    for shards in SHARD_COUNTS {
+        let mut state = WorldState::with_balances_sharded(funded(), shards);
+        assert_eq!(state.shard_count(), shards);
+        for block in &blocks {
+            state
+                .apply_block(block)
+                .unwrap_or_else(|(i, e)| panic!("s={shards} tx {i}: {e}"));
         }
+        assert_eq!(state.root(), v1, "v1 root s={shards}");
+        assert_eq!(state.sharded_root(), v2, "v2 root s={shards}");
+        assert_eq!(state, reference, "contents s={shards}");
     }
-    ici_par::set_threads(1);
 }
 
 /// A mid-block signature failure reports the same index and leaves the
-/// same partially-applied state at every shard × thread combination.
+/// same partially-applied state at every shard count.
 #[test]
 fn mid_block_failure_is_deterministic_across_matrix() {
     let mut gen = TxGen::new(0x5D02);
     let mut txs: Vec<Transaction> = (0..96).map(|_| gen.next()).collect();
-    let bad_index = 70; // past the parallel-verify threshold
+    let bad_index = 70;
     txs[bad_index] = corrupt_payload(&txs[bad_index]);
     let block = block_at(1, txs);
 
-    ici_par::set_threads(1);
     let mut reference = WorldState::with_balances_sharded(funded(), 1);
     let err = reference.apply_block(&block).expect_err("must fail");
     assert_eq!(err, (bad_index, StateError::BadSignature));
 
-    for threads in [1usize, 4] {
-        ici_par::set_threads(threads);
-        for shards in SHARD_COUNTS {
-            let mut state = WorldState::with_balances_sharded(funded(), shards);
-            let got = state.apply_block(&block).expect_err("must fail");
-            assert_eq!(got, err, "failure index s={shards} t={threads}");
-            assert_eq!(state, reference, "partial state s={shards} t={threads}");
-            assert_eq!(state.root(), reference.root());
-        }
+    for shards in SHARD_COUNTS {
+        let mut state = WorldState::with_balances_sharded(funded(), shards);
+        let got = state.apply_block(&block).expect_err("must fail");
+        assert_eq!(got, err, "failure index s={shards}");
+        assert_eq!(state, reference, "partial state s={shards}");
+        assert_eq!(state.root(), reference.root());
     }
-    ici_par::set_threads(1);
 }
 
 // ---------------------------------------------------------------------------

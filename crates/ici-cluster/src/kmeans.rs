@@ -13,8 +13,6 @@
 //!
 //! Plus [`random_partition`], the baseline for experiment E8.
 
-use std::sync::Arc;
-
 use ici_rng::Xoshiro256;
 
 use ici_net::node::NodeId;
@@ -22,13 +20,12 @@ use ici_net::topology::{Coord, Topology};
 
 use crate::partition::{ClusterId, Partition};
 
-/// Points per parallel work chunk in the Lloyd assignment/update steps
-/// and the balanced-assignment pair build. The geometry depends only on
-/// the point count — never the thread count — so per-chunk float
-/// accumulation reduces in the same order everywhere and the algorithm
-/// is byte-identical for every `ICI_PAR_THREADS` value. Runs with
-/// `n <= CHUNK_POINTS` form a single chunk, which also matches the
-/// historical fully-serial summation order.
+/// Points per partial sum in the Lloyd update step. Coordinate sums are
+/// accumulated per chunk of this many points and the partials added in
+/// chunk order; floating-point addition is not associative, so the
+/// chunk width is part of every centroid's bits (and of every committed
+/// record downstream of a clustering). Runs with `n <= CHUNK_POINTS`
+/// form a single chunk, which is the plain running sum.
 const CHUNK_POINTS: usize = 1024;
 
 /// Configuration for the k-means algorithms.
@@ -107,60 +104,32 @@ fn nearest(centroids: &[Coord], point: &Coord) -> usize {
     best
 }
 
-/// Lloyd assignment step: nearest centroid per point, one parallel task
-/// per [`CHUNK_POINTS`]-wide chunk, gathered in point order.
-fn assign_step(coords: &Arc<Vec<Coord>>, centroids: &Arc<Vec<Coord>>) -> Vec<usize> {
-    let n = coords.len();
-    if n <= CHUNK_POINTS || ici_par::threads() <= 1 {
-        return coords.iter().map(|c| nearest(centroids, c)).collect();
-    }
-    let starts: Vec<usize> = (0..n).step_by(CHUNK_POINTS).collect();
-    let coords = Arc::clone(coords);
-    let centroids = Arc::clone(centroids);
-    ici_par::par_map(starts, move |_, start| {
-        let end = (start + CHUNK_POINTS).min(coords.len());
-        coords
-            .get(start..end)
-            .unwrap_or_default()
-            .iter()
-            .map(|c| nearest(&centroids, c))
-            .collect::<Vec<usize>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+/// Lloyd assignment step: nearest centroid per point.
+fn assign_step(coords: &[Coord], centroids: &[Coord]) -> Vec<usize> {
+    coords.iter().map(|c| nearest(centroids, c)).collect()
 }
 
-/// Lloyd update step: per-cluster coordinate sums computed as per-chunk
-/// partials and reduced in chunk order. Because the chunk geometry is
-/// data-derived (see [`CHUNK_POINTS`]) the floating-point reduction
-/// order — and therefore every centroid bit — is independent of the
-/// thread count.
+/// Lloyd update step: per-cluster coordinate sums, accumulated per
+/// [`CHUNK_POINTS`]-wide chunk and reduced in chunk order.
 fn recompute_centroids(
-    coords: &Arc<Vec<Coord>>,
-    assignment: Arc<Vec<usize>>,
+    coords: &[Coord],
+    assignment: &[usize],
     k: usize,
     old: &[Coord],
 ) -> Vec<Coord> {
-    let n = coords.len();
-    let starts: Vec<usize> = (0..n).step_by(CHUNK_POINTS).collect();
-    let coords_arc = Arc::clone(coords);
-    let partials: Vec<Vec<(f64, f64, usize)>> = ici_par::par_map(starts, move |_, start| {
-        let end = (start + CHUNK_POINTS).min(coords_arc.len());
-        let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
-        for i in start..end {
-            if let (Some(&c), Some(coord)) = (assignment.get(i), coords_arc.get(i)) {
-                if let Some(entry) = sums.get_mut(c) {
-                    entry.0 += coord.x;
-                    entry.1 += coord.y;
-                    entry.2 += 1;
-                }
+    let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
+    for (coords, assignment) in coords
+        .chunks(CHUNK_POINTS)
+        .zip(assignment.chunks(CHUNK_POINTS))
+    {
+        let mut partial = vec![(0.0f64, 0.0f64, 0usize); k];
+        for (coord, &c) in coords.iter().zip(assignment) {
+            if let Some(entry) = partial.get_mut(c) {
+                entry.0 += coord.x;
+                entry.1 += coord.y;
+                entry.2 += 1;
             }
         }
-        sums
-    });
-    let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
-    for partial in partials {
         for (acc, part) in sums.iter_mut().zip(partial) {
             acc.0 += part.0;
             acc.1 += part.1;
@@ -179,6 +148,30 @@ fn recompute_centroids(
         .collect()
 }
 
+/// Lloyd's iterations from a k-means++ seeding: the final centroids.
+fn lloyd(coords: &[Coord], k: usize, config: &KMeansConfig) -> Vec<Coord> {
+    let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x6B6D_6561_6E73);
+    let mut centroids = kmeans_pp_init(coords, k, &mut rng);
+    let mut iters = 0u64;
+    for _ in 0..config.max_iters {
+        let _iter_span = ici_telemetry::span!("cluster/kmeans_iter");
+        iters += 1;
+        let assignment = assign_step(coords, &centroids);
+        let next = recompute_centroids(coords, &assignment, k, &centroids);
+        let moved = centroids
+            .iter()
+            .zip(&next)
+            .map(|(a, b)| a.distance(b))
+            .fold(0.0f64, f64::max);
+        centroids = next;
+        if moved <= config.tolerance {
+            break;
+        }
+    }
+    ici_telemetry::counter_add("cluster/kmeans_iters", ici_telemetry::Label::Global, iters);
+    centroids
+}
+
 /// Runs Lloyd's k-means over the topology's coordinates.
 ///
 /// # Panics
@@ -193,33 +186,9 @@ pub fn kmeans(topology: &Topology, config: &KMeansConfig) -> Partition {
     // parameters fixed at configuration time
     assert!(!topology.is_empty(), "topology must be non-empty");
     let coords = topology.coords();
-    let k = config.k.min(coords.len());
-    let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x6B6D_6561_6E73);
-    let mut centroids = kmeans_pp_init(coords, k, &mut rng);
-    let coords: Arc<Vec<Coord>> = Arc::new(coords.to_vec());
-
-    let mut iters = 0u64;
-    for _ in 0..config.max_iters {
-        let _iter_span = ici_telemetry::span!("cluster/kmeans_iter");
-        iters += 1;
-        let current = Arc::new(centroids.clone());
-        let assignment = Arc::new(assign_step(&coords, &current));
-        let next = recompute_centroids(&coords, assignment, k, &centroids);
-        let moved = centroids
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| a.distance(b))
-            .fold(0.0f64, f64::max);
-        centroids = next;
-        if moved <= config.tolerance {
-            break;
-        }
-    }
-    ici_telemetry::counter_add("cluster/kmeans_iters", ici_telemetry::Label::Global, iters);
-    let final_centroids = Arc::new(centroids);
-    let assignment = assign_step(&coords, &final_centroids);
+    let centroids = lloyd(coords, config.k.min(coords.len()), config);
     Partition::from_assignment(
-        assignment
+        assign_step(coords, &centroids)
             .into_iter()
             .map(|c| ClusterId::new(c as u32))
             .collect(),
@@ -267,29 +236,12 @@ pub fn balanced_kmeans(topology: &Topology, config: &KMeansConfig) -> Partition 
         .collect();
 
     // Sort every (node, centroid) pair by distance; fill greedily. Distance
-    // ties break on (node, cluster) index for determinism. The pair build
-    // is parallel over node chunks, gathered in node order, so the list
-    // matches the serial node-major construction exactly.
-    let pairs_by_chunk: Vec<Vec<(f64, usize, usize)>> = {
-        let coords_arc: Arc<Vec<Coord>> = Arc::new(coords.to_vec());
-        let centroids_arc: Arc<Vec<Coord>> = Arc::new(centroids.clone());
-        let starts: Vec<usize> = (0..n).step_by(CHUNK_POINTS).collect();
-        ici_par::par_map(starts, move |_, start| {
-            let end = (start + CHUNK_POINTS).min(coords_arc.len());
-            let mut chunk = Vec::with_capacity((end - start) * centroids_arc.len());
-            for i in start..end {
-                if let Some(coord) = coords_arc.get(i) {
-                    for (c, centroid) in centroids_arc.iter().enumerate() {
-                        chunk.push((coord.distance(centroid), i, c));
-                    }
-                }
-            }
-            chunk
-        })
-    };
+    // ties break on (node, cluster) index for determinism.
     let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * k);
-    for chunk in pairs_by_chunk {
-        pairs.extend(chunk);
+    for (i, coord) in coords.iter().enumerate() {
+        for (c, centroid) in centroids.iter().enumerate() {
+            pairs.push((coord.distance(centroid), i, c));
+        }
     }
     pairs.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
@@ -363,15 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_is_thread_count_invariant() {
-        // Wide enough that the parallel chunking engages (> CHUNK_POINTS).
+    fn lloyd_centroid_bits_are_pinned_above_one_chunk() {
+        // 2 500 points are three partial sums; the bits below are what
+        // that reduction order gives (taken at 801014f, where the chunks
+        // were pool tasks, at one and at four threads). A plain running
+        // sum over all points lands on different low bits.
         let topo = wan(2500, 13);
-        let cfg = KMeansConfig::with_k(8, 21);
-        ici_par::set_threads(1);
-        let serial = balanced_kmeans(&topo, &cfg);
-        ici_par::set_threads(4);
-        let parallel = balanced_kmeans(&topo, &cfg);
-        assert_eq!(serial, parallel);
+        let bits: Vec<(u64, u64)> = lloyd(topo.coords(), 8, &KMeansConfig::with_k(8, 21))
+            .iter()
+            .map(|c| (c.x.to_bits(), c.y.to_bits()))
+            .collect();
+        let pinned = [
+            (0x4059d9f5b0852b2f, 0x40566a92a91c5af1),
+            (0x405cccf17d03ced4, 0xbfbe4cddb06f627a),
+            (0x404262c3312a845f, 0x401e0b38742f7fc4),
+            (0x4022dbeb35da30bc, 0x401d193dfdc6b366),
+            (0x40441425293e7f7f, 0x3ffe6f24f9ea3432),
+            (0x405e20cfd380a7c0, 0x400dfec058debfa3),
+            (0x4059fdedbee26030, 0x405812a53f7abb6f),
+            (0x402c129f61d0d949, 0x400746970b242cd7),
+        ];
+        assert_eq!(bits, pinned);
     }
 
     #[test]

@@ -92,35 +92,13 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
-    /// Hashes one level into the next, in parallel for wide levels.
-    ///
-    /// Each pair hash is independent and results are gathered in pair
-    /// order, so the output is byte-identical for every thread count.
+    /// Hashes one level into the next.
     fn next_level(prev: &[Digest]) -> Vec<Digest> {
-        /// Below this many pairs the pool overhead exceeds the hashing.
-        const PAR_THRESHOLD_PAIRS: usize = 1024;
-        /// Pairs per parallel task (data-derived geometry).
-        const CHUNK_PAIRS: usize = 256;
+        let mut next = Vec::with_capacity(prev.len().div_ceil(2));
         let mut pairs = prev.chunks_exact(2);
-        let mut next: Vec<Digest> =
-            if prev.len() / 2 >= PAR_THRESHOLD_PAIRS && ici_par::threads() > 1 {
-                let owned: Vec<(Digest, Digest)> = pairs.by_ref().map(|p| (p[0], p[1])).collect();
-                ici_par::par_chunks(owned, CHUNK_PAIRS, |_, chunk| {
-                    chunk
-                        .iter()
-                        .map(|(left, right)| hash_node(left, right))
-                        .collect::<Vec<Digest>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-                for pair in &mut pairs {
-                    next.push(hash_node(&pair[0], &pair[1]));
-                }
-                next
-            };
+        for pair in &mut pairs {
+            next.push(hash_node(&pair[0], &pair[1]));
+        }
         if let [odd] = pairs.remainder() {
             // Promote the unpaired node to the next level.
             next.push(*odd);
@@ -136,29 +114,9 @@ impl MerkleTree {
         MerkleTree::from_leaf_hashes(leaves.into_iter().map(hash_leaf).collect())
     }
 
-    /// Builds a tree from owned leaf payloads, hashing the leaves on the
-    /// `ici-par` pool for wide trees. Output is identical to
-    /// [`MerkleTree::from_leaves`] over the same payloads.
+    /// [`MerkleTree::from_leaves`] over owned leaf payloads.
     pub fn from_owned_leaves(leaves: Vec<Vec<u8>>) -> MerkleTree {
-        /// Below this many leaves the pool overhead exceeds the hashing.
-        const PAR_THRESHOLD_LEAVES: usize = 256;
-        /// Leaves per parallel task (data-derived geometry).
-        const CHUNK_LEAVES: usize = 64;
-        let hashes: Vec<Digest> = if leaves.len() >= PAR_THRESHOLD_LEAVES && ici_par::threads() > 1
-        {
-            ici_par::par_chunks(leaves, CHUNK_LEAVES, |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|leaf| hash_leaf(leaf))
-                    .collect::<Vec<Digest>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            leaves.iter().map(|leaf| hash_leaf(leaf)).collect()
-        };
-        MerkleTree::from_leaf_hashes(hashes)
+        MerkleTree::from_leaves(leaves.iter().map(Vec::as_slice))
     }
 
     /// The root commitment. [`Digest::ZERO`] for an empty tree.
@@ -401,17 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_borrowed_builders_agree_at_scale() {
-        // Wide enough to cross both parallel thresholds (leaf hashing
-        // and level hashing) so the pool path is exercised.
-        ici_par::set_threads(4);
-        let data = leaves(4100);
+    fn owned_and_borrowed_builders_agree() {
+        let data = leaves(33);
         let borrowed = MerkleTree::from_leaves(data.iter().map(|v| v.as_slice()));
-        let owned = MerkleTree::from_owned_leaves(data.clone());
-        assert_eq!(owned, borrowed);
-        ici_par::set_threads(1);
-        let serial = MerkleTree::from_owned_leaves(data);
-        assert_eq!(serial.root(), owned.root());
+        assert_eq!(MerkleTree::from_owned_leaves(data), borrowed);
     }
 
     #[test]

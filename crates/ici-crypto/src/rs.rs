@@ -29,14 +29,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::gf256::{mul_acc, Gf256};
-
-/// Byte-stripe width for intra-shard parallelism. The stripe geometry
-/// depends only on the shard length (never the thread count), so
-/// striped and unstriped encodings are byte-identical.
-const STRIPE_BYTES: usize = 8192;
 
 /// Errors produced by Reed–Solomon operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,13 +93,13 @@ impl Error for RsError {}
 /// A Reed–Solomon coder with a fixed `(data, parity)` geometry.
 ///
 /// The encode-side Lagrange rows depend only on the geometry, so they are
-/// computed once and cached for the coder's lifetime (clones share the
+/// computed once and cached for the coder's lifetime (clones carry the
 /// cache state at clone time).
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
     data_shards: usize,
     parity_shards: usize,
-    parity_rows: OnceLock<Arc<Vec<Vec<Gf256>>>>,
+    parity_rows: OnceLock<Vec<Vec<Gf256>>>,
 }
 
 impl PartialEq for ReedSolomon {
@@ -126,6 +121,19 @@ pub struct RsScratch {
     present: Vec<usize>,
     missing: Vec<usize>,
     xs: Vec<u8>,
+}
+
+/// `Σ row[j] · sources[j]` over GF(2^8), byte position by byte position.
+fn combine<'a>(
+    row: &[Gf256],
+    sources: impl Iterator<Item = &'a Vec<u8>>,
+    shard_len: usize,
+) -> Vec<u8> {
+    let mut out = vec![0u8; shard_len];
+    for (coeff, src) in row.iter().zip(sources) {
+        mul_acc(&mut out, src, *coeff);
+    }
+    out
 }
 
 impl ReedSolomon {
@@ -199,73 +207,28 @@ impl ReedSolomon {
         if shard_len == 0 || data.iter().any(|s| s.len() != shard_len) {
             return Err(RsError::InconsistentShardLength);
         }
-        Ok(self.parity_for(Arc::new(data.to_vec()), shard_len))
+        Ok(self.parity_for(data, shard_len))
     }
 
     /// Parity computation core; callers have already validated that `data`
     /// holds exactly `k` shards of `shard_len > 0` bytes each.
-    ///
-    /// Runs on the `ici-par` pool. Two work decompositions, both
-    /// byte-identical to the serial row loop: one task per parity shard
-    /// when there are enough rows to fill the pool, otherwise one task
-    /// per [`STRIPE_BYTES`]-wide byte stripe (each computing every
-    /// parity row for its stripe). XOR accumulation is per-byte
-    /// independent, so stripe boundaries never change the output.
-    fn parity_for(&self, data: Arc<Vec<Vec<u8>>>, shard_len: usize) -> Vec<Vec<u8>> {
-        let m = self.parity_shards;
-        let rows = self.encode_rows();
-        if m < ici_par::threads() && shard_len >= 2 * STRIPE_BYTES {
-            let starts: Vec<usize> = (0..shard_len).step_by(STRIPE_BYTES).collect();
-            let stripes: Vec<Vec<Vec<u8>>> = ici_par::par_map(starts, move |_, start| {
-                let end = (start + STRIPE_BYTES).min(shard_len);
-                rows.iter()
-                    .map(|row| {
-                        let mut out = vec![0u8; end - start];
-                        for (j, coeff) in row.iter().enumerate() {
-                            if let Some(src) = data.get(j).and_then(|s| s.get(start..end)) {
-                                mul_acc(&mut out, src, *coeff);
-                            }
-                        }
-                        out
-                    })
-                    .collect()
-            });
-            let mut parity: Vec<Vec<u8>> = (0..m).map(|_| Vec::with_capacity(shard_len)).collect();
-            for stripe in stripes {
-                for (p, part) in stripe.into_iter().enumerate() {
-                    if let Some(shard) = parity.get_mut(p) {
-                        shard.extend_from_slice(&part);
-                    }
-                }
-            }
-            parity
-        } else {
-            ici_par::par_map((0..m).collect(), move |_, p| {
-                let mut shard = vec![0u8; shard_len];
-                if let Some(row) = rows.get(p) {
-                    for (j, coeff) in row.iter().enumerate() {
-                        if let Some(src) = data.get(j) {
-                            mul_acc(&mut shard, src, *coeff);
-                        }
-                    }
-                }
-                shard
-            })
-        }
+    fn parity_for(&self, data: &[Vec<u8>], shard_len: usize) -> Vec<Vec<u8>> {
+        self.encode_rows()
+            .iter()
+            .map(|row| combine(row, data.iter(), shard_len))
+            .collect()
     }
 
     /// The cached encode-side Lagrange rows (parity targets `k..k+m` over
     /// evaluation points `0..k`), computed on first use.
-    fn encode_rows(&self) -> Arc<Vec<Vec<Gf256>>> {
-        Arc::clone(self.parity_rows.get_or_init(|| {
+    fn encode_rows(&self) -> &[Vec<Gf256>] {
+        self.parity_rows.get_or_init(|| {
             let k = self.data_shards;
             let xs: Vec<u8> = (0..k as u16).map(|x| x as u8).collect();
-            Arc::new(
-                (0..self.parity_shards)
-                    .map(|p| ReedSolomon::lagrange_row(&xs, (k + p) as u8))
-                    .collect(),
-            )
-        }))
+            (0..self.parity_shards)
+                .map(|p| ReedSolomon::lagrange_row(&xs, (k + p) as u8))
+                .collect()
+        })
     }
 
     /// Splits `payload` into `k` equal data shards (zero-padded) and appends
@@ -281,8 +244,8 @@ impl ReedSolomon {
     /// [`ReedSolomon::encode_payload`] with caller-owned output storage:
     /// the data-shard buffers already in `shards` are reused (cleared and
     /// refilled), so steady-state encoding of same-sized payloads does not
-    /// reallocate the data rows. Parity rows are produced fresh by the
-    /// pool workers and appended.
+    /// reallocate the data rows. Parity rows are produced fresh and
+    /// appended.
     pub fn encode_payload_into(&self, payload: &[u8], shards: &mut Vec<Vec<u8>>) {
         let _span = ici_telemetry::span!("crypto/rs_encode");
         ici_telemetry::observe(
@@ -301,17 +264,8 @@ impl ReedSolomon {
             shard.resize(shard_len, 0);
         }
         // The rows built above are k equal-length non-empty shards, so the
-        // parity core's precondition holds by construction. The Arc shares
-        // the data shards with pool workers; by the time `parity_for`
-        // returns every worker clone is dropped, so `try_unwrap` recovers
-        // them — buffers intact for the next call — without a copy (the
-        // clone branch is a cold safety net).
-        let data = Arc::new(std::mem::take(shards));
-        let parity = self.parity_for(Arc::clone(&data), shard_len);
-        *shards = match Arc::try_unwrap(data) {
-            Ok(data) => data,
-            Err(arc) => (*arc).clone(),
-        };
+        // parity core's precondition holds by construction.
+        let parity = self.parity_for(shards, shard_len);
         shards.extend(parity);
     }
 
@@ -383,48 +337,16 @@ impl ReedSolomon {
         if missing.is_empty() {
             return Ok(());
         }
-        // Move (not copy) the basis shards into shared storage for the
-        // workers; they are restored unchanged below. Basis indices come
-        // from `present` and are never erased, so every take hits.
-        let mut basis_data: Vec<Vec<u8>> = Vec::with_capacity(basis.len());
-        for &idx in basis {
-            basis_data.push(
-                shards
-                    .get_mut(idx)
-                    .and_then(|slot| slot.take())
-                    .unwrap_or_default(),
-            );
-        }
-        let basis_data = Arc::new(basis_data);
-        let rows: Arc<Vec<Vec<Gf256>>> = Arc::new(
-            missing
-                .iter()
-                .map(|&target| ReedSolomon::lagrange_row(xs, target as u8))
-                .collect(),
-        );
-        let data = Arc::clone(&basis_data);
-        // One task per missing shard, gathered in `missing` order —
-        // byte-identical to the serial target loop.
-        let rebuilt: Vec<Vec<u8>> = ici_par::par_map(missing.clone(), move |idx, _target| {
-            let mut out = vec![0u8; shard_len];
-            if let Some(row) = rows.get(idx) {
-                for (j, coeff) in row.iter().enumerate() {
-                    if let Some(src) = data.get(j) {
-                        mul_acc(&mut out, src, *coeff);
-                    }
-                }
-            }
-            out
-        });
-        let basis_data = match Arc::try_unwrap(basis_data) {
-            Ok(data) => data,
-            Err(arc) => (*arc).clone(),
-        };
-        for (&idx, shard) in basis.iter().zip(basis_data) {
-            if let Some(slot) = shards.get_mut(idx) {
-                *slot = Some(shard);
-            }
-        }
+        // One Lagrange row per missing shard over the basis shards, which
+        // come from `present` and are never erased.
+        let rebuilt: Vec<Vec<u8>> = missing
+            .iter()
+            .map(|&target| {
+                let row = ReedSolomon::lagrange_row(xs, target as u8);
+                let sources = basis.iter().filter_map(|&i| shards.get(i)?.as_ref());
+                combine(&row, sources, shard_len)
+            })
+            .collect();
         for (&target, shard) in missing.iter().zip(rebuilt) {
             if let Some(slot) = shards.get_mut(target) {
                 *slot = Some(shard);

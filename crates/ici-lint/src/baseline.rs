@@ -5,7 +5,9 @@
 //! a pair's *current* count exceeds its baselined count, so new
 //! violations are blocked while pre-existing debt is tolerated — and
 //! counts can only go down over time (`--update-baseline` rewrites the
-//! file from the current tree).
+//! file from the current tree). The `[stats]` table holds per-rule site
+//! totals, waived sites included, under the same rule: a total the run
+//! computes may not exceed its entry.
 //!
 //! Counts are keyed by `(rule, file)` rather than exact line numbers so
 //! unrelated edits that shift lines do not churn the file.
@@ -23,7 +25,8 @@ pub const BASELINE_FILE: &str = "lint-baseline.toml";
 pub struct Baseline {
     /// `rule:file` → tolerated violation count.
     pub counts: BTreeMap<String, i64>,
-    /// Free-form metrics (`[stats]`), e.g. `seed_panic_sites`.
+    /// Site totals and historical markers (`[stats]`), e.g.
+    /// `wall_clock_sites`, `seed_panic_sites`.
     pub stats: BTreeMap<String, i64>,
 }
 
@@ -42,7 +45,7 @@ pub struct RatchetOutcome {
 /// One changed count between the committed baseline and a rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineChange {
-    /// The `rule:file` key.
+    /// The `rule:file` key, or `stats.<name>` for a site total.
     pub key: String,
     /// Tolerated count before.
     pub old: i64,

@@ -31,11 +31,11 @@ pub struct Config {
     pub determinism_crates: Vec<String>,
     /// Path substrings (forward slashes) sanctioned to read the process
     /// environment (`env-read` rule). Reserved for configuration entry
-    /// points like the ici-par thread-count override
-    /// (`ICI_PAR_THREADS`), which is scheduling-only.
+    /// points like the state shard count (`ICI_STATE_SHARDS`), which is
+    /// layout-only.
     pub env_read_files: Vec<String>,
-    /// Crates allowed to spawn OS threads (`rogue-thread` rule): the
-    /// ici-par pool, keeping every other crate thread-free.
+    /// Crates allowed to spawn OS threads (`rogue-thread` rule). Empty:
+    /// the workspace is single-threaded by construction.
     pub thread_crates: Vec<String>,
 }
 
@@ -91,7 +91,6 @@ impl Default for Config {
             .map(|s| s.to_string())
             .collect(),
             env_read_files: [
-                "ici-par/src/lib.rs",
                 "ici-telemetry/src/lib.rs",
                 "ici-trace/src/lib.rs",
                 "ici-bench/src/alloc.rs",
@@ -101,7 +100,7 @@ impl Default for Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            thread_crates: vec!["ici-par".to_string()],
+            thread_crates: Vec::new(),
         }
     }
 }
@@ -172,8 +171,8 @@ mod tests {
             );
         }
         assert!(c.determinism_crates.iter().any(|s| s == "ici-workload"));
-        assert_eq!(c.thread_crates, vec!["ici-par".to_string()]);
-        assert!(c.env_read_files.iter().any(|s| s == "ici-par/src/lib.rs"));
+        assert!(c.thread_crates.is_empty());
+        assert!(c.env_read_files.iter().all(|s| !s.contains("ici-par")));
     }
 
     #[test]

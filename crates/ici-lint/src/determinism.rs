@@ -2,10 +2,10 @@
 //!
 //! Every node in the simulated network must derive the same cluster
 //! assignment, shard placement, and audit verdict from the same inputs
-//! — the whole verification story (1-vs-4 thread CI matrix,
-//! byte-compared `results/e*.json`, replayed fault schedules) rests on
-//! it. These five rules turn that discipline from an end-to-end byte
-//! comparison into a static guarantee:
+//! — the whole verification story (byte-compared `results/e*.json`,
+//! pinned golden runs, replayed fault schedules) rests on it. These
+//! five rules turn that discipline from an end-to-end byte comparison
+//! into a static guarantee:
 //!
 //! * `unordered-iter` — iterating, collecting, draining, or extending
 //!   from a `HashMap`/`HashSet` in the determinism-gated crates. The
@@ -18,8 +18,9 @@
 //!   appear at the waived measurement sites in `ici-bench` and
 //!   `ici-telemetry`.
 //! * `rogue-thread` — `std::thread::{spawn, scope, Builder}` outside
-//!   `ici-par`. All parallelism goes through the deterministic
-//!   `ici-par` pool, whose merge order is independent of thread count.
+//!   the crates `lint.toml` allows them in. The shipped list is empty:
+//!   every computation is a loop on its caller's thread, so no result
+//!   can depend on a schedule.
 //! * `env-read` — `std::env::{var, var_os, vars, vars_os}` outside the
 //!   sanctioned configuration modules. Environment reads scattered
 //!   through protocol code make a run irreproducible from its recorded
@@ -293,8 +294,8 @@ pub fn check_wall_clock(files: &[SourceFile], _config: &Config) -> Vec<Finding> 
     findings
 }
 
-/// `rogue-thread`: OS threads outside the sanctioned parallelism
-/// crates (`ici-par`).
+/// `rogue-thread`: OS threads outside the crates `lint.toml` allows
+/// them in (none, in this workspace).
 pub fn check_rogue_thread(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     const THREAD_SEQS: &[(&[&str], &str)] = &[
         (&["thread", "::", "spawn"], "thread::spawn"),
@@ -314,8 +315,8 @@ pub fn check_rogue_thread(files: &[SourceFile], config: &Config) -> Vec<Finding>
                     "rogue-thread",
                     file.scanned.tokens[at].line,
                     format!(
-                        "`{display}` outside ici-par — all parallelism must go through the \
-                         deterministic ici-par pool (merge order independent of thread count)"
+                        "`{display}` starts an OS thread — the workspace is single-threaded \
+                         by construction; results must not depend on a schedule"
                     ),
                 );
             }
@@ -518,10 +519,17 @@ fn f() {
     fn rogue_thread_exempts_thread_crates() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         let files = vec![
-            file("ici-par", "crates/ici-par/src/lib.rs", src),
+            file("demo-pool", "crates/demo-pool/src/lib.rs", src),
             file("ici-sim", "crates/ici-sim/src/a.rs", src),
         ];
-        let findings = check_rogue_thread(&files, &config());
+        // The shipped policy allows no crate; the allow-list itself is
+        // still a feature of the rule.
+        let allowing = Config {
+            thread_crates: vec!["demo-pool".to_string()],
+            ..config()
+        };
+        assert_eq!(check_rogue_thread(&files, &config()).len(), 2);
+        let findings = check_rogue_thread(&files, &allowing);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].file, "crates/ici-sim/src/a.rs");
         assert!(findings[0].message.contains("thread::spawn"));
@@ -537,9 +545,9 @@ fn f() {
 
     #[test]
     fn env_read_exempts_sanctioned_files_and_cli_args() {
-        let src = "fn f() { let t = std::env::var(\"ICI_PAR_THREADS\"); let a: Vec<_> = std::env::args().collect(); }\n";
+        let src = "fn f() { let t = std::env::var(\"ICI_STATE_SHARDS\"); let a: Vec<_> = std::env::args().collect(); }\n";
         let files = vec![
-            file("ici-par", "crates/ici-par/src/lib.rs", src),
+            file("ici-chain", "crates/ici-chain/src/shard.rs", src),
             file("ici-sim", "crates/ici-sim/src/a.rs", src),
         ];
         let findings = check_env_read(&files, &config());

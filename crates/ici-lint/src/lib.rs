@@ -4,9 +4,10 @@
 //! The engine lexes every workspace source file into a token stream
 //! ([`lexer`]), applies the general rule set ([`rules`]) and the
 //! determinism rule family ([`determinism`]), subtracts the committed
-//! ratchet (`lint-baseline.toml`, see [`baseline`]), and reports any
-//! *new* violations with `file:line` spans. Exit status: `0` clean,
-//! `1` new violations, `2` usage or I/O failure.
+//! ratchet (`lint-baseline.toml`, see [`baseline`]: per-file counts
+//! and the `[stats]` site totals, neither of which may grow), and
+//! reports any *new* violations with `file:line` spans. Exit status:
+//! `0` clean, `1` new violations, `2` usage or I/O failure.
 //!
 //! Policy lives in `lint.toml` at the repo root ([`config`]); per-site
 //! exemptions use inline `// lint:allow(rule) -- reason` waivers
@@ -26,7 +27,7 @@ pub mod rules;
 pub mod scanner;
 pub mod toml;
 
-use baseline::{Baseline, RatchetOutcome, BASELINE_FILE};
+use baseline::{Baseline, BaselineChange, RatchetOutcome, BASELINE_FILE};
 use config::Config;
 use report::{json_escape, Finding, StaleWaiver};
 use rules::SourceFile;
@@ -52,7 +53,8 @@ pub struct Outcome {
     pub ratchet: RatchetOutcome,
     /// Findings suppressed by an inline waiver (never gate-failing).
     pub waived: Vec<Finding>,
-    /// Waivers that no longer suppress anything (report-only).
+    /// Waivers that no longer suppress anything (gated only through
+    /// the `stale_waivers` stat).
     pub stale_waivers: Vec<StaleWaiver>,
     /// Changed counts from an `--update-baseline` rewrite, rendered as
     /// `key: old -> new`; empty otherwise.
@@ -123,7 +125,15 @@ pub fn run(root: &Path, options: Options) -> Result<Outcome, String> {
     let previous = Baseline::load(root)?;
     let mut baseline_diff = Vec::new();
     if options.update_baseline {
-        let changes = previous.diff(&Baseline::counts_of(&active));
+        let mut changes = previous.diff(&Baseline::counts_of(&active));
+        changes.extend(
+            stat_changes(&previous, &stats)
+                .into_iter()
+                .map(|c| BaselineChange {
+                    key: format!("stats.{}", c.key),
+                    ..c
+                }),
+        );
         let raises: Vec<String> = changes
             .iter()
             .filter(|c| c.is_raise())
@@ -149,7 +159,22 @@ pub fn run(root: &Path, options: Options) -> Result<Outcome, String> {
     } else {
         previous
     };
-    let ratchet = effective.apply(active);
+    let mut ratchet = effective.apply(active);
+    // The site totals ratchet like the per-file counts, and see what
+    // those cannot: a waived site is in no count but in its stat.
+    for change in stat_changes(&effective, &stats) {
+        if change.is_raise() {
+            ratchet.new_violations.push(Finding::new(
+                "stats",
+                BASELINE_FILE,
+                0,
+                format!(
+                    "{}: baseline {}, now {}",
+                    change.key, change.old, change.new
+                ),
+            ));
+        }
+    }
 
     Ok(Outcome {
         ratchet,
@@ -160,6 +185,24 @@ pub fn run(root: &Path, options: Options) -> Result<Outcome, String> {
         manifests_checked: manifests.len(),
         stats,
     })
+}
+
+/// Every stat this run computed whose value differs from its entry in
+/// `baseline`'s `[stats]` table. Entries the run does not compute
+/// (historical markers such as `seed_panic_sites`) and stats the table
+/// does not list are left alone.
+fn stat_changes(baseline: &Baseline, stats: &BTreeMap<String, i64>) -> Vec<BaselineChange> {
+    stats
+        .iter()
+        .filter_map(|(key, &new)| {
+            let old = *baseline.stats.get(key)?;
+            (old != new).then(|| BaselineChange {
+                key: key.clone(),
+                old,
+                new,
+            })
+        })
+        .collect()
 }
 
 /// Waivers that no longer suppress anything: every parsed waiver
@@ -197,7 +240,7 @@ pub fn render_report(outcome: &Outcome) -> String {
         out.push('\n');
     }
     if !outcome.stale_waivers.is_empty() {
-        out.push_str("\nstale waivers (report-only — delete them):\n");
+        out.push_str("\nstale waivers (delete them):\n");
         for stale in &outcome.stale_waivers {
             out.push_str("  ");
             out.push_str(&stale.to_string());

@@ -6,8 +6,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule name: `panic`, `unsafe`, `cast`, `error`, `deps`, `waiver`,
-    /// `rehash`, or one of the determinism family (`unordered-iter`,
-    /// `wall-clock`, `rogue-thread`, `env-read`, `entropy`).
+    /// `rehash`, one of the determinism family (`unordered-iter`,
+    /// `wall-clock`, `rogue-thread`, `env-read`, `entropy`), or `stats`
+    /// for a site total above its `[stats]` baseline entry.
     pub rule: String,
     /// Repo-relative path with forward slashes.
     pub file: String,
@@ -64,10 +65,10 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A waiver that no longer suppresses anything. Report-only: stale
-/// waivers never fail the gate, but they are listed in the output and
-/// counted in the baseline's `stale_waivers` stat so they get cleaned
-/// up instead of rotting.
+/// A waiver that no longer suppresses anything. Listed in the output
+/// and counted in the `stale_waivers` stat, which fails the gate once
+/// it exceeds the committed baseline's entry — so they get cleaned up
+/// instead of rotting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaleWaiver {
     /// Repo-relative path with forward slashes.

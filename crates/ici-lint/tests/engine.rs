@@ -267,11 +267,62 @@ fn ratchet_fails_when_a_count_grows() {
 
     let outcome = ici_lint::run(&scratch.root, check()).expect("runs");
     assert!(!outcome.clean(), "growth past the baseline must fail");
-    assert!(outcome
-        .ratchet
-        .new_violations
-        .iter()
-        .all(|f| f.rule == "panic" && f.file == "crates/demo/src/lib.rs"));
+    // The file's count and the rule's site total both grew.
+    assert!(outcome.ratchet.new_violations.iter().all(|f| {
+        (f.rule == "panic" && f.file == "crates/demo/src/lib.rs") || f.rule == "stats"
+    }));
+}
+
+#[test]
+fn stat_above_its_baseline_fails_the_gate() {
+    // The clean fixture's one panic site is waived, so no per-file count
+    // can see it; its site total can.
+    let scratch = Scratch::of("clean", "stat-over");
+    fs::write(
+        scratch.root.join("lint-baseline.toml"),
+        "[stats]\nprotocol_panic_sites = 0\n\n[counts]\n",
+    )
+    .expect("write");
+
+    let outcome = ici_lint::run(&scratch.root, check()).expect("runs");
+    assert!(!outcome.clean(), "a stat past its baseline must fail");
+    let [finding] = outcome.ratchet.new_violations.as_slice() else {
+        panic!("one finding: {:?}", outcome.ratchet.new_violations);
+    };
+    assert_eq!(finding.rule, "stats");
+    assert_eq!(finding.file, "lint-baseline.toml");
+    assert_eq!(finding.message, "protocol_panic_sites: baseline 0, now 1");
+
+    // Raising it takes the same explicit flag a count does.
+    let err = ici_lint::run(&scratch.root, update()).expect_err("must refuse the raise");
+    assert!(
+        err.contains("stats.protocol_panic_sites: 0 -> 1"),
+        "refusal names the raised stat: {err}"
+    );
+}
+
+#[test]
+fn stat_within_its_baseline_passes_and_uncomputed_keys_are_left_alone() {
+    let scratch = Scratch::of("clean", "stat-within");
+    // `seed_panic_sites` is a historical marker no run computes;
+    // `wall_clock_sites` is computed (0 here) and under its entry.
+    fs::write(
+        scratch.root.join("lint-baseline.toml"),
+        "[stats]\nprotocol_panic_sites = 1\nseed_panic_sites = 0\nwall_clock_sites = 3\n\n[counts]\n",
+    )
+    .expect("write");
+
+    let outcome = ici_lint::run(&scratch.root, check()).expect("runs");
+    assert!(outcome.clean(), "{:?}", outcome.ratchet.new_violations);
+    assert_eq!(outcome.stats.get("seed_panic_sites"), None);
+
+    let updated = ici_lint::run(&scratch.root, update()).expect("lowering needs no flag");
+    assert!(updated
+        .baseline_diff
+        .contains(&"stats.wall_clock_sites: 3 -> 0".to_string()));
+    let text = fs::read_to_string(scratch.root.join("lint-baseline.toml")).expect("read");
+    assert!(text.contains("seed_panic_sites = 0"), "{text}");
+    assert!(text.contains("wall_clock_sites = 0"), "{text}");
 }
 
 #[test]

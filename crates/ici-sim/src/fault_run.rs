@@ -9,11 +9,10 @@
 //! churn draws, same Byzantine designations, one loop. What each system
 //! *experiences* differently is the table in [`crate::strategy`].
 //!
-//! All draws come from the plan and every injected send is metered on
-//! the main thread: same seed ⇒ same plan ⇒ same commits, same repair
-//! traffic, same summary, byte for byte at any `ICI_PAR_THREADS` —
-//! which is what lets CI assert on survivability numbers and diff two
-//! runs of `e_fault` or `e_byz` directly.
+//! All draws come from the plan: same seed ⇒ same plan ⇒ same commits,
+//! same repair traffic, same summary, byte for byte — which is what
+//! lets CI assert on survivability numbers and diff two runs of
+//! `e_fault` or `e_byz` directly.
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
@@ -53,8 +52,8 @@ const STAGE_CHURN_SALT: u64 = 0x57A6_EC4A_5400_0003;
 /// This exercises the staged lifecycle's liveness re-sync: forks
 /// snapshot liveness at build time, and a crash landing *between*
 /// stages must be adopted by every later stage. The draw depends only
-/// on `(seed, round)`, so runs replay byte-identically at any thread
-/// count. Inert by default (`interval == 0`), which keeps existing
+/// on `(seed, round)`, so runs replay byte-identically. Inert by
+/// default (`interval == 0`), which keeps existing
 /// crash-only profiles byte-stable, and inert for strategies whose
 /// proposals have no stages ([`Strategy::STAGED`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -775,24 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_summary_is_thread_count_invariant_under_jitter() {
-        let jittery = IciConfig::builder()
-            .nodes(24)
-            .cluster_size(8)
-            .replication(2)
-            .seed(7)
-            .build()
-            .expect("valid");
-        ici_par::set_threads(1);
-        let (_, serial) =
-            run_ici_under_faults(jittery.clone(), 4, workload(), profile(11)).expect("plan");
-        ici_par::set_threads(4);
-        let (_, parallel) =
-            run_ici_under_faults(jittery, 4, workload(), profile(11)).expect("plan");
-        assert_eq!(serial, parallel, "fault run must not depend on threads");
-    }
-
-    #[test]
     fn guaranteed_cycles_cover_every_cluster() {
         let (_, summary) = run_ici_under_faults(config(), 4, workload(), profile(5)).expect("plan");
         assert_eq!(summary.cycles_per_cluster.len(), summary.clusters);
@@ -878,24 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_summary_is_thread_count_invariant() {
-        let jittery = IciConfig::builder()
-            .nodes(24)
-            .cluster_size(8)
-            .replication(2)
-            .seed(7)
-            .build()
-            .expect("valid");
-        ici_par::set_threads(1);
-        let (_, serial) =
-            run_ici_under_faults(jittery.clone(), 4, workload(), byz_profile(29)).expect("plan");
-        ici_par::set_threads(4);
-        let (_, parallel) =
-            run_ici_under_faults(jittery, 4, workload(), byz_profile(29)).expect("plan");
-        assert_eq!(serial, parallel, "byz run must not depend on threads");
-    }
-
-    #[test]
     fn heavy_flipping_stalls_rounds_but_liars_are_named() {
         let flood = FaultProfile {
             byzantine: ByzantineConfig {
@@ -942,24 +905,6 @@ mod tests {
             summary.rounds as u64
         );
         assert!(network.chain_len() > 1, "liveness survives stage churn");
-    }
-
-    #[test]
-    fn stage_churn_is_deterministic_and_thread_invariant() {
-        let jittery = IciConfig::builder()
-            .nodes(24)
-            .cluster_size(8)
-            .replication(2)
-            .seed(7)
-            .build()
-            .expect("valid");
-        ici_par::set_threads(1);
-        let (_, serial) =
-            run_ici_under_faults(jittery.clone(), 4, workload(), stage_profile(11)).expect("plan");
-        ici_par::set_threads(4);
-        let (_, parallel) =
-            run_ici_under_faults(jittery, 4, workload(), stage_profile(11)).expect("plan");
-        assert_eq!(serial, parallel, "stage churn must not depend on threads");
     }
 
     #[test]
@@ -1117,17 +1062,6 @@ mod tests {
             run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(29)).expect("plan");
         assert_eq!(c, d);
         assert_ne!(a.plan_render, c.plan_render, "different cluster maps");
-    }
-
-    #[test]
-    fn rapidchain_fault_summary_is_thread_count_invariant() {
-        ici_par::set_threads(1);
-        let (_, serial) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(29)).expect("plan");
-        ici_par::set_threads(4);
-        let (_, parallel) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(29)).expect("plan");
-        assert_eq!(serial, parallel, "baseline run must not depend on threads");
     }
 
     // The helpers below used to exist once per runner; each test drives

@@ -330,23 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn jittery_summary_is_thread_count_invariant() {
-        let config = || {
-            IciConfig::builder()
-                .nodes(24)
-                .cluster_size(8)
-                .replication(2)
-                .build()
-                .expect("valid")
-        };
-        ici_par::set_threads(1);
-        let (_, serial) = run_ici(config(), 3, 5, workload());
-        ici_par::set_threads(4);
-        let (_, parallel) = run_ici(config(), 3, 5, workload());
-        assert_eq!(serial, parallel, "summary must not depend on threads");
-    }
-
-    #[test]
     fn same_seed_same_summary() {
         let config = || {
             IciConfig::builder()

@@ -413,8 +413,8 @@ impl Strategy for RapidChainNetwork {
         self.propose_block(lane, batch).is_some()
     }
 
-    /// One batch per shard, committed as a single parallel round: every
-    /// committee runs its proposal concurrently on the `ici-par` pool.
+    /// One batch per shard, committed as a single round: in simulated
+    /// time every committee runs its proposal at once.
     fn commit_all(
         &mut self,
         batches: Vec<Vec<Transaction>>,

@@ -119,20 +119,6 @@ impl Histogram {
             .map(|(b, &n)| (b, n))
             .collect()
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, n) in other.buckets.iter().enumerate() {
-            self.buckets[b] += n;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,21 +183,6 @@ mod tests {
         // Single sample: every percentile is that sample.
         assert_eq!(h.percentile(1.0), 700);
         assert_eq!(h.percentile(99.0), 700);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        a.record(4);
-        let mut b = Histogram::new();
-        b.record(1_000_000);
-        b.record(2);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 2);
-        assert_eq!(a.max(), 1_000_000);
-        a.merge(&Histogram::new());
-        assert_eq!(a.count(), 3);
     }
 
     #[test]

@@ -58,9 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use flame::render_flamegraph;
 pub use hist::Histogram;
-pub use registry::{
-    counter_add, drain_delta, gauge_set, merge_delta, observe, TelemetryDelta, EVENT_CAPACITY,
-};
+pub use registry::{counter_add, gauge_set, observe, EVENT_CAPACITY};
 pub use snapshot::{
     reset, snapshot, CounterEntry, EventEntry, GaugeEntry, HistogramEntry, SpanEntry,
     TelemetrySnapshot,

@@ -102,91 +102,6 @@ thread_local! {
     pub(crate) static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
 }
 
-/// Telemetry state drained from one thread's collector, ready to be
-/// merged into another thread's registry.
-///
-/// Worker threads (see the `ici-par` pool) record into their own
-/// thread-local collectors; without an explicit hand-off every counter,
-/// histogram, span, and event they produce would be lost when the
-/// worker goes idle. A worker calls [`drain_delta`] after finishing a
-/// task and ships the delta back with its result; the coordinating
-/// thread folds it in with [`merge_delta`]. Merging is commutative for
-/// counters/histograms/spans; gauges are last-write-wins, so merge
-/// deltas in a deterministic order (the pool merges in chunk order).
-#[derive(Clone, Debug, Default)]
-pub struct TelemetryDelta {
-    pub(crate) counters: BTreeMap<Key, u64>,
-    pub(crate) gauges: BTreeMap<Key, f64>,
-    pub(crate) hists: BTreeMap<Key, Histogram>,
-    pub(crate) spans: BTreeMap<Key, SpanStats>,
-    pub(crate) events: Vec<SpanEvent>,
-    pub(crate) dropped_events: u64,
-}
-
-impl TelemetryDelta {
-    /// Whether the delta carries no recorded state at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.spans.is_empty()
-            && self.events.is_empty()
-            && self.dropped_events == 0
-    }
-}
-
-/// Drains the current thread's recorded telemetry into a portable
-/// [`TelemetryDelta`], leaving the collector empty (but keeping its
-/// epoch and any live span stack, so open spans still close cleanly).
-///
-/// Event `start_ns` offsets stay relative to the *origin* thread's
-/// epoch; after a merge they order events within one worker's stream
-/// but not across threads.
-pub fn drain_delta() -> TelemetryDelta {
-    with_collector(|c| TelemetryDelta {
-        counters: std::mem::take(&mut c.counters),
-        gauges: std::mem::take(&mut c.gauges),
-        hists: std::mem::take(&mut c.hists),
-        spans: std::mem::take(&mut c.spans),
-        events: std::mem::take(&mut c.events).into(),
-        dropped_events: std::mem::take(&mut c.dropped_events),
-    })
-    .unwrap_or_default()
-}
-
-/// Folds a drained delta into the current thread's collector.
-///
-/// Counters and histograms add, span aggregates accumulate, gauges take
-/// the delta's value (last write wins), and events are appended to the
-/// ring buffer with fresh sequence numbers (their relative order within
-/// the delta is preserved).
-pub fn merge_delta(delta: TelemetryDelta) {
-    with_collector(|c| {
-        for (k, v) in delta.counters {
-            *c.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in delta.gauges {
-            c.gauges.insert(k, v);
-        }
-        for (k, h) in delta.hists {
-            c.hists.entry(k).or_default().merge(&h);
-        }
-        for (k, s) in delta.spans {
-            let agg = c.spans.entry(k).or_default();
-            agg.count += s.count;
-            agg.total_ns = agg.total_ns.saturating_add(s.total_ns);
-            agg.self_ns = agg.self_ns.saturating_add(s.self_ns);
-            agg.max_ns = agg.max_ns.max(s.max_ns);
-        }
-        c.dropped_events += delta.dropped_events;
-        for mut event in delta.events {
-            event.seq = c.next_seq;
-            c.next_seq += 1;
-            c.push_event(event);
-        }
-    });
-}
-
 /// Runs `f` with the thread's collector; silently skipped on re-entry.
 pub(crate) fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     COLLECTOR.with(|c| c.try_borrow_mut().ok().map(|mut c| f(&mut c)))
@@ -299,42 +214,6 @@ mod tests {
         set_enabled(false);
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.gauges[0].value, 2.5);
-    }
-
-    #[test]
-    fn drain_and_merge_round_trip() {
-        let _flag = crate::flag_guard();
-        set_enabled(true);
-        crate::reset();
-        counter_add("t/merge_c", Label::Global, 3);
-        gauge_set("t/merge_g", Label::Global, 1.5);
-        observe("t/merge_h", Label::Global, 10);
-        {
-            let _g = crate::span_guard("t/merge_s", Label::Global);
-        }
-        let delta = drain_delta();
-        assert!(!delta.is_empty());
-        assert!(TelemetryDelta::default().is_empty());
-        // The collector is now empty...
-        assert!(snapshot().is_empty());
-        // ...and merging the delta twice doubles every additive family.
-        merge_delta(delta.clone());
-        merge_delta(delta);
-        let snap = snapshot();
-        set_enabled(false);
-        let counter = snap
-            .counters
-            .iter()
-            .find(|c| c.name == "t/merge_c")
-            .map(|c| c.value);
-        assert_eq!(counter, Some(6));
-        assert_eq!(snap.gauges[0].value, 1.5);
-        assert_eq!(snap.histograms[0].count, 2);
-        let span = snap.span("t/merge_s").map(|s| s.count);
-        assert_eq!(span, Some(2));
-        // Events were re-sequenced monotonically on merge.
-        assert_eq!(snap.events.len(), 2);
-        assert!(snap.events[0].seq < snap.events[1].seq);
     }
 
     #[test]

@@ -548,23 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn drained_deltas_carry_dropped_counts_through_merge() {
-        reset();
-        push_raw_events(EVENT_CAPACITY + 3);
-        let delta = crate::drain_delta();
-        assert!(!delta.is_empty());
-        // Post-drain the collector is clean; the count lives in the delta.
-        assert_eq!(snapshot().dropped_events, 0);
-        crate::merge_delta(delta);
-        // Merging replays the events through the ring: the 3 drops the
-        // worker counted add to the (zero) drops the ring re-incurs.
-        let snap = snapshot();
-        reset();
-        assert_eq!(snap.dropped_events, 3);
-        assert_eq!(snap.events.len(), EVENT_CAPACITY);
-    }
-
-    #[test]
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(fmt_f64(f64::NAN), "null");

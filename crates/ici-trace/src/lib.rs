@@ -3,7 +3,7 @@
 //! `ici-trace` records structured events timestamped in **virtual
 //! microseconds** — the `ici-net` simulated clock — never wall time, so
 //! a trace of a pinned-seed experiment is byte-reproducible on any
-//! host and at any `ICI_PAR_THREADS` width. Events carry causal ids:
+//! host. Events carry causal ids:
 //! every traced [`Network::send`](../ici_net/struct.Network.html) mints
 //! an id the receiver's handler inherits as its `parent`, and lifecycle
 //! stages are keyed by `(height, cluster, node, stage)`, so a block's
@@ -19,17 +19,13 @@
 //! span figure). Enable with `ICI_TRACE=1` (see [`init_from_env`]) or
 //! [`set_enabled`] in tests.
 //!
-//! # Determinism across thread counts
+//! # Collectors
 //!
-//! Collectors are thread-local. `ici-par` workers drain their buffer
-//! with [`drain_delta`] when a task finishes and the coordinator calls
-//! [`merge_delta`] in task-index order, exactly like the telemetry
-//! delta plumbing, so the merged event sequence is identical to a
-//! serial run. The bounded ring drops oldest-first and merging a
-//! worker-local ring into the caller's preserves the "last
-//! [`EVENT_CAPACITY`] events" suffix semantics, so even an overflowing
-//! trace stays byte-identical at 1 vs N threads; the loss is surfaced
-//! in [`TraceSnapshot::dropped`], never silent.
+//! Collectors are thread-local, so parallel test threads never
+//! interfere; a run happens on one thread and one collector sees all of
+//! it. The bounded ring drops oldest-first, keeping the last
+//! [`EVENT_CAPACITY`] events; the loss is surfaced in
+//! [`TraceSnapshot::dropped`], never silent.
 //!
 //! # Exporters
 //!
@@ -378,46 +374,6 @@ fn record_mark(
     });
 }
 
-/// Events drained from one thread's collector, ready to merge into
-/// another in deterministic task order (mirrors the telemetry delta).
-#[derive(Debug, Default)]
-pub struct TraceDelta {
-    events: Vec<TraceEvent>,
-    dropped: u64,
-}
-
-impl TraceDelta {
-    /// True when the delta carries nothing (merge can be skipped).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0
-    }
-}
-
-/// Drains the calling thread's buffered events. Cheap no-op when
-/// nothing was recorded. Does not reset the local sequence counter —
-/// seq values are reassigned on merge.
-pub fn drain_delta() -> TraceDelta {
-    with_collector(|c| TraceDelta {
-        events: std::mem::take(&mut c.events).into(),
-        dropped: std::mem::take(&mut c.dropped),
-    })
-    .unwrap_or_default()
-}
-
-/// Merges a drained delta into the calling thread's collector,
-/// reassigning sequence numbers so call order defines global order.
-pub fn merge_delta(delta: TraceDelta) {
-    if delta.is_empty() {
-        return;
-    }
-    with_collector(|c| {
-        c.dropped += delta.dropped;
-        for event in delta.events {
-            c.push(event);
-        }
-    });
-}
-
 /// Everything the calling thread's collector holds right now.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSnapshot {
@@ -517,49 +473,6 @@ mod tests {
         // Oldest three lost: the survivor with the smallest seq is 3.
         assert_eq!(snap.events[0].seq, 3);
         assert_eq!(snap.events[0].at_us, 3);
-        reset();
-    }
-
-    #[test]
-    fn delta_merge_reassigns_seq_in_call_order() {
-        let _flag = flag_guard();
-        set_enabled(true);
-        reset();
-        stage_named("t/local");
-        // Simulate a worker: drain the caller's buffer to stand in for
-        // a worker-local one, record more locally, then merge.
-        let worker = drain_delta();
-        stage_named("t/after");
-        merge_delta(worker);
-        set_enabled(false);
-        let snap = snapshot();
-        let names: Vec<_> = snap.events.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["t/after", "t/local"]);
-        assert_eq!(snap.events[0].seq, 1);
-        assert_eq!(snap.events[1].seq, 2);
-        reset();
-    }
-
-    #[test]
-    fn merge_preserves_ring_suffix_semantics() {
-        let _flag = flag_guard();
-        set_enabled(true);
-        reset();
-        // A "worker" delta that itself wrapped: dropped carries over.
-        for i in 0..(EVENT_CAPACITY as u64 + 2) {
-            stage("t/w", i, 0, 0, None, None, 0, mint_id(i), 0);
-        }
-        let worker = drain_delta();
-        reset();
-        stage_named("t/head");
-        merge_delta(worker);
-        set_enabled(false);
-        let snap = snapshot();
-        // Head event evicted by the merged full ring: suffix of the
-        // concatenated stream, exactly what a serial run would keep.
-        assert_eq!(snap.events.len(), EVENT_CAPACITY);
-        assert_eq!(snap.dropped, 3);
-        assert_eq!(snap.events[0].name, "t/w");
         reset();
     }
 }

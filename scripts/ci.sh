@@ -29,11 +29,8 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
     exit 1
 fi
 
-echo "==> cargo test (serial pool, ICI_PAR_THREADS=1)"
-ICI_PAR_THREADS=1 cargo test -q --workspace
-
-echo "==> cargo test (4-wide pool, ICI_PAR_THREADS=4)"
-ICI_PAR_THREADS=4 cargo test -q --workspace
+echo "==> cargo test"
+cargo test -q --workspace
 
 echo "==> benchmark package (tests, then all six workloads at smoke size)"
 # benchmark/ is its own workspace, so --workspace never reaches it. Its
@@ -42,6 +39,9 @@ echo "==> benchmark package (tests, then all six workloads at smoke size)"
 # renames or drops one of them.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+# benchmark/ is frozen, its lock file included: cargo rewrites the lock
+# when a repo crate's manifest gains or drops an in-repo dependency.
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "==> ici-lint"
 cargo run -q -p ici-lint
@@ -95,29 +95,14 @@ print(f"    series OK: {len(series)} runs, "
       f"{sum(len(s['samples']) for s in series)} round samples")
 EOF
 
-echo "==> causal trace smoke (E1 with ICI_TRACE=1, threads {1,4})"
-# Thread-count determinism: the canonical event log and the Chrome
-# export must come out byte-identical on a serial and on a 4-wide pool
-# — and the canonical log must match the committed baseline on both.
-first=1
-for t in 1 4; do
-    ICI_TRACE=1 ICI_PAR_THREADS=$t \
-        cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
-    if [ "$first" = 1 ]; then
-        cp results/TRACE_e1.chrome.json results/TRACE_e1.chrome.ref.json
-        first=0
-    else
-        cmp results/TRACE_e1.chrome.ref.json results/TRACE_e1.chrome.json || {
-            echo "chrome trace diverged at threads=$t"; exit 1;
-        }
-    fi
-    git diff --quiet -- results/TRACE_e1.json || {
-        echo "trace drifted from committed results/TRACE_e1.json at threads=$t;"
-        echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
-        exit 1
-    }
-done
-rm results/TRACE_e1.chrome.ref.json
+echo "==> causal trace smoke (E1 with ICI_TRACE=1)"
+# The canonical event log must match the committed baseline.
+ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
+git diff --quiet -- results/TRACE_e1.json || {
+    echo "trace drifted from committed results/TRACE_e1.json;"
+    echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
+    exit 1
+}
 # Tracing must never leak into the result record itself.
 git diff --quiet -- results/e1.json || {
     echo "traced run changed committed results/e1.json"; exit 1;
@@ -140,39 +125,29 @@ with open("results/TRACE_e1.json") as f:
     canonical = json.load(f)
 assert canonical["dropped"] == 0, "e1 trace overflowed the event ring"
 assert len(canonical["events"]) == len(slices), "canonical/chrome event counts differ"
-print(f"    trace OK: {len(slices)} events on {len(last)} tracks, "
-      f"byte-identical across threads {{1,4}}")
+print(f"    trace OK: {len(slices)} events on {len(last)} tracks")
 EOF
 rm results/TRACE_e1.chrome.json
 
-# replay_matrix <bin> <record>: a pinned-seed experiment must replay
-# byte for byte, stay put across threads {1,4}, and match the committed
-# record.
-replay_matrix() {
-    local bin="$1" record="$2" t
+# replay_pinned <bin> <record>: a pinned-seed experiment must replay
+# byte for byte and match the committed record.
+replay_pinned() {
+    local bin="$1" record="$2"
     cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
     cp "$record" "$record.ref"
     cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
     cmp "$record.ref" "$record" || { echo "$bin did not replay byte for byte"; exit 1; }
-    for t in 1 4; do
-        ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin "$bin" -- --seed 42 >/dev/null
-        cmp "$record.ref" "$record" || {
-            echo "$record diverged at threads=$t"; exit 1;
-        }
-    done
     rm "$record.ref"
     git diff --quiet -- "$record" || {
         echo "$bin drifted from committed $record; regenerate with"
         echo "  cargo run -q --release -p ici-bench --bin $bin -- --seed 42"
         exit 1
     }
-    echo "    determinism OK: $record replays, matches the committed record, and is"
-    echo "    byte-identical across threads {1,4}"
+    echo "    determinism OK: $record replays and matches the committed record"
 }
 
-echo "==> fault-injection smoke (E-fault, pinned seed: replay, threads, drift)"
-replay_matrix e_fault results/e_fault.json
+echo "==> fault-injection smoke (E-fault, pinned seed: replay, drift)"
+replay_pinned e_fault results/e_fault.json
 python3 - <<'EOF'
 import json
 with open("results/e_fault.json") as f:
@@ -219,8 +194,8 @@ EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 
-echo "==> Byzantine smoke (E-byz, pinned seed: replay, threads, drift)"
-replay_matrix e_byz results/e_byz.json
+echo "==> Byzantine smoke (E-byz, pinned seed: replay, drift)"
+replay_pinned e_byz results/e_byz.json
 python3 - <<'EOF'
 import json
 with open("results/e_byz.json") as f:
@@ -240,28 +215,20 @@ print(f"    byz smoke OK: byte-identical replay, "
       f"{rows['wasted fraction'][rapidchain]} (rapidchain)")
 EOF
 
-echo "==> scale smoke (E-scale, pinned seed, shards {1,4} x threads {1,4})"
+echo "==> scale smoke (E-scale, pinned seed, shards {1,4})"
 # The committed record holds only deterministic tables (counts, roots,
-# ratios); every shard x thread matrix point must reproduce it byte for
-# byte. Host-dependent numbers ride the SCALE_STATS stdout line instead.
-ICI_STATE_SHARDS=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
-git diff --quiet -- results/e_scale.json || {
-    echo "E-scale drifted from committed results/e_scale.json; regenerate with"
-    echo "  cargo run -q --release -p ici-bench --bin e_scale -- --seed 42"
-    exit 1
-}
+# ratios); both shard counts must reproduce it byte for byte.
+# Host-dependent numbers ride the SCALE_STATS stdout line instead.
 for s in 1 4; do
-    for t in 1 4; do
-        [ "$s" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_STATE_SHARDS=$s ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
-        git diff --quiet -- results/e_scale.json || {
-            echo "e_scale.json diverged at shards=$s threads=$t"; exit 1;
-        }
-    done
+    ICI_STATE_SHARDS=$s \
+        cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
+    git diff --quiet -- results/e_scale.json || {
+        echo "E-scale at shards=$s drifted from committed results/e_scale.json;"
+        echo "regenerate with  cargo run -q --release -p ici-bench --bin e_scale -- --seed 42"
+        exit 1
+    }
 done
-echo "    determinism OK: e_scale.json byte-identical across shards {1,4} x threads {1,4}"
+echo "    determinism OK: e_scale.json byte-identical at shards 1 and 4"
 
 echo "==> scale telemetry smoke (E-scale with ICI_TELEMETRY=1: lattice builds)"
 # The v2 lattice is built at a state's first sharded_root() and carried
@@ -281,15 +248,15 @@ EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 ./target/release/e_scale --seed 42 >/dev/null
 
-echo "==> scale bench (E-scale, 4 shards x 4 threads, peak-live ceiling)"
-SCALE_OUT=$(ICI_STATE_SHARDS=4 ICI_PAR_THREADS=4 ICI_ALLOC_STATS=1 \
+echo "==> scale bench (E-scale, 4 shards, peak-live ceiling)"
+SCALE_OUT=$(ICI_STATE_SHARDS=4 ICI_ALLOC_STATS=1 \
     ./target/release/e_scale --seed 42)
 git diff --quiet -- results/e_scale.json || {
     echo "instrumented scale run changed committed results/e_scale.json"; exit 1;
 }
 SCALE_LINE=$(printf '%s\n' "$SCALE_OUT" | grep '^SCALE_STATS ')
 python3 - "$SCALE_LINE" <<'EOF'
-import json, os, sys
+import json, sys
 line = sys.argv[1]
 fields = dict(kv.split("=", 1) for kv in line.split()[1:])
 peak = int(fields["peak_live_bytes"])
@@ -298,12 +265,9 @@ peak = int(fields["peak_live_bytes"])
 # clone, flat-root recompute in the hot loop) blows straight through it.
 CEILING = 64 << 20
 assert peak <= CEILING, f"peak live {peak} bytes exceeds ceiling {CEILING}"
-host_cpus = os.cpu_count() or 1
 record = {
     "id": "BENCH_scale",
     "title": "E-scale: throughput, commit latency, and peak live heap",
-    "host_cpus": host_cpus,
-    "effective_threads": int(fields["threads"]),
     "shards": int(fields["shards"]),
     "peak_live_ceiling_bytes": CEILING,
     "runs": [{
@@ -327,77 +291,11 @@ print(f"    e_scale: {r['committed_txs']} txs in {r['wall_s']:.2f}s "
       f"peak live {peak/2**20:.1f} MiB (ceiling {CEILING>>20} MiB)")
 EOF
 
-echo "==> shrinker determinism + reproducer replay (1 vs 4 threads)"
-# The ici-prop shrinker is part of the deterministic surface: the same
-# seed must descend to the same minimal counterexample byte for byte at
-# both pool widths, and every committed tests/reproducers/*.repro file
-# must still fail its property when replayed from seed and shrink path.
-ICI_PAR_THREADS=1 cargo test -q --release --test shrink_determinism --test reproducers
-ICI_PAR_THREADS=4 cargo test -q --release --test shrink_determinism --test reproducers
-echo "    shrinker OK: minimal reproducer pinned at 1 and 4 threads"
-
-echo "==> parallel speedup bench (E1 + E7, 1 vs 4 threads)"
-# What the ici-par pool alone buys each experiment end to end.
-# Best-of-3 keeps scheduler noise out of the committed trajectory.
-bench_wall() { # bench_wall <bin> <threads> -> best-of-3 wall seconds
-    local best="inf" start end
-    for _ in 1 2 3; do
-        start=$(python3 -c 'import time; print(time.monotonic())')
-        ICI_PAR_THREADS="$2" \
-            cargo run -q --release -p ici-bench --bin "$1" >/dev/null
-        end=$(python3 -c 'import time; print(time.monotonic())')
-        best=$(python3 -c "print(min(float('$best'), $end - $start))")
-    done
-    python3 -c "print('%.3f' % float('$best'))"
-}
-E1_SERIAL=$(bench_wall e1_storage 1)
-E1_PAR=$(bench_wall e1_storage 4)
-E7_SERIAL=$(bench_wall e7_throughput 1)
-E7_PAR=$(bench_wall e7_throughput 4)
-python3 - "$E1_SERIAL" "$E1_PAR" "$E7_SERIAL" "$E7_PAR" <<'EOF'
-import json, os, sys
-e1s, e1p, e7s, e7p = map(float, sys.argv[1:5])
-REQUESTED = 4
-MAX_THREADS = 256  # ici_par::MAX_THREADS
-host_cpus = os.cpu_count() or 1
-# What ici-par actually resolves for ICI_PAR_THREADS=4: the env value
-# clamped to MAX_THREADS (the pool oversubscribes a narrower host).
-# Recorded per run so a reader can judge each speedup against the
-# hardware that produced it.
-effective = min(REQUESTED, MAX_THREADS)
-def run(bin_name, serial, parallel):
-    return {"bin": bin_name, "host_cpus": host_cpus,
-            "effective_threads": effective, "timing": "best_of_3",
-            "serial_s": serial, "parallel_s": parallel,
-            "speedup": round(serial / parallel, 3) if parallel > 0 else None}
-record = {
-    "id": "BENCH_par",
-    "title": "ici-par wall-clock: serial vs 4-wide pool",
-    "host_cpus": host_cpus,
-    "effective_threads": effective,
-    "runs": [
-        run("e1_storage", e1s, e1p),
-        run("e7_throughput", e7s, e7p),
-    ],
-}
-with open("results/BENCH_par.json", "w") as f:
-    json.dump(record, f, indent=2)
-    f.write("\n")
-for r in record["runs"]:
-    print(f"    {r['bin']}: {r['serial_s']:.2f}s serial, "
-          f"{r['parallel_s']:.2f}s at 4 threads ({r['speedup']}x, best of 3)")
-if host_cpus < effective:
-    # Speedup on a width-clamped host is bounded by the hardware, not by
-    # the decomposition.
-    print(f"    note: host has {host_cpus} CPU(s) < {effective} "
-          f"pool threads - width-clamped")
-EOF
-
-echo "==> allocation bench (ICI_ALLOC_STATS=1, e1/e7/e_fault at 4 threads)"
+echo "==> allocation bench (ICI_ALLOC_STATS=1, e1/e7/e_fault)"
 alloc_bench() { # alloc_bench <bin> [args...] -> "wall_s count bytes"
     python3 - "$@" <<'EOF'
 import os, re, subprocess, sys, time
-env = dict(os.environ, ICI_ALLOC_STATS="1", ICI_PAR_THREADS="4")
+env = dict(os.environ, ICI_ALLOC_STATS="1")
 start = time.monotonic()
 out = subprocess.run(["./target/release/" + sys.argv[1], *sys.argv[2:]],
                      env=env, capture_output=True, text=True, check=True)
@@ -412,7 +310,7 @@ E7_ALLOC=$(alloc_bench e7_throughput)
 EF_ALLOC=$(alloc_bench e_fault --seed 42)
 # The counting allocator must never leak into the result records: the
 # instrumented runs have to reproduce the committed JSON byte for byte
-# (digest caching, shared bodies, and chunked vote forks included).
+# (digest caching and shared bodies included).
 git diff --quiet -- results/e1.json results/e7.json results/e_fault.json || {
     echo "allocation-bench runs changed committed results/e*.json"; exit 1;
 }
@@ -421,7 +319,7 @@ python3 - $E1_ALLOC $E7_ALLOC $EF_ALLOC <<'EOF'
 import json, sys
 vals = sys.argv[1:10]
 # Pre-optimization reference: the zero-copy-pipeline PR's parent commit
-# with the same counting allocator patched in, ICI_PAR_THREADS=4.
+# with the same counting allocator patched in.
 BEFORE = {
     "e1_storage":    {"wall_s": 0.780, "allocs": 1_081_488, "alloc_bytes": 457_007_918},
     "e7_throughput": {"wall_s": 0.728, "allocs": 1_081_745, "alloc_bytes": 457_118_573},
@@ -450,7 +348,6 @@ for i, bin_name in enumerate(["e1_storage", "e7_throughput", "e_fault"]):
 record = {
     "id": "BENCH_alloc",
     "title": "Zero-copy block pipeline: allocations and wall-clock, before vs after",
-    "threads": 4,
     "runs": runs,
 }
 with open("results/BENCH_alloc.json", "w") as f:

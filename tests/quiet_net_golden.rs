@@ -9,7 +9,7 @@
 //! per-message vote exchange, so they pin the closed form against it:
 //! per-height proposal and commit instants, per-height traffic, the
 //! per-class table, a digest over every node's sent and received
-//! counters, and the final clock — at `ici-par` threads {1, 4}.
+//! counters, and the final clock.
 //!
 //! Clusters and committees are larger than 16 and carry crashed
 //! members, so quorums are reached with votes missing and the
@@ -33,16 +33,6 @@ fn workload() -> WorkloadGenerator {
         seed: 19,
         ..WorkloadConfig::default()
     })
-}
-
-/// Runs `line` at threads {1, 4} and checks each against the pinned
-/// text.
-fn pinned(expected: &str, line: impl Fn() -> String) {
-    for threads in [1, 4] {
-        ici_par::set_threads(threads);
-        assert_eq!(line(), expected, "at {threads} thread(s)");
-    }
-    ici_par::set_threads(1);
 }
 
 /// The per-class table plus a digest over every node's counters.
@@ -210,15 +200,15 @@ fn full_line() -> String {
 
 #[test]
 fn ici_quiet_run_with_crashed_members() {
-    pinned("1:18..714152 2035/249496 missed=0, 2:714170..1490929 2035/249496 missed=0, 3:1490947..2150774 2035/247312 missed=0, 4:2150792..3074647 1845/228216 missed=0, 5:3074665..3976545 1845/228216 missed=0, 6:3976563..4815304 1845/228216 missed=0 | total=11640/1430952 max_received=32064 [block-full=12/43968 block-body=35/81200 block-header=307/41752 vote=11286/1264032] nodes=01fb37a19dfca95c | clock_us=4815304", ici_line);
+    assert_eq!(ici_line(), "1:18..714152 2035/249496 missed=0, 2:714170..1490929 2035/249496 missed=0, 3:1490947..2150774 2035/247312 missed=0, 4:2150792..3074647 1845/228216 missed=0, 5:3074665..3976545 1845/228216 missed=0, 6:3976563..4815304 1845/228216 missed=0 | total=11640/1430952 max_received=32064 [block-full=12/43968 block-body=35/81200 block-header=307/41752 vote=11286/1264032] nodes=01fb37a19dfca95c | clock_us=4815304");
 }
 
 #[test]
 fn rapidchain_quiet_rounds_with_crashed_members() {
-    pinned("1:14..635841 1350/215758 reached=22, 1:14..647776 1289/206061 reached=21, 2:635852..1261386 1350/210012 reached=22, 2:647787..1288698 1289/200570 reached=21, 3:1261397..1886177 1350/210012 reached=22, 3:1288709..1926546 1289/200570 reached=21 | total=7917/1242983 max_received=28112 [block-shard=1983/578375 vote=5934/664608] nodes=7becae01a62048c5 | clock_us=1926546", rapidchain_line);
+    assert_eq!(rapidchain_line(), "1:14..635841 1350/215758 reached=22, 1:14..647776 1289/206061 reached=21, 2:635852..1261386 1350/210012 reached=22, 2:647787..1288698 1289/200570 reached=21, 3:1261397..1886177 1350/210012 reached=22, 3:1288709..1926546 1289/200570 reached=21 | total=7917/1242983 max_received=28112 [block-shard=1983/578375 vote=5934/664608] nodes=7becae01a62048c5 | clock_us=1926546");
 }
 
 #[test]
 fn full_replication_quiet_rounds_with_crashed_members() {
-    pinned("1:14..278667 88/156112 reached=22, 2:278681..581617 84/149016 reached=21, 3:581631..845210 88/156112 reached=22, 4:845224..1252853 84/149016 reached=21 | total=344/610256 max_received=39028 [block-full=344/610256] nodes=83b3d83c1bd7940b | clock_us=1252853", full_line);
+    assert_eq!(full_line(), "1:14..278667 88/156112 reached=22, 2:278681..581617 84/149016 reached=21, 3:581631..845210 88/156112 reached=22, 4:845224..1252853 84/149016 reached=21 | total=344/610256 max_received=39028 [block-full=344/610256] nodes=83b3d83c1bd7940b | clock_us=1252853");
 }

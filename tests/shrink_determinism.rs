@@ -25,9 +25,9 @@ fn find_failure() -> Failure<FaultScenario> {
     .expect_err("quorum loss under churn must falsify the liveness property")
 }
 
-/// Same seed, same failure, same reproducer bytes — twice in-process.
-/// `scripts/ci.sh` re-runs this test under `ICI_PAR_THREADS=1` and `=4`
-/// to extend the guarantee across processes and thread counts.
+/// Same seed, same failure, same reproducer bytes — twice in-process;
+/// `committed_reproducer_matches_the_canonical_check` below extends the
+/// guarantee across processes.
 #[test]
 fn shrinker_is_deterministic() {
     let a = find_failure();
