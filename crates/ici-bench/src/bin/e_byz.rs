@@ -23,7 +23,7 @@
 
 use ici_baselines::full::FullConfig;
 use ici_baselines::rapidchain::RapidChainConfig;
-use ici_bench::{emit, quiet_link, standard_workload, Scale};
+use ici_bench::{emit, quiet_link, seed_from_args, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig};
 use ici_sim::fault_run::{
@@ -32,16 +32,6 @@ use ici_sim::fault_run::{
 };
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
-
-/// Parses `--seed N` from the process arguments (default 42).
-fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
 
 /// The shared adversary: every strategy faces this schedule shape.
 fn byz_profile(seed: u64, rounds: usize, min_live: usize) -> FaultProfile {

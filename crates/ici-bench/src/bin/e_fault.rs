@@ -14,22 +14,12 @@
 //!
 //! Run: `cargo run --release -p ici-bench --bin e_fault [--paper] [--seed N]`
 
-use ici_bench::{emit, quiet_link, standard_workload, Scale};
+use ici_bench::{emit, quiet_link, seed_from_args, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig, MessageFaultSpec, PartitionPolicy};
 use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
-
-/// Parses `--seed N` from the process arguments (default 42).
-fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
 
 fn main() {
     let scale = Scale::from_args();

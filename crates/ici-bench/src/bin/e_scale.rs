@@ -1,8 +1,8 @@
-//! **E-scale — sharded world state & mempool at the million-account tier.**
+//! **E-scale — world state & mempool at the million-account tier.**
 //!
 //! Sustains zipf-skewed burst traffic from a large funded universe
-//! through the full scale path: sharded fee-market mempool admission,
-//! in-place block building on a sharded [`WorldState`], the incremental
+//! through the full scale path: fee-market mempool admission, in-place
+//! block building on a long-lived [`WorldState`], the incremental
 //! v2 (`ShardedV2`) state commitment, and in-place validation on a
 //! second long-lived state. Per-block commitment cost is proportional
 //! to *touched* buckets/accounts — the run asserts it — never to the
@@ -12,7 +12,7 @@
 //! Two output channels, deliberately separate:
 //!
 //! * `results/e_scale.json` — deterministic tables only (counts, roots,
-//!   ratios). Byte-identical at shards 1 and 4; CI compares them.
+//!   ratios). CI regenerates it and fails on any diff.
 //! * A `SCALE_STATS` stdout line — wall-clock throughput, commit-latency
 //!   percentiles, and the allocator's peak-live-bytes high-water mark.
 //!   Host-dependent, so it feeds the regenerated
@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use ici_bench::harness;
-use ici_bench::{alloc, emit, Scale};
+use ici_bench::{alloc, emit, seed_from_args, Scale};
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::mempool::{Mempool, MempoolError};
@@ -37,16 +37,6 @@ use ici_workload::{
     WorkloadGenerator,
 };
 
-/// Parses `--seed N` from the process arguments (default 42).
-fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
-
 /// The fixed proposing node (fee collector derives from it).
 const PROPOSER: u64 = 7;
 
@@ -57,7 +47,6 @@ fn main() {
         Scale::Small => (50_000u64, 40u64, 250usize),
         Scale::Paper => (1_000_000, 60, 1_000),
     };
-    let shard_count = ici_chain::shard::state_shards();
 
     // Funded universe + two long-lived states: the proposer's and an
     // independent validator's (advanced in place — no per-block clone).
@@ -179,13 +168,10 @@ fn main() {
         accounts * 1_000_000,
         "supply not conserved"
     );
-    // Replay the whole chain on a fresh single-shard (sequential
-    // reference) state: contents, flat v1 root, and v2 root must all
-    // agree with the incrementally-maintained sharded run.
-    let mut reference = ici_chain::state::WorldState::with_balances_sharded(
-        genesis_cfg.allocations().iter().copied(),
-        1,
-    );
+    // Replay the whole chain on a fresh state: contents, flat v1 root,
+    // and v2 root (its lattice built once, at the end) must all agree
+    // with the incrementally-maintained run.
+    let mut reference = genesis_cfg.initial_state();
     for block in &blocks {
         reference
             .apply_block(block)
@@ -267,7 +253,7 @@ fn main() {
         p99_ns: 0,
     });
     println!(
-        "SCALE_STATS id=E_scale accounts={accounts} shards={shard_count} \
+        "SCALE_STATS id=E_scale accounts={accounts} \
          committed={committed_txs} wall_s={wall_s:.3} tps={:.1} commit_p50_ns={} \
          commit_p90_ns={} commit_p99_ns={} peak_live_bytes={}",
         committed_txs as f64 / wall_s,

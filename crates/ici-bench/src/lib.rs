@@ -55,6 +55,16 @@ impl Scale {
     }
 }
 
+/// Parses `--seed N` from the process arguments (default 42).
+pub fn seed_from_args() -> u64 {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == "--seed")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(42)
+}
+
 /// Network sizes for a strategy-comparison sweep.
 pub fn network_sizes(scale: Scale) -> Vec<usize> {
     match scale {

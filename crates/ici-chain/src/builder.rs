@@ -6,7 +6,7 @@
 //! post-execution state.
 
 use crate::block::{Block, BlockHeader, BlockId, Height};
-use crate::state::{StateCommitment, StateError, WorldState};
+use crate::state::{StateError, WorldState};
 use crate::transaction::{Address, Transaction};
 
 /// Incrementally assembles the next block.
@@ -44,7 +44,6 @@ pub struct BlockBuilder {
     body_len: usize,
     max_txs: usize,
     max_body_bytes: usize,
-    commitment: StateCommitment,
 }
 
 /// Why a transaction was not added to the block under construction.
@@ -110,15 +109,7 @@ impl BlockBuilder {
             body_len: 0,
             max_txs: BlockBuilder::DEFAULT_MAX_TXS,
             max_body_bytes: BlockBuilder::DEFAULT_MAX_BODY_BYTES,
-            commitment: StateCommitment::FlatV1,
         }
-    }
-
-    /// Selects which state commitment the sealed header carries
-    /// (default: the flat v1 root, matching historical blocks).
-    pub fn commitment(&mut self, commitment: StateCommitment) -> &mut BlockBuilder {
-        self.commitment = commitment;
-        self
     }
 
     /// Overrides the transaction-count cap.
@@ -192,17 +183,16 @@ impl BlockBuilder {
     }
 
     /// Seals and also returns the post-state (so the proposer need not
-    /// re-execute its own block). The state is the one the root was just
-    /// computed on, moved out — under the v2 commitment its bucket-root
-    /// cache is warm.
-    pub fn seal_with_state(mut self) -> (Block, WorldState) {
+    /// re-execute its own block). The state is the one the flat v1 root
+    /// in the header was just computed on, moved out.
+    pub fn seal_with_state(self) -> (Block, WorldState) {
         let _span = ici_telemetry::span!("chain/block_build");
         ici_telemetry::observe(
             "chain/block_txs",
             ici_telemetry::Label::Global,
             self.transactions.len() as u64,
         );
-        let state_root = self.state.root_for(self.commitment);
+        let state_root = self.state.root();
         let block = Block::new(
             BlockHeader {
                 height: self.height,
@@ -268,19 +258,6 @@ mod tests {
         let mut replay = state;
         replay.apply_block(&block).expect("replays");
         assert_eq!(replay.root(), block.header().state_root);
-    }
-
-    #[test]
-    fn v2_seal_returns_the_state_it_rooted() {
-        let (genesis, state) = setup();
-        let mut b = BlockBuilder::new(genesis.header(), state, 3, 500);
-        b.commitment(StateCommitment::ShardedV2);
-        b.push(transfer(0, 0, 10)).expect("valid");
-        let (block, mut post) = b.seal_with_state();
-        // A state without a lattice, or one copied before the root was
-        // taken, reports every bucket dirty.
-        assert_eq!(post.dirty_buckets(), 0, "bucket-root cache must be warm");
-        assert_eq!(post.sharded_root(), block.header().state_root);
     }
 
     #[test]

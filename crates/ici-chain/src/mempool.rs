@@ -7,28 +7,23 @@
 //! standard behaviour of deployed nodes, which the lifecycle's
 //! "signatures are checked on admission" assumption rests on.
 //!
-//! # Sharding and fee indexes
+//! # Fee indexes
 //!
-//! Senders are range-partitioned into `ICI_STATE_SHARDS` shards (the
-//! same geometry as the world state, see [`crate::shard`]), so admission
-//! touches one shard. Two maintained `BTreeSet` fee indexes replace the
-//! historical full scans:
+//! Two maintained `BTreeSet` fee indexes replace the historical full
+//! scans:
 //!
 //! * `all_fees` — every pending `(fee, sender, nonce)`; its minimum is
 //!   the fee-market eviction victim (what `cheapest()` used to scan for).
 //! * `heads` — one tuple per sender: the lowest-nonce (serveable) entry
 //!   of that sender's chain; its maximum is the next block pick.
 //!
-//! Block selection k-way merges the per-shard maxima, so both eviction
-//! and selection are O(shards + log n) per operation while the pop
-//! order stays byte-identical to the old scans (the tuples compared are
-//! exactly the ones the scans compared, with the same tie-breaks) at
-//! every shard count — shards=1 is the sequential reference layout.
+//! Eviction and selection are O(log n) per operation while the pop order
+//! stays byte-identical to the old scans (the tuples compared are exactly
+//! the ones the scans compared, with the same tie-breaks).
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
-use crate::shard;
 use crate::transaction::{Address, Transaction, TxId};
 
 /// Why a transaction was not admitted.
@@ -70,10 +65,28 @@ struct Entry {
     id: TxId,
 }
 
-/// One sender-range shard: the nonce-ordered chains plus the two fee
-/// indexes maintained in lockstep with them.
-#[derive(Clone, Debug, Default)]
-struct PoolShard {
+/// A fee-prioritised, nonce-ordered transaction pool.
+///
+/// # Examples
+///
+/// ```
+/// use ici_chain::mempool::Mempool;
+/// use ici_chain::transaction::{Address, Transaction};
+/// use ici_crypto::sig::Keypair;
+///
+/// let mut pool = Mempool::new(100);
+/// let tx = Transaction::signed(
+///     &Keypair::from_seed(0), Address::from_seed(1), 5, 2, 0, Vec::new(),
+/// );
+/// pool.insert(tx)?;
+/// assert_eq!(pool.len(), 1);
+/// let block_txs = pool.take_for_block(10);
+/// assert_eq!(block_txs.len(), 1);
+/// assert!(pool.is_empty());
+/// # Ok::<(), ici_chain::mempool::MempoolError>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct Mempool {
     /// Per sender: nonce → entry. Both maps are BTreeMaps so iteration
     /// (`iter`, head lookups) visits (sender, nonce) in a defined order —
     /// a HashMap here would make tie-breaks and `iter()` output depend
@@ -84,9 +97,60 @@ struct PoolShard {
     /// Lowest-nonce entry per sender as `(fee, sender, nonce)`;
     /// max = next block pick.
     heads: BTreeSet<(u64, Address, u64)>,
+    /// Membership check only — never iterated.
+    ids: HashSet<TxId>,
+    capacity: usize,
+    len: usize,
+    evicted: u64,
 }
 
-impl PoolShard {
+impl Mempool {
+    /// Creates a pool bounded to `capacity` transactions. A pool of
+    /// capacity zero admits nothing: every insert is
+    /// [`MempoolError::PoolFull`].
+    pub fn new(capacity: usize) -> Mempool {
+        Mempool {
+            by_sender: BTreeMap::new(),
+            all_fees: BTreeSet::new(),
+            heads: BTreeSet::new(),
+            ids: HashSet::new(),
+            capacity,
+            len: 0,
+            evicted: 0,
+        }
+    }
+
+    /// Pending transactions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Configured capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Transactions evicted by the fee market since construction.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// The lowest pending fee — what a new transaction must beat to get
+    /// in once the pool is full.
+    pub fn fee_floor(&self) -> Option<u64> {
+        self.cheapest().map(|(fee, _, _)| fee)
+    }
+
+    /// Whether `id` is pending.
+    pub fn contains(&self, id: &TxId) -> bool {
+        self.ids.contains(id)
+    }
+
     /// The serveable head of `sender`'s chain, as an index tuple.
     fn head_of(&self, sender: &Address) -> Option<(u64, Address, u64)> {
         self.by_sender
@@ -121,20 +185,23 @@ impl PoolShard {
     }
 
     /// Adds an entry (the caller guarantees `(sender, nonce)` is vacant)
-    /// and maintains both indexes.
+    /// and maintains both indexes, the id set and the count.
     fn insert_entry(&mut self, sender: Address, nonce: u64, entry: Entry) {
         let old_head = self.head_of(&sender);
         self.all_fees.insert((entry.tx.fee(), sender, nonce));
+        self.ids.insert(entry.id);
         self.by_sender
             .entry(sender)
             .or_default()
             .insert(nonce, entry);
+        self.len += 1;
         let new_head = self.head_of(&sender);
         self.refresh_head(old_head, new_head);
     }
 
     /// Removes the entry at `(sender, nonce)` — if present — dropping
-    /// empty chains and maintaining both indexes.
+    /// empty chains and maintaining both indexes, the id set and the
+    /// count.
     fn remove_entry(&mut self, sender: &Address, nonce: u64) -> Option<Entry> {
         let old_head = self.head_of(sender);
         let chain = self.by_sender.get_mut(sender)?;
@@ -143,112 +210,11 @@ impl PoolShard {
             self.by_sender.remove(sender);
         }
         self.all_fees.remove(&(entry.tx.fee(), *sender, nonce));
+        self.ids.remove(&entry.id);
+        self.len -= 1;
         let new_head = self.head_of(sender);
         self.refresh_head(old_head, new_head);
         Some(entry)
-    }
-}
-
-/// A fee-prioritised, nonce-ordered transaction pool.
-///
-/// # Examples
-///
-/// ```
-/// use ici_chain::mempool::Mempool;
-/// use ici_chain::transaction::{Address, Transaction};
-/// use ici_crypto::sig::Keypair;
-///
-/// let mut pool = Mempool::new(100);
-/// let tx = Transaction::signed(
-///     &Keypair::from_seed(0), Address::from_seed(1), 5, 2, 0, Vec::new(),
-/// );
-/// pool.insert(tx)?;
-/// assert_eq!(pool.len(), 1);
-/// let block_txs = pool.take_for_block(10);
-/// assert_eq!(block_txs.len(), 1);
-/// assert!(pool.is_empty());
-/// # Ok::<(), ici_chain::mempool::MempoolError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct Mempool {
-    shards: Vec<PoolShard>,
-    /// Membership check only — never iterated.
-    ids: HashSet<TxId>,
-    capacity: usize,
-    len: usize,
-    evicted: u64,
-}
-
-impl Mempool {
-    /// Creates a pool bounded to `capacity` transactions, partitioned
-    /// into the configured (`ICI_STATE_SHARDS`) number of shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Mempool {
-        Mempool::with_shards(capacity, shard::state_shards())
-    }
-
-    /// [`Mempool::new`] with an explicit shard count (normalized to a
-    /// power of two in `[1, 64]`) — the deterministic-construction path
-    /// for tests and experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_shards(capacity: usize, shard_count: usize) -> Mempool {
-        // lint:allow(panic) -- documented `# Panics` contract; capacity
-        // is a construction-time constant, never attacker-controlled
-        assert!(capacity > 0, "capacity must be positive");
-        let shard_count = shard::normalize_shards(shard_count);
-        Mempool {
-            shards: vec![PoolShard::default(); shard_count],
-            ids: HashSet::new(),
-            capacity,
-            len: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Pending transactions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of sender-range shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Transactions evicted by the fee market since construction.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The lowest pending fee — what a new transaction must beat to get
-    /// in once the pool is full.
-    pub fn fee_floor(&self) -> Option<u64> {
-        self.cheapest().map(|(fee, _, _)| fee)
-    }
-
-    /// Whether `id` is pending.
-    pub fn contains(&self, id: &TxId) -> bool {
-        self.ids.contains(id)
-    }
-
-    fn shard_index(&self, sender: &Address) -> usize {
-        shard::shard_of(sender, self.shards.len())
     }
 
     /// Admits `tx`, verifying its signature and applying replace-by-fee
@@ -266,29 +232,20 @@ impl Mempool {
             return Err(MempoolError::Duplicate(id));
         }
         let sender = tx.sender_address();
-        let shard_idx = self.shard_index(&sender);
-        if let Some(incumbent_fee) = self.shards[shard_idx].fee_at(&sender, tx.nonce()) {
+        if let Some(incumbent_fee) = self.fee_at(&sender, tx.nonce()) {
             if incumbent_fee >= tx.fee() {
                 return Err(MempoolError::Underpriced { incumbent_fee });
             }
             // Replace-by-fee: drop the incumbent.
-            if let Some(old) = self.shards[shard_idx].remove_entry(&sender, tx.nonce()) {
-                self.ids.remove(&old.id);
-                self.len -= 1;
-            }
+            self.remove_entry(&sender, tx.nonce());
         }
 
         if self.len >= self.capacity {
-            // Evict the globally cheapest pending transaction if this one
-            // pays more; otherwise reject.
+            // Evict the cheapest pending transaction if this one pays
+            // more; otherwise reject.
             match self.cheapest() {
                 Some((fee, victim_sender, victim_nonce)) if tx.fee() > fee => {
-                    let victim_shard = self.shard_index(&victim_sender);
-                    if let Some(old) =
-                        self.shards[victim_shard].remove_entry(&victim_sender, victim_nonce)
-                    {
-                        self.ids.remove(&old.id);
-                        self.len -= 1;
+                    if self.remove_entry(&victim_sender, victim_nonce).is_some() {
                         self.evicted += 1;
                     }
                 }
@@ -296,43 +253,28 @@ impl Mempool {
             }
         }
 
-        self.ids.insert(id);
-        self.shards[shard_idx].insert_entry(sender, tx.nonce(), Entry { tx, id });
-        self.len += 1;
+        self.insert_entry(sender, tx.nonce(), Entry { tx, id });
         Ok(())
     }
 
-    /// The globally cheapest pending `(fee, sender, nonce)`: the minimum
-    /// over the per-shard `all_fees` minima — the same tuple (and the
-    /// same tie-breaks) the historical full scan produced.
+    /// The cheapest pending `(fee, sender, nonce)` — the same tuple (and
+    /// the same tie-breaks) the historical full scan produced.
     fn cheapest(&self) -> Option<(u64, Address, u64)> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.all_fees.iter().next().copied())
-            .min()
+        self.all_fees.first().copied()
     }
 
     /// Selects up to `max` transactions for a block: senders' chains are
     /// consumed in nonce order, highest head-fee first, so the result is
     /// executable as-is against a state that matches the pool's nonces.
-    /// Each pick k-way merges the per-shard `heads` maxima.
     pub fn take_for_block(&mut self, max: usize) -> Vec<Transaction> {
         let mut picked = Vec::with_capacity(max.min(self.len));
         while picked.len() < max {
-            let best = self
-                .shards
-                .iter()
-                .filter_map(|s| s.heads.iter().next_back().copied())
-                .max();
-            let Some((_, sender, nonce)) = best else {
+            let Some(&(_, sender, nonce)) = self.heads.last() else {
                 break;
             };
-            let shard_idx = self.shard_index(&sender);
-            let Some(entry) = self.shards[shard_idx].remove_entry(&sender, nonce) else {
+            let Some(entry) = self.remove_entry(&sender, nonce) else {
                 break;
             };
-            self.ids.remove(&entry.id);
-            self.len -= 1;
             picked.push(entry.tx);
         }
         picked
@@ -342,26 +284,20 @@ impl Mempool {
     /// `next_nonce` — called after a block commits to clear included or
     /// stale entries. Returns how many were removed.
     pub fn prune_below(&mut self, sender: &Address, next_nonce: u64) -> usize {
-        let shard_idx = self.shard_index(sender);
-        let Some(chain) = self.shards[shard_idx].by_sender.get(sender) else {
+        let Some(chain) = self.by_sender.get(sender) else {
             return 0;
         };
         let stale: Vec<u64> = chain.range(..next_nonce).map(|(n, _)| *n).collect();
         for nonce in &stale {
-            if let Some(e) = self.shards[shard_idx].remove_entry(sender, *nonce) {
-                self.ids.remove(&e.id);
-                self.len -= 1;
-            }
+            self.remove_entry(sender, *nonce);
         }
         stale.len()
     }
 
-    /// Iterates pending transactions in (sender, nonce) order (shards
-    /// are sender ranges, so shard order concatenates to global order).
+    /// Iterates pending transactions in (sender, nonce) order.
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.by_sender.values())
+        self.by_sender
+            .values()
             .flat_map(|chain| chain.values().map(|e| &e.tx))
     }
 }
@@ -507,9 +443,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = Mempool::new(0);
+    fn zero_capacity_pool_refuses_with_pool_full() {
+        let mut pool = Mempool::new(0);
+        assert_eq!(pool.insert(tx(1, 0, 5)), Err(MempoolError::PoolFull));
+        assert_eq!(pool.len(), 0);
+        assert!(pool.take_for_block(1).is_empty());
     }
 
     #[test]
@@ -526,24 +464,17 @@ mod tests {
 
     #[test]
     fn index_invariants_hold_under_churn() {
-        let mut pool = Mempool::with_shards(8, 4);
+        let mut pool = Mempool::new(8);
         for seed in 0..12 {
             let _ = pool.insert(tx(seed, 0, (seed % 5) + 1));
             let _ = pool.insert(tx(seed, 1, (seed % 3) + 1));
         }
         let _ = pool.take_for_block(5);
         let _ = pool.prune_below(&Address::from_seed(3), 2);
-        let entries: usize = pool
-            .shards
-            .iter()
-            .map(|s| s.by_sender.values().map(|c| c.len()).sum::<usize>())
-            .sum();
-        let fees: usize = pool.shards.iter().map(|s| s.all_fees.len()).sum();
-        let heads: usize = pool.shards.iter().map(|s| s.heads.len()).sum();
-        let senders: usize = pool.shards.iter().map(|s| s.by_sender.len()).sum();
+        let entries: usize = pool.by_sender.values().map(|c| c.len()).sum();
         assert_eq!(entries, pool.len());
-        assert_eq!(fees, pool.len());
-        assert_eq!(heads, senders);
+        assert_eq!(pool.all_fees.len(), pool.len());
+        assert_eq!(pool.heads.len(), pool.by_sender.len());
         assert_eq!(pool.ids.len(), pool.len());
     }
 }

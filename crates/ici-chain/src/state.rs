@@ -5,26 +5,24 @@
 //! commitment — the property the collaborative verification protocol relies
 //! on when cluster members cross-check a proposed block's `state_root`.
 //!
-//! # Sharded layout
+//! # Layout and commitments
 //!
-//! Accounts live in `ICI_STATE_SHARDS` physical shards (see
-//! [`crate::shard`]), each an `Arc`-shared `BTreeMap` range-partitioned by
-//! the top bits of the address. Cloning a state is O(shards) `Arc` bumps;
-//! mutation copies only the touched shard (copy-on-write). Two commitments
-//! are available behind versioned domain tags:
+//! Accounts live in one `Arc`-shared `BTreeMap`. Cloning a state is one
+//! `Arc` bump; the first mutation of a shared map copies it
+//! (copy-on-write). Two commitments are available behind versioned domain
+//! tags:
 //!
 //! * [`WorldState::root`] — the flat v1 commitment, a single SHA-256 over
-//!   every account in address order. Byte-identical to the pre-sharding
-//!   implementation (range partitioning preserves global iteration order),
-//!   so committed experiment records do not churn. O(total accounts).
+//!   every account in address order. What every committed experiment
+//!   record carries. O(total accounts).
 //! * [`WorldState::sharded_root`] — the v2 commitment: 64 fixed logical
-//!   buckets, each summarised by an incrementally-maintained lattice
-//!   accumulator (order-independent wrapping sums of per-account hashes,
-//!   updated O(1) per touched account), combined as a hash over the 64
-//!   cached bucket roots in bucket order. Only buckets dirtied since the
-//!   last call are re-derived, so per-block commitment cost is
-//!   proportional to touched accounts, not total accounts. The value is
-//!   independent of the physical shard count.
+//!   buckets (see [`crate::shard`]), each summarised by an
+//!   incrementally-maintained lattice accumulator (order-independent
+//!   wrapping sums of per-account hashes, updated O(1) per touched
+//!   account), combined as a hash over the 64 cached bucket roots in
+//!   bucket order. Only buckets dirtied since the last call are
+//!   re-derived, so per-block commitment cost is proportional to touched
+//!   accounts, not total accounts.
 //!
 //! The lattice is materialised lazily: a state carries none until its
 //! first [`WorldState::sharded_root`], which builds it in one pass over
@@ -141,7 +139,7 @@ fn acct_hash(address: &Address, acct: &AccountState) -> Digest {
 /// `add` and `sub` are exact inverses, so updating an account is
 /// sub(old) + add(new) — O(1) regardless of bucket size. An account
 /// contributes iff its map entry exists, which keeps the accumulator in
-/// lockstep with the shard maps (entries are created, never deleted).
+/// lockstep with the account map (entries are created, never deleted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct BucketAcc {
     sum: [u64; 4],
@@ -184,9 +182,6 @@ impl BucketAcc {
     }
 }
 
-/// One physical shard: the accounts of a contiguous address range.
-type Shard = Arc<BTreeMap<Address, AccountState>>;
-
 /// The v2 commitment's bookkeeping, held only by states that have been
 /// asked for [`WorldState::sharded_root`].
 #[derive(Clone, Debug)]
@@ -199,11 +194,11 @@ struct Lattice {
 }
 
 impl Lattice {
-    /// Accumulates every account of `shards` — one leaf hash each.
-    fn build(shards: &[Shard]) -> Lattice {
+    /// Accumulates every account of `accounts` — one leaf hash each.
+    fn build(accounts: &BTreeMap<Address, AccountState>) -> Lattice {
         ici_telemetry::counter_add("state/lattice_builds", ici_telemetry::Label::Global, 1);
         let mut acc = vec![BucketAcc::default(); STATE_BUCKETS];
-        for (address, acct) in shards.iter().flat_map(|s| s.iter()) {
+        for (address, acct) in accounts {
             let bucket = &mut acc[shard::bucket_of(address)];
             bucket.add(&acct_hash(address, acct));
             bucket.count += 1;
@@ -217,53 +212,32 @@ impl Lattice {
 
 /// The full account state, keyed by address.
 ///
-/// Backed by range-partitioned `BTreeMap` shards so iteration order — and
-/// therefore the state root — is canonical (shard order concatenates to
-/// global address order).
-#[derive(Clone, Debug)]
+/// Backed by a `BTreeMap` so iteration order — and therefore the state
+/// root — is canonical.
+#[derive(Clone, Debug, Default)]
 pub struct WorldState {
-    /// Physical shards in address order; `Arc` so clones are O(shards)
-    /// and mutation copies only the touched shard.
-    shards: Vec<Shard>,
+    /// `Arc` so a clone is one reference bump; the first write to a
+    /// shared map copies it.
+    accounts: Arc<BTreeMap<Address, AccountState>>,
     /// `None` until the first [`WorldState::sharded_root`]; maintained
     /// per mutation from then on, and carried by clones.
     lattice: Option<Lattice>,
 }
 
-impl Default for WorldState {
-    fn default() -> WorldState {
-        WorldState::new()
-    }
-}
-
 impl PartialEq for WorldState {
     /// Content equality: two states are equal when they hold the same
-    /// accounts, regardless of physical shard count.
+    /// accounts, whether or not either carries a lattice.
     fn eq(&self, other: &WorldState) -> bool {
-        self.len() == other.len() && self.accounts().eq(other.accounts())
+        self.accounts == other.accounts
     }
 }
 
 impl Eq for WorldState {}
 
 impl WorldState {
-    /// An empty state partitioned into the configured
-    /// (`ICI_STATE_SHARDS`) number of physical shards.
+    /// An empty state.
     pub fn new() -> WorldState {
-        WorldState::with_shards(shard::state_shards())
-    }
-
-    /// An empty state with an explicit physical shard count (normalized
-    /// to a power of two in `[1, 64]`), independent of the global knob —
-    /// the deterministic-construction path for tests and experiments.
-    pub fn with_shards(shard_count: usize) -> WorldState {
-        let shard_count = shard::normalize_shards(shard_count);
-        WorldState {
-            shards: (0..shard_count)
-                .map(|_| Arc::new(BTreeMap::new()))
-                .collect(),
-            lattice: None,
-        }
+        WorldState::default()
     }
 
     /// Creates a state with the given initial balances (nonces zero).
@@ -271,29 +245,29 @@ impl WorldState {
     where
         I: IntoIterator<Item = (Address, u64)>,
     {
-        Self::with_balances_sharded(balances, shard::state_shards())
-    }
-
-    /// [`WorldState::with_balances`] with an explicit shard count.
-    pub fn with_balances_sharded<I>(balances: I, shard_count: usize) -> WorldState
-    where
-        I: IntoIterator<Item = (Address, u64)>,
-    {
-        let mut state = WorldState::with_shards(shard_count);
+        let mut state = WorldState::new();
         for (addr, balance) in balances {
             state.update_account(addr, |acct| *acct = AccountState { balance, nonce: 0 });
         }
         state
     }
 
-    /// Number of physical shards backing this state.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    // Kept for the frozen benchmark only: `benchmark/src/surface.rs`
+    // still passes a shard count, which is ignored — the state is one
+    // map. The next `benchmark` PR calls `with_balances` and removes this
+    // shim with the `ici-par` ones; nothing in this repository may call
+    // it.
+    #[doc(hidden)]
+    pub fn with_balances_sharded<I>(balances: I, _shard_count: usize) -> WorldState
+    where
+        I: IntoIterator<Item = (Address, u64)>,
+    {
+        WorldState::with_balances(balances)
     }
 
-    /// Iterates all accounts in global address order.
+    /// Iterates all accounts in address order.
     pub fn accounts(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
-        self.shards.iter().flat_map(|s| s.iter())
+        self.accounts.iter()
     }
 
     /// Read-modify-write on one account; absent accounts start from the
@@ -301,8 +275,7 @@ impl WorldState {
     /// account's leaf hash in its bucket accumulator (sub old, add new)
     /// and marks the bucket dirty.
     fn update_account<F: FnOnce(&mut AccountState)>(&mut self, address: Address, f: F) {
-        let shard_idx = shard::shard_of(&address, self.shards.len());
-        let map = Arc::make_mut(&mut self.shards[shard_idx]);
+        let map = Arc::make_mut(&mut self.accounts);
         let Some(lattice) = &mut self.lattice else {
             f(map.entry(address).or_default());
             return;
@@ -327,11 +300,7 @@ impl WorldState {
 
     /// Looks up an account, returning the default (zero) state if absent.
     pub fn account(&self, address: &Address) -> AccountState {
-        let shard_idx = shard::shard_of(address, self.shards.len());
-        self.shards[shard_idx]
-            .get(address)
-            .copied()
-            .unwrap_or_default()
+        self.accounts.get(address).copied().unwrap_or_default()
     }
 
     /// Balance shortcut.
@@ -346,12 +315,12 @@ impl WorldState {
 
     /// Number of accounts with recorded state.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.accounts.len()
     }
 
     /// Whether no account has recorded state.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.accounts.is_empty()
     }
 
     /// Credits `amount` to `address` (used for genesis allocations and fee
@@ -449,8 +418,7 @@ impl WorldState {
     /// A canonical commitment to the full state: the SHA-256 over all
     /// `(address, balance, nonce)` triples in address order.
     ///
-    /// This is the flat v1 commitment — O(total accounts), byte-identical
-    /// to the pre-sharding implementation at every shard count.
+    /// This is the flat v1 commitment — O(total accounts).
     pub fn root(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"ici-state-v1:");
@@ -473,15 +441,14 @@ impl WorldState {
     /// The incremental v2 commitment: re-derives only the bucket roots
     /// dirtied since the last call (cost proportional to touched
     /// buckets, never total accounts) and hashes the 64 bucket roots in
-    /// bucket order under the `ici-state-v2:` domain tag. Independent of
-    /// the physical shard count.
+    /// bucket order under the `ici-state-v2:` domain tag.
     ///
     /// The first call on a state (or on a clone of a state that never
     /// had one) builds the lattice: one leaf hash per account, once.
     pub fn sharded_root(&mut self) -> Digest {
         let Lattice { acc, cached } = self
             .lattice
-            .get_or_insert_with(|| Lattice::build(&self.shards));
+            .get_or_insert_with(|| Lattice::build(&self.accounts));
         let mut recomputed = 0u64;
         for (bucket, slot) in cached.iter_mut().enumerate() {
             if slot.is_none() {
@@ -797,34 +764,27 @@ mod tests {
         assert_eq!(state.total_supply(), 100);
     }
 
-    /// Builds identical states at several shard counts.
-    fn matrix_states(balances: &[(Address, u64)]) -> Vec<WorldState> {
-        [1usize, 2, 4, 64]
-            .iter()
-            .map(|&s| WorldState::with_balances_sharded(balances.iter().copied(), s))
-            .collect()
-    }
-
+    /// Both roots of a 200-account state, recorded at `4572569` where 1,
+    /// 4 and 64 physical shards agreed on them.
     #[test]
-    fn roots_are_shard_count_independent() {
-        let balances: Vec<(Address, u64)> =
-            (0..200).map(|s| (Address::from_seed(s), 50 + s)).collect();
-        let mut states = matrix_states(&balances);
-        let v1: Vec<Digest> = states.iter().map(WorldState::root).collect();
-        let v2: Vec<Digest> = states.iter_mut().map(WorldState::sharded_root).collect();
-        assert!(v1.windows(2).all(|w| w[0] == w[1]), "v1 varies with shards");
-        assert!(v2.windows(2).all(|w| w[0] == w[1]), "v2 varies with shards");
-        assert_ne!(v1[0], v2[0], "domain tags must separate v1 and v2");
-        assert!(
-            states.windows(2).all(|w| w[0] == w[1]),
-            "content equality must ignore shard count"
+    fn fixture_roots_are_pinned_and_domain_separated() {
+        let mut state =
+            WorldState::with_balances((0..200).map(|s| (Address::from_seed(s), 50 + s)));
+        let (v1, v2) = (state.root(), state.sharded_root());
+        assert_eq!(
+            v1.to_hex(),
+            "50442fb039687f0c21c7ca4ce664a07e0fe2513ccb11cdb0e2d61f7f898d34dd"
         );
+        assert_eq!(
+            v2.to_hex(),
+            "41a84b0706150fe358faa4200bf602a0787bd33e127119865228ea4507858f00"
+        );
+        assert_ne!(v1, v2, "domain tags must separate v1 and v2");
     }
 
     #[test]
     fn sharded_root_tracks_mutations_incrementally() {
-        let mut state =
-            WorldState::with_balances_sharded((0..100).map(|s| (Address::from_seed(s), 1000)), 4);
+        let mut state = WorldState::with_balances((0..100).map(|s| (Address::from_seed(s), 1000)));
         let before = state.sharded_root();
         assert_eq!(state.dirty_buckets(), 0, "roots cached after computing");
 
@@ -845,12 +805,11 @@ mod tests {
 
         // A from-scratch rebuild of the same contents agrees — the
         // incremental accumulators match a full recompute.
-        let mut rebuilt = WorldState::with_balances_sharded(
+        let mut rebuilt = WorldState::with_balances(
             state
                 .accounts()
                 .map(|(a, st)| (*a, st.balance))
                 .collect::<Vec<_>>(),
-            1,
         );
         // Replay the nonce bump the transfer made.
         let replayed = state.nonce(&Address::from_seed(1));
@@ -859,18 +818,24 @@ mod tests {
         assert_eq!(rebuilt.sharded_root(), after);
     }
 
+    /// Both roots of the empty state, recorded at `4572569`.
     #[test]
     fn v2_root_is_empty_state_stable() {
+        let mut empty = WorldState::new();
         assert_eq!(
-            WorldState::with_shards(1).sharded_root(),
-            WorldState::with_shards(64).sharded_root()
+            empty.root().to_hex(),
+            "7ecdc243ddec35ed4e18b557e0644b0dbfa80abcbb846a6b9bb1193735040a72"
+        );
+        assert_eq!(
+            empty.sharded_root().to_hex(),
+            "ad77fac35f713c019f08ea06f38be1bfb5c0159a7bd3bd8f488d5ccaf832f56c"
         );
     }
 
     /// Random interleavings of apply / credit / clone / v1 root / v2 root
     /// against the eager reference: a state rooted at construction, one
     /// rooted only at the end and the clones taken along the way agree
-    /// with it on every answer, at every shard count.
+    /// with it on every answer.
     #[test]
     fn lazy_lattice_matches_the_eager_reference() {
         use ici_rng::Xoshiro256;
@@ -887,71 +852,69 @@ mod tests {
                 assert_eq!(lazy.dirty_buckets(), 0, "{what}: cache warm after a root");
             }
         };
-        for shards in [1usize, 4, 64] {
-            for seed in 0..6u64 {
-                let mut rng = Xoshiro256::seed_from_u64(seed * 31 + shards as u64);
-                let mut eager = EagerState::with_balances(&funded);
-                // `early` builds its lattice before the first mutation,
-                // `late` after the last one.
-                let mut early = WorldState::with_balances_sharded(funded.iter().copied(), shards);
-                let mut late = early.clone();
-                agree("fresh", &mut early, &mut eager, true);
-                for step in 0..160 {
-                    let what = format!("shards {shards} seed {seed} step {step}");
-                    match rng.gen_range(0u32..10) {
-                        0..=4 => {
-                            let sender = rng.gen_range(0..universe);
-                            let from = Address::from_seed(sender);
-                            // Mostly the right nonce and an affordable
-                            // amount; sometimes neither.
-                            let nonce = early.nonce(&from) + u64::from(rng.gen_bool(0.1));
-                            let tx = Transaction::signed(
-                                &Keypair::from_seed(sender),
-                                Address::from_seed(rng.gen_range(0..universe + 8)),
-                                rng.gen_range(0u64..400),
-                                rng.gen_range(0u64..3),
-                                nonce,
-                                Vec::new(),
-                            );
-                            let collector = Address::from_seed(rng.gen_range(0..universe + 8));
-                            let expected = eager.apply(&tx, collector);
-                            assert_eq!(early.apply(&tx, collector), expected, "{what}");
-                            assert_eq!(late.apply(&tx, collector), expected, "{what}");
-                        }
-                        5 | 6 => {
-                            let to = Address::from_seed(rng.gen_range(0..universe + 8));
-                            let amount = rng.gen_range(0u64..50);
-                            eager.credit(to, amount);
-                            early.credit(to, amount);
-                            late.credit(to, amount);
-                        }
-                        7 => {
-                            // A clone carries the lattice (or its absence)
-                            // and diverges without touching the original.
-                            let (mut fork, mut late_fork, mut eager_fork) =
-                                (early.clone(), late.clone(), eager.clone());
-                            let to = Address::from_seed(rng.gen_range(0..universe));
-                            eager_fork.credit(to, 7);
-                            fork.credit(to, 7);
-                            late_fork.credit(to, 7);
-                            agree(&what, &mut fork, &mut eager_fork, true);
-                            assert_eq!(late_fork.dirty_buckets(), STATE_BUCKETS, "{what}");
-                            assert_eq!(late_fork.sharded_root(), fork.sharded_root(), "{what}");
-                            if rng.gen_bool(0.5) {
-                                early = early.clone();
-                            }
-                        }
-                        8 => agree(&what, &mut early, &mut eager, true),
-                        _ => agree(&what, &mut late, &mut eager, false),
+        for seed in 0..6u64 {
+            let mut rng = Xoshiro256::seed_from_u64(seed * 31 + 1);
+            let mut eager = EagerState::with_balances(&funded);
+            // `early` builds its lattice before the first mutation,
+            // `late` after the last one.
+            let mut early = WorldState::with_balances(funded.iter().copied());
+            let mut late = early.clone();
+            agree("fresh", &mut early, &mut eager, true);
+            for step in 0..160 {
+                let what = format!("seed {seed} step {step}");
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let sender = rng.gen_range(0..universe);
+                        let from = Address::from_seed(sender);
+                        // Mostly the right nonce and an affordable
+                        // amount; sometimes neither.
+                        let nonce = early.nonce(&from) + u64::from(rng.gen_bool(0.1));
+                        let tx = Transaction::signed(
+                            &Keypair::from_seed(sender),
+                            Address::from_seed(rng.gen_range(0..universe + 8)),
+                            rng.gen_range(0u64..400),
+                            rng.gen_range(0u64..3),
+                            nonce,
+                            Vec::new(),
+                        );
+                        let collector = Address::from_seed(rng.gen_range(0..universe + 8));
+                        let expected = eager.apply(&tx, collector);
+                        assert_eq!(early.apply(&tx, collector), expected, "{what}");
+                        assert_eq!(late.apply(&tx, collector), expected, "{what}");
                     }
-                    assert_eq!(early.dirty_buckets(), eager.dirty_buckets(), "{what}");
-                    assert_eq!(late.dirty_buckets(), STATE_BUCKETS, "{what}: never rooted");
+                    5 | 6 => {
+                        let to = Address::from_seed(rng.gen_range(0..universe + 8));
+                        let amount = rng.gen_range(0u64..50);
+                        eager.credit(to, amount);
+                        early.credit(to, amount);
+                        late.credit(to, amount);
+                    }
+                    7 => {
+                        // A clone carries the lattice (or its absence)
+                        // and diverges without touching the original.
+                        let (mut fork, mut late_fork, mut eager_fork) =
+                            (early.clone(), late.clone(), eager.clone());
+                        let to = Address::from_seed(rng.gen_range(0..universe));
+                        eager_fork.credit(to, 7);
+                        fork.credit(to, 7);
+                        late_fork.credit(to, 7);
+                        agree(&what, &mut fork, &mut eager_fork, true);
+                        assert_eq!(late_fork.dirty_buckets(), STATE_BUCKETS, "{what}");
+                        assert_eq!(late_fork.sharded_root(), fork.sharded_root(), "{what}");
+                        if rng.gen_bool(0.5) {
+                            early = early.clone();
+                        }
+                    }
+                    8 => agree(&what, &mut early, &mut eager, true),
+                    _ => agree(&what, &mut late, &mut eager, false),
                 }
-                assert!(early == late, "lattice timing must not affect equality");
-                agree("end", &mut early, &mut eager, true);
-                assert_eq!(late.sharded_root(), early.sharded_root());
-                assert_eq!(late.dirty_buckets(), 0);
+                assert_eq!(early.dirty_buckets(), eager.dirty_buckets(), "{what}");
+                assert_eq!(late.dirty_buckets(), STATE_BUCKETS, "{what}: never rooted");
             }
+            assert!(early == late, "lattice timing must not affect equality");
+            agree("end", &mut early, &mut eager, true);
+            assert_eq!(late.sharded_root(), early.sharded_root());
+            assert_eq!(late.dirty_buckets(), 0);
         }
     }
 }

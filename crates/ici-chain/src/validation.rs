@@ -74,31 +74,17 @@ pub fn validate_block(
     parent: &BlockHeader,
     pre_state: &WorldState,
 ) -> Result<WorldState, ValidationError> {
-    validate_block_with_commitment(block, parent, pre_state, StateCommitment::FlatV1)
-}
-
-/// [`validate_block`] with an explicit header-commitment mode: blocks
-/// sealed under the v2 sharded commitment are checked against
-/// [`WorldState::sharded_root`] instead of the flat v1 root.
-///
-/// # Errors
-///
-/// Same as [`validate_block`].
-pub fn validate_block_with_commitment(
-    block: &Block,
-    parent: &BlockHeader,
-    pre_state: &WorldState,
-    commitment: StateCommitment,
-) -> Result<WorldState, ValidationError> {
     let mut state = pre_state.clone();
-    validate_block_in_place(block, parent, &mut state, commitment)?;
+    validate_block_in_place(block, parent, &mut state, StateCommitment::FlatV1)?;
     Ok(state)
 }
 
-/// [`validate_block_with_commitment`] executing directly on `state`
-/// instead of cloning it — the scale path, where a validator advances
-/// one long-lived state per chain and a per-block O(accounts) copy
-/// would dominate.
+/// [`validate_block`] executing directly on `state` instead of cloning
+/// it, against the header commitment `commitment` names: blocks sealed
+/// under the v2 sharded commitment are checked against
+/// [`WorldState::sharded_root`] instead of the flat v1 root. This is the
+/// scale path, where a validator advances one long-lived state per chain
+/// and a per-block O(accounts) copy would dominate.
 ///
 /// On success `state` is the post-state. On a linkage/timestamp error
 /// `state` is untouched; on an execution or root-mismatch error it is
@@ -395,25 +381,22 @@ mod tests {
     #[test]
     fn v2_commitment_round_trip() {
         let (genesis, state) = setup();
+        // Seal a v2 header the way `e_scale` does: the builder's block
+        // with the post-state's sharded root in place of the flat one.
         let mut b = BlockBuilder::new(genesis.header(), state.clone(), 2, 1_000);
-        b.commitment(StateCommitment::ShardedV2);
         for i in 0..3 {
             b.push(transfer(i, 0, 10)).expect("valid");
         }
-        let block = b.seal();
+        let (v1_block, mut expected) = b.seal_with_state();
+        let (mut header, body) = v1_block.into_parts();
+        header.state_root = expected.sharded_root();
+        let block = Block::new(header, body);
         // The v1 path must reject a v2 header (domain separation)…
         assert_eq!(
             validate_block(&block, genesis.header(), &state),
             Err(ValidationError::StateRootMismatch)
         );
-        // …while the v2 path accepts it, cloning and in place alike.
-        let post = validate_block_with_commitment(
-            &block,
-            genesis.header(),
-            &state,
-            StateCommitment::ShardedV2,
-        )
-        .expect("valid under v2");
+        // …while the v2 path accepts it and lands on the post-state.
         let mut in_place = state.clone();
         validate_block_in_place(
             &block,
@@ -422,8 +405,8 @@ mod tests {
             StateCommitment::ShardedV2,
         )
         .expect("valid under v2");
-        assert_eq!(post, in_place);
-        assert_eq!(post.nonce(&Address::from_seed(0)), 1);
+        assert_eq!(in_place, expected);
+        assert_eq!(in_place.nonce(&Address::from_seed(0)), 1);
     }
 
     #[test]

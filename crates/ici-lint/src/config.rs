@@ -31,8 +31,8 @@ pub struct Config {
     pub determinism_crates: Vec<String>,
     /// Path substrings (forward slashes) sanctioned to read the process
     /// environment (`env-read` rule). Reserved for configuration entry
-    /// points like the state shard count (`ICI_STATE_SHARDS`), which is
-    /// layout-only.
+    /// points like the telemetry switch (`ICI_TELEMETRY`), which no
+    /// committed artifact depends on.
     pub env_read_files: Vec<String>,
     /// Crates allowed to spawn OS threads (`rogue-thread` rule). Empty:
     /// the workspace is single-threaded by construction.
@@ -95,7 +95,6 @@ impl Default for Config {
                 "ici-trace/src/lib.rs",
                 "ici-bench/src/alloc.rs",
                 "ici-bench/src/harness.rs",
-                "ici-chain/src/shard.rs",
             ]
             .iter()
             .map(|s| s.to_string())

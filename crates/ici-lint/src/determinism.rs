@@ -545,9 +545,9 @@ fn f() {
 
     #[test]
     fn env_read_exempts_sanctioned_files_and_cli_args() {
-        let src = "fn f() { let t = std::env::var(\"ICI_STATE_SHARDS\"); let a: Vec<_> = std::env::args().collect(); }\n";
+        let src = "fn f() { let t = std::env::var(\"ICI_TELEMETRY\"); let a: Vec<_> = std::env::args().collect(); }\n";
         let files = vec![
-            file("ici-chain", "crates/ici-chain/src/shard.rs", src),
+            file("ici-telemetry", "crates/ici-telemetry/src/lib.rs", src),
             file("ici-sim", "crates/ici-sim/src/a.rs", src),
         ];
         let findings = check_env_read(&files, &config());

@@ -215,21 +215,6 @@ print(f"    byz smoke OK: byte-identical replay, "
       f"{rows['wasted fraction'][rapidchain]} (rapidchain)")
 EOF
 
-echo "==> scale smoke (E-scale, pinned seed, shards {1,4})"
-# The committed record holds only deterministic tables (counts, roots,
-# ratios); both shard counts must reproduce it byte for byte.
-# Host-dependent numbers ride the SCALE_STATS stdout line instead.
-for s in 1 4; do
-    ICI_STATE_SHARDS=$s \
-        cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
-    git diff --quiet -- results/e_scale.json || {
-        echo "E-scale at shards=$s drifted from committed results/e_scale.json;"
-        echo "regenerate with  cargo run -q --release -p ici-bench --bin e_scale -- --seed 42"
-        exit 1
-    }
-done
-echo "    determinism OK: e_scale.json byte-identical at shards 1 and 4"
-
 echo "==> scale telemetry smoke (E-scale with ICI_TELEMETRY=1: lattice builds)"
 # The v2 lattice is built at a state's first sharded_root() and carried
 # by clones. E-scale constructs two states per run (the proposer's and
@@ -245,16 +230,13 @@ builds = sum(c["value"] for c in counters if c["name"] == "state/lattice_builds"
 assert builds == 2, f"state/lattice_builds = {builds}, want one per constructed state (2)"
 print(f"    lattice OK: {builds} builds for 2 constructed states")
 EOF
-# Restore the deterministic (telemetry-free) record the repo commits.
-./target/release/e_scale --seed 42 >/dev/null
 
-echo "==> scale bench (E-scale, 4 shards, peak-live ceiling)"
-SCALE_OUT=$(ICI_STATE_SHARDS=4 ICI_ALLOC_STATS=1 \
-    ./target/release/e_scale --seed 42)
+echo "==> scale bench (E-scale, peak-live ceiling)"
+# Telemetry-free, so this run also puts back the committed record.
+SCALE_LINE=$(ICI_ALLOC_STATS=1 ./target/release/e_scale --seed 42 | grep '^SCALE_STATS ')
 git diff --quiet -- results/e_scale.json || {
     echo "instrumented scale run changed committed results/e_scale.json"; exit 1;
 }
-SCALE_LINE=$(printf '%s\n' "$SCALE_OUT" | grep '^SCALE_STATS ')
 python3 - "$SCALE_LINE" <<'EOF'
 import json, sys
 line = sys.argv[1]
@@ -268,7 +250,6 @@ assert peak <= CEILING, f"peak live {peak} bytes exceeds ceiling {CEILING}"
 record = {
     "id": "BENCH_scale",
     "title": "E-scale: throughput, commit latency, and peak live heap",
-    "shards": int(fields["shards"]),
     "peak_live_ceiling_bytes": CEILING,
     "runs": [{
         "bin": "e_scale",
