@@ -5,8 +5,7 @@
 //! the hot paths.
 //!
 //! Runs on the in-repo std-only harness (`ici_bench::harness`) so
-//! `cargo bench` needs no external dependencies. Tune with
-//! `ICI_BENCH_BUDGET_MS`.
+//! `cargo bench` needs no external dependencies.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;

@@ -9,21 +9,14 @@
 //! total account count, which is what makes the paper regime
 //! (`--paper`: 1M accounts) tractable.
 //!
-//! Two output channels, deliberately separate:
-//!
-//! * `results/e_scale.json` — deterministic tables only (counts, roots,
-//!   ratios). CI regenerates it and fails on any diff.
-//! * A `SCALE_STATS` stdout line — wall-clock throughput, commit-latency
-//!   percentiles, and the allocator's peak-live-bytes high-water mark.
-//!   Host-dependent, so it feeds the regenerated
-//!   `results/BENCH_scale.json`, never the committed record.
+//! The record, `results/e_scale.json`, is deterministic tables only
+//! (counts, roots, ratios); CI regenerates it and fails on any diff.
+//! Host-side cost of this path — throughput, allocations, peak live
+//! heap — is the benchmark's `state_scale` workload (`BENCHMARK.json`).
 //!
 //! Run: `cargo run --release -p ici-bench --bin e_scale [--paper] [--seed N]`
 
-use std::time::Instant;
-
-use ici_bench::harness;
-use ici_bench::{alloc, emit, seed_from_args, Scale};
+use ici_bench::{emit, seed_from_args, Scale};
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::mempool::{Mempool, MempoolError};
@@ -87,9 +80,7 @@ fn main() {
     let mut dirty_bucket_sum = 0u64;
     let mut touched_accounts_sum = 0u64;
     let mut peak_pool_depth = 0usize;
-    let mut commit_ns: Vec<u128> = Vec::with_capacity(rounds as usize);
 
-    let run_start = Instant::now(); // lint:allow(wall-clock) -- throughput measurement, stdout-only
     for round in 0..rounds {
         for tx in stream.next_round() {
             match pool.insert(tx) {
@@ -139,7 +130,6 @@ fn main() {
 
         // Validator: in-place execution + v2 root cross-check. This is
         // the per-block commit cost a deployed verifier would pay.
-        let t0 = Instant::now(); // lint:allow(wall-clock) -- commit-latency sample, stdout-only
         validate_block_in_place(
             &block,
             &parent,
@@ -147,7 +137,6 @@ fn main() {
             StateCommitment::ShardedV2,
         )
         .unwrap_or_else(|e| panic!("round {round}: own block failed validation: {e}"));
-        commit_ns.push(t0.elapsed().as_nanos());
 
         committed_txs += block.transactions().len() as u64;
         for tx in block.transactions() {
@@ -156,7 +145,6 @@ fn main() {
         parent = *block.header();
         blocks.push(block);
     }
-    let wall_s = run_start.elapsed().as_secs_f64();
 
     // ---- correctness gates ------------------------------------------------
     assert_eq!(
@@ -241,25 +229,5 @@ fn main() {
              base_txs={base_txs}, burst=3x/8, zipf=1.1, commitment=v2"
         ),
         &[&table],
-    );
-
-    // ---- host-dependent stats (never in the committed record) -------------
-    let stats = harness::stats(&mut commit_ns).unwrap_or(harness::BenchStats {
-        iters: 0,
-        min_ns: 0,
-        median_ns: 0,
-        mean_ns: 0,
-        p90_ns: 0,
-        p99_ns: 0,
-    });
-    println!(
-        "SCALE_STATS id=E_scale accounts={accounts} \
-         committed={committed_txs} wall_s={wall_s:.3} tps={:.1} commit_p50_ns={} \
-         commit_p90_ns={} commit_p99_ns={} peak_live_bytes={}",
-        committed_txs as f64 / wall_s,
-        stats.median_ns,
-        stats.p90_ns,
-        stats.p99_ns,
-        alloc::stats().peak_live_bytes,
     );
 }

@@ -55,14 +55,24 @@ impl Scale {
     }
 }
 
-/// Parses `--seed N` from the process arguments (default 42).
+/// Parses `--seed N` from the process arguments (default 42); a
+/// malformed or missing value prints `error: …` and exits 2, so a typo
+/// never runs — and labels its record with — a different experiment.
 pub fn seed_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    parse_seed(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The seed `--seed N` names in `args`, 42 when the flag is absent.
+fn parse_seed(args: &[String]) -> Result<u64, String> {
+    let Some(i) = args.iter().position(|a| a == "--seed") else {
+        return Ok(42);
+    };
+    let value = args.get(i + 1).ok_or("--seed needs a value")?;
+    value.parse().map_err(|e| format!("--seed {value}: {e}"))
 }
 
 /// Network sizes for a strategy-comparison sweep.
@@ -160,7 +170,6 @@ pub fn emit(id: &str, title: &str, params: &str, tables: &[&Table]) {
         Err(e) => eprintln!("[warn: could not save {}: {e}]", path.display()),
     }
     export_trace(id);
-    alloc::report(id);
 }
 
 /// Writes the trace collected so far to `ICI_TRACE_OUT` when tracing is
@@ -239,6 +248,16 @@ mod tests {
     fn scale_parsing_defaults_small() {
         // No --paper in the test harness args.
         assert_eq!(Scale::from_args(), Scale::Small);
+    }
+
+    #[test]
+    fn seed_is_parsed_or_refused() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_seed(&args(&["e_fault", "--paper"])), Ok(42));
+        assert_eq!(parse_seed(&args(&["e_fault", "--seed", "7"])), Ok(7));
+        let malformed = parse_seed(&args(&["e_fault", "--seed", "4x2"]));
+        assert!(malformed.is_err_and(|e| e.contains("4x2")));
+        assert!(parse_seed(&args(&["e_fault", "--seed"])).is_err());
     }
 
     #[test]

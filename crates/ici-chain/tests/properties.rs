@@ -1,7 +1,7 @@
 //! Randomized property tests over the ledger substrate.
 //!
 //! Ported from `proptest` to seeded, deterministic case loops over
-//! [`ici_rng`]. Enable the `heavy-tests` feature for a deeper sweep.
+//! [`ici_rng`].
 
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -12,11 +12,7 @@ use ici_crypto::sha256::Digest;
 use ici_crypto::sig::Keypair;
 use ici_rng::Xoshiro256;
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    512
-} else {
-    64
-};
+const CASES: usize = 64;
 
 fn arb_tx(rng: &mut Xoshiro256) -> Transaction {
     let sender = rng.gen_range(0u64..64);

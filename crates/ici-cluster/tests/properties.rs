@@ -1,7 +1,7 @@
 //! Randomized property tests over clustering and membership.
 //!
 //! Ported from `proptest` to seeded, deterministic case loops over
-//! [`ici_rng`]. Enable the `heavy-tests` feature for a deeper sweep.
+//! [`ici_rng`].
 
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::{JoinPolicy, Membership};
@@ -10,11 +10,7 @@ use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
 use ici_rng::Xoshiro256;
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    192
-} else {
-    32
-};
+const CASES: usize = 32;
 
 /// Every clustering algorithm assigns every node to exactly one
 /// cluster with dense ids.

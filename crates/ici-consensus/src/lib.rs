@@ -9,8 +9,7 @@
 //!   by ICIStrategy (payload and validation cost are injected, which is how
 //!   collaborative verification plugs in);
 //! * [`gossip`] — epidemic flooding (full-replication baseline transport);
-//! * [`ida`] — Reed–Solomon IDA-gossip (RapidChain baseline transport);
-//! * [`pow`] — proof-of-work-lite for the longest-chain baseline.
+//! * [`ida`] — Reed–Solomon IDA-gossip (RapidChain baseline transport).
 //!
 //! # Examples
 //!
@@ -44,7 +43,6 @@ pub mod gossip;
 pub mod ida;
 pub mod leader;
 pub mod pbft;
-pub mod pow;
 pub mod quorum;
 pub mod verdicts;
 

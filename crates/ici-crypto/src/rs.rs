@@ -112,17 +112,6 @@ impl PartialEq for ReedSolomon {
 
 impl Eq for ReedSolomon {}
 
-/// Reusable workspace for repeated [`ReedSolomon::reconstruct_with`]
-/// calls: retains the index bookkeeping buffers between calls so
-/// steady-state reconstruction allocates only the rebuilt shards and the
-/// erasure-pattern-dependent Lagrange rows.
-#[derive(Clone, Debug, Default)]
-pub struct RsScratch {
-    present: Vec<usize>,
-    missing: Vec<usize>,
-    xs: Vec<u8>,
-}
-
 /// `Σ row[j] · sources[j]` over GF(2^8), byte position by byte position.
 fn combine<'a>(
     row: &[Gf256],
@@ -236,17 +225,6 @@ impl ReedSolomon {
     ///
     /// Use [`ReedSolomon::join_payload`] with the original length to invert.
     pub fn encode_payload(&self, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut shards = Vec::with_capacity(self.total_shards());
-        self.encode_payload_into(payload, &mut shards);
-        shards
-    }
-
-    /// [`ReedSolomon::encode_payload`] with caller-owned output storage:
-    /// the data-shard buffers already in `shards` are reused (cleared and
-    /// refilled), so steady-state encoding of same-sized payloads does not
-    /// reallocate the data rows. Parity rows are produced fresh and
-    /// appended.
-    pub fn encode_payload_into(&self, payload: &[u8], shards: &mut Vec<Vec<u8>>) {
         let _span = ici_telemetry::span!("crypto/rs_encode");
         ici_telemetry::observe(
             "crypto/rs_payload_bytes",
@@ -254,19 +232,20 @@ impl ReedSolomon {
             payload.len() as u64,
         );
         let shard_len = payload.len().div_ceil(self.data_shards).max(1);
-        shards.truncate(self.data_shards);
-        shards.resize_with(self.data_shards, Vec::new);
-        for (i, shard) in shards.iter_mut().enumerate() {
+        let mut shards = Vec::with_capacity(self.total_shards());
+        for i in 0..self.data_shards {
             let start = (i * shard_len).min(payload.len());
             let end = ((i + 1) * shard_len).min(payload.len());
-            shard.clear();
+            let mut shard = Vec::with_capacity(shard_len);
             shard.extend_from_slice(&payload[start..end]);
             shard.resize(shard_len, 0);
+            shards.push(shard);
         }
         // The rows built above are k equal-length non-empty shards, so the
         // parity core's precondition holds by construction.
-        let parity = self.parity_for(shards, shard_len);
+        let parity = self.parity_for(&shards, shard_len);
         shards.extend(parity);
+        shards
     }
 
     /// Reconstructs all missing shards in place.
@@ -279,21 +258,6 @@ impl ReedSolomon {
     /// Fails if fewer than `k` shards are present, the count is wrong, or
     /// present shards disagree on length.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
-        self.reconstruct_with(shards, &mut RsScratch::default())
-    }
-
-    /// [`ReedSolomon::reconstruct`] with a caller-owned [`RsScratch`]:
-    /// repeated calls (e.g. a recovery loop over many blocks) reuse the
-    /// index bookkeeping buffers instead of reallocating them per call.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReedSolomon::reconstruct`].
-    pub fn reconstruct_with(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        scratch: &mut RsScratch,
-    ) -> Result<(), RsError> {
         let _span = ici_telemetry::span!("crypto/rs_reconstruct");
         if shards.len() != self.total_shards() {
             return Err(RsError::WrongShardCount {
@@ -301,17 +265,15 @@ impl ReedSolomon {
                 actual: shards.len(),
             });
         }
-        scratch.present.clear();
-        scratch.present.extend(
-            shards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.is_some().then_some(i)),
-        );
-        if scratch.present.len() < self.data_shards {
+        let present: Vec<usize> = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.is_some().then_some(i))
+            .collect();
+        if present.len() < self.data_shards {
             return Err(RsError::TooFewShards {
                 needed: self.data_shards,
-                present: scratch.present.len(),
+                present: present.len(),
             });
         }
         let mut shard_len = 0usize;
@@ -325,15 +287,11 @@ impl ReedSolomon {
         }
 
         // Any k present shards determine the polynomial.
-        let basis = &scratch.present[..self.data_shards];
-        scratch.xs.clear();
-        scratch.xs.extend(basis.iter().map(|&i| i as u8));
-        let xs = &scratch.xs;
-        scratch.missing.clear();
-        scratch
-            .missing
-            .extend((0..self.total_shards()).filter(|i| shards[*i].is_none()));
-        let missing = &scratch.missing;
+        let basis = &present[..self.data_shards];
+        let xs: Vec<u8> = basis.iter().map(|&i| i as u8).collect();
+        let missing: Vec<usize> = (0..self.total_shards())
+            .filter(|i| shards[*i].is_none())
+            .collect();
         if missing.is_empty() {
             return Ok(());
         }
@@ -342,7 +300,7 @@ impl ReedSolomon {
         let rebuilt: Vec<Vec<u8>> = missing
             .iter()
             .map(|&target| {
-                let row = ReedSolomon::lagrange_row(xs, target as u8);
+                let row = ReedSolomon::lagrange_row(&xs, target as u8);
                 let sources = basis.iter().filter_map(|&i| shards.get(i)?.as_ref());
                 combine(&row, sources, shard_len)
             })
@@ -529,37 +487,6 @@ mod tests {
     fn error_display_is_informative() {
         let err = ReedSolomon::new(0, 0).expect_err("invalid");
         assert!(err.to_string().contains("invalid shard counts"));
-    }
-
-    #[test]
-    fn encode_into_reused_buffers_match_fresh_encoding() {
-        let rs = ReedSolomon::new(6, 3).expect("valid geometry");
-        let mut reused: Vec<Vec<u8>> = Vec::new();
-        for len in [1usize, 10, 97, 100, 1000, 64] {
-            let payload = sample_payload(len);
-            rs.encode_payload_into(&payload, &mut reused);
-            assert_eq!(reused, rs.encode_payload(&payload), "payload len {len}");
-        }
-    }
-
-    #[test]
-    fn reconstruct_with_reused_scratch_matches_fresh_calls() {
-        let rs = ReedSolomon::new(5, 3).expect("valid geometry");
-        let encoded = rs.encode_payload(&sample_payload(200));
-        let mut scratch = RsScratch::default();
-        for erasures in [[0usize, 4, 6], [1, 2, 7], [5, 6, 7]] {
-            let mut with_scratch: Vec<Option<Vec<u8>>> =
-                encoded.iter().cloned().map(Some).collect();
-            let mut fresh = with_scratch.clone();
-            for e in erasures {
-                with_scratch[e] = None;
-                fresh[e] = None;
-            }
-            rs.reconstruct_with(&mut with_scratch, &mut scratch)
-                .expect("within budget");
-            rs.reconstruct(&mut fresh).expect("within budget");
-            assert_eq!(with_scratch, fresh, "erasures {erasures:?}");
-        }
     }
 
     #[test]

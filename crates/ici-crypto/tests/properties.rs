@@ -2,8 +2,7 @@
 //!
 //! Ported from `proptest` to seeded, deterministic case loops over
 //! [`ici_rng`] so the suite runs with zero external dependencies. Every
-//! test draws `CASES` random inputs from a fixed seed; enable the
-//! `heavy-tests` feature for a deeper sweep.
+//! test draws `CASES` random inputs from a fixed seed.
 
 use ici_crypto::gf256::Gf256;
 use ici_crypto::lottery::{lottery_winner, rendezvous_top};
@@ -13,11 +12,7 @@ use ici_crypto::sha256::{Digest, Sha256};
 use ici_crypto::sig::Keypair;
 use ici_rng::Xoshiro256;
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    768
-} else {
-    96
-};
+const CASES: usize = 96;
 
 /// Streaming and one-shot hashing agree for arbitrary data and splits.
 #[test]

@@ -90,15 +90,10 @@ impl Default for Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            env_read_files: [
-                "ici-telemetry/src/lib.rs",
-                "ici-trace/src/lib.rs",
-                "ici-bench/src/alloc.rs",
-                "ici-bench/src/harness.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            env_read_files: ["ici-telemetry/src/lib.rs", "ici-trace/src/lib.rs"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
             thread_crates: Vec::new(),
         }
     }

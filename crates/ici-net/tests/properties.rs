@@ -1,7 +1,7 @@
 //! Randomized property tests over the network simulator.
 //!
 //! Ported from `proptest` to seeded, deterministic case loops over
-//! [`ici_rng`]. Enable the `heavy-tests` feature for a deeper sweep.
+//! [`ici_rng`].
 
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
@@ -12,11 +12,7 @@ use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Placement, Topology};
 use ici_rng::Xoshiro256;
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    512
-} else {
-    64
-};
+const CASES: usize = 64;
 
 /// The event queue pops every scheduled event exactly once, in
 /// non-decreasing time order, with FIFO tie-breaking.

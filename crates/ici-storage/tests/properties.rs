@@ -2,7 +2,7 @@
 //! planning.
 //!
 //! Ported from `proptest` to seeded, deterministic case loops over
-//! [`ici_rng`]. Enable the `heavy-tests` feature for a deeper sweep.
+//! [`ici_rng`].
 
 use std::collections::BTreeSet;
 
@@ -15,11 +15,7 @@ use ici_storage::assignment::{
 use ici_storage::audit::{audit_cluster, Holdings};
 use ici_storage::recovery::{plan_recovery, BlockRef};
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    384
-} else {
-    48
-};
+const CASES: usize = 48;
 
 fn all_strategies() -> Vec<Box<dyn AssignmentStrategy>> {
     vec![

@@ -102,18 +102,12 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Bound on the lazily-filled sender keypair cache. Zipf workloads
-/// concentrate on a few hot senders, so a small cache absorbs almost
-/// every derivation; cold senders past the bound fall back to deriving
-/// on the fly — the emitted stream is identical either way.
-const KEY_CACHE_CAP: usize = 4_096;
-
 /// A deterministic transaction stream with per-sender nonce tracking.
 ///
 /// Construction is O(accounts) once (the Zipf cumulative table); each
-/// draw is O(log accounts) binary search plus an O(1) cached keypair
-/// lookup — nothing per-draw scales with the universe size, which is
-/// what lets the scale tier stream from 1M+ accounts.
+/// draw is O(log accounts) binary search plus one keypair derivation
+/// (a 26-byte hash) — nothing per-draw scales with the universe size,
+/// which is what lets the scale tier stream from 1M+ accounts.
 #[derive(Clone, Debug)]
 pub struct WorkloadGenerator {
     config: WorkloadConfig,
@@ -126,8 +120,6 @@ pub struct WorkloadGenerator {
     /// immutable after construction and can be megabytes at 1M+
     /// accounts, so clones share it.
     zipf_cdf: Arc<[f64]>,
-    /// Lazily-filled sender keypairs, bounded by [`KEY_CACHE_CAP`].
-    key_cache: BTreeMap<u64, Keypair>,
     emitted: u64,
 }
 
@@ -159,23 +151,8 @@ impl WorkloadGenerator {
             config,
             nonces: BTreeMap::new(),
             zipf_cdf: zipf_cdf.into(),
-            key_cache: BTreeMap::new(),
             emitted: 0,
         }
-    }
-
-    /// The signing keypair for `sender`, from the bounded cache when
-    /// possible. Derivation is deterministic, so a cache hit and a
-    /// fresh derivation are indistinguishable in the output.
-    fn sender_keypair(&mut self, sender: u64) -> Keypair {
-        if let Some(pair) = self.key_cache.get(&sender) {
-            return *pair;
-        }
-        let pair = Keypair::from_seed(sender);
-        if self.key_cache.len() < KEY_CACHE_CAP {
-            self.key_cache.insert(sender, pair);
-        }
-        pair
     }
 
     /// Number of transactions emitted so far.
@@ -236,9 +213,8 @@ impl WorkloadGenerator {
             self.config.fee + self.rng.gen_range(0..self.config.fee_jitter + 1)
         };
         self.emitted += 1;
-        let pair = self.sender_keypair(sender);
         Transaction::signed(
-            &pair,
+            &Keypair::from_seed(sender),
             Address::from_seed(recipient),
             self.config.amount,
             fee,
@@ -479,32 +455,6 @@ mod tests {
         let generator = WorkloadGenerator::new(WorkloadConfig::default());
         let txs: Vec<Transaction> = generator.take(5).collect();
         assert_eq!(txs.len(), 5);
-    }
-
-    /// The bounded keypair cache must not change the stream: a
-    /// generator that bypasses the cache (fresh derivation per draw,
-    /// the pre-cache behaviour) emits byte-identical transactions.
-    #[test]
-    fn key_cache_is_transparent() {
-        let config = WorkloadConfig {
-            accounts: 500,
-            senders: SenderDistribution::Zipf { exponent: 1.1 },
-            ..WorkloadConfig::default()
-        };
-        let cached: Vec<Vec<u8>> = WorkloadGenerator::new(config)
-            .batch(300)
-            .iter()
-            .map(Encode::to_bytes)
-            .collect();
-        let mut uncached_gen = WorkloadGenerator::new(config);
-        // Re-deriving every keypair from scratch mirrors pre-cache code.
-        let uncached: Vec<Vec<u8>> = (0..300)
-            .map(|_| {
-                uncached_gen.key_cache.clear();
-                Encode::to_bytes(&uncached_gen.next_tx())
-            })
-            .collect();
-        assert_eq!(cached, uncached);
     }
 
     #[test]

@@ -32,11 +32,7 @@ use icistrategy::storage::recovery::{
 };
 use prop_support::{gen_fault_scenario, require_pass, shrink_toward, FaultScenario};
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    256
-} else {
-    48
-};
+const CASES: usize = 48;
 
 fn cfg(seed: u64, cases: usize) -> Config {
     Config {

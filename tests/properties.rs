@@ -5,7 +5,7 @@
 //! seeded [`ici_rng::Xoshiro256`], and a falsified property shrinks to
 //! a minimal counterexample whose replayable reproducer is printed in
 //! the panic message — commit it under `tests/reproducers/` to pin the
-//! regression. Enable the `heavy-tests` feature for a deeper sweep.
+//! regression.
 
 mod prop_support;
 
@@ -16,11 +16,7 @@ use prop_support::{
     gen_fault_scenario, require_pass, shrink_toward, shrink_toward_u64, FaultScenario,
 };
 
-const CASES: usize = if cfg!(feature = "heavy-tests") {
-    64
-} else {
-    12
-};
+const CASES: usize = 12;
 
 fn cfg(seed: u64) -> Config {
     Config {
@@ -289,11 +285,7 @@ impl Shrink for RsScenario {
     }
 }
 
-const RS_GEOMETRIES: &[(usize, usize)] = if cfg!(feature = "heavy-tests") {
-    &[(2, 1), (3, 1), (4, 2), (5, 3), (6, 4), (10, 4)]
-} else {
-    &[(2, 1), (3, 1), (4, 2), (5, 3)]
-};
+const RS_GEOMETRIES: &[(usize, usize)] = &[(2, 1), (3, 1), (4, 2), (5, 3)];
 
 /// Reed–Solomon decoding round-trips under *every* erasure pattern that
 /// stays within the parity budget, and degrades into a typed error —

@@ -199,11 +199,7 @@ fn locator_matches_scan(case: &Interleaving) -> Result<(), String> {
 fn locator_agrees_with_the_genesis_first_scan() {
     let config = Config {
         seed: 0x0010_CA7E,
-        cases: if cfg!(feature = "heavy-tests") {
-            96
-        } else {
-            24
-        },
+        cases: 24,
         ..Config::default()
     };
     let result = check(
