@@ -6,11 +6,11 @@
 //! the improvement in intra-cluster latency, and the commit-latency gain
 //! that pays for the move — for each clustering algorithm.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e10_reconfig [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e10 [--paper]`
 
-use ici_bench::{emit, quiet_link, standard_workload, Scale};
+use ici_bench::{ici_builder, standard_workload, Report, Scale};
 use ici_cluster::membership::JoinPolicy;
-use ici_core::config::{Clustering, IciConfig};
+use ici_core::config::Clustering;
 use ici_net::topology::Coord;
 use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
@@ -25,8 +25,7 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let n = match scale {
         Scale::Small => 128usize,
         Scale::Paper => 512,
@@ -53,13 +52,8 @@ fn main() {
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
         let (mut network, _) = run_ici(
-            IciConfig::builder()
-                .nodes(n)
-                .cluster_size(c)
-                .replication(2)
+            ici_builder(n, c, 2, 41)
                 .clustering(clustering)
-                .link(quiet_link())
-                .seed(41)
                 .build()
                 .expect("valid configuration"),
             10,
@@ -134,10 +128,11 @@ fn main() {
         assert!(network.audit_all().iter().all(|rep| rep.is_intact()));
     }
 
-    emit(
-        "E10",
-        "Ablation: epoch reconfiguration cost and benefit",
-        &format!("scale={scale:?}, N={n}, c={c}, joins={joins}"),
-        &[&table],
-    );
+    Report {
+        id: "E10",
+        title: "Ablation: epoch reconfiguration cost and benefit",
+        params: format!("scale={scale:?}, N={n}, c={c}, joins={joins}"),
+        tables: vec![table],
+        closing: None,
+    }
 }

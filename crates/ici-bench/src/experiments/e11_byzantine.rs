@@ -9,15 +9,14 @@
 //! which member caught it, and the bandwidth wasted on disseminating
 //! blocks that were then rejected.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e11_byzantine [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e11 [--paper]`
 
-use ici_bench::{emit, quiet_link, Scale};
+use ici_bench::{ici_builder, Report, Scale};
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::builder::BlockBuilder;
 use ici_chain::codec::{Decode, Encode};
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::{Address, Transaction};
-use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_core::verify::Verdict;
 use ici_crypto::sig::Keypair;
@@ -50,8 +49,7 @@ fn forged_block(net: &IciNetwork, n_txs: u64, victim: usize, nonce: u64) -> Bloc
     Block::new(header, body)
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let (nodes, c) = match scale {
         Scale::Small => (64usize, 16usize),
         Scale::Paper => (256, 64),
@@ -59,13 +57,8 @@ fn main() {
     let n_txs = 32u64;
     let trials = 64usize;
 
-    let config = IciConfig::builder()
-        .nodes(nodes)
-        .cluster_size(c)
-        .replication(2)
+    let config = ici_builder(nodes, c, 2, 47)
         .genesis(GenesisConfig::uniform(64, u64::MAX / 1_000_000))
-        .link(quiet_link())
-        .seed(47)
         .build()
         .expect("valid configuration");
     let net = IciNetwork::new(config).expect("constructs");
@@ -145,13 +138,15 @@ fn main() {
     ]);
     cost.row(["total wasted", &format_bytes(wasted)]);
 
-    emit(
-        "E11",
-        "Byzantine proposers vs collaborative verification",
-        &format!("scale={scale:?}, N={nodes}, c={c}, txs/block={n_txs}, trials={trials}"),
-        &[&detection, &cost],
-    );
-
     assert_eq!(detected, trials, "a forged signature went undetected");
-    println!("detection rate: {detected}/{trials} (collaborative verification is sound)");
+
+    Report {
+        id: "E11",
+        title: "Byzantine proposers vs collaborative verification",
+        params: format!("scale={scale:?}, N={nodes}, c={c}, txs/block={n_txs}, trials={trials}"),
+        tables: vec![detection, cost],
+        closing: Some(format!(
+            "detection rate: {detected}/{trials} (collaborative verification is sound)"
+        )),
+    }
 }

@@ -8,25 +8,20 @@
 //! the exact paper-scale parameters (N = 4000, committees of 250,
 //! clusters of 64, r = 1, 10k blocks of 1 MB).
 //!
-//! Run: `cargo run --release -p ici-bench --bin e1_storage [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e1 [--paper]`
 
 use ici_baselines::analytic::{
     full_replication_per_node, ici_per_node, ici_to_rapidchain_ratio, rapidchain_per_node,
     LedgerShape,
 };
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
 use ici_bench::{
-    block_count, cluster_size, committee_size, emit, network_sizes, quiet_link, standard_workload,
-    txs_per_block, Scale,
+    block_count, cluster_size, committee_size, compare_strategies, network_sizes, txs_per_block,
+    Report, Scale,
 };
-use ici_core::config::IciConfig;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::{fmt_f64, Table};
 use ici_storage::stats::format_bytes;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let blocks = block_count(scale);
     let txs = txs_per_block(scale);
     let c = cluster_size(scale);
@@ -46,54 +41,10 @@ fn main() {
     );
 
     for n in network_sizes(scale) {
-        let workload = standard_workload(7);
-
-        let (_, full) = run_full(
-            FullConfig {
-                nodes: n,
-                link: quiet_link(),
-                seed: 7,
-                ..FullConfig::default()
-            },
-            blocks,
-            txs,
-            workload,
-        );
-        // RapidChain commits one block per shard per round; match total
-        // ledger volume by running blocks/k rounds per shard where k is
-        // the shard count... instead we run the same number of *rounds* as
-        // ICI runs blocks, then compare per-node storage as a fraction of
-        // each system's own ledger (the fair normalisation).
-        let shards = n.div_ceil(m);
-        let rounds = (blocks / shards).max(1);
-        let (_, rapid) = run_rapidchain(
-            RapidChainConfig {
-                nodes: n,
-                committee_size: m,
-                link: quiet_link(),
-                seed: 7,
-                ..RapidChainConfig::default()
-            },
-            rounds,
-            txs,
-            workload,
-        );
-        let (_, ici) = run_ici(
-            IciConfig::builder()
-                .nodes(n)
-                .cluster_size(c)
-                .replication(r)
-                .link(quiet_link())
-                .seed(7)
-                .build()
-                .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
-
+        let (_, summaries) = compare_strategies(scale, n, r, 7);
+        let [_, rapid, ici] = &summaries;
         let ratio = ici.storage_fraction() / rapid.storage_fraction();
-        for summary in [&full, &rapid, &ici] {
+        for summary in &summaries {
             let is_ici = summary.strategy == "ICIStrategy";
             measured.row([
                 n.to_string(),
@@ -142,14 +93,15 @@ fn main() {
         fmt_f64(ratio),
     ]);
 
-    emit(
-        "E1",
-        "Per-node storage vs network size (Table I)",
-        &format!("scale={scale:?}, c={c}, committee={m}, r={r}, blocks={blocks}, txs/block={txs}"),
-        &[&measured, &analytic],
-    );
-
-    println!(
-        "Headline check: ICI/RapidChain analytic ratio at paper parameters = {ratio:.3} (abstract claims 0.25)"
-    );
+    Report {
+        id: "E1",
+        title: "Per-node storage vs network size (Table I)",
+        params: format!(
+            "scale={scale:?}, c={c}, committee={m}, r={r}, blocks={blocks}, txs/block={txs}"
+        ),
+        tables: vec![measured, analytic],
+        closing: Some(format!(
+            "Headline check: ICI/RapidChain analytic ratio at paper parameters = {ratio:.3} (abstract claims 0.25)"
+        )),
+    }
 }

@@ -8,18 +8,16 @@
 //! and the storage-balance ratio (max/mean — how evenly the assignment
 //! spreads bodies).
 //!
-//! Run: `cargo run --release -p ici-bench --bin e2_cluster_sweep [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e2 [--paper]`
 
 use ici_baselines::analytic::{ici_per_node, LedgerShape};
-use ici_bench::{block_count, emit, quiet_link, standard_workload, txs_per_block, Scale};
+use ici_bench::{block_count, ici_config, standard_workload, txs_per_block, Report, Scale};
 use ici_chain::block::BlockHeader;
-use ici_core::config::IciConfig;
 use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let n = match scale {
         Scale::Small => 256,
         Scale::Paper => 2_048,
@@ -51,19 +49,8 @@ fn main() {
             if r > c {
                 continue;
             }
-            let (network, summary) = run_ici(
-                IciConfig::builder()
-                    .nodes(n)
-                    .cluster_size(c)
-                    .replication(r)
-                    .link(quiet_link())
-                    .seed(11)
-                    .build()
-                    .expect("valid configuration"),
-                blocks,
-                txs,
-                standard_workload(11),
-            );
+            let (network, summary) =
+                run_ici(ici_config(n, c, r, 11), blocks, txs, standard_workload(11));
             // Analytic prediction with the *actual* measured ledger shape.
             let chain_blocks = network.chain_len();
             let mean_body = if chain_blocks > 0 {
@@ -92,10 +79,11 @@ fn main() {
         }
     }
 
-    emit(
-        "E2",
-        "ICI per-node storage vs cluster size and replication",
-        &format!("scale={scale:?}, N={n}, blocks={blocks}, txs/block={txs}"),
-        &[&table],
-    );
+    Report {
+        id: "E2",
+        title: "ICI per-node storage vs cluster size and replication",
+        params: format!("scale={scale:?}, N={n}, blocks={blocks}, txs/block={txs}"),
+        tables: vec![table],
+        closing: None,
+    }
 }

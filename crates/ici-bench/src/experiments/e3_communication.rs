@@ -7,22 +7,17 @@
 //! compares mean bytes and messages per committed block across strategies
 //! and breaks ICI's traffic down by message class.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e3_communication [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e3 [--paper]`
 
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
 use ici_bench::{
-    block_count, cluster_size, committee_size, emit, network_sizes, quiet_link, standard_workload,
-    txs_per_block, Scale,
+    block_count, cluster_size, committee_size, compare_strategies, network_sizes, txs_per_block,
+    Report, Scale,
 };
-use ici_core::config::IciConfig;
 use ici_net::metrics::MessageKind;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::{fmt_f64, Table};
 use ici_storage::stats::format_bytes;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let blocks = block_count(scale);
     let txs = txs_per_block(scale);
     let c = cluster_size(scale);
@@ -38,47 +33,9 @@ fn main() {
     );
 
     for n in network_sizes(scale) {
-        let workload = standard_workload(3);
+        let (ici_net, summaries) = compare_strategies(scale, n, 2, 3);
 
-        let (_, full) = run_full(
-            FullConfig {
-                nodes: n,
-                link: quiet_link(),
-                seed: 3,
-                ..FullConfig::default()
-            },
-            blocks,
-            txs,
-            workload,
-        );
-        let shards = n.div_ceil(m);
-        let (_, rapid) = run_rapidchain(
-            RapidChainConfig {
-                nodes: n,
-                committee_size: m,
-                link: quiet_link(),
-                seed: 3,
-                ..RapidChainConfig::default()
-            },
-            (blocks / shards).max(1),
-            txs,
-            workload,
-        );
-        let (ici_net, ici) = run_ici(
-            IciConfig::builder()
-                .nodes(n)
-                .cluster_size(c)
-                .replication(2)
-                .link(quiet_link())
-                .seed(3)
-                .build()
-                .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
-
-        for summary in [&full, &rapid, &ici] {
+        for summary in &summaries {
             let per_tx = if summary.total_txs > 0 {
                 summary.mean_block_bytes * summary.committed_blocks as f64
                     / summary.total_txs as f64
@@ -111,10 +68,11 @@ fn main() {
         }
     }
 
-    emit(
-        "E3",
-        "Communication overhead per block",
-        &format!("scale={scale:?}, c={c}, committee={m}, blocks={blocks}, txs/block={txs}"),
-        &[&per_block, &breakdown],
-    );
+    Report {
+        id: "E3",
+        title: "Communication overhead per block",
+        params: format!("scale={scale:?}, c={c}, committee={m}, blocks={blocks}, txs/block={txs}"),
+        tables: vec![per_block, breakdown],
+        closing: None,
+    }
 }

@@ -6,23 +6,21 @@
 //! (RapidChain). The figure data sweeps chain length and reports bytes
 //! downloaded and simulated transfer time for each strategy.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e4_bootstrap [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e4 [--paper]`
 
 use ici_baselines::analytic::bootstrap as analytic_bootstrap;
 use ici_baselines::analytic::LedgerShape;
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
-use ici_bench::{cluster_size, committee_size, emit, quiet_link, standard_workload, Scale};
-use ici_chain::block::BlockHeader;
+use ici_bench::{
+    cluster_size, committee_size, full_config, ici_config, rapidchain_config, standard_workload,
+    Report, Scale,
+};
 use ici_cluster::membership::JoinPolicy;
-use ici_core::config::IciConfig;
 use ici_net::topology::Coord;
 use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let n = match scale {
         Scale::Small => 256,
         Scale::Paper => 1_000,
@@ -50,29 +48,13 @@ fn main() {
         let workload = standard_workload(9);
 
         // Full replication joiner.
-        let (mut full_net, _) = run_full(
-            FullConfig {
-                nodes: n,
-                link: quiet_link(),
-                seed: 9,
-                ..FullConfig::default()
-            },
-            blocks,
-            txs,
-            workload,
-        );
+        let (mut full_net, _) = run_full(full_config(n, 9), blocks, txs, workload);
         let (full_bytes, full_time) = full_net.bootstrap_cost();
 
         // RapidChain joiner (assigned to shard 0).
         let shards = n.div_ceil(m);
         let (mut rapid_net, _) = run_rapidchain(
-            RapidChainConfig {
-                nodes: n,
-                committee_size: m,
-                link: quiet_link(),
-                seed: 9,
-                ..RapidChainConfig::default()
-            },
+            rapidchain_config(n, m, 9),
             (blocks / shards).max(1),
             txs,
             workload,
@@ -80,19 +62,7 @@ fn main() {
         let (rapid_bytes, rapid_time) = rapid_net.bootstrap_cost(0);
 
         // ICI joiner.
-        let (mut ici_net, _) = run_ici(
-            IciConfig::builder()
-                .nodes(n)
-                .cluster_size(c)
-                .replication(2)
-                .link(quiet_link())
-                .seed(9)
-                .build()
-                .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
+        let (mut ici_net, _) = run_ici(ici_config(n, c, 2, 9), blocks, txs, workload);
         let report = ici_net
             .bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::NearestCentroid)
             .expect("join succeeds");
@@ -143,12 +113,12 @@ fn main() {
             format!("{:.2}%", 100.0 * bytes / full_b),
         ]);
     }
-    let _ = BlockHeader::ENCODED_LEN; // referenced by the analytic model
 
-    emit(
-        "E4",
-        "Bootstrap overhead vs chain length",
-        &format!("scale={scale:?}, N={n}, c={c}, committee={m}, r=2"),
-        &[&measured, &analytic],
-    );
+    Report {
+        id: "E4",
+        title: "Bootstrap overhead vs chain length",
+        params: format!("scale={scale:?}, N={n}, c={c}, committee={m}, r=2"),
+        tables: vec![measured, analytic],
+        closing: None,
+    }
 }

@@ -8,9 +8,9 @@
 //! round under solo vs collaborative validation, as transactions per
 //! block grow.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e5_verification [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e5 [--paper]`
 
-use ici_bench::{cluster_size, emit, quiet_link, Scale};
+use ici_bench::{cluster_size, quiet_link, Report, Scale};
 use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
 use ici_net::cost::CostModel;
 use ici_net::metrics::MessageKind;
@@ -53,8 +53,7 @@ fn commit_latency_ms(
         .unwrap_or(f64::NAN)
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let c = cluster_size(scale);
     let cost = CostModel::default();
     let tx_bytes = 341u64; // standard workload transaction size
@@ -98,10 +97,11 @@ fn main() {
         ]);
     }
 
-    emit(
-        "E5",
-        "Collaborative vs solo verification",
-        &format!("scale={scale:?}, c={c}, tx={tx_bytes}B, sig=80us, exec=2us"),
-        &[&cpu, &latency],
-    );
+    Report {
+        id: "E5",
+        title: "Collaborative vs solo verification",
+        params: format!("scale={scale:?}, c={c}, tx={tx_bytes}B, sig=80us, exec=2us"),
+        tables: vec![cpu, latency],
+        closing: None,
+    }
 }

@@ -7,10 +7,9 @@
 //! the re-replication protocol and reports the repaired availability and
 //! the repair traffic it cost.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e6_availability [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e6 [--paper]`
 
-use ici_bench::{cluster_size, emit, quiet_link, standard_workload, Scale};
-use ici_core::config::IciConfig;
+use ici_bench::{cluster_size, ici_config, standard_workload, Report, Scale};
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_sim::runner::run_ici;
@@ -34,8 +33,7 @@ fn crash_set(n: usize, count: usize, seed: u64) -> Vec<NodeId> {
     picked
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let n = match scale {
         Scale::Small => 192,
         Scale::Paper => 1_024,
@@ -61,19 +59,8 @@ fn main() {
 
     for r in [1usize, 2, 3] {
         for &frac in &fractions {
-            let (mut network, _) = run_ici(
-                IciConfig::builder()
-                    .nodes(n)
-                    .cluster_size(c)
-                    .replication(r)
-                    .link(quiet_link())
-                    .seed(21)
-                    .build()
-                    .expect("valid configuration"),
-                blocks,
-                txs,
-                standard_workload(21),
-            );
+            let (mut network, _) =
+                run_ici(ici_config(n, c, r, 21), blocks, txs, standard_workload(21));
 
             let crashed = crash_set(n, (n as f64 * frac) as usize, 77 + r as u64);
             for node in &crashed {
@@ -120,10 +107,11 @@ fn main() {
         }
     }
 
-    emit(
-        "E6",
-        "Availability and recovery under node failures",
-        &format!("scale={scale:?}, N={n}, c={c}, blocks={blocks}, txs/block={txs}"),
-        &[&table],
-    );
+    Report {
+        id: "E6",
+        title: "Availability and recovery under node failures",
+        params: format!("scale={scale:?}, N={n}, c={c}, blocks={blocks}, txs/block={txs}"),
+        tables: vec![table],
+        closing: None,
+    }
 }

@@ -7,12 +7,12 @@
 //! quality (mean intra-cluster distance, diameter) and the measured ICI
 //! commit latency under each clustering algorithm.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e8_clustering [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e8 [--paper]`
 
-use ici_bench::{cluster_size, emit, quiet_link, standard_workload, Scale};
+use ici_bench::{cluster_size, ici_builder, standard_workload, Report, Scale};
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::partition::Partition;
-use ici_core::config::{Clustering, IciConfig};
+use ici_core::config::Clustering;
 use ici_net::topology::{Placement, Topology};
 use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
@@ -26,8 +26,7 @@ fn quality(partition: &Partition, topology: &Topology) -> (f64, f64) {
     (mean, max_diameter)
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let n: usize = match scale {
         Scale::Small => 256,
         Scale::Paper => 1_024,
@@ -81,13 +80,8 @@ fn main() {
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
         let (network, summary) = run_ici(
-            IciConfig::builder()
-                .nodes(n)
-                .cluster_size(c)
-                .replication(2)
+            ici_builder(n, c, 2, 25)
                 .clustering(algorithm)
-                .link(quiet_link())
-                .seed(25)
                 .build()
                 .expect("valid configuration"),
             blocks,
@@ -109,10 +103,11 @@ fn main() {
         ]);
     }
 
-    emit(
-        "E8",
-        "Clustering quality and its effect on commit latency",
-        &format!("scale={scale:?}, N={n}, c={c}, k={k}, blocks={blocks}, txs/block={txs}"),
-        &[&quality_table, &latency_table],
-    );
+    Report {
+        id: "E8",
+        title: "Clustering quality and its effect on commit latency",
+        params: format!("scale={scale:?}, N={n}, c={c}, k={k}, blocks={blocks}, txs/block={txs}"),
+        tables: vec![quality_table, latency_table],
+        closing: None,
+    }
 }

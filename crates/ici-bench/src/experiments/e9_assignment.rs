@@ -10,11 +10,11 @@
 //! * **migration cost** — bytes a live network moves when one node joins
 //!   (measured end-to-end through the bootstrap protocol).
 //!
-//! Run: `cargo run --release -p ici-bench --bin e9_assignment [--paper]`
+//! Run: `cargo run --release -p ici-bench -- e9 [--paper]`
 
-use ici_bench::{emit, quiet_link, standard_workload, Scale};
+use ici_bench::{ici_builder, standard_workload, Report, Scale};
 use ici_cluster::membership::JoinPolicy;
-use ici_core::config::{Assignment, IciConfig};
+use ici_core::config::Assignment;
 use ici_crypto::sha256::{Digest, Sha256};
 use ici_net::node::NodeId;
 use ici_net::topology::Coord;
@@ -46,8 +46,7 @@ fn strategies() -> Vec<(&'static str, Box<dyn AssignmentStrategy>, Assignment)> 
     ]
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale) -> Report {
     let c = match scale {
         Scale::Small => 16usize,
         Scale::Paper => 64,
@@ -106,13 +105,8 @@ fn main() {
     );
     for (name, _, assignment) in strategies() {
         let (mut network, _) = run_ici(
-            IciConfig::builder()
-                .nodes(128)
-                .cluster_size(c)
-                .replication(r)
+            ici_builder(128, c, r, 33)
                 .assignment(assignment)
-                .link(quiet_link())
-                .seed(33)
                 .build()
                 .expect("valid configuration"),
             30,
@@ -130,10 +124,11 @@ fn main() {
         ]);
     }
 
-    emit(
-        "E9",
-        "Ablation: block-to-owner assignment strategies",
-        &format!("scale={scale:?}, c={c}, r={r}, chain={chain_blocks} synthetic blocks"),
-        &[&properties, &migration],
-    );
+    Report {
+        id: "E9",
+        title: "Ablation: block-to-owner assignment strategies",
+        params: format!("scale={scale:?}, c={c}, r={r}, chain={chain_blocks} synthetic blocks"),
+        tables: vec![properties, migration],
+        closing: None,
+    }
 }

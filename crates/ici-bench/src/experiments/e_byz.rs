@@ -16,15 +16,14 @@
 //!   then killed, as a fraction of all traffic.
 //!
 //! The same `--seed` produces a byte-identical `results/e_byz.json`
-//! (telemetry off); CI runs it twice and under 1 and 4 worker threads
-//! and diffs the files.
+//! (telemetry off); `ici-bench check` runs it twice against the
+//! committed record.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e_byz [--paper] [--seed N]`
+//! Run: `cargo run --release -p ici-bench -- e_byz [--paper] [--seed N]`
 
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
-use ici_bench::{emit, quiet_link, seed_from_args, standard_workload, Scale};
-use ici_core::config::IciConfig;
+use ici_bench::{
+    full_config, ici_config, metric_table, rapidchain_config, standard_workload, Report, Scale,
+};
 use ici_faults::plan::{ByzantineConfig, ChurnConfig};
 use ici_sim::fault_run::{
     run_full_under_faults, run_ici_under_faults, run_rapidchain_under_faults, FaultProfile,
@@ -56,54 +55,31 @@ fn byz_profile(seed: u64, rounds: usize, min_live: usize) -> FaultProfile {
     }
 }
 
-fn main() {
-    let scale = Scale::from_args();
-    let seed = seed_from_args();
+pub fn run(scale: Scale, seed: u64) -> Report {
     let (nodes, cluster_size, rounds, min_live) = match scale {
         Scale::Small => (48usize, 12usize, 16usize, 6usize),
         Scale::Paper => (256, 16, 24, 8),
     };
     let txs_per_block = 30;
 
-    let ici_config = IciConfig::builder()
-        .nodes(nodes)
-        .cluster_size(cluster_size)
-        .replication(2)
-        .link(quiet_link())
-        .seed(seed)
-        .build()
-        .expect("valid configuration");
     let (_, ici) = run_ici_under_faults(
-        ici_config,
+        ici_config(nodes, cluster_size, 2, seed),
         txs_per_block,
         standard_workload(seed),
         byz_profile(seed, rounds, min_live),
     )
     .expect("fault plan builds over the formed clusters");
 
-    let full_config = FullConfig {
-        nodes,
-        link: quiet_link(),
-        seed,
-        ..FullConfig::default()
-    };
     let (_, full) = run_full_under_faults(
-        full_config,
+        full_config(nodes, seed),
         txs_per_block,
         standard_workload(seed),
         byz_profile(seed, rounds, min_live),
     )
     .expect("fault plan builds over the node set");
 
-    let rc_config = RapidChainConfig {
-        nodes,
-        committee_size: cluster_size,
-        link: quiet_link(),
-        seed,
-        ..RapidChainConfig::default()
-    };
     let (_, rapidchain) = run_rapidchain_under_faults(
-        rc_config,
+        rapidchain_config(nodes, cluster_size, seed),
         txs_per_block,
         standard_workload(seed),
         byz_profile(seed, rounds, min_live),
@@ -116,85 +92,66 @@ fn main() {
         format!("E-byz: Byzantine survivability, N={nodes}, c={cluster_size}, seed={seed}"),
         ["metric", "ici", "full", "rapidchain"],
     );
-    let row3 = |t: &mut Table, metric: &str, f: &dyn Fn(&FaultRunSummary) -> String| {
-        t.row([
-            metric.to_string(),
-            f(columns[0]),
-            f(columns[1]),
-            f(columns[2]),
-        ]);
-    };
-    row3(&mut comparison, "committed blocks", &|c| {
-        c.committed_blocks.to_string()
-    });
-    row3(&mut comparison, "skipped rounds", &|c| {
-        c.skipped_rounds.to_string()
-    });
-    row3(&mut comparison, "rounds lost to Byzantine action", &|c| {
-        c.byz_skipped_rounds.to_string()
-    });
-    row3(&mut comparison, "equivocation attempts", &|c| {
-        c.equivocation_attempts.to_string()
-    });
-    row3(&mut comparison, "equivocations detected", &|c| {
-        c.equivocations_detected.to_string()
-    });
-    row3(&mut comparison, "equivocation detection rate", &|c| {
-        format!("{:.1}%", c.equivocation_detection_rate() * 100.0)
-    });
-    row3(&mut comparison, "undetected equivocations (hazard)", &|c| {
-        c.safety_breaches.to_string()
-    });
-    row3(&mut comparison, "verdict flips", &|c| {
-        c.verdict_flips.to_string()
-    });
-    row3(&mut comparison, "verdict withholds", &|c| {
-        c.verdict_withholds.to_string()
-    });
-    row3(&mut comparison, "lying verifiers named", &|c| {
-        c.liars_detected.to_string()
-    });
-    row3(&mut comparison, "liar detection rate", &|c| {
-        format!("{:.1}%", c.liar_detection_rate() * 100.0)
-    });
-    row3(&mut comparison, "wasted bytes (killed blocks)", &|c| {
-        format_bytes(c.wasted_bytes)
-    });
-    row3(&mut comparison, "total bytes", &|c| {
-        format_bytes(c.total_bytes)
-    });
-    row3(&mut comparison, "wasted fraction", &|c| {
-        format!("{:.2}%", c.wasted_fraction() * 100.0)
-    });
-    row3(&mut comparison, "min live nodes", &|c| {
-        c.min_live_nodes.to_string()
-    });
-    row3(&mut comparison, "fault schedule fingerprint", &|c| {
-        format!("{:016x}", c.plan_fingerprint)
-    });
+    let metrics: [(&str, fn(&FaultRunSummary) -> String); 16] = [
+        ("committed blocks", |c| c.committed_blocks.to_string()),
+        ("skipped rounds", |c| c.skipped_rounds.to_string()),
+        ("rounds lost to Byzantine action", |c| {
+            c.byz_skipped_rounds.to_string()
+        }),
+        ("equivocation attempts", |c| {
+            c.equivocation_attempts.to_string()
+        }),
+        ("equivocations detected", |c| {
+            c.equivocations_detected.to_string()
+        }),
+        ("equivocation detection rate", |c| {
+            format!("{:.1}%", c.equivocation_detection_rate() * 100.0)
+        }),
+        ("undetected equivocations (hazard)", |c| {
+            c.safety_breaches.to_string()
+        }),
+        ("verdict flips", |c| c.verdict_flips.to_string()),
+        ("verdict withholds", |c| c.verdict_withholds.to_string()),
+        ("lying verifiers named", |c| c.liars_detected.to_string()),
+        ("liar detection rate", |c| {
+            format!("{:.1}%", c.liar_detection_rate() * 100.0)
+        }),
+        ("wasted bytes (killed blocks)", |c| {
+            format_bytes(c.wasted_bytes)
+        }),
+        ("total bytes", |c| format_bytes(c.total_bytes)),
+        ("wasted fraction", |c| {
+            format!("{:.2}%", c.wasted_fraction() * 100.0)
+        }),
+        ("min live nodes", |c| c.min_live_nodes.to_string()),
+        ("fault schedule fingerprint", |c| {
+            format!("{:016x}", c.plan_fingerprint)
+        }),
+    ];
+    for (metric, cell) in metrics {
+        comparison.row([metric.to_string()].into_iter().chain(columns.map(cell)));
+    }
 
-    let mut detail = Table::new(
-        "E-byz: ICI detection detail".to_string(),
-        ["metric", "value"],
+    let audit = if ici.final_audit_clean {
+        "clean"
+    } else {
+        "FAILED"
+    };
+    let detail = metric_table(
+        "E-byz: ICI detection detail",
+        [
+            ("clusters", ici.clusters.to_string()),
+            (
+                "remote cluster verdicts missed",
+                ici.byz_missed_cluster_verdicts.to_string(),
+            ),
+            (
+                "recovery success rate",
+                format!("{:.1}%", ici.recovery_success_rate() * 100.0),
+            ),
+            ("final Merkle audit", audit.to_string()),
+        ],
     );
-    detail
-        .row(["clusters".to_string(), ici.clusters.to_string()])
-        .row([
-            "remote cluster verdicts missed".to_string(),
-            ici.byz_missed_cluster_verdicts.to_string(),
-        ])
-        .row([
-            "recovery success rate".to_string(),
-            format!("{:.1}%", ici.recovery_success_rate() * 100.0),
-        ])
-        .row([
-            "final Merkle audit".to_string(),
-            if ici.final_audit_clean {
-                "clean".to_string()
-            } else {
-                "FAILED".to_string()
-            },
-        ]);
 
     // Acceptance gates. The adversary must actually show up, ICI must
     // expose every equivocation (honest witnesses in both audience
@@ -222,14 +179,15 @@ fn main() {
         "Byzantine schedule starved the chain entirely"
     );
 
-    emit(
-        "E_byz",
-        "Reconstructed: survivability under Byzantine proposers and verifiers",
-        &format!(
+    Report {
+        id: "E_byz",
+        title: "Reconstructed: survivability under Byzantine proposers and verifiers",
+        params: format!(
             "scale={scale:?}, N={nodes}, c={cluster_size}, r=2, rounds={rounds}, seed={seed}, \
              equiv=0.25, byz_frac=0.2, flip=0.3, withhold=0.1, plan={:016x}",
             ici.plan_fingerprint
         ),
-        &[&comparison, &detail],
-    );
+        tables: vec![comparison, detail],
+        closing: None,
+    }
 }

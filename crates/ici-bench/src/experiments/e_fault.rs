@@ -9,34 +9,24 @@
 //! run asserts recovery at content level, not replica count.
 //!
 //! The same `--seed` produces a byte-identical fault schedule and (with
-//! telemetry off) a byte-identical `results/e_fault.json`; CI runs it
-//! twice and diffs the files.
+//! telemetry off) a byte-identical `results/e_fault.json`; `ici-bench
+//! check` runs it twice against the committed record.
 //!
-//! Run: `cargo run --release -p ici-bench --bin e_fault [--paper] [--seed N]`
+//! Run: `cargo run --release -p ici-bench -- e_fault [--paper] [--seed N]`
 
-use ici_bench::{emit, quiet_link, seed_from_args, standard_workload, Scale};
-use ici_core::config::IciConfig;
+use ici_bench::{ici_config, metric_table, standard_workload, Report, Scale};
 use ici_faults::plan::{ByzantineConfig, ChurnConfig, MessageFaultSpec, PartitionPolicy};
 use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
-fn main() {
-    let scale = Scale::from_args();
-    let seed = seed_from_args();
+pub fn run(scale: Scale, seed: u64) -> Report {
     let (nodes, cluster_size, rounds) = match scale {
         Scale::Small => (48usize, 12usize, 16usize),
         Scale::Paper => (256, 16, 24),
     };
 
-    let config = IciConfig::builder()
-        .nodes(nodes)
-        .cluster_size(cluster_size)
-        .replication(2)
-        .link(quiet_link())
-        .seed(seed)
-        .build()
-        .expect("valid configuration");
+    let config = ici_config(nodes, cluster_size, 2, seed);
     let profile = FaultProfile {
         seed,
         rounds,
@@ -70,88 +60,62 @@ fn main() {
     let (network, summary) = run_ici_under_faults(config, 30, standard_workload(seed), profile)
         .expect("fault plan builds over the formed clusters");
 
-    let mut survivability = Table::new(
+    let s = &summary;
+    let survivability = metric_table(
         format!("E-fault: survivability under churn, N={nodes}, c={cluster_size}, seed={seed}"),
-        ["metric", "value"],
+        [
+            (
+                "fault schedule fingerprint",
+                format!("{:016x}", s.plan_fingerprint),
+            ),
+            ("rounds", s.rounds.to_string()),
+            ("committed blocks", s.committed_blocks.to_string()),
+            (
+                "skipped rounds (liveness loss)",
+                s.skipped_rounds.to_string(),
+            ),
+            ("crash events", s.crash_events.to_string()),
+            ("restart events", s.restart_events.to_string()),
+            ("stage-boundary crashes", s.stage_crash_events.to_string()),
+            (
+                "stage-crash rounds committed",
+                s.stage_crash_commits.to_string(),
+            ),
+            ("recovery attempts", s.recovery_attempts.to_string()),
+            (
+                "recovery success rate",
+                format!("{:.1}%", s.recovery_success_rate() * 100.0),
+            ),
+            ("re-replication traffic", format_bytes(s.repair_bytes)),
+            ("repair transfers", s.repair_transfers.to_string()),
+            ("cross-cluster fetches", s.cross_cluster_fetches.to_string()),
+            (
+                "unrecoverable heights",
+                s.unrecoverable_heights.len().to_string(),
+            ),
+            ("min live nodes", s.min_live_nodes.to_string()),
+            (
+                "min cluster availability",
+                format!("{:.3}", s.min_availability),
+            ),
+            (
+                "commit latency p50 (ms)",
+                format!("{:.1}", s.commit_latency.p50_ms),
+            ),
+            (
+                "commit latency p95 (ms)",
+                format!("{:.1}", s.commit_latency.p95_ms),
+            ),
+            (
+                "final Merkle audit",
+                if s.final_audit_clean {
+                    format!("clean ({} shards re-hashed)", s.merkle_shards_verified)
+                } else {
+                    "FAILED".to_string()
+                },
+            ),
+        ],
     );
-    survivability
-        .row([
-            "fault schedule fingerprint".to_string(),
-            format!("{:016x}", summary.plan_fingerprint),
-        ])
-        .row(["rounds".to_string(), summary.rounds.to_string()])
-        .row([
-            "committed blocks".to_string(),
-            summary.committed_blocks.to_string(),
-        ])
-        .row([
-            "skipped rounds (liveness loss)".to_string(),
-            summary.skipped_rounds.to_string(),
-        ])
-        .row(["crash events".to_string(), summary.crash_events.to_string()])
-        .row([
-            "restart events".to_string(),
-            summary.restart_events.to_string(),
-        ])
-        .row([
-            "stage-boundary crashes".to_string(),
-            summary.stage_crash_events.to_string(),
-        ])
-        .row([
-            "stage-crash rounds committed".to_string(),
-            summary.stage_crash_commits.to_string(),
-        ])
-        .row([
-            "recovery attempts".to_string(),
-            summary.recovery_attempts.to_string(),
-        ])
-        .row([
-            "recovery success rate".to_string(),
-            format!("{:.1}%", summary.recovery_success_rate() * 100.0),
-        ])
-        .row([
-            "re-replication traffic".to_string(),
-            format_bytes(summary.repair_bytes),
-        ])
-        .row([
-            "repair transfers".to_string(),
-            summary.repair_transfers.to_string(),
-        ])
-        .row([
-            "cross-cluster fetches".to_string(),
-            summary.cross_cluster_fetches.to_string(),
-        ])
-        .row([
-            "unrecoverable heights".to_string(),
-            summary.unrecoverable_heights.len().to_string(),
-        ])
-        .row([
-            "min live nodes".to_string(),
-            summary.min_live_nodes.to_string(),
-        ])
-        .row([
-            "min cluster availability".to_string(),
-            format!("{:.3}", summary.min_availability),
-        ])
-        .row([
-            "commit latency p50 (ms)".to_string(),
-            format!("{:.1}", summary.commit_latency.p50_ms),
-        ])
-        .row([
-            "commit latency p95 (ms)".to_string(),
-            format!("{:.1}", summary.commit_latency.p95_ms),
-        ])
-        .row([
-            "final Merkle audit".to_string(),
-            if summary.final_audit_clean {
-                format!(
-                    "clean ({} shards re-hashed)",
-                    summary.merkle_shards_verified
-                )
-            } else {
-                "FAILED".to_string()
-            },
-        ]);
 
     let mut cycles = Table::new(
         "E-fault: crash-and-recover cycles per cluster".to_string(),
@@ -196,14 +160,15 @@ fn main() {
         summary.unrecoverable_heights
     );
 
-    emit(
-        "E_fault",
-        "Reconstructed: survivability under deterministic fault injection",
-        &format!(
+    Report {
+        id: "E_fault",
+        title: "Reconstructed: survivability under deterministic fault injection",
+        params: format!(
             "scale={scale:?}, N={nodes}, c={cluster_size}, r=2, rounds={rounds}, seed={seed}, \
              plan={:016x}",
             summary.plan_fingerprint
         ),
-        &[&survivability, &cycles],
-    );
+        tables: vec![survivability, cycles],
+        closing: None,
+    }
 }

@@ -10,13 +10,14 @@
 //! (`--paper`: 1M accounts) tractable.
 //!
 //! The record, `results/e_scale.json`, is deterministic tables only
-//! (counts, roots, ratios); CI regenerates it and fails on any diff.
+//! (counts, roots, ratios); `ici-bench check` regenerates it and fails
+//! on any diff.
 //! Host-side cost of this path — throughput, allocations, peak live
 //! heap — is the benchmark's `state_scale` workload (`BENCHMARK.json`).
 //!
-//! Run: `cargo run --release -p ici-bench --bin e_scale [--paper] [--seed N]`
+//! Run: `cargo run --release -p ici-bench -- e_scale [--paper] [--seed N]`
 
-use ici_bench::{emit, seed_from_args, Scale};
+use ici_bench::{metric_table, Report, Scale};
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::mempool::{Mempool, MempoolError};
@@ -24,7 +25,7 @@ use ici_chain::state::StateCommitment;
 use ici_chain::transaction::Address;
 use ici_chain::validation::validate_block_in_place;
 use ici_crypto::sha256::Digest;
-use ici_sim::table::{fmt_f64, Table};
+use ici_sim::table::fmt_f64;
 use ici_workload::{
     PayloadSize, SenderDistribution, TrafficConfig, TrafficStream, WorkloadConfig,
     WorkloadGenerator,
@@ -33,9 +34,7 @@ use ici_workload::{
 /// The fixed proposing node (fee collector derives from it).
 const PROPOSER: u64 = 7;
 
-fn main() {
-    let scale = Scale::from_args();
-    let seed = seed_from_args();
+pub fn run(scale: Scale, seed: u64) -> Report {
     let (accounts, rounds, base_txs) = match scale {
         Scale::Small => (50_000u64, 40u64, 250usize),
         Scale::Paper => (1_000_000, 60, 1_000),
@@ -186,48 +185,38 @@ fn main() {
     );
 
     // ---- deterministic record --------------------------------------------
-    let mut table = Table::new(
+    let table = metric_table(
         format!("E-scale: {accounts} accounts, {rounds} rounds, base {base_txs} tx/round"),
-        ["metric", "value"],
+        [
+            ("accounts", accounts.to_string()),
+            ("rounds", rounds.to_string()),
+            ("tx admitted", admitted.to_string()),
+            ("tx underpriced", underpriced.to_string()),
+            ("tx pool-full rejected", pool_full.to_string()),
+            ("fee-market evictions", pool.evicted().to_string()),
+            ("peak pool depth", peak_pool_depth.to_string()),
+            ("tx committed", committed_txs.to_string()),
+            ("tx skipped (nonce gap)", skipped_invalid.to_string()),
+            ("mean touched accounts/block", fmt_f64(mean_touched)),
+            ("mean dirty buckets/block (of 64)", fmt_f64(mean_dirty)),
+            (
+                "touched fraction of universe",
+                fmt_f64(mean_touched / accounts as f64),
+            ),
+            ("genesis v2 root", genesis_v2.to_hex()),
+            ("final v2 root", parent.state_root.to_hex()),
+            ("final head id", parent.id().to_hex()),
+        ],
     );
-    table.row(["accounts".to_string(), accounts.to_string()]);
-    table.row(["rounds".to_string(), rounds.to_string()]);
-    table.row(["tx admitted".to_string(), admitted.to_string()]);
-    table.row(["tx underpriced".to_string(), underpriced.to_string()]);
-    table.row(["tx pool-full rejected".to_string(), pool_full.to_string()]);
-    table.row([
-        "fee-market evictions".to_string(),
-        pool.evicted().to_string(),
-    ]);
-    table.row(["peak pool depth".to_string(), peak_pool_depth.to_string()]);
-    table.row(["tx committed".to_string(), committed_txs.to_string()]);
-    table.row([
-        "tx skipped (nonce gap)".to_string(),
-        skipped_invalid.to_string(),
-    ]);
-    table.row([
-        "mean touched accounts/block".to_string(),
-        fmt_f64(mean_touched),
-    ]);
-    table.row([
-        "mean dirty buckets/block (of 64)".to_string(),
-        fmt_f64(mean_dirty),
-    ]);
-    table.row([
-        "touched fraction of universe".to_string(),
-        fmt_f64(mean_touched / accounts as f64),
-    ]);
-    table.row(["genesis v2 root".to_string(), genesis_v2.to_hex()]);
-    table.row(["final v2 root".to_string(), parent.state_root.to_hex()]);
-    table.row(["final head id".to_string(), parent.id().to_hex()]);
 
-    emit(
-        "E_scale",
-        "Sharded state & mempool under sustained zipf traffic",
-        &format!(
+    Report {
+        id: "E_scale",
+        title: "Sharded state & mempool under sustained zipf traffic",
+        params: format!(
             "scale={scale:?}, seed={seed}, accounts={accounts}, rounds={rounds}, \
              base_txs={base_txs}, burst=3x/8, zipf=1.1, commitment=v2"
         ),
-        &[&table],
-    );
+        tables: vec![table],
+        closing: None,
+    }
 }

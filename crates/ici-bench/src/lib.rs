@@ -1,8 +1,9 @@
-//! Shared scaffolding for the experiment binaries (`src/bin/e*.rs`).
+//! Shared scaffolding for the experiments (`src/experiments/e*.rs`, one
+//! row each of the `ici-bench` binary's table).
 //!
-//! Every binary regenerates one table/figure of the paper's evaluation
-//! (see `DESIGN.md` for the per-experiment index). Two scales are
-//! supported:
+//! Every experiment regenerates one table/figure of the paper's
+//! evaluation (see `DESIGN.md` for the per-experiment index) and returns
+//! it as a [`Report`]. Two scales are supported:
 //!
 //! * **small** (default) — laptop-friendly populations that preserve the
 //!   parameter *ratios* the paper's claims depend on (notably
@@ -10,8 +11,8 @@
 //! * **paper** (`--paper` flag) — the abstract's scale (thousands of
 //!   nodes, RapidChain committees of 250). Slower; same code path.
 //!
-//! Results print as ASCII tables and are archived as JSON under
-//! `results/`.
+//! [`emit`] prints a report as ASCII tables and archives it as JSON
+//! under `results/`.
 
 // `deny` (not `forbid`) so the `alloc` module can carve out the one
 // `GlobalAlloc` impl the counting allocator needs; see lint.toml
@@ -24,8 +25,13 @@ pub mod harness;
 
 use std::path::PathBuf;
 
+use ici_baselines::full::FullConfig;
+use ici_baselines::rapidchain::RapidChainConfig;
+use ici_core::config::{IciConfig, IciConfigBuilder};
+use ici_core::network::IciNetwork;
 use ici_net::link::LinkModel;
 use ici_sim::report::ExperimentRecord;
+use ici_sim::runner::{run_full, run_ici, run_rapidchain, RunSummary};
 use ici_sim::table::Table;
 use ici_workload::{PayloadSize, WorkloadConfig};
 
@@ -36,43 +42,6 @@ pub enum Scale {
     Small,
     /// The abstract's populations (`--paper`).
     Paper,
-}
-
-impl Scale {
-    /// Parses the process arguments: `--paper` selects [`Scale::Paper`].
-    ///
-    /// Also initializes telemetry (`ICI_TELEMETRY=1`) and causal tracing
-    /// (`ICI_TRACE=1`) from the environment, since every experiment
-    /// binary calls this exactly once at startup.
-    pub fn from_args() -> Scale {
-        ici_telemetry::init_from_env();
-        ici_trace::init_from_env();
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Small
-        }
-    }
-}
-
-/// Parses `--seed N` from the process arguments (default 42); a
-/// malformed or missing value prints `error: …` and exits 2, so a typo
-/// never runs — and labels its record with — a different experiment.
-pub fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    parse_seed(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The seed `--seed N` names in `args`, 42 when the flag is absent.
-fn parse_seed(args: &[String]) -> Result<u64, String> {
-    let Some(i) = args.iter().position(|a| a == "--seed") else {
-        return Ok(42);
-    };
-    let value = args.get(i + 1).ok_or("--seed needs a value")?;
-    value.parse().map_err(|e| format!("--seed {value}: {e}"))
 }
 
 /// Network sizes for a strategy-comparison sweep.
@@ -140,7 +109,132 @@ pub fn txs_per_block(scale: Scale) -> usize {
     }
 }
 
-/// Prints tables and archives the experiment record under `results/`.
+/// [`IciConfig`] builder preset with what every experiment shares: the
+/// population, `r`, the jitter-free link and the seed. Experiments that
+/// vary clustering, assignment or genesis continue the chain.
+pub fn ici_builder(
+    nodes: usize,
+    cluster_size: usize,
+    replication: usize,
+    seed: u64,
+) -> IciConfigBuilder {
+    IciConfig::builder()
+        .nodes(nodes)
+        .cluster_size(cluster_size)
+        .replication(replication)
+        .link(quiet_link())
+        .seed(seed)
+}
+
+/// [`ici_builder`], built.
+///
+/// # Panics
+///
+/// If the population cannot form one cluster of `cluster_size` holding
+/// `replication` replicas — a typo in an experiment's constants.
+pub fn ici_config(nodes: usize, cluster_size: usize, replication: usize, seed: u64) -> IciConfig {
+    ici_builder(nodes, cluster_size, replication, seed)
+        .build()
+        .expect("valid configuration")
+}
+
+/// Full replication on the jitter-free link.
+pub fn full_config(nodes: usize, seed: u64) -> FullConfig {
+    FullConfig {
+        nodes,
+        link: quiet_link(),
+        seed,
+        ..FullConfig::default()
+    }
+}
+
+/// RapidChain committees on the jitter-free link.
+pub fn rapidchain_config(nodes: usize, committee_size: usize, seed: u64) -> RapidChainConfig {
+    RapidChainConfig {
+        nodes,
+        committee_size,
+        link: quiet_link(),
+        seed,
+        ..RapidChainConfig::default()
+    }
+}
+
+/// One network size of the strategy comparison (E1, E3, E7): full
+/// replication, RapidChain and ICI with `replication` owners, in that
+/// order, on the standard workload at the scale's cluster and committee
+/// sizes. Returns the ICI network and the three summaries.
+///
+/// RapidChain commits one block per shard per round, so it runs
+/// `blocks / shards` rounds to ICI's `blocks` and the tables compare
+/// each system against its own ledger (the fair normalisation).
+pub fn compare_strategies(
+    scale: Scale,
+    nodes: usize,
+    replication: usize,
+    seed: u64,
+) -> (IciNetwork, [RunSummary; 3]) {
+    let (blocks, txs) = (block_count(scale), txs_per_block(scale));
+    let (c, m) = (cluster_size(scale), committee_size(scale));
+    let workload = standard_workload(seed);
+    let (_, full) = run_full(full_config(nodes, seed), blocks, txs, workload);
+    let rounds = (blocks / nodes.div_ceil(m)).max(1);
+    let (_, rapid) = run_rapidchain(rapidchain_config(nodes, m, seed), rounds, txs, workload);
+    let (ici_net, ici) = run_ici(
+        ici_config(nodes, c, replication, seed),
+        blocks,
+        txs,
+        workload,
+    );
+    (ici_net, [full, rapid, ici])
+}
+
+/// A two-column `metric | value` table: the shape of a run summary.
+pub fn metric_table(
+    title: impl Into<String>,
+    rows: impl IntoIterator<Item = (&'static str, String)>,
+) -> Table {
+    let mut table = Table::new(title, ["metric", "value"]);
+    for (metric, value) in rows {
+        table.row([metric.to_string(), value]);
+    }
+    table
+}
+
+/// What an experiment returns: the record's fields plus an optional
+/// line printed after the tables.
+#[derive(Clone, Debug)]
+pub struct Report {
+    /// Record id (`"E1"`, `"E_fault"`); lower-cased it is the stem of
+    /// `results/<stem>.json` and the experiment's name on the command
+    /// line.
+    pub id: &'static str,
+    /// Human-readable title.
+    pub title: &'static str,
+    /// Free-form parameter description.
+    pub params: String,
+    /// Result tables, in print order.
+    pub tables: Vec<Table>,
+    /// Closing line printed after the record is saved.
+    pub closing: Option<String>,
+}
+
+impl Report {
+    /// The deterministic record: no telemetry, no series.
+    pub fn record(&self) -> ExperimentRecord {
+        let tables: Vec<&Table> = self.tables.iter().collect();
+        ExperimentRecord::new(self.id, self.title, self.params.as_str(), &tables)
+    }
+}
+
+/// Clears this thread's telemetry, trace and per-round series, so each
+/// run of a multi-experiment process records only itself.
+pub fn reset_collectors() {
+    ici_telemetry::reset();
+    ici_trace::reset();
+    ici_trace::series::drain();
+}
+
+/// Prints the report and archives its record under `results/`.
 ///
 /// When telemetry is enabled (`ICI_TELEMETRY=1`) the record gains a
 /// `telemetry` section with the run's counters, histograms, and spans,
@@ -153,34 +247,34 @@ pub fn txs_per_block(scale: Scale) -> usize {
 /// `TRACE_<id>.json` (canonical event log) and
 /// `TRACE_<id>.chrome.json` (Chrome trace-event / Perfetto format),
 /// under `ICI_TRACE_OUT` (default `results/`).
-pub fn emit(id: &str, title: &str, params: &str, tables: &[&Table]) {
-    for table in tables {
+pub fn emit(report: &Report) {
+    for table in &report.tables {
         println!("{table}");
     }
-    let record = ExperimentRecord::new(id, title, params, tables)
-        .with_telemetry()
-        .with_series();
+    let record = report.record().with_telemetry().with_series();
     if let Some(snapshot) = &record.telemetry {
         print_top_spans(snapshot, 5);
         println!("{}", ici_telemetry::render_flamegraph(snapshot, 40));
     }
-    let path = PathBuf::from("results").join(format!("{}.json", id.to_lowercase()));
+    let stem = report.id.to_lowercase();
+    let path = PathBuf::from("results").join(format!("{stem}.json"));
     match record.write_json(&path) {
         Ok(()) => println!("[saved {}]\n", path.display()),
         Err(e) => eprintln!("[warn: could not save {}: {e}]", path.display()),
     }
-    export_trace(id);
+    export_trace(report.id);
+    if let Some(line) = &report.closing {
+        println!("{line}");
+    }
 }
 
 /// Writes the trace collected so far to `ICI_TRACE_OUT` when tracing is
-/// enabled; a no-op otherwise. Resets the collector afterwards so a
-/// multi-experiment process never bleeds events across `emit` calls.
+/// enabled; a no-op otherwise.
 fn export_trace(id: &str) {
     if !ici_trace::enabled() {
         return;
     }
     let snap = ici_trace::snapshot();
-    ici_trace::reset();
     let dir = PathBuf::from(ici_trace::out_dir());
     let lower = id.to_lowercase();
     for (suffix, body) in [
@@ -242,22 +336,6 @@ mod tests {
                 cluster_size(scale)
             );
         }
-    }
-
-    #[test]
-    fn scale_parsing_defaults_small() {
-        // No --paper in the test harness args.
-        assert_eq!(Scale::from_args(), Scale::Small);
-    }
-
-    #[test]
-    fn seed_is_parsed_or_refused() {
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_seed(&args(&["e_fault", "--paper"])), Ok(42));
-        assert_eq!(parse_seed(&args(&["e_fault", "--seed", "7"])), Ok(7));
-        let malformed = parse_seed(&args(&["e_fault", "--seed", "4x2"]));
-        assert!(malformed.is_err_and(|e| e.contains("4x2")));
-        assert!(parse_seed(&args(&["e_fault", "--seed"])).is_err());
     }
 
     #[test]

@@ -60,21 +60,11 @@ impl CommitReport {
         self.quorum > 0 && self.commit_times.len() >= self.quorum
     }
 
-    /// Earliest member commit time.
-    pub fn first_commit(&self) -> Option<SimTime> {
-        self.commit_times.values().min().copied()
-    }
-
     /// Time at which the `quorum`-th member committed — the cluster-level
     /// commit instant.
     pub fn quorum_commit(&self) -> Option<SimTime> {
         let mut times: Vec<SimTime> = self.commit_times.values().copied().collect();
         quorum_arrival(&mut times, self.quorum)
-    }
-
-    /// Latest member commit time.
-    pub fn last_commit(&self) -> Option<SimTime> {
-        self.commit_times.values().max().copied()
     }
 }
 
@@ -456,8 +446,7 @@ mod tests {
         assert!(report.is_committed());
         assert_eq!(report.commit_times.len(), 7);
         assert_eq!(report.quorum, 5);
-        assert!(report.first_commit().expect("committed") > SimTime::ZERO);
-        assert!(report.quorum_commit() <= report.last_commit());
+        assert!(report.commit_times.values().all(|t| *t > SimTime::ZERO));
     }
 
     #[test]

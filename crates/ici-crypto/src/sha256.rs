@@ -170,21 +170,6 @@ impl Digest {
         let b = &self.0;
         u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
     }
-
-    /// Counts the number of leading zero bits, as used by the
-    /// proof-of-work-lite difficulty check.
-    pub fn leading_zero_bits(&self) -> u32 {
-        let mut zeros = 0;
-        for b in &self.0 {
-            if *b == 0 {
-                zeros += 8;
-            } else {
-                zeros += b.leading_zeros();
-                break;
-            }
-        }
-        zeros
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -711,20 +696,6 @@ mod tests {
         assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
         // Multi-byte UTF-8 of the right char count must not panic.
         assert_eq!(Digest::from_hex(&"é".repeat(32)), None);
-    }
-
-    #[test]
-    fn leading_zero_bits() {
-        assert_eq!(Digest::ZERO.leading_zero_bits(), 256);
-        let mut one = [0u8; 32];
-        one[0] = 0x01;
-        assert_eq!(Digest(one).leading_zero_bits(), 7);
-        let mut ff = [0u8; 32];
-        ff[0] = 0xff;
-        assert_eq!(Digest(ff).leading_zero_bits(), 0);
-        let mut mid = [0u8; 32];
-        mid[2] = 0x10;
-        assert_eq!(Digest(mid).leading_zero_bits(), 19);
     }
 
     #[test]

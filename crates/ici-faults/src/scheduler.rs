@@ -81,21 +81,6 @@ impl FaultScheduler {
         !self.down.contains(&node)
     }
 
-    /// Live members of cluster `c` (empty for an out-of-range index).
-    pub fn live_in_cluster(&self, c: usize) -> Vec<NodeId> {
-        self.plan
-            .clusters()
-            .get(c)
-            .map(|members| {
-                members
-                    .iter()
-                    .copied()
-                    .filter(|m| !self.down.contains(m))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Advances one round; `None` once the plan is exhausted.
     pub fn step(&mut self) -> Option<ScheduledRound> {
         let round = self.next_round;
@@ -225,11 +210,12 @@ mod tests {
                 assert!(scheduler.is_live(*r));
             }
             for (c, live) in round.live_per_cluster.iter().enumerate() {
-                assert_eq!(scheduler.live_in_cluster(c).len(), *live);
+                let members = &scheduler.plan().clusters()[c];
+                let tracked = members.iter().filter(|m| scheduler.is_live(**m)).count();
+                assert_eq!(tracked, *live);
                 assert!(*live >= 2, "floor violated in round {}", round.round);
             }
         }
-        assert!(scheduler.live_in_cluster(99).is_empty());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Lint configuration, read from `lint.toml` at the workspace root.
 //!
-//! Every knob has an in-code default mirroring the committed file, so
-//! the gate still runs (with the standard policy) if the file is
-//! missing — e.g. in fixture trees that only exercise one rule.
+//! The file is the only copy of the policy: a list it omits is empty,
+//! and a tree without the file is an error, never a gate run under
+//! some other policy.
 
 use crate::toml;
 use std::path::Path;
 
 /// Parsed `lint.toml`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Crates whose non-test code must be panic-free or waived.
     pub protocol_crates: Vec<String>,
@@ -39,125 +39,45 @@ pub struct Config {
     pub thread_crates: Vec<String>,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            protocol_crates: [
-                "ici-core",
-                "ici-consensus",
-                "ici-chain",
-                "ici-cluster",
-                "ici-storage",
-                "ici-crypto",
-                "ici-net",
-                "ici-par",
-                "ici-telemetry",
-                "ici-trace",
-                "ici-faults",
-                "ici-prop",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            cast_paths: [
-                "ici-chain/src/codec.rs",
-                "ici-chain/src/block.rs",
-                "ici-chain/src/transaction.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            deps_allow: Vec::new(),
-            unsafe_files: vec![
-                "ici-bench/src/alloc.rs".to_string(),
-                "ici-crypto/src/sha256_x86.rs".to_string(),
-            ],
-            determinism_crates: [
-                "ici-core",
-                "ici-consensus",
-                "ici-chain",
-                "ici-cluster",
-                "ici-storage",
-                "ici-crypto",
-                "ici-net",
-                "ici-par",
-                "ici-telemetry",
-                "ici-trace",
-                "ici-faults",
-                "ici-workload",
-                "ici-prop",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            env_read_files: ["ici-telemetry/src/lib.rs", "ici-trace/src/lib.rs"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            thread_crates: Vec::new(),
-        }
-    }
-}
-
 impl Config {
-    /// Load `<root>/lint.toml`, falling back to defaults when absent.
-    /// A present-but-malformed file is a hard error.
+    /// Load `<root>/lint.toml`. A missing or malformed file is a hard
+    /// error.
     pub fn load(root: &Path) -> Result<Config, String> {
         let path = root.join("lint.toml");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Config::default()),
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        };
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let doc = toml::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut config = Config::default();
-        if let Some(v) = doc.get("lint", "protocol_crates") {
-            config.protocol_crates = str_list(v, "lint.protocol_crates")?;
-        }
-        if let Some(v) = doc.get("lint", "cast_paths") {
-            config.cast_paths = str_list(v, "lint.cast_paths")?;
-        }
-        if let Some(v) = doc.get("deps", "allow") {
-            config.deps_allow = str_list(v, "deps.allow")?;
-        }
-        if let Some(v) = doc.get("lint", "unsafe_files") {
-            config.unsafe_files = str_list(v, "lint.unsafe_files")?;
-        }
-        if let Some(v) = doc.get("determinism", "crates") {
-            config.determinism_crates = str_list(v, "determinism.crates")?;
-        }
-        if let Some(v) = doc.get("determinism", "env_read_files") {
-            config.env_read_files = str_list(v, "determinism.env_read_files")?;
-        }
-        if let Some(v) = doc.get("determinism", "thread_crates") {
-            config.thread_crates = str_list(v, "determinism.thread_crates")?;
-        }
-        Ok(config)
+        // A list the file omits is empty: nothing is gated that the
+        // file does not name.
+        let list = |table: &str, key: &str| match doc.get(table, key) {
+            None => Ok(Vec::new()),
+            Some(value) => value
+                .as_str_array()
+                .map(<[String]>::to_vec)
+                .ok_or_else(|| format!("lint.toml: `{table}.{key}` must be an array of strings")),
+        };
+        Ok(Config {
+            protocol_crates: list("lint", "protocol_crates")?,
+            cast_paths: list("lint", "cast_paths")?,
+            deps_allow: list("deps", "allow")?,
+            unsafe_files: list("lint", "unsafe_files")?,
+            determinism_crates: list("determinism", "crates")?,
+            env_read_files: list("determinism", "env_read_files")?,
+            thread_crates: list("determinism", "thread_crates")?,
+        })
     }
-}
-
-fn str_list(value: &toml::Value, what: &str) -> Result<Vec<String>, String> {
-    value
-        .as_str_array()
-        .map(<[String]>::to_vec)
-        .ok_or_else(|| format!("lint.toml: `{what}` must be an array of strings"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Invariants of the shipped policy that no single rule checks.
     #[test]
-    fn defaults_cover_the_protocol_crates() {
-        let c = Config::default();
+    fn shipped_policy_gates_determinism_over_every_protocol_crate() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let c = Config::load(&root).expect("the workspace ships a lint.toml");
         assert!(c.protocol_crates.iter().any(|s| s == "ici-core"));
-        assert!(c.protocol_crates.iter().any(|s| s == "ici-crypto"));
-        assert!(c.deps_allow.is_empty());
-    }
-
-    #[test]
-    fn determinism_defaults_extend_protocol_scope() {
-        let c = Config::default();
         for p in &c.protocol_crates {
             assert!(
                 c.determinism_crates.contains(p),
@@ -165,13 +85,13 @@ mod tests {
             );
         }
         assert!(c.determinism_crates.iter().any(|s| s == "ici-workload"));
+        assert!(c.deps_allow.is_empty());
         assert!(c.thread_crates.is_empty());
-        assert!(c.env_read_files.iter().all(|s| !s.contains("ici-par")));
     }
 
     #[test]
-    fn missing_file_falls_back_to_defaults() {
-        let c = Config::load(Path::new("/nonexistent-lint-root")).expect("defaults");
-        assert_eq!(c.protocol_crates, Config::default().protocol_crates);
+    fn missing_file_is_an_error() {
+        let e = Config::load(Path::new("/nonexistent-lint-root")).expect_err("no policy");
+        assert!(e.contains("lint.toml"), "{e}");
     }
 }

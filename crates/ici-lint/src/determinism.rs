@@ -398,8 +398,14 @@ mod tests {
         }
     }
 
+    /// The policy these tests assume; the shipped one is `lint.toml`.
     fn config() -> Config {
-        Config::default()
+        let list = |items: &[&str]| items.iter().map(|s| s.to_string()).collect();
+        Config {
+            determinism_crates: list(&["ici-core", "ici-chain", "ici-cluster", "ici-net"]),
+            env_read_files: list(&["ici-telemetry/src/lib.rs"]),
+            ..Config::default()
+        }
     }
 
     #[test]

@@ -477,8 +477,15 @@ mod tests {
         }
     }
 
+    /// The policy these tests assume; the shipped one is `lint.toml`.
     fn proto_config() -> Config {
-        Config::default()
+        let list = |items: &[&str]| items.iter().map(|s| s.to_string()).collect();
+        Config {
+            protocol_crates: list(&["ici-core", "ici-chain", "ici-consensus", "ici-crypto"]),
+            cast_paths: list(&["ici-chain/src/codec.rs", "ici-chain/src/block.rs"]),
+            unsafe_files: list(&["ici-bench/src/alloc.rs", "ici-crypto/src/sha256_x86.rs"]),
+            ..Config::default()
+        }
     }
 
     fn active(findings: &[Finding]) -> Vec<&Finding> {

@@ -388,6 +388,14 @@ fn empty_root_is_an_error_not_a_vacuous_pass() {
 }
 
 #[test]
+fn a_tree_without_its_policy_file_is_an_error_not_a_default_policy() {
+    let scratch = Scratch::of("clean", "no-policy");
+    fs::remove_file(scratch.root.join("lint.toml")).expect("fixture ships a lint.toml");
+    let err = ici_lint::run(&scratch.root, check()).expect_err("must not gate without a policy");
+    assert!(err.contains("lint.toml"), "{err}");
+}
+
+#[test]
 fn stats_track_panic_sites_including_waived() {
     // The clean fixture has exactly one (waived) panic site.
     let outcome = ici_lint::run(&fixture("clean"), check()).expect("runs");

@@ -112,11 +112,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// The time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Drops every pending event (the clock is retained).
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -167,15 +162,6 @@ mod tests {
         let (t, e) = q.pop().expect("event present");
         assert_eq!(e, "late");
         assert_eq!(t, SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(3), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl SimTime {
         SimTime(ms * 1_000)
     }
 
-    /// Builds a time from whole seconds.
-    pub fn from_secs(s: u64) -> SimTime {
-        SimTime(s * 1_000_000)
-    }
-
     /// The value in microseconds.
     pub fn as_micros(self) -> u64 {
         self.0
@@ -164,7 +159,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
         assert_eq!(Duration::from_millis(3).as_millis_f64(), 3.0);
         assert_eq!(Duration::from_millis_f64(1.5).as_micros(), 1_500);
     }

@@ -15,7 +15,7 @@
 //!   `run_rapidchain_under_faults` instantiate it), so survivability
 //!   columns (`e_byz`) differ only by the strategy under test;
 //! * [`latency`] — latency percentile summaries;
-//! * [`table`] — paper-style ASCII tables and CSV;
+//! * [`table`] — paper-style ASCII tables;
 //! * [`report`] — JSON export of experiment records for `EXPERIMENTS.md`
 //!   bookkeeping.
 //!

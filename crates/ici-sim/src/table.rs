@@ -1,4 +1,4 @@
-//! ASCII tables and CSV export for experiment output.
+//! ASCII tables for experiment output.
 //!
 //! The bench binaries print paper-style tables; this keeps the formatting
 //! in one place so every experiment reads the same way.
@@ -73,33 +73,6 @@ impl Table {
     /// Data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// Renders as CSV (headers first; fields quoted when they contain
-    /// commas or quotes).
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| field(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -178,14 +151,6 @@ mod tests {
     fn long_rows_panic() {
         let mut t = Table::new("t", ["a"]);
         t.row(["1", "2", "3"]);
-    }
-
-    #[test]
-    fn csv_quotes_when_needed() {
-        let mut t = Table::new("t", ["x", "y"]);
-        t.row(["a,b", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "x,y\n\"a,b\",\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

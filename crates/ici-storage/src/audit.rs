@@ -319,16 +319,6 @@ impl IntegrityReport {
         }
         1.0 - self.missing.len() as f64 / self.chain_len as f64
     }
-
-    /// The minimum live replica count over all heights (0 if any height is
-    /// missing).
-    pub fn min_replication(&self) -> usize {
-        self.replication_histogram
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 /// Audits one cluster: which of heights `0..chain_len` are held by live
@@ -458,7 +448,6 @@ mod tests {
         assert_eq!(report.singly_held, vec![1, 3]);
         assert_eq!(report.replication_histogram[&1], 2);
         assert_eq!(report.replication_histogram[&2], 2);
-        assert_eq!(report.min_replication(), 1);
     }
 
     #[test]
@@ -468,7 +457,6 @@ mod tests {
         assert!(!report.is_intact());
         assert_eq!(report.missing, vec![1, 3]);
         assert_eq!(report.availability(), 0.5);
-        assert_eq!(report.min_replication(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! All state is thread-local, so parallel test threads never interfere;
 //! a process-global atomic flag gates every recording call. Snapshots
-//! export as JSON (riding `ici-sim`'s `results/e*.json` records) or CSV.
+//! export as JSON (riding `ici-sim`'s `results/e*.json` records).
 //!
 //! # Examples
 //!

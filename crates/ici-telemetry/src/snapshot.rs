@@ -1,4 +1,4 @@
-//! Snapshots and export: JSON (for `results/e*.json`) and CSV.
+//! Snapshots and export: JSON (for `results/e*.json`).
 //!
 //! A [`TelemetrySnapshot`] is a plain-data copy of the thread's
 //! collector, decoupled from the live registry so exporters can hold it
@@ -328,47 +328,6 @@ impl TelemetrySnapshot {
         self.write_json(&mut out, &"  ".repeat(indent_level));
         out
     }
-
-    /// Renders instruments and spans as CSV: one section per family,
-    /// blank-line separated, headers first.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("family,name,label,value\n");
-        for c in &self.counters {
-            let _ = writeln!(out, "counter,{},{},{}", c.name, c.label, c.value);
-        }
-        for g in &self.gauges {
-            let _ = writeln!(out, "gauge,{},{},{}", g.name, g.label, fmt_f64(g.value));
-        }
-        out.push('\n');
-        out.push_str("family,name,label,count,sum,min,max,mean,p50,p90,p99\n");
-        for h in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram,{},{},{},{},{},{},{},{},{},{}",
-                h.name,
-                h.label,
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                fmt_f64(h.mean),
-                h.p50,
-                h.p90,
-                h.p99
-            );
-        }
-        out.push('\n');
-        out.push_str("family,name,label,count,total_ns,self_ns,max_ns\n");
-        for s in &self.spans {
-            let _ = writeln!(
-                out,
-                "span,{},{},{},{},{},{}",
-                s.name, s.label, s.count, s.total_ns, s.self_ns, s.max_ns
-            );
-        }
-        out
-    }
 }
 
 fn write_array<T>(
@@ -482,15 +441,6 @@ mod tests {
         let json = snap.to_json(1);
         assert!(json.contains("\"counters\": []"));
         assert!(json.contains("\"events\": []"));
-    }
-
-    #[test]
-    fn csv_has_one_row_per_series() {
-        let snap = populated();
-        let csv = snap.to_csv();
-        assert!(csv.contains("counter,a/c,cluster=1,4"));
-        assert!(csv.contains("histogram,b/h,"));
-        assert!(csv.lines().any(|l| l.starts_with("span,c/s,")));
     }
 
     #[test]

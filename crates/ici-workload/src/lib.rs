@@ -227,21 +227,6 @@ impl WorkloadGenerator {
     pub fn batch(&mut self, n: usize) -> Vec<Transaction> {
         (0..n).map(|_| self.next_tx()).collect()
     }
-
-    /// Mean encoded transaction size of this configuration, for analytic
-    /// sizing (fixed fields + expected payload).
-    pub fn mean_tx_bytes(&self) -> f64 {
-        let fixed = (33 + 20 + 8 + 8 + 8 + 4 + 64) as f64;
-        let payload = match self.config.payload {
-            PayloadSize::Fixed(n) => n as f64,
-            PayloadSize::Mix {
-                small,
-                large,
-                fraction_large,
-            } => small as f64 * (1.0 - fraction_large) + large as f64 * fraction_large,
-        };
-        fixed + payload
-    }
 }
 
 impl Iterator for WorkloadGenerator {
@@ -429,17 +414,6 @@ mod tests {
         let small = sizes.iter().filter(|s| **s == 10).count();
         assert_eq!(large + small, 300);
         assert!((40..=150).contains(&large), "large count {large}");
-    }
-
-    #[test]
-    fn mean_tx_bytes_matches_encoding() {
-        let generator = WorkloadGenerator::new(WorkloadConfig {
-            payload: PayloadSize::Fixed(128),
-            ..WorkloadConfig::default()
-        });
-        let mut g2 = generator.clone();
-        let tx = g2.next_tx();
-        assert_eq!(generator.mean_tx_bytes() as usize, tx.encoded_len());
     }
 
     #[test]
