@@ -88,7 +88,10 @@ fn bench_ici_block() {
 
 /// E3/E5 code path: one intra-cluster PBFT commit, on each side of the
 /// vote-round selection — a quiet network settles its two vote rounds in
-/// closed form, a jittery or faulty one sends every vote.
+/// closed form, a jittery or faulty one sends every vote. The quiet rows
+/// at 8, 16, 32 and 64 members put every arrival row through one width
+/// of the quorum-selection kernel (networks of 8, 16 and 32, then the
+/// `select_nth_unstable` fallback).
 fn bench_pbft() {
     let network = |size: usize, link: LinkModel, lossy: bool| {
         let mut net = Network::new(Topology::generate(size, &Placement::default(), 9), link);
@@ -105,9 +108,12 @@ fn bench_pbft() {
         net
     };
     for (name, size, link, lossy) in [
-        ("pbft/commit_c16/quiet", 16usize, quiet_link(), false),
+        ("pbft/commit_c8/quiet", 8usize, quiet_link(), false),
+        ("pbft/commit_c16/quiet", 16, quiet_link(), false),
         ("pbft/commit_c16/jittery", 16, LinkModel::default(), false),
         ("pbft/commit_c16/faulty", 16, LinkModel::default(), true),
+        ("pbft/commit_c32/quiet", 32, quiet_link(), false),
+        ("pbft/commit_c64/quiet", 64, quiet_link(), false),
         ("pbft/commit_c128/quiet", 128, quiet_link(), false),
     ] {
         let members: Vec<NodeId> = (0..size as u64).map(NodeId::new).collect();

@@ -20,16 +20,20 @@
 //! faults) and not [`Network::sends_are_traced`] — every outcome is
 //! known up front: a vote from a live voter to a live member arrives
 //! after the pair's fixed link delay, and nothing else arrives. Such a
-//! round runs in closed form ([`closed_round`]): one symmetric delay
-//! table per call, arrival = send time + delay, the quorum instant by
-//! selection, and the meter charged per member instead of per message.
-//! Any other network keeps the per-message exchange
-//! ([`message_round`]), where each vote consumes its sequence number,
-//! fault draw and trace id through [`Network::broadcast`]. The choice
-//! reads only those two properties of the network, and nothing can
-//! tell the paths apart afterwards: the closed form needs no
+//! round runs in closed form ([`Rounds::closed_round`]): one symmetric
+//! delay table per call, arrival = send time + delay, the quorum instant
+//! by selection, and the meter charged per member instead of per
+//! message. Any other network keeps the per-message exchange
+//! ([`Rounds::message_round`]), where each vote consumes its sequence
+//! number, fault draw and trace id through [`Network::broadcast`]. The
+//! choice reads only those two properties of the network, and nothing
+//! can tell the paths apart afterwards: the closed form needs no
 //! randomness because a quiet network consumes none, and the sequence
 //! numbers the per-message forks would have burnt die with the forks.
+//!
+//! Both paths keep one call's state in one allocation of member-indexed
+//! microseconds ([`Rounds`]) and take every quorum instant through one
+//! selection kernel ([`quorum_select`]).
 
 use std::collections::BTreeMap;
 
@@ -47,24 +51,25 @@ pub const VOTE_BYTES: u64 = 112;
 /// Outcome of one intra-cluster commit round.
 #[derive(Clone, Debug, Default)]
 pub struct CommitReport {
-    /// When each live member committed the block. Members missing from the
-    /// map never reached a commit quorum.
-    pub commit_times: BTreeMap<NodeId, SimTime>,
+    /// When each live member committed the block, in membership order.
+    /// Members missing from the list never reached a commit quorum.
+    pub commit_times: Vec<(NodeId, SimTime)>,
     /// Quorum size used.
     pub quorum: usize,
+    /// The `quorum`-th commit instant, selected once when the round ends.
+    commit: Option<SimTime>,
 }
 
 impl CommitReport {
     /// Whether at least a quorum of members committed.
     pub fn is_committed(&self) -> bool {
-        self.quorum > 0 && self.commit_times.len() >= self.quorum
+        self.commit.is_some()
     }
 
     /// Time at which the `quorum`-th member committed — the cluster-level
     /// commit instant.
     pub fn quorum_commit(&self) -> Option<SimTime> {
-        let mut times: Vec<SimTime> = self.commit_times.values().copied().collect();
-        quorum_arrival(&mut times, self.quorum)
+        self.commit
     }
 }
 
@@ -104,20 +109,19 @@ where
     let members = inputs.members;
     let c = members.len();
     let q = quorum(c);
-    let mut report = CommitReport {
-        commit_times: BTreeMap::new(),
-        quorum: q,
-    };
     if c == 0 || !net.is_up(inputs.leader) {
         ici_telemetry::counter_add("consensus/pbft_aborted", ici_telemetry::Label::Global, 1);
-        return report;
+        return CommitReport {
+            quorum: q,
+            ..CommitReport::default()
+        };
     }
 
-    // Phase 1 — pre-prepare: leader ships the payload. From here on a
-    // member is its index in `members`.
-    let mut ready: Vec<Option<SimTime>> = Vec::with_capacity(c);
+    // Phase 1 — pre-prepare: leader ships the payload; a member is
+    // vote-ready once it holds it and has validated.
+    let mut rounds = Rounds::new(members);
     let mut payload_bytes = 0u64;
-    for &m in members {
+    for (ready, &m) in rounds.times_mut().iter_mut().zip(members) {
         let arrival = if m == inputs.leader {
             Some(inputs.start)
         } else {
@@ -127,22 +131,19 @@ where
                 .delay()
                 .map(|d| inputs.start + d)
         };
-        ready.push(arrival.map(|at| at + (inputs.validation)(m)));
+        *ready = arrival.map_or(NONE, |at| (at + (inputs.validation)(m)).as_micros());
     }
     if ici_trace::enabled() {
         // Dissemination + validation stage: proposal to the last member
         // becoming vote-ready, keyed by the network's causal context.
         let ctx = net.trace_ctx();
-        let done = ready
-            .iter()
-            .flatten()
-            .max()
-            .copied()
-            .unwrap_or(inputs.start);
+        let done = rounds.instants().map(|(_, at)| at).max();
         ici_trace::stage(
             "consensus/preprepare",
             inputs.start.as_micros(),
-            done.saturating_since(inputs.start).as_micros(),
+            done.unwrap_or(inputs.start)
+                .saturating_since(inputs.start)
+                .as_micros(),
             ctx.height,
             ctx.cluster,
             Some(inputs.leader.get()),
@@ -155,9 +156,15 @@ where
     // Phase 2 — prepare: each ready member broadcasts a vote; a member is
     // *prepared* at its q-th prepare arrival (own vote counts at send time).
     // Phase 3 — commit: same pattern over commit votes.
-    let committed = vote_rounds(net, members, ready, q, 2);
+    rounds.run(net, q, 2);
 
-    report.commit_times = by_member(members, committed);
+    let mut commit_times = Vec::with_capacity(c);
+    commit_times.extend(rounds.instants());
+    let report = CommitReport {
+        commit_times,
+        quorum: q,
+        commit: rounds.quorum_instant(q),
+    };
     ici_telemetry::counter_add(
         if report.is_committed() {
             "consensus/pbft_committed"
@@ -167,7 +174,7 @@ where
         ici_telemetry::Label::Global,
         1,
     );
-    if let Some(at) = report.quorum_commit() {
+    if let Some(at) = report.commit {
         // Simulated commit latency, in sim-clock microseconds.
         ici_telemetry::observe(
             "consensus/pbft_commit_sim_us",
@@ -204,204 +211,319 @@ pub fn run_vote_rounds(
     q: usize,
     rounds: usize,
 ) -> BTreeMap<NodeId, SimTime> {
-    let times = members.iter().map(|m| ready.get(m).copied()).collect();
-    by_member(members, vote_rounds(net, members, times, q, rounds))
-}
-
-/// Per-member instants, indexed like `members`: `None` where a member
-/// has nothing to send (or reached no quorum).
-type Times = Vec<Option<SimTime>>;
-
-/// `times` keyed by member id, members without an instant left out.
-fn by_member(members: &[NodeId], times: Times) -> BTreeMap<NodeId, SimTime> {
-    members
-        .iter()
-        .zip(times)
-        .filter_map(|(&m, at)| Some((m, at?)))
-        .collect()
-}
-
-/// `rounds` vote rounds over member-index arrays, on the path the
-/// network's observable properties select (see the module docs).
-fn vote_rounds(
-    net: &mut Network,
-    members: &[NodeId],
-    mut times: Times,
-    q: usize,
-    rounds: usize,
-) -> Times {
-    let up: Vec<bool> = members.iter().map(|&m| net.is_up(m)).collect();
-    if net.sends_are_stream_independent() && !net.sends_are_traced() {
-        let delays = vote_delays(net, members);
-        for _ in 0..rounds {
-            times = closed_round(net, members, &up, &delays, &times, q);
-        }
-    } else {
-        for _ in 0..rounds {
-            times = message_round(net, members, &up, &times, q);
-        }
+    let mut state = Rounds::new(members);
+    for (at, m) in state.times_mut().iter_mut().zip(members) {
+        *at = ready.get(m).map_or(NONE, |t| t.as_micros());
     }
-    times
+    state.run(net, q, rounds);
+    state.instants().collect()
 }
 
-/// Link delay of one vote between every pair of `members`, row-major
-/// `c × c`. Distance is symmetric and a quiet link adds no jitter, so
-/// each pair is computed once and mirrored.
-fn vote_delays(net: &Network, members: &[NodeId]) -> Vec<Duration> {
-    let c = members.len();
-    let mut delays = vec![Duration::ZERO; c * c];
-    for (i, &a) in members.iter().enumerate() {
-        for (j, &b) in members.iter().enumerate().skip(i + 1) {
-            let delay = net.link().transit(net.topology(), a, b, VOTE_BYTES, 0);
-            delays[i * c + j] = delay;
-            delays[j * c + i] = delay;
-        }
-    }
-    delays
+/// "No instant" in a member-indexed microsecond buffer: nothing to send,
+/// no vote arrived, no quorum reached. It is the largest `u64`, so a
+/// selection sorts it after every real instant: the `q`-th smallest of a
+/// row is `NONE` exactly when fewer than `q` real values are in it.
+const NONE: u64 = u64::MAX;
+
+/// One call's vote-round state: member-indexed microseconds in a single
+/// allocation of `c·(c + 3)` words — the instants entering the next
+/// round, the round's output, one row of work space, and a `c × c`
+/// table (pair delays in closed form, arrival rows per message).
+struct Rounds<'m> {
+    members: &'m [NodeId],
+    buf: Vec<u64>,
 }
 
-/// The `q`-th smallest of `arrivals`, if there are that many.
-fn quorum_arrival(arrivals: &mut [SimTime], q: usize) -> Option<SimTime> {
-    let nth = q.checked_sub(1)?;
-    (nth < arrivals.len()).then(|| *arrivals.select_nth_unstable(nth).1)
+/// The four buffers of a [`Rounds`].
+struct Views<'a> {
+    /// Each member's instant entering the round: its send time.
+    times: &'a mut [u64],
+    /// Each member's result of the round in progress.
+    next: &'a mut [u64],
+    /// One member's arrival row (closed form).
+    row: &'a mut [u64],
+    /// Row-major `c × c`. Closed form: the symmetric pair delays, zero on
+    /// the diagonal. Per message: row `j` holds the arrival at member `j`
+    /// of each voter's vote, by voter index.
+    table: &'a mut [u64],
 }
 
-/// One vote round on a quiet, untraced network, without sending: every
-/// live member with a send time broadcasts a vote then, each vote to a
-/// live member arrives after the pair's link delay, and a live member's
-/// result is its `q`-th arrival (its own vote counts at send time).
-///
-/// Leaves `net` exactly as [`message_round`] would: each live voter is
-/// charged `c − 1` votes (crashed addressees included — the bytes left
-/// the uplink), each member the votes addressed to it, and the sequence
-/// stream advances once.
-fn closed_round(
-    net: &mut Network,
-    members: &[NodeId],
-    up: &[bool],
-    delays: &[Duration],
-    send_times: &[Option<SimTime>],
-    q: usize,
-) -> Times {
-    let _span = ici_telemetry::span!("consensus/vote_round");
-    let c = members.len();
-    let voters: Vec<(usize, SimTime)> = send_times
-        .iter()
-        .enumerate()
-        .filter_map(|(i, at)| Some((i, (*at)?)))
-        .filter(|&(i, _)| up[i])
-        .collect();
-    net.advance_stream();
-
-    let meter = net.meter_mut();
-    let peers = (c as u64).saturating_sub(1);
-    for (j, &member) in members.iter().enumerate() {
-        let votes_in = voters.len() as u64 - u64::from(up[j] && send_times[j].is_some());
-        if votes_in > 0 {
-            meter.charge_receiver(member, votes_in, votes_in * VOTE_BYTES);
-        }
-    }
-    if peers > 0 {
-        for &(i, _) in &voters {
-            meter.charge_sender(members[i], MessageKind::Vote, peers, peers * VOTE_BYTES);
+impl<'m> Rounds<'m> {
+    /// Every instant `NONE`.
+    fn new(members: &'m [NodeId]) -> Rounds<'m> {
+        let c = members.len();
+        Rounds {
+            members,
+            buf: vec![NONE; c * (c + 3)],
         }
     }
 
-    let mut arrivals: Vec<SimTime> = Vec::with_capacity(c);
-    (0..c)
-        .map(|j| {
-            if !up[j] {
-                return None;
+    fn views(&mut self) -> Views<'_> {
+        let c = self.members.len();
+        let (times, rest) = self.buf.split_at_mut(c);
+        let (next, rest) = rest.split_at_mut(c);
+        let (row, table) = rest.split_at_mut(c);
+        Views {
+            times,
+            next,
+            row,
+            table,
+        }
+    }
+
+    fn times_mut(&mut self) -> &mut [u64] {
+        self.views().times
+    }
+
+    /// Members holding an instant, with it, in membership order.
+    fn instants(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
+        let times = &self.buf[..self.members.len()];
+        self.members
+            .iter()
+            .zip(times)
+            .filter(|&(_, &at)| at != NONE)
+            .map(|(&m, &at)| (m, SimTime::from_micros(at)))
+    }
+
+    /// The `q`-th smallest instant, if that many members hold one.
+    fn quorum_instant(&mut self, q: usize) -> Option<SimTime> {
+        let Views { times, row, .. } = self.views();
+        row.copy_from_slice(times);
+        quorum_select(row, q)
+            .filter(|&at| at != NONE)
+            .map(SimTime::from_micros)
+    }
+
+    /// `rounds` vote rounds, on the path the network's observable
+    /// properties select (see the module docs).
+    fn run(&mut self, net: &mut Network, q: usize, rounds: usize) {
+        if net.sends_are_stream_independent() && !net.sends_are_traced() {
+            self.fill_delays(net);
+            for _ in 0..rounds {
+                self.closed_round(net, q);
             }
-            arrivals.clear();
-            arrivals.extend(send_times[j]);
-            arrivals.extend(
-                voters
-                    .iter()
-                    .filter(|&&(i, _)| i != j)
-                    .map(|&(i, at)| at + delays[i * c + j]),
-            );
-            quorum_arrival(&mut arrivals, q)
-        })
-        .collect()
+        } else {
+            for _ in 0..rounds {
+                self.message_round(net, q);
+            }
+        }
+    }
+
+    /// The table as the link delay of one vote between every pair of
+    /// members. Distance is symmetric and a quiet link adds no jitter,
+    /// so each pair is computed once and mirrored; the base overhead and
+    /// the vote's serialization are the same for every pair, which
+    /// leaves one square root and one rounding per pair —
+    /// [`ici_net::link::LinkModel::transit`] term for term, its jitter
+    /// term zero.
+    fn fill_delays(&mut self, net: &Network) {
+        let members = self.members;
+        let c = members.len();
+        let (link, topology) = (net.link(), net.topology());
+        let serialization = link.serialization(VOTE_BYTES).as_micros();
+        let table = self.views().table;
+        for (i, &a) in members.iter().enumerate() {
+            let from = topology.coord(a);
+            table[i * c + i] = 0;
+            for (j, &b) in members.iter().enumerate().skip(i + 1) {
+                let flight =
+                    Duration::from_millis_f64(link.base_ms + from.distance(&topology.coord(b)));
+                let delay = flight.as_micros() + serialization;
+                table[i * c + j] = delay;
+                table[j * c + i] = delay;
+            }
+        }
+    }
+
+    /// One vote round on a quiet, untraced network, without sending:
+    /// every live member with a send time broadcasts a vote then, each
+    /// vote to a live member arrives after the pair's link delay, and a
+    /// live member's result is its `q`-th arrival (its own vote counts at
+    /// send time).
+    ///
+    /// Leaves `net` exactly as [`Rounds::message_round`] would: each live
+    /// voter is charged `c − 1` votes (crashed addressees included — the
+    /// bytes left the uplink), each member the votes addressed to it, and
+    /// the sequence stream advances once.
+    fn closed_round(&mut self, net: &mut Network, q: usize) {
+        let _span = ici_telemetry::span!("consensus/vote_round");
+        let members = self.members;
+        let c = members.len();
+        let Views {
+            times,
+            next,
+            row,
+            table,
+        } = self.views();
+        // A crashed member sends nothing, whatever its send time: from
+        // here on `times` holds exactly the voters.
+        for (at, &m) in times.iter_mut().zip(members) {
+            if !net.is_up(m) {
+                *at = NONE;
+            }
+        }
+        let voters = times.iter().filter(|&&at| at != NONE).count() as u64;
+        net.advance_stream();
+
+        let meter = net.meter_mut();
+        let peers = (c as u64).saturating_sub(1);
+        for (&member, &at) in members.iter().zip(times.iter()) {
+            let votes_in = voters - u64::from(at != NONE);
+            if votes_in > 0 {
+                meter.charge_receiver(member, votes_in, votes_in * VOTE_BYTES);
+            }
+            if at != NONE && peers > 0 {
+                meter.charge_sender(member, MessageKind::Vote, peers, peers * VOTE_BYTES);
+            }
+        }
+
+        // Row `j` is every voter's send time plus its delay to `j` (zero
+        // for `j`'s own vote); a non-voter's `NONE` stays `NONE`.
+        for (j, (out, &member)) in next.iter_mut().zip(members).enumerate() {
+            *out = NONE;
+            if net.is_up(member) {
+                let delays = &table[j * c..(j + 1) * c];
+                for ((arrival, &at), &delay) in row.iter_mut().zip(&*times).zip(delays) {
+                    *arrival = at.saturating_add(delay);
+                }
+                *out = quorum_select(row, q).unwrap_or(NONE);
+            }
+        }
+        times.copy_from_slice(next);
+    }
+
+    /// One vote round, message by message: each member with a send time
+    /// broadcasts a vote at that time; every live member that collects
+    /// `q` votes (its own included, at send time) gets the arrival time
+    /// of the `q`-th.
+    ///
+    /// Voters broadcast through network forks, absorbed in voter order.
+    /// On a jittery or faulty network each voter has its own fork
+    /// (stream = voter id), so the jitter and fault draws a vote makes
+    /// are a function of the voter alone; where sends draw nothing,
+    /// voters share a fork per [`VOTERS_PER_FORK`] (stream = chunk
+    /// index).
+    fn message_round(&mut self, net: &mut Network, q: usize) {
+        let _span = ici_telemetry::span!("consensus/vote_round");
+        let members = self.members;
+        let c = members.len();
+        let Views {
+            times, next, table, ..
+        } = self.views();
+        table.fill(NONE);
+        let shared_forks = net.sends_are_stream_independent();
+        let per_fork = if shared_forks { VOTERS_PER_FORK } else { 1 };
+        let mut voters = (0..c).filter(|&i| times[i] != NONE).peekable();
+        let mut chunk_index = 0u64;
+        while let Some(&first) = voters.peek() {
+            let stream = if shared_forks {
+                chunk_index
+            } else {
+                members[first].index() as u64
+            };
+            let mut fork = net.fork(stream);
+            for i in voters.by_ref().take(per_fork) {
+                let at = times[i];
+                table[i * c + i] = at;
+                // Everyone but the voter itself, in member order.
+                for (first, receivers) in [(0, &members[..i]), (i + 1, &members[i + 1..])] {
+                    let mut j = first;
+                    fork.broadcast(
+                        members[i],
+                        receivers,
+                        MessageKind::Vote,
+                        VOTE_BYTES,
+                        |_, sent| {
+                            if let Some(delay) = sent.delay() {
+                                table[j * c + i] = at + delay.as_micros();
+                            }
+                            j += 1;
+                        },
+                    );
+                }
+            }
+            net.absorb(fork);
+            chunk_index += 1;
+        }
+        net.advance_stream();
+
+        for (j, (out, &member)) in next.iter_mut().zip(members).enumerate() {
+            *out = NONE;
+            if net.is_up(member) {
+                *out = quorum_select(&mut table[j * c..(j + 1) * c], q).unwrap_or(NONE);
+            }
+        }
+        times.copy_from_slice(next);
+    }
 }
 
-/// Voters per network fork when [`message_round`] runs on a network
-/// whose sends draw no randomness (it is there because sends are
-/// traced): a fixed batch size, so the chunking — and with it every
+/// Voters per network fork when [`Rounds::message_round`] runs on a
+/// network whose sends draw no randomness (it is there because sends
+/// are traced): a fixed batch size, so the chunking — and with it every
 /// trace id, which is a function of the fork's sequence position — does
 /// not depend on anything but the membership.
 const VOTERS_PER_FORK: usize = 16;
 
-/// One vote round, message by message: each member with a send time
-/// broadcasts a vote at that time; returns, for every live member that
-/// collects `q` votes (its own included, at send time), the arrival time
-/// of the `q`-th.
+/// The `q`-th smallest value of `row` (1-based), if `row` holds that
+/// many; `row` may be reordered.
 ///
-/// Voters broadcast through network forks, absorbed in voter order. On
-/// a jittery or faulty network each voter has its own fork (stream =
-/// voter id), so the jitter and fault draws a vote makes are a function
-/// of the voter alone; where sends draw nothing, voters share a fork
-/// per [`VOTERS_PER_FORK`] (stream = chunk index).
-fn message_round(
-    net: &mut Network,
-    members: &[NodeId],
-    up: &[bool],
-    send_times: &[Option<SimTime>],
-    q: usize,
-) -> Times {
-    let _span = ici_telemetry::span!("consensus/vote_round");
-    let c = members.len();
-    // Row `j` collects the arrivals at member `j`: at most one per voter.
-    let mut arrivals = vec![SimTime::ZERO; c * c];
-    let mut arrived = vec![0usize; c];
-    let voters: Vec<(usize, SimTime)> = send_times
-        .iter()
-        .enumerate()
-        .filter_map(|(i, at)| Some((i, (*at)?)))
-        .collect();
-    let shared_forks = net.sends_are_stream_independent();
-    let per_fork = if shared_forks { VOTERS_PER_FORK } else { 1 };
-    for (chunk_index, chunk) in voters.chunks(per_fork).enumerate() {
-        let stream = if shared_forks {
-            chunk_index as u64
-        } else {
-            members[chunk[0].0].index() as u64
-        };
-        let mut fork = net.fork(stream);
-        for &(i, at) in chunk {
-            arrivals[i * c + arrived[i]] = at;
-            arrived[i] += 1;
-            // Everyone but the voter itself, in member order.
-            for (first, receivers) in [(0, &members[..i]), (i + 1, &members[i + 1..])] {
-                let mut j = first;
-                fork.broadcast(
-                    members[i],
-                    receivers,
-                    MessageKind::Vote,
-                    VOTE_BYTES,
-                    |_, sent| {
-                        if let Some(delay) = sent.delay() {
-                            arrivals[j * c + arrived[j]] = at + delay;
-                            arrived[j] += 1;
-                        }
-                        j += 1;
-                    },
-                );
-            }
-        }
-        net.absorb(fork);
-    }
-    net.advance_stream();
+/// Every quorum instant goes through here. A row of at most 32 values is
+/// copied into a fixed-width array of 8, 16 or 32 words, padded with
+/// `u64::MAX`, and sorted by a branchless Batcher odd–even merge network;
+/// the padding sorts after every value of the row, so the sorted
+/// array's index `q − 1` is the answer. A longer row goes to
+/// `select_nth_unstable`. Either way the result is the one value of the
+/// row's order statistic, so the two agree to the bit.
+fn quorum_select(row: &mut [u64], q: usize) -> Option<u64> {
+    let nth = q.checked_sub(1).filter(|&nth| nth < row.len())?;
+    Some(match row.len() {
+        0..=8 => sorted::<8>(row)[nth],
+        9..=16 => sorted::<16>(row)[nth],
+        17..=32 => sorted::<32>(row)[nth],
+        _ => *row.select_nth_unstable(nth).1,
+    })
+}
 
-    (0..c)
-        .map(|j| {
-            if !up[j] {
-                return None;
+/// `row` (at most `W` values) padded with `u64::MAX` and sorted.
+#[inline(always)]
+fn sorted<const W: usize>(row: &[u64]) -> [u64; W] {
+    let mut v = [u64::MAX; W];
+    v[..row.len()].copy_from_slice(row);
+    odd_even_merge_sort(&mut v);
+    v
+}
+
+/// Batcher's odd–even merge sort of a power-of-two-wide array: for merge
+/// widths `p = 1, 2, 4, …` and distances `k = p, p/2, …, 1`, elements
+/// `k` apart inside the same `2p`-block are compare-exchanged with a
+/// `min`/`max` pair, no branch on the data. Every bound is a function of
+/// `W`, so the compiler unrolls the nest into straight-line code (19, 63
+/// and 191 comparators at 8, 16 and 32) — the reason it is a loop nest
+/// over a const width and not a loop over a table of pairs.
+#[inline(always)]
+fn odd_even_merge_sort<const W: usize>(v: &mut [u64; W]) {
+    let mut p = 1;
+    while p < W {
+        let mut k = p;
+        while k > 0 {
+            let mut j = k % p;
+            while j + k < W {
+                let mut i = 0;
+                while i < k && i + j + k < W {
+                    let (a, b) = (i + j, i + j + k);
+                    if a / (2 * p) == b / (2 * p) {
+                        let (x, y) = (v[a], v[b]);
+                        v[a] = x.min(y);
+                        v[b] = x.max(y);
+                    }
+                    i += 1;
+                }
+                j += 2 * k;
             }
-            quorum_arrival(&mut arrivals[j * c..j * c + arrived[j]], q)
-        })
-        .collect()
+            k /= 2;
+        }
+        p *= 2;
+    }
 }
 
 #[cfg(test)]
@@ -446,7 +568,7 @@ mod tests {
         assert!(report.is_committed());
         assert_eq!(report.commit_times.len(), 7);
         assert_eq!(report.quorum, 5);
-        assert!(report.commit_times.values().all(|t| *t > SimTime::ZERO));
+        assert!(report.commit_times.iter().all(|&(_, t)| t > SimTime::ZERO));
     }
 
     #[test]
@@ -480,7 +602,10 @@ mod tests {
         let report = run(&mut net, &members(7), NodeId::new(0));
         assert!(report.is_committed());
         assert_eq!(report.commit_times.len(), 5);
-        assert!(!report.commit_times.contains_key(&NodeId::new(5)));
+        assert!(report
+            .commit_times
+            .iter()
+            .all(|&(m, _)| m != NodeId::new(5)));
     }
 
     #[test]
@@ -654,11 +779,13 @@ mod tests {
     }
 
     /// Ids the generated networks span.
-    const UNIVERSE: u64 = 64;
+    const UNIVERSE: u64 = 80;
 
     /// Closed-form rounds against per-message rounds on the same quiet
     /// network: equal results, equal meter down to every node, and the
-    /// parent's sequence stream left at the same position.
+    /// parent's sequence stream left at the same position. Memberships
+    /// up to 70 put rows through every width of [`quorum_select`] on
+    /// both paths: the networks of 8, 16 and 32 and the fallback.
     #[test]
     fn closed_form_rounds_match_the_message_exchange() {
         let result = ici_prop::check(
@@ -669,7 +796,7 @@ mod tests {
                 ..ici_prop::Config::default()
             },
             |rng| {
-                let c = rng.gen_range(1usize..41);
+                let c = rng.gen_range(1usize..71);
                 let mut ids: Vec<u64> = (0..UNIVERSE).collect();
                 rng.shuffle(&mut ids);
                 ids.truncate(c);
@@ -703,27 +830,32 @@ mod tests {
                     quiet.crash(NodeId::new(id % UNIVERSE));
                 }
                 assert!(quiet.sends_are_stream_independent());
-                let start: Times = (0..c)
+                let start: Vec<u64> = (0..c)
                     .map(|i| {
-                        (!case.silent.contains(&i))
-                            .then(|| SimTime::from_micros(case.times.get(i).copied().unwrap_or(0)))
+                        if case.silent.contains(&i) {
+                            NONE
+                        } else {
+                            case.times.get(i).copied().unwrap_or(0)
+                        }
                     })
                     .collect();
                 let q = case.q.clamp(1, c.max(1));
-                let up: Vec<bool> = members.iter().map(|&m| quiet.is_up(m)).collect();
 
                 let mut by_message = quiet.clone();
-                let mut expected = start.clone();
+                let mut expected = Rounds::new(&members);
+                expected.times_mut().copy_from_slice(&start);
                 for _ in 0..case.rounds {
-                    expected = message_round(&mut by_message, &members, &up, &expected, q);
+                    expected.message_round(&mut by_message, q);
                 }
                 let mut closed = quiet.clone();
-                let delays = vote_delays(&closed, &members);
-                let mut got = start.clone();
+                let mut got = Rounds::new(&members);
+                got.times_mut().copy_from_slice(&start);
+                got.fill_delays(&closed);
                 for _ in 0..case.rounds {
-                    got = closed_round(&mut closed, &members, &up, &delays, &got, q);
+                    got.closed_round(&mut closed, q);
                 }
 
+                let (got, expected) = (got.times_mut(), expected.times_mut());
                 if got != expected {
                     return Err(format!("times {got:?} vs {expected:?}"));
                 }
@@ -785,6 +917,10 @@ mod tests {
         assert_eq!(net.meter().sent_by(NodeId::new(1)).messages, 0);
         assert_eq!(net.meter().received_by(NodeId::new(1)).messages, 3);
         assert_eq!(net.meter().received_by(NodeId::new(5)).messages, 2);
+        // No members: nothing to map, the stream still moves per round.
+        let before = net.next_send_trace_id();
+        assert!(run_vote_rounds(&mut net, &[], &ready, 1, 2).is_empty());
+        assert_ne!(net.next_send_trace_id(), before);
     }
 
     #[test]
@@ -793,13 +929,13 @@ mod tests {
         // default link two identical rounds cannot produce the quiet
         // link's exact pairwise delays.
         let m = members(7);
-        let ready: Times = vec![Some(SimTime::ZERO); 7];
+        let ready: BTreeMap<NodeId, SimTime> = m.iter().map(|&n| (n, SimTime::ZERO)).collect();
         let topo = Topology::generate(7, &Placement::Uniform { side: 20.0 }, 3);
         let mut jittery = Network::new(topo, LinkModel::default());
         assert!(!jittery.sends_are_stream_independent());
         let mut quiet = network(7);
-        let on_jitter = vote_rounds(&mut jittery, &m, ready.clone(), 5, 1);
-        let on_quiet = vote_rounds(&mut quiet, &m, ready, 5, 1);
+        let on_jitter = run_vote_rounds(&mut jittery, &m, &ready, 5, 1);
+        let on_quiet = run_vote_rounds(&mut quiet, &m, &ready, 5, 1);
         assert_ne!(on_jitter, on_quiet);
         assert_eq!(
             jittery.meter().total(),
@@ -809,14 +945,69 @@ mod tests {
     }
 
     #[test]
+    fn delay_table_is_the_links_transit() {
+        let net = network(UNIVERSE as usize);
+        let m: Vec<NodeId> = [17, 3, 64, 40, 8, 79, 0].map(NodeId::new).to_vec();
+        let mut rounds = Rounds::new(&m);
+        rounds.fill_delays(&net);
+        let c = m.len();
+        let table = rounds.views().table;
+        for (i, &a) in m.iter().enumerate() {
+            for (j, &b) in m.iter().enumerate() {
+                let expected = if i == j {
+                    0
+                } else {
+                    net.link()
+                        .transit(net.topology(), a, b, VOTE_BYTES, 0)
+                        .as_micros()
+                };
+                assert_eq!(table[i * c + j], expected, "{a} -> {b}");
+            }
+        }
+    }
+
+    /// `quorum_select` against sort-then-index on one row, every `q`
+    /// from 0 to one past its length.
+    fn select_matches_sorting(row: &[u64]) {
+        let mut sorted = row.to_vec();
+        sorted.sort_unstable();
+        for q in 0..=row.len() + 1 {
+            let expected = q.checked_sub(1).and_then(|nth| sorted.get(nth)).copied();
+            let mut scratch = row.to_vec();
+            assert_eq!(quorum_select(&mut scratch, q), expected, "q={q} of {row:?}");
+        }
+    }
+
+    #[test]
+    fn quorum_select_is_the_order_statistic_at_every_width() {
+        let mut rng = ici_rng::Xoshiro256::seed_from_u64(0x005E_1EC7);
+        assert_eq!(quorum_select(&mut [], 1), None);
+        for n in 1..=70usize {
+            for _ in 0..8 {
+                // Distinct-ish arrivals, heavy duplicates, and values at
+                // the top of the range next to the padding.
+                let spread: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..400_000)).collect();
+                let dups: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..4)).collect();
+                let top: Vec<u64> = (0..n).map(|_| u64::MAX - rng.gen_range(0u64..3)).collect();
+                for row in [spread, dups, top] {
+                    select_matches_sorting(&row);
+                }
+            }
+            select_matches_sorting(&vec![7; n]);
+            select_matches_sorting(&vec![u64::MAX - 1; n]);
+            select_matches_sorting(&(0..n as u64).rev().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
     fn single_member_cluster_commits_instantly_after_validation() {
         let mut net = network(1);
         let m = members(1);
         let report = run(&mut net, &m, NodeId::new(0));
         assert!(report.is_committed());
         assert_eq!(
-            report.commit_times[&NodeId::new(0)],
-            SimTime::ZERO + Duration::from_millis(2)
+            report.commit_times,
+            [(NodeId::new(0), SimTime::ZERO + Duration::from_millis(2))]
         );
     }
 }

@@ -65,7 +65,7 @@
 //! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
 //! loop over it that the fault-free runner drives.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
@@ -159,8 +159,9 @@ struct ClusterLeg {
     cluster: ClusterId,
     /// Active members at build, crashed ones included.
     members: Vec<NodeId>,
-    /// The members assigned this block's body.
-    owners: BTreeSet<NodeId>,
+    /// The members assigned this block's body (`r` of them, so a scan
+    /// answers membership).
+    owners: Vec<NodeId>,
     /// Who proposes the block inside the cluster: the proposer at home,
     /// elsewhere the member elected among those live at build — `None`
     /// when none was.
@@ -240,10 +241,7 @@ impl IciNetwork {
         leader: Option<NodeId>,
         block: &Block,
     ) -> ClusterLeg {
-        let owners = self
-            .dispatch_owners(&block.id(), block.height(), &members)
-            .into_iter()
-            .collect();
+        let owners = self.dispatch_owners(&block.id(), block.height(), &members);
         ClusterLeg {
             cluster,
             members,
@@ -552,9 +550,13 @@ fn vote_round(
     block: &Block,
     cost: &CostModel,
 ) -> usize {
-    let c = leg.members.len();
-    let n_txs = block.transactions().len();
     let body_bytes = block.body_len() as u64;
+    // Every member validates the same share.
+    let validation = cost.collaborative_member_validation(
+        block.transactions().len(),
+        body_bytes,
+        leg.members.len(),
+    );
     let owners = &leg.owners;
     let report = run_pbft_commit(
         &mut leg.fork,
@@ -569,7 +571,7 @@ fn vote_round(
                     (MessageKind::BlockHeader, HEADER_BYTES)
                 }
             },
-            validation: |_| cost.collaborative_member_validation(n_txs, body_bytes, c),
+            validation: |_| validation,
         },
     );
     leg.commit = report.quorum_commit();

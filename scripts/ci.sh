@@ -15,6 +15,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+# The bench targets are `test = false`, so nothing else here compiles
+# them; they call the same protocol APIs the workspace does.
+cargo build --release --benches -p ici-bench
 
 echo "==> SHA-256 kernel (ici-crypto differential suite)"
 # Every host-time number (cargo bench, the benchmark) depends on which
