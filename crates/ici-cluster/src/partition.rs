@@ -5,7 +5,6 @@
 //! enforced *per cluster*, so the partition is the root data structure the
 //! core protocol is parameterised by.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ici_net::node::NodeId;
@@ -154,27 +153,6 @@ impl Partition {
             .collect()
     }
 
-    /// Moves `node` to `target`, updating member lists. Used by membership
-    /// churn handling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `target` is out of range.
-    pub fn reassign(&mut self, node: NodeId, target: ClusterId) {
-        let current = self.assignment[node.index()];
-        if current == target {
-            return;
-        }
-        let list = &mut self.members[current.index()];
-        if let Ok(pos) = list.binary_search(&node) {
-            list.remove(pos);
-        }
-        let list = &mut self.members[target.index()];
-        let pos = list.binary_search(&node).unwrap_err();
-        list.insert(pos, node);
-        self.assignment[node.index()] = target;
-    }
-
     /// Appends a new node (id must be `node_count()`) into `target`.
     ///
     /// # Panics
@@ -193,15 +171,6 @@ impl Partition {
         let list = &mut self.members[target.index()];
         let pos = list.binary_search(&node).unwrap_err();
         list.insert(pos, node);
-    }
-
-    /// Histogram of cluster sizes, for diagnostics.
-    pub fn size_histogram(&self) -> BTreeMap<usize, usize> {
-        let mut h = BTreeMap::new();
-        for s in self.sizes() {
-            *h.entry(s).or_insert(0) += 1;
-        }
-        h
     }
 }
 
@@ -253,24 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn reassign_moves_node() {
-        let mut p = partition_of(&[3, 1]);
-        p.reassign(NodeId::new(0), ClusterId::new(1));
-        assert_eq!(p.cluster_of(NodeId::new(0)), ClusterId::new(1));
-        assert_eq!(
-            p.members(ClusterId::new(0)),
-            &[NodeId::new(1), NodeId::new(2)]
-        );
-        assert_eq!(
-            p.members(ClusterId::new(1)),
-            &[NodeId::new(0), NodeId::new(3)]
-        );
-        // Re-reassign to the same cluster is a no-op.
-        p.reassign(NodeId::new(0), ClusterId::new(1));
-        assert_eq!(p.members(ClusterId::new(1)).len(), 2);
-    }
-
-    #[test]
     fn push_node_appends_densely() {
         let mut p = partition_of(&[2, 2]);
         p.push_node(NodeId::new(4), ClusterId::new(0));
@@ -314,13 +265,5 @@ mod tests {
         let d = p.cluster_diameters(&topo);
         assert_eq!(d[1], 0.0);
         assert_eq!(d[2], 0.0);
-    }
-
-    #[test]
-    fn size_histogram_counts() {
-        let p = partition_of(&[2, 2, 5]);
-        let h = p.size_histogram();
-        assert_eq!(h[&2], 2);
-        assert_eq!(h[&5], 1);
     }
 }

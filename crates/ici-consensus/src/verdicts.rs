@@ -94,11 +94,6 @@ impl VerdictTally {
             VerdictOutcome::Stalled
         }
     }
-
-    /// Votes still needed for an accept, zero once reached.
-    pub fn accept_deficit(&self) -> usize {
-        quorum(self.members).saturating_sub(self.accepts)
-    }
 }
 
 #[cfg(test)]
@@ -127,8 +122,6 @@ mod tests {
         // even though accepts outnumber rejects.
         assert_eq!(votes(6, 4, 0).outcome(), VerdictOutcome::Stalled);
         assert_eq!(votes(6, 0, 4).outcome(), VerdictOutcome::Stalled);
-        assert_eq!(votes(6, 4, 0).accept_deficit(), 1);
-        assert_eq!(votes(7, 3, 0).accept_deficit(), 0);
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub(crate) const K: [u32; 64] = [
 ///
 /// The inner array is exposed through [`Digest::as_bytes`] and
 /// [`Digest::into_bytes`]; equality and ordering are byte-wise, so digests
-/// can key `BTreeMap`s and be compared as 256-bit big-endian integers (used
-/// by the proof-of-work baseline).
+/// can key `BTreeMap`s and be compared as 256-bit big-endian integers.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Digest(pub [u8; 32]);
 

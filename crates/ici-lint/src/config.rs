@@ -1,10 +1,12 @@
 //! Lint configuration, read from `lint.toml` at the workspace root.
 //!
 //! The file is the only copy of the policy: a list it omits is empty,
-//! and a tree without the file is an error, never a gate run under
-//! some other policy.
+//! a site total its `[limits]` table omits is not gated, and a tree
+//! without the file is an error, never a gate run under some other
+//! policy.
 
 use crate::toml;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Parsed `lint.toml`.
@@ -37,6 +39,10 @@ pub struct Config {
     /// Crates allowed to spawn OS threads (`rogue-thread` rule). Empty:
     /// the workspace is single-threaded by construction.
     pub thread_crates: Vec<String>,
+    /// Ceilings on the site totals a run computes (`[limits]`), e.g.
+    /// `protocol_panic_sites = 7`. A total above its limit fails the
+    /// gate; a key no run computes is a config error.
+    pub limits: BTreeMap<String, usize>,
 }
 
 impl Config {
@@ -56,6 +62,16 @@ impl Config {
                 .map(<[String]>::to_vec)
                 .ok_or_else(|| format!("lint.toml: `{table}.{key}` must be an array of strings")),
         };
+        let mut limits = BTreeMap::new();
+        for (key, value) in doc.table("limits").into_iter().flatten() {
+            let limit = value
+                .as_int()
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| {
+                    format!("lint.toml: `limits.{key}` must be a non-negative integer")
+                })?;
+            limits.insert(key.clone(), limit);
+        }
         Ok(Config {
             protocol_crates: list("lint", "protocol_crates")?,
             cast_paths: list("lint", "cast_paths")?,
@@ -64,6 +80,7 @@ impl Config {
             determinism_crates: list("determinism", "crates")?,
             env_read_files: list("determinism", "env_read_files")?,
             thread_crates: list("determinism", "thread_crates")?,
+            limits,
         })
     }
 }
@@ -87,6 +104,7 @@ mod tests {
         assert!(c.determinism_crates.iter().any(|s| s == "ici-workload"));
         assert!(c.deps_allow.is_empty());
         assert!(c.thread_crates.is_empty());
+        assert_eq!(c.limits.get("rogue_thread_sites"), Some(&0));
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! Token-level lexer for Rust sources.
 //!
 //! This is the lexical foundation the whole rule set sits on. A file is
-//! lexed exactly once into:
-//!
-//! * a flat **token stream** ([`Token`]) — identifiers, lifetimes,
-//!   numeric literals, string/char literal placeholders, and
-//!   punctuation (with `::` fused into one token) — which the
-//!   token-sequence rules (`panic`, `cast`, `unsafe`, and the whole
-//!   determinism family) match against; and
-//! * **per-line records** ([`LexedLine`]) with comments stripped and
-//!   literal contents blanked, preserving original spacing, which the
-//!   line-shaped rules (`error` signatures, `rehash`) and the waiver
-//!   parser consume.
+//! lexed exactly once into a flat **token stream** ([`Token`]) —
+//! identifiers, lifetimes, numeric literals, string/char literal
+//! placeholders, and punctuation (with `::` fused into one token) —
+//! which every source rule matches against, plus each line's trailing
+//! `//` comment, which only the waiver parser reads.
 //!
 //! Handling comments, strings, and char-vs-lifetime disambiguation in
 //! one place means no rule can ever be fooled by `"panic!"` inside a
@@ -54,25 +48,14 @@ impl Token {
     }
 }
 
-/// One source line after lexical cleanup.
-#[derive(Debug, Default, Clone)]
-pub struct LexedLine {
-    /// 1-based line number.
-    pub number: usize,
-    /// Line content with comments removed and string/char literal
-    /// contents blanked (delimiters preserved, spacing intact).
-    pub code: String,
-    /// The trailing `//` line comment, if any (including the slashes).
-    pub comment: Option<String>,
-}
-
 /// A fully lexed file.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Code tokens in source order (comments excluded).
     pub tokens: Vec<Token>,
-    /// Per-line records, in order.
-    pub lines: Vec<LexedLine>,
+    /// Each source line's trailing `//` comment, if any (including the
+    /// slashes): `comments[n - 1]` belongs to line `n`.
+    pub comments: Vec<Option<String>>,
 }
 
 /// Cross-line lexer state.
@@ -95,7 +78,6 @@ pub fn lex(source: &str) -> Lexed {
     for (idx, raw) in source.lines().enumerate() {
         let number = idx + 1;
         let chars: Vec<char> = raw.chars().collect();
-        let mut code = String::with_capacity(raw.len());
         let mut comment: Option<String> = None;
         let mut i = 0usize;
 
@@ -121,7 +103,6 @@ pub fn lex(source: &str) -> Lexed {
                     if ch == '\\' {
                         i += 2;
                     } else if ch == '"' {
-                        code.push('"');
                         state = State::Code;
                         i += 1;
                     } else {
@@ -135,7 +116,6 @@ pub fn lex(source: &str) -> Lexed {
                             seen += 1;
                         }
                         if seen == hashes {
-                            code.push('"');
                             state = State::Code;
                             i += 1 + hashes as usize;
                         } else {
@@ -156,7 +136,6 @@ pub fn lex(source: &str) -> Lexed {
                         continue;
                     }
                     if ch == '"' {
-                        code.push('"');
                         out.tokens.push(Token {
                             kind: TokenKind::Str,
                             text: "\"\"".to_string(),
@@ -166,8 +145,7 @@ pub fn lex(source: &str) -> Lexed {
                         i += 1;
                         continue;
                     }
-                    if let Some((hashes, consumed)) = raw_string_start(&code, &chars, i) {
-                        code.push('"');
+                    if let Some((hashes, consumed)) = raw_string_start(&chars, i) {
                         out.tokens.push(Token {
                             kind: TokenKind::Str,
                             text: "\"\"".to_string(),
@@ -183,7 +161,6 @@ pub fn lex(source: &str) -> Lexed {
                     }
                     if ch == '\'' {
                         if let Some(consumed) = char_literal_len(&chars, i) {
-                            code.push_str("''");
                             out.tokens.push(Token {
                                 kind: TokenKind::Char,
                                 text: "''".to_string(),
@@ -202,14 +179,12 @@ pub fn lex(source: &str) -> Lexed {
                                 i += 1;
                             }
                             let text: String = chars[start..i].iter().collect();
-                            code.push_str(&text);
                             out.tokens.push(Token {
                                 kind: TokenKind::Lifetime,
                                 text,
                                 line: number,
                             });
                         } else {
-                            code.push('\'');
                             out.tokens.push(Token {
                                 kind: TokenKind::Punct,
                                 text: "'".to_string(),
@@ -225,7 +200,6 @@ pub fn lex(source: &str) -> Lexed {
                             i += 1;
                         }
                         let text: String = chars[start..i].iter().collect();
-                        code.push_str(&text);
                         out.tokens.push(Token {
                             kind: TokenKind::Ident,
                             text,
@@ -235,7 +209,6 @@ pub fn lex(source: &str) -> Lexed {
                     }
                     if ch.is_ascii_digit() {
                         let (text, consumed) = number_literal(&chars, i);
-                        code.push_str(&text);
                         out.tokens.push(Token {
                             kind: TokenKind::Num,
                             text,
@@ -246,7 +219,6 @@ pub fn lex(source: &str) -> Lexed {
                     }
                     // Punctuation; fuse `::` so path rules match one token.
                     if ch == ':' && chars.get(i + 1) == Some(&':') {
-                        code.push_str("::");
                         out.tokens.push(Token {
                             kind: TokenKind::Punct,
                             text: "::".to_string(),
@@ -255,7 +227,6 @@ pub fn lex(source: &str) -> Lexed {
                         i += 2;
                         continue;
                     }
-                    code.push(ch);
                     if !ch.is_whitespace() {
                         out.tokens.push(Token {
                             kind: TokenKind::Punct,
@@ -268,11 +239,7 @@ pub fn lex(source: &str) -> Lexed {
             }
         }
 
-        out.lines.push(LexedLine {
-            number,
-            code,
-            comment,
-        });
+        out.comments.push(comment);
     }
     out
 }
@@ -282,18 +249,12 @@ pub fn lex(source: &str) -> Lexed {
 /// Returns `(hash_count, chars_consumed_through_opening_quote)`;
 /// `hash_count == u32::MAX` flags a plain byte string (`b"`) which uses
 /// normal escape rules. Returns `None` when `chars[at]` does not open a
-/// string literal prefix.
-fn raw_string_start(code: &str, chars: &[char], at: usize) -> Option<(u32, usize)> {
+/// string literal prefix. Only reached at the start of a word: the
+/// identifier branch consumes `for`, `sub`, ... whole, so a trailing
+/// `r`/`b` never opens a literal.
+fn raw_string_start(chars: &[char], at: usize) -> Option<(u32, usize)> {
     let ch = chars[at];
     if ch != 'r' && ch != 'b' {
-        return None;
-    }
-    // Not a prefix when glued to an identifier (`for`, `sub`, ...).
-    if code
-        .chars()
-        .next_back()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-    {
         return None;
     }
     let mut j = at + 1;
@@ -376,6 +337,17 @@ mod tests {
         lex(src).tokens.into_iter().map(|t| t.text).collect()
     }
 
+    /// The texts of the tokens starting on `line`, space-joined.
+    fn on_line(lexed: &Lexed, line: usize) -> String {
+        let texts: Vec<&str> = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.line == line)
+            .map(|t| t.text.as_str())
+            .collect();
+        texts.join(" ")
+    }
+
     #[test]
     fn idents_puncts_and_fused_paths() {
         assert_eq!(
@@ -394,32 +366,29 @@ mod tests {
     #[test]
     fn raw_strings_with_hashes() {
         let lexed = lex("let r = r#\"unwrap() \"# ;\nlet rr = r\"assert!(x)\";\n");
-        assert!(!lexed.lines[0].code.contains("unwrap"));
-        assert!(!lexed.lines[1].code.contains("assert"));
-        assert!(lexed.tokens.iter().all(|t| t.text != "unwrap"));
+        assert_eq!(on_line(&lexed, 1), "let r = \"\" ;");
+        assert_eq!(on_line(&lexed, 2), "let rr = \"\" ;");
     }
 
     #[test]
     fn raw_string_hash_mismatch_spans_lines() {
         let lexed = lex("let x = r##\"one \"# two\nstill panic!() inside\"## ;\nafter();\n");
-        assert!(!lexed.lines[0].code.contains("one"));
-        assert!(!lexed.lines[1].code.contains("panic"));
-        assert!(lexed.lines[2].code.contains("after()"));
-        assert!(lexed.tokens.iter().all(|t| t.text != "panic"));
+        assert_eq!(on_line(&lexed, 1), "let x = \"\"");
+        assert_eq!(on_line(&lexed, 2), ";");
+        assert_eq!(on_line(&lexed, 3), "after ( ) ;");
     }
 
     #[test]
     fn nested_block_comments() {
         let lexed = lex("/* a /* b */ panic!() */ let ok = 1;\n");
-        assert!(lexed.tokens.iter().all(|t| t.text != "panic"));
-        assert!(lexed.lines[0].code.contains("let ok = 1;"));
+        assert_eq!(on_line(&lexed, 1), "let ok = 1 ;");
     }
 
     #[test]
     fn deeply_nested_block_comment_state_spans_lines() {
         let lexed = lex("/* one /* two /* three */ still */ panic!()\nmore */ done();\n");
-        assert!(lexed.tokens.iter().all(|t| t.text != "panic"));
-        assert!(lexed.lines[1].code.contains("done()"));
+        assert_eq!(on_line(&lexed, 1), "");
+        assert_eq!(on_line(&lexed, 2), "done ( ) ;");
     }
 
     #[test]
@@ -448,23 +417,20 @@ mod tests {
     #[test]
     fn strings_containing_comment_markers() {
         let lexed = lex("let url = \"https://example.com\"; call();\n");
-        assert!(lexed.lines[0].code.contains("call();"));
-        assert!(!lexed.lines[0].code.contains("example"));
-        assert!(lexed.tokens.iter().any(|t| t.is_ident("call")));
+        assert_eq!(on_line(&lexed, 1), "let url = \"\" ; call ( ) ;");
     }
 
     #[test]
     fn escaped_quote_does_not_close_string() {
         let lexed = lex("let x = \"a\\\"panic!()\"; call();\n");
-        assert!(!lexed.lines[0].code.contains("panic"));
-        assert!(lexed.lines[0].code.contains("call();"));
+        assert_eq!(on_line(&lexed, 1), "let x = \"\" ; call ( ) ;");
     }
 
     #[test]
     fn byte_strings_and_identifiers_ending_in_r_or_b() {
         let lexed = lex("let b = b\"expect(\";\nfor x in xs { var\"\" ; }\nlet s = sub\"\";\n");
         assert!(lexed.tokens.iter().all(|t| t.text != "expect"));
-        assert_eq!(lexed.lines.len(), 3, "no state leak across lines");
+        assert_eq!(lexed.comments.len(), 3, "no state leak across lines");
         assert!(lexed.tokens.iter().any(|t| t.is_ident("var")));
         assert!(lexed.tokens.iter().any(|t| t.is_ident("sub")));
     }
@@ -501,8 +467,18 @@ mod tests {
     #[test]
     fn comments_captured_per_line() {
         let lexed = lex("x(); // trailing note\n// standalone\ny();\n");
-        assert_eq!(lexed.lines[0].comment.as_deref(), Some("// trailing note"));
-        assert_eq!(lexed.lines[1].comment.as_deref(), Some("// standalone"));
-        assert!(lexed.lines[2].comment.is_none());
+        assert_eq!(lexed.comments[0].as_deref(), Some("// trailing note"));
+        assert_eq!(lexed.comments[1].as_deref(), Some("// standalone"));
+        assert!(lexed.comments[2].is_none());
+    }
+
+    #[test]
+    fn comments_never_yield_tokens() {
+        let lexed =
+            lex("let x = 1; // unwrap()\nlet y = /* panic!() */ 2;\n/* multi\nline panic!() */ let z = 3;\n");
+        assert_eq!(on_line(&lexed, 1), "let x = 1 ;");
+        assert_eq!(on_line(&lexed, 2), "let y = 2 ;");
+        assert_eq!(on_line(&lexed, 3), "");
+        assert_eq!(on_line(&lexed, 4), "let z = 3 ;");
     }
 }

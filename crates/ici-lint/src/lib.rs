@@ -1,24 +1,23 @@
 //! `ici-lint` — the workspace's zero-dependency static-analysis gate.
 //!
-//! Run as `cargo run -p ici-lint` (CI does this via `scripts/ci.sh`).
-//! The engine lexes every workspace source file into a token stream
+//! Run as `cargo run -p ici-lint`; the root package's
+//! `tests/lint_gate.rs` runs the same gate under `cargo test`. The
+//! engine lexes every workspace source file into a token stream
 //! ([`lexer`]), applies the general rule set ([`rules`]) and the
-//! determinism rule family ([`determinism`]), subtracts the committed
-//! ratchet (`lint-baseline.toml`, see [`baseline`]: per-file counts
-//! and the `[stats]` site totals, neither of which may grow), and
-//! reports any *new* violations with `file:line` spans. Exit status:
-//! `0` clean, `1` new violations, `2` usage or I/O failure.
+//! determinism rule family ([`determinism`]), and reports every
+//! unwaived finding and every site total above its `[limits]` entry
+//! with `file:line` spans. Exit status: `0` clean, `1` violations, `2`
+//! usage, config or I/O failure.
 //!
 //! Policy lives in `lint.toml` at the repo root ([`config`]); per-site
 //! exemptions use inline `// lint:allow(rule) -- reason` waivers
 //! ([`scanner`]). Waived sites are still counted: the engine reports
-//! them in the JSON output (`--format json`) and flags waivers that no
-//! longer suppress anything as stale.
+//! them in the JSON output (`--format json`), counts them in the site
+//! totals, and flags waivers that no longer suppress anything as stale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod determinism;
 pub mod lexer;
@@ -27,56 +26,41 @@ pub mod rules;
 pub mod scanner;
 pub mod toml;
 
-use baseline::{Baseline, BaselineChange, RatchetOutcome, BASELINE_FILE};
 use config::Config;
 use report::{json_escape, Finding, StaleWaiver};
 use rules::SourceFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// How a lint run behaves beyond plain checking.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Options {
-    /// Rewrite `lint-baseline.toml` from the current findings. The
-    /// rewrite prints every changed count and refuses to *raise* one
-    /// unless `allow_regress` is set.
-    pub update_baseline: bool,
-    /// Permit `update_baseline` to raise counts.
-    pub allow_regress: bool,
-}
-
 /// Everything one lint run produced.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Ratchet verdict over unwaived findings: new violations,
-    /// suppressed debt, improvements.
-    pub ratchet: RatchetOutcome,
+    /// Findings that fail the gate: unwaived rule findings, then one
+    /// `limits` finding per site total above its ceiling.
+    pub violations: Vec<Finding>,
     /// Findings suppressed by an inline waiver (never gate-failing).
     pub waived: Vec<Finding>,
     /// Waivers that no longer suppress anything (gated only through
-    /// the `stale_waivers` stat).
+    /// the `stale_waivers` limit).
     pub stale_waivers: Vec<StaleWaiver>,
-    /// Changed counts from an `--update-baseline` rewrite, rendered as
-    /// `key: old -> new`; empty otherwise.
-    pub baseline_diff: Vec<String>,
     /// Number of source files scanned.
     pub files_scanned: usize,
     /// Number of manifests checked by the `deps` rule.
     pub manifests_checked: usize,
-    /// Stats recomputed this run (merged into the baseline on update).
-    pub stats: BTreeMap<String, i64>,
+    /// Site totals computed this run, the keys `[limits]` may name.
+    pub stats: BTreeMap<String, usize>,
 }
 
 impl Outcome {
     /// True when the gate passes.
     pub fn clean(&self) -> bool {
-        self.ratchet.new_violations.is_empty()
+        self.violations.is_empty()
     }
 }
 
-/// Per-rule site-count stats recorded in the baseline. Each counts
-/// every non-test site, waived or not, so the baseline shows total
-/// debt per rule even when waivers keep the gate green.
+/// Per-rule site totals. Each counts every non-test site, waived or
+/// not, so a `[limits]` ceiling bounds total debt per rule even when
+/// waivers keep every single site green.
 const SITE_STATS: &[(&str, &str)] = &[
     ("protocol_panic_sites", "panic"),
     ("unordered_iter_sites", "unordered-iter"),
@@ -87,7 +71,7 @@ const SITE_STATS: &[(&str, &str)] = &[
 ];
 
 /// Run the lint over the workspace rooted at `root`.
-pub fn run(root: &Path, options: Options) -> Result<Outcome, String> {
+pub fn run(root: &Path) -> Result<Outcome, String> {
     let files = collect_sources(root)?;
     let manifests = collect_manifests(root)?;
     if files.is_empty() && manifests.is_empty() {
@@ -113,96 +97,37 @@ pub fn run(root: &Path, options: Options) -> Result<Outcome, String> {
     let mut stats = BTreeMap::new();
     for (stat, rule) in SITE_STATS {
         let sites = findings.iter().filter(|f| f.rule == *rule).count();
-        stats.insert(stat.to_string(), sites as i64);
+        stats.insert(stat.to_string(), sites);
     }
 
-    let (waived, active): (Vec<Finding>, Vec<Finding>) =
+    let (waived, mut violations): (Vec<Finding>, Vec<Finding>) =
         findings.into_iter().partition(|f| f.waived);
     let stale_waivers = find_stale_waivers(&files, &waived);
-    stats.insert("stale_waivers".to_string(), stale_waivers.len() as i64);
+    stats.insert("stale_waivers".to_string(), stale_waivers.len());
 
-    let baseline_existed = root.join(BASELINE_FILE).is_file();
-    let previous = Baseline::load(root)?;
-    let mut baseline_diff = Vec::new();
-    if options.update_baseline {
-        let mut changes = previous.diff(&Baseline::counts_of(&active));
-        changes.extend(
-            stat_changes(&previous, &stats)
-                .into_iter()
-                .map(|c| BaselineChange {
-                    key: format!("stats.{}", c.key),
-                    ..c
-                }),
-        );
-        let raises: Vec<String> = changes
-            .iter()
-            .filter(|c| c.is_raise())
-            .map(|c| format!("  {c}"))
-            .collect();
-        // Creating the very first baseline is not a regression — the
-        // refusal guards an *existing* ratchet from loosening.
-        if baseline_existed && !raises.is_empty() && !options.allow_regress {
-            return Err(format!(
-                "--update-baseline would raise {} count(s) — the ratchet only goes down.\n\
-                 Re-run with --allow-regress to accept the regression:\n{}",
-                raises.len(),
-                raises.join("\n")
-            ));
-        }
-        baseline_diff = changes.iter().map(|c| c.to_string()).collect();
-        let text = Baseline::render(&active, &stats, &previous);
-        let path = root.join(BASELINE_FILE);
-        std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    let effective = if options.update_baseline {
-        Baseline::load(root)?
-    } else {
-        previous
-    };
-    let mut ratchet = effective.apply(active);
-    // The site totals ratchet like the per-file counts, and see what
-    // those cannot: a waived site is in no count but in its stat.
-    for change in stat_changes(&effective, &stats) {
-        if change.is_raise() {
-            ratchet.new_violations.push(Finding::new(
-                "stats",
-                BASELINE_FILE,
+    // A waived site is in no unwaived finding but in its total.
+    for (key, &limit) in &config.limits {
+        let total = *stats.get(key).ok_or_else(|| {
+            format!("lint.toml: `limits.{key}` names no site total this gate computes")
+        })?;
+        if total > limit {
+            violations.push(Finding::new(
+                "limits",
+                "lint.toml",
                 0,
-                format!(
-                    "{}: baseline {}, now {}",
-                    change.key, change.old, change.new
-                ),
+                format!("{key}: {total} site(s), limit {limit}"),
             ));
         }
     }
 
     Ok(Outcome {
-        ratchet,
+        violations,
         waived,
         stale_waivers,
-        baseline_diff,
         files_scanned: files.len(),
         manifests_checked: manifests.len(),
         stats,
     })
-}
-
-/// Every stat this run computed whose value differs from its entry in
-/// `baseline`'s `[stats]` table. Entries the run does not compute
-/// (historical markers such as `seed_panic_sites`) and stats the table
-/// does not list are left alone.
-fn stat_changes(baseline: &Baseline, stats: &BTreeMap<String, i64>) -> Vec<BaselineChange> {
-    stats
-        .iter()
-        .filter_map(|(key, &new)| {
-            let old = *baseline.stats.get(key)?;
-            (old != new).then(|| BaselineChange {
-                key: key.clone(),
-                old,
-                new,
-            })
-        })
-        .collect()
 }
 
 /// Waivers that no longer suppress anything: every parsed waiver
@@ -235,7 +160,7 @@ fn find_stale_waivers(files: &[SourceFile], waived: &[Finding]) -> Vec<StaleWaiv
 /// than printing so tests can assert on it.
 pub fn render_report(outcome: &Outcome) -> String {
     let mut out = String::new();
-    for finding in &outcome.ratchet.new_violations {
+    for finding in &outcome.violations {
         out.push_str(&finding.to_string());
         out.push('\n');
     }
@@ -247,29 +172,12 @@ pub fn render_report(outcome: &Outcome) -> String {
             out.push('\n');
         }
     }
-    if !outcome.baseline_diff.is_empty() {
-        out.push_str("\nbaseline counts rewritten:\n");
-        for change in &outcome.baseline_diff {
-            out.push_str("  ");
-            out.push_str(change);
-            out.push('\n');
-        }
-    }
-    if !outcome.ratchet.improvements.is_empty() {
-        out.push_str("\nratchet can be tightened (run with --update-baseline):\n");
-        for improvement in &outcome.ratchet.improvements {
-            out.push_str("  ");
-            out.push_str(improvement);
-            out.push('\n');
-        }
-    }
     out.push_str(&format!(
-        "\nici-lint: {} file(s), {} manifest(s); {} new violation(s), {} baselined, \
-         {} waived, {} stale waiver(s)\n",
+        "\nici-lint: {} file(s), {} manifest(s); {} new violation(s), {} waived, \
+         {} stale waiver(s)\n",
         outcome.files_scanned,
         outcome.manifests_checked,
-        outcome.ratchet.new_violations.len(),
-        outcome.ratchet.baselined.len(),
+        outcome.violations.len(),
         outcome.waived.len(),
         outcome.stale_waivers.len(),
     ));
@@ -278,32 +186,28 @@ pub fn render_report(outcome: &Outcome) -> String {
 
 /// Render the machine-readable report (`--format json`).
 ///
-/// One JSON object with every finding (new, baselined, and waived),
-/// stale waivers, per-rule stats, and a summary block. Ordering is
-/// fully deterministic — findings sort by (file, line, rule, message),
-/// stats by key — so the `determinism` fixture's golden can pin the
-/// whole report byte for byte.
+/// One JSON object with every finding (violations and waived), stale
+/// waivers, per-rule stats, and a summary block. Ordering is fully
+/// deterministic — findings sort by (file, line, rule, message), stats
+/// by key — so the `determinism` fixture's golden can pin the whole
+/// report byte for byte.
 pub fn render_json(outcome: &Outcome) -> String {
-    let mut rows: Vec<(&Finding, bool)> = Vec::new();
-    rows.extend(outcome.ratchet.new_violations.iter().map(|f| (f, false)));
-    rows.extend(outcome.ratchet.baselined.iter().map(|f| (f, true)));
-    rows.extend(outcome.waived.iter().map(|f| (f, false)));
-    rows.sort_by(|(a, _), (b, _)| {
+    let mut rows: Vec<&Finding> = outcome.violations.iter().chain(&outcome.waived).collect();
+    rows.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });
 
     let mut out = String::from("{\n  \"findings\": [\n");
     let finding_rows: Vec<String> = rows
         .iter()
-        .map(|(f, baselined)| {
+        .map(|f| {
             format!(
                 "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"waived\": {}, \
-                 \"baselined\": {}, \"message\": \"{}\"}}",
+                 \"message\": \"{}\"}}",
                 json_escape(&f.rule),
                 json_escape(&f.file),
                 f.line,
                 f.waived,
-                baselined,
                 json_escape(&f.message),
             )
         })
@@ -341,12 +245,10 @@ pub fn render_json(outcome: &Outcome) -> String {
     }
     out.push_str(&format!(
         "  }},\n  \"summary\": {{\n    \"files_scanned\": {},\n    \"manifests_checked\": {},\n    \
-         \"new_violations\": {},\n    \"baselined\": {},\n    \"waived\": {},\n    \
-         \"stale_waivers\": {}\n  }}\n}}\n",
+         \"new_violations\": {},\n    \"waived\": {},\n    \"stale_waivers\": {}\n  }}\n}}\n",
         outcome.files_scanned,
         outcome.manifests_checked,
-        outcome.ratchet.new_violations.len(),
-        outcome.ratchet.baselined.len(),
+        outcome.violations.len(),
         outcome.waived.len(),
         outcome.stale_waivers.len(),
     ));

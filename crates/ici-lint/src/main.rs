@@ -3,20 +3,17 @@
 //! ```text
 //! cargo run -p ici-lint                        # gate the workspace
 //! cargo run -p ici-lint -- --format json       # machine-readable report
-//! cargo run -p ici-lint -- --update-baseline   # rewrite the ratchet
 //! cargo run -p ici-lint -- --root path/to/tree # lint another tree
 //! ```
 //!
-//! Exit status: `0` clean, `1` new violations, `2` usage or I/O error
-//! (including an `--update-baseline` that would raise a count without
-//! `--allow-regress`).
+//! Exit status: `0` clean, `1` violations, `2` usage, config or I/O
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut options = ici_lint::Options::default();
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -36,18 +33,13 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--update-baseline" => options.update_baseline = true,
-            "--allow-regress" => options.allow_regress = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: ici-lint [--root <path>] [--format text|json]\n\
-                     \x20               [--update-baseline [--allow-regress]]\n\
                      \n\
                      Static-analysis gate for the icistrategy workspace.\n\
-                     Policy: lint.toml; ratchet: lint-baseline.toml;\n\
-                     per-site waivers: `// lint:allow(rule) -- reason`.\n\
-                     --update-baseline prints every changed count and refuses\n\
-                     to raise one unless --allow-regress is also given."
+                     Policy and site-total limits: lint.toml;\n\
+                     per-site waivers: `// lint:allow(rule) -- reason`."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -58,7 +50,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match ici_lint::run(&root, options) {
+    match ici_lint::run(&root) {
         Ok(outcome) => {
             if json {
                 print!("{}", ici_lint::render_json(&outcome));

@@ -7,8 +7,8 @@ use std::fmt;
 pub struct Finding {
     /// Rule name: `panic`, `unsafe`, `cast`, `error`, `deps`, `waiver`,
     /// `rehash`, one of the determinism family (`unordered-iter`,
-    /// `wall-clock`, `rogue-thread`, `env-read`, `entropy`), or `stats`
-    /// for a site total above its `[stats]` baseline entry.
+    /// `wall-clock`, `rogue-thread`, `env-read`, `entropy`), or `limits`
+    /// for a site total above its `lint.toml` `[limits]` entry.
     pub rule: String,
     /// Repo-relative path with forward slashes.
     pub file: String,
@@ -44,11 +44,6 @@ impl Finding {
         self.waived = waived;
         self
     }
-
-    /// The baseline key this finding counts against.
-    pub fn baseline_key(&self) -> String {
-        format!("{}:{}", self.rule, self.file)
-    }
 }
 
 impl fmt::Display for Finding {
@@ -67,8 +62,8 @@ impl fmt::Display for Finding {
 
 /// A waiver that no longer suppresses anything. Listed in the output
 /// and counted in the `stale_waivers` stat, which fails the gate once
-/// it exceeds the committed baseline's entry — so they get cleaned up
-/// instead of rotting.
+/// it exceeds its `[limits]` entry — so they get cleaned up instead of
+/// rotting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaleWaiver {
     /// Repo-relative path with forward slashes.
@@ -127,12 +122,6 @@ mod tests {
             g.to_string(),
             "Cargo.toml: [deps] dependency `rand` not allowed"
         );
-    }
-
-    #[test]
-    fn baseline_key_is_rule_and_file() {
-        let f = Finding::new("cast", "crates/ici-chain/src/codec.rs", 5, "m");
-        assert_eq!(f.baseline_key(), "cast:crates/ici-chain/src/codec.rs");
     }
 
     #[test]

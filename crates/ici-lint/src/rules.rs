@@ -22,12 +22,14 @@
 //! * `waiver` — waiver hygiene: malformed waivers and waivers naming
 //!   unknown or non-waivable rules.
 //!
-//! Waivable rules no longer skip waived sites — they emit them with
+//! Every rule matches the token stream ([`crate::lexer`]). Waivable
+//! rules do not skip waived sites — they emit them with
 //! `Finding::waived` set, so the engine can count every site, detect
 //! stale waivers, and report waived debt in the JSON output. Only
-//! unwaived findings ever reach the ratchet.
+//! unwaived findings fail the gate.
 
 use crate::config::Config;
+use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
 use crate::scanner::{token_seq_positions, ScannedFile};
 use crate::toml::{self, Value};
@@ -170,34 +172,57 @@ pub fn check_unsafe(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 /// (`double_sha256(&x.to_bytes())`) allocates a throwaway `Vec` on
 /// every call. Protocol code should stream the encoding into the
 /// hasher via `ici_chain::hashing::double_sha256_encodable` instead.
-/// Waivable: a couple of call sites (the PoW nonce search, the
-/// two-pass reference implementation) are intentionally left on the
-/// materializing path.
+/// Matched as `double_sha256 ( &` with `. to_bytes ( )` inside the
+/// call's parentheses. Waivable: the one intended site is
+/// `ici_chain::hashing::double_sha256_of_bytes`, the reference the
+/// streaming path is pinned against.
 pub fn check_rehash(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         if !config.protocol_crates.contains(&file.crate_name) {
             continue;
         }
-        for line in &file.scanned.lines {
-            if line.in_test {
+        let tokens = &file.scanned.tokens;
+        for at in token_seq_positions(tokens, &["double_sha256", "(", "&"]) {
+            let line = tokens[at].line;
+            let args = &tokens[at + 2..closing(tokens, at + 1)];
+            if file.scanned.line_in_test(line)
+                || token_seq_positions(args, &[".", "to_bytes", "(", ")"]).is_empty()
+            {
                 continue;
             }
-            if line.code.contains("double_sha256(&") && line.code.contains(".to_bytes()") {
-                findings.push(
-                    Finding::new(
-                        "rehash",
-                        &file.rel_path,
-                        line.number,
-                        "`double_sha256(&x.to_bytes())` re-encodes into a Vec just to hash it \
-                         — stream via `hashing::double_sha256_encodable`",
-                    )
-                    .waived(file.scanned.is_waived(line.number, "rehash")),
-                );
-            }
+            findings.push(
+                Finding::new(
+                    "rehash",
+                    &file.rel_path,
+                    line,
+                    "`double_sha256(&x.to_bytes())` re-encodes into a Vec just to hash it \
+                     — stream via `hashing::double_sha256_encodable`",
+                )
+                .waived(file.scanned.is_waived(line, "rehash")),
+            );
         }
     }
     findings
+}
+
+/// Index of the token closing the bracket opened at `tokens[open]`
+/// (`tokens.len()` when it never closes).
+fn closing(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (at, tok) in tokens.iter().enumerate().skip(open) {
+        match tok.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return at;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
 }
 
 /// `cast` rule: lossy `as` narrowing in configured codec/wire paths,
@@ -236,23 +261,24 @@ pub fn check_casts(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 }
 
 /// `error` rule: public fallible APIs in protocol crates must surface
-/// typed errors.
+/// typed errors. The signature is the tokens from `pub fn NAME` to the
+/// `{` or `;` at depth 0.
 pub fn check_error_discipline(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         if !config.protocol_crates.contains(&file.crate_name) {
             continue;
         }
-        let lines = &file.scanned.lines;
-        for (idx, line) in lines.iter().enumerate() {
-            if line.in_test || !line.code.contains("pub fn ") {
+        let tokens = &file.scanned.tokens;
+        for at in token_seq_positions(tokens, &["pub", "fn"]) {
+            let line = tokens[at].line;
+            if file.scanned.line_in_test(line) {
                 continue;
             }
-            let signature = collect_signature(lines, idx);
-            if let Some(problem) = signature_problem(&signature) {
+            if let Some(problem) = signature_problem(&tokens[at..]) {
                 findings.push(
-                    Finding::new("error", &file.rel_path, line.number, problem)
-                        .waived(file.scanned.is_waived(line.number, "error")),
+                    Finding::new("error", &file.rel_path, line, problem)
+                        .waived(file.scanned.is_waived(line, "error")),
                 );
             }
         }
@@ -260,28 +286,14 @@ pub fn check_error_discipline(files: &[SourceFile], config: &Config) -> Vec<Find
     findings
 }
 
-/// Join the signature starting at `lines[start]` up to its body brace
-/// or terminating semicolon.
-fn collect_signature(lines: &[crate::scanner::SourceLine], start: usize) -> String {
-    let mut joined = String::new();
-    for line in lines.iter().skip(start).take(25) {
-        joined.push_str(line.code.trim());
-        joined.push(' ');
-        if line.code.contains('{') || line.code.contains(';') {
-            break;
-        }
-    }
-    match joined.find('{') {
-        Some(pos) => joined[..pos].to_string(),
-        None => joined,
-    }
-}
-
-/// Why a public signature violates error discipline, if it does.
-fn signature_problem(signature: &str) -> Option<String> {
-    let name = fn_name(signature)?;
-    let ret = signature.split("->").nth(1)?.trim();
-    if let Some(err_type) = result_error_type(ret) {
+/// Why the signature opening `sig` (`pub fn NAME ...`) violates error
+/// discipline, if it does.
+fn signature_problem(sig: &[Token]) -> Option<String> {
+    let name = sig.get(2).filter(|t| t.kind == TokenKind::Ident)?;
+    let name = name.text.as_str();
+    let ret = return_type(sig)?;
+    if let Some(err) = result_error_type(ret) {
+        let err_type = render(err);
         let stringly = err_type == "String"
             || err_type == "&str"
             || err_type == "&'static str"
@@ -293,77 +305,85 @@ fn signature_problem(signature: &str) -> Option<String> {
             ));
         }
     }
-    if ret.starts_with("Option<") {
-        let fallible_prefix = ["try_", "parse_", "decode_"]
-            .iter()
-            .any(|p| name.starts_with(p));
-        if fallible_prefix {
-            return Some(format!(
-                "`pub fn {name}` signals failure with `Option` — return a typed `Result` \
-                 so callers can distinguish error causes"
-            ));
-        }
+    let returns_option = ret.first().is_some_and(|t| t.is_ident("Option"))
+        && ret.get(1).is_some_and(|t| t.text == "<");
+    let fallible_prefix = ["try_", "parse_", "decode_"]
+        .iter()
+        .any(|p| name.starts_with(p));
+    if returns_option && fallible_prefix {
+        return Some(format!(
+            "`pub fn {name}` signals failure with `Option` — return a typed `Result` \
+             so callers can distinguish error causes"
+        ));
     }
     None
 }
 
-/// The identifier after `pub fn `.
-fn fn_name(signature: &str) -> Option<&str> {
-    let at = crate::scanner::token_positions(signature, "pub fn ")
-        .first()
-        .copied()?;
-    let rest = &signature[at + "pub fn ".len()..];
-    let end = rest.find(|c: char| !c.is_alphanumeric() && c != '_')?;
-    if end == 0 {
-        None
-    } else {
-        Some(&rest[..end])
-    }
-}
-
-/// The error type of a `Result<T, E>` return, if the return text
-/// starts with `Result<`.
-fn result_error_type(ret: &str) -> Option<String> {
-    let inner = ret.strip_prefix("Result<")?;
-    let args = split_generic_args(inner)?;
-    if args.len() == 2 {
-        Some(args[1].trim().to_string())
-    } else {
-        None // `Result<T>` alias: the error type is fixed elsewhere.
-    }
-}
-
-/// Split `T, E>` (the inside of a generic list, ending at the matching
-/// `>`) into top-level arguments.
-fn split_generic_args(inner: &str) -> Option<Vec<String>> {
-    let mut args = Vec::new();
+/// The tokens after the signature's `->`, up to the `{` or `;` at
+/// depth 0; `None` for a signature without a return type.
+fn return_type(sig: &[Token]) -> Option<&[Token]> {
     let mut depth = 0i32;
-    let mut current = String::new();
-    for ch in inner.chars() {
-        match ch {
-            '<' | '(' | '[' => {
-                depth += 1;
-                current.push(ch);
+    let mut start = None;
+    for (at, tok) in sig.iter().enumerate() {
+        match tok.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "{" | ";" if depth == 0 => return start.map(|s| &sig[s..at]),
+            "-" if depth == 0
+                && start.is_none()
+                && sig.get(at + 1).is_some_and(|t| t.text == ">") =>
+            {
+                start = Some(at + 2);
             }
-            ')' | ']' => {
-                depth -= 1;
-                current.push(ch);
-            }
-            '>' if depth == 0 => {
-                args.push(current);
-                return Some(args);
-            }
-            '>' => {
-                depth -= 1;
-                current.push(ch);
-            }
-            ',' if depth == 0 => {
-                args.push(std::mem::take(&mut current));
-            }
-            _ => current.push(ch),
+            _ => {}
         }
     }
     None
+}
+
+/// `E` of a `Result<T, E>` return: the tokens between its top-level
+/// comma and its closing `>`. `None` for anything else, including the
+/// one-argument `Result<T>` alias whose error type is fixed elsewhere.
+fn result_error_type(ret: &[Token]) -> Option<&[Token]> {
+    if !(ret.first()?.is_ident("Result") && ret.get(1)?.text == "<") {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut comma = None;
+    for (at, tok) in ret.iter().enumerate().skip(1) {
+        match tok.text.as_str() {
+            "<" | "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            ">" => {
+                depth -= 1;
+                if depth == 0 {
+                    return comma.map(|c| &ret[c + 1..at]);
+                }
+            }
+            "," if depth == 1 && comma.is_none() => comma = Some(at),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Source-like text for a run of tokens: a space only between two
+/// words (`&'static str`, `Box<dyn Error>`).
+fn render(tokens: &[Token]) -> String {
+    let mut out = String::new();
+    let mut prev_word = false;
+    for tok in tokens {
+        let word = matches!(
+            tok.kind,
+            TokenKind::Ident | TokenKind::Lifetime | TokenKind::Num
+        );
+        if word && prev_word {
+            out.push(' ');
+        }
+        out.push_str(&tok.text);
+        prev_word = word;
+    }
+    out
 }
 
 /// `deps` rule over raw manifest text: every dependency is either an
@@ -642,20 +662,32 @@ mod tests {
     #[test]
     fn rehash_rule_marks_waived_sites_and_skips_tests() {
         let src = "\
-fn pow() -> Digest { double_sha256(&h.to_bytes()) } // lint:allow(rehash) -- nonce search mutates h per attempt
+fn reference() -> Digest { double_sha256(&v.to_bytes()) } // lint:allow(rehash) -- the pinned reference
 #[cfg(test)]
 mod tests {
     fn t() { let _ = double_sha256(&x.to_bytes()); }
 }
 ";
-        let files = vec![file(
-            "ici-consensus",
-            "crates/ici-consensus/src/pow.rs",
-            src,
-        )];
+        let files = vec![file("ici-chain", "crates/ici-chain/src/hashing.rs", src)];
         let findings = check_rehash(&files, &proto_config());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].waived);
+    }
+
+    #[test]
+    fn rehash_rule_matches_inside_the_call_across_lines() {
+        let src = "\
+fn a() -> Digest {
+    double_sha256(
+        &header.to_bytes(),
+    )
+}
+fn b() -> Digest { let d = double_sha256(&buf); d.to_bytes() }
+";
+        let files = vec![file("ici-chain", "crates/ici-chain/src/x.rs", src)];
+        let findings = check_rehash(&files, &proto_config());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 2, "anchored at the call");
     }
 
     #[test]
@@ -707,6 +739,21 @@ pub fn verify_chain(
         let findings = check_error_discipline(&files, &proto_config());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("verify_chain"));
+    }
+
+    #[test]
+    fn error_rule_reads_the_return_type_at_depth_zero() {
+        let src = "\
+pub fn map_all(f: impl Fn(u8) -> Result<u8, String>, xs: [u8; 4]) -> Result<(), Box<dyn Error>>;
+pub fn apply(f: impl Fn(u8) -> Result<u8, String>) -> Result<Vec<u8>, CodecError> { body() }
+pub fn nested() -> Result<Vec<(u8, u8)>, &'static str> { body() }
+";
+        let files = vec![file("ici-core", "crates/ici-core/src/f.rs", src)];
+        let findings = check_error_discipline(&files, &proto_config());
+        let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(findings.len(), 2, "{messages:?}");
+        assert!(messages[0].contains("`pub fn map_all` returns `Result<_, Box<dyn Error>>`"));
+        assert!(messages[1].contains("`pub fn nested` returns `Result<_, &'static str>`"));
     }
 
     #[test]

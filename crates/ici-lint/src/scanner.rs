@@ -1,35 +1,23 @@
 //! Scanned-file model: the lexer's output plus workspace semantics.
 //!
-//! [`scan`] runs the token-level lexer ([`crate::lexer`]) over a `.rs`
-//! file and layers on what rules need beyond raw tokens:
+//! [`scan`] runs the lexer ([`crate::lexer`]) over a `.rs` file and
+//! layers on what rules need beyond the token stream itself:
 //!
-//! * `#[cfg(test)]` region tracking by brace depth over the token
-//!   stream (rules may exempt test-only code);
+//! * `#[cfg(test)]` region tracking by brace depth over the tokens
+//!   (rules may exempt test-only code);
 //! * inline waivers parsed from line comments:
 //!
 //! ```text
 //! // lint:allow(panic) -- reason the site is acceptable
 //! ```
 //!
-//! A waiver on its own line applies to the next code line; a trailing
-//! waiver applies to the line it sits on. The ` -- reason` clause is
-//! mandatory — a waiver without a written justification is itself
-//! reported as a violation.
+//! A waiver on its own line applies to the next line that has tokens;
+//! a trailing waiver applies to the line it sits on. The ` -- reason`
+//! clause is mandatory — a waiver without a written justification is
+//! itself reported as a violation.
 
 use crate::lexer::{self, Token, TokenKind};
 use std::collections::BTreeMap;
-
-/// One source line after lexical cleanup.
-#[derive(Debug, Clone)]
-pub struct SourceLine {
-    /// 1-based line number.
-    pub number: usize,
-    /// Line content with comments removed and string/char literal
-    /// contents blanked (delimiters preserved).
-    pub code: String,
-    /// True when the line sits inside a `#[cfg(test)]` item.
-    pub in_test: bool,
-}
 
 /// A parsed `lint:allow(..)` waiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,11 +31,12 @@ pub struct Waiver {
 /// A fully scanned file.
 #[derive(Debug, Default)]
 pub struct ScannedFile {
-    /// All lines, in order.
-    pub lines: Vec<SourceLine>,
     /// Code tokens in source order (comments stripped, literal
-    /// contents blanked). The substrate for token-sequence rules.
+    /// contents blanked). The one substrate every source rule matches.
     pub tokens: Vec<Token>,
+    /// `in_test[n - 1]` is true when line `n` sits inside a
+    /// `#[cfg(test)]` item.
+    in_test: Vec<bool>,
     /// Waivers keyed by the line number they apply to. Ordered so
     /// waiver reports are deterministic.
     pub waivers: BTreeMap<usize, Vec<Waiver>>,
@@ -73,69 +62,64 @@ impl ScannedFile {
 
     /// True when `line` (1-based) sits inside `#[cfg(test)]` code.
     pub fn line_in_test(&self, line: usize) -> bool {
-        self.lines
+        self.in_test
             .get(line.wrapping_sub(1))
-            .is_some_and(|l| l.in_test)
+            .copied()
+            .unwrap_or(false)
     }
 }
 
 /// Scan a Rust source file: lex, track test regions, extract waivers.
 pub fn scan(source: &str) -> ScannedFile {
     let lexed = lexer::lex(source);
-    let in_test = test_lines(&lexed);
+    let mut has_tokens = vec![false; lexed.comments.len()];
+    for tok in &lexed.tokens {
+        has_tokens[tok.line - 1] = true;
+    }
 
     let mut out = ScannedFile {
+        in_test: test_lines(&lexed.tokens, lexed.comments.len()),
         tokens: lexed.tokens,
         ..ScannedFile::default()
     };
 
-    // Waivers from standalone comment lines, awaiting their code line.
+    // Waivers from standalone comment lines, awaiting a line with tokens.
     let mut pending_waivers: Vec<Waiver> = Vec::new();
-    for (idx, line) in lexed.lines.into_iter().enumerate() {
-        let number = line.number;
+    for (idx, comment) in lexed.comments.into_iter().enumerate() {
+        let number = idx + 1;
         // Doc comments are prose, not directives — a waiver spelled out
         // in documentation (e.g. this crate's own docs) must not take
         // effect.
-        let comment = line.comment.unwrap_or_default();
+        let comment = comment.unwrap_or_default();
         let is_doc = comment.starts_with("///") || comment.starts_with("//!");
-        let code_is_blank = line.code.trim().is_empty();
         for parsed in if is_doc {
             Vec::new()
         } else {
             extract_waivers(&comment)
         } {
             match parsed {
-                Ok(waiver) => {
-                    if code_is_blank {
-                        pending_waivers.push(waiver);
-                    } else {
-                        out.waivers.entry(number).or_default().push(waiver);
-                    }
+                Ok(waiver) if has_tokens[idx] => {
+                    out.waivers.entry(number).or_default().push(waiver);
                 }
+                Ok(waiver) => pending_waivers.push(waiver),
                 Err(problem) => out.malformed_waivers.push((number, problem)),
             }
         }
-        if !code_is_blank && !pending_waivers.is_empty() {
+        if has_tokens[idx] && !pending_waivers.is_empty() {
             out.waivers
                 .entry(number)
                 .or_default()
                 .append(&mut pending_waivers);
         }
-
-        out.lines.push(SourceLine {
-            number,
-            code: line.code,
-            in_test: in_test[idx],
-        });
     }
     out
 }
 
-/// Per-line `#[cfg(test)]` membership, tracked by brace depth over the
-/// token stream. The attribute line itself counts as test-only, and a
-/// braceless attributed item (`#[cfg(test)] use ...;`) does not leak
-/// into what follows.
-fn test_lines(lexed: &lexer::Lexed) -> Vec<bool> {
+/// Per-line `#[cfg(test)]` membership for lines `1..=line_count`,
+/// tracked by brace depth over the token stream. The attribute line
+/// itself counts as test-only, and a braceless attributed item
+/// (`#[cfg(test)] use ...;`) does not leak into what follows.
+fn test_lines(tokens: &[Token], line_count: usize) -> Vec<bool> {
     let mut brace_depth: i64 = 0;
     // Depths at which `#[cfg(test)]` blocks were opened.
     let mut test_entry_depths: Vec<i64> = Vec::new();
@@ -145,12 +129,11 @@ fn test_lines(lexed: &lexer::Lexed) -> Vec<bool> {
     // `[u8; 32]`-style separators inside a signature.
     let mut paren_depth: i64 = 0;
 
-    let tokens = &lexed.tokens;
     let mut next_token = 0usize;
-    let mut out = Vec::with_capacity(lexed.lines.len());
-    for line in &lexed.lines {
+    let mut out = Vec::with_capacity(line_count);
+    for number in 1..=line_count {
         let at_start = !test_entry_depths.is_empty();
-        while next_token < tokens.len() && tokens[next_token].line == line.number {
+        while next_token < tokens.len() && tokens[next_token].line == number {
             let idx = next_token;
             let tok = &tokens[idx];
             next_token += 1;
@@ -245,41 +228,6 @@ fn parse_one_waiver(tail: &str) -> Result<Waiver, String> {
     })
 }
 
-/// Occurrences of `token` in `code` at identifier boundaries: the
-/// character before a match must not be alphanumeric or `_`, so
-/// `debug_assert!` never matches `assert!` and `my_panic!` never
-/// matches `panic!`. Tokens starting with a symbol (`.unwrap(`) match
-/// positionally.
-pub fn token_positions(code: &str, token: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while let Some(rel) = code[start..].find(token) {
-        let at = start + rel;
-        let before_ok = if token.starts_with(|c: char| c.is_ascii_alphanumeric()) {
-            at == 0
-                || !code[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
-        } else {
-            true
-        };
-        let after_ok = if token.ends_with(|c: char| c.is_ascii_alphanumeric()) {
-            !code[at + token.len()..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-        } else {
-            true
-        };
-        if before_ok && after_ok {
-            out.push(at);
-        }
-        start = at + token.len();
-    }
-    out
-}
-
 /// Positions in `tokens` where the texts `pattern` match consecutively.
 /// Whitespace- and line-break-insensitive by construction: tokens have
 /// no layout, so `Instant :: now` and `Instant::now` match alike.
@@ -304,75 +252,11 @@ pub fn token_seq_positions(tokens: &[Token], pattern: &[&str]) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn code_of(scanned: &ScannedFile, line: usize) -> &str {
-        &scanned.lines[line - 1].code
-    }
-
     #[test]
-    fn strips_line_and_block_comments() {
-        let s = scan(
-            "let x = 1; // unwrap()\nlet y = /* panic!() */ 2;\n/* multi\nline panic!() */ let z = 3;\n",
-        );
-        assert!(!code_of(&s, 1).contains("unwrap"));
-        assert!(code_of(&s, 1).contains("let x = 1;"));
-        assert!(!code_of(&s, 2).contains("panic"));
-        assert!(code_of(&s, 2).contains("let y ="));
-        assert!(!code_of(&s, 3).contains("panic"));
-        assert!(code_of(&s, 4).contains("let z = 3;"));
-    }
-
-    #[test]
-    fn nested_block_comments() {
-        let s = scan("/* a /* b */ panic!() */ let ok = 1;\n");
-        assert!(!code_of(&s, 1).contains("panic"));
-        assert!(code_of(&s, 1).contains("let ok = 1;"));
-    }
-
-    #[test]
-    fn blanks_string_contents() {
-        let s = scan(
-            "let m = \"call panic!() now\";\nlet r = r#\"unwrap() \"# ;\nlet b = b\"expect(\";\nlet rr = r\"assert!(x)\";\n",
-        );
-        assert!(!code_of(&s, 1).contains("panic"));
-        assert!(!code_of(&s, 2).contains("unwrap"));
-        assert!(!code_of(&s, 3).contains("expect"));
-        assert!(!code_of(&s, 4).contains("assert"));
-        // Code around the literals survives.
-        assert!(code_of(&s, 1).contains("let m ="));
-        assert!(code_of(&s, 2).ends_with(';'));
-    }
-
-    #[test]
-    fn raw_string_hash_mismatch_spans_lines() {
-        let s = scan("let x = r##\"one \"# two\nstill panic!() inside\"## ;\nafter();\n");
-        assert!(!code_of(&s, 1).contains("one"));
-        assert!(!code_of(&s, 2).contains("panic"));
-        assert!(code_of(&s, 3).contains("after()"));
-    }
-
-    #[test]
-    fn escaped_quote_does_not_close_string() {
-        let s = scan("let x = \"a\\\"panic!()\"; call();\n");
-        assert!(!code_of(&s, 1).contains("panic"));
-        assert!(code_of(&s, 1).contains("call();"));
-    }
-
-    #[test]
-    fn char_literals_and_lifetimes() {
-        let s = scan("fn f<'a>(x: &'a str) -> char { 'x' }\nlet q = '\\n';\nlet brace = '{';\n");
-        assert!(code_of(&s, 1).contains("str"));
-        assert!(code_of(&s, 2).contains("let q"));
-        // A `{` inside a char literal must not affect brace depth.
-        assert!(!s.lines[2].in_test);
-        let s2 = scan("let prefix: &'static str = x;\n");
-        assert!(code_of(&s2, 1).contains("static"));
-    }
-
-    #[test]
-    fn identifier_ending_in_r_is_not_raw_string() {
-        let s = scan("for x in xs { var\"\" ; }\nlet b = sub\"\";\n");
-        // Parses without swallowing the rest of the file.
-        assert_eq!(s.lines.len(), 2);
+    fn brace_in_char_literal_does_not_move_test_regions() {
+        let s = scan("#[cfg(test)]\nmod t {\n    const B: char = '{';\n}\nfn real() {}\n");
+        assert!(s.line_in_test(3));
+        assert!(!s.line_in_test(5));
     }
 
     #[test]
@@ -386,24 +270,24 @@ mod tests {
 fn real2() {}
 ";
         let s = scan(src);
-        assert!(!s.lines[0].in_test);
-        assert!(s.lines[1].in_test, "attribute line itself is test-only");
-        assert!(s.lines[2].in_test);
-        assert!(s.lines[3].in_test);
-        assert!(s.lines[4].in_test);
-        assert!(!s.lines[5].in_test);
+        assert!(!s.line_in_test(1));
+        assert!(s.line_in_test(2), "attribute line itself is test-only");
+        assert!(s.line_in_test(3));
+        assert!(s.line_in_test(4));
+        assert!(s.line_in_test(5));
+        assert!(!s.line_in_test(6));
     }
 
     #[test]
     fn cfg_test_on_braceless_item_does_not_leak() {
         let s = scan("#[cfg(test)]\nuse foo::bar;\nfn later() {}\n");
-        assert!(!s.lines[2].in_test);
+        assert!(!s.line_in_test(3));
     }
 
     #[test]
     fn cfg_test_with_odd_spacing_still_tracks() {
         let s = scan("#[cfg( test )]\nmod tests {\n    x.unwrap();\n}\n");
-        assert!(s.lines[2].in_test, "token matching ignores layout");
+        assert!(s.line_in_test(3), "token matching ignores layout");
     }
 
     #[test]
@@ -418,8 +302,8 @@ mod m {
 }
 ";
         let s = scan(src);
-        assert!(s.lines[3].in_test);
-        assert!(!s.lines[5].in_test);
+        assert!(s.line_in_test(4));
+        assert!(!s.line_in_test(6));
     }
 
     #[test]
@@ -432,10 +316,11 @@ mod m {
     #[test]
     fn standalone_waiver_applies_to_next_code_line() {
         let s = scan(
-            "// lint:allow(panic) -- invariant: non-empty\n\n// another comment\nx.unwrap();\n",
+            "// lint:allow(panic) -- invariant: non-empty\n\n/* no tokens */\n// another comment\nx.unwrap();\n",
         );
-        assert!(s.is_waived(4, "panic"));
+        assert!(s.is_waived(5, "panic"));
         assert!(!s.is_waived(1, "panic"));
+        assert!(!s.is_waived(3, "panic"));
     }
 
     #[test]
@@ -470,21 +355,6 @@ mod m {
     }
 
     #[test]
-    fn token_boundaries() {
-        assert_eq!(token_positions("debug_assert!(x)", "assert!").len(), 0);
-        assert_eq!(token_positions("assert!(x)", "assert!").len(), 1);
-        assert_eq!(token_positions("a.unwrap().unwrap()", ".unwrap(").len(), 2);
-        assert_eq!(token_positions("my_panic!(x)", "panic!").len(), 0);
-        assert_eq!(token_positions("panic!(\"\")", "panic!").len(), 1);
-        assert_eq!(
-            token_positions("#![forbid(unsafe_code)]", "unsafe").len(),
-            0
-        );
-        assert_eq!(token_positions("unsafe { x }", "unsafe").len(), 1);
-        assert_eq!(token_positions("x as u32x4", "as u32").len(), 0);
-    }
-
-    #[test]
     fn token_sequences_match_across_layout() {
         let s = scan("Instant::now();\nInstant ::\n    now();\nmy_Instant::nowish();\n");
         let hits = token_seq_positions(&s.tokens, &["Instant", "::", "now"]);
@@ -493,9 +363,15 @@ mod m {
 
     #[test]
     fn token_sequences_never_match_inside_identifiers() {
-        let s = scan("let unsafe_code = 1; debug_assert!(x); my_panic!();\n");
+        let s = scan("let unsafe_code = 1; debug_assert!(x); my_panic!(); x as u32x4;\n");
         assert!(token_seq_positions(&s.tokens, &["unsafe"]).is_empty());
         assert!(token_seq_positions(&s.tokens, &["assert", "!"]).is_empty());
         assert!(token_seq_positions(&s.tokens, &["panic", "!"]).is_empty());
+        assert!(token_seq_positions(&s.tokens, &["as", "u32"]).is_empty());
+        let chain = scan("a.unwrap().unwrap()\n");
+        assert_eq!(
+            token_seq_positions(&chain.tokens, &[".", "unwrap", "(", ")"]).len(),
+            2
+        );
     }
 }

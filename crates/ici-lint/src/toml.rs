@@ -1,5 +1,5 @@
-//! A minimal TOML-subset parser: just enough to read `lint.toml`,
-//! `lint-baseline.toml`, and workspace `Cargo.toml` manifests.
+//! A minimal TOML-subset parser: just enough to read `lint.toml` and
+//! workspace `Cargo.toml` manifests.
 //!
 //! Supported: `[table]` / `[table.subtable]` headers, `key = value`
 //! assignments with string / integer / boolean / string-array / inline

@@ -16,35 +16,6 @@ pub fn usize_in(rng: &mut Xoshiro256, lo: usize, hi: usize) -> usize {
     }
 }
 
-/// A `u64` in `[lo, hi)`; returns `lo` when the range is empty.
-pub fn u64_in(rng: &mut Xoshiro256, lo: u64, hi: u64) -> u64 {
-    if lo >= hi {
-        lo
-    } else {
-        lo + rng.bounded_u64(hi - lo)
-    }
-}
-
-/// An `f64` in `[lo, hi)`; returns `lo` when the range is empty.
-pub fn f64_in(rng: &mut Xoshiro256, lo: f64, hi: f64) -> f64 {
-    if lo >= hi {
-        lo
-    } else {
-        lo + rng.gen_f64() * (hi - lo)
-    }
-}
-
-/// A vector of `min..=max` elements drawn from `element`.
-pub fn vec_of<T>(
-    rng: &mut Xoshiro256,
-    min: usize,
-    max: usize,
-    mut element: impl FnMut(&mut Xoshiro256) -> T,
-) -> Vec<T> {
-    let len = usize_in(rng, min, max.max(min) + 1);
-    (0..len).map(|_| element(rng)).collect()
-}
-
 /// An independent `keep_prob` coin per element; order is preserved.
 pub fn subset<T: Clone>(rng: &mut Xoshiro256, xs: &[T], keep_prob: f64) -> Vec<T> {
     xs.iter()
@@ -68,26 +39,8 @@ mod tests {
         for _ in 0..200 {
             let v = usize_in(&mut rng, 3, 9);
             assert!((3..9).contains(&v));
-            let u = u64_in(&mut rng, 10, 11);
-            assert_eq!(u, 10);
-            let f = f64_in(&mut rng, 0.25, 0.75);
-            assert!((0.25..0.75).contains(&f));
         }
         assert_eq!(usize_in(&mut rng, 5, 5), 5);
-        assert_eq!(u64_in(&mut rng, 9, 3), 9);
-        assert_eq!(f64_in(&mut rng, 1.0, 0.5), 1.0);
-    }
-
-    #[test]
-    fn vec_of_hits_both_length_bounds() {
-        let mut rng = Xoshiro256::seed_from_u64(2);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..100 {
-            let v = vec_of(&mut rng, 1, 4, |r| r.next_u64());
-            assert!((1..=4).contains(&v.len()));
-            seen.insert(v.len());
-        }
-        assert_eq!(seen.len(), 4, "all lengths reachable: {seen:?}");
     }
 
     #[test]

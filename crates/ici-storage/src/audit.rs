@@ -347,37 +347,6 @@ pub fn audit_replicas<'a>(
     ReplicaCount::of(live, chain_len).report()
 }
 
-/// Audits several clusters at once; the network-wide chain is available iff
-/// **every** cluster is intact (any single intact cluster can serve reads,
-/// but the paper's invariant is per-cluster, and a violated cluster must
-/// repair via cross-cluster traffic).
-///
-/// Returns `(per-cluster reports, fraction of heights available in at least
-/// one cluster)`.
-pub fn audit_network(
-    clusters: &[(Holdings, BTreeSet<NodeId>)],
-    chain_len: Height,
-) -> (Vec<IntegrityReport>, f64) {
-    let reports: Vec<IntegrityReport> = clusters
-        .iter()
-        .map(|(holdings, live)| audit_cluster(holdings, live, chain_len))
-        .collect();
-    if chain_len == 0 {
-        return (reports, 1.0);
-    }
-    let mut lost_everywhere = 0u64;
-    'heights: for h in 0..chain_len {
-        for report in &reports {
-            if report.missing.binary_search(&h).is_err() {
-                continue 'heights; // some cluster still has it
-            }
-        }
-        lost_everywhere += 1;
-    }
-    let availability = 1.0 - lost_everywhere as f64 / chain_len as f64;
-    (reports, availability)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,17 +453,5 @@ mod tests {
         let report = audit_cluster(&Holdings::new(), &live(&[]), 0);
         assert!(report.is_intact());
         assert_eq!(report.availability(), 1.0);
-    }
-
-    #[test]
-    fn network_availability_is_union_over_clusters() {
-        // Cluster A lost height 1; cluster B lost height 2; height 3 lost
-        // in both.
-        let a = (holdings(&[(0, &[0, 2])]), live(&[0]));
-        let b = (holdings(&[(1, &[0, 1])]), live(&[1]));
-        let (reports, availability) = audit_network(&[a, b], 4);
-        assert_eq!(reports[0].missing, vec![1, 3]);
-        assert_eq!(reports[1].missing, vec![2, 3]);
-        assert!((availability - 0.75).abs() < 1e-9);
     }
 }

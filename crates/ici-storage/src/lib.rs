@@ -31,8 +31,7 @@ pub use assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
 pub use audit::{
-    audit_cluster, audit_network, audit_replicas, HeightSet, Holdings, IntegrityReport,
-    ReplicaCount,
+    audit_cluster, audit_replicas, HeightSet, Holdings, IntegrityReport, ReplicaCount,
 };
 pub use recovery::{plan_chain_recovery, plan_recovery, BlockRef, RecoveryPlan, Transfer};
 pub use stats::{format_bytes, StorageStats};

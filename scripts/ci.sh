@@ -36,7 +36,7 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
     exit 1
 fi
 
-echo "==> cargo test"
+echo "==> cargo test (includes the ici-lint gate, tests/lint_gate.rs)"
 cargo test -q --workspace
 
 echo "==> benchmark package (tests, then all six workloads at smoke size)"
@@ -49,9 +49,6 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 # benchmark/ is frozen, its lock file included: cargo rewrites the lock
 # when a repo crate's manifest gains or drops an in-repo dependency.
 git diff --exit-code -- benchmark BENCHMARK.json
-
-echo "==> ici-lint"
-cargo run -q -p ici-lint
 
 echo "==> ici-bench check (14 records twice, E1 trace, three telemetry-counter gates)"
 # Runs every experiment in-process against results/, which it only

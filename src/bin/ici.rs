@@ -4,7 +4,8 @@
 //! ici simulate [--strategy ici|full|rapidchain] [--nodes N]
 //!              [--cluster-size C] [--replication R]
 //!              [--blocks B] [--txs T] [--seed S]
-//! ici compare  [--nodes N] [--blocks B] [--txs T] [--seed S]
+//! ici compare  [--nodes N] [--cluster-size C] [--replication R]
+//!              [--blocks B] [--txs T] [--seed S]
 //! ici plan     [--ledger-gb G] [--nodes N] [--budget-gb B]
 //! ici help
 //! ```
@@ -45,17 +46,48 @@ PLAN OPTIONS:
     --budget-gb <B>      per-node disk budget in GiB [default 20]
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `compare` takes; `simulate` takes these and `--strategy`.
+const COMPARE_FLAGS: &[&str] = &[
+    "nodes",
+    "cluster-size",
+    "replication",
+    "blocks",
+    "txs",
+    "seed",
+];
+const SIMULATE_FLAGS: &[&str] = &[
+    "strategy",
+    "nodes",
+    "cluster-size",
+    "replication",
+    "blocks",
+    "txs",
+    "seed",
+];
+const PLAN_FLAGS: &[&str] = &["ledger-gb", "nodes", "budget-gb"];
+
+/// Parse `--key value` pairs, refusing any key `allowed` does not list
+/// and any key given twice: a flag that is silently dropped or
+/// overwritten runs a different experiment than the one asked for.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument '{}'", args[i]))?;
+        if !allowed.contains(&key) {
+            return Err(format!(
+                "unknown flag '--{key}' (this command takes --{})",
+                allowed.join(", --")
+            ));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key} given more than once"));
+        }
         i += 2;
     }
     Ok(flags)
@@ -277,9 +309,9 @@ fn main() -> ExitCode {
         }
     };
     let result = match command {
-        "simulate" => parse_flags(&rest).and_then(cmd_simulate),
-        "compare" => parse_flags(&rest).and_then(cmd_compare),
-        "plan" => parse_flags(&rest).and_then(cmd_plan),
+        "simulate" => parse_flags(&rest, SIMULATE_FLAGS).and_then(cmd_simulate),
+        "compare" => parse_flags(&rest, COMPARE_FLAGS).and_then(cmd_compare),
+        "plan" => parse_flags(&rest, PLAN_FLAGS).and_then(cmd_plan),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(())
@@ -292,5 +324,53 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn misspelt_flag_is_refused() {
+        let err = parse_flags(&args(&["--node", "16"]), SIMULATE_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag '--node'"), "{err}");
+        assert!(
+            err.contains("--nodes"),
+            "names what the command takes: {err}"
+        );
+    }
+
+    #[test]
+    fn flag_of_another_subcommand_is_refused() {
+        let err = parse_flags(&args(&["--strategy", "full"]), COMPARE_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag '--strategy'"), "{err}");
+        let err = parse_flags(&args(&["--blocks", "2"]), PLAN_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag '--blocks'"), "{err}");
+    }
+
+    #[test]
+    fn repeated_flag_is_refused() {
+        let err =
+            parse_flags(&args(&["--nodes", "16", "--nodes", "32"]), SIMULATE_FLAGS).unwrap_err();
+        assert_eq!(err, "--nodes given more than once");
+    }
+
+    #[test]
+    fn valid_flags_parse() {
+        let flags = parse_flags(
+            &args(&["--strategy", "full", "--nodes", "16", "--seed", "7"]),
+            SIMULATE_FLAGS,
+        )
+        .expect("valid");
+        assert_eq!(flags.len(), 3);
+        assert_eq!(flags["strategy"], "full");
+        let opts = common(&flags).expect("numbers parse");
+        assert_eq!((opts.nodes, opts.seed, opts.blocks), (16, 7, 10));
+        assert!(parse_flags(&[], PLAN_FLAGS).expect("no flags").is_empty());
     }
 }

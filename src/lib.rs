@@ -11,7 +11,7 @@
 //! | [`net`] | `ici-net` | discrete-event WAN simulator with byte-exact metering |
 //! | [`cluster`] | `ici-cluster` | latency-aware clustering and membership |
 //! | [`storage`] | `ici-storage` | block→owner assignment, integrity audit, recovery planning |
-//! | [`consensus`] | `ici-consensus` | PBFT-style commit, gossip, IDA-gossip, PoW-lite |
+//! | [`consensus`] | `ici-consensus` | PBFT-style commit, verdict tallies, leader lotteries, gossip, IDA-gossip |
 //! | [`core`] | `ici-core` | **the paper's contribution**: the ICIStrategy network |
 //! | [`baselines`] | `ici-baselines` | full replication and RapidChain comparators |
 //! | [`workload`] | `ici-workload` | deterministic transaction generators |
