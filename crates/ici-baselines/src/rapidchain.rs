@@ -31,7 +31,7 @@ use ici_consensus::quorum::quorum;
 use ici_net::cost::CostModel;
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
-use ici_net::network::Network;
+use ici_net::network::{Network, Stream};
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Placement, Topology};
@@ -178,12 +178,10 @@ impl RapidChainNetwork {
     /// Commits one block per entry of `batches` (shard id, pending txs) —
     /// committees are disjoint, so shards only meet at the meter.
     ///
-    /// Each proposal runs on a [`Network::fork`] (stream = shard id), which
-    /// doubles as its **per-record traffic meter**: the fork starts at zero,
-    /// so its totals are exactly the commit's messages/bytes, with no
-    /// before/after diff against the shared meter. Every fork is taken
-    /// before the round's first proposal runs, and forks are absorbed and
-    /// results applied in `batches` order after the last one has.
+    /// Each proposal runs on its own [`Network::stream`] (id = shard id),
+    /// all taken before the round's first proposal runs; a record's
+    /// traffic is what the meter gained during its proposal. Results are
+    /// applied in `batches` order after the last proposal has run.
     ///
     /// Entries must name distinct shards: a duplicate builds on the parent
     /// as it stood before the round, fails the apply-time parent check, and
@@ -192,31 +190,31 @@ impl RapidChainNetwork {
         &mut self,
         batches: Vec<(usize, Vec<Transaction>)>,
     ) -> Vec<Option<Height>> {
-        let forks: Vec<Network> = batches
+        let streams: Vec<Stream> = batches
             .iter()
-            .map(|(shard, _)| self.net.fork(*shard as u64))
+            .map(|(shard, _)| self.net.stream(*shard as u64))
             .collect();
         self.net.advance_stream();
-        let outcomes: Vec<_> = batches
-            .into_iter()
-            .zip(forks)
-            .map(|((shard, pending), mut fork)| {
-                let result = RapidChainNetwork::propose_in(
-                    &mut fork,
+        let mut outcomes = Vec::with_capacity(batches.len());
+        for ((shard, pending), mut stream) in batches.into_iter().zip(streams) {
+            let parent = *self.shard_chains[shard].last().expect("genesis").header();
+            let committee = self.partition.members(ClusterId::new(shard as u32));
+            let result = self.net.on_stream(&mut stream, |net| {
+                RapidChainNetwork::propose_in(
+                    net,
                     &self.config.cost,
                     &self.config.ida,
-                    self.committee(shard),
-                    *self.shard_chains[shard].last().expect("genesis").header(),
+                    committee,
+                    parent,
                     &self.shard_states[shard],
                     self.shard_clocks[shard],
                     pending,
-                );
-                (shard, result, fork)
-            })
-            .collect();
+                )
+            });
+            outcomes.push((shard, result));
+        }
         let mut heights = Vec::with_capacity(outcomes.len());
-        for (shard, result, fork) in outcomes {
-            self.net.absorb(fork);
+        for (shard, result) in outcomes {
             let applied = result.and_then(|(block, post, record)| {
                 let tip = self.shard_chains[shard].last().expect("genesis").id();
                 (block.header().parent == tip).then(|| {
@@ -234,8 +232,8 @@ impl RapidChainNetwork {
         heights
     }
 
-    /// One shard's proposal against its forked network; `net`'s meter
-    /// starts empty, so its totals become the commit record's traffic.
+    /// One shard's proposal on `net`; what the meter gains meanwhile is
+    /// the commit record's traffic.
     #[allow(clippy::too_many_arguments)]
     fn propose_in(
         net: &mut Network,
@@ -247,6 +245,7 @@ impl RapidChainNetwork {
         clock: SimTime,
         pending: Vec<Transaction>,
     ) -> Option<(Block, WorldState, BaselineCommitRecord)> {
+        let meter_before = net.meter().total();
         let parent_id = parent.id();
         let height = parent.height + 1;
         let leader = elect_live_leader(&parent_id, height, committee, |n| net.is_up(n))?;
@@ -277,7 +276,7 @@ impl RapidChainNetwork {
         let network_commit = committed.values().max().copied()?;
 
         let post = validate_block(&block, &parent, state).ok()?;
-        let traffic = net.meter().total();
+        let meter_after = net.meter().total();
         let record = BaselineCommitRecord {
             height,
             proposer: leader,
@@ -286,8 +285,8 @@ impl RapidChainNetwork {
             reached: committed.len(),
             tx_count: n_txs as u32,
             body_bytes,
-            messages: traffic.messages,
-            bytes: traffic.bytes,
+            messages: meter_after.messages - meter_before.messages,
+            bytes: meter_after.bytes - meter_before.bytes,
         };
         Some((block, post, record))
     }

@@ -156,8 +156,9 @@ fn bench_clustering() {
 
 /// The simulated network's own cost per message, in batches large
 /// enough to dwarf the harness's two clock reads: plain sends on a warm
-/// 512-node meter, one voter's broadcast to its 15 peers, and the
-/// fork → broadcast → absorb a cluster's traffic goes through.
+/// 512-node meter, one voter's broadcast to its 15 peers, and the same
+/// broadcast on the voter's own sequence stream, as a vote round on a
+/// jittery or faulty network sends it.
 fn bench_net() {
     let quiet = LinkModel {
         max_jitter_ms: 0.0,
@@ -185,13 +186,14 @@ fn bench_net() {
             });
         }
     });
-    bench("net/fork_absorb_c16/x64", || {
-        for stream in 0..64 {
-            let mut fork = net.fork(stream);
-            fork.broadcast(voter, peers, MessageKind::Vote, vote, |_, sent| {
-                std::hint::black_box(sent);
+    bench("net/stream_c16/x64", || {
+        for id in 0..64 {
+            let mut stream = net.stream(id);
+            net.on_stream(&mut stream, |net| {
+                net.broadcast(voter, peers, MessageKind::Vote, vote, |_, sent| {
+                    std::hint::black_box(sent);
+                });
             });
-            net.absorb(fork);
         }
     });
 }

@@ -20,31 +20,14 @@ use ici_net::node::NodeId;
 use ici_net::topology::Coord;
 use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
-use ici_storage::assignment::{
-    churn_disruption, ownership_histogram, AssignmentStrategy, RendezvousAssignment,
-    RingAssignment, RoundRobinAssignment,
-};
+use ici_storage::assignment::{churn_disruption, ownership_histogram};
 use ici_storage::stats::format_bytes;
 
-fn strategies() -> Vec<(&'static str, Box<dyn AssignmentStrategy>, Assignment)> {
-    vec![
-        (
-            "rendezvous",
-            Box::new(RendezvousAssignment),
-            Assignment::Rendezvous,
-        ),
-        (
-            "consistent-ring",
-            Box::new(RingAssignment::default()),
-            Assignment::Ring,
-        ),
-        (
-            "round-robin",
-            Box::new(RoundRobinAssignment),
-            Assignment::RoundRobin,
-        ),
-    ]
-}
+const STRATEGIES: [(&str, Assignment); 3] = [
+    ("rendezvous", Assignment::Rendezvous),
+    ("consistent-ring", Assignment::Ring),
+    ("round-robin", Assignment::RoundRobin),
+];
 
 pub fn run(scale: Scale) -> Report {
     let c = match scale {
@@ -72,12 +55,12 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let ideal = chain_blocks as f64 * r as f64 / c as f64;
-    for (name, strategy, _) in strategies() {
-        let hist = ownership_histogram(strategy.as_ref(), &block_ids, &members, r);
+    for (name, strategy) in STRATEGIES {
+        let hist = ownership_histogram(&strategy, &block_ids, &members, r);
         let min = hist.values().min().copied().unwrap_or(0);
         let max = hist.values().max().copied().unwrap_or(0);
         let disruption = churn_disruption(
-            strategy.as_ref(),
+            &strategy,
             &block_ids,
             &members,
             NodeId::new(c as u64 / 2),
@@ -103,7 +86,7 @@ pub fn run(scale: Scale) -> Report {
             "join duration (ms)",
         ],
     );
-    for (name, _, assignment) in strategies() {
+    for (name, assignment) in STRATEGIES {
         let (mut network, _) = run_ici(
             ici_builder(128, c, r, 33)
                 .assignment(assignment)

@@ -52,8 +52,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         // inert config draws nothing, keeping e_fault.json byte-stable.
         byzantine: ByzantineConfig::default(),
         // Every third round also loses a verifier *between* lifecycle
-        // stages of the proposal itself — the staged lifecycle's
-        // boundary re-sync is part of what this experiment certifies.
+        // stages of the proposal itself — that later stages see the
+        // crash is part of what this experiment certifies.
         stage_churn: StageChurn { interval: 3 },
     };
 

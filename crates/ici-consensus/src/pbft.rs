@@ -25,11 +25,12 @@
 //! by selection, and the meter charged per member instead of per
 //! message. Any other network keeps the per-message exchange
 //! ([`Rounds::message_round`]), where each vote consumes its sequence
-//! number, fault draw and trace id through [`Network::broadcast`]. The
-//! choice reads only those two properties of the network, and nothing
-//! can tell the paths apart afterwards: the closed form needs no
-//! randomness because a quiet network consumes none, and the sequence
-//! numbers the per-message forks would have burnt die with the forks.
+//! number, fault draw and trace id through [`Network::broadcast`] on the
+//! voter's own [`Network::stream`]. The choice reads only those two
+//! properties of the network, and nothing can tell the paths apart
+//! afterwards: the closed form needs no randomness because a quiet
+//! network consumes none, and the sequence numbers the per-voter
+//! streams burn are dropped with the streams.
 //!
 //! Both paths keep one call's state in one allocation of member-indexed
 //! microseconds ([`Rounds`]) and take every quorum instant through one
@@ -397,12 +398,9 @@ impl<'m> Rounds<'m> {
     /// `q` votes (its own included, at send time) gets the arrival time
     /// of the `q`-th.
     ///
-    /// Voters broadcast through network forks, absorbed in voter order.
-    /// On a jittery or faulty network each voter has its own fork
-    /// (stream = voter id), so the jitter and fault draws a vote makes
-    /// are a function of the voter alone; where sends draw nothing,
-    /// voters share a fork per [`VOTERS_PER_FORK`] (stream = chunk
-    /// index).
+    /// Each voter broadcasts on its own sequence stream (id = voter id),
+    /// so the jitter and fault draws a vote makes are a function of the
+    /// voter alone.
     fn message_round(&mut self, net: &mut Network, q: usize) {
         let _span = ici_telemetry::span!("consensus/vote_round");
         let members = self.members;
@@ -411,25 +409,18 @@ impl<'m> Rounds<'m> {
             times, next, table, ..
         } = self.views();
         table.fill(NONE);
-        let shared_forks = net.sends_are_stream_independent();
-        let per_fork = if shared_forks { VOTERS_PER_FORK } else { 1 };
-        let mut voters = (0..c).filter(|&i| times[i] != NONE).peekable();
-        let mut chunk_index = 0u64;
-        while let Some(&first) = voters.peek() {
-            let stream = if shared_forks {
-                chunk_index
-            } else {
-                members[first].index() as u64
-            };
-            let mut fork = net.fork(stream);
-            for i in voters.by_ref().take(per_fork) {
-                let at = times[i];
-                table[i * c + i] = at;
+        for (i, (&at, &voter)) in times.iter().zip(members).enumerate() {
+            if at == NONE {
+                continue;
+            }
+            table[i * c + i] = at;
+            let mut stream = net.stream(voter.index() as u64);
+            net.on_stream(&mut stream, |net| {
                 // Everyone but the voter itself, in member order.
                 for (first, receivers) in [(0, &members[..i]), (i + 1, &members[i + 1..])] {
                     let mut j = first;
-                    fork.broadcast(
-                        members[i],
+                    net.broadcast(
+                        voter,
                         receivers,
                         MessageKind::Vote,
                         VOTE_BYTES,
@@ -441,9 +432,7 @@ impl<'m> Rounds<'m> {
                         },
                     );
                 }
-            }
-            net.absorb(fork);
-            chunk_index += 1;
+            });
         }
         net.advance_stream();
 
@@ -456,13 +445,6 @@ impl<'m> Rounds<'m> {
         times.copy_from_slice(next);
     }
 }
-
-/// Voters per network fork when [`Rounds::message_round`] runs on a
-/// network whose sends draw no randomness (it is there because sends
-/// are traced): a fixed batch size, so the chunking — and with it every
-/// trace id, which is a function of the fork's sequence position — does
-/// not depend on anything but the membership.
-const VOTERS_PER_FORK: usize = 16;
 
 /// The `q`-th smallest value of `row` (1-based), if `row` holds that
 /// many; `row` may be reordered.

@@ -1,9 +1,15 @@
 //! Configuration of an ICIStrategy network.
 
+use ici_chain::block::Height;
 use ici_chain::genesis::GenesisConfig;
+use ici_crypto::sha256::Digest;
 use ici_net::cost::CostModel;
 use ici_net::link::LinkModel;
+use ici_net::node::NodeId;
 use ici_net::topology::Placement;
+use ici_storage::assignment::{
+    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
+};
 
 /// A violated configuration constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +72,25 @@ pub enum Assignment {
     Ring,
     /// Round-robin striping by height.
     RoundRobin,
+}
+
+/// The configured assignment is the strategy it names.
+impl AssignmentStrategy for Assignment {
+    fn owners(&self, id: &Digest, height: Height, members: &[NodeId], r: usize) -> Vec<NodeId> {
+        match self {
+            Assignment::Rendezvous => RendezvousAssignment.owners(id, height, members, r),
+            Assignment::Ring => RingAssignment::default().owners(id, height, members, r),
+            Assignment::RoundRobin => RoundRobinAssignment.owners(id, height, members, r),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Assignment::Rendezvous => RendezvousAssignment.name(),
+            Assignment::Ring => RingAssignment::default().name(),
+            Assignment::RoundRobin => RoundRobinAssignment.name(),
+        }
+    }
 }
 
 /// Full configuration of an ICIStrategy simulation.

@@ -76,26 +76,14 @@ impl IciNetwork {
             }
         };
 
-        let plan: RecoveryPlan = {
-            let r = self.config.replication;
-            // Plan against the configured assignment over live members.
-            struct Dispatch<'a>(&'a IciNetwork);
-            impl ici_storage::assignment::AssignmentStrategy for Dispatch<'_> {
-                fn owners(
-                    &self,
-                    id: &ici_crypto::sha256::Digest,
-                    height: u64,
-                    members: &[NodeId],
-                    r: usize,
-                ) -> Vec<NodeId> {
-                    self.0.dispatch_owners_with_r(id, height, members, r)
-                }
-                fn name(&self) -> &'static str {
-                    "configured"
-                }
-            }
-            plan_chain_recovery(self.chain_len(), block_at, &live, &Dispatch(self), r)
-        };
+        // Plan against the configured assignment over live members.
+        let plan: RecoveryPlan = plan_chain_recovery(
+            self.chain_len(),
+            block_at,
+            &live,
+            &self.config.assignment,
+            self.config.replication,
+        );
 
         // Execute: transfers from distinct sources run in parallel; each
         // source streams its transfers sequentially.
@@ -141,7 +129,7 @@ impl IciNetwork {
                 continue;
             };
             let live = self.live_members(cluster);
-            let owners = self.dispatch_owners_with_r(&id, height, &live, self.config.replication);
+            let owners = self.dispatch_owners(&id, height, &live);
             let Some(&first) = owners.first() else {
                 lost.push(height);
                 continue;

@@ -4,9 +4,9 @@
 //! materialise every replica's transaction data; what the experiments need
 //! is byte-exact *accounting*. [`NodeHoldings`] tracks, per node, which
 //! body heights it holds and the exact bytes, with headers accounted
-//! analytically (every node keeps the full header chain). The
-//! protocol-correctness tests exercise real `ChainStore`s at small scale in
-//! `ici-chain`; this mirror keeps the same numbers at scale.
+//! analytically (every node keeps the full header chain). These holdings
+//! are the only per-node store a run writes: `ici-chain`'s `ChainStore`
+//! is tested on its own, and no test checks one against the other.
 
 use ici_chain::block::{BlockHeader, Height};
 use ici_storage::audit::HeightSet;

@@ -35,15 +35,15 @@
 //! [`StageBoundary`] hooks: fault campaigns crash nodes mid-proposal,
 //! the benchmark times each stage), not so that heights can overlap:
 //!
-//! * `stage_build` — election, block assembly at the tip, and one network
-//!   fork per cluster (the only stage that advances the parent sequence
-//!   stream);
+//! * `stage_build` — election, block assembly at the tip, and one
+//!   sequence stream per cluster (the only stage that advances the
+//!   network's own stream);
 //! * `stage_distribute` — the home cluster's vote round plus the
-//!   leader-to-leader block hops, each on its cluster's fork;
+//!   leader-to-leader block hops, each on its cluster's stream;
 //! * `stage_verify` — the remote clusters' vote rounds, one plain loop
 //!   over the clusters;
-//! * `stage_commit` — absorbs every fork's traffic, executes the block,
-//!   writes storage holdings and records the commit.
+//! * `stage_commit` — executes the block, writes storage holdings and
+//!   records the commit.
 //!
 //! The four share one value, the height in flight: build creates it,
 //! distribute and verify fill in each cluster's arrival and commit
@@ -52,14 +52,17 @@
 //! the block is sealed, so every stage runs on the absolute simulation
 //! clock and records trace events and telemetry as it goes.
 //!
+//! Every stage sends on the one simulated network, so its traffic lands
+//! on the one meter and every liveness check reads the one down-set: a
+//! crash at a boundary is visible to exactly the stages past it.
+//!
 //! Membership and owner assignment are computed once, in the build
 //! stage, and travel with the height: each committed cluster's member
 //! list and owner set reach the commit stage as built. That is sound
 //! because membership cannot change in between — joins and leaves need
 //! `&mut IciNetwork`, which the lifecycle holds from build to commit,
 //! and a [`StageBoundary`] callback is handed the simulated network
-//! only. Liveness *can* change there, so every fork re-reads it after
-//! each boundary.
+//! only.
 //!
 //! [`IciNetwork::propose_block`] is the staged lifecycle with a callback
 //! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
@@ -77,8 +80,8 @@ use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
 use ici_crypto::lottery::lottery_score;
 use ici_crypto::sha256::Digest;
 use ici_net::cost::CostModel;
-use ici_net::metrics::MessageKind;
-use ici_net::network::Network;
+use ici_net::metrics::{Counter, MessageKind};
+use ici_net::network::{Network, Stream};
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 
@@ -137,11 +140,10 @@ impl BlockCommitRecord {
 ///
 /// [`IciNetwork::propose_block_staged`] invokes its callback at each
 /// boundary with mutable access to the simulated network, so fault
-/// campaigns can crash or recover nodes *between* stages; the carried
-/// forks re-snapshot liveness before the next stage runs. Membership,
-/// leader election, and owner assignment are frozen at build time — a
-/// boundary crash affects vote participation and message delivery, not
-/// who was elected.
+/// campaigns can crash or recover nodes *between* stages, and the next
+/// stage sees the change. Membership, leader election, and owner
+/// assignment are frozen at build time — a boundary crash affects vote
+/// participation and message delivery, not who was elected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StageBoundary {
     /// The block is sealed; dissemination has not started.
@@ -166,9 +168,9 @@ struct ClusterLeg {
     /// elsewhere the member elected among those live at build — `None`
     /// when none was.
     leader: Option<NodeId>,
-    /// The cluster's own network fork. All its traffic for the height
-    /// lands here and is absorbed at commit, whatever the outcome.
-    fork: Network,
+    /// The cluster's sequence stream: every jitter and fault draw its
+    /// traffic for the height makes comes from here.
+    stream: Stream,
     /// When `leader` holds the block and proposes it locally: the
     /// proposal instant at home, the end of the certificate check after
     /// the leader-to-leader hop elsewhere. `None` until then, and for
@@ -193,17 +195,9 @@ struct HeightInFlight {
     /// Every other cluster, ascending by id.
     remotes: Vec<ClusterLeg>,
     cost: CostModel,
-}
-
-impl HeightInFlight {
-    /// Re-snapshots liveness and fault configuration on every carried
-    /// fork from the live network (stage-boundary fault hook).
-    fn sync_liveness_from(&mut self, net: &Network) {
-        self.home.fork.sync_liveness_from(net);
-        for leg in &mut self.remotes {
-            leg.fork.sync_liveness_from(net);
-        }
-    }
+    /// The meter's total when the height was built; the commit record's
+    /// traffic is what the height added since.
+    meter_at_build: Counter,
 }
 
 /// Causal trace id of the block at `height` with id `block_id`.
@@ -231,11 +225,11 @@ impl IciNetwork {
     }
 
     /// Opens `cluster`'s leg of the height carrying `block`: owners
-    /// assigned over `members`, and a network fork keyed by the cluster
-    /// id, so every cluster — home included — draws jitter independently
-    /// of thread count and sibling clusters.
+    /// assigned over `members`, and a sequence stream keyed by the
+    /// cluster id, so every cluster — home included — draws jitter
+    /// independently of sibling clusters and of the order they run in.
     fn open_leg(
-        &mut self,
+        &self,
         cluster: ClusterId,
         members: Vec<NodeId>,
         leader: Option<NodeId>,
@@ -247,18 +241,19 @@ impl IciNetwork {
             members,
             owners,
             leader,
-            fork: self.net.fork(u64::from(cluster.get())),
+            stream: self.net.stream(u64::from(cluster.get())),
             arrival: None,
             commit: None,
         }
     }
 
     /// Stage 1: election, block assembly on the committed tip and state,
-    /// and per-cluster network forks.
+    /// and per-cluster sequence streams.
     ///
-    /// This is the only stage that touches the parent network's
-    /// sequence stream: one [`Network::advance_stream`] after forking, so
-    /// the next height's forks draw fresh randomness.
+    /// This is the only stage that touches the network's own sequence
+    /// stream: one [`Network::advance_stream`] after taking the
+    /// clusters' streams, so the next height's streams draw fresh
+    /// randomness.
     ///
     /// # Errors
     ///
@@ -309,11 +304,12 @@ impl IciNetwork {
             home,
             remotes,
             cost,
+            meter_at_build: self.net.meter().total(),
         })
     }
 
-    /// Stage 4: absorbs every fork's traffic, executes the block,
-    /// updates storage holdings, and records the commit.
+    /// Stage 4: executes the block, updates storage holdings, and
+    /// records the commit.
     ///
     /// Who stores what comes from the member lists and owner sets
     /// `stage_build` put in the legs, not from a second rendezvous pass:
@@ -325,8 +321,8 @@ impl IciNetwork {
     /// # Errors
     ///
     /// * [`IciError::NoQuorum`] — `home_commit` carried over from a
-    ///   failed home vote; the failed consensus traffic is still
-    ///   absorbed first.
+    ///   failed home vote; the failed consensus traffic stays on the
+    ///   meter.
     /// * [`IciError::InvalidBlock`] — defensive: the sealed block failed
     ///   authoritative validation (indicates an internal bug).
     fn stage_commit(
@@ -335,7 +331,6 @@ impl IciNetwork {
         home_commit: Result<SimTime, IciError>,
     ) -> Result<&BlockCommitRecord, IciError> {
         let _span = ici_telemetry::span!("core/stage_commit");
-        let meter_before = self.net.meter().total();
         let HeightInFlight {
             block,
             block_tid,
@@ -343,6 +338,7 @@ impl IciNetwork {
             proposed_at,
             home,
             remotes,
+            meter_at_build,
             ..
         } = flight;
         let height = block.height();
@@ -352,23 +348,14 @@ impl IciNetwork {
         // Authoritative execution (defensive re-validation) of a height
         // whose home cluster committed, ruled on before anything is
         // written.
-        let executed = home_commit.and_then(|home_commit| {
-            let post = validate_block(&block, &self.tip, &self.state)?;
-            Ok((home_commit, post))
-        });
+        let home_commit = home_commit?;
+        let post = validate_block(&block, &self.tip, &self.state)?;
 
-        // One pass over the clusters. Traffic first — also on failure: a
-        // failed consensus still sent its messages, and the meter must
-        // say so. Then, for a height that stands, storage: live members
-        // of committed clusters take the header; live owners take the
-        // body.
+        // One pass over the clusters: live members of committed clusters
+        // take the header; live owners take the body.
         let mut commits = Vec::with_capacity(1 + remotes.len());
         let mut missed = Vec::new();
         for leg in std::iter::once(home).chain(remotes) {
-            self.net.absorb(leg.fork);
-            if executed.is_err() {
-                continue;
-            }
             let Some(at) = leg.commit else {
                 missed.push(leg.cluster);
                 continue;
@@ -384,7 +371,6 @@ impl IciNetwork {
                 }
             }
         }
-        let (home_commit, post) = executed?;
         let network_commit = commits
             .iter()
             .fold(home_commit, |latest, &(_, at)| latest.max(at));
@@ -449,8 +435,8 @@ impl IciNetwork {
             missed_clusters: missed,
             tx_count,
             body_bytes,
-            messages: meter_after.messages - meter_before.messages,
-            bytes: meter_after.bytes - meter_before.bytes,
+            messages: meter_after.messages - meter_at_build.messages,
+            bytes: meter_after.bytes - meter_at_build.bytes,
         }))
     }
 
@@ -474,11 +460,10 @@ impl IciNetwork {
 
     /// Like [`IciNetwork::propose_block`], pausing at every
     /// [`StageBoundary`] to run `at_boundary` with mutable access to the
-    /// simulated network. Fault campaigns crash or recover nodes there;
-    /// the height's forks re-snapshot liveness before continuing. Every
-    /// boundary of a built height is visited, also when its home cluster
-    /// fails to commit. With a no-op callback this is exactly
-    /// `propose_block`.
+    /// simulated network. Fault campaigns crash or recover nodes there,
+    /// and the stages after the boundary see it. Every boundary of a
+    /// built height is visited, also when its home cluster fails to
+    /// commit. With a no-op callback this is exactly `propose_block`.
     ///
     /// # Errors
     ///
@@ -491,12 +476,10 @@ impl IciNetwork {
         let _span = ici_telemetry::span!("core/block_lifecycle");
         let mut flight = self.stage_build(pending)?;
         at_boundary(StageBoundary::AfterBuild, &mut self.net);
-        flight.sync_liveness_from(&self.net);
-        let home_commit = stage_distribute(&mut flight);
+        let home_commit = stage_distribute(&mut self.net, &mut flight);
         at_boundary(StageBoundary::AfterDistribute, &mut self.net);
-        flight.sync_liveness_from(&self.net);
         if let Ok(home_commit) = home_commit {
-            stage_verify(&mut flight, home_commit);
+            stage_verify(&mut self.net, &mut flight, home_commit);
         }
         at_boundary(StageBoundary::AfterVerify, &mut self.net);
         self.stage_commit(flight, home_commit)
@@ -538,12 +521,13 @@ impl IciNetwork {
     }
 }
 
-/// One cluster's vote round on its own fork, proposed by `leader` at
+/// One cluster's vote round on its own stream, proposed by `leader` at
 /// `start`: the body to the owners, the header to everyone else, every
 /// member validating its `1/c` share before it votes. Home and remote
 /// clusters run the same round. Records the quorum-commit instant in the
 /// leg and returns the quorum the round needed.
 fn vote_round(
+    net: &mut Network,
     leg: &mut ClusterLeg,
     leader: NodeId,
     start: SimTime,
@@ -557,38 +541,40 @@ fn vote_round(
         body_bytes,
         leg.members.len(),
     );
-    let owners = &leg.owners;
-    let report = run_pbft_commit(
-        &mut leg.fork,
-        PbftInputs {
-            members: &leg.members,
-            leader,
-            start,
-            payload: |m| {
-                if owners.contains(&m) {
-                    (MessageKind::BlockBody, HEADER_BYTES + body_bytes)
-                } else {
-                    (MessageKind::BlockHeader, HEADER_BYTES)
-                }
+    let (members, owners) = (&leg.members, &leg.owners);
+    let report = net.on_stream(&mut leg.stream, |net| {
+        run_pbft_commit(
+            net,
+            PbftInputs {
+                members,
+                leader,
+                start,
+                payload: |m| {
+                    if owners.contains(&m) {
+                        (MessageKind::BlockBody, HEADER_BYTES + body_bytes)
+                    } else {
+                        (MessageKind::BlockHeader, HEADER_BYTES)
+                    }
+                },
+                validation: |_| validation,
             },
-            validation: |_| validation,
-        },
-    );
+        )
+    });
     leg.commit = report.quorum_commit();
     report.quorum
 }
 
 /// Stage 2: the home cluster's vote round plus the leader-to-leader
-/// block hops, each on the fork of the cluster it concerns. Returns the
-/// home cluster's commit instant.
+/// block hops, each on the stream of the cluster it concerns. Returns
+/// the home cluster's commit instant.
 ///
 /// # Errors
 ///
 /// [`IciError::NoQuorum`] — the home cluster did not commit. `live`
-/// counts its members as the vote saw them, after the boundary's
-/// liveness re-sync. The height still goes on to the commit stage, which
-/// absorbs the traffic the failed round sent.
-fn stage_distribute(flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
+/// counts its members as the vote saw them, after the boundary. The
+/// height still goes on to the commit stage; the traffic the failed
+/// round sent stays on the meter.
+fn stage_distribute(net: &mut Network, flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
     let _span = ici_telemetry::span!("core/stage_distribute", cluster = flight.home.cluster.get());
     let tracing = ici_trace::enabled();
     let height = flight.block.height();
@@ -598,15 +584,17 @@ fn stage_distribute(flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
 
     let home = &mut flight.home;
     if tracing {
-        home.fork.set_trace_ctx(ici_trace::SendCtx {
+        let ctx = ici_trace::SendCtx {
             sends: false,
             at_us: proposed_at.as_micros(),
             height,
             cluster: Some(u64::from(home.cluster.get())),
             parent: block_tid,
-        });
+        };
+        net.on_stream(&mut home.stream, |net| net.set_trace_ctx(ctx));
     }
     let quorum = vote_round(
+        net,
         home,
         flight.proposer,
         proposed_at,
@@ -616,55 +604,54 @@ fn stage_distribute(flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
     let Some(home_commit) = home.commit else {
         return Err(IciError::NoQuorum {
             cluster: home.cluster.get(),
-            live: home.members.iter().filter(|&&m| home.fork.is_up(m)).count(),
+            live: home.members.iter().filter(|&&m| net.is_up(m)).count(),
             needed: quorum,
         });
     };
     let cert_bytes = quorum as u64 * CERT_ENTRY_BYTES;
 
     // Leader → remote-leader hops. Each hop draws its delay from the
-    // remote cluster's own fork stream, so hop jitter is independent of
+    // remote cluster's own stream, so hop jitter is independent of
     // sibling clusters and of when the remote vote round later runs.
+    let (proposer, cost) = (flight.proposer, &flight.cost);
     for leg in &mut flight.remotes {
         let Some(remote_leader) = leg.leader else {
             continue;
         };
         let cluster = Some(u64::from(leg.cluster.get()));
-        if tracing {
-            leg.fork.set_trace_ctx(ici_trace::SendCtx {
-                sends: true,
-                at_us: home_commit.as_micros(),
-                height,
-                cluster,
-                parent: block_tid,
-            });
-        }
-        let hop_tid = leg.fork.next_send_trace_id();
-        let Some(delay) = leg
-            .fork
-            .send(
-                flight.proposer,
-                remote_leader,
-                MessageKind::BlockFull,
-                HEADER_BYTES + body_bytes + cert_bytes,
-            )
-            .delay()
-        else {
-            continue;
-        };
-        // The remote leader checks the commit certificate before
-        // re-proposing locally.
-        let arrival = home_commit + delay + flight.cost.verify_signatures(quorum);
-        if tracing {
-            leg.fork.set_trace_ctx(ici_trace::SendCtx {
-                sends: false,
-                at_us: arrival.as_micros(),
-                height,
-                cluster,
-                parent: hop_tid,
-            });
-        }
-        leg.arrival = Some(arrival);
+        leg.arrival = net.on_stream(&mut leg.stream, |net| {
+            if tracing {
+                net.set_trace_ctx(ici_trace::SendCtx {
+                    sends: true,
+                    at_us: home_commit.as_micros(),
+                    height,
+                    cluster,
+                    parent: block_tid,
+                });
+            }
+            let hop_tid = net.next_send_trace_id();
+            let delay = net
+                .send(
+                    proposer,
+                    remote_leader,
+                    MessageKind::BlockFull,
+                    HEADER_BYTES + body_bytes + cert_bytes,
+                )
+                .delay()?;
+            // The remote leader checks the commit certificate before
+            // re-proposing locally.
+            let arrival = home_commit + delay + cost.verify_signatures(quorum);
+            if tracing {
+                net.set_trace_ctx(ici_trace::SendCtx {
+                    sends: false,
+                    at_us: arrival.as_micros(),
+                    height,
+                    cluster,
+                    parent: hop_tid,
+                });
+            }
+            Some(arrival)
+        });
     }
     if tracing {
         ici_trace::stage(
@@ -685,7 +672,7 @@ fn stage_distribute(flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
 /// Stage 3: the vote round (collaborative verify + votes) of every
 /// remote cluster the block reached, one after another. Runs only for a
 /// height whose home cluster committed, at `home_commit`.
-fn stage_verify(flight: &mut HeightInFlight, home_commit: SimTime) {
+fn stage_verify(net: &mut Network, flight: &mut HeightInFlight, home_commit: SimTime) {
     let _span = ici_telemetry::span!("core/stage_verify");
     let mut network_commit = home_commit;
     for leg in &mut flight.remotes {
@@ -693,7 +680,7 @@ fn stage_verify(flight: &mut HeightInFlight, home_commit: SimTime) {
             continue;
         };
         let _cluster_span = ici_telemetry::span!("core/remote_commit", cluster = leg.cluster.get());
-        vote_round(leg, leader, arrival, &flight.block, &flight.cost);
+        vote_round(net, leg, leader, arrival, &flight.block, &flight.cost);
         if let Some(at) = leg.commit {
             network_commit = network_commit.max(at);
         }

@@ -17,13 +17,11 @@ use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::SimTime;
 use ici_net::topology::Topology;
-use ici_storage::assignment::{
-    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
-};
+use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
-use crate::config::{Assignment, Clustering, IciConfig};
+use crate::config::{Clustering, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
 use crate::lifecycle::BlockCommitRecord;
@@ -208,23 +206,9 @@ impl IciNetwork {
         height: Height,
         members: &[NodeId],
     ) -> Vec<NodeId> {
-        self.dispatch_owners_with_r(id, height, members, self.config.replication)
-    }
-
-    /// Like [`IciNetwork::dispatch_owners`] but with an explicit owner
-    /// count — the recovery planner asks for the full preference ranking.
-    pub(crate) fn dispatch_owners_with_r(
-        &self,
-        id: &Digest,
-        height: Height,
-        members: &[NodeId],
-        r: usize,
-    ) -> Vec<NodeId> {
-        match self.config.assignment {
-            Assignment::Rendezvous => RendezvousAssignment.owners(id, height, members, r),
-            Assignment::Ring => RingAssignment::default().owners(id, height, members, r),
-            Assignment::RoundRobin => RoundRobinAssignment.owners(id, height, members, r),
-        }
+        self.config
+            .assignment
+            .owners(id, height, members, self.config.replication)
     }
 
     /// Per-node total storage bytes, indexed by node id.

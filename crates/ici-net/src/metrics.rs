@@ -92,10 +92,9 @@ impl Counter {
     }
 }
 
-/// One charged node's uplink and downlink counters.
+/// One node's uplink and downlink counters.
 #[derive(Clone, Copy, Debug, Default)]
 struct NodeCounters {
-    id: NodeId,
     sent: Counter,
     received: Counter,
 }
@@ -103,14 +102,9 @@ struct NodeCounters {
 /// Aggregated traffic statistics for a run.
 ///
 /// Flat by construction: one counter per [`MessageKind`] in an array,
-/// and the per-node counters in one vector sorted by node id that holds
-/// **only nodes that were charged**. A fresh meter therefore allocates
-/// nothing, a fork that meters one cluster carries `c` entries rather
-/// than `N`, and [`TrafficMeter::merge`] walks the child's entries — a
-/// fork/absorb pair stays proportional to what the fork touched, not to
-/// the network. Once every node has been charged (the root meter of any
-/// run longer than a few blocks) the vector is dense and a lookup is a
-/// single index.
+/// and the per-node counters in one vector indexed by node id, grown to
+/// the highest id charged. A fresh meter allocates nothing; a charge is
+/// one index.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficMeter {
     by_kind: [Counter; MessageKind::ALL.len()],
@@ -124,34 +118,18 @@ impl TrafficMeter {
         TrafficMeter::default()
     }
 
-    /// Where `node`'s entry is (`Ok`) or would be inserted (`Err`). A
-    /// dense vector — every id below its length present — answers with
-    /// one index; otherwise binary search.
-    fn position(&self, node: NodeId) -> Result<usize, usize> {
-        let dense = node.index();
-        if self.nodes.get(dense).is_some_and(|e| e.id == node) {
-            return Ok(dense);
+    /// `node`'s counters, the vector grown to hold them.
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeCounters {
+        let at = node.index();
+        if at >= self.nodes.len() {
+            self.nodes.resize(at + 1, NodeCounters::default());
         }
-        self.nodes.binary_search_by_key(&node, |e| e.id)
-    }
-
-    /// `node`'s entry, inserted at zero if it was never charged.
-    fn slot(&mut self, node: NodeId) -> &mut NodeCounters {
-        let at = self.position(node).unwrap_or_else(|at| {
-            self.nodes.insert(
-                at,
-                NodeCounters {
-                    id: node,
-                    ..NodeCounters::default()
-                },
-            );
-            at
-        });
         &mut self.nodes[at]
     }
 
-    fn find(&self, node: NodeId) -> Option<&NodeCounters> {
-        self.position(node).ok().map(|at| &self.nodes[at])
+    /// `node`'s counters, zero if it was never charged.
+    fn node(&self, node: NodeId) -> NodeCounters {
+        self.nodes.get(node.index()).copied().unwrap_or_default()
     }
 
     /// Charges one message of `bytes` payload from `from` to `to`.
@@ -168,7 +146,7 @@ impl TrafficMeter {
     /// class and total counters once instead of once per message.
     pub fn charge_sender(&mut self, from: NodeId, kind: MessageKind, messages: u64, bytes: u64) {
         self.by_kind[kind as usize].add(messages, bytes);
-        self.slot(from).sent.add(messages, bytes);
+        self.node_mut(from).sent.add(messages, bytes);
         self.total.add(messages, bytes);
     }
 
@@ -176,7 +154,7 @@ impl TrafficMeter {
     /// `bytes` were addressed to `to` (delivered or not — the meter
     /// counts what senders put on the wire).
     pub fn charge_receiver(&mut self, to: NodeId, messages: u64, bytes: u64) {
-        self.slot(to).received.add(messages, bytes);
+        self.node_mut(to).received.add(messages, bytes);
     }
 
     /// Mirrors the accumulated per-class totals into the workspace
@@ -217,12 +195,12 @@ impl TrafficMeter {
 
     /// Bytes sent by `node`.
     pub fn sent_by(&self, node: NodeId) -> Counter {
-        self.find(node).map(|e| e.sent).unwrap_or_default()
+        self.node(node).sent
     }
 
     /// Bytes received by `node`.
     pub fn received_by(&self, node: NodeId) -> Counter {
-        self.find(node).map(|e| e.received).unwrap_or_default()
+        self.node(node).received
     }
 
     /// The maximum bytes received by any single node (load hotspot).
@@ -239,14 +217,16 @@ impl TrafficMeter {
         *self = TrafficMeter::default();
     }
 
-    /// Folds another meter's counts into this one, in time proportional
-    /// to the nodes `other` charged.
+    /// Folds another meter's counts into this one.
     pub fn merge(&mut self, other: &TrafficMeter) {
         for (mine, theirs) in self.by_kind.iter_mut().zip(&other.by_kind) {
             mine.add(theirs.messages, theirs.bytes);
         }
-        for theirs in &other.nodes {
-            let mine = self.slot(theirs.id);
+        if self.nodes.len() < other.nodes.len() {
+            self.nodes
+                .resize(other.nodes.len(), NodeCounters::default());
+        }
+        for (mine, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
             mine.sent.add(theirs.sent.messages, theirs.sent.bytes);
             mine.received
                 .add(theirs.received.messages, theirs.received.bytes);
@@ -312,8 +292,7 @@ mod tests {
     use super::*;
     use ici_prop::{check, Config, Shrink};
 
-    /// One step of a model run over a parent meter and a child (fork)
-    /// meter.
+    /// One step of a model run over a parent meter and a child meter.
     #[derive(Clone, Debug)]
     enum Step {
         /// Charge one message to the child (`true`) or the parent.
@@ -324,8 +303,7 @@ mod tests {
             kind: usize,
             bytes: u64,
         },
-        /// Fold the child into the parent and start a fresh child — an
-        /// absorb.
+        /// Fold the child into the parent and start a fresh child.
         Merge,
         /// Reset the parent.
         Reset,
@@ -390,9 +368,10 @@ mod tests {
         Ok(())
     }
 
-    /// Random record/merge/reset sequences over sparse ids: the parent
-    /// regularly holds ids its child never saw and the other way round,
-    /// and both are compared after every step.
+    /// Random record/merge/reset sequences: the parent regularly holds
+    /// ids its child never saw and the other way round, so merges go
+    /// both ways across the vectors' lengths, and both meters are
+    /// compared after every step.
     #[test]
     fn flat_meter_agrees_with_the_map_meter_model() {
         const IDS: u64 = 48;
@@ -490,11 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn a_meter_holds_only_the_nodes_it_charged() {
+    fn a_meter_grows_to_the_highest_id_it_charged() {
         let mut m = TrafficMeter::new();
         assert_eq!(m.nodes.capacity(), 0, "a fresh meter allocates nothing");
         m.record(NodeId::new(500), NodeId::new(7), MessageKind::Control, 1);
-        assert_eq!(m.nodes.len(), 2, "not one slot per id below 500");
+        assert_eq!(m.nodes.len(), 501);
+        assert_eq!(m.received_by(NodeId::new(7)).bytes, 1);
+        assert_eq!(m.sent_by(NodeId::new(900)), Counter::default());
     }
 
     #[test]

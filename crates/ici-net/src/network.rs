@@ -5,8 +5,13 @@
 //! thing for one sender and many receivers — which meters the bytes,
 //! checks endpoint liveness, and returns the transit delay the caller
 //! uses to schedule the delivery event.
-
-use std::sync::Arc;
+//!
+//! A run has one `Network`: one meter, one down-set, one fault plan.
+//! Actors that act at the same simulated instant (the clusters of a
+//! height, the voters of a round, the shards of a RapidChain round) each
+//! draw their jitter and faults from their own sequence [`Stream`],
+//! derived from the network's position and a caller-chosen id, and run
+//! their sends on the one network through [`Network::on_stream`].
 
 use crate::faults::{FaultConfig, SendFault};
 use crate::link::LinkModel;
@@ -42,28 +47,29 @@ impl SendOutcome {
     }
 }
 
-/// A simulated network over `n` nodes.
-///
-/// The topology is shared behind an [`Arc`] so [`Network::fork`] is
-/// cheap enough to call per protocol actor (no per-fork copy of the
-/// node placement).
-#[derive(Clone, Debug)]
-pub struct Network {
-    topology: Arc<Topology>,
-    link: LinkModel,
-    meter: TrafficMeter,
-    // Liveness and fault state sit behind `Arc`s so a fork is a pair of
-    // refcount bumps instead of a bit-set/config deep copy — a height
-    // takes one fork per cluster, plus one per voter on a jittery or
-    // faulty network. Mutators go through `Arc::make_mut`
-    // (copy-on-write), so forks never observe later parent changes.
-    down: Arc<DownSet>,
-    faults: Option<Arc<FaultConfig>>,
+/// A position in the simulation randomness: the sequence number the
+/// next send draws jitter and faults from, and the causal context
+/// stamped onto traced sends. The network holds its own; an actor takes
+/// one with [`Network::stream`] and sends on it with
+/// [`Network::on_stream`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stream {
     seq: u64,
     trace: ici_trace::SendCtx,
 }
 
-/// SplitMix64 finalizer: decorrelates forked sequence streams.
+/// A simulated network over `n` nodes.
+#[derive(Clone, Debug)]
+pub struct Network {
+    topology: Topology,
+    link: LinkModel,
+    meter: TrafficMeter,
+    down: DownSet,
+    faults: Option<FaultConfig>,
+    at: Stream,
+}
+
+/// SplitMix64 finalizer: decorrelates derived sequence streams.
 fn mix(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -75,13 +81,12 @@ impl Network {
     /// Builds a network over `topology` with the given link model.
     pub fn new(topology: Topology, link: LinkModel) -> Network {
         Network {
-            topology: Arc::new(topology),
+            topology,
             link,
             meter: TrafficMeter::new(),
-            down: Arc::new(DownSet::default()),
+            down: DownSet::default(),
             faults: None,
-            seq: 0,
-            trace: ici_trace::SendCtx::default(),
+            at: Stream::default(),
         }
     }
 
@@ -90,26 +95,26 @@ impl Network {
     /// [`ici_trace::enabled`]); the context is plain data and never
     /// perturbs delivery, metering, or the sequence stream.
     pub fn set_trace_ctx(&mut self, ctx: ici_trace::SendCtx) {
-        self.trace = ctx;
+        self.at.trace = ctx;
     }
 
     /// The causal context currently stamped onto traced sends.
     pub fn trace_ctx(&self) -> ici_trace::SendCtx {
-        self.trace
+        self.at.trace
     }
 
     /// Whether sends from this network currently emit trace events:
     /// tracing is on and the installed context opted sends in.
     pub fn sends_are_traced(&self) -> bool {
-        ici_trace::enabled() && self.trace.sends
+        ici_trace::enabled() && self.at.trace.sends
     }
 
     /// The trace id the next send from this network will carry: a pure
-    /// function of the fork-stable sequence counter, so the sender can
-    /// compute it up front and hand it to the receiver's handler as a
-    /// causal parent without any shared mutable state.
+    /// function of the sequence counter, so the sender can compute it up
+    /// front and hand it to the receiver's handler as a causal parent
+    /// without any shared mutable state.
     pub fn next_send_trace_id(&self) -> u64 {
-        ici_trace::send_id(self.seq)
+        ici_trace::send_id(self.at.seq)
     }
 
     /// Number of nodes (including crashed ones).
@@ -157,11 +162,7 @@ impl Network {
     /// configs (all probabilities zero, no partition) are treated as
     /// [`Network::clear_faults`].
     pub fn set_faults(&mut self, faults: FaultConfig) {
-        self.faults = if faults.is_inert() {
-            None
-        } else {
-            Some(Arc::new(faults))
-        };
+        self.faults = (!faults.is_inert()).then_some(faults);
     }
 
     /// Removes any installed fault configuration.
@@ -171,32 +172,17 @@ impl Network {
 
     /// The fault configuration currently on the send path, if any.
     pub fn faults(&self) -> Option<&FaultConfig> {
-        self.faults.as_deref()
+        self.faults.as_ref()
     }
 
     /// Marks `node` crashed. Sends from/to it fail until recovery.
     pub fn crash(&mut self, node: NodeId) {
-        Arc::make_mut(&mut self.down).insert(node);
+        self.down.insert(node);
     }
 
     /// Brings `node` back.
     pub fn recover(&mut self, node: NodeId) {
-        Arc::make_mut(&mut self.down).remove(node);
-    }
-
-    /// Adopts `src`'s liveness and fault state wholesale (two refcount
-    /// bumps — no copy).
-    ///
-    /// Stage-boundary fault injection is the consumer: a height's forks
-    /// snapshot liveness when the block is built, so when a crash or
-    /// restart lands *between* stages the staged lifecycle re-syncs each
-    /// fork from the authoritative network before running the next
-    /// stage. With unchanged liveness this replaces equal values and is
-    /// behaviorally a no-op, which is what keeps the staged path
-    /// byte-identical to the plain one.
-    pub fn sync_liveness_from(&mut self, src: &Network) {
-        self.down = Arc::clone(&src.down);
-        self.faults = src.faults.clone();
+        self.down.remove(node);
     }
 
     /// Whether `node` is currently alive.
@@ -222,11 +208,10 @@ impl Network {
     /// normalized to `None`) and the link draws zero jitter, so `send`
     /// consumes a sequence number but never turns it into randomness.
     /// Every outcome is then a function of liveness and geometry, so a
-    /// protocol may batch actors onto shared forks, or work a batch of
-    /// sends out itself and charge the meter in bulk
-    /// ([`Network::meter_mut`]), without changing any delivered byte;
-    /// jittery or faulty networks must keep per-actor forks and
-    /// per-message sends to preserve their committed traces.
+    /// protocol may work a batch of sends out itself and charge the
+    /// meter in bulk ([`Network::meter_mut`]) without changing any
+    /// delivered byte; jittery or faulty networks must keep per-message
+    /// sends on per-actor streams to preserve their committed traces.
     pub fn sends_are_stream_independent(&self) -> bool {
         self.faults.is_none() && self.link.max_jitter_ms <= 0.0
     }
@@ -274,8 +259,8 @@ impl Network {
         let traced = self.sends_are_traced();
         let mut copies_sent = 0u64;
         for &to in receivers {
-            let seq = self.seq;
-            self.seq += 1;
+            let seq = self.at.seq;
+            self.at.seq += 1;
             let (copies, outcome) = if !self.is_up(to) {
                 // Bytes still leave the sender's uplink.
                 (1, SendOutcome::ReceiverDown)
@@ -354,63 +339,78 @@ impl Network {
         let dur_us = outcome.delay().map_or(0, Duration::as_micros);
         ici_trace::send(
             kind.name(),
-            self.trace.at_us,
+            self.at.trace.at_us,
             dur_us,
             from.get(),
             to.get(),
             bytes,
-            self.trace.height,
-            self.trace.cluster,
+            self.at.trace.height,
+            self.at.trace.cluster,
             ici_trace::send_id(seq),
-            self.trace.parent,
+            self.at.trace.parent,
         );
     }
 
     /// Adds a node at `coord` (e.g. a bootstrapping joiner). Returns its id.
     pub fn join(&mut self, coord: Coord) -> NodeId {
-        Arc::make_mut(&mut self.topology).push(coord)
+        self.topology.push(coord)
     }
 
-    /// Forks a child network for an independent protocol actor (e.g. one
-    /// PBFT voter), sharing the topology and carrying the parent's
-    /// liveness and fault state, with a fresh meter and a sequence
-    /// stream derived from `(parent seq, stream)`.
-    ///
-    /// The derivation depends only on the parent's sequence position and
-    /// the caller-chosen `stream` id, so a batch of forks taken at one
-    /// protocol point is deterministic no matter how many threads later
-    /// execute them. Call [`Network::advance_stream`] once after taking
-    /// a batch so subsequent parent traffic draws fresh randomness, and
-    /// fold each child's traffic back with [`Network::absorb`].
-    ///
-    /// A fork allocates nothing: the topology, down-set, and fault
-    /// config are `Arc`-shared, and the fresh meter's per-node vector is
-    /// empty until the first charge and then holds only the nodes the
-    /// fork charged, so a fork/absorb pair costs in proportion to what
-    /// the fork touched, never to network size or fault state.
-    pub fn fork(&mut self, stream: u64) -> Network {
-        Network {
-            topology: Arc::clone(&self.topology),
-            link: self.link.clone(),
-            meter: TrafficMeter::new(),
-            down: self.down.clone(),
-            faults: self.faults.clone(),
-            seq: mix(self.seq ^ mix(stream.wrapping_add(1))),
-            trace: self.trace,
+    /// The sequence stream of actor `id` at the network's current
+    /// position: `mix(seq ^ mix(id + 1))`, carrying the causal context
+    /// installed now. The derivation depends only on the position and
+    /// `id`, so the actors of one batch (the clusters of a height, the
+    /// voters of a round) draw independently of each other and of the
+    /// order they are simulated in. Take the whole batch, then call
+    /// [`Network::advance_stream`] once so later traffic draws fresh
+    /// randomness.
+    pub fn stream(&self, id: u64) -> Stream {
+        Stream {
+            seq: mix(self.at.seq ^ mix(id.wrapping_add(1))),
+            trace: self.at.trace,
         }
     }
 
-    /// Merges a forked child's traffic meter back into this network.
-    /// Absorb children in a deterministic order (e.g. stream id) so the
-    /// aggregate meter is scheduling-independent.
-    pub fn absorb(&mut self, child: Network) {
-        self.meter.merge(&child.meter);
+    /// Runs `f` on this network positioned at `stream`: every send `f`
+    /// makes draws from the stream and carries its causal context, and
+    /// lands on the one meter and the one liveness set. The advanced
+    /// stream (and any context `f` installed) is written back, and the
+    /// network's own position is restored.
+    pub fn on_stream<R>(&mut self, stream: &mut Stream, f: impl FnOnce(&mut Network) -> R) -> R {
+        std::mem::swap(&mut self.at, stream);
+        let result = f(self);
+        std::mem::swap(&mut self.at, stream);
+        result
     }
 
-    /// Advances the sequence stream past a fork batch so traffic after
-    /// the batch is decorrelated from traffic inside it.
+    /// Advances the sequence stream past a batch of
+    /// [`Network::stream`]s so traffic after the batch is decorrelated
+    /// from traffic inside it.
     pub fn advance_stream(&mut self) {
-        self.seq = mix(self.seq);
+        self.at.seq = mix(self.at.seq);
+    }
+
+    // Kept for the frozen benchmark only: `benchmark/src/surface.rs`
+    // replays PBFT rounds on a copy of the network and folds its traffic
+    // back. The copy sits at `stream(id)` with a fresh meter, so it
+    // draws exactly what `on_stream` would; `tests/stream_equivalence.rs`
+    // holds the two to the same outcomes, meter and trace. Nothing else
+    // may call these.
+    #[doc(hidden)]
+    pub fn fork(&self, id: u64) -> Network {
+        Network {
+            topology: self.topology.clone(),
+            link: self.link,
+            meter: TrafficMeter::new(),
+            down: self.down.clone(),
+            faults: self.faults.clone(),
+            at: self.stream(id),
+        }
+    }
+
+    #[doc(hidden)]
+    pub fn absorb(&mut self, child: Network) {
+        self.meter.merge(&child.meter);
     }
 }
 
@@ -494,20 +494,20 @@ mod tests {
     }
 
     #[test]
-    fn forks_keep_the_liveness_they_were_taken_with() {
-        let mut parent = net(6);
-        parent.crash(NodeId::new(1));
-        let mut before = parent.fork(0);
-        parent.crash(NodeId::new(2));
-        parent.recover(NodeId::new(1));
-        let after = parent.fork(1);
-        assert!(!before.is_up(NodeId::new(1)) && before.is_up(NodeId::new(2)));
-        assert_eq!(before.down_count(), 1);
-        assert!(after.is_up(NodeId::new(1)) && !after.is_up(NodeId::new(2)));
-        // Copy-on-write both ways: a fork's crash stays in the fork.
-        before.crash(NodeId::new(4));
-        assert!(parent.is_up(NodeId::new(4)) && after.is_up(NodeId::new(4)));
-        assert_eq!(parent.down_count(), 1);
+    fn a_stream_reads_liveness_as_it_is_when_it_sends() {
+        let mut net = net(6);
+        let mut stream = net.stream(0);
+        net.advance_stream();
+        net.crash(NodeId::new(2));
+        let outcome = net.on_stream(&mut stream, |net| {
+            net.send(NodeId::new(0), NodeId::new(2), MessageKind::Vote, 8)
+        });
+        assert_eq!(outcome, SendOutcome::ReceiverDown);
+        net.recover(NodeId::new(2));
+        let outcome = net.on_stream(&mut stream, |net| {
+            net.send(NodeId::new(0), NodeId::new(2), MessageKind::Vote, 8)
+        });
+        assert!(outcome.delay().is_some());
     }
 
     #[test]
@@ -532,45 +532,64 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_stream_deterministic_and_independent() {
-        let mut jittery = {
+    fn streams_are_deterministic_and_independent() {
+        let jittery = {
             let topo = Topology::generate(6, &Placement::Uniform { side: 50.0 }, 7);
             Network::new(topo, LinkModel::default())
         };
-        let replay = |net: &mut Network| {
-            let mut delays = Vec::new();
-            let mut children: Vec<Network> = (0..4).map(|s| net.fork(s)).collect();
-            net.advance_stream();
-            for child in &mut children {
-                for dest in 1..6 {
-                    let out = child.send(NodeId::new(0), NodeId::new(dest), MessageKind::Vote, 8);
-                    delays.push(out.delay());
+        let replay = |id: u64| {
+            let mut net = jittery.clone();
+            let mut outer = net.stream(id);
+            net.on_stream(&mut outer, |net| {
+                let mut delays = Vec::new();
+                let mut streams: Vec<Stream> = (0..4).map(|s| net.stream(s)).collect();
+                net.advance_stream();
+                for stream in &mut streams {
+                    net.on_stream(stream, |net| {
+                        for dest in 1..6 {
+                            let out =
+                                net.send(NodeId::new(0), NodeId::new(dest), MessageKind::Vote, 8);
+                            delays.push(out.delay());
+                        }
+                    });
                 }
-            }
-            for child in children {
-                net.absorb(child);
-            }
-            delays
+                delays
+            })
         };
-        let first = replay(&mut jittery.fork(99));
-        let again = replay(&mut jittery.fork(99));
-        assert_eq!(first, again, "same stream id must replay identically");
-        let other = replay(&mut jittery.fork(100));
-        assert_ne!(first, other, "distinct streams should decorrelate jitter");
+        assert_eq!(
+            replay(99),
+            replay(99),
+            "same stream id must replay identically"
+        );
+        assert_ne!(
+            replay(99),
+            replay(100),
+            "distinct streams should decorrelate jitter"
+        );
     }
 
     #[test]
-    fn absorb_folds_child_traffic_into_the_parent_meter() {
-        let mut parent = net(4);
-        parent.send(NodeId::new(0), NodeId::new(1), MessageKind::Vote, 10);
-        let mut child = parent.fork(0);
-        parent.advance_stream();
-        child.send(NodeId::new(1), NodeId::new(2), MessageKind::Vote, 20);
-        child.send(NodeId::new(2), NodeId::new(3), MessageKind::BlockFull, 30);
-        assert_eq!(child.meter().total().messages, 2);
-        parent.absorb(child);
-        assert_eq!(parent.meter().total().messages, 3);
-        assert_eq!(parent.meter().total().bytes, 60);
+    fn on_stream_charges_the_one_meter_and_restores_the_position() {
+        let mut net = net(4);
+        net.send(NodeId::new(0), NodeId::new(1), MessageKind::Vote, 10);
+        let mut stream = net.stream(0);
+        net.advance_stream();
+        let position = net.next_send_trace_id();
+        let first = net.on_stream(&mut stream, |net| {
+            let id = net.next_send_trace_id();
+            net.send(NodeId::new(1), NodeId::new(2), MessageKind::Vote, 20);
+            net.send(NodeId::new(2), NodeId::new(3), MessageKind::BlockFull, 30);
+            id
+        });
+        assert_eq!(net.meter().total().messages, 3);
+        assert_eq!(net.meter().total().bytes, 60);
+        assert_eq!(
+            net.next_send_trace_id(),
+            position,
+            "the network's own position"
+        );
+        let next = net.on_stream(&mut stream, |net| net.next_send_trace_id());
+        assert_ne!(next, first, "the stream moved past its two sends");
     }
 
     #[test]
@@ -672,8 +691,8 @@ mod tests {
     }
 
     #[test]
-    fn forks_inherit_the_trace_context() {
-        let mut parent = net(4);
+    fn streams_carry_the_trace_context() {
+        let mut net = net(4);
         let ctx = ici_trace::SendCtx {
             sends: true,
             at_us: 9,
@@ -681,10 +700,13 @@ mod tests {
             cluster: Some(0),
             parent: 5,
         };
-        parent.set_trace_ctx(ctx);
-        let child = parent.fork(3);
-        assert_eq!(child.trace_ctx(), ctx);
-        assert_eq!(parent.trace_ctx(), ctx);
+        net.set_trace_ctx(ctx);
+        let mut stream = net.stream(3);
+        assert_eq!(net.on_stream(&mut stream, |net| net.trace_ctx()), ctx);
+        let inner = ici_trace::SendCtx { parent: 6, ..ctx };
+        net.on_stream(&mut stream, |net| net.set_trace_ctx(inner));
+        assert_eq!(net.trace_ctx(), ctx, "the network keeps its own context");
+        assert_eq!(net.on_stream(&mut stream, |net| net.trace_ctx()), inner);
     }
 
     #[test]

@@ -49,9 +49,8 @@ const STAGE_CHURN_SALT: u64 = 0x57A6_EC4A_5400_0003;
 /// lifecycle stage boundary ([`StageBoundary`]), then restart it (disk
 /// intact) as soon as the proposal resolves — success or failure.
 ///
-/// This exercises the staged lifecycle's liveness re-sync: forks
-/// snapshot liveness at build time, and a crash landing *between*
-/// stages must be adopted by every later stage. The draw depends only
+/// This exercises the staged lifecycle's boundaries: a crash landing
+/// *between* stages must be seen by every later stage. The draw depends only
 /// on `(seed, round)`, so runs replay byte-identically. Inert by
 /// default (`interval == 0`), which keeps existing
 /// crash-only profiles byte-stable, and inert for strategies whose

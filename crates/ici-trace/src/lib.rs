@@ -112,8 +112,9 @@ impl TraceKind {
 /// One recorded event. All times are virtual microseconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Global record order (assigned by the collector; stable across
-    /// thread counts thanks to index-ordered delta merging).
+    /// Global record order, assigned by the collector. A run records on
+    /// one thread into one ring, so this is the order events happened
+    /// in.
     pub seq: u64,
     /// Event class.
     pub kind: TraceKind,
@@ -141,7 +142,8 @@ pub struct TraceEvent {
 }
 
 /// Causal context a [`Network`](../ici_net/struct.Network.html) stamps
-/// onto traced sends. Plain data so forks copy it for free.
+/// onto traced sends. Plain data, so a sequence stream carries it by
+/// value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SendCtx {
     /// Emit one event per `send` while set. Off by default so bulk
@@ -181,7 +183,7 @@ pub fn mint_id(seed: u64) -> u64 {
 }
 
 /// The id a send with network sequence number `seq` will carry. Pure
-/// function of the fork-stable sequence counter, so sender and
+/// function of the sequence counter, so sender and
 /// receiver sides agree without any shared mutable state.
 pub fn send_id(seq: u64) -> u64 {
     nonzero(mix(seq ^ SEND_SALT))

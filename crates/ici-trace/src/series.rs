@@ -8,8 +8,8 @@
 //! between consecutive samples — what each round cost, not the running
 //! total — computed by [`TrafficTracker`] from `TrafficMeter` totals.
 //!
-//! The registry is thread-local: runners sample on the coordinating
-//! thread only, so nothing here needs the ici-par delta plumbing.
+//! The registry is thread-local, and a run samples on the one thread it
+//! runs on.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -6,7 +6,7 @@
 //! drifted record. Each case reduces a small pinned-seed run to one
 //! line of exact values (integers verbatim, floats in shortest
 //! round-trip form) and compares it with a literal. All links are the
-//! jittery default, so arrival times go through the forked sequence
+//! jittery default, so arrival times go through the per-actor sequence
 //! streams too.
 //!
 //! The lines read only what every strategy's network and summary
