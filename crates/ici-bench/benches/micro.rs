@@ -18,11 +18,15 @@ use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::{Address, Transaction};
 use ici_chain::validation::validate_block;
 use ici_cluster::kmeans::{balanced_kmeans, KMeansConfig};
+use ici_consensus::pbft::{run_pbft_commit_in, PbftInputs, VoteScratch};
 use ici_core::config::IciConfig;
 use ici_core::holdings::NodeHoldings;
 use ici_core::network::IciNetwork;
 use ici_crypto::gf256::Gf256;
 use ici_crypto::hmac::hmac_sha256;
+use ici_crypto::lottery::{
+    for_each_lottery_score, for_each_rendezvous_rank, lottery_score, rendezvous_rank,
+};
 use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
 use ici_crypto::sha256::{kernels, Sha256};
@@ -31,6 +35,7 @@ use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
+use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
@@ -56,6 +61,40 @@ fn bench_sha256() {
             });
         }
     }
+}
+
+/// One 16-member cluster's leader lottery and owner ranking, each id
+/// through the streaming hasher against the batched lanes the protocol
+/// calls: the per-member hashing an `ici_wide` height does 64 times.
+fn bench_lottery() {
+    let seed = Sha256::digest(b"parent");
+    let ids: Vec<u64> = (0..16).map(|i| i * 31 + 5).collect();
+    bench("lottery/x16/per_id", || {
+        ids.iter()
+            .map(|&id| (lottery_score(&seed, 7, id), id))
+            .min()
+    });
+    bench("lottery/x16/batched", || {
+        let mut best = None;
+        for_each_lottery_score(&seed, 7, ids.iter().copied(), |id, score| {
+            if best.is_none_or(|b| (score, id) < b) {
+                best = Some((score, id));
+            }
+        });
+        best
+    });
+    bench("rendezvous/x16/per_id", || {
+        ids.iter()
+            .map(|&id| rendezvous_rank(&seed, id))
+            .fold(0, u64::wrapping_add)
+    });
+    bench("rendezvous/x16/batched", || {
+        let mut sum = 0u64;
+        for_each_rendezvous_rank(&seed, ids.iter().copied(), |_, rank| {
+            sum = sum.wrapping_add(rank);
+        });
+        sum
+    });
 }
 
 fn bench_hmac() {
@@ -196,6 +235,36 @@ fn bench_net() {
             });
         }
     });
+}
+
+/// One quiet 16-member commit as `ici_wide` runs it, with a fresh
+/// `VoteScratch` (the pair-delay table filled on every call) and with
+/// the cluster's kept one (filled once, then reused).
+fn bench_vote_table() {
+    let quiet = LinkModel {
+        max_jitter_ms: 0.0,
+        ..LinkModel::default()
+    };
+    let mut net = Network::new(Topology::generate(512, &Placement::default(), 3), quiet);
+    let cluster: Vec<NodeId> = (0..16).map(|i| NodeId::new(i * 31 + 5)).collect();
+    let commit = |net: &mut Network, scratch: &mut VoteScratch| {
+        run_pbft_commit_in(
+            net,
+            PbftInputs {
+                members: &cluster,
+                leader: cluster[0],
+                start: SimTime::ZERO,
+                payload: |_| (MessageKind::BlockHeader, 200),
+                validation: |_| Duration::from_micros(100),
+            },
+            scratch,
+        )
+    };
+    bench("pbft/closed_c16/cold", || {
+        commit(&mut net, &mut VoteScratch::default())
+    });
+    let mut warm = VoteScratch::default();
+    bench("pbft/closed_c16/warm", || commit(&mut net, &mut warm));
 }
 
 /// One `ici_bigblock`-shaped block (1 000 transactions over 4 096
@@ -408,9 +477,11 @@ fn bench_holdings_and_audits() {
 
 fn main() {
     bench_net();
+    bench_vote_table();
     bench_block_path();
     bench_holdings_and_audits();
     bench_sha256();
+    bench_lottery();
     bench_hmac();
     bench_simsig();
     bench_merkle();

@@ -54,23 +54,24 @@ impl Membership {
         self.partition.cluster_of(node)
     }
 
-    /// Active members of `cluster`, ascending by id.
-    pub fn active_members(&self, cluster: ClusterId) -> Vec<NodeId> {
+    /// Active members of `cluster`, ascending by id, without collecting
+    /// them.
+    pub fn iter_active(&self, cluster: ClusterId) -> impl Iterator<Item = NodeId> + '_ {
         self.partition
             .members(cluster)
             .iter()
             .copied()
             .filter(|n| self.is_active(*n))
-            .collect()
+    }
+
+    /// Active members of `cluster`, ascending by id.
+    pub fn active_members(&self, cluster: ClusterId) -> Vec<NodeId> {
+        self.iter_active(cluster).collect()
     }
 
     /// Active member count of `cluster`.
     pub fn active_count(&self, cluster: ClusterId) -> usize {
-        self.partition
-            .members(cluster)
-            .iter()
-            .filter(|n| self.is_active(**n))
-            .count()
+        self.iter_active(cluster).count()
     }
 
     /// Total number of active nodes.

@@ -13,13 +13,13 @@ use ici_net::node::NodeId;
 /// Elects the proposer for `height` among `members`, seeded by the parent
 /// block id. Returns `None` for an empty member set.
 pub fn elect_leader(parent_id: &Digest, height: u64, members: &[NodeId]) -> Option<NodeId> {
-    let _span = ici_telemetry::span!("consensus/leader_elect");
-    lottery_winner(parent_id, height, members.iter().map(|n| n.get())).map(NodeId::new)
+    elect_live_leader(parent_id, height, members, |_| true)
 }
 
-/// Elects a per-height leader while skipping crashed members: the lottery
-/// order is deterministic, and the first live candidate wins. `is_live`
-/// reports liveness.
+/// Elects a per-height leader while skipping crashed members: the live
+/// member with the lowest `(lottery score, id)`, which is the first live
+/// one in lottery order. `is_live` reports liveness; a member it rejects
+/// is never hashed.
 pub fn elect_live_leader<F>(
     parent_id: &Digest,
     height: u64,
@@ -30,22 +30,14 @@ where
     F: Fn(NodeId) -> bool,
 {
     let _span = ici_telemetry::span!("consensus/leader_elect");
-    let mut scored: Vec<(u64, NodeId)> = members
-        .iter()
-        .map(|n| {
-            (
-                ici_crypto::lottery::lottery_score(parent_id, height, n.get()),
-                *n,
-            )
-        })
-        .collect();
-    scored.sort_unstable();
-    scored.into_iter().map(|(_, n)| n).find(|n| is_live(*n))
+    let live = members.iter().copied().filter(|&n| is_live(n));
+    lottery_winner(parent_id, height, live.map(NodeId::get)).map(NodeId::new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ici_crypto::lottery::lottery_score;
     use ici_crypto::sha256::Sha256;
 
     fn members(n: u64) -> Vec<NodeId> {
@@ -85,6 +77,30 @@ mod tests {
         assert_ne!(fallback, primary);
         // With everyone live, both elections agree.
         assert_eq!(elect_live_leader(&seed, 3, &m, |_| true), Some(primary));
+    }
+
+    /// The minimum over live members is the election it replaced: rank
+    /// every member by `(score, id)`, then take the first live one.
+    #[test]
+    fn live_leader_is_the_first_live_member_in_lottery_order() {
+        let seed = Sha256::digest(b"order");
+        let m: Vec<NodeId> = [9, 2, 40, 2, 17, 5, 33, 0, 8].map(NodeId::new).to_vec();
+        for height in 0..20 {
+            let mut order: Vec<(u64, NodeId)> = m
+                .iter()
+                .map(|n| (lottery_score(&seed, height, n.get()), *n))
+                .collect();
+            order.sort_unstable();
+            for mask in 0..64u64 {
+                let is_live = |n: NodeId| (mask >> (n.get() % 6)) & 1 == 1;
+                let expected = order.iter().map(|&(_, n)| n).find(|&n| is_live(n));
+                assert_eq!(
+                    elect_live_leader(&seed, height, &m, is_live),
+                    expected,
+                    "height {height}, mask {mask:06b}"
+                );
+            }
+        }
     }
 
     #[test]

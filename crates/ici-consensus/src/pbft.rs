@@ -34,14 +34,20 @@
 //!
 //! Both paths keep one call's state in one allocation of member-indexed
 //! microseconds ([`Rounds`]) and take every quorum instant through one
-//! selection kernel ([`quorum_select`]).
+//! selection kernel ([`quorum_select`]). A caller that runs the same
+//! cluster's rounds height after height hands in that cluster's
+//! [`VoteScratch`] ([`run_pbft_commit_in`]): the allocation is reused, and
+//! so is the closed form's delay table while the members, their
+//! coordinates and the link are the ones it was filled for.
 
 use std::collections::BTreeMap;
 
+use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
+use ici_net::topology::Topology;
 
 use crate::quorum::quorum;
 
@@ -100,8 +106,63 @@ where
 /// Runs one pre-prepare → prepare → commit exchange.
 ///
 /// Returns per-member commit times; traffic lands in `net`'s meter. If the
-/// leader is crashed, nobody commits.
+/// leader is crashed, nobody commits. This is [`run_pbft_commit_in`] on a
+/// fresh scratch.
 pub fn run_pbft_commit<P, V>(net: &mut Network, inputs: PbftInputs<'_, P, V>) -> CommitReport
+where
+    P: Fn(NodeId) -> (MessageKind, u64),
+    V: Fn(NodeId) -> Duration,
+{
+    run_pbft_commit_in(net, inputs, &mut VoteScratch::default())
+}
+
+/// Vote-round working memory a caller keeps from one call to the next,
+/// one per cluster: the member-indexed buffer of [`Rounds`], and what its
+/// `c × c` table was last filled with.
+///
+/// The closed form's pair-delay table depends on the member list, the
+/// members' coordinates and the link's `base_ms` and `bandwidth_mbps`,
+/// nothing else, so a call whose four match the ones recorded here skips
+/// [`Rounds::fill_delays`]. The record validates itself: no epoch has to
+/// be kept in step with membership, and a scratch moved to another
+/// network or cluster simply refills. Whatever writes the table keeps
+/// the record true — `fill_delays` sets it, a per-message round (which
+/// overwrites the table with arrivals) and a resize clear it.
+#[derive(Clone, Debug, Default)]
+pub struct VoteScratch {
+    /// The `c·(c + 3)` words of a [`Rounds`], then the `3c` of the
+    /// table's key ([`delay_key`]): one allocation, kept or not.
+    buf: Vec<u64>,
+    /// Whether the table holds the pair delays of the key's members at
+    /// the key's coordinates, on a link whose [`link_key`] is `link`.
+    delays: bool,
+    link: [u64; 2],
+}
+
+/// What a pair-delay table for `members` over `topology` is computed
+/// from, as `3c` words: the member ids, then each member's coordinates
+/// as bits (positions compare exactly, never within a tolerance).
+fn delay_key<'a>(members: &'a [NodeId], topology: &'a Topology) -> impl Iterator<Item = u64> + 'a {
+    let coords = members.iter().flat_map(|&m| {
+        let at = topology.coord(m);
+        [at.x.to_bits(), at.y.to_bits()]
+    });
+    members.iter().map(|m| m.get()).chain(coords)
+}
+
+/// The link terms of a pair delay, as bits.
+fn link_key(link: &LinkModel) -> [u64; 2] {
+    [link.base_ms.to_bits(), link.bandwidth_mbps.to_bits()]
+}
+
+/// [`run_pbft_commit`] in `scratch`, which the caller keeps for the
+/// cluster's next round. The report and the meter are the same as on a
+/// fresh scratch, whatever the scratch last held.
+pub fn run_pbft_commit_in<P, V>(
+    net: &mut Network,
+    inputs: PbftInputs<'_, P, V>,
+    scratch: &mut VoteScratch,
+) -> CommitReport
 where
     P: Fn(NodeId) -> (MessageKind, u64),
     V: Fn(NodeId) -> Duration,
@@ -120,7 +181,7 @@ where
 
     // Phase 1 — pre-prepare: leader ships the payload; a member is
     // vote-ready once it holds it and has validated.
-    let mut rounds = Rounds::new(members);
+    let mut rounds = Rounds::new(members, scratch);
     let mut payload_bytes = 0u64;
     for (ready, &m) in rounds.times_mut().iter_mut().zip(members) {
         let arrival = if m == inputs.leader {
@@ -212,7 +273,8 @@ pub fn run_vote_rounds(
     q: usize,
     rounds: usize,
 ) -> BTreeMap<NodeId, SimTime> {
-    let mut state = Rounds::new(members);
+    let mut scratch = VoteScratch::default();
+    let mut state = Rounds::new(members, &mut scratch);
     for (at, m) in state.times_mut().iter_mut().zip(members) {
         *at = ready.get(m).map_or(NONE, |t| t.as_micros());
     }
@@ -227,15 +289,16 @@ pub fn run_vote_rounds(
 const NONE: u64 = u64::MAX;
 
 /// One call's vote-round state: member-indexed microseconds in a single
-/// allocation of `c·(c + 3)` words — the instants entering the next
-/// round, the round's output, one row of work space, and a `c × c`
-/// table (pair delays in closed form, arrival rows per message).
-struct Rounds<'m> {
-    members: &'m [NodeId],
-    buf: Vec<u64>,
+/// allocation, borrowed from a [`VoteScratch`] — the instants entering
+/// the next round, the round's output, one row of work space, a `c × c`
+/// table (pair delays in closed form, arrival rows per message), and
+/// the table's key.
+struct Rounds<'a> {
+    members: &'a [NodeId],
+    scratch: &'a mut VoteScratch,
 }
 
-/// The four buffers of a [`Rounds`].
+/// The five buffers of a [`Rounds`].
 struct Views<'a> {
     /// Each member's instant entering the round: its send time.
     times: &'a mut [u64],
@@ -247,28 +310,36 @@ struct Views<'a> {
     /// the diagonal. Per message: row `j` holds the arrival at member `j`
     /// of each voter's vote, by voter index.
     table: &'a mut [u64],
+    /// `3c` words: the [`delay_key`] of the delays in `table`, when the
+    /// scratch says it holds delays.
+    key: &'a mut [u64],
 }
 
-impl<'m> Rounds<'m> {
-    /// Every instant `NONE`.
-    fn new(members: &'m [NodeId]) -> Rounds<'m> {
+impl<'a> Rounds<'a> {
+    /// Every instant `NONE`; the table keeps what `scratch` says it
+    /// holds, unless it has to move to fit `members`.
+    fn new(members: &'a [NodeId], scratch: &'a mut VoteScratch) -> Rounds<'a> {
         let c = members.len();
-        Rounds {
-            members,
-            buf: vec![NONE; c * (c + 3)],
+        if scratch.buf.len() != c * (c + 6) {
+            scratch.buf.resize(c * (c + 6), NONE);
+            scratch.delays = false;
         }
+        scratch.buf[..3 * c].fill(NONE);
+        Rounds { members, scratch }
     }
 
     fn views(&mut self) -> Views<'_> {
         let c = self.members.len();
-        let (times, rest) = self.buf.split_at_mut(c);
+        let (times, rest) = self.scratch.buf.split_at_mut(c);
         let (next, rest) = rest.split_at_mut(c);
-        let (row, table) = rest.split_at_mut(c);
+        let (row, rest) = rest.split_at_mut(c);
+        let (table, key) = rest.split_at_mut(c * c);
         Views {
             times,
             next,
             row,
             table,
+            key,
         }
     }
 
@@ -278,7 +349,7 @@ impl<'m> Rounds<'m> {
 
     /// Members holding an instant, with it, in membership order.
     fn instants(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
-        let times = &self.buf[..self.members.len()];
+        let times = &self.scratch.buf[..self.members.len()];
         self.members
             .iter()
             .zip(times)
@@ -299,7 +370,9 @@ impl<'m> Rounds<'m> {
     /// properties select (see the module docs).
     fn run(&mut self, net: &mut Network, q: usize, rounds: usize) {
         if net.sends_are_stream_independent() && !net.sends_are_traced() {
-            self.fill_delays(net);
+            if !self.delays_are_current(net) {
+                self.fill_delays(net);
+            }
             for _ in 0..rounds {
                 self.closed_round(net, q);
             }
@@ -310,19 +383,31 @@ impl<'m> Rounds<'m> {
         }
     }
 
+    /// Whether the table holds the pair delays of these members on `net`.
+    fn delays_are_current(&self, net: &Network) -> bool {
+        let c = self.members.len();
+        let key = &self.scratch.buf[c * (c + 3)..];
+        self.scratch.delays
+            && self.scratch.link == link_key(net.link())
+            && key
+                .iter()
+                .copied()
+                .eq(delay_key(self.members, net.topology()))
+    }
+
     /// The table as the link delay of one vote between every pair of
     /// members. Distance is symmetric and a quiet link adds no jitter,
     /// so each pair is computed once and mirrored; the base overhead and
     /// the vote's serialization are the same for every pair, which
     /// leaves one square root and one rounding per pair —
     /// [`ici_net::link::LinkModel::transit`] term for term, its jitter
-    /// term zero.
+    /// term zero. The scratch records what the table now holds.
     fn fill_delays(&mut self, net: &Network) {
         let members = self.members;
         let c = members.len();
         let (link, topology) = (net.link(), net.topology());
         let serialization = link.serialization(VOTE_BYTES).as_micros();
-        let table = self.views().table;
+        let Views { table, key, .. } = self.views();
         for (i, &a) in members.iter().enumerate() {
             let from = topology.coord(a);
             table[i * c + i] = 0;
@@ -334,6 +419,11 @@ impl<'m> Rounds<'m> {
                 table[j * c + i] = delay;
             }
         }
+        for (word, from) in key.iter_mut().zip(delay_key(members, topology)) {
+            *word = from;
+        }
+        self.scratch.link = link_key(link);
+        self.scratch.delays = true;
     }
 
     /// One vote round on a quiet, untraced network, without sending:
@@ -355,6 +445,7 @@ impl<'m> Rounds<'m> {
             next,
             row,
             table,
+            ..
         } = self.views();
         // A crashed member sends nothing, whatever its send time: from
         // here on `times` holds exactly the voters.
@@ -405,6 +496,8 @@ impl<'m> Rounds<'m> {
         let _span = ici_telemetry::span!("consensus/vote_round");
         let members = self.members;
         let c = members.len();
+        // The table is about to hold arrivals, not delays.
+        self.scratch.delays = false;
         let Views {
             times, next, table, ..
         } = self.views();
@@ -511,8 +604,7 @@ fn odd_even_merge_sort<const W: usize>(v: &mut [u64; W]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ici_net::link::LinkModel;
-    use ici_net::topology::{Placement, Topology};
+    use ici_net::topology::{Coord, Placement};
 
     fn network(n: usize) -> Network {
         let topo = Topology::generate(n, &Placement::Uniform { side: 20.0 }, 3);
@@ -824,13 +916,15 @@ mod tests {
                 let q = case.q.clamp(1, c.max(1));
 
                 let mut by_message = quiet.clone();
-                let mut expected = Rounds::new(&members);
+                let mut expected_scratch = VoteScratch::default();
+                let mut expected = Rounds::new(&members, &mut expected_scratch);
                 expected.times_mut().copy_from_slice(&start);
                 for _ in 0..case.rounds {
                     expected.message_round(&mut by_message, q);
                 }
                 let mut closed = quiet.clone();
-                let mut got = Rounds::new(&members);
+                let mut got_scratch = VoteScratch::default();
+                let mut got = Rounds::new(&members, &mut got_scratch);
                 got.times_mut().copy_from_slice(&start);
                 got.fill_delays(&closed);
                 for _ in 0..case.rounds {
@@ -926,11 +1020,100 @@ mod tests {
         );
     }
 
+    /// One commit of `m` led by its first member on a copy of `net`, in
+    /// `scratch`: the report and the network it left behind.
+    fn commit_in(
+        net: &Network,
+        m: &[NodeId],
+        scratch: &mut VoteScratch,
+    ) -> (CommitReport, Network) {
+        let mut net = net.clone();
+        let report = run_pbft_commit_in(
+            &mut net,
+            PbftInputs {
+                members: m,
+                leader: m[0],
+                start: SimTime::from_millis(7),
+                payload: |n| (MessageKind::BlockBody, 1_000 + n.get()),
+                validation: |n| Duration::from_micros(300 + n.get()),
+            },
+            scratch,
+        );
+        (report, net)
+    }
+
+    /// A scratch that ran other rounds before gives the report and the
+    /// meter a fresh one gives: unchanged, after a joiner replaces a
+    /// member or grows the cluster, on a network whose coordinates or
+    /// link differ, and right after a per-message round overwrote the
+    /// table with arrivals.
+    #[test]
+    fn a_warm_scratch_reports_what_a_fresh_one_does() {
+        let check = |net: &Network, m: &[NodeId], warm: &mut VoteScratch, case: &str| {
+            let (got, after_warm) = commit_in(net, m, warm);
+            let (expected, after_fresh) = commit_in(net, m, &mut VoteScratch::default());
+            assert!(expected.is_committed(), "{case}");
+            assert_eq!(got.commit_times, expected.commit_times, "{case}");
+            assert_eq!(got.quorum, expected.quorum, "{case}");
+            assert_eq!(got.quorum_commit(), expected.quorum_commit(), "{case}");
+            let (a, b) = (after_warm.meter(), after_fresh.meter());
+            assert_eq!(a.by_kind(), b.by_kind(), "{case}");
+            for node in (0..net.len() as u64).map(NodeId::new) {
+                assert_eq!(a.sent_by(node), b.sent_by(node), "{case}: {node}");
+                assert_eq!(a.received_by(node), b.received_by(node), "{case}: {node}");
+            }
+            assert_eq!(
+                after_warm.next_send_trace_id(),
+                after_fresh.next_send_trace_id(),
+                "{case}"
+            );
+        };
+        let mut net = network(24);
+        let mut m = members(16);
+        let mut warm = VoteScratch::default();
+        check(&net, &m, &mut warm, "cold");
+        check(&net, &m, &mut warm, "unchanged");
+        let joiner = net.join(Coord::new(3.0, 17.0));
+        m[5] = joiner;
+        check(&net, &m, &mut warm, "a joiner in a member's place");
+        m.push(net.join(Coord::new(19.0, 1.0)));
+        check(&net, &m, &mut warm, "a joiner grows the cluster");
+
+        let moved = Topology::generate(net.len(), &Placement::Uniform { side: 20.0 }, 4);
+        let quiet = *net.link();
+        let elsewhere = Network::new(moved.clone(), quiet);
+        check(
+            &elsewhere,
+            &m,
+            &mut warm,
+            "the same ids at other coordinates",
+        );
+        let slower = Network::new(
+            moved.clone(),
+            LinkModel {
+                base_ms: 4.0,
+                ..quiet
+            },
+        );
+        check(
+            &slower,
+            &m,
+            &mut warm,
+            "the same coordinates on a slower link",
+        );
+
+        let jittery = Network::new(moved, LinkModel::default());
+        assert!(!jittery.sends_are_stream_independent());
+        commit_in(&jittery, &m, &mut warm);
+        check(&slower, &m, &mut warm, "right after a per-message round");
+    }
+
     #[test]
     fn delay_table_is_the_links_transit() {
         let net = network(UNIVERSE as usize);
         let m: Vec<NodeId> = [17, 3, 64, 40, 8, 79, 0].map(NodeId::new).to_vec();
-        let mut rounds = Rounds::new(&m);
+        let mut scratch = VoteScratch::default();
+        let mut rounds = Rounds::new(&m, &mut scratch);
         rounds.fill_delays(&net);
         let c = m.len();
         let table = rounds.views().table;

@@ -76,8 +76,8 @@ use ici_chain::transaction::Transaction;
 use ici_chain::validation::validate_block;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::leader::elect_live_leader;
-use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
-use ici_crypto::lottery::lottery_score;
+use ici_consensus::pbft::{run_pbft_commit_in, PbftInputs, VoteScratch};
+use ici_crypto::lottery::lottery_winner;
 use ici_crypto::sha256::Digest;
 use ici_net::cost::CostModel;
 use ici_net::metrics::{Counter, MessageKind};
@@ -210,18 +210,14 @@ fn block_trace_id(height: Height, block_id: &Digest) -> u64 {
 impl IciNetwork {
     /// Selects the proposer cluster for `height`: clusters are ranked by a
     /// hash lottery on the parent id; the first with any live member wins.
+    /// That is the lottery among the clusters with a live member, scored
+    /// in one batch.
     pub fn proposer_cluster(&self, height: Height) -> Option<ClusterId> {
         let parent_id = self.tip().id();
-        let mut scored: Vec<(u64, ClusterId)> = self
-            .clusters()
-            .into_iter()
-            .map(|c| (lottery_score(&parent_id, height, c.get() as u64), c))
-            .collect();
-        scored.sort_unstable();
-        scored
-            .into_iter()
-            .map(|(_, c)| c)
-            .find(|c| !self.live_members(*c).is_empty())
+        let live = self.cluster_ids().filter(|&c| self.has_live_member(c));
+        lottery_winner(&parent_id, height, live.map(|c| u64::from(c.get())))
+            .and_then(|id| u32::try_from(id).ok())
+            .map(ClusterId::new)
     }
 
     /// Opens `cluster`'s leg of the height carrying `block`: owners
@@ -285,8 +281,7 @@ impl IciNetwork {
         let mut home = self.open_leg(home, home_members, Some(proposer), &block);
         home.arrival = Some(proposed_at);
         let remotes = self
-            .clusters()
-            .into_iter()
+            .cluster_ids()
             .filter(|&other| other != home.cluster)
             .map(|other| {
                 let members = self.membership.active_members(other);
@@ -476,10 +471,15 @@ impl IciNetwork {
         let _span = ici_telemetry::span!("core/block_lifecycle");
         let mut flight = self.stage_build(pending)?;
         at_boundary(StageBoundary::AfterBuild, &mut self.net);
-        let home_commit = stage_distribute(&mut self.net, &mut flight);
+        let home_commit = stage_distribute(&mut self.net, &mut self.vote_scratch, &mut flight);
         at_boundary(StageBoundary::AfterDistribute, &mut self.net);
         if let Ok(home_commit) = home_commit {
-            stage_verify(&mut self.net, &mut flight, home_commit);
+            stage_verify(
+                &mut self.net,
+                &mut self.vote_scratch,
+                &mut flight,
+                home_commit,
+            );
         }
         at_boundary(StageBoundary::AfterVerify, &mut self.net);
         self.stage_commit(flight, home_commit)
@@ -521,13 +521,25 @@ impl IciNetwork {
     }
 }
 
+/// `cluster`'s vote-round scratch in `scratches`, indexed by cluster id,
+/// growing the list to reach it.
+fn scratch_of(scratches: &mut Vec<VoteScratch>, cluster: ClusterId) -> &mut VoteScratch {
+    let index = cluster.index();
+    if scratches.len() <= index {
+        scratches.resize_with(index + 1, VoteScratch::default);
+    }
+    &mut scratches[index]
+}
+
 /// One cluster's vote round on its own stream, proposed by `leader` at
 /// `start`: the body to the owners, the header to everyone else, every
 /// member validating its `1/c` share before it votes. Home and remote
-/// clusters run the same round. Records the quorum-commit instant in the
-/// leg and returns the quorum the round needed.
+/// clusters run the same round, each in its cluster's scratch out of
+/// `scratches`. Records the quorum-commit instant in the leg and returns
+/// the quorum the round needed.
 fn vote_round(
     net: &mut Network,
+    scratches: &mut Vec<VoteScratch>,
     leg: &mut ClusterLeg,
     leader: NodeId,
     start: SimTime,
@@ -542,8 +554,9 @@ fn vote_round(
         leg.members.len(),
     );
     let (members, owners) = (&leg.members, &leg.owners);
+    let scratch = scratch_of(scratches, leg.cluster);
     let report = net.on_stream(&mut leg.stream, |net| {
-        run_pbft_commit(
+        run_pbft_commit_in(
             net,
             PbftInputs {
                 members,
@@ -558,6 +571,7 @@ fn vote_round(
                 },
                 validation: |_| validation,
             },
+            scratch,
         )
     });
     leg.commit = report.quorum_commit();
@@ -574,7 +588,11 @@ fn vote_round(
 /// counts its members as the vote saw them, after the boundary. The
 /// height still goes on to the commit stage; the traffic the failed
 /// round sent stays on the meter.
-fn stage_distribute(net: &mut Network, flight: &mut HeightInFlight) -> Result<SimTime, IciError> {
+fn stage_distribute(
+    net: &mut Network,
+    scratches: &mut Vec<VoteScratch>,
+    flight: &mut HeightInFlight,
+) -> Result<SimTime, IciError> {
     let _span = ici_telemetry::span!("core/stage_distribute", cluster = flight.home.cluster.get());
     let tracing = ici_trace::enabled();
     let height = flight.block.height();
@@ -595,6 +613,7 @@ fn stage_distribute(net: &mut Network, flight: &mut HeightInFlight) -> Result<Si
     }
     let quorum = vote_round(
         net,
+        scratches,
         home,
         flight.proposer,
         proposed_at,
@@ -672,7 +691,12 @@ fn stage_distribute(net: &mut Network, flight: &mut HeightInFlight) -> Result<Si
 /// Stage 3: the vote round (collaborative verify + votes) of every
 /// remote cluster the block reached, one after another. Runs only for a
 /// height whose home cluster committed, at `home_commit`.
-fn stage_verify(net: &mut Network, flight: &mut HeightInFlight, home_commit: SimTime) {
+fn stage_verify(
+    net: &mut Network,
+    scratches: &mut Vec<VoteScratch>,
+    flight: &mut HeightInFlight,
+    home_commit: SimTime,
+) {
     let _span = ici_telemetry::span!("core/stage_verify");
     let mut network_commit = home_commit;
     for leg in &mut flight.remotes {
@@ -680,7 +704,15 @@ fn stage_verify(net: &mut Network, flight: &mut HeightInFlight, home_commit: Sim
             continue;
         };
         let _cluster_span = ici_telemetry::span!("core/remote_commit", cluster = leg.cluster.get());
-        vote_round(net, leg, leader, arrival, &flight.block, &flight.cost);
+        vote_round(
+            net,
+            scratches,
+            leg,
+            leader,
+            arrival,
+            &flight.block,
+            &flight.cost,
+        );
         if let Some(at) = leg.commit {
             network_commit = network_commit.max(at);
         }

@@ -12,6 +12,7 @@ use ici_chain::state::WorldState;
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
+use ici_consensus::pbft::VoteScratch;
 use ici_crypto::sha256::Digest;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -55,6 +56,11 @@ pub struct IciNetwork {
     /// height, and again once a replica of it is written after commit.
     /// Only [`IciNetwork::repair_and_certify`] reads it.
     pub(crate) verdicts: Verdicts,
+    /// Each cluster's vote-round scratch, indexed by cluster id and
+    /// grown on demand: its closed-form delay table outlives the height
+    /// and is refilled only when the cluster's members, their positions
+    /// or the link change.
+    pub(crate) vote_scratch: Vec<VoteScratch>,
 }
 
 impl IciNetwork {
@@ -100,6 +106,7 @@ impl IciNetwork {
             clock: SimTime::ZERO,
             commit_log: Vec::new(),
             verdicts: Verdicts::new(),
+            vote_scratch: Vec::new(),
         };
         for cluster in network.clusters() {
             for owner in network.owners_in_cluster(cluster, &genesis_id, 0) {
@@ -170,11 +177,21 @@ impl IciNetwork {
         self.holdings.get(node.index())
     }
 
-    /// Iterator over all cluster ids.
+    /// All cluster ids, ascending.
     pub fn clusters(&self) -> Vec<ClusterId> {
-        (0..self.membership.cluster_count() as u32)
-            .map(ClusterId::new)
-            .collect()
+        self.cluster_ids().collect()
+    }
+
+    /// All cluster ids, ascending, without collecting them.
+    pub(crate) fn cluster_ids(&self) -> impl Iterator<Item = ClusterId> {
+        (0..self.membership.cluster_count() as u32).map(ClusterId::new)
+    }
+
+    /// Whether any active member of `cluster` is network-live.
+    pub(crate) fn has_live_member(&self, cluster: ClusterId) -> bool {
+        self.membership
+            .iter_active(cluster)
+            .any(|n| self.net.is_up(n))
     }
 
     /// Active members of `cluster` that are also network-live.
@@ -266,7 +283,7 @@ impl IciNetwork {
 
     /// Audits every cluster; returns per-cluster reports.
     pub fn audit_all(&self) -> Vec<IntegrityReport> {
-        self.clusters().into_iter().map(|c| self.audit(c)).collect()
+        self.cluster_ids().map(|c| self.audit(c)).collect()
     }
 }
 

@@ -21,7 +21,7 @@ use std::fmt;
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first eight primes (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09_e667,
     0xbb67_ae85,
     0x3c6e_f372,
@@ -353,6 +353,38 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     compress_blocks_portable(state, blocks);
 }
 
+/// How many independent messages the batched hashes ([`crate::lottery`])
+/// hand [`compress_lanes`] at once. Measured, not settable: on a 2-vCPU
+/// SHA-NI host 16 lottery scores took 1 682 / 1 274 / 1 275 / 1 295 ns at
+/// 1 / 2 / 4 / 8 lanes and 16 rankings 883 / 671 / 661 / 655 ns.
+pub(crate) const LANES: usize = 4;
+
+/// Folds one block into each of `L` independent states: lane `i`
+/// compresses `blocks[i]` into `states[i]`, exactly as
+/// [`compress_blocks`] would one lane at a time.
+///
+/// On the SHA extensions the lanes are interleaved so their round
+/// latencies overlap; every other CPU runs the portable kernel lane by
+/// lane (its scalar rounds already keep the pipeline full, so
+/// interleaving would buy nothing but register spills).
+pub(crate) fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
+    #[cfg(test)]
+    if FORCE_PORTABLE.get() {
+        return compress_lanes_portable(states, blocks);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::compress_lanes(states, blocks) {
+        return;
+    }
+    compress_lanes_portable(states, blocks);
+}
+
+fn compress_lanes_portable<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress_blocks_portable(state, std::slice::from_ref(block));
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Set only by [`with_portable_kernel`].
@@ -588,6 +620,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The lanes are the kernel: `compress_lanes` at every width the
+    /// tests can name folds each lane's block exactly as the portable
+    /// per-block reference does, on the selected kernel and pinned to
+    /// the portable one. `scripts/ci.sh` requires the line printed here.
+    #[test]
+    fn kernels_agree_on_lanes() {
+        fn check<const L: usize>(rng: &mut Xoshiro256, kernel: &str) {
+            for _ in 0..64 {
+                let mut states = [H0; L];
+                let mut blocks = [[0u8; 64]; L];
+                for (state, block) in states.iter_mut().zip(&mut blocks) {
+                    state.iter_mut().for_each(|w| *w = rng.next_u64() as u32);
+                    block.copy_from_slice(&rng.gen_bytes(64));
+                }
+                let mut expected = states;
+                for (state, block) in expected.iter_mut().zip(&blocks) {
+                    compress_blocks_portable(state, std::slice::from_ref(block));
+                }
+                compress_lanes(&mut states, &blocks);
+                assert_eq!(states, expected, "kernel {kernel}, {L} lanes");
+            }
+        }
+        under_every_kernel(|kernel| {
+            let mut rng = Xoshiro256::seed_from_u64(0x1A_4E5);
+            check::<1>(&mut rng, kernel);
+            check::<2>(&mut rng, kernel);
+            check::<4>(&mut rng, kernel);
+            check::<8>(&mut rng, kernel);
+            check::<LANES>(&mut rng, kernel);
+        });
+        println!("sha256 lanes: 1 2 4 8 agree on {}", Sha256::backend());
     }
 
     /// Where padding and buffering change shape: 55/56 (the length

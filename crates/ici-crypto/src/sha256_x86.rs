@@ -11,16 +11,17 @@
 //! hardware intrinsics cannot be reached from safe Rust. The carve-out
 //! is explicit in `lint.toml` (`unsafe_files`), the crate root carries
 //! `#![deny(unsafe_code)]` so nothing outside this file can follow, and
-//! the only entry points are the safe [`available`] and
-//! [`compress_blocks`], which do the CPU detection themselves.
+//! the only entry points are the safe [`available`],
+//! [`compress_blocks`] and [`compress_lanes`], which do the CPU
+//! detection themselves.
 
 #![allow(unsafe_code)]
 
 use crate::sha256::K;
 use std::arch::x86_64::{
     __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
-    _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-    _mm_shuffle_epi8, _mm_storeu_si128,
+    _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+    _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
 };
 
 /// Whether this CPU has everything the kernel uses. The standard
@@ -41,6 +42,22 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool
     // SAFETY: `available()` just confirmed every target feature
     // `compress_blocks_sha` is compiled with.
     unsafe { compress_blocks_sha(state, blocks) };
+    true
+}
+
+/// Folds one block into each of `L` independent states on the SHA
+/// extensions, the lanes interleaved. Returns `false`, having touched
+/// nothing, when the CPU lacks them.
+pub(crate) fn compress_lanes<const L: usize>(
+    states: &mut [[u32; 8]; L],
+    blocks: &[[u8; 64]; L],
+) -> bool {
+    if !available() {
+        return false;
+    }
+    // SAFETY: `available()` just confirmed every target feature
+    // `compress_lanes_sha` is compiled with.
+    unsafe { compress_lanes_sha(states, blocks) };
     true
 }
 
@@ -88,52 +105,96 @@ fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
     _mm_sha256msg2_epu32(t, w3)
 }
 
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-fn compress_blocks_sha(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-    // Reverses the bytes of each 32-bit lane: the message is big-endian.
-    let be_lanes = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
-    let (k, _) = K.as_chunks::<4>();
-
-    // `sha256rnds2` wants the state as (A,B,E,F) and (C,D,G,H), high
-    // lane first, rather than (a,b,c,d) and (e,f,g,h).
-    let (halves, _) = state.as_chunks_mut::<4>();
+/// `state` as the (A,B,E,F) and (C,D,G,H) registers `sha256rnds2`
+/// works on, high lane first, rather than (a,b,c,d) and (e,f,g,h).
+#[inline]
+#[target_feature(enable = "sse2,ssse3,sse4.1")]
+fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
+    let (halves, _) = state.as_chunks::<4>();
     let cdab = _mm_shuffle_epi32(load_words(&halves[0]), 0xB1);
     let efgh = _mm_shuffle_epi32(load_words(&halves[1]), 0x1B);
-    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+    (
+        _mm_alignr_epi8(cdab, efgh, 8),
+        _mm_blend_epi16(efgh, cdab, 0xF0),
+    )
+}
 
-    for block in blocks {
-        let (abef_in, cdgh_in) = (abef, cdgh);
-        let (quarters, _) = block.as_chunks::<16>();
-        let mut w0 = _mm_shuffle_epi8(load_bytes(&quarters[0]), be_lanes);
-        let mut w1 = _mm_shuffle_epi8(load_bytes(&quarters[1]), be_lanes);
-        let mut w2 = _mm_shuffle_epi8(load_bytes(&quarters[2]), be_lanes);
-        let mut w3 = _mm_shuffle_epi8(load_bytes(&quarters[3]), be_lanes);
-
-        // Rounds 0..16 take the message words as they are.
-        rounds4(&mut abef, &mut cdgh, w0, &k[0]);
-        rounds4(&mut abef, &mut cdgh, w1, &k[1]);
-        rounds4(&mut abef, &mut cdgh, w2, &k[2]);
-        rounds4(&mut abef, &mut cdgh, w3, &k[3]);
-        // Rounds 16..64: each group first extends the schedule, the new
-        // words replacing the oldest four.
-        for [k0, k1, k2, k3] in k[4..].as_chunks::<4>().0 {
-            w0 = schedule(w0, w1, w2, w3);
-            rounds4(&mut abef, &mut cdgh, w0, k0);
-            w1 = schedule(w1, w2, w3, w0);
-            rounds4(&mut abef, &mut cdgh, w1, k1);
-            w2 = schedule(w2, w3, w0, w1);
-            rounds4(&mut abef, &mut cdgh, w2, k2);
-            w3 = schedule(w3, w0, w1, w2);
-            rounds4(&mut abef, &mut cdgh, w3, k3);
-        }
-
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
-    }
-
+/// The inverse of [`load_state`].
+#[inline]
+#[target_feature(enable = "sse2,ssse3,sse4.1")]
+fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
+    let (halves, _) = state.as_chunks_mut::<4>();
     let feba = _mm_shuffle_epi32(abef, 0x1B);
     let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
     store_words(&mut halves[0], _mm_blend_epi16(feba, dchg, 0xF0));
     store_words(&mut halves[1], _mm_alignr_epi8(dchg, feba, 8));
+}
+
+/// One block into each of `L` register-held states: the 64 rounds and
+/// the feed-forward. Every four-round group runs across all lanes
+/// before the next starts, so the lanes' `sha256rnds2` dependency
+/// chains overlap instead of running back to back.
+#[inline]
+#[target_feature(enable = "sha,sse2,ssse3")]
+fn block_rounds<const L: usize>(
+    abef: &mut [__m128i; L],
+    cdgh: &mut [__m128i; L],
+    blocks: [&[u8; 64]; L],
+) {
+    // Reverses the bytes of each 32-bit lane: the message is big-endian.
+    let be_lanes = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
+    let (k, _) = K.as_chunks::<4>();
+    let (abef_in, cdgh_in) = (*abef, *cdgh);
+    let mut w = [[_mm_setzero_si128(); 4]; L];
+    for (words, block) in w.iter_mut().zip(blocks) {
+        for (word, quarter) in words.iter_mut().zip(block.as_chunks::<16>().0) {
+            *word = _mm_shuffle_epi8(load_bytes(quarter), be_lanes);
+        }
+    }
+
+    // Rounds 0..16 take the message words as they are.
+    for (g, kg) in k[..4].iter().enumerate() {
+        for l in 0..L {
+            rounds4(&mut abef[l], &mut cdgh[l], w[l][g], kg);
+        }
+    }
+    // Rounds 16..64: each group first extends the schedule, the new
+    // words replacing the oldest four.
+    for quad in k[4..].as_chunks::<4>().0 {
+        for (g, kg) in quad.iter().enumerate() {
+            for l in 0..L {
+                let s = &mut w[l];
+                s[g] = schedule(s[g], s[(g + 1) % 4], s[(g + 2) % 4], s[(g + 3) % 4]);
+                rounds4(&mut abef[l], &mut cdgh[l], s[g], kg);
+            }
+        }
+    }
+
+    for l in 0..L {
+        abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+        cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+    }
+}
+
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_blocks_sha(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    let (abef, cdgh) = load_state(state);
+    let (mut abef, mut cdgh) = ([abef], [cdgh]);
+    for block in blocks {
+        block_rounds(&mut abef, &mut cdgh, [block]);
+    }
+    store_state(state, abef[0], cdgh[0]);
+}
+
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_lanes_sha<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
+    let mut abef = [_mm_setzero_si128(); L];
+    let mut cdgh = [_mm_setzero_si128(); L];
+    for ((abef, cdgh), state) in abef.iter_mut().zip(&mut cdgh).zip(&*states) {
+        (*abef, *cdgh) = load_state(state);
+    }
+    block_rounds(&mut abef, &mut cdgh, blocks.each_ref());
+    for ((state, abef), cdgh) in states.iter_mut().zip(abef).zip(cdgh) {
+        store_state(state, abef, cdgh);
+    }
 }

@@ -76,9 +76,20 @@ impl Duration {
         Duration(ms * 1_000)
     }
 
-    /// Builds a span from fractional milliseconds (rounded to µs).
+    /// Builds a span from fractional milliseconds: rounded to the nearest
+    /// µs, halves away from zero; negative and NaN give zero, and what
+    /// exceeds `u64::MAX` µs saturates.
+    ///
+    /// That is `(ms.max(0.0) * 1_000.0).round() as u64`, in integer
+    /// steps: `f64::round` is a libm call on baseline x86-64 (no SSE4.1
+    /// `roundsd`), and every simulated transit rounds twice. The
+    /// truncation is exact, so is the fraction `us - whole` below 2^52
+    /// (above it every `f64` is an integer and the fraction is zero),
+    /// and the casts saturate as `round() as u64` does.
     pub fn from_millis_f64(ms: f64) -> Duration {
-        Duration((ms.max(0.0) * 1_000.0).round() as u64)
+        let us = ms.max(0.0) * 1_000.0;
+        let whole = us as u64;
+        Duration(whole.saturating_add(u64::from(us - whole as f64 >= 0.5)))
     }
 
     /// The span in microseconds.
@@ -177,6 +188,80 @@ mod tests {
     #[test]
     fn negative_fractional_millis_clamp_to_zero() {
         assert_eq!(Duration::from_millis_f64(-2.0), Duration::ZERO);
+    }
+
+    /// The rounding the integer form replaces.
+    fn by_round(ms: f64) -> u64 {
+        (ms.max(0.0) * 1_000.0).round() as u64
+    }
+
+    #[test]
+    fn fractional_millis_round_like_f64_round() {
+        let tie_below = 0.499_999_999_999_999_94; // the largest f64 < 0.5
+                                                  // 2^64 µs (the top of `u64`) and 2^52 µs (where every `f64` is
+                                                  // an integer), in ms.
+        let two_64_us = 2f64.powi(64) / 1_000.0;
+        let two_52_us = 2f64.powi(52) / 1_000.0;
+        let pinned = [
+            0.0,
+            -0.0,
+            -1e-300,
+            -2.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            two_64_us,
+            two_64_us * 2.0,
+            two_64_us.next_down(),
+            two_52_us,
+            two_52_us.next_up(),
+            0.000_5, // x.5 µs ties
+            0.001_5,
+            0.002_5,
+            2.000_5,
+            1_000.000_5,
+            tie_below / 1_000.0,
+            1.0 + tie_below / 1_000.0,
+        ];
+        for ms in pinned {
+            assert_eq!(
+                Duration::from_millis_f64(ms).as_micros(),
+                by_round(ms),
+                "{ms:e}"
+            );
+        }
+        // Exact ties in µs: n + 0.5, every n that keeps the half.
+        for n in [0u64, 1, 2, 3, 1_000, (1 << 51) - 1] {
+            let us = n as f64 + 0.5;
+            let got = Duration::from_millis_f64(us / 1_000.0).as_micros();
+            assert_eq!(got, by_round(us / 1_000.0), "tie {us}");
+        }
+        assert_eq!(
+            Duration::from_millis_f64(tie_below / 1_000.0),
+            Duration::ZERO
+        );
+
+        // A million random bit patterns (every sign, exponent, NaN
+        // payload) and a million values in the range transits live in.
+        let mut rng = ici_rng::Xoshiro256::seed_from_u64(0x0F_1005);
+        for _ in 0..1_000_000 {
+            let ms = f64::from_bits(rng.next_u64());
+            assert_eq!(
+                Duration::from_millis_f64(ms).as_micros(),
+                by_round(ms),
+                "{ms:e} ({:#018x})",
+                ms.to_bits()
+            );
+            let ms = rng.gen_f64() * 400.0;
+            assert_eq!(
+                Duration::from_millis_f64(ms).as_micros(),
+                by_round(ms),
+                "{ms:e}"
+            );
+        }
     }
 
     #[test]

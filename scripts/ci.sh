@@ -29,7 +29,15 @@ KERNEL_OUT=$(cargo test -q -p ici-crypto --lib kernels_agree -- --nocapture 2>&1
     printf '%s\n' "$KERNEL_OUT"
     exit 1
 }
-printf '%s\n' "$KERNEL_OUT" | grep -m1 '^sha256 backend: ' | sed 's/^/    /'
+# Neither line is anchored: `-q` progress dots can share its line.
+printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 backend: .*' | sed 's/^/    /'
+# The batched lotteries and rankings hash through the multi-lane entry
+# point; its differential (kernels_agree_on_lanes) prints this line, so
+# a rename that drops it from the filter fails here instead of passing.
+printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 lanes: .*' | sed 's/^/    /' || {
+    echo "the multi-lane kernel differential (kernels_agree_on_lanes) did not run"
+    exit 1
+}
 if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
     printf '%s\n' "$KERNEL_OUT" | grep -q 'hardware kernel skipped'; then
     echo "/proc/cpuinfo lists sha_ni but ici-crypto fell back to the portable kernel"
