@@ -93,6 +93,18 @@ fn main() {
     bench("telemetry/counter_enabled", || {
         ici_telemetry::counter_add("bench/noop", ici_telemetry::Label::Global, 1);
     });
+    // The `core/remote_commit [cluster=N]` shape under `core/stage_verify`
+    // on a 32-cluster network: the span is the last of 32 siblings that
+    // differ only in label.
+    {
+        let _parent = ici_telemetry::span!("bench/parent");
+        for cluster in 0..32u32 {
+            let _sibling = ici_telemetry::span!("bench/sibling", cluster = cluster);
+        }
+        bench("telemetry/span_enabled_32_siblings", || {
+            let _g = ici_telemetry::span!("bench/sibling", cluster = 31u32);
+        });
+    }
 
     println!("\n== pbft round, 16 members ==");
     let members: Vec<NodeId> = (0..16).map(NodeId::new).collect();

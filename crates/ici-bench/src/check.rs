@@ -6,15 +6,16 @@
 //!   byte — twice, so a run that depends on what ran before it shows;
 //! * tracing and telemetry never leak into a record, E1's canonical
 //!   trace is the committed `results/TRACE_e1.json` with nothing
-//!   dropped, and the counters three records are trusted for still read
-//!   what the design says (see each gate below).
+//!   dropped, the counters three records are trusted for still read
+//!   what the design says, and E1's span call tree has the lifecycle's
+//!   shape (see each gate below).
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::{fs, io};
 
 use ici_bench::{reset_collectors, Report, Scale};
-use ici_telemetry::TelemetrySnapshot;
+use ici_telemetry::{CallEntry, TelemetrySnapshot};
 
 use crate::experiments::{Experiment, TABLE};
 
@@ -90,6 +91,20 @@ fn counter(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
     rows.map(|c| c.value).sum()
 }
 
+/// Call `at` and its callers, outermost first: `a > b [cluster=3] > c`.
+fn call_path(snapshot: &TelemetrySnapshot, mut at: Option<usize>) -> String {
+    let mut names = Vec::new();
+    while let Some(call) = at.and_then(|i| snapshot.calls.get(i)) {
+        names.push(match call.span.label.as_str() {
+            "" => call.span.name.to_string(),
+            label => format!("{} [{label}]", call.span.name),
+        });
+        at = call.parent;
+    }
+    names.reverse();
+    names.join(" > ")
+}
+
 pub fn run() -> Result<(), String> {
     ici_telemetry::set_enabled(false);
     ici_trace::set_enabled(false);
@@ -125,6 +140,33 @@ pub fn run() -> Result<(), String> {
         series.first().is_some_and(|run| !run.samples.is_empty()),
         || "e1 sampled no per-round series under telemetry".into(),
     )?;
+    // The call tree: every stage runs inside one block's lifecycle, and
+    // each strategy's run is outermost.
+    let parent_name = |c: &CallEntry| c.parent.and_then(|p| t.calls.get(p)).map(|p| p.span.name);
+    let stray = t.calls.iter().position(|c| {
+        stages.iter().any(|s| s == c.span.name) && parent_name(c) != Some("core/block_lifecycle")
+    });
+    ensure(stray.is_none(), || {
+        let stage = stray
+            .and_then(|i| t.calls.get(i))
+            .map_or("", |c| c.span.name);
+        let path = call_path(&t, stray);
+        format!("e1 telemetry lacks the call path core/block_lifecycle > {stage}; it ran as {path}")
+    })?;
+    for run in ["sim/run_full", "sim/run_rapidchain", "sim/run_ici"] {
+        let rooted = t
+            .calls
+            .iter()
+            .any(|c| c.span.name == run && c.parent.is_none());
+        let nested = t
+            .calls
+            .iter()
+            .position(|c| c.span.name == run && c.parent.is_some());
+        ensure(rooted && nested.is_none(), || {
+            let path = call_path(&t, nested);
+            format!("e1 telemetry lacks the root call path {run} (nested run: {path:?})")
+        })?;
+    }
 
     instrumented("e_fault", true, false)?;
     let t = ici_telemetry::snapshot();

@@ -239,8 +239,8 @@ pub fn reset_collectors() {
 /// When telemetry is enabled (`ICI_TELEMETRY=1`) the record gains a
 /// `telemetry` section with the run's counters, histograms, and spans,
 /// plus the per-round `series` the runners sampled, and a top-spans
-/// profile plus a flame graph over the span-event ring are printed
-/// after the tables.
+/// profile plus a flame graph of the span call tree are printed after
+/// the tables.
 ///
 /// When tracing is enabled (`ICI_TRACE=1`) the run's causal event log
 /// is additionally exported next to the record as

@@ -1,110 +1,26 @@
-//! Flamegraph-style text rendering over the span event ring.
+//! Flamegraph-style text rendering of the span call tree.
 //!
 //! Span aggregates ([`crate::snapshot::SpanEntry`]) tell you *how much*
 //! time each span name consumed, but not *under which callers*. The
-//! event ring buffer keeps the last [`crate::EVENT_CAPACITY`] completed
-//! span instances with their nesting depth, which is enough to
-//! reconstruct the call tree: spans close in post-order (children
-//! before parents), so an event at depth `d` is the parent of every
-//! not-yet-claimed event deeper than `d` that closed before it.
-//!
-//! [`render_flamegraph`] folds identical frames (same name and label
-//! under the same parent stack) together, exactly like a classic
-//! flamegraph, and renders one line per merged frame: indented name,
-//! total wall time, share of the root total, instance count, and a
-//! proportional bar. Output is deterministic for a given snapshot,
-//! which keeps it golden-testable.
+//! snapshot's call tree ([`TelemetrySnapshot::calls`]) already merges
+//! identical frames (same name and label under the same parent path),
+//! exactly like a classic flamegraph, so [`render_flamegraph`] prints it
+//! as it is: one line per call path with indented name, total wall time,
+//! share of the root total, instance count, and a proportional bar.
+//! Siblings are ordered by descending total time with name/label
+//! tiebreaks, so output is deterministic for a given snapshot, which
+//! keeps it golden-testable.
 
 use std::fmt::Write as _;
 
-use crate::snapshot::{EventEntry, TelemetrySnapshot};
-
-/// One merged frame of the reconstructed call tree.
-#[derive(Debug)]
-struct Frame {
-    name: &'static str,
-    label: String,
-    total_ns: u64,
-    count: u64,
-    children: Vec<Frame>,
-}
-
-/// Reconstructs the call forest from close-ordered span events.
-///
-/// Maintains, per depth, the nodes still waiting for their parent to
-/// close. An event at depth `d` adopts everything pending strictly
-/// deeper than `d`. Whatever is left pending at the end (parents still
-/// open, or evicted from the ring) is promoted to a root.
-fn build_forest(events: &[EventEntry]) -> Vec<Frame> {
-    let mut pending: Vec<Vec<Frame>> = Vec::new();
-    for event in events {
-        let depth = event.depth;
-        while pending.len() <= depth + 1 {
-            pending.push(Vec::new());
-        }
-        let mut children = Vec::new();
-        for level in pending.iter_mut().skip(depth + 1) {
-            children.append(level);
-        }
-        pending[depth].push(Frame {
-            name: event.name,
-            label: event.label.clone(),
-            total_ns: event.duration_ns,
-            count: 1,
-            children,
-        });
-    }
-    let mut roots = Vec::new();
-    for level in pending {
-        roots.extend(level);
-    }
-    roots
-}
-
-/// Merges sibling frames with the same name and label (summing time and
-/// counts, recursively), then orders siblings by descending total time
-/// with name/label tiebreaks so the rendering is deterministic.
-fn fold(frames: Vec<Frame>) -> Vec<Frame> {
-    let mut merged: Vec<Frame> = Vec::new();
-    for frame in frames {
-        match merged
-            .iter_mut()
-            .find(|m| m.name == frame.name && m.label == frame.label)
-        {
-            Some(existing) => {
-                existing.total_ns = existing.total_ns.saturating_add(frame.total_ns);
-                existing.count += frame.count;
-                existing.children.extend(frame.children);
-            }
-            None => merged.push(frame),
-        }
-    }
-    for frame in &mut merged {
-        frame.children = fold(std::mem::take(&mut frame.children));
-    }
-    merged.sort_by(|a, b| {
-        b.total_ns
-            .cmp(&a.total_ns)
-            .then(a.name.cmp(b.name))
-            .then(a.label.cmp(&b.label))
-    });
-    merged
-}
+use crate::snapshot::{SpanEntry, TelemetrySnapshot};
 
 /// The frame's display text: `name`, plus ` [label]` when scoped.
-fn display(frame: &Frame) -> String {
-    if frame.label.is_empty() {
-        frame.name.to_string()
+fn display(span: &SpanEntry) -> String {
+    if span.label.is_empty() {
+        span.name.to_string()
     } else {
-        format!("{} [{}]", frame.name, frame.label)
-    }
-}
-
-/// Widest indented display text in the folded forest.
-fn measure(frames: &[Frame], depth: usize, widest: &mut usize) {
-    for frame in frames {
-        *widest = (*widest).max(2 * depth + display(frame).chars().count());
-        measure(&frame.children, depth + 1, widest);
+        format!("{} [{}]", span.name, span.label)
     }
 }
 
@@ -113,55 +29,63 @@ fn fmt_ns(ns: u64) -> String {
     format!("{}.{:03}ms", ns / 1_000_000, (ns % 1_000_000) / 1_000)
 }
 
-fn render_frame(
-    out: &mut String,
-    frame: &Frame,
-    depth: usize,
-    name_width: usize,
-    grand_total: u64,
-    bar_width: usize,
-) {
-    let text = format!("{}{}", "  ".repeat(depth), display(frame));
-    let pct = frame.total_ns as f64 * 100.0 / grand_total as f64;
-    let filled = ((frame.total_ns as u128 * bar_width as u128) / grand_total as u128) as usize;
-    let filled = filled.min(bar_width);
-    let bar = format!("{}{}", "#".repeat(filled), " ".repeat(bar_width - filled));
-    let _ = writeln!(
-        out,
-        "{text:<name_width$}  {dur:>11}  {pct:>5.1}%  x{count:<4} |{bar}|",
-        dur = fmt_ns(frame.total_ns),
-        count = frame.count,
-    );
-    for child in &frame.children {
-        render_frame(out, child, depth + 1, name_width, grand_total, bar_width);
-    }
-}
-
-/// Renders the snapshot's span events as a flamegraph-style text tree.
+/// Renders the snapshot's call tree as a flamegraph-style text tree.
 ///
 /// `bar_width` is the width of the proportional `#` bar (percentages
 /// are relative to the sum of all root frames). Returns a multi-line
 /// string ending in a newline; deterministic for a given snapshot.
 pub fn render_flamegraph(snapshot: &TelemetrySnapshot, bar_width: usize) -> String {
-    let roots = fold(build_forest(&snapshot.events));
-    let grand_total: u64 = roots.iter().map(|r| r.total_ns).sum();
+    let calls = &snapshot.calls;
+    // children[i] lists call i's children; the extra last slot the roots.
+    // A parent is always an earlier call, which also rules out cycles.
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); calls.len() + 1];
+    for (i, call) in calls.iter().enumerate() {
+        children[call.parent.filter(|&p| p < i).unwrap_or(calls.len())].push(i);
+    }
+    for siblings in &mut children {
+        siblings.sort_by(|&a, &b| {
+            let (a, b) = (&calls[a].span, &calls[b].span);
+            b.total_ns
+                .cmp(&a.total_ns)
+                .then(a.name.cmp(b.name))
+                .then(a.label.cmp(&b.label))
+        });
+    }
+    let roots = &children[calls.len()];
+    let grand_total: u64 = roots.iter().map(|&r| calls[r].span.total_ns).sum();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "flame graph: {} events ({} dropped), {} total",
-        snapshot.events.len(),
-        snapshot.dropped_events,
+        "flame graph: {} call paths, {} total",
+        calls.len(),
         fmt_ns(grand_total)
     );
     if roots.is_empty() {
-        out.push_str("  (no span events recorded)\n");
+        out.push_str("  (no spans recorded)\n");
         return out;
     }
-    let mut name_width = 0;
-    measure(&roots, 0, &mut name_width);
+    // Depth-first, in display order: (indented text, span).
+    let mut lines: Vec<(String, &SpanEntry)> = Vec::with_capacity(calls.len());
+    let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&r| (0, r)).collect();
+    while let Some((level, i)) = stack.pop() {
+        let span = &calls[i].span;
+        lines.push((format!("{}{}", "  ".repeat(level), display(span)), span));
+        stack.extend(children[i].iter().rev().map(|&c| (level + 1, c)));
+    }
+    let name_width = lines.iter().map(|(text, _)| text.chars().count()).max();
+    let name_width = name_width.unwrap_or(0);
     let grand_total = grand_total.max(1);
-    for root in &roots {
-        render_frame(&mut out, root, 0, name_width, grand_total, bar_width);
+    for (text, span) in lines {
+        let pct = span.total_ns as f64 * 100.0 / grand_total as f64;
+        let filled = (span.total_ns as u128 * bar_width as u128) / grand_total as u128;
+        let filled = usize::try_from(filled).unwrap_or(bar_width).min(bar_width);
+        let bar = format!("{}{}", "#".repeat(filled), " ".repeat(bar_width - filled));
+        let _ = writeln!(
+            out,
+            "{text:<name_width$}  {dur:>11}  {pct:>5.1}%  x{count:<4} |{bar}|",
+            dur = fmt_ns(span.total_ns),
+            count = span.count,
+        );
     }
     out
 }
@@ -169,22 +93,25 @@ pub fn render_flamegraph(snapshot: &TelemetrySnapshot, bar_width: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::CallEntry;
 
-    fn event(
-        seq: u64,
+    fn call(
+        parent: Option<usize>,
         name: &'static str,
         label: &str,
-        depth: usize,
-        start_ns: u64,
-        duration_ns: u64,
-    ) -> EventEntry {
-        EventEntry {
-            seq,
-            name,
-            label: label.to_string(),
-            depth,
-            start_ns,
-            duration_ns,
+        count: u64,
+        ms: u64,
+    ) -> CallEntry {
+        CallEntry {
+            parent,
+            span: SpanEntry {
+                name,
+                label: label.to_string(),
+                count,
+                total_ns: ms * 1_000_000,
+                self_ns: 0,
+                max_ns: 0,
+            },
         }
     }
 
@@ -192,53 +119,29 @@ mod tests {
     fn empty_snapshot_renders_placeholder() {
         let snap = TelemetrySnapshot::default();
         let text = render_flamegraph(&snap, 20);
-        assert!(text.contains("0 events"));
-        assert!(text.contains("(no span events recorded)"));
-    }
-
-    #[test]
-    fn forest_reconstruction_nests_by_depth() {
-        // Close order: inner, inner, outer, side (post-order).
-        let events = vec![
-            event(0, "a/inner", "", 1, 10, 40),
-            event(1, "a/inner", "", 1, 60, 30),
-            event(2, "a/outer", "", 0, 0, 100),
-            event(3, "b/side", "", 0, 100, 50),
-        ];
-        let roots = fold(build_forest(&events));
-        assert_eq!(roots.len(), 2);
-        assert_eq!(roots[0].name, "a/outer");
-        assert_eq!(roots[0].children.len(), 1);
-        assert_eq!(roots[0].children[0].count, 2);
-        assert_eq!(roots[0].children[0].total_ns, 70);
-        assert_eq!(roots[1].name, "b/side");
-    }
-
-    #[test]
-    fn orphaned_deep_events_are_promoted_to_roots() {
-        // A depth-2 event whose ancestors never closed (e.g. evicted).
-        let events = vec![event(0, "x/deep", "", 2, 0, 5)];
-        let roots = fold(build_forest(&events));
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "x/deep");
+        assert!(text.contains("0 call paths, 0.000ms total"));
+        assert!(text.contains("(no spans recorded)"));
     }
 
     #[test]
     fn golden_flamegraph_rendering() {
         let snap = TelemetrySnapshot {
-            events: vec![
-                event(0, "a/inner", "", 1, 10_000_000, 40_000_000),
-                event(1, "a/inner", "", 1, 60_000_000, 30_000_000),
-                event(2, "a/outer", "", 0, 0, 100_000_000),
-                event(3, "b/side", "cluster=1", 0, 100_000_000, 100_000_000),
+            calls: vec![
+                call(None, "b/side", "cluster=1", 1, 100),
+                call(None, "a/outer", "", 1, 100),
+                call(Some(1), "a/inner", "", 2, 70),
+                call(Some(2), "a/leaf", "", 2, 10),
+                call(Some(1), "a/quick", "", 1, 20),
             ],
             ..TelemetrySnapshot::default()
         };
         let text = render_flamegraph(&snap, 20);
         let expected = "\
-flame graph: 4 events (0 dropped), 200.000ms total
+flame graph: 5 call paths, 200.000ms total
 a/outer               100.000ms   50.0%  x1    |##########          |
   a/inner              70.000ms   35.0%  x2    |#######             |
+    a/leaf             10.000ms    5.0%  x2    |#                   |
+  a/quick              20.000ms   10.0%  x1    |##                  |
 b/side [cluster=1]    100.000ms   50.0%  x1    |##########          |
 ";
         assert_eq!(text, expected);

@@ -16,10 +16,11 @@
 //!   latencies and sizes ([`observe`]).
 //!
 //! Plus lightweight **span tracing**: the [`span!`] macro returns an
-//! RAII guard built on [`std::time::Instant`]; nested guards form a
-//! tree, and each span name accumulates call count, total wall time,
-//! *self* time (total minus time spent in child spans), and a bounded
-//! ring buffer of structured events.
+//! RAII guard built on [`std::time::Instant`]; nested guards form one
+//! call tree per thread, one node per distinct call path, each with
+//! call count, total and max wall time. Snapshots fold it by name and
+//! label into per-span aggregates with *self* time (total minus time
+//! spent in child spans), and render it as a flame graph.
 //!
 //! All state is thread-local, so parallel test threads never interfere;
 //! a process-global atomic flag gates every recording call. Snapshots
@@ -41,6 +42,7 @@
 //! let snap = ici_telemetry::snapshot();
 //! assert_eq!(snap.counters[0].value, 2);
 //! assert_eq!(snap.spans.len(), 2);
+//! assert_eq!(snap.calls[1].parent, Some(0)); // demo/inner under demo/outer
 //! assert!(snap.to_json(0).contains("demo/outer"));
 //! ici_telemetry::set_enabled(false);
 //! ```
@@ -58,9 +60,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use flame::render_flamegraph;
 pub use hist::Histogram;
-pub use registry::{counter_add, gauge_set, observe, EVENT_CAPACITY};
+pub use registry::{counter_add, gauge_set, observe};
 pub use snapshot::{
-    reset, snapshot, CounterEntry, EventEntry, GaugeEntry, HistogramEntry, SpanEntry,
+    reset, snapshot, CallEntry, CounterEntry, GaugeEntry, HistogramEntry, SpanEntry,
     TelemetrySnapshot,
 };
 pub use span::{span_guard, SpanGuard};

@@ -1,11 +1,16 @@
 //! The thread-local instrument registry.
 //!
 //! All telemetry state lives in one thread-local [`Collector`]: typed
-//! instruments (counters, gauges, histograms), per-span aggregates, the
-//! live span stack, and the bounded event ring buffer. Thread-locality
-//! keeps recording lock-free and isolates parallel test threads; the
-//! simulator itself is single-threaded, so one collector sees a whole
-//! run.
+//! instruments (counters, gauges, histograms) and the span call tree.
+//! Thread-locality keeps recording lock-free and isolates parallel test
+//! threads; the simulator itself is single-threaded, so one collector
+//! sees a whole run.
+//!
+//! The call tree has one node per distinct call path — (parent node,
+//! name, label) — holding count, total and max. Opening a span finds or
+//! creates its node under the innermost open one; closing it charges
+//! the node. Memory is bounded by the number of distinct paths, so
+//! nothing is ever dropped.
 //!
 //! Every public recording function is gated on [`crate::enabled`] and
 //! is a no-op (one relaxed atomic load) when telemetry is off. Re-entry
@@ -14,92 +19,119 @@
 //! if that changes.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
+use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 use crate::{Key, Label};
 
-/// Capacity of the structured-event ring buffer. Oldest events are
-/// dropped (and counted) beyond this bound.
-pub const EVENT_CAPACITY: usize = 4096;
+/// Index of the call tree's root: the node outermost spans open under.
+/// It is never charged and never exported.
+pub(crate) const ROOT: usize = 0;
 
-/// Aggregate statistics for one span name+label.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Completed span instances.
-    pub count: u64,
-    /// Total wall time across instances, nanoseconds.
-    pub total_ns: u64,
-    /// Self time: total minus time attributed to child spans.
-    pub self_ns: u64,
-    /// Longest single instance, nanoseconds.
-    pub max_ns: u64,
+/// One call path: every instance of `key` opened while `parent` was the
+/// innermost open span.
+#[derive(Debug)]
+pub(crate) struct CallNode {
+    pub(crate) parent: usize,
+    pub(crate) key: Key,
+    pub(crate) children: Vec<usize>,
+    pub(crate) count: u64,
+    pub(crate) total_ns: u64,
+    pub(crate) max_ns: u64,
 }
 
-/// One completed span instance in the event ring buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Monotonic sequence number (survives ring-buffer eviction).
-    pub seq: u64,
-    /// Span name.
-    pub name: &'static str,
-    /// Span scope.
-    pub label: Label,
-    /// Nesting depth at open (0 = root).
-    pub depth: usize,
-    /// Start offset from the collector's epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Wall duration, nanoseconds.
-    pub duration_ns: u64,
-}
-
-/// A frame of the live span stack: accumulates child wall time so the
-/// parent can compute its self time on close.
-#[derive(Debug, Default)]
-pub(crate) struct Frame {
-    pub(crate) child_ns: u64,
+impl CallNode {
+    fn new(parent: usize, key: Key) -> CallNode {
+        CallNode {
+            parent,
+            key,
+            children: Vec::new(),
+            count: 0,
+            total_ns: 0,
+            max_ns: 0,
+        }
+    }
 }
 
 /// All telemetry state for one thread.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Collector {
     pub(crate) counters: BTreeMap<Key, u64>,
     pub(crate) gauges: BTreeMap<Key, f64>,
     pub(crate) hists: BTreeMap<Key, Histogram>,
-    pub(crate) spans: BTreeMap<Key, SpanStats>,
-    pub(crate) stack: Vec<Frame>,
-    pub(crate) events: VecDeque<SpanEvent>,
-    pub(crate) dropped_events: u64,
-    pub(crate) next_seq: u64,
-    /// First instant observed; event offsets are relative to it.
-    pub(crate) epoch: Option<Instant>,
+    /// The call tree in creation order, so a parent precedes its children.
+    pub(crate) calls: Vec<CallNode>,
+    /// The innermost open span's node ([`ROOT`] when none is open).
+    pub(crate) open: usize,
+    /// Bumped by every clear: a guard opened before it records nothing.
+    pub(crate) generation: u64,
 }
 
 impl Collector {
-    pub(crate) fn push_event(&mut self, event: SpanEvent) {
-        if self.events.len() >= EVENT_CAPACITY {
-            self.events.pop_front();
-            self.dropped_events += 1;
+    fn new(generation: u64) -> Collector {
+        Collector {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            calls: vec![CallNode::new(ROOT, Key::new("", Label::Global))],
+            open: ROOT,
+            generation,
         }
-        self.events.push_back(event);
+    }
+
+    /// Opens a span of `key` under the innermost open one and returns
+    /// its node, created on the path's first open.
+    pub(crate) fn enter(&mut self, key: Key) -> usize {
+        let (parent, calls) = (self.open, &self.calls);
+        // Siblings differ mostly by label (one per cluster), so it is
+        // compared first.
+        let same = |&i: &usize| {
+            let k = calls.get(i).map(|n| n.key);
+            k.is_some_and(|k| k.label == key.label && k.name == key.name)
+        };
+        let found = calls
+            .get(parent)
+            .and_then(|p| p.children.iter().copied().find(same));
+        let node = found.unwrap_or_else(|| {
+            let node = self.calls.len();
+            self.calls.push(CallNode::new(parent, key));
+            if let Some(p) = self.calls.get_mut(parent) {
+                p.children.push(node);
+            }
+            node
+        });
+        self.open = node;
+        node
+    }
+
+    /// Charges one `elapsed_ns` instance to `node` and, when `node` is on
+    /// the open path, truncates the path to its parent: a guard dropped
+    /// out of order also closes every span still open inside it.
+    pub(crate) fn exit(&mut self, node: usize, elapsed_ns: u64) {
+        let Some(n) = self.calls.get_mut(node) else {
+            return;
+        };
+        n.count += 1;
+        n.total_ns = n.total_ns.saturating_add(elapsed_ns);
+        n.max_ns = n.max_ns.max(elapsed_ns);
+        let parent = n.parent;
+        // Parents precede children, so the walk ends at the root.
+        let mut at = self.open;
+        while at != node && at != ROOT {
+            at = self.calls.get(at).map_or(ROOT, |n| n.parent);
+        }
+        if at == node {
+            self.open = parent;
+        }
     }
 
     pub(crate) fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
-        self.spans.clear();
-        self.events.clear();
-        self.dropped_events = 0;
-        self.next_seq = 0;
-        self.epoch = None;
-        // Live frames are kept: open guards will still pop them.
+        *self = Collector::new(self.generation.wrapping_add(1));
     }
 }
 
 thread_local! {
-    pub(crate) static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
+    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new(0));
 }
 
 /// Runs `f` with the thread's collector; silently skipped on re-entry.
@@ -217,20 +249,23 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_buffer_is_bounded() {
-        let mut c = Collector::default();
-        for i in 0..(EVENT_CAPACITY as u64 + 10) {
-            c.push_event(SpanEvent {
-                seq: i,
-                name: "t/e",
-                label: Label::Global,
-                depth: 0,
-                start_ns: i,
-                duration_ns: 1,
-            });
+    fn a_call_path_is_one_node_however_often_it_opens() {
+        let mut c = Collector::new(0);
+        let outer = Key::new("t/outer", Label::Global);
+        let inner = |n| Key::new("t/inner", Label::Cluster(n));
+        for _ in 0..3 {
+            let o = c.enter(outer);
+            for n in 0..4 {
+                let i = c.enter(inner(n));
+                c.exit(i, 1);
+            }
+            c.exit(o, 10);
         }
-        assert_eq!(c.events.len(), EVENT_CAPACITY);
-        assert_eq!(c.dropped_events, 10);
-        assert_eq!(c.events.front().map(|e| e.seq), Some(10));
+        // The root, one outer and four inner paths.
+        assert_eq!(c.calls.len(), 6);
+        assert_eq!(c.open, ROOT);
+        assert_eq!((c.calls[1].count, c.calls[1].total_ns), (3, 30));
+        assert_eq!(c.calls[1].children, vec![2, 3, 4, 5]);
+        assert!(c.calls[2..].iter().all(|n| n.parent == 1 && n.count == 3));
     }
 }

@@ -6,10 +6,10 @@
 //! `EXPERIMENTS.md`; `ici-sim`'s `ExperimentRecord` embeds it verbatim
 //! as the record's `telemetry` section.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::registry::{with_collector, EVENT_CAPACITY};
+use crate::registry::with_collector;
 use crate::Key;
 
 /// One counter series.
@@ -78,21 +78,15 @@ pub struct SpanEntry {
     pub max_ns: u64,
 }
 
-/// One structured event from the ring buffer.
+/// One call path of the span tree: every instance of a span opened
+/// under the same chain of enclosing spans.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EventEntry {
-    /// Monotonic sequence number.
-    pub seq: u64,
-    /// Span name.
-    pub name: &'static str,
-    /// Rendered label.
-    pub label: String,
-    /// Nesting depth at open (0 = root).
-    pub depth: usize,
-    /// Start offset from the collector epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub duration_ns: u64,
+pub struct CallEntry {
+    /// Index of the enclosing call path in [`TelemetrySnapshot::calls`]
+    /// (always below this entry's own); `None` for an outermost span.
+    pub parent: Option<usize>,
+    /// The path's aggregate; `self_ns` is its total minus its children's.
+    pub span: SpanEntry,
 }
 
 /// A plain-data copy of the thread's telemetry state.
@@ -104,113 +98,105 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeEntry>,
     /// Histogram series.
     pub histograms: Vec<HistogramEntry>,
-    /// Span aggregates.
+    /// Span aggregates: [`Self::calls`] folded by name and label,
+    /// ascending by (name, label).
     pub spans: Vec<SpanEntry>,
-    /// Most recent span events (bounded ring buffer).
-    pub events: Vec<EventEntry>,
-    /// Events evicted from the ring buffer before this snapshot.
-    pub dropped_events: u64,
+    /// The span call tree, parents before children.
+    pub calls: Vec<CallEntry>,
 }
 
 /// Copies the current thread's telemetry state. Works regardless of the
 /// enabled flag (a disabled thread simply has empty state).
 pub fn snapshot() -> TelemetrySnapshot {
-    with_collector(|c| TelemetrySnapshot {
-        counters: c
-            .counters
+    with_collector(|c| {
+        let nodes = c.calls.get(1..).unwrap_or_default();
+        let calls: Vec<CallEntry> = nodes
             .iter()
-            .map(|(k, &v)| CounterEntry {
-                name: k.name,
-                label: k.label.render(),
-                value: v,
+            .map(|n| {
+                let children = n.children.iter().filter_map(|&i| c.calls.get(i));
+                let child_ns: u64 = children.map(|child| child.total_ns).sum();
+                CallEntry {
+                    parent: n.parent.checked_sub(1),
+                    span: SpanEntry {
+                        name: n.key.name,
+                        label: n.key.label.render(),
+                        count: n.count,
+                        total_ns: n.total_ns,
+                        self_ns: n.total_ns.saturating_sub(child_ns),
+                        max_ns: n.max_ns,
+                    },
+                }
             })
-            .collect(),
-        gauges: c
-            .gauges
-            .iter()
-            .map(|(k, &v)| GaugeEntry {
-                name: k.name,
-                label: k.label.render(),
-                value: v,
-            })
-            .collect(),
-        histograms: c
-            .hists
-            .iter()
-            .map(|(k, h)| HistogramEntry {
-                name: k.name,
-                label: k.label.render(),
-                count: h.count(),
-                sum: h.sum(),
-                min: h.min(),
-                max: h.max(),
-                mean: h.mean(),
-                p50: h.percentile(50.0),
-                p90: h.percentile(90.0),
-                p99: h.percentile(99.0),
-                buckets: h.nonzero_buckets(),
-            })
-            .collect(),
-        spans: c
-            .spans
-            .iter()
-            .map(|(k, s)| SpanEntry {
-                name: k.name,
-                label: k.label.render(),
-                count: s.count,
-                total_ns: s.total_ns,
-                self_ns: s.self_ns,
-                max_ns: s.max_ns,
-            })
-            .collect(),
-        events: c
-            .events
-            .iter()
-            .map(|e| EventEntry {
-                seq: e.seq,
-                name: e.name,
-                label: e.label.render(),
-                depth: e.depth,
-                start_ns: e.start_ns,
-                duration_ns: e.duration_ns,
-            })
-            .collect(),
-        dropped_events: c.dropped_events,
+            .collect();
+        let mut spans: BTreeMap<Key, SpanEntry> = BTreeMap::new();
+        for (n, call) in nodes.iter().zip(&calls) {
+            let s = &call.span;
+            let flat = spans.entry(n.key).or_insert_with(|| SpanEntry {
+                count: 0,
+                total_ns: 0,
+                self_ns: 0,
+                max_ns: 0,
+                ..s.clone()
+            });
+            flat.count += s.count;
+            flat.total_ns = flat.total_ns.saturating_add(s.total_ns);
+            flat.self_ns = flat.self_ns.saturating_add(s.self_ns);
+            flat.max_ns = flat.max_ns.max(s.max_ns);
+        }
+        TelemetrySnapshot {
+            counters: c
+                .counters
+                .iter()
+                .map(|(k, &v)| CounterEntry {
+                    name: k.name,
+                    label: k.label.render(),
+                    value: v,
+                })
+                .collect(),
+            gauges: c
+                .gauges
+                .iter()
+                .map(|(k, &v)| GaugeEntry {
+                    name: k.name,
+                    label: k.label.render(),
+                    value: v,
+                })
+                .collect(),
+            histograms: c
+                .hists
+                .iter()
+                .map(|(k, h)| HistogramEntry {
+                    name: k.name,
+                    label: k.label.render(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    min: h.min(),
+                    max: h.max(),
+                    mean: h.mean(),
+                    p50: h.percentile(50.0),
+                    p90: h.percentile(90.0),
+                    p99: h.percentile(99.0),
+                    buckets: h.nonzero_buckets(),
+                })
+                .collect(),
+            // A path still open at the snapshot has no instance yet.
+            spans: spans.into_values().filter(|s| s.count > 0).collect(),
+            calls,
+        }
     })
     .unwrap_or_default()
 }
 
-/// Clears the current thread's telemetry state (instruments, spans,
-/// events). Spans still open keep working and record on close.
+/// Clears the current thread's telemetry state (instruments and the
+/// call tree). Spans still open record nothing when they close.
 pub fn reset() {
     with_collector(|c| c.clear());
 }
 
 impl TelemetrySnapshot {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-    }
-
     /// The first span aggregate named `name` (any label).
     pub fn span(&self, name: &str) -> Option<&SpanEntry> {
         self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Distinct subsystems (name text before the first `/`) across all
-    /// instruments and spans.
-    pub fn subsystems(&self) -> BTreeSet<&'static str> {
-        let of = |name: &'static str| Key::new(name, crate::Label::Global).subsystem();
-        self.counters
-            .iter()
-            .map(|c| of(c.name))
-            .chain(self.gauges.iter().map(|g| of(g.name)))
-            .chain(self.histograms.iter().map(|h| of(h.name)))
-            .chain(self.spans.iter().map(|s| of(s.name)))
-            .collect()
     }
 
     /// Distinct subsystems that contributed spans specifically.
@@ -233,10 +219,7 @@ impl TelemetrySnapshot {
     /// whitespace prefix of the object's closing brace).
     pub fn write_json(&self, out: &mut String, indent: &str) {
         let inner = format!("{indent}  ");
-        let _ = write!(out, "{{\n{inner}\"event_capacity\": {EVENT_CAPACITY},");
-        let _ = write!(out, "\n{inner}\"dropped_events\": {},", self.dropped_events);
-
-        let _ = write!(out, "\n{inner}\"counters\": ");
+        let _ = write!(out, "{{\n{inner}\"counters\": ");
         write_array(out, &inner, &self.counters, |out, c| {
             let _ = write!(
                 out,
@@ -290,33 +273,18 @@ impl TelemetrySnapshot {
 
         let _ = write!(out, "\n{inner}\"spans\": ");
         write_array(out, &inner, &self.spans, |out, s| {
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"label\": \"{}\", \"count\": {}, \
-                 \"total_ns\": {}, \"self_ns\": {}, \"max_ns\": {}}}",
-                escape(s.name),
-                escape(&s.label),
-                s.count,
-                s.total_ns,
-                s.self_ns,
-                s.max_ns
-            );
+            out.push('{');
+            write_span(out, s);
         });
         out.push(',');
 
-        let _ = write!(out, "\n{inner}\"events\": ");
-        write_array(out, &inner, &self.events, |out, e| {
-            let _ = write!(
-                out,
-                "{{\"seq\": {}, \"name\": \"{}\", \"label\": \"{}\", \"depth\": {}, \
-                 \"start_ns\": {}, \"duration_ns\": {}}}",
-                e.seq,
-                escape(e.name),
-                escape(&e.label),
-                e.depth,
-                e.start_ns,
-                e.duration_ns
-            );
+        let _ = write!(out, "\n{inner}\"calls\": ");
+        write_array(out, &inner, &self.calls, |out, c| {
+            match c.parent {
+                Some(p) => _ = write!(out, "{{\"parent\": {p}, "),
+                None => out.push_str("{\"parent\": null, "),
+            }
+            write_span(out, &c.span);
         });
 
         let _ = write!(out, "\n{indent}}}");
@@ -328,6 +296,21 @@ impl TelemetrySnapshot {
         self.write_json(&mut out, &"  ".repeat(indent_level));
         out
     }
+}
+
+/// A span aggregate's fields and the closing brace of its object.
+fn write_span(out: &mut String, s: &SpanEntry) {
+    let _ = write!(
+        out,
+        "\"name\": \"{}\", \"label\": \"{}\", \"count\": {}, \
+         \"total_ns\": {}, \"self_ns\": {}, \"max_ns\": {}}}",
+        escape(s.name),
+        escape(&s.label),
+        s.count,
+        s.total_ns,
+        s.self_ns,
+        s.max_ns
+    );
 }
 
 fn write_array<T>(
@@ -405,12 +388,7 @@ mod tests {
         assert_eq!(snap.counters.len(), 1);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.events.len(), 1);
-        assert!(!snap.is_empty());
-        assert_eq!(
-            snap.subsystems().into_iter().collect::<Vec<_>>(),
-            vec!["a", "b", "c"]
-        );
+        assert_eq!(snap.calls.len(), 1);
         assert_eq!(
             snap.span_subsystems().into_iter().collect::<Vec<_>>(),
             vec!["c"]
@@ -436,11 +414,9 @@ mod tests {
 
     #[test]
     fn empty_snapshot_serializes_empty_arrays() {
-        let snap = TelemetrySnapshot::default();
-        assert!(snap.is_empty());
-        let json = snap.to_json(1);
+        let json = TelemetrySnapshot::default().to_json(1);
         assert!(json.contains("\"counters\": []"));
-        assert!(json.contains("\"events\": []"));
+        assert!(json.contains("\"calls\": []"));
     }
 
     #[test]
@@ -462,39 +438,41 @@ mod tests {
         assert_eq!(top[0].name, "x/slow");
     }
 
-    /// Pushes `n` span events straight into this thread's collector,
-    /// bypassing the process-global enable flag (other tests toggle it
-    /// concurrently; the ring itself is thread-local and race-free).
-    fn push_raw_events(n: usize) {
+    #[test]
+    fn spans_fold_the_call_tree_by_name_and_label() {
+        // Straight into this thread's collector: other tests toggle the
+        // process-global enable flag concurrently.
+        reset();
         with_collector(|c| {
-            for _ in 0..n {
-                let event = crate::registry::SpanEvent {
-                    seq: c.next_seq,
-                    name: "w/wrap",
-                    label: crate::Label::Global,
-                    depth: 0,
-                    start_ns: 0,
-                    duration_ns: 1,
-                };
-                c.next_seq += 1;
-                c.push_event(event);
+            let key = |name, n| Key::new(name, Label::Cluster(n));
+            for (outer, ns) in [(key("f/a", 10), 50), (key("f/a", 2), 30)] {
+                let o = c.enter(outer);
+                let i = c.enter(key("f/leaf", 1));
+                c.exit(i, ns - 20);
+                c.exit(o, ns);
             }
         });
-    }
-
-    #[test]
-    fn ring_wrap_surfaces_dropped_events_in_snapshot_and_json() {
-        reset();
-        push_raw_events(EVENT_CAPACITY + 7);
         let snap = snapshot();
         reset();
-        assert_eq!(snap.dropped_events, 7, "exactly the overflow is counted");
-        assert_eq!(snap.events.len(), EVENT_CAPACITY);
-        // The survivors are the newest events: the oldest seqs went first.
-        assert_eq!(snap.events.first().map(|e| e.seq), Some(7));
+        let folded: Vec<_> = snap
+            .spans
+            .iter()
+            .map(|s| (s.name, s.label.as_str(), s.count, s.total_ns, s.self_ns))
+            .collect();
+        // Labels order by value, not by their rendering.
+        assert_eq!(
+            folded,
+            vec![
+                ("f/a", "cluster=2", 1, 30, 20),
+                ("f/a", "cluster=10", 1, 50, 20),
+                ("f/leaf", "cluster=1", 2, 40, 40),
+            ]
+        );
+        let parents: Vec<_> = snap.calls.iter().map(|c| c.parent).collect();
+        assert_eq!(parents, vec![None, Some(0), None, Some(2)]);
         let json = snap.to_json(0);
-        assert!(json.contains("\"dropped_events\": 7,"));
-        assert!(json.contains(&format!("\"event_capacity\": {EVENT_CAPACITY},")));
+        assert!(json.contains("{\"parent\": null, \"name\": \"f/a\", \"label\": \"cluster=10\""));
+        assert!(json.contains("{\"parent\": 2, \"name\": \"f/leaf\""));
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //!
 //! A span measures one dynamic extent of a named operation. Guards nest:
 //! while a guard is live, any guard opened on the same thread is its
-//! child, and on close a parent learns how much of its wall time was
-//! spent inside children — the exported *self time* is what the span
-//! itself cost. Aggregates land in the registry keyed by name+label;
-//! each completed instance also lands in the bounded event ring buffer
-//! with its depth and start offset, preserving the tree shape.
+//! child. Each guard charges its wall time to its call path's node in
+//! the registry's call tree; *self time* (what the span itself cost) is
+//! the node's total minus its children's, read at snapshot time.
 
 use std::time::Instant;
 
-use crate::registry::{with_collector, Frame, SpanEvent, SpanStats};
+use crate::registry::with_collector;
 use crate::{Key, Label};
 
 /// RAII guard for one span instance; closes (and records) on drop.
 ///
 /// Created by [`span_guard`] or the [`crate::span!`] macro. Inert when
-/// telemetry was disabled at open time.
+/// telemetry was disabled at open time, and records nothing when the
+/// collector was [`crate::reset`] while it was open.
 #[must_use = "binding the guard keeps the span open until end of scope"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -25,11 +24,9 @@ pub struct SpanGuard {
 
 #[derive(Debug)]
 struct OpenSpan {
-    name: &'static str,
-    label: Label,
+    node: usize,
+    generation: u64,
     started: Instant,
-    start_ns: u64,
-    depth: usize,
 }
 
 /// Opens a span. Prefer the [`crate::span!`] macro, which adds label
@@ -47,32 +44,16 @@ pub fn span_guard(name: &'static str, label: Label) -> SpanGuard {
 #[cold]
 #[inline(never)]
 fn open_span(name: &'static str, label: Label) -> SpanGuard {
-    // lint:allow(wall-clock) -- span timing measures the host, never
-    // feeds protocol state; exported metrics carry counts, not times
-    let started = Instant::now();
-    let open = with_collector(|c| {
-        let epoch = *c.epoch.get_or_insert(started);
-        let depth = c.stack.len();
-        c.stack.push(Frame::default());
-        let start_ns = saturating_ns(started.duration_since(epoch).as_nanos());
-        (start_ns, depth)
-    });
-    match open {
-        Some((start_ns, depth)) => SpanGuard {
-            open: Some(OpenSpan {
-                name,
-                label,
-                started,
-                start_ns,
-                depth,
-            }),
-        },
-        None => SpanGuard { open: None },
+    let entered = with_collector(|c| (c.enter(Key::new(name, label)), c.generation));
+    SpanGuard {
+        open: entered.map(|(node, generation)| OpenSpan {
+            node,
+            generation,
+            // lint:allow(wall-clock) -- span timing measures the host, never
+            // feeds protocol state; exported metrics carry counts, not times
+            started: Instant::now(),
+        }),
     }
-}
-
-fn saturating_ns(ns: u128) -> u64 {
-    u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanGuard {
@@ -87,38 +68,11 @@ impl Drop for SpanGuard {
 #[cold]
 #[inline(never)]
 fn close_span(open: OpenSpan) {
-    let elapsed_ns = saturating_ns(open.started.elapsed().as_nanos());
+    let elapsed_ns = u64::try_from(open.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     with_collector(|c| {
-        // The frame pushed at open; an unbalanced stack (reset with
-        // guards live) degrades to zero child time rather than
-        // misattributing another frame's.
-        let child_ns = if c.stack.len() > open.depth {
-            c.stack.pop().map(|f| f.child_ns).unwrap_or(0)
-        } else {
-            0
-        };
-        let self_ns = elapsed_ns.saturating_sub(child_ns);
-        if let Some(parent) = c.stack.last_mut() {
-            parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
+        if c.generation == open.generation {
+            c.exit(open.node, elapsed_ns);
         }
-        let stats = c
-            .spans
-            .entry(Key::new(open.name, open.label))
-            .or_insert_with(SpanStats::default);
-        stats.count += 1;
-        stats.total_ns = stats.total_ns.saturating_add(elapsed_ns);
-        stats.self_ns = stats.self_ns.saturating_add(self_ns);
-        stats.max_ns = stats.max_ns.max(elapsed_ns);
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        c.push_event(SpanEvent {
-            seq,
-            name: open.name,
-            label: open.label,
-            depth: open.depth,
-            start_ns: open.start_ns,
-            duration_ns: elapsed_ns,
-        });
     });
 }
 
@@ -170,21 +124,13 @@ mod tests {
         assert_eq!(inner.count, 1);
         assert!(outer.total_ns >= inner.total_ns);
         // Outer self time excludes the inner 400 µs.
-        assert!(
-            outer.self_ns < outer.total_ns,
-            "outer self {} vs total {}",
-            outer.self_ns,
-            outer.total_ns
-        );
-        assert!(
-            outer.self_ns <= outer.total_ns - inner.total_ns,
-            "child time not deducted"
-        );
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+        assert!(outer.self_ns < outer.total_ns);
         assert_eq!(inner.self_ns, inner.total_ns);
     }
 
     #[test]
-    fn events_preserve_tree_shape() {
+    fn calls_preserve_tree_shape() {
         let _flag = crate::flag_guard();
         set_enabled(true);
         crate::reset();
@@ -194,12 +140,11 @@ mod tests {
         }
         let snap = snapshot();
         set_enabled(false);
-        let a = snap.events.iter().find(|e| e.name == "t/a").expect("a");
-        let b = snap.events.iter().find(|e| e.name == "t/b").expect("b");
-        assert_eq!(a.depth, 0);
-        assert_eq!(b.depth, 1);
-        assert!(b.seq < a.seq, "inner closes first");
-        assert_eq!(a.label, "cluster=1");
+        let a = snap.calls.iter().position(|c| c.span.name == "t/a");
+        let b = snap.calls.iter().find(|c| c.span.name == "t/b").expect("b");
+        assert_eq!(snap.calls[a.expect("a")].parent, None);
+        assert_eq!(snap.calls[a.expect("a")].span.label, "cluster=1");
+        assert_eq!(b.parent, a);
     }
 
     #[test]
@@ -215,5 +160,51 @@ mod tests {
         let rep = snap.span("t/rep").expect("recorded");
         assert_eq!(rep.count, 5);
         assert!(rep.max_ns <= rep.total_ns);
+        assert_eq!(snap.calls.len(), 1);
+    }
+
+    #[test]
+    fn a_guard_open_across_reset_records_nothing() {
+        let _flag = crate::flag_guard();
+        set_enabled(true);
+        crate::reset();
+        let stale = span_guard("t/stale", Label::Global);
+        crate::reset();
+        {
+            let _fresh = span_guard("t/fresh", Label::Global);
+        }
+        drop(stale);
+        let snap = snapshot();
+        set_enabled(false);
+        assert!(snap.span("t/stale").is_none());
+        let fresh = snap.calls.iter().find(|c| c.span.name == "t/fresh");
+        assert_eq!(fresh.map(|c| (c.parent, c.span.count)), Some((None, 1)));
+    }
+
+    #[test]
+    fn a_guard_dropped_out_of_order_closes_what_it_encloses() {
+        let _flag = crate::flag_guard();
+        set_enabled(true);
+        crate::reset();
+        let outer = span_guard("t/outer", Label::Global);
+        let inner = span_guard("t/inner", Label::Global);
+        drop(outer);
+        // The open stack is back at the root: this span is outermost.
+        {
+            let _next = span_guard("t/next", Label::Global);
+        }
+        drop(inner);
+        let snap = snapshot();
+        set_enabled(false);
+        let parent_of = |name| {
+            snap.calls
+                .iter()
+                .find(|c| c.span.name == name)
+                .map(|c| c.parent)
+        };
+        assert_eq!(parent_of("t/outer"), Some(None));
+        assert_eq!(parent_of("t/inner"), Some(Some(0)));
+        assert_eq!(parent_of("t/next"), Some(None));
+        assert_eq!(snap.span("t/inner").map(|s| s.count), Some(1));
     }
 }

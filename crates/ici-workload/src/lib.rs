@@ -315,7 +315,6 @@ impl TrafficStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ici_chain::codec::Encode;
     use ici_chain::genesis::GenesisConfig;
     use ici_chain::state::WorldState;
 

@@ -1,8 +1,9 @@
 //! Telemetry tour: profile a small ICIStrategy run end to end.
 //!
 //! Enables workspace telemetry, drives a short simulation, then walks the
-//! captured data: the span tree across subsystems, the hottest spans by
-//! self time, per-phase traffic counters, and a latency histogram.
+//! captured data: the subsystems traced, the hottest spans by self time,
+//! per-phase traffic counters, a latency histogram, and the span call
+//! tree as a flame graph.
 //!
 //! Run with: `cargo run --example telemetry_tour`
 
@@ -69,11 +70,6 @@ fn main() {
         );
     }
 
-    // 5. The event ring keeps the most recent span instances as a tree.
-    println!(
-        "\nevent ring: {} events kept, {} dropped (capacity {})",
-        snap.events.len(),
-        snap.dropped_events,
-        telemetry::EVENT_CAPACITY
-    );
+    // 5. The call tree: every distinct call path, nested under its caller.
+    println!("\n{}", telemetry::render_flamegraph(&snap, 30));
 }

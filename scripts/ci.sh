@@ -45,6 +45,18 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
 fi
 
 echo "==> cargo test (includes the ici-lint gate, tests/lint_gate.rs)"
+# Zero rustc warnings. Compiling the tests first builds what the run
+# below runs, and cargo replays a cached crate's warnings, so a warm
+# build reports them too.
+TEST_BUILD=$(cargo test -q --workspace --no-run 2>&1) || {
+    printf '%s\n' "$TEST_BUILD"
+    exit 1
+}
+if printf '%s\n' "$TEST_BUILD" | grep -q '^warning'; then
+    printf '%s\n' "$TEST_BUILD"
+    echo "the workspace test build printed warnings"
+    exit 1
+fi
 cargo test -q --workspace
 
 echo "==> benchmark package (tests, then all six workloads at smoke size)"
@@ -58,7 +70,7 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 # when a repo crate's manifest gains or drops an in-repo dependency.
 git diff --exit-code -- benchmark BENCHMARK.json
 
-echo "==> ici-bench check (14 records twice, E1 trace, three telemetry-counter gates)"
+echo "==> ici-bench check (14 records twice, E1 trace, telemetry counter and call-tree gates)"
 # Runs every experiment in-process against results/, which it only
 # reads; each gate is documented where it lives,
 # crates/ici-bench/src/check.rs.
