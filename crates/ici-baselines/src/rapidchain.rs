@@ -26,7 +26,7 @@ use ici_cluster::kmeans::random_partition;
 use ici_cluster::partition::{ClusterId, Partition};
 use ici_consensus::ida::{run_ida_dissemination, IdaConfig};
 use ici_consensus::leader::elect_live_leader;
-use ici_consensus::pbft::run_vote_rounds;
+use ici_consensus::pbft::{run_vote_rounds, VoteScratch};
 use ici_consensus::quorum::quorum;
 use ici_net::cost::CostModel;
 use ici_net::link::LinkModel;
@@ -85,6 +85,10 @@ pub struct RapidChainNetwork {
     shard_clocks: Vec<SimTime>,
     clock: SimTime,
     commit_log: Vec<BaselineCommitRecord>,
+    /// One vote-round buffer for every committee: shards propose one
+    /// at a time, and its delay table refills itself whenever the
+    /// committee differs from the one it was filled for.
+    vote_scratch: VoteScratch,
 }
 
 impl RapidChainNetwork {
@@ -106,6 +110,7 @@ impl RapidChainNetwork {
             partition,
             clock: SimTime::ZERO,
             commit_log: Vec::new(),
+            vote_scratch: VoteScratch::default(),
         }
     }
 
@@ -209,6 +214,7 @@ impl RapidChainNetwork {
                     &self.shard_states[shard],
                     self.shard_clocks[shard],
                     pending,
+                    &mut self.vote_scratch,
                 )
             });
             outcomes.push((shard, result));
@@ -244,6 +250,7 @@ impl RapidChainNetwork {
         state: &WorldState,
         clock: SimTime,
         pending: Vec<Transaction>,
+        scratch: &mut VoteScratch,
     ) -> Option<(Block, WorldState, BaselineCommitRecord)> {
         let meter_before = net.meter().total();
         let parent_id = parent.id();
@@ -269,7 +276,7 @@ impl RapidChainNetwork {
             .collect();
 
         let q = quorum(committee.len());
-        let committed = run_vote_rounds(net, committee, &ready, q, 2);
+        let committed = run_vote_rounds(net, committee, &ready, q, 2, scratch);
         if committed.len() < q {
             return None;
         }

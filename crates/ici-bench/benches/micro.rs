@@ -15,6 +15,7 @@ use ici_chain::block::Block;
 use ici_chain::builder::BlockBuilder;
 use ici_chain::codec::{Decode, Encode};
 use ici_chain::genesis::GenesisConfig;
+use ici_chain::state::WorldState;
 use ici_chain::transaction::{Address, Transaction};
 use ici_chain::validation::validate_block;
 use ici_cluster::kmeans::{balanced_kmeans, KMeansConfig};
@@ -310,18 +311,37 @@ fn bench_block_path() {
     });
 
     let collector = Address::from_seed(0);
-    for (name, state) in [("flat", &flat), ("lattice", &lattice)] {
+    // Every recipient a new account: the table's creation path, where
+    // each transfer also grows the index and shifts the address order.
+    let fresh: Vec<Transaction> = (0..1_000u64)
+        .map(|seed| {
+            let to = Address::from_seed(1_000_000 + seed);
+            Transaction::signed(&Keypair::from_seed(seed), to, 10, 1, 0, Vec::new())
+        })
+        .collect();
+    assert!(fresh.iter().all(Transaction::verify_signature));
+    for (name, state, txs) in [
+        ("flat", &flat, &checked),
+        ("lattice", &lattice, &checked),
+        ("fresh_recipients", &flat, &fresh),
+    ] {
         bench_with_setup(
             &format!("state/apply_1000tx/{name}"),
             || state.clone(),
             |mut state| {
-                for tx in &checked {
+                for tx in txs {
                     state.apply(tx, collector).expect("valid stream");
                 }
                 state
             },
         );
     }
+    let balances: Vec<(Address, u64)> = (0..65_536)
+        .map(|seed| (Address::from_seed(seed), 1_000))
+        .collect();
+    bench("state/with_balances/65536", || {
+        WorldState::with_balances(balances.iter().copied())
+    });
 
     bench("block/tx_root/1000", || Block::compute_tx_root(&checked));
 

@@ -162,10 +162,17 @@ impl BlockBuilder {
 
     /// Fills the block greedily from `pending`, skipping transactions that
     /// fail, until a cap is reached. Returns how many were accepted.
+    ///
+    /// Room for `pending`'s lower size bound (at most what the
+    /// transaction cap leaves) is reserved up front, so a full batch
+    /// lands in one allocation.
     pub fn fill<I>(&mut self, pending: I) -> usize
     where
         I: IntoIterator<Item = Transaction>,
     {
+        let pending = pending.into_iter();
+        let room = self.max_txs.saturating_sub(self.transactions.len());
+        self.transactions.reserve(pending.size_hint().0.min(room));
         let mut accepted = 0;
         for tx in pending {
             match self.push(tx) {

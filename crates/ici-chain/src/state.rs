@@ -5,12 +5,26 @@
 //! commitment — the property the collaborative verification protocol relies
 //! on when cluster members cross-check a proposed block's `state_root`.
 //!
-//! # Layout and commitments
+//! # Layout
 //!
-//! Accounts live in one `Arc`-shared `BTreeMap`. Cloning a state is one
-//! `Arc` bump; the first mutation of a shared map copies it
-//! (copy-on-write). Two commitments are available behind versioned domain
-//! tags:
+//! Accounts live in one flat table. An account is created in the next
+//! free *slot* and keeps it for good: addresses and [`AccountState`]s are
+//! two parallel arrays indexed by slot. Beside the addresses sit an
+//! open-addressing index (an address's first eight bytes pick where its
+//! probe starts; every probe compares all twenty) and the slots in
+//! address order, which [`WorldState::root`], [`WorldState::accounts`]
+//! and `==` walk.
+//!
+//! The two halves are shared separately. A clone is two `Arc` bumps. Its
+//! first balance or nonce write copies the account array — one memcpy,
+//! 16 bytes an account; its first account creation also copies the
+//! addresses, the index and the order. A lookup is one probe, and
+//! [`WorldState::apply`] finds the sender's slot once for both the check
+//! and the debit.
+//!
+//! # Commitments
+//!
+//! Two commitments are available behind versioned domain tags:
 //!
 //! * [`WorldState::root`] — the flat v1 commitment, a single SHA-256 over
 //!   every account in address order. What every committed experiment
@@ -30,7 +44,6 @@
 //! with every clone. A state that only ever seals under the flat v1 root
 //! never hashes an account leaf.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -138,8 +151,8 @@ fn acct_hash(address: &Address, acct: &AccountState) -> Digest {
 /// logical bucket: four wrapping u64 lanes plus a live-account count.
 /// `add` and `sub` are exact inverses, so updating an account is
 /// sub(old) + add(new) — O(1) regardless of bucket size. An account
-/// contributes iff its map entry exists, which keeps the accumulator in
-/// lockstep with the account map (entries are created, never deleted).
+/// contributes iff it has a slot, which keeps the accumulator in
+/// lockstep with the table (accounts are created, never deleted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct BucketAcc {
     sum: [u64; 4],
@@ -194,31 +207,202 @@ struct Lattice {
 }
 
 impl Lattice {
-    /// Accumulates every account of `accounts` — one leaf hash each.
-    fn build(accounts: &BTreeMap<Address, AccountState>) -> Lattice {
+    /// Accumulates every account of the table — one leaf hash each, in
+    /// slot order (the sums do not depend on it).
+    fn build(keys: &[Address], values: &[AccountState]) -> Lattice {
         ici_telemetry::counter_add("state/lattice_builds", ici_telemetry::Label::Global, 1);
-        let mut acc = vec![BucketAcc::default(); STATE_BUCKETS];
-        for (address, acct) in accounts {
-            let bucket = &mut acc[shard::bucket_of(address)];
-            bucket.add(&acct_hash(address, acct));
-            bucket.count += 1;
-        }
-        Lattice {
-            acc,
+        let mut lattice = Lattice {
+            acc: vec![BucketAcc::default(); STATE_BUCKETS],
             cached: vec![None; STATE_BUCKETS],
+        };
+        for (address, acct) in keys.iter().zip(values) {
+            lattice.insert(address, acct);
         }
+        lattice
+    }
+
+    /// Counts a new account holding `acct` into its bucket.
+    fn insert(&mut self, address: &Address, acct: &AccountState) {
+        let bucket = shard::bucket_of(address);
+        self.acc[bucket].add(&acct_hash(address, acct));
+        self.acc[bucket].count += 1;
+        self.cached[bucket] = None;
     }
 }
 
-/// The full account state, keyed by address.
+/// Runs `f` on `acct`, the account of `address`. With a lattice this
+/// also moves the account's leaf hash in its bucket accumulator (sub
+/// old, add new) and marks the bucket dirty.
+fn update_in<F: FnOnce(&mut AccountState)>(
+    lattice: &mut Option<Lattice>,
+    address: &Address,
+    acct: &mut AccountState,
+    f: F,
+) {
+    let Some(lattice) = lattice else {
+        f(acct);
+        return;
+    };
+    let bucket = shard::bucket_of(address);
+    lattice.acc[bucket].sub(&acct_hash(address, acct));
+    f(acct);
+    lattice.acc[bucket].add(&acct_hash(address, acct));
+    lattice.cached[bucket] = None;
+}
+
+/// An empty [`Directory::index`] entry.
+const EMPTY: u32 = u32::MAX;
+
+/// Smallest index a non-empty directory allocates.
+const MIN_INDEX: usize = 8;
+
+/// Index length for `accounts` accounts: a power of two at least twice
+/// as large, so linear probes stay short and always reach an `EMPTY`.
+fn index_len_for(accounts: usize) -> usize {
+    accounts
+        .saturating_mul(2)
+        .next_power_of_two()
+        .max(MIN_INDEX)
+}
+
+/// An address's first eight bytes, big-endian: ordered like the address
+/// itself, and uniform because addresses are SHA-256 output.
+fn prefix(address: &Address) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&address.as_bytes()[..8]);
+    u64::from_be_bytes(word)
+}
+
+/// Where the probe for `address` starts in an index of `mask + 1`
+/// entries. The multiply spreads addresses that are not hash output
+/// (hand-built test addresses) as well.
+fn home(address: &Address, mask: usize) -> usize {
+    (prefix(address).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// The key side of the account table: who owns each slot, how to find a
+/// slot by address, and the slots in address order. Only account
+/// creation changes it.
+#[derive(Debug, Default)]
+struct Directory {
+    /// Address of each slot, in creation order.
+    keys: Vec<Address>,
+    /// Open-addressing index with linear probing, empty or a power of two
+    /// at least twice `keys.len()`: an address's slot sits in the first
+    /// entry from its [`home`] whose slot holds it, before any `EMPTY`.
+    index: Vec<u32>,
+    /// Every slot once, in ascending address order.
+    order: Vec<u32>,
+}
+
+impl Clone for Directory {
+    /// Only `Arc::make_mut` copies a directory, right before it creates
+    /// an account, so the copy is made with room for that account.
+    fn clone(&self) -> Directory {
+        let room = self.keys.len() + 1;
+        let mut keys = Vec::with_capacity(room);
+        keys.extend_from_slice(&self.keys);
+        let mut order = Vec::with_capacity(room);
+        order.extend_from_slice(&self.order);
+        let index = if index_len_for(room) > self.index.len() {
+            Directory::index_of(&keys, index_len_for(room))
+        } else {
+            self.index.clone()
+        };
+        Directory { keys, index, order }
+    }
+}
+
+impl Directory {
+    /// The slot holding `address`, if any.
+    fn find(&self, address: &Address) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut at = home(address, mask);
+        loop {
+            let slot = self.index[at];
+            if slot == EMPTY {
+                return None;
+            }
+            if self.keys[slot as usize] == *address {
+                return Some(slot as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Records `slot` (already in `keys`) in `index`.
+    fn index_slot(index: &mut [u32], keys: &[Address], slot: u32) {
+        let mask = index.len() - 1;
+        let mut at = home(&keys[slot as usize], mask);
+        while index[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        index[at] = slot;
+    }
+
+    /// An index of `len` entries over every slot of `keys`.
+    fn index_of(keys: &[Address], len: usize) -> Vec<u32> {
+        let mut index = vec![EMPTY; len];
+        for slot in 0..keys.len() {
+            Directory::index_slot(&mut index, keys, slot as u32);
+        }
+        index
+    }
+
+    /// Gives `address` (absent) the next slot, leaving `order` alone.
+    fn push(&mut self, address: Address) -> usize {
+        let slot = self.keys.len();
+        self.keys.push(address);
+        if index_len_for(self.keys.len()) > self.index.len() {
+            self.index = Directory::index_of(&self.keys, index_len_for(self.keys.len()));
+        } else {
+            Directory::index_slot(&mut self.index, &self.keys, slot as u32);
+        }
+        slot
+    }
+
+    /// Gives `address` (absent) the next slot and its place in `order`.
+    fn insert(&mut self, address: Address) -> usize {
+        let keys = &self.keys;
+        let at = self
+            .order
+            .partition_point(|&slot| keys[slot as usize] < address);
+        let slot = self.push(address);
+        self.order.insert(at, slot as u32);
+        slot
+    }
+
+    /// Rebuilds `order` from scratch: a sort of (prefix, slot) pairs, so
+    /// the comparisons read one contiguous array instead of chasing
+    /// slots through `keys`, with the full address breaking prefix ties.
+    fn sort_order(&mut self) {
+        let keys = &self.keys;
+        let mut pairs: Vec<(u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(slot, address)| (prefix(address), slot as u32))
+            .collect();
+        pairs.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| keys[a.1 as usize].cmp(&keys[b.1 as usize]))
+        });
+        self.order = pairs.into_iter().map(|(_, slot)| slot).collect();
+    }
+}
+
+/// The full account state, keyed by address: one flat table (see the
+/// module docs for its layout).
 ///
-/// Backed by a `BTreeMap` so iteration order — and therefore the state
-/// root — is canonical.
+/// A slot number is never reused or moved, and there are fewer than
+/// 2³² − 1 of them.
 #[derive(Clone, Debug, Default)]
 pub struct WorldState {
-    /// `Arc` so a clone is one reference bump; the first write to a
-    /// shared map copies it.
-    accounts: Arc<BTreeMap<Address, AccountState>>,
+    /// Addresses, index and address order: shared between clones until
+    /// one of them creates an account.
+    dir: Arc<Directory>,
+    /// Balances and nonces, by slot: shared between clones until one of
+    /// them writes.
+    values: Arc<Vec<AccountState>>,
     /// `None` until the first [`WorldState::sharded_root`]; maintained
     /// per mutation from then on, and carried by clones.
     lattice: Option<Lattice>,
@@ -226,13 +410,23 @@ pub struct WorldState {
 
 impl PartialEq for WorldState {
     /// Content equality: two states are equal when they hold the same
-    /// accounts, whether or not either carries a lattice.
+    /// accounts, whether or not either carries a lattice and whatever
+    /// slots the accounts sit in.
     fn eq(&self, other: &WorldState) -> bool {
-        self.accounts == other.accounts
+        if Arc::ptr_eq(&self.dir, &other.dir) {
+            return self.values == other.values;
+        }
+        self.len() == other.len() && self.accounts().eq(other.accounts())
     }
 }
 
 impl Eq for WorldState {}
+
+/// Bytes one account contributes to the v1 root.
+const V1_LEAF: usize = 36;
+
+/// Accounts [`WorldState::root`] hands the hasher per call.
+const V1_CHUNK: usize = 64;
 
 impl WorldState {
     /// An empty state.
@@ -240,23 +434,51 @@ impl WorldState {
         WorldState::default()
     }
 
-    /// Creates a state with the given initial balances (nonces zero).
+    /// Creates a state with the given initial balances (nonces zero); of
+    /// repeated addresses the last balance wins. Sized once from the
+    /// iterator's lower size bound and trimmed at the end, so a large
+    /// allocation keeps no growth slack.
     pub fn with_balances<I>(balances: I) -> WorldState
     where
         I: IntoIterator<Item = (Address, u64)>,
     {
-        let mut state = WorldState::new();
-        for (addr, balance) in balances {
-            state.update_account(addr, |acct| *acct = AccountState { balance, nonce: 0 });
+        let balances = balances.into_iter();
+        let hint = balances.size_hint().0;
+        let mut dir = Directory {
+            keys: Vec::with_capacity(hint),
+            index: if hint == 0 {
+                Vec::new()
+            } else {
+                vec![EMPTY; index_len_for(hint)]
+            },
+            order: Vec::new(),
+        };
+        let mut values = Vec::with_capacity(hint);
+        for (address, balance) in balances {
+            let acct = AccountState { balance, nonce: 0 };
+            match dir.find(&address) {
+                Some(slot) => values[slot] = acct,
+                None => {
+                    dir.push(address);
+                    values.push(acct);
+                }
+            }
         }
-        state
+        dir.keys.shrink_to_fit();
+        values.shrink_to_fit();
+        dir.sort_order();
+        WorldState {
+            dir: Arc::new(dir),
+            values: Arc::new(values),
+            lattice: None,
+        }
     }
 
     // Kept for the frozen benchmark only: `benchmark/src/surface.rs`
     // still passes a shard count, which is ignored — the state is one
-    // map. The next `benchmark` PR calls `with_balances` and removes this
-    // shim with the `ici-par` ones; nothing in this repository may call
-    // it.
+    // table. The next `benchmark` PR calls `with_balances` and removes
+    // this shim with the `ici-par` ones; nothing in this repository may
+    // call it.
     #[doc(hidden)]
     pub fn with_balances_sharded<I>(balances: I, _shard_count: usize) -> WorldState
     where
@@ -267,40 +489,40 @@ impl WorldState {
 
     /// Iterates all accounts in address order.
     pub fn accounts(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
-        self.accounts.iter()
+        let (keys, values) = (&self.dir.keys, &self.values);
+        self.dir
+            .order
+            .iter()
+            .map(move |&slot| (&keys[slot as usize], &values[slot as usize]))
+    }
+
+    /// The slot of `address`, created (zero balance and nonce) if absent.
+    fn slot_or_create(&mut self, address: Address) -> usize {
+        if let Some(slot) = self.dir.find(&address) {
+            return slot;
+        }
+        let slot = Arc::make_mut(&mut self.dir).insert(address);
+        let acct = AccountState::default();
+        Arc::make_mut(&mut self.values).push(acct);
+        if let Some(lattice) = &mut self.lattice {
+            lattice.insert(&address, &acct);
+        }
+        slot
     }
 
     /// Read-modify-write on one account; absent accounts start from the
-    /// default (zero) state. With a lattice in place this also moves the
-    /// account's leaf hash in its bucket accumulator (sub old, add new)
-    /// and marks the bucket dirty.
+    /// default (zero) state.
     fn update_account<F: FnOnce(&mut AccountState)>(&mut self, address: Address, f: F) {
-        let map = Arc::make_mut(&mut self.accounts);
-        let Some(lattice) = &mut self.lattice else {
-            f(map.entry(address).or_default());
-            return;
-        };
-        let bucket = shard::bucket_of(&address);
-        let acc = &mut lattice.acc[bucket];
-        match map.entry(address) {
-            std::collections::btree_map::Entry::Occupied(mut occupied) => {
-                acc.sub(&acct_hash(&address, occupied.get()));
-                f(occupied.get_mut());
-                acc.add(&acct_hash(&address, occupied.get()));
-            }
-            std::collections::btree_map::Entry::Vacant(vacant) => {
-                let mut acct = AccountState::default();
-                f(&mut acct);
-                acc.add(&acct_hash(&address, vacant.insert(acct)));
-                acc.count += 1;
-            }
-        }
-        lattice.cached[bucket] = None;
+        let slot = self.slot_or_create(address);
+        let values = Arc::make_mut(&mut self.values);
+        update_in(&mut self.lattice, &address, &mut values[slot], f);
     }
 
     /// Looks up an account, returning the default (zero) state if absent.
     pub fn account(&self, address: &Address) -> AccountState {
-        self.accounts.get(address).copied().unwrap_or_default()
+        self.dir
+            .find(address)
+            .map_or_else(AccountState::default, |slot| self.values[slot])
     }
 
     /// Balance shortcut.
@@ -315,12 +537,12 @@ impl WorldState {
 
     /// Number of accounts with recorded state.
     pub fn len(&self) -> usize {
-        self.accounts.len()
+        self.dir.keys.len()
     }
 
     /// Whether no account has recorded state.
     pub fn is_empty(&self) -> bool {
-        self.accounts.is_empty()
+        self.dir.keys.is_empty()
     }
 
     /// Credits `amount` to `address` (used for genesis allocations and fee
@@ -344,10 +566,13 @@ impl WorldState {
     }
 
     /// [`WorldState::check`] minus signature verification. Returns the
-    /// sender address it derived, for the mutation that follows.
-    fn check_presigned(&self, tx: &Transaction) -> Result<Address, StateError> {
+    /// sender address it derived and the sender's slot (`None` for a
+    /// sender without one, which only a zero-value transfer passes), for
+    /// the mutation that follows.
+    fn check_presigned(&self, tx: &Transaction) -> Result<(Address, Option<usize>), StateError> {
         let sender = tx.sender_address();
-        let account = self.account(&sender);
+        let slot = self.dir.find(&sender);
+        let account = slot.map_or_else(AccountState::default, |slot| self.values[slot]);
         if tx.nonce() != account.nonce {
             return Err(StateError::BadNonce {
                 sender,
@@ -366,20 +591,39 @@ impl WorldState {
                 required,
             });
         }
-        Ok(sender)
+        Ok((sender, slot))
     }
 
-    /// Moves the checked transaction's funds (debit `sender`, the address
-    /// [`WorldState::check_presigned`] derived; credit recipient and fee
-    /// collector).
-    fn apply_mutations(&mut self, tx: &Transaction, sender: Address, fee_collector: Address) {
-        self.update_account(sender, |acct| {
+    /// Moves the checked transaction's funds (debit the sender
+    /// [`WorldState::check_presigned`] found; credit recipient and fee
+    /// collector). Every account involved gets its slot first, so the
+    /// three writes share one copy-on-write check.
+    fn apply_mutations(
+        &mut self,
+        tx: &Transaction,
+        (sender, slot): (Address, Option<usize>),
+        fee_collector: Address,
+    ) {
+        let sender_slot = match slot {
+            Some(slot) => slot,
+            None => self.slot_or_create(sender),
+        };
+        let recipient = tx.recipient();
+        let recipient_slot = self.slot_or_create(recipient);
+        let collector_slot = (tx.fee() > 0).then(|| self.slot_or_create(fee_collector));
+        let values = Arc::make_mut(&mut self.values);
+        let lattice = &mut self.lattice;
+        update_in(lattice, &sender, &mut values[sender_slot], |acct| {
             acct.balance -= tx.amount() + tx.fee();
             acct.nonce += 1;
         });
-        self.credit(tx.recipient(), tx.amount());
-        if tx.fee() > 0 {
-            self.credit(fee_collector, tx.fee());
+        update_in(lattice, &recipient, &mut values[recipient_slot], |acct| {
+            acct.balance = acct.balance.saturating_add(tx.amount());
+        });
+        if let Some(slot) = collector_slot {
+            update_in(lattice, &fee_collector, &mut values[slot], |acct| {
+                acct.balance = acct.balance.saturating_add(tx.fee());
+            });
         }
     }
 
@@ -418,14 +662,20 @@ impl WorldState {
     /// A canonical commitment to the full state: the SHA-256 over all
     /// `(address, balance, nonce)` triples in address order.
     ///
-    /// This is the flat v1 commitment — O(total accounts).
+    /// This is the flat v1 commitment — O(total accounts). The triples
+    /// reach the hasher [`V1_CHUNK`] at a time, laid out in one buffer.
     pub fn root(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"ici-state-v1:");
-        for (addr, acct) in self.accounts() {
-            h.update(addr.as_bytes());
-            h.update(&acct.balance.to_be_bytes());
-            h.update(&acct.nonce.to_be_bytes());
+        let mut buf = [0u8; V1_LEAF * V1_CHUNK];
+        for chunk in self.dir.order.chunks(V1_CHUNK) {
+            for (leaf, &slot) in buf.chunks_exact_mut(V1_LEAF).zip(chunk) {
+                let acct = &self.values[slot as usize];
+                leaf[..20].copy_from_slice(self.dir.keys[slot as usize].as_bytes());
+                leaf[20..28].copy_from_slice(&acct.balance.to_be_bytes());
+                leaf[28..].copy_from_slice(&acct.nonce.to_be_bytes());
+            }
+            h.update(&buf[..chunk.len() * V1_LEAF]);
         }
         h.finalize()
     }
@@ -448,7 +698,7 @@ impl WorldState {
     pub fn sharded_root(&mut self) -> Digest {
         let Lattice { acc, cached } = self
             .lattice
-            .get_or_insert_with(|| Lattice::build(&self.accounts));
+            .get_or_insert_with(|| Lattice::build(&self.dir.keys, &self.values));
         let mut recomputed = 0u64;
         for (bucket, slot) in cached.iter_mut().enumerate() {
             if slot.is_none() {
@@ -482,18 +732,19 @@ impl WorldState {
 
     /// Total supply across all accounts (conserved by [`WorldState::apply`]).
     pub fn total_supply(&self) -> u64 {
-        self.accounts().map(|(_, a)| a.balance).sum()
+        self.values.iter().map(|a| a.balance).sum()
     }
 }
 
-/// The bookkeeping this module shipped before the lattice went lazy —
-/// accumulators from construction on, two leaf hashes moved by every
-/// mutation whether or not anyone asks for the v2 root — kept as the
-/// reference the differential test below compares [`WorldState`] against.
+/// The bookkeeping this module shipped before the flat table and the
+/// lazy lattice — accounts in a `BTreeMap`, accumulators from
+/// construction on, two leaf hashes moved by every mutation whether or
+/// not anyone asks for the v2 root — kept as the reference the
+/// differential test below compares [`WorldState`] against.
 #[cfg(test)]
 #[derive(Clone)]
 struct EagerState {
-    accounts: BTreeMap<Address, AccountState>,
+    accounts: std::collections::BTreeMap<Address, AccountState>,
     acc: Vec<BucketAcc>,
     cached: Vec<Option<Digest>>,
 }
@@ -502,7 +753,7 @@ struct EagerState {
 impl EagerState {
     fn with_balances(balances: &[(Address, u64)]) -> EagerState {
         let mut state = EagerState {
-            accounts: BTreeMap::new(),
+            accounts: std::collections::BTreeMap::new(),
             acc: vec![BucketAcc::default(); STATE_BUCKETS],
             cached: vec![None; STATE_BUCKETS],
         };
@@ -587,6 +838,10 @@ impl EagerState {
 
     fn dirty_buckets(&self) -> usize {
         self.cached.iter().filter(|c| c.is_none()).count()
+    }
+
+    fn total_supply(&self) -> u64 {
+        self.accounts.values().map(|a| a.balance).sum()
     }
 
     fn sharded_root(&mut self) -> Digest {
@@ -832,25 +1087,96 @@ mod tests {
         );
     }
 
-    /// Random interleavings of apply / credit / clone / v1 root / v2 root
-    /// against the eager reference: a state rooted at construction, one
-    /// rooted only at the end and the clones taken along the way agree
-    /// with it on every answer.
+    /// `eager`'s contents rebuilt through `with_balances` in reverse
+    /// address order, so every account sits in a different slot than in
+    /// a state that grew them one by one.
+    fn rebuilt(eager: &EagerState) -> WorldState {
+        let mut state =
+            WorldState::with_balances(eager.accounts.iter().rev().map(|(a, s)| (*a, s.balance)));
+        for (address, acct) in &eager.accounts {
+            if acct.nonce > 0 {
+                state.update_account(*address, |a| a.nonce = acct.nonce);
+            }
+        }
+        state
+    }
+
+    /// Hand-built address `member` of prefix group `group`: the members
+    /// of a group share their first eight bytes, so their probes start
+    /// at the same index entry and only the last twelve bytes tell them
+    /// apart.
+    fn twin(group: u8, member: u8) -> Address {
+        let mut bytes = [0x5Au8; 20];
+        bytes[0] = group.wrapping_mul(0x47);
+        bytes[8..12].copy_from_slice(&u32::from(member).to_be_bytes());
+        bytes[19] = member;
+        Address(bytes)
+    }
+
+    /// Random interleavings of apply / credit / clone / account creation
+    /// against the `BTreeMap` reference: a state rooted at construction,
+    /// one rooted only at the end and the clones taken along the way
+    /// agree with it after every step on both roots, the accounts in
+    /// address order, `==` (against the same contents in other slots),
+    /// total supply and dirty buckets. The universe mixes signing
+    /// accounts with hand-built addresses that share their first eight
+    /// bytes; the initial balances repeat addresses (the last one wins);
+    /// accounts are created mid-stream, on clones too, while the
+    /// original keeps its keys.
     #[test]
     fn lazy_lattice_matches_the_eager_reference() {
         use ici_rng::Xoshiro256;
 
         let universe = 24u64;
-        let funded: Vec<(Address, u64)> = (0..universe)
-            .map(|s| (Address::from_seed(s), 500))
+        let twins: Vec<Address> = (0..3u8)
+            .flat_map(|group| (0..4u8).map(move |member| twin(group, member)))
             .collect();
-        let agree = |what: &str, lazy: &mut WorldState, eager: &mut EagerState, rooted: bool| {
-            assert_eq!(lazy.root(), eager.root(), "{what}: v1 root");
-            if rooted {
-                assert_eq!(lazy.dirty_buckets(), eager.dirty_buckets(), "{what}: dirty");
-                assert_eq!(lazy.sharded_root(), eager.sharded_root(), "{what}: v2 root");
-                assert_eq!(lazy.dirty_buckets(), 0, "{what}: cache warm after a root");
+        // Half the twins funded, three addresses funded twice.
+        let mut funded: Vec<(Address, u64)> = (0..universe)
+            .map(|s| (Address::from_seed(s), 500))
+            .chain(twins.iter().step_by(2).map(|&a| (a, 300)))
+            .collect();
+        funded.push((Address::from_seed(3), 900));
+        funded.push((twins[0], 40));
+        funded.push((Address::from_seed(0), 700));
+        // Recipients, collectors and credit targets: funded, unfunded
+        // (created on first touch) and twins.
+        let target = |rng: &mut Xoshiro256| {
+            let pick = rng.gen_range(0..universe + 8 + twins.len() as u64);
+            match pick.checked_sub(universe + 8) {
+                Some(t) => twins[t as usize],
+                None => Address::from_seed(pick),
             }
+        };
+        // Never created anywhere: a lookup must miss it, though its probe
+        // starts where the group-0 twins' do.
+        let ghost = twin(0, 200);
+
+        let agree = |what: &str, lazy: &WorldState, eager: &EagerState| {
+            assert_eq!(lazy.root(), eager.root(), "{what}: v1 root");
+            assert!(
+                lazy.accounts()
+                    .map(|(a, s)| (*a, *s))
+                    .eq(eager.accounts.iter().map(|(a, s)| (*a, *s))),
+                "{what}: accounts in address order"
+            );
+            assert_eq!(lazy.len(), eager.accounts.len(), "{what}: len");
+            assert_eq!(lazy.total_supply(), eager.total_supply(), "{what}: supply");
+            for (address, acct) in &eager.accounts {
+                assert_eq!(lazy.account(address), *acct, "{what}: lookup");
+            }
+            assert_eq!(lazy.account(&ghost), AccountState::default(), "{what}");
+            let other = rebuilt(eager);
+            assert!(*lazy == other, "{what}: == across slots");
+            let mut richer = other.clone();
+            richer.credit(*eager.accounts.keys().next().expect("funded"), 1);
+            assert!(*lazy != richer, "{what}: != on a balance");
+            let mut wider = other;
+            wider.credit(ghost, 0);
+            assert!(*lazy != wider, "{what}: != on an extra account");
+            // On clones, so the states' own dirty sets carry on.
+            let (mut lazy, mut eager) = (lazy.clone(), eager.clone());
+            assert_eq!(lazy.sharded_root(), eager.sharded_root(), "{what}: v2 root");
         };
         for seed in 0..6u64 {
             let mut rng = Xoshiro256::seed_from_u64(seed * 31 + 1);
@@ -859,11 +1185,12 @@ mod tests {
             // `late` after the last one.
             let mut early = WorldState::with_balances(funded.iter().copied());
             let mut late = early.clone();
-            agree("fresh", &mut early, &mut eager, true);
-            for step in 0..160 {
+            agree("fresh", &early, &eager);
+            assert_eq!(early.sharded_root(), eager.sharded_root());
+            for step in 0..160u64 {
                 let what = format!("seed {seed} step {step}");
                 match rng.gen_range(0u32..10) {
-                    0..=4 => {
+                    0..=3 => {
                         let sender = rng.gen_range(0..universe);
                         let from = Address::from_seed(sender);
                         // Mostly the right nonce and an affordable
@@ -871,48 +1198,60 @@ mod tests {
                         let nonce = early.nonce(&from) + u64::from(rng.gen_bool(0.1));
                         let tx = Transaction::signed(
                             &Keypair::from_seed(sender),
-                            Address::from_seed(rng.gen_range(0..universe + 8)),
+                            target(&mut rng),
                             rng.gen_range(0u64..400),
                             rng.gen_range(0u64..3),
                             nonce,
                             Vec::new(),
                         );
-                        let collector = Address::from_seed(rng.gen_range(0..universe + 8));
+                        let collector = target(&mut rng);
                         let expected = eager.apply(&tx, collector);
                         assert_eq!(early.apply(&tx, collector), expected, "{what}");
                         assert_eq!(late.apply(&tx, collector), expected, "{what}");
                     }
-                    5 | 6 => {
-                        let to = Address::from_seed(rng.gen_range(0..universe + 8));
+                    4 | 5 => {
+                        let to = target(&mut rng);
                         let amount = rng.gen_range(0u64..50);
                         eager.credit(to, amount);
                         early.credit(to, amount);
                         late.credit(to, amount);
                     }
-                    7 => {
+                    6 | 7 => {
                         // A clone carries the lattice (or its absence)
-                        // and diverges without touching the original.
+                        // and diverges — by a new account or a write —
+                        // without touching the original.
                         let (mut fork, mut late_fork, mut eager_fork) =
                             (early.clone(), late.clone(), eager.clone());
-                        let to = Address::from_seed(rng.gen_range(0..universe));
+                        let to = match rng.gen_range(0u32..3) {
+                            0 => Address::from_seed(1_000 + step),
+                            1 => twin(rng.gen_range(0u32..3) as u8, 100 + (step % 96) as u8),
+                            _ => Address::from_seed(rng.gen_range(0..universe)),
+                        };
                         eager_fork.credit(to, 7);
                         fork.credit(to, 7);
                         late_fork.credit(to, 7);
-                        agree(&what, &mut fork, &mut eager_fork, true);
+                        agree(&what, &fork, &eager_fork);
+                        agree(&what, &late_fork, &eager_fork);
+                        assert_eq!(fork.dirty_buckets(), eager_fork.dirty_buckets(), "{what}");
                         assert_eq!(late_fork.dirty_buckets(), STATE_BUCKETS, "{what}");
-                        assert_eq!(late_fork.sharded_root(), fork.sharded_root(), "{what}");
+                        assert!(fork != early, "{what}: the fork diverged");
                         if rng.gen_bool(0.5) {
                             early = early.clone();
                         }
                     }
-                    8 => agree(&what, &mut early, &mut eager, true),
-                    _ => agree(&what, &mut late, &mut eager, false),
+                    8 => {
+                        assert_eq!(early.sharded_root(), eager.sharded_root(), "{what}");
+                        assert_eq!(early.dirty_buckets(), 0, "{what}: cache warm");
+                    }
+                    _ => {}
                 }
+                agree(&what, &early, &eager);
+                agree(&what, &late, &eager);
                 assert_eq!(early.dirty_buckets(), eager.dirty_buckets(), "{what}");
                 assert_eq!(late.dirty_buckets(), STATE_BUCKETS, "{what}: never rooted");
+                assert!(early == late, "{what}: lattice timing must not affect ==");
             }
-            assert!(early == late, "lattice timing must not affect equality");
-            agree("end", &mut early, &mut eager, true);
+            assert_eq!(early.sharded_root(), eager.sharded_root(), "end");
             assert_eq!(late.sharded_root(), early.sharded_root());
             assert_eq!(late.dirty_buckets(), 0);
         }

@@ -263,18 +263,20 @@ where
 
 /// Runs `rounds` successive all-to-all vote exchanges among the distinct
 /// ids of `members`, starting from `ready` (per-member readiness times),
-/// with quorum `q >= 1` per round. Returns the final per-member quorum
-/// times. Used directly by consensus variants that handle dissemination
-/// themselves (e.g. IDA-gossip).
+/// with quorum `q >= 1` per round, in `scratch` (kept by the caller, as
+/// for [`run_pbft_commit_in`]; the result does not depend on what it
+/// last held). Returns the final per-member quorum times. Used directly
+/// by consensus variants that handle dissemination themselves (e.g.
+/// IDA-gossip).
 pub fn run_vote_rounds(
     net: &mut Network,
     members: &[NodeId],
     ready: &BTreeMap<NodeId, SimTime>,
     q: usize,
     rounds: usize,
+    scratch: &mut VoteScratch,
 ) -> BTreeMap<NodeId, SimTime> {
-    let mut scratch = VoteScratch::default();
-    let mut state = Rounds::new(members, &mut scratch);
+    let mut state = Rounds::new(members, scratch);
     for (at, m) in state.times_mut().iter_mut().zip(members) {
         *at = ready.get(m).map_or(NONE, |t| t.as_micros());
     }
@@ -978,7 +980,7 @@ mod tests {
             .map(|(id, ms)| (NodeId::new(id), SimTime::from_millis(ms)))
             .collect();
         let mut net = network(8);
-        let out = run_vote_rounds(&mut net, &m, &ready, 3, 1);
+        let out = run_vote_rounds(&mut net, &m, &ready, 3, 1, &mut VoteScratch::default());
         // Three voters reach everyone: all four members hold a quorum of 3.
         assert_eq!(out.keys().copied().collect::<Vec<_>>(), {
             let mut sorted = m.to_vec();
@@ -995,7 +997,9 @@ mod tests {
         assert_eq!(net.meter().received_by(NodeId::new(5)).messages, 2);
         // No members: nothing to map, the stream still moves per round.
         let before = net.next_send_trace_id();
-        assert!(run_vote_rounds(&mut net, &[], &ready, 1, 2).is_empty());
+        assert!(
+            run_vote_rounds(&mut net, &[], &ready, 1, 2, &mut VoteScratch::default()).is_empty()
+        );
         assert_ne!(net.next_send_trace_id(), before);
     }
 
@@ -1010,8 +1014,13 @@ mod tests {
         let mut jittery = Network::new(topo, LinkModel::default());
         assert!(!jittery.sends_are_stream_independent());
         let mut quiet = network(7);
-        let on_jitter = run_vote_rounds(&mut jittery, &m, &ready, 5, 1);
-        let on_quiet = run_vote_rounds(&mut quiet, &m, &ready, 5, 1);
+        // One scratch for both: the jittery round leaves arrivals in its
+        // table, which the quiet one must refill, not reuse.
+        let mut scratch = VoteScratch::default();
+        let on_jitter = run_vote_rounds(&mut jittery, &m, &ready, 5, 1, &mut scratch);
+        let on_quiet = run_vote_rounds(&mut quiet, &m, &ready, 5, 1, &mut scratch);
+        let fresh = run_vote_rounds(&mut network(7), &m, &ready, 5, 1, &mut Default::default());
+        assert_eq!(on_quiet, fresh, "a kept scratch answers as a fresh one");
         assert_ne!(on_jitter, on_quiet);
         assert_eq!(
             jittery.meter().total(),
