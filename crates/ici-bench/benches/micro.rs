@@ -302,6 +302,19 @@ fn bench_block_path() {
         || checked.clone(),
         verify_all,
     );
+    // Decoded copies: what a validator receives off the wire, verdict
+    // unknown.
+    let encoded: Vec<Vec<u8>> = checked.iter().map(Encode::to_bytes).collect();
+    bench_with_setup(
+        "tx/verify_signature/x1000_fresh",
+        || {
+            encoded
+                .iter()
+                .map(|bytes| Transaction::from_bytes(bytes).expect("encoded transaction"))
+                .collect()
+        },
+        verify_all,
+    );
     // What a verified-set keyed by transaction id would pay per lookup
     // before it saved anything.
     bench("tx/id/x1000", || {
@@ -343,6 +356,9 @@ fn bench_block_path() {
         WorldState::with_balances(balances.iter().copied())
     });
 
+    // A sender address: one digest of a 33-byte public key.
+    let key = *checked[0].sender().as_bytes();
+    bench("sha256/digest/33B", || Sha256::digest(&key));
     bench("block/tx_root/1000", || Block::compute_tx_root(&checked));
 
     let filled = |batch: &[Transaction]| {

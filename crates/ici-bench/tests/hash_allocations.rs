@@ -1,0 +1,84 @@
+//! The block path's hashes allocate nothing for a message within a
+//! `Message`'s inline capacity, and exactly once past it.
+//!
+//! Counted by the process-wide allocator `ici-bench` installs, so this
+//! binary holds one test: no other test thread allocates while it
+//! measures.
+
+use ici_bench::alloc::stats;
+use ici_chain::block::{Block, BlockHeader};
+use ici_chain::codec::{Decode, Encode};
+use ici_chain::transaction::{Address, Transaction};
+use ici_crypto::hmac::hmac_sha256;
+use ici_crypto::merkle::{hash_leaf, hash_node};
+use ici_crypto::sig::Keypair;
+use ici_crypto::{Digest, Message, Sha256};
+
+/// Heap allocations `f` makes (its result is dropped after counting).
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = stats().count;
+    let out = std::hint::black_box(f());
+    let n = stats().count - before;
+    drop(out);
+    n
+}
+
+#[test]
+fn inline_messages_hash_without_allocating() {
+    let data: Vec<u8> = (0..1_200u32).map(|i| (i * 31 % 251) as u8).collect();
+    let pair = Keypair::from_seed(5);
+    let (left, right) = (Sha256::digest(b"l"), Sha256::digest(b"r"));
+
+    for len in 0..=Message::INLINE_LEN {
+        let message = &data[..len];
+        let signature = pair.sign(message);
+        let n = allocations(|| {
+            Sha256::digest(message);
+            Message::from(message).digest();
+            hmac_sha256(b"key", message);
+            pair.sign(message);
+            assert!(pair.public().verify(message, &signature));
+        });
+        assert_eq!(n, 0, "len {len}");
+    }
+    // The leaf prefix takes one inline byte.
+    for len in 0..Message::INLINE_LEN {
+        assert_eq!(allocations(|| hash_leaf(&data[..len])), 0, "leaf len {len}");
+    }
+    assert_eq!(allocations(|| hash_node(&left, &right)), 0);
+    // A slice digest pads only its tail, at any length.
+    assert_eq!(allocations(|| Sha256::digest(&data)), 0);
+
+    // Past the inline capacity, one spill.
+    for len in [Message::INLINE_LEN + 1, 1_000, 1_200] {
+        let n = allocations(|| Message::from(&data[..len]).digest());
+        assert_eq!(n, 1, "len {len}");
+    }
+
+    // A transaction's signature check, id and leaf, and a header id:
+    // its encodings are written into messages, never into a buffer.
+    let tx = Transaction::signed(&pair, Address::from_seed(9), 10, 1, 0, vec![0xAB; 200]);
+    let fresh = Transaction::from_bytes(&tx.to_bytes()).expect("round trip");
+    let header = *Block::new(template(), vec![tx.clone()]).header();
+    let n = allocations(|| {
+        assert!(fresh.verify_signature());
+        tx.id();
+        tx.leaf_hash();
+        header.id();
+    });
+    assert_eq!(n, 0);
+}
+
+fn template() -> BlockHeader {
+    BlockHeader {
+        height: 1,
+        parent: Digest::ZERO,
+        tx_root: Digest::ZERO,
+        state_root: Digest::ZERO,
+        timestamp_ms: 1,
+        proposer: 0,
+        pow_nonce: 0,
+        tx_count: 0,
+        body_len: 0,
+    }
+}

@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use ici_crypto::merkle::MerkleTree;
+use ici_crypto::merkle::{self, MerkleTree};
 use ici_crypto::sha256::Digest;
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -52,8 +52,8 @@ impl BlockHeader {
     /// Encoded size of a header in bytes.
     pub const ENCODED_LEN: usize = 8 + 32 + 32 + 32 + 8 + 8 + 8 + 4 + 4;
 
-    /// The header id (double-SHA-256 of the encoding), computed by
-    /// streaming the encoding into the hasher — no intermediate buffer.
+    /// The header id (double-SHA-256 of the encoding), the encoding
+    /// written once into a hash message — no intermediate buffer.
     pub fn id(&self) -> BlockId {
         hashing::double_sha256_encodable(self)
     }
@@ -219,10 +219,11 @@ impl Block {
         }
     }
 
-    /// Computes the Merkle root over transaction encodings, streaming
-    /// each leaf into its hasher (no per-transaction encoding buffers).
+    /// Computes the Merkle root over transaction encodings: one leaf
+    /// hash a transaction, then the levels reduced in place (no tree
+    /// kept; [`Block::tx_tree`] builds one for proofs).
     pub fn compute_tx_root(transactions: &[Transaction]) -> Digest {
-        MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(transactions)).root()
+        merkle::root_in_place(&mut Block::tx_leaf_hashes(transactions))
     }
 
     /// Builds the Merkle tree over this block's transactions (for proofs).
@@ -230,12 +231,8 @@ impl Block {
         MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.transactions))
     }
 
-    /// Streams every transaction encoding into a leaf hasher.
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
-        transactions
-            .iter()
-            .map(hashing::leaf_hash_encodable)
-            .collect()
+        transactions.iter().map(Transaction::leaf_hash).collect()
     }
 
     /// The block header.
@@ -352,6 +349,7 @@ impl std::error::Error for BlockIntegrityError {}
 mod tests {
     use super::*;
     use crate::transaction::Address;
+    use ici_crypto::merkle::hash_leaf;
     use ici_crypto::sig::Keypair;
 
     fn txs(n: u64) -> Vec<Transaction> {
@@ -391,6 +389,31 @@ mod tests {
         assert_eq!(block.header().tx_count, 3);
         assert_eq!(block.header().body_len as usize, expected_len);
         assert_eq!(block.header().tx_root, Block::compute_tx_root(&body));
+    }
+
+    /// The in-place root is the root of the proof tree over the
+    /// materialized encodings, for every body size through 33 and for
+    /// 1 000 transactions of an `ici_bigblock` size.
+    #[test]
+    fn tx_root_equals_the_tree_over_encoded_leaves() {
+        let reference = |body: &[Transaction]| {
+            let leaves = body.iter().map(|tx| hash_leaf(&tx.to_bytes())).collect();
+            MerkleTree::from_leaf_hashes(leaves).root()
+        };
+        let big: Vec<Transaction> = (0..1_000u64)
+            .map(|i| {
+                let pair = Keypair::from_seed(i % 64);
+                Transaction::signed(&pair, Address::from_seed(i), 10, 1, i, vec![0xAB; 200])
+            })
+            .collect();
+        for n in 0..=33 {
+            let body = &big[..n];
+            assert_eq!(Block::compute_tx_root(body), reference(body), "n={n}");
+        }
+        assert_eq!(Block::compute_tx_root(&big), reference(&big));
+        assert_eq!(big[0].encoded_len(), 345);
+        let block = Block::new(template(1, Digest::ZERO), big.clone());
+        assert_eq!(block.tx_tree().root(), reference(&big));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ici_crypto::sha256::{Digest, Sha256};
+use ici_crypto::sha256::{Digest, Message};
 use ici_crypto::sig::{PublicKey, Signature, PUBLIC_KEY_LEN, SIGNATURE_LEN};
 
 /// Maximum length accepted for a single byte-string field (16 MiB), a guard
@@ -72,12 +72,15 @@ impl fmt::Display for CodecError {
 impl Error for CodecError {}
 
 /// Where a [`Writer`] sends its bytes: a growable buffer (the default),
-/// or a streaming hasher for callers that only need a digest of the
-/// encoding and never the bytes themselves.
+/// or a block-aligned hash [`Message`] for callers that only need a
+/// digest of the encoding.
+// The message stays inline on purpose: boxing it would put an
+// allocation back on every digest this sink exists to make free.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 enum Sink {
     Buf(Vec<u8>),
-    Hash { hasher: Sha256, written: usize },
+    Hash(Message),
 }
 
 impl Default for Sink {
@@ -86,9 +89,9 @@ impl Default for Sink {
     }
 }
 
-/// Output sink for encoding: a growable buffer, or a streaming hasher
-/// (see [`Writer::hashing`]) that digests the encoding without ever
-/// materializing it.
+/// Output sink for encoding: a growable buffer, or a hash message (see
+/// [`Writer::hashing`]) that lays the encoding out in the blocks the
+/// SHA-256 kernel reads.
 #[derive(Clone, Debug, Default)]
 pub struct Writer {
     sink: Sink,
@@ -107,44 +110,46 @@ impl Writer {
         }
     }
 
-    /// Creates a writer that streams every byte into `hasher` instead of
-    /// buffering. Pass a fresh [`Sha256`] — or one pre-seeded with a
-    /// domain prefix — and finish with [`Writer::into_digest`]. The
-    /// digest is byte-identical to hashing [`Encode::to_bytes`] output,
-    /// with no intermediate allocation.
-    pub fn hashing(hasher: Sha256) -> Writer {
+    /// Creates a writer that appends every byte to `message` — a fresh
+    /// [`Message`], or one opened with a domain prefix — and finish
+    /// with [`Writer::into_message`]. An encoding within the message's
+    /// inline capacity is hashed with no allocation.
+    #[inline]
+    pub fn hashing(message: Message) -> Writer {
         Writer {
-            sink: Sink::Hash { hasher, written: 0 },
+            sink: Sink::Hash(message),
         }
     }
 
     /// Appends raw bytes.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         match &mut self.sink {
             Sink::Buf(buf) => buf.extend_from_slice(bytes),
-            Sink::Hash { hasher, written } => {
-                hasher.update(bytes);
-                *written += bytes.len();
-            }
+            Sink::Hash(message) => message.put(bytes),
         }
     }
 
     /// Appends a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.put_bytes(&[v]);
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.put_bytes(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.put_bytes(&v.to_be_bytes());
     }
 
     /// Appends a `u32`-length-prefixed byte string.
+    #[inline]
     pub fn put_len_prefixed(&mut self, bytes: &[u8]) {
         debug_assert!(bytes.len() <= MAX_FIELD_LEN, "field exceeds MAX_FIELD_LEN");
         // lint:allow(cast) -- encoders are in-process and bounded by
@@ -153,12 +158,9 @@ impl Writer {
         self.put_bytes(bytes);
     }
 
-    /// Bytes written so far (buffered or streamed).
+    /// Bytes written so far.
     pub fn len(&self) -> usize {
-        match &self.sink {
-            Sink::Buf(buf) => buf.len(),
-            Sink::Hash { written, .. } => *written,
-        }
+        self.as_bytes().len()
     }
 
     /// Whether nothing has been written.
@@ -166,35 +168,30 @@ impl Writer {
         self.len() == 0
     }
 
-    /// Consumes the writer, returning the encoded bytes. A hashing
-    /// writer has no bytes to return (that is the point); use
-    /// [`Writer::into_digest`] on that path.
+    /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        debug_assert!(
-            matches!(self.sink, Sink::Buf(_)),
-            "into_bytes on a hashing writer discards the stream"
-        );
         match self.sink {
             Sink::Buf(buf) => buf,
-            Sink::Hash { .. } => Vec::new(),
+            Sink::Hash(message) => message.as_bytes().to_vec(),
         }
     }
 
-    /// Consumes the writer, returning the SHA-256 of everything written.
-    /// For a hashing writer this finalizes the stream; for a buffering
-    /// writer it hashes the buffer (same digest, one copy later).
-    pub fn into_digest(self) -> Digest {
+    /// Consumes the writer, returning what was written as a hash
+    /// [`Message`] — moved out of a hashing writer, copied out of a
+    /// buffering one.
+    #[inline]
+    pub fn into_message(self) -> Message {
         match self.sink {
-            Sink::Buf(buf) => Sha256::digest(&buf),
-            Sink::Hash { hasher, .. } => hasher.finalize(),
+            Sink::Buf(buf) => Message::from(buf.as_slice()),
+            Sink::Hash(message) => message,
         }
     }
 
-    /// Borrows the bytes written so far; empty for a hashing writer.
+    /// Borrows the bytes written so far.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.sink {
             Sink::Buf(buf) => buf,
-            Sink::Hash { .. } => &[],
+            Sink::Hash(message) => message.as_bytes(),
         }
     }
 }

@@ -1,45 +1,37 @@
-//! Streaming digests of encodable values.
+//! Digests of encodable values, with no encoding buffer.
 //!
 //! `double_sha256(&value.to_bytes())` materializes the canonical
 //! encoding in a throwaway `Vec` on every call — on the block pipeline
-//! that is one heap allocation per header id, transaction id, and
-//! Merkle leaf. The helpers here stream the encoding straight into the
-//! hasher through [`Writer::hashing`], producing byte-identical digests
-//! with zero intermediate allocations. The `ici-lint` `rehash` rule
-//! steers protocol code toward this module.
+//! that is one heap allocation per header id and transaction id. The
+//! helpers here write the encoding once into a block-aligned hash
+//! [`Message`] through [`Writer::hashing`], producing byte-identical
+//! digests with no allocation for any encoding within the message's
+//! inline capacity. The `ici-lint` `rehash` rule steers protocol code
+//! toward this module.
 
-use ici_crypto::merkle;
-use ici_crypto::sha256::{double_sha256, Digest, Sha256};
+use ici_crypto::sha256::{double_sha256, Digest, Message, Sha256};
 
 use crate::codec::{Encode, Writer};
 
-/// SHA-256 of `value`'s canonical encoding, streamed.
+/// SHA-256 of `value`'s canonical encoding.
 pub fn digest_encodable<T: Encode + ?Sized>(value: &T) -> Digest {
-    let mut w = Writer::hashing(Sha256::new());
+    let mut w = Writer::hashing(Message::new());
     value.encode(&mut w);
-    w.into_digest()
+    w.into_message().digest()
 }
 
-/// Double-SHA-256 of `value`'s canonical encoding, streamed. Equals
+/// Double-SHA-256 of `value`'s canonical encoding. Equals
 /// `double_sha256(&value.to_bytes())` without materializing the bytes.
 pub fn double_sha256_encodable<T: Encode + ?Sized>(value: &T) -> Digest {
     Sha256::digest(digest_encodable(value).as_bytes())
 }
 
-/// Merkle leaf hash of `value`'s canonical encoding, streamed. Equals
-/// `merkle::hash_leaf(&value.to_bytes())`.
-pub fn leaf_hash_encodable<T: Encode + ?Sized>(value: &T) -> Digest {
-    let mut w = Writer::hashing(merkle::leaf_hasher());
-    value.encode(&mut w);
-    Sha256::digest(w.into_digest().as_bytes())
-}
-
 /// Two-pass reference implementation: materializes the encoding, then
-/// double-hashes it. This is the definition the streaming helpers are
-/// pinned against in the equivalence suite; protocol code must use
+/// double-hashes it. This is the definition the message-writing helpers
+/// are pinned against in the equivalence suite; protocol code must use
 /// [`double_sha256_encodable`] instead.
 pub fn double_sha256_of_bytes<T: Encode + ?Sized>(value: &T) -> Digest {
-    // lint:allow(rehash) -- the reference the streaming path is pinned against
+    // lint:allow(rehash) -- the reference the message-writing path is pinned against
     double_sha256(&value.to_bytes())
 }
 
@@ -48,20 +40,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streaming_digest_matches_materialized() {
+    fn message_digest_matches_materialized() {
+        // Empty, short, and far past the message's inline capacity.
         let values: Vec<Vec<u8>> = vec![Vec::new(), vec![1, 2, 3], vec![0xAB; 4096]];
         for v in &values {
             assert_eq!(digest_encodable(v), Sha256::digest(&v.to_bytes()));
             assert_eq!(double_sha256_encodable(v), double_sha256_of_bytes(v));
-            assert_eq!(leaf_hash_encodable(v), merkle::hash_leaf(&v.to_bytes()));
         }
     }
 
     #[test]
-    fn streaming_digest_covers_multi_field_values() {
+    fn message_digest_covers_multi_field_values() {
         // A value whose encoding spans several put_* calls and crosses
-        // the hasher's 64-byte block boundary.
-        let v: Vec<u64> = (0..40).collect();
-        assert_eq!(double_sha256_encodable(&v), double_sha256_of_bytes(&v));
+        // the 64-byte block boundary and the inline capacity.
+        for n in [4u64, 40, 80] {
+            let v: Vec<u64> = (0..n).collect();
+            assert_eq!(double_sha256_encodable(&v), double_sha256_of_bytes(&v));
+        }
     }
 }

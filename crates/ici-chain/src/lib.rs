@@ -3,8 +3,8 @@
 //! This crate provides the ledger the storage strategies operate on:
 //!
 //! * [`codec`] — the canonical, deterministic binary wire format;
-//! * [`hashing`] — streaming digests of encodable values (no
-//!   intermediate buffers);
+//! * [`hashing`] — digests of encodable values, written into a hash
+//!   message (no intermediate buffers);
 //! * [`transaction`] — signed account-model transfers;
 //! * [`block`] — blocks and fixed-size headers with body commitments;
 //! * [`state`] — the replicated account state and its root commitment;

@@ -9,7 +9,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use ici_crypto::sha256::{Digest, Sha256};
+use ici_crypto::merkle;
+use ici_crypto::sha256::{Digest, Message, Sha256};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -231,9 +232,17 @@ impl Transaction {
     }
 
     /// The transaction id: double-SHA-256 over the full encoding,
-    /// streamed into the hasher without materializing the bytes.
+    /// written once into a hash message (no encoding buffer).
     pub fn id(&self) -> TxId {
         hashing::double_sha256_encodable(self)
+    }
+
+    /// The transaction's Merkle leaf: [`merkle::hash_leaf`] of its full
+    /// encoding, written once after the leaf prefix.
+    pub fn leaf_hash(&self) -> Digest {
+        let mut w = Writer::hashing(merkle::leaf_message());
+        self.encode(&mut w);
+        merkle::hash_leaf_message(w.into_message())
     }
 
     /// The byte string the signature covers (everything but the signature,
@@ -258,22 +267,20 @@ impl Transaction {
 
     /// Checks the signature against the sender key.
     ///
-    /// The first call hashes (streaming the signing fields into both
-    /// signature passes, no buffer); the verdict is then remembered in
-    /// this transaction and its later clones, so every further ask —
-    /// admission, build, validation, a collaborative slice — is a load.
+    /// The first call writes the signing fields once into a hash
+    /// message, which both signature passes fold; the verdict is then
+    /// remembered in this transaction and its later clones, so every
+    /// further ask — admission, build, validation, a collaborative
+    /// slice — is a load.
     pub fn verify_signature(&self) -> bool {
         if let Some(valid) = self.verdict.get() {
             return valid;
         }
-        let valid = self.sender.verify_streamed(
-            |hasher| {
-                let mut w = Writer::hashing(hasher);
-                self.encode_signing_fields(&mut w);
-                w.into_digest()
-            },
-            &self.signature,
-        );
+        let mut w = Writer::hashing(Message::new());
+        self.encode_signing_fields(&mut w);
+        let valid = self
+            .sender
+            .verify_message(w.into_message(), &self.signature);
         self.verdict.set(valid);
         valid
     }

@@ -73,10 +73,7 @@ fn streaming_digests_match_two_pass_reference() {
             hashing::double_sha256_encodable(&header),
             double_sha256(&header.to_bytes())
         );
-        assert_eq!(
-            hashing::leaf_hash_encodable(&tx),
-            merkle::hash_leaf(&tx.to_bytes())
-        );
+        assert_eq!(tx.leaf_hash(), merkle::hash_leaf(&tx.to_bytes()));
         assert_eq!(hashing::double_sha256_of_bytes(&tx), tx.id());
     }
 }

@@ -1,7 +1,12 @@
 //! HMAC-SHA256 (RFC 2104), validated against the RFC 4231 test vectors.
 //!
-//! Used by the simulated signature scheme in [`crate::sig`] and by keyed
-//! derivations elsewhere in the workspace.
+//! [`hmac_sha256`] MACs a message in hand: the message is written once
+//! into a block-aligned [`Message`], padded as the tail of the inner hash
+//! (its length field counting the key block), and folded after the key's
+//! ipad block; the outer hash is the opad block and the padded inner
+//! digest, two blocks in one kernel call. The simulated signature scheme
+//! in [`crate::sig`] folds one such padded message under two keys.
+//! [`HmacSha256`] streams a message fed in pieces.
 //!
 //! # Examples
 //!
@@ -15,9 +20,12 @@
 //! );
 //! ```
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{
+    compress_blocks, count_digests, pad, state_digest, Digest, Message, Sha256, H0,
+};
 
-const BLOCK_LEN: usize = 64;
+/// The SHA-256 block an HMAC key is padded to.
+pub(crate) const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
@@ -25,30 +33,56 @@ const OPAD: u8 = 0x5c;
 ///
 /// Keys longer than the 64-byte SHA-256 block are hashed first, per RFC 2104.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    HmacSha256::new(key).update(message).finalize()
+    let mut message = Message::from(message);
+    let len = message.len();
+    hmac_padded(key, len, message.padded(BLOCK_LEN as u64))
 }
 
-/// `HMAC-SHA256(key, message)` for a message the caller streams instead
-/// of materializing: `message` receives the inner hasher, already keyed,
-/// feeds every message byte into it and returns its digest. Equals
-/// [`hmac_sha256`] over the concatenation of what was fed.
-pub fn hmac_sha256_streamed(key: &[u8], message: impl FnOnce(Sha256) -> Digest) -> Digest {
-    let HmacSha256 { inner, outer_key } = HmacSha256::new(key);
-    outer_pass(&outer_key, &message(inner))
+/// `HMAC-SHA256(key, message)` of a `len`-byte message whose `blocks`
+/// are already padded as the inner hash's tail, their length field
+/// counting the key block folded before them
+/// (`Message::padded(BLOCK_LEN)`). One padded message serves any number of
+/// keys.
+pub(crate) fn hmac_padded(key: &[u8], len: usize, blocks: &[[u8; 64]]) -> Digest {
+    let (inner_key, outer_key) = key_blocks(key);
+    let mut inner = H0;
+    compress_blocks(&mut inner, &[inner_key]);
+    compress_blocks(&mut inner, blocks);
+    count_digests(1, (BLOCK_LEN + len) as u64, 1 + blocks.len() as u64);
+    outer_pass(&outer_key, &state_digest(&inner))
 }
 
-/// The outer hash: `SHA256(key ^ opad ‖ inner digest)`.
+/// The key padded to a block, XORed with `IPAD` and with `OPAD`.
+fn key_blocks(key: &[u8]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
+    let mut padded = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        padded[..Digest::LEN].copy_from_slice(Sha256::digest(key).as_bytes());
+    } else {
+        padded[..key.len()].copy_from_slice(key);
+    }
+    (padded.map(|b| b ^ IPAD), padded.map(|b| b ^ OPAD))
+}
+
+/// The outer hash, `SHA256(key ^ opad ‖ inner digest)`: the key block
+/// and the padded digest, two blocks in one kernel call.
 fn outer_pass(outer_key: &[u8; BLOCK_LEN], inner_digest: &Digest) -> Digest {
-    let mut outer = Sha256::new();
-    outer.update(outer_key);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    let mut blocks = [*outer_key, [0u8; 64]];
+    blocks[1][..Digest::LEN].copy_from_slice(inner_digest.as_bytes());
+    pad(
+        &mut blocks[1],
+        Digest::LEN,
+        (BLOCK_LEN + Digest::LEN) as u64,
+    );
+    let mut state = H0;
+    compress_blocks(&mut state, &blocks);
+    count_digests(1, (BLOCK_LEN + Digest::LEN) as u64, 2);
+    state_digest(&state)
 }
 
 /// Streaming HMAC-SHA256.
 ///
-/// The message can be fed incrementally, which lets callers authenticate
-/// large simulated block bodies without concatenating buffers.
+/// The message can be fed incrementally, for callers that never hold it
+/// in one piece; [`hmac_sha256`] is the one-shot form.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
@@ -59,20 +93,7 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Creates a new MAC instance keyed with `key`.
     pub fn new(key: &[u8]) -> HmacSha256 {
-        let mut padded = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            padded[..Digest::LEN].copy_from_slice(Sha256::digest(key).as_bytes());
-        } else {
-            padded[..key.len()].copy_from_slice(key);
-        }
-
-        let mut inner_key = [0u8; BLOCK_LEN];
-        let mut outer_key = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            inner_key[i] = padded[i] ^ IPAD;
-            outer_key[i] = padded[i] ^ OPAD;
-        }
-
+        let (inner_key, outer_key) = key_blocks(key);
         let mut inner = Sha256::new();
         inner.update(&inner_key);
         HmacSha256 { inner, outer_key }
@@ -106,7 +127,8 @@ mod tests {
     use super::*;
 
     /// RFC 4231 test cases 1–4, 6, 7 (case 5 truncates the output, which
-    /// this API intentionally does not support), under both kernels.
+    /// this API intentionally does not support), one-shot and streamed,
+    /// under both kernels.
     #[test]
     fn rfc4231_vectors() {
         struct Case {
@@ -148,12 +170,16 @@ mod tests {
         ];
         crate::sha256::under_every_kernel(|kernel| {
             for (i, case) in cases.iter().enumerate() {
-                assert_eq!(
-                    hmac_sha256(&case.key, &case.data).to_hex(),
-                    case.expected,
-                    "RFC 4231 case {} on kernel {kernel}",
-                    i + 1
-                );
+                let mut streamed = HmacSha256::new(&case.key);
+                streamed.update(&case.data);
+                for tag in [hmac_sha256(&case.key, &case.data), streamed.finalize()] {
+                    assert_eq!(
+                        tag.to_hex(),
+                        case.expected,
+                        "RFC 4231 case {} on kernel {kernel}",
+                        i + 1
+                    );
+                }
             }
         });
     }
@@ -168,19 +194,6 @@ mod tests {
             mac.update(&msg[..split]);
             mac.update(&msg[split..]);
             assert_eq!(mac.finalize(), oneshot, "split {split}");
-        }
-    }
-
-    #[test]
-    fn streamed_matches_oneshot() {
-        let key = b"a moderately long simulation key";
-        let msg: Vec<u8> = (0..300u16).map(|i| (i % 256) as u8).collect();
-        for split in [0, 1, 63, 64, 65, 150, msg.len()] {
-            let streamed = hmac_sha256_streamed(key, |mut inner| {
-                inner.update(&msg[..split]).update(&msg[split..]);
-                inner.finalize()
-            });
-            assert_eq!(streamed, hmac_sha256(key, &msg), "split {split}");
         }
     }
 

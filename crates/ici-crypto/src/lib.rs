@@ -6,6 +6,8 @@
 //!   used for block/transaction identifiers and every derived lottery. One
 //!   compression seam, two kernels: the x86-64 SHA extensions when the CPU
 //!   has them (detected at run time), a portable loop everywhere else.
+//!   A message in hand is laid out in the kernel's 64-byte blocks
+//!   ([`Message`]) and padded in place, never streamed.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104/4231).
 //! * [`merkle`] — domain-separated Merkle trees with inclusion proofs.
 //! * [`sig`] — `SimSig`, a size- and cost-faithful simulated signature
@@ -40,5 +42,5 @@ mod sha256_x86;
 pub mod sig;
 
 pub use merkle::{MerkleProof, MerkleTree};
-pub use sha256::{double_sha256, Digest, Sha256};
+pub use sha256::{double_sha256, Digest, Message, Sha256};
 pub use sig::{Keypair, PublicKey, Signature};

@@ -18,7 +18,7 @@
 //! laid out in place (no streaming hasher, no allocation). Every
 //! protocol caller goes through them.
 
-use crate::sha256::{compress_lanes, Digest, Sha256, H0, LANES};
+use crate::sha256::{compress_lanes, count_digests, Digest, Sha256, H0, LANES};
 
 /// Domain tag of [`lottery_score`].
 const LOTTERY_DOMAIN: &[u8; 15] = b"ici-lottery-v1:";
@@ -164,11 +164,8 @@ fn for_each_prefix<I>(
         hashed += 1;
     }
     if hashed > 0 {
-        let label = ici_telemetry::Label::Global;
         let blocks_each = message_len.wrapping_add(9).div_ceil(64);
-        ici_telemetry::counter_add("crypto/sha256_digests", label, hashed);
-        ici_telemetry::counter_add("crypto/sha256_bytes", label, hashed * message_len);
-        ici_telemetry::counter_add("crypto/sha256_compressions", label, hashed * blocks_each);
+        count_digests(hashed, hashed * message_len, hashed * blocks_each);
     }
 }
 

@@ -11,6 +11,15 @@
 //! hashed as `H(0x00 || data)` and interior nodes as `H(0x01 || left || right)`.
 //! An odd node at any level is promoted (not duplicated).
 //!
+//! Every hash here is laid out in the kernel's 64-byte blocks, never
+//! streamed: a leaf is its payload written once after the prefix into a
+//! [`Message`] ([`leaf_message`] for an encoder that writes it), an
+//! interior node is a fixed two-block template with the children copied
+//! in plus a one-block second pass (3 compressions), and
+//! [`root_in_place`] reduces a leaf vector to the root without keeping
+//! levels. [`MerkleTree`] keeps every level for proofs, and a proof is
+//! checked against the path its index and leaf count imply.
+//!
 //! # Examples
 //!
 //! ```
@@ -22,38 +31,80 @@
 //! assert!(proof.verify(&items[3], tree.root()));
 //! ```
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{compress_blocks, count_digests, state_digest, Digest, Message, Sha256, H0};
 
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
 /// Hashes a leaf payload with domain separation.
 pub fn hash_leaf(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_PREFIX]);
-    h.update(data);
-    let first = h.finalize();
-    Sha256::digest(first.as_bytes())
+    let mut message = leaf_message();
+    message.put(data);
+    hash_leaf_message(message)
 }
 
-/// A hasher pre-seeded with the leaf domain prefix, for callers that
-/// stream a leaf payload instead of materializing it. Finish with
-/// `Sha256::digest(h.finalize().as_bytes())`; the result equals
-/// [`hash_leaf`] over the same payload bytes.
-pub fn leaf_hasher() -> Sha256 {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_PREFIX]);
-    h
+/// A message opened with the leaf domain prefix, for callers that
+/// write a leaf payload piece by piece (an encoder). Finish with
+/// [`hash_leaf_message`]; the result equals [`hash_leaf`] over the
+/// same payload bytes.
+pub fn leaf_message() -> Message {
+    let mut message = Message::new();
+    message.put(&[LEAF_PREFIX]);
+    message
 }
 
-/// Hashes an interior node from its two children.
+/// The leaf hash of a [`leaf_message`] with its payload written.
+pub fn hash_leaf_message(message: Message) -> Digest {
+    Sha256::digest(message.digest().as_bytes())
+}
+
+/// An interior node's first pass, `0x01 ‖ left ‖ right` with its
+/// padding: two blocks, the children still to be written at 1..65.
+const NODE_TEMPLATE: [[u8; 64]; 2] = {
+    let mut blocks = [[0u8; 64]; 2];
+    blocks[0][0] = NODE_PREFIX;
+    blocks[1][1] = 0x80;
+    let bits = (65u64 * 8).to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        blocks[1][56 + i] = bits[i];
+        i += 1;
+    }
+    blocks
+};
+
+/// Hashes an interior node from its two children: the children copied
+/// into a fixed two-block template (prefix and padding already in
+/// place), one kernel call, then the one-block second pass.
 pub fn hash_node(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[NODE_PREFIX]);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    let first = h.finalize();
-    Sha256::digest(first.as_bytes())
+    let mut blocks = NODE_TEMPLATE;
+    let bytes = blocks.as_flattened_mut();
+    bytes[1..33].copy_from_slice(left.as_bytes());
+    bytes[33..65].copy_from_slice(right.as_bytes());
+    let mut state = H0;
+    compress_blocks(&mut state, &blocks);
+    count_digests(1, 65, 2);
+    Sha256::digest(state_digest(&state).as_bytes())
+}
+
+/// The root [`MerkleTree::from_leaf_hashes`] builds over `leaves`,
+/// reduced in place: each level overwrites the front of the slice, so
+/// no level is kept (and `leaves` holds interior digests after). For
+/// callers that want the root and no proofs.
+pub fn root_in_place(leaves: &mut [Digest]) -> Digest {
+    let mut width = leaves.len();
+    while width > 1 {
+        let half = width / 2;
+        for i in 0..half {
+            leaves[i] = hash_node(&leaves[2 * i], &leaves[2 * i + 1]);
+        }
+        if width % 2 == 1 {
+            // Promote the unpaired node to the next level.
+            leaves[half] = leaves[width - 1];
+        }
+        width = width.div_ceil(2);
+    }
+    leaves.first().copied().unwrap_or(Digest::ZERO)
 }
 
 /// A fully materialised Merkle tree.
@@ -238,16 +289,39 @@ impl MerkleProof {
     }
 
     /// Verifies a pre-hashed leaf against `root`.
+    ///
+    /// The path must be the one `leaf_index` has in a tree of
+    /// `leaf_count` leaves: a sibling exactly at the levels where that
+    /// position has one (none where it is promoted), on the side its
+    /// parity says, and no step more. A path relabelled to another
+    /// index, or with a step dropped or added, is rejected.
     pub fn verify_leaf_hash(&self, leaf: Digest, root: Digest) -> bool {
         ici_telemetry::counter_add("crypto/merkle_verifies", ici_telemetry::Label::Global, 1);
-        let mut acc = leaf;
-        for step in &self.siblings {
-            acc = match step.side {
-                Side::Left => hash_node(&step.digest, &acc),
-                Side::Right => hash_node(&acc, &step.digest),
-            };
+        if self.leaf_index >= self.leaf_count {
+            return false;
         }
-        acc == root
+        let mut steps = self.siblings.iter();
+        let (mut pos, mut width) = (self.leaf_index, self.leaf_count);
+        let mut acc = leaf;
+        while width > 1 {
+            if pos ^ 1 < width {
+                let side = if pos % 2 == 0 {
+                    Side::Right
+                } else {
+                    Side::Left
+                };
+                let Some(step) = steps.next().filter(|step| step.side == side) else {
+                    return false;
+                };
+                acc = match side {
+                    Side::Left => hash_node(&step.digest, &acc),
+                    Side::Right => hash_node(&acc, &step.digest),
+                };
+            }
+            pos /= 2;
+            width = width.div_ceil(2);
+        }
+        steps.next().is_none() && acc == root
     }
 }
 
@@ -294,6 +368,76 @@ mod tests {
                 assert_eq!(proof.leaf_count(), n as u64);
             }
         }
+    }
+
+    /// The in-place reduction is the tree's root, for every size
+    /// through 33 leaves (each odd-width promotion pattern) and for
+    /// 1 000, on every kernel.
+    #[test]
+    fn root_in_place_equals_the_tree_root() {
+        crate::sha256::under_every_kernel(|kernel| {
+            for n in (0..=33).chain([1_000]) {
+                let hashes: Vec<Digest> = leaves(n).iter().map(|v| hash_leaf(v)).collect();
+                let tree = MerkleTree::from_leaf_hashes(hashes.clone());
+                let mut scratch = hashes;
+                assert_eq!(
+                    root_in_place(&mut scratch),
+                    tree.root(),
+                    "kernel {kernel}, n={n}"
+                );
+            }
+        });
+    }
+
+    /// A proof is bound to its index: index `i`'s path fails under
+    /// every other index (in range or not), with any step dropped, with
+    /// a step added, and under a leaf count that shapes its path
+    /// differently. Relabelling covers the promoted levels: in a 5-leaf
+    /// tree leaf 4 rises unpaired twice, so its one-step path would
+    /// otherwise pass for leaf 0, 1, 2 or 3.
+    #[test]
+    fn proof_path_is_bound_to_its_index() {
+        for n in 1..=33usize {
+            let data = leaves(n);
+            let tree = MerkleTree::from_leaves(data.iter().map(|v| v.as_slice()));
+            let root = tree.root();
+            for (i, leaf) in data.iter().enumerate() {
+                let proof = tree.prove(i).expect("in range");
+                for j in (0..n as u64 + 2).filter(|&j| j != i as u64) {
+                    let relabelled = MerkleProof {
+                        leaf_index: j,
+                        ..proof.clone()
+                    };
+                    assert!(!relabelled.verify(leaf, root), "n={n} i={i} as {j}");
+                }
+                for drop in 0..proof.siblings.len() {
+                    let mut truncated = proof.clone();
+                    truncated.siblings.remove(drop);
+                    assert!(!truncated.verify(leaf, root), "n={n} i={i} drop {drop}");
+                }
+                for side in [Side::Left, Side::Right] {
+                    let mut padded = proof.clone();
+                    padded.siblings.push(ProofStep { digest: root, side });
+                    assert!(!padded.verify(leaf, root), "n={n} i={i} padded");
+                }
+                // The root does not commit to the count, so a count whose
+                // tree gives leaf `i` the same sides is indistinguishable.
+                let sides = |p: &MerkleProof| p.siblings.iter().map(|s| s.side).collect::<Vec<_>>();
+                let recounted = MerkleProof {
+                    leaf_count: n as u64 + 1,
+                    ..proof.clone()
+                };
+                if sides(&proof) != sides(&tree_of(n + 1).prove(i).expect("in range")) {
+                    assert!(!recounted.verify(leaf, root), "n={n} i={i} recounted");
+                }
+            }
+        }
+    }
+
+    /// A tree over `n` leaves, for the sibling layout a count implies.
+    fn tree_of(n: usize) -> MerkleTree {
+        let data = leaves(n);
+        MerkleTree::from_leaves(data.iter().map(|v| v.as_slice()))
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! here and validated against the official NIST test vectors in the unit
 //! tests below.
 //!
+//! A message already in hand is never streamed: [`Sha256::digest`] folds
+//! a slice's whole blocks in place and pads only its tail, and a
+//! [`Message`] holds a message assembled from pieces in the kernel's
+//! 64-byte blocks, padded once and folded in one kernel call. [`Sha256`]
+//! streams the rest (a state root over every account).
+//!
 //! # Examples
 //!
 //! ```
@@ -226,19 +232,29 @@ impl Sha256 {
         }
     }
 
-    /// Hashes `data` in one shot.
+    /// Hashes `data` in one shot: its whole blocks go to the kernel
+    /// straight from the slice, and only the tail is copied, to be
+    /// padded in place.
     pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        let (blocks, tail) = data.as_chunks::<64>();
+        let mut last = [[0u8; 64]; 2];
+        last.as_flattened_mut()[..tail.len()].copy_from_slice(tail);
+        let padded = pad(last.as_flattened_mut(), tail.len(), data.len() as u64);
+        let mut state = H0;
+        if !blocks.is_empty() {
+            compress_blocks(&mut state, blocks);
+        }
+        compress_blocks(&mut state, &last[..padded]);
+        count_digests(1, data.len() as u64, (blocks.len() + padded) as u64);
+        state_digest(&state)
     }
 
-    /// Hashes the concatenation of two buffers without allocating.
+    /// Hashes the concatenation of two buffers.
     pub fn digest_pair(a: &[u8], b: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(a);
-        h.update(b);
-        h.finalize()
+        let mut message = Message::new();
+        message.put(a);
+        message.put(b);
+        message.digest()
     }
 
     /// The compression kernel this CPU selects: `"x86-sha"` when the
@@ -285,36 +301,177 @@ impl Sha256 {
 
     /// Completes the hash, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
-        // Counters only: a span per digest would dominate this hot path.
-        ici_telemetry::counter_add("crypto/sha256_digests", ici_telemetry::Label::Global, 1);
-        ici_telemetry::counter_add(
-            "crypto/sha256_bytes",
-            ici_telemetry::Label::Global,
-            self.length,
-        );
-        // Message, the 0x80 byte and the 8-byte length, in 64-byte blocks.
-        ici_telemetry::counter_add(
-            "crypto/sha256_compressions",
-            ici_telemetry::Label::Global,
-            self.length.wrapping_add(9).div_ceil(64),
-        );
-        // Padding, in place (`buffered < 64` always holds here): 0x80,
-        // zeros, then the 64-bit big-endian bit length closing a block.
-        self.buffer[self.buffered] = 0x80;
-        self.buffer[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            // No room left for the length: it gets a block of its own.
-            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
-            self.buffer.fill(0);
-        }
-        self.buffer[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
-        compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+        // `buffered < 64` always holds here: the tail is padded in place,
+        // spilling into a second block when the length no longer fits.
+        let mut last = [[0u8; 64]; 2];
+        last[0] = self.buffer;
+        let padded = pad(last.as_flattened_mut(), self.buffered, self.length);
+        compress_blocks(&mut self.state, &last[..padded]);
+        count_digests(1, self.length, self.length.wrapping_add(9).div_ceil(64));
         state_digest(&self.state)
     }
 }
 
+/// Writes the FIPS 180-4 padding of a message of `total_len` bytes
+/// whose last `tail` bytes open `bytes`: 0x80, zeros, then the
+/// message's bit length, big-endian, closing a block. Returns the
+/// number of 64-byte blocks the padded tail fills; `bytes` must hold
+/// them.
+pub(crate) fn pad(bytes: &mut [u8], tail: usize, total_len: u64) -> usize {
+    let blocks = (tail + 9).div_ceil(64);
+    let end = blocks * 64;
+    bytes[tail] = 0x80;
+    bytes[tail + 1..end - 8].fill(0);
+    bytes[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    blocks
+}
+
+/// Moves the three `crypto/sha256_*` counters: `digests` finished
+/// hashes over `bytes` message bytes (never the padding) in all, and
+/// the `compressions` it took to fold them with their padding.
+/// Counters only: a span per digest would dominate this hot path.
+pub(crate) fn count_digests(digests: u64, bytes: u64, compressions: u64) {
+    let label = ici_telemetry::Label::Global;
+    ici_telemetry::counter_add("crypto/sha256_digests", label, digests);
+    ici_telemetry::counter_add("crypto/sha256_bytes", label, bytes);
+    ici_telemetry::counter_add("crypto/sha256_compressions", label, compressions);
+}
+
+/// Message blocks a [`Message`] holds inline: 512 bytes, room for a
+/// 503-byte message and its padding.
+const INLINE_BLOCKS: usize = 8;
+
+/// A message laid out in the 64-byte blocks the compression kernel
+/// reads, for digests of a message assembled from pieces (an encoding
+/// written field by field, a prefixed payload).
+///
+/// Each byte is written once, in place; finishing pads the tail in
+/// place and folds every block in one kernel call. Up to
+/// [`Message::INLINE_LEN`] message bytes (eight padded blocks) live
+/// inline, with no heap allocation; a longer message spills once to the
+/// heap.
+#[derive(Clone)]
+pub struct Message {
+    inline: [[u8; 64]; INLINE_BLOCKS],
+    /// Every block, once the message outgrows `inline`; empty until then.
+    spill: Vec<[u8; 64]>,
+    len: usize,
+}
+
+impl Default for Message {
+    fn default() -> Message {
+        Message::new()
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Message({} bytes)", self.len)
+    }
+}
+
+impl From<&[u8]> for Message {
+    fn from(bytes: &[u8]) -> Message {
+        let mut message = Message::new();
+        message.put(bytes);
+        message
+    }
+}
+
+impl Message {
+    /// The longest message that is written, padded and hashed with no
+    /// heap allocation.
+    pub const INLINE_LEN: usize = INLINE_BLOCKS * 64 - 9;
+
+    /// An empty message.
+    #[inline]
+    pub fn new() -> Message {
+        Message {
+            inline: [[0u8; 64]; INLINE_BLOCKS],
+            spill: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Appends `bytes` to the message.
+    #[inline]
+    pub fn put(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if end <= Message::INLINE_LEN {
+            self.inline.as_flattened_mut()[self.len..end].copy_from_slice(bytes);
+        } else {
+            self.put_spilled(bytes, end);
+        }
+        self.len = end;
+    }
+
+    /// [`Message::put`] past the inline capacity: moves the message to
+    /// the heap on the first such call, then grows it there.
+    #[cold]
+    #[inline(never)]
+    fn put_spilled(&mut self, bytes: &[u8], end: usize) {
+        let blocks = (end + 9).div_ceil(64);
+        if self.spill.is_empty() {
+            let mut spill = Vec::with_capacity(blocks.max(2 * INLINE_BLOCKS));
+            spill.extend_from_slice(&self.inline);
+            self.spill = spill;
+        }
+        if self.spill.len() < blocks {
+            self.spill.resize(blocks, [0u8; 64]);
+        }
+        self.spill.as_flattened_mut()[self.len..end].copy_from_slice(bytes);
+    }
+
+    /// Message bytes written so far.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing has been written.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The message bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        let blocks = if self.len <= Message::INLINE_LEN {
+            &self.inline[..]
+        } else {
+            &self.spill[..]
+        };
+        &blocks.as_flattened()[..self.len]
+    }
+
+    /// The message padded as the tail of a hash that has already
+    /// folded `folded` bytes (whole blocks: an HMAC key block, say),
+    /// so its length field counts them. Padding again rewrites the
+    /// same bytes; a later [`Message::put`] overwrites them.
+    pub(crate) fn padded(&mut self, folded: u64) -> &[[u8; 64]] {
+        let total = folded.wrapping_add(self.len as u64);
+        let blocks = if self.len <= Message::INLINE_LEN {
+            &mut self.inline[..]
+        } else {
+            &mut self.spill[..]
+        };
+        let padded = pad(blocks.as_flattened_mut(), self.len, total);
+        &blocks[..padded]
+    }
+
+    /// SHA-256 of the message: one kernel call over its padded blocks.
+    pub fn digest(mut self) -> Digest {
+        let len = self.len as u64;
+        let blocks = self.padded(0);
+        let mut state = H0;
+        compress_blocks(&mut state, blocks);
+        count_digests(1, len, blocks.len() as u64);
+        state_digest(&state)
+    }
+}
+
 /// The digest a final hash state stands for: its words, big-endian.
-fn state_digest(state: &[u32; 8]) -> Digest {
+pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; 32];
     for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
         bytes.copy_from_slice(&word.to_be_bytes());
@@ -341,7 +498,7 @@ pub fn kernels() -> Vec<(&'static str, Kernel)> {
 ///
 /// The CPU decides, nothing else: the x86-64 SHA extensions when
 /// present, the portable loop on every other CPU and target.
-fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     #[cfg(test)]
     if FORCE_PORTABLE.get() {
         return compress_blocks_portable(state, blocks);
@@ -690,31 +847,145 @@ mod tests {
         });
     }
 
-    /// `finalize` reports the message bytes (never the padding), one
+    /// The block buffer and the one-shot digest are the streaming
+    /// hasher: at every length through 300 (crossing the 55/56, 63/64
+    /// and 119/120 padding boundaries), at the inline capacity's edge
+    /// and at one length that spills, a [`Message`] written in seeded
+    /// random pieces and [`Sha256::digest`] both give the textbook
+    /// digest and what `Sha256` streams, on every kernel.
+    #[test]
+    fn message_digest_matches_the_streaming_hasher() {
+        let textbook = kernels()[0].1;
+        under_every_kernel(|kernel| {
+            let mut rng = Xoshiro256::seed_from_u64(0xB10C);
+            let lengths = (0..=300).chain([Message::INLINE_LEN, Message::INLINE_LEN + 1, 1_000]);
+            for len in lengths {
+                let data = rng.gen_bytes(len);
+                let expected = digest_on(textbook, &data);
+                let mut streamed = Sha256::new();
+                streamed.update(&data);
+                assert_eq!(streamed.finalize(), expected, "kernel {kernel}, len {len}");
+                assert_eq!(
+                    Sha256::digest(&data),
+                    expected,
+                    "kernel {kernel}, len {len}"
+                );
+                let mut message = Message::new();
+                let mut rest = &data[..];
+                while !rest.is_empty() {
+                    let take = rng.gen_range(1usize..=rest.len().min(70));
+                    message.put(&rest[..take]);
+                    rest = &rest[take..];
+                }
+                assert_eq!(message.as_bytes(), &data[..], "len {len}");
+                assert_eq!(message.digest(), expected, "kernel {kernel}, len {len}");
+            }
+        });
+    }
+
+    /// The three `crypto/sha256_*` counters, summed over labels, after
+    /// `hash` runs on a reset collector: `[bytes, compressions, digests]`.
+    fn counts(hash: impl FnOnce()) -> [u64; 3] {
+        ici_telemetry::reset();
+        hash();
+        let snap = ici_telemetry::snapshot();
+        ["bytes", "compressions", "digests"].map(|name| {
+            snap.counters
+                .iter()
+                .filter(|c| c.name == format!("crypto/sha256_{name}"))
+                .map(|c| c.value)
+                .sum::<u64>()
+        })
+    }
+
+    /// `Sha256::update` over `parts`, then `finalize`: how every hash
+    /// on the block path was computed before it was laid out in blocks.
+    fn streamed(parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    }
+
+    /// One SimSig verify, one Merkle leaf, one interior node and one
+    /// one-shot digest move the counters by exactly what the streaming
+    /// hasher moved them by, so per-block digest and compression counts
+    /// mean the same before and after.
+    #[test]
+    fn block_path_hashes_count_like_the_streaming_hasher() {
+        // Left on: the collector is per thread, and every test in this
+        // binary that reads it turns it on.
+        ici_telemetry::set_enabled(true);
+
+        // An `ici_bigblock` signing message: 291 bytes.
+        let message = vec![0x5Au8; 291];
+        let pair = crate::sig::Keypair::from_seed(3);
+        let signature = pair.sign(&message);
+        let verify = counts(|| assert!(pair.public().verify(&message, &signature)));
+        let reference = counts(|| {
+            let mut key = pair.public().as_bytes().to_vec();
+            for _ in 0..2 {
+                let mut block = [0u8; 64];
+                block[..key.len()].copy_from_slice(&key);
+                let inner = streamed(&[&block.map(|b| b ^ 0x36), &message]);
+                key = streamed(&[&block.map(|b| b ^ 0x5c), inner.as_bytes()])
+                    .0
+                    .to_vec();
+            }
+        });
+        assert_eq!(verify, [2 * (64 + 291) + 2 * (64 + 32), 16, 4]);
+        assert_eq!(verify, reference);
+
+        // An `ici_bigblock` transaction encoding: 345 bytes.
+        let tx = vec![0xA5u8; 345];
+        let leaf = counts(|| {
+            crate::merkle::hash_leaf(&tx);
+        });
+        let reference = counts(|| {
+            streamed(&[streamed(&[&[0x00], &tx]).as_bytes()]);
+        });
+        assert_eq!(leaf, [346 + 32, 7, 2]);
+        assert_eq!(leaf, reference);
+
+        let (left, right) = (Sha256::digest(b"l"), Sha256::digest(b"r"));
+        let node = counts(|| {
+            crate::merkle::hash_node(&left, &right);
+        });
+        let reference = counts(|| {
+            streamed(&[streamed(&[&[0x01], left.as_bytes(), right.as_bytes()]).as_bytes()]);
+        });
+        assert_eq!(node, [65 + 32, 3, 2]);
+        assert_eq!(node, reference);
+
+        for len in [0, 33, 55, 56, 64, 345, 1_000] {
+            let data = vec![7u8; len];
+            let oneshot = counts(|| {
+                Sha256::digest(&data);
+            });
+            let reference = counts(|| {
+                streamed(&[&data]);
+            });
+            assert_eq!(oneshot, reference, "len {len}");
+            let message = counts(|| {
+                Message::from(&data[..]).digest();
+            });
+            assert_eq!(message, reference, "len {len}");
+        }
+    }
+
+    /// A digest reports the message bytes (never the padding), one
     /// digest, and the blocks it takes to hold message, 0x80 and length.
     #[test]
-    fn finalize_counts_message_bytes_and_compressions() {
-        // Left on: no other test in this binary reads the flag, and
-        // the collector is per thread.
+    fn digests_count_message_bytes_and_compressions() {
+        // Left on: see `block_path_hashes_count_like_the_streaming_hasher`.
         ici_telemetry::set_enabled(true);
         for (len, compressions) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
-            ici_telemetry::reset();
-            Sha256::digest(&vec![7u8; len]);
-            let snap = ici_telemetry::snapshot();
-            let counter = |name: &str| {
-                snap.counters
-                    .iter()
-                    .filter(|c| c.name == name)
-                    .map(|c| c.value)
-                    .sum::<u64>()
-            };
-            assert_eq!(counter("crypto/sha256_digests"), 1, "len {len}");
-            assert_eq!(counter("crypto/sha256_bytes"), len as u64, "len {len}");
-            assert_eq!(
-                counter("crypto/sha256_compressions"),
-                compressions,
-                "len {len}"
-            );
+            let data = vec![7u8; len];
+            let oneshot = counts(|| {
+                Sha256::digest(&data);
+            });
+            assert_eq!(oneshot, [len as u64, compressions, 1], "len {len}");
         }
     }
 

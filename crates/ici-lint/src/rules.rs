@@ -18,7 +18,7 @@
 //!   dependency or on the allowlist (never waivable).
 //! * `rehash` — `double_sha256(&x.to_bytes())` in protocol crates
 //!   re-encodes into a throwaway `Vec` just to hash it; use the
-//!   streaming sink (`ici_chain::hashing`) instead (waivable).
+//!   hashing sink (`ici_chain::hashing`) instead (waivable).
 //! * `waiver` — waiver hygiene: malformed waivers and waivers naming
 //!   unknown or non-waivable rules.
 //!
@@ -170,12 +170,12 @@ pub fn check_unsafe(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 
 /// `rehash` rule: hashing a value by materializing its encoding first
 /// (`double_sha256(&x.to_bytes())`) allocates a throwaway `Vec` on
-/// every call. Protocol code should stream the encoding into the
-/// hasher via `ici_chain::hashing::double_sha256_encodable` instead.
+/// every call. Protocol code should write the encoding into a hash
+/// message via `ici_chain::hashing::double_sha256_encodable` instead.
 /// Matched as `double_sha256 ( &` with `. to_bytes ( )` inside the
 /// call's parentheses. Waivable: the one intended site is
 /// `ici_chain::hashing::double_sha256_of_bytes`, the reference the
-/// streaming path is pinned against.
+/// message-writing path is pinned against.
 pub fn check_rehash(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
@@ -197,7 +197,7 @@ pub fn check_rehash(files: &[SourceFile], config: &Config) -> Vec<Finding> {
                     &file.rel_path,
                     line,
                     "`double_sha256(&x.to_bytes())` re-encodes into a Vec just to hash it \
-                     — stream via `hashing::double_sha256_encodable`",
+                     — write it into a hash message via `hashing::double_sha256_encodable`",
                 )
                 .waived(file.scanned.is_waived(line, "rehash")),
             );
