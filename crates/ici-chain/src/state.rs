@@ -663,7 +663,7 @@ impl WorldState {
     /// `(address, balance, nonce)` triples in address order.
     ///
     /// This is the flat v1 commitment — O(total accounts). The triples
-    /// reach the hasher [`V1_CHUNK`] at a time, laid out in one buffer.
+    /// reach the hasher `V1_CHUNK` at a time, laid out in one buffer.
     pub fn root(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"ici-state-v1:");

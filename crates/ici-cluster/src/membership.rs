@@ -101,8 +101,8 @@ impl Membership {
     }
 
     /// Admits a brand-new node at `coord`, choosing its cluster per
-    /// `policy`. The node id must already exist in `topology` (callers add
-    /// it there first). Returns the chosen cluster.
+    /// `policy`: [`Membership::choose_cluster`], then
+    /// [`Membership::admit`]. Returns the chosen cluster.
     ///
     /// # Panics
     ///
@@ -114,15 +114,35 @@ impl Membership {
         topology: &Topology,
         policy: JoinPolicy,
     ) -> ClusterId {
-        let cluster = match policy {
+        let cluster = self.choose_cluster(coord, topology, policy);
+        self.admit(node, cluster);
+        cluster
+    }
+
+    /// The cluster a node joining at `coord` would join under `policy`,
+    /// without admitting it.
+    pub fn choose_cluster(
+        &self,
+        coord: Coord,
+        topology: &Topology,
+        policy: JoinPolicy,
+    ) -> ClusterId {
+        match policy {
             JoinPolicy::SmallestCluster => self.smallest_cluster(),
             JoinPolicy::NearestCentroid => self
                 .nearest_centroid_cluster(coord, topology)
                 .unwrap_or_else(|| self.smallest_cluster()),
-        };
+        }
+    }
+
+    /// Admits the brand-new node `node` to `cluster`, active.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not the next dense id.
+    pub fn admit(&mut self, node: NodeId, cluster: ClusterId) {
         self.partition.push_node(node, cluster);
         self.active.push(true);
-        cluster
     }
 
     fn smallest_cluster(&self) -> ClusterId {

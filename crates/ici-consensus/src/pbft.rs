@@ -20,11 +20,11 @@
 //! faults) and not [`Network::sends_are_traced`] — every outcome is
 //! known up front: a vote from a live voter to a live member arrives
 //! after the pair's fixed link delay, and nothing else arrives. Such a
-//! round runs in closed form ([`Rounds::closed_round`]): one symmetric
+//! round runs in closed form (`Rounds::closed_round`): one symmetric
 //! delay table per call, arrival = send time + delay, the quorum instant
 //! by selection, and the meter charged per member instead of per
 //! message. Any other network keeps the per-message exchange
-//! ([`Rounds::message_round`]), where each vote consumes its sequence
+//! (`Rounds::message_round`), where each vote consumes its sequence
 //! number, fault draw and trace id through [`Network::broadcast`] on the
 //! voter's own [`Network::stream`]. The choice reads only those two
 //! properties of the network, and nothing can tell the paths apart
@@ -33,8 +33,8 @@
 //! streams burn are dropped with the streams.
 //!
 //! Both paths keep one call's state in one allocation of member-indexed
-//! microseconds ([`Rounds`]) and take every quorum instant through one
-//! selection kernel ([`quorum_select`]). A caller that runs the same
+//! microseconds (`Rounds`) and take every quorum instant through one
+//! selection kernel (`quorum_select`). A caller that runs the same
 //! cluster's rounds height after height hands in that cluster's
 //! [`VoteScratch`] ([`run_pbft_commit_in`]): the allocation is reused, and
 //! so is the closed form's delay table while the members, their
@@ -117,13 +117,13 @@ where
 }
 
 /// Vote-round working memory a caller keeps from one call to the next,
-/// one per cluster: the member-indexed buffer of [`Rounds`], and what its
+/// one per cluster: the member-indexed buffer of `Rounds`, and what its
 /// `c × c` table was last filled with.
 ///
 /// The closed form's pair-delay table depends on the member list, the
 /// members' coordinates and the link's `base_ms` and `bandwidth_mbps`,
 /// nothing else, so a call whose four match the ones recorded here skips
-/// [`Rounds::fill_delays`]. The record validates itself: no epoch has to
+/// `Rounds::fill_delays`. The record validates itself: no epoch has to
 /// be kept in step with membership, and a scratch moved to another
 /// network or cluster simply refills. Whatever writes the table keeps
 /// the record true — `fill_delays` sets it, a per-message round (which

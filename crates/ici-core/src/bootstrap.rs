@@ -13,16 +13,16 @@
 //! owners which bodies they may prune; the protocol executes those prunes
 //! so storage stays at `r` replicas per cluster, not `r + ε`.
 
-use ici_chain::block::BlockHeader;
+use ici_chain::block::{BlockHeader, Height};
 use ici_cluster::membership::JoinPolicy;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
-use ici_net::time::{Duration, SimTime};
+use ici_net::time::Duration;
 use ici_net::topology::Coord;
 
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
-use crate::network::IciNetwork;
+use crate::network::{IciNetwork, Shipment};
 
 /// Outcome of one node join.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,6 +55,10 @@ impl IciNetwork {
     /// Admits a new node at `coord`, runs the bootstrap download, and
     /// rebalances ownership.
     ///
+    /// The whole join is decided before anything changes: a join that
+    /// fails leaves the topology, membership, holdings, meter and clock
+    /// exactly as they were.
+    ///
     /// # Errors
     ///
     /// [`IciError::BodyUnavailable`] if an assigned body has no live
@@ -65,95 +69,88 @@ impl IciNetwork {
         policy: JoinPolicy,
     ) -> Result<BootstrapReport, IciError> {
         let _span = ici_telemetry::span!("core/bootstrap");
-        let node = self.net.join(coord);
+        // Decide. The joiner takes the next dense id, so it sorts last in
+        // the post-join member list. Bit `h * width + i` is set when
+        // `members[i]` owns height `h`: one bit a (height, member) pair
+        // holds the decision without keeping every height's owner list.
+        let node = NodeId::new(self.net.topology().len() as u64);
         let cluster = self
             .membership
-            .join(node, coord, self.net.topology(), policy);
+            .choose_cluster(coord, self.net.topology(), policy);
+        let mut members = Vec::with_capacity(self.membership.active_count(cluster) + 1);
+        members.extend(self.membership.iter_active(cluster));
+        members.push(node);
+        let width = members.len();
+        let (holders, joiner) = (&members[..width - 1], width - 1);
+        let chain_len = self.chain_len();
+        let mut owns = vec![0u64; (chain_len as usize * width).div_ceil(64)];
+        let owned = |owns: &[u64], height: Height, i: usize| {
+            let bit = height as usize * width + i;
+            owns[bit / 64] >> (bit % 64) & 1 == 1
+        };
+        for height in 0..chain_len {
+            let id = self.chain[height as usize].id();
+            for owner in self.dispatch_owners(&id, height, &members) {
+                if let Ok(i) = members.binary_search(&owner) {
+                    let bit = height as usize * width + i;
+                    owns[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+            if owned(&owns, height, joiner) && self.join_source(holders, height).is_none() {
+                return Err(IciError::BodyUnavailable(height));
+            }
+        }
+
+        self.net.join(coord);
+        self.membership.admit(node, cluster);
         self.holdings.push(NodeHoldings::new());
-        let start = self.clock;
 
         // 1. Header chain from the closest live cluster member.
-        let chain_len = self.chain_len();
         let header_bytes = chain_len * BlockHeader::ENCODED_LEN as u64;
-        let members = self.live_members(cluster);
-        let header_source = members
+        let header_source = holders
             .iter()
             .copied()
-            .filter(|m| *m != node)
+            .filter(|m| self.net.is_up(*m))
             .min_by(|a, b| {
                 let da = self.net.topology().distance_ms(node, *a);
                 let db = self.net.topology().distance_ms(node, *b);
                 da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
             });
-        let mut finish = start;
+        let mut header_delay = Duration::ZERO;
         if let Some(source) = header_source {
             if let Some(delay) = self
                 .net
                 .send(source, node, MessageKind::Bootstrap, header_bytes)
                 .delay()
             {
-                finish = start + delay;
+                header_delay = delay;
             }
         }
         for _ in 0..chain_len {
             self.holdings[node.index()].add_header();
         }
 
-        // 2. Recompute ownership over the grown membership; download the
-        // joiner's share, prune ex-owners.
-        let new_members = self.membership.active_members(cluster);
-        let mut body_bytes = 0u64;
-        let mut bodies = 0usize;
+        // 2. Download the joiner's share after the headers, prune
+        // ex-owners.
+        let mut shipment = Shipment::new(MessageKind::Bootstrap);
         let mut pruned = 0usize;
-        let mut per_source_finish: std::collections::BTreeMap<NodeId, SimTime> =
-            std::collections::BTreeMap::new();
-
         for height in 0..chain_len {
-            let block = &self.chain[height as usize];
-            let bytes = block.header().body_len as u64;
-            let id = block.id();
-            let owners_now = self.dispatch_owners(&id, height, &new_members);
-
-            if owners_now.contains(&node) {
-                // Fetch from a live current holder in the cluster.
-                let source = new_members
-                    .iter()
-                    .copied()
-                    .find(|m| {
-                        *m != node
-                            && self.net.is_up(*m)
-                            && self.holdings[m.index()].has_body(height)
-                    })
-                    .ok_or(IciError::BodyUnavailable(height))?;
-                if bytes > 0 {
-                    if let Some(delay) = self
-                        .net
-                        .send(source, node, MessageKind::Bootstrap, bytes)
-                        .delay()
-                    {
-                        // Transfers from one source are sequential; sources
-                        // stream in parallel.
-                        let t = per_source_finish.entry(source).or_insert(finish);
-                        *t = (*t).max(finish) + delay;
-                    }
+            if owned(&owns, height, joiner) {
+                if let Some(source) = self.join_source(holders, height) {
+                    self.ship(&mut shipment, source, node, height);
                 }
-                self.store_replica(node, height, bytes);
-                body_bytes += bytes;
-                bodies += 1;
             }
-
-            // Prune members that are no longer owners.
-            for member in &new_members {
-                if *member == node || owners_now.contains(member) {
-                    continue;
-                }
-                if self.holdings[member.index()].drop_body(height, bytes) {
+            let bytes = self.chain[height as usize].header().body_len as u64;
+            for (i, member) in holders.iter().enumerate() {
+                if !owned(&owns, height, i)
+                    && self.holdings[member.index()].drop_body(height, bytes)
+                {
                     pruned += 1;
                 }
             }
         }
-        let body_finish = per_source_finish.values().max().copied().unwrap_or(finish);
-        let duration = body_finish.max(finish).saturating_since(start);
+        let body_bytes = shipment.bytes;
+        let duration = header_delay + shipment.span();
 
         ici_telemetry::counter_add("core/bootstraps", ici_telemetry::Label::Global, 1);
         ici_telemetry::counter_add(
@@ -171,10 +168,19 @@ impl IciNetwork {
             cluster: cluster.get(),
             header_bytes,
             body_bytes,
-            bodies,
+            bodies: shipment.replicas,
             pruned_bodies: pruned,
             duration,
         })
+    }
+
+    /// The first of `holders` that is live and holds the body at
+    /// `height`: where a joiner downloads it from.
+    fn join_source(&self, holders: &[NodeId], height: Height) -> Option<NodeId> {
+        holders
+            .iter()
+            .copied()
+            .find(|m| self.net.is_up(*m) && self.holdings[m.index()].has_body(height))
     }
 }
 
@@ -299,5 +305,56 @@ mod tests {
             .expect("joins");
         let after = net.net().meter().kind(MessageKind::Bootstrap).bytes;
         assert_eq!(after - before, report.total_bytes());
+    }
+
+    #[test]
+    fn a_failed_join_changes_nothing() {
+        let mut net = network_with_blocks(10);
+        let coord = Coord::new(25.0, 25.0);
+        let policy = JoinPolicy::NearestCentroid;
+        // The height the joiner would own first, and the cluster it would
+        // join.
+        let joiner = NodeId::new(24);
+        let cluster = net
+            .membership()
+            .choose_cluster(coord, net.net().topology(), policy);
+        let mut members = net.membership().active_members(cluster);
+        members.push(joiner);
+        let height = (1..net.chain_len())
+            .find(|&h| {
+                let id = net.block(h).expect("committed").id();
+                net.dispatch_owners(&id, h, &members).contains(&joiner)
+            })
+            .expect("the joiner owns some height");
+        for member in net.membership().active_members(cluster) {
+            if net.holdings(member).expect("known").has_body(height) {
+                net.crash_node(member).expect("known node");
+            }
+        }
+
+        let nodes = net.net().topology().len();
+        let active = net.membership().total_active();
+        let storage = net.storage_bytes();
+        let bootstrap = net.net().meter().kind(MessageKind::Bootstrap);
+        let audits = net.audit_all();
+        let clock = net.now();
+        assert!(matches!(
+            net.bootstrap_node(coord, policy),
+            Err(IciError::BodyUnavailable(_))
+        ));
+        assert_eq!(net.net().topology().len(), nodes);
+        assert_eq!(net.membership().total_active(), active);
+        assert_eq!(net.storage_bytes(), storage);
+        assert_eq!(net.net().meter().kind(MessageKind::Bootstrap), bootstrap);
+        assert_eq!(net.audit_all(), audits);
+        assert_eq!(net.now(), clock);
+
+        // Once the holders are back, the same node joins under the same id.
+        for member in net.membership().active_members(cluster) {
+            net.recover_node(member).expect("known node");
+        }
+        let report = net.bootstrap_node(coord, policy).expect("joins");
+        assert_eq!(report.node, joiner);
+        assert!(net.holdings(joiner).expect("joined").has_body(height));
     }
 }

@@ -37,8 +37,6 @@ pub enum IciError {
     UnknownNode(NodeId),
     /// Operation requires a live node but it is crashed.
     NodeDown(NodeId),
-    /// The node already departed the network and cannot depart again.
-    AlreadyDeparted(NodeId),
 }
 
 impl fmt::Display for IciError {
@@ -62,7 +60,6 @@ impl fmt::Display for IciError {
             }
             IciError::UnknownNode(n) => write!(f, "unknown node {n}"),
             IciError::NodeDown(n) => write!(f, "node {n} is crashed"),
-            IciError::AlreadyDeparted(n) => write!(f, "node {n} already departed"),
         }
     }
 }

@@ -14,7 +14,7 @@ use ici_storage::recovery::{plan_chain_recovery, BlockRef, RecoveryPlan};
 use ici_cluster::partition::ClusterId;
 
 use crate::error::IciError;
-use crate::network::IciNetwork;
+use crate::network::{IciNetwork, Shipment};
 
 /// Outcome of repairing one cluster.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,28 +85,12 @@ impl IciNetwork {
             self.config.replication,
         );
 
-        // Execute: transfers from distinct sources run in parallel; each
-        // source streams its transfers sequentially.
         let start = self.clock;
-        let mut per_source_finish: std::collections::BTreeMap<NodeId, Duration> =
-            std::collections::BTreeMap::new();
-        let mut bytes = 0u64;
-        let mut executed = 0usize;
+        let mut shipment = Shipment::new(MessageKind::Repair);
         for t in &plan.transfers {
-            if t.bytes > 0 {
-                if let Some(delay) = self
-                    .net
-                    .send(t.source, t.destination, MessageKind::Repair, t.bytes)
-                    .delay()
-                {
-                    let acc = per_source_finish.entry(t.source).or_insert(Duration::ZERO);
-                    *acc += delay;
-                }
-            }
-            self.store_replica(t.destination, t.height, t.bytes);
-            bytes += t.bytes;
-            executed += 1;
+            self.ship(&mut shipment, t.source, t.destination, t.height);
         }
+        let transfers = shipment.replicas;
 
         // Cross-cluster recovery for heights whose every local owner died:
         // tier-3 of the query protocol, driven by the repair coordinator.
@@ -116,9 +100,6 @@ impl IciNetwork {
         let mut fetched = Vec::new();
         let mut lost = Vec::new();
         for height in plan.unrecoverable {
-            let block = &self.chain[height as usize];
-            let body_bytes = block.header().body_len as u64;
-            let id = block.id();
             let remote_holder = (0..self.holdings.len() as u64).map(NodeId::new).find(|n| {
                 self.net.is_up(*n)
                     && self.membership.cluster_of(*n) != cluster
@@ -129,51 +110,26 @@ impl IciNetwork {
                 continue;
             };
             let live = self.live_members(cluster);
+            let id = self.chain[height as usize].id();
             let owners = self.dispatch_owners(&id, height, &live);
             let Some(&first) = owners.first() else {
                 lost.push(height);
                 continue;
             };
-            if body_bytes > 0 {
-                if let Some(delay) = self
-                    .net
-                    .send(remote, first, MessageKind::Repair, body_bytes)
-                    .delay()
-                {
-                    let acc = per_source_finish.entry(remote).or_insert(Duration::ZERO);
-                    *acc += delay;
-                }
-            }
-            self.store_replica(first, height, body_bytes);
-            bytes += body_bytes;
+            self.ship(&mut shipment, remote, first, height);
             for &owner in owners.iter().skip(1) {
-                if body_bytes > 0 {
-                    if let Some(delay) = self
-                        .net
-                        .send(first, owner, MessageKind::Repair, body_bytes)
-                        .delay()
-                    {
-                        let acc = per_source_finish.entry(first).or_insert(Duration::ZERO);
-                        *acc += delay;
-                    }
-                }
-                self.store_replica(owner, height, body_bytes);
-                bytes += body_bytes;
+                self.ship(&mut shipment, first, owner, height);
             }
             fetched.push(height);
         }
 
-        let duration = per_source_finish
-            .values()
-            .max()
-            .copied()
-            .unwrap_or(Duration::ZERO);
+        let duration = shipment.span();
         self.clock = start + duration;
 
         RepairReport {
             cluster: cluster.get(),
-            transfers: executed,
-            bytes,
+            transfers,
+            bytes: shipment.bytes,
             duration,
             cross_cluster_fetches: fetched,
             unrecoverable: lost,

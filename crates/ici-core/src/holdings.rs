@@ -89,11 +89,6 @@ impl NodeHoldings {
     pub fn total_bytes(&self) -> u64 {
         self.header_bytes() + self.body_bytes
     }
-
-    /// Clears everything (node wiped / departed).
-    pub fn clear(&mut self) {
-        *self = NodeHoldings::default();
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +115,5 @@ mod tests {
         assert!(!h.drop_body(1, 500));
         assert_eq!(h.body_bytes(), 300);
         assert_eq!(h.body_heights().iter().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = NodeHoldings::new();
-        h.add_header();
-        h.add_body(0, 10);
-        h.clear();
-        assert_eq!(h, NodeHoldings::new());
-        assert_eq!(h.total_bytes(), 0);
     }
 }

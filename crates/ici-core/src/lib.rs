@@ -14,7 +14,7 @@
 //! checking logic), [`query`] (tiered reads), [`spv`] (light transaction
 //! proofs), [`bootstrap`] (joins), [`failure`] (crashes and
 //! re-replication), [`merkle_audit`] (shard-level content audit),
-//! [`reconfig`] (epoch re-clustering and departures), [`holdings`]
+//! [`reconfig`] (epoch re-clustering), [`holdings`]
 //! (per-node storage accounting), [`error`].
 //!
 //! # Examples
@@ -67,9 +67,9 @@ pub use error::IciError;
 pub use failure::RepairReport;
 pub use holdings::NodeHoldings;
 pub use lifecycle::{BlockCommitRecord, StageBoundary};
-pub use merkle_audit::{attribute_corrupt_shards, MerkleAuditReport};
+pub use merkle_audit::MerkleAuditReport;
 pub use network::IciNetwork;
 pub use query::{QueryReport, QueryTier};
-pub use reconfig::{DepartReport, ReconfigReport};
+pub use reconfig::ReconfigReport;
 pub use spv::TxProofReport;
-pub use verify::{ByzVerifyReport, Verdict};
+pub use verify::Verdict;

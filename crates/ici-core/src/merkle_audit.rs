@@ -24,7 +24,6 @@
 use ici_chain::block::{Block, Height};
 use ici_chain::codec::Encode;
 use ici_cluster::partition::ClusterId;
-use ici_crypto::merkle::hash_leaf;
 use ici_storage::audit::ReplicaCount;
 use ici_telemetry::Label;
 
@@ -53,33 +52,6 @@ impl MerkleAuditReport {
     pub fn is_clean(&self) -> bool {
         self.root_mismatches.is_empty() && self.missing.is_empty()
     }
-}
-
-/// Attributes corruption in a suspect body replica to the exact shard
-/// (transaction leaf) indices that diverge from the commitment.
-///
-/// `reference` is the committed block (its header's `tx_root` is the
-/// ground truth); `suspect_leaves` are the raw transaction encodings a
-/// holder actually serves. A root mismatch says *something* rotted;
-/// this names *which* leaves — by re-deriving each leaf digest and
-/// comparing against the committed tree, so even a single flipped bit
-/// anywhere in a leaf's bytes lands on exactly that leaf. Length
-/// mismatches (truncated or padded replicas) mark every index past the
-/// shorter side.
-pub fn attribute_corrupt_shards(reference: &Block, suspect_leaves: &[Vec<u8>]) -> Vec<usize> {
-    let tree = reference.tx_tree();
-    let committed = reference.transactions().len();
-    let mut corrupt = Vec::new();
-    for index in 0..committed.max(suspect_leaves.len()) {
-        let clean = match (tree.leaf(index), suspect_leaves.get(index)) {
-            (Some(expected), Some(bytes)) => hash_leaf(bytes) == expected,
-            _ => false,
-        };
-        if !clean {
-            corrupt.push(index);
-        }
-    }
-    corrupt
 }
 
 /// What re-deriving one committed height's transaction tree found.
@@ -294,12 +266,11 @@ mod tests {
     }
 
     #[test]
-    fn single_bit_flip_at_every_shard_index_is_detected_and_attributed() {
+    fn single_bit_flip_at_every_shard_index_is_detected() {
         // The exhaustive corruption sweep: for every committed height,
         // every shard (transaction leaf), and a spread of bit positions
-        // across the leaf's bytes, one flipped bit must (a) break the
-        // recomputed root — detection — and (b) be attributed to exactly
-        // the corrupted shard index.
+        // across the leaf's bytes, one flipped bit must break the
+        // recomputed root.
         let net = network_with_blocks(4);
         for height in 1..=4u64 {
             let block = net.block(height).expect("committed").clone();
@@ -308,10 +279,6 @@ mod tests {
                 .iter()
                 .map(|tx| tx.to_bytes())
                 .collect();
-            assert!(
-                attribute_corrupt_shards(&block, &clean).is_empty(),
-                "clean replica must attribute nothing"
-            );
             for shard in 0..clean.len() {
                 let bits = clean[shard].len() * 8;
                 // Every byte boundary plus both edges: first bit, last
@@ -319,8 +286,8 @@ mod tests {
                 for bit in (0..bits).step_by(8).chain([bits - 1]) {
                     let mut suspect = clean.clone();
                     suspect[shard][bit / 8] ^= 1 << (bit % 8);
-                    // Detection: the leaf digest diverges, so the
-                    // recomputed root cannot match the commitment.
+                    // The leaf digest diverges, so the recomputed root
+                    // cannot match the commitment.
                     let tree = ici_crypto::merkle::MerkleTree::from_leaves(
                         suspect.iter().map(Vec::as_slice),
                     );
@@ -329,41 +296,9 @@ mod tests {
                         block.header().tx_root,
                         "h={height} shard={shard} bit={bit}: flip went undetected"
                     );
-                    // Attribution: exactly the corrupted shard is named.
-                    assert_eq!(
-                        attribute_corrupt_shards(&block, &suspect),
-                        vec![shard],
-                        "h={height} shard={shard} bit={bit}"
-                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn truncated_and_padded_replicas_are_attributed_past_the_divergence() {
-        let net = network_with_blocks(2);
-        let block = net.block(1).expect("committed").clone();
-        let clean: Vec<Vec<u8>> = block
-            .transactions()
-            .iter()
-            .map(|tx| tx.to_bytes())
-            .collect();
-        let n = clean.len();
-        assert!(n >= 2);
-
-        let mut truncated = clean.clone();
-        truncated.pop();
-        assert_eq!(attribute_corrupt_shards(&block, &truncated), vec![n - 1]);
-
-        let mut padded = clean.clone();
-        padded.push(clean[0].clone());
-        assert_eq!(attribute_corrupt_shards(&block, &padded), vec![n]);
-
-        // A replica that swapped two shards corrupts both positions.
-        let mut swapped = clean.clone();
-        swapped.swap(0, 1);
-        assert_eq!(attribute_corrupt_shards(&block, &swapped), vec![0, 1]);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! ([`crate::lifecycle`], [`crate::query`], [`crate::bootstrap`],
 //! [`crate::failure`]), all as `impl IciNetwork` blocks.
 
+use std::collections::BTreeMap;
+
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::locator::TxLocator;
 use ici_chain::state::WorldState;
@@ -14,9 +16,10 @@ use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::pbft::VoteScratch;
 use ici_crypto::sha256::Digest;
+use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
-use ici_net::time::SimTime;
+use ici_net::time::{Duration, SimTime};
 use ici_net::topology::Topology;
 use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
@@ -27,6 +30,41 @@ use crate::error::IciError;
 use crate::holdings::NodeHoldings;
 use crate::lifecycle::BlockCommitRecord;
 use crate::merkle_audit::Verdicts;
+
+/// Bodies written after their block committed, shipped through
+/// [`IciNetwork::ship`]. One source streams its transfers one after
+/// another; distinct sources run in parallel, so the shipment's
+/// [`span`](Shipment::span) is its slowest source's total.
+pub(crate) struct Shipment {
+    kind: MessageKind,
+    /// Each source's delivered delays, summed.
+    per_source: BTreeMap<NodeId, Duration>,
+    /// Body bytes written.
+    pub(crate) bytes: u64,
+    /// Replicas written.
+    pub(crate) replicas: usize,
+}
+
+impl Shipment {
+    /// An empty shipment whose sends are metered as `kind`.
+    pub(crate) fn new(kind: MessageKind) -> Shipment {
+        Shipment {
+            kind,
+            per_source: BTreeMap::new(),
+            bytes: 0,
+            replicas: 0,
+        }
+    }
+
+    /// Wall-clock span of the shipment: the largest per-source total.
+    pub(crate) fn span(&self) -> Duration {
+        self.per_source
+            .values()
+            .max()
+            .copied()
+            .unwrap_or(Duration::ZERO)
+    }
+}
 
 /// A complete simulated ICIStrategy deployment.
 pub struct IciNetwork {
@@ -261,17 +299,39 @@ impl IciNetwork {
             .collect()
     }
 
-    /// Writes the body at `height` to `node`'s store after the block
-    /// committed (repair, migration, a joiner's download). Whatever a
-    /// certificate concluded about the height predates this replica, so
-    /// the next one covering it hashes it again.
-    pub(crate) fn store_replica(&mut self, node: NodeId, height: Height, bytes: u64) {
+    /// Ships the body at `height` from `source` to `destination` after
+    /// its block committed (repair, re-clustering, a joiner's download)
+    /// and writes the replica. The send is metered under the shipment's
+    /// class unless the body is empty, and a delivered delay adds to
+    /// `source`'s sequential total. The replica is written whether or
+    /// not the send was delivered. Whatever a certificate concluded
+    /// about the height predates this replica, so the next one covering
+    /// it hashes it again.
+    pub(crate) fn ship(
+        &mut self,
+        shipment: &mut Shipment,
+        source: NodeId,
+        destination: NodeId,
+        height: Height,
+    ) {
+        let bytes = self.chain[height as usize].header().body_len as u64; // callers ship committed heights
+        if bytes > 0 {
+            if let Some(delay) = self
+                .net
+                .send(source, destination, shipment.kind, bytes)
+                .delay()
+            {
+                *shipment.per_source.entry(source).or_insert(Duration::ZERO) += delay;
+            }
+        }
         // height < chain length, which memory bounds
         if let Some(verdict) = self.verdicts.get_mut(height as usize) {
             *verdict = None;
         }
         ici_telemetry::counter_add("core/replicas_written", ici_telemetry::Label::Global, 1);
-        self.holdings[node.index()].add_body(height, bytes);
+        self.holdings[destination.index()].add_body(height, bytes);
+        shipment.bytes += bytes;
+        shipment.replicas += 1;
     }
 
     /// Audits intra-cluster integrity of `cluster` against the committed

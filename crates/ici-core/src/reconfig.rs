@@ -19,24 +19,7 @@ use ici_net::time::Duration;
 use ici_storage::audit::HeightSet;
 
 use crate::config::Clustering;
-use crate::error::IciError;
-use crate::failure::RepairReport;
-use crate::network::IciNetwork;
-
-/// Outcome of a graceful node departure.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DepartReport {
-    /// The node that left.
-    pub node: NodeId,
-    /// Its (former) cluster.
-    pub cluster: u32,
-    /// Body replicas it took with it.
-    pub bodies_dropped: usize,
-    /// Storage bytes it freed (headers + bodies).
-    pub bytes_freed: u64,
-    /// The re-replication run that restored the cluster afterwards.
-    pub repair: RepairReport,
-}
+use crate::network::{IciNetwork, Shipment};
 
 /// Outcome of one reconfiguration epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,42 +41,6 @@ pub struct ReconfigReport {
 }
 
 impl IciNetwork {
-    /// Gracefully removes `node` from the network: it leaves its cluster,
-    /// takes its disk with it, and the survivors immediately re-replicate
-    /// to restore intra-cluster integrity.
-    ///
-    /// Unlike a crash, departure is permanent — ownership is recomputed
-    /// over the remaining members and the node never serves again (a later
-    /// [`IciNetwork::reconfigure_clusters`] keeps it inactive).
-    ///
-    /// # Errors
-    ///
-    /// [`IciError::UnknownNode`] if out of range,
-    /// [`IciError::AlreadyDeparted`] on a second departure.
-    pub fn depart_node(&mut self, node: NodeId) -> Result<DepartReport, IciError> {
-        if node.index() >= self.holdings.len() {
-            return Err(IciError::UnknownNode(node));
-        }
-        if !self.membership.is_active(node) {
-            return Err(IciError::AlreadyDeparted(node));
-        }
-        let _span = ici_telemetry::span!("core/depart_node", node = node.get());
-        let cluster = self.membership.cluster_of(node);
-        let bodies_dropped = self.holdings[node.index()].body_count();
-        let bytes_freed = self.holdings[node.index()].total_bytes();
-        self.membership.leave(node);
-        self.holdings[node.index()].clear();
-        self.net.crash(node);
-        let repair = self.repair_cluster(cluster);
-        Ok(DepartReport {
-            node,
-            cluster: cluster.get(),
-            bodies_dropped,
-            bytes_freed,
-            repair,
-        })
-    }
-
     /// Recomputes the cluster partition over the current population and
     /// migrates storage to satisfy intra-cluster integrity in the new
     /// clusters.
@@ -149,15 +96,10 @@ impl IciNetwork {
         };
 
         let start = self.clock;
-        let mut per_source: std::collections::BTreeMap<NodeId, Duration> =
-            std::collections::BTreeMap::new();
-        let mut fetched = 0usize;
-        let mut bytes_moved = 0u64;
+        let mut shipment = Shipment::new(MessageKind::Repair);
         let chain_len = self.chain_len();
         for height in 0..chain_len {
-            let block = &self.chain[height as usize];
-            let body_bytes = block.header().body_len as u64;
-            let id = block.id();
+            let id = self.chain[height as usize].id();
             for cluster in self.clusters() {
                 let members = self.membership.active_members(cluster);
                 for owner in self.dispatch_owners(&id, height, &members) {
@@ -167,18 +109,7 @@ impl IciNetwork {
                     let Some(source) = live_holder(height, &self.net) else {
                         continue; // already lost; repair handles it later
                     };
-                    if body_bytes > 0 {
-                        if let Some(delay) = self
-                            .net
-                            .send(source, owner, MessageKind::Repair, body_bytes)
-                            .delay()
-                        {
-                            *per_source.entry(source).or_insert(Duration::ZERO) += delay;
-                        }
-                    }
-                    self.store_replica(owner, height, body_bytes);
-                    fetched += 1;
-                    bytes_moved += body_bytes;
+                    self.ship(&mut shipment, source, owner, height);
                 }
             }
         }
@@ -203,16 +134,16 @@ impl IciNetwork {
             }
         }
 
-        let duration = per_source.values().max().copied().unwrap_or(Duration::ZERO);
+        let duration = shipment.span();
         self.clock = start + duration;
 
         ReconfigReport {
             clusters_before,
             clusters_after: k,
             moved_nodes,
-            bodies_fetched: fetched,
+            bodies_fetched: shipment.replicas,
             bodies_pruned: pruned,
-            bytes_moved,
+            bytes_moved: shipment.bytes,
             duration,
         }
     }
@@ -330,70 +261,6 @@ mod tests {
             "first: {first:?}, second: {second:?}"
         );
         assert_eq!(second.bodies_pruned, 0);
-    }
-
-    #[test]
-    fn departure_restores_integrity_among_survivors() {
-        let mut net = network_with_blocks(8, Clustering::BalancedKMeans);
-        let leaver = NodeId::new(2);
-        let cluster = net.membership().cluster_of(leaver);
-        let held = net.holdings(leaver).expect("known").body_count();
-        assert!(held > 0, "leaver holds nothing; pick another seed");
-
-        let report = net.depart_node(leaver).expect("active node");
-        assert_eq!(report.node, leaver);
-        assert_eq!(report.cluster, cluster.get());
-        assert_eq!(report.bodies_dropped, held);
-        assert!(report.bytes_freed > 0);
-        // The disk left with the node and repair re-replicated its share.
-        assert_eq!(net.holdings(leaver).expect("known").body_count(), 0);
-        assert!(report.repair.transfers > 0);
-        assert!(report.repair.unrecoverable.is_empty());
-        assert!(!net.membership().is_active(leaver));
-        assert!(net.audit(cluster).is_intact());
-        assert!(net.merkle_audit(cluster).is_clean());
-    }
-
-    #[test]
-    fn departed_nodes_stay_out_through_reconfiguration() {
-        let mut net = network_with_blocks(6, Clustering::BalancedKMeans);
-        let leaver = NodeId::new(5);
-        net.depart_node(leaver).expect("active node");
-        let active_before = net.membership().total_active();
-        let _ = net.reconfigure_clusters();
-        assert!(!net.membership().is_active(leaver));
-        assert_eq!(net.membership().total_active(), active_before);
-        for audit in net.audit_all() {
-            assert!(audit.is_intact(), "{audit:?}");
-        }
-        // The chain still advances without the departed node.
-        let txs: Vec<Transaction> = (0..3)
-            .map(|i| {
-                Transaction::signed(
-                    &Keypair::from_seed(i),
-                    Address::from_seed(i + 1),
-                    1,
-                    1,
-                    6,
-                    Vec::new(),
-                )
-            })
-            .collect();
-        net.propose_block(txs).expect("commits after departure");
-    }
-
-    #[test]
-    fn departure_is_rejected_for_unknown_and_repeated_nodes() {
-        let mut net = network_with_blocks(2, Clustering::Random);
-        assert!(matches!(
-            net.depart_node(NodeId::new(500)),
-            Err(crate::error::IciError::UnknownNode(_))
-        ));
-        net.depart_node(NodeId::new(1)).expect("active node");
-        assert!(matches!(
-            net.depart_node(NodeId::new(1)),
-            Err(crate::error::IciError::AlreadyDeparted(_))
-        ));
     }
 
     #[test]

@@ -14,18 +14,10 @@
 //! A block fails collaboratively if **any** member's slice fails — the
 //! member votes reject, the quorum never forms, and the verdict names the
 //! offending transaction.
-//!
-//! [`IciNetwork::collaborative_verify_with_faults`] drives the same
-//! checks with *Byzantine* verifiers in the loop: designated members may
-//! flip their verdict or withhold it, the cluster aggregates what is
-//! actually reported through [`ici_consensus::verdicts`], and disputed
-//! rejects are re-verified by honest members — which is what detects the
-//! liars.
 
 use ici_chain::block::Block;
 use ici_chain::validation::{split_ranges, validate_block, verify_tx_range, ValidationError};
 use ici_cluster::partition::ClusterId;
-use ici_consensus::verdicts::{tally_votes, VerdictOutcome, VerdictTally, VerifierVote};
 use ici_net::node::NodeId;
 
 use crate::network::IciNetwork;
@@ -50,42 +42,6 @@ impl Verdict {
     /// Whether the cluster accepts the block.
     pub fn is_accept(&self) -> bool {
         matches!(self, Verdict::Accept)
-    }
-}
-
-/// Outcome of one cluster's collaborative verification with Byzantine
-/// verifiers in the loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ByzVerifyReport {
-    /// What an all-honest cluster would have decided.
-    pub honest_verdict: Verdict,
-    /// The reported votes, counted over the live membership.
-    pub tally: VerdictTally,
-    /// The cluster-level decision the tally supports.
-    pub outcome: VerdictOutcome,
-    /// Liars that rejected a slice they verified clean.
-    pub false_rejects: Vec<NodeId>,
-    /// Liars that accepted despite a failing check.
-    pub false_accepts: Vec<NodeId>,
-    /// Liars exposed this round (disputed-reject re-verification, or a
-    /// block-level failure every honest member saw through).
-    pub detected_liars: Vec<NodeId>,
-    /// Members that reported nothing.
-    pub withheld: Vec<NodeId>,
-    /// Slice re-verifications spent contradicting disputed rejects.
-    pub reverified_slices: usize,
-}
-
-impl ByzVerifyReport {
-    /// Whether the committed outcome matches the honest verdict — the
-    /// safety question: did lying change the decision?
-    pub fn decision_corrupted(&self) -> bool {
-        match (&self.honest_verdict, &self.outcome) {
-            (Verdict::Accept, VerdictOutcome::Accepted) => false,
-            (Verdict::Accept, _) => true, // liveness lost to liars
-            (_, VerdictOutcome::Accepted) => true, // bad block committed
-            _ => false,
-        }
     }
 }
 
@@ -117,102 +73,6 @@ impl IciNetwork {
             Ok(_) => Verdict::Accept,
             Err(e) => Verdict::RejectBlock(e),
         }
-    }
-
-    /// Runs collaborative verification on `cluster` with Byzantine
-    /// verifiers in the loop.
-    ///
-    /// `flips` name members that report the opposite of what they
-    /// verified; `withholds` name members that report nothing (a node in
-    /// both lists withholds — silence beats lying). Crashed members are
-    /// ignored. The cluster aggregates whatever is actually reported with
-    /// BFT quorum arithmetic, and every disputed reject — a reject whose
-    /// named slice at least one honest member can re-verify — costs one
-    /// slice re-verification and exposes the liar.
-    ///
-    /// Pure logic, like [`IciNetwork::collaborative_verify`]: no traffic
-    /// or time is charged.
-    pub fn collaborative_verify_with_faults(
-        &self,
-        cluster: ClusterId,
-        block: &Block,
-        flips: &[NodeId],
-        withholds: &[NodeId],
-    ) -> ByzVerifyReport {
-        let _span = ici_telemetry::span!("core/byz_verify", cluster = cluster.get());
-        let members = self.live_members(cluster);
-        let tx_count = block.transactions().len();
-        let ranges = split_ranges(tx_count, members.len().max(1));
-
-        // Block-level checks (linkage, execution, state root) are run by
-        // every member identically; slice checks are each member's own.
-        let block_ok = validate_block(block, self.tip(), self.state()).is_ok();
-
-        let mut report = ByzVerifyReport {
-            honest_verdict: self.collaborative_verify(cluster, block),
-            tally: VerdictTally::default(),
-            outcome: VerdictOutcome::Stalled,
-            false_rejects: Vec::new(),
-            false_accepts: Vec::new(),
-            detected_liars: Vec::new(),
-            withheld: Vec::new(),
-            reverified_slices: 0,
-        };
-
-        let mut votes: Vec<VerifierVote> = Vec::with_capacity(members.len());
-        let mut honest_members = 0usize;
-        let slice_ok: Vec<bool> = members
-            .iter()
-            .zip(&ranges)
-            .map(|(_, (start, end))| verify_tx_range(block, *start, *end).is_ok())
-            .collect();
-        for (i, member) in members.iter().enumerate() {
-            let honest_accept = block_ok && slice_ok.get(i).copied().unwrap_or(true);
-            if withholds.contains(member) {
-                report.withheld.push(*member);
-                votes.push(VerifierVote::Withhold);
-            } else if flips.contains(member) {
-                if honest_accept {
-                    report.false_rejects.push(*member);
-                    votes.push(VerifierVote::Reject);
-                } else {
-                    report.false_accepts.push(*member);
-                    votes.push(VerifierVote::Accept);
-                }
-            } else {
-                honest_members += 1;
-                votes.push(if honest_accept {
-                    VerifierVote::Accept
-                } else {
-                    VerifierVote::Reject
-                });
-            }
-        }
-        report.tally = tally_votes(votes.iter().copied(), members.len());
-        report.outcome = report.tally.outcome();
-
-        // Detection. A false reject names a slice; any honest member can
-        // re-run that slice and contradict the claim, so each one costs a
-        // re-verification and exposes its author (needs >= 1 honest live
-        // member). A false accept is exposed only when the dishonesty is
-        // visible to others: block-level failures are checked by every
-        // member, but a lie about the liar's *own* slice has no second
-        // witness here — that gap is what the shard-level Merkle audit
-        // closes after commit.
-        if honest_members > 0 {
-            for liar in &report.false_rejects {
-                report.reverified_slices += 1;
-                report.detected_liars.push(*liar);
-            }
-            if !block_ok {
-                report
-                    .detected_liars
-                    .extend(report.false_accepts.iter().copied());
-            }
-        }
-        report.detected_liars.sort_unstable();
-        report.detected_liars.dedup();
-        report
     }
 
     /// Network-wide collaborative verdict: the block stands only if every
@@ -363,87 +223,6 @@ mod tests {
                 Verdict::RejectBlock(ValidationError::BadTransaction { index: 0, .. })
             ))
         ));
-    }
-
-    #[test]
-    fn honest_cluster_with_no_faults_matches_plain_verification() {
-        let (net, block) = setup();
-        let cluster = net.clusters()[0];
-        let report = net.collaborative_verify_with_faults(cluster, &block, &[], &[]);
-        assert_eq!(report.honest_verdict, Verdict::Accept);
-        assert_eq!(report.outcome, ici_consensus::VerdictOutcome::Accepted);
-        assert_eq!(report.tally.accepts, net.live_members(cluster).len());
-        assert!(!report.decision_corrupted());
-        assert!(report.detected_liars.is_empty());
-        assert_eq!(report.reverified_slices, 0);
-    }
-
-    #[test]
-    fn false_rejects_below_quorum_are_detected_and_outvoted() {
-        let (net, block) = setup();
-        let cluster = net.clusters()[0];
-        let members = net.live_members(cluster);
-        // f = 2 for an 8-member cluster: two liars flip Accept -> Reject.
-        let flips = [members[1], members[4]];
-        let report = net.collaborative_verify_with_faults(cluster, &block, &flips, &[]);
-        assert_eq!(report.outcome, ici_consensus::VerdictOutcome::Accepted);
-        assert!(!report.decision_corrupted());
-        assert_eq!(report.false_rejects, flips.to_vec());
-        // Each disputed reject cost one honest re-verification and named
-        // its author.
-        assert_eq!(report.detected_liars, flips.to_vec());
-        assert_eq!(report.reverified_slices, 2);
-    }
-
-    #[test]
-    fn enough_liars_stall_a_good_block_but_never_commit_a_bad_one() {
-        let (net, block) = setup();
-        let cluster = net.clusters()[0];
-        let members = net.live_members(cluster);
-        // 3 flips + 1 withhold out of 8 leaves only 4 honest accepts,
-        // below quorum(8) = 6: liveness lost, safety intact.
-        let flips = [members[0], members[2], members[5]];
-        let holds = [members[7]];
-        let report = net.collaborative_verify_with_faults(cluster, &block, &flips, &holds);
-        assert_eq!(report.outcome, ici_consensus::VerdictOutcome::Stalled);
-        assert!(report.decision_corrupted(), "good block failed to commit");
-        assert_eq!(report.withheld, holds.to_vec());
-
-        // Same liars on a *forged* block: their flipped votes become
-        // accepts, but 4 honest rejects + quorum arithmetic keep the bad
-        // block out.
-        let forged = tamper_signature(&block, 0);
-        let report = net.collaborative_verify_with_faults(cluster, &forged, &flips, &holds);
-        assert_ne!(report.outcome, ici_consensus::VerdictOutcome::Accepted);
-        assert!(!report.false_accepts.is_empty() || !report.false_rejects.is_empty());
-    }
-
-    #[test]
-    fn block_level_lies_are_transparent_to_every_honest_member() {
-        let (net, block) = setup();
-        let cluster = net.clusters()[0];
-        let members = net.live_members(cluster);
-        let (mut header, body) = block.into_parts();
-        header.parent = ici_crypto::Digest::ZERO;
-        let forged = Block::new(header, body);
-        // A liar accepting a block with a broken parent link is exposed:
-        // the failure is visible to all members, not just one slice.
-        let flips = [members[3]];
-        let report = net.collaborative_verify_with_faults(cluster, &forged, &flips, &[]);
-        assert_eq!(report.outcome, ici_consensus::VerdictOutcome::Rejected);
-        assert_eq!(report.false_accepts, flips.to_vec());
-        assert_eq!(report.detected_liars, flips.to_vec());
-        assert!(!report.decision_corrupted());
-    }
-
-    #[test]
-    fn withhold_takes_precedence_over_flip() {
-        let (net, block) = setup();
-        let cluster = net.clusters()[0];
-        let member = net.live_members(cluster)[0];
-        let report = net.collaborative_verify_with_faults(cluster, &block, &[member], &[member]);
-        assert_eq!(report.withheld, vec![member]);
-        assert!(report.false_rejects.is_empty());
     }
 
     #[test]

@@ -185,7 +185,7 @@ pub fn mul_acc(acc: &mut [u8], src: &[u8], scalar: Gf256) {
 /// overwriting `dst`. Only the overlapping prefix (`min` of the two lengths)
 /// is processed, so the function has no panic path.
 ///
-/// Like [`mul_acc`] this borrows one [`MUL`] table row per call and does a
+/// Like [`mul_acc`] this borrows one `MUL` table row per call and does a
 /// single 1-D lookup per byte — the shape the Reed–Solomon inner loop wants
 /// when it writes a fresh output stripe.
 pub fn mul_slice(scalar: Gf256, src: &[u8], dst: &mut [u8]) {

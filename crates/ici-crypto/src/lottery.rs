@@ -14,7 +14,7 @@
 //! lottery or a ranking hashes one per member. The per-id functions are
 //! the specification; [`for_each_lottery_score`] and
 //! [`for_each_rendezvous_rank`] compute the same values for a whole
-//! candidate set, [`LANES`] messages per kernel call, with each message
+//! candidate set, `LANES` messages per kernel call, with each message
 //! laid out in place (no streaming hasher, no allocation). Every
 //! protocol caller goes through them.
 
@@ -45,7 +45,7 @@ pub fn lottery_score(seed: &Digest, round: u64, participant: u64) -> u64 {
 }
 
 /// Calls `f(id, lottery_score(seed, round, id))` for every id of `ids`,
-/// in order, hashing [`LANES`] ids per kernel call.
+/// in order, hashing `LANES` ids per kernel call.
 ///
 /// The 63-byte message fills the first block up to the 0x80 pad byte,
 /// so the second block holds only the length: the same block for every
@@ -94,7 +94,7 @@ pub fn rendezvous_rank(key: &Digest, node: u64) -> u64 {
 }
 
 /// Calls `f(id, rendezvous_rank(key, id))` for every id of `ids`, in
-/// order, hashing [`LANES`] ids per kernel call. The 51-byte message and
+/// order, hashing `LANES` ids per kernel call. The 51-byte message and
 /// its padding fit one block.
 pub fn for_each_rendezvous_rank<I>(key: &Digest, ids: I, f: impl FnMut(u64, u64))
 where

@@ -189,11 +189,6 @@ impl MerkleTree {
         self.len() == 0
     }
 
-    /// Returns the leaf hash at `index`, if in range.
-    pub fn leaf(&self, index: usize) -> Option<Digest> {
-        self.levels.first()?.get(index).copied()
-    }
-
     /// Produces an inclusion proof for the leaf at `index`.
     ///
     /// Returns `None` if `index` is out of range.

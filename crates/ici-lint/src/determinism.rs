@@ -82,7 +82,7 @@ fn emit(findings: &mut Vec<Finding>, file: &SourceFile, rule: &str, line: usize,
 /// qualified forms) and from constructor assignments
 /// (`name = HashMap::new()` / `with_capacity` / `from` / `default`).
 /// Pass 2 flags order-dependent uses of those names: method calls from
-/// [`ORDER_DEPENDENT_METHODS`], direct `for .. in [&][mut][self.]name`,
+/// `ORDER_DEPENDENT_METHODS`, direct `for .. in [&][mut][self.]name`,
 /// and `.extend([&]name)`.
 pub fn check_unordered_iter(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();

@@ -261,12 +261,11 @@ fn all_pairs_votes(net: &mut Network, members: &[NodeId]) {
 
 /// Tallies one group's verdict round for an honest block under the
 /// round's flips and withholds, updating the summary's lie accounting.
-/// Honest members vote `Accept` (the workload's blocks are valid);
-/// every false reject in a group with at least one honest member is
-/// exposed by re-verification (see
-/// `IciNetwork::collaborative_verify_with_faults`, which implements the
-/// same rule at the block level). Returns whether the group still
-/// reaches its accept quorum.
+/// This is the workspace's one Byzantine verdict rule: honest members
+/// vote `Accept` (the workload's blocks are valid), and every false
+/// reject in a group with at least one honest member is exposed by
+/// re-verification. Returns whether the group still reaches its accept
+/// quorum.
 fn tally_group(
     live: &[NodeId],
     faults: &[(NodeId, VerdictFault)],

@@ -9,6 +9,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use ici_telemetry::snapshot::escape_json;
+
 use crate::table::Table;
 
 /// A serializable experiment record: id, parameters, and result tables.
@@ -50,25 +52,6 @@ impl From<&Table> for SerializableTable {
             rows: table.rows().to_vec(),
         }
     }
-}
-
-/// Escapes `s` as the contents of a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn write_string_array(out: &mut String, indent: &str, items: &[String]) {

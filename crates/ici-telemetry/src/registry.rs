@@ -1,6 +1,6 @@
 //! The thread-local instrument registry.
 //!
-//! All telemetry state lives in one thread-local [`Collector`]: typed
+//! All telemetry state lives in one thread-local `Collector`: typed
 //! instruments (counters, gauges, histograms) and the span call tree.
 //! Thread-locality keeps recording lock-free and isolates parallel test
 //! threads; the simulator itself is single-threaded, so one collector

@@ -224,8 +224,8 @@ impl TelemetrySnapshot {
             let _ = write!(
                 out,
                 "{{\"name\": \"{}\", \"label\": \"{}\", \"value\": {}}}",
-                escape(c.name),
-                escape(&c.label),
+                escape_json(c.name),
+                escape_json(&c.label),
                 c.value
             );
         });
@@ -236,8 +236,8 @@ impl TelemetrySnapshot {
             let _ = write!(
                 out,
                 "{{\"name\": \"{}\", \"label\": \"{}\", \"value\": {}}}",
-                escape(g.name),
-                escape(&g.label),
+                escape_json(g.name),
+                escape_json(&g.label),
                 fmt_f64(g.value)
             );
         });
@@ -250,8 +250,8 @@ impl TelemetrySnapshot {
                 "{{\"name\": \"{}\", \"label\": \"{}\", \"count\": {}, \"sum\": {}, \
                  \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \
                  \"p99\": {}, \"buckets\": [",
-                escape(h.name),
-                escape(&h.label),
+                escape_json(h.name),
+                escape_json(&h.label),
                 h.count,
                 h.sum,
                 h.min,
@@ -304,8 +304,8 @@ fn write_span(out: &mut String, s: &SpanEntry) {
         out,
         "\"name\": \"{}\", \"label\": \"{}\", \"count\": {}, \
          \"total_ns\": {}, \"self_ns\": {}, \"max_ns\": {}}}",
-        escape(s.name),
-        escape(&s.label),
+        escape_json(s.name),
+        escape_json(&s.label),
         s.count,
         s.total_ns,
         s.self_ns,
@@ -334,9 +334,10 @@ fn write_array<T>(
     let _ = write!(out, "\n{indent}]");
 }
 
-/// Escapes a JSON string body (instrument names and labels contain no
-/// exotic characters, but exports must never emit invalid JSON).
-fn escape(s: &str) -> String {
+/// Escapes `s` as the contents of a JSON string literal (instrument
+/// names and labels contain no exotic characters, but exports must never
+/// emit invalid JSON). `ici-sim`'s records use it too.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -476,8 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+    fn escape_json_handles_specials() {
+        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(1.5), "1.5");
     }

@@ -59,6 +59,11 @@ if printf '%s\n' "$TEST_BUILD" | grep -q '^warning'; then
 fi
 cargo test -q --workspace
 
+echo "==> rustdoc, warnings denied"
+# A doc link to a private item, or to an item that was deleted, fails
+# here instead of rendering as dead text. Writes only under target/.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
+
 echo "==> benchmark package (tests, then all six workloads at smoke size)"
 # benchmark/ is its own workspace, so --workspace never reaches it. Its
 # src/surface.rs is the frozen list of repo functions the benchmark

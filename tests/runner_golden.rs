@@ -14,8 +14,13 @@
 
 use ici_baselines::full::FullConfig;
 use ici_baselines::rapidchain::RapidChainConfig;
+use ici_cluster::membership::JoinPolicy;
 use ici_core::config::IciConfig;
+use ici_core::network::IciNetwork;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig, MessageFaultSpec, PartitionPolicy};
+use ici_net::metrics::MessageKind;
+use ici_net::node::NodeId;
+use ici_net::topology::Coord;
 use ici_sim::fault_run::{FaultProfile, StageChurn};
 use ici_sim::{
     run_full, run_full_under_faults, run_ici, run_ici_under_faults, run_rapidchain,
@@ -264,4 +269,65 @@ fn full_fault_free_run() {
 #[test]
 fn rapidchain_fault_free_run() {
     assert_eq!(run_line!(run_rapidchain(rapidchain_config(), 3, 6, workload())), "RapidChain n=24 blocks=9 txs=54 ledger=16374 stored=130992/5458..5458 block_msgs=224.0 block_bytes=46480.0 latency_ms=400.97355555555555/403.577/418.256 tps=43.14680861434024 clock_ms=1251.541 bytes=418320 msgs=2016 clock_us=1251541");
+}
+
+/// The post-commit body traffic a network has metered, and its clock.
+fn post_commit_line(network: &IciNetwork) -> String {
+    let meter = network.net().meter();
+    let repair = meter.kind(MessageKind::Repair);
+    let bootstrap = meter.kind(MessageKind::Bootstrap);
+    format!(
+        " repair={}/{} bootstrap={}/{} clock_us={}",
+        repair.bytes,
+        repair.messages,
+        bootstrap.bytes,
+        bootstrap.messages,
+        network.now().as_micros(),
+    )
+}
+
+#[test]
+fn ici_join_after_run() {
+    let (mut network, _) = run_ici(ici_config(), 16, 6, workload());
+    network.crash_node(NodeId::new(3)).expect("known node");
+    let r = network
+        .bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::NearestCentroid)
+        .expect("joins");
+    let line = format!(
+        "node={} cluster={} header_bytes={} body_bytes={} bodies={} pruned={} duration_us={}",
+        r.node,
+        r.cluster,
+        r.header_bytes,
+        r.body_bytes,
+        r.bodies,
+        r.pruned_bodies,
+        r.duration.as_micros(),
+    ) + &post_commit_line(&network);
+    assert_eq!(line, "node=n24 cluster=0 header_bytes=2312 body_bytes=4914 bodies=3 pruned=3 duration_us=52398 repair=0/0 bootstrap=7226/4 clock_us=4584200");
+}
+
+#[test]
+fn ici_reconfigure_after_joins() {
+    let (mut network, _) = run_ici(ici_config(), 5, 6, workload());
+    for i in 0..4 {
+        network
+            .bootstrap_node(
+                Coord::new(30.0 * i as f64, 90.0),
+                JoinPolicy::SmallestCluster,
+            )
+            .expect("joins");
+    }
+    network.crash_node(NodeId::new(5)).expect("known node");
+    let r = network.reconfigure_clusters();
+    let line = format!(
+        "clusters={}->{} moved={} fetched={} pruned={} bytes={} duration_us={}",
+        r.clusters_before,
+        r.clusters_after,
+        r.moved_nodes,
+        r.bodies_fetched,
+        r.bodies_pruned,
+        r.bytes_moved,
+        r.duration.as_micros(),
+    ) + &post_commit_line(&network);
+    assert_eq!(line, "clusters=3->4 moved=26 fetched=16 pruned=4 bytes=21294 duration_us=440246 repair=21294/13 bootstrap=8178/7 clock_us=1851331");
 }
