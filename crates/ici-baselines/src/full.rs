@@ -13,7 +13,7 @@ use ici_chain::transaction::Transaction;
 use ici_chain::validation::validate_block;
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
 use ici_consensus::leader::elect_live_leader;
-use ici_net::cost::CostModel;
+use ici_net::cost;
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -28,12 +28,8 @@ use crate::record::BaselineCommitRecord;
 pub struct FullConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Node placement.
-    pub placement: Placement,
     /// Link model.
     pub link: LinkModel,
-    /// Compute cost model.
-    pub cost: CostModel,
     /// Chain origin.
     pub genesis: GenesisConfig,
     /// Gossip fanout.
@@ -46,9 +42,7 @@ impl Default for FullConfig {
     fn default() -> FullConfig {
         FullConfig {
             nodes: 256,
-            placement: Placement::default(),
             link: LinkModel::default(),
-            cost: CostModel::default(),
             genesis: GenesisConfig::default(),
             fanout: 8,
             seed: 42,
@@ -69,7 +63,7 @@ pub struct FullReplicationNetwork {
 impl FullReplicationNetwork {
     /// Builds the network and installs genesis on every node.
     pub fn new(config: FullConfig) -> FullReplicationNetwork {
-        let topology = Topology::generate(config.nodes, &config.placement, config.seed);
+        let topology = Topology::generate(config.nodes, &Placement::default(), config.seed);
         let net = Network::new(topology, config.link);
         let chain = vec![config.genesis.genesis_block()];
         let state = config.genesis.initial_state();
@@ -141,8 +135,7 @@ impl FullReplicationNetwork {
         let block_bytes = BlockHeader::ENCODED_LEN as u64 + body_bytes;
 
         let meter_before = self.net.meter().total();
-        let build_cost =
-            self.config.cost.apply_transactions(n_txs) + self.config.cost.hash(body_bytes);
+        let build_cost = cost::apply_transactions(n_txs) + cost::hash(body_bytes);
         let start = self.clock + build_cost;
 
         // Flood the full block; every recipient validates solo.
@@ -158,7 +151,7 @@ impl FullReplicationNetwork {
                 seed: self.config.seed ^ height,
             },
         );
-        let validation = self.config.cost.solo_block_validation(n_txs, body_bytes);
+        let validation = cost::solo_block_validation(n_txs, body_bytes);
         let committed_times: Vec<SimTime> = receipts.values().map(|t| *t + validation).collect();
         let network_commit = committed_times
             .iter()

@@ -12,9 +12,11 @@
 //! * every shard runs over the same genesis allocation — shards are
 //!   independent ledgers, so account overlap across shards is harmless to
 //!   the storage/communication/latency quantities compared;
-//! * cross-shard transactions are charged as leader→leader relay traffic
-//!   plus duplicate inclusion in the destination shard (RapidChain's
-//!   known amplification) through [`RapidChainNetwork::relay_cross_shard`].
+//! * every transaction is shard-local: the runners feed each shard its
+//!   own generator, and no cross-shard relay is charged. RapidChain's
+//!   leader→leader relay and duplicate inclusion are left out, so the
+//!   baseline's per-block communication is a lower bound — conservative
+//!   for the comparison against ICI.
 
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
@@ -28,7 +30,7 @@ use ici_consensus::ida::{run_ida_dissemination, IdaConfig};
 use ici_consensus::leader::elect_live_leader;
 use ici_consensus::pbft::{run_vote_rounds, VoteScratch};
 use ici_consensus::quorum::quorum;
-use ici_net::cost::CostModel;
+use ici_net::cost;
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::{Network, Stream};
@@ -45,16 +47,10 @@ pub struct RapidChainConfig {
     pub nodes: usize,
     /// Committee size (RapidChain evaluates 250).
     pub committee_size: usize,
-    /// Node placement.
-    pub placement: Placement,
     /// Link model.
     pub link: LinkModel,
-    /// Compute cost model.
-    pub cost: CostModel,
     /// Genesis used by every shard chain.
     pub genesis: GenesisConfig,
-    /// IDA-gossip geometry.
-    pub ida: IdaConfig,
     /// Master seed.
     pub seed: u64,
 }
@@ -64,11 +60,8 @@ impl Default for RapidChainConfig {
         RapidChainConfig {
             nodes: 1_000,
             committee_size: 250,
-            placement: Placement::default(),
             link: LinkModel::default(),
-            cost: CostModel::default(),
             genesis: GenesisConfig::default(),
-            ida: IdaConfig::default(),
             seed: 42,
         }
     }
@@ -95,7 +88,7 @@ impl RapidChainNetwork {
     /// Builds the sharded network: random committees, one genesis per
     /// shard.
     pub fn new(config: RapidChainConfig) -> RapidChainNetwork {
-        let topology = Topology::generate(config.nodes, &config.placement, config.seed);
+        let topology = Topology::generate(config.nodes, &Placement::default(), config.seed);
         let k = config.nodes.div_ceil(config.committee_size).max(1);
         let partition = random_partition(config.nodes, k, config.seed);
         let net = Network::new(topology, config.link);
@@ -207,8 +200,6 @@ impl RapidChainNetwork {
             let result = self.net.on_stream(&mut stream, |net| {
                 RapidChainNetwork::propose_in(
                     net,
-                    &self.config.cost,
-                    &self.config.ida,
                     committee,
                     parent,
                     &self.shard_states[shard],
@@ -240,11 +231,8 @@ impl RapidChainNetwork {
 
     /// One shard's proposal on `net`; what the meter gains meanwhile is
     /// the commit record's traffic.
-    #[allow(clippy::too_many_arguments)]
     fn propose_in(
         net: &mut Network,
-        cost: &CostModel,
-        ida: &IdaConfig,
         committee: &[NodeId],
         parent: BlockHeader,
         state: &WorldState,
@@ -264,12 +252,19 @@ impl RapidChainNetwork {
         let n_txs = block.transactions().len();
         let body_bytes = block.body_len() as u64;
 
-        let build_cost = cost.apply_transactions(n_txs) + cost.hash(body_bytes);
+        let build_cost = cost::apply_transactions(n_txs) + cost::hash(body_bytes);
         let start = clock + build_cost;
 
         // IDA-gossip dissemination, then full solo validation per member.
-        let reconstruct = run_ida_dissemination(net, committee, leader, start, body_bytes, ida);
-        let validation = cost.solo_block_validation(n_txs, body_bytes);
+        let reconstruct = run_ida_dissemination(
+            net,
+            committee,
+            leader,
+            start,
+            body_bytes,
+            &IdaConfig::default(),
+        );
+        let validation = cost::solo_block_validation(n_txs, body_bytes);
         let ready: std::collections::BTreeMap<NodeId, SimTime> = reconstruct
             .into_iter()
             .map(|(n, t)| (n, t + validation))
@@ -296,33 +291,6 @@ impl RapidChainNetwork {
             bytes: meter_after.bytes - meter_before.bytes,
         };
         Some((block, post, record))
-    }
-
-    /// Charges the relay traffic of a cross-shard transaction of
-    /// `tx_bytes`: source-shard leader → destination-shard leader, plus a
-    /// receipt. Returns the relay latency, or `None` if either leader is
-    /// dead.
-    pub fn relay_cross_shard(
-        &mut self,
-        from_shard: usize,
-        to_shard: usize,
-        tx_bytes: u64,
-    ) -> Option<Duration> {
-        let seed = self.shard_chains[from_shard].last().expect("genesis").id();
-        let from_committee: Vec<NodeId> = self.committee(from_shard).to_vec();
-        let to_committee: Vec<NodeId> = self.committee(to_shard).to_vec();
-        let net = &self.net;
-        let from_leader = elect_live_leader(&seed, 0, &from_committee, |n| net.is_up(n))?;
-        let to_leader = elect_live_leader(&seed, 0, &to_committee, |n| net.is_up(n))?;
-        let there = self
-            .net
-            .send(from_leader, to_leader, MessageKind::Transaction, tx_bytes)
-            .delay()?;
-        let back = self
-            .net
-            .send(to_leader, from_leader, MessageKind::Control, 150)
-            .delay()?;
-        Some(there + back)
     }
 
     /// Per-node storage in bytes: a member fully replicates its shard.
@@ -443,18 +411,6 @@ mod tests {
         assert_eq!(net.shard_chain_len(1), 2);
         assert_eq!(net.shard_chain_len(2), 1);
         assert_eq!(net.commit_log().len(), 3);
-    }
-
-    #[test]
-    fn cross_shard_relay_is_metered() {
-        let mut net = network(60, 20);
-        let before = net.net().meter().kind(MessageKind::Transaction).bytes;
-        let latency = net.relay_cross_shard(0, 2, 300).expect("leaders live");
-        assert!(latency > Duration::ZERO);
-        assert_eq!(
-            net.net().meter().kind(MessageKind::Transaction).bytes - before,
-            300
-        );
     }
 
     #[test]

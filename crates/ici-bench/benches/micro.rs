@@ -439,7 +439,7 @@ fn bench_holdings_and_audits() {
         // how the crash row below returns to the same state every sample.
         net.reconfigure_clusters();
         let cluster = net.clusters()[0];
-        let members = net.membership().active_members(cluster);
+        let members = net.membership().members(cluster).to_vec();
         net.repair_and_certify(cluster); // first sight: every height hashed once
 
         bench(&format!("audit/cluster_c16/h{heights}"), || {

@@ -172,7 +172,6 @@ fn bench_rapidchain_block() {
                     link: quiet_link(),
                     genesis: ici_chain::genesis::GenesisConfig::uniform(64, u64::MAX / 1_000_000),
                     seed: 9,
-                    ..RapidChainConfig::default()
                 }),
                 txs(20, 0),
             )

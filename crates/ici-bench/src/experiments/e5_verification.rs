@@ -12,7 +12,7 @@
 
 use ici_bench::{cluster_size, quiet_link, Report, Scale};
 use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
-use ici_net::cost::CostModel;
+use ici_net::cost;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -20,13 +20,7 @@ use ici_net::time::SimTime;
 use ici_net::topology::{Placement, Topology};
 use ici_sim::table::Table;
 
-fn commit_latency_ms(
-    c: usize,
-    n_txs: usize,
-    body_bytes: u64,
-    collaborative: bool,
-    cost: &CostModel,
-) -> f64 {
+fn commit_latency_ms(c: usize, n_txs: usize, body_bytes: u64, collaborative: bool) -> f64 {
     let topo = Topology::generate(c, &Placement::default(), 5);
     let mut net = Network::new(topo, quiet_link());
     let members: Vec<NodeId> = (0..c as u64).map(NodeId::new).collect();
@@ -40,9 +34,9 @@ fn commit_latency_ms(
             payload: |_| (MessageKind::BlockFull, header + body_bytes),
             validation: |_| {
                 if collaborative {
-                    cost.collaborative_member_validation(n_txs, body_bytes, c)
+                    cost::collaborative_member_validation(n_txs, body_bytes, c)
                 } else {
-                    cost.solo_block_validation(n_txs, body_bytes)
+                    cost::solo_block_validation(n_txs, body_bytes)
                 }
             },
         },
@@ -55,7 +49,6 @@ fn commit_latency_ms(
 
 pub fn run(scale: Scale) -> Report {
     let c = cluster_size(scale);
-    let cost = CostModel::default();
     let tx_bytes = 341u64; // standard workload transaction size
 
     let sweep: Vec<usize> = vec![100, 500, 1_000, 2_000, 4_000];
@@ -76,10 +69,8 @@ pub fn run(scale: Scale) -> Report {
 
     for &n_txs in &sweep {
         let body = n_txs as u64 * tx_bytes;
-        let solo_cpu = cost.solo_block_validation(n_txs, body).as_millis_f64();
-        let collab_cpu = cost
-            .collaborative_member_validation(n_txs, body, c)
-            .as_millis_f64();
+        let solo_cpu = cost::solo_block_validation(n_txs, body).as_millis_f64();
+        let collab_cpu = cost::collaborative_member_validation(n_txs, body, c).as_millis_f64();
         cpu.row([
             n_txs.to_string(),
             format!("{solo_cpu:.2}"),
@@ -87,8 +78,8 @@ pub fn run(scale: Scale) -> Report {
             format!("{:.1}x", solo_cpu / collab_cpu.max(1e-9)),
         ]);
 
-        let solo_commit = commit_latency_ms(c, n_txs, body, false, &cost);
-        let collab_commit = commit_latency_ms(c, n_txs, body, true, &cost);
+        let solo_commit = commit_latency_ms(c, n_txs, body, false);
+        let collab_commit = commit_latency_ms(c, n_txs, body, true);
         latency.row([
             n_txs.to_string(),
             format!("{solo_commit:.2}"),

@@ -95,7 +95,7 @@ impl Decode for BlockHeader {
 
 /// A full block: header plus transaction body.
 ///
-/// The body lives behind an `Arc<[Transaction]>` so store reads, PBFT
+/// The body lives behind an `Arc<[Transaction]>` so chain reads, PBFT
 /// dissemination, and storage assignment share one allocation instead
 /// of cloning; cloning a `Block` is a reference-count bump. The block
 /// id is computed once on first use and cached (construction-only
@@ -151,20 +151,6 @@ impl Block {
         header: BlockHeader,
         transactions: Vec<Transaction>,
     ) -> Result<Block, BlockIntegrityError> {
-        Block::from_shared_parts(header, transactions.into())
-    }
-
-    /// [`Block::from_parts`] over an already-shared body: validates the
-    /// commitments without taking ownership of (or copying) the
-    /// transactions.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Block::from_parts`].
-    pub fn from_shared_parts(
-        header: BlockHeader,
-        transactions: Arc<[Transaction]>,
-    ) -> Result<Block, BlockIntegrityError> {
         // lint:allow(cast) -- u32 → usize widens on every supported platform
         if header.tx_count as usize != transactions.len() {
             return Err(BlockIntegrityError::TxCount {
@@ -192,31 +178,9 @@ impl Block {
         }
         Ok(Block {
             header,
-            transactions,
+            transactions: transactions.into(),
             id_cache: OnceLock::new(),
         })
-    }
-
-    /// Reassembles a block from parts whose consistency was already
-    /// established (the header and body came out of [`Block::into_parts`]
-    /// or a validated store entry together). Skips the Merkle-root
-    /// recomputation that [`Block::from_shared_parts`] performs — callers
-    /// must only pass pairs that provably belong together.
-    pub(crate) fn from_trusted_parts(
-        header: BlockHeader,
-        transactions: Arc<[Transaction]>,
-    ) -> Block {
-        debug_assert_eq!(
-            // lint:allow(cast) -- u32 → usize widens on every supported platform
-            header.tx_count as usize,
-            transactions.len(),
-            "trusted parts disagree on tx count"
-        );
-        Block {
-            header,
-            transactions,
-            id_cache: OnceLock::new(),
-        }
     }
 
     /// Computes the Merkle root over transaction encodings: one leaf
@@ -255,15 +219,10 @@ impl Block {
         &self.transactions
     }
 
-    /// The shared body handle (a reference-count bump, no copy).
-    pub fn transactions_shared(&self) -> Arc<[Transaction]> {
-        Arc::clone(&self.transactions)
-    }
-
     /// Consumes the block, returning header and an owned copy of the
-    /// body. Callers that only read should prefer
-    /// [`Block::transactions_shared`]; this copies when the body is
-    /// still shared (it is the mutation escape hatch).
+    /// body. Callers that only read should prefer [`Block::transactions`];
+    /// this copies when the body is still shared (it is the mutation
+    /// escape hatch).
     pub fn into_parts(self) -> (BlockHeader, Vec<Transaction>) {
         (self.header, self.transactions.to_vec())
     }

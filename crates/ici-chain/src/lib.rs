@@ -8,8 +8,6 @@
 //! * [`transaction`] — signed account-model transfers;
 //! * [`block`] — blocks and fixed-size headers with body commitments;
 //! * [`state`] — the replicated account state and its root commitment;
-//! * [`store`] — per-node storage with header-only / partial-body support
-//!   and byte-accurate accounting;
 //! * [`locator`] — compact, lazily built transaction index (8 B/tx) that
 //!   answers "where is this transaction?" without rescanning the chain;
 //! * [`builder`] — block assembly against a scratch state;
@@ -20,12 +18,11 @@
 //!
 //! # Examples
 //!
-//! Build, validate, and store a block:
+//! Build and validate a block:
 //!
 //! ```
 //! use ici_chain::builder::BlockBuilder;
 //! use ici_chain::genesis::GenesisConfig;
-//! use ici_chain::store::ChainStore;
 //! use ici_chain::transaction::{Address, Transaction};
 //! use ici_chain::validation::validate_block;
 //! use ici_crypto::sig::Keypair;
@@ -42,11 +39,6 @@
 //!
 //! let post = validate_block(&block, genesis.header(), &state)?;
 //! assert_eq!(post.balance(&Address::from_seed(1)), 1_025);
-//!
-//! let mut store = ChainStore::new();
-//! store.append_block(&genesis)?;
-//! store.append_block(&block)?;
-//! assert_eq!(store.tip_height(), Some(1));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -62,7 +54,6 @@ pub mod locator;
 pub mod mempool;
 pub mod shard;
 pub mod state;
-pub mod store;
 pub mod transaction;
 pub mod validation;
 
@@ -71,5 +62,4 @@ pub use genesis::GenesisConfig;
 pub use locator::TxLocator;
 pub use mempool::Mempool;
 pub use state::WorldState;
-pub use store::ChainStore;
 pub use transaction::{Address, Transaction, TxId};

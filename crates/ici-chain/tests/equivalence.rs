@@ -6,13 +6,9 @@
 //! canonical encoding, then hash or measure it. A divergence anywhere in
 //! these tests means the fast path changed wire bytes or identities.
 
-use std::sync::Arc;
-
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::codec::Encode;
-use ici_chain::genesis::GenesisConfig;
 use ici_chain::hashing;
-use ici_chain::store::ChainStore;
 use ici_chain::transaction::{Address, Transaction};
 use ici_crypto::merkle;
 use ici_crypto::sha256::{double_sha256, Sha256};
@@ -83,9 +79,6 @@ fn streaming_digests_match_two_pass_reference() {
 #[test]
 fn encoded_len_is_exact() {
     let mut rng = Xoshiro256::seed_from_u64(0xE2);
-    let mut store = ChainStore::new();
-    let genesis = GenesisConfig::default().genesis_block();
-    store.append_block(&genesis).expect("genesis appends");
     for i in 0..32u64 {
         let tx = arb_tx(&mut rng);
         assert_eq!(tx.to_bytes().len(), tx.encoded_len(), "tx {i}");
@@ -99,7 +92,6 @@ fn encoded_len_is_exact() {
         let body: Vec<Transaction> = block.transactions().to_vec();
         assert_eq!(body.to_bytes().len(), body.encoded_len(), "body {i}");
     }
-    assert_eq!(store.to_bytes().len(), store.encoded_len(), "chain store");
 }
 
 /// The cached block id equals a fresh double-SHA-256 of the header
@@ -114,47 +106,11 @@ fn cached_block_id_matches_fresh_header_hash() {
         assert_eq!(block.id(), fresh, "cached re-read");
         assert_eq!(block.header().id(), fresh, "header-direct hash");
 
-        // Reconstruction from shared parts preserves the identity.
-        let shared = Block::from_shared_parts(*block.header(), block.transactions_shared())
+        // Checked reconstruction from parts preserves the identity.
+        let checked = Block::from_parts(*block.header(), block.transactions().to_vec())
             .expect("intact parts");
-        assert_eq!(shared.id(), fresh);
+        assert_eq!(checked.id(), fresh);
         let (header, body) = block.into_parts();
         assert_eq!(Block::new(header, body).id(), fresh, "rebuilt block");
-    }
-}
-
-/// Store bodies are shared, not copied: `body_shared` aliases the block's
-/// own body allocation, and the accessors agree with each other.
-#[test]
-fn store_bodies_are_shared_not_copied() {
-    let mut rng = Xoshiro256::seed_from_u64(0xE4);
-    let mut store = ChainStore::new();
-    let genesis = GenesisConfig::default().genesis_block();
-    store.append_block(&genesis).expect("genesis appends");
-    let mut parent = *genesis.header();
-    for height in 1..6u64 {
-        let txs: Vec<Transaction> = (0..4).map(|_| arb_tx(&mut rng)).collect();
-        let template = BlockHeader {
-            height,
-            parent: parent.id(),
-            timestamp_ms: parent.timestamp_ms + 1,
-            ..parent
-        };
-        let block = Block::new(template, txs);
-        store.append_block(&block).expect("appends");
-        parent = *block.header();
-
-        let shared = store.body_shared(height).expect("body present");
-        assert!(
-            Arc::ptr_eq(&shared, &block.transactions_shared()),
-            "height {height}: body was copied, not shared"
-        );
-        assert_eq!(store.body(height).expect("body"), block.transactions());
-        let rebuilt = store.block(height).expect("block");
-        assert_eq!(rebuilt.id(), block.id());
-        assert!(Arc::ptr_eq(
-            &rebuilt.transactions_shared(),
-            &block.transactions_shared()
-        ));
     }
 }

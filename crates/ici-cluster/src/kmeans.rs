@@ -28,30 +28,27 @@ use crate::partition::{ClusterId, Partition};
 /// form a single chunk, which is the plain running sum.
 const CHUNK_POINTS: usize = 1024;
 
+/// Maximum Lloyd iterations.
+const MAX_ITERS: usize = 50;
+
+/// Convergence threshold: stop when no centroid moves further than this
+/// (ms).
+const TOLERANCE_MS: f64 = 0.01;
+
 /// Configuration for the k-means algorithms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters `k`.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Convergence threshold: stop when no centroid moves further than this
-    /// (ms).
-    pub tolerance: f64,
     /// Seed for k-means++ initialisation.
     pub seed: u64,
 }
 
 impl KMeansConfig {
-    /// A config with `k` clusters and sensible defaults (50 iterations,
-    /// 0.01 ms tolerance).
+    /// A config with `k` clusters. Lloyd runs at most 50 iterations and
+    /// stops once no centroid moves more than 0.01 ms.
     pub fn with_k(k: usize, seed: u64) -> KMeansConfig {
-        KMeansConfig {
-            k,
-            max_iters: 50,
-            tolerance: 0.01,
-            seed,
-        }
+        KMeansConfig { k, seed }
     }
 }
 
@@ -153,7 +150,7 @@ fn lloyd(coords: &[Coord], k: usize, config: &KMeansConfig) -> Vec<Coord> {
     let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x6B6D_6561_6E73);
     let mut centroids = kmeans_pp_init(coords, k, &mut rng);
     let mut iters = 0u64;
-    for _ in 0..config.max_iters {
+    for _ in 0..MAX_ITERS {
         let _iter_span = ici_telemetry::span!("cluster/kmeans_iter");
         iters += 1;
         let assignment = assign_step(coords, &centroids);
@@ -164,7 +161,7 @@ fn lloyd(coords: &[Coord], k: usize, config: &KMeansConfig) -> Vec<Coord> {
             .map(|(a, b)| a.distance(b))
             .fold(0.0f64, f64::max);
         centroids = next;
-        if moved <= config.tolerance {
+        if moved <= TOLERANCE_MS {
             break;
         }
     }

@@ -3,7 +3,7 @@
 //! * [`partition`] — the node→cluster assignment and its quality metrics;
 //! * [`mod@kmeans`] — latency-aware clustering (k-means, balanced k-means) and
 //!   the random-partition baseline;
-//! * [`membership`] — live membership under churn (join/leave/rejoin).
+//! * [`membership`] — cluster membership and the join policies.
 //!
 //! # Examples
 //!

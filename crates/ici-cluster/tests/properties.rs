@@ -56,39 +56,8 @@ fn balanced_partitions_are_balanced() {
     }
 }
 
-/// Membership join/leave bookkeeping is exact.
-#[test]
-fn membership_counts_are_exact() {
-    let mut rng = Xoshiro256::seed_from_u64(0xA3);
-    for _ in 0..CASES * 2 {
-        let n = rng.gen_range(4usize..40);
-        let k = rng.gen_range(1usize..6);
-        let seed = rng.next_u64();
-        let mut membership = Membership::new(random_partition(n, k, seed));
-        let mut expect_active: Vec<bool> = vec![true; n];
-        for _ in 0..rng.gen_range(0usize..40) {
-            let rejoin = rng.gen_bool(0.5);
-            let node = NodeId::new(rng.gen_range(0usize..n) as u64);
-            if rejoin {
-                membership.rejoin(node);
-                expect_active[node.index()] = true;
-            } else {
-                membership.leave(node);
-                expect_active[node.index()] = false;
-            }
-        }
-        assert_eq!(
-            membership.total_active(),
-            expect_active.iter().filter(|a| **a).count()
-        );
-        let per_cluster: usize = (0..membership.cluster_count() as u32)
-            .map(|c| membership.active_count(ClusterId::new(c)))
-            .sum();
-        assert_eq!(per_cluster, membership.total_active());
-    }
-}
-
-/// Joins always land in a valid cluster and activate the node.
+/// Joins always land in a valid cluster, and every member list stays
+/// ascending by id.
 #[test]
 fn joins_are_placed_validly() {
     let mut rng = Xoshiro256::seed_from_u64(0xA4);
@@ -110,9 +79,13 @@ fn joins_are_placed_validly() {
             let node = topo.push(coord);
             let cluster = membership.join(node, coord, &topo, policy);
             assert!(cluster.index() < membership.cluster_count());
-            assert!(membership.is_active(node));
+            assert!(membership.members(cluster).contains(&node));
             assert_eq!(membership.cluster_of(node), cluster);
         }
-        assert_eq!(membership.total_active(), n + joins);
+        assert_eq!(membership.partition().node_count(), n + joins);
+        for c in 0..membership.cluster_count() as u32 {
+            let members = membership.members(ClusterId::new(c));
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
+        }
     }
 }

@@ -77,8 +77,8 @@ impl IciNetwork {
         let cluster = self
             .membership
             .choose_cluster(coord, self.net.topology(), policy);
-        let mut members = Vec::with_capacity(self.membership.active_count(cluster) + 1);
-        members.extend(self.membership.iter_active(cluster));
+        let mut members = Vec::with_capacity(self.membership.members(cluster).len() + 1);
+        members.extend_from_slice(self.membership.members(cluster));
         members.push(node);
         let width = members.len();
         let (holders, joiner) = (&members[..width - 1], width - 1);
@@ -290,7 +290,7 @@ mod tests {
                 .expect("joins");
             assert_eq!(report.node, NodeId::new(24 + i));
         }
-        assert_eq!(net.membership().total_active(), 27);
+        assert_eq!(net.membership().partition().node_count(), 27);
         for report in net.audit_all() {
             assert!(report.is_intact());
         }
@@ -318,7 +318,7 @@ mod tests {
         let cluster = net
             .membership()
             .choose_cluster(coord, net.net().topology(), policy);
-        let mut members = net.membership().active_members(cluster);
+        let mut members = net.membership().members(cluster).to_vec();
         members.push(joiner);
         let height = (1..net.chain_len())
             .find(|&h| {
@@ -326,14 +326,14 @@ mod tests {
                 net.dispatch_owners(&id, h, &members).contains(&joiner)
             })
             .expect("the joiner owns some height");
-        for member in net.membership().active_members(cluster) {
+        for member in net.membership().members(cluster).to_vec() {
             if net.holdings(member).expect("known").has_body(height) {
                 net.crash_node(member).expect("known node");
             }
         }
 
         let nodes = net.net().topology().len();
-        let active = net.membership().total_active();
+        let members_before = net.membership().partition().node_count();
         let storage = net.storage_bytes();
         let bootstrap = net.net().meter().kind(MessageKind::Bootstrap);
         let audits = net.audit_all();
@@ -343,14 +343,14 @@ mod tests {
             Err(IciError::BodyUnavailable(_))
         ));
         assert_eq!(net.net().topology().len(), nodes);
-        assert_eq!(net.membership().total_active(), active);
+        assert_eq!(net.membership().partition().node_count(), members_before);
         assert_eq!(net.storage_bytes(), storage);
         assert_eq!(net.net().meter().kind(MessageKind::Bootstrap), bootstrap);
         assert_eq!(net.audit_all(), audits);
         assert_eq!(net.now(), clock);
 
         // Once the holders are back, the same node joins under the same id.
-        for member in net.membership().active_members(cluster) {
+        for member in net.membership().members(cluster).to_vec() {
             net.recover_node(member).expect("known node");
         }
         let report = net.bootstrap_node(coord, policy).expect("joins");

@@ -3,10 +3,8 @@
 use ici_chain::block::Height;
 use ici_chain::genesis::GenesisConfig;
 use ici_crypto::sha256::Digest;
-use ici_net::cost::CostModel;
 use ici_net::link::LinkModel;
 use ici_net::node::NodeId;
-use ici_net::topology::Placement;
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
@@ -106,12 +104,8 @@ pub struct IciConfig {
     pub clustering: Clustering,
     /// Intra-cluster block assignment.
     pub assignment: Assignment,
-    /// Node placement model.
-    pub placement: Placement,
     /// Link model (latency/bandwidth/jitter).
     pub link: LinkModel,
-    /// Compute cost model.
-    pub cost: CostModel,
     /// Chain origin.
     pub genesis: GenesisConfig,
     /// Master seed (topology, clustering, lotteries).
@@ -127,9 +121,7 @@ impl Default for IciConfig {
             replication: 2,
             clustering: Clustering::default(),
             assignment: Assignment::default(),
-            placement: Placement::default(),
             link: LinkModel::default(),
-            cost: CostModel::default(),
             genesis: GenesisConfig::default(),
             seed: 42,
         }
@@ -211,21 +203,9 @@ impl IciConfigBuilder {
         self
     }
 
-    /// Sets the placement model.
-    pub fn placement(mut self, p: Placement) -> IciConfigBuilder {
-        self.config.placement = p;
-        self
-    }
-
     /// Sets the link model.
     pub fn link(mut self, l: LinkModel) -> IciConfigBuilder {
         self.config.link = l;
-        self
-    }
-
-    /// Sets the compute cost model.
-    pub fn cost(mut self, c: CostModel) -> IciConfigBuilder {
-        self.config.cost = c;
         self
     }
 

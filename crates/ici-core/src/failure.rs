@@ -236,8 +236,7 @@ mod tests {
         // Crash both owners of height 1 in one cluster.
         let cluster = net.clusters()[0];
         let block_id = net.block(1).expect("exists").id();
-        let members = net.membership().active_members(cluster);
-        let owners = net.dispatch_owners(&block_id, 1, &members);
+        let owners = net.owners_in_cluster(cluster, &block_id, 1);
         assert_eq!(owners.len(), 2);
         for o in &owners {
             net.crash_node(*o).expect("known node");

@@ -5,8 +5,7 @@
 //! is byte-exact *accounting*. [`NodeHoldings`] tracks, per node, which
 //! body heights it holds and the exact bytes, with headers accounted
 //! analytically (every node keeps the full header chain). These holdings
-//! are the only per-node store a run writes: `ici-chain`'s `ChainStore`
-//! is tested on its own, and no test checks one against the other.
+//! are the only per-node store a run writes.
 
 use ici_chain::block::{BlockHeader, Height};
 use ici_storage::audit::HeightSet;

@@ -59,10 +59,10 @@
 //! Membership and owner assignment are computed once, in the build
 //! stage, and travel with the height: each committed cluster's member
 //! list and owner set reach the commit stage as built. That is sound
-//! because membership cannot change in between — joins and leaves need
-//! `&mut IciNetwork`, which the lifecycle holds from build to commit,
-//! and a [`StageBoundary`] callback is handed the simulated network
-//! only.
+//! because membership cannot change in between — joins and
+//! re-clustering need `&mut IciNetwork`, which the lifecycle holds from
+//! build to commit, and a [`StageBoundary`] callback is handed the
+//! simulated network only.
 //!
 //! [`IciNetwork::propose_block`] is the staged lifecycle with a callback
 //! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
@@ -79,7 +79,7 @@ use ici_consensus::leader::elect_live_leader;
 use ici_consensus::pbft::{run_pbft_commit_in, PbftInputs, VoteScratch};
 use ici_crypto::lottery::lottery_winner;
 use ici_crypto::sha256::Digest;
-use ici_net::cost::CostModel;
+use ici_net::cost;
 use ici_net::metrics::{Counter, MessageKind};
 use ici_net::network::{Network, Stream};
 use ici_net::node::NodeId;
@@ -194,7 +194,6 @@ struct HeightInFlight {
     home: ClusterLeg,
     /// Every other cluster, ascending by id.
     remotes: Vec<ClusterLeg>,
-    cost: CostModel,
     /// The meter's total when the height was built; the commit record's
     /// traffic is what the height added since.
     meter_at_build: Counter,
@@ -261,7 +260,7 @@ impl IciNetwork {
         let height = parent.height + 1;
 
         let home = self.proposer_cluster(height).ok_or(IciError::NoLeader)?;
-        let home_members = self.membership.active_members(home);
+        let home_members = self.membership.members(home).to_vec();
         let proposer = elect_live_leader(&parent_id, height, &home_members, |n| self.net.is_up(n))
             .ok_or(IciError::NoLeader)?;
 
@@ -273,9 +272,8 @@ impl IciNetwork {
             BlockBuilder::new(&parent, self.state.clone(), proposer.get(), timestamp_ms);
         builder.fill(pending);
         let block = builder.seal();
-        let cost = self.config.cost;
-        let build_cost = cost.apply_transactions(block.transactions().len())
-            + cost.hash(block.body_len() as u64);
+        let build_cost = cost::apply_transactions(block.transactions().len())
+            + cost::hash(block.body_len() as u64);
         let proposed_at = self.clock + build_cost;
 
         let mut home = self.open_leg(home, home_members, Some(proposer), &block);
@@ -284,7 +282,7 @@ impl IciNetwork {
             .cluster_ids()
             .filter(|&other| other != home.cluster)
             .map(|other| {
-                let members = self.membership.active_members(other);
+                let members = self.membership.members(other).to_vec();
                 let leader = elect_live_leader(&parent_id, height, &members, |n| self.net.is_up(n));
                 self.open_leg(other, members, leader, &block)
             })
@@ -298,7 +296,6 @@ impl IciNetwork {
             proposed_at,
             home,
             remotes,
-            cost,
             meter_at_build: self.net.meter().total(),
         })
     }
@@ -544,11 +541,10 @@ fn vote_round(
     leader: NodeId,
     start: SimTime,
     block: &Block,
-    cost: &CostModel,
 ) -> usize {
     let body_bytes = block.body_len() as u64;
     // Every member validates the same share.
-    let validation = cost.collaborative_member_validation(
+    let validation = cost::collaborative_member_validation(
         block.transactions().len(),
         body_bytes,
         leg.members.len(),
@@ -618,7 +614,6 @@ fn stage_distribute(
         flight.proposer,
         proposed_at,
         &flight.block,
-        &flight.cost,
     );
     let Some(home_commit) = home.commit else {
         return Err(IciError::NoQuorum {
@@ -632,7 +627,7 @@ fn stage_distribute(
     // Leader → remote-leader hops. Each hop draws its delay from the
     // remote cluster's own stream, so hop jitter is independent of
     // sibling clusters and of when the remote vote round later runs.
-    let (proposer, cost) = (flight.proposer, &flight.cost);
+    let proposer = flight.proposer;
     for leg in &mut flight.remotes {
         let Some(remote_leader) = leg.leader else {
             continue;
@@ -659,7 +654,7 @@ fn stage_distribute(
                 .delay()?;
             // The remote leader checks the commit certificate before
             // re-proposing locally.
-            let arrival = home_commit + delay + cost.verify_signatures(quorum);
+            let arrival = home_commit + delay + cost::verify_signatures(quorum);
             if tracing {
                 net.set_trace_ctx(ici_trace::SendCtx {
                     sends: false,
@@ -704,15 +699,7 @@ fn stage_verify(
             continue;
         };
         let _cluster_span = ici_telemetry::span!("core/remote_commit", cluster = leg.cluster.get());
-        vote_round(
-            net,
-            scratches,
-            leg,
-            leader,
-            arrival,
-            &flight.block,
-            &flight.cost,
-        );
+        vote_round(net, scratches, leg, leader, arrival, &flight.block);
         if let Some(at) = leg.commit {
             network_commit = network_commit.max(at);
         }
@@ -802,7 +789,7 @@ mod tests {
         let block_id = net.block(1).expect("exists").id();
         for cluster in net.clusters() {
             let owners = net.owners_in_cluster(cluster, &block_id, 1);
-            for m in net.membership().active_members(cluster) {
+            for &m in net.membership().members(cluster) {
                 let has = net.holdings(m).expect("known").has_body(1);
                 assert_eq!(has, owners.contains(&m), "node {m}");
             }
@@ -1015,7 +1002,7 @@ mod tests {
             r.propose_block(transfers(3, 0)).expect("commits").clone()
         };
         let home = net.proposer_cluster(1).expect("live cluster");
-        let members = net.membership().active_members(home);
+        let members = net.membership().members(home).to_vec();
         let victim = *members
             .iter()
             .find(|&&m| m != reference.proposer)
@@ -1055,8 +1042,9 @@ mod tests {
             .expect("commits")
             .proposer;
         net.membership()
-            .active_members(home)
-            .into_iter()
+            .members(home)
+            .iter()
+            .copied()
             .filter(|&m| m != proposer)
             .take(4)
             .collect()

@@ -255,7 +255,7 @@ mod tests {
         let mut net = network_with_blocks(4);
         let cluster = net.clusters()[0];
         // Crash every member holding height 2 in this cluster.
-        for m in net.membership().active_members(cluster) {
+        for m in net.membership().members(cluster).to_vec() {
             if net.holdings(m).expect("known").has_body(2) {
                 net.crash_node(m).expect("known");
             }
@@ -305,7 +305,7 @@ mod tests {
     fn fully_dead_cluster_reports_every_height_missing() {
         let mut net = network_with_blocks(3);
         let cluster = net.clusters()[1];
-        for m in net.membership().active_members(cluster) {
+        for m in net.membership().members(cluster).to_vec() {
             net.crash_node(m).expect("known");
         }
         let report = net.merkle_audit(cluster);
@@ -319,7 +319,7 @@ mod tests {
     fn network_in_every_audit_state() -> IciNetwork {
         let mut net = network_of(32, 6);
         let clusters = net.clusters();
-        let members = |net: &IciNetwork, c: usize| net.membership().active_members(clusters[c]);
+        let members = |net: &IciNetwork, c: usize| net.membership().members(clusters[c]).to_vec();
         let victim = members(&net, 1)[0];
         net.crash_node(victim).expect("known");
         net.repair_cluster(clusters[1]);
@@ -370,7 +370,7 @@ mod tests {
         // repaired and its certificate issued from the network's ledger.
         let mut net = network_of(32, 6);
         for cluster in net.clusters() {
-            let victim = net.membership().active_members(cluster)[0];
+            let victim = net.membership().members(cluster)[0];
             net.crash_node(victim).expect("known");
         }
         for cluster in net.clusters() {
@@ -384,8 +384,9 @@ mod tests {
     /// Every `(member, height)` replica `cluster` holds.
     fn replicas_of(net: &IciNetwork, cluster: ClusterId) -> Vec<(NodeId, Height)> {
         net.membership()
-            .active_members(cluster)
-            .into_iter()
+            .members(cluster)
+            .iter()
+            .copied()
             .flat_map(|m| {
                 let held = net.holdings(m).expect("known").body_heights();
                 held.iter().map(move |h| (m, h))
@@ -417,8 +418,9 @@ mod tests {
         // repair wrote a replica of, and nothing else.
         let victim = net
             .membership()
-            .active_members(churned)
-            .into_iter()
+            .members(churned)
+            .iter()
+            .copied()
             .find(|m| net.holdings(*m).expect("known").body_count() > 1)
             .expect("some member holds bodies");
         net.crash_node(victim).expect("known");

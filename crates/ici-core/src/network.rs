@@ -20,7 +20,7 @@ use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
-use ici_net::topology::Topology;
+use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
@@ -109,7 +109,7 @@ impl IciNetwork {
     /// [`IciError::Config`] if the configuration is inconsistent.
     pub fn new(config: IciConfig) -> Result<IciNetwork, IciError> {
         config.validate().map_err(IciError::Config)?;
-        let topology = Topology::generate(config.nodes, &config.placement, config.seed);
+        let topology = Topology::generate(config.nodes, &Placement::default(), config.seed);
         let k = config.cluster_count();
         let partition = match config.clustering {
             Clustering::BalancedKMeans => {
@@ -225,34 +225,35 @@ impl IciNetwork {
         (0..self.membership.cluster_count() as u32).map(ClusterId::new)
     }
 
-    /// Whether any active member of `cluster` is network-live.
+    /// Whether any member of `cluster` is network-live.
     pub(crate) fn has_live_member(&self, cluster: ClusterId) -> bool {
         self.membership
-            .iter_active(cluster)
-            .any(|n| self.net.is_up(n))
+            .members(cluster)
+            .iter()
+            .any(|n| self.net.is_up(*n))
     }
 
-    /// Active members of `cluster` that are also network-live.
+    /// Members of `cluster` that are network-live.
     pub fn live_members(&self, cluster: ClusterId) -> Vec<NodeId> {
         self.membership
-            .active_members(cluster)
-            .into_iter()
+            .members(cluster)
+            .iter()
+            .copied()
             .filter(|n| self.net.is_up(*n))
             .collect()
     }
 
     /// The configured assignment's owners of block `(id, height)` within
-    /// `cluster`, computed over the cluster's *active* members (the set
-    /// assignment decisions are made against; network-crashed nodes are
-    /// still owners until membership reconfiguration removes them).
+    /// `cluster`, computed over the cluster's members (the set assignment
+    /// decisions are made against; network-crashed nodes are still owners
+    /// until reconfiguration removes them).
     pub fn owners_in_cluster(
         &self,
         cluster: ClusterId,
         id: &Digest,
         height: Height,
     ) -> Vec<NodeId> {
-        let members = self.membership.active_members(cluster);
-        self.dispatch_owners(id, height, &members)
+        self.dispatch_owners(id, height, self.membership.members(cluster))
     }
 
     pub(crate) fn dispatch_owners(
@@ -288,12 +289,13 @@ impl IciNetwork {
             .sum()
     }
 
-    /// Each network-live active member of `cluster`, ascending, with the
-    /// heights whose bodies it holds.
+    /// Each network-live member of `cluster`, ascending, with the heights
+    /// whose bodies it holds.
     pub(crate) fn live_holdings(&self, cluster: ClusterId) -> Vec<(NodeId, &HeightSet)> {
         self.membership
-            .active_members(cluster)
-            .into_iter()
+            .members(cluster)
+            .iter()
+            .copied()
             .filter(|m| self.net.is_up(*m))
             .map(|m| (m, self.holdings[m.index()].body_heights()))
             .collect()
@@ -380,7 +382,7 @@ mod tests {
         let total: usize = net
             .clusters()
             .into_iter()
-            .map(|c| net.membership().active_members(c).len())
+            .map(|c| net.membership().members(c).len())
             .sum();
         assert_eq!(total, 32);
         assert_eq!(net.clusters().len(), 4);

@@ -16,6 +16,7 @@
 
 use ici_chain::block::Height;
 use ici_crypto::sha256::Digest;
+use ici_net::cost;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -87,7 +88,7 @@ impl IciNetwork {
                 height,
                 tier: QueryTier::Local,
                 server: requester,
-                latency: self.config.cost.hash(body_bytes),
+                latency: cost::hash(body_bytes),
                 bytes: 0,
             });
         }
@@ -112,8 +113,8 @@ impl IciNetwork {
         mut serve: impl FnMut(&mut IciNetwork, NodeId, QueryTier) -> Option<T>,
     ) -> Option<T> {
         let mut ask_cluster = |net: &mut IciNetwork, cluster, tier| {
-            let members = net.membership.active_members(cluster);
-            for owner in net.dispatch_owners(block_id, height, &members) {
+            let owners = net.dispatch_owners(block_id, height, net.membership.members(cluster));
+            for owner in owners {
                 if net.net.is_up(owner) && net.holdings[owner.index()].has_body(height) {
                     if let Some(answer) = serve(net, owner, tier) {
                         return Some(answer);
@@ -154,7 +155,7 @@ impl IciNetwork {
             height,
             tier,
             server,
-            latency: there + back + self.config.cost.hash(body_bytes),
+            latency: there + back + cost::hash(body_bytes),
             bytes: body_bytes,
         })
     }
@@ -247,8 +248,7 @@ mod tests {
         let (_, non_owner) = owner_and_non_owner(&net, 1);
         let my_cluster = net.membership().cluster_of(non_owner);
         let block_id = net.block(1).expect("exists").id();
-        let members = net.membership().active_members(my_cluster);
-        for owner in net.dispatch_owners(&block_id, 1, &members) {
+        for owner in net.owners_in_cluster(my_cluster, &block_id, 1) {
             net.net_mut().crash(owner);
         }
         let report = net.query_body(non_owner, 1).expect("served remotely");
@@ -300,8 +300,7 @@ mod tests {
         // Force the cross-cluster path for height 2.
         let my_cluster = net.membership().cluster_of(non_owner);
         let block_id = net.block(2).expect("exists").id();
-        let members = net.membership().active_members(my_cluster);
-        for owner in net.dispatch_owners(&block_id, 2, &members) {
+        for owner in net.owners_in_cluster(my_cluster, &block_id, 2) {
             net.net_mut().crash(owner);
         }
         // The requester itself might be an owner of height 2; skip then.

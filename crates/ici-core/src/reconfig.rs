@@ -1,6 +1,6 @@
 //! Epoch reconfiguration: re-clustering a live network.
 //!
-//! Long-running deployments drift: nodes join and leave, and the original
+//! Long-running deployments drift: nodes join, and the original
 //! latency-aware clusters erode. Reconfiguration recomputes the partition
 //! over the *current* population with the configured clustering algorithm,
 //! then migrates block bodies so every new cluster satisfies intra-cluster
@@ -45,21 +45,15 @@ impl IciNetwork {
     /// migrates storage to satisfy intra-cluster integrity in the new
     /// clusters.
     ///
-    /// Departed nodes keep their (new) cluster assignment but stay
-    /// inactive; crashed-but-member nodes are treated as members whose
-    /// copies cannot serve as sources.
+    /// Crashed nodes are members like any other, but their copies cannot
+    /// serve as sources.
     pub fn reconfigure_clusters(&mut self) -> ReconfigReport {
         let _span = ici_telemetry::span!("core/reconfig");
         let n = self.holdings.len();
-        let active: Vec<bool> = (0..n as u64)
-            .map(|i| self.membership.is_active(NodeId::new(i)))
-            .collect();
-        let active_count = active.iter().filter(|a| **a).count();
-        let k = active_count.div_ceil(self.config.cluster_size).max(1);
+        let k = n.div_ceil(self.config.cluster_size).max(1);
         let clusters_before = self.membership.cluster_count();
 
-        // Repartition over the full topology (inactive nodes are assigned
-        // too, but only active members matter for ownership).
+        // Repartition over the full topology.
         let topology = self.net.topology().clone();
         let seed = self.config.seed ^ self.chain_len();
         let partition = match self.config.clustering {
@@ -74,13 +68,7 @@ impl IciNetwork {
             .filter(|node| partition.cluster_of(*node) != self.membership.cluster_of(*node))
             .count();
 
-        let mut membership = Membership::new(partition);
-        for (i, is_active) in active.iter().enumerate() {
-            if !is_active {
-                membership.leave(NodeId::new(i as u64));
-            }
-        }
-        self.membership = membership;
+        self.membership = Membership::new(partition);
 
         // Phase 1 — fetch: every new owner that lacks its body pulls it
         // from a live pre-migration holder (snapshot taken up front).
@@ -101,8 +89,8 @@ impl IciNetwork {
         for height in 0..chain_len {
             let id = self.chain[height as usize].id();
             for cluster in self.clusters() {
-                let members = self.membership.active_members(cluster);
-                for owner in self.dispatch_owners(&id, height, &members) {
+                let owners = self.dispatch_owners(&id, height, self.membership.members(cluster));
+                for owner in owners {
                     if self.holdings[owner.index()].has_body(height) {
                         continue;
                     }
@@ -120,11 +108,11 @@ impl IciNetwork {
         for node_idx in 0..n {
             let node = NodeId::new(node_idx as u64);
             let cluster = self.membership.cluster_of(node);
-            let members = self.membership.active_members(cluster);
             let held: Vec<u64> = self.holdings[node_idx].body_heights().iter().collect();
             for height in held {
                 let block = &self.chain[height as usize];
-                let owners = self.dispatch_owners(&block.id(), height, &members);
+                let owners =
+                    self.dispatch_owners(&block.id(), height, self.membership.members(cluster));
                 if !owners.contains(&node) {
                     let bytes = block.header().body_len as u64;
                     if self.holdings[node_idx].drop_body(height, bytes) {

@@ -11,6 +11,7 @@ use ici_chain::block::Height;
 use ici_chain::codec::Encode;
 use ici_chain::transaction::{Transaction, TxId};
 use ici_crypto::merkle::MerkleProof;
+use ici_net::cost;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -120,7 +121,7 @@ impl IciNetwork {
         if !verified {
             return Err(IciError::BodyUnavailable(height));
         }
-        let latency = there + back + self.config.cost.hash(response_bytes);
+        let latency = there + back + cost::hash(response_bytes);
 
         Ok(TxProofReport {
             height,

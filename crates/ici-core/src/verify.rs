@@ -229,7 +229,7 @@ mod tests {
     fn empty_cluster_does_not_panic() {
         let (mut net, block) = setup();
         let cluster = net.clusters()[1];
-        for m in net.membership().active_members(cluster) {
+        for m in net.membership().members(cluster).to_vec() {
             net.crash_node(m).expect("known");
         }
         // With zero live members the signature phase is vacuous; the

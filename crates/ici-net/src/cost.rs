@@ -2,7 +2,7 @@
 //!
 //! The simulator charges CPU time for the operations that dominate block
 //! handling: signature checks, transaction execution, and hashing. The
-//! defaults approximate a mid-range 2020 server core (the hardware class of
+//! constants approximate a mid-range 2020 server core (the hardware class of
 //! the paper's era): ~80 µs per ECDSA verify, ~2 µs to apply a transfer,
 //! ~1 GB/s hashing.
 //!
@@ -11,72 +11,50 @@
 
 use crate::time::Duration;
 
-/// CPU cost parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
-    /// Microseconds per signature verification.
-    pub sig_verify_us: f64,
-    /// Microseconds to apply one transaction to the state.
-    pub tx_apply_us: f64,
-    /// Hashing throughput in bytes per microsecond (≈ MB/ms).
-    pub hash_bytes_per_us: f64,
-    /// Fixed per-block bookkeeping in microseconds.
-    pub block_overhead_us: f64,
+/// Microseconds per signature verification.
+pub const SIG_VERIFY_US: f64 = 80.0;
+/// Microseconds to apply one transaction to the state.
+pub const TX_APPLY_US: f64 = 2.0;
+/// Hashing throughput in bytes per microsecond (≈ MB/ms).
+pub const HASH_BYTES_PER_US: f64 = 1_000.0;
+/// Fixed per-block bookkeeping in microseconds.
+pub const BLOCK_OVERHEAD_US: f64 = 50.0;
+
+/// Cost of verifying `n` signatures.
+pub fn verify_signatures(n: usize) -> Duration {
+    Duration::from_micros((SIG_VERIFY_US * n as f64).round() as u64)
 }
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            sig_verify_us: 80.0,
-            tx_apply_us: 2.0,
-            hash_bytes_per_us: 1_000.0,
-            block_overhead_us: 50.0,
-        }
-    }
+/// Cost of executing `n` transactions against the state.
+pub fn apply_transactions(n: usize) -> Duration {
+    Duration::from_micros((TX_APPLY_US * n as f64).round() as u64)
 }
 
-impl CostModel {
-    /// Cost of verifying `n` signatures.
-    pub fn verify_signatures(&self, n: usize) -> Duration {
-        Duration::from_micros((self.sig_verify_us * n as f64).round() as u64)
-    }
+/// Cost of hashing `bytes` (Merkle building, id computation).
+pub fn hash(bytes: u64) -> Duration {
+    Duration::from_micros((bytes as f64 / HASH_BYTES_PER_US).round() as u64)
+}
 
-    /// Cost of executing `n` transactions against the state.
-    pub fn apply_transactions(&self, n: usize) -> Duration {
-        Duration::from_micros((self.tx_apply_us * n as f64).round() as u64)
-    }
+/// Full solo validation of a block: hash the body, verify every
+/// signature, execute every transaction, plus fixed overhead.
+pub fn solo_block_validation(n_txs: usize, body_bytes: u64) -> Duration {
+    hash(body_bytes)
+        + verify_signatures(n_txs)
+        + apply_transactions(n_txs)
+        + Duration::from_micros(BLOCK_OVERHEAD_US.round() as u64)
+}
 
-    /// Cost of hashing `bytes` (Merkle building, id computation).
-    pub fn hash(&self, bytes: u64) -> Duration {
-        Duration::from_micros((bytes as f64 / self.hash_bytes_per_us).round() as u64)
-    }
-
-    /// Full solo validation of a block: hash the body, verify every
-    /// signature, execute every transaction, plus fixed overhead.
-    pub fn solo_block_validation(&self, n_txs: usize, body_bytes: u64) -> Duration {
-        self.hash(body_bytes)
-            + self.verify_signatures(n_txs)
-            + self.apply_transactions(n_txs)
-            + Duration::from_micros(self.block_overhead_us.round() as u64)
-    }
-
-    /// The per-member compute when signature verification is split across
-    /// `members` nodes: each hashes its slice and verifies `n/members`
-    /// signatures; execution is still sequential at the leader and checked
-    /// through the state root.
-    pub fn collaborative_member_validation(
-        &self,
-        n_txs: usize,
-        body_bytes: u64,
-        members: usize,
-    ) -> Duration {
-        let members = members.max(1);
-        let share = n_txs.div_ceil(members);
-        let byte_share = body_bytes.div_ceil(members as u64);
-        self.hash(byte_share)
-            + self.verify_signatures(share)
-            + Duration::from_micros(self.block_overhead_us.round() as u64)
-    }
+/// The per-member compute when signature verification is split across
+/// `members` nodes: each hashes its slice and verifies `n/members`
+/// signatures; execution is still sequential at the leader and checked
+/// through the state root.
+pub fn collaborative_member_validation(n_txs: usize, body_bytes: u64, members: usize) -> Duration {
+    let members = members.max(1);
+    let share = n_txs.div_ceil(members);
+    let byte_share = body_bytes.div_ceil(members as u64);
+    hash(byte_share)
+        + verify_signatures(share)
+        + Duration::from_micros(BLOCK_OVERHEAD_US.round() as u64)
 }
 
 #[cfg(test)]
@@ -85,29 +63,26 @@ mod tests {
 
     #[test]
     fn costs_scale_linearly() {
-        let m = CostModel::default();
-        assert_eq!(m.verify_signatures(10).as_micros(), 800);
-        assert_eq!(m.apply_transactions(100).as_micros(), 200);
-        assert_eq!(m.hash(1_000_000).as_micros(), 1_000);
-        assert_eq!(m.verify_signatures(0), Duration::ZERO);
+        assert_eq!(verify_signatures(10).as_micros(), 800);
+        assert_eq!(apply_transactions(100).as_micros(), 200);
+        assert_eq!(hash(1_000_000).as_micros(), 1_000);
+        assert_eq!(verify_signatures(0), Duration::ZERO);
     }
 
     #[test]
     fn solo_validation_sums_terms() {
-        let m = CostModel::default();
-        let d = m.solo_block_validation(100, 50_000);
-        let expected = m.hash(50_000)
-            + m.verify_signatures(100)
-            + m.apply_transactions(100)
+        let d = solo_block_validation(100, 50_000);
+        let expected = hash(50_000)
+            + verify_signatures(100)
+            + apply_transactions(100)
             + Duration::from_micros(50);
         assert_eq!(d, expected);
     }
 
     #[test]
     fn collaboration_divides_signature_work() {
-        let m = CostModel::default();
-        let solo = m.solo_block_validation(1_000, 500_000);
-        let shared = m.collaborative_member_validation(1_000, 500_000, 10);
+        let solo = solo_block_validation(1_000, 500_000);
+        let shared = collaborative_member_validation(1_000, 500_000, 10);
         // 10-way split: the dominant signature term shrinks ~10×.
         assert!(
             shared.as_micros() * 5 < solo.as_micros(),
@@ -117,18 +92,16 @@ mod tests {
 
     #[test]
     fn collaborative_with_one_member_close_to_solo_minus_execution() {
-        let m = CostModel::default();
-        let one = m.collaborative_member_validation(100, 10_000, 1);
-        let solo = m.solo_block_validation(100, 10_000);
-        assert_eq!(one + m.apply_transactions(100), solo);
+        let one = collaborative_member_validation(100, 10_000, 1);
+        let solo = solo_block_validation(100, 10_000);
+        assert_eq!(one + apply_transactions(100), solo);
     }
 
     #[test]
     fn zero_members_treated_as_one() {
-        let m = CostModel::default();
         assert_eq!(
-            m.collaborative_member_validation(10, 100, 0),
-            m.collaborative_member_validation(10, 100, 1)
+            collaborative_member_validation(10, 100, 0),
+            collaborative_member_validation(10, 100, 1)
         );
     }
 }

@@ -54,7 +54,6 @@ pub mod queue;
 pub mod time;
 pub mod topology;
 
-pub use cost::CostModel;
 pub use faults::{FaultConfig, PartitionSpec, SendFault};
 pub use link::LinkModel;
 pub use metrics::{MessageKind, TrafficMeter};

@@ -8,7 +8,7 @@
 //!
 //! where `distance` comes from the latency-space [`Topology`], `bandwidth`
 //! models the sender uplink, and `jitter` is deterministic pseudo-random
-//! noise derived from `(seed, from, to, sequence)` so that runs are exactly
+//! noise derived from `(from, to, sequence)` so that runs are exactly
 //! reproducible.
 
 use crate::node::NodeId;
@@ -24,8 +24,6 @@ pub struct LinkModel {
     pub bandwidth_mbps: f64,
     /// Maximum jitter in milliseconds (uniform in `[0, max_jitter_ms)`).
     pub max_jitter_ms: f64,
-    /// Seed mixed into the jitter derivation.
-    pub jitter_seed: u64,
 }
 
 impl Default for LinkModel {
@@ -36,7 +34,6 @@ impl Default for LinkModel {
             base_ms: 1.0,
             bandwidth_mbps: 20.0,
             max_jitter_ms: 2.0,
-            jitter_seed: 0,
         }
     }
 }
@@ -54,9 +51,9 @@ impl LinkModel {
             return Duration::ZERO;
         }
         // SplitMix64 over the tuple for cheap, well-mixed noise.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(from.get().wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        let mut z = from
+            .get()
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(to.get().wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(seq.wrapping_mul(0x94D0_49BB_1331_11EB));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -113,7 +110,6 @@ mod tests {
             base_ms: 2.0,
             bandwidth_mbps: 8.0,
             max_jitter_ms: 0.0,
-            jitter_seed: 0,
         };
         let topo = two_node_topology(10.0);
         let t = model.transit(&topo, NodeId::new(0), NodeId::new(1), 1_000, 0);
@@ -125,7 +121,6 @@ mod tests {
     fn jitter_is_deterministic_and_bounded() {
         let model = LinkModel {
             max_jitter_ms: 3.0,
-            jitter_seed: 42,
             ..LinkModel::default()
         };
         for seq in 0..200 {
@@ -140,7 +135,6 @@ mod tests {
     fn jitter_varies_over_sequence() {
         let model = LinkModel {
             max_jitter_ms: 3.0,
-            jitter_seed: 1,
             ..LinkModel::default()
         };
         let distinct: std::collections::HashSet<u64> = (0..50)
@@ -175,7 +169,6 @@ mod tests {
             base_ms: 1.0,
             bandwidth_mbps: 8.0,
             max_jitter_ms: 0.0,
-            jitter_seed: 0,
         };
         let topo = Topology::generate(4, &Placement::Uniform { side: 100.0 }, 0);
         let t = model.transit(&topo, NodeId::new(2), NodeId::new(2), 8_000, 0);

@@ -201,7 +201,7 @@ impl Strategy for IciNetwork {
     fn groups(&self) -> Vec<Vec<NodeId>> {
         self.clusters()
             .into_iter()
-            .map(|c| self.membership().active_members(c))
+            .map(|c| self.membership().members(c).to_vec())
             .collect()
     }
 

@@ -54,15 +54,6 @@ pub enum SenderDistribution {
 pub enum PayloadSize {
     /// Every payload exactly this many bytes.
     Fixed(usize),
-    /// `fraction_large` of payloads are `large` bytes, the rest `small`.
-    Mix {
-        /// Size of the common small payload.
-        small: usize,
-        /// Size of the occasional large payload.
-        large: usize,
-        /// Fraction of large payloads, in `[0, 1]`.
-        fraction_large: f64,
-    },
 }
 
 /// Workload parameters.
@@ -176,20 +167,7 @@ impl WorkloadGenerator {
     }
 
     fn draw_payload(&mut self) -> Vec<u8> {
-        let len = match self.config.payload {
-            PayloadSize::Fixed(n) => n,
-            PayloadSize::Mix {
-                small,
-                large,
-                fraction_large,
-            } => {
-                if self.rng.gen_f64() < fraction_large {
-                    large
-                } else {
-                    small
-                }
-            }
-        };
+        let PayloadSize::Fixed(len) = self.config.payload;
         // Cheap deterministic filler derived from the stream position.
         let tag = self.emitted as u8;
         vec![tag; len]
@@ -392,27 +370,6 @@ mod tests {
         }
         let top10: u32 = counts[..10].iter().sum();
         assert!(top10 < 500, "uniform top-10 sent {top10}");
-    }
-
-    #[test]
-    fn payload_mix_produces_both_sizes() {
-        let mut generator = WorkloadGenerator::new(WorkloadConfig {
-            payload: PayloadSize::Mix {
-                small: 10,
-                large: 1_000,
-                fraction_large: 0.3,
-            },
-            ..WorkloadConfig::default()
-        });
-        let sizes: Vec<usize> = generator
-            .batch(300)
-            .iter()
-            .map(|t| t.payload().len())
-            .collect();
-        let large = sizes.iter().filter(|s| **s == 1_000).count();
-        let small = sizes.iter().filter(|s| **s == 10).count();
-        assert_eq!(large + small, 300);
-        assert!((40..=150).contains(&large), "large count {large}");
     }
 
     #[test]

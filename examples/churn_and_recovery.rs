@@ -50,8 +50,9 @@ fn main() -> Result<(), IciError> {
     let victim_cluster = network.clusters()[0];
     let victims: Vec<NodeId> = network
         .membership()
-        .active_members(victim_cluster)
-        .into_iter()
+        .members(victim_cluster)
+        .iter()
+        .copied()
         .take(4)
         .collect();
     for v in &victims {

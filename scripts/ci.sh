@@ -19,6 +19,25 @@ cargo build --release --workspace
 # them; they call the same protocol APIs the workspace does.
 cargo build --release --benches -p ici-bench
 
+echo "==> examples and the ici CLI, at their defaults"
+# `cargo test` compiles the examples but runs none of them, and nothing
+# else runs the `ici` binary. Together they take well under a second on
+# a release build; the last step catches any file one of them writes.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" >/dev/null || {
+        echo "example $name failed"
+        exit 1
+    }
+done
+for subcommand in simulate compare plan; do
+    ./target/release/ici "$subcommand" >/dev/null || {
+        echo "ici $subcommand failed"
+        exit 1
+    }
+done
+
 echo "==> SHA-256 kernel (ici-crypto differential suite)"
 # Every host-time number (cargo bench, the benchmark) depends on which
 # compression kernel the CPU selected, so name it once. A CPU that lists

@@ -115,15 +115,25 @@ struct CommonOpts {
     seed: u64,
 }
 
+/// Parses the flags every strategy shares. `--nodes` and
+/// `--cluster-size` size every strategy's network, so they are checked
+/// here, once: every strategy and `compare` refuse a zero the same way.
 fn common(flags: &HashMap<String, String>) -> Result<CommonOpts, String> {
-    Ok(CommonOpts {
+    let opts = CommonOpts {
         nodes: get(flags, "nodes", 128)?,
         cluster_size: get(flags, "cluster-size", 16)?,
         replication: get(flags, "replication", 2)?,
         blocks: get(flags, "blocks", 10)?,
         txs: get(flags, "txs", 30)?,
         seed: get(flags, "seed", 42)?,
-    })
+    };
+    if opts.nodes == 0 {
+        return Err("nodes must be positive".to_string());
+    }
+    if opts.cluster_size == 0 {
+        return Err("cluster_size must be positive".to_string());
+    }
+    Ok(opts)
 }
 
 fn workload(seed: u64) -> WorkloadConfig {
@@ -372,5 +382,16 @@ mod tests {
         let opts = common(&flags).expect("numbers parse");
         assert_eq!((opts.nodes, opts.seed, opts.blocks), (16, 7, 10));
         assert!(parse_flags(&[], PLAN_FLAGS).expect("no flags").is_empty());
+    }
+
+    #[test]
+    fn zero_nodes_or_cluster_size_is_refused_by_every_strategy() {
+        for flag in ["--nodes", "--cluster-size"] {
+            let flags = parse_flags(&args(&[flag, "0"]), COMPARE_FLAGS).expect("parses");
+            for strategy in ["ici", "full", "rapidchain"] {
+                let run = common(&flags).and_then(|opts| run_strategy(strategy, &opts));
+                assert!(run.is_err(), "{strategy} with {flag} 0 ran");
+            }
+        }
     }
 }

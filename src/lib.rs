@@ -7,7 +7,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`crypto`] | `ici-crypto` | SHA-256, HMAC, Merkle trees, SimSig, GF(256) + Reed–Solomon, hash lotteries |
-//! | [`chain`] | `ici-chain` | transactions, blocks, state, stores, validation, genesis |
+//! | [`chain`] | `ici-chain` | transactions, blocks, state, validation, genesis |
 //! | [`net`] | `ici-net` | discrete-event WAN simulator with byte-exact metering |
 //! | [`cluster`] | `ici-cluster` | latency-aware clustering and membership |
 //! | [`storage`] | `ici-storage` | block→owner assignment, integrity audit, recovery planning |

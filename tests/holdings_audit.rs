@@ -518,8 +518,9 @@ fn audit_and_planner_agree_with_their_btree_references() {
 /// `cluster` hold.
 fn replicas_of(net: &IciNetwork, cluster: ClusterId) -> BTreeSet<(NodeId, Height)> {
     net.membership()
-        .active_members(cluster)
-        .into_iter()
+        .members(cluster)
+        .iter()
+        .copied()
         .flat_map(|m| {
             let held = net.holdings(m).expect("member of the network");
             held.body_heights().iter().map(move |h| (m, h))
@@ -559,7 +560,7 @@ fn certificates_match_the_references(s: &FaultScenario) -> Result<(), String> {
     let groups: Vec<Vec<NodeId>> = net
         .clusters()
         .into_iter()
-        .map(|c| net.membership().active_members(c))
+        .map(|c| net.membership().members(c).to_vec())
         .collect();
     let Ok(plan) = FaultPlanConfig::new(s.plan_seed, s.rounds, groups)
         .churn(s.profile().churn)

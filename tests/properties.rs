@@ -373,7 +373,7 @@ fn fault_plans_leave_recoverable_networks_repairable() {
             let cluster_map: Vec<Vec<NodeId>> = net
                 .clusters()
                 .into_iter()
-                .map(|c| net.membership().active_members(c))
+                .map(|c| net.membership().members(c).to_vec())
                 .collect();
             let Ok(plan) = FaultPlanConfig::new(s.plan_seed, s.rounds, cluster_map)
                 .churn(ChurnConfig {

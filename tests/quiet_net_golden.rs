@@ -79,7 +79,7 @@ fn ici_network(nodes: usize, cluster_size: usize) -> IciNetwork {
 
 /// Crashes the last `count` active members of `cluster`.
 fn crash_last(net: &mut IciNetwork, cluster: ClusterId, count: usize) {
-    let members = net.membership().active_members(cluster);
+    let members = net.membership().members(cluster).to_vec();
     for &m in members.iter().rev().take(count) {
         net.crash_node(m).expect("known node");
     }
@@ -128,7 +128,7 @@ fn ici_line() -> String {
     let mut workload = workload();
     commit_batches(&mut net, &mut workload, 3);
     // A second cluster drops to its bare quorum between the two halves.
-    let members = net.membership().active_members(clusters[1]);
+    let members = net.membership().members(clusters[1]).to_vec();
     for &m in members.iter().take(5) {
         net.crash_node(m).expect("known node");
     }
