@@ -10,6 +10,7 @@ use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_bench::harness::bench_with_setup;
 use ici_chain::transaction::{Address, Transaction};
 use ici_cluster::membership::JoinPolicy;
+use ici_cluster::partition::ClusterId;
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
 use ici_consensus::ida::{run_ida_dissemination, IdaConfig};
 use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
@@ -242,6 +243,39 @@ fn bench_bootstrap() {
     );
 }
 
+/// Five joins into one cluster over a 100-block chain: the first builds
+/// the cluster's rendezvous table, the next four rank only the joiner.
+fn bench_bootstrap_one_cluster() {
+    bench_with_setup(
+        "bootstrap/ici_5joins_one_cluster_n64_100blocks",
+        || {
+            let mut network = ici_network(64, 16);
+            let mut generator = WorkloadGenerator::new(WorkloadConfig {
+                accounts: 64,
+                ..WorkloadConfig::default()
+            });
+            for _ in 0..100 {
+                let batch = generator.batch(10);
+                network.propose_block(batch).expect("commits");
+            }
+            // Cluster 0's centroid, which a joiner there does not move.
+            let at = network
+                .membership()
+                .centroid(ClusterId::new(0), network.net().topology())
+                .expect("cluster 0 has members");
+            (network, at)
+        },
+        |(mut network, at)| {
+            for _ in 0..5 {
+                network
+                    .bootstrap_node(at, JoinPolicy::NearestCentroid)
+                    .expect("joins");
+            }
+            network
+        },
+    );
+}
+
 /// E6 code path: audit + repair after a crash.
 fn bench_repair() {
     bench_with_setup(
@@ -274,5 +308,6 @@ fn main() {
     bench_rapidchain_block();
     bench_dissemination();
     bench_bootstrap();
+    bench_bootstrap_one_cluster();
     bench_repair();
 }

@@ -108,30 +108,49 @@ impl Membership {
         self.partition.push_node(node, cluster);
     }
 
+    /// The cluster with the fewest members, ties to the lowest id. A
+    /// partition has at least one cluster, so the fold starts at 0.
     fn smallest_cluster(&self) -> ClusterId {
-        (0..self.cluster_count() as u32)
+        (1..self.cluster_count() as u32)
             .map(ClusterId::new)
-            .min_by_key(|c| (self.members(*c).len(), c.get()))
-            // lint:allow(panic) -- partitions are built with ≥ 1 cluster
-            // (constructor invariant), so the range is never empty
-            .expect("at least one cluster")
+            .fold(ClusterId::new(0), |best, c| {
+                if self.members(c).len() < self.members(best).len() {
+                    c
+                } else {
+                    best
+                }
+            })
+    }
+
+    /// The mean position of `cluster`'s members, or `None` for an empty
+    /// cluster. A node joining there under
+    /// [`JoinPolicy::NearestCentroid`] joins that cluster, unless
+    /// another cluster's centroid is exactly as close.
+    pub fn centroid(&self, cluster: ClusterId, topology: &Topology) -> Option<Coord> {
+        let members = self.members(cluster);
+        if members.is_empty() {
+            return None;
+        }
+        let (mut x, mut y) = (0.0, 0.0);
+        for m in members {
+            let c = topology.coord(*m);
+            x += c.x;
+            y += c.y;
+        }
+        Some(Coord::new(
+            x / members.len() as f64,
+            y / members.len() as f64,
+        ))
     }
 
     fn nearest_centroid_cluster(&self, coord: Coord, topology: &Topology) -> Option<ClusterId> {
         let mut best: Option<(f64, ClusterId)> = None;
-        for (cluster, members) in self.partition.iter() {
-            if members.is_empty() {
+        for (cluster, _) in self.partition.iter() {
+            let Some(centroid) = self.centroid(cluster, topology) else {
                 continue;
-            }
-            let (mut x, mut y) = (0.0, 0.0);
-            for m in members {
-                let c = topology.coord(*m);
-                x += c.x;
-                y += c.y;
-            }
-            let centroid = Coord::new(x / members.len() as f64, y / members.len() as f64);
+            };
             let d = coord.distance(&centroid);
-            if best.map_or(true, |(bd, _)| d < bd) {
+            if best.is_none_or(|(bd, _)| d < bd) {
                 best = Some((d, cluster));
             }
         }

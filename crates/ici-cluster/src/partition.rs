@@ -56,9 +56,16 @@ impl Partition {
     /// Builds a partition from a per-node assignment vector.
     ///
     /// Cluster ids must be dense (`0..k`); empty clusters are allowed but
-    /// every id below the max must exist as an index.
+    /// every id below the max must exist as an index. A partition has at
+    /// least one cluster: an empty assignment makes one empty cluster,
+    /// for the first node to join.
     pub fn from_assignment(assignment: Vec<ClusterId>) -> Partition {
-        let k = assignment.iter().map(|c| c.index() + 1).max().unwrap_or(0);
+        let k = assignment
+            .iter()
+            .map(|c| c.index() + 1)
+            .max()
+            .unwrap_or(0)
+            .max(1);
         let mut members = vec![Vec::new(); k];
         for (i, cluster) in assignment.iter().enumerate() {
             members[cluster.index()].push(NodeId::new(i as u64));

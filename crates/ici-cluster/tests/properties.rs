@@ -5,7 +5,7 @@
 
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::{JoinPolicy, Membership};
-use ici_cluster::partition::ClusterId;
+use ici_cluster::partition::{ClusterId, Partition};
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
 use ici_rng::Xoshiro256;
@@ -87,5 +87,23 @@ fn joins_are_placed_validly() {
             let members = membership.members(ClusterId::new(c));
             assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
         }
+    }
+}
+
+/// A membership of no nodes still has one (empty) cluster, and the
+/// first node to join lands in it under either policy.
+#[test]
+fn a_join_into_an_empty_membership_admits_node_zero_to_cluster_zero() {
+    for policy in [JoinPolicy::SmallestCluster, JoinPolicy::NearestCentroid] {
+        let mut topo = Topology::from_coords(Vec::new());
+        let mut membership = Membership::new(Partition::from_assignment(Vec::new()));
+        assert_eq!(membership.cluster_count(), 1);
+        let coord = ici_net::topology::Coord::new(5.0, 5.0);
+        let node = topo.push(coord);
+        assert_eq!(node, NodeId::new(0));
+        let cluster = membership.join(node, coord, &topo, policy);
+        assert_eq!(cluster, ClusterId::new(0), "{policy:?}");
+        assert_eq!(membership.members(cluster), &[node]);
+        assert_eq!(membership.cluster_of(node), cluster);
     }
 }

@@ -15,11 +15,14 @@
 
 use ici_chain::block::{BlockHeader, Height};
 use ici_cluster::membership::JoinPolicy;
+use ici_cluster::partition::ClusterId;
+use ici_crypto::lottery::{for_each_rendezvous_rank, insert_top, rendezvous_rank};
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
 use ici_net::topology::Coord;
 
+use crate::config::Assignment;
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
 use crate::network::{IciNetwork, Shipment};
@@ -48,6 +51,33 @@ impl BootstrapReport {
     /// Total bytes the joiner downloaded.
     pub fn total_bytes(&self) -> u64 {
         self.header_bytes + self.body_bytes
+    }
+}
+
+/// One cluster's rendezvous rankings of its committed heights, kept so
+/// a join ranks only the joiner. A rank is a pure function of block id
+/// and node id, and a committed block never changes, so the table holds
+/// exactly while `members` is the cluster's member list.
+#[derive(Default)]
+pub(crate) struct RankTable {
+    /// The ascending member list the pairs rank.
+    members: Vec<NodeId>,
+    /// `r` slots a height, genesis first. The first
+    /// `min(r, members.len())` of a height's slots are its top
+    /// `(rank, node)` pairs in [`insert_top`]'s order; the rest are
+    /// spare, for a join into a cluster smaller than `r`.
+    pairs: Vec<(u64, u64)>,
+}
+
+impl RankTable {
+    /// Merges `node`, of rendezvous rank `rank` at `height`, into that
+    /// height's pairs in place, and returns the merged pairs. `r` is the
+    /// replication the table was built at.
+    fn merge(&mut self, height: Height, r: usize, rank: u64, node: NodeId) -> &[(u64, u64)] {
+        let at = height as usize * r;
+        let top = &mut self.pairs[at..at + r];
+        let len = insert_top(top, r.min(self.members.len()), rank, node.get());
+        &top[..len]
     }
 }
 
@@ -88,17 +118,41 @@ impl IciNetwork {
             let bit = height as usize * width + i;
             owns[bit / 64] >> (bit % 64) & 1 == 1
         };
+        let own = |owns: &mut [u64], height: Height, owner: NodeId| {
+            if let Ok(i) = members.binary_search(&owner) {
+                let bit = height as usize * width + i;
+                owns[bit / 64] |= 1 << (bit % 64);
+            }
+        };
+        // Under rendezvous a join ranks only the joiner, against the
+        // cluster's kept pairs. The table stays out of `rank_tables`
+        // until the decision succeeds: a join that fails drops it
+        // half-merged.
+        let mut table =
+            (self.config.assignment == Assignment::Rendezvous).then(|| self.rank_table(cluster));
+        let r = self.config.replication;
         for height in 0..chain_len {
             let id = self.chain[height as usize].id();
-            for owner in self.dispatch_owners(&id, height, &members) {
-                if let Ok(i) = members.binary_search(&owner) {
-                    let bit = height as usize * width + i;
-                    owns[bit / 64] |= 1 << (bit % 64);
+            match &mut table {
+                Some(table) => {
+                    let rank = rendezvous_rank(&id, node.get());
+                    for &(_, owner) in table.merge(height, r, rank, node) {
+                        own(&mut owns, height, NodeId::new(owner));
+                    }
+                }
+                None => {
+                    for owner in self.dispatch_owners(&id, height, &members) {
+                        own(&mut owns, height, owner);
+                    }
                 }
             }
             if owned(&owns, height, joiner) && self.join_source(holders, height).is_none() {
                 return Err(IciError::BodyUnavailable(height));
             }
+        }
+        if let Some(mut table) = table {
+            table.members.push(node);
+            self.rank_tables[cluster.index()] = table;
         }
 
         self.net.join(coord);
@@ -172,6 +226,34 @@ impl IciNetwork {
             pruned_bodies: pruned,
             duration,
         })
+    }
+
+    /// Takes `cluster`'s rank table out of `rank_tables`, rebuilt if it
+    /// ranks another member list than the cluster's, and extended to
+    /// the tip: each new height ranks every member once.
+    fn rank_table(&mut self, cluster: ClusterId) -> RankTable {
+        if self.rank_tables.len() <= cluster.index() {
+            self.rank_tables
+                .resize_with(cluster.index() + 1, RankTable::default);
+        }
+        let mut table = std::mem::take(&mut self.rank_tables[cluster.index()]);
+        let members = self.membership.members(cluster);
+        if table.members != members {
+            table.members.clear();
+            table.members.extend_from_slice(members);
+            table.pairs.clear();
+        }
+        let r = self.config.replication;
+        let covered = table.pairs.len() / r;
+        table.pairs.resize(self.chain.len() * r, (0, 0));
+        let fresh = table.pairs[covered * r..].chunks_exact_mut(r);
+        for (block, top) in self.chain[covered..].iter().zip(fresh) {
+            let mut len = 0;
+            for_each_rendezvous_rank(&block.id(), members.iter().map(|m| m.get()), |id, rank| {
+                len = insert_top(top, len, rank, id);
+            });
+        }
+        table
     }
 
     /// The first of `holders` that is live and holds the body at

@@ -25,6 +25,7 @@ use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
+use crate::bootstrap::RankTable;
 use crate::config::{Clustering, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
@@ -99,6 +100,10 @@ pub struct IciNetwork {
     /// and is refilled only when the cluster's members, their positions
     /// or the link change.
     pub(crate) vote_scratch: Vec<VoteScratch>,
+    /// Each rendezvous cluster's top-`r` pairs per committed height,
+    /// indexed by cluster id and grown on demand: built by the first
+    /// join into the cluster, so a later one ranks only the joiner.
+    pub(crate) rank_tables: Vec<RankTable>,
 }
 
 impl IciNetwork {
@@ -145,6 +150,7 @@ impl IciNetwork {
             commit_log: Vec::new(),
             verdicts: Verdicts::new(),
             vote_scratch: Vec::new(),
+            rank_tables: Vec::new(),
         };
         for cluster in network.clusters() {
             for owner in network.owners_in_cluster(cluster, &genesis_id, 0) {

@@ -69,6 +69,8 @@ impl IciNetwork {
             .count();
 
         self.membership = Membership::new(partition);
+        // Rank tables hold only over the member lists they ranked.
+        self.rank_tables.clear();
 
         // Phase 1 — fetch: every new owner that lacks its body pulls it
         // from a live pre-migration holder (snapshot taken up front).

@@ -24,6 +24,8 @@ use crate::sha256::{compress_lanes, count_digests, Digest, Sha256, H0, LANES};
 const LOTTERY_DOMAIN: &[u8; 15] = b"ici-lottery-v1:";
 /// Domain tag of [`rendezvous_rank`].
 const HRW_DOMAIN: &[u8; 11] = b"ici-hrw-v1:";
+/// Counter of rendezvous weights computed, per id or batched.
+const RANKS: &str = "crypto/rendezvous_ranks";
 
 /// A lottery message: domain ‖ seed ‖ round ‖ participant.
 const LOTTERY_LEN: usize = 15 + 32 + 8 + 8;
@@ -86,6 +88,7 @@ where
 /// leaves, only the keys whose top-`r` set intersected it move — the property
 /// that keeps re-replication traffic small after churn.
 pub fn rendezvous_rank(key: &Digest, node: u64) -> u64 {
+    ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, 1);
     let mut h = Sha256::new();
     h.update(HRW_DOMAIN);
     h.update(key.as_bytes());
@@ -105,7 +108,27 @@ where
     block[11..43].copy_from_slice(key.as_bytes());
     block[HRW_LEN] = 0x80;
     block[56..].copy_from_slice(&(HRW_LEN as u64 * 8).to_be_bytes());
-    for_each_prefix(ids, &block, 43, None, HRW_LEN as u64, f);
+    let ranked = for_each_prefix(ids, &block, 43, None, HRW_LEN as u64, f);
+    ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, ranked);
+}
+
+/// Inserts `(rank, id)` into `top[..len]`, a best-first ranking held in
+/// `top`: higher rank first, ties to the smaller id. The pair goes in
+/// if it ranks within `top.len()`; the pairs after it shift down one,
+/// and when `len` is already `top.len()` the last one falls off.
+/// Returns the ranking's new length. Every top-`r` ranking keeps this
+/// one order: [`rendezvous_top`], and a caller that keeps its top
+/// pairs and merges a newcomer into them in place.
+#[inline]
+pub fn insert_top(top: &mut [(u64, u64)], len: usize, rank: u64, id: u64) -> usize {
+    let at = top[..len].partition_point(|&(w, n)| w > rank || (w == rank && n <= id));
+    if at == top.len() {
+        return len;
+    }
+    let len = (len + 1).min(top.len());
+    top[at..len].rotate_right(1);
+    top[at] = (rank, id);
+    len
 }
 
 /// Returns the `r` nodes with the highest rendezvous weight for `key`,
@@ -115,15 +138,15 @@ where
     I: IntoIterator<Item = u64>,
 {
     let candidates = candidates.into_iter();
-    // Best first: highest weight, ties broken by smaller id for
-    // determinism. Kept sorted, never longer than `r`.
+    // Kept sorted, never longer than `r`: a slot is pushed while it is
+    // shorter, for `insert_top` to fill.
     let mut top: Vec<(u64, u64)> = Vec::with_capacity(r.min(candidates.size_hint().0));
     for_each_rendezvous_rank(key, candidates, |id, rank| {
-        let at = top.partition_point(|&(w, n)| w > rank || (w == rank && n <= id));
-        if at < r {
-            top.truncate(r - 1);
-            top.insert(at, (rank, id));
+        let len = top.len();
+        if len < r {
+            top.push((rank, id));
         }
+        insert_top(&mut top, len, rank, id);
     });
     top.into_iter().map(|(_, id)| id).collect()
 }
@@ -142,7 +165,8 @@ fn for_each_prefix<I>(
     tail: Option<&[u8; 64]>,
     message_len: u64,
     mut f: impl FnMut(u64, u64),
-) where
+) -> u64
+where
     I: IntoIterator<Item = u64>,
 {
     let mut lanes = [0u64; LANES];
@@ -167,6 +191,7 @@ fn for_each_prefix<I>(
         let blocks_each = message_len.wrapping_add(9).div_ceil(64);
         count_digests(hashed, hashed * message_len, hashed * blocks_each);
     }
+    hashed
 }
 
 /// One kernel call's worth: lane `i` hashes `blocks[i]` (then `tail`)
@@ -255,7 +280,8 @@ mod tests {
     }
 
     /// The counters move as if every message went through `Sha256`:
-    /// two compressions per lottery message, one per ranking.
+    /// two compressions per lottery message, one per ranking. Each
+    /// ranking, per id or batched, also counts one rendezvous rank.
     #[test]
     fn batched_hashing_counts_like_the_streaming_hasher() {
         // Left on: no other test in this binary reads the flag, and the
@@ -265,10 +291,16 @@ mod tests {
             ici_telemetry::reset();
             hash();
             let snap = ici_telemetry::snapshot();
-            ["bytes", "compressions", "digests"].map(|name| {
+            [
+                "crypto/sha256_bytes",
+                "crypto/sha256_compressions",
+                "crypto/sha256_digests",
+                RANKS,
+            ]
+            .map(|name| {
                 snap.counters
                     .iter()
-                    .filter(|c| c.name == format!("crypto/sha256_{name}"))
+                    .filter(|c| c.name == name)
                     .map(|c| c.value)
                     .sum::<u64>()
             })
@@ -281,7 +313,7 @@ mod tests {
                     lottery_score(&s, 3, id);
                 }
             });
-            assert_eq!(lottery, [63 * n, 2 * n, n], "n={n}");
+            assert_eq!(lottery, [63 * n, 2 * n, n, 0], "n={n}");
             assert_eq!(lottery, per_id, "n={n}");
             let ranking = counts(&|| for_each_rendezvous_rank(&s, 0..n, |_, _| {}));
             let per_id = counts(&|| {
@@ -289,8 +321,35 @@ mod tests {
                     rendezvous_rank(&s, id);
                 }
             });
-            assert_eq!(ranking, [51 * n, n, n], "n={n}");
+            assert_eq!(ranking, [51 * n, n, n, n], "n={n}");
             assert_eq!(ranking, per_id, "n={n}");
+        }
+    }
+
+    /// A newcomer merged into a kept top-`r` with `insert_top` gives the
+    /// top-`r` of the grown set, whether the kept ranking was full or
+    /// shorter than `r`, and the newcomer ranks anywhere.
+    #[test]
+    fn merging_a_newcomer_is_ranking_the_grown_set() {
+        for k in 0..40u8 {
+            let key = seed(k);
+            for members in 0..6u64 {
+                for r in 0..=members as usize + 2 {
+                    let mut top = vec![(0, 0); r];
+                    let mut len = 0;
+                    for_each_rendezvous_rank(&key, 0..members, |id, rank| {
+                        len = insert_top(&mut top, len, rank, id);
+                    });
+                    assert_eq!(len, r.min(members as usize));
+                    len = insert_top(&mut top, len, rendezvous_rank(&key, members), members);
+                    let merged: Vec<u64> = top[..len].iter().map(|&(_, id)| id).collect();
+                    assert_eq!(
+                        merged,
+                        rendezvous_top(&key, 0..=members, r),
+                        "key {k}, {members} members, r={r}"
+                    );
+                }
+            }
         }
     }
 

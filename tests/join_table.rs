@@ -1,0 +1,228 @@
+//! Joins against a fresh full ranking, under every assignment.
+//!
+//! Under rendezvous assignment a join merges the joiner into its
+//! cluster's kept top-`r` pairs instead of ranking every member again.
+//! Each scenario here runs once per assignment and checks every
+//! successful join from outside: at every height, the members of the
+//! joined cluster that hold the body are the ones that held it before
+//! and still own it, plus the joiner if it owns it, where "own" is
+//! [`IciNetwork::owners_in_cluster`] over the grown cluster. Under
+//! rendezvous that is exactly the owner set, since a join moves only
+//! the heights the joiner takes. The report's `bodies` and
+//! `pruned_bodies` are counted from the same reference.
+//!
+//! The scenarios: joins into one cluster with blocks committed between
+//! them; a failed join and the same node joining after the holders
+//! recover; a re-clustering, then a join; and a cluster smaller than
+//! `r` growing past it.
+
+use std::collections::BTreeSet;
+
+use icistrategy::core::bootstrap::BootstrapReport;
+use icistrategy::prelude::*;
+use icistrategy::storage::assignment::AssignmentStrategy;
+
+const ASSIGNMENTS: [Assignment; 3] = [
+    Assignment::Rendezvous,
+    Assignment::Ring,
+    Assignment::RoundRobin,
+];
+
+struct Scenario {
+    net: IciNetwork,
+    workload: WorkloadGenerator,
+}
+
+impl Scenario {
+    fn new(assignment: Assignment, nodes: usize, cluster_size: usize, r: usize) -> Scenario {
+        let config = IciConfig::builder()
+            .nodes(nodes)
+            .cluster_size(cluster_size)
+            .replication(r)
+            .assignment(assignment)
+            .seed(21)
+            .build()
+            .expect("valid configuration");
+        Scenario {
+            net: IciNetwork::new(config).expect("constructs"),
+            workload: WorkloadGenerator::new(WorkloadConfig {
+                accounts: 64,
+                seed: 21,
+                ..WorkloadConfig::default()
+            }),
+        }
+    }
+
+    fn commit(&mut self, blocks: usize) {
+        for _ in 0..blocks {
+            self.net
+                .propose_block(self.workload.batch(5))
+                .expect("block commits");
+        }
+    }
+
+    /// Where a joiner lands in `cluster` under `NearestCentroid`.
+    fn centroid(&self, cluster: ClusterId) -> Coord {
+        self.net
+            .membership()
+            .centroid(cluster, self.net.net().topology())
+            .expect("a cluster with members")
+    }
+
+    /// The owners of `height` in `cluster` once `joiner` has joined it,
+    /// best first, without joining it.
+    fn owners_with(&self, cluster: ClusterId, joiner: NodeId, height: u64) -> Vec<NodeId> {
+        let mut members = self.net.membership().members(cluster).to_vec();
+        members.push(joiner);
+        let id = self.net.block(height).expect("committed").id();
+        let config = self.net.config();
+        config
+            .assignment
+            .owners(&id, height, &members, config.replication)
+    }
+
+    /// Joins a node at `coord`, checks the joined cluster at every
+    /// height against the fresh ranking, then repairs. Under ring and
+    /// round-robin a join moves owners the joiner does not replace, and
+    /// only the ex-owners' prunes follow; the repair gives the next join
+    /// a source for every height it takes.
+    fn join(&mut self, coord: Coord, policy: JoinPolicy) -> BootstrapReport {
+        let net = &mut self.net;
+        let assignment = net.config().assignment;
+        let cluster = net
+            .membership()
+            .choose_cluster(coord, net.net().topology(), policy);
+        let held_before: Vec<BTreeSet<NodeId>> = (0..net.chain_len())
+            .map(|h| holding(net, cluster, h))
+            .collect();
+        let report = net.bootstrap_node(coord, policy).expect("joins");
+        assert_eq!(report.cluster, cluster.get(), "{assignment:?}");
+
+        let (mut bodies, mut pruned) = (0, 0);
+        for (height, before) in held_before.iter().enumerate() {
+            let height = height as u64;
+            let id = net.block(height).expect("committed").id();
+            let owners: BTreeSet<NodeId> = net
+                .owners_in_cluster(cluster, &id, height)
+                .into_iter()
+                .collect();
+            let mut expected: BTreeSet<NodeId> = before.intersection(&owners).copied().collect();
+            if owners.contains(&report.node) {
+                expected.insert(report.node);
+                bodies += 1;
+            }
+            pruned += before.difference(&owners).count();
+            let held = holding(net, cluster, height);
+            assert_eq!(
+                held, expected,
+                "{assignment:?}: cluster {cluster}, height {height}: held by {held:?}, owners {owners:?}"
+            );
+            if assignment == Assignment::Rendezvous {
+                assert_eq!(
+                    held, owners,
+                    "{assignment:?}: cluster {cluster}, height {height}: held by {held:?}, owners {owners:?}"
+                );
+            }
+        }
+        assert_eq!(report.bodies, bodies, "{assignment:?}: cluster {cluster}");
+        assert_eq!(
+            report.pruned_bodies, pruned,
+            "{assignment:?}: cluster {cluster}"
+        );
+        net.repair_all();
+        report
+    }
+}
+
+/// The members of `cluster` holding the body at `height`.
+fn holding(net: &IciNetwork, cluster: ClusterId, height: u64) -> BTreeSet<NodeId> {
+    net.membership()
+        .members(cluster)
+        .iter()
+        .copied()
+        .filter(|m| net.holdings(*m).expect("member").has_body(height))
+        .collect()
+}
+
+#[test]
+fn joins_match_a_fresh_ranking_under_every_assignment() {
+    for assignment in ASSIGNMENTS {
+        let mut s = Scenario::new(assignment, 48, 12, 2);
+        s.commit(12);
+        let cluster = ClusterId::new(1);
+        let at = s.centroid(cluster);
+        let policy = JoinPolicy::NearestCentroid;
+
+        // Joins into one cluster, with blocks committed between them.
+        for between in [0, 3, 0, 2] {
+            s.commit(between);
+            s.join(at, policy);
+        }
+
+        // A failed join: the live holders of a height the joiner would
+        // own crash. That is the first height it would rank first at,
+        // in the first cluster where there is one (under rendezvous one
+        // must exist), so a failed join that kept its half-merged pairs
+        // would hold the joiner twice there when it joins again.
+        let joiner = NodeId::new(s.net.net().topology().len() as u64);
+        let heights = 1..s.net.chain_len();
+        let ranked_first = s.net.clusters().into_iter().find_map(|c| {
+            let first = |h: &u64| s.owners_with(c, joiner, *h).first() == Some(&joiner);
+            heights.clone().find(first).map(|h| (c, h))
+        });
+        assert!(ranked_first.is_some() || assignment != Assignment::Rendezvous);
+        let (cluster, height) = ranked_first
+            .or_else(|| {
+                let owned = |h: &u64| s.owners_with(cluster, joiner, *h).contains(&joiner);
+                heights.clone().find(owned).map(|h| (cluster, h))
+            })
+            .expect("the joiner owns some height");
+        let at = s.centroid(cluster);
+        let crashed: Vec<NodeId> = holding(&s.net, cluster, height).into_iter().collect();
+        for member in &crashed {
+            s.net.crash_node(*member).expect("known node");
+        }
+        let storage = s.net.storage_bytes();
+        let audits = s.net.audit_all();
+        let result = s.net.bootstrap_node(at, policy);
+        assert!(
+            matches!(result, Err(IciError::BodyUnavailable(h)) if h == height),
+            "{assignment:?}: {result:?}, expected height {height} unavailable"
+        );
+        assert_eq!(s.net.storage_bytes(), storage, "{assignment:?}");
+        assert_eq!(s.net.audit_all(), audits, "{assignment:?}");
+        for member in &crashed {
+            s.net.recover_node(*member).expect("known node");
+        }
+        s.commit(1);
+        let report = s.join(at, policy);
+        assert_eq!(report.node, joiner, "{assignment:?}");
+
+        // A re-clustering, then a join.
+        s.net.reconfigure_clusters();
+        s.commit(2);
+        s.join(Coord::new(50.0, 50.0), policy);
+        s.join(Coord::new(50.0, 50.0), policy);
+    }
+}
+
+#[test]
+fn a_cluster_smaller_than_r_grows_past_it_under_every_assignment() {
+    for assignment in ASSIGNMENTS {
+        // Ten nodes in clusters of 4, 3 and 3, each body on 4 members.
+        // Three joins take a 3-member cluster to 4, 5 and 6.
+        let mut s = Scenario::new(assignment, 10, 4, 4);
+        let cluster = (0..3)
+            .map(ClusterId::new)
+            .find(|c| s.net.membership().members(*c).len() == 3)
+            .expect("a cluster smaller than r");
+        let at = s.centroid(cluster);
+        s.commit(5);
+        for between in [0, 2, 1] {
+            s.commit(between);
+            let report = s.join(at, JoinPolicy::NearestCentroid);
+            assert_eq!(report.cluster, cluster.get(), "{assignment:?}");
+        }
+        assert_eq!(s.net.membership().members(cluster).len(), 6);
+    }
+}
