@@ -54,6 +54,8 @@ impl Default for FullConfig {
 pub struct FullReplicationNetwork {
     config: FullConfig,
     net: Network,
+    /// Every node id, the population a block floods.
+    all: Vec<NodeId>,
     chain: Vec<Block>,
     state: WorldState,
     clock: SimTime,
@@ -67,9 +69,11 @@ impl FullReplicationNetwork {
         let net = Network::new(topology, config.link);
         let chain = vec![config.genesis.genesis_block()];
         let state = config.genesis.initial_state();
+        let all = (0..config.nodes as u64).map(NodeId::new).collect();
         FullReplicationNetwork {
             config,
             net,
+            all,
             chain,
             state,
             clock: SimTime::ZERO,
@@ -119,10 +123,9 @@ impl FullReplicationNetwork {
         let parent = *self.chain.last().expect("genesis").header();
         let parent_id = parent.id();
         let height = parent.height + 1;
-        let all: Vec<NodeId> = (0..self.config.nodes as u64).map(NodeId::new).collect();
         let leader = {
             let net = &self.net;
-            elect_live_leader(&parent_id, height, &all, |n| net.is_up(n))?
+            elect_live_leader(&parent_id, height, &self.all, |n| net.is_up(n))?
         };
 
         let timestamp_ms = (parent.timestamp_ms + 1).max(self.clock.as_millis());
@@ -141,7 +144,7 @@ impl FullReplicationNetwork {
         // Flood the full block; every recipient validates solo.
         let receipts = gossip_flood(
             &mut self.net,
-            &all,
+            &self.all,
             leader,
             start,
             MessageKind::BlockFull,
@@ -152,12 +155,7 @@ impl FullReplicationNetwork {
             },
         );
         let validation = cost::solo_block_validation(n_txs, body_bytes);
-        let committed_times: Vec<SimTime> = receipts.values().map(|t| *t + validation).collect();
-        let network_commit = committed_times
-            .iter()
-            .max()
-            .copied()
-            .unwrap_or(start + validation);
+        let network_commit = receipts.values().max().copied().unwrap_or(start) + validation;
 
         let post = validate_block(&block, &parent, &self.state).ok()?;
         self.state = post;

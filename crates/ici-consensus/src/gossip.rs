@@ -31,11 +31,34 @@ impl Default for GossipConfig {
     }
 }
 
+/// Counter of the deliveries a flood queued, added once per flood.
+const SCHEDULED: &str = "consensus/gossip_scheduled";
+
+/// Where a flood stands with one node.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Nothing queued for it yet.
+    Idle,
+    /// The earliest delivery queued for it so far.
+    Queued(SimTime),
+    /// It has received (and relayed).
+    Received,
+}
+
 /// Floods `bytes` of `kind` from `origin` (holding it at `start`) to the
 /// population `peers` (origin included or not — it is added implicitly).
+/// `peers` must hold distinct ids of `net`.
 ///
 /// Returns first-receipt times; nodes that the epidemic missed (possible
 /// with small fanout) are absent. Crashed nodes neither receive nor relay.
+///
+/// On first receipt a node draws `fanout` targets without replacement
+/// from `peers` minus itself and sends to them in one broadcast. The
+/// draw is a swap-remove over that candidate list, kept as a small
+/// overlay on `peers` rather than a copy, so a relay costs O(fanout)
+/// and a flood O(N · fanout). A delivery is queued only if it arrives
+/// strictly before every one already queued for its target: any other
+/// would pop after that one and find the target served.
 pub fn gossip_flood(
     net: &mut Network,
     peers: &[NodeId],
@@ -45,47 +68,89 @@ pub fn gossip_flood(
     bytes: u64,
     config: &GossipConfig,
 ) -> BTreeMap<NodeId, SimTime> {
-    let mut first_receipt: BTreeMap<NodeId, SimTime> = BTreeMap::new();
     if !net.is_up(origin) || peers.is_empty() {
-        return first_receipt;
+        return BTreeMap::new();
     }
-    let mut queue: EventQueue<NodeId> = EventQueue::new();
-    queue.schedule(start, origin);
+    // Each node's slot is its position in `peers`. An origin outside
+    // them takes slot `peers.len()`, the default: only the origin and
+    // `peers` ever relay or receive.
+    let outside = peers.len();
+    let mut slot_of = vec![outside; net.len()];
+    for (slot, peer) in peers.iter().enumerate() {
+        slot_of[peer.index()] = slot;
+    }
+    let mut state = vec![Slot::Idle; outside + 1];
+    let origin_slot = slot_of[origin.index()];
+    state[origin_slot] = Slot::Queued(start);
+    let mut queue: EventQueue<usize> = EventQueue::new();
+    queue.schedule(start, origin_slot);
 
-    // Sampling scratch, refilled per forwarding node — reusing one buffer
-    // instead of allocating a population-sized Vec per hop.
-    let mut candidates: Vec<NodeId> = Vec::with_capacity(peers.len());
-    while let Some((now, node)) = queue.pop() {
-        if first_receipt.contains_key(&node) {
+    let mut receipts: Vec<(NodeId, SimTime)> = Vec::with_capacity(outside + 1);
+    let mut picks: Vec<NodeId> = Vec::with_capacity(config.fanout.min(outside));
+    let mut overlay: Vec<(usize, NodeId)> = Vec::with_capacity(config.fanout.min(outside));
+    let mut scheduled = 0u64;
+    while let Some((now, slot)) = queue.pop() {
+        if matches!(state[slot], Slot::Received) {
             continue; // duplicate delivery
         }
-        first_receipt.insert(node, now);
+        state[slot] = Slot::Received;
+        let node = peers.get(slot).copied().unwrap_or(origin);
+        receipts.push((node, now));
 
         // Forward to `fanout` peers sampled without replacement,
-        // deterministically from (seed, node).
+        // deterministically from (seed, node). The candidates are
+        // `peers` without `node`; `overlay` holds the positions the
+        // swap-removes have rewritten.
         let mut rng = Xoshiro256::seed_from_u64(
             config
                 .seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(node.get()),
         );
-        candidates.clear();
-        candidates.extend(peers.iter().copied().filter(|p| *p != node));
-        let picks = config.fanout.min(candidates.len());
-        for _ in 0..picks {
-            let idx = rng.gen_range(0..candidates.len());
-            let target = candidates.swap_remove(idx);
-            if first_receipt.contains_key(&target) {
-                // Redundant push still costs bandwidth, as in a real flood.
-                let _ = net.send(node, target, kind, bytes);
-                continue;
-            }
-            if let Some(delay) = net.send(node, target, kind, bytes).delay() {
-                queue.schedule(now + delay, target);
+        let mut len = outside - usize::from(slot < outside);
+        picks.clear();
+        overlay.clear();
+        for _ in 0..config.fanout.min(len) {
+            let idx = rng.gen_range(0..len);
+            len -= 1;
+            picks.push(candidate(&overlay, peers, slot, idx));
+            if idx != len {
+                let last = candidate(&overlay, peers, slot, len);
+                match overlay.iter_mut().find(|(at, _)| *at == idx) {
+                    Some(entry) => entry.1 = last,
+                    None => overlay.push((idx, last)),
+                }
             }
         }
+        // Redundant pushes to served targets still cost bandwidth, as
+        // in a real flood.
+        net.broadcast(node, &picks, kind, bytes, |to, sent| {
+            let Some(delay) = sent.delay() else { return };
+            let target = slot_of[to.index()];
+            let at = now + delay;
+            let improves = match state[target] {
+                Slot::Idle => true,
+                Slot::Queued(queued) => at < queued,
+                Slot::Received => false,
+            };
+            if improves {
+                state[target] = Slot::Queued(at);
+                queue.schedule(at, target);
+                scheduled += 1;
+            }
+        });
     }
-    first_receipt
+    ici_telemetry::counter_add(SCHEDULED, ici_telemetry::Label::Global, scheduled);
+    receipts.into_iter().collect()
+}
+
+/// Position `k` of the candidate list `peers` without slot `skip`, as
+/// rewritten by `overlay`.
+fn candidate(overlay: &[(usize, NodeId)], peers: &[NodeId], skip: usize, k: usize) -> NodeId {
+    match overlay.iter().find(|(at, _)| *at == k) {
+        Some(&(_, id)) => id,
+        None => peers[if k < skip { k } else { k + 1 }],
+    }
 }
 
 /// Convenience: coverage fraction of a gossip result over `peers`.

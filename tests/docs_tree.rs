@@ -1,15 +1,33 @@
-//! DESIGN.md's repository inventory against the workspace.
+//! The docs against the tree.
 //!
 //! Every workspace member (each `crates/*` package and the root
-//! package) has exactly one row in the "Repository inventory" table,
-//! and every row names a member. A row is keyed by the first
+//! package) has exactly one row in DESIGN.md's "Repository inventory"
+//! table, and every row names a member. A row is keyed by the first
 //! backticked name in its first cell, less any `crates/` prefix.
+//!
+//! Every backticked repo path in README, DESIGN and EXPERIMENTS exists,
+//! or is followed on its line by `` (deleted in `<commit>`)``.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 const HEADING: &str = "## Repository inventory";
+
+/// The docs whose backticked paths must resolve.
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// The tracked top-level directories: a backticked span starting with
+/// one of them is a path from the repo root.
+const TOP_DIRS: [&str; 7] = [
+    "benchmark",
+    "crates",
+    "examples",
+    "results",
+    "scripts",
+    "src",
+    "tests",
+];
 
 /// The workspace members by package directory name, and the root
 /// package by its name.
@@ -115,6 +133,98 @@ fn the_inventory_check_names_the_line() {
             "DESIGN.md:9: inventory row names `gone`, not a workspace member",
             "DESIGN.md:8: workspace member `b` has 2 inventory rows (lines [7, 8])",
             "DESIGN.md:2: the inventory has no row for workspace member `c`",
+        ]
+    );
+}
+
+/// The repo-root path a backticked span names, if it names one: no
+/// whitespace and no pattern or placeholder characters, and a first
+/// component that is a top-level directory, or a crate (`ici-*`, taken
+/// from `crates/`).
+fn repo_path(span: &str) -> Option<String> {
+    if span.contains(|c: char| c.is_whitespace() || "*<>{}".contains(c)) {
+        return None;
+    }
+    let (first, _) = span.split_once('/')?;
+    if TOP_DIRS.contains(&first) {
+        Some(span.to_string())
+    } else if first.starts_with("ici-") {
+        Some(format!("crates/{span}"))
+    } else {
+        None
+    }
+}
+
+/// Whether `rest`, the text after a span, opens with
+/// `` (deleted in `<commit>`)``, the commit a 7- to 40-digit hex id.
+fn names_deleting_commit(rest: &str) -> bool {
+    rest.strip_prefix(" (deleted in `")
+        .and_then(|r| r.split_once("`)"))
+        .is_some_and(|(id, _)| {
+            (7..=40).contains(&id.len()) && id.chars().all(|c| c.is_ascii_hexdigit())
+        })
+}
+
+/// Every backticked repo path of `text` (the doc `doc`) that `exists`
+/// rejects and that names no deleting commit, reported at its line.
+/// Fenced code blocks are skipped.
+fn path_problems(doc: &str, text: &str, exists: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut fenced = false;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if fenced {
+            continue;
+        }
+        let mut pieces = line.split('`');
+        let mut offset = 0;
+        while let (Some(outside), Some(span)) = (pieces.next(), pieces.next()) {
+            offset += outside.len() + span.len() + 2;
+            let Some(path) = repo_path(span) else {
+                continue;
+            };
+            if !exists(&path) && !names_deleting_commit(line.get(offset..).unwrap_or("")) {
+                problems.push(format!(
+                    "{doc}:{}: `{span}` is not in the tree and names no commit it was deleted in",
+                    i + 1
+                ));
+            }
+        }
+    }
+    problems
+}
+
+#[test]
+fn every_backticked_repo_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut problems = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("doc reads");
+        problems.extend(path_problems(doc, &text, |path| root.join(path).exists()));
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// The check itself: a missing path is reported at its line, however it
+/// is spelled; a present one, a deleted one that names its commit, a
+/// glob, a counter name and a fenced block are not.
+#[test]
+fn the_path_check_names_the_line() {
+    let doc = "See `crates/a/src/lib.rs` and `ici-a/src/gone.rs`.\n\
+               `src/old.rs` (deleted in `abc1234`) and `tests/x.rs` (deleted in `xyz`).\n\
+               `results/e*.json`, `net/fault_drops`, `/proc/cpuinfo`, `r/c`.\n\
+               ```\n`scripts/absent.sh`\n```\n\
+               Last: `scripts/absent.sh`\n";
+    let exists = |path: &str| path == "crates/a/src/lib.rs";
+    assert_eq!(
+        path_problems("DOC.md", doc, exists),
+        [
+            "DOC.md:1: `ici-a/src/gone.rs` is not in the tree and names no commit it was deleted in",
+            "DOC.md:2: `tests/x.rs` is not in the tree and names no commit it was deleted in",
+            "DOC.md:7: `scripts/absent.sh` is not in the tree and names no commit it was deleted in",
         ]
     );
 }
