@@ -15,6 +15,7 @@ use ici_chain::block::Block;
 use ici_chain::builder::BlockBuilder;
 use ici_chain::codec::{Decode, Encode};
 use ici_chain::genesis::GenesisConfig;
+use ici_chain::mempool::Mempool;
 use ici_chain::state::WorldState;
 use ici_chain::transaction::{Address, Transaction};
 use ici_chain::validation::validate_block;
@@ -43,7 +44,7 @@ use ici_storage::assignment::{
 };
 use ici_storage::audit::Holdings;
 use ici_storage::recovery::{plan_recovery, BlockRef};
-use ici_workload::{WorkloadConfig, WorkloadGenerator};
+use ici_workload::{PayloadSize, SenderDistribution, WorkloadConfig, WorkloadGenerator};
 
 fn bench_sha256() {
     for size in [64usize, 1_024, 65_536] {
@@ -389,6 +390,34 @@ fn bench_block_path() {
     );
 }
 
+/// A `state_scale`-shaped pool round: 2 000 zipf transactions offered to
+/// a 2 000-slot pool, then a 1 000-transaction pick. The signatures are
+/// verified beforehand, so the row prices the pool's bookkeeping and the
+/// hashing admission adds beyond the remembered verdict.
+fn bench_mempool() {
+    let offers = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 1_000_000,
+        senders: SenderDistribution::Zipf { exponent: 1.1 },
+        payload: PayloadSize::Fixed(64),
+        fee_jitter: 9,
+        seed: 17,
+        ..WorkloadConfig::default()
+    })
+    .batch(2_000);
+    assert!(offers.iter().all(Transaction::verify_signature));
+    bench_with_setup(
+        "mempool/admit_take",
+        || (Mempool::new(2_000), offers.clone()),
+        |(mut pool, offers)| {
+            for tx in offers {
+                let _ = pool.insert(tx);
+            }
+            let picked = pool.take_for_block(1_000);
+            (pool, picked)
+        },
+    );
+}
+
 /// What a fault round pays per cluster — holdings bookkeeping, the
 /// integrity audit, recovery planning, the repair certificate — and the
 /// from-scratch Merkle oracle beside it, on an `ici_churn`-shaped
@@ -515,6 +544,7 @@ fn main() {
     bench_net();
     bench_vote_table();
     bench_block_path();
+    bench_mempool();
     bench_holdings_and_audits();
     bench_sha256();
     bench_lottery();

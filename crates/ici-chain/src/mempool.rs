@@ -7,22 +7,31 @@
 //! standard behaviour of deployed nodes, which the lifecycle's
 //! "signatures are checked on admission" assumption rests on.
 //!
-//! # Fee indexes
+//! # Indexes
 //!
-//! Two maintained `BTreeSet` fee indexes replace the historical full
-//! scans:
-//!
+//! * `by_sender` — each sender's pending chain, ascending by nonce, in
+//!   a hash table keyed by address: finding a sender is one probe, and
+//!   `take_for_block` / `prune_below` pop from the chain's front. The
+//!   table is never iterated; every ordered read goes through `heads`.
 //! * `all_fees` — every pending `(fee, sender, nonce)`; its minimum is
-//!   the fee-market eviction victim (what `cheapest()` used to scan for).
-//! * `heads` — one tuple per sender: the lowest-nonce (serveable) entry
+//!   the fee-market eviction victim.
+//! * `heads` — one key per sender: the lowest-nonce (serveable) entry
 //!   of that sender's chain; its maximum is the next block pick.
 //!
-//! Eviction and selection are O(log n) per operation while the pop order
-//! stays byte-identical to the old scans (the tuples compared are exactly
-//! the ones the scans compared, with the same tie-breaks).
+//! The two fee indexes hold `FeeKey`s, which spell the address as
+//! big-endian integer words, so they sort exactly like `(fee, Address,
+//! nonce)` tuples (the tie-breaks of the historical full scans) while a
+//! comparison is integer compares.
+//!
+//! A duplicate is found at its slot: equal ids mean equal encodings, and
+//! the pool keeps one entry per `(sender, nonce)`, so an offer repeats a
+//! pending transaction exactly when it equals the entry at its own
+//! `(sender, nonce)`. Admission therefore hashes the signature and the
+//! sender address, and the id only to name a duplicate.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::transaction::{Address, Transaction, TxId};
 
@@ -59,11 +68,60 @@ impl fmt::Display for MempoolError {
 
 impl std::error::Error for MempoolError {}
 
-#[derive(Clone, Debug)]
-struct Entry {
-    tx: Transaction,
-    id: TxId,
+/// An index key spelling `(fee, sender, nonce)`: the address as two
+/// big-endian `u64` words and a big-endian `u32`, so the derived order is
+/// exactly `(fee, Address, nonce)` order.
+type FeeKey = (u64, u64, u64, u32, u64);
+
+fn fee_key(tx: &Transaction, sender: &Address) -> FeeKey {
+    let b = sender.as_bytes();
+    let mut hi = [0u8; 8];
+    let mut mid = [0u8; 8];
+    let mut lo = [0u8; 4];
+    hi.copy_from_slice(&b[..8]);
+    mid.copy_from_slice(&b[8..16]);
+    lo.copy_from_slice(&b[16..]);
+    (
+        tx.fee(),
+        u64::from_be_bytes(hi),
+        u64::from_be_bytes(mid),
+        u32::from_be_bytes(lo),
+        tx.nonce(),
+    )
 }
+
+/// The sender a [`FeeKey`] spells.
+fn key_sender(key: &FeeKey) -> Address {
+    let mut b = [0u8; 20];
+    b[..8].copy_from_slice(&key.1.to_be_bytes());
+    b[8..16].copy_from_slice(&key.2.to_be_bytes());
+    b[16..].copy_from_slice(&key.3.to_be_bytes());
+    Address(b)
+}
+
+/// A fixed, seedless hasher for addresses: each write's leading eight
+/// bytes, big-endian, mixed in with a multiply. Addresses are SHA-256
+/// output, so their leading bytes are uniform; the multiply spreads
+/// hand-built ones as well.
+#[derive(Clone, Copy, Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut word = [0u8; 8];
+        let n = bytes.len().min(8);
+        word[..n].copy_from_slice(&bytes[..n]);
+        self.0 = (self.0 ^ u64::from_be_bytes(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Pending chains by sender, each ascending by nonce. Looked up, never
+/// iterated: its order is the hasher's, not the protocol's.
+type Chains = HashMap<Address, VecDeque<Transaction>, BuildHasherDefault<AddressHasher>>;
 
 /// A fee-prioritised, nonce-ordered transaction pool.
 ///
@@ -85,20 +143,13 @@ struct Entry {
 /// assert!(pool.is_empty());
 /// # Ok::<(), ici_chain::mempool::MempoolError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Mempool {
-    /// Per sender: nonce → entry. Both maps are BTreeMaps so iteration
-    /// (`iter`, head lookups) visits (sender, nonce) in a defined order —
-    /// a HashMap here would make tie-breaks and `iter()` output depend
-    /// on hasher state across runs.
-    by_sender: BTreeMap<Address, BTreeMap<u64, Entry>>,
+    by_sender: Chains,
     /// Every pending `(fee, sender, nonce)`; min = eviction victim.
-    all_fees: BTreeSet<(u64, Address, u64)>,
-    /// Lowest-nonce entry per sender as `(fee, sender, nonce)`;
-    /// max = next block pick.
-    heads: BTreeSet<(u64, Address, u64)>,
-    /// Membership check only — never iterated.
-    ids: HashSet<TxId>,
+    all_fees: BTreeSet<FeeKey>,
+    /// Lowest-nonce entry per sender; max = next block pick.
+    heads: BTreeSet<FeeKey>,
     capacity: usize,
     len: usize,
     evicted: u64,
@@ -110,10 +161,9 @@ impl Mempool {
     /// [`MempoolError::PoolFull`].
     pub fn new(capacity: usize) -> Mempool {
         Mempool {
-            by_sender: BTreeMap::new(),
+            by_sender: Chains::default(),
             all_fees: BTreeSet::new(),
             heads: BTreeSet::new(),
-            ids: HashSet::new(),
             capacity,
             len: 0,
             evicted: 0,
@@ -143,78 +193,64 @@ impl Mempool {
     /// The lowest pending fee — what a new transaction must beat to get
     /// in once the pool is full.
     pub fn fee_floor(&self) -> Option<u64> {
-        self.cheapest().map(|(fee, _, _)| fee)
+        self.all_fees.first().map(|key| key.0)
     }
 
-    /// Whether `id` is pending.
-    pub fn contains(&self, id: &TxId) -> bool {
-        self.ids.contains(id)
+    /// The pending entry at `(sender, nonce)`, if any.
+    fn entry_at(&self, sender: &Address, nonce: u64) -> Option<&Transaction> {
+        let chain = self.by_sender.get(sender)?;
+        let pos = chain
+            .binary_search_by_key(&nonce, Transaction::nonce)
+            .ok()?;
+        chain.get(pos)
     }
 
-    /// The serveable head of `sender`'s chain, as an index tuple.
-    fn head_of(&self, sender: &Address) -> Option<(u64, Address, u64)> {
-        self.by_sender
-            .get(sender)
-            .and_then(|chain| chain.iter().next())
-            .map(|(nonce, e)| (e.tx.fee(), *sender, *nonce))
-    }
-
-    /// Fee of the pending entry at `(sender, nonce)`, if any.
-    fn fee_at(&self, sender: &Address, nonce: u64) -> Option<u64> {
-        self.by_sender
-            .get(sender)
-            .and_then(|chain| chain.get(&nonce))
-            .map(|e| e.tx.fee())
-    }
-
-    /// Re-points the `heads` index after `sender`'s chain changed.
-    fn refresh_head(
-        &mut self,
-        old_head: Option<(u64, Address, u64)>,
-        new_head: Option<(u64, Address, u64)>,
-    ) {
-        if old_head == new_head {
-            return;
+    /// Adds `tx` (the caller guarantees its `(sender, nonce)` is vacant)
+    /// and maintains both indexes and the count.
+    fn insert_entry(&mut self, sender: Address, tx: Transaction) {
+        let key = fee_key(&tx, &sender);
+        let chain = self.by_sender.entry(sender).or_default();
+        let pos = chain.partition_point(|t| t.nonce() < tx.nonce());
+        if pos == 0 {
+            if let Some(old) = chain.front() {
+                self.heads.remove(&fee_key(old, &sender));
+            }
+            self.heads.insert(key);
         }
-        if let Some(h) = old_head {
-            self.heads.remove(&h);
-        }
-        if let Some(h) = new_head {
-            self.heads.insert(h);
-        }
-    }
-
-    /// Adds an entry (the caller guarantees `(sender, nonce)` is vacant)
-    /// and maintains both indexes, the id set and the count.
-    fn insert_entry(&mut self, sender: Address, nonce: u64, entry: Entry) {
-        let old_head = self.head_of(&sender);
-        self.all_fees.insert((entry.tx.fee(), sender, nonce));
-        self.ids.insert(entry.id);
-        self.by_sender
-            .entry(sender)
-            .or_default()
-            .insert(nonce, entry);
+        chain.insert(pos, tx);
+        self.all_fees.insert(key);
         self.len += 1;
-        let new_head = self.head_of(&sender);
-        self.refresh_head(old_head, new_head);
     }
 
-    /// Removes the entry at `(sender, nonce)` — if present — dropping
-    /// empty chains and maintaining both indexes, the id set and the
-    /// count.
-    fn remove_entry(&mut self, sender: &Address, nonce: u64) -> Option<Entry> {
-        let old_head = self.head_of(sender);
+    /// Removes the entry at `(sender, nonce)` — if present — dropping an
+    /// emptied chain and maintaining both indexes and the count.
+    fn remove_entry(&mut self, sender: &Address, nonce: u64) -> Option<Transaction> {
         let chain = self.by_sender.get_mut(sender)?;
-        let entry = chain.remove(&nonce)?;
-        if chain.is_empty() {
-            self.by_sender.remove(sender);
+        let pos = chain
+            .binary_search_by_key(&nonce, Transaction::nonce)
+            .ok()?;
+        let tx = chain.remove(pos)?;
+        let key = fee_key(&tx, sender);
+        self.all_fees.remove(&key);
+        if pos == 0 {
+            self.heads.remove(&key);
+            self.promote_next(sender);
         }
-        self.all_fees.remove(&(entry.tx.fee(), *sender, nonce));
-        self.ids.remove(&entry.id);
         self.len -= 1;
-        let new_head = self.head_of(sender);
-        self.refresh_head(old_head, new_head);
-        Some(entry)
+        Some(tx)
+    }
+
+    /// After `sender`'s head left the chain: indexes the new head, or
+    /// drops the emptied chain.
+    fn promote_next(&mut self, sender: &Address) {
+        match self.by_sender.get(sender).and_then(VecDeque::front) {
+            Some(head) => {
+                self.heads.insert(fee_key(head, sender));
+            }
+            None => {
+                self.by_sender.remove(sender);
+            }
+        }
     }
 
     /// Admits `tx`, verifying its signature and applying replace-by-fee
@@ -227,12 +263,14 @@ impl Mempool {
         if !tx.verify_signature() {
             return Err(MempoolError::BadSignature);
         }
-        let id = tx.id();
-        if self.ids.contains(&id) {
-            return Err(MempoolError::Duplicate(id));
-        }
         let sender = tx.sender_address();
-        if let Some(incumbent_fee) = self.fee_at(&sender, tx.nonce()) {
+        if let Some(incumbent) = self.entry_at(&sender, tx.nonce()) {
+            // Equal to the entry at its own slot is the one way to equal
+            // any pending transaction.
+            if *incumbent == tx {
+                return Err(MempoolError::Duplicate(tx.id()));
+            }
+            let incumbent_fee = incumbent.fee();
             if incumbent_fee >= tx.fee() {
                 return Err(MempoolError::Underpriced { incumbent_fee });
             }
@@ -243,9 +281,9 @@ impl Mempool {
         if self.len >= self.capacity {
             // Evict the cheapest pending transaction if this one pays
             // more; otherwise reject.
-            match self.cheapest() {
-                Some((fee, victim_sender, victim_nonce)) if tx.fee() > fee => {
-                    if self.remove_entry(&victim_sender, victim_nonce).is_some() {
+            match self.all_fees.first().copied() {
+                Some(victim) if tx.fee() > victim.0 => {
+                    if self.remove_entry(&key_sender(&victim), victim.4).is_some() {
                         self.evicted += 1;
                     }
                 }
@@ -253,14 +291,8 @@ impl Mempool {
             }
         }
 
-        self.insert_entry(sender, tx.nonce(), Entry { tx, id });
+        self.insert_entry(sender, tx);
         Ok(())
-    }
-
-    /// The cheapest pending `(fee, sender, nonce)` — the same tuple (and
-    /// the same tie-breaks) the historical full scan produced.
-    fn cheapest(&self) -> Option<(u64, Address, u64)> {
-        self.all_fees.first().copied()
     }
 
     /// Selects up to `max` transactions for a block: senders' chains are
@@ -269,13 +301,20 @@ impl Mempool {
     pub fn take_for_block(&mut self, max: usize) -> Vec<Transaction> {
         let mut picked = Vec::with_capacity(max.min(self.len));
         while picked.len() < max {
-            let Some(&(_, sender, nonce)) = self.heads.last() else {
+            let Some(key) = self.heads.pop_last() else {
                 break;
             };
-            let Some(entry) = self.remove_entry(&sender, nonce) else {
+            let sender = key_sender(&key);
+            let Some(chain) = self.by_sender.get_mut(&sender) else {
                 break;
             };
-            picked.push(entry.tx);
+            let Some(tx) = chain.pop_front() else {
+                break;
+            };
+            self.all_fees.remove(&key);
+            self.promote_next(&sender);
+            self.len -= 1;
+            picked.push(tx);
         }
         picked
     }
@@ -284,21 +323,42 @@ impl Mempool {
     /// `next_nonce` — called after a block commits to clear included or
     /// stale entries. Returns how many were removed.
     pub fn prune_below(&mut self, sender: &Address, next_nonce: u64) -> usize {
-        let Some(chain) = self.by_sender.get(sender) else {
+        let Some(chain) = self.by_sender.get_mut(sender) else {
             return 0;
         };
-        let stale: Vec<u64> = chain.range(..next_nonce).map(|(n, _)| *n).collect();
-        for nonce in &stale {
-            self.remove_entry(sender, *nonce);
+        let stale = chain.partition_point(|t| t.nonce() < next_nonce);
+        if stale == 0 {
+            return 0;
         }
-        stale.len()
+        if let Some(head) = chain.front() {
+            self.heads.remove(&fee_key(head, sender));
+        }
+        for tx in chain.drain(..stale) {
+            self.all_fees.remove(&fee_key(&tx, sender));
+        }
+        self.promote_next(sender);
+        self.len -= stale;
+        stale
     }
 
-    /// Iterates pending transactions in (sender, nonce) order.
+    /// Iterates pending transactions in (sender, nonce) order. The
+    /// senders come from `heads`, one key each, sorted by address.
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.by_sender
-            .values()
-            .flat_map(|chain| chain.values().map(|e| &e.tx))
+        let mut senders: Vec<Address> = self.heads.iter().map(key_sender).collect();
+        senders.sort_unstable();
+        senders
+            .into_iter()
+            .flat_map(move |sender| self.by_sender.get(&sender).into_iter().flatten())
+    }
+}
+
+impl fmt::Debug for Mempool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mempool")
+            .field("capacity", &self.capacity)
+            .field("evicted", &self.evicted)
+            .field("pending", &self.iter().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -451,18 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_tracks_ids() {
-        let mut pool = Mempool::new(4);
-        let t = tx(1, 0, 2);
-        let id = t.id();
-        assert!(!pool.contains(&id));
-        pool.insert(t).expect("admits");
-        assert!(pool.contains(&id));
-        pool.take_for_block(1);
-        assert!(!pool.contains(&id));
-    }
-
-    #[test]
     fn index_invariants_hold_under_churn() {
         let mut pool = Mempool::new(8);
         for seed in 0..12 {
@@ -471,10 +519,10 @@ mod tests {
         }
         let _ = pool.take_for_block(5);
         let _ = pool.prune_below(&Address::from_seed(3), 2);
-        let entries: usize = pool.by_sender.values().map(|c| c.len()).sum();
+        let entries: usize = pool.by_sender.values().map(VecDeque::len).sum();
         assert_eq!(entries, pool.len());
+        assert_eq!(pool.iter().count(), pool.len());
         assert_eq!(pool.all_fees.len(), pool.len());
         assert_eq!(pool.heads.len(), pool.by_sender.len());
-        assert_eq!(pool.ids.len(), pool.len());
     }
 }

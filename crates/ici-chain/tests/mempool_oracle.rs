@@ -5,6 +5,9 @@
 //! full-scan algorithm, kept as the oracle the fee-ordered indexes are
 //! differentially pinned against: same admission verdicts, same eviction
 //! victims, same pick order, same survivors.
+//!
+//! The drivers compare the survivors (`iter()`) and `fee_floor()` after
+//! every step, not only at the end.
 
 use std::collections::BTreeMap;
 
@@ -170,6 +173,19 @@ impl ReferenceMempool {
     }
 }
 
+/// Asserts that `pool` and `oracle` hold the same survivors in the same
+/// (sender, nonce) order, the same count and the same fee floor.
+fn assert_agree(pool: &Mempool, oracle: &ReferenceMempool, step: usize) {
+    assert_eq!(pool.len(), oracle.len, "step={step} len");
+    let want = oracle.contents();
+    assert!(pool.iter().eq(want.iter()), "step={step} survivors");
+    assert_eq!(
+        pool.fee_floor(),
+        oracle.cheapest().map(|(fee, _, _)| fee),
+        "step={step} fee floor"
+    );
+}
+
 /// The indexed pool is operation-for-operation identical to the
 /// full-scan oracle under random churn: same admission verdicts, same
 /// eviction victims, same pick order, same survivors.
@@ -213,10 +229,8 @@ fn indexed_pool_matches_full_scan_oracle_under_churn() {
                 assert_eq!(got, want, "step={step} prune");
             }
         }
-        assert_eq!(pool.len(), oracle.len, "step={step} len");
+        assert_agree(&pool, &oracle, step);
     }
-    let drained: Vec<Transaction> = pool.iter().cloned().collect();
-    assert_eq!(drained, oracle.contents(), "survivors");
 }
 
 /// `fee_floor` always equals the oracle's full-scan cheapest fee.
@@ -241,4 +255,127 @@ fn fee_floor_matches_full_scan_minimum() {
         let _ = pool.insert(tx);
         assert_eq!(pool.fee_floor(), oracle.cheapest().map(|(fee, _, _)| fee));
     }
+}
+
+/// Sender 0 of [`heavy_sender_variants_and_reoffers_match_the_oracle`]:
+/// its chain is the one that grows long.
+const HEAVY: u64 = 0;
+
+/// A signed transfer from `sender` whose payload is `variant`'s byte (or
+/// empty for variant 0), so equal `(sender, nonce, fee)` offers can
+/// differ in their bytes.
+fn offer(sender: u64, nonce: u64, fee: u64, variant: u64) -> Transaction {
+    let payload = if variant == 0 {
+        Vec::new()
+    } else {
+        variant.to_le_bytes()[..1].to_vec()
+    };
+    Transaction::signed(
+        &Keypair::from_seed(sender),
+        Address::from_seed(sender + 500),
+        1,
+        fee,
+        nonce,
+        payload,
+    )
+}
+
+/// Offers `tx` to both pools, asserts they agree, and returns the
+/// verdict.
+fn offer_both(
+    pool: &mut Mempool,
+    oracle: &mut ReferenceMempool,
+    tx: &Transaction,
+    step: usize,
+) -> Result<(), MempoolError> {
+    let want = oracle.insert(tx.clone());
+    assert_eq!(pool.insert(tx.clone()), want, "step={step} insert");
+    want
+}
+
+/// The driver the fee-key and duplicate-slot rewrites are held to:
+/// - one heavy sender whose chain grows past 64 pending nonces, so picks
+///   pop a long chain's front and replace-by-fee lands mid-chain;
+/// - payload variants, so an equal `(sender, nonce, fee)` with other
+///   bytes is `Underpriced`, while an equal transaction is `Duplicate`;
+/// - re-offers of transactions after they were taken, evicted or pruned,
+///   which both pools admit again.
+#[test]
+fn heavy_sender_variants_and_reoffers_match_the_oracle() {
+    let mut rng = Xoshiro256::seed_from_u64(0x5D05);
+    let mut oracle = ReferenceMempool::new(200);
+    let mut pool = Mempool::new(200);
+    // Every transaction the pools dropped (taken, evicted, pruned or
+    // replaced) and not yet re-admitted.
+    let mut gone: Vec<Transaction> = Vec::new();
+    let mut longest = 0;
+    let (mut readmitted, mut duplicates, mut variants_underpriced) = (0, 0, 0);
+
+    for step in 0..1_500 {
+        let before = oracle.contents();
+        match rng.gen_range(0u32..20) {
+            // Fresh offers, the heavy sender's at any nonce below 96, so
+            // its chain fills from the middle as well as the ends.
+            0..=12 => {
+                let (sender, nonces) = if rng.gen_bool(0.7) {
+                    (HEAVY, 96)
+                } else {
+                    (rng.gen_range(1u64..20), 4)
+                };
+                let tx = offer(
+                    sender,
+                    rng.gen_range(0u64..nonces),
+                    rng.gen_range(1u64..6),
+                    rng.gen_range(0u64..3),
+                );
+                let verdict = offer_both(&mut pool, &mut oracle, &tx, step);
+                if let Err(MempoolError::Underpriced { incumbent_fee }) = verdict {
+                    variants_underpriced += usize::from(incumbent_fee == tx.fee());
+                }
+            }
+            // A re-offer: something dropped, or something pending.
+            13..=15 => {
+                if gone.is_empty() || rng.gen_bool(0.3) {
+                    let Some(tx) = rng.choose(&before) else {
+                        continue;
+                    };
+                    let verdict = offer_both(&mut pool, &mut oracle, tx, step);
+                    assert!(matches!(verdict, Err(MempoolError::Duplicate(_))));
+                    duplicates += 1;
+                } else {
+                    let tx = gone.swap_remove(rng.gen_range(0..gone.len()));
+                    match offer_both(&mut pool, &mut oracle, &tx, step) {
+                        Ok(()) => readmitted += 1,
+                        Err(_) => gone.push(tx),
+                    }
+                }
+            }
+            16..=17 => {
+                let max = rng.gen_range(1usize..8);
+                let want = oracle.take_for_block(max);
+                assert_eq!(pool.take_for_block(max), want, "step={step} take");
+            }
+            _ => {
+                let address = Address::from_seed(rng.gen_range(0u64..20));
+                let next = rng.gen_range(0u64..8);
+                let want = oracle.prune_below(&address, next);
+                assert_eq!(pool.prune_below(&address, next), want, "step={step} prune");
+            }
+        }
+        assert_agree(&pool, &oracle, step);
+        let after = oracle.contents();
+        gone.extend(before.into_iter().filter(|tx| !after.contains(tx)));
+        let heavy = oracle.by_sender.get(&Address::from_seed(HEAVY));
+        longest = longest.max(heavy.map_or(0, BTreeMap::len));
+    }
+    assert!(longest > 64, "the heavy chain peaked at {longest}");
+    assert!(
+        readmitted > 50,
+        "{readmitted} dropped transactions re-admitted"
+    );
+    assert!(duplicates > 20, "{duplicates} duplicates");
+    assert!(
+        variants_underpriced > 20,
+        "{variants_underpriced} equal-fee variants underpriced"
+    );
 }

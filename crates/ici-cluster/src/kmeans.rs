@@ -269,14 +269,9 @@ pub fn balanced_kmeans(topology: &Topology, config: &KMeansConfig) -> Partition 
 
 /// Uniform random partition into `k` near-equal clusters (round-robin over
 /// a shuffled node order). The clustering baseline of experiment E8.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
+/// A `k` of zero is taken as one: every node lands in cluster 0.
 pub fn random_partition(n: usize, k: usize, seed: u64) -> Partition {
-    // lint:allow(panic) -- documented `# Panics` contract on experiment
-    // parameters fixed at configuration time
-    assert!(k > 0, "k must be positive");
+    let k = k.max(1);
     let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x7261_6E64_7061_7274);
     let mut order: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut order);

@@ -107,3 +107,15 @@ fn a_join_into_an_empty_membership_admits_node_zero_to_cluster_zero() {
         assert_eq!(membership.cluster_of(node), cluster);
     }
 }
+
+/// A random partition into zero clusters is one cluster holding every
+/// node, the same as `k = 1`.
+#[test]
+fn a_random_partition_into_zero_clusters_is_one_cluster() {
+    for n in [0usize, 1, 7] {
+        let partition = random_partition(n, 0, 9);
+        assert_eq!(partition.cluster_count(), 1, "n={n}");
+        assert_eq!(partition.sizes(), vec![n], "n={n}");
+        assert_eq!(partition, random_partition(n, 1, 9), "n={n}");
+    }
+}

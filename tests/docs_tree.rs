@@ -7,6 +7,14 @@
 //!
 //! Every backticked repo path in README, DESIGN and EXPERIMENTS exists,
 //! or is followed on its line by `` (deleted in `<commit>`)``.
+//!
+//! Every `file.rs:N` reference there names a file of the tree with at
+//! least N lines, unless it is pinned to a commit: its line, or the
+//! header row of its table, says `` (at `<commit>`)``.
+//!
+//! Every `ICI_*` variable named there is one the tree reads (a string
+//! literal of that name in non-test source), or is followed on its line
+//! by `` (retired in `<commit>`)``.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -155,14 +163,25 @@ fn repo_path(span: &str) -> Option<String> {
     }
 }
 
+/// Whether `id` is a 7- to 40-digit hex commit id.
+fn is_commit(id: &str) -> bool {
+    (7..=40).contains(&id.len()) && id.chars().all(|c| c.is_ascii_hexdigit())
+}
+
 /// Whether `rest`, the text after a span, opens with
-/// `` (deleted in `<commit>`)``, the commit a 7- to 40-digit hex id.
-fn names_deleting_commit(rest: &str) -> bool {
-    rest.strip_prefix(" (deleted in `")
+/// `` (<event> in `<commit>`)``.
+fn names_commit(rest: &str, event: &str) -> bool {
+    rest.strip_prefix(" (")
+        .and_then(|r| r.strip_prefix(event))
+        .and_then(|r| r.strip_prefix(" in `"))
         .and_then(|r| r.split_once("`)"))
-        .is_some_and(|(id, _)| {
-            (7..=40).contains(&id.len()) && id.chars().all(|c| c.is_ascii_hexdigit())
-        })
+        .is_some_and(|(id, _)| is_commit(id))
+}
+
+/// Whether `rest`, the text after a span, opens with
+/// `` (deleted in `<commit>`)``.
+fn names_deleting_commit(rest: &str) -> bool {
+    names_commit(rest, "deleted")
 }
 
 /// Every backticked repo path of `text` (the doc `doc`) that `exists`
@@ -225,6 +244,233 @@ fn the_path_check_names_the_line() {
             "DOC.md:1: `ici-a/src/gone.rs` is not in the tree and names no commit it was deleted in",
             "DOC.md:2: `tests/x.rs` is not in the tree and names no commit it was deleted in",
             "DOC.md:7: `scripts/absent.sh` is not in the tree and names no commit it was deleted in",
+        ]
+    );
+}
+
+/// Whether `line` pins what it says to a commit: `` (at `<commit>`)``.
+fn pins_commit(line: &str) -> bool {
+    line.split("(at `")
+        .skip(1)
+        .any(|r| r.split_once("`)").is_some_and(|(id, _)| is_commit(id)))
+}
+
+/// The `file.rs:N` references of `line`, as `(file, N)`.
+fn line_refs(line: &str) -> Vec<(&str, usize)> {
+    let name_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let mut refs = Vec::new();
+    for (at, _) in line.match_indices(".rs:") {
+        let start = line[..at]
+            .rfind(|c: char| !name_char(c))
+            .map_or(0, |i| i + 1);
+        let digits = &line[at + 4..];
+        let end = digits
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(digits.len());
+        if let (Ok(n), true) = (digits[..end].parse(), start < at) {
+            refs.push((&line[start..at + 3], n));
+        }
+    }
+    refs
+}
+
+/// Every `file.rs:N` reference of `text` (the doc `doc`) that points
+/// past the end of its file, or names none, reported at its line.
+/// `lines_of` gives the longest length among the tree's files the name
+/// can mean, or `None` if it means none. A reference is exempt when its
+/// line, or the header row of its table, pins it to a commit. Fenced
+/// code blocks are skipped.
+fn line_ref_problems(
+    doc: &str,
+    text: &str,
+    lines_of: impl Fn(&str) -> Option<usize>,
+) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut fenced = false;
+    // Whether the table the previous line belongs to is pinned.
+    let mut table: Option<bool> = None;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if fenced {
+            continue;
+        }
+        let pinned = if line.starts_with('|') {
+            *table.get_or_insert(pins_commit(line))
+        } else {
+            table = None;
+            pins_commit(line)
+        };
+        if pinned {
+            continue;
+        }
+        for (file, n) in line_refs(line) {
+            let problem = match lines_of(file) {
+                None => "names no file in the tree".to_string(),
+                Some(len) if len < n => format!("points past the file's end ({len} lines)"),
+                Some(_) => continue,
+            };
+            problems.push(format!("{doc}:{}: `{file}:{n}` {problem}", i + 1));
+        }
+    }
+    problems
+}
+
+/// Every `.rs` file under `dir`, as a path relative to `root`, with its
+/// text. Hidden directories and build output are skipped.
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in fs::read_dir(dir).expect("directory lists") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().expect("named").to_string_lossy();
+        if name.starts_with('.') || name == "target" {
+            continue;
+        }
+        if path.is_dir() {
+            rust_files(root, &path, out);
+        } else if name.ends_with(".rs") {
+            let text = fs::read_to_string(&path).expect("source reads");
+            let rel = path.strip_prefix(root).expect("under the root");
+            out.push((rel.to_string_lossy().into_owned(), text));
+        }
+    }
+}
+
+#[test]
+fn every_line_reference_is_in_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(root, root, &mut files);
+    // A reference means every file it is a path suffix of.
+    let lines_of = |name: &str| {
+        let suffix = format!("/{name}");
+        files
+            .iter()
+            .filter(|(rel, _)| rel == name || rel.ends_with(&suffix))
+            .map(|(_, text)| text.lines().count())
+            .max()
+    };
+    let mut problems = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("doc reads");
+        problems.extend(line_ref_problems(doc, &text, lines_of));
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// The check itself: a reference past its file's end or to no file is
+/// reported at its line; one in range, one on a pinned line, the rows of
+/// a pinned table and a fenced block are not.
+#[test]
+fn the_line_reference_check_names_the_line() {
+    let doc = "See `mempool.rs:12` and `mempool.rs:9999`.\n\
+               `gone.rs:3` is live.\n\
+               `ici-a/src/lib.rs:40` as it stood (at `abc1234`).\n\
+               | site (at `801014f`) | note |\n|---|---|\n| `gone.rs:1` | old |\n\n\
+               | site | note |\n|---|---|\n| `gone.rs:2` | live |\n\
+               ```\ngone.rs:5\n```\n";
+    let lines_of = |name: &str| (name == "mempool.rs").then_some(400);
+    assert_eq!(
+        line_ref_problems("DOC.md", doc, lines_of),
+        [
+            "DOC.md:1: `mempool.rs:9999` points past the file's end (400 lines)",
+            "DOC.md:2: `gone.rs:3` names no file in the tree",
+            "DOC.md:10: `gone.rs:2` names no file in the tree",
+        ]
+    );
+}
+
+/// The `ICI_*` names of `line`, each with the text after it: after its
+/// backticked span's closing backtick when it sits in one.
+fn env_vars(line: &str) -> Vec<(&str, &str)> {
+    let mut vars = Vec::new();
+    for (at, _) in line.match_indices("ICI_") {
+        let before = line[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let tail = &line[at..];
+        let len = tail
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(tail.len());
+        let name = &tail[..len];
+        if name.ends_with('_') {
+            continue;
+        }
+        let in_span = line[..at].matches('`').count() % 2 == 1;
+        let rest = if in_span {
+            tail.split_once('`').map_or("", |(_, rest)| rest)
+        } else {
+            &tail[len..]
+        };
+        vars.push((name, rest));
+    }
+    vars
+}
+
+/// Every `ICI_*` variable of `text` (the doc `doc`) that `read` rejects
+/// and that is not marked `` (retired in `<commit>`)``, reported at its
+/// line. Fenced blocks are checked too: a command there sets a variable.
+fn env_problems(doc: &str, text: &str, read: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        for (name, rest) in env_vars(line) {
+            if !read(name) && !names_commit(rest, "retired") {
+                problems.push(format!(
+                    "{doc}:{}: `{name}` is read nowhere in the tree and is not marked retired",
+                    i + 1
+                ));
+            }
+        }
+    }
+    problems
+}
+
+/// Every non-test source file's text: each crate's `src` and the root
+/// package's.
+fn sources(root: &Path) -> String {
+    let mut dirs = vec![root.join("src")];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        dirs.push(entry.expect("crates/ entry").path().join("src"));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|dir| dir.is_dir()) {
+        rust_files(root, dir, &mut files);
+    }
+    files.into_iter().map(|(_, text)| text).collect()
+}
+
+#[test]
+fn every_named_env_var_is_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = sources(root);
+    let read = |name: &str| sources.contains(&format!("\"{name}\""));
+    assert!(read("ICI_TELEMETRY"), "the telemetry switch is found");
+    let mut problems = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("doc reads");
+        problems.extend(env_problems(doc, &text, read));
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// The check itself: a variable the tree does not read is reported at
+/// its line, in a span, in a fenced command or bare; a read one, a
+/// retired one and a glob are not.
+#[test]
+fn the_env_var_check_names_the_line() {
+    let doc = "Set `ICI_ON=1` or `ICI_OFF`.\n\
+               `ICI_OLD=4` (retired in `abc1234`), `ICI_*`, NOT_ICI_X.\n\
+               ```\nICI_GONE=1 cargo run\n```\n\
+               `ICI_LATE` (retired in `xyz`)\n";
+    let read = |name: &str| name == "ICI_ON";
+    assert_eq!(
+        env_problems("DOC.md", doc, read),
+        [
+            "DOC.md:1: `ICI_OFF` is read nowhere in the tree and is not marked retired",
+            "DOC.md:4: `ICI_GONE` is read nowhere in the tree and is not marked retired",
+            "DOC.md:6: `ICI_LATE` is read nowhere in the tree and is not marked retired",
         ]
     );
 }
