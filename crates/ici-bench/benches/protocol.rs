@@ -7,7 +7,7 @@
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
-use ici_bench::harness::bench_with_setup;
+use ici_bench::harness::{bench, bench_with_setup};
 use ici_chain::transaction::{Address, Transaction};
 use ici_cluster::membership::JoinPolicy;
 use ici_cluster::partition::ClusterId;
@@ -243,8 +243,8 @@ fn bench_bootstrap() {
     );
 }
 
-/// Five joins into one cluster over a 100-block chain: the first builds
-/// the cluster's rendezvous table, the next four rank only the joiner.
+/// Five joins into one cluster over a 100-block chain: each ranks the
+/// cluster's recorded owners and the joiner at every height.
 fn bench_bootstrap_one_cluster() {
     bench_with_setup(
         "bootstrap/ici_5joins_one_cluster_n64_100blocks",
@@ -274,6 +274,29 @@ fn bench_bootstrap_one_cluster() {
             network
         },
     );
+}
+
+/// Body queries on a 300-block chain of 256 nodes in clusters of 16,
+/// one a sample: every node in turn asks for heights spread over the
+/// chain, so most reads are served inside the asker's cluster.
+fn bench_query_body() {
+    let mut network = ici_network(256, 16);
+    let mut generator = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 64,
+        ..WorkloadConfig::default()
+    });
+    for _ in 0..300 {
+        let batch = generator.batch(10);
+        network.propose_block(batch).expect("commits");
+    }
+    let asks: Vec<(NodeId, u64)> = (0..4096u64)
+        .map(|i| (NodeId::new(i % 256), 1 + i * 37 % 300))
+        .collect();
+    let mut next = asks.iter().cycle();
+    bench("query/body_n256_300blocks", || {
+        let (requester, height) = *next.next().expect("cycles forever");
+        network.query_body(requester, height).expect("served")
+    });
 }
 
 /// E6 code path: audit + repair after a crash.
@@ -309,5 +332,6 @@ fn main() {
     bench_dissemination();
     bench_bootstrap();
     bench_bootstrap_one_cluster();
+    bench_query_body();
     bench_repair();
 }

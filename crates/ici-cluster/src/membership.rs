@@ -68,9 +68,10 @@ impl Membership {
     /// `policy`: [`Membership::choose_cluster`], then
     /// [`Membership::admit`]. Returns the chosen cluster.
     ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not the next dense id.
+    /// `node` is the next dense id, `partition().node_count()`, as
+    /// `Topology::push` returns it. The partition assigns that id
+    /// itself, so a wrong `node` cannot open a gap in the ids; debug
+    /// builds check that the two agree.
     pub fn join(
         &mut self,
         node: NodeId,
@@ -79,7 +80,8 @@ impl Membership {
         policy: JoinPolicy,
     ) -> ClusterId {
         let cluster = self.choose_cluster(coord, topology, policy);
-        self.admit(node, cluster);
+        let admitted = self.admit(cluster);
+        debug_assert_eq!(admitted, node, "node ids stay dense");
         cluster
     }
 
@@ -99,13 +101,10 @@ impl Membership {
         }
     }
 
-    /// Admits the brand-new node `node` to `cluster`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not the next dense id.
-    pub fn admit(&mut self, node: NodeId, cluster: ClusterId) {
-        self.partition.push_node(node, cluster);
+    /// Admits a brand-new node to `cluster` and returns its id, the
+    /// next dense one.
+    pub fn admit(&mut self, cluster: ClusterId) -> NodeId {
+        self.partition.push_node(cluster)
     }
 
     /// The cluster with the fewest members, ties to the lowest id. A

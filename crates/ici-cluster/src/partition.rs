@@ -160,24 +160,19 @@ impl Partition {
             .collect()
     }
 
-    /// Appends a new node (id must be `node_count()`) into `target`.
+    /// Appends the next node into `target` and returns its id,
+    /// `node_count()` before the call: the partition assigns it, so
+    /// ids stay dense.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not the next dense id or `target` is out of
-    /// range.
-    pub fn push_node(&mut self, node: NodeId, target: ClusterId) {
-        // lint:allow(panic) -- documented `# Panics` contract: node ids
-        // must stay dense, a structural invariant of the partition
-        assert_eq!(
-            node.index(),
-            self.assignment.len(),
-            "node ids must stay dense"
-        );
+    /// Panics if `target` is out of range.
+    pub fn push_node(&mut self, target: ClusterId) -> NodeId {
+        let node = NodeId::new(self.assignment.len() as u64);
         self.assignment.push(target);
-        let list = &mut self.members[target.index()];
-        let pos = list.binary_search(&node).unwrap_err();
-        list.insert(pos, node);
+        // The largest id yet, so the member list stays ascending.
+        self.members[target.index()].push(node);
+        node
     }
 }
 
@@ -229,19 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn push_node_appends_densely() {
+    fn push_node_assigns_the_next_dense_id() {
         let mut p = partition_of(&[2, 2]);
-        p.push_node(NodeId::new(4), ClusterId::new(0));
-        assert_eq!(p.node_count(), 5);
+        assert_eq!(p.push_node(ClusterId::new(0)), NodeId::new(4));
+        assert_eq!(p.push_node(ClusterId::new(1)), NodeId::new(5));
+        assert_eq!(p.node_count(), 6);
         assert_eq!(p.cluster_of(NodeId::new(4)), ClusterId::new(0));
-        assert_eq!(p.members(ClusterId::new(0)).len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn push_node_rejects_gaps() {
-        let mut p = partition_of(&[2]);
-        p.push_node(NodeId::new(7), ClusterId::new(0));
+        assert_eq!(
+            p.members(ClusterId::new(0)),
+            &[NodeId::new(0), NodeId::new(1), NodeId::new(4)]
+        );
+        assert_eq!(p.members(ClusterId::new(1)).last(), Some(&NodeId::new(5)));
     }
 
     #[test]

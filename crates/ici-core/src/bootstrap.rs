@@ -16,7 +16,7 @@
 use ici_chain::block::{BlockHeader, Height};
 use ici_cluster::membership::JoinPolicy;
 use ici_cluster::partition::ClusterId;
-use ici_crypto::lottery::{for_each_rendezvous_rank, insert_top, rendezvous_rank};
+use ici_crypto::lottery::{for_each_rendezvous_rank, insert_top};
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -25,7 +25,7 @@ use ici_net::topology::Coord;
 use crate::config::Assignment;
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
-use crate::network::{IciNetwork, Shipment};
+use crate::network::{fill_column, owner_of, slot_of, IciNetwork, OwnerTable, Shipment};
 
 /// Outcome of one node join.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,33 +54,6 @@ impl BootstrapReport {
     }
 }
 
-/// One cluster's rendezvous rankings of its committed heights, kept so
-/// a join ranks only the joiner. A rank is a pure function of block id
-/// and node id, and a committed block never changes, so the table holds
-/// exactly while `members` is the cluster's member list.
-#[derive(Default)]
-pub(crate) struct RankTable {
-    /// The ascending member list the pairs rank.
-    members: Vec<NodeId>,
-    /// `r` slots a height, genesis first. The first
-    /// `min(r, members.len())` of a height's slots are its top
-    /// `(rank, node)` pairs in [`insert_top`]'s order; the rest are
-    /// spare, for a join into a cluster smaller than `r`.
-    pairs: Vec<(u64, u64)>,
-}
-
-impl RankTable {
-    /// Merges `node`, of rendezvous rank `rank` at `height`, into that
-    /// height's pairs in place, and returns the merged pairs. `r` is the
-    /// replication the table was built at.
-    fn merge(&mut self, height: Height, r: usize, rank: u64, node: NodeId) -> &[(u64, u64)] {
-        let at = height as usize * r;
-        let top = &mut self.pairs[at..at + r];
-        let len = insert_top(top, r.min(self.members.len()), rank, node.get());
-        &top[..len]
-    }
-}
-
 impl IciNetwork {
     /// Admits a new node at `coord`, runs the bootstrap download, and
     /// rebalances ownership.
@@ -100,9 +73,10 @@ impl IciNetwork {
     ) -> Result<BootstrapReport, IciError> {
         let _span = ici_telemetry::span!("core/bootstrap");
         // Decide. The joiner takes the next dense id, so it sorts last in
-        // the post-join member list. Bit `h * width + i` is set when
-        // `members[i]` owns height `h`: one bit a (height, member) pair
-        // holds the decision without keeping every height's owner list.
+        // the post-join member list. The joined cluster's new owners go
+        // into the kept join column, and into the owner table only once
+        // every height the joiner would own has a source: a join that
+        // fails leaves the table as it was.
         let node = NodeId::new(self.net.topology().len() as u64);
         let cluster = self
             .membership
@@ -110,56 +84,21 @@ impl IciNetwork {
         let mut members = Vec::with_capacity(self.membership.members(cluster).len() + 1);
         members.extend_from_slice(self.membership.members(cluster));
         members.push(node);
-        let width = members.len();
-        let (holders, joiner) = (&members[..width - 1], width - 1);
-        let chain_len = self.chain_len();
-        let mut owns = vec![0u64; (chain_len as usize * width).div_ceil(64)];
-        let owned = |owns: &[u64], height: Height, i: usize| {
-            let bit = height as usize * width + i;
-            owns[bit / 64] >> (bit % 64) & 1 == 1
-        };
-        let own = |owns: &mut [u64], height: Height, owner: NodeId| {
-            if let Ok(i) = members.binary_search(&owner) {
-                let bit = height as usize * width + i;
-                owns[bit / 64] |= 1 << (bit % 64);
-            }
-        };
-        // Under rendezvous a join ranks only the joiner, against the
-        // cluster's kept pairs. The table stays out of `rank_tables`
-        // until the decision succeeds: a join that fails drops it
-        // half-merged.
-        let mut table =
-            (self.config.assignment == Assignment::Rendezvous).then(|| self.rank_table(cluster));
-        let r = self.config.replication;
-        for height in 0..chain_len {
-            let id = self.chain[height as usize].id();
-            match &mut table {
-                Some(table) => {
-                    let rank = rendezvous_rank(&id, node.get());
-                    for &(_, owner) in table.merge(height, r, rank, node) {
-                        own(&mut owns, height, NodeId::new(owner));
-                    }
-                }
-                None => {
-                    for owner in self.dispatch_owners(&id, height, &members) {
-                        own(&mut owns, height, owner);
-                    }
-                }
-            }
-            if owned(&owns, height, joiner) && self.join_source(holders, height).is_none() {
-                return Err(IciError::BodyUnavailable(height));
-            }
+        let holders = &members[..members.len() - 1];
+        let mut column = std::mem::take(&mut self.join_column);
+        let decided = self.join_owners(cluster, node, &members, &mut column);
+        if decided.is_ok() {
+            self.owners.set_cluster(cluster, &column);
         }
-        if let Some(mut table) = table {
-            table.members.push(node);
-            self.rank_tables[cluster.index()] = table;
-        }
+        self.join_column = column;
+        decided?;
 
         self.net.join(coord);
-        self.membership.admit(node, cluster);
+        self.membership.admit(cluster);
         self.holdings.push(NodeHoldings::new());
 
         // 1. Header chain from the closest live cluster member.
+        let chain_len = self.chain_len();
         let header_bytes = chain_len * BlockHeader::ENCODED_LEN as u64;
         let header_source = holders
             .iter()
@@ -189,14 +128,14 @@ impl IciNetwork {
         let mut shipment = Shipment::new(MessageKind::Bootstrap);
         let mut pruned = 0usize;
         for height in 0..chain_len {
-            if owned(&owns, height, joiner) {
+            if self.owners.holds(height, cluster, node) {
                 if let Some(source) = self.join_source(holders, height) {
                     self.ship(&mut shipment, source, node, height);
                 }
             }
             let bytes = self.chain[height as usize].header().body_len as u64;
-            for (i, member) in holders.iter().enumerate() {
-                if !owned(&owns, height, i)
+            for member in holders {
+                if !self.owners.holds(height, cluster, *member)
                     && self.holdings[member.index()].drop_body(height, bytes)
                 {
                     pruned += 1;
@@ -228,32 +167,50 @@ impl IciNetwork {
         })
     }
 
-    /// Takes `cluster`'s rank table out of `rank_tables`, rebuilt if it
-    /// ranks another member list than the cluster's, and extended to
-    /// the tip: each new height ranks every member once.
-    fn rank_table(&mut self, cluster: ClusterId) -> RankTable {
-        if self.rank_tables.len() <= cluster.index() {
-            self.rank_tables
-                .resize_with(cluster.index() + 1, RankTable::default);
-        }
-        let mut table = std::mem::take(&mut self.rank_tables[cluster.index()]);
-        let members = self.membership.members(cluster);
-        if table.members != members {
-            table.members.clear();
-            table.members.extend_from_slice(members);
-            table.pairs.clear();
-        }
+    /// Works out `cluster`'s owners of every committed height once
+    /// `joiner`, the last of `members`, has joined it: `r` slots a height
+    /// into `column`, as the owner table lays them out. Under
+    /// rendezvous the grown cluster's top `r` is the top `r` of the old
+    /// one's plus the joiner, so each height ranks only its recorded
+    /// owners and the joiner; ring and round-robin assign over the grown
+    /// member list.
+    ///
+    /// # Errors
+    ///
+    /// [`IciError::BodyUnavailable`] at the first height the joiner
+    /// would own that no live member of the cluster holds.
+    fn join_owners(
+        &self,
+        cluster: ClusterId,
+        joiner: NodeId,
+        members: &[NodeId],
+        column: &mut Vec<u32>,
+    ) -> Result<(), IciError> {
         let r = self.config.replication;
-        let covered = table.pairs.len() / r;
-        table.pairs.resize(self.chain.len() * r, (0, 0));
-        let fresh = table.pairs[covered * r..].chunks_exact_mut(r);
-        for (block, top) in self.chain[covered..].iter().zip(fresh) {
-            let mut len = 0;
-            for_each_rendezvous_rank(&block.id(), members.iter().map(|m| m.get()), |id, rank| {
-                len = insert_top(top, len, rank, id);
-            });
+        let holders = &members[..members.len() - 1];
+        column.clear();
+        column.resize(self.chain.len() * r, OwnerTable::EMPTY);
+        let mut top = vec![(0u64, 0u64); r];
+        for (block, new) in self.chain.iter().zip(column.chunks_exact_mut(r)) {
+            let height = block.height();
+            if self.config.assignment == Assignment::Rendezvous {
+                let recorded = self.owners.column(height, cluster).iter();
+                let candidates = recorded.map_while(|slot| owner_of(*slot)).chain([joiner]);
+                let mut len = 0;
+                for_each_rendezvous_rank(&block.id(), candidates.map(NodeId::get), |id, rank| {
+                    len = insert_top(&mut top, len, rank, id);
+                });
+                for (slot, &(_, owner)) in new.iter_mut().zip(&top[..len]) {
+                    *slot = slot_of(NodeId::new(owner));
+                }
+            } else {
+                fill_column(new, &self.dispatch_owners(&block.id(), height, members));
+            }
+            if new.contains(&slot_of(joiner)) && self.join_source(holders, height).is_none() {
+                return Err(IciError::BodyUnavailable(height));
+            }
         }
-        table
+        Ok(())
     }
 
     /// The first of `holders` that is live and holds the body at

@@ -303,8 +303,9 @@ impl IciNetwork {
     /// Stage 4: executes the block, updates storage holdings, and
     /// records the commit.
     ///
-    /// Who stores what comes from the member lists and owner sets
-    /// `stage_build` put in the legs, not from a second rendezvous pass:
+    /// Who stores what, and the height's row of the owner table, come
+    /// from the member lists and owner sets `stage_build` put in the
+    /// legs, not from a second rendezvous pass:
     /// membership is the same now as then, because nothing that changes
     /// it can run while the lifecycle holds `&mut self` between the two
     /// stages. Liveness *can* change in between (stage-boundary
@@ -343,11 +344,14 @@ impl IciNetwork {
         let home_commit = home_commit?;
         let post = validate_block(&block, &self.tip, &self.state)?;
 
-        // One pass over the clusters: live members of committed clusters
-        // take the header; live owners take the body.
+        // One pass over the clusters: every cluster's owners go into the
+        // height's row, live members of committed clusters take the
+        // header, and live owners take the body.
         let mut commits = Vec::with_capacity(1 + remotes.len());
         let mut missed = Vec::new();
+        self.owners.push_row();
         for leg in std::iter::once(home).chain(remotes) {
+            self.owners.set_column(height, leg.cluster, &leg.owners);
             let Some(at) = leg.commit else {
                 missed.push(leg.cluster);
                 continue;
@@ -495,6 +499,7 @@ impl IciNetwork {
         batches: Vec<Vec<Transaction>>,
         mut after_commit: impl FnMut(&IciNetwork, usize),
     ) -> Result<(), IciError> {
+        self.owners.reserve(batches.len());
         for (index, pending) in batches.into_iter().enumerate() {
             self.propose_block(pending)?;
             after_commit(self, index);

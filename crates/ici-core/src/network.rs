@@ -25,7 +25,6 @@ use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
-use crate::bootstrap::RankTable;
 use crate::config::{Clustering, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
@@ -67,6 +66,98 @@ impl Shipment {
     }
 }
 
+/// Every cluster's owners of every committed height, as the commit
+/// assigned them: what a read asks and a join merges into, instead of
+/// ranking the members again. A row per height, genesis first, of
+/// `clusters × r` slots, cluster by cluster; a cluster's slots hold its
+/// owners' node indices best-first, exactly as
+/// [`IciNetwork::owners_in_cluster`] returns them, then
+/// [`OwnerTable::EMPTY`] where a cluster smaller than `r` has no owner.
+/// Row `h`'s column `c` equals `owners_in_cluster(c, &chain[h].id(), h)`:
+/// a committed block never changes, so only construction, a commit, a
+/// join and a re-clustering write it.
+pub(crate) struct OwnerTable {
+    /// Slots a cluster takes in a row: the replication `r`.
+    r: usize,
+    /// Slots a row takes: the cluster count times `r`.
+    width: usize,
+    slots: Vec<u32>,
+}
+
+impl OwnerTable {
+    /// A slot no owner fills.
+    pub(crate) const EMPTY: u32 = u32::MAX;
+
+    /// An empty table over `clusters` clusters of `r` slots each.
+    pub(crate) fn new(clusters: usize, r: usize) -> OwnerTable {
+        OwnerTable {
+            r,
+            width: clusters * r,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Makes room for `rows` more heights.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.slots.reserve(rows * self.width);
+    }
+
+    /// Appends the next height's row, every slot empty.
+    pub(crate) fn push_row(&mut self) {
+        self.slots
+            .resize(self.slots.len() + self.width, OwnerTable::EMPTY);
+    }
+
+    /// `cluster`'s `r` slots at `height`; empty past the table.
+    pub(crate) fn column(&self, height: Height, cluster: ClusterId) -> &[u32] {
+        let at = height as usize * self.width + cluster.index() * self.r;
+        self.slots.get(at..at + self.r).unwrap_or(&[])
+    }
+
+    /// Writes `owners`, best-first, into `cluster`'s slots at `height`
+    /// and empties the rest.
+    pub(crate) fn set_column(&mut self, height: Height, cluster: ClusterId, owners: &[NodeId]) {
+        let at = height as usize * self.width + cluster.index() * self.r;
+        fill_column(&mut self.slots[at..at + self.r], owners);
+    }
+
+    /// Copies `column`, `r` slots a height from genesis, into
+    /// `cluster`'s slots of every row.
+    pub(crate) fn set_cluster(&mut self, cluster: ClusterId, column: &[u32]) {
+        let offset = cluster.index() * self.r;
+        let rows = self.slots.chunks_exact_mut(self.width);
+        for (row, owners) in rows.zip(column.chunks_exact(self.r)) {
+            row[offset..offset + self.r].copy_from_slice(owners);
+        }
+    }
+
+    /// Whether `node` owns `height` in `cluster`.
+    pub(crate) fn holds(&self, height: Height, cluster: ClusterId, node: NodeId) -> bool {
+        self.column(height, cluster).contains(&slot_of(node))
+    }
+}
+
+/// `node` as a table slot. Node ids are dense indices into the
+/// network's holdings, so a deployment reaches `u32::MAX` nodes only
+/// long after memory runs out.
+pub(crate) fn slot_of(node: NodeId) -> u32 {
+    debug_assert!(node.get() < u64::from(OwnerTable::EMPTY), "dense node id");
+    node.get() as u32
+}
+
+/// The owner a table slot names, `None` for an empty one.
+pub(crate) fn owner_of(slot: u32) -> Option<NodeId> {
+    (slot != OwnerTable::EMPTY).then(|| NodeId::new(u64::from(slot)))
+}
+
+/// Writes `owners` into `column`'s first slots and empties the rest.
+pub(crate) fn fill_column(column: &mut [u32], owners: &[NodeId]) {
+    column.fill(OwnerTable::EMPTY);
+    for (slot, owner) in column.iter_mut().zip(owners) {
+        *slot = slot_of(*owner);
+    }
+}
+
 /// A complete simulated ICIStrategy deployment.
 pub struct IciNetwork {
     pub(crate) config: IciConfig,
@@ -100,10 +191,12 @@ pub struct IciNetwork {
     /// and is refilled only when the cluster's members, their positions
     /// or the link change.
     pub(crate) vote_scratch: Vec<VoteScratch>,
-    /// Each rendezvous cluster's top-`r` pairs per committed height,
-    /// indexed by cluster id and grown on demand: built by the first
-    /// join into the cluster, so a later one ranks only the joiner.
-    pub(crate) rank_tables: Vec<RankTable>,
+    /// Every cluster's owners of every committed height: the one place
+    /// reads and joins get them.
+    pub(crate) owners: OwnerTable,
+    /// A join's new column of the joined cluster, `r` slots a height,
+    /// kept so a join allocates nothing.
+    pub(crate) join_column: Vec<u32>,
 }
 
 impl IciNetwork {
@@ -137,6 +230,7 @@ impl IciNetwork {
         for h in &mut holdings {
             h.add_header();
         }
+        let owners = OwnerTable::new(membership.cluster_count(), config.replication);
         let mut network = IciNetwork {
             config,
             net,
@@ -150,12 +244,16 @@ impl IciNetwork {
             commit_log: Vec::new(),
             verdicts: Verdicts::new(),
             vote_scratch: Vec::new(),
-            rank_tables: Vec::new(),
+            owners,
+            join_column: Vec::new(),
         };
+        network.owners.push_row();
         for cluster in network.clusters() {
-            for owner in network.owners_in_cluster(cluster, &genesis_id, 0) {
+            let owners = network.owners_in_cluster(cluster, &genesis_id, 0);
+            for owner in &owners {
                 network.holdings[owner.index()].add_body(0, genesis_body);
             }
+            network.owners.set_column(0, cluster, &owners);
         }
         Ok(network)
     }
@@ -260,6 +358,21 @@ impl IciNetwork {
         height: Height,
     ) -> Vec<NodeId> {
         self.dispatch_owners(id, height, self.membership.members(cluster))
+    }
+
+    /// The owners of the committed `height` within `cluster`, best
+    /// first: [`IciNetwork::owners_in_cluster`] of its block, read from
+    /// the table the commit wrote instead of ranked again. Empty past
+    /// the tip or the clusters.
+    pub fn owners_at(
+        &self,
+        cluster: ClusterId,
+        height: Height,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        self.owners
+            .column(height, cluster)
+            .iter()
+            .map_while(|slot| owner_of(*slot))
     }
 
     pub(crate) fn dispatch_owners(

@@ -15,14 +15,13 @@
 //! serving peer is needed.
 
 use ici_chain::block::Height;
-use ici_crypto::sha256::Digest;
 use ici_net::cost;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
 
 use crate::error::IciError;
-use crate::network::IciNetwork;
+use crate::network::{owner_of, IciNetwork};
 
 /// Fixed size of a body request on the wire (height + block id + auth).
 pub const QUERY_BYTES: u64 = 120;
@@ -80,7 +79,6 @@ impl IciNetwork {
             .get(height as usize)
             .ok_or(IciError::UnknownHeight(height))?;
         let body_bytes = block.header().body_len as u64;
-        let block_id = block.id();
 
         // Tier 1: local.
         if self.holdings[requester.index()].has_body(height) {
@@ -94,27 +92,29 @@ impl IciNetwork {
         }
 
         // Tiers 2 and 3: the first live holder that answers.
-        self.first_served(requester, &block_id, height, |net, server, tier| {
+        self.first_served(requester, height, |net, server, tier| {
             net.round_trip(requester, server, height, body_bytes, tier)
         })
         .ok_or(IciError::BodyUnavailable(height))
     }
 
-    /// Walks the assigned owners of block `(block_id, height)` tier by
-    /// tier — the requester's own cluster first, then every other cluster
-    /// in id order — offering each live holder of the body to `serve`
-    /// until one call answers. Owners are ranked one cluster at a time,
-    /// so a read its own cluster serves never ranks the others.
+    /// Walks the assigned owners of the committed `height` tier by tier
+    /// — the requester's own cluster first, then every other cluster in
+    /// id order — offering each live holder of the body to `serve` until
+    /// one call answers. The owners are read from the table the commit
+    /// wrote, so a read ranks nothing.
     pub(crate) fn first_served<T>(
         &mut self,
         requester: NodeId,
-        block_id: &Digest,
         height: Height,
         mut serve: impl FnMut(&mut IciNetwork, NodeId, QueryTier) -> Option<T>,
     ) -> Option<T> {
         let mut ask_cluster = |net: &mut IciNetwork, cluster, tier| {
-            let owners = net.dispatch_owners(block_id, height, net.membership.members(cluster));
-            for owner in owners {
+            for slot in 0..net.config.replication {
+                let column = net.owners.column(height, cluster);
+                let Some(owner) = column.get(slot).copied().and_then(owner_of) else {
+                    break;
+                };
                 if net.net.is_up(owner) && net.holdings[owner.index()].has_body(height) {
                     if let Some(answer) = serve(net, owner, tier) {
                         return Some(answer);
@@ -127,8 +127,7 @@ impl IciNetwork {
         if let Some(answer) = ask_cluster(self, my_cluster, QueryTier::IntraCluster) {
             return Some(answer);
         }
-        self.clusters()
-            .into_iter()
+        self.cluster_ids()
             .filter(|cluster| *cluster != my_cluster)
             .find_map(|cluster| ask_cluster(self, cluster, QueryTier::CrossCluster))
     }

@@ -19,7 +19,7 @@ use ici_net::time::Duration;
 use ici_storage::audit::HeightSet;
 
 use crate::config::Clustering;
-use crate::network::{IciNetwork, Shipment};
+use crate::network::{IciNetwork, OwnerTable, Shipment};
 
 /// Outcome of one reconfiguration epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,11 +69,10 @@ impl IciNetwork {
             .count();
 
         self.membership = Membership::new(partition);
-        // Rank tables hold only over the member lists they ranked.
-        self.rank_tables.clear();
 
         // Phase 1 — fetch: every new owner that lacks its body pulls it
-        // from a live pre-migration holder (snapshot taken up front).
+        // from a live pre-migration holder (snapshot taken up front). The
+        // owners computed here are the new owner table.
         let holders_snapshot: Vec<HeightSet> = self
             .holdings
             .iter()
@@ -88,10 +87,14 @@ impl IciNetwork {
         let start = self.clock;
         let mut shipment = Shipment::new(MessageKind::Repair);
         let chain_len = self.chain_len();
+        self.owners = OwnerTable::new(self.membership.cluster_count(), self.config.replication);
+        self.owners.reserve(self.chain.len());
         for height in 0..chain_len {
             let id = self.chain[height as usize].id();
+            self.owners.push_row();
             for cluster in self.clusters() {
                 let owners = self.dispatch_owners(&id, height, self.membership.members(cluster));
+                self.owners.set_column(height, cluster, &owners);
                 for owner in owners {
                     if self.holdings[owner.index()].has_body(height) {
                         continue;
@@ -105,18 +108,15 @@ impl IciNetwork {
         }
 
         // Phase 2 — prune: drop bodies from nodes that are no longer
-        // owners within their new cluster.
+        // owners within their new cluster, as the new table records.
         let mut pruned = 0usize;
         for node_idx in 0..n {
             let node = NodeId::new(node_idx as u64);
             let cluster = self.membership.cluster_of(node);
             let held: Vec<u64> = self.holdings[node_idx].body_heights().iter().collect();
             for height in held {
-                let block = &self.chain[height as usize];
-                let owners =
-                    self.dispatch_owners(&block.id(), height, self.membership.members(cluster));
-                if !owners.contains(&node) {
-                    let bytes = block.header().body_len as u64;
+                if !self.owners.holds(height, cluster, node) {
+                    let bytes = self.chain[height as usize].header().body_len as u64;
                     if self.holdings[node_idx].drop_body(height, bytes) {
                         pruned += 1;
                     }

@@ -81,11 +81,9 @@ impl IciNetwork {
         let (height, index) = self
             .locate_transaction(tx_id)
             .ok_or(IciError::UnknownTransaction(*tx_id))?;
-        let block_id = self.chain[height as usize].id();
-
         // The first live holder: intra-cluster owners first, then anywhere.
         let server = self
-            .first_served(requester, &block_id, height, |_, holder, _| Some(holder))
+            .first_served(requester, height, |_, holder, _| Some(holder))
             .ok_or(IciError::BodyUnavailable(height))?;
         let block = &self.chain[height as usize];
         let tx_root = block.header().tx_root;

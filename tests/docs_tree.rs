@@ -15,6 +15,10 @@
 //! Every `ICI_*` variable named there is one the tree reads (a string
 //! literal of that name in non-test source), or is followed on its line
 //! by `` (retired in `<commit>`)``.
+//!
+//! Every experiment id named there (`e4`, `E-fault`, `e_scale`) is a
+//! row of `ici-bench`'s `experiments::TABLE`, or its line says
+//! `` (retired in `<commit>`)``.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -471,6 +475,120 @@ fn the_env_var_check_names_the_line() {
             "DOC.md:1: `ICI_OFF` is read nowhere in the tree and is not marked retired",
             "DOC.md:4: `ICI_GONE` is read nowhere in the tree and is not marked retired",
             "DOC.md:6: `ICI_LATE` is read nowhere in the tree and is not marked retired",
+        ]
+    );
+}
+
+/// Where `experiments::TABLE` is written, one `row("<id>", ..)` a row.
+const EXPERIMENT_TABLE: &str = "crates/ici-bench/src/experiments/mod.rs";
+
+/// The experiment ids of `line`, as written and in `TABLE`'s spelling:
+/// an `e` or `E` that starts a word, then digits, or `_` or `-` and
+/// lowercase letters, ending the word. `e9_assignment` (a module) and
+/// `e2e` are no ids.
+fn experiment_ids(line: &str) -> Vec<(&str, String)> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut ids = Vec::new();
+    for (at, _) in line.match_indices(['e', 'E']) {
+        if line[..at].chars().next_back().is_some_and(word) {
+            continue;
+        }
+        let tail = &line[at + 1..];
+        let len = match tail.chars().next() {
+            Some(c) if c.is_ascii_digit() => tail
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(tail.len()),
+            Some('_' | '-') => {
+                let letters = tail[1..]
+                    .find(|c: char| !c.is_ascii_lowercase())
+                    .unwrap_or(tail.len() - 1);
+                if letters == 0 {
+                    continue;
+                }
+                letters + 1
+            }
+            _ => continue,
+        };
+        if tail[len..].chars().next().is_some_and(word) {
+            continue;
+        }
+        let written = &line[at..at + 1 + len];
+        ids.push((written, written.to_ascii_lowercase().replace('-', "_")));
+    }
+    ids
+}
+
+/// Every experiment id of `text` (the doc `doc`) that is not one of
+/// `rows`, on a line that does not mark it retired, reported at its
+/// line. Fenced blocks are checked too: a command there runs a row.
+fn experiment_problems(doc: &str, text: &str, rows: &[String]) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let retired = line
+            .split("(retired in `")
+            .skip(1)
+            .any(|r| r.split_once("`)").is_some_and(|(id, _)| is_commit(id)));
+        for (written, id) in experiment_ids(line) {
+            if !retired && !rows.contains(&id) {
+                problems.push(format!(
+                    "{doc}:{}: experiment `{written}` is not a row of `experiments::TABLE` \
+                     and its line does not mark it retired",
+                    i + 1
+                ));
+            }
+        }
+    }
+    problems
+}
+
+/// The ids of `experiments::TABLE`, read from its source.
+fn table_rows(source: &str) -> Vec<String> {
+    source
+        .split("row(\"")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('"'))
+        .map(|(id, _)| id.to_string())
+        .collect()
+}
+
+#[test]
+fn every_named_experiment_is_a_table_row() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let source = fs::read_to_string(root.join(EXPERIMENT_TABLE)).expect("the table reads");
+    let rows = table_rows(&source);
+    assert!(
+        rows.iter().any(|r| r == "e1") && rows.iter().any(|r| r == "e_fault"),
+        "{EXPERIMENT_TABLE} rows {rows:?}"
+    );
+    let mut problems = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("doc reads");
+        problems.extend(experiment_problems(doc, &text, &rows));
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// The check itself: an id that is no row is reported at its line, in
+/// any spelling, in a span or a fenced command; a row, a retired id,
+/// a module name, `e2e` and a word that merely starts with `e` are not.
+#[test]
+fn the_experiment_check_names_the_line() {
+    let rows = table_rows(
+        "pub static TABLE: [Experiment; 3] = [\n    row(\"e1\", Fixed(a)),\n    \
+         row(\"e_fault\", Seeded(b)),\n    row(\"e10\", Fixed(c)),\n];\n",
+    );
+    assert_eq!(rows, ["e1", "e_fault", "e10"]);
+    let doc = "E1, `e10`, E-fault and `results/e_fault.json` hold.\n\
+               E12 and `e_gone` do not.\n\
+               `e7` (retired in `abc1234`); `e9_assignment`, e2e, every, E-1.\n\
+               ```\nici-bench e4\n```\n\
+               E-Scale, e3x, e-fault.\n";
+    assert_eq!(
+        experiment_problems("DOC.md", doc, &rows),
+        [
+            "DOC.md:2: experiment `E12` is not a row of `experiments::TABLE` and its line does not mark it retired",
+            "DOC.md:2: experiment `e_gone` is not a row of `experiments::TABLE` and its line does not mark it retired",
+            "DOC.md:5: experiment `e4` is not a row of `experiments::TABLE` and its line does not mark it retired",
         ]
     );
 }
