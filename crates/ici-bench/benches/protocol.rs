@@ -8,7 +8,7 @@
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_bench::harness::{bench, bench_with_setup};
-use ici_chain::transaction::{Address, Transaction};
+use ici_chain::transaction::{Address, Transaction, TxId};
 use ici_cluster::membership::JoinPolicy;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
@@ -243,8 +243,8 @@ fn bench_bootstrap() {
     );
 }
 
-/// Five joins into one cluster over a 100-block chain: each ranks the
-/// cluster's recorded owners and the joiner at every height.
+/// Five joins into one cluster over a 100-block chain: each ranks only
+/// the joiner at every height and prunes by the heights members hold.
 fn bench_bootstrap_one_cluster() {
     bench_with_setup(
         "bootstrap/ici_5joins_one_cluster_n64_100blocks",
@@ -299,6 +299,38 @@ fn bench_query_body() {
     });
 }
 
+/// Transaction proofs on a 300-block chain of 256 nodes in clusters of
+/// 16, 40 transactions a block, one a sample: every node in turn asks
+/// for a transaction at heights spread over the chain. Setup's first
+/// query catches the locator up, so a sample is one locate, one 8-leaf
+/// subtree and the levels above the block's kept roots.
+fn bench_query_tx() {
+    let mut network = ici_network(256, 16);
+    let mut generator = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 256,
+        ..WorkloadConfig::default()
+    });
+    for _ in 0..300 {
+        let batch = generator.batch(40);
+        network.propose_block(batch).expect("commits");
+    }
+    let asks: Vec<(NodeId, TxId)> = (0..4096u64)
+        .map(|i| {
+            let block = network.block(1 + i * 37 % 300).expect("committed");
+            let txs = block.transactions();
+            (NodeId::new(i % 256), txs[i as usize % txs.len()].id())
+        })
+        .collect();
+    network
+        .query_transaction(asks[0].0, &asks[0].1)
+        .expect("proven");
+    let mut next = asks.iter().cycle();
+    bench("query/tx_proof_n256_300blocks", || {
+        let (requester, id) = next.next().expect("cycles forever");
+        network.query_transaction(*requester, id).expect("proven")
+    });
+}
+
 /// E6 code path: audit + repair after a crash.
 fn bench_repair() {
     bench_with_setup(
@@ -333,5 +365,6 @@ fn main() {
     bench_bootstrap();
     bench_bootstrap_one_cluster();
     bench_query_body();
+    bench_query_tx();
     bench_repair();
 }

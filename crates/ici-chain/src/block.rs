@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use ici_crypto::merkle::{self, MerkleTree};
+use ici_crypto::merkle::{self, MerkleProof, MerkleTree, SUBTREE_LEAVES};
 use ici_crypto::sha256::Digest;
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -95,23 +95,37 @@ impl Decode for BlockHeader {
 
 /// A full block: header plus transaction body.
 ///
-/// The body lives behind an `Arc<[Transaction]>` so chain reads, PBFT
-/// dissemination, and storage assignment share one allocation instead
-/// of cloning; cloning a `Block` is a reference-count bump. The block
-/// id is computed once on first use and cached (construction-only
-/// immutability: no method mutates the header after assembly).
+/// The body lives behind one `Arc` so chain reads, PBFT dissemination,
+/// and storage assignment share one allocation instead of cloning;
+/// cloning a `Block` is a reference-count bump. The body keeps the
+/// builder's `Vec` as it was handed over (no copy), and beside it the
+/// roots of the Merkle tree's aligned 8-leaf subtrees, which the root
+/// computation passes through anyway, so a proof re-hashes one subtree
+/// ([`Block::prove_tx`]). The block id is computed once on first use
+/// and cached (construction-only immutability: no method mutates the
+/// header after assembly).
 #[derive(Clone)]
 pub struct Block {
     header: BlockHeader,
-    transactions: Arc<[Transaction]>,
+    body: Arc<Body>,
     /// Lazily computed header id. Cloning carries the cache along;
     /// deliberately excluded from `PartialEq` (it is derived state).
     id_cache: OnceLock<BlockId>,
 }
 
+/// What a block's `Arc` shares: the transactions and what the header's
+/// `tx_root` was reduced through.
+struct Body {
+    transactions: Vec<Transaction>,
+    /// [`merkle::root_and_subtrees`]' subtree roots: `⌈n/8⌉` digests,
+    /// none for a body of at most 8 transactions (the root is in the
+    /// header). Derived state, so not part of `PartialEq`.
+    subtree_roots: Vec<Digest>,
+}
+
 impl PartialEq for Block {
     fn eq(&self, other: &Block) -> bool {
-        self.header == other.header && self.transactions == other.transactions
+        self.header == other.header && self.body.transactions == other.body.transactions
     }
 }
 
@@ -123,21 +137,13 @@ impl Block {
     /// `template`.
     pub fn new(template: BlockHeader, transactions: Vec<Transaction>) -> Block {
         let mut header = template;
-        header.tx_root = Block::compute_tx_root(&transactions);
+        let (tx_root, subtree_roots) = Block::tx_roots(&transactions);
+        header.tx_root = tx_root;
         // lint:allow(cast) -- tx counts are bounded by block building
         // (mempool batch sizes) far below u32::MAX
         header.tx_count = transactions.len() as u32;
-        header.body_len = transactions
-            .iter()
-            .map(|tx| tx.encoded_len())
-            // lint:allow(cast) -- body bytes are bounded by MAX_FIELD_LEN
-            // per field and per-block batch limits
-            .sum::<usize>() as u32;
-        Block {
-            header,
-            transactions: transactions.into(),
-            id_cache: OnceLock::new(),
-        }
+        header.body_len = Block::encoded_body_len(&transactions);
+        Block::assemble(header, transactions, subtree_roots)
     }
 
     /// Reassembles a block from parts already known to be consistent
@@ -160,27 +166,48 @@ impl Block {
                 body: transactions.len() as u32,
             });
         }
-        let root = Block::compute_tx_root(&transactions);
+        let (root, subtree_roots) = Block::tx_roots(&transactions);
         if header.tx_root != root {
             return Err(BlockIntegrityError::TxRoot);
         }
-        let body_len = transactions
-            .iter()
-            .map(|tx| tx.encoded_len())
-            // lint:allow(cast) -- body bytes are bounded by MAX_FIELD_LEN
-            // per field and per-block batch limits
-            .sum::<usize>() as u32;
+        let body_len = Block::encoded_body_len(&transactions);
         if header.body_len != body_len {
             return Err(BlockIntegrityError::BodyLen {
                 header: header.body_len,
                 body: body_len,
             });
         }
-        Ok(Block {
+        Ok(Block::assemble(header, transactions, subtree_roots))
+    }
+
+    fn assemble(
+        header: BlockHeader,
+        transactions: Vec<Transaction>,
+        subtree_roots: Vec<Digest>,
+    ) -> Block {
+        Block {
             header,
-            transactions: transactions.into(),
+            body: Arc::new(Body {
+                transactions,
+                subtree_roots,
+            }),
             id_cache: OnceLock::new(),
-        })
+        }
+    }
+
+    fn encoded_body_len(transactions: &[Transaction]) -> u32 {
+        transactions
+            .iter()
+            .map(|tx| tx.encoded_len())
+            // lint:allow(cast) -- body bytes are bounded by MAX_FIELD_LEN
+            // per field and per-block batch limits
+            .sum::<usize>() as u32
+    }
+
+    /// The Merkle root over `transactions` and the roots of its aligned
+    /// 8-leaf subtrees, in one reduction.
+    fn tx_roots(transactions: &[Transaction]) -> (Digest, Vec<Digest>) {
+        merkle::root_and_subtrees(&mut Block::tx_leaf_hashes(transactions))
     }
 
     /// Computes the Merkle root over transaction encodings: one leaf
@@ -190,9 +217,31 @@ impl Block {
         merkle::root_in_place(&mut Block::tx_leaf_hashes(transactions))
     }
 
-    /// Builds the Merkle tree over this block's transactions (for proofs).
+    /// Builds the Merkle tree over this block's transactions, re-deriving
+    /// every leaf from the body: what an integrity audit certifies.
+    /// Serving a proof needs only [`Block::prove_tx`].
     pub fn tx_tree(&self) -> MerkleTree {
-        MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.transactions))
+        MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.body.transactions))
+    }
+
+    /// The inclusion proof of transaction `index`, equal to
+    /// `tx_tree().prove(index)`: hashes the at most 8 leaves of the
+    /// aligned subtree holding it and the nodes above the kept subtree
+    /// roots, not the whole tree. `None` past the body.
+    pub fn prove_tx(&self, index: usize) -> Option<MerkleProof> {
+        let transactions = &self.body.transactions;
+        let start = index - index % SUBTREE_LEAVES;
+        let run = transactions.get(start..transactions.len().min(start + SUBTREE_LEAVES))?;
+        let mut leaves = [Digest::ZERO; SUBTREE_LEAVES];
+        for (leaf, tx) in leaves.iter_mut().zip(run) {
+            *leaf = tx.leaf_hash();
+        }
+        merkle::prove_from_subtrees(
+            &leaves[..run.len()],
+            &self.body.subtree_roots,
+            index,
+            transactions.len(),
+        )
     }
 
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
@@ -216,15 +265,19 @@ impl Block {
 
     /// The transaction body.
     pub fn transactions(&self) -> &[Transaction] {
-        &self.transactions
+        &self.body.transactions
     }
 
-    /// Consumes the block, returning header and an owned copy of the
-    /// body. Callers that only read should prefer [`Block::transactions`];
-    /// this copies when the body is still shared (it is the mutation
-    /// escape hatch).
+    /// Consumes the block, returning header and body. Callers that only
+    /// read should prefer [`Block::transactions`]; the body moves out
+    /// when this block is its only holder and is copied when it is still
+    /// shared (it is the mutation escape hatch).
     pub fn into_parts(self) -> (BlockHeader, Vec<Transaction>) {
-        (self.header, self.transactions.to_vec())
+        let transactions = match Arc::try_unwrap(self.body) {
+            Ok(body) => body.transactions,
+            Err(shared) => shared.transactions.clone(),
+        };
+        (self.header, transactions)
     }
 
     /// Encoded size of the body alone (what a responsible node stores on
@@ -240,7 +293,7 @@ impl fmt::Debug for Block {
         f.debug_struct("Block")
             .field("height", &self.header.height)
             .field("id", &self.id())
-            .field("txs", &self.transactions.len())
+            .field("txs", &self.body.transactions.len())
             .finish()
     }
 }
@@ -248,7 +301,7 @@ impl fmt::Debug for Block {
 impl Encode for Block {
     fn encode(&self, w: &mut Writer) {
         self.header.encode(w);
-        self.transactions.encode(w);
+        self.body.transactions.encode(w);
     }
 
     fn encoded_len(&self) -> usize {
@@ -450,6 +503,21 @@ mod tests {
         assert_eq!(block.header().tx_count, 0);
         assert_eq!(block.header().tx_root, Digest::ZERO);
         assert_eq!(Block::from_bytes(&block.to_bytes()).unwrap(), block);
+    }
+
+    /// `into_parts` hands the builder's own body back when the block is
+    /// its only holder, and a copy while a clone still shares it.
+    #[test]
+    fn into_parts_moves_an_unshared_body() {
+        let body = txs(3);
+        let at = body.as_ptr();
+        let block = Block::new(template(1, Digest::ZERO), body);
+        let shared = block.clone();
+        let (_, copied) = block.into_parts();
+        assert_ne!(copied.as_ptr(), at);
+        let (_, moved) = shared.into_parts();
+        assert_eq!(moved.as_ptr(), at);
+        assert_eq!(moved, copied);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Equivalence suite for the zero-copy block pipeline.
 //!
 //! Every optimization in the pipeline — streaming digests, cached header
-//! ids, `Arc`-shared bodies, `encoded_len` size hints — is pinned here
+//! ids, `Arc`-shared bodies, `encoded_len` size hints, proofs from the
+//! kept subtree roots — is pinned here
 //! against the plain two-pass reference it replaced: materialize the
 //! canonical encoding, then hash or measure it. A divergence anywhere in
 //! these tests means the fast path changed wire bytes or identities.
@@ -11,7 +12,7 @@ use ici_chain::codec::Encode;
 use ici_chain::hashing;
 use ici_chain::transaction::{Address, Transaction};
 use ici_crypto::merkle;
-use ici_crypto::sha256::{double_sha256, Sha256};
+use ici_crypto::sha256::{double_sha256, Digest, Sha256};
 use ici_crypto::sig::Keypair;
 use ici_rng::Xoshiro256;
 
@@ -112,5 +113,40 @@ fn cached_block_id_matches_fresh_header_hash() {
         assert_eq!(checked.id(), fresh);
         let (header, body) = block.into_parts();
         assert_eq!(Block::new(header, body).id(), fresh, "rebuilt block");
+    }
+}
+
+/// A transaction proof from the block's kept 8-leaf subtree roots is
+/// the proof of the tree re-derived from the body, for every body size
+/// through 75 (one to ten subtrees, every odd promotion above and below
+/// the kept level) and every index, on a block assembled by `new` and
+/// on the same block reassembled by `from_parts`; past the body there
+/// is none.
+#[test]
+fn subtree_proofs_match_the_full_tree() {
+    let mut rng = Xoshiro256::seed_from_u64(0x5B7);
+    let all: Vec<Transaction> = (0..75).map(|_| arb_tx(&mut rng)).collect();
+    for n in 0..=75 {
+        let template = BlockHeader {
+            height: n as u64,
+            parent: Digest::ZERO,
+            tx_root: Digest::ZERO,
+            state_root: Digest::ZERO,
+            timestamp_ms: 1,
+            proposer: 0,
+            pow_nonce: 0,
+            tx_count: 0,
+            body_len: 0,
+        };
+        let built = Block::new(template, all[..n].to_vec());
+        let (header, body) = built.clone().into_parts();
+        let rebuilt = Block::from_parts(header, body).expect("consistent parts");
+        for block in [&built, &rebuilt] {
+            let tree = block.tx_tree();
+            assert_eq!(tree.root(), block.header().tx_root, "n={n}");
+            for i in 0..=n {
+                assert_eq!(block.prove_tx(i), tree.prove(i), "n={n} i={i}");
+            }
+        }
     }
 }

@@ -167,16 +167,51 @@ where
     P: Fn(NodeId) -> (MessageKind, u64),
     V: Fn(NodeId) -> Duration,
 {
+    let mut commit_times = Vec::new();
+    let (commit, quorum) = pbft_round(net, inputs, scratch, Some(&mut commit_times));
+    CommitReport {
+        commit_times,
+        quorum,
+        commit,
+    }
+}
+
+/// [`run_pbft_commit_in`] for a caller that keeps only the cluster's
+/// outcome: returns [`CommitReport::quorum_commit`] and the quorum,
+/// and collects no per-member commit times. Traffic, meter, telemetry
+/// and trace are the same.
+pub fn run_pbft_quorum_in<P, V>(
+    net: &mut Network,
+    inputs: PbftInputs<'_, P, V>,
+    scratch: &mut VoteScratch,
+) -> (Option<SimTime>, usize)
+where
+    P: Fn(NodeId) -> (MessageKind, u64),
+    V: Fn(NodeId) -> Duration,
+{
+    pbft_round(net, inputs, scratch, None)
+}
+
+/// One round in `scratch`: the quorum-commit instant and the quorum,
+/// with each live member's commit instant, in membership order, pushed
+/// to `commit_times` if given.
+fn pbft_round<P, V>(
+    net: &mut Network,
+    inputs: PbftInputs<'_, P, V>,
+    scratch: &mut VoteScratch,
+    commit_times: Option<&mut Vec<(NodeId, SimTime)>>,
+) -> (Option<SimTime>, usize)
+where
+    P: Fn(NodeId) -> (MessageKind, u64),
+    V: Fn(NodeId) -> Duration,
+{
     let _span = ici_telemetry::span!("consensus/pbft_round");
     let members = inputs.members;
     let c = members.len();
     let q = quorum(c);
     if c == 0 || !net.is_up(inputs.leader) {
         ici_telemetry::counter_add("consensus/pbft_aborted", ici_telemetry::Label::Global, 1);
-        return CommitReport {
-            quorum: q,
-            ..CommitReport::default()
-        };
+        return (None, q);
     }
 
     // Phase 1 — pre-prepare: leader ships the payload; a member is
@@ -220,15 +255,13 @@ where
     // Phase 3 — commit: same pattern over commit votes.
     rounds.run(net, q, 2);
 
-    let mut commit_times = Vec::with_capacity(c);
-    commit_times.extend(rounds.instants());
-    let report = CommitReport {
-        commit_times,
-        quorum: q,
-        commit: rounds.quorum_instant(q),
-    };
+    if let Some(times) = commit_times {
+        times.reserve_exact(c);
+        times.extend(rounds.instants());
+    }
+    let commit = rounds.quorum_instant(q);
     ici_telemetry::counter_add(
-        if report.is_committed() {
+        if commit.is_some() {
             "consensus/pbft_committed"
         } else {
             "consensus/pbft_failed"
@@ -236,7 +269,7 @@ where
         ici_telemetry::Label::Global,
         1,
     );
-    if let Some(at) = report.commit {
+    if let Some(at) = commit {
         // Simulated commit latency, in sim-clock microseconds.
         ici_telemetry::observe(
             "consensus/pbft_commit_sim_us",
@@ -258,7 +291,7 @@ where
             );
         }
     }
-    report
+    (commit, q)
 }
 
 /// Runs `rounds` successive all-to-all vote exchanges among the distinct
@@ -645,6 +678,36 @@ mod tests {
         assert_eq!(report.commit_times.len(), 7);
         assert_eq!(report.quorum, 5);
         assert!(report.commit_times.iter().all(|&(_, t)| t > SimTime::ZERO));
+    }
+
+    /// The entry point without per-member times reports the quorum
+    /// instant and quorum of the full report and sends the same
+    /// traffic, committed or not, on a jittery link.
+    #[test]
+    fn quorum_only_round_matches_the_report() {
+        let jittery = |n| {
+            let topo = Topology::generate(n, &Placement::Uniform { side: 20.0 }, 3);
+            Network::new(topo, LinkModel::default())
+        };
+        for (n, crashed) in [(7, 0), (7, 2), (7, 3), (16, 4)] {
+            let (mut full, mut lean) = (jittery(n), jittery(n));
+            for node in (1..=crashed).map(NodeId::new) {
+                full.crash(node);
+                lean.crash(node);
+            }
+            let m = members(n as u64);
+            let inputs = || PbftInputs {
+                members: &m,
+                leader: NodeId::new(0),
+                start: SimTime::ZERO,
+                payload: |_| (MessageKind::BlockFull, 100_000),
+                validation: |_| Duration::from_millis(2),
+            };
+            let report = run_pbft_commit_in(&mut full, inputs(), &mut VoteScratch::default());
+            let outcome = run_pbft_quorum_in(&mut lean, inputs(), &mut VoteScratch::default());
+            assert_eq!(outcome, (report.quorum_commit(), report.quorum), "n={n}");
+            assert_eq!(full.meter().total(), lean.meter().total(), "n={n}");
+        }
     }
 
     #[test]

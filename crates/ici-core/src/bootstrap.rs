@@ -13,10 +13,12 @@
 //! owners which bodies they may prune; the protocol executes those prunes
 //! so storage stays at `r` replicas per cluster, not `r + ε`.
 
+use std::cmp::Ordering;
+
 use ici_chain::block::{BlockHeader, Height};
 use ici_cluster::membership::JoinPolicy;
 use ici_cluster::partition::ClusterId;
-use ici_crypto::lottery::{for_each_rendezvous_rank, insert_top};
+use ici_crypto::lottery::{for_each_rendezvous_rank, rendezvous_rank};
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -25,7 +27,7 @@ use ici_net::topology::Coord;
 use crate::config::Assignment;
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
-use crate::network::{fill_column, owner_of, slot_of, IciNetwork, OwnerTable, Shipment};
+use crate::network::{fill_column, rank_prefix, slot_of, IciNetwork, OwnerTable, Shipment};
 
 /// Outcome of one node join.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,33 +76,30 @@ impl IciNetwork {
         let _span = ici_telemetry::span!("core/bootstrap");
         // Decide. The joiner takes the next dense id, so it sorts last in
         // the post-join member list. The joined cluster's new owners go
-        // into the kept join column, and into the owner table only once
+        // into the kept join columns, and into the owner table only once
         // every height the joiner would own has a source: a join that
         // fails leaves the table as it was.
         let node = NodeId::new(self.net.topology().len() as u64);
         let cluster = self
             .membership
             .choose_cluster(coord, self.net.topology(), policy);
-        let mut members = Vec::with_capacity(self.membership.members(cluster).len() + 1);
-        members.extend_from_slice(self.membership.members(cluster));
-        members.push(node);
-        let holders = &members[..members.len() - 1];
         let mut column = std::mem::take(&mut self.join_column);
-        let decided = self.join_owners(cluster, node, &members, &mut column);
+        let mut prefixes = std::mem::take(&mut self.join_prefixes);
+        let decided = self.join_owners(cluster, node, &mut column, &mut prefixes);
         if decided.is_ok() {
-            self.owners.set_cluster(cluster, &column);
+            self.owners.set_cluster(cluster, &column, &prefixes);
         }
         self.join_column = column;
+        self.join_prefixes = prefixes;
         decided?;
 
-        self.net.join(coord);
-        self.membership.admit(cluster);
-        self.holdings.push(NodeHoldings::new());
-
         // 1. Header chain from the closest live cluster member.
+        self.net.join(coord);
         let chain_len = self.chain_len();
         let header_bytes = chain_len * BlockHeader::ENCODED_LEN as u64;
-        let header_source = holders
+        let header_source = self
+            .membership
+            .members(cluster)
             .iter()
             .copied()
             .filter(|m| self.net.is_up(*m))
@@ -109,6 +108,8 @@ impl IciNetwork {
                 let db = self.net.topology().distance_ms(node, *b);
                 da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
             });
+        self.membership.admit(cluster);
+        self.holdings.push(NodeHoldings::new());
         let mut header_delay = Duration::ZERO;
         if let Some(source) = header_source {
             if let Some(delay) = self
@@ -123,25 +124,18 @@ impl IciNetwork {
             self.holdings[node.index()].add_header();
         }
 
-        // 2. Download the joiner's share after the headers, prune
-        // ex-owners.
+        // 2. Download the joiner's share after the headers, then prune
+        // ex-owners. Shipping a height reads only holdings at that
+        // height, so the prunes may all come after.
         let mut shipment = Shipment::new(MessageKind::Bootstrap);
-        let mut pruned = 0usize;
         for height in 0..chain_len {
             if self.owners.holds(height, cluster, node) {
-                if let Some(source) = self.join_source(holders, height) {
+                if let Some(source) = self.join_source(cluster, node, height) {
                     self.ship(&mut shipment, source, node, height);
                 }
             }
-            let bytes = self.chain[height as usize].header().body_len as u64;
-            for member in holders {
-                if !self.owners.holds(height, cluster, *member)
-                    && self.holdings[member.index()].drop_body(height, bytes)
-                {
-                    pruned += 1;
-                }
-            }
         }
+        let pruned = self.prune_ex_owners(cluster, node);
         let body_bytes = shipment.bytes;
         let duration = header_delay + shipment.span();
 
@@ -168,12 +162,12 @@ impl IciNetwork {
     }
 
     /// Works out `cluster`'s owners of every committed height once
-    /// `joiner`, the last of `members`, has joined it: `r` slots a height
-    /// into `column`, as the owner table lays them out. Under
-    /// rendezvous the grown cluster's top `r` is the top `r` of the old
-    /// one's plus the joiner, so each height ranks only its recorded
-    /// owners and the joiner; ring and round-robin assign over the grown
-    /// member list.
+    /// `joiner` has joined it: `r` slots a height into `column` and
+    /// their rank prefixes into `prefixes`, as the owner table lays them
+    /// out. Under rendezvous the grown cluster's top `r` is the top `r`
+    /// of the old one's plus the joiner, so each height ranks only the
+    /// joiner and places it among the recorded owners by their rank
+    /// prefixes; ring and round-robin assign over the grown member list.
     ///
     /// # Errors
     ///
@@ -183,44 +177,118 @@ impl IciNetwork {
         &self,
         cluster: ClusterId,
         joiner: NodeId,
-        members: &[NodeId],
         column: &mut Vec<u32>,
+        prefixes: &mut Vec<u16>,
     ) -> Result<(), IciError> {
         let r = self.config.replication;
-        let holders = &members[..members.len() - 1];
         column.clear();
         column.resize(self.chain.len() * r, OwnerTable::EMPTY);
-        let mut top = vec![(0u64, 0u64); r];
-        for (block, new) in self.chain.iter().zip(column.chunks_exact_mut(r)) {
+        prefixes.clear();
+        prefixes.resize(self.chain.len() * r, 0);
+        let grown = match self.config.assignment {
+            Assignment::Rendezvous => Vec::new(),
+            _ => [self.membership.members(cluster), &[joiner]].concat(),
+        };
+        let rows = column.chunks_exact_mut(r).zip(prefixes.chunks_exact_mut(r));
+        for (block, (new, ranks)) in self.chain.iter().zip(rows) {
             let height = block.height();
             if self.config.assignment == Assignment::Rendezvous {
-                let recorded = self.owners.column(height, cluster).iter();
-                let candidates = recorded.map_while(|slot| owner_of(*slot)).chain([joiner]);
-                let mut len = 0;
-                for_each_rendezvous_rank(&block.id(), candidates.map(NodeId::get), |id, rank| {
-                    len = insert_top(&mut top, len, rank, id);
+                new.copy_from_slice(self.owners.column(height, cluster));
+                ranks.copy_from_slice(self.owners.prefixes(height, cluster));
+                let id = block.id();
+                let mut rank = 0;
+                for_each_rendezvous_rank(&id, [joiner.get()], |_, r| rank = r);
+                place_joiner(new, ranks, joiner, rank, |owner| {
+                    rendezvous_rank(&id, owner.get())
                 });
-                for (slot, &(_, owner)) in new.iter_mut().zip(&top[..len]) {
-                    *slot = slot_of(NodeId::new(owner));
-                }
             } else {
-                fill_column(new, &self.dispatch_owners(&block.id(), height, members));
+                fill_column(new, &self.dispatch_owners(&block.id(), height, &grown));
             }
-            if new.contains(&slot_of(joiner)) && self.join_source(holders, height).is_none() {
+            if new.contains(&slot_of(joiner)) && self.join_source(cluster, joiner, height).is_none()
+            {
                 return Err(IciError::BodyUnavailable(height));
             }
         }
         Ok(())
     }
 
-    /// The first of `holders` that is live and holds the body at
-    /// `height`: where a joiner downloads it from.
-    fn join_source(&self, holders: &[NodeId], height: Height) -> Option<NodeId> {
-        holders
-            .iter()
-            .copied()
-            .find(|m| self.net.is_up(*m) && self.holdings[m.index()].has_body(height))
+    /// The first member of `cluster` other than `joiner` that is live
+    /// and holds the body at `height`: where a joiner downloads it from.
+    fn join_source(&self, cluster: ClusterId, joiner: NodeId, height: Height) -> Option<NodeId> {
+        self.membership.members(cluster).iter().copied().find(|&m| {
+            m != joiner && self.net.is_up(m) && self.holdings[m.index()].has_body(height)
+        })
     }
+
+    /// Drops from every member of `cluster` but `joiner` each body the
+    /// owner table no longer gives it, walking the heights it holds
+    /// rather than every height. Returns how many were dropped.
+    fn prune_ex_owners(&mut self, cluster: ClusterId, joiner: NodeId) -> usize {
+        let mut held = std::mem::take(&mut self.held);
+        let mut pruned = 0;
+        for at in 0..self.membership.members(cluster).len() {
+            let member = self.membership.members(cluster)[at];
+            if member == joiner {
+                continue;
+            }
+            held.clear();
+            held.extend(self.holdings[member.index()].body_heights().iter());
+            for &height in &held {
+                if self.owners.holds(height, cluster, member) {
+                    continue;
+                }
+                let bytes = self.chain[height as usize].header().body_len as u64;
+                if self.holdings[member.index()].drop_body(height, bytes) {
+                    pruned += 1;
+                }
+            }
+        }
+        self.held = held;
+        pruned
+    }
+}
+
+/// Places `joiner`, of rendezvous `rank`, among the best-first owners in
+/// `column` (with their rank prefixes in `prefixes`) in
+/// [`insert_top`](ici_crypto::lottery::insert_top)'s order: higher rank
+/// first, ties to the smaller id. The owners after it shift down one and
+/// the last falls off a full column; a joiner that ranks below every
+/// slot of a full column changes nothing. An owner is ranked in full, by
+/// `owner_rank`, only when its prefix ties the joiner's, so the order is
+/// exact.
+fn place_joiner(
+    column: &mut [u32],
+    prefixes: &mut [u16],
+    joiner: NodeId,
+    rank: u64,
+    mut owner_rank: impl FnMut(NodeId) -> u64,
+) {
+    let prefix = rank_prefix(rank);
+    let len = column
+        .iter()
+        .take_while(|&&slot| slot != OwnerTable::EMPTY)
+        .count();
+    let at = column[..len]
+        .iter()
+        .zip(&*prefixes)
+        .position(|(&slot, &theirs)| match prefix.cmp(&theirs) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => {
+                let owner = NodeId::new(u64::from(slot));
+                let full = owner_rank(owner);
+                rank > full || (rank == full && joiner < owner)
+            }
+        })
+        .unwrap_or(len);
+    if at == column.len() {
+        return;
+    }
+    let end = (len + 1).min(column.len());
+    column[at..end].rotate_right(1);
+    prefixes[at..end].rotate_right(1);
+    column[at] = slot_of(joiner);
+    prefixes[at] = prefix;
 }
 
 #[cfg(test)]
@@ -257,6 +325,90 @@ mod tests {
             net.propose_block(txs).expect("commits");
         }
         net
+    }
+
+    /// `place_joiner` over owners `3` and `5` whose full ranks are
+    /// `ranks`: the new column, and how many owners it ranked in full.
+    fn placed(joiner: u64, rank: u64, ranks: [u64; 2]) -> ([u32; 2], usize) {
+        let mut column = [3, 5];
+        let mut prefixes = ranks.map(rank_prefix);
+        let mut asked = 0;
+        place_joiner(
+            &mut column,
+            &mut prefixes,
+            NodeId::new(joiner),
+            rank,
+            |owner| {
+                asked += 1;
+                ranks[usize::from(owner != NodeId::new(3))]
+            },
+        );
+        (column, asked)
+    }
+
+    /// A joiner is placed by rank prefix; an owner whose prefix ties the
+    /// joiner's is ranked in full, and equal full ranks go to the
+    /// smaller id, as `insert_top` orders them.
+    #[test]
+    fn a_prefix_tie_is_settled_by_the_full_rank_then_the_id() {
+        let tied = |low: u64| (0xABCD << 48) | low;
+        let owners = [tied(9), tied(5)];
+        // Prefixes apart: no owner is ranked again.
+        assert_eq!(placed(7, tied(9) + (1 << 48), owners), ([7, 3], 0));
+        assert_eq!(placed(7, tied(9) - (1 << 48), owners), ([3, 5], 0));
+        // Equal prefixes: the full ranks decide.
+        assert_eq!(placed(7, tied(10), owners), ([7, 3], 1));
+        assert_eq!(placed(7, tied(7), owners), ([3, 7], 2));
+        assert_eq!(placed(7, tied(4), owners), ([3, 5], 2));
+        // Equal full ranks: the smaller id first.
+        assert_eq!(placed(2, tied(9), owners), ([2, 3], 1));
+        assert_eq!(placed(4, tied(5), owners), ([3, 4], 2));
+        assert_eq!(placed(6, tied(5), owners), ([3, 5], 2));
+    }
+
+    /// Placing a joiner among a cluster's recorded top `r` gives the
+    /// top `r` that `insert_top` ranks over the members and the joiner,
+    /// slots and prefixes, for clusters smaller and larger than `r`.
+    /// Ranks share a few prefixes, so ties are common.
+    #[test]
+    fn placing_a_joiner_matches_insert_top() {
+        let mut state = 0x7A1u64;
+        let mut draw = |below: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        };
+        for case in 0..2_000 {
+            let r = 1 + case % 4;
+            let top_of = |pairs: &[(u64, u64)]| {
+                let mut top = vec![(0, 0); r];
+                let mut len = 0;
+                for &(rank, id) in pairs {
+                    len = ici_crypto::lottery::insert_top(&mut top, len, rank, id);
+                }
+                let mut column = vec![OwnerTable::EMPTY; r];
+                let mut prefixes = vec![0; r];
+                for (k, &(rank, id)) in top[..len].iter().enumerate() {
+                    column[k] = id as u32;
+                    prefixes[k] = rank_prefix(rank);
+                }
+                (column, prefixes)
+            };
+            // Even ids for the members, an odd one for the joiner.
+            let members = draw(2 * r as u64 + 1);
+            let mut pairs: Vec<(u64, u64)> = (0..members)
+                .map(|i| ((draw(3) << 48) | draw(3), 2 * i))
+                .collect();
+            let (mut column, mut prefixes) = top_of(&pairs);
+            let (rank, joiner) = ((draw(3) << 48) | draw(3), 2 * draw(members + 1) + 1);
+            let full = |owner: NodeId| pairs[(owner.get() / 2) as usize].0;
+            place_joiner(&mut column, &mut prefixes, NodeId::new(joiner), rank, full);
+            pairs.push((rank, joiner));
+            assert_eq!((column, prefixes), top_of(&pairs), "case {case}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! collaborative slice, commit-stage validation — and none of the asks is
 //! skipped. The hashing is paid once per transaction object: the first
 //! `Transaction::verify_signature` remembers its verdict in the
-//! transaction, which the shared `Arc<[Transaction]>` body carries to
+//! transaction, which the block's shared body carries to
 //! every later stage. Simulated time is unaffected — execution and hashing
 //! are charged through the cost model.
 //!
@@ -56,13 +56,15 @@
 //! on the one meter and every liveness check reads the one down-set: a
 //! crash at a boundary is visible to exactly the stages past it.
 //!
-//! Membership and owner assignment are computed once, in the build
-//! stage, and travel with the height: each committed cluster's member
-//! list and owner set reach the commit stage as built. That is sound
+//! Owner assignment is computed once, in the build stage, straight into
+//! the height's row of the owner table; every later stage reads each
+//! cluster's members from the membership and its owners from that row,
+//! and a height that fails to commit pops the row again. That is sound
 //! because membership cannot change in between — joins and
 //! re-clustering need `&mut IciNetwork`, which the lifecycle holds from
 //! build to commit, and a [`StageBoundary`] callback is handed the
-//! simulated network only.
+//! simulated network only. A height allocates nothing per cluster: the
+//! remote clusters' legs live in a buffer the network keeps.
 //!
 //! [`IciNetwork::propose_block`] is the staged lifecycle with a callback
 //! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
@@ -74,9 +76,10 @@ use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
 use ici_chain::transaction::Transaction;
 use ici_chain::validation::validate_block;
+use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::leader::elect_live_leader;
-use ici_consensus::pbft::{run_pbft_commit_in, PbftInputs, VoteScratch};
+use ici_consensus::pbft::{run_pbft_quorum_in, PbftInputs, VoteScratch};
 use ici_crypto::lottery::lottery_winner;
 use ici_crypto::sha256::Digest;
 use ici_net::cost;
@@ -86,7 +89,7 @@ use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 
 use crate::error::IciError;
-use crate::network::IciNetwork;
+use crate::network::{slot_of, IciNetwork, OwnerTable};
 
 /// Bytes of one commit-certificate signature entry (signature + signer id +
 /// digest reference).
@@ -154,16 +157,12 @@ pub enum StageBoundary {
     AfterVerify,
 }
 
-/// One cluster's part of the height in flight. Who belongs, who owns the
-/// body and who leads are frozen at build; the two instants are filled
-/// in as the stages reach the cluster.
-struct ClusterLeg {
+/// One cluster's part of the height in flight. Who leads is frozen at
+/// build (who belongs is the membership's, and who owns the body the
+/// height's row of the owner table); the two instants are filled in as
+/// the stages reach the cluster.
+pub(crate) struct ClusterLeg {
     cluster: ClusterId,
-    /// Active members at build, crashed ones included.
-    members: Vec<NodeId>,
-    /// The members assigned this block's body (`r` of them, so a scan
-    /// answers membership).
-    owners: Vec<NodeId>,
     /// Who proposes the block inside the cluster: the proposer at home,
     /// elsewhere the member elected among those live at build — `None`
     /// when none was.
@@ -219,22 +218,13 @@ impl IciNetwork {
             .map(ClusterId::new)
     }
 
-    /// Opens `cluster`'s leg of the height carrying `block`: owners
-    /// assigned over `members`, and a sequence stream keyed by the
-    /// cluster id, so every cluster — home included — draws jitter
-    /// independently of sibling clusters and of the order they run in.
-    fn open_leg(
-        &self,
-        cluster: ClusterId,
-        members: Vec<NodeId>,
-        leader: Option<NodeId>,
-        block: &Block,
-    ) -> ClusterLeg {
-        let owners = self.dispatch_owners(&block.id(), block.height(), &members);
+    /// Opens `cluster`'s leg of the height, with a sequence stream keyed
+    /// by the cluster id, so every cluster — home included — draws
+    /// jitter independently of sibling clusters and of the order they
+    /// run in.
+    fn open_leg(&self, cluster: ClusterId, leader: Option<NodeId>) -> ClusterLeg {
         ClusterLeg {
             cluster,
-            members,
-            owners,
             leader,
             stream: self.net.stream(u64::from(cluster.get())),
             arrival: None,
@@ -243,7 +233,8 @@ impl IciNetwork {
     }
 
     /// Stage 1: election, block assembly on the committed tip and state,
-    /// and per-cluster sequence streams.
+    /// the height's row of the owner table, and per-cluster sequence
+    /// streams.
     ///
     /// This is the only stage that touches the network's own sequence
     /// stream: one [`Network::advance_stream`] after taking the
@@ -260,8 +251,8 @@ impl IciNetwork {
         let height = parent.height + 1;
 
         let home = self.proposer_cluster(height).ok_or(IciError::NoLeader)?;
-        let home_members = self.membership.members(home).to_vec();
-        let proposer = elect_live_leader(&parent_id, height, &home_members, |n| self.net.is_up(n))
+        let home_members = self.membership.members(home);
+        let proposer = elect_live_leader(&parent_id, height, home_members, |n| self.net.is_up(n))
             .ok_or(IciError::NoLeader)?;
 
         // Build the block at the leader. The timestamp is derived from
@@ -276,17 +267,21 @@ impl IciNetwork {
             + cost::hash(block.body_len() as u64);
         let proposed_at = self.clock + build_cost;
 
-        let mut home = self.open_leg(home, home_members, Some(proposer), &block);
+        self.owners
+            .push_row(self.config.assignment, &block.id(), &self.membership);
+        let mut home = self.open_leg(home, Some(proposer));
         home.arrival = Some(proposed_at);
-        let remotes = self
-            .cluster_ids()
-            .filter(|&other| other != home.cluster)
-            .map(|other| {
-                let members = self.membership.members(other).to_vec();
-                let leader = elect_live_leader(&parent_id, height, &members, |n| self.net.is_up(n));
-                self.open_leg(other, members, leader, &block)
-            })
-            .collect();
+        let mut remotes = std::mem::take(&mut self.remote_legs);
+        remotes.extend(
+            self.cluster_ids()
+                .filter(|&other| other != home.cluster)
+                .map(|other| {
+                    let members = self.membership.members(other);
+                    let leader =
+                        elect_live_leader(&parent_id, height, members, |n| self.net.is_up(n));
+                    self.open_leg(other, leader)
+                }),
+        );
         self.net.advance_stream();
 
         Ok(HeightInFlight {
@@ -303,15 +298,16 @@ impl IciNetwork {
     /// Stage 4: executes the block, updates storage holdings, and
     /// records the commit.
     ///
-    /// Who stores what, and the height's row of the owner table, come
-    /// from the member lists and owner sets `stage_build` put in the
-    /// legs, not from a second rendezvous pass:
-    /// membership is the same now as then, because nothing that changes
-    /// it can run while the lifecycle holds `&mut self` between the two
-    /// stages. Liveness *can* change in between (stage-boundary
-    /// crashes), so it is read here.
+    /// Who stores what comes from the membership and the height's row
+    /// of the owner table `stage_build` wrote, not from a second
+    /// rendezvous pass: membership is the same now as then, because
+    /// nothing that changes it can run while the lifecycle holds
+    /// `&mut self` between the two stages. Liveness *can* change in
+    /// between (stage-boundary crashes), so it is read here.
     ///
     /// # Errors
+    ///
+    /// Either pops the height's row again:
     ///
     /// * [`IciError::NoQuorum`] — `home_commit` carried over from a
     ///   failed home vote; the failed consensus traffic stays on the
@@ -330,7 +326,7 @@ impl IciNetwork {
             proposer,
             proposed_at,
             home,
-            remotes,
+            mut remotes,
             meter_at_build,
             ..
         } = flight;
@@ -341,32 +337,40 @@ impl IciNetwork {
         // Authoritative execution (defensive re-validation) of a height
         // whose home cluster committed, ruled on before anything is
         // written.
-        let home_commit = home_commit?;
-        let post = validate_block(&block, &self.tip, &self.state)?;
+        let ruled =
+            home_commit.and_then(|at| Ok((at, validate_block(&block, &self.tip, &self.state)?)));
+        let (home_commit, post) = match ruled {
+            Ok(ruled) => ruled,
+            Err(e) => {
+                self.owners.pop_row();
+                remotes.clear();
+                self.remote_legs = remotes;
+                return Err(e);
+            }
+        };
 
-        // One pass over the clusters: every cluster's owners go into the
-        // height's row, live members of committed clusters take the
-        // header, and live owners take the body.
+        // One pass over the clusters: live members of committed clusters
+        // take the header, and live owners take the body.
         let mut commits = Vec::with_capacity(1 + remotes.len());
         let mut missed = Vec::new();
-        self.owners.push_row();
-        for leg in std::iter::once(home).chain(remotes) {
-            self.owners.set_column(height, leg.cluster, &leg.owners);
+        for leg in std::iter::once(&home).chain(&remotes) {
             let Some(at) = leg.commit else {
                 missed.push(leg.cluster);
                 continue;
             };
             commits.push((leg.cluster, at));
-            for m in leg.members {
+            for &m in self.membership.members(leg.cluster) {
                 if !self.net.is_up(m) {
                     continue;
                 }
                 self.holdings[m.index()].add_header();
-                if leg.owners.contains(&m) {
+                if self.owners.holds(height, leg.cluster, m) {
                     self.holdings[m.index()].add_body(height, body_bytes);
                 }
             }
         }
+        remotes.clear();
+        self.remote_legs = remotes;
         let network_commit = commits
             .iter()
             .fold(home_commit, |latest, &(_, at)| latest.max(at));
@@ -472,15 +476,16 @@ impl IciNetwork {
         let _span = ici_telemetry::span!("core/block_lifecycle");
         let mut flight = self.stage_build(pending)?;
         at_boundary(StageBoundary::AfterBuild, &mut self.net);
-        let home_commit = stage_distribute(&mut self.net, &mut self.vote_scratch, &mut flight);
-        at_boundary(StageBoundary::AfterDistribute, &mut self.net);
+        let mut round = VoteRound {
+            net: &mut self.net,
+            scratches: &mut self.vote_scratch,
+            membership: &self.membership,
+            owners: &self.owners,
+        };
+        let home_commit = stage_distribute(&mut round, &mut flight);
+        at_boundary(StageBoundary::AfterDistribute, &mut *round.net);
         if let Ok(home_commit) = home_commit {
-            stage_verify(
-                &mut self.net,
-                &mut self.vote_scratch,
-                &mut flight,
-                home_commit,
-            );
+            stage_verify(&mut round, &mut flight, home_commit);
         }
         at_boundary(StageBoundary::AfterVerify, &mut self.net);
         self.stage_commit(flight, home_commit)
@@ -523,60 +528,66 @@ impl IciNetwork {
     }
 }
 
-/// `cluster`'s vote-round scratch in `scratches`, indexed by cluster id,
-/// growing the list to reach it.
-fn scratch_of(scratches: &mut Vec<VoteScratch>, cluster: ClusterId) -> &mut VoteScratch {
-    let index = cluster.index();
-    if scratches.len() <= index {
-        scratches.resize_with(index + 1, VoteScratch::default);
-    }
-    &mut scratches[index]
+/// What a height's vote rounds work on: the one simulated network,
+/// each cluster's vote-round scratch (indexed by cluster id and grown on
+/// demand), and who belongs to and owns the body in each cluster.
+struct VoteRound<'a> {
+    net: &'a mut Network,
+    scratches: &'a mut Vec<VoteScratch>,
+    membership: &'a Membership,
+    owners: &'a OwnerTable,
 }
 
-/// One cluster's vote round on its own stream, proposed by `leader` at
-/// `start`: the body to the owners, the header to everyone else, every
-/// member validating its `1/c` share before it votes. Home and remote
-/// clusters run the same round, each in its cluster's scratch out of
-/// `scratches`. Records the quorum-commit instant in the leg and returns
-/// the quorum the round needed.
-fn vote_round(
-    net: &mut Network,
-    scratches: &mut Vec<VoteScratch>,
-    leg: &mut ClusterLeg,
-    leader: NodeId,
-    start: SimTime,
-    block: &Block,
-) -> usize {
-    let body_bytes = block.body_len() as u64;
-    // Every member validates the same share.
-    let validation = cost::collaborative_member_validation(
-        block.transactions().len(),
-        body_bytes,
-        leg.members.len(),
-    );
-    let (members, owners) = (&leg.members, &leg.owners);
-    let scratch = scratch_of(scratches, leg.cluster);
-    let report = net.on_stream(&mut leg.stream, |net| {
-        run_pbft_commit_in(
-            net,
-            PbftInputs {
-                members,
-                leader,
-                start,
-                payload: |m| {
-                    if owners.contains(&m) {
-                        (MessageKind::BlockBody, HEADER_BYTES + body_bytes)
-                    } else {
-                        (MessageKind::BlockHeader, HEADER_BYTES)
-                    }
+impl VoteRound<'_> {
+    /// One cluster's vote round on its own stream, proposed by `leader`
+    /// at `start`: the body to the owners, the header to everyone else,
+    /// every member validating its `1/c` share before it votes. Home and
+    /// remote clusters run the same round, each in its cluster's
+    /// scratch. Records the quorum-commit instant in the leg and returns
+    /// the quorum the round needed.
+    fn run(
+        &mut self,
+        leg: &mut ClusterLeg,
+        leader: NodeId,
+        start: SimTime,
+        block: &Block,
+    ) -> usize {
+        let body_bytes = block.body_len() as u64;
+        let members = self.membership.members(leg.cluster);
+        let owners = self.owners.column(block.height(), leg.cluster);
+        // Every member validates the same share.
+        let validation = cost::collaborative_member_validation(
+            block.transactions().len(),
+            body_bytes,
+            members.len(),
+        );
+        let index = leg.cluster.index();
+        if self.scratches.len() <= index {
+            self.scratches.resize_with(index + 1, VoteScratch::default);
+        }
+        let scratch = &mut self.scratches[index];
+        let (commit, quorum) = self.net.on_stream(&mut leg.stream, |net| {
+            run_pbft_quorum_in(
+                net,
+                PbftInputs {
+                    members,
+                    leader,
+                    start,
+                    payload: |m| {
+                        if owners.contains(&slot_of(m)) {
+                            (MessageKind::BlockBody, HEADER_BYTES + body_bytes)
+                        } else {
+                            (MessageKind::BlockHeader, HEADER_BYTES)
+                        }
+                    },
+                    validation: |_| validation,
                 },
-                validation: |_| validation,
-            },
-            scratch,
-        )
-    });
-    leg.commit = report.quorum_commit();
-    report.quorum
+                scratch,
+            )
+        });
+        leg.commit = commit;
+        quorum
+    }
 }
 
 /// Stage 2: the home cluster's vote round plus the leader-to-leader
@@ -590,8 +601,7 @@ fn vote_round(
 /// height still goes on to the commit stage; the traffic the failed
 /// round sent stays on the meter.
 fn stage_distribute(
-    net: &mut Network,
-    scratches: &mut Vec<VoteScratch>,
+    round: &mut VoteRound<'_>,
     flight: &mut HeightInFlight,
 ) -> Result<SimTime, IciError> {
     let _span = ici_telemetry::span!("core/stage_distribute", cluster = flight.home.cluster.get());
@@ -610,20 +620,16 @@ fn stage_distribute(
             cluster: Some(u64::from(home.cluster.get())),
             parent: block_tid,
         };
-        net.on_stream(&mut home.stream, |net| net.set_trace_ctx(ctx));
+        round
+            .net
+            .on_stream(&mut home.stream, |net| net.set_trace_ctx(ctx));
     }
-    let quorum = vote_round(
-        net,
-        scratches,
-        home,
-        flight.proposer,
-        proposed_at,
-        &flight.block,
-    );
+    let quorum = round.run(home, flight.proposer, proposed_at, &flight.block);
     let Some(home_commit) = home.commit else {
+        let members = round.membership.members(home.cluster);
         return Err(IciError::NoQuorum {
             cluster: home.cluster.get(),
-            live: home.members.iter().filter(|&&m| net.is_up(m)).count(),
+            live: members.iter().filter(|&&m| round.net.is_up(m)).count(),
             needed: quorum,
         });
     };
@@ -638,7 +644,7 @@ fn stage_distribute(
             continue;
         };
         let cluster = Some(u64::from(leg.cluster.get()));
-        leg.arrival = net.on_stream(&mut leg.stream, |net| {
+        leg.arrival = round.net.on_stream(&mut leg.stream, |net| {
             if tracing {
                 net.set_trace_ctx(ici_trace::SendCtx {
                     sends: true,
@@ -691,12 +697,7 @@ fn stage_distribute(
 /// Stage 3: the vote round (collaborative verify + votes) of every
 /// remote cluster the block reached, one after another. Runs only for a
 /// height whose home cluster committed, at `home_commit`.
-fn stage_verify(
-    net: &mut Network,
-    scratches: &mut Vec<VoteScratch>,
-    flight: &mut HeightInFlight,
-    home_commit: SimTime,
-) {
+fn stage_verify(round: &mut VoteRound<'_>, flight: &mut HeightInFlight, home_commit: SimTime) {
     let _span = ici_telemetry::span!("core/stage_verify");
     let mut network_commit = home_commit;
     for leg in &mut flight.remotes {
@@ -704,7 +705,7 @@ fn stage_verify(
             continue;
         };
         let _cluster_span = ici_telemetry::span!("core/remote_commit", cluster = leg.cluster.get());
-        vote_round(net, scratches, leg, leader, arrival, &flight.block);
+        round.run(leg, leader, arrival, &flight.block);
         if let Some(at) = leg.commit {
             network_commit = network_commit.max(at);
         }

@@ -15,6 +15,7 @@ use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfi
 use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::pbft::VoteScratch;
+use ici_crypto::lottery::{for_each_rendezvous_rank, insert_top};
 use ici_crypto::sha256::Digest;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -25,10 +26,10 @@ use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
-use crate::config::{Clustering, IciConfig};
+use crate::config::{Assignment, Clustering, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
-use crate::lifecycle::BlockCommitRecord;
+use crate::lifecycle::{BlockCommitRecord, ClusterLeg};
 use crate::merkle_audit::Verdicts;
 
 /// Bodies written after their block committed, shipped through
@@ -76,12 +77,24 @@ impl Shipment {
 /// Row `h`'s column `c` equals `owners_in_cluster(c, &chain[h].id(), h)`:
 /// a committed block never changes, so only construction, a commit, a
 /// join and a re-clustering write it.
+///
+/// Beside every slot sits a rank prefix: under rendezvous assignment the
+/// top 16 bits of that owner's rendezvous rank of the height's block, so
+/// a join places its joiner among the owners by comparing prefixes and
+/// ranks an owner again only on a tie (one comparison in 65 536); under
+/// ring and round-robin, and in an empty slot, 0. Two bytes a slot, not
+/// four: a table grown height by height holds up to twice its rows.
 pub(crate) struct OwnerTable {
     /// Slots a cluster takes in a row: the replication `r`.
     r: usize,
     /// Slots a row takes: the cluster count times `r`.
     width: usize,
     slots: Vec<u32>,
+    /// One rank prefix a slot, laid out as `slots`.
+    prefixes: Vec<u16>,
+    /// A rendezvous ranking's best-first `(rank, node)` pairs, `r` of
+    /// them: the writers rank into it, so a row allocates nothing.
+    top: Vec<(u64, u64)>,
 }
 
 impl OwnerTable {
@@ -94,40 +107,90 @@ impl OwnerTable {
             r,
             width: clusters * r,
             slots: Vec::new(),
+            prefixes: Vec::new(),
+            top: vec![(0, 0); r],
         }
     }
 
     /// Makes room for `rows` more heights.
     pub(crate) fn reserve(&mut self, rows: usize) {
         self.slots.reserve(rows * self.width);
+        self.prefixes.reserve(rows * self.width);
     }
 
-    /// Appends the next height's row, every slot empty.
-    pub(crate) fn push_row(&mut self) {
-        self.slots
-            .resize(self.slots.len() + self.width, OwnerTable::EMPTY);
+    /// Heights recorded.
+    fn rows(&self) -> usize {
+        self.slots.len() / self.width.max(1)
+    }
+
+    /// Appends the next height's row: each cluster of `membership`
+    /// ranked under `assignment` for the block `id`, as
+    /// [`IciNetwork::owners_in_cluster`] would, and its owners' rank
+    /// prefixes.
+    pub(crate) fn push_row(
+        &mut self,
+        assignment: Assignment,
+        id: &Digest,
+        membership: &Membership,
+    ) {
+        let height = self.rows() as Height;
+        let at = self.slots.len();
+        self.slots.resize(at + self.width, OwnerTable::EMPTY);
+        self.prefixes.resize(at + self.width, 0);
+        let slots = self.slots[at..].chunks_exact_mut(self.r);
+        let prefixes = self.prefixes[at..].chunks_exact_mut(self.r);
+        for ((slots, prefixes), c) in slots.zip(prefixes).zip(0u32..) {
+            let members = membership.members(ClusterId::new(c));
+            if assignment != Assignment::Rendezvous {
+                fill_column(slots, &assignment.owners(id, height, members, self.r));
+                continue;
+            }
+            let mut len = 0;
+            let top = &mut self.top;
+            for_each_rendezvous_rank(id, members.iter().map(|m| m.get()), |node, rank| {
+                len = insert_top(top, len, rank, node);
+            });
+            for ((slot, prefix), &(rank, node)) in slots.iter_mut().zip(prefixes).zip(&top[..len]) {
+                *slot = slot_of(NodeId::new(node));
+                *prefix = rank_prefix(rank);
+            }
+        }
+    }
+
+    /// Drops the last height's row: a height that failed to commit.
+    pub(crate) fn pop_row(&mut self) {
+        let at = self.slots.len().saturating_sub(self.width);
+        self.slots.truncate(at);
+        self.prefixes.truncate(at);
+    }
+
+    fn column_at(&self, height: Height, cluster: ClusterId) -> usize {
+        height as usize * self.width + cluster.index() * self.r
     }
 
     /// `cluster`'s `r` slots at `height`; empty past the table.
     pub(crate) fn column(&self, height: Height, cluster: ClusterId) -> &[u32] {
-        let at = height as usize * self.width + cluster.index() * self.r;
+        let at = self.column_at(height, cluster);
         self.slots.get(at..at + self.r).unwrap_or(&[])
     }
 
-    /// Writes `owners`, best-first, into `cluster`'s slots at `height`
-    /// and empties the rest.
-    pub(crate) fn set_column(&mut self, height: Height, cluster: ClusterId, owners: &[NodeId]) {
-        let at = height as usize * self.width + cluster.index() * self.r;
-        fill_column(&mut self.slots[at..at + self.r], owners);
+    /// The rank prefixes of [`OwnerTable::column`]'s slots.
+    pub(crate) fn prefixes(&self, height: Height, cluster: ClusterId) -> &[u16] {
+        let at = self.column_at(height, cluster);
+        self.prefixes.get(at..at + self.r).unwrap_or(&[])
     }
 
-    /// Copies `column`, `r` slots a height from genesis, into
-    /// `cluster`'s slots of every row.
-    pub(crate) fn set_cluster(&mut self, cluster: ClusterId, column: &[u32]) {
+    /// Copies `column` and its `prefixes`, `r` slots a height from
+    /// genesis, into `cluster`'s slots of every row.
+    pub(crate) fn set_cluster(&mut self, cluster: ClusterId, column: &[u32], prefixes: &[u16]) {
         let offset = cluster.index() * self.r;
         let rows = self.slots.chunks_exact_mut(self.width);
         for (row, owners) in rows.zip(column.chunks_exact(self.r)) {
             row[offset..offset + self.r].copy_from_slice(owners);
+        }
+        let rows = self.prefixes.chunks_exact_mut(self.width);
+        for (row, ranks) in rows.zip(prefixes.chunks_exact(self.r)) {
+            row[offset..offset + self.r].copy_from_slice(ranks);
         }
     }
 
@@ -135,6 +198,12 @@ impl OwnerTable {
     pub(crate) fn holds(&self, height: Height, cluster: ClusterId, node: NodeId) -> bool {
         self.column(height, cluster).contains(&slot_of(node))
     }
+}
+
+/// The rank prefix a table keeps of a rendezvous `rank`: its top 16
+/// bits.
+pub(crate) fn rank_prefix(rank: u64) -> u16 {
+    (rank >> 48) as u16
 }
 
 /// `node` as a table slot. Node ids are dense indices into the
@@ -195,8 +264,14 @@ pub struct IciNetwork {
     /// reads and joins get them.
     pub(crate) owners: OwnerTable,
     /// A join's new column of the joined cluster, `r` slots a height,
-    /// kept so a join allocates nothing.
+    /// and their rank prefixes, kept so a join allocates nothing.
     pub(crate) join_column: Vec<u32>,
+    pub(crate) join_prefixes: Vec<u16>,
+    /// The heights one holder holds, while a join prunes it.
+    pub(crate) held: Vec<Height>,
+    /// The remote clusters' legs of the height in flight, kept so a
+    /// height allocates nothing per cluster.
+    pub(crate) remote_legs: Vec<ClusterLeg>,
 }
 
 impl IciNetwork {
@@ -246,14 +321,20 @@ impl IciNetwork {
             vote_scratch: Vec::new(),
             owners,
             join_column: Vec::new(),
+            join_prefixes: Vec::new(),
+            held: Vec::new(),
+            remote_legs: Vec::new(),
         };
-        network.owners.push_row();
-        for cluster in network.clusters() {
-            let owners = network.owners_in_cluster(cluster, &genesis_id, 0);
-            for owner in &owners {
-                network.holdings[owner.index()].add_body(0, genesis_body);
+        let assignment = network.config.assignment;
+        network
+            .owners
+            .push_row(assignment, &genesis_id, &network.membership);
+        for cluster in network.cluster_ids() {
+            for &slot in network.owners.column(0, cluster) {
+                if let Some(owner) = owner_of(slot) {
+                    network.holdings[owner.index()].add_body(0, genesis_body);
+                }
             }
-            network.owners.set_column(0, cluster, &owners);
         }
         Ok(network)
     }
@@ -373,6 +454,18 @@ impl IciNetwork {
             .column(height, cluster)
             .iter()
             .map_while(|slot| owner_of(*slot))
+    }
+
+    /// [`IciNetwork::owners_at`] with each owner's recorded rank
+    /// prefix: the top 16 bits of its rendezvous rank of the height's
+    /// block under rendezvous assignment, 0 under ring and round-robin.
+    pub fn owner_prefixes_at(
+        &self,
+        cluster: ClusterId,
+        height: Height,
+    ) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        self.owners_at(cluster, height)
+            .zip(self.owners.prefixes(height, cluster).iter().copied())
     }
 
     pub(crate) fn dispatch_owners(

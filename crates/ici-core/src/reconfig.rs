@@ -16,10 +16,9 @@ use ici_cluster::membership::Membership;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
-use ici_storage::audit::HeightSet;
 
 use crate::config::Clustering;
-use crate::network::{IciNetwork, OwnerTable, Shipment};
+use crate::network::{owner_of, slot_of, IciNetwork, OwnerTable, Shipment};
 
 /// Outcome of one reconfiguration epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,10 +49,95 @@ impl IciNetwork {
     pub fn reconfigure_clusters(&mut self) -> ReconfigReport {
         let _span = ici_telemetry::span!("core/reconfig");
         let n = self.holdings.len();
-        let k = n.div_ceil(self.config.cluster_size).max(1);
         let clusters_before = self.membership.cluster_count();
+        let (clusters_after, moved_nodes) = self.repartition();
 
-        // Repartition over the full topology.
+        // Phase 1 — fetch: every new owner that lacks its body pulls it
+        // from a live pre-migration holder, the lowest id among them,
+        // found for every height in one pass before anything ships. The
+        // owners ranked here are the new owner table.
+        let chain_len = self.chain_len();
+        let mut first_holder = vec![OwnerTable::EMPTY; self.chain.len()];
+        for (index, holdings) in self.holdings.iter().enumerate() {
+            let node = NodeId::new(index as u64);
+            if !self.net.is_up(node) {
+                continue;
+            }
+            for height in holdings.body_heights().iter() {
+                let first = &mut first_holder[height as usize];
+                if *first == OwnerTable::EMPTY {
+                    *first = slot_of(node);
+                }
+            }
+        }
+
+        let start = self.clock;
+        let mut shipment = Shipment::new(MessageKind::Repair);
+        self.owners = OwnerTable::new(self.membership.cluster_count(), self.config.replication);
+        self.owners.reserve(self.chain.len());
+        for height in 0..chain_len {
+            let id = self.chain[height as usize].id();
+            self.owners
+                .push_row(self.config.assignment, &id, &self.membership);
+            // Already lost when no live node held it; repair handles it
+            // later.
+            let Some(source) = owner_of(first_holder[height as usize]) else {
+                continue;
+            };
+            for cluster in self.cluster_ids() {
+                for slot in 0..self.config.replication {
+                    let column = self.owners.column(height, cluster);
+                    let Some(owner) = column.get(slot).copied().and_then(owner_of) else {
+                        break;
+                    };
+                    if !self.holdings[owner.index()].has_body(height) {
+                        self.ship(&mut shipment, source, owner, height);
+                    }
+                }
+            }
+        }
+
+        // Phase 2 — prune: drop bodies from nodes that are no longer
+        // owners within their new cluster, as the new table records.
+        let mut pruned = 0usize;
+        let mut held = std::mem::take(&mut self.held);
+        for node_idx in 0..n {
+            let node = NodeId::new(node_idx as u64);
+            let cluster = self.membership.cluster_of(node);
+            held.clear();
+            held.extend(self.holdings[node_idx].body_heights().iter());
+            for &height in &held {
+                if !self.owners.holds(height, cluster, node) {
+                    let bytes = self.chain[height as usize].header().body_len as u64;
+                    if self.holdings[node_idx].drop_body(height, bytes) {
+                        pruned += 1;
+                    }
+                }
+            }
+        }
+        self.held = held;
+
+        let duration = shipment.span();
+        self.clock = start + duration;
+
+        ReconfigReport {
+            clusters_before,
+            clusters_after,
+            moved_nodes,
+            bodies_fetched: shipment.replicas,
+            bodies_pruned: pruned,
+            bytes_moved: shipment.bytes,
+            duration,
+        }
+    }
+
+    /// Recomputes the partition over the whole topology, with the
+    /// configured clustering, and installs it as the membership.
+    /// Returns the cluster count it aimed at and how many nodes changed
+    /// cluster.
+    fn repartition(&mut self) -> (usize, usize) {
+        let n = self.holdings.len();
+        let k = n.div_ceil(self.config.cluster_size).max(1);
         let topology = self.net.topology().clone();
         let seed = self.config.seed ^ self.chain_len();
         let partition = match self.config.clustering {
@@ -67,75 +151,8 @@ impl IciNetwork {
             .map(NodeId::new)
             .filter(|node| partition.cluster_of(*node) != self.membership.cluster_of(*node))
             .count();
-
         self.membership = Membership::new(partition);
-
-        // Phase 1 — fetch: every new owner that lacks its body pulls it
-        // from a live pre-migration holder (snapshot taken up front). The
-        // owners computed here are the new owner table.
-        let holders_snapshot: Vec<HeightSet> = self
-            .holdings
-            .iter()
-            .map(|h| h.body_heights().clone())
-            .collect();
-        let live_holder = |height: u64, net: &ici_net::network::Network| -> Option<NodeId> {
-            (0..n as u64)
-                .map(NodeId::new)
-                .find(|node| net.is_up(*node) && holders_snapshot[node.index()].contains(&height))
-        };
-
-        let start = self.clock;
-        let mut shipment = Shipment::new(MessageKind::Repair);
-        let chain_len = self.chain_len();
-        self.owners = OwnerTable::new(self.membership.cluster_count(), self.config.replication);
-        self.owners.reserve(self.chain.len());
-        for height in 0..chain_len {
-            let id = self.chain[height as usize].id();
-            self.owners.push_row();
-            for cluster in self.clusters() {
-                let owners = self.dispatch_owners(&id, height, self.membership.members(cluster));
-                self.owners.set_column(height, cluster, &owners);
-                for owner in owners {
-                    if self.holdings[owner.index()].has_body(height) {
-                        continue;
-                    }
-                    let Some(source) = live_holder(height, &self.net) else {
-                        continue; // already lost; repair handles it later
-                    };
-                    self.ship(&mut shipment, source, owner, height);
-                }
-            }
-        }
-
-        // Phase 2 — prune: drop bodies from nodes that are no longer
-        // owners within their new cluster, as the new table records.
-        let mut pruned = 0usize;
-        for node_idx in 0..n {
-            let node = NodeId::new(node_idx as u64);
-            let cluster = self.membership.cluster_of(node);
-            let held: Vec<u64> = self.holdings[node_idx].body_heights().iter().collect();
-            for height in held {
-                if !self.owners.holds(height, cluster, node) {
-                    let bytes = self.chain[height as usize].header().body_len as u64;
-                    if self.holdings[node_idx].drop_body(height, bytes) {
-                        pruned += 1;
-                    }
-                }
-            }
-        }
-
-        let duration = shipment.span();
-        self.clock = start + duration;
-
-        ReconfigReport {
-            clusters_before,
-            clusters_after: k,
-            moved_nodes,
-            bodies_fetched: shipment.replicas,
-            bodies_pruned: pruned,
-            bytes_moved: shipment.bytes,
-            duration,
-        }
+        (k, moved_nodes)
     }
 }
 
@@ -148,6 +165,7 @@ mod tests {
     use ici_cluster::membership::JoinPolicy;
     use ici_crypto::sig::Keypair;
     use ici_net::topology::Coord;
+    use ici_storage::audit::HeightSet;
 
     fn network_with_blocks(blocks: u64, clustering: Clustering) -> IciNetwork {
         let config = IciConfig::builder()
@@ -176,6 +194,97 @@ mod tests {
             net.propose_block(txs).expect("commits");
         }
         net
+    }
+
+    /// Re-clustering as it was before its sources were found in one
+    /// pass: owners ranked afresh per (height, cluster), and each body
+    /// an owner lacks fetched from the first live node, in id order,
+    /// whose snapshot taken before phase 1 holds it.
+    fn reconfigure_by_scan(net: &mut IciNetwork) -> ReconfigReport {
+        let n = net.holdings.len();
+        let clusters_before = net.membership.cluster_count();
+        let (clusters_after, moved_nodes) = net.repartition();
+        let snapshot: Vec<HeightSet> = net
+            .holdings
+            .iter()
+            .map(|h| h.body_heights().clone())
+            .collect();
+        let start = net.clock;
+        let mut shipment = Shipment::new(MessageKind::Repair);
+        for height in 0..net.chain_len() {
+            let id = net.chain[height as usize].id();
+            for cluster in net.clusters() {
+                let members = net.membership.members(cluster);
+                for owner in net.dispatch_owners(&id, height, members) {
+                    if net.holdings[owner.index()].has_body(height) {
+                        continue;
+                    }
+                    let source = (0..n as u64).map(NodeId::new).find(|node| {
+                        net.net.is_up(*node) && snapshot[node.index()].contains(&height)
+                    });
+                    if let Some(source) = source {
+                        net.ship(&mut shipment, source, owner, height);
+                    }
+                }
+            }
+        }
+        let mut pruned = 0;
+        for node in (0..n as u64).map(NodeId::new) {
+            let members = net.membership.members(net.membership.cluster_of(node));
+            let held: Vec<u64> = net.holdings[node.index()].body_heights().iter().collect();
+            for height in held {
+                let id = net.chain[height as usize].id();
+                if !net.dispatch_owners(&id, height, members).contains(&node) {
+                    let bytes = net.chain[height as usize].header().body_len as u64;
+                    pruned += usize::from(net.holdings[node.index()].drop_body(height, bytes));
+                }
+            }
+        }
+        let duration = shipment.span();
+        net.clock = start + duration;
+        ReconfigReport {
+            clusters_before,
+            clusters_after,
+            moved_nodes,
+            bodies_fetched: shipment.replicas,
+            bodies_pruned: pruned,
+            bytes_moved: shipment.bytes,
+            duration,
+        }
+    }
+
+    /// After joins and crashes, under each clustering, re-clustering
+    /// reports, ships, meters and leaves every node holding what the
+    /// per-owner scan did.
+    #[test]
+    fn one_pass_sources_match_the_per_owner_scan() {
+        for clustering in [Clustering::BalancedKMeans, Clustering::Random] {
+            let shaped = || {
+                let mut net = network_with_blocks(7, clustering);
+                for i in 0..5 {
+                    let at = Coord::new(17.0 * i as f64, 60.0);
+                    net.bootstrap_node(at, JoinPolicy::SmallestCluster)
+                        .expect("joins");
+                }
+                for node in [2, 9, 30, 33] {
+                    net.crash_node(NodeId::new(node)).expect("known");
+                }
+                net
+            };
+            let (mut fast, mut scan) = (shaped(), shaped());
+            let report = fast.reconfigure_clusters();
+            assert_eq!(report, reconfigure_by_scan(&mut scan), "{clustering:?}");
+            assert!(
+                report.bodies_fetched > 0 && report.bodies_pruned > 0,
+                "{report:?}"
+            );
+            assert!(
+                fast.holdings == scan.holdings,
+                "{clustering:?}: holdings differ"
+            );
+            assert_eq!(fast.net().meter().total(), scan.net().meter().total());
+            assert_eq!(fast.now(), scan.now());
+        }
     }
 
     #[test]

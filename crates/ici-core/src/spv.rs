@@ -88,12 +88,13 @@ impl IciNetwork {
         let block = &self.chain[height as usize];
         let tx_root = block.header().tx_root;
 
-        // The server builds the proof from its stored body.
-        let tree = block.tx_tree();
-        // `locate_transaction` returned this (height, index), so both are
-        // on-chain; surface a typed error anyway instead of panicking.
-        let proof = tree
-            .prove(index as usize)
+        // The server builds the proof from its stored body: the leaves
+        // of the transaction's 8-leaf subtree and the block's kept
+        // subtree roots. `locate_transaction` returned this (height,
+        // index), so both are on-chain; surface a typed error anyway
+        // instead of panicking.
+        let proof = block
+            .prove_tx(index as usize)
             .ok_or(IciError::UnknownHeight(height))?;
         let transaction = block
             .transactions()
@@ -114,7 +115,7 @@ impl IciNetwork {
             .ok_or(IciError::NodeDown(server))?;
 
         // Requester-side verification against its own header.
-        let verified = proof.verify(&transaction.to_bytes(), tx_root);
+        let verified = proof.verify_leaf_hash(transaction.leaf_hash(), tx_root);
         debug_assert!(verified, "server produced an invalid proof");
         if !verified {
             return Err(IciError::BodyUnavailable(height));

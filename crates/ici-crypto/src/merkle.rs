@@ -18,7 +18,11 @@
 //! in plus a one-block second pass (3 compressions), and
 //! [`root_in_place`] reduces a leaf vector to the root without keeping
 //! levels. [`MerkleTree`] keeps every level for proofs, and a proof is
-//! checked against the path its index and leaf count imply.
+//! checked against the path its index and leaf count imply. A holder
+//! that keeps only the roots of the aligned [`SUBTREE_LEAVES`]-leaf
+//! subtrees ([`root_and_subtrees`]) proves a leaf from its own subtree's
+//! leaves and those roots ([`prove_from_subtrees`]), the same proof
+//! without re-hashing the tree.
 //!
 //! # Examples
 //!
@@ -105,6 +109,108 @@ pub fn root_in_place(leaves: &mut [Digest]) -> Digest {
         width = width.div_ceil(2);
     }
     leaves.first().copied().unwrap_or(Digest::ZERO)
+}
+
+/// Leaves under each subtree root a tree's owner keeps: the roots of
+/// the aligned `SUBTREE_LEAVES`-leaf subtrees are the tree's level 3,
+/// so a proof from them re-hashes at most this many leaves.
+pub const SUBTREE_LEAVES: usize = 8;
+
+/// [`root_in_place`], also returning the roots of the aligned
+/// [`SUBTREE_LEAVES`]-leaf subtrees, left to right: the tree's level 3,
+/// which [`prove_from_subtrees`] proves from. Empty for a tree of at
+/// most [`SUBTREE_LEAVES`] leaves, whose one subtree root is the root.
+/// Every node is hashed once, as by [`root_in_place`], subtree by
+/// subtree.
+pub fn root_and_subtrees(leaves: &mut [Digest]) -> (Digest, Vec<Digest>) {
+    if leaves.len() <= SUBTREE_LEAVES {
+        return (root_in_place(leaves), Vec::new());
+    }
+    let count = leaves.len().div_ceil(SUBTREE_LEAVES);
+    for j in 0..count {
+        let end = leaves.len().min((j + 1) * SUBTREE_LEAVES);
+        // Subtree `j` starts at `8j ≥ j`: its root lands on a slot
+        // already reduced.
+        let root = root_in_place(&mut leaves[j * SUBTREE_LEAVES..end]);
+        leaves[j] = root;
+    }
+    let roots = leaves[..count].to_vec();
+    (root_in_place(&mut leaves[..count]), roots)
+}
+
+/// The proof [`MerkleTree::prove`] gives for leaf `index` of a tree of
+/// `leaf_count` leaves, from the leaf hashes of the aligned subtree
+/// holding it (`subtree`: [`SUBTREE_LEAVES`] of them, fewer for the
+/// tree's last run) and the tree's `subtree_roots`, as
+/// [`root_and_subtrees`] returns them. Hashes only the nodes off the
+/// leaf's path inside its subtree, and the nodes above the subtree
+/// roots. `None` if the parts do not describe such a tree.
+pub fn prove_from_subtrees(
+    subtree: &[Digest],
+    subtree_roots: &[Digest],
+    index: usize,
+    leaf_count: usize,
+) -> Option<MerkleProof> {
+    let start = index - index % SUBTREE_LEAVES;
+    let roots = if leaf_count > SUBTREE_LEAVES {
+        leaf_count.div_ceil(SUBTREE_LEAVES)
+    } else {
+        0
+    };
+    if index >= leaf_count
+        || subtree.len() != SUBTREE_LEAVES.min(leaf_count - start)
+        || subtree_roots.len() != roots
+    {
+        return None;
+    }
+    ici_telemetry::counter_add("crypto/merkle_proofs", ici_telemetry::Label::Global, 1);
+    // One step a level at most: the tree's depth.
+    let depth = usize::BITS - (leaf_count - 1).leading_zeros();
+    let mut siblings = Vec::with_capacity(depth as usize);
+    push_path(subtree, index % SUBTREE_LEAVES, &mut siblings);
+    push_path(subtree_roots, index / SUBTREE_LEAVES, &mut siblings);
+    Some(MerkleProof {
+        leaf_index: index as u64,
+        leaf_count: leaf_count as u64,
+        siblings,
+    })
+}
+
+/// Appends the sibling path of `pos` in the tree over `digests`, lowest
+/// level first, each sibling hashed from the digests under it. An
+/// aligned run of leaves has the same shape inside the whole tree as on
+/// its own, so a subtree's path and its root's path concatenate.
+fn push_path(digests: &[Digest], mut pos: usize, siblings: &mut Vec<ProofStep>) {
+    let (mut level, mut width) = (0, digests.len());
+    while width > 1 {
+        if pos ^ 1 < width {
+            let side = if pos % 2 == 0 {
+                Side::Right
+            } else {
+                Side::Left
+            };
+            let digest = node_at(digests, level, pos ^ 1);
+            siblings.push(ProofStep { digest, side });
+        }
+        pos /= 2;
+        width = width.div_ceil(2);
+        level += 1;
+    }
+}
+
+/// Node `index` of `level` (0 holds `digests`) in the tree over
+/// `digests`, hashing only the nodes under it.
+fn node_at(digests: &[Digest], level: u32, index: usize) -> Digest {
+    if level == 0 {
+        return digests[index];
+    }
+    let left = node_at(digests, level - 1, 2 * index);
+    if 2 * index + 1 < digests.len().div_ceil(1 << (level - 1)) {
+        hash_node(&left, &node_at(digests, level - 1, 2 * index + 1))
+    } else {
+        // Promoted unpaired.
+        left
+    }
 }
 
 /// A fully materialised Merkle tree.

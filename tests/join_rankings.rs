@@ -2,19 +2,21 @@
 //! `crypto/rendezvous_ranks` counter.
 //!
 //! The commit records every cluster's owners of every height in the
-//! owner table. A join under rendezvous assignment ranks, at each
-//! height, only the cluster's recorded owners and the joiner: the grown
-//! cluster's top `r` is the top `r` of those. So a join into a cluster
-//! of at least `r` members computes exactly `(r + 1)·H` weights over
-//! `H` heights, whatever the cluster's size or the joins before it. A
-//! body query and a transaction proof read their servers from the
-//! table and compute none. One test, because the telemetry flag is
-//! process-global.
+//! owner table, with the top 16 bits of each owner's rank. A join under
+//! rendezvous assignment ranks, at each height, only the joiner: the
+//! grown cluster's top `r` is the top `r` of the recorded owners and
+//! the joiner, and the joiner finds its place by comparing prefixes
+//! (an owner is ranked again only when its prefix ties the joiner's,
+//! one chance in 2¹⁶ a comparison). So a join into a cluster of at
+//! least `r` members computes exactly `H` weights over `H` heights,
+//! whatever the cluster's size or the joins before it. A body query and
+//! a transaction proof read their servers from the table and compute
+//! none. One test, because the telemetry flag is process-global.
 
 use icistrategy::prelude::*;
 
 const MEMBERS: usize = 16;
-const REPLICATION: u64 = 2;
+const REPLICATION: usize = 2;
 const COUNTER: &str = "crypto/rendezvous_ranks";
 
 /// The `COUNTER` total that `run` adds, telemetry on for it alone.
@@ -34,11 +36,11 @@ fn ranks_counted<T>(run: impl FnOnce() -> T) -> (T, u64) {
 }
 
 #[test]
-fn a_join_ranks_the_owners_and_the_joiner_and_a_read_ranks_nothing() {
+fn a_join_ranks_only_the_joiner_and_a_read_ranks_nothing() {
     let config = IciConfig::builder()
         .nodes(4 * MEMBERS)
         .cluster_size(MEMBERS)
-        .replication(REPLICATION as usize)
+        .replication(REPLICATION)
         .seed(5)
         .build()
         .expect("valid configuration");
@@ -75,8 +77,7 @@ fn a_join_ranks_the_owners_and_the_joiner_and_a_read_ranks_nothing() {
         let report = report.expect("joins");
         assert_eq!(report.cluster, cluster.get(), "join {join}");
         assert_eq!(
-            counted,
-            (REPLICATION + 1) * heights,
+            counted, heights,
             "{COUNTER}, join {join}: a {size}-member cluster over {heights} heights"
         );
     }

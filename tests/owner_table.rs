@@ -9,11 +9,13 @@
 //! assignment rule, and after every step compares
 //! [`IciNetwork::owners_at`] with [`IciNetwork::owners_in_cluster`], a
 //! fresh ranking over the cluster's members, at every cluster and
-//! committed height. One deployment shape has a cluster smaller than
+//! committed height, and each owner's recorded rank prefix with its
+//! rendezvous rank. One deployment shape has a cluster smaller than
 //! `r`, so joins grow it past `r`.
 
 use ici_prop::{check, Config, Shrink};
 use ici_rng::Xoshiro256;
+use icistrategy::crypto::lottery::rendezvous_rank;
 use icistrategy::prelude::*;
 use icistrategy::storage::assignment::AssignmentStrategy;
 
@@ -131,8 +133,11 @@ fn network(case: &Interleaving, assignment: Assignment) -> Result<IciNetwork, St
 }
 
 /// The first cluster, height by height, where the recorded owners
-/// differ from a fresh ranking.
+/// differ from a fresh ranking, or an owner's recorded rank prefix from
+/// the top 16 bits of its rendezvous rank (0 under ring and
+/// round-robin).
 fn table_matches_ranking(net: &IciNetwork) -> Result<(), String> {
+    let rendezvous = net.config().assignment == Assignment::Rendezvous;
     for cluster in net.clusters() {
         for height in 0..net.chain_len() {
             let id = net.block(height).ok_or("a committed height")?.id();
@@ -143,6 +148,19 @@ fn table_matches_ranking(net: &IciNetwork) -> Result<(), String> {
                     "cluster {cluster}, height {height}: the table holds {recorded:?}, \
                      a fresh ranking gives {ranked:?}"
                 ));
+            }
+            for (owner, prefix) in net.owner_prefixes_at(cluster, height) {
+                let want = if rendezvous {
+                    (rendezvous_rank(&id, owner.get()) >> 48) as u16
+                } else {
+                    0
+                };
+                if prefix != want {
+                    return Err(format!(
+                        "cluster {cluster}, height {height}: owner {owner} has rank prefix \
+                         {prefix:#06x}, its rank gives {want:#06x}"
+                    ));
+                }
             }
         }
     }
