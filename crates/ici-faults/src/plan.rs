@@ -89,6 +89,15 @@ pub struct MessageFaultSpec {
     pub max_extra_delay_ms: f64,
 }
 
+impl MessageFaultSpec {
+    /// Whether the spec can never fault a message.
+    fn is_inert(&self) -> bool {
+        self.drop_prob == 0.0
+            && self.dup_prob == 0.0
+            && (self.delay_prob == 0.0 || self.max_extra_delay_ms == 0.0)
+    }
+}
+
 impl Default for MessageFaultSpec {
     /// No message faults.
     fn default() -> MessageFaultSpec {
@@ -185,6 +194,13 @@ pub enum FaultError {
         /// Minimum required for the guaranteed cycles.
         needed: usize,
     },
+    /// An explicit round names a node the cluster map does not hold.
+    UnknownNode {
+        /// The round that names it.
+        round: usize,
+        /// The node outside the map.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for FaultError {
@@ -206,6 +222,9 @@ impl fmt::Display for FaultError {
                 f,
                 "{rounds} rounds cannot fit the guaranteed per-cluster cycles (need >= {needed})"
             ),
+            FaultError::UnknownNode { round, node } => {
+                write!(f, "round {round} names node {node}, which no cluster holds")
+            }
         }
     }
 }
@@ -241,6 +260,18 @@ impl RoundFaults {
             && !self.partition_ends
             && !self.equivocation
             && self.verdict_faults.is_empty()
+    }
+
+    /// Every node the round names, in field order.
+    fn named_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let minority = self.partition_starts.iter().flatten();
+        let verifiers = self.verdict_faults.iter().map(|(n, _)| n);
+        self.crashes
+            .iter()
+            .chain(&self.restarts)
+            .chain(minority)
+            .chain(verifiers)
+            .copied()
     }
 }
 
@@ -569,6 +600,44 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// An explicit plan: `rounds` as given over `clusters`, nothing
+    /// drawn. It has seed 0, no message faults and no designated
+    /// Byzantine verifiers, so it equals the seeded plan of seed 0 with
+    /// the same cluster map and rounds, render and fingerprint included.
+    /// An empty `rounds` is a plan that runs no round.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::UnknownNode`] for the first round that names a node
+    /// outside `clusters`.
+    pub fn from_rounds(
+        clusters: Vec<Vec<NodeId>>,
+        rounds: Vec<RoundFaults>,
+    ) -> Result<FaultPlan, FaultError> {
+        let known = |node: &NodeId| clusters.iter().any(|c| c.contains(node));
+        for (round, faults) in rounds.iter().enumerate() {
+            if let Some(node) = faults.named_nodes().find(|n| !known(n)) {
+                return Err(FaultError::UnknownNode { round, node });
+            }
+        }
+        Ok(FaultPlan {
+            seed: 0,
+            clusters,
+            messages: MessageFaultSpec::default(),
+            byzantine: ByzantineConfig::default(),
+            byzantine_verifiers: Vec::new(),
+            rounds,
+        })
+    }
+
+    /// Whether the plan schedules nothing: every round is quiet, no
+    /// message is ever faulted and no Byzantine action can be drawn.
+    pub fn is_quiet(&self) -> bool {
+        self.rounds.iter().all(RoundFaults::is_quiet)
+            && self.messages.is_inert()
+            && self.byzantine.is_inert()
+    }
+
     /// The seed the schedule was derived from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -987,6 +1056,50 @@ mod tests {
     }
 
     #[test]
+    fn an_explicit_plan_replays_a_seeded_one() {
+        let seeded = FaultPlanConfig::new(0, 24, clusters(3, 6))
+            .churn(ChurnConfig {
+                crash_prob: 0.1,
+                restart_prob: 0.4,
+                ..ChurnConfig::default()
+            })
+            .partitions(PartitionPolicy {
+                prob: 0.2,
+                max_duration_rounds: 2,
+            })
+            .build()
+            .expect("valid");
+        assert!(seeded.total_crashes() > 0 && !seeded.is_quiet());
+        let explicit = FaultPlan::from_rounds(seeded.clusters().to_vec(), seeded.rounds().to_vec())
+            .expect("every named node is in the map");
+        assert_eq!(explicit.render(), seeded.render());
+        assert_eq!(explicit.fingerprint(), seeded.fingerprint());
+        assert_eq!(explicit, seeded);
+
+        let quiet = FaultPlan::from_rounds(clusters(2, 4), vec![RoundFaults::default(); 5]);
+        assert!(quiet.expect("names no node").is_quiet());
+    }
+
+    #[test]
+    fn an_explicit_round_naming_a_stranger_is_a_typed_error() {
+        let mut rounds = vec![RoundFaults::default(); 3];
+        rounds[2].crashes.push(NodeId::new(8));
+        assert_eq!(
+            FaultPlan::from_rounds(clusters(2, 4), rounds),
+            Err(FaultError::UnknownNode {
+                round: 2,
+                node: NodeId::new(8)
+            })
+        );
+        let mut rounds = vec![RoundFaults::default(); 2];
+        rounds[1]
+            .verdict_faults
+            .push((NodeId::new(40), VerdictFault::Flip));
+        let err = FaultPlan::from_rounds(clusters(2, 4), rounds).expect_err("stranger");
+        assert!(err.to_string().contains("round 1"), "{err}");
+    }
+
+    #[test]
     fn quiet_plan_renders_header_only() {
         let plan = FaultPlanConfig::new(9, 6, clusters(2, 4))
             .churn(ChurnConfig {
@@ -1000,5 +1113,6 @@ mod tests {
         assert_eq!(plan.total_crashes(), 0);
         assert_eq!(plan.render().lines().count(), 1);
         assert!(plan.rounds().iter().all(RoundFaults::is_quiet));
+        assert!(plan.is_quiet());
     }
 }

@@ -1,4 +1,4 @@
-//! The failure-aware run driver.
+//! The run driver: one round loop for every run.
 //!
 //! [`run_under_faults`] takes any [`Strategy`] through a deterministic
 //! [`ici_faults::plan::FaultPlan`] of churn, partitions, message faults
@@ -6,8 +6,10 @@
 //! [`run_ici_under_faults`], [`run_full_under_faults`] and
 //! [`run_rapidchain_under_faults`] instantiate it, so the adversary
 //! never changes between the columns of a comparison: same seed, same
-//! churn draws, same Byzantine designations, one loop. What each system
-//! *experiences* differently is the table in [`crate::strategy`].
+//! churn draws, same Byzantine designations, one loop. The fault-free
+//! [`crate::runner::run`] is the same loop under a plan whose every
+//! round is quiet. What each system *experiences* differently is the
+//! table in [`crate::strategy`].
 //!
 //! All draws come from the plan: same seed ⇒ same plan ⇒ same commits,
 //! same repair traffic, same summary, byte for byte — which is what
@@ -24,8 +26,8 @@ use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_core::StageBoundary;
 use ici_faults::plan::{
-    ByzantineConfig, ChurnConfig, FaultError, FaultPlanConfig, MessageFaultSpec, PartitionPolicy,
-    VerdictFault,
+    ByzantineConfig, ChurnConfig, FaultError, FaultPlan, FaultPlanConfig, MessageFaultSpec,
+    PartitionPolicy, VerdictFault,
 };
 use ici_faults::scheduler::{FaultScheduler, ScheduledRound};
 use ici_net::metrics::MessageKind;
@@ -34,7 +36,7 @@ use ici_net::node::NodeId;
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 use crate::latency::LatencyStats;
-use crate::runner::{genesis_for, ratio, RoundSeries};
+use crate::runner::{genesis_for, ratio};
 use crate::strategy::{Strategy, VerdictScope};
 
 /// Salt separating fault-mark trace ids from lifecycle stage ids.
@@ -75,7 +77,7 @@ impl StageChurn {
 pub struct FaultProfile {
     /// Seed of the fault schedule (independent of the network seed).
     pub seed: u64,
-    /// Rounds to run; each round proposes one block.
+    /// Rounds to run; each round proposes one block per lane.
     pub rounds: usize,
     /// Node churn parameters.
     pub churn: ChurnConfig,
@@ -125,9 +127,10 @@ pub struct FaultRunSummary {
     pub rounds: usize,
     /// Blocks committed despite the faults (excluding genesis).
     pub committed_blocks: u64,
-    /// Rounds whose proposal failed (no quorum / partitioned leader) or
-    /// was burned by Byzantine action; the batch is retried on the
-    /// lane's next visit, so these measure liveness loss only.
+    /// Lane rounds (one per lane a round) whose proposal failed (no
+    /// quorum / partitioned leader) or was burned by Byzantine action;
+    /// the batch is retried next round, so these measure liveness loss
+    /// only. With `committed_blocks` it sums to `rounds × lanes`.
     pub skipped_rounds: usize,
     /// Crash events applied.
     pub crash_events: usize,
@@ -159,7 +162,8 @@ pub struct FaultRunSummary {
     pub min_live_nodes: usize,
     /// Worst per-cluster availability observed after any round's repairs.
     pub min_availability: f64,
-    /// Whether every cluster's final shard-level Merkle audit was clean.
+    /// Whether every cluster's final shard-level Merkle audit was clean
+    /// (`false` when no audit ran: a plan that scheduled nothing).
     pub final_audit_clean: bool,
     /// Body replicas re-hashed by the final audit.
     pub merkle_shards_verified: usize,
@@ -185,8 +189,8 @@ pub struct FaultRunSummary {
     /// Lying verifiers exposed by honest slice re-verification (a false
     /// reject about a clean slice always names its author).
     pub liars_detected: usize,
-    /// Rounds lost to Byzantine action (equivocation or a stalled home
-    /// cluster); a subset of `skipped_rounds`.
+    /// Lane rounds lost to Byzantine action (equivocation or a stalled
+    /// home group); a subset of `skipped_rounds`.
     pub byz_skipped_rounds: usize,
     /// Remote clusters whose verdict quorum failed under lying/withheld
     /// verdicts in otherwise-committed rounds.
@@ -226,6 +230,56 @@ impl FaultRunSummary {
     /// Fraction of all wire bytes Byzantine action wasted, in `[0, 1]`.
     pub fn wasted_fraction(&self) -> f64 {
         ratio(self.wasted_bytes as f64, self.total_bytes as f64, 0.0)
+    }
+}
+
+/// Collects one run's per-round time series (see `ici_trace::series`).
+/// The loop samples only under `ICI_TELEMETRY=1`, like every other
+/// exported-but-not-committed section.
+#[derive(Default)]
+struct RoundSeries {
+    samples: Vec<ici_trace::series::RoundSample>,
+    tracker: ici_trace::series::TrafficTracker,
+}
+
+impl RoundSeries {
+    /// Appends the sample for `round`, taken from `strategy` as it
+    /// stands.
+    fn sample<S: Strategy>(&mut self, strategy: &S, round: usize, generated_txs: u64) {
+        let (mut height, mut committed_txs) = (0, 0u64);
+        for commit in strategy.commits() {
+            height = commit.height;
+            committed_txs += u64::from(commit.tx_count);
+        }
+        let traffic = self.tracker.delta(
+            strategy
+                .net()
+                .meter()
+                .by_kind()
+                .iter()
+                .map(|(kind, c)| (kind.name(), c.messages, c.bytes)),
+        );
+        self.samples.push(ici_trace::series::RoundSample {
+            round: round as u64,
+            height,
+            at_us: strategy.now().as_micros(),
+            committed_txs,
+            mempool_depth: generated_txs.saturating_sub(committed_txs),
+            live_nodes: strategy.net().live_nodes().len() as u64,
+            stored_bytes: strategy.stored_bytes(),
+            traffic,
+        });
+    }
+
+    /// Registers the finished run's samples under
+    /// `label<suffix>/n=<nodes>`.
+    fn finish(self, label: &str, suffix: &str, nodes: usize) {
+        if !self.samples.is_empty() {
+            ici_trace::series::push(ici_trace::series::RunSeries {
+                run: format!("{label}{suffix}/n={nodes}"),
+                samples: self.samples,
+            });
+        }
     }
 }
 
@@ -434,12 +488,13 @@ impl<S: Strategy> FaultRun<S> {
     }
 
     /// Runs the round's scheduled verdict faults through every group in
-    /// the strategy's [`VerdictScope`], with the real quorum arithmetic
-    /// over each group's live membership. Returns whether the proposing
-    /// group cannot reach an accept quorum — the round stalls before
-    /// the commit. Other groups' failed quorums are counted only when
-    /// the round goes on to its proposal (their dissemination was
-    /// wasted on a stalled verdict; the commit proceeds).
+    /// the strategy's [`VerdictScope`] of `lane`'s block, with the real
+    /// quorum arithmetic over each group's live membership. Returns
+    /// whether the lane's proposing group cannot reach an accept quorum
+    /// — the lane's round stalls before the commit. Other groups' failed
+    /// quorums are counted only when the lane goes on to its proposal
+    /// (their dissemination was wasted on a stalled verdict; the commit
+    /// proceeds).
     fn verdict_round_stalls(&mut self, lane: usize, round: &ScheduledRound) -> bool {
         if round.verdict_faults.is_empty() {
             return false;
@@ -487,16 +542,18 @@ impl<S: Strategy> FaultRun<S> {
 ///
 /// The network is built from `config` (its genesis is replaced by one
 /// derived from the workload) and the fault plan over the groups the
-/// strategy actually formed. Round `i` applies the scheduled restarts
-/// and crashes, installs the round's message faults on the send path,
-/// and proposes one `txs_per_block` block on lane `i % lanes` (as
-/// RapidChain interleaves shard blocks) — unless Byzantine action burns
-/// the round first. A round that does not commit retries the same
-/// batch on the lane's next visit, so account nonces stay sequential
-/// per ledger. The strategy's own recovery step closes the round; for
-/// ICIStrategy that is content-level: every repaired cluster must pass
-/// the shard-level Merkle audit ([`ici_core::merkle_audit`]), not
-/// merely report replicas present.
+/// strategy actually formed, then driven through the one round loop:
+/// round `i` applies the scheduled restarts and crashes,
+/// installs the round's message faults on the send path, and every lane
+/// proposes one `txs_per_block` block — unless Byzantine action burns
+/// it first. The round's equivocation targets lane `i % lanes`; each
+/// proposing lane meets the verdict faults of its own groups
+/// ([`VerdictScope`]). A lane whose block does not commit retries the
+/// same batch next round, so account nonces stay sequential per ledger.
+/// The strategy's own recovery step closes the round; for ICIStrategy
+/// that is content-level: every repaired cluster must pass the
+/// shard-level Merkle audit ([`ici_core::merkle_audit`]), not merely
+/// report replicas present.
 ///
 /// # Errors
 ///
@@ -513,19 +570,44 @@ pub fn run_under_faults<S: Strategy>(
     profile: FaultProfile,
 ) -> Result<(S, FaultRunSummary), FaultError> {
     let strategy = S::build(config, genesis_for(&workload));
-    let groups = strategy.groups();
-    let plan = FaultPlanConfig::new(profile.seed, profile.rounds, groups.clone())
+    let plan = FaultPlanConfig::new(profile.seed, profile.rounds, strategy.groups())
         .churn(profile.churn)
         .partitions(profile.partitions)
         .messages(profile.messages)
         .byzantine(profile.byzantine)
         .build()?;
+    Ok(drive(
+        strategy,
+        plan,
+        profile.stage_churn,
+        txs_per_block,
+        workload,
+    ))
+}
+
+/// The one round loop every run goes through, quiet or faulted (see
+/// [`run_under_faults`]). Lane `l` draws its batches from the workload
+/// seeded `seed ^ l·0x9E37_79B9`, so nonces stay sequential within each
+/// lane's ledger and a single-lane strategy draws the workload's own
+/// stream. A plan that schedules nothing, with no stage churn, leaves
+/// nothing to recover: the strategy's recovery steps and the fault
+/// counters are skipped, and the per-round series takes the strategy's
+/// bare label.
+pub(crate) fn drive<S: Strategy>(
+    strategy: S,
+    plan: FaultPlan,
+    stage_churn: StageChurn,
+    txs_per_block: usize,
+    workload: WorkloadConfig,
+) -> (S, FaultRunSummary) {
+    let quiet = plan.is_quiet() && !(S::STAGED && stage_churn.interval > 0);
+    let (seed, groups) = (plan.seed(), plan.clusters().to_vec());
     let nodes = strategy.net().len();
     let summary = FaultRunSummary {
         strategy: S::LABEL,
         nodes,
         clusters: groups.len(),
-        rounds: profile.rounds,
+        rounds: plan.rounds().len(),
         cycles_per_cluster: plan.cycles_per_cluster(),
         min_live_nodes: nodes,
         min_availability: 1.0,
@@ -540,18 +622,23 @@ pub fn run_under_faults<S: Strategy>(
         summary,
     };
 
-    // Every lane draws the workload's own seed (the fault-free driver
-    // salts the seed per lane instead; both are pinned by committed
-    // records, see `runner::run`).
     let lanes = run.strategy.lanes();
-    let mut generators = vec![WorkloadGenerator::new(workload); lanes];
+    let mut generators: Vec<WorkloadGenerator> = (0..lanes)
+        .map(|lane| {
+            WorkloadGenerator::new(WorkloadConfig {
+                seed: workload.seed ^ (lane as u64).wrapping_mul(0x9E37_79B9),
+                ..workload
+            })
+        })
+        .collect();
     let mut pending: Vec<Option<Vec<Transaction>>> = vec![None; lanes];
+    let mut proposals = Vec::with_capacity(lanes);
     let sampling = ici_telemetry::enabled();
     let mut series = RoundSeries::default();
     let mut generated_txs = 0u64;
 
     while let Some(round) = scheduler.step() {
-        let (index, lane) = (round.round, round.round % lanes);
+        let (index, target) = (round.round, round.round % lanes);
 
         // 1. Apply the scheduled churn (restarts come back disk-intact).
         run.mark_churn("faults/restart", &round.restarts, index);
@@ -572,94 +659,102 @@ pub fn run_under_faults<S: Strategy>(
             .net_mut()
             .set_faults(round.message_faults.clone());
 
-        // 3. One block proposal; a round that does not commit retries
-        //    the same batch. Byzantine action degrades this step: an
-        //    equivocating proposer burns the round (and real
-        //    dissemination bandwidth) outright, and lying/withholding
-        //    verifiers can stall the proposing group's verdict quorum
-        //    before the commit is attempted.
-        let batch = pending[lane].take().unwrap_or_else(|| {
-            let fresh = generators[lane].batch(txs_per_block);
-            generated_txs += fresh.len() as u64;
-            fresh
-        });
-        let committed = if round.equivocation {
-            let (detected, wasted) = run.equivocate(lane, &batch, index);
-            run.summary.equivocation_attempts += 1;
-            run.summary.wasted_bytes += wasted;
-            // Neither twin ever commits: a detected equivocation is
-            // discarded, an undetected one is counted as a breach.
-            run.summary.equivocations_detected += usize::from(detected);
-            run.summary.safety_breaches += usize::from(!detected);
-            run.summary.byz_skipped_rounds += 1;
-            false
-        } else if run.verdict_round_stalls(lane, &round) {
-            // That dissemination is the liars' bandwidth bill.
-            run.summary.wasted_bytes += run.charge_stalled(lane, &batch);
-            run.summary.byz_skipped_rounds += 1;
-            false
-        } else {
-            // A stage-churn round crashes its victim mid-proposal at
-            // the drawn boundary and restarts it right after the
-            // proposal resolves, so the crash is visible to exactly
-            // the stages past the boundary.
-            let stage_crash = if S::STAGED && profile.stage_churn.fires(index) {
-                let mix = ici_trace::derive_id(profile.seed ^ STAGE_CHURN_SALT, index as u64);
-                run.stage_victim(lane, mix)
+        // 3. Every lane proposes a block; a lane that does not commit
+        //    retries the same batch. Byzantine action degrades this
+        //    step: an equivocating proposer burns its lane's round (and
+        //    real dissemination bandwidth) outright, and lying or
+        //    withholding verifiers can stall a lane's verdict quorum
+        //    before its commit is attempted.
+        let mut stage_crash = None;
+        for (lane, slot) in pending.iter_mut().enumerate() {
+            let batch = slot.get_or_insert_with(|| {
+                let fresh = generators[lane].batch(txs_per_block);
+                generated_txs += fresh.len() as u64;
+                fresh
+            });
+            if round.equivocation && lane == target {
+                let (detected, wasted) = run.equivocate(lane, batch, index);
+                run.summary.equivocation_attempts += 1;
+                run.summary.wasted_bytes += wasted;
+                // Neither twin ever commits: a detected equivocation is
+                // discarded, an undetected one is counted as a breach.
+                run.summary.equivocations_detected += usize::from(detected);
+                run.summary.safety_breaches += usize::from(!detected);
+            } else if run.verdict_round_stalls(lane, &round) {
+                // That dissemination is the liars' bandwidth bill.
+                run.summary.wasted_bytes += run.charge_stalled(lane, batch);
             } else {
-                None
-            };
-            if let Some((victim, _)) = stage_crash {
-                run.summary.stage_crash_events += 1;
-                touched.push(victim);
-                run.mark_churn("faults/stage_crash", &[victim], index);
+                // A stage-churn round crashes its victim mid-proposal at
+                // the drawn boundary and restarts it right after the
+                // proposal resolves, so the crash is visible to exactly
+                // the stages past the boundary.
+                if lane == target && S::STAGED && stage_churn.fires(index) {
+                    let mix = ici_trace::derive_id(seed ^ STAGE_CHURN_SALT, index as u64);
+                    stage_crash = run.stage_victim(lane, mix);
+                    if let Some((victim, _)) = stage_crash {
+                        run.summary.stage_crash_events += 1;
+                        touched.push(victim);
+                        run.mark_churn("faults/stage_crash", &[victim], index);
+                    }
+                }
+                proposals.push((lane, batch.clone()));
+                continue;
             }
-            let committed = run.strategy.propose(lane, batch.clone(), stage_crash);
-            if let Some((victim, _)) = stage_crash {
-                run.mark_churn("faults/stage_restart", &[victim], index);
-                run.summary.stage_crash_commits += usize::from(committed);
-            }
-            committed
-        };
-        if committed {
-            run.summary.committed_blocks += 1;
-        } else {
+            run.summary.byz_skipped_rounds += 1;
             run.summary.skipped_rounds += 1;
-            pending[lane] = Some(batch);
+        }
+        if !proposals.is_empty() {
+            for (lane, committed) in run.strategy.propose(&mut proposals, stage_crash) {
+                if committed {
+                    pending[lane] = None;
+                    run.summary.committed_blocks += 1;
+                } else {
+                    run.summary.skipped_rounds += 1;
+                }
+                if stage_crash.is_some() && lane == target {
+                    run.summary.stage_crash_commits += usize::from(committed);
+                }
+            }
+        }
+        if let Some((victim, _)) = stage_crash {
+            run.mark_churn("faults/stage_restart", &[victim], index);
         }
 
         // 4. The strategy's own recovery step, then a per-round
         //    survivability sample taken after it so the stored-bytes
         //    snapshot reflects the round's healed state.
-        run.strategy.after_fault_round(&touched, &mut run.summary);
+        if !quiet {
+            run.strategy.after_fault_round(&touched, &mut run.summary);
+        }
         if sampling {
             series.sample(&run.strategy, index, generated_txs);
         }
     }
-    series.finish(&format!("{}+faults", S::LABEL), nodes);
+    series.finish(S::LABEL, if quiet { "" } else { "+faults" }, nodes);
 
     // Faults end with the plan.
     let (mut strategy, mut summary) = (run.strategy, run.summary);
     strategy.net_mut().clear_faults();
-    strategy.finish_fault_run(&mut summary);
+    if !quiet {
+        strategy.finish_fault_run(&mut summary);
+        for (name, value) in [
+            ("sim/fault_repair_bytes", summary.repair_bytes),
+            ("faults/equivocations", summary.equivocation_attempts as u64),
+            (
+                "faults/equivocations_detected",
+                summary.equivocations_detected as u64,
+            ),
+            ("faults/verdict_flips", summary.verdict_flips as u64),
+            ("faults/liars_detected", summary.liars_detected as u64),
+            ("sim/byz_wasted_bytes", summary.wasted_bytes),
+        ] {
+            ici_telemetry::counter_add(name, ici_telemetry::Label::Global, value);
+        }
+    }
     summary.commit_latency = LatencyStats::from_durations(strategy.commits().map(|c| c.latency));
     summary.total_bytes = strategy.net().meter().total().bytes;
-
-    for (name, value) in [
-        ("sim/fault_repair_bytes", summary.repair_bytes),
-        ("faults/equivocations", summary.equivocation_attempts as u64),
-        (
-            "faults/equivocations_detected",
-            summary.equivocations_detected as u64,
-        ),
-        ("faults/verdict_flips", summary.verdict_flips as u64),
-        ("faults/liars_detected", summary.liars_detected as u64),
-        ("sim/byz_wasted_bytes", summary.wasted_bytes),
-    ] {
-        ici_telemetry::counter_add(name, ici_telemetry::Label::Global, value);
-    }
     strategy.net().meter().publish_telemetry();
-    Ok((strategy, summary))
+    (strategy, summary)
 }
 
 /// [`run_under_faults`] for ICIStrategy: the formed clusters are the
@@ -689,9 +784,9 @@ pub fn run_full_under_faults(
 }
 
 /// [`run_under_faults`] for RapidChain: committees are the plan's
-/// groups and rounds visit them round-robin; liars scheduled in idle
-/// committees do nothing that round, exactly as a lying verifier with
-/// no block to vote on.
+/// groups and every committee proposes on its shard each round; a
+/// round's equivocation burns the shard `round % shards`, and each
+/// proposing committee tallies its own liars.
 pub fn run_rapidchain_under_faults(
     config: RapidChainConfig,
     txs_per_block: usize,
@@ -992,9 +1087,10 @@ mod tests {
         assert_eq!(summary.strategy, "RapidChain");
         assert_eq!(summary.clusters, 3);
         assert!(summary.crash_events > 0, "{}", summary.plan_render);
+        // Every shard proposes every round.
         assert_eq!(
             summary.committed_blocks + summary.skipped_rounds as u64,
-            summary.rounds as u64
+            (summary.rounds * network.shard_count()) as u64
         );
         let total_height: u64 = (0..network.shard_count())
             .map(|s| network.shard_chain_len(s) - 1)

@@ -1,19 +1,20 @@
 //! Experiment harness: run drivers, statistics, tables, and result export.
 //!
-//! * [`strategy`] — the [`Strategy`] trait the drivers are written
+//! * [`strategy`] — the [`Strategy`] trait the driver is written
 //!   against, implemented for ICIStrategy and both baselines; every
 //!   per-strategy difference lives there, in one table;
-//! * [`runner`] — [`runner::run`], the fault-free driver: pre-generate
-//!   the workload, commit every round, reduce to a
+//! * [`fault_run`] — [`fault_run::run_under_faults`], the one round
+//!   loop: it takes any strategy through a deterministic `ici-faults`
+//!   schedule of churn, message faults and Byzantine action, every lane
+//!   proposing every round, and reduces it to a
+//!   [`fault_run::FaultRunSummary`] (`run_ici_under_faults` /
+//!   `run_full_under_faults` / `run_rapidchain_under_faults`
+//!   instantiate it), so survivability columns (`e_byz`) differ only by
+//!   the strategy under test;
+//! * [`runner`] — [`runner::run`], the fault-free run: that loop under
+//!   a plan whose every round is quiet, reduced to a
 //!   [`runner::RunSummary`] (`run_ici` / `run_full` / `run_rapidchain`
-//!   instantiate it);
-//! * [`fault_run`] — [`fault_run::run_under_faults`], the failure-aware
-//!   driver: one round loop takes any strategy through a deterministic
-//!   `ici-faults` schedule of churn, message faults and Byzantine
-//!   action and reduces it to a [`fault_run::FaultRunSummary`]
-//!   (`run_ici_under_faults` / `run_full_under_faults` /
-//!   `run_rapidchain_under_faults` instantiate it), so survivability
-//!   columns (`e_byz`) differ only by the strategy under test;
+//!   instantiate it); a quiet plan repairs and audits nothing;
 //! * [`latency`] — latency percentile summaries;
 //! * [`table`] — paper-style ASCII tables;
 //! * [`report`] — JSON export of experiment records for `EXPERIMENTS.md`

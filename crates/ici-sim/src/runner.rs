@@ -1,20 +1,22 @@
-//! The fault-free run driver.
+//! The fault-free runs.
 //!
-//! [`run`] drives any [`Strategy`] over a deterministic workload and
-//! reduces the run to a [`RunSummary`] with the quantities the paper's
-//! tables report: per-node storage, per-block communication, commit
-//! latency, and throughput. [`run_ici`], [`run_full`] and
-//! [`run_rapidchain`] are its three instantiations; the bench binaries
-//! are thin loops over them.
+//! [`run`] takes any [`Strategy`] through the one round loop under a
+//! plan that schedules nothing and reduces the run to a [`RunSummary`]
+//! with the quantities the paper's tables report: per-node storage,
+//! per-block communication, commit latency, and throughput. [`run_ici`],
+//! [`run_full`] and [`run_rapidchain`] are its three instantiations; the
+//! bench binaries are thin loops over them.
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_chain::genesis::GenesisConfig;
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
+use ici_faults::plan::{FaultPlan, RoundFaults};
 use ici_storage::stats::StorageStats;
-use ici_workload::{WorkloadConfig, WorkloadGenerator};
+use ici_workload::WorkloadConfig;
 
+use crate::fault_run::{drive, StageChurn};
 use crate::latency::LatencyStats;
 use crate::strategy::Strategy;
 
@@ -93,63 +95,13 @@ pub(crate) fn genesis_for(workload: &WorkloadConfig) -> GenesisConfig {
     GenesisConfig::uniform(workload.accounts, u64::MAX / 1_000_000)
 }
 
-/// Collects one run's per-round time series (see `ici_trace::series`).
-/// Drivers sample only under `ICI_TELEMETRY=1`, like every other
-/// exported-but-not-committed section.
-#[derive(Default)]
-pub(crate) struct RoundSeries {
-    samples: Vec<ici_trace::series::RoundSample>,
-    tracker: ici_trace::series::TrafficTracker,
-}
-
-impl RoundSeries {
-    /// Appends the sample for `round`, taken from `strategy` as it
-    /// stands.
-    pub(crate) fn sample<S: Strategy>(&mut self, strategy: &S, round: usize, generated_txs: u64) {
-        let (mut height, mut committed_txs) = (0, 0u64);
-        for commit in strategy.commits() {
-            height = commit.height;
-            committed_txs += u64::from(commit.tx_count);
-        }
-        let traffic = self.tracker.delta(
-            strategy
-                .net()
-                .meter()
-                .by_kind()
-                .iter()
-                .map(|(kind, c)| (kind.name(), c.messages, c.bytes)),
-        );
-        self.samples.push(ici_trace::series::RoundSample {
-            round: round as u64,
-            height,
-            at_us: strategy.now().as_micros(),
-            committed_txs,
-            mempool_depth: generated_txs.saturating_sub(committed_txs),
-            live_nodes: strategy.net().live_nodes().len() as u64,
-            stored_bytes: strategy.stored_bytes(),
-            traffic,
-        });
-    }
-
-    /// Registers the finished run's samples under `label/n=<nodes>`.
-    pub(crate) fn finish(self, label: &str, nodes: usize) {
-        if !self.samples.is_empty() {
-            ici_trace::series::push(ici_trace::series::RunSeries {
-                run: format!("{label}/n={nodes}"),
-                samples: self.samples,
-            });
-        }
-    }
-}
-
 /// Runs `S` for `rounds` rounds, each committing one block of
-/// `txs_per_block` transactions on every lane.
+/// `txs_per_block` transactions on every lane: the one round loop
+/// ([`crate::fault_run::run_under_faults`]) under a plan whose every
+/// round is quiet, reduced to a [`RunSummary`].
 ///
 /// The genesis allocation is derived from the workload so every
-/// generated transaction is funded. Batches are generated up front,
-/// because [`Strategy::commit_all`] takes the whole run; the cumulative
-/// counts reproduce the per-round mempool depth a lazy loop would have
-/// sampled.
+/// generated transaction is funded.
 ///
 /// # Panics
 ///
@@ -162,43 +114,22 @@ pub fn run<S: Strategy>(
     txs_per_block: usize,
     workload: WorkloadConfig,
 ) -> (S, RunSummary) {
-    let mut strategy = S::build(config, genesis_for(&workload));
-    // One generator per lane, seeded `seed ^ lane * 0x9E3779B9`, so
-    // nonces stay sequential within each lane's ledger and a single-lane
-    // strategy draws the workload's own stream; every round commits a
-    // block on every lane (all RapidChain shards). The fault driver
-    // differs on both counts — one lane visited per round, the same
-    // seed on every lane — and the committed records pin each driver's
-    // choice, so the asymmetry is kept on purpose.
-    let mut generators: Vec<WorkloadGenerator> = (0..strategy.lanes())
-        .map(|lane| {
-            WorkloadGenerator::new(WorkloadConfig {
-                seed: workload.seed ^ (lane as u64).wrapping_mul(0x9E37_79B9),
-                ..workload
-            })
-        })
-        .collect();
-    let mut batches = Vec::with_capacity(rounds * generators.len());
-    let mut cumulative_generated = Vec::with_capacity(rounds);
-    let mut generated = 0u64;
-    for _ in 0..rounds {
-        for generator in &mut generators {
-            let batch = generator.batch(txs_per_block);
-            generated += batch.len() as u64;
-            batches.push(batch);
-        }
-        cumulative_generated.push(generated);
-    }
-    let mut series = RoundSeries::default();
-    strategy.commit_all(batches, |strategy, round| {
-        if ici_telemetry::enabled() {
-            series.sample(strategy, round, cumulative_generated[round]);
-        }
-    });
-    series.finish(S::LABEL, strategy.net().len());
-
+    let strategy = S::build(config, genesis_for(&workload));
+    let quiet = vec![RoundFaults::default(); rounds];
+    let plan =
+        FaultPlan::from_rounds(strategy.groups(), quiet).expect("a quiet round names no node");
+    let (strategy, faults) = drive(
+        strategy,
+        plan,
+        StageChurn::default(),
+        txs_per_block,
+        workload,
+    );
+    assert_eq!(
+        faults.skipped_rounds, 0,
+        "every block commits in a quiet run"
+    );
     let summary = RunSummary::of(&strategy);
-    strategy.net().meter().publish_telemetry();
     (strategy, summary)
 }
 

@@ -1,20 +1,21 @@
-//! The one interface both run drivers are written against.
+//! The one interface the run driver is written against.
 //!
 //! [`Strategy`] is what a storage strategy exposes so that
-//! [`crate::runner::run`] (fault-free) and
-//! [`crate::fault_run::run_under_faults`] (fault plan) can drive it. It
-//! is implemented for the three networks themselves, with static
-//! dispatch; the drivers hold everything that is per-run. The paper's
-//! comparison is only meaningful if every column went through the same
-//! loop, so what *differs* per strategy is confined to this file:
+//! [`crate::fault_run::run_under_faults`] can drive it; the fault-free
+//! [`crate::runner::run`] is that driver under a plan that schedules
+//! nothing. It is implemented for the three networks themselves, with
+//! static dispatch; the driver holds everything that is per-run. The
+//! paper's comparison is only meaningful if every column went through
+//! the same loop, so what *differs* per strategy is confined to this
+//! file:
 //!
 //! | | ICIStrategy | full replication | RapidChain |
 //! |---|---|---|---|
 //! | plan groups | formed clusters | the whole network | committees |
-//! | lanes (ledgers) | 1 | 1 | one per shard |
+//! | lanes (ledgers) | 1 | 1 | one per shard; every shard proposes every round |
 //! | dissemination | body to the first `r` members, header to the rest | full block to everyone | full block to the committee |
 //! | block priced by | sealing it against the state | encoded transactions | encoded transactions |
-//! | vote round ([`VerdictScope`]) | every cluster (a home stall burns the round) | none: solo validation | the active committee |
+//! | vote round ([`VerdictScope`]) | every cluster (a home stall burns the round) | none: solo validation | each proposing committee, on its own block |
 //! | an equivocator's twins meet in | the all-pairs vote round | the gossip relay ring | the all-pairs vote round |
 //! | stage-boundary crashes | yes | no stages | no stages |
 //! | after each fault round | repair + Merkle audit of churned clusters | nothing | nothing |
@@ -67,14 +68,14 @@ pub enum VerdictScope {
     /// Every group votes on every block; only the proposing group's
     /// failure stalls the round.
     AllGroups,
-    /// Only the proposing group votes.
+    /// Each proposing group votes on its own lane's block.
     HomeGroup,
     /// Every node validates solo: there is no verdict round.
     Solo,
 }
 
-/// A storage strategy the run drivers can drive. See the module docs
-/// for the per-strategy table.
+/// A storage strategy the run driver can drive. See the module docs for
+/// the per-strategy table.
 pub trait Strategy: Sized {
     /// The strategy's own configuration type.
     type Config;
@@ -101,7 +102,8 @@ pub trait Strategy: Sized {
     /// The member sets a fault plan draws over, one per group.
     fn groups(&self) -> Vec<Vec<NodeId>>;
 
-    /// Independent ledgers; each gets its own workload stream.
+    /// Independent ledgers; each proposes every round from its own
+    /// workload stream.
     fn lanes(&self) -> usize {
         1
     }
@@ -124,22 +126,17 @@ pub trait Strategy: Sized {
         (MessageKind::BlockFull, header + body)
     }
 
-    /// Proposes `batch` on `lane`; returns whether it committed. A
-    /// `stage_crash` (only ever passed when [`Strategy::STAGED`]) takes
-    /// that node down at that boundary and restarts it, disk intact,
-    /// once the proposal resolves either way.
+    /// Proposes one round's blocks. `proposals` holds one `(lane,
+    /// batch)` per proposing lane, lanes ascending, and is left empty;
+    /// the result yields each entry's `(lane, committed)` in the same
+    /// order. A `stage_crash` (only ever passed when
+    /// [`Strategy::STAGED`]) takes that node down at that boundary and
+    /// restarts it, disk intact, once the proposal resolves either way.
     fn propose(
         &mut self,
-        lane: usize,
-        batch: Vec<Transaction>,
+        proposals: &mut Vec<(usize, Vec<Transaction>)>,
         stage_crash: Option<(NodeId, StageBoundary)>,
-    ) -> bool;
-
-    /// Commits a fault-free run: `batches` is round-major with one
-    /// batch per lane, and `after_round` fires once each round's
-    /// blocks are all committed. Panics if a block fails to commit
-    /// (every node is honest and live in a fault-free run).
-    fn commit_all(&mut self, batches: Vec<Vec<Transaction>>, after_round: impl FnMut(&Self, usize));
+    ) -> impl Iterator<Item = (usize, bool)> + use<Self>;
 
     /// Every committed block, in commit order.
     fn commits(&self) -> impl Iterator<Item = Commit> + '_;
@@ -150,11 +147,13 @@ pub trait Strategy: Sized {
     /// Bytes of one replica of the whole ledger.
     fn ledger_bytes(&self) -> u64;
 
-    /// Runs after each fault round's proposal; `touched` are the nodes
-    /// whose liveness changed this round.
+    /// Runs after each round's proposals, unless the plan schedules
+    /// nothing; `touched` are the nodes whose liveness changed this
+    /// round.
     fn after_fault_round(&mut self, _touched: &[NodeId], _summary: &mut FaultRunSummary) {}
 
-    /// Runs once the plan is exhausted and message faults are lifted.
+    /// Runs once the plan is exhausted and message faults are lifted,
+    /// unless the plan scheduled nothing.
     fn finish_fault_run(&mut self, _summary: &mut FaultRunSummary) {}
 }
 
@@ -229,38 +228,28 @@ impl Strategy for IciNetwork {
         }
     }
 
+    /// Takes its one lane's entry.
     fn propose(
         &mut self,
-        _lane: usize,
-        batch: Vec<Transaction>,
+        proposals: &mut Vec<(usize, Vec<Transaction>)>,
         stage_crash: Option<(NodeId, StageBoundary)>,
-    ) -> bool {
-        let committed = self
-            .propose_block_staged(batch, |stage, sim| {
-                if let Some((victim, boundary)) = stage_crash {
-                    if stage == boundary {
-                        sim.crash(victim);
+    ) -> impl Iterator<Item = (usize, bool)> + use<> {
+        let outcome = proposals.pop().map(|(lane, batch)| {
+            let committed = self
+                .propose_block_staged(batch, |stage, sim| {
+                    if let Some((victim, boundary)) = stage_crash {
+                        if stage == boundary {
+                            sim.crash(victim);
+                        }
                     }
-                }
-            })
-            .is_ok();
-        if let Some((victim, _)) = stage_crash {
-            self.net_mut().recover(victim);
-        }
-        committed
-    }
-
-    /// Fault-free ICI calls the network's own loop rather than
-    /// [`Strategy::propose`] per round: routing it through the fault
-    /// loop would add a per-round repair and audit, and the committed
-    /// records pin the run without them.
-    fn commit_all(
-        &mut self,
-        batches: Vec<Vec<Transaction>>,
-        after_round: impl FnMut(&IciNetwork, usize),
-    ) {
-        self.propose_blocks(batches, after_round)
-            .expect("block commits");
+                })
+                .is_ok();
+            if let Some((victim, _)) = stage_crash {
+                self.net_mut().recover(victim);
+            }
+            (lane, committed)
+        });
+        outcome.into_iter()
     }
 
     fn commits(&self) -> impl Iterator<Item = Commit> + '_ {
@@ -340,24 +329,16 @@ impl Strategy for FullReplicationNetwork {
         Some((0, *tip.expect("a chain always holds its genesis").header()))
     }
 
+    /// Takes its one lane's entry.
     fn propose(
         &mut self,
-        _lane: usize,
-        batch: Vec<Transaction>,
+        proposals: &mut Vec<(usize, Vec<Transaction>)>,
         _stage_crash: Option<(NodeId, StageBoundary)>,
-    ) -> bool {
-        self.propose_block(batch).is_some()
-    }
-
-    fn commit_all(
-        &mut self,
-        batches: Vec<Vec<Transaction>>,
-        mut after_round: impl FnMut(&FullReplicationNetwork, usize),
-    ) {
-        for (round, batch) in batches.into_iter().enumerate() {
-            self.propose_block(batch).expect("block commits");
-            after_round(self, round);
-        }
+    ) -> impl Iterator<Item = (usize, bool)> + use<> {
+        let outcome = proposals.pop();
+        outcome
+            .map(|(lane, batch)| (lane, self.propose_block(batch).is_some()))
+            .into_iter()
     }
 
     fn commits(&self) -> impl Iterator<Item = Commit> + '_ {
@@ -404,30 +385,18 @@ impl Strategy for RapidChainNetwork {
         ))
     }
 
+    /// One round of [`RapidChainNetwork::propose_round`]: in simulated
+    /// time every proposing committee runs its proposal at once.
     fn propose(
         &mut self,
-        lane: usize,
-        batch: Vec<Transaction>,
+        proposals: &mut Vec<(usize, Vec<Transaction>)>,
         _stage_crash: Option<(NodeId, StageBoundary)>,
-    ) -> bool {
-        self.propose_block(lane, batch).is_some()
-    }
-
-    /// One batch per shard, committed as a single round: in simulated
-    /// time every committee runs its proposal at once.
-    fn commit_all(
-        &mut self,
-        batches: Vec<Vec<Transaction>>,
-        mut after_round: impl FnMut(&RapidChainNetwork, usize),
-    ) {
-        let shards = self.shard_count();
-        let rounds = batches.len() / shards;
-        let mut batches = batches.into_iter();
-        for round in 0..rounds {
-            let heights = self.propose_round(batches.by_ref().take(shards).enumerate().collect());
-            assert!(heights.iter().all(Option::is_some), "shard commits");
-            after_round(self, round);
-        }
+    ) -> impl Iterator<Item = (usize, bool)> + use<> {
+        let lanes: Vec<usize> = proposals.iter().map(|(lane, _)| *lane).collect();
+        let heights = self.propose_round(std::mem::take(proposals));
+        lanes
+            .into_iter()
+            .zip(heights.into_iter().map(|h| h.is_some()))
     }
 
     fn commits(&self) -> impl Iterator<Item = Commit> + '_ {

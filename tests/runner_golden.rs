@@ -22,6 +22,7 @@ use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::topology::Coord;
 use ici_sim::fault_run::{FaultProfile, StageChurn};
+use ici_sim::strategy::Strategy;
 use ici_sim::{
     run_full, run_full_under_faults, run_ici, run_ici_under_faults, run_rapidchain,
     run_rapidchain_under_faults,
@@ -243,17 +244,17 @@ fn full_fault_run_stage_churn() {
 
 #[test]
 fn rapidchain_fault_run_crash_only() {
-    assert_eq!(rapidchain_fault_line(crash_only()), "blocks=9 txs=45 skipped=3 byz_skipped=0 crashes=19 restarts=14 min_live=16 equiv=0/0 breaches=0 flips=0 withholds=0 liars=0 wasted=0 bytes=405992 msgs=2003 clock_us=1437582 plan=12481ab0d09f71d1");
+    assert_eq!(rapidchain_fault_line(crash_only()), "blocks=28 txs=140 skipped=8 byz_skipped=0 crashes=19 restarts=14 min_live=16 equiv=0/0 breaches=0 flips=0 withholds=0 liars=0 wasted=0 bytes=1257828 msgs=6225 clock_us=3943943 plan=12481ab0d09f71d1");
 }
 
 #[test]
 fn rapidchain_fault_run_byzantine() {
-    assert_eq!(rapidchain_fault_line(byzantine()), "blocks=6 txs=30 skipped=6 byz_skipped=5 crashes=17 restarts=16 min_live=18 equiv=3/3 breaches=0 flips=15 withholds=3 liars=15 wasted=70880 bytes=314554 msgs=1450 clock_us=1363328 plan=3ff9c533872eec2b");
+    assert_eq!(rapidchain_fault_line(byzantine()), "blocks=20 txs=100 skipped=16 byz_skipped=12 crashes=17 restarts=16 min_live=18 equiv=3/3 breaches=0 flips=55 withholds=12 liars=55 wasted=185264 bytes=1005088 msgs=4738 clock_us=3584678 plan=3ff9c533872eec2b");
 }
 
 #[test]
 fn rapidchain_fault_run_stage_churn() {
-    assert_eq!(rapidchain_fault_line(stage_churn()), "blocks=7 txs=35 skipped=5 byz_skipped=0 crashes=20 restarts=16 min_live=17 equiv=0/0 breaches=0 flips=0 withholds=0 liars=0 wasted=0 bytes=467692 msgs=2296 clock_us=1420828 plan=d3d84c4517427cd9");
+    assert_eq!(rapidchain_fault_line(stage_churn()), "blocks=17 txs=85 skipped=19 byz_skipped=0 crashes=20 restarts=16 min_live=17 equiv=0/0 breaches=0 flips=0 withholds=0 liars=0 wasted=0 bytes=1358742 msgs=6618 clock_us=3110351 plan=d3d84c4517427cd9");
 }
 
 #[test]
@@ -269,6 +270,67 @@ fn full_fault_free_run() {
 #[test]
 fn rapidchain_fault_free_run() {
     assert_eq!(run_line!(run_rapidchain(rapidchain_config(), 3, 6, workload())), "RapidChain n=24 blocks=9 txs=54 ledger=16374 stored=130992/5458..5458 block_msgs=224.0 block_bytes=46480.0 latency_ms=400.97355555555555/403.577/418.256 tps=43.14680861434024 clock_ms=1251.541 bytes=418320 msgs=2016 clock_us=1251541");
+}
+
+/// A profile whose plan schedules nothing: no churn, no guaranteed
+/// cycles, no partitions, message faults, Byzantine action or stage
+/// churn.
+fn zero(rounds: usize) -> FaultProfile {
+    FaultProfile {
+        seed: 3,
+        rounds,
+        churn: ChurnConfig {
+            crash_prob: 0.0,
+            restart_prob: 0.0,
+            cluster_churn_prob: 0.0,
+            ensure_cycle_per_cluster: false,
+            ..ChurnConfig::default()
+        },
+        partitions: PartitionPolicy::default(),
+        messages: MessageFaultSpec::default(),
+        byzantine: ByzantineConfig::default(),
+        stage_churn: StageChurn { interval: 0 },
+    }
+}
+
+/// What a run leaves behind: every lane's tip, the meter's totals, the
+/// clock and each node's stored bytes.
+fn end_state<S: Strategy>(strategy: &S) -> String {
+    let tips: Vec<String> = (0..strategy.lanes())
+        .map(|lane| match strategy.next_proposal(lane) {
+            Some((_, tip)) => format!("{}@{}", tip.id().to_hex(), tip.height),
+            None => "no proposer".into(),
+        })
+        .collect();
+    let meter = strategy.net().meter().total();
+    format!(
+        "tips={} bytes={} msgs={} clock_us={} stored={:?}",
+        tips.join(","),
+        meter.bytes,
+        meter.messages,
+        strategy.now().as_micros(),
+        strategy.stored_bytes(),
+    )
+}
+
+#[test]
+fn a_quiet_run_is_a_fault_run_whose_plan_schedules_nothing() {
+    let (rounds, txs) = (5, 6);
+    let (quiet, _) = run_ici(ici_config(), rounds, txs, workload());
+    let (faulted, _) =
+        run_ici_under_faults(ici_config(), txs, workload(), zero(rounds)).expect("plan builds");
+    assert_eq!(end_state(&faulted), end_state(&quiet), "ICIStrategy");
+
+    let (quiet, _) = run_full(full_config(), rounds, txs, workload());
+    let (faulted, _) =
+        run_full_under_faults(full_config(), txs, workload(), zero(rounds)).expect("plan builds");
+    assert_eq!(end_state(&faulted), end_state(&quiet), "FullReplication");
+
+    let (quiet, _) = run_rapidchain(rapidchain_config(), rounds, txs, workload());
+    let (faulted, _) =
+        run_rapidchain_under_faults(rapidchain_config(), txs, workload(), zero(rounds))
+            .expect("plan builds");
+    assert_eq!(end_state(&faulted), end_state(&quiet), "RapidChain");
 }
 
 /// The post-commit body traffic a network has metered, and its clock.

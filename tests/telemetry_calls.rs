@@ -2,7 +2,9 @@
 //!
 //! The three strategies run back to back with telemetry on, opening more
 //! span instances than a 4 096-event ring could hold; the tree keeps
-//! every one. One test, because the enable flag is process-global.
+//! every one. The same runs hold the quiet/fault boundary: a quiet run
+//! neither repairs nor audits. One test, because the enable flag is
+//! process-global.
 
 use std::collections::BTreeMap;
 
@@ -65,6 +67,19 @@ fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
         assert_eq!(snap.span(run).map(|s| s.count), Some(count), "{run}");
         assert_eq!(count, 1, "{run}");
     }
+
+    // A quiet run is the fault loop under a plan that schedules nothing:
+    // it repairs nothing and audits nothing.
+    assert!(
+        snap.span("core/merkle_audit").is_none(),
+        "a quiet run opened core/merkle_audit"
+    );
+    assert!(
+        snap.counters
+            .iter()
+            .all(|c| c.name != "sim/fault_repair_bytes"),
+        "a quiet run added sim/fault_repair_bytes"
+    );
 
     // Per name and label, the call paths sum to the flat entry.
     let mut folded: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
