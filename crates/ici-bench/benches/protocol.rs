@@ -17,7 +17,7 @@ use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_crypto::sig::Keypair;
-use ici_net::faults::FaultConfig;
+use ici_net::faults::{FaultConfig, MessageFaultSpec};
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -99,10 +99,12 @@ fn bench_pbft() {
         if lossy {
             net.set_faults(FaultConfig {
                 seed: 9,
-                drop_prob: 0.05,
-                dup_prob: 0.02,
-                delay_prob: 0.05,
-                max_extra_delay_ms: 20.0,
+                messages: MessageFaultSpec {
+                    drop_prob: 0.05,
+                    dup_prob: 0.02,
+                    delay_prob: 0.05,
+                    max_extra_delay_ms: 20.0,
+                },
                 partition: None,
             });
         }

@@ -2,9 +2,12 @@
 
 use ici_chain::block::Height;
 use ici_chain::genesis::GenesisConfig;
+use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
+use ici_cluster::partition::Partition;
 use ici_crypto::sha256::Digest;
 use ici_net::link::LinkModel;
 use ici_net::node::NodeId;
+use ici_net::topology::Topology;
 use ici_storage::assignment::{
     AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
 };
@@ -58,6 +61,18 @@ pub enum Clustering {
     KMeans,
     /// Uniform random partition (clustering baseline).
     Random,
+}
+
+impl Clustering {
+    /// Partitions `topology`'s nodes into `k` clusters with this
+    /// algorithm, seeded by `seed`.
+    pub(crate) fn partition(self, topology: &Topology, k: usize, seed: u64) -> Partition {
+        match self {
+            Clustering::BalancedKMeans => balanced_kmeans(topology, &KMeansConfig::with_k(k, seed)),
+            Clustering::KMeans => kmeans(topology, &KMeansConfig::with_k(k, seed)),
+            Clustering::Random => random_partition(topology.len(), k, seed),
+        }
+    }
 }
 
 /// Which block→owner assignment runs inside each cluster.

@@ -68,7 +68,9 @@
 //!
 //! [`IciNetwork::propose_block`] is the staged lifecycle with a callback
 //! that does nothing, and [`IciNetwork::propose_blocks`] is the in-order
-//! loop over it that the fault-free runner drives.
+//! loop over it. The run driver in `ici-sim` calls
+//! [`IciNetwork::propose_block_staged`] itself, one height a round,
+//! through its `Strategy::propose`.
 
 use std::collections::BTreeMap;
 

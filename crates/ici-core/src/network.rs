@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::locator::TxLocator;
 use ici_chain::state::WorldState;
-use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::pbft::VoteScratch;
@@ -26,7 +25,7 @@ use ici_storage::assignment::AssignmentStrategy;
 use ici_storage::audit::{audit_replicas, HeightSet, IntegrityReport};
 use ici_storage::stats::StorageStats;
 
-use crate::config::{Assignment, Clustering, IciConfig};
+use crate::config::{Assignment, IciConfig};
 use crate::error::IciError;
 use crate::holdings::NodeHoldings;
 use crate::lifecycle::{BlockCommitRecord, ClusterLeg};
@@ -284,13 +283,7 @@ impl IciNetwork {
         config.validate().map_err(IciError::Config)?;
         let topology = Topology::generate(config.nodes, &Placement::default(), config.seed);
         let k = config.cluster_count();
-        let partition = match config.clustering {
-            Clustering::BalancedKMeans => {
-                balanced_kmeans(&topology, &KMeansConfig::with_k(k, config.seed))
-            }
-            Clustering::KMeans => kmeans(&topology, &KMeansConfig::with_k(k, config.seed)),
-            Clustering::Random => random_partition(config.nodes, k, config.seed),
-        };
+        let partition = config.clustering.partition(&topology, k, config.seed);
         let membership = Membership::new(partition);
         let net = Network::new(topology, config.link);
 

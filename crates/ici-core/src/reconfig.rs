@@ -11,13 +11,11 @@
 //! The ablation benchmark `e9_assignment` quantifies how much data a
 //! reconfiguration moves under each assignment strategy.
 
-use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::membership::Membership;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
 
-use crate::config::Clustering;
 use crate::network::{owner_of, slot_of, IciNetwork, OwnerTable, Shipment};
 
 /// Outcome of one reconfiguration epoch.
@@ -138,15 +136,11 @@ impl IciNetwork {
     fn repartition(&mut self) -> (usize, usize) {
         let n = self.holdings.len();
         let k = n.div_ceil(self.config.cluster_size).max(1);
-        let topology = self.net.topology().clone();
         let seed = self.config.seed ^ self.chain_len();
-        let partition = match self.config.clustering {
-            Clustering::BalancedKMeans => {
-                balanced_kmeans(&topology, &KMeansConfig::with_k(k, seed))
-            }
-            Clustering::KMeans => kmeans(&topology, &KMeansConfig::with_k(k, seed)),
-            Clustering::Random => random_partition(n, k, seed),
-        };
+        let partition = self
+            .config
+            .clustering
+            .partition(self.net.topology(), k, seed);
         let moved_nodes = (0..n as u64)
             .map(NodeId::new)
             .filter(|node| partition.cluster_of(*node) != self.membership.cluster_of(*node))
@@ -159,7 +153,7 @@ impl IciNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IciConfig;
+    use crate::config::{Clustering, IciConfig};
     use ici_chain::genesis::GenesisConfig;
     use ici_chain::transaction::{Address, Transaction};
     use ici_cluster::membership::JoinPolicy;

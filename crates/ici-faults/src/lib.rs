@@ -13,25 +13,22 @@
 //!   seed ⇒ byte-identical schedule, on every platform — failures found
 //!   in CI replay exactly. Byzantine draws come from a dedicated stream,
 //!   so crash-only plans are unchanged by the knob existing.
-//! * [`scheduler`] — [`FaultScheduler`]: walks a plan one round at a
-//!   time, tracks the live set, exports `faults/live_nodes` gauges
-//!   through `ici-telemetry`, and emits the per-round crash/restart
-//!   actions plus the [`ici_net::FaultConfig`] to install on the send
-//!   path.
-//! * [`injector`] — derives the per-round message-fault configuration
-//!   (round-keyed sub-seeds so every round sees a fresh but reproducible
-//!   loss pattern).
+//!   [`FaultPlan::send_faults`] gives each round's
+//!   [`ici_net::FaultConfig`] for the send path (round-keyed sub-seeds,
+//!   so every round sees a fresh but reproducible loss pattern, and the
+//!   partition open that round).
 //!
-//! The crate is std-only and panic-free; schedule construction returns
+//! A plan is just its rounds: the consumer applies each round's crashes
+//! and restarts to its one network, which is the only live set. The
+//! crate is std-only and panic-free; schedule construction returns
 //! typed [`FaultError`]s instead of asserting. It deliberately knows
-//! nothing about chains or storage: `ici-sim`'s failure-aware runner owns
-//! applying the actions to an `IciNetwork` and driving repair.
+//! nothing about chains or storage: `ici-sim`'s run driver owns applying
+//! the rounds to a network and driving repair.
 //!
 //! # Examples
 //!
 //! ```
 //! use ici_faults::plan::{ChurnConfig, FaultPlanConfig};
-//! use ici_faults::scheduler::FaultScheduler;
 //! use ici_net::node::NodeId;
 //!
 //! let clusters: Vec<Vec<NodeId>> = (0..3)
@@ -58,24 +55,20 @@
 //! assert_eq!(plan.render(), replay.render());
 //! assert_eq!(plan.fingerprint(), replay.fingerprint());
 //!
-//! let mut scheduler = FaultScheduler::new(plan);
-//! while let Some(round) = scheduler.step() {
+//! for (round, send_faults) in plan.rounds().iter().zip(plan.send_faults()) {
 //!     // apply round.crashes / round.restarts to the network under test,
-//!     // install round.message_faults on the send path...
-//!     assert!(round.live_nodes <= 24);
+//!     // install send_faults on the send path...
+//!     assert!(round.crashes.len() <= 24);
+//!     assert!(send_faults.is_inert(), "no message faults, no partitions");
 //! }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod injector;
 pub mod plan;
-pub mod scheduler;
 
-pub use injector::round_fault_config;
 pub use plan::{
     ByzantineConfig, ChurnConfig, FaultError, FaultPlan, FaultPlanConfig, MessageFaultSpec,
     PartitionPolicy, RoundFaults, VerdictFault,
 };
-pub use scheduler::{FaultScheduler, ScheduledRound};

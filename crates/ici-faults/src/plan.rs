@@ -16,8 +16,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 
+use ici_net::faults::{FaultConfig, PartitionSpec};
 use ici_net::node::NodeId;
-use ici_rng::Xoshiro256;
+use ici_rng::{SplitMix64, Xoshiro256};
+
+/// Message-fault profile installed on the send path each round; the
+/// send path's own type, re-exported where plans are configured.
+pub use ici_net::faults::MessageFaultSpec;
 
 /// Node-churn parameters, all probabilities per round in `[0, 1]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,41 +76,6 @@ impl Default for PartitionPolicy {
         PartitionPolicy {
             prob: 0.0,
             max_duration_rounds: 2,
-        }
-    }
-}
-
-/// Message-fault profile installed on the send path each round (see
-/// [`ici_net::faults::FaultConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MessageFaultSpec {
-    /// Probability a message is dropped.
-    pub drop_prob: f64,
-    /// Probability a message is transmitted twice.
-    pub dup_prob: f64,
-    /// Probability a message is delayed/reordered.
-    pub delay_prob: f64,
-    /// Maximum extra delay in milliseconds.
-    pub max_extra_delay_ms: f64,
-}
-
-impl MessageFaultSpec {
-    /// Whether the spec can never fault a message.
-    fn is_inert(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.dup_prob == 0.0
-            && (self.delay_prob == 0.0 || self.max_extra_delay_ms == 0.0)
-    }
-}
-
-impl Default for MessageFaultSpec {
-    /// No message faults.
-    fn default() -> MessageFaultSpec {
-        MessageFaultSpec {
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            delay_prob: 0.0,
-            max_extra_delay_ms: 0.0,
         }
     }
 }
@@ -653,14 +623,33 @@ impl FaultPlan {
         self.clusters.iter().map(Vec::len).sum()
     }
 
-    /// The message-fault profile.
-    pub fn messages(&self) -> &MessageFaultSpec {
-        &self.messages
-    }
-
     /// The per-round schedule.
     pub fn rounds(&self) -> &[RoundFaults] {
         &self.rounds
+    }
+
+    /// The send-path fault config of every round, in round order: the
+    /// plan's message profile under the round's own sub-seed (so a
+    /// message retried next round meets a fresh fate), and the partition
+    /// open that round — a heal closes the window, then a start opens
+    /// one, split over [`FaultPlan::nodes`]. A config may be inert;
+    /// [`ici_net::Network::set_faults`] treats that as no faults.
+    pub fn send_faults(&self) -> impl Iterator<Item = FaultConfig> + '_ {
+        let nodes = self.nodes();
+        let mut open: Option<&[NodeId]> = None;
+        self.rounds.iter().enumerate().map(move |(round, faults)| {
+            if faults.partition_ends {
+                open = None;
+            }
+            if let Some(minority) = &faults.partition_starts {
+                open = Some(minority);
+            }
+            FaultConfig {
+                seed: round_seed(self.seed, round),
+                messages: self.messages,
+                partition: open.map(|minority| PartitionSpec::split(nodes, minority)),
+            }
+        })
     }
 
     /// The Byzantine-actor parameters the plan was built with.
@@ -791,6 +780,16 @@ impl FaultPlan {
         }
         hash
     }
+}
+
+/// A round's message-fault sub-seed: SplitMix64 over the plan seed
+/// offset by the round index, so distinct rounds land in distinct
+/// streams and a replay reproduces every drop.
+fn round_seed(plan_seed: u64, round: usize) -> u64 {
+    let mut sm = SplitMix64::new(
+        plan_seed ^ (round as u64).wrapping_mul(0xA076_1D64_78BD_642F), // usize round widens losslessly
+    );
+    sm.next_u64()
 }
 
 fn render_nodes(nodes: &[NodeId]) -> String {

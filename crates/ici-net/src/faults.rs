@@ -45,12 +45,6 @@ pub struct PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// Builds a partition from a per-node group assignment (indexed by
-    /// node id).
-    pub fn new(groups: Vec<u8>) -> PartitionSpec {
-        PartitionSpec { groups }
-    }
-
     /// Splits `nodes` into two groups: members of `minority` against the
     /// rest.
     pub fn split(nodes: usize, minority: &[NodeId]) -> PartitionSpec {
@@ -72,22 +66,13 @@ impl PartitionSpec {
     pub fn severs(&self, a: NodeId, b: NodeId) -> bool {
         self.group_of(a) != self.group_of(b)
     }
-
-    /// Number of nodes in the smaller side (0 when everyone is together).
-    pub fn minority_size(&self) -> usize {
-        let side1 = self.groups.iter().filter(|g| **g != 0).count();
-        side1.min(self.groups.len() - side1)
-    }
 }
 
-/// Message-fault parameters, all probabilities in `[0, 1]`.
-///
-/// A zeroed config (the [`Default`]) injects nothing; installing it is
-/// equivalent to clearing faults, which keeps the scheduler code branchless.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultConfig {
-    /// Seed for the per-message fault stream.
-    pub seed: u64,
+/// Message-fault probabilities, all in `[0, 1]`: the profile a fault
+/// plan installs on the send path every round, under a fresh seed. The
+/// [`Default`] faults nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MessageFaultSpec {
     /// Probability a message is silently dropped.
     pub drop_prob: f64,
     /// Probability a delivered message is transmitted twice.
@@ -97,21 +82,30 @@ pub struct FaultConfig {
     pub delay_prob: f64,
     /// Maximum extra delay in milliseconds (uniform in `[0, max)`).
     pub max_extra_delay_ms: f64,
-    /// Active partition, if any; cross-group messages are dropped.
-    pub partition: Option<PartitionSpec>,
 }
 
-impl Default for FaultConfig {
-    fn default() -> FaultConfig {
-        FaultConfig {
-            seed: 0,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            delay_prob: 0.0,
-            max_extra_delay_ms: 0.0,
-            partition: None,
-        }
+impl MessageFaultSpec {
+    /// Whether the spec can never fault a message.
+    pub fn is_inert(&self) -> bool {
+        self.drop_prob <= 0.0
+            && self.dup_prob <= 0.0
+            && (self.delay_prob <= 0.0 || self.max_extra_delay_ms <= 0.0)
     }
+}
+
+/// What the send path consults: a [`MessageFaultSpec`] under a seed, and
+/// the partition open, if any.
+///
+/// A zeroed config (the [`Default`]) injects nothing; installing it is
+/// equivalent to clearing faults.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FaultConfig {
+    /// Seed for the per-message fault stream.
+    pub seed: u64,
+    /// The loss, duplication and delay probabilities.
+    pub messages: MessageFaultSpec,
+    /// Active partition, if any; cross-group messages are dropped.
+    pub partition: Option<PartitionSpec>,
 }
 
 /// Turns the top 53 bits of a word into a uniform `f64` in `[0, 1)` —
@@ -124,10 +118,7 @@ fn unit_f64(word: u64) -> f64 {
 impl FaultConfig {
     /// Whether this config can ever inject a fault.
     pub fn is_inert(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.dup_prob <= 0.0
-            && (self.delay_prob <= 0.0 || self.max_extra_delay_ms <= 0.0)
-            && self.partition.is_none()
+        self.messages.is_inert() && self.partition.is_none()
     }
 
     /// The injector's verdict for the `seq`-th message on `from → to`.
@@ -148,19 +139,20 @@ impl FaultConfig {
             .wrapping_add(to.get().wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(seq.wrapping_mul(0x94D0_49BB_1331_11EB));
         let mut stream = SplitMix64::new(key);
-        if self.drop_prob > 0.0 && unit_f64(stream.next_u64()) < self.drop_prob {
+        let spec = &self.messages;
+        if spec.drop_prob > 0.0 && unit_f64(stream.next_u64()) < spec.drop_prob {
             return SendFault::Drop;
         }
-        let copies = if self.dup_prob > 0.0 && unit_f64(stream.next_u64()) < self.dup_prob {
+        let copies = if spec.dup_prob > 0.0 && unit_f64(stream.next_u64()) < spec.dup_prob {
             2
         } else {
             1
         };
-        let extra_delay = if self.delay_prob > 0.0
-            && self.max_extra_delay_ms > 0.0
-            && unit_f64(stream.next_u64()) < self.delay_prob
+        let extra_delay = if spec.delay_prob > 0.0
+            && spec.max_extra_delay_ms > 0.0
+            && unit_f64(stream.next_u64()) < spec.delay_prob
         {
-            Duration::from_millis_f64(unit_f64(stream.next_u64()) * self.max_extra_delay_ms)
+            Duration::from_millis_f64(unit_f64(stream.next_u64()) * spec.max_extra_delay_ms)
         } else {
             Duration::ZERO
         };
@@ -178,10 +170,12 @@ mod tests {
     fn lossy(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            drop_prob: 0.3,
-            dup_prob: 0.2,
-            delay_prob: 0.25,
-            max_extra_delay_ms: 40.0,
+            messages: MessageFaultSpec {
+                drop_prob: 0.3,
+                dup_prob: 0.2,
+                delay_prob: 0.25,
+                max_extra_delay_ms: 40.0,
+            },
             partition: None,
         }
     }
@@ -254,7 +248,6 @@ mod tests {
     #[test]
     fn partition_severs_cross_group_edges_only() {
         let partition = PartitionSpec::split(6, &[NodeId::new(4), NodeId::new(5)]);
-        assert_eq!(partition.minority_size(), 2);
         let config = FaultConfig {
             partition: Some(partition),
             ..FaultConfig::default()

@@ -54,7 +54,7 @@ pub mod queue;
 pub mod time;
 pub mod topology;
 
-pub use faults::{FaultConfig, PartitionSpec, SendFault};
+pub use faults::{FaultConfig, MessageFaultSpec, PartitionSpec, SendFault};
 pub use link::LinkModel;
 pub use metrics::{MessageKind, TrafficMeter};
 pub use network::{Network, SendOutcome};

@@ -594,15 +594,17 @@ mod tests {
 
     #[test]
     fn installed_faults_drop_and_duplicate_deterministically() {
-        use crate::faults::FaultConfig;
+        use crate::faults::{FaultConfig, MessageFaultSpec};
         let run = || {
             let mut net = net(4);
             net.set_faults(FaultConfig {
                 seed: 5,
-                drop_prob: 0.4,
-                dup_prob: 0.3,
-                delay_prob: 0.2,
-                max_extra_delay_ms: 25.0,
+                messages: MessageFaultSpec {
+                    drop_prob: 0.4,
+                    dup_prob: 0.3,
+                    delay_prob: 0.2,
+                    max_extra_delay_ms: 25.0,
+                },
                 partition: None,
             });
             let outcomes: Vec<SendOutcome> = (0..200)

@@ -29,10 +29,10 @@ use ici_faults::plan::{
     ByzantineConfig, ChurnConfig, FaultError, FaultPlan, FaultPlanConfig, MessageFaultSpec,
     PartitionPolicy, VerdictFault,
 };
-use ici_faults::scheduler::{FaultScheduler, ScheduledRound};
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
+use ici_telemetry::Label;
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 use crate::latency::LatencyStats;
@@ -362,6 +362,25 @@ impl<S: Strategy> FaultRun<S> {
         self.groups[group].iter().copied().filter(up).collect()
     }
 
+    /// Live nodes over every group. With `gauges`, also sets the global
+    /// and per-group `faults/live_nodes` gauges to the counts.
+    fn count_live(&self, gauges: bool) -> usize {
+        let net = self.strategy.net();
+        let mut total = 0;
+        for (group, members) in self.groups.iter().enumerate() {
+            let live = members.iter().filter(|m| net.is_up(**m)).count();
+            total += live;
+            if gauges {
+                let label = Label::Cluster(group as u64); // group index widens losslessly
+                ici_telemetry::gauge_set("faults/live_nodes", label, live as f64);
+            }
+        }
+        if gauges {
+            ici_telemetry::gauge_set("faults/live_nodes", Label::Global, total as f64);
+        }
+        total
+    }
+
     /// Elects the next proposer on `lane`: `None` when no group can
     /// propose or the proposing group has no live member.
     fn elect(&self, lane: usize) -> Option<Proposer> {
@@ -495,8 +514,8 @@ impl<S: Strategy> FaultRun<S> {
     /// quorums are counted only when the lane goes on to its proposal
     /// (their dissemination was wasted on a stalled verdict; the commit
     /// proceeds).
-    fn verdict_round_stalls(&mut self, lane: usize, round: &ScheduledRound) -> bool {
-        if round.verdict_faults.is_empty() {
+    fn verdict_round_stalls(&mut self, lane: usize, faults: &[(NodeId, VerdictFault)]) -> bool {
+        if faults.is_empty() {
             return false;
         }
         let home = self.strategy.next_proposal(lane).map(|(home, _)| home);
@@ -508,7 +527,7 @@ impl<S: Strategy> FaultRun<S> {
         let (mut home_stalled, mut missed_remote) = (false, 0);
         for group in scope {
             let live = self.live(group);
-            if live.is_empty() || tally_group(&live, &round.verdict_faults, &mut self.summary) {
+            if live.is_empty() || tally_group(&live, faults, &mut self.summary) {
                 continue;
             }
             if Some(group) == home {
@@ -589,9 +608,12 @@ pub fn run_under_faults<S: Strategy>(
 /// [`run_under_faults`]). Lane `l` draws its batches from the workload
 /// seeded `seed ^ l·0x9E37_79B9`, so nonces stay sequential within each
 /// lane's ledger and a single-lane strategy draws the workload's own
-/// stream. A plan that schedules nothing, with no stage churn, leaves
-/// nothing to recover: the strategy's recovery steps and the fault
-/// counters are skipped, and the per-round series takes the strategy's
+/// stream. The plan's rounds go straight onto the strategy's network,
+/// the run's one live set: each round's live count is read back from it
+/// with [`Network::is_up`]. A plan that schedules nothing, with no stage
+/// churn, leaves nothing to recover: the strategy's recovery steps, the
+/// fault counters, the `faults/live_nodes` gauges and the send-path
+/// faults are skipped, and the per-round series takes the strategy's
 /// bare label.
 pub(crate) fn drive<S: Strategy>(
     strategy: S,
@@ -615,7 +637,6 @@ pub(crate) fn drive<S: Strategy>(
         plan_render: plan.render(),
         ..FaultRunSummary::default()
     };
-    let mut scheduler = FaultScheduler::new(plan);
     let mut run = FaultRun {
         strategy,
         groups,
@@ -633,14 +654,16 @@ pub(crate) fn drive<S: Strategy>(
         .collect();
     let mut pending: Vec<Option<Vec<Transaction>>> = vec![None; lanes];
     let mut proposals = Vec::with_capacity(lanes);
+    let mut touched = Vec::new();
     let sampling = ici_telemetry::enabled();
     let mut series = RoundSeries::default();
     let mut generated_txs = 0u64;
 
-    while let Some(round) = scheduler.step() {
-        let (index, target) = (round.round, round.round % lanes);
+    for ((index, round), send_faults) in plan.rounds().iter().enumerate().zip(plan.send_faults()) {
+        let target = index % lanes;
 
-        // 1. Apply the scheduled churn (restarts come back disk-intact).
+        // 1. Apply the scheduled churn (restarts come back disk-intact),
+        //    then count who is up: the network is the one live set.
         run.mark_churn("faults/restart", &round.restarts, index);
         for node in &round.restarts {
             run.strategy.net_mut().recover(*node);
@@ -651,13 +674,16 @@ pub(crate) fn drive<S: Strategy>(
         }
         run.summary.restart_events += round.restarts.len();
         run.summary.crash_events += round.crashes.len();
-        run.summary.min_live_nodes = run.summary.min_live_nodes.min(round.live_nodes);
-        let mut touched = [&round.crashes[..], &round.restarts[..]].concat();
+        let live_nodes = run.count_live(!quiet);
+        run.summary.min_live_nodes = run.summary.min_live_nodes.min(live_nodes);
+        touched.clear();
+        touched.extend_from_slice(&round.crashes);
+        touched.extend_from_slice(&round.restarts);
 
         // 2. Install this round's message faults on the send path.
-        run.strategy
-            .net_mut()
-            .set_faults(round.message_faults.clone());
+        if !quiet {
+            run.strategy.net_mut().set_faults(send_faults);
+        }
 
         // 3. Every lane proposes a block; a lane that does not commit
         //    retries the same batch. Byzantine action degrades this
@@ -680,7 +706,7 @@ pub(crate) fn drive<S: Strategy>(
                 // discarded, an undetected one is counted as a breach.
                 run.summary.equivocations_detected += usize::from(detected);
                 run.summary.safety_breaches += usize::from(!detected);
-            } else if run.verdict_round_stalls(lane, &round) {
+            } else if run.verdict_round_stalls(lane, &round.verdict_faults) {
                 // That dissemination is the liars' bandwidth bill.
                 run.summary.wasted_bytes += run.charge_stalled(lane, batch);
             } else {
@@ -748,7 +774,7 @@ pub(crate) fn drive<S: Strategy>(
             ("faults/liars_detected", summary.liars_detected as u64),
             ("sim/byz_wasted_bytes", summary.wasted_bytes),
         ] {
-            ici_telemetry::counter_add(name, ici_telemetry::Label::Global, value);
+            ici_telemetry::counter_add(name, Label::Global, value);
         }
     }
     summary.commit_latency = LatencyStats::from_durations(strategy.commits().map(|c| c.latency));
@@ -800,6 +826,7 @@ pub fn run_rapidchain_under_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ici_faults::plan::RoundFaults;
     use ici_net::link::LinkModel;
 
     fn workload() -> WorkloadConfig {
@@ -1010,6 +1037,25 @@ mod tests {
         let (_, zeroed) = run_ici_under_faults(config(), 4, workload(), explicit).expect("plan");
         assert_eq!(plain, zeroed);
         assert_eq!(plain.stage_crash_events, 0);
+    }
+
+    #[test]
+    fn a_verifier_crashed_before_its_flip_adds_no_flip() {
+        // Round 0 crashes `liar` or leaves it up; round 1 schedules its flip.
+        let flipped = |crash_first: bool| {
+            let strategy = IciNetwork::build(config(), genesis_for(&workload()));
+            let liar = strategy.groups()[0][1];
+            let mut rounds = vec![RoundFaults::default(); 2];
+            if crash_first {
+                rounds[0].crashes.push(liar);
+            }
+            rounds[1].verdict_faults.push((liar, VerdictFault::Flip));
+            let plan = FaultPlan::from_rounds(strategy.groups(), rounds).expect("known nodes");
+            let (_, summary) = drive(strategy, plan, StageChurn::default(), 4, workload());
+            (summary.crash_events, summary.verdict_flips)
+        };
+        assert_eq!(flipped(false), (0, 1), "a live liar flips");
+        assert_eq!(flipped(true), (1, 0), "a crashed liar reports nothing");
     }
 
     #[test]
@@ -1318,19 +1364,9 @@ mod tests {
         assert_eq!(summary, FaultRunSummary::default());
     }
 
-    /// A round whose only scheduled faults are flips by `liars`.
-    fn flipping_round(liars: &[NodeId]) -> ScheduledRound {
-        ScheduledRound {
-            round: 0,
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            live_nodes: 24,
-            live_per_cluster: Vec::new(),
-            partition: None,
-            message_faults: Default::default(),
-            equivocation: false,
-            verdict_faults: liars.iter().map(|n| (*n, VerdictFault::Flip)).collect(),
-        }
+    /// A round's verdict faults: flips by `liars`.
+    fn flips_by(liars: &[NodeId]) -> Vec<(NodeId, VerdictFault)> {
+        liars.iter().map(|n| (*n, VerdictFault::Flip)).collect()
     }
 
     /// Three flips in the proposing group, then three in another group:
@@ -1343,9 +1379,9 @@ mod tests {
         let liars = |group: usize| run.groups[group][..3].to_vec();
         let (at_home, elsewhere) = (liars(home), liars(remote));
 
-        let home_stalled = run.verdict_round_stalls(0, &flipping_round(&at_home));
+        let home_stalled = run.verdict_round_stalls(0, &flips_by(&at_home));
         let home_flips = run.summary.verdict_flips;
-        let remote_stalled = run.verdict_round_stalls(0, &flipping_round(&elsewhere));
+        let remote_stalled = run.verdict_round_stalls(0, &flips_by(&elsewhere));
         (
             home_stalled,
             home_flips,
@@ -1371,7 +1407,7 @@ mod tests {
         // Full replication has one group and no verdict round at all.
         let mut run = fault_run::<FullReplicationNetwork>(full_config());
         let liars = run.groups[0][..12].to_vec();
-        assert!(!run.verdict_round_stalls(0, &flipping_round(&liars)));
+        assert!(!run.verdict_round_stalls(0, &flips_by(&liars)));
         assert_eq!(run.summary, FaultRunSummary::default());
     }
 }

@@ -134,7 +134,8 @@ pub fn run<S: Strategy>(
 }
 
 /// [`run`] for ICIStrategy: `blocks` blocks of `txs_per_block`
-/// transactions through [`IciNetwork::propose_blocks`].
+/// transactions, one a round through [`Strategy::propose`] →
+/// [`IciNetwork::propose_block_staged`].
 pub fn run_ici(
     config: IciConfig,
     blocks: usize,

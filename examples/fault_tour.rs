@@ -6,9 +6,9 @@
 //!    every crash, restart, partition window, and per-round message-fault
 //!    profile up front. Same seed ⇒ byte-identical schedule on every
 //!    machine, so failures found in CI replay exactly.
-//! 2. A **scheduler** walks the plan one round at a time, tracking the
-//!    live set and emitting the `ici_net::FaultConfig` to install on the
-//!    send path.
+//! 2. A plan is **just its rounds**: walking `plan.rounds()` gives each
+//!    round's crashes and restarts, and `plan.send_faults()` the
+//!    `ici_net::FaultConfig` to install on the send path that round.
 //! 3. The **failure-aware runner** drives a full `IciNetwork` through a
 //!    plan: blocks keep committing under churn, survivors re-replicate
 //!    after every crash, and each repair is certified by a shard-level
@@ -49,14 +49,16 @@ fn main() {
     // ------------------------------------------------------------------
     // Stop 2 — walking the schedule.
     // ------------------------------------------------------------------
-    let mut scheduler = FaultScheduler::new(plan);
-    while let Some(round) = scheduler.step() {
+    let mut live = plan.nodes();
+    let rounds = plan.rounds().iter().zip(plan.send_faults());
+    for (index, (round, send_faults)) in rounds.enumerate() {
+        live = live + round.restarts.len() - round.crashes.len();
         if round.crashes.is_empty() && round.restarts.is_empty() {
             continue;
         }
         println!(
-            "stop 2: round {:>2} — crash {:?}, restart {:?}, {} nodes live",
-            round.round, round.crashes, round.restarts, round.live_nodes,
+            "stop 2: round {index:>2} — crash {:?}, restart {:?}, {live} nodes live, fault seed {:016x}",
+            round.crashes, round.restarts, send_faults.seed,
         );
     }
 

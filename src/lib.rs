@@ -16,7 +16,7 @@
 //! | [`baselines`] | `ici-baselines` | full replication and RapidChain comparators |
 //! | [`workload`] | `ici-workload` | deterministic transaction generators |
 //! | [`sim`] | `ici-sim` | experiment runners, statistics, tables |
-//! | [`faults`] | `ici-faults` | seed-deterministic fault plans, schedulers, injectors |
+//! | [`faults`] | `ici-faults` | seed-deterministic fault plans and their per-round send-path faults |
 //! | [`telemetry`] | `ici-telemetry` | spans, counters, histograms, profiling export |
 //!
 //! # Quickstart
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use ici_cluster::{ClusterId, JoinPolicy};
     pub use ici_core::{Assignment, Clustering, IciConfig, IciError, IciNetwork, QueryTier};
     pub use ici_crypto::{Digest, Keypair, Sha256};
-    pub use ici_faults::{FaultPlan, FaultPlanConfig, FaultScheduler};
+    pub use ici_faults::{FaultPlan, FaultPlanConfig};
     pub use ici_net::{Coord, NodeId};
     pub use ici_sim::fault_run::{run_ici_under_faults, FaultProfile};
     pub use ici_sim::runner::{run_full, run_ici, run_rapidchain};

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use ici_net::faults::{FaultConfig, PartitionSpec, SendFault};
+use ici_net::faults::{FaultConfig, MessageFaultSpec, PartitionSpec, SendFault};
 use ici_net::link::LinkModel;
 use ici_net::metrics::{MessageKind, TrafficMeter};
 use ici_net::network::{Network, SendOutcome};
@@ -186,10 +186,12 @@ fn faults(case: &Case) -> FaultConfig {
         .collect();
     FaultConfig {
         seed: case.fault_seed,
-        drop_prob: if case.lossy { 0.2 } else { 0.0 },
-        dup_prob: if case.lossy { 0.2 } else { 0.0 },
-        delay_prob: if case.lossy { 0.3 } else { 0.0 },
-        max_extra_delay_ms: 30.0,
+        messages: MessageFaultSpec {
+            drop_prob: if case.lossy { 0.2 } else { 0.0 },
+            dup_prob: if case.lossy { 0.2 } else { 0.0 },
+            delay_prob: if case.lossy { 0.3 } else { 0.0 },
+            max_extra_delay_ms: 30.0,
+        },
         partition: (!minority.is_empty())
             .then(|| PartitionSpec::split(case.nodes as usize, &minority)),
     }

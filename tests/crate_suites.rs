@@ -21,6 +21,8 @@ mod chain_properties;
 mod cluster_properties;
 #[path = "../crates/ici-crypto/tests/properties.rs"]
 mod crypto_properties;
+#[path = "../crates/ici-faults/tests/send_faults.rs"]
+mod faults_send_faults;
 #[path = "../crates/ici-net/tests/properties.rs"]
 mod net_properties;
 #[path = "../crates/ici-storage/tests/properties.rs"]

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
-use ici_net::faults::{FaultConfig, PartitionSpec};
+use ici_net::faults::{FaultConfig, MessageFaultSpec, PartitionSpec};
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -173,10 +173,12 @@ fn network(case: &Case) -> Network {
             .collect();
         net.set_faults(FaultConfig {
             seed: case.fault_seed,
-            drop_prob: if lossy { 0.2 } else { 0.0 },
-            dup_prob: if lossy { 0.2 } else { 0.0 },
-            delay_prob: if lossy { 0.3 } else { 0.0 },
-            max_extra_delay_ms: 30.0,
+            messages: MessageFaultSpec {
+                drop_prob: if lossy { 0.2 } else { 0.0 },
+                dup_prob: if lossy { 0.2 } else { 0.0 },
+                delay_prob: if lossy { 0.3 } else { 0.0 },
+                max_extra_delay_ms: 30.0,
+            },
             partition: (!minority.is_empty())
                 .then(|| PartitionSpec::split(case.nodes as usize, &minority)),
         });

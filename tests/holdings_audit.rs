@@ -580,9 +580,7 @@ fn certificates_match_the_references(s: &FaultScenario) -> Result<(), String> {
     // Heights no certificate has hashed since their last write.
     let mut unverified: BTreeSet<Height> = BTreeSet::new();
     unverified.insert(0);
-    let mut scheduler = FaultScheduler::new(plan);
-    let mut round_index = 0;
-    while let Some(round) = scheduler.step() {
+    for (round_index, round) in plan.rounds().iter().enumerate() {
         for node in &round.restarts {
             net.recover_node(*node).map_err(|e| format!("{e:?}"))?;
         }
@@ -689,7 +687,6 @@ fn certificates_match_the_references(s: &FaultScenario) -> Result<(), String> {
                 unverified.remove(&h);
             }
         }
-        round_index += 1;
     }
 
     // The final ruling is from scratch: every held height, whatever the

@@ -388,8 +388,7 @@ fn fault_plans_leave_recoverable_networks_repairable() {
             else {
                 return Ok(()); // floor impossible over these clusters
             };
-            let mut scheduler = FaultScheduler::new(plan);
-            while let Some(round) = scheduler.step() {
+            for round in plan.rounds() {
                 for node in &round.restarts {
                     net.recover_node(*node)
                         .map_err(|e| format!("scheduled restart invalid: {e:?}"))?;

@@ -15,7 +15,7 @@
 //! One test per process: telemetry and tracing are switched on
 //! process-wide.
 
-use ici_net::faults::{FaultConfig, PartitionSpec};
+use ici_net::faults::{FaultConfig, MessageFaultSpec, PartitionSpec};
 use ici_net::link::LinkModel;
 use ici_net::metrics::{MessageKind, TrafficMeter};
 use ici_net::network::{Network, SendOutcome, Stream};
@@ -91,10 +91,12 @@ fn network(case: &Case) -> Network {
     let minority: Vec<NodeId> = case.minority.iter().map(node).collect();
     net.set_faults(FaultConfig {
         seed: case.fault_seed,
-        drop_prob: if case.lossy { 0.2 } else { 0.0 },
-        dup_prob: if case.lossy { 0.2 } else { 0.0 },
-        delay_prob: if case.lossy { 0.3 } else { 0.0 },
-        max_extra_delay_ms: 30.0,
+        messages: MessageFaultSpec {
+            drop_prob: if case.lossy { 0.2 } else { 0.0 },
+            dup_prob: if case.lossy { 0.2 } else { 0.0 },
+            delay_prob: if case.lossy { 0.3 } else { 0.0 },
+            max_extra_delay_ms: 30.0,
+        },
         partition: (!minority.is_empty())
             .then(|| PartitionSpec::split(case.nodes as usize, &minority)),
     });

@@ -3,8 +3,8 @@
 //! The three strategies run back to back with telemetry on, opening more
 //! span instances than a 4 096-event ring could hold; the tree keeps
 //! every one. The same runs hold the quiet/fault boundary: a quiet run
-//! neither repairs nor audits. One test, because the enable flag is
-//! process-global.
+//! neither repairs nor audits, nor keeps fault bookkeeping. One test,
+//! because the enable flag is process-global.
 
 use std::collections::BTreeMap;
 
@@ -69,7 +69,7 @@ fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
     }
 
     // A quiet run is the fault loop under a plan that schedules nothing:
-    // it repairs nothing and audits nothing.
+    // it repairs nothing, audits nothing and keeps no fault bookkeeping.
     assert!(
         snap.span("core/merkle_audit").is_none(),
         "a quiet run opened core/merkle_audit"
@@ -79,6 +79,14 @@ fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
             .iter()
             .all(|c| c.name != "sim/fault_repair_bytes"),
         "a quiet run added sim/fault_repair_bytes"
+    );
+    assert!(
+        snap.gauges.iter().all(|g| g.name != "faults/live_nodes"),
+        "a quiet run set faults/live_nodes"
+    );
+    assert!(
+        snap.span("faults/round").is_none(),
+        "a quiet run opened faults/round"
     );
 
     // Per name and label, the call paths sum to the flat entry.
