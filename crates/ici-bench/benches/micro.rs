@@ -31,8 +31,8 @@ use ici_crypto::lottery::{
 };
 use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
-use ici_crypto::sha256::{kernels, Sha256};
-use ici_crypto::sig::Keypair;
+use ici_crypto::sha256::{digest_messages, kernels, Digest, Message, Sha256, WIDE};
+use ici_crypto::sig::{Keypair, PublicKey};
 use ici_net::link::LinkModel;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
@@ -63,6 +63,20 @@ fn bench_sha256() {
             });
         }
     }
+    // Sixteen leaf-sized messages (a transaction encoding after the
+    // leaf prefix) through the batch entry: one sixteen-lane call where
+    // the CPU has AVX-512, against `sha256/digest/33B`-style one-by-one
+    // digests of the same bytes.
+    let leaf = vec![0xA5u8; 346];
+    let mut messages: [Message; WIDE] = std::array::from_fn(|_| Message::from(&leaf[..]));
+    let mut out = [Digest::ZERO; WIDE];
+    bench("sha256/batch16/346B", || {
+        digest_messages(&mut messages, false, &mut out);
+        out[0]
+    });
+    bench("sha256/x16/346B", || {
+        (0..WIDE).fold(0u8, |acc, _| acc ^ Sha256::digest(&leaf).as_bytes()[0])
+    });
 }
 
 /// One 16-member cluster's leader lottery and owner ranking, each id
@@ -110,6 +124,13 @@ fn bench_simsig() {
     let sig = pair.sign(&msg);
     bench("simsig/sign", || pair.sign(&msg));
     bench("simsig/verify", || pair.public().verify(&msg, &sig));
+    // Sixteen checks of the same shape, the four HMAC hashes each one
+    // sixteen-lane call: compare with 16 × `simsig/verify`.
+    let public = pair.public();
+    let mut messages: [Message; WIDE] = std::array::from_fn(|_| Message::from(&msg[..]));
+    bench("simsig/verify/x16_batched", || {
+        PublicKey::verify16([&public; WIDE], &mut messages, [&sig; WIDE])
+    });
 }
 
 fn bench_merkle() {
@@ -297,6 +318,14 @@ fn bench_block_path() {
         "tx/verify_signature/first/x1000",
         || unchecked.clone(),
         verify_all,
+    );
+    bench_with_setup(
+        "tx/verify_signatures/x1000_batched",
+        || unchecked.clone(),
+        |txs| {
+            Transaction::verify_signatures(&txs);
+            verify_all(txs)
+        },
     );
     bench_with_setup(
         "tx/verify_signature/memo/x1000",

@@ -11,7 +11,8 @@ use ici_chain::codec::{Decode, Encode};
 use ici_chain::transaction::{Address, Transaction};
 use ici_crypto::hmac::hmac_sha256;
 use ici_crypto::merkle::{hash_leaf, hash_node};
-use ici_crypto::sig::Keypair;
+use ici_crypto::sha256::{digest_messages, WIDE};
+use ici_crypto::sig::{Keypair, PublicKey, Signature};
 use ici_crypto::{Digest, Message, Sha256};
 
 /// Heap allocations `f` makes (its result is dropped after counting).
@@ -65,6 +66,41 @@ fn inline_messages_hash_without_allocating() {
         tx.id();
         tx.leaf_hash();
         header.id();
+    });
+    assert_eq!(n, 0);
+
+    // The batch entry, sixteen wide and one by one: messages padded in
+    // place, digests written to the caller's slice.
+    let mut out = [Digest::ZERO; WIDE + 1];
+    for len in 0..=Message::INLINE_LEN {
+        let mut uniform: [Message; WIDE] = std::array::from_fn(|_| Message::from(&data[..len]));
+        let mut mixed: [Message; WIDE + 1] =
+            std::array::from_fn(|i| Message::from(&data[..(len + 31 * i) % Message::INLINE_LEN]));
+        let n = allocations(|| {
+            digest_messages(&mut uniform, false, &mut out);
+            digest_messages(&mut uniform, true, &mut out);
+            digest_messages(&mut mixed, true, &mut out);
+        });
+        assert_eq!(n, 0, "batch len {len}");
+    }
+    let signatures: [Signature; WIDE] = std::array::from_fn(|i| pair.sign(&data[..200 + i]));
+    let keys = [pair.public(); WIDE];
+    let mut messages: [Message; WIDE] = std::array::from_fn(|i| Message::from(&data[..200 + i]));
+    let n =
+        allocations(|| PublicKey::verify16(keys.each_ref(), &mut messages, signatures.each_ref()));
+    assert_eq!(n, 0);
+
+    // A block's worth of decoded transactions: signatures, ids and
+    // leaves in batches.
+    let batch: Vec<Transaction> = (0..40u64)
+        .map(|i| Transaction::signed(&pair, Address::from_seed(i), 10, 1, i, vec![0xAB; 200]))
+        .map(|tx| Transaction::from_bytes(&tx.to_bytes()).expect("round trip"))
+        .collect();
+    let mut digests = vec![Digest::ZERO; batch.len()];
+    let n = allocations(|| {
+        Transaction::verify_signatures(&batch);
+        Transaction::ids(&batch, &mut digests);
+        Transaction::leaf_hashes(&batch, &mut digests);
     });
     assert_eq!(n, 0);
 }

@@ -244,8 +244,12 @@ impl Block {
         )
     }
 
+    /// Every transaction's leaf, hashed as one batch
+    /// ([`Transaction::leaf_hashes`]).
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
-        transactions.iter().map(Transaction::leaf_hash).collect()
+        let mut leaves = vec![Digest::ZERO; transactions.len()];
+        Transaction::leaf_hashes(transactions, &mut leaves);
+        leaves
     }
 
     /// The block header.

@@ -5,7 +5,10 @@
 //! proposal), and seals a block whose `state_root` commits to the
 //! post-execution state.
 
+use ici_crypto::sha256::WIDE;
+
 use crate::block::{Block, BlockHeader, BlockId, Height};
+use crate::codec::Encode;
 use crate::state::{StateError, WorldState};
 use crate::transaction::{Address, Transaction};
 
@@ -144,7 +147,7 @@ impl BlockBuilder {
         if self.transactions.len() >= self.max_txs {
             return Err(BuildError::TxLimitReached(self.transactions.len()));
         }
-        let tx_len = crate::codec::Encode::encoded_len(&tx);
+        let tx_len = tx.encoded_len();
         let would_be = self.body_len + tx_len;
         if would_be > self.max_body_bytes {
             return Err(BuildError::SizeLimitReached {
@@ -166,16 +169,64 @@ impl BlockBuilder {
     /// Room for `pending`'s lower size bound (at most what the
     /// transaction cap leaves) is reserved up front, so a full batch
     /// lands in one allocation.
+    ///
+    /// The result is [`BlockBuilder::push`] on each in turn, but the
+    /// signatures are checked [`WIDE`] at a time
+    /// ([`Transaction::verify_signatures`]): up to [`WIDE`] candidates
+    /// that both caps can still take even if every one is accepted go
+    /// into the body's reserved room, are checked together, and are
+    /// applied in order, the rejected ones dropped. So no signature is
+    /// checked that one-by-one pushing would not check. A candidate
+    /// that might not fit, or one that finds no reserved room, is pushed
+    /// on its own.
     pub fn fill<I>(&mut self, pending: I) -> usize
     where
         I: IntoIterator<Item = Transaction>,
     {
-        let pending = pending.into_iter();
+        let mut pending = pending.into_iter();
         let room = self.max_txs.saturating_sub(self.transactions.len());
         self.transactions.reserve(pending.size_hint().0.min(room));
         let mut accepted = 0;
-        for tx in pending {
-            match self.push(tx) {
+        loop {
+            let start = self.transactions.len();
+            let slots = WIDE
+                .min(self.max_txs.saturating_sub(start))
+                .min(self.transactions.capacity() - start);
+            let mut body_len = self.body_len;
+            let mut unsure = None;
+            while self.transactions.len() - start < slots {
+                let Some(tx) = pending.next() else { break };
+                let tx_len = tx.encoded_len();
+                if body_len + tx_len > self.max_body_bytes {
+                    unsure = Some(tx);
+                    break;
+                }
+                body_len += tx_len;
+                self.transactions.push(tx);
+            }
+            let candidates = self.transactions.len() - start;
+            Transaction::verify_signatures(&self.transactions[start..]);
+            let mut kept = start;
+            for i in start..self.transactions.len() {
+                let tx = &self.transactions[i];
+                if self.state.apply(tx, self.fee_collector).is_ok() {
+                    self.body_len += tx.encoded_len();
+                    self.transactions.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            self.transactions.truncate(kept);
+            accepted += kept - start;
+
+            let next = match unsure {
+                Some(tx) => tx,
+                None if candidates > 0 => continue,
+                None => match pending.next() {
+                    Some(tx) => tx,
+                    None => break,
+                },
+            };
+            match self.push(next) {
                 Ok(()) => accepted += 1,
                 Err(BuildError::Invalid(_)) => continue,
                 Err(_) => break, // caps reached
@@ -335,6 +386,98 @@ mod tests {
         let accepted = b.fill(pending);
         assert_eq!(accepted, 3);
         assert_eq!(b.len(), 3);
+    }
+
+    /// `fill` with its signatures checked sixteen wide is `push` one by
+    /// one: over seeded streams mixing valid transfers, bad nonces,
+    /// overspends, forged signatures and payloads up to 600 bytes (one
+    /// length for a whole stream, or a length each), under
+    /// transaction and byte caps that stop the fill early or never, fed
+    /// by an iterator that sizes itself and by one that does not, the
+    /// accepted count, the sealed block and the signature hashing
+    /// (`crypto/sha256_compressions`) are the same.
+    #[test]
+    fn fill_matches_pushing_one_by_one() {
+        use crate::codec::{Decode, Encode};
+        use ici_rng::Xoshiro256;
+        // Left on: nothing in this binary turns it off.
+        ici_telemetry::set_enabled(true);
+        let compressions = |f: &mut dyn FnMut() -> (usize, Block)| {
+            ici_telemetry::reset();
+            let out = f();
+            let counted = ici_telemetry::snapshot()
+                .counters
+                .iter()
+                .filter(|c| c.name == "crypto/sha256_compressions")
+                .map(|c| c.value)
+                .sum::<u64>();
+            (out, counted)
+        };
+        let (genesis, state) = setup();
+        let mut rng = Xoshiro256::seed_from_u64(0xF111);
+        for round in 0..24 {
+            let mut nonces = [0u64; 8];
+            // Every third stream one payload length, so full sixteen-wide
+            // groups form.
+            let fixed = (round % 3 == 0).then(|| rng.gen_range(0usize..=600));
+            let stream: Vec<Transaction> = (0..rng.gen_range(0usize..80))
+                .map(|_| {
+                    let seed = rng.gen_range(0u64..8);
+                    let kind = rng.gen_range(0u32..10);
+                    let nonce = nonces[seed as usize] + u64::from(kind == 0);
+                    let amount = if kind == 1 { 1_000_000 } else { 3 };
+                    let payload = vec![7; fixed.unwrap_or_else(|| rng.gen_range(0usize..=600))];
+                    let to = Address::from_seed(seed + 1);
+                    let tx = Transaction::signed(
+                        &Keypair::from_seed(seed),
+                        to,
+                        amount,
+                        1,
+                        nonce,
+                        payload,
+                    );
+                    nonces[seed as usize] += u64::from(kind > 1);
+                    let mut bytes = tx.to_bytes();
+                    if kind == 2 {
+                        let last = bytes.len() - 1;
+                        bytes[last] ^= 1;
+                    }
+                    Transaction::from_bytes(&bytes).expect("decodes")
+                })
+                .collect();
+            let max_txs = [usize::MAX, rng.gen_range(0usize..40)][round % 2];
+            let max_bytes = [usize::MAX, rng.gen_range(0usize..20_000)][round / 2 % 2];
+            let builder = || {
+                let mut b = BlockBuilder::new(genesis.header(), state.clone(), 1, 0);
+                b.max_txs(max_txs).max_body_bytes(max_bytes);
+                b
+            };
+            let reference = compressions(&mut || {
+                let mut b = builder();
+                let mut accepted = 0;
+                for tx in stream.clone() {
+                    match b.push(tx) {
+                        Ok(()) => accepted += 1,
+                        Err(BuildError::Invalid(_)) => continue,
+                        Err(_) => break,
+                    }
+                }
+                (accepted, b.seal())
+            });
+            let sized = compressions(&mut || {
+                let mut b = builder();
+                (b.fill(stream.clone()), b.seal())
+            });
+            let unsized_ = compressions(&mut || {
+                let mut b = builder();
+                (
+                    b.fill(stream.clone().into_iter().filter(|_| true)),
+                    b.seal(),
+                )
+            });
+            assert_eq!(sized, reference, "round {round}");
+            assert_eq!(unsized_, reference, "round {round}");
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! tip on demand, and [`TxLocator::locate`] scans whatever suffix is
 //! still unindexed.
 
+use ici_crypto::sha256::WIDE;
+
 use crate::block::{Block, Height};
-use crate::transaction::TxId;
+use crate::transaction::{Transaction, TxId};
 
 /// Transaction index over a prefix of an append-only chain.
 ///
@@ -56,9 +58,10 @@ impl TxLocator {
     /// Extends the index from its indexed length to the tip of `chain`.
     ///
     /// Reserves exactly the new entries once, from the headers'
-    /// `tx_count`, and sorts in place. Ordinals are 32-bit; blocks past
-    /// the 2^32nd transaction stay unindexed and are served by the scan
-    /// in [`TxLocator::locate`].
+    /// `tx_count`, hashes each block's ids [`WIDE`] at a time
+    /// ([`Transaction::ids`]) and sorts in place. Ordinals are 32-bit;
+    /// blocks past the 2^32nd transaction stay unindexed and are served
+    /// by the scan in [`TxLocator::locate`].
     pub fn catch_up(&mut self, chain: &[Block]) {
         let from = self.indexed_blocks();
         let Some(new_blocks) = chain.get(from..) else {
@@ -84,9 +87,15 @@ impl TxLocator {
         }
         self.entries
             .reserve_exact(next as usize - self.entries.len());
+        let mut ids = [TxId::ZERO; WIDE];
         for (block, first) in new_blocks.iter().zip(new_firsts) {
-            for (ordinal, tx) in (*first..).zip(block.transactions()) {
-                self.entries.push((fingerprint(&tx.id()), ordinal));
+            let mut ordinals = *first..;
+            for group in block.transactions().chunks(WIDE) {
+                let ids = &mut ids[..group.len()];
+                Transaction::ids(group, ids);
+                let entries = ids.iter().zip(&mut ordinals);
+                self.entries
+                    .extend(entries.map(|(id, ordinal)| (fingerprint(id), ordinal)));
             }
         }
         self.entries.sort_unstable();
@@ -234,6 +243,38 @@ mod tests {
             assert_eq!(found, scan(&chain, &id));
         }
         assert_eq!(locator.locate(&chain, &Digest::ZERO), None);
+    }
+
+    /// Blocks of 0..=40 transactions (some with full sixteen-wide id
+    /// groups, some with stragglers only): every id on chain is a hit at
+    /// the scan's position, the entries are the per-transaction
+    /// fingerprints, and ids off chain miss.
+    #[test]
+    fn batched_ids_index_every_hit_and_no_miss() {
+        let counts: Vec<u64> = (0..=40).collect();
+        let chain = chain(&counts);
+        let mut locator = TxLocator::new();
+        locator.catch_up(&chain);
+        let ids = all_ids(&chain);
+        let mut expected: Vec<(u32, u32)> = ids
+            .iter()
+            .zip(0u32..)
+            .map(|(id, o)| (fingerprint(id), o))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(locator.entries, expected);
+        // Every transaction here is distinct, so its own position is the
+        // scan's answer.
+        let positions = chain
+            .iter()
+            .flat_map(|block| (0..block.transactions().len() as u64).map(|i| (block.height(), i)));
+        for (id, position) in ids.iter().zip(positions) {
+            assert_eq!(locator.locate(&chain, id), Some(position));
+        }
+        for seed in 0..40 {
+            let off_chain = tx(seed, 1_000).id();
+            assert_eq!(locator.locate(&chain, &off_chain), None, "seed {seed}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use ici_crypto::merkle;
-use ici_crypto::sha256::{Digest, Message, Sha256};
+use ici_crypto::sha256::{digest_messages, Digest, Message, Sha256, WIDE};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -245,6 +245,57 @@ impl Transaction {
         merkle::hash_leaf_message(w.into_message())
     }
 
+    /// [`Transaction::id`] of every transaction, `out[i]` the id of
+    /// `transactions[i]` (up to the shorter slice): each full group of
+    /// [`WIDE`] encodings is written into hash messages and hashed as one
+    /// batch ([`digest_messages`], sixteen wide when the encodings pad to
+    /// one block count), the rest one by one.
+    pub fn ids(transactions: &[Transaction], out: &mut [TxId]) {
+        let double =
+            |messages: &mut [Message], out: &mut [Digest]| digest_messages(messages, true, out);
+        Transaction::hash_encodings(transactions, Message::new, double, Transaction::id, out);
+    }
+
+    /// [`Transaction::leaf_hash`] of every transaction, batched like
+    /// [`Transaction::ids`] ([`merkle::hash_leaf_messages`]).
+    pub fn leaf_hashes(transactions: &[Transaction], out: &mut [Digest]) {
+        Transaction::hash_encodings(
+            transactions,
+            merkle::leaf_message,
+            merkle::hash_leaf_messages,
+            Transaction::leaf_hash,
+            out,
+        );
+    }
+
+    /// Each full group of [`WIDE`] encodings written after `open`'s
+    /// prefix and handed to `batch`; a shorter group hashed by `one`.
+    fn hash_encodings(
+        transactions: &[Transaction],
+        open: fn() -> Message,
+        batch: impl Fn(&mut [Message], &mut [Digest]),
+        one: fn(&Transaction) -> Digest,
+        out: &mut [Digest],
+    ) {
+        for (group, out) in transactions.chunks(WIDE).zip(out.chunks_mut(WIDE)) {
+            match <&[Transaction; WIDE]>::try_from(group) {
+                Ok(group) => {
+                    let mut messages = group.each_ref().map(|tx| {
+                        let mut w = Writer::hashing(open());
+                        tx.encode(&mut w);
+                        w.into_message()
+                    });
+                    batch(&mut messages, out);
+                }
+                Err(_) => {
+                    for (out, tx) in out.iter_mut().zip(group) {
+                        *out = one(tx);
+                    }
+                }
+            }
+        }
+    }
+
     /// The byte string the signature covers (everything but the signature,
     /// under a domain prefix).
     pub fn signing_bytes(&self) -> Vec<u8> {
@@ -276,13 +327,51 @@ impl Transaction {
         if let Some(valid) = self.verdict.get() {
             return valid;
         }
-        let mut w = Writer::hashing(Message::new());
-        self.encode_signing_fields(&mut w);
         let valid = self
             .sender
-            .verify_message(w.into_message(), &self.signature);
+            .verify_message(self.signing_message(), &self.signature);
         self.verdict.set(valid);
         valid
+    }
+
+    /// Checks the signature of every transaction whose verdict is not
+    /// yet known and remembers each verdict, as
+    /// [`Transaction::verify_signature`] would one by one: [`WIDE`]
+    /// unchecked transactions at a time go through
+    /// [`PublicKey::verify16`], whose hashes run sixteen wide, and the
+    /// last fewer than [`WIDE`] one by one. Known verdicts are loads;
+    /// every later ask is one.
+    pub fn verify_signatures(transactions: &[Transaction]) {
+        let mut group = [0usize; WIDE];
+        let mut pending = 0;
+        for (i, tx) in transactions.iter().enumerate() {
+            if tx.verdict.get().is_some() {
+                continue;
+            }
+            group[pending] = i;
+            pending += 1;
+            if pending == WIDE {
+                let txs = group.map(|i| &transactions[i]);
+                let mut messages = txs.map(Transaction::signing_message);
+                let keys = txs.map(|tx| &tx.sender);
+                let signatures = txs.map(|tx| &tx.signature);
+                let verdicts = PublicKey::verify16(keys, &mut messages, signatures);
+                for (tx, valid) in txs.iter().zip(verdicts) {
+                    tx.verdict.set(valid);
+                }
+                pending = 0;
+            }
+        }
+        for i in &group[..pending] {
+            transactions[*i].verify_signature();
+        }
+    }
+
+    /// The signing fields written into a hash message.
+    fn signing_message(&self) -> Message {
+        let mut w = Writer::hashing(Message::new());
+        self.encode_signing_fields(&mut w);
+        w.into_message()
     }
 }
 

@@ -150,3 +150,170 @@ fn subtree_proofs_match_the_full_tree() {
         }
     }
 }
+
+/// A transfer from `seed` whose payload is `len` bytes: lengths through
+/// 600 give encodings from one padded block to past a hash message's
+/// inline capacity.
+fn tx_with_payload(seed: u64, len: usize) -> Transaction {
+    Transaction::signed(
+        &Keypair::from_seed(seed),
+        Address::from_seed(seed + 1),
+        seed,
+        1,
+        seed % 5,
+        vec![seed as u8; len],
+    )
+}
+
+/// Batches of every length 0..=40 (and one of 1 000), each either one
+/// payload length (so full sixteen-wide groups form) or mixed lengths
+/// 0..=600 with the padding edges pinned in.
+fn batches() -> Vec<Vec<Transaction>> {
+    let mut rng = Xoshiro256::seed_from_u64(0xBA7);
+    let edges = [0usize, 55, 56, 63, 64, 119, 120, 600];
+    let mut batches: Vec<Vec<Transaction>> = (0..=40usize)
+        .map(|n| {
+            let uniform = rng.gen_range(0usize..=600);
+            (0..n)
+                .map(|i| {
+                    let len = match n % 3 {
+                        0 => uniform,
+                        1 => edges[i % edges.len()],
+                        _ => rng.gen_range(0usize..=600),
+                    };
+                    tx_with_payload(rng.gen_range(0u64..1_000), len)
+                })
+                .collect()
+        })
+        .collect();
+    batches.push((0..1_000).map(|i| tx_with_payload(i, 200)).collect());
+    batches
+}
+
+/// Batched ids and leaves are the per-transaction ones.
+#[test]
+fn batched_ids_and_leaves_match_one_at_a_time() {
+    for batch in batches() {
+        let n = batch.len();
+        let mut ids = vec![Digest::ZERO; n];
+        let mut leaves = vec![Digest::ZERO; n];
+        Transaction::ids(&batch, &mut ids);
+        Transaction::leaf_hashes(&batch, &mut leaves);
+        for (i, tx) in batch.iter().enumerate() {
+            assert_eq!(ids[i], double_sha256(&tx.to_bytes()), "n={n} i={i}");
+            assert_eq!(leaves[i], tx.leaf_hash(), "n={n} i={i}");
+            assert_eq!(leaves[i], merkle::hash_leaf(&tx.to_bytes()), "n={n} i={i}");
+        }
+    }
+}
+
+/// The node-by-node tree over `leaves`: every level, each node from
+/// [`merkle::hash_node`], an unpaired node promoted.
+fn levels_node_by_node(leaves: Vec<Digest>) -> Vec<Vec<Digest>> {
+    let mut levels = vec![leaves];
+    while let Some(level) = levels.last().filter(|l| l.len() > 1) {
+        let mut next: Vec<Digest> = level
+            .chunks_exact(2)
+            .map(|pair| merkle::hash_node(&pair[0], &pair[1]))
+            .collect();
+        next.extend(level.chunks_exact(2).remainder());
+        levels.push(next);
+    }
+    levels
+}
+
+/// A block's root, its audit tree and every proof (full tree and kept
+/// subtrees) equal the node-by-node tree over per-transaction leaves,
+/// for every body size 0..=40 and 1 000, built and decoded.
+#[test]
+fn batched_roots_and_proofs_match_the_node_by_node_tree() {
+    for batch in batches() {
+        let n = batch.len();
+        let leaves: Vec<Digest> = batch.iter().map(Transaction::leaf_hash).collect();
+        let levels = levels_node_by_node(leaves);
+        let root = levels
+            .last()
+            .and_then(|l| l.first())
+            .copied()
+            .unwrap_or(Digest::ZERO);
+        assert_eq!(Block::compute_tx_root(&batch), root, "n={n}");
+        let template = BlockHeader {
+            height: 1,
+            parent: Digest::ZERO,
+            tx_root: Digest::ZERO,
+            state_root: Digest::ZERO,
+            timestamp_ms: 1,
+            proposer: 0,
+            pow_nonce: 0,
+            tx_count: 0,
+            body_len: 0,
+        };
+        let built = Block::new(template, batch.clone());
+        assert_eq!(built.header().tx_root, root, "n={n}");
+        let (header, body) = built.clone().into_parts();
+        let rebuilt = Block::from_parts(header, body).expect("consistent parts");
+        for block in [&built, &rebuilt] {
+            let tree = block.tx_tree();
+            assert_eq!(tree.root(), root, "n={n}");
+            for (i, tx) in batch.iter().enumerate() {
+                let proof = tree.prove(i).expect("in range");
+                let (mut pos, mut level) = (i, 0);
+                for step in proof.siblings() {
+                    // Levels where the path node rose unpaired add no step.
+                    while pos ^ 1 >= levels[level].len() {
+                        pos /= 2;
+                        level += 1;
+                    }
+                    assert_eq!(step.digest, levels[level][pos ^ 1], "n={n} i={i}");
+                    pos /= 2;
+                    level += 1;
+                }
+                assert_eq!(block.prove_tx(i).as_ref(), Some(&proof), "n={n} i={i}");
+                assert!(proof.verify(&tx.to_bytes(), root), "n={n} i={i}");
+            }
+        }
+    }
+}
+
+/// Batch signature checks remember the verdicts one-by-one checks
+/// would: a forged signature at every position of a batch (inside a
+/// full sixteen-wide group and among the stragglers) is rejected there
+/// and nowhere else, on fresh transactions and on decoded copies, and
+/// remembered verdicts are kept.
+#[test]
+fn batched_signature_checks_match_one_at_a_time() {
+    use ici_chain::codec::Decode;
+    let honest: Vec<Transaction> = (0..37).map(|i| tx_with_payload(i, 200)).collect();
+    for forged in 0..=honest.len() {
+        let batch: Vec<Transaction> = honest
+            .iter()
+            .enumerate()
+            .map(|(i, tx)| {
+                let mut bytes = tx.to_bytes();
+                if i == forged {
+                    // The signature is the encoding's last 64 bytes.
+                    let at = bytes.len() - 1 - i % 64;
+                    bytes[at] ^= 1;
+                }
+                Transaction::from_bytes(&bytes).expect("decodes")
+            })
+            .collect();
+        // A remembered (valid) verdict in the first group stays as it is.
+        assert_eq!(batch[3].verify_signature(), forged != 3);
+        Transaction::verify_signatures(&batch);
+        for (i, tx) in batch.iter().enumerate() {
+            let fresh = Transaction::from_bytes(&tx.to_bytes()).expect("decodes");
+            assert_eq!(tx.verify_signature(), i != forged, "forged {forged}, i={i}");
+            assert_eq!(
+                fresh.verify_signature(),
+                i != forged,
+                "forged {forged}, i={i}"
+            );
+        }
+    }
+    // Mixed lengths: lanes fall back one by one, same verdicts.
+    for batch in batches() {
+        Transaction::verify_signatures(&batch);
+        assert!(batch.iter().all(Transaction::verify_signature));
+    }
+}

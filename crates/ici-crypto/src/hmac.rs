@@ -5,7 +5,9 @@
 //! (its length field counting the key block), and folded after the key's
 //! ipad block; the outer hash is the opad block and the padded inner
 //! digest, two blocks in one kernel call. The simulated signature scheme
-//! in [`crate::sig`] folds one such padded message under two keys.
+//! in [`crate::sig`] folds one such padded message under two keys, and
+//! a batch of sixteen under sixteen keys side by side: on AVX-512 both
+//! HMACs of all sixteen in one call of the sixteen-lane kernel.
 //! [`HmacSha256`] streams a message fed in pieces.
 //!
 //! # Examples
@@ -21,7 +23,8 @@
 //! ```
 
 use crate::sha256::{
-    compress_blocks, count_digests, pad, state_digest, Digest, Message, Sha256, H0,
+    compress_blocks, count_batched, count_digests, digest_block, state_digest, wide_enabled,
+    Digest, Message, Sha256, H0, WIDE,
 };
 
 /// The SHA-256 block an HMAC key is padded to.
@@ -52,6 +55,60 @@ pub(crate) fn hmac_padded(key: &[u8], len: usize, blocks: &[[u8; 64]]) -> Digest
     outer_pass(&outer_key, &state_digest(&inner))
 }
 
+/// Two chained HMACs over each of [`WIDE`] messages, as a `SimSig`
+/// signature computes them: lane `i` gives `a = HMAC(keys[i], m)` and
+/// `b = HMAC(a, m)`, `m` the message `messages[i]` holds (padded in
+/// place as the inner hash's tail, as for [`hmac_padded`]). Returns
+/// `[a, b]` per lane.
+///
+/// When every message pads to the same block count (and every key fits
+/// a block) the group counts as batched, and on AVX-512 both HMACs, four
+/// hashes each lane, run in one call of the sixteen-lane kernel;
+/// otherwise lane by lane. Either way the `crypto/sha256_*` counters
+/// move as 32 [`hmac_padded`] calls would move them.
+pub(crate) fn hmac_chain16(
+    keys: [&[u8]; WIDE],
+    messages: &mut [Message; WIDE],
+) -> [[Digest; WIDE]; 2] {
+    let blocks = messages[0].padded_blocks();
+    let uniform = messages.iter().all(|m| m.padded_blocks() == blocks)
+        && keys.iter().all(|key| key.len() <= BLOCK_LEN);
+    let lens = messages.each_ref().map(Message::len);
+    let padded = messages.each_mut().map(|m| m.padded(BLOCK_LEN as u64));
+    if uniform {
+        // Per HMAC: the ipad block and the message, the opad block and
+        // the inner digest.
+        count_batched(2 * (WIDE * (blocks + 3)) as u64);
+        #[cfg(target_arch = "x86_64")]
+        if wide_enabled() {
+            let mut key_blocks = [[0u8; BLOCK_LEN]; WIDE];
+            for (block, key) in key_blocks.iter_mut().zip(keys) {
+                block[..key.len()].copy_from_slice(key);
+            }
+            if let Some(states) = crate::sha256_x86::hmac_chain16(key_blocks.each_ref(), padded) {
+                let bytes = lens.iter().sum::<usize>() as u64;
+                for _ in 0..2 {
+                    let inner = (WIDE * BLOCK_LEN) as u64 + bytes;
+                    count_digests(WIDE as u64, inner, (WIDE * (1 + blocks)) as u64);
+                    let outer = (WIDE * (BLOCK_LEN + Digest::LEN)) as u64;
+                    count_digests(WIDE as u64, outer, 2 * WIDE as u64);
+                }
+                return states.map(|lanes| lanes.map(|state| state_digest(&state)));
+            }
+        }
+    }
+    let mut out = [[Digest::ZERO; WIDE]; 2];
+    for (i, ((key, len), blocks)) in keys.into_iter().zip(lens).zip(padded).enumerate() {
+        let first = hmac_padded(key, len, blocks);
+        out[1][i] = hmac_padded(first.as_bytes(), len, blocks);
+        out[0][i] = first;
+    }
+    out
+}
+
+/// The outer hash's second block: the inner digest after the key block.
+const OUTER_TAIL: [u8; 64] = digest_block((BLOCK_LEN + Digest::LEN) as u64);
+
 /// The key padded to a block, XORed with `IPAD` and with `OPAD`.
 fn key_blocks(key: &[u8]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
     let mut padded = [0u8; BLOCK_LEN];
@@ -66,13 +123,8 @@ fn key_blocks(key: &[u8]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
 /// The outer hash, `SHA256(key ^ opad ‖ inner digest)`: the key block
 /// and the padded digest, two blocks in one kernel call.
 fn outer_pass(outer_key: &[u8; BLOCK_LEN], inner_digest: &Digest) -> Digest {
-    let mut blocks = [*outer_key, [0u8; 64]];
+    let mut blocks = [*outer_key, OUTER_TAIL];
     blocks[1][..Digest::LEN].copy_from_slice(inner_digest.as_bytes());
-    pad(
-        &mut blocks[1],
-        Digest::LEN,
-        (BLOCK_LEN + Digest::LEN) as u64,
-    );
     let mut state = H0;
     compress_blocks(&mut state, &blocks);
     count_digests(1, (BLOCK_LEN + Digest::LEN) as u64, 2);
@@ -179,6 +231,33 @@ mod tests {
                         "RFC 4231 case {} on kernel {kernel}",
                         i + 1
                     );
+                }
+            }
+        });
+    }
+
+    /// The chained HMACs of a `SimSig` batch are two `hmac_sha256`
+    /// calls a lane: for sixteen messages of one length (the batched
+    /// path) and of mixed lengths (lane by lane), with keys of every
+    /// length up to a block and past it, on every kernel.
+    #[test]
+    fn chained_hmacs_match_one_at_a_time() {
+        crate::sha256::under_every_kernel(|kernel| {
+            for lens in [[291usize; WIDE], std::array::from_fn(|i| 40 * i)] {
+                for key_len in [0usize, 33, 64, 65] {
+                    let keys: Vec<Vec<u8>> =
+                        (0..WIDE).map(|i| vec![i as u8 + 1; key_len]).collect();
+                    let data: Vec<Vec<u8>> =
+                        lens.iter().map(|len| vec![*len as u8; *len]).collect();
+                    let mut messages: [Message; WIDE] =
+                        std::array::from_fn(|i| Message::from(&data[i][..]));
+                    let [a, b] = hmac_chain16(std::array::from_fn(|i| &keys[i][..]), &mut messages);
+                    for i in 0..WIDE {
+                        let first = hmac_sha256(&keys[i], &data[i]);
+                        assert_eq!(a[i], first, "kernel {kernel}, key {key_len}, lane {i}");
+                        let second = hmac_sha256(first.as_bytes(), &data[i]);
+                        assert_eq!(b[i], second, "kernel {kernel}, key {key_len}, lane {i}");
+                    }
                 }
             }
         });

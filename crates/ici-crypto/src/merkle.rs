@@ -17,8 +17,12 @@
 //! interior node is a fixed two-block template with the children copied
 //! in plus a one-block second pass (3 compressions), and
 //! [`root_in_place`] reduces a leaf vector to the root without keeping
-//! levels. [`MerkleTree`] keeps every level for proofs, and a proof is
-//! checked against the path its index and leaf count imply. A holder
+//! levels. Every level is hashed [`WIDE`] nodes at a time through the
+//! sixteen-lane kernel, and [`hash_leaf_messages`] does the same for a
+//! batch of leaves; [`hash_leaf`] and [`hash_node`] stay the one-item
+//! definitions the batches equal. [`MerkleTree`] keeps every level for
+//! proofs, and a proof is checked against the path its index and leaf
+//! count imply. A holder
 //! that keeps only the roots of the aligned [`SUBTREE_LEAVES`]-leaf
 //! subtrees ([`root_and_subtrees`]) proves a leaf from its own subtree's
 //! leaves and those roots ([`prove_from_subtrees`]), the same proof
@@ -35,7 +39,10 @@
 //! assert!(proof.verify(&items[3], tree.root()));
 //! ```
 
-use crate::sha256::{compress_blocks, count_digests, state_digest, Digest, Message, Sha256, H0};
+use crate::sha256::{
+    compress_blocks, count_digests, digest16, digest_messages, state_digest, Digest, Message,
+    Sha256, H0, WIDE,
+};
 
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
@@ -60,6 +67,13 @@ pub fn leaf_message() -> Message {
 /// The leaf hash of a [`leaf_message`] with its payload written.
 pub fn hash_leaf_message(message: Message) -> Digest {
     Sha256::digest(message.digest().as_bytes())
+}
+
+/// [`hash_leaf_message`] of every message, `out[i]` the leaf of
+/// `messages[i]`: a batch through [`digest_messages`], so runs of
+/// [`WIDE`] equal-length leaves hash sixteen wide.
+pub fn hash_leaf_messages(messages: &mut [Message], out: &mut [Digest]) {
+    digest_messages(messages, true, out);
 }
 
 /// An interior node's first pass, `0x01 ‖ left ‖ right` with its
@@ -91,6 +105,49 @@ pub fn hash_node(left: &Digest, right: &Digest) -> Digest {
     Sha256::digest(state_digest(&state).as_bytes())
 }
 
+/// Up to [`WIDE`] interior nodes of one level, node `i` over
+/// `pairs[i]`, in the first `pairs.len()` slots: a full group of
+/// [`WIDE`] pairs is hashed sixteen wide (both passes), a shorter one
+/// node by node. Counts like [`hash_node`] per node.
+fn node_group(pairs: &[[Digest; 2]]) -> [Digest; WIDE] {
+    if let Ok(pairs) = <&[[Digest; 2]; WIDE]>::try_from(pairs) {
+        let mut blocks = [NODE_TEMPLATE; WIDE];
+        for (blocks, [left, right]) in blocks.iter_mut().zip(pairs) {
+            let bytes = blocks.as_flattened_mut();
+            bytes[1..33].copy_from_slice(left.as_bytes());
+            bytes[33..65].copy_from_slice(right.as_bytes());
+        }
+        return digest16(blocks.each_ref().map(|b| &b[..]), 65 * WIDE as u64, true);
+    }
+    let mut nodes = [Digest::ZERO; WIDE];
+    for (node, [left, right]) in nodes.iter_mut().zip(pairs) {
+        *node = hash_node(left, right);
+    }
+    nodes
+}
+
+/// Reduces the level `level` holds to the next one, written over its
+/// front, and returns the next level's width: the pairs hashed in
+/// groups of [`WIDE`], an unpaired last node promoted. Each group's
+/// children are read before its nodes are written, and node `i` lands
+/// at `i ≤ 2i`, so nothing is overwritten before it is read.
+fn reduce_level(level: &mut [Digest]) -> usize {
+    let width = level.len();
+    let half = width / 2;
+    let mut start = 0;
+    while start < half {
+        let n = WIDE.min(half - start);
+        let nodes = node_group(level[2 * start..2 * (start + n)].as_chunks::<2>().0);
+        level[start..start + n].copy_from_slice(&nodes[..n]);
+        start += n;
+    }
+    if width % 2 == 1 {
+        // Promote the unpaired node to the next level.
+        level[half] = level[width - 1];
+    }
+    width.div_ceil(2)
+}
+
 /// The root [`MerkleTree::from_leaf_hashes`] builds over `leaves`,
 /// reduced in place: each level overwrites the front of the slice, so
 /// no level is kept (and `leaves` holds interior digests after). For
@@ -98,15 +155,7 @@ pub fn hash_node(left: &Digest, right: &Digest) -> Digest {
 pub fn root_in_place(leaves: &mut [Digest]) -> Digest {
     let mut width = leaves.len();
     while width > 1 {
-        let half = width / 2;
-        for i in 0..half {
-            leaves[i] = hash_node(&leaves[2 * i], &leaves[2 * i + 1]);
-        }
-        if width % 2 == 1 {
-            // Promote the unpaired node to the next level.
-            leaves[half] = leaves[width - 1];
-        }
-        width = width.div_ceil(2);
+        width = reduce_level(&mut leaves[..width]);
     }
     leaves.first().copied().unwrap_or(Digest::ZERO)
 }
@@ -120,19 +169,17 @@ pub const SUBTREE_LEAVES: usize = 8;
 /// [`SUBTREE_LEAVES`]-leaf subtrees, left to right: the tree's level 3,
 /// which [`prove_from_subtrees`] proves from. Empty for a tree of at
 /// most [`SUBTREE_LEAVES`] leaves, whose one subtree root is the root.
-/// Every node is hashed once, as by [`root_in_place`], subtree by
-/// subtree.
+/// Every node is hashed once, as by [`root_in_place`], level by level:
+/// an aligned subtree pairs and promotes inside the whole tree exactly
+/// as on its own, so after three levels the front of `leaves` holds the
+/// subtree roots.
 pub fn root_and_subtrees(leaves: &mut [Digest]) -> (Digest, Vec<Digest>) {
     if leaves.len() <= SUBTREE_LEAVES {
         return (root_in_place(leaves), Vec::new());
     }
-    let count = leaves.len().div_ceil(SUBTREE_LEAVES);
-    for j in 0..count {
-        let end = leaves.len().min((j + 1) * SUBTREE_LEAVES);
-        // Subtree `j` starts at `8j ≥ j`: its root lands on a slot
-        // already reduced.
-        let root = root_in_place(&mut leaves[j * SUBTREE_LEAVES..end]);
-        leaves[j] = root;
+    let mut count = leaves.len();
+    for _ in 0..SUBTREE_LEAVES.trailing_zeros() {
+        count = reduce_level(&mut leaves[..count]);
     }
     let roots = leaves[..count].to_vec();
     (root_in_place(&mut leaves[..count]), roots)
@@ -249,17 +296,15 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
-    /// Hashes one level into the next.
+    /// Hashes one level into the next, [`WIDE`] nodes at a time.
     fn next_level(prev: &[Digest]) -> Vec<Digest> {
         let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-        let mut pairs = prev.chunks_exact(2);
-        for pair in &mut pairs {
-            next.push(hash_node(&pair[0], &pair[1]));
+        let (pairs, odd) = prev.as_chunks::<2>();
+        for group in pairs.chunks(WIDE) {
+            next.extend_from_slice(&node_group(group)[..group.len()]);
         }
-        if let [odd] = pairs.remainder() {
-            // Promote the unpaired node to the next level.
-            next.push(*odd);
-        }
+        // Promote the unpaired node to the next level.
+        next.extend_from_slice(odd);
         next
     }
 
@@ -484,6 +529,72 @@ mod tests {
                 assert_eq!(
                     root_in_place(&mut scratch),
                     tree.root(),
+                    "kernel {kernel}, n={n}"
+                );
+            }
+        });
+    }
+
+    /// Every level of the tree over `leaves`, hashed node by node with
+    /// [`hash_node`]: the definition the batched levels are held to.
+    fn levels_node_by_node(leaves: &[Digest]) -> Vec<Vec<Digest>> {
+        let mut levels = vec![leaves.to_vec()];
+        while let Some(level) = levels.last().filter(|l| l.len() > 1) {
+            let mut next: Vec<Digest> = level
+                .chunks_exact(2)
+                .map(|pair| hash_node(&pair[0], &pair[1]))
+                .collect();
+            if level.len() % 2 == 1 {
+                next.push(level[level.len() - 1]);
+            }
+            levels.push(next);
+        }
+        levels
+    }
+
+    /// The batched levels are the per-node ones: for every leaf count
+    /// 0..=40 and 1 000, the tree's levels (so every proof), the
+    /// in-place root and the root with its subtree roots (level 3)
+    /// equal the node-by-node reduction, on every kernel, and hash with
+    /// the same counter totals; a batch of leaves equals `hash_leaf`
+    /// leaf by leaf.
+    #[test]
+    fn batched_levels_match_the_per_node_definition() {
+        use crate::sha256::counts;
+        ici_telemetry::set_enabled(true);
+        crate::sha256::under_every_kernel(|kernel| {
+            for n in (0..=40).chain([1_000]) {
+                let data = leaves(n);
+                let mut messages: Vec<Message> = data
+                    .iter()
+                    .map(|v| {
+                        let mut m = leaf_message();
+                        m.put(v);
+                        m
+                    })
+                    .collect();
+                let mut hashes = vec![Digest::ZERO; n];
+                hash_leaf_messages(&mut messages, &mut hashes);
+                let one_by_one: Vec<Digest> = data.iter().map(|v| hash_leaf(v)).collect();
+                assert_eq!(hashes, one_by_one, "kernel {kernel}, n={n}");
+
+                let mut reference = Vec::new();
+                let per_node = counts(|| reference = levels_node_by_node(&hashes));
+                let mut tree = MerkleTree { levels: Vec::new() };
+                let batched = counts(|| tree = MerkleTree::from_leaf_hashes(hashes.clone()));
+                if n > 0 {
+                    assert_eq!(tree.levels, reference, "kernel {kernel}, n={n}");
+                }
+                assert_eq!(batched, per_node, "kernel {kernel}, n={n}");
+                let root = reference[reference.len() - 1]
+                    .first()
+                    .copied()
+                    .unwrap_or(Digest::ZERO);
+                assert_eq!(root_in_place(&mut hashes.clone()), root, "n={n}");
+                let subtrees = reference.get(3).filter(|_| n > SUBTREE_LEAVES);
+                assert_eq!(
+                    root_and_subtrees(&mut hashes.clone()),
+                    (root, subtrees.cloned().unwrap_or_default()),
                     "kernel {kernel}, n={n}"
                 );
             }

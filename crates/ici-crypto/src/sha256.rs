@@ -11,6 +11,17 @@
 //! 64-byte blocks, padded once and folded in one kernel call. [`Sha256`]
 //! streams the rest (a state root over every account).
 //!
+//! Independent messages in hand go as a batch: [`digest_messages`]
+//! digests (or double-digests) a slice of [`Message`]s, [`WIDE`] equal
+//! block counts at a time through one call of the sixteen-lane kernel,
+//! the crate's Merkle levels and `SimSig` batches do the same with their
+//! fixed layouts, and every batch counts exactly as message-by-message
+//! hashing would. Three kernels sit behind the seams: the portable
+//! FIPS 180-4 loop, the x86-64 SHA extensions (one message, or a few
+//! interleaved lanes for the lotteries), and sixteen lanes of AVX-512
+//! for the batches. The CPU picks at run time; [`Sha256::backend`] names
+//! the pick.
+//!
 //! # Examples
 //!
 //! ```
@@ -257,15 +268,19 @@ impl Sha256 {
         message.digest()
     }
 
-    /// The compression kernel this CPU selects: `"x86-sha"` when the
-    /// x86-64 SHA extensions are present, `"portable"` otherwise. Both
-    /// compute the same FIPS 180-4 digests; only host time differs.
+    /// The compression kernels this CPU selects: the one-message kernel
+    /// (`"x86-sha"` when the x86-64 SHA extensions are present,
+    /// `"portable"` otherwise), followed by `"+avx512x16"` when the
+    /// sixteen-lane AVX-512 kernel hashes the batches
+    /// ([`digest_messages`]). Every kernel computes the same FIPS 180-4
+    /// digests; only host time differs.
     pub fn backend() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        if crate::sha256_x86::available() {
-            return "x86-sha";
+        match (sha_extensions(), wide_kernel()) {
+            (true, true) => "x86-sha+avx512x16",
+            (true, false) => "x86-sha",
+            (false, true) => "portable+avx512x16",
+            (false, false) => "portable",
         }
-        "portable"
     }
 
     /// Appends `data` to the message being hashed.
@@ -461,14 +476,115 @@ impl Message {
 
     /// SHA-256 of the message: one kernel call over its padded blocks.
     pub fn digest(mut self) -> Digest {
+        self.finish(false)
+    }
+
+    /// The blocks the message pads to (after any folded key block).
+    pub(crate) fn padded_blocks(&self) -> usize {
+        (self.len + 9).div_ceil(64)
+    }
+
+    /// [`Message::digest`] in place, hashed once more when `double`.
+    fn finish(&mut self, double: bool) -> Digest {
         let len = self.len as u64;
         let blocks = self.padded(0);
         let mut state = H0;
         compress_blocks(&mut state, blocks);
         count_digests(1, len, blocks.len() as u64);
-        state_digest(&state)
+        let digest = state_digest(&state);
+        if double {
+            Sha256::digest(digest.as_bytes())
+        } else {
+            digest
+        }
     }
 }
+
+/// Digests every message of `messages` into `out`, in order:
+/// `out[i]` is `messages[i].digest()`, or with `double` the SHA-256 of
+/// that digest (a transaction id, a Merkle leaf). Stops at the shorter
+/// of the two slices.
+///
+/// Each run of [`WIDE`] consecutive messages that pad to the same block
+/// count goes through the sixteen-lane kernel in one call (both passes);
+/// every other message is hashed on its own. The
+/// `crypto/sha256_*` counters move exactly as per-message digests move
+/// them, and `crypto/sha256_batched_compressions` counts what the full
+/// groups folded. Allocates nothing: the messages are padded where they
+/// are. A message keeps its bytes; writing to it again overwrites the
+/// padding.
+pub fn digest_messages(messages: &mut [Message], double: bool, out: &mut [Digest]) {
+    for (group, out) in messages.chunks_mut(WIDE).zip(out.chunks_mut(WIDE)) {
+        let blocks = group.first().map_or(0, Message::padded_blocks);
+        if group.iter().all(|m| m.padded_blocks() == blocks) {
+            let full = <&mut [Message; WIDE]>::try_from(&mut *group);
+            if let (Ok(full), Ok(out)) = (full, <&mut [Digest; WIDE]>::try_from(&mut *out)) {
+                let bytes = full.iter().map(|m| m.len as u64).sum();
+                *out = digest16(full.each_mut().map(|m| m.padded(0)), bytes, double);
+                continue;
+            }
+        }
+        for (message, out) in group.iter_mut().zip(out.iter_mut()) {
+            *out = message.finish(double);
+        }
+    }
+}
+
+/// Sixteen padded messages of equal block count hashed side by side
+/// from the initial state, `bytes` message bytes among them; with
+/// `double`, each digest hashed once more. Counts like sixteen
+/// one-message digests, and the compressions as batched.
+///
+/// The CPU decides: AVX-512 (F and BW) runs the lanes side by side, the
+/// state in registers through both passes; every other CPU hashes them
+/// one after another on its one-message kernel.
+pub(crate) fn digest16(blocks: [&[[u8; 64]]; WIDE], bytes: u64, double: bool) -> [Digest; WIDE] {
+    let count = blocks.iter().map(|lane| lane.len()).min().unwrap_or(0) as u64;
+    count_digests(WIDE as u64, bytes, WIDE as u64 * count);
+    let passes = if double {
+        count_digests(WIDE as u64, (WIDE * Digest::LEN) as u64, WIDE as u64);
+        count + 1
+    } else {
+        count
+    };
+    count_batched(WIDE as u64 * passes);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(states) = wide_enabled()
+        .then(|| crate::sha256_x86::digest16(blocks, double))
+        .flatten()
+    {
+        return states.map(|state| state_digest(&state));
+    }
+    blocks.map(|lane| {
+        let mut state = H0;
+        compress_blocks(&mut state, lane);
+        if double {
+            let mut block = DIGEST_BLOCK;
+            block[..Digest::LEN].copy_from_slice(state_digest(&state).as_bytes());
+            state = H0;
+            compress_blocks(&mut state, &[block]);
+        }
+        state_digest(&state)
+    })
+}
+
+/// The last block of a hash whose message ends with a 32-byte digest,
+/// `total` message bytes in all: the digest still to be written at
+/// `0..32`, then its padding.
+pub(crate) const fn digest_block(total: u64) -> [u8; 64] {
+    let mut block = [0u8; 64];
+    block[Digest::LEN] = 0x80;
+    let bits = (total * 8).to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        block[56 + i] = bits[i];
+        i += 1;
+    }
+    block
+}
+
+/// The second pass of a double digest: a 32-byte message.
+const DIGEST_BLOCK: [u8; 64] = digest_block(Digest::LEN as u64);
 
 /// The digest a final hash state stands for: its words, big-endian.
 pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
@@ -482,25 +598,45 @@ pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
 /// A compression kernel: folds whole 64-byte blocks into a hash state.
 pub type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
 
-/// Every kernel this CPU can run, under its [`Sha256::backend`] name,
-/// the portable one first. For benchmarks and tests that run them side
-/// by side; everything else goes through [`Sha256`], which picks.
+/// Every one-message kernel this CPU can run, `"portable"` first, then
+/// `"x86-sha"` when the SHA extensions are present. For benchmarks and
+/// tests that run them side by side; everything else goes through
+/// [`Sha256`], which picks.
 pub fn kernels() -> Vec<(&'static str, Kernel)> {
     let mut all: Vec<(&'static str, Kernel)> = vec![("portable", compress_blocks_portable)];
-    if Sha256::backend() != "portable" {
+    if sha_extensions() {
         // On such a CPU the seam *is* the hardware kernel.
-        all.push((Sha256::backend(), compress_blocks));
+        all.push(("x86-sha", compress_blocks));
     }
     all
 }
 
-/// The one seam both kernels sit behind: folds `blocks` into `state`.
+/// Whether the CPU has the x86-64 SHA extensions.
+fn sha_extensions() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::available() {
+        return true;
+    }
+    false
+}
+
+/// Whether the CPU runs the sixteen-lane AVX-512 kernel.
+fn wide_kernel() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::wide_available() {
+        return true;
+    }
+    false
+}
+
+/// The one seam both one-message kernels sit behind: folds `blocks`
+/// into `state`.
 ///
 /// The CPU decides, nothing else: the x86-64 SHA extensions when
 /// present, the portable loop on every other CPU and target.
 pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     #[cfg(test)]
-    if FORCE_PORTABLE.get() {
+    if FORCED.get() == Forced::Portable {
         return compress_blocks_portable(state, blocks);
     }
     #[cfg(target_arch = "x86_64")]
@@ -526,7 +662,7 @@ pub(crate) const LANES: usize = 4;
 /// interleaving would buy nothing but register spills).
 pub(crate) fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
     #[cfg(test)]
-    if FORCE_PORTABLE.get() {
+    if FORCED.get() == Forced::Portable {
         return compress_lanes_portable(states, blocks);
     }
     #[cfg(target_arch = "x86_64")]
@@ -542,38 +678,108 @@ fn compress_lanes_portable<const L: usize>(states: &mut [[u32; 8]; L], blocks: &
     }
 }
 
+/// Independent messages the sixteen-lane kernel folds at once: the
+/// 32-bit lanes of a 512-bit register, and the batch size of the
+/// batched hashes ([`digest_messages`], [`crate::sig::PublicKey::verify16`]).
+pub const WIDE: usize = 16;
+
+/// Moves `crypto/sha256_batched_compressions`: compressions a full
+/// group of [`WIDE`] messages handed to the batch layer, counted
+/// whichever kernel folds them, so the count is the same on every host.
+pub(crate) fn count_batched(compressions: u64) {
+    ici_telemetry::counter_add(
+        "crypto/sha256_batched_compressions",
+        ici_telemetry::Label::Global,
+        compressions,
+    );
+}
+
+/// Whether batches run on the sixteen-lane kernel: the CPU has it (and,
+/// in unit tests, the thread has not switched it off).
+pub(crate) fn wide_enabled() -> bool {
+    #[cfg(test)]
+    if FORCED.get() != Forced::Nothing {
+        return false;
+    }
+    wide_kernel()
+}
+
+/// Which kernels a unit test has switched off on its thread.
+#[cfg(test)]
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Forced {
+    /// Whatever the CPU selects.
+    Nothing,
+    /// No sixteen-lane kernel: batches fold lane by lane on the
+    /// one-message kernel.
+    NoWide,
+    /// The portable kernel for everything.
+    Portable,
+}
+
 #[cfg(test)]
 thread_local! {
-    /// Set only by [`with_portable_kernel`].
-    static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set only by [`with_kernels_forced`].
+    static FORCED: std::cell::Cell<Forced> = const { std::cell::Cell::new(Forced::Nothing) };
+}
+
+#[cfg(test)]
+fn with_kernels_forced<R>(forced: Forced, f: impl FnOnce() -> R) -> R {
+    let before = FORCED.replace(forced);
+    let out = f();
+    FORCED.set(before);
+    out
 }
 
 /// Unit tests only: runs `f` with this thread's hashing pinned to the
 /// portable kernel, so whatever sits on top of [`Sha256`] (HMAC,
-/// `SimSig`) can be checked under both kernels on one host.
+/// `SimSig`) can be checked under every kernel on one host.
 #[cfg(test)]
 pub(crate) fn with_portable_kernel<R>(f: impl FnOnce() -> R) -> R {
-    let before = FORCE_PORTABLE.replace(true);
-    let out = f();
-    FORCE_PORTABLE.set(before);
-    out
+    with_kernels_forced(Forced::Portable, f)
 }
 
 #[cfg(test)]
 const HARDWARE_SKIPPED: &str = "hardware kernel skipped: this CPU has no SHA extensions";
 
+#[cfg(test)]
+const WIDE_SKIPPED: &str = "wide kernel skipped: this CPU has no AVX-512F/BW";
+
 /// Unit tests only: runs `check` once per way this crate can hash on
-/// this host — on the kernel the CPU selected, then pinned to the
-/// portable one. `scripts/ci.sh` greps for the note printed when the
-/// two coincide.
+/// this host — on the kernels the CPU selected, with the sixteen-lane
+/// kernel switched off (batches on the one-message kernel), then pinned
+/// to the portable one. `scripts/ci.sh` greps for the notes printed
+/// when a hardware kernel is missing.
 #[cfg(test)]
 pub(crate) fn under_every_kernel(check: impl Fn(&str)) {
     check(Sha256::backend());
-    if Sha256::backend() == "portable" {
-        println!("{HARDWARE_SKIPPED}");
+    if wide_kernel() {
+        with_kernels_forced(Forced::NoWide, || check("wide off (forced)"));
     } else {
-        with_portable_kernel(|| check("portable (forced)"));
+        println!("{WIDE_SKIPPED}");
     }
+    if sha_extensions() {
+        with_portable_kernel(|| check("portable (forced)"));
+    } else {
+        println!("{HARDWARE_SKIPPED}");
+    }
+}
+
+/// Unit tests only: the three `crypto/sha256_*` counters, summed over
+/// labels, after `hash` runs on a reset collector: `[bytes,
+/// compressions, digests]`. The caller turns telemetry on.
+#[cfg(test)]
+pub(crate) fn counts(hash: impl FnOnce()) -> [u64; 3] {
+    ici_telemetry::reset();
+    hash();
+    let snap = ici_telemetry::snapshot();
+    ["bytes", "compressions", "digests"].map(|name| {
+        snap.counters
+            .iter()
+            .filter(|c| c.name == format!("crypto/sha256_{name}"))
+            .map(|c| c.value)
+            .sum::<u64>()
+    })
 }
 
 /// The portable kernel: the FIPS 180-4 §6.2.2 compression function,
@@ -812,6 +1018,116 @@ mod tests {
         println!("sha256 lanes: 1 2 4 8 agree on {}", Sha256::backend());
     }
 
+    /// The sixteen-lane kernel is the kernel: `digest16` hashes every
+    /// lane's padded blocks (zero to three each, every lane the same
+    /// count, arbitrary bytes) from the initial state, once and twice,
+    /// exactly as the portable per-block reference does, on the selected
+    /// kernels, with the wide one off and pinned to the portable one.
+    /// `scripts/ci.sh` requires the line printed here, and fails on the
+    /// skip note where `/proc/cpuinfo` lists AVX-512F/BW.
+    #[test]
+    fn kernels_agree_on_sixteen_lanes() {
+        let mut rng = Xoshiro256::seed_from_u64(0x16_1A4E);
+        let reference = |lane: &[[u8; 64]], double: bool| {
+            let mut state = H0;
+            compress_blocks_portable(&mut state, lane);
+            if double {
+                let mut block = DIGEST_BLOCK;
+                block[..32].copy_from_slice(state_digest(&state).as_bytes());
+                state = H0;
+                compress_blocks_portable(&mut state, &[block]);
+            }
+            state_digest(&state)
+        };
+        let mut cases = Vec::new();
+        for count in [0usize, 1, 2, 3, 1, 2] {
+            let blocks: Vec<Vec<[u8; 64]>> = (0..WIDE)
+                .map(|_| {
+                    (0..count)
+                        .map(|_| rng.gen_bytes(64).try_into().expect("64 bytes"))
+                        .collect()
+                })
+                .collect();
+            cases.push(blocks);
+        }
+        under_every_kernel(|kernel| {
+            for blocks in &cases {
+                for double in [false, true] {
+                    let lanes = std::array::from_fn(|i| &blocks[i][..]);
+                    let expected = lanes.map(|lane| reference(lane, double));
+                    let count = blocks[0].len();
+                    assert_eq!(
+                        digest16(lanes, 0, double),
+                        expected,
+                        "kernel {kernel}, {count} blocks, double {double}"
+                    );
+                }
+            }
+        });
+        if wide_kernel() {
+            println!("sha256 wide: 16 lanes agree on {}", Sha256::backend());
+        }
+    }
+
+    /// The batch entry is the per-message digest: for every batch length
+    /// 0..=40, messages of seeded random lengths 0..=600 (55/56/63/64/
+    /// 119/120 pinned in, plus runs of one length so full groups form)
+    /// digest and double-digest to what `Message::digest` gives one at a
+    /// time, on every kernel, and move the counters by the same amounts.
+    #[test]
+    fn batched_digests_match_per_message_digests() {
+        ici_telemetry::set_enabled(true);
+        let mut rng = Xoshiro256::seed_from_u64(0xBA7C4);
+        let pinned = [55usize, 56, 63, 64, 119, 120];
+        let mut batches = Vec::new();
+        for n in 0..=40usize {
+            let uniform = rng.gen_range(0usize..=600);
+            let lengths: Vec<usize> = (0..n)
+                .map(|i| match n % 3 {
+                    0 => uniform,
+                    1 => pinned[i % pinned.len()],
+                    _ => rng.gen_range(0usize..=600),
+                })
+                .collect();
+            batches.push(
+                lengths
+                    .iter()
+                    .map(|len| rng.gen_bytes(*len))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        under_every_kernel(|kernel| {
+            for data in &batches {
+                for double in [false, true] {
+                    let one = |bytes: &[u8]| {
+                        let digest = Message::from(bytes).digest();
+                        if double {
+                            Sha256::digest(digest.as_bytes())
+                        } else {
+                            digest
+                        }
+                    };
+                    let mut expected = Vec::new();
+                    let reference = counts(|| expected = data.iter().map(|d| one(d)).collect());
+                    let mut messages: Vec<Message> =
+                        data.iter().map(|d| Message::from(&d[..])).collect();
+                    let mut out = vec![Digest::ZERO; data.len()];
+                    let batched = counts(|| digest_messages(&mut messages, double, &mut out));
+                    let n = data.len();
+                    assert_eq!(
+                        out, expected,
+                        "kernel {kernel}, {n} messages, double {double}"
+                    );
+                    assert_eq!(batched, reference, "kernel {kernel}, {n} messages");
+                    // The messages keep their bytes.
+                    for (message, bytes) in messages.iter().zip(data) {
+                        assert_eq!(message.as_bytes(), &bytes[..]);
+                    }
+                }
+            }
+        });
+    }
+
     /// Where padding and buffering change shape: 55/56 (the length
     /// stops fitting the last block), 63/64/65 and 119/120 (the same,
     /// one block on). Every such length, split at every such offset.
@@ -881,21 +1197,6 @@ mod tests {
                 assert_eq!(message.digest(), expected, "kernel {kernel}, len {len}");
             }
         });
-    }
-
-    /// The three `crypto/sha256_*` counters, summed over labels, after
-    /// `hash` runs on a reset collector: `[bytes, compressions, digests]`.
-    fn counts(hash: impl FnOnce()) -> [u64; 3] {
-        ici_telemetry::reset();
-        hash();
-        let snap = ici_telemetry::snapshot();
-        ["bytes", "compressions", "digests"].map(|name| {
-            snap.counters
-                .iter()
-                .filter(|c| c.name == format!("crypto/sha256_{name}"))
-                .map(|c| c.value)
-                .sum::<u64>()
-        })
     }
 
     /// `Sha256::update` over `parts`, then `finalize`: how every hash

@@ -13,7 +13,9 @@
 //! the tail of an HMAC inner hash, and both HMACs fold that same padded
 //! message after their own key block: for a 291-byte transaction signing
 //! message, 16 compressions and no allocation. A transaction hands its
-//! signing fields over already written ([`PublicKey::verify_message`]).
+//! signing fields over already written ([`PublicKey::verify_message`]),
+//! and a batch of sixteen hands them over together
+//! ([`PublicKey::verify16`]), whose hashes run sixteen wide.
 //!
 //! It is **not** unforgeable against an adversary who knows a public key —
 //! the tag is derived from the public key itself — which is irrelevant here
@@ -34,8 +36,8 @@
 
 use std::fmt;
 
-use crate::hmac::{hmac_padded, BLOCK_LEN};
-use crate::sha256::{Message, Sha256};
+use crate::hmac::{hmac_chain16, hmac_padded, BLOCK_LEN};
+use crate::sha256::{Message, Sha256, WIDE};
 
 /// Length of an encoded public key (matches a compressed secp256k1 point).
 pub const PUBLIC_KEY_LEN: usize = 33;
@@ -66,6 +68,27 @@ impl PublicKey {
     /// (a transaction's signing fields, written by its encoder).
     pub fn verify_message(&self, mut message: Message, signature: &Signature) -> bool {
         Signature::compute(self, &mut message).0 == signature.0
+    }
+
+    /// [`PublicKey::verify_message`] for [`WIDE`] signatures at once:
+    /// lane `i` checks `signatures[i]` by `keys[i]` over `messages[i]`.
+    /// When every message pads to the same block count, both HMACs of
+    /// all sixteen (under the key, then under the first half) run side
+    /// by side, on AVX-512 in one kernel call; otherwise the lanes are
+    /// checked one by one. Either way the verdicts, and the hashes
+    /// counted, are the per-signature ones.
+    pub fn verify16(
+        keys: [&PublicKey; WIDE],
+        messages: &mut [Message; WIDE],
+        signatures: [&Signature; WIDE],
+    ) -> [bool; WIDE] {
+        let [half_a, half_b] = hmac_chain16(keys.map(|key| &key.0[..]), messages);
+        let mut lanes = half_a.iter().zip(&half_b).zip(signatures);
+        std::array::from_fn(|_| {
+            lanes.next().is_some_and(|((a, b), signature)| {
+                signature.0[..32] == a.0 && signature.0[32..] == b.0
+            })
+        })
     }
 
     /// A short printable key fingerprint (first 4 bytes, hex).
@@ -229,6 +252,68 @@ mod tests {
                 );
                 let other = Keypair::from_seed(len as u64 + 1).public();
                 assert!(!other.verify(&msg, &expected), "len {len}");
+            }
+        });
+    }
+
+    /// `verify16` is sixteen `verify_message` calls: for sixteen
+    /// signatures of one message length (the sixteen-lane path) and of
+    /// mixed lengths (lane by lane), a forged signature or key at each
+    /// lane position is rejected there and nowhere else, on every
+    /// kernel, and the counters move as the per-signature checks move
+    /// them.
+    #[test]
+    fn sixteen_wide_verify_matches_one_at_a_time() {
+        ici_telemetry::set_enabled(true);
+        let pairs: Vec<Keypair> = (0..WIDE as u64).map(Keypair::from_seed).collect();
+        let uniform: Vec<Vec<u8>> = (0..WIDE).map(|i| vec![i as u8; 291]).collect();
+        let mixed: Vec<Vec<u8>> = (0..WIDE).map(|i| vec![i as u8; 40 * i]).collect();
+        crate::sha256::under_every_kernel(|kernel| {
+            for msgs in [&uniform, &mixed] {
+                let signatures: Vec<Signature> =
+                    pairs.iter().zip(msgs).map(|(p, m)| p.sign(m)).collect();
+                let keys: Vec<PublicKey> = pairs.iter().map(Keypair::public).collect();
+                for forged in (0..=WIDE).chain(WIDE..2 * WIDE) {
+                    // Lanes below WIDE get a flipped signature byte, lanes
+                    // past it (mod WIDE) the next lane's key; WIDE forges
+                    // nothing.
+                    let mut sigs = signatures.clone();
+                    let mut lane_keys = keys.clone();
+                    if forged < WIDE {
+                        let mut bytes = *sigs[forged].as_bytes();
+                        bytes[forged * 4 % SIGNATURE_LEN] ^= 1;
+                        sigs[forged] = Signature::from_bytes(bytes);
+                    } else if forged > WIDE {
+                        let lane = forged % WIDE;
+                        lane_keys[lane] = keys[(lane + 1) % WIDE];
+                    }
+                    let messages = || std::array::from_fn(|i| Message::from(&msgs[i][..]));
+                    let mut batch: [Message; WIDE] = messages();
+                    let mut verdicts = [false; WIDE];
+                    let batched = crate::sha256::counts(|| {
+                        verdicts = PublicKey::verify16(
+                            std::array::from_fn(|i| &lane_keys[i]),
+                            &mut batch,
+                            std::array::from_fn(|i| &sigs[i]),
+                        );
+                    });
+                    let mut expected = [false; WIDE];
+                    let single = crate::sha256::counts(|| {
+                        for (i, message) in messages().into_iter().enumerate() {
+                            expected[i] = lane_keys[i].verify_message(message, &sigs[i]);
+                        }
+                    });
+                    let bad = (forged != WIDE).then_some(forged % WIDE);
+                    for (lane, verdict) in verdicts.iter().enumerate() {
+                        assert_eq!(
+                            *verdict,
+                            Some(lane) != bad,
+                            "kernel {kernel}, forged {forged}"
+                        );
+                    }
+                    assert_eq!(verdicts, expected, "kernel {kernel}, forged {forged}");
+                    assert_eq!(batched, single, "kernel {kernel}, forged {forged}");
+                }
             }
         });
     }

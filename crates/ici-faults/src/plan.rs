@@ -773,8 +773,15 @@ impl FaultPlan {
     /// FNV-1a 64 fingerprint of [`FaultPlan::render`] — a compact stable
     /// identity for tables and CI assertions.
     pub fn fingerprint(&self) -> u64 {
+        FaultPlan::fingerprint_of(&self.render())
+    }
+
+    /// The fingerprint of a plan whose [`FaultPlan::render`] is
+    /// `render`, for a caller that already rendered it (so it renders
+    /// once, not twice).
+    pub fn fingerprint_of(render: &str) -> u64 {
         let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.render().bytes() {
+        for byte in render.bytes() {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
@@ -998,6 +1005,25 @@ mod tests {
             assert!(base.byzantine_verifiers().is_empty());
             assert!(base.byzantine().is_inert());
         }
+    }
+
+    /// A fingerprint from a render in hand is the plan's fingerprint,
+    /// for quiet, churned and Byzantine plans alike.
+    #[test]
+    fn fingerprint_of_the_render_is_the_fingerprint() {
+        for seed in [1, 17, 99] {
+            for plan in [
+                config(seed).build().expect("valid"),
+                config(seed).byzantine(byz()).build().expect("valid"),
+            ] {
+                let render = plan.render();
+                assert_eq!(FaultPlan::fingerprint_of(&render), plan.fingerprint());
+            }
+        }
+        assert_ne!(
+            FaultPlan::fingerprint_of("plan seed=1"),
+            FaultPlan::fingerprint_of("plan seed=2")
+        );
     }
 
     #[test]

@@ -625,6 +625,7 @@ pub(crate) fn drive<S: Strategy>(
     let quiet = plan.is_quiet() && !(S::STAGED && stage_churn.interval > 0);
     let (seed, groups) = (plan.seed(), plan.clusters().to_vec());
     let nodes = strategy.net().len();
+    let plan_render = plan.render();
     let summary = FaultRunSummary {
         strategy: S::LABEL,
         nodes,
@@ -633,8 +634,8 @@ pub(crate) fn drive<S: Strategy>(
         cycles_per_cluster: plan.cycles_per_cluster(),
         min_live_nodes: nodes,
         min_availability: 1.0,
-        plan_fingerprint: plan.fingerprint(),
-        plan_render: plan.render(),
+        plan_fingerprint: FaultPlan::fingerprint_of(&plan_render),
+        plan_render,
         ..FaultRunSummary::default()
     };
     let mut run = FaultRun {
@@ -882,6 +883,22 @@ mod tests {
         assert!(summary.unrecoverable_heights.is_empty());
         assert!(summary.min_live_nodes < 24);
         assert!(network.chain_len() > 1);
+    }
+
+    /// The summary's fingerprint is the one of the render it carries,
+    /// rendered once.
+    #[test]
+    fn summary_fingerprint_is_its_renders() {
+        for seed in [3, 11] {
+            let (_, summary) =
+                run_ici_under_faults(config(), 4, workload(), profile(seed)).expect("plan");
+            assert!(summary.plan_render.starts_with("plan seed="));
+            assert_eq!(
+                FaultPlan::fingerprint_of(&summary.plan_render),
+                summary.plan_fingerprint,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

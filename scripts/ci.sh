@@ -62,6 +62,21 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
     echo "/proc/cpuinfo lists sha_ni but ici-crypto fell back to the portable kernel"
     exit 1
 fi
+# The batched hashes (signatures, Merkle levels, locator ids) run on the
+# sixteen-lane AVX-512 kernel where the CPU has it; its differential
+# (kernels_agree_on_sixteen_lanes) prints the agreement line, or the
+# skip note on a CPU without AVX-512F/BW. A CPU that lists both flags
+# but reports the kernel skipped has a detection bug, which only this
+# check would notice (digests stay right, batches fold lane by lane).
+printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 wide: .*\|wide kernel skipped.*' | sed 's/^/    /' || {
+    echo "the sixteen-lane kernel differential (kernels_agree_on_sixteen_lanes) did not run"
+    exit 1
+}
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null && grep -qw avx512bw /proc/cpuinfo 2>/dev/null &&
+    printf '%s\n' "$KERNEL_OUT" | grep -q 'wide kernel skipped'; then
+    echo "/proc/cpuinfo lists avx512f and avx512bw but ici-crypto skipped the wide kernel"
+    exit 1
+fi
 
 echo "==> cargo test (includes the ici-lint gate, tests/lint_gate.rs)"
 # Zero rustc warnings. Compiling the tests first builds what the run
