@@ -80,7 +80,7 @@ fn bench_sha256() {
 }
 
 /// One 16-member cluster's leader lottery and owner ranking, each id
-/// through the streaming hasher against the batched lanes the protocol
+/// through the streaming hasher against the sixteen-wide batch the protocol
 /// calls: the per-member hashing an `ici_wide` height does 64 times.
 fn bench_lottery() {
     let seed = Sha256::digest(b"parent");
@@ -110,6 +110,13 @@ fn bench_lottery() {
             sum = sum.wrapping_add(rank);
         });
         sum
+    });
+    // The one-id ranking a join makes per height: a short group, hashed
+    // on the one-message kernel.
+    bench("rendezvous/x1/batched", || {
+        let mut rank = 0;
+        for_each_rendezvous_rank(&seed, [ids[0]], |_, r| rank = r);
+        rank
     });
 }
 

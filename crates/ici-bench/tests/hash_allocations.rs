@@ -10,6 +10,7 @@ use ici_chain::block::{Block, BlockHeader};
 use ici_chain::codec::{Decode, Encode};
 use ici_chain::transaction::{Address, Transaction};
 use ici_crypto::hmac::hmac_sha256;
+use ici_crypto::lottery::{for_each_rendezvous_rank, lottery_winner};
 use ici_crypto::merkle::{hash_leaf, hash_node};
 use ici_crypto::sha256::{digest_messages, WIDE};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
@@ -103,6 +104,18 @@ fn inline_messages_hash_without_allocating() {
         Transaction::leaf_hashes(&batch, &mut digests);
     });
     assert_eq!(n, 0);
+
+    // A leader lottery and an owner ranking: one id (a join), one full
+    // group, and two full groups and a straggler.
+    for members in [1u64, 16, 33] {
+        let n = allocations(|| {
+            lottery_winner(&left, 7, 0..members);
+            let mut sum = 0u64;
+            for_each_rendezvous_rank(&right, 0..members, |_, rank| sum = sum.wrapping_add(rank));
+            sum
+        });
+        assert_eq!(n, 0, "{members} members");
+    }
 }
 
 fn template() -> BlockHeader {

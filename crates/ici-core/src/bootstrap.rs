@@ -215,14 +215,17 @@ impl IciNetwork {
     /// The first member of `cluster` other than `joiner` that is live
     /// and holds the body at `height`: where a joiner downloads it from.
     fn join_source(&self, cluster: ClusterId, joiner: NodeId, height: Height) -> Option<NodeId> {
-        self.membership.members(cluster).iter().copied().find(|&m| {
-            m != joiner && self.net.is_up(m) && self.holdings[m.index()].has_body(height)
-        })
+        self.membership
+            .members(cluster)
+            .iter()
+            .copied()
+            .find(|&m| m != joiner && self.serves(m, height))
     }
 
     /// Drops from every member of `cluster` but `joiner` each body the
-    /// owner table no longer gives it, walking the heights it holds
-    /// rather than every height. Returns how many were dropped.
+    /// owner table no longer gives it and that a live owner still serves
+    /// ([`IciNetwork::keeps_body`]), walking the heights it holds rather
+    /// than every height. Returns how many were dropped.
     fn prune_ex_owners(&mut self, cluster: ClusterId, joiner: NodeId) -> usize {
         let mut held = std::mem::take(&mut self.held);
         let mut pruned = 0;
@@ -234,7 +237,7 @@ impl IciNetwork {
             held.clear();
             held.extend(self.holdings[member.index()].body_heights().iter());
             for &height in &held {
-                if self.owners.holds(height, cluster, member) {
+                if self.keeps_body(height, cluster, member) {
                     continue;
                 }
                 let bytes = self.chain[height as usize].header().body_len as u64;

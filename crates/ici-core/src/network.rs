@@ -506,6 +506,26 @@ impl IciNetwork {
             .collect()
     }
 
+    /// Whether `node` is live and holds the body at `height`: a node
+    /// that can serve it.
+    pub(crate) fn serves(&self, node: NodeId, height: Height) -> bool {
+        self.net.is_up(node) && self.holdings[node.index()].has_body(height)
+    }
+
+    /// Whether `node`, a member of `cluster`, keeps its body at `height`
+    /// when storage is pruned to the owner table: it owns the height
+    /// there, or no owner there serves it. A repair writes to live
+    /// members the table does not name, so once the named owners have
+    /// died such a copy may be the cluster's only live one.
+    pub(crate) fn keeps_body(&self, height: Height, cluster: ClusterId, node: NodeId) -> bool {
+        let column = self.owners.column(height, cluster);
+        column.contains(&slot_of(node))
+            || !column
+                .iter()
+                .filter_map(|&slot| owner_of(slot))
+                .any(|owner| self.serves(owner, height))
+    }
+
     /// Ships the body at `height` from `source` to `destination` after
     /// its block committed (repair, re-clustering, a joiner's download)
     /// and writes the replica. The send is metered under the shipment's

@@ -4,11 +4,12 @@
 //! reads escalate through three tiers:
 //!
 //! 1. **Local** — the requester holds the body;
-//! 2. **Intra-cluster** — an assigned owner in the requester's own cluster
-//!    serves it (one low-latency round trip — the common case, by the
-//!    intra-cluster integrity invariant);
-//! 3. **Cross-cluster** — every local owner is dead; any live holder in
-//!    another cluster serves it (the repair path).
+//! 2. **Intra-cluster** — a member of the requester's own cluster serves
+//!    it (one low-latency round trip — the common case, by the
+//!    intra-cluster integrity invariant): an assigned owner, else a
+//!    member a repair wrote it to;
+//! 3. **Cross-cluster** — no live member of the requester's cluster holds
+//!    it; a live holder in another cluster serves it.
 //!
 //! Responses carry the body; the requester re-validates it against the
 //! header's Merkle/body commitments it already holds, so no trust in the
@@ -98,11 +99,13 @@ impl IciNetwork {
         .ok_or(IciError::BodyUnavailable(height))
     }
 
-    /// Walks the assigned owners of the committed `height` tier by tier
-    /// — the requester's own cluster first, then every other cluster in
-    /// id order — offering each live holder of the body to `serve` until
-    /// one call answers. The owners are read from the table the commit
-    /// wrote, so a read ranks nothing.
+    /// Walks the live holders of the committed `height`'s body tier by
+    /// tier — the requester's own cluster first, then every other
+    /// cluster in id order — offering each to `serve` until one call
+    /// answers. Within a cluster the assigned owners go first, read from
+    /// the table the commit wrote, so a read ranks nothing; then the
+    /// other members, which hold a body only where a repair wrote it
+    /// after its owners died.
     pub(crate) fn first_served<T>(
         &mut self,
         requester: NodeId,
@@ -115,8 +118,16 @@ impl IciNetwork {
                 let Some(owner) = column.get(slot).copied().and_then(owner_of) else {
                     break;
                 };
-                if net.net.is_up(owner) && net.holdings[owner.index()].has_body(height) {
+                if net.serves(owner, height) {
                     if let Some(answer) = serve(net, owner, tier) {
+                        return Some(answer);
+                    }
+                }
+            }
+            for at in 0..net.membership.members(cluster).len() {
+                let member = net.membership.members(cluster)[at];
+                if net.serves(member, height) && !net.owners.holds(height, cluster, member) {
+                    if let Some(answer) = serve(net, member, tier) {
                         return Some(answer);
                     }
                 }

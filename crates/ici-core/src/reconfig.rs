@@ -96,7 +96,8 @@ impl IciNetwork {
         }
 
         // Phase 2 — prune: drop bodies from nodes that are no longer
-        // owners within their new cluster, as the new table records.
+        // owners within their new cluster, as the new table records,
+        // unless no live owner there serves the body.
         let mut pruned = 0usize;
         let mut held = std::mem::take(&mut self.held);
         for node_idx in 0..n {
@@ -105,7 +106,7 @@ impl IciNetwork {
             held.clear();
             held.extend(self.holdings[node_idx].body_heights().iter());
             for &height in &held {
-                if !self.owners.holds(height, cluster, node) {
+                if !self.keeps_body(height, cluster, node) {
                     let bytes = self.chain[height as usize].header().body_len as u64;
                     if self.holdings[node_idx].drop_body(height, bytes) {
                         pruned += 1;

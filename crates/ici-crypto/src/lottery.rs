@@ -14,11 +14,12 @@
 //! lottery or a ranking hashes one per member. The per-id functions are
 //! the specification; [`for_each_lottery_score`] and
 //! [`for_each_rendezvous_rank`] compute the same values for a whole
-//! candidate set, `LANES` messages per kernel call, with each message
-//! laid out in place (no streaming hasher, no allocation). Every
-//! protocol caller goes through them.
+//! candidate set, [`WIDE`] messages per call of the sixteen-lane batch
+//! entry the rest of the block path uses, with each message laid out in
+//! place (no streaming hasher, no allocation). Every protocol caller
+//! goes through them.
 
-use crate::sha256::{compress_lanes, count_digests, Digest, Sha256, H0, LANES};
+use crate::sha256::{compress_blocks, count_digests, digest16, Digest, Sha256, H0, WIDE};
 
 /// Domain tag of [`lottery_score`].
 const LOTTERY_DOMAIN: &[u8; 15] = b"ici-lottery-v1:";
@@ -47,23 +48,23 @@ pub fn lottery_score(seed: &Digest, round: u64, participant: u64) -> u64 {
 }
 
 /// Calls `f(id, lottery_score(seed, round, id))` for every id of `ids`,
-/// in order, hashing `LANES` ids per kernel call.
+/// in order, hashing [`WIDE`] ids per batch call.
 ///
 /// The 63-byte message fills the first block up to the 0x80 pad byte,
-/// so the second block holds only the length: the same block for every
-/// participant, which each lane reuses.
+/// so the second block holds only the length, the same for every
+/// participant.
 pub fn for_each_lottery_score<I>(seed: &Digest, round: u64, ids: I, f: impl FnMut(u64, u64))
 where
     I: IntoIterator<Item = u64>,
 {
-    let mut first = [0u8; 64];
+    let mut message = [[0u8; 64]; 2];
+    let [first, length] = &mut message;
     first[..15].copy_from_slice(LOTTERY_DOMAIN);
     first[15..47].copy_from_slice(seed.as_bytes());
     first[47..55].copy_from_slice(&round.to_be_bytes());
     first[LOTTERY_LEN] = 0x80;
-    let mut length = [0u8; 64];
     length[56..].copy_from_slice(&(LOTTERY_LEN as u64 * 8).to_be_bytes());
-    for_each_prefix(ids, &first, 55, Some(&length), LOTTERY_LEN as u64, f);
+    for_each_prefix(ids, &message, 55, LOTTERY_LEN as u64, f);
 }
 
 /// Returns the participant with the minimal lottery score, breaking ties by
@@ -97,7 +98,7 @@ pub fn rendezvous_rank(key: &Digest, node: u64) -> u64 {
 }
 
 /// Calls `f(id, rendezvous_rank(key, id))` for every id of `ids`, in
-/// order, hashing `LANES` ids per kernel call. The 51-byte message and
+/// order, hashing [`WIDE`] ids per batch call. The 51-byte message and
 /// its padding fit one block.
 pub fn for_each_rendezvous_rank<I>(key: &Digest, ids: I, f: impl FnMut(u64, u64))
 where
@@ -108,7 +109,7 @@ where
     block[11..43].copy_from_slice(key.as_bytes());
     block[HRW_LEN] = 0x80;
     block[56..].copy_from_slice(&(HRW_LEN as u64 * 8).to_be_bytes());
-    let ranked = for_each_prefix(ids, &block, 43, None, HRW_LEN as u64, f);
+    let ranked = for_each_prefix(ids, &[block], 43, HRW_LEN as u64, f);
     ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, ranked);
 }
 
@@ -152,67 +153,63 @@ where
 }
 
 /// The batch driver under both `for_each_*` functions: `template` is
-/// the first block of every message, with the id's big-endian bytes
-/// still to go at `at`; `tail`, if any, is a second block shared by all.
-/// Ids are hashed [`LANES`] at a time, and a short final batch one by
-/// one. `f` sees `(id, digest prefix)` in input order. The three
-/// `crypto/sha256_*` counters move once, by what hashing each
+/// every message, padded, with the id's big-endian bytes still to go at
+/// `at` of its first block. Ids are staged [`WIDE`] at a time, and each
+/// full group goes through one [`digest16`] call: the sixteen messages
+/// are laid out from `template` when the first group fills, and later
+/// groups rewrite only the id bytes. A short final group is hashed one
+/// id at a time. `f` sees `(id, digest prefix)` in input order. Full
+/// groups count in `digest16`, the stragglers here, so the three
+/// `crypto/sha256_*` counters move by what hashing each
 /// `message_len`-byte message through [`Sha256`] would have added.
-fn for_each_prefix<I>(
+/// Returns how many ids were hashed.
+fn for_each_prefix<I, const B: usize>(
     ids: I,
-    template: &[u8; 64],
+    template: &[[u8; 64]; B],
     at: usize,
-    tail: Option<&[u8; 64]>,
     message_len: u64,
     mut f: impl FnMut(u64, u64),
 ) -> u64
 where
     I: IntoIterator<Item = u64>,
 {
-    let mut lanes = [0u64; LANES];
-    let mut blocks = [*template; LANES];
+    let mut staged = [0u64; WIDE];
+    let mut messages = None;
     let mut filled = 0;
     let mut hashed = 0u64;
     for id in ids {
-        lanes[filled] = id;
-        blocks[filled][at..at + 8].copy_from_slice(&id.to_be_bytes());
+        staged[filled] = id;
         filled += 1;
-        if filled == LANES {
-            hash_lanes(&lanes, &blocks, tail, &mut f);
-            hashed += LANES as u64;
-            filled = 0;
+        if filled < WIDE {
+            continue;
         }
+        let messages = messages.get_or_insert_with(|| [*template; WIDE]);
+        for (message, id) in messages.iter_mut().zip(&staged) {
+            message[0][at..at + 8].copy_from_slice(&id.to_be_bytes());
+        }
+        let lanes = messages.each_ref().map(|message| message.as_slice());
+        let digests = digest16(lanes, WIDE as u64 * message_len, false);
+        for (&id, digest) in staged.iter().zip(&digests) {
+            f(id, digest.prefix_u64());
+        }
+        hashed += WIDE as u64;
+        filled = 0;
     }
-    for (id, block) in lanes.iter().zip(&blocks).take(filled) {
-        hash_lanes(&[*id], std::array::from_ref(block), tail, &mut f);
-        hashed += 1;
-    }
-    if hashed > 0 {
-        let blocks_each = message_len.wrapping_add(9).div_ceil(64);
-        count_digests(hashed, hashed * message_len, hashed * blocks_each);
+    if filled > 0 {
+        let mut message = *template;
+        for &id in &staged[..filled] {
+            message[0][at..at + 8].copy_from_slice(&id.to_be_bytes());
+            let mut state = H0;
+            compress_blocks(&mut state, &message);
+            // The digest's first eight bytes are state words 0 and 1,
+            // big-endian.
+            f(id, (u64::from(state[0]) << 32) | u64::from(state[1]));
+        }
+        let stragglers = filled as u64;
+        count_digests(stragglers, stragglers * message_len, stragglers * B as u64);
+        hashed += stragglers;
     }
     hashed
-}
-
-/// One kernel call's worth: lane `i` hashes `blocks[i]` (then `tail`)
-/// from the initial state and hands `(ids[i], digest prefix)` to `f`.
-#[inline]
-fn hash_lanes<const L: usize>(
-    ids: &[u64; L],
-    blocks: &[[u8; 64]; L],
-    tail: Option<&[u8; 64]>,
-    f: &mut impl FnMut(u64, u64),
-) {
-    let mut states = [H0; L];
-    compress_lanes(&mut states, blocks);
-    if let Some(tail) = tail {
-        compress_lanes(&mut states, &[*tail; L]);
-    }
-    for (&id, state) in ids.iter().zip(&states) {
-        // The digest's first eight bytes are state words 0 and 1,
-        // big-endian.
-        f(id, (u64::from(state[0]) << 32) | u64::from(state[1]));
-    }
 }
 
 #[cfg(test)]
@@ -224,14 +221,14 @@ mod tests {
     }
 
     /// The batched functions are the per-id specification, at every
-    /// batch length from empty through three full kernel calls and a
-    /// short one, over ids at both ends of the range and repeated ids,
-    /// on every kernel.
+    /// batch length from empty through three full groups and a short
+    /// one, over ids at both ends of the range and repeated ids, on
+    /// every kernel.
     #[test]
     fn batched_scores_match_the_per_id_functions() {
         let pool = [0, u64::MAX, 7, 7, 1 << 32, u64::MAX, 0, 12_345_678_901];
         crate::sha256::under_every_kernel(|kernel| {
-            for len in 0..=3 * LANES + 1 {
+            for len in 0..=3 * WIDE + 1 {
                 let ids: Vec<u64> = (0..len).map(|i| pool[i * 5 % pool.len()]).collect();
                 for (s, round) in [(seed(1), 5), (seed(2), u64::MAX)] {
                     let mut got = Vec::new();
@@ -306,7 +303,7 @@ mod tests {
             })
         };
         let s = seed(1);
-        for n in [0u64, 1, 5, 16] {
+        for n in [0u64, 1, 5, 16, 33] {
             let lottery = counts(&|| for_each_lottery_score(&s, 3, 0..n, |_, _| {}));
             let per_id = counts(&|| {
                 for id in 0..n {

@@ -14,13 +14,13 @@
 //! Independent messages in hand go as a batch: [`digest_messages`]
 //! digests (or double-digests) a slice of [`Message`]s, [`WIDE`] equal
 //! block counts at a time through one call of the sixteen-lane kernel,
-//! the crate's Merkle levels and `SimSig` batches do the same with their
-//! fixed layouts, and every batch counts exactly as message-by-message
-//! hashing would. Three kernels sit behind the seams: the portable
-//! FIPS 180-4 loop, the x86-64 SHA extensions (one message, or a few
-//! interleaved lanes for the lotteries), and sixteen lanes of AVX-512
-//! for the batches. The CPU picks at run time; [`Sha256::backend`] names
-//! the pick.
+//! the crate's Merkle levels, `SimSig` batches, lotteries and rankings
+//! do the same with their fixed layouts, and every batch counts exactly
+//! as message-by-message hashing would. Two kinds of kernel sit behind
+//! the seams: one message at a time (the portable FIPS 180-4 loop, or
+//! the x86-64 SHA extensions), and sixteen messages at a time (AVX-512
+//! lanes, or the one-message kernel lane by lane where the CPU lacks
+//! them). The CPU picks at run time; [`Sha256::backend`] names the pick.
 //!
 //! # Examples
 //!
@@ -646,41 +646,10 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     compress_blocks_portable(state, blocks);
 }
 
-/// How many independent messages the batched hashes ([`crate::lottery`])
-/// hand [`compress_lanes`] at once. Measured, not settable: on a 2-vCPU
-/// SHA-NI host 16 lottery scores took 1 682 / 1 274 / 1 275 / 1 295 ns at
-/// 1 / 2 / 4 / 8 lanes and 16 rankings 883 / 671 / 661 / 655 ns.
-pub(crate) const LANES: usize = 4;
-
-/// Folds one block into each of `L` independent states: lane `i`
-/// compresses `blocks[i]` into `states[i]`, exactly as
-/// [`compress_blocks`] would one lane at a time.
-///
-/// On the SHA extensions the lanes are interleaved so their round
-/// latencies overlap; every other CPU runs the portable kernel lane by
-/// lane (its scalar rounds already keep the pipeline full, so
-/// interleaving would buy nothing but register spills).
-pub(crate) fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
-    #[cfg(test)]
-    if FORCED.get() == Forced::Portable {
-        return compress_lanes_portable(states, blocks);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if crate::sha256_x86::compress_lanes(states, blocks) {
-        return;
-    }
-    compress_lanes_portable(states, blocks);
-}
-
-fn compress_lanes_portable<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
-    for (state, block) in states.iter_mut().zip(blocks) {
-        compress_blocks_portable(state, std::slice::from_ref(block));
-    }
-}
-
 /// Independent messages the sixteen-lane kernel folds at once: the
 /// 32-bit lanes of a 512-bit register, and the batch size of the
-/// batched hashes ([`digest_messages`], [`crate::sig::PublicKey::verify16`]).
+/// batched hashes ([`digest_messages`], [`crate::sig::PublicKey::verify16`],
+/// [`crate::lottery::for_each_lottery_score`]).
 pub const WIDE: usize = 16;
 
 /// Moves `crypto/sha256_batched_compressions`: compressions a full
@@ -983,39 +952,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The lanes are the kernel: `compress_lanes` at every width the
-    /// tests can name folds each lane's block exactly as the portable
-    /// per-block reference does, on the selected kernel and pinned to
-    /// the portable one. `scripts/ci.sh` requires the line printed here.
-    #[test]
-    fn kernels_agree_on_lanes() {
-        fn check<const L: usize>(rng: &mut Xoshiro256, kernel: &str) {
-            for _ in 0..64 {
-                let mut states = [H0; L];
-                let mut blocks = [[0u8; 64]; L];
-                for (state, block) in states.iter_mut().zip(&mut blocks) {
-                    state.iter_mut().for_each(|w| *w = rng.next_u64() as u32);
-                    block.copy_from_slice(&rng.gen_bytes(64));
-                }
-                let mut expected = states;
-                for (state, block) in expected.iter_mut().zip(&blocks) {
-                    compress_blocks_portable(state, std::slice::from_ref(block));
-                }
-                compress_lanes(&mut states, &blocks);
-                assert_eq!(states, expected, "kernel {kernel}, {L} lanes");
-            }
-        }
-        under_every_kernel(|kernel| {
-            let mut rng = Xoshiro256::seed_from_u64(0x1A_4E5);
-            check::<1>(&mut rng, kernel);
-            check::<2>(&mut rng, kernel);
-            check::<4>(&mut rng, kernel);
-            check::<8>(&mut rng, kernel);
-            check::<LANES>(&mut rng, kernel);
-        });
-        println!("sha256 lanes: 1 2 4 8 agree on {}", Sha256::backend());
     }
 
     /// The sixteen-lane kernel is the kernel: `digest16` hashes every

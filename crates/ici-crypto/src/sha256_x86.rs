@@ -5,8 +5,7 @@
 //!   schedule four words at a time, so one block is sixteen four-round
 //!   groups instead of the 64 scalar rounds of
 //!   [`crate::sha256::compress_blocks_portable`]. One message at a time
-//!   ([`compress_blocks`]), or one block each of a few interleaved
-//!   ones ([`compress_lanes`]).
+//!   ([`compress_blocks`]).
 //! * AVX-512, sixteen messages wide ([`digest16`], [`hmac_chain16`]).
 //!   Each of the sixteen 32-bit lanes of a zmm register holds one
 //!   message's word: the eight state words are eight registers, lane
@@ -28,8 +27,8 @@
 //! is explicit in `lint.toml` (`unsafe_files`), the crate root carries
 //! `#![deny(unsafe_code)]` so nothing outside this file can follow, and
 //! the only entry points are the safe [`available`], [`wide_available`],
-//! [`compress_blocks`], [`compress_lanes`], [`digest16`] and
-//! [`hmac_chain16`], which do the CPU detection themselves.
+//! [`compress_blocks`], [`digest16`] and [`hmac_chain16`], which do the
+//! CPU detection themselves.
 
 #![allow(unsafe_code)]
 
@@ -69,22 +68,6 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool
     // SAFETY: `available()` just confirmed every target feature
     // `compress_blocks_sha` is compiled with.
     unsafe { compress_blocks_sha(state, blocks) };
-    true
-}
-
-/// Folds one block into each of `L` independent states on the SHA
-/// extensions, the lanes interleaved. Returns `false`, having touched
-/// nothing, when the CPU lacks them.
-pub(crate) fn compress_lanes<const L: usize>(
-    states: &mut [[u32; 8]; L],
-    blocks: &[[u8; 64]; L],
-) -> bool {
-    if !available() {
-        return false;
-    }
-    // SAFETY: `available()` just confirmed every target feature
-    // `compress_lanes_sha` is compiled with.
-    unsafe { compress_lanes_sha(states, blocks) };
     true
 }
 
@@ -189,73 +172,44 @@ fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
     store_words(&mut halves[1], _mm_alignr_epi8(dchg, feba, 8));
 }
 
-/// One block into each of `L` register-held states: the 64 rounds and
-/// the feed-forward. Every four-round group runs across all lanes
-/// before the next starts, so the lanes' `sha256rnds2` dependency
-/// chains overlap instead of running back to back.
+/// One block into the register-held state: the 64 rounds and the
+/// feed-forward.
 #[inline]
 #[target_feature(enable = "sha,sse2,ssse3")]
-fn block_rounds<const L: usize>(
-    abef: &mut [__m128i; L],
-    cdgh: &mut [__m128i; L],
-    blocks: [&[u8; 64]; L],
-) {
+fn block_rounds(abef: &mut __m128i, cdgh: &mut __m128i, block: &[u8; 64]) {
     // Reverses the bytes of each 32-bit lane: the message is big-endian.
     let be_lanes = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
     let (k, _) = K.as_chunks::<4>();
     let (abef_in, cdgh_in) = (*abef, *cdgh);
-    let mut w = [[_mm_setzero_si128(); 4]; L];
-    for (words, block) in w.iter_mut().zip(blocks) {
-        for (word, quarter) in words.iter_mut().zip(block.as_chunks::<16>().0) {
-            *word = _mm_shuffle_epi8(load_bytes(quarter), be_lanes);
-        }
+    let mut w = [_mm_setzero_si128(); 4];
+    for (word, quarter) in w.iter_mut().zip(block.as_chunks::<16>().0) {
+        *word = _mm_shuffle_epi8(load_bytes(quarter), be_lanes);
     }
 
     // Rounds 0..16 take the message words as they are.
-    for (g, kg) in k[..4].iter().enumerate() {
-        for l in 0..L {
-            rounds4(&mut abef[l], &mut cdgh[l], w[l][g], kg);
-        }
+    for (&word, kg) in w.iter().zip(&k[..4]) {
+        rounds4(abef, cdgh, word, kg);
     }
     // Rounds 16..64: each group first extends the schedule, the new
     // words replacing the oldest four.
     for quad in k[4..].as_chunks::<4>().0 {
         for (g, kg) in quad.iter().enumerate() {
-            for l in 0..L {
-                let s = &mut w[l];
-                s[g] = schedule(s[g], s[(g + 1) % 4], s[(g + 2) % 4], s[(g + 3) % 4]);
-                rounds4(&mut abef[l], &mut cdgh[l], s[g], kg);
-            }
+            w[g] = schedule(w[g], w[(g + 1) % 4], w[(g + 2) % 4], w[(g + 3) % 4]);
+            rounds4(abef, cdgh, w[g], kg);
         }
     }
 
-    for l in 0..L {
-        abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
-        cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
-    }
+    *abef = _mm_add_epi32(*abef, abef_in);
+    *cdgh = _mm_add_epi32(*cdgh, cdgh_in);
 }
 
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn compress_blocks_sha(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-    let (abef, cdgh) = load_state(state);
-    let (mut abef, mut cdgh) = ([abef], [cdgh]);
+    let (mut abef, mut cdgh) = load_state(state);
     for block in blocks {
-        block_rounds(&mut abef, &mut cdgh, [block]);
+        block_rounds(&mut abef, &mut cdgh, block);
     }
-    store_state(state, abef[0], cdgh[0]);
-}
-
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-fn compress_lanes_sha<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; 64]; L]) {
-    let mut abef = [_mm_setzero_si128(); L];
-    let mut cdgh = [_mm_setzero_si128(); L];
-    for ((abef, cdgh), state) in abef.iter_mut().zip(&mut cdgh).zip(&*states) {
-        (*abef, *cdgh) = load_state(state);
-    }
-    block_rounds(&mut abef, &mut cdgh, blocks.each_ref());
-    for ((state, abef), cdgh) in states.iter_mut().zip(abef).zip(cdgh) {
-        store_state(state, abef, cdgh);
-    }
+    store_state(state, abef, cdgh);
 }
 
 /// Unaligned load of one 64-byte block: lane `j` holds bytes `4j..4j+4`.

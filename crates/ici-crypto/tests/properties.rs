@@ -5,7 +5,10 @@
 //! test draws `CASES` random inputs from a fixed seed.
 
 use ici_crypto::gf256::Gf256;
-use ici_crypto::lottery::{lottery_winner, rendezvous_top};
+use ici_crypto::lottery::{
+    for_each_lottery_score, for_each_rendezvous_rank, lottery_score, lottery_winner,
+    rendezvous_rank, rendezvous_top,
+};
 use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
 use ici_crypto::sha256::{Digest, Sha256};
@@ -160,5 +163,48 @@ fn lottery_winner_is_member() {
         let n = rng.gen_range(1u64..100);
         let winner = lottery_winner(&seed, round, 0..n).expect("non-empty");
         assert!(winner < n);
+    }
+}
+
+/// The batched lottery and ranking are the per-id functions, at every
+/// candidate count 0..=49 (none, short groups, and up to three full
+/// groups of sixteen plus a short one), over seeded ids that repeat.
+#[test]
+fn batched_lotteries_and_rankings_match_per_id() {
+    let mut rng = Xoshiro256::seed_from_u64(0xC9);
+    for len in 0..=49usize {
+        let seed = Sha256::digest(&rng.next_u64().to_be_bytes());
+        let round = rng.next_u64();
+        // Half the ids from a pool of four, so repeats are common.
+        let pool: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
+        let ids: Vec<u64> = (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    pool[rng.gen_range(0usize..4)]
+                } else {
+                    rng.next_u64()
+                }
+            })
+            .collect();
+
+        let mut scores = Vec::new();
+        for_each_lottery_score(&seed, round, ids.iter().copied(), |id, score| {
+            scores.push((id, score));
+        });
+        let expected: Vec<(u64, u64)> = ids
+            .iter()
+            .map(|&id| (id, lottery_score(&seed, round, id)))
+            .collect();
+        assert_eq!(scores, expected, "lottery, {len} ids");
+
+        let mut ranks = Vec::new();
+        for_each_rendezvous_rank(&seed, ids.iter().copied(), |id, rank| {
+            ranks.push((id, rank))
+        });
+        let expected: Vec<(u64, u64)> = ids
+            .iter()
+            .map(|&id| (id, rendezvous_rank(&seed, id)))
+            .collect();
+        assert_eq!(ranks, expected, "ranking, {len} ids");
     }
 }

@@ -50,24 +50,18 @@ KERNEL_OUT=$(cargo test -q -p ici-crypto --lib kernels_agree -- --nocapture 2>&1
 }
 # Neither line is anchored: `-q` progress dots can share its line.
 printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 backend: .*' | sed 's/^/    /'
-# The batched lotteries and rankings hash through the multi-lane entry
-# point; its differential (kernels_agree_on_lanes) prints this line, so
-# a rename that drops it from the filter fails here instead of passing.
-printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 lanes: .*' | sed 's/^/    /' || {
-    echo "the multi-lane kernel differential (kernels_agree_on_lanes) did not run"
-    exit 1
-}
 if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
     printf '%s\n' "$KERNEL_OUT" | grep -q 'hardware kernel skipped'; then
     echo "/proc/cpuinfo lists sha_ni but ici-crypto fell back to the portable kernel"
     exit 1
 fi
-# The batched hashes (signatures, Merkle levels, locator ids) run on the
-# sixteen-lane AVX-512 kernel where the CPU has it; its differential
-# (kernels_agree_on_sixteen_lanes) prints the agreement line, or the
-# skip note on a CPU without AVX-512F/BW. A CPU that lists both flags
-# but reports the kernel skipped has a detection bug, which only this
-# check would notice (digests stay right, batches fold lane by lane).
+# The batched hashes (signatures, Merkle levels, locator ids, lotteries
+# and rankings) run on the sixteen-lane AVX-512 kernel where the CPU has
+# it; its differential (kernels_agree_on_sixteen_lanes) prints the
+# agreement line, or the skip note on a CPU without AVX-512F/BW. A CPU
+# that lists both flags but reports the kernel skipped has a detection
+# bug, which only this check would notice (digests stay right, batches
+# fold lane by lane).
 printf '%s\n' "$KERNEL_OUT" | grep -m1 -o 'sha256 wide: .*\|wide kernel skipped.*' | sed 's/^/    /' || {
     echo "the sixteen-lane kernel differential (kernels_agree_on_sixteen_lanes) did not run"
     exit 1

@@ -8,12 +8,14 @@
 //! the total compressions equal the per-message count, and
 //! `crypto/sha256_batched_compressions` counts the ones that went
 //! through full sixteen-lane groups (the same number on every host,
-//! whichever kernel ran them). One test, because the telemetry flag is
-//! process-global.
+//! whichever kernel ran them). Then one cluster's leader lottery and
+//! owner ranking, at sixteen members and at fifteen. One test, because
+//! the telemetry flag is process-global.
 
 use icistrategy::chain::builder::BlockBuilder;
 use icistrategy::chain::codec::{Decode, Encode};
 use icistrategy::chain::validation::validate_block;
+use icistrategy::crypto::lottery::{lottery_winner, rendezvous_top};
 use icistrategy::prelude::*;
 use icistrategy::workload::{PayloadSize, SenderDistribution};
 
@@ -82,4 +84,23 @@ fn a_big_block_hashes_its_signatures_leaves_and_nodes_sixteen_wide() {
         [batched, batched],
         "{BATCHED} moved: something that hashed sixteen wide now hashes one at a time"
     );
+
+    // A lottery message takes two blocks and a ranking message one. A
+    // sixteen-member cluster is one full group; fifteen members hash
+    // one at a time.
+    let seed = genesis.id();
+    for (members, lottery, ranking) in [(16, 32, 16), (15, 0, 0)] {
+        let (_, counted) = compressions(|| lottery_winner(&seed, 3, 0..members));
+        assert_eq!(
+            counted,
+            [2 * members, lottery],
+            "[{TOTAL}, {BATCHED}] of a {members}-member lottery"
+        );
+        let (_, counted) = compressions(|| rendezvous_top(&seed, 0..members, 2));
+        assert_eq!(
+            counted,
+            [members, ranking],
+            "[{TOTAL}, {BATCHED}] of a {members}-member ranking"
+        );
+    }
 }

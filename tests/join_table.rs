@@ -14,7 +14,10 @@
 //! The scenarios: joins into one cluster with blocks committed between
 //! them; a failed join and the same node joining after the holders
 //! recover; a re-clustering, then a join; and a cluster smaller than
-//! `r` growing past it.
+//! `r` growing past it. A last one reads, joins and re-clusters after a
+//! repair has put a body on a member the owner table does not name and
+//! the named owners have died: that copy serves the cluster's reads and
+//! survives the prunes.
 
 use std::collections::BTreeSet;
 
@@ -224,5 +227,97 @@ fn a_cluster_smaller_than_r_grows_past_it_under_every_assignment() {
             assert_eq!(report.cluster, cluster.get(), "{assignment:?}");
         }
         assert_eq!(s.net.membership().members(cluster).len(), 6);
+    }
+}
+
+/// Both owners of a height in a cluster die, the first before a repair
+/// writes the body to a member the table does not name. That copy is
+/// the cluster's only live one: a read from the cluster is served by it,
+/// intra-cluster, before and after a join, the join prunes no copy the
+/// cluster needs, and a re-clustering keeps every copy no live owner in
+/// its node's new cluster serves.
+#[test]
+fn a_repaired_copy_serves_reads_and_survives_a_join_after_its_owners_die() {
+    for assignment in ASSIGNMENTS {
+        let mut s = Scenario::new(assignment, 16, 8, 2);
+        s.commit(4);
+        let (cluster, height) = (ClusterId::new(0), 2);
+        let owners: Vec<NodeId> = s.net.owners_at(cluster, height).collect();
+        assert_eq!(owners.len(), 2, "{assignment:?}");
+
+        // One owner dies and the repair writes the body to a member the
+        // table does not name; then the other owner dies.
+        s.net.crash_node(owners[0]).expect("known node");
+        s.net.repair_cluster(cluster);
+        s.net.crash_node(owners[1]).expect("known node");
+        let live = |net: &IciNetwork, node: NodeId| net.net().is_up(node);
+        let holders: BTreeSet<NodeId> = holding(&s.net, cluster, height)
+            .into_iter()
+            .filter(|m| live(&s.net, *m))
+            .collect();
+        assert!(
+            !holders.is_empty(),
+            "{assignment:?}: the repair wrote no copy"
+        );
+        assert!(
+            holders.iter().all(|m| !owners.contains(m)),
+            "{assignment:?}"
+        );
+        assert!(s.net.audit(cluster).missing.is_empty(), "{assignment:?}");
+
+        let requester = s
+            .net
+            .membership()
+            .members(cluster)
+            .iter()
+            .copied()
+            .find(|m| live(&s.net, *m) && !holders.contains(m))
+            .expect("a live member without the body");
+        let read = |net: &mut IciNetwork| {
+            let report = net.query_body(requester, height).expect("served");
+            assert_eq!(report.tier, QueryTier::IntraCluster, "{assignment:?}");
+            assert!(holding(net, cluster, height).contains(&report.server));
+        };
+        read(&mut s.net);
+
+        let at = s.centroid(cluster);
+        let report = s
+            .net
+            .bootstrap_node(at, JoinPolicy::NearestCentroid)
+            .expect("joins");
+        assert_eq!(report.cluster, cluster.get(), "{assignment:?}");
+        assert_eq!(
+            s.net.audit(cluster).missing,
+            Vec::<u64>::new(),
+            "{assignment:?}: the join pruned the cluster's last live copy"
+        );
+        read(&mut s.net);
+
+        // A re-clustering prunes by the same rule: a live node's copy
+        // goes only where a live owner in its new cluster serves it.
+        let serves = |net: &IciNetwork, node: NodeId, height: u64| {
+            live(net, node) && net.holdings(node).expect("node").has_body(height)
+        };
+        let nodes: Vec<NodeId> = (0..s.net.net().topology().len() as u64)
+            .map(NodeId::new)
+            .collect();
+        let served_before: Vec<(NodeId, u64)> = nodes
+            .iter()
+            .flat_map(|&node| (0..s.net.chain_len()).map(move |height| (node, height)))
+            .filter(|&(node, height)| serves(&s.net, node, height))
+            .collect();
+        s.net.reconfigure_clusters();
+        for (node, height) in served_before {
+            let cluster = s.net.membership().cluster_of(node);
+            let owner_serves = s
+                .net
+                .owners_at(cluster, height)
+                .any(|owner| serves(&s.net, owner, height));
+            assert!(
+                owner_serves || serves(&s.net, node, height),
+                "{assignment:?}: re-clustering pruned {node}'s copy of height {height}, \
+                 which no live owner in cluster {cluster} serves"
+            );
+        }
     }
 }
