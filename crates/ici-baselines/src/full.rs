@@ -5,7 +5,7 @@
 //! the abstract opens with: per-node storage equals the whole ledger and
 //! every byte crosses every node's link.
 
-use ici_chain::block::{Block, BlockHeader, Height};
+use ici_chain::block::{Block, Height};
 use ici_chain::builder::BlockBuilder;
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::state::WorldState;
@@ -135,7 +135,7 @@ impl FullReplicationNetwork {
         let block = builder.seal();
         let n_txs = block.transactions().len();
         let body_bytes = block.body_len() as u64;
-        let block_bytes = BlockHeader::ENCODED_LEN as u64 + body_bytes;
+        let block_bytes = block.header().stored_len();
 
         let meter_before = self.net.meter().total();
         let build_cost = cost::apply_transactions(n_txs) + cost::hash(body_bytes);
@@ -179,10 +179,7 @@ impl FullReplicationNetwork {
 
     /// Per-node storage in bytes: every live node stores the whole chain.
     pub fn storage_bytes_per_node(&self) -> u64 {
-        self.chain
-            .iter()
-            .map(|b| (BlockHeader::ENCODED_LEN + b.header().body_len as usize) as u64)
-            .sum()
+        self.chain.iter().map(|b| b.header().stored_len()).sum()
     }
 
     /// Bootstrap cost: a joiner downloads the full chain. Returns
@@ -207,6 +204,7 @@ impl FullReplicationNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ici_chain::block::BlockHeader;
     use ici_chain::transaction::Address;
     use ici_crypto::sig::Keypair;
 

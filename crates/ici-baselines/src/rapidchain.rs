@@ -293,17 +293,19 @@ impl RapidChainNetwork {
         Some((block, post, record))
     }
 
+    /// Bytes of `shard`'s chain, headers and bodies: what each of its
+    /// members stores.
+    pub fn shard_ledger_bytes(&self, shard: usize) -> u64 {
+        self.shard_chains[shard]
+            .iter()
+            .map(|b| b.header().stored_len())
+            .sum()
+    }
+
     /// Per-node storage in bytes: a member fully replicates its shard.
     pub fn storage_bytes(&self) -> Vec<u64> {
-        let shard_bytes: Vec<u64> = self
-            .shard_chains
-            .iter()
-            .map(|chain| {
-                chain
-                    .iter()
-                    .map(|b| (BlockHeader::ENCODED_LEN + b.header().body_len as usize) as u64)
-                    .sum()
-            })
+        let shard_bytes: Vec<u64> = (0..self.shard_count())
+            .map(|shard| self.shard_ledger_bytes(shard))
             .collect();
         (0..self.config.nodes as u64)
             .map(|n| shard_bytes[self.shard_of(NodeId::new(n))])
@@ -313,10 +315,7 @@ impl RapidChainNetwork {
     /// Bootstrap cost of a joiner assigned to `shard`: the full shard
     /// chain. Returns `(bytes, duration)`.
     pub fn bootstrap_cost(&mut self, shard: usize) -> (u64, Duration) {
-        let bytes: u64 = self.shard_chains[shard]
-            .iter()
-            .map(|b| (BlockHeader::ENCODED_LEN + b.header().body_len as usize) as u64)
-            .sum();
+        let bytes = self.shard_ledger_bytes(shard);
         let server = self.committee(shard)[0];
         let coord = self.net.topology().coord(server);
         let joiner = self.net.join(coord);

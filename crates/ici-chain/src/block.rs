@@ -57,6 +57,12 @@ impl BlockHeader {
     pub fn id(&self) -> BlockId {
         hashing::double_sha256_encodable(self)
     }
+
+    /// Bytes a node storing this block keeps: the header plus the body
+    /// it commits to.
+    pub fn stored_len(&self) -> u64 {
+        BlockHeader::ENCODED_LEN as u64 + u64::from(self.body_len)
+    }
 }
 
 impl Encode for BlockHeader {

@@ -171,19 +171,15 @@ fn lloyd(coords: &[Coord], k: usize, config: &KMeansConfig) -> Vec<Coord> {
 
 /// Runs Lloyd's k-means over the topology's coordinates.
 ///
-/// # Panics
-///
-/// Panics if `config.k == 0` or the topology is empty.
+/// A `config.k` of zero runs as one cluster; an empty topology gives a
+/// partition of no nodes.
 pub fn kmeans(topology: &Topology, config: &KMeansConfig) -> Partition {
     let _span = ici_telemetry::span!("cluster/kmeans");
-    // lint:allow(panic) -- documented `# Panics` contract on experiment
-    // parameters fixed at configuration time
-    assert!(config.k > 0, "k must be positive");
-    // lint:allow(panic) -- documented `# Panics` contract on experiment
-    // parameters fixed at configuration time
-    assert!(!topology.is_empty(), "topology must be non-empty");
     let coords = topology.coords();
-    let centroids = lloyd(coords, config.k.min(coords.len()), config);
+    if coords.is_empty() {
+        return Partition::from_assignment(Vec::new());
+    }
+    let centroids = lloyd(coords, config.k.clamp(1, coords.len()), config);
     Partition::from_assignment(
         assign_step(coords, &centroids)
             .into_iter()
@@ -199,15 +195,17 @@ pub fn kmeans(topology: &Topology, config: &KMeansConfig) -> Partition {
 /// greedily, so each node gets the closest centroid that still has room —
 /// `O(nk log nk)`, fast enough for the paper-scale 4,000-node sweeps.
 ///
-/// # Panics
-///
-/// Panics if `config.k == 0` or the topology is empty.
+/// As with [`kmeans`], a `config.k` of zero runs as one cluster and an
+/// empty topology gives a partition of no nodes.
 pub fn balanced_kmeans(topology: &Topology, config: &KMeansConfig) -> Partition {
     let _span = ici_telemetry::span!("cluster/balanced_kmeans");
     let unbalanced = kmeans(topology, config);
     let coords = topology.coords();
     let n = coords.len();
-    let k = config.k.min(n);
+    if n == 0 {
+        return unbalanced;
+    }
+    let k = config.k.clamp(1, n);
 
     // Recover centroids of the unbalanced solution.
     let mut centroids = vec![Coord::default(); k];
@@ -442,9 +440,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_panics() {
+    fn zero_k_is_one_cluster_and_no_nodes_no_partition() {
         let topo = wan(10, 0);
-        let _ = kmeans(&topo, &KMeansConfig::with_k(0, 0));
+        let (zero, one) = (KMeansConfig::with_k(0, 5), KMeansConfig::with_k(1, 5));
+        assert_eq!(kmeans(&topo, &zero), kmeans(&topo, &one));
+        assert_eq!(balanced_kmeans(&topo, &zero), balanced_kmeans(&topo, &one));
+        assert_eq!(balanced_kmeans(&topo, &zero).cluster_count(), 1);
+
+        let empty = Topology::from_coords(Vec::new());
+        for k in [0, 4] {
+            let config = KMeansConfig::with_k(k, 5);
+            assert_eq!(kmeans(&empty, &config).node_count(), 0);
+            assert_eq!(balanced_kmeans(&empty, &config).node_count(), 0);
+        }
     }
 }

@@ -1,9 +1,6 @@
 //! Consensus and dissemination protocols for the reproduction.
 //!
 //! * [`mod@quorum`] — BFT quorum arithmetic (`f`, `2f+1`);
-//! * [`verdicts`] — verdict aggregation for collaborative verification
-//!   under Byzantine verifiers (accept/reject/withhold tallies, quorum
-//!   outcomes, stalls on ties);
 //! * [`leader`] — deterministic per-height leader lotteries;
 //! * [`pbft`] — the message-metered three-phase intra-cluster commit used
 //!   by ICIStrategy (payload and validation cost are injected, which is how
@@ -44,11 +41,9 @@ pub mod ida;
 pub mod leader;
 pub mod pbft;
 pub mod quorum;
-pub mod verdicts;
 
 pub use gossip::{coverage, gossip_flood, GossipConfig};
 pub use ida::{run_ida_dissemination, IdaConfig};
 pub use leader::{elect_leader, elect_live_leader};
 pub use pbft::{run_pbft_commit, run_vote_rounds, CommitReport, PbftInputs, VOTE_BYTES};
 pub use quorum::{has_quorum, max_faulty, quorum};
-pub use verdicts::{tally_votes, VerdictOutcome, VerdictTally, VerifierVote};

@@ -222,31 +222,17 @@ impl IciNetwork {
             .find(|&m| m != joiner && self.serves(m, height))
     }
 
-    /// Drops from every member of `cluster` but `joiner` each body the
-    /// owner table no longer gives it and that a live owner still serves
-    /// ([`IciNetwork::keeps_body`]), walking the heights it holds rather
-    /// than every height. Returns how many were dropped.
+    /// Prunes every member of `cluster` but `joiner` to the owner table
+    /// ([`IciNetwork::prune_to_table`]). Returns how many bodies were
+    /// dropped.
     fn prune_ex_owners(&mut self, cluster: ClusterId, joiner: NodeId) -> usize {
-        let mut held = std::mem::take(&mut self.held);
         let mut pruned = 0;
         for at in 0..self.membership.members(cluster).len() {
             let member = self.membership.members(cluster)[at];
-            if member == joiner {
-                continue;
-            }
-            held.clear();
-            held.extend(self.holdings[member.index()].body_heights().iter());
-            for &height in &held {
-                if self.keeps_body(height, cluster, member) {
-                    continue;
-                }
-                let bytes = self.chain[height as usize].header().body_len as u64;
-                if self.holdings[member.index()].drop_body(height, bytes) {
-                    pruned += 1;
-                }
+            if member != joiner {
+                pruned += self.prune_to_table(cluster, member);
             }
         }
-        self.held = held;
         pruned
     }
 }

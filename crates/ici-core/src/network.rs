@@ -4,7 +4,11 @@
 //! cluster partition, the authoritative chain and state, and per-node
 //! storage holdings. The protocol itself lives in the sibling modules
 //! ([`crate::lifecycle`], [`crate::query`], [`crate::bootstrap`],
-//! [`crate::failure`]), all as `impl IciNetwork` blocks.
+//! [`crate::failure`], [`crate::reconfig`]), all as `impl IciNetwork`
+//! blocks. The storage rules they share are written once here: the
+//! owner table, which copies a prune keeps
+//! (`IciNetwork::keeps_body`, `IciNetwork::prune_to_table`) and the
+//! one write path for a body after commit (`IciNetwork::ship`).
 
 use std::collections::BTreeMap;
 
@@ -266,7 +270,8 @@ pub struct IciNetwork {
     /// and their rank prefixes, kept so a join allocates nothing.
     pub(crate) join_column: Vec<u32>,
     pub(crate) join_prefixes: Vec<u16>,
-    /// The heights one holder holds, while a join prunes it.
+    /// The heights one holder holds, while it is pruned to the owner
+    /// table.
     pub(crate) held: Vec<Height>,
     /// The remote clusters' legs of the height in flight, kept so a
     /// height allocates nothing per cluster.
@@ -488,10 +493,7 @@ impl IciNetwork {
     /// Bytes a single full replica of the chain occupies (headers+bodies),
     /// the denominator of the storage-ratio tables.
     pub fn full_replica_bytes(&self) -> u64 {
-        self.chain
-            .iter()
-            .map(|b| (BlockHeader::ENCODED_LEN + b.header().body_len as usize) as u64)
-            .sum()
+        self.chain.iter().map(|b| b.header().stored_len()).sum()
     }
 
     /// Each network-live member of `cluster`, ascending, with the heights
@@ -526,14 +528,35 @@ impl IciNetwork {
                 .any(|owner| self.serves(owner, height))
     }
 
+    /// Drops from `node`, a member of `cluster`, each body it does not
+    /// keep ([`IciNetwork::keeps_body`]), walking the heights it holds
+    /// rather than every height. An owner never drops its own copy, so
+    /// the order nodes are pruned in cannot change what is kept.
+    /// Returns how many bodies were dropped.
+    pub(crate) fn prune_to_table(&mut self, cluster: ClusterId, node: NodeId) -> usize {
+        let mut held = std::mem::take(&mut self.held);
+        held.clear();
+        held.extend(self.holdings[node.index()].body_heights().iter());
+        let mut pruned = 0;
+        for &height in &held {
+            if !self.keeps_body(height, cluster, node) {
+                let bytes = self.chain[height as usize].header().body_len as u64;
+                pruned += usize::from(self.holdings[node.index()].drop_body(height, bytes));
+            }
+        }
+        self.held = held;
+        pruned
+    }
+
     /// Ships the body at `height` from `source` to `destination` after
     /// its block committed (repair, re-clustering, a joiner's download)
-    /// and writes the replica. The send is metered under the shipment's
-    /// class unless the body is empty, and a delivered delay adds to
-    /// `source`'s sequential total. The replica is written whether or
-    /// not the send was delivered. Whatever a certificate concluded
-    /// about the height predates this replica, so the next one covering
-    /// it hashes it again.
+    /// and writes the replica. Every caller ships to a live
+    /// destination: a crashed node's disk takes no writes. The send is
+    /// metered under the shipment's class unless the body is empty, and
+    /// a delivered delay adds to `source`'s sequential total. The
+    /// replica is written whether or not the send was delivered.
+    /// Whatever a certificate concluded about the height predates this
+    /// replica, so the next one covering it hashes it again.
     pub(crate) fn ship(
         &mut self,
         shipment: &mut Shipment,

@@ -5,8 +5,11 @@
 //! over the *current* population with the configured clustering algorithm,
 //! then migrates block bodies so every new cluster satisfies intra-cluster
 //! integrity at replication `r` — fetches first (sources are the
-//! pre-reconfiguration holders), prunes after, so no body is ever lost in
-//! flight. Migration traffic is metered as [`MessageKind::Repair`].
+//! pre-reconfiguration holders, destinations the live new owners, or the
+//! member a repair would pick where every owner is down), prunes after
+//! with the one prune a join uses (`IciNetwork::prune_to_table`), so no
+//! body is ever lost in flight. Migration traffic is metered as
+//! [`MessageKind::Repair`].
 //!
 //! The ablation benchmark `e9_assignment` quantifies how much data a
 //! reconfiguration moves under each assignment strategy.
@@ -50,10 +53,10 @@ impl IciNetwork {
         let clusters_before = self.membership.cluster_count();
         let (clusters_after, moved_nodes) = self.repartition();
 
-        // Phase 1 — fetch: every new owner that lacks its body pulls it
-        // from a live pre-migration holder, the lowest id among them,
-        // found for every height in one pass before anything ships. The
-        // owners ranked here are the new owner table.
+        // Phase 1 — fetch: every live new owner that lacks its body
+        // pulls it from a live pre-migration holder, the lowest id among
+        // them, found for every height in one pass before anything
+        // ships. The owners ranked here are the new owner table.
         let chain_len = self.chain_len();
         let mut first_holder = vec![OwnerTable::EMPTY; self.chain.len()];
         for (index, holdings) in self.holdings.iter().enumerate() {
@@ -83,13 +86,28 @@ impl IciNetwork {
                 continue;
             };
             for cluster in self.cluster_ids() {
+                let mut live_owner = false;
                 for slot in 0..self.config.replication {
                     let column = self.owners.column(height, cluster);
                     let Some(owner) = column.get(slot).copied().and_then(owner_of) else {
                         break;
                     };
+                    if !self.net.is_up(owner) {
+                        continue;
+                    }
+                    live_owner = true;
                     if !self.holdings[owner.index()].has_body(height) {
                         self.ship(&mut shipment, source, owner, height);
+                    }
+                }
+                // Every owner is down and no live member holds the body:
+                // it goes where a repair would put it, and is kept there
+                // while no owner serves it.
+                let members = self.membership.members(cluster);
+                if !live_owner && !members.iter().any(|&m| self.serves(m, height)) {
+                    let live = self.live_members(cluster);
+                    if let Some(&first) = self.dispatch_owners(&id, height, &live).first() {
+                        self.ship(&mut shipment, source, first, height);
                     }
                 }
             }
@@ -99,22 +117,9 @@ impl IciNetwork {
         // owners within their new cluster, as the new table records,
         // unless no live owner there serves the body.
         let mut pruned = 0usize;
-        let mut held = std::mem::take(&mut self.held);
-        for node_idx in 0..n {
-            let node = NodeId::new(node_idx as u64);
-            let cluster = self.membership.cluster_of(node);
-            held.clear();
-            held.extend(self.holdings[node_idx].body_heights().iter());
-            for &height in &held {
-                if !self.keeps_body(height, cluster, node) {
-                    let bytes = self.chain[height as usize].header().body_len as u64;
-                    if self.holdings[node_idx].drop_body(height, bytes) {
-                        pruned += 1;
-                    }
-                }
-            }
+        for node in (0..n as u64).map(NodeId::new) {
+            pruned += self.prune_to_table(self.membership.cluster_of(node), node);
         }
-        self.held = held;
 
         let duration = shipment.span();
         self.clock = start + duration;
@@ -193,8 +198,11 @@ mod tests {
 
     /// Re-clustering as it was before its sources were found in one
     /// pass: owners ranked afresh per (height, cluster), and each body
-    /// an owner lacks fetched from the first live node, in id order,
-    /// whose snapshot taken before phase 1 holds it.
+    /// a live owner lacks fetched from the first live node, in id order,
+    /// whose snapshot taken before phase 1 holds it. Where every owner
+    /// is down and no live member holds the body, it goes to the first
+    /// owner ranked over the live members. A node drops a body it does
+    /// not own while a live owner serves it.
     fn reconfigure_by_scan(net: &mut IciNetwork) -> ReconfigReport {
         let n = net.holdings.len();
         let clusters_before = net.membership.cluster_count();
@@ -209,16 +217,25 @@ mod tests {
         for height in 0..net.chain_len() {
             let id = net.chain[height as usize].id();
             for cluster in net.clusters() {
-                let members = net.membership.members(cluster);
-                for owner in net.dispatch_owners(&id, height, members) {
-                    if net.holdings[owner.index()].has_body(height) {
-                        continue;
-                    }
-                    let source = (0..n as u64).map(NodeId::new).find(|node| {
-                        net.net.is_up(*node) && snapshot[node.index()].contains(&height)
-                    });
-                    if let Some(source) = source {
+                let members = net.membership.members(cluster).to_vec();
+                let owners = net.dispatch_owners(&id, height, &members);
+                let live_owners: Vec<NodeId> =
+                    owners.into_iter().filter(|o| net.net.is_up(*o)).collect();
+                let source = (0..n as u64)
+                    .map(NodeId::new)
+                    .find(|node| net.net.is_up(*node) && snapshot[node.index()].contains(&height));
+                let Some(source) = source else {
+                    continue;
+                };
+                for &owner in &live_owners {
+                    if !net.holdings[owner.index()].has_body(height) {
                         net.ship(&mut shipment, source, owner, height);
+                    }
+                }
+                if live_owners.is_empty() && !members.iter().any(|m| net.serves(*m, height)) {
+                    let live = net.live_members(cluster);
+                    if let Some(&first) = net.dispatch_owners(&id, height, &live).first() {
+                        net.ship(&mut shipment, source, first, height);
                     }
                 }
             }
@@ -229,7 +246,9 @@ mod tests {
             let held: Vec<u64> = net.holdings[node.index()].body_heights().iter().collect();
             for height in held {
                 let id = net.chain[height as usize].id();
-                if !net.dispatch_owners(&id, height, members).contains(&node) {
+                let owners = net.dispatch_owners(&id, height, members);
+                let owner_serves = owners.iter().any(|o| net.serves(*o, height));
+                if !owners.contains(&node) && owner_serves {
                     let bytes = net.chain[height as usize].header().body_len as u64;
                     pruned += usize::from(net.holdings[node.index()].drop_body(height, bytes));
                 }

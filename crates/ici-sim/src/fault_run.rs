@@ -21,7 +21,7 @@ use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_chain::transaction::Transaction;
 use ici_consensus::leader::elect_live_leader;
 use ici_consensus::pbft::VOTE_BYTES;
-use ici_consensus::verdicts::{tally_votes, VerdictOutcome, VerifierVote};
+use ici_consensus::quorum::has_quorum;
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_core::StageBoundary;
@@ -319,7 +319,8 @@ fn all_pairs_votes(net: &mut Network, members: &[NodeId]) {
 /// vote `Accept` (the workload's blocks are valid), and every false
 /// reject in a group with at least one honest member is exposed by
 /// re-verification. Returns whether the group still reaches its accept
-/// quorum.
+/// quorum, `has_quorum(honest, live)`: a flipped reject or a withheld
+/// verdict never counts toward it, so ties and silent majorities stall.
 fn tally_group(
     live: &[NodeId],
     faults: &[(NodeId, VerdictFault)],
@@ -340,10 +341,7 @@ fn tally_group(
         // Disputed rejects are re-verified and their authors named.
         summary.liars_detected += flips;
     }
-    let votes = std::iter::repeat_n(VerifierVote::Accept, honest)
-        .chain(std::iter::repeat_n(VerifierVote::Reject, flips))
-        .chain(std::iter::repeat_n(VerifierVote::Withhold, withholds));
-    tally_votes(votes, live.len()).outcome() == VerdictOutcome::Accepted
+    has_quorum(honest, live.len())
 }
 
 /// One fault run in flight: the strategy under test, the plan groups
@@ -1379,6 +1377,33 @@ mod tests {
         let strangers = vec![(NodeId::new(40), VerdictFault::Withhold)];
         assert!(tally_group(&live, &strangers, &mut summary));
         assert_eq!(summary, FaultRunSummary::default());
+
+        // A singleton is its own quorum: it accepts alone, and stalls
+        // when its one verdict is a lie.
+        let solo = [NodeId::new(0)];
+        assert!(tally_group(&solo, &strangers, &mut summary));
+        assert!(!tally_group(&solo, &flips(1), &mut summary));
+
+        // quorum(10) = 7: seven honest accepts commit, six stall, whether
+        // the rest lie or go silent.
+        assert!(accepts(10, 3, 0) && accepts(10, 0, 3));
+        assert!(!accepts(10, 4, 0) && !accepts(10, 0, 4) && !accepts(10, 2, 2));
+        // An exact split never commits.
+        for n in [2, 4, 6, 8, 10, 12] {
+            assert!(!accepts(n, n / 2, 0), "n={n}");
+        }
+        // A silent majority is not consent.
+        assert!(!accepts(10, 0, 7) && !accepts(10, 3, 7) && !accepts(10, 0, 10));
+    }
+
+    /// Whether `members` live nodes reach the accept quorum when the
+    /// first `flips` lie and the next `withholds` go silent.
+    fn accepts(members: u64, flips: u64, withholds: u64) -> bool {
+        let live: Vec<NodeId> = (0..members).map(NodeId::new).collect();
+        let flipped = (0..flips).map(|i| (NodeId::new(i), VerdictFault::Flip));
+        let silent = (flips..flips + withholds).map(|i| (NodeId::new(i), VerdictFault::Withhold));
+        let faults: Vec<_> = flipped.chain(silent).collect();
+        tally_group(&live, &faults, &mut FaultRunSummary::default())
     }
 
     /// A round's verdict faults: flips by `liars`.

@@ -23,7 +23,7 @@ pub struct ExperimentRecord {
     /// Free-form parameter description (`"N=4000, c=64, r=1"`).
     pub params: String,
     /// Result tables.
-    pub tables: Vec<SerializableTable>,
+    pub tables: Vec<Table>,
     /// Telemetry captured during the run, when collection was enabled
     /// (see `ici-telemetry`). `None` omits the section entirely.
     pub telemetry: Option<ici_telemetry::TelemetrySnapshot>,
@@ -31,27 +31,6 @@ pub struct ExperimentRecord {
     /// `ici_trace::series`). Empty omits the section entirely, so
     /// committed baseline records never change bytes.
     pub series: Vec<ici_trace::series::RunSeries>,
-}
-
-/// A table in serializable form.
-#[derive(Clone, Debug)]
-pub struct SerializableTable {
-    /// Table title.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Data rows.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl From<&Table> for SerializableTable {
-    fn from(table: &Table) -> SerializableTable {
-        SerializableTable {
-            title: table.title().to_string(),
-            headers: table.headers().to_vec(),
-            rows: table.rows().to_vec(),
-        }
-    }
 }
 
 fn write_string_array(out: &mut String, indent: &str, items: &[String]) {
@@ -69,30 +48,28 @@ fn write_string_array(out: &mut String, indent: &str, items: &[String]) {
     let _ = write!(out, "\n{indent}]");
 }
 
-impl SerializableTable {
-    fn write_pretty(&self, out: &mut String, indent: &str) {
-        let _ = write!(
-            out,
-            "{{\n{indent}  \"title\": \"{}\",\n{indent}  \"headers\": ",
-            escape_json(&self.title)
-        );
-        write_string_array(out, &format!("{indent}  "), &self.headers);
-        let _ = write!(out, ",\n{indent}  \"rows\": ");
-        if self.rows.is_empty() {
-            out.push_str("[]");
-        } else {
-            out.push('[');
-            for (i, row) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n{indent}    ");
-                write_string_array(out, &format!("{indent}    "), row);
+fn write_table(out: &mut String, indent: &str, table: &Table) {
+    let _ = write!(
+        out,
+        "{{\n{indent}  \"title\": \"{}\",\n{indent}  \"headers\": ",
+        escape_json(table.title())
+    );
+    write_string_array(out, &format!("{indent}  "), table.headers());
+    let _ = write!(out, ",\n{indent}  \"rows\": ");
+    if table.rows().is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push('[');
+        for (i, row) in table.rows().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            let _ = write!(out, "\n{indent}  ]");
+            let _ = write!(out, "\n{indent}    ");
+            write_string_array(out, &format!("{indent}    "), row);
         }
-        let _ = write!(out, "\n{indent}}}");
+        let _ = write!(out, "\n{indent}  ]");
     }
+    let _ = write!(out, "\n{indent}}}");
 }
 
 impl ExperimentRecord {
@@ -107,7 +84,7 @@ impl ExperimentRecord {
             id: id.into(),
             title: title.into(),
             params: params.into(),
-            tables: tables.iter().map(|t| SerializableTable::from(*t)).collect(),
+            tables: tables.iter().map(|&t| t.clone()).collect(),
             telemetry: None,
             series: Vec::new(),
         }
@@ -151,7 +128,7 @@ impl ExperimentRecord {
                     out.push(',');
                 }
                 out.push_str("\n    ");
-                table.write_pretty(&mut out, "    ");
+                write_table(&mut out, "    ", table);
             }
             out.push_str("\n  ]");
         }

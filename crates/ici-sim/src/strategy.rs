@@ -409,10 +409,7 @@ impl Strategy for RapidChainNetwork {
 
     fn ledger_bytes(&self) -> u64 {
         (0..self.shard_count())
-            .flat_map(|shard| {
-                (0..self.shard_chain_len(shard)).filter_map(move |h| self.shard_block(shard, h))
-            })
-            .map(|b| BlockHeader::ENCODED_LEN as u64 + u64::from(b.header().body_len))
+            .map(|shard| self.shard_ledger_bytes(shard))
             .sum()
     }
 }

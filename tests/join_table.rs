@@ -306,7 +306,17 @@ fn a_repaired_copy_serves_reads_and_survives_a_join_after_its_owners_die() {
             .flat_map(|&node| (0..s.net.chain_len()).map(move |height| (node, height)))
             .filter(|&(node, height)| serves(&s.net, node, height))
             .collect();
+        let served_heights: BTreeSet<u64> = served_before.iter().map(|&(_, h)| h).collect();
         s.net.reconfigure_clusters();
+        // And every cluster still has a live copy of every height some
+        // live node served before it.
+        for cluster in s.net.clusters() {
+            let missing = s.net.audit(cluster).missing;
+            assert!(
+                missing.iter().all(|h| !served_heights.contains(h)),
+                "{assignment:?}: after re-clustering cluster {cluster} misses {missing:?}"
+            );
+        }
         for (node, height) in served_before {
             let cluster = s.net.membership().cluster_of(node);
             let owner_serves = s
