@@ -11,10 +11,11 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use ici_bench::harness::{bench, bench_with_setup};
-use ici_chain::block::Block;
+use ici_chain::block::{Block, BlockHeader};
 use ici_chain::builder::BlockBuilder;
 use ici_chain::codec::{Decode, Encode};
 use ici_chain::genesis::GenesisConfig;
+use ici_chain::locator::TxLocator;
 use ici_chain::mempool::Mempool;
 use ici_chain::state::WorldState;
 use ici_chain::transaction::{Address, Transaction};
@@ -211,6 +212,48 @@ fn bench_codec() {
     bench("codec/tx_encode", || tx.to_bytes());
     bench("codec/tx_decode", || {
         Transaction::from_bytes(&bytes).expect("valid")
+    });
+    // 63 full groups of encodings written into reused leaf messages.
+    let txs = signed_batch(1_008, 0);
+    let mut leaves = vec![Digest::ZERO; txs.len()];
+    bench("codec/leaf_messages/x1008", || {
+        Transaction::leaf_hashes(&txs, &mut leaves);
+        leaves[0]
+    });
+}
+
+/// `n` transfers with 200-byte payloads, each from its own sender, at
+/// `nonce`.
+fn signed_batch(n: u64, nonce: u64) -> Vec<Transaction> {
+    (0..n)
+        .map(|i| {
+            let to = Address::from_seed(i + 1);
+            Transaction::signed(&Keypair::from_seed(i), to, 5, 1, nonce, vec![7; 200])
+        })
+        .collect()
+}
+
+/// A transaction locator's first catch-up over an `ici_read`-shaped
+/// chain, 300 blocks of 40 transactions: what the first proof of a run
+/// pays.
+fn bench_locator() {
+    let header = BlockHeader {
+        height: 0,
+        parent: Digest::ZERO,
+        tx_root: Digest::ZERO,
+        state_root: Digest::ZERO,
+        timestamp_ms: 0,
+        proposer: 0,
+        pow_nonce: 0,
+        tx_count: 0,
+        body_len: 0,
+    };
+    let chain: Vec<Block> = (0..300)
+        .map(|height| Block::new(BlockHeader { height, ..header }, signed_batch(40, height)))
+        .collect();
+    bench_with_setup("locator/catch_up/300x40", TxLocator::new, |mut locator| {
+        locator.catch_up(&chain);
+        locator
     });
 }
 
@@ -591,5 +634,6 @@ fn main() {
     bench_gf256();
     bench_assignment();
     bench_codec();
+    bench_locator();
     bench_clustering();
 }

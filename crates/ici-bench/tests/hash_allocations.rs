@@ -1,5 +1,7 @@
 //! The block path's hashes allocate nothing for a message within a
-//! `Message`'s inline capacity, and exactly once past it.
+//! `Message`'s inline capacity, and exactly once past it; a batch that
+//! reuses its messages allocates once per message that spills, however
+//! often it spills again.
 //!
 //! Counted by the process-wide allocator `ici-bench` installs, so this
 //! binary holds one test: no other test thread allocates while it
@@ -8,9 +10,10 @@
 use ici_bench::alloc::stats;
 use ici_chain::block::{Block, BlockHeader};
 use ici_chain::codec::{Decode, Encode};
+use ici_chain::locator::TxLocator;
 use ici_chain::transaction::{Address, Transaction};
 use ici_crypto::hmac::hmac_sha256;
-use ici_crypto::lottery::{for_each_rendezvous_rank, lottery_winner};
+use ici_crypto::lottery::{for_each_rendezvous_key, for_each_rendezvous_rank, lottery_winner};
 use ici_crypto::merkle::{hash_leaf, hash_node};
 use ici_crypto::sha256::{digest_messages, WIDE};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
@@ -100,18 +103,85 @@ fn inline_messages_hash_without_allocating() {
     let mut digests = vec![Digest::ZERO; batch.len()];
     let n = allocations(|| {
         Transaction::verify_signatures(&batch);
-        Transaction::ids(&batch, &mut digests);
+        Transaction::for_each_id(&batch, |id| digests[0] = id);
         Transaction::leaf_hashes(&batch, &mut digests);
     });
     assert_eq!(n, 0);
 
-    // A leader lottery and an owner ranking: one id (a join), one full
-    // group, and two full groups and a straggler.
+    // One set of messages reused group after group: encodings that go
+    // spilled → inline → spilled allocate the sixteen spills of the
+    // first group and nothing after them, ids, leaves and signing
+    // fields alike; an all-inline batch allocates nothing.
+    let spilling: Vec<Transaction> = [600usize, 200, 600, 700]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(group, len)| {
+            (0..WIDE as u64).map(move |i| {
+                let tx = Transaction::signed(
+                    &pair,
+                    Address::from_seed(i),
+                    10,
+                    1,
+                    i,
+                    vec![group as u8; len],
+                );
+                Transaction::from_bytes(&tx.to_bytes()).expect("round trip")
+            })
+        })
+        .collect();
+    let mut digests = vec![Digest::ZERO; spilling.len()];
+    assert_eq!(
+        allocations(|| Transaction::for_each_id(&spilling, |id| digests[0] = id)),
+        WIDE as u64
+    );
+    assert_eq!(
+        allocations(|| Transaction::leaf_hashes(&spilling, &mut digests)),
+        WIDE as u64
+    );
+    assert_eq!(
+        allocations(|| Transaction::verify_signatures(&spilling)),
+        WIDE as u64
+    );
+    let inline = &spilling[WIDE..2 * WIDE];
+    assert_eq!(
+        allocations(|| Transaction::for_each_id(inline, |id| digests[0] = id)),
+        0
+    );
+
+    // A transaction locator's catch-up over 20 blocks of 40: the entry
+    // and first-ordinal reservations, and no other allocation (ids are
+    // hashed in reused messages, the keys sorted in place).
+    let chain: Vec<Block> = (0..20u64)
+        .map(|height| {
+            let txs = (0..40u64)
+                .map(|i| {
+                    Transaction::signed(&pair, Address::from_seed(i), 10, 1, height, vec![7; 200])
+                })
+                .collect();
+            Block::new(
+                BlockHeader {
+                    height,
+                    ..template()
+                },
+                txs,
+            )
+        })
+        .collect();
+    let mut locator = TxLocator::new();
+    assert_eq!(allocations(|| locator.catch_up(&chain)), 2);
+    assert_eq!(locator.indexed_blocks(), chain.len());
+
+    // A leader lottery and an owner ranking: one id, one full group,
+    // and two full groups and a straggler; a joiner ranked at as many
+    // heights.
+    let keys: Vec<Digest> = (0..33u8).map(|i| Sha256::digest(&[i])).collect();
     for members in [1u64, 16, 33] {
         let n = allocations(|| {
             lottery_winner(&left, 7, 0..members);
             let mut sum = 0u64;
             for_each_rendezvous_rank(&right, 0..members, |_, rank| sum = sum.wrapping_add(rank));
+            let heights = keys.iter().copied().take(members as usize);
+            for_each_rendezvous_key(9, heights, |_, rank| sum = sum.wrapping_add(rank));
             sum
         });
         assert_eq!(n, 0, "{members} members");

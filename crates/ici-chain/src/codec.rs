@@ -7,7 +7,10 @@
 //!
 //! The [`Encode`] / [`Decode`] pair also powers the simulator's byte-exact
 //! message metering: `encoded_len` of every protocol message is what the
-//! network layer charges against bandwidth.
+//! network layer charges against bandwidth. An encoding that is only
+//! hashed is never buffered: [`Writer::hashing`] writes it in place into
+//! a caller's SHA-256 [`Message`], which a batch reuses from one
+//! encoding to the next.
 //!
 //! # Examples
 //!
@@ -72,50 +75,51 @@ impl fmt::Display for CodecError {
 impl Error for CodecError {}
 
 /// Where a [`Writer`] sends its bytes: a growable buffer (the default),
-/// or a block-aligned hash [`Message`] for callers that only need a
-/// digest of the encoding.
-// The message stays inline on purpose: boxing it would put an
-// allocation back on every digest this sink exists to make free.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-enum Sink {
+/// or a caller's block-aligned hash [`Message`], for callers that only
+/// need a digest of the encoding.
+#[derive(Debug)]
+enum Sink<'m> {
     Buf(Vec<u8>),
-    Hash(Message),
+    Hash(&'m mut Message),
 }
 
-impl Default for Sink {
-    fn default() -> Sink {
+impl Default for Sink<'_> {
+    fn default() -> Self {
         Sink::Buf(Vec::new())
     }
 }
 
-/// Output sink for encoding: a growable buffer, or a hash message (see
-/// [`Writer::hashing`]) that lays the encoding out in the blocks the
-/// SHA-256 kernel reads.
-#[derive(Clone, Debug, Default)]
-pub struct Writer {
-    sink: Sink,
+/// Output sink for encoding: a growable buffer, or a borrowed hash
+/// message (see [`Writer::hashing`]) that lays the encoding out in the
+/// blocks the SHA-256 kernel reads.
+#[derive(Debug, Default)]
+pub struct Writer<'m> {
+    sink: Sink<'m>,
 }
 
-impl Writer {
+impl Writer<'static> {
     /// Creates an empty buffering writer.
-    pub fn new() -> Writer {
+    pub fn new() -> Self {
         Writer::default()
     }
 
     /// Creates a buffering writer with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Writer {
+    pub fn with_capacity(capacity: usize) -> Self {
         Writer {
             sink: Sink::Buf(Vec::with_capacity(capacity)),
         }
     }
+}
 
-    /// Creates a writer that appends every byte to `message` — a fresh
-    /// [`Message`], or one opened with a domain prefix — and finish
-    /// with [`Writer::into_message`]. An encoding within the message's
-    /// inline capacity is hashed with no allocation.
+impl<'m> Writer<'m> {
+    /// Creates a writer that appends every byte to `message`, in place:
+    /// a fresh [`Message`], one opened with a domain prefix, or one a
+    /// batch reuses after [`Message::truncate`]. Hash the message once
+    /// the writer is done with it. An encoding within the message's
+    /// inline capacity is hashed with no allocation, and nothing is
+    /// copied into or out of the message.
     #[inline]
-    pub fn hashing(message: Message) -> Writer {
+    pub fn hashing(message: &'m mut Message) -> Self {
         Writer {
             sink: Sink::Hash(message),
         }
@@ -168,22 +172,12 @@ impl Writer {
         self.len() == 0
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes (copied out of
+    /// a hashing writer's message).
     pub fn into_bytes(self) -> Vec<u8> {
         match self.sink {
             Sink::Buf(buf) => buf,
             Sink::Hash(message) => message.as_bytes().to_vec(),
-        }
-    }
-
-    /// Consumes the writer, returning what was written as a hash
-    /// [`Message`] — moved out of a hashing writer, copied out of a
-    /// buffering one.
-    #[inline]
-    pub fn into_message(self) -> Message {
-        match self.sink {
-            Sink::Buf(buf) => Message::from(buf.as_slice()),
-            Sink::Hash(message) => message,
         }
     }
 

@@ -15,9 +15,9 @@ use crate::codec::{Encode, Writer};
 
 /// SHA-256 of `value`'s canonical encoding.
 pub fn digest_encodable<T: Encode + ?Sized>(value: &T) -> Digest {
-    let mut w = Writer::hashing(Message::new());
-    value.encode(&mut w);
-    w.into_message().digest()
+    let mut message = Message::new();
+    value.encode(&mut Writer::hashing(&mut message));
+    message.digest()
 }
 
 /// Double-SHA-256 of `value`'s canonical encoding. Equals

@@ -5,9 +5,10 @@
 //! [`TxLocator`] replaces the scan over the blocks it has indexed with a
 //! binary search, at 8 bytes per transaction:
 //!
-//! * one `(fingerprint, ordinal)` entry per indexed transaction, sorted —
-//!   the fingerprint is the leading four bytes of the [`TxId`], the
-//!   ordinal counts transactions chain-wide from genesis;
+//! * one packed `fingerprint << 32 | ordinal` key per indexed
+//!   transaction, sorted — the fingerprint is the leading four bytes of
+//!   the [`TxId`], the ordinal counts transactions chain-wide from
+//!   genesis, so a fingerprint's keys sort in chain order;
 //! * one first-ordinal per indexed block, which turns an ordinal back
 //!   into `(height, index)`.
 //!
@@ -19,8 +20,6 @@
 //! tip on demand, and [`TxLocator::locate`] scans whatever suffix is
 //! still unindexed.
 
-use ici_crypto::sha256::WIDE;
-
 use crate::block::{Block, Height};
 use crate::transaction::{Transaction, TxId};
 
@@ -30,9 +29,9 @@ use crate::transaction::{Transaction, TxId};
 /// by appending: the locator stores positions, not transactions.
 #[derive(Clone, Debug, Default)]
 pub struct TxLocator {
-    /// `(fingerprint, ordinal)` per indexed transaction, sorted, so the
-    /// candidates of one fingerprint are visited in chain order.
-    entries: Vec<(u32, u32)>,
+    /// `fingerprint << 32 | ordinal` per indexed transaction, sorted,
+    /// so the candidates of one fingerprint are visited in chain order.
+    entries: Vec<u64>,
     /// Chain-wide ordinal of each indexed block's first transaction;
     /// its length is the number of blocks indexed.
     first_ordinal: Vec<u32>,
@@ -42,6 +41,12 @@ pub struct TxLocator {
 fn fingerprint(id: &TxId) -> u32 {
     let b = id.as_bytes();
     u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// The index key of the transaction `id` at `ordinal`: sorting keys
+/// sorts by fingerprint, then chain order.
+fn key(fingerprint: u32, ordinal: u32) -> u64 {
+    (u64::from(fingerprint) << 32) | u64::from(ordinal)
 }
 
 impl TxLocator {
@@ -57,23 +62,26 @@ impl TxLocator {
 
     /// Extends the index from its indexed length to the tip of `chain`.
     ///
-    /// Reserves exactly the new entries once, from the headers'
-    /// `tx_count`, hashes each block's ids [`WIDE`] at a time
-    /// ([`Transaction::ids`]) and sorts in place. Ordinals are 32-bit;
-    /// blocks past the 2^32nd transaction stay unindexed and are served
-    /// by the scan in [`TxLocator::locate`].
+    /// Reserves exactly the new first ordinals and entries once, from
+    /// the headers' `tx_count`, hashes the ids of the new blocks'
+    /// transactions as one run, [`WIDE`](ici_crypto::sha256::WIDE) at a time across block
+    /// boundaries ([`Transaction::for_each_id`]), and sorts the packed
+    /// keys in place. Ordinals are 32-bit; blocks past the 2^32nd
+    /// transaction stay unindexed and are served by the scan in
+    /// [`TxLocator::locate`].
     pub fn catch_up(&mut self, chain: &[Block]) {
         let from = self.indexed_blocks();
         let Some(new_blocks) = chain.get(from..) else {
             return;
         };
         // Every entry holds a distinct 32-bit ordinal, so the count fits.
-        let Ok(mut next) = u32::try_from(self.entries.len()) else {
+        let Ok(first) = u32::try_from(self.entries.len()) else {
             return;
         };
         // First ordinals from the headers alone (a block's `tx_count`
         // always equals its body length), then one reservation.
         self.first_ordinal.reserve_exact(new_blocks.len());
+        let mut next = first;
         for block in new_blocks {
             let Some(after) = next.checked_add(block.header().tx_count) else {
                 break;
@@ -81,23 +89,19 @@ impl TxLocator {
             self.first_ordinal.push(next);
             next = after;
         }
-        let new_firsts = &self.first_ordinal[from..];
-        if new_firsts.is_empty() {
+        let indexed = &new_blocks[..self.first_ordinal.len() - from];
+        if indexed.is_empty() {
             return;
         }
-        self.entries
-            .reserve_exact(next as usize - self.entries.len());
-        let mut ids = [TxId::ZERO; WIDE];
-        for (block, first) in new_blocks.iter().zip(new_firsts) {
-            let mut ordinals = *first..;
-            for group in block.transactions().chunks(WIDE) {
-                let ids = &mut ids[..group.len()];
-                Transaction::ids(group, ids);
-                let entries = ids.iter().zip(&mut ordinals);
-                self.entries
-                    .extend(entries.map(|(id, ordinal)| (fingerprint(id), ordinal)));
+        self.entries.reserve_exact((next - first) as usize);
+        let entries = &mut self.entries;
+        let mut ordinals = first..next;
+        let transactions = indexed.iter().flat_map(Block::transactions);
+        Transaction::for_each_id(transactions, |id| {
+            if let Some(ordinal) = ordinals.next() {
+                entries.push(key(fingerprint(&id), ordinal));
             }
-        }
+        });
         self.entries.sort_unstable();
     }
 
@@ -106,12 +110,13 @@ impl TxLocator {
     /// chain order as `(height, index within the block)`.
     pub fn locate(&self, chain: &[Block], id: &TxId) -> Option<(Height, u64)> {
         let wanted = fingerprint(id);
-        let run_start = self.entries.partition_point(|(fp, _)| *fp < wanted);
+        let run_start = self.entries.partition_point(|k| *k < key(wanted, 0));
         let indexed_hit = self.entries[run_start..]
             .iter()
-            .take_while(|(fp, _)| *fp == wanted)
-            .find_map(|(_, ordinal)| {
-                let (at, index) = self.position(*ordinal)?;
+            .take_while(|k| *k >> 32 == u64::from(wanted))
+            .find_map(|k| {
+                // The low 32 bits are the ordinal.
+                let (at, index) = self.position(*k as u32)?;
                 let block = chain.get(at)?;
                 let tx = block.transactions().get(index)?;
                 (tx.id() == *id).then_some((block.height(), index as u64))
@@ -206,7 +211,7 @@ mod tests {
     /// The test-only constructor: an index whose entries are given, not
     /// derived, so two transactions can be made to share a fingerprint.
     fn forged(entries: &[(u32, u32)], chain: &[Block]) -> TxLocator {
-        let mut entries = entries.to_vec();
+        let mut entries: Vec<u64> = entries.iter().map(|&(fp, o)| key(fp, o)).collect();
         entries.sort_unstable();
         let mut first_ordinal = Vec::new();
         let mut next = 0u32;
@@ -256,10 +261,10 @@ mod tests {
         let mut locator = TxLocator::new();
         locator.catch_up(&chain);
         let ids = all_ids(&chain);
-        let mut expected: Vec<(u32, u32)> = ids
+        let mut expected: Vec<u64> = ids
             .iter()
             .zip(0u32..)
-            .map(|(id, o)| (fingerprint(id), o))
+            .map(|(id, o)| key(fingerprint(id), o))
             .collect();
         expected.sort_unstable();
         assert_eq!(locator.entries, expected);
@@ -301,7 +306,7 @@ mod tests {
 
     #[test]
     fn index_costs_eight_bytes_per_transaction_reserved_exactly() {
-        assert_eq!(std::mem::size_of::<(u32, u32)>(), 8);
+        assert_eq!(std::mem::size_of_val(&key(u32::MAX, u32::MAX)), 8);
         let chain = chain(&[0, 5, 7]);
         let mut locator = TxLocator::new();
         locator.catch_up(&chain);

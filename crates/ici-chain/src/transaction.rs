@@ -240,59 +240,70 @@ impl Transaction {
     /// The transaction's Merkle leaf: [`merkle::hash_leaf`] of its full
     /// encoding, written once after the leaf prefix.
     pub fn leaf_hash(&self) -> Digest {
-        let mut w = Writer::hashing(merkle::leaf_message());
-        self.encode(&mut w);
-        merkle::hash_leaf_message(w.into_message())
+        let mut message = merkle::leaf_message();
+        self.encode(&mut Writer::hashing(&mut message));
+        merkle::hash_leaf_message(message)
     }
 
-    /// [`Transaction::id`] of every transaction, `out[i]` the id of
-    /// `transactions[i]` (up to the shorter slice): each full group of
-    /// [`WIDE`] encodings is written into hash messages and hashed as one
-    /// batch ([`digest_messages`], sixteen wide when the encodings pad to
-    /// one block count), the rest one by one.
-    pub fn ids(transactions: &[Transaction], out: &mut [TxId]) {
+    /// Calls `f` with [`Transaction::id`] of every transaction, in
+    /// order: the encodings are written into [`WIDE`] reused hash
+    /// messages and each full group is hashed as one batch
+    /// ([`digest_messages`], sixteen wide when the encodings pad to one
+    /// block count), the last short group one by one. The transactions
+    /// may come from any number of blocks; a group fills across them.
+    pub fn for_each_id<'t>(
+        transactions: impl IntoIterator<Item = &'t Transaction>,
+        f: impl FnMut(TxId),
+    ) {
         let double =
             |messages: &mut [Message], out: &mut [Digest]| digest_messages(messages, true, out);
-        Transaction::hash_encodings(transactions, Message::new, double, Transaction::id, out);
+        Transaction::hash_encodings(transactions, &[], double, f);
     }
 
-    /// [`Transaction::leaf_hash`] of every transaction, batched like
-    /// [`Transaction::ids`] ([`merkle::hash_leaf_messages`]).
+    /// [`Transaction::leaf_hash`] of every transaction, `out[i]` the
+    /// leaf of `transactions[i]` (up to the shorter slice), batched like
+    /// [`Transaction::for_each_id`] ([`merkle::hash_leaf_messages`]).
     pub fn leaf_hashes(transactions: &[Transaction], out: &mut [Digest]) {
-        Transaction::hash_encodings(
-            transactions,
-            merkle::leaf_message,
-            merkle::hash_leaf_messages,
-            Transaction::leaf_hash,
-            out,
-        );
+        let mut out = out.iter_mut();
+        let transactions = transactions.iter().take(out.len());
+        let prefix = [merkle::LEAF_PREFIX];
+        Transaction::hash_encodings(transactions, &prefix, merkle::hash_leaf_messages, |leaf| {
+            if let Some(slot) = out.next() {
+                *slot = leaf;
+            }
+        });
     }
 
-    /// Each full group of [`WIDE`] encodings written after `open`'s
-    /// prefix and handed to `batch`; a shorter group hashed by `one`.
-    fn hash_encodings(
-        transactions: &[Transaction],
-        open: fn() -> Message,
+    /// Writes each encoding after `prefix` into one of [`WIDE`] hash
+    /// messages, kept on the stack for the whole call and cut back to
+    /// the prefix before each write, and hands every full group, then
+    /// the last short one, to `batch`; `f` sees the digests in order.
+    fn hash_encodings<'t>(
+        transactions: impl IntoIterator<Item = &'t Transaction>,
+        prefix: &[u8],
         batch: impl Fn(&mut [Message], &mut [Digest]),
-        one: fn(&Transaction) -> Digest,
-        out: &mut [Digest],
+        mut f: impl FnMut(Digest),
     ) {
-        for (group, out) in transactions.chunks(WIDE).zip(out.chunks_mut(WIDE)) {
-            match <&[Transaction; WIDE]>::try_from(group) {
-                Ok(group) => {
-                    let mut messages = group.each_ref().map(|tx| {
-                        let mut w = Writer::hashing(open());
-                        tx.encode(&mut w);
-                        w.into_message()
-                    });
-                    batch(&mut messages, out);
-                }
-                Err(_) => {
-                    for (out, tx) in out.iter_mut().zip(group) {
-                        *out = one(tx);
-                    }
-                }
+        // Opened at the first transaction: an empty call zero-fills nothing.
+        let mut staged: Option<[Message; WIDE]> = None;
+        let mut digests = [Digest::ZERO; WIDE];
+        let mut filled = 0;
+        for tx in transactions {
+            let messages =
+                staged.get_or_insert_with(|| std::array::from_fn(|_| Message::from(prefix)));
+            let message = &mut messages[filled];
+            message.truncate(prefix.len());
+            tx.encode(&mut Writer::hashing(message));
+            filled += 1;
+            if filled == WIDE {
+                batch(messages, &mut digests);
+                digests.iter().copied().for_each(&mut f);
+                filled = 0;
             }
+        }
+        if let Some(messages) = &mut staged {
+            batch(&mut messages[..filled], &mut digests[..filled]);
+            digests[..filled].iter().copied().for_each(f);
         }
     }
 
@@ -327,51 +338,58 @@ impl Transaction {
         if let Some(valid) = self.verdict.get() {
             return valid;
         }
-        let valid = self
-            .sender
-            .verify_message(self.signing_message(), &self.signature);
-        self.verdict.set(valid);
-        valid
+        let mut message = Message::new();
+        self.encode_signing_fields(&mut Writer::hashing(&mut message));
+        self.check_signature(&mut message)
     }
 
     /// Checks the signature of every transaction whose verdict is not
     /// yet known and remembers each verdict, as
-    /// [`Transaction::verify_signature`] would one by one: [`WIDE`]
-    /// unchecked transactions at a time go through
-    /// [`PublicKey::verify16`], whose hashes run sixteen wide, and the
-    /// last fewer than [`WIDE`] one by one. Known verdicts are loads;
-    /// every later ask is one.
+    /// [`Transaction::verify_signature`] would one by one: the signing
+    /// fields are written into [`WIDE`] reused hash messages, each full
+    /// group goes through [`PublicKey::verify16`], whose hashes run
+    /// sixteen wide, and the last fewer than [`WIDE`] one by one. Known
+    /// verdicts are loads; every later ask is one.
     pub fn verify_signatures(transactions: &[Transaction]) {
+        // Opened at the first unknown verdict: a call that finds every
+        // verdict known zero-fills nothing.
+        let mut staged: Option<[Message; WIDE]> = None;
         let mut group = [0usize; WIDE];
         let mut pending = 0;
         for (i, tx) in transactions.iter().enumerate() {
             if tx.verdict.get().is_some() {
                 continue;
             }
+            let messages = staged.get_or_insert_with(|| std::array::from_fn(|_| Message::new()));
+            let message = &mut messages[pending];
+            message.truncate(0);
+            tx.encode_signing_fields(&mut Writer::hashing(message));
             group[pending] = i;
             pending += 1;
             if pending == WIDE {
                 let txs = group.map(|i| &transactions[i]);
-                let mut messages = txs.map(Transaction::signing_message);
                 let keys = txs.map(|tx| &tx.sender);
                 let signatures = txs.map(|tx| &tx.signature);
-                let verdicts = PublicKey::verify16(keys, &mut messages, signatures);
+                let verdicts = PublicKey::verify16(keys, messages, signatures);
                 for (tx, valid) in txs.iter().zip(verdicts) {
                     tx.verdict.set(valid);
                 }
                 pending = 0;
             }
         }
-        for i in &group[..pending] {
-            transactions[*i].verify_signature();
+        if let Some(messages) = &mut staged {
+            for (i, message) in group[..pending].iter().zip(messages) {
+                transactions[*i].check_signature(message);
+            }
         }
     }
 
-    /// The signing fields written into a hash message.
-    fn signing_message(&self) -> Message {
-        let mut w = Writer::hashing(Message::new());
-        self.encode_signing_fields(&mut w);
-        w.into_message()
+    /// Checks the signature over `message`, this transaction's signing
+    /// fields, and remembers the verdict.
+    fn check_signature(&self, message: &mut Message) -> bool {
+        let valid = self.sender.verify_message(message, &self.signature);
+        self.verdict.set(valid);
+        valid
     }
 }
 

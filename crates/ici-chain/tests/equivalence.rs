@@ -195,10 +195,11 @@ fn batches() -> Vec<Vec<Transaction>> {
 fn batched_ids_and_leaves_match_one_at_a_time() {
     for batch in batches() {
         let n = batch.len();
-        let mut ids = vec![Digest::ZERO; n];
+        let mut ids = Vec::with_capacity(n);
         let mut leaves = vec![Digest::ZERO; n];
-        Transaction::ids(&batch, &mut ids);
+        Transaction::for_each_id(&batch, |id| ids.push(id));
         Transaction::leaf_hashes(&batch, &mut leaves);
+        assert_eq!(ids.len(), n);
         for (i, tx) in batch.iter().enumerate() {
             assert_eq!(ids[i], double_sha256(&tx.to_bytes()), "n={n} i={i}");
             assert_eq!(leaves[i], tx.leaf_hash(), "n={n} i={i}");
@@ -315,5 +316,94 @@ fn batched_signature_checks_match_one_at_a_time() {
     for batch in batches() {
         Transaction::verify_signatures(&batch);
         assert!(batch.iter().all(Transaction::verify_signature));
+    }
+}
+
+/// Payload lengths of one group after another, chosen around a
+/// `Message`'s 503-byte inline capacity for each encoding (145 bytes
+/// plus the payload for an id, one more for a leaf, 91 plus the payload
+/// for the signing fields), so the reused messages go spilled → inline
+/// → spilled, grow and shrink, and sit on both sides of each edge. The
+/// `None` group mixes lengths, so its lanes are hashed one by one.
+const REUSE_GROUPS: [Option<usize>; 11] = [
+    Some(500),
+    Some(300),
+    Some(420),
+    Some(358),
+    Some(359),
+    None,
+    Some(412),
+    Some(413),
+    Some(0),
+    Some(600),
+    Some(357),
+];
+
+/// The transactions of [`REUSE_GROUPS`], sixteen a group, then a short
+/// group of five that spills.
+fn reuse_batch() -> Vec<Transaction> {
+    let mut seeds = 0u64..;
+    let mut batch = Vec::new();
+    for (group, len) in REUSE_GROUPS.iter().enumerate() {
+        for lane in 0..16 {
+            let len = len.unwrap_or(340 + 11 * lane + group);
+            batch.push(tx_with_payload(seeds.next().unwrap_or(0), len));
+        }
+    }
+    batch.extend((0..5).map(|i| tx_with_payload(1_000 + i, 501)));
+    batch
+}
+
+/// A batch rewrites one set of hash messages group after group. Each
+/// message is cut back to its prefix before the next encoding goes in,
+/// so ids, leaves and signature verdicts over encodings that shrink and
+/// grow across the inline capacity equal the per-transaction ones, and
+/// a forged signature or key in every lane position is caught exactly
+/// where it is.
+#[test]
+fn reused_messages_hash_like_fresh_ones_across_the_inline_edge() {
+    use ici_chain::codec::Decode;
+    let batch = reuse_batch();
+    let n = batch.len();
+    let mut ids = Vec::with_capacity(n);
+    let mut leaves = vec![Digest::ZERO; n];
+    Transaction::for_each_id(&batch, |id| ids.push(id));
+    Transaction::leaf_hashes(&batch, &mut leaves);
+    assert_eq!(ids.len(), n);
+    for (i, tx) in batch.iter().enumerate() {
+        let len = tx.payload().len();
+        assert_eq!(ids[i], tx.id(), "id, i={i} payload {len}");
+        assert_eq!(ids[i], double_sha256(&tx.to_bytes()), "id, i={i}");
+        assert_eq!(leaves[i], tx.leaf_hash(), "leaf, i={i} payload {len}");
+        assert_eq!(leaves[i], merkle::hash_leaf(&tx.to_bytes()), "leaf, i={i}");
+    }
+
+    // Every fifth transaction a flipped signature byte, every fifth from
+    // the next a sender key swapped for another's, so each of the
+    // sixteen lane positions sees both forgeries over the groups.
+    let other = *Keypair::from_seed(9_999).public().as_bytes();
+    let forged = |i: usize, tx: &Transaction| {
+        let mut bytes = tx.to_bytes();
+        match i % 5 {
+            0 => {
+                let at = bytes.len() - 1 - i % 64;
+                bytes[at] ^= 1;
+            }
+            1 => bytes[..other.len()].copy_from_slice(&other),
+            _ => {}
+        }
+        Transaction::from_bytes(&bytes).expect("decodes")
+    };
+    let checked: Vec<Transaction> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, tx)| forged(i, tx))
+        .collect();
+    Transaction::verify_signatures(&checked);
+    for (i, tx) in checked.iter().enumerate() {
+        let fresh = Transaction::from_bytes(&tx.to_bytes()).expect("decodes");
+        let expected = fresh.verify_signature();
+        assert_eq!(expected, i % 5 > 1, "i={i}");
+        assert_eq!(tx.verify_signature(), expected, "verdict, i={i}");
     }
 }

@@ -15,10 +15,11 @@
 
 use std::cmp::Ordering;
 
-use ici_chain::block::{BlockHeader, Height};
+use ici_chain::block::{Block, BlockHeader, Height};
 use ici_cluster::membership::JoinPolicy;
 use ici_cluster::partition::ClusterId;
-use ici_crypto::lottery::{for_each_rendezvous_rank, rendezvous_rank};
+use ici_crypto::lottery::{for_each_rendezvous_key, rendezvous_rank};
+use ici_crypto::sha256::{Digest, WIDE};
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
@@ -166,13 +167,15 @@ impl IciNetwork {
     /// their rank prefixes into `prefixes`, as the owner table lays them
     /// out. Under rendezvous the grown cluster's top `r` is the top `r`
     /// of the old one's plus the joiner, so each height ranks only the
-    /// joiner and places it among the recorded owners by their rank
-    /// prefixes; ring and round-robin assign over the grown member list.
+    /// joiner, [`WIDE`] heights per batch call, and places it among the
+    /// recorded owners by their rank prefixes; ring and round-robin
+    /// assign over the grown member list.
     ///
     /// # Errors
     ///
     /// [`IciError::BodyUnavailable`] at the first height the joiner
-    /// would own that no live member of the cluster holds.
+    /// would own that no live member of the cluster holds (under
+    /// rendezvous, once the heights of its batch are ranked).
     fn join_owners(
         &self,
         cluster: ClusterId,
@@ -185,29 +188,52 @@ impl IciNetwork {
         column.resize(self.chain.len() * r, OwnerTable::EMPTY);
         prefixes.clear();
         prefixes.resize(self.chain.len() * r, 0);
-        let grown = match self.config.assignment {
-            Assignment::Rendezvous => Vec::new(),
-            _ => [self.membership.members(cluster), &[joiner]].concat(),
-        };
-        let rows = column.chunks_exact_mut(r).zip(prefixes.chunks_exact_mut(r));
-        for (block, (new, ranks)) in self.chain.iter().zip(rows) {
-            let height = block.height();
-            if self.config.assignment == Assignment::Rendezvous {
-                new.copy_from_slice(self.owners.column(height, cluster));
-                ranks.copy_from_slice(self.owners.prefixes(height, cluster));
-                let id = block.id();
-                let mut rank = 0;
-                for_each_rendezvous_rank(&id, [joiner.get()], |_, r| rank = r);
-                place_joiner(new, ranks, joiner, rank, |owner| {
-                    rendezvous_rank(&id, owner.get())
+        let mut rows = column.chunks_exact_mut(r).zip(prefixes.chunks_exact_mut(r));
+        if self.config.assignment == Assignment::Rendezvous {
+            for blocks in self.chain.chunks(WIDE) {
+                let mut ranked = [(Digest::ZERO, 0); WIDE];
+                let mut slots = ranked.iter_mut();
+                let ids = blocks.iter().map(Block::id);
+                for_each_rendezvous_key(joiner.get(), ids, |id, rank| {
+                    if let Some(slot) = slots.next() {
+                        *slot = (id, rank);
+                    }
                 });
-            } else {
+                for ((block, (id, rank)), (new, ranks)) in blocks.iter().zip(ranked).zip(&mut rows)
+                {
+                    let height = block.height();
+                    new.copy_from_slice(self.owners.column(height, cluster));
+                    ranks.copy_from_slice(self.owners.prefixes(height, cluster));
+                    place_joiner(new, ranks, joiner, rank, |owner| {
+                        rendezvous_rank(&id, owner.get())
+                    });
+                    self.downloadable(cluster, joiner, height, new)?;
+                }
+            }
+        } else {
+            let grown = [self.membership.members(cluster), &[joiner]].concat();
+            for (block, (new, _)) in self.chain.iter().zip(rows) {
+                let height = block.height();
                 fill_column(new, &self.dispatch_owners(&block.id(), height, &grown));
+                self.downloadable(cluster, joiner, height, new)?;
             }
-            if new.contains(&slot_of(joiner)) && self.join_source(cluster, joiner, height).is_none()
-            {
-                return Err(IciError::BodyUnavailable(height));
-            }
+        }
+        Ok(())
+    }
+
+    /// Fails with [`IciError::BodyUnavailable`] if `joiner` is among
+    /// the `owners` of `height` and no live member of `cluster` holds
+    /// the body for it to download.
+    fn downloadable(
+        &self,
+        cluster: ClusterId,
+        joiner: NodeId,
+        height: Height,
+        owners: &[u32],
+    ) -> Result<(), IciError> {
+        if owners.contains(&slot_of(joiner)) && self.join_source(cluster, joiner, height).is_none()
+        {
+            return Err(IciError::BodyUnavailable(height));
         }
         Ok(())
     }

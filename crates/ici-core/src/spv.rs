@@ -58,8 +58,10 @@ impl IciNetwork {
     /// verifies the proof against the requester's header chain.
     ///
     /// Brings the transaction locator up to the tip first (the write
-    /// path never does), so only the first query after a run of commits
-    /// pays for hashing the new blocks' transaction ids.
+    /// path never does), so the first query after a run of commits pays
+    /// for hashing every new block's transaction ids (sixteen at a time
+    /// across the blocks, then one sort), however low its own height;
+    /// later queries find their transaction with one id confirmed.
     ///
     /// # Errors
     ///

@@ -14,10 +14,11 @@
 //! lottery or a ranking hashes one per member. The per-id functions are
 //! the specification; [`for_each_lottery_score`] and
 //! [`for_each_rendezvous_rank`] compute the same values for a whole
-//! candidate set, [`WIDE`] messages per call of the sixteen-lane batch
-//! entry the rest of the block path uses, with each message laid out in
-//! place (no streaming hasher, no allocation). Every protocol caller
-//! goes through them.
+//! candidate set, and [`for_each_rendezvous_key`] one node's weights
+//! under many keys (a joiner at every height), [`WIDE`] messages per
+//! call of the sixteen-lane batch entry the rest of the block path
+//! uses, with each message laid out in place (no streaming hasher, no
+//! allocation). Every protocol caller goes through them.
 
 use crate::sha256::{compress_blocks, count_digests, digest16, Digest, Sha256, H0, WIDE};
 
@@ -53,7 +54,7 @@ pub fn lottery_score(seed: &Digest, round: u64, participant: u64) -> u64 {
 /// The 63-byte message fills the first block up to the 0x80 pad byte,
 /// so the second block holds only the length, the same for every
 /// participant.
-pub fn for_each_lottery_score<I>(seed: &Digest, round: u64, ids: I, f: impl FnMut(u64, u64))
+pub fn for_each_lottery_score<I>(seed: &Digest, round: u64, ids: I, mut f: impl FnMut(u64, u64))
 where
     I: IntoIterator<Item = u64>,
 {
@@ -64,7 +65,10 @@ where
     first[47..55].copy_from_slice(&round.to_be_bytes());
     first[LOTTERY_LEN] = 0x80;
     length[56..].copy_from_slice(&(LOTTERY_LEN as u64 * 8).to_be_bytes());
-    for_each_prefix(ids, &message, 55, LOTTERY_LEN as u64, f);
+    let ids = ids.into_iter().map(u64::to_be_bytes);
+    for_each_prefix(ids, &message, 55, LOTTERY_LEN as u64, |id, score| {
+        f(u64::from_be_bytes(id), score)
+    });
 }
 
 /// Returns the participant with the minimal lottery score, breaking ties by
@@ -100,17 +104,44 @@ pub fn rendezvous_rank(key: &Digest, node: u64) -> u64 {
 /// Calls `f(id, rendezvous_rank(key, id))` for every id of `ids`, in
 /// order, hashing [`WIDE`] ids per batch call. The 51-byte message and
 /// its padding fit one block.
-pub fn for_each_rendezvous_rank<I>(key: &Digest, ids: I, f: impl FnMut(u64, u64))
+pub fn for_each_rendezvous_rank<I>(key: &Digest, ids: I, mut f: impl FnMut(u64, u64))
 where
     I: IntoIterator<Item = u64>,
 {
+    let mut block = hrw_block();
+    block[11..43].copy_from_slice(key.as_bytes());
+    let ids = ids.into_iter().map(u64::to_be_bytes);
+    let ranked = for_each_prefix(ids, &[block], 43, HRW_LEN as u64, |id, rank| {
+        f(u64::from_be_bytes(id), rank)
+    });
+    ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, ranked);
+}
+
+/// Calls `f(key, rendezvous_rank(key, node))` for every key of `keys`,
+/// in order: [`for_each_rendezvous_rank`] with the node fixed and the
+/// key varying (one node's weight at many heights, as a join ranks its
+/// joiner), [`WIDE`] keys per batch call.
+pub fn for_each_rendezvous_key<I>(node: u64, keys: I, mut f: impl FnMut(Digest, u64))
+where
+    I: IntoIterator<Item = Digest>,
+{
+    let mut block = hrw_block();
+    block[43..HRW_LEN].copy_from_slice(&node.to_be_bytes());
+    let keys = keys.into_iter().map(|key| *key.as_bytes());
+    let ranked = for_each_prefix(keys, &[block], 11, HRW_LEN as u64, |key, rank| {
+        f(Digest::from_bytes(key), rank)
+    });
+    ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, ranked);
+}
+
+/// A ranking message's one block, padded, with the domain in place and
+/// the key (11..43) and node (43..51) still to be written.
+fn hrw_block() -> [u8; 64] {
     let mut block = [0u8; 64];
     block[..11].copy_from_slice(HRW_DOMAIN);
-    block[11..43].copy_from_slice(key.as_bytes());
     block[HRW_LEN] = 0x80;
     block[56..].copy_from_slice(&(HRW_LEN as u64 * 8).to_be_bytes());
-    let ranked = for_each_prefix(ids, &[block], 43, HRW_LEN as u64, f);
-    ici_telemetry::counter_add(RANKS, ici_telemetry::Label::Global, ranked);
+    block
 }
 
 /// Inserts `(rank, id)` into `top[..len]`, a best-first ranking held in
@@ -152,58 +183,59 @@ where
     top.into_iter().map(|(_, id)| id).collect()
 }
 
-/// The batch driver under both `for_each_*` functions: `template` is
-/// every message, padded, with the id's big-endian bytes still to go at
-/// `at` of its first block. Ids are staged [`WIDE`] at a time, and each
-/// full group goes through one [`digest16`] call: the sixteen messages
-/// are laid out from `template` when the first group fills, and later
-/// groups rewrite only the id bytes. A short final group is hashed one
-/// id at a time. `f` sees `(id, digest prefix)` in input order. Full
-/// groups count in `digest16`, the stragglers here, so the three
-/// `crypto/sha256_*` counters move by what hashing each
-/// `message_len`-byte message through [`Sha256`] would have added.
-/// Returns how many ids were hashed.
-fn for_each_prefix<I, const B: usize>(
-    ids: I,
+/// The batch driver under the `for_each_*` functions: `template` is
+/// every message, padded, with an item's `N` bytes (an id, big-endian,
+/// or a key) still to go at `at` of its first block. Items are staged
+/// [`WIDE`] at a time, and each full group goes through one
+/// [`digest16`] call: the sixteen messages are laid out from `template`
+/// when the first group fills, and later groups rewrite only the item
+/// bytes. A short final group is hashed one item at a time. `f` sees
+/// `(item, digest prefix)` in input order. Full groups count in
+/// `digest16`, the stragglers here, so the three `crypto/sha256_*`
+/// counters move by what hashing each `message_len`-byte message
+/// through [`Sha256`] would have added. Returns how many items were
+/// hashed.
+fn for_each_prefix<I, const B: usize, const N: usize>(
+    items: I,
     template: &[[u8; 64]; B],
     at: usize,
     message_len: u64,
-    mut f: impl FnMut(u64, u64),
+    mut f: impl FnMut([u8; N], u64),
 ) -> u64
 where
-    I: IntoIterator<Item = u64>,
+    I: IntoIterator<Item = [u8; N]>,
 {
-    let mut staged = [0u64; WIDE];
+    let mut staged = [[0u8; N]; WIDE];
     let mut messages = None;
     let mut filled = 0;
     let mut hashed = 0u64;
-    for id in ids {
-        staged[filled] = id;
+    for item in items {
+        staged[filled] = item;
         filled += 1;
         if filled < WIDE {
             continue;
         }
         let messages = messages.get_or_insert_with(|| [*template; WIDE]);
-        for (message, id) in messages.iter_mut().zip(&staged) {
-            message[0][at..at + 8].copy_from_slice(&id.to_be_bytes());
+        for (message, item) in messages.iter_mut().zip(&staged) {
+            message[0][at..at + N].copy_from_slice(item);
         }
         let lanes = messages.each_ref().map(|message| message.as_slice());
         let digests = digest16(lanes, WIDE as u64 * message_len, false);
-        for (&id, digest) in staged.iter().zip(&digests) {
-            f(id, digest.prefix_u64());
+        for (&item, digest) in staged.iter().zip(&digests) {
+            f(item, digest.prefix_u64());
         }
         hashed += WIDE as u64;
         filled = 0;
     }
     if filled > 0 {
         let mut message = *template;
-        for &id in &staged[..filled] {
-            message[0][at..at + 8].copy_from_slice(&id.to_be_bytes());
+        for &item in &staged[..filled] {
+            message[0][at..at + N].copy_from_slice(&item);
             let mut state = H0;
             compress_blocks(&mut state, &message);
             // The digest's first eight bytes are state words 0 and 1,
             // big-endian.
-            f(id, (u64::from(state[0]) << 32) | u64::from(state[1]));
+            f(item, (u64::from(state[0]) << 32) | u64::from(state[1]));
         }
         let stragglers = filled as u64;
         count_digests(stragglers, stragglers * message_len, stragglers * B as u64);
@@ -222,8 +254,8 @@ mod tests {
 
     /// The batched functions are the per-id specification, at every
     /// batch length from empty through three full groups and a short
-    /// one, over ids at both ends of the range and repeated ids, on
-    /// every kernel.
+    /// one, over ids at both ends of the range and repeated ids (and
+    /// keys derived from them, for one node), on every kernel.
     #[test]
     fn batched_scores_match_the_per_id_functions() {
         let pool = [0, u64::MAX, 7, 7, 1 << 32, u64::MAX, 0, 12_345_678_901];
@@ -250,6 +282,18 @@ mod tests {
                         .map(|&id| (id, rendezvous_rank(&s, id)))
                         .collect();
                     assert_eq!(got, expected, "ranking, kernel {kernel}, len {len}");
+
+                    let keys: Vec<Digest> = ids.iter().map(|&id| seed(id as u8)).collect();
+                    let node = ids.first().map_or(round, |&id| id ^ round);
+                    let mut got = Vec::new();
+                    for_each_rendezvous_key(node, keys.iter().copied(), |key, rank| {
+                        got.push((key, rank));
+                    });
+                    let expected: Vec<(Digest, u64)> = keys
+                        .iter()
+                        .map(|&key| (key, rendezvous_rank(&key, node)))
+                        .collect();
+                    assert_eq!(got, expected, "keys, kernel {kernel}, len {len}");
                 }
             }
         });

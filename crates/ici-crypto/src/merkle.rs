@@ -44,7 +44,8 @@ use crate::sha256::{
     Sha256, H0, WIDE,
 };
 
-const LEAF_PREFIX: u8 = 0x00;
+/// The byte a leaf hash puts before its payload ([`leaf_message`]).
+pub const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
 /// Hashes a leaf payload with domain separation.

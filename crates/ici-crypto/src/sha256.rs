@@ -421,20 +421,40 @@ impl Message {
     }
 
     /// [`Message::put`] past the inline capacity: moves the message to
-    /// the heap on the first such call, then grows it there.
+    /// the heap on the first such call (into the capacity an earlier
+    /// spill left, if any), then grows it there.
     #[cold]
     #[inline(never)]
     fn put_spilled(&mut self, bytes: &[u8], end: usize) {
         let blocks = (end + 9).div_ceil(64);
         if self.spill.is_empty() {
-            let mut spill = Vec::with_capacity(blocks.max(2 * INLINE_BLOCKS));
-            spill.extend_from_slice(&self.inline);
-            self.spill = spill;
+            self.spill.reserve(blocks.max(2 * INLINE_BLOCKS));
+            self.spill.extend_from_slice(&self.inline);
         }
         if self.spill.len() < blocks {
             self.spill.resize(blocks, [0u8; 64]);
         }
         self.spill.as_flattened_mut()[self.len..end].copy_from_slice(bytes);
+    }
+
+    /// Cuts the message back to its first `len` bytes (no-op if it is
+    /// not longer), so one message can be written again and again after
+    /// a prefix it keeps: a batch reuses its messages this way instead
+    /// of opening fresh ones. A message cut back within the inline
+    /// capacity leaves the heap: its head is copied back inline and the
+    /// spill emptied, keeping its capacity, so the next spill starts
+    /// from exactly these bytes and allocates nothing it had before.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        if self.len > Message::INLINE_LEN && len <= Message::INLINE_LEN {
+            self.inline.as_flattened_mut()[..len]
+                .copy_from_slice(&self.spill.as_flattened()[..len]);
+            self.spill.clear();
+        }
+        self.len = len;
     }
 
     /// Message bytes written so far.
@@ -1133,6 +1153,41 @@ mod tests {
                 assert_eq!(message.digest(), expected, "kernel {kernel}, len {len}");
             }
         });
+    }
+
+    /// One message cut back to a kept prefix and written again, through
+    /// lengths that go inline → spilled → inline → spilled → spilled
+    /// shorter, digests exactly like a fresh message of the same bytes
+    /// each time, padded twice or not.
+    #[test]
+    fn a_truncated_message_hashes_like_a_fresh_one() {
+        let mut rng = Xoshiro256::seed_from_u64(0x7A11);
+        let prefix = [0u8];
+        let mut reused = Message::from(&prefix[..]);
+        let lengths = [
+            40,
+            Message::INLINE_LEN + 40,
+            Message::INLINE_LEN - 1,
+            Message::INLINE_LEN,
+            1_000,
+            Message::INLINE_LEN + 1,
+            0,
+            700,
+            600,
+        ];
+        for len in lengths {
+            let body = rng.gen_bytes(len);
+            reused.truncate(prefix.len());
+            reused.put(&body);
+            let fresh = Message::from(&[&prefix[..], &body].concat()[..]);
+            assert_eq!(reused.as_bytes(), fresh.as_bytes(), "len {len}");
+            let mut twice = reused.clone();
+            twice.padded(0);
+            assert_eq!(twice.digest(), fresh.clone().digest(), "len {len}");
+            reused.padded(0);
+        }
+        reused.truncate(usize::MAX);
+        assert_eq!(reused.len(), 601);
     }
 
     /// `Sha256::update` over `parts`, then `finalize`: how every hash

@@ -61,13 +61,14 @@ impl PublicKey {
 
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        self.verify_message(Message::from(message), signature)
+        self.verify_message(&mut Message::from(message), signature)
     }
 
     /// [`PublicKey::verify`] over a message assembled in a [`Message`]
-    /// (a transaction's signing fields, written by its encoder).
-    pub fn verify_message(&self, mut message: Message, signature: &Signature) -> bool {
-        Signature::compute(self, &mut message).0 == signature.0
+    /// (a transaction's signing fields, written by its encoder), padded
+    /// where it is: a later [`Message::put`] overwrites the padding.
+    pub fn verify_message(&self, message: &mut Message, signature: &Signature) -> bool {
+        Signature::compute(self, message).0 == signature.0
     }
 
     /// [`PublicKey::verify_message`] for [`WIDE`] signatures at once:
@@ -245,9 +246,9 @@ mod tests {
                 let expected = Signature::from_bytes(expected);
                 assert_eq!(pair.sign(&msg), expected, "kernel {kernel}, len {len}");
                 assert!(pair.public().verify(&msg, &expected), "len {len}");
-                let message = Message::from(&msg[..]);
+                let mut message = Message::from(&msg[..]);
                 assert!(
-                    pair.public().verify_message(message, &expected),
+                    pair.public().verify_message(&mut message, &expected),
                     "len {len}"
                 );
                 let other = Keypair::from_seed(len as u64 + 1).public();
@@ -299,8 +300,8 @@ mod tests {
                     });
                     let mut expected = [false; WIDE];
                     let single = crate::sha256::counts(|| {
-                        for (i, message) in messages().into_iter().enumerate() {
-                            expected[i] = lane_keys[i].verify_message(message, &sigs[i]);
+                        for (i, mut message) in messages().into_iter().enumerate() {
+                            expected[i] = lane_keys[i].verify_message(&mut message, &sigs[i]);
                         }
                     });
                     let bad = (forged != WIDE).then_some(forged % WIDE);
