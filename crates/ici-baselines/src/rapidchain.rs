@@ -78,10 +78,10 @@ pub struct RapidChainNetwork {
     shard_clocks: Vec<SimTime>,
     clock: SimTime,
     commit_log: Vec<BaselineCommitRecord>,
-    /// One vote-round buffer for every committee: shards propose one
-    /// at a time, and its delay table refills itself whenever the
-    /// committee differs from the one it was filled for.
-    vote_scratch: VoteScratch,
+    /// Each committee's vote-round buffer, by shard: every committee
+    /// proposes every round, and its kept pair-delay table is filled
+    /// once, not once per shard commit.
+    vote_scratch: Vec<VoteScratch>,
 }
 
 impl RapidChainNetwork {
@@ -103,7 +103,7 @@ impl RapidChainNetwork {
             partition,
             clock: SimTime::ZERO,
             commit_log: Vec::new(),
-            vote_scratch: VoteScratch::default(),
+            vote_scratch: vec![VoteScratch::default(); k],
         }
     }
 
@@ -205,7 +205,7 @@ impl RapidChainNetwork {
                     &self.shard_states[shard],
                     self.shard_clocks[shard],
                     pending,
-                    &mut self.vote_scratch,
+                    &mut self.vote_scratch[shard],
                 )
             });
             outcomes.push((shard, result));

@@ -139,6 +139,10 @@ fn bench_simsig() {
     bench("simsig/verify/x16_batched", || {
         PublicKey::verify16([&public; WIDE], &mut messages, [&sig; WIDE])
     });
+    // Sixteen signatures the same way: compare with 16 × `simsig/sign`.
+    bench("simsig/sign/x16_batched", || {
+        Keypair::sign16([&pair; WIDE], &mut messages)
+    });
 }
 
 fn bench_merkle() {
@@ -435,6 +439,34 @@ fn bench_block_path() {
     bench("state/with_balances/65536", || {
         WorldState::with_balances(balances.iter().copied())
     });
+    // A state's bulk inputs: 65 536 genesis addresses (a key and an
+    // address hash each, sixteen seeds at a time), the v2 lattice over
+    // as many accounts (one leaf hash each, sixteen at a time), and a
+    // `state_scale`-shaped batch of 1 000 signed transactions.
+    bench("genesis/uniform/65536", || {
+        GenesisConfig::uniform(65_536, 1_000)
+    });
+    bench_with_setup(
+        "state/lattice_build/65536",
+        || WorldState::with_balances(balances.iter().copied()),
+        |mut state| {
+            state.sharded_root();
+            state
+        },
+    );
+    let generator = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 65_536,
+        senders: SenderDistribution::Zipf { exponent: 1.1 },
+        payload: PayloadSize::Fixed(64),
+        fee_jitter: 9,
+        seed: 17,
+        ..WorkloadConfig::default()
+    });
+    bench_with_setup(
+        "workload/batch/x1000",
+        || generator.clone(),
+        |mut generator| generator.batch(1_000),
+    );
 
     // A sender address: one digest of a 33-byte public key.
     let key = *checked[0].sender().as_bytes();

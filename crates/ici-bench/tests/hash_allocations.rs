@@ -93,6 +93,18 @@ fn inline_messages_hash_without_allocating() {
     let n =
         allocations(|| PublicKey::verify16(keys.each_ref(), &mut messages, signatures.each_ref()));
     assert_eq!(n, 0);
+    let n = allocations(|| Keypair::sign16([&pair; WIDE], &mut messages));
+    assert_eq!(n, 0);
+    // Keys and addresses from seeds: one, a full group, and two full
+    // groups and a straggler.
+    for seeds in [1u64, 16, 33] {
+        let n = allocations(|| {
+            let keys = Keypair::from_seeds(0..seeds).count();
+            let addresses = Address::from_seeds(0..seeds).fold(0u8, |acc, a| acc ^ a.0[0]);
+            (keys, addresses)
+        });
+        assert_eq!(n, 0, "{seeds} seeds");
+    }
 
     // A block's worth of decoded transactions: signatures, ids and
     // leaves in batches.

@@ -4,6 +4,11 @@
 //! [`GenesisConfig`]: an initial coin allocation plus a timestamp. The
 //! config deterministically yields the genesis block and the initial
 //! [`WorldState`], so every node agrees on height 0 without communication.
+//!
+//! A [`GenesisConfig::uniform`] universe of `n` accounts costs `2n`
+//! compressions, a key and an address per seed, hashed sixteen seeds at
+//! a time; [`GenesisConfig::initial_state`] builds the table with one
+//! sort ([`WorldState::with_balances`]) and no per-account probe.
 
 use crate::block::{Block, BlockHeader};
 use crate::state::WorldState;
@@ -28,11 +33,13 @@ impl GenesisConfig {
 
     /// Convenience: funds accounts with seeds `0..accounts`, each holding
     /// `balance` coins. Matches the workload generators, which draw senders
-    /// from the same seed range.
+    /// from the same seed range. The addresses are
+    /// [`Address::from_seed`]'s, derived sixteen seeds at a time
+    /// ([`Address::from_seeds`]).
     pub fn uniform(accounts: u64, balance: u64) -> GenesisConfig {
         GenesisConfig {
-            allocations: (0..accounts)
-                .map(|seed| (Address::from_seed(seed), balance))
+            allocations: Address::from_seeds(0..accounts)
+                .map(|address| (address, balance))
                 .collect(),
             timestamp_ms: 0,
         }

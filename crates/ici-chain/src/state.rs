@@ -20,7 +20,10 @@
 //! 16 bytes an account; its first account creation also copies the
 //! addresses, the index and the order. A lookup is one probe, and
 //! [`WorldState::apply`] finds the sender's slot once for both the check
-//! and the debit.
+//! and the debit. [`WorldState::with_balances`] builds a table in bulk:
+//! one push per entry, one sort for the address order (which also
+//! settles repeated addresses) and one pass to fill the index, with no
+//! per-account probe.
 //!
 //! # Commitments
 //!
@@ -40,7 +43,8 @@
 //!
 //! The lattice is materialised lazily: a state carries none until its
 //! first [`WorldState::sharded_root`], which builds it in one pass over
-//! the accounts; from then on it is maintained per mutation and travels
+//! the accounts, their leaf hashes sixteen at a time; from then on it is
+//! maintained per mutation, one leaf hash at a time, and travels
 //! with every clone. A state that only ever seals under the flat v1 root
 //! never hashes an account leaf.
 
@@ -48,7 +52,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use ici_crypto::sha256::{Digest, Sha256};
+use ici_crypto::sha256::{digest_each, Digest, Message, Sha256};
 
 use crate::block::Block;
 use crate::shard::{self, STATE_BUCKETS};
@@ -137,7 +141,8 @@ const BUCKET_TAG: &[u8] = b"ici-state-v2-bucket:";
 /// Domain tag for the combined v2 root.
 const COMBINED_TAG: &[u8] = b"ici-state-v2:";
 
-/// Hash contributed by one account to its bucket accumulator.
+/// Hash contributed by one account to its bucket accumulator: the
+/// SHA-256 of [`write_acct`]'s 54 bytes.
 fn acct_hash(address: &Address, acct: &AccountState) -> Digest {
     let mut h = Sha256::new();
     h.update(ACCT_TAG);
@@ -145,6 +150,14 @@ fn acct_hash(address: &Address, acct: &AccountState) -> Digest {
     h.update(&acct.balance.to_be_bytes());
     h.update(&acct.nonce.to_be_bytes());
     h.finalize()
+}
+
+/// Writes the message [`acct_hash`] hashes, for the batched build.
+fn write_acct((address, acct): (&Address, &AccountState), message: &mut Message) {
+    message.put(ACCT_TAG);
+    message.put(address.as_bytes());
+    message.put(&acct.balance.to_be_bytes());
+    message.put(&acct.nonce.to_be_bytes());
 }
 
 /// Order-independent lattice accumulator over the account hashes of one
@@ -208,23 +221,30 @@ struct Lattice {
 
 impl Lattice {
     /// Accumulates every account of the table — one leaf hash each, in
-    /// slot order (the sums do not depend on it).
+    /// slot order (the sums do not depend on it), hashed sixteen
+    /// accounts at a time ([`digest_each`]).
     fn build(keys: &[Address], values: &[AccountState]) -> Lattice {
         ici_telemetry::counter_add("state/lattice_builds", ici_telemetry::Label::Global, 1);
         let mut lattice = Lattice {
             acc: vec![BucketAcc::default(); STATE_BUCKETS],
             cached: vec![None; STATE_BUCKETS],
         };
-        for (address, acct) in keys.iter().zip(values) {
-            lattice.insert(address, acct);
+        let leaves = digest_each(keys.iter().zip(values), write_acct);
+        for (address, leaf) in keys.iter().zip(leaves) {
+            lattice.add(address, &leaf);
         }
         lattice
     }
 
     /// Counts a new account holding `acct` into its bucket.
     fn insert(&mut self, address: &Address, acct: &AccountState) {
+        self.add(address, &acct_hash(address, acct));
+    }
+
+    /// Counts a new account whose leaf hash is `leaf` into its bucket.
+    fn add(&mut self, address: &Address, leaf: &Digest) {
         let bucket = shard::bucket_of(address);
-        self.acc[bucket].add(&acct_hash(address, acct));
+        self.acc[bucket].add(leaf);
         self.acc[bucket].count += 1;
         self.cached[bucket] = None;
     }
@@ -372,11 +392,14 @@ impl Directory {
         slot
     }
 
-    /// Rebuilds `order` from scratch: a sort of (prefix, slot) pairs, so
-    /// the comparisons read one contiguous array instead of chasing
-    /// slots through `keys`, with the full address breaking prefix ties.
-    fn sort_order(&mut self) {
-        let keys = &self.keys;
+    /// Every address of `keys` once, in ascending order, as the slot of
+    /// its first entry: a sort of (prefix, slot) pairs, so the
+    /// comparisons read one contiguous array instead of chasing slots
+    /// through `keys`, with the full address breaking prefix ties and
+    /// the slot breaking address ties. Each later entry of a repeated
+    /// address is handed to `repeat` as `(first, later)`, in slot order,
+    /// and left out.
+    fn sorted_slots(keys: &[Address], mut repeat: impl FnMut(u32, u32)) -> Vec<u32> {
         let mut pairs: Vec<(u64, u32)> = keys
             .iter()
             .enumerate()
@@ -385,8 +408,43 @@ impl Directory {
         pairs.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| keys[a.1 as usize].cmp(&keys[b.1 as usize]))
+                .then(a.1.cmp(&b.1))
         });
-        self.order = pairs.into_iter().map(|(_, slot)| slot).collect();
+        // Only entries with equal prefixes can be one address.
+        pairs.dedup_by(|later, first| {
+            let same = later.0 == first.0 && keys[later.1 as usize] == keys[first.1 as usize];
+            if same {
+                repeat(first.1, later.1);
+            }
+            same
+        });
+        pairs.into_iter().map(|(_, slot)| slot).collect()
+    }
+
+    /// Removes the `dropped` slots (none in `order`) from `keys` and
+    /// `values`, moving every later slot down to close the gaps, and
+    /// renumbers `order` to match.
+    fn drop_slots(
+        keys: &mut Vec<Address>,
+        values: &mut Vec<AccountState>,
+        order: &mut [u32],
+        dropped: &[u32],
+    ) {
+        // `moved[slot]`: the slot's number once the gaps are closed.
+        let mut moved = vec![0u32; keys.len()];
+        for &slot in dropped {
+            moved[slot as usize] = EMPTY;
+        }
+        for (slot, kept) in moved.iter_mut().filter(|slot| **slot != EMPTY).zip(0..) {
+            *slot = kept;
+        }
+        let mut slots = moved.iter();
+        keys.retain(|_| slots.next() != Some(&EMPTY));
+        let mut slots = moved.iter();
+        values.retain(|_| slots.next() != Some(&EMPTY));
+        for slot in order {
+            *slot = moved[*slot as usize];
+        }
     }
 }
 
@@ -434,41 +492,47 @@ impl WorldState {
         WorldState::default()
     }
 
-    /// Creates a state with the given initial balances (nonces zero); of
-    /// repeated addresses the last balance wins. Sized once from the
-    /// iterator's lower size bound and trimmed at the end, so a large
-    /// allocation keeps no growth slack.
+    /// Creates a state with the given initial balances (nonces zero); a
+    /// repeated address keeps the slot of its first entry and the balance
+    /// of its last, as crediting the entries one by one into an empty
+    /// state would leave them.
+    ///
+    /// Built without a per-account probe: every entry is pushed (sized
+    /// once from the iterator's lower size bound), one sort of (prefix,
+    /// slot) pairs gives the address order, repeated addresses are
+    /// settled in that sorted pass, and the index is filled in one pass
+    /// at the end.
     pub fn with_balances<I>(balances: I) -> WorldState
     where
         I: IntoIterator<Item = (Address, u64)>,
     {
         let balances = balances.into_iter();
         let hint = balances.size_hint().0;
-        let mut dir = Directory {
-            keys: Vec::with_capacity(hint),
-            index: if hint == 0 {
-                Vec::new()
-            } else {
-                vec![EMPTY; index_len_for(hint)]
-            },
-            order: Vec::new(),
-        };
+        let mut keys = Vec::with_capacity(hint);
         let mut values = Vec::with_capacity(hint);
         for (address, balance) in balances {
-            let acct = AccountState { balance, nonce: 0 };
-            match dir.find(&address) {
-                Some(slot) => values[slot] = acct,
-                None => {
-                    dir.push(address);
-                    values.push(acct);
-                }
-            }
+            keys.push(address);
+            values.push(AccountState { balance, nonce: 0 });
         }
-        dir.keys.shrink_to_fit();
+        // A repeated address's first slot keeps its place and takes the
+        // last entry's balance.
+        let mut repeated = Vec::new();
+        let mut order = Directory::sorted_slots(&keys, |first, later| {
+            values[first as usize] = values[later as usize];
+            repeated.push(later);
+        });
+        if !repeated.is_empty() {
+            Directory::drop_slots(&mut keys, &mut values, &mut order, &repeated);
+        }
+        keys.shrink_to_fit();
         values.shrink_to_fit();
-        dir.sort_order();
+        let index = if keys.is_empty() {
+            Vec::new()
+        } else {
+            Directory::index_of(&keys, index_len_for(keys.len()))
+        };
         WorldState {
-            dir: Arc::new(dir),
+            dir: Arc::new(Directory { keys, index, order }),
             values: Arc::new(values),
             lattice: None,
         }
@@ -1111,6 +1175,50 @@ mod tests {
         bytes[8..12].copy_from_slice(&u32::from(member).to_be_bytes());
         bytes[19] = member;
         Address(bytes)
+    }
+
+    /// `with_balances` against the loop it replaced, one probe an entry:
+    /// a repeated address overwrites its slot's balance, a new one is
+    /// pushed and inserted into the order. Slots, values, order and
+    /// lookups agree, over seeded addresses and prefix-sharing twins,
+    /// each repeated up to three times.
+    #[test]
+    fn bulk_balances_match_the_per_insert_loop() {
+        use ici_rng::Xoshiro256;
+
+        let mut rng = Xoshiro256::seed_from_u64(0xB01C);
+        for n in [0u64, 1, 2, 7, 40, 300] {
+            let entries: Vec<(Address, u64)> = (0..n)
+                .map(|i| {
+                    let pick = rng.gen_range(0..n.max(1) + 12);
+                    let address = match pick.checked_sub(n.max(1)) {
+                        Some(t) => twin((t % 3) as u8, (t / 3) as u8),
+                        None => Address::from_seed(pick % (n / 3 + 1)),
+                    };
+                    (address, 1_000 + i)
+                })
+                .collect();
+            let bulk = WorldState::with_balances(entries.iter().copied());
+            let mut dir = Directory::default();
+            let mut values = Vec::new();
+            for &(address, balance) in &entries {
+                let acct = AccountState { balance, nonce: 0 };
+                match dir.find(&address) {
+                    Some(slot) => values[slot] = acct,
+                    None => {
+                        dir.insert(address);
+                        values.push(acct);
+                    }
+                }
+            }
+            assert_eq!(bulk.dir.keys, dir.keys, "n = {n}: keys by slot");
+            assert_eq!(*bulk.values, values, "n = {n}: values by slot");
+            assert_eq!(bulk.dir.order, dir.order, "n = {n}: order");
+            for (slot, address) in dir.keys.iter().enumerate() {
+                assert_eq!(bulk.dir.find(address), Some(slot), "n = {n}: index");
+            }
+            assert_eq!(bulk.dir.find(&twin(0, 200)), None, "n = {n}: a miss");
+        }
     }
 
     /// Random interleavings of apply / credit / clone / account creation

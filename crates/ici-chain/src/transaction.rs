@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use ici_crypto::merkle;
-use ici_crypto::sha256::{digest_messages, Digest, Message, Sha256, WIDE};
+use ici_crypto::sha256::{digest_each, digest_messages, Digest, Message, Sha256, WIDE};
 use ici_crypto::sig::{Keypair, PublicKey, Signature};
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -26,16 +26,29 @@ pub struct Address(pub [u8; 20]);
 impl Address {
     /// Derives the address of `key`: the first 20 bytes of `SHA256(key)`.
     pub fn from_public_key(key: &PublicKey) -> Address {
-        let digest = Sha256::digest(key.as_bytes());
-        let mut out = [0u8; 20];
-        out.copy_from_slice(&digest.as_bytes()[..20]);
-        Address(out)
+        Address::from_digest(&Sha256::digest(key.as_bytes()))
     }
 
     /// Derives the address owned by numeric identity `seed` (the address of
-    /// `Keypair::from_seed(seed)`).
+    /// `Keypair::from_seed(seed)`): two hashes, the key's and the
+    /// address's.
     pub fn from_seed(seed: u64) -> Address {
         Address::from_public_key(&Keypair::from_seed(seed).public())
+    }
+
+    /// [`Address::from_seed`] of every seed, in order: the keys derive
+    /// [`WIDE`] seeds at a time ([`Keypair::from_seeds`]) and their
+    /// addresses hash [`WIDE`] keys at a time ([`digest_each`]); the
+    /// counters move as the per-seed derivations move them.
+    pub fn from_seeds(seeds: impl IntoIterator<Item = u64>) -> impl Iterator<Item = Address> {
+        let write = |pair: Keypair, message: &mut Message| message.put(pair.public().as_bytes());
+        digest_each(Keypair::from_seeds(seeds), write).map(|digest| Address::from_digest(&digest))
+    }
+
+    fn from_digest(digest: &Digest) -> Address {
+        let mut out = [0u8; 20];
+        out.copy_from_slice(&digest.as_bytes()[..20]);
+        Address(out)
     }
 
     /// The raw address bytes.
@@ -165,10 +178,27 @@ impl fmt::Debug for Transaction {
     }
 }
 
+/// What a transfer says besides its sender: the fields
+/// [`Transaction::sign_all`] signs under each sender's keypair.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Transfer {
+    /// Who is paid.
+    pub recipient: Address,
+    /// Transferred amount.
+    pub amount: u64,
+    /// Fee paid to the proposer.
+    pub fee: u64,
+    /// The sender's next sequence number.
+    pub nonce: u64,
+    /// Opaque payload bytes (may be empty).
+    pub payload: Vec<u8>,
+}
+
 impl Transaction {
     /// Builds and signs a transfer of `amount` from `sender_pair` to
     /// `recipient`, paying `fee`, with the sender's next `nonce` and an
-    /// arbitrary `payload` (may be empty).
+    /// arbitrary `payload` (may be empty). The signing fields are written
+    /// once into a hash message, which both signature passes fold.
     pub fn signed(
         sender_pair: &Keypair,
         recipient: Address,
@@ -177,7 +207,71 @@ impl Transaction {
         nonce: u64,
         payload: Vec<u8>,
     ) -> Transaction {
-        let mut tx = Transaction {
+        let transfer = Transfer {
+            recipient,
+            amount,
+            fee,
+            nonce,
+            payload,
+        };
+        let mut tx = Transaction::unsigned(sender_pair, transfer);
+        let mut message = Message::new();
+        tx.encode_signing_fields(&mut Writer::hashing(&mut message));
+        tx.signature = sender_pair.sign_message(&mut message);
+        tx
+    }
+
+    /// [`Transaction::signed`] of every `(sender, transfer)`, in order,
+    /// pushed onto `out`: the signing fields are written into [`WIDE`]
+    /// reused hash messages, each full group is signed through
+    /// [`Keypair::sign16`], whose hashes run sixteen wide, and the last
+    /// short group one by one. The bytes, the hashes counted and the
+    /// unknown verdicts are the per-transaction ones.
+    pub fn sign_all(
+        transfers: impl IntoIterator<Item = (Keypair, Transfer)>,
+        out: &mut Vec<Transaction>,
+    ) {
+        // Opened at the first transfer: an empty call zero-fills nothing.
+        let mut staged: Option<([Message; WIDE], [Keypair; WIDE])> = None;
+        let mut filled = 0;
+        for (pair, transfer) in transfers {
+            let (messages, pairs) = staged
+                .get_or_insert_with(|| (std::array::from_fn(|_| Message::new()), [pair; WIDE]));
+            let tx = Transaction::unsigned(&pair, transfer);
+            let message = &mut messages[filled];
+            message.truncate(0);
+            tx.encode_signing_fields(&mut Writer::hashing(message));
+            pairs[filled] = pair;
+            out.push(tx);
+            filled += 1;
+            if filled == WIDE {
+                let signatures = Keypair::sign16(pairs.each_ref(), messages);
+                let group = out.len() - WIDE;
+                for (tx, signature) in out[group..].iter_mut().zip(signatures) {
+                    tx.signature = signature;
+                }
+                filled = 0;
+            }
+        }
+        if let Some((messages, pairs)) = &mut staged {
+            let group = out.len() - filled;
+            for ((tx, message), pair) in out[group..].iter_mut().zip(messages).zip(&*pairs) {
+                tx.signature = pair.sign_message(message);
+            }
+        }
+    }
+
+    /// `transfer` from `sender_pair` with an all-zero signature, for the
+    /// signers to fill in before they hand it out.
+    fn unsigned(sender_pair: &Keypair, transfer: Transfer) -> Transaction {
+        let Transfer {
+            recipient,
+            amount,
+            fee,
+            nonce,
+            payload,
+        } = transfer;
+        Transaction {
             sender: sender_pair.public(),
             recipient,
             amount,
@@ -186,9 +280,7 @@ impl Transaction {
             payload,
             signature: Signature::from_bytes([0u8; 64]),
             verdict: SigVerdict::unknown(),
-        };
-        tx.signature = sender_pair.sign(&tx.signing_bytes());
-        tx
+        }
     }
 
     /// The sender's public key.

@@ -32,9 +32,9 @@
 //! network consumes none, and the sequence numbers the per-voter
 //! streams burn are dropped with the streams.
 //!
-//! Both paths keep one call's state in one allocation of member-indexed
-//! microseconds (`Rounds`) and take every quorum instant through one
-//! selection kernel (`quorum_select`). A caller that runs the same
+//! Both paths keep one call's state in member-indexed microseconds
+//! (`Rounds`) and take every quorum instant through one selection
+//! kernel (`quorum_select`). A caller that runs the same
 //! cluster's rounds height after height hands in that cluster's
 //! [`VoteScratch`] ([`run_pbft_commit_in`]): the allocation is reused, and
 //! so is the closed form's delay table while the members, their
@@ -117,26 +117,61 @@ where
 }
 
 /// Vote-round working memory a caller keeps from one call to the next,
-/// one per cluster: the member-indexed buffer of `Rounds`, and what its
-/// `c × c` table was last filled with.
+/// one per cluster or committee: the member-indexed buffer of `Rounds`,
+/// the closed form's `c × c` pair-delay table, and what that table was
+/// last filled with.
 ///
-/// The closed form's pair-delay table depends on the member list, the
-/// members' coordinates and the link's `base_ms` and `bandwidth_mbps`,
-/// nothing else, so a call whose four match the ones recorded here skips
+/// The pair-delay table depends on the member list, the members'
+/// coordinates and the link's `base_ms` and `bandwidth_mbps`, nothing
+/// else, so a call whose four match the ones recorded here skips
 /// `Rounds::fill_delays`. The record validates itself: no epoch has to
 /// be kept in step with membership, and a scratch moved to another
-/// network or cluster simply refills. Whatever writes the table keeps
-/// the record true — `fill_delays` sets it, a per-message round (which
-/// overwrites the table with arrivals) and a resize clear it.
+/// network or cluster simply refills. The delays are whole microseconds
+/// in four bytes each, two to a word (`Delays`), so a committee of 128
+/// keeps its table in 64 KiB. Whatever writes the table keeps the record
+/// true — `fill_delays` sets it, a per-message round (which overwrites
+/// the table with arrivals) and a new member count clear it.
 #[derive(Clone, Debug, Default)]
 pub struct VoteScratch {
-    /// The `c·(c + 3)` words of a [`Rounds`], then the `3c` of the
-    /// table's key ([`delay_key`]): one allocation, kept or not.
+    /// The words of a [`Rounds`] for `members` members: see
+    /// [`Rounds::views`]. One allocation, kept or not.
     buf: Vec<u64>,
-    /// Whether the table holds the pair delays of the key's members at
-    /// the key's coordinates, on a link whose [`link_key`] is `link`.
-    delays: bool,
+    /// The member count `buf` is laid out for.
+    members: usize,
+    /// Whether the delay table holds the pair delays of the key's
+    /// members at the key's coordinates, on a link whose [`link_key`] is
+    /// `link`.
+    filled: bool,
     link: [u64; 2],
+}
+
+/// The closed form's `c × c` pair delays, row-major, zero on the
+/// diagonal: entry `k` is a delay in whole microseconds, in the low half
+/// of word `k / 2` when `k` is even and the high half when it is odd.
+struct Delays<'a>(&'a mut [u64]);
+
+impl Delays<'_> {
+    /// Words that hold `entries` delays.
+    fn words(entries: usize) -> usize {
+        entries.div_ceil(2)
+    }
+
+    /// Entry `k`, in microseconds.
+    fn get(&self, k: usize) -> u64 {
+        (self.0[k / 2] >> (32 * (k % 2))) & u64::from(u32::MAX)
+    }
+
+    /// Sets entry `k` to `micros`; `false` (and nothing set) if it does
+    /// not fit four bytes (71 minutes).
+    fn set(&mut self, k: usize, micros: u64) -> bool {
+        let Ok(delay) = u32::try_from(micros) else {
+            return false;
+        };
+        let shift = 32 * (k % 2);
+        let word = &mut self.0[k / 2];
+        *word = (*word & !(u64::from(u32::MAX) << shift)) | (u64::from(delay) << shift);
+        true
+    }
 }
 
 /// What a pair-delay table for `members` over `topology` is computed
@@ -323,17 +358,16 @@ pub fn run_vote_rounds(
 /// row is `NONE` exactly when fewer than `q` real values are in it.
 const NONE: u64 = u64::MAX;
 
-/// One call's vote-round state: member-indexed microseconds in a single
-/// allocation, borrowed from a [`VoteScratch`] — the instants entering
-/// the next round, the round's output, one row of work space, a `c × c`
-/// table (pair delays in closed form, arrival rows per message), and
-/// the table's key.
+/// One call's vote-round state: member-indexed microseconds borrowed
+/// from a [`VoteScratch`] — the instants entering the next round, the
+/// round's output, one row of work space, the delay table's key, the
+/// closed form's pair delays and the per-message arrival rows.
 struct Rounds<'a> {
     members: &'a [NodeId],
     scratch: &'a mut VoteScratch,
 }
 
-/// The five buffers of a [`Rounds`].
+/// The buffers of a [`Rounds`].
 struct Views<'a> {
     /// Each member's instant entering the round: its send time.
     times: &'a mut [u64],
@@ -341,40 +375,51 @@ struct Views<'a> {
     next: &'a mut [u64],
     /// One member's arrival row (closed form).
     row: &'a mut [u64],
-    /// Row-major `c × c`. Closed form: the symmetric pair delays, zero on
-    /// the diagonal. Per message: row `j` holds the arrival at member `j`
-    /// of each voter's vote, by voter index.
-    table: &'a mut [u64],
     /// `3c` words: the [`delay_key`] of the delays in `table`, when the
     /// scratch says it holds delays.
     key: &'a mut [u64],
+    /// Closed form: the symmetric pair delays, packed ([`Delays`]). Per
+    /// message, `c × c` words: row `j` holds the arrival at member `j` of
+    /// each voter's vote, by voter index.
+    table: &'a mut [u64],
 }
 
 impl<'a> Rounds<'a> {
-    /// Every instant `NONE`; the table keeps what `scratch` says it
-    /// holds, unless it has to move to fit `members`.
+    /// Every instant `NONE`; the delay table keeps what `scratch` says
+    /// it holds, unless the scratch was laid out for another member
+    /// count.
     fn new(members: &'a [NodeId], scratch: &'a mut VoteScratch) -> Rounds<'a> {
         let c = members.len();
-        if scratch.buf.len() != c * (c + 6) {
-            scratch.buf.resize(c * (c + 6), NONE);
-            scratch.delays = false;
+        if scratch.members != c || scratch.buf.len() < Rounds::closed_len(c) {
+            scratch.buf.clear();
+            scratch.buf.resize(Rounds::closed_len(c), NONE);
+            scratch.members = c;
+            scratch.filled = false;
         }
         scratch.buf[..3 * c].fill(NONE);
         Rounds { members, scratch }
     }
 
+    /// The words of a closed-form call: six member-indexed rows and the
+    /// packed delays. A per-message round grows the table to `c × c`.
+    fn closed_len(c: usize) -> usize {
+        6 * c + Delays::words(c * c)
+    }
+
+    /// The buffer, cut into [`Views`]: `times`, `next`, `row` and `key`
+    /// (`c`, `c`, `c` and `3c` words), then the table.
     fn views(&mut self) -> Views<'_> {
         let c = self.members.len();
         let (times, rest) = self.scratch.buf.split_at_mut(c);
         let (next, rest) = rest.split_at_mut(c);
         let (row, rest) = rest.split_at_mut(c);
-        let (table, key) = rest.split_at_mut(c * c);
+        let (key, table) = rest.split_at_mut(3 * c);
         Views {
             times,
             next,
             row,
-            table,
             key,
+            table,
         }
     }
 
@@ -402,12 +447,14 @@ impl<'a> Rounds<'a> {
     }
 
     /// `rounds` vote rounds, on the path the network's observable
-    /// properties select (see the module docs).
+    /// properties select (see the module docs). A pair delay too long
+    /// for the table ([`Delays::set`]) sends the rounds message by
+    /// message, which a quiet network cannot tell apart.
     fn run(&mut self, net: &mut Network, q: usize, rounds: usize) {
-        if net.sends_are_stream_independent() && !net.sends_are_traced() {
-            if !self.delays_are_current(net) {
-                self.fill_delays(net);
-            }
+        if net.sends_are_stream_independent()
+            && !net.sends_are_traced()
+            && (self.delays_are_current(net) || self.fill_delays(net))
+        {
             for _ in 0..rounds {
                 self.closed_round(net, q);
             }
@@ -421,8 +468,8 @@ impl<'a> Rounds<'a> {
     /// Whether the table holds the pair delays of these members on `net`.
     fn delays_are_current(&self, net: &Network) -> bool {
         let c = self.members.len();
-        let key = &self.scratch.buf[c * (c + 3)..];
-        self.scratch.delays
+        let key = &self.scratch.buf[3 * c..6 * c];
+        self.scratch.filled
             && self.scratch.link == link_key(net.link())
             && key
                 .iter()
@@ -436,29 +483,39 @@ impl<'a> Rounds<'a> {
     /// the vote's serialization are the same for every pair, which
     /// leaves one square root and one rounding per pair —
     /// [`ici_net::link::LinkModel::transit`] term for term, its jitter
-    /// term zero. The scratch records what the table now holds.
-    fn fill_delays(&mut self, net: &Network) {
+    /// term zero. The scratch records what the table now holds; `false`
+    /// (and no table) if a delay does not fit one.
+    fn fill_delays(&mut self, net: &Network) -> bool {
+        ici_telemetry::counter_add(
+            "consensus/vote_table_fills",
+            ici_telemetry::Label::Global,
+            1,
+        );
         let members = self.members;
         let c = members.len();
         let (link, topology) = (net.link(), net.topology());
         let serialization = link.serialization(VOTE_BYTES).as_micros();
+        self.scratch.filled = false;
         let Views { table, key, .. } = self.views();
+        let mut delays = Delays(table);
         for (i, &a) in members.iter().enumerate() {
             let from = topology.coord(a);
-            table[i * c + i] = 0;
+            delays.set(i * c + i, 0);
             for (j, &b) in members.iter().enumerate().skip(i + 1) {
                 let flight =
                     Duration::from_millis_f64(link.base_ms + from.distance(&topology.coord(b)));
                 let delay = flight.as_micros() + serialization;
-                table[i * c + j] = delay;
-                table[j * c + i] = delay;
+                if !(delays.set(i * c + j, delay) && delays.set(j * c + i, delay)) {
+                    return false;
+                }
             }
         }
         for (word, from) in key.iter_mut().zip(delay_key(members, topology)) {
             *word = from;
         }
         self.scratch.link = link_key(link);
-        self.scratch.delays = true;
+        self.scratch.filled = true;
+        true
     }
 
     /// One vote round on a quiet, untraced network, without sending:
@@ -482,6 +539,7 @@ impl<'a> Rounds<'a> {
             table,
             ..
         } = self.views();
+        let delays = Delays(table);
         // A crashed member sends nothing, whatever its send time: from
         // here on `times` holds exactly the voters.
         for (at, &m) in times.iter_mut().zip(members) {
@@ -509,9 +567,8 @@ impl<'a> Rounds<'a> {
         for (j, (out, &member)) in next.iter_mut().zip(members).enumerate() {
             *out = NONE;
             if net.is_up(member) {
-                let delays = &table[j * c..(j + 1) * c];
-                for ((arrival, &at), &delay) in row.iter_mut().zip(&*times).zip(delays) {
-                    *arrival = at.saturating_add(delay);
+                for (i, (arrival, &at)) in row.iter_mut().zip(&*times).enumerate() {
+                    *arrival = at.saturating_add(delays.get(j * c + i));
                 }
                 *out = quorum_select(row, q).unwrap_or(NONE);
             }
@@ -531,8 +588,12 @@ impl<'a> Rounds<'a> {
         let _span = ici_telemetry::span!("consensus/vote_round");
         let members = self.members;
         let c = members.len();
-        // The table is about to hold arrivals, not delays.
-        self.scratch.delays = false;
+        // The table is about to hold arrivals, not delays, in `c × c`
+        // words: grown to exactly that, as the buffer stays for good.
+        self.scratch.filled = false;
+        let buf = &mut self.scratch.buf;
+        buf.reserve_exact((c * (c + 6)).saturating_sub(buf.len()));
+        buf.resize(c * (c + 6), NONE);
         let Views {
             times, next, table, ..
         } = self.views();
@@ -991,7 +1052,7 @@ mod tests {
                 let mut got_scratch = VoteScratch::default();
                 let mut got = Rounds::new(&members, &mut got_scratch);
                 got.times_mut().copy_from_slice(&start);
-                got.fill_delays(&closed);
+                assert!(got.fill_delays(&closed));
                 for _ in 0..case.rounds {
                     got.closed_round(&mut closed, q);
                 }
@@ -1186,9 +1247,9 @@ mod tests {
         let m: Vec<NodeId> = [17, 3, 64, 40, 8, 79, 0].map(NodeId::new).to_vec();
         let mut scratch = VoteScratch::default();
         let mut rounds = Rounds::new(&m, &mut scratch);
-        rounds.fill_delays(&net);
+        assert!(rounds.fill_delays(&net));
         let c = m.len();
-        let table = rounds.views().table;
+        let table = Delays(rounds.views().table);
         for (i, &a) in m.iter().enumerate() {
             for (j, &b) in m.iter().enumerate() {
                 let expected = if i == j {
@@ -1198,7 +1259,7 @@ mod tests {
                         .transit(net.topology(), a, b, VOTE_BYTES, 0)
                         .as_micros()
                 };
-                assert_eq!(table[i * c + j], expected, "{a} -> {b}");
+                assert_eq!(table.get(i * c + j), expected, "{a} -> {b}");
             }
         }
     }

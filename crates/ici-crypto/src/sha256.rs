@@ -550,6 +550,74 @@ pub fn digest_messages(messages: &mut [Message], double: bool, out: &mut [Digest
     }
 }
 
+/// The SHA-256 of one message per item of `items`, in order, hashed
+/// [`WIDE`] at a time: `write` lays an item's message out in a hash
+/// message it is handed empty, and each group of [`WIDE`] goes through
+/// [`digest_messages`] (sixteen wide when the messages pad to one block
+/// count), the last short group one by one. The sixteen messages are
+/// made once, with the iterator, and reused; the `crypto/sha256_*`
+/// counters move as one [`Message::digest`] per item moves them.
+pub fn digest_each<I, W>(items: I, write: W) -> DigestEach<I::IntoIter, W>
+where
+    I: IntoIterator,
+    W: FnMut(I::Item, &mut Message),
+{
+    DigestEach {
+        items: items.into_iter(),
+        write,
+        messages: std::array::from_fn(|_| Message::new()),
+        digests: [Digest::ZERO; WIDE],
+        next: 0,
+        filled: 0,
+    }
+}
+
+/// The iterator [`digest_each`] returns.
+pub struct DigestEach<I, W> {
+    items: I,
+    write: W,
+    messages: [Message; WIDE],
+    /// `digests[next..filled]`: hashed, not yet handed out.
+    digests: [Digest; WIDE],
+    next: usize,
+    filled: usize,
+}
+
+impl<I, W> Iterator for DigestEach<I, W>
+where
+    I: Iterator,
+    W: FnMut(I::Item, &mut Message),
+{
+    type Item = Digest;
+
+    fn next(&mut self) -> Option<Digest> {
+        if self.next == self.filled {
+            // Messages first: `zip` asks `items` only while one is free.
+            self.filled = 0;
+            for (message, item) in self.messages.iter_mut().zip(&mut self.items) {
+                message.truncate(0);
+                (self.write)(item, message);
+                self.filled += 1;
+            }
+            self.next = 0;
+            let group = ..self.filled;
+            digest_messages(&mut self.messages[group], false, &mut self.digests[group]);
+        }
+        let digest = self.digests[..self.filled].get(self.next).copied();
+        self.next += usize::from(digest.is_some());
+        digest
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (low, high) = self.items.size_hint();
+        let held = self.filled - self.next;
+        (
+            low.saturating_add(held),
+            high.and_then(|high| high.checked_add(held)),
+        )
+    }
+}
+
 /// Sixteen padded messages of equal block count hashed side by side
 /// from the initial state, `bytes` message bytes among them; with
 /// `double`, each digest hashed once more. Counts like sixteen

@@ -13,9 +13,11 @@
 //! the tail of an HMAC inner hash, and both HMACs fold that same padded
 //! message after their own key block: for a 291-byte transaction signing
 //! message, 16 compressions and no allocation. A transaction hands its
-//! signing fields over already written ([`PublicKey::verify_message`]),
-//! and a batch of sixteen hands them over together
-//! ([`PublicKey::verify16`]), whose hashes run sixteen wide.
+//! signing fields over already written ([`Keypair::sign_message`],
+//! [`PublicKey::verify_message`]), and a batch of sixteen hands them over
+//! together ([`Keypair::sign16`], [`PublicKey::verify16`]), whose hashes
+//! run sixteen wide. Keys derive sixteen seeds at a time the same way
+//! ([`Keypair::from_seeds`]).
 //!
 //! It is **not** unforgeable against an adversary who knows a public key —
 //! the tag is derived from the public key itself — which is irrelevant here
@@ -37,12 +39,15 @@
 use std::fmt;
 
 use crate::hmac::{hmac_chain16, hmac_padded, BLOCK_LEN};
-use crate::sha256::{Message, Sha256, WIDE};
+use crate::sha256::{digest_each, Digest, Message, Sha256, WIDE};
 
 /// Length of an encoded public key (matches a compressed secp256k1 point).
 pub const PUBLIC_KEY_LEN: usize = 33;
 /// Length of an encoded signature (matches a raw ECDSA `(r, s)` pair).
 pub const SIGNATURE_LEN: usize = 64;
+
+/// What a keypair's seed is hashed after.
+const KEY_DOMAIN: &[u8] = b"ici-simsig-key-v1:";
 
 /// A public verification key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,23 +78,16 @@ impl PublicKey {
 
     /// [`PublicKey::verify_message`] for [`WIDE`] signatures at once:
     /// lane `i` checks `signatures[i]` by `keys[i]` over `messages[i]`.
-    /// When every message pads to the same block count, both HMACs of
-    /// all sixteen (under the key, then under the first half) run side
-    /// by side, on AVX-512 in one kernel call; otherwise the lanes are
-    /// checked one by one. Either way the verdicts, and the hashes
-    /// counted, are the per-signature ones.
+    /// The signatures are computed as [`Keypair::sign16`] computes them,
+    /// so the verdicts, and the hashes counted, are the per-signature
+    /// ones.
     pub fn verify16(
         keys: [&PublicKey; WIDE],
         messages: &mut [Message; WIDE],
         signatures: [&Signature; WIDE],
     ) -> [bool; WIDE] {
-        let [half_a, half_b] = hmac_chain16(keys.map(|key| &key.0[..]), messages);
-        let mut lanes = half_a.iter().zip(&half_b).zip(signatures);
-        std::array::from_fn(|_| {
-            lanes.next().is_some_and(|((a, b), signature)| {
-                signature.0[..32] == a.0 && signature.0[32..] == b.0
-            })
-        })
+        let computed = Signature::compute16(keys, messages);
+        std::array::from_fn(|i| computed[i] == *signatures[i])
     }
 
     /// A short printable key fingerprint (first 4 bytes, hex).
@@ -138,6 +136,20 @@ impl Signature {
         let blocks = message.padded(BLOCK_LEN as u64);
         let half_a = hmac_padded(&public.0, len, blocks);
         let half_b = hmac_padded(half_a.as_bytes(), len, blocks);
+        Signature::from_halves(&half_a, &half_b)
+    }
+
+    /// [`Signature::compute`] for [`WIDE`] keys and messages at once.
+    /// When every message pads to the same block count, both HMACs of
+    /// all sixteen run side by side ([`hmac_chain16`]: on AVX-512 one
+    /// kernel call); otherwise lane by lane. Either way the hashes
+    /// counted are the per-signature ones.
+    fn compute16(keys: [&PublicKey; WIDE], messages: &mut [Message; WIDE]) -> [Signature; WIDE] {
+        let [half_a, half_b] = hmac_chain16(keys.map(|key| &key.0[..]), messages);
+        std::array::from_fn(|i| Signature::from_halves(&half_a[i], &half_b[i]))
+    }
+
+    fn from_halves(half_a: &Digest, half_b: &Digest) -> Signature {
         let mut out = [0u8; SIGNATURE_LEN];
         out[..32].copy_from_slice(half_a.as_bytes());
         out[32..].copy_from_slice(half_b.as_bytes());
@@ -169,9 +181,24 @@ pub struct Keypair {
 }
 
 impl Keypair {
-    /// Derives the keypair for numeric identity `seed`.
+    /// Derives the keypair for numeric identity `seed`: one 26-byte
+    /// hash.
     pub fn from_seed(seed: u64) -> Keypair {
-        let digest = Sha256::digest_pair(b"ici-simsig-key-v1:", &seed.to_be_bytes());
+        Keypair::from_digest(&Sha256::digest_pair(KEY_DOMAIN, &seed.to_be_bytes()))
+    }
+
+    /// [`Keypair::from_seed`] of every seed, in order, the hashes run
+    /// [`WIDE`] at a time ([`digest_each`]); the counters move as the
+    /// per-seed derivations move them.
+    pub fn from_seeds(seeds: impl IntoIterator<Item = u64>) -> impl Iterator<Item = Keypair> {
+        let write = |seed: u64, message: &mut Message| {
+            message.put(KEY_DOMAIN);
+            message.put(&seed.to_be_bytes());
+        };
+        digest_each(seeds, write).map(|digest| Keypair::from_digest(&digest))
+    }
+
+    fn from_digest(digest: &Digest) -> Keypair {
         let mut encoded = [0u8; PUBLIC_KEY_LEN];
         encoded[0] = 0x02; // compressed-point tag, for byte-level realism
         encoded[1..].copy_from_slice(digest.as_bytes());
@@ -187,7 +214,22 @@ impl Keypair {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature::compute(&self.public, &mut Message::from(message))
+        self.sign_message(&mut Message::from(message))
+    }
+
+    /// [`Keypair::sign`] over a message assembled in a [`Message`]
+    /// (a transaction's signing fields, written by its encoder), padded
+    /// where it is, as for [`PublicKey::verify_message`].
+    pub fn sign_message(&self, message: &mut Message) -> Signature {
+        Signature::compute(&self.public, message)
+    }
+
+    /// [`Keypair::sign_message`] for [`WIDE`] messages at once, the
+    /// mirror of [`PublicKey::verify16`]: lane `i` signs `messages[i]`
+    /// with `pairs[i]`. The signatures, and the hashes counted, are the
+    /// per-message ones.
+    pub fn sign16(pairs: [&Keypair; WIDE], messages: &mut [Message; WIDE]) -> [Signature; WIDE] {
+        Signature::compute16(pairs.map(|pair| &pair.public), messages)
     }
 }
 

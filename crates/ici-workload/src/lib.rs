@@ -12,6 +12,11 @@
 //!   every emitted transaction is valid against a state that has applied
 //!   all previous ones.
 //!
+//! A transaction costs three short hashes (the sender's key, the
+//! recipient's key and address) and one signature. [`WorkloadGenerator::batch`]
+//! runs them sixteen transactions at a time on the batch layer and emits
+//! what as many [`WorkloadGenerator::next_tx`] calls emit.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ici_chain::transaction::{Address, Transaction};
+use ici_chain::transaction::{Address, Transaction, Transfer};
 use ici_crypto::sig::Keypair;
 use ici_rng::Xoshiro256;
 
@@ -96,9 +101,10 @@ impl Default for WorkloadConfig {
 /// A deterministic transaction stream with per-sender nonce tracking.
 ///
 /// Construction is O(accounts) once (the Zipf cumulative table); each
-/// draw is O(log accounts) binary search plus one keypair derivation
-/// (a 26-byte hash) — nothing per-draw scales with the universe size,
-/// which is what lets the scale tier stream from 1M+ accounts.
+/// draw is O(log accounts) binary search, then a transaction hashes its
+/// sender's key (26 bytes), its recipient's key and address and its
+/// signature — nothing per-draw scales with the universe size, which is
+/// what lets the scale tier stream from 1M+ accounts.
 #[derive(Clone, Debug)]
 pub struct WorkloadGenerator {
     config: WorkloadConfig,
@@ -166,15 +172,10 @@ impl WorkloadGenerator {
         }
     }
 
-    fn draw_payload(&mut self) -> Vec<u8> {
-        let PayloadSize::Fixed(len) = self.config.payload;
-        // Cheap deterministic filler derived from the stream position.
-        let tag = self.emitted as u8;
-        vec![tag; len]
-    }
-
-    /// Emits the next transaction.
-    pub fn next_tx(&mut self) -> Transaction {
+    /// Draws the next transaction's fields, in stream order: sender,
+    /// recipient, nonce, payload tag, fee. No hashing: that is the
+    /// caller's.
+    fn draw(&mut self) -> Draw {
         let sender = self.draw_sender();
         let recipient = (sender + 1 + self.rng.gen_range(0..self.config.accounts.max(2) - 1))
             % self.config.accounts;
@@ -184,27 +185,79 @@ impl WorkloadGenerator {
             *e += 1;
             n
         };
-        let payload = self.draw_payload();
+        // Cheap deterministic filler derived from the stream position.
+        let tag = self.emitted as u8;
         let fee = if self.config.fee_jitter == 0 {
             self.config.fee
         } else {
             self.config.fee + self.rng.gen_range(0..self.config.fee_jitter + 1)
         };
         self.emitted += 1;
-        Transaction::signed(
-            &Keypair::from_seed(sender),
-            Address::from_seed(recipient),
-            self.config.amount,
-            fee,
+        Draw {
+            sender,
+            recipient,
             nonce,
-            payload,
+            fee,
+            tag,
+        }
+    }
+
+    /// The transfer `draw` describes, paying `recipient`.
+    fn transfer(&self, draw: &Draw, recipient: Address) -> Transfer {
+        let PayloadSize::Fixed(len) = self.config.payload;
+        Transfer {
+            recipient,
+            amount: self.config.amount,
+            fee: draw.fee,
+            nonce: draw.nonce,
+            payload: vec![draw.tag; len],
+        }
+    }
+
+    /// Emits the next transaction: the sender's keypair and the
+    /// recipient's address derived from their seeds, then one signature.
+    pub fn next_tx(&mut self) -> Transaction {
+        let draw = self.draw();
+        let transfer = self.transfer(&draw, Address::from_seed(draw.recipient));
+        Transaction::signed(
+            &Keypair::from_seed(draw.sender),
+            transfer.recipient,
+            transfer.amount,
+            transfer.fee,
+            transfer.nonce,
+            transfer.payload,
         )
     }
 
-    /// Emits a batch of `n` transactions.
+    /// Emits a batch of `n` transactions, equal to `n` calls of
+    /// [`WorkloadGenerator::next_tx`]: every draw first, in stream
+    /// order, then the sender keys and recipient addresses derived
+    /// sixteen seeds at a time ([`Keypair::from_seeds`],
+    /// [`Address::from_seeds`]) and the signatures made sixteen at a
+    /// time ([`Transaction::sign_all`]). The hashes counted are the
+    /// per-transaction ones, and every verdict is left unknown.
     pub fn batch(&mut self, n: usize) -> Vec<Transaction> {
-        (0..n).map(|_| self.next_tx()).collect()
+        let draws: Vec<Draw> = (0..n).map(|_| self.draw()).collect();
+        let senders = Keypair::from_seeds(draws.iter().map(|draw| draw.sender));
+        let recipients = Address::from_seeds(draws.iter().map(|draw| draw.recipient));
+        let transfers = senders
+            .zip(recipients)
+            .zip(&draws)
+            .map(|((pair, recipient), draw)| (pair, self.transfer(draw, recipient)));
+        let mut out = Vec::with_capacity(n);
+        Transaction::sign_all(transfers, &mut out);
+        out
     }
+}
+
+/// One transaction's draws: its sender and recipient seeds, nonce, fee,
+/// and the byte its payload repeats.
+struct Draw {
+    sender: u64,
+    recipient: u64,
+    nonce: u64,
+    fee: u64,
+    tag: u8,
 }
 
 impl Iterator for WorkloadGenerator {
