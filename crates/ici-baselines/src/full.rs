@@ -10,7 +10,6 @@ use ici_chain::builder::BlockBuilder;
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::state::WorldState;
 use ici_chain::transaction::Transaction;
-use ici_chain::validation::validate_block;
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
 use ici_consensus::leader::elect_live_leader;
 use ici_net::cost;
@@ -116,7 +115,9 @@ impl FullReplicationNetwork {
         self.clock
     }
 
-    /// Proposes and flood-commits one block from `pending`.
+    /// Proposes and flood-commits one block from `pending`. The leader
+    /// executes the block once, as it builds it, and the chain takes the
+    /// post-state it sealed.
     ///
     /// Returns `None` if no live proposer exists.
     pub fn propose_block(&mut self, pending: Vec<Transaction>) -> Option<&BaselineCommitRecord> {
@@ -132,7 +133,7 @@ impl FullReplicationNetwork {
         let mut builder =
             BlockBuilder::new(&parent, self.state.clone(), leader.get(), timestamp_ms);
         builder.fill(pending);
-        let block = builder.seal();
+        let (block, post) = builder.seal_with_state();
         let n_txs = block.transactions().len();
         let body_bytes = block.body_len() as u64;
         let block_bytes = block.header().stored_len();
@@ -157,7 +158,6 @@ impl FullReplicationNetwork {
         let validation = cost::solo_block_validation(n_txs, body_bytes);
         let network_commit = receipts.values().max().copied().unwrap_or(start) + validation;
 
-        let post = validate_block(&block, &parent, &self.state).ok()?;
         self.state = post;
         self.chain.push(block);
         self.clock = network_commit;

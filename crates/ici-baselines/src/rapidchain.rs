@@ -23,7 +23,6 @@ use ici_chain::builder::BlockBuilder;
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::state::WorldState;
 use ici_chain::transaction::Transaction;
-use ici_chain::validation::validate_block;
 use ici_cluster::kmeans::random_partition;
 use ici_cluster::partition::{ClusterId, Partition};
 use ici_consensus::ida::{run_ida_dissemination, IdaConfig};
@@ -230,7 +229,9 @@ impl RapidChainNetwork {
     }
 
     /// One shard's proposal on `net`; what the meter gains meanwhile is
-    /// the commit record's traffic.
+    /// the commit record's traffic. The leader executes the block once,
+    /// as it builds it, and returns the post-state it sealed with it.
+    /// `None` if the committee has no live leader or no quorum.
     fn propose_in(
         net: &mut Network,
         committee: &[NodeId],
@@ -248,7 +249,7 @@ impl RapidChainNetwork {
         let timestamp_ms = (parent.timestamp_ms + 1).max(clock.as_millis());
         let mut builder = BlockBuilder::new(&parent, state.clone(), leader.get(), timestamp_ms);
         builder.fill(pending);
-        let block = builder.seal();
+        let (block, post) = builder.seal_with_state();
         let n_txs = block.transactions().len();
         let body_bytes = block.body_len() as u64;
 
@@ -277,7 +278,6 @@ impl RapidChainNetwork {
         }
         let network_commit = committed.values().max().copied()?;
 
-        let post = validate_block(&block, &parent, state).ok()?;
         let meter_after = net.meter().total();
         let record = BaselineCommitRecord {
             height,

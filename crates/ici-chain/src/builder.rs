@@ -235,14 +235,16 @@ impl BlockBuilder {
         accepted
     }
 
-    /// Seals the block, consuming the builder.
+    /// Seals the block, consuming the builder and dropping the
+    /// post-state ([`BlockBuilder::seal_with_state`] keeps it).
     pub fn seal(self) -> Block {
         self.seal_with_state().0
     }
 
-    /// Seals and also returns the post-state (so the proposer need not
-    /// re-execute its own block). The state is the one the flat v1 root
-    /// in the header was just computed on, moved out.
+    /// Seals and also returns the post-state: the one the flat v1 root
+    /// in the header was just computed on, moved out. Every proposer
+    /// seals this way and commits that state, so the node that built a
+    /// block never executes it a second time.
     pub fn seal_with_state(self) -> (Block, WorldState) {
         let _span = ici_telemetry::span!("chain/block_build");
         ici_telemetry::observe(

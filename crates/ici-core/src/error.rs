@@ -6,7 +6,6 @@ use std::fmt;
 use crate::config::ConfigError;
 use ici_chain::block::Height;
 use ici_chain::transaction::TxId;
-use ici_chain::validation::ValidationError;
 use ici_net::node::NodeId;
 
 /// Errors surfaced by the ICIStrategy network.
@@ -14,8 +13,6 @@ use ici_net::node::NodeId;
 pub enum IciError {
     /// Configuration failed validation.
     Config(ConfigError),
-    /// Proposed block failed validation at the proposer cluster.
-    InvalidBlock(ValidationError),
     /// No live leader could be elected in the proposer cluster.
     NoLeader,
     /// The proposer cluster could not assemble a commit quorum.
@@ -43,7 +40,6 @@ impl fmt::Display for IciError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IciError::Config(e) => write!(f, "invalid configuration: {e}"),
-            IciError::InvalidBlock(e) => write!(f, "invalid block: {e}"),
             IciError::NoLeader => f.write_str("no live leader available"),
             IciError::NoQuorum {
                 cluster,
@@ -67,16 +63,9 @@ impl fmt::Display for IciError {
 impl Error for IciError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            IciError::InvalidBlock(e) => Some(e),
             IciError::Config(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ValidationError> for IciError {
-    fn from(e: ValidationError) -> IciError {
-        IciError::InvalidBlock(e)
     }
 }
 
@@ -107,12 +96,5 @@ mod tests {
         }
         .to_string()
         .contains("c2"));
-    }
-
-    #[test]
-    fn validation_error_converts_with_source() {
-        let err: IciError = ValidationError::WrongParent.into();
-        assert!(matches!(err, IciError::InvalidBlock(_)));
-        assert!(Error::source(&err).is_some());
     }
 }

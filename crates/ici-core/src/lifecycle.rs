@@ -18,9 +18,11 @@
 //!    header; assigned owners attach the body. The intra-cluster integrity
 //!    invariant holds by construction and is auditable at any time.
 //!
-//! Every stage that handles a transaction asks for its signature — the
-//! leader's `BlockBuilder::push` at proposal time, each member's
-//! collaborative slice, commit-stage validation — and none of the asks is
+//! The block is executed once, by the leader that builds it: the
+//! builder's post-state is the state the height commits, so no stage
+//! re-executes the block. Every stage that handles a transaction asks
+//! for its signature — the leader's `BlockBuilder::fill` at proposal
+//! time and each member's collaborative slice — and none of the asks is
 //! skipped. The hashing is paid once per transaction object: the first
 //! `Transaction::verify_signature` remembers its verdict in the
 //! transaction, which the block's shared body carries to
@@ -42,8 +44,8 @@
 //!   leader-to-leader block hops, each on its cluster's stream;
 //! * `stage_verify` — the remote clusters' vote rounds, one plain loop
 //!   over the clusters;
-//! * `stage_commit` — executes the block, writes storage holdings and
-//!   records the commit.
+//! * `stage_commit` — installs the post-state the build sealed, writes
+//!   storage holdings and records the commit.
 //!
 //! The four share one value, the height in flight: build creates it,
 //! distribute and verify fill in each cluster's arrival and commit
@@ -76,8 +78,8 @@ use std::collections::BTreeMap;
 
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
+use ici_chain::state::WorldState;
 use ici_chain::transaction::Transaction;
-use ici_chain::validation::validate_block;
 use ici_cluster::membership::Membership;
 use ici_cluster::partition::ClusterId;
 use ici_consensus::leader::elect_live_leader;
@@ -186,6 +188,9 @@ pub(crate) struct ClusterLeg {
 /// fill in its legs through `&mut`, commit consumes it.
 struct HeightInFlight {
     block: Block,
+    /// The state after `block`, as its builder executed it: what the
+    /// height's header commits to and what the commit installs.
+    post: WorldState,
     /// Causal trace id of the block.
     block_tid: u64,
     proposer: NodeId,
@@ -264,7 +269,7 @@ impl IciNetwork {
         let mut builder =
             BlockBuilder::new(&parent, self.state.clone(), proposer.get(), timestamp_ms);
         builder.fill(pending);
-        let block = builder.seal();
+        let (block, post) = builder.seal_with_state();
         let build_cost = cost::apply_transactions(block.transactions().len())
             + cost::hash(block.body_len() as u64);
         let proposed_at = self.clock + build_cost;
@@ -289,6 +294,7 @@ impl IciNetwork {
         Ok(HeightInFlight {
             block_tid: block_trace_id(height, &block.id()),
             block,
+            post,
             proposer,
             proposed_at,
             home,
@@ -297,8 +303,8 @@ impl IciNetwork {
         })
     }
 
-    /// Stage 4: executes the block, updates storage holdings, and
-    /// records the commit.
+    /// Stage 4: installs the post-state the build sealed, updates
+    /// storage holdings, and records the commit.
     ///
     /// Who stores what comes from the membership and the height's row
     /// of the owner table `stage_build` wrote, not from a second
@@ -309,13 +315,9 @@ impl IciNetwork {
     ///
     /// # Errors
     ///
-    /// Either pops the height's row again:
-    ///
-    /// * [`IciError::NoQuorum`] — `home_commit` carried over from a
-    ///   failed home vote; the failed consensus traffic stays on the
-    ///   meter.
-    /// * [`IciError::InvalidBlock`] — defensive: the sealed block failed
-    ///   authoritative validation (indicates an internal bug).
+    /// [`IciError::NoQuorum`] — `home_commit` carried over from a failed
+    /// home vote; the height's row is popped again, and the failed
+    /// consensus traffic stays on the meter.
     fn stage_commit(
         &mut self,
         flight: HeightInFlight,
@@ -324,6 +326,7 @@ impl IciNetwork {
         let _span = ici_telemetry::span!("core/stage_commit");
         let HeightInFlight {
             block,
+            post,
             block_tid,
             proposer,
             proposed_at,
@@ -336,13 +339,8 @@ impl IciNetwork {
         let body_bytes = block.body_len() as u64;
         let home_cluster = home.cluster;
 
-        // Authoritative execution (defensive re-validation) of a height
-        // whose home cluster committed, ruled on before anything is
-        // written.
-        let ruled =
-            home_commit.and_then(|at| Ok((at, validate_block(&block, &self.tip, &self.state)?)));
-        let (home_commit, post) = match ruled {
-            Ok(ruled) => ruled,
+        let home_commit = match home_commit {
+            Ok(at) => at,
             Err(e) => {
                 self.owners.pop_row();
                 remotes.clear();
@@ -451,8 +449,6 @@ impl IciNetwork {
     ///
     /// * [`IciError::NoLeader`] — no live proposer anywhere.
     /// * [`IciError::NoQuorum`] — the proposer cluster cannot commit.
-    /// * [`IciError::InvalidBlock`] — defensive: the sealed block failed
-    ///   authoritative validation (indicates an internal bug).
     pub fn propose_block(
         &mut self,
         pending: Vec<Transaction>,

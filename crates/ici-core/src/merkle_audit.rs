@@ -3,10 +3,12 @@
 //! The traffic-level audit ([`IciNetwork::audit`]) counts replicas; this
 //! module checks *content*. After a crash-and-recover cycle the fault
 //! harness must show that what re-replication put back is the block the
-//! header committed to, not merely that some replica exists. The audit
-//! re-derives the Merkle root of every body replica the cluster's live
-//! members hold, comparing it to the committed header's `tx_root` and
-//! spot-checking one transaction inclusion proof per height.
+//! header committed to, not merely that some replica exists. Every
+//! replica is a copy of the canonical block, so the audit derives each
+//! held height's Merkle tree once, from that block, compares its root to
+//! the committed header's `tx_root` and spot-checks one transaction
+//! inclusion proof per height; it counts the live replicas the verdict
+//! covers rather than hashing each one.
 //!
 //! Two entry points, one rule each. [`IciNetwork::merkle_audit`] and
 //! [`IciNetwork::merkle_audit_all`] hash everything, every time, and
@@ -37,7 +39,9 @@ pub struct MerkleAuditReport {
     pub cluster: u32,
     /// Heights whose body at least one live member holds (and was checked).
     pub heights_checked: usize,
-    /// Body replicas re-hashed (one per live holder per height).
+    /// Live body replicas the verdicts cover (one per live holder per
+    /// height). Counted, not hashed one by one: each height's tree is
+    /// derived once, from the canonical block.
     pub shards_verified: usize,
     /// Transaction inclusion proofs verified (one per non-empty height).
     pub proofs_checked: usize,
@@ -146,8 +150,8 @@ impl IciNetwork {
         let mut report = MerkleAuditReport {
             cluster: cluster.get(),
             heights_checked: self.chain.len() - missing.len(),
-            // Every live replica is re-hashed: a holder whose disk
-            // diverged from the commitment would fail here.
+            // Counted, not hashed: every replica is a copy of the
+            // canonical block, whose tree is derived once a height below.
             shards_verified: count.replicas(),
             proofs_checked: 0,
             root_mismatches: Vec::new(),

@@ -165,7 +165,9 @@ pub struct FaultRunSummary {
     /// Whether every cluster's final shard-level Merkle audit was clean
     /// (`false` when no audit ran: a plan that scheduled nothing).
     pub final_audit_clean: bool,
-    /// Body replicas re-hashed by the final audit.
+    /// Live body replicas the final audit's verdicts cover (one per
+    /// live holder per height; each height's tree is derived once, from
+    /// the canonical block).
     pub merkle_shards_verified: usize,
     /// Commit latency over the committed blocks.
     pub commit_latency: LatencyStats,

@@ -125,7 +125,7 @@ fn main() {
         summary.min_live_nodes, summary.min_availability, summary.commit_latency.p50_ms,
     );
     println!(
-        "        final shard-level Merkle audit: {} ({} shards re-hashed)",
+        "        final shard-level Merkle audit: {} ({} live replicas covered)",
         if summary.final_audit_clean {
             "clean"
         } else {

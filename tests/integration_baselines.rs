@@ -1,8 +1,12 @@
 //! Cross-strategy integration tests: ICIStrategy vs the baselines on the
 //! same workload, asserting the *shape* of the paper's claims.
 
+mod prop_support;
+
 use icistrategy::net::link::LinkModel;
 use icistrategy::prelude::*;
+use icistrategy::sim::{run_full_under_faults, run_rapidchain_under_faults};
+use prop_support::{crash_and_byzantine, overspending_workload, replay_from_genesis};
 
 fn quiet_link() -> LinkModel {
     LinkModel {
@@ -234,4 +238,72 @@ fn rapidchain_parallelism_shows_in_throughput() {
         eight_shards > two_shards * 2.0,
         "8 shards {eight_shards} vs 2 shards {two_shards}"
     );
+}
+
+/// Each baseline's leader executes its block once and the chain commits
+/// the state it sealed, so every committed chain — full replication's
+/// and each RapidChain shard's, in a quiet run and one under crashes and
+/// Byzantine action, all offering overspends — replays from genesis to
+/// its tip's root.
+#[test]
+fn committed_chains_replay_from_genesis() {
+    let full = || FullConfig {
+        nodes: 32,
+        link: quiet_link(),
+        seed: 9,
+        ..FullConfig::default()
+    };
+    let rapidchain = || RapidChainConfig {
+        nodes: 32,
+        committee_size: 8,
+        link: quiet_link(),
+        seed: 9,
+        ..RapidChainConfig::default()
+    };
+    let (blocks, txs) = (8, 20);
+    let (quiet_full, _) = run_full(full(), blocks, txs, overspending_workload(9));
+    let (faulted_full, full_faults) = run_full_under_faults(
+        full(),
+        txs,
+        overspending_workload(10),
+        crash_and_byzantine(),
+    )
+    .expect("plan builds");
+    let (quiet_rapid, _) = run_rapidchain(rapidchain(), blocks, txs, overspending_workload(9));
+    let (faulted_rapid, rapid_faults) = run_rapidchain_under_faults(
+        rapidchain(),
+        txs,
+        overspending_workload(10),
+        crash_and_byzantine(),
+    )
+    .expect("plan builds");
+    for faults in [&full_faults, &rapid_faults] {
+        assert!(
+            faults.crash_events > 0
+                && faults.equivocation_attempts > 0
+                && faults.committed_blocks > 0,
+            "{faults:?}"
+        );
+    }
+
+    let mut chains = Vec::new();
+    for (run, net) in [("quiet", &quiet_full), ("crash+byzantine", &faulted_full)] {
+        let chain: Vec<&Block> = (0..net.chain_len()).filter_map(|h| net.block(h)).collect();
+        chains.push((format!("full {run}"), &net.config().genesis, chain));
+    }
+    for (run, net) in [("quiet", &quiet_rapid), ("crash+byzantine", &faulted_rapid)] {
+        for shard in 0..net.shard_count() {
+            let chain: Vec<&Block> = (0..net.shard_chain_len(shard))
+                .filter_map(|h| net.shard_block(shard, h))
+                .collect();
+            chains.push((
+                format!("rapidchain {run} shard {shard}"),
+                &net.config().genesis,
+                chain,
+            ));
+        }
+    }
+    for (label, genesis, chain) in chains {
+        replay_from_genesis(&label, genesis, &chain, txs);
+    }
 }

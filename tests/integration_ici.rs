@@ -2,8 +2,11 @@
 //! public facade, spanning every crate: crypto → chain → net → cluster →
 //! storage → consensus → core.
 
+mod prop_support;
+
 use icistrategy::core::config::Clustering;
 use icistrategy::prelude::*;
+use prop_support::{crash_and_byzantine, overspending_workload, replay_from_genesis};
 
 fn network(nodes: usize, c: usize, r: usize, seed: u64) -> IciNetwork {
     let config = IciConfig::builder()
@@ -205,4 +208,42 @@ fn total_supply_is_conserved_through_the_run() {
     let supply_before = net.state().total_supply();
     drive(&mut net, 6, 10, 6);
     assert_eq!(net.state().total_supply(), supply_before);
+}
+
+/// The leader executes each block once and the network commits the
+/// state it sealed, so every committed chain — a quiet run and one under
+/// crashes and Byzantine action, both offering overspends — replays from
+/// genesis to its tip's root and to the network's state.
+#[test]
+fn committed_chains_replay_from_genesis() {
+    let config = || {
+        IciConfig::builder()
+            .nodes(48)
+            .cluster_size(12)
+            .replication(2)
+            .seed(5)
+            .build()
+            .expect("valid configuration")
+    };
+    let (blocks, txs) = (8, 20);
+    let (quiet, _) = run_ici(config(), blocks, txs, overspending_workload(5));
+    let (faulted, faults) = run_ici_under_faults(
+        config(),
+        txs,
+        overspending_workload(6),
+        crash_and_byzantine(),
+    )
+    .expect("plan builds");
+    assert!(
+        faults.crash_events > 0 && faults.equivocation_attempts > 0 && faults.committed_blocks > 0,
+        "{faults:?}"
+    );
+    for (label, net) in [("ici quiet", &quiet), ("ici crash+byzantine", &faulted)] {
+        let chain: Vec<&Block> = (0..net.chain_len()).filter_map(|h| net.block(h)).collect();
+        let replayed = replay_from_genesis(label, &net.config().genesis, &chain, txs);
+        assert!(
+            replayed == *net.state(),
+            "{label}: the replayed state differs from the committed one"
+        );
+    }
 }

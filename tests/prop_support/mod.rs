@@ -15,11 +15,16 @@
 //!
 //! Probabilities are stored as integer percent so scenarios `Debug`-render
 //! exactly and shrink over a discrete lattice.
+//!
+//! The integration runs (`tests/integration_ici.rs`,
+//! `tests/integration_baselines.rs`) share [`replay_from_genesis`], the
+//! workload and the fault profile it is run over from here.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
 use ici_prop::{Failure, Pass, Shrink};
 use ici_rng::Xoshiro256;
+use icistrategy::chain::validation::validate_block;
 use icistrategy::faults::plan::{ByzantineConfig, ChurnConfig};
 use icistrategy::prelude::*;
 use icistrategy::sim::fault_run::FaultRunSummary;
@@ -285,5 +290,89 @@ pub fn replay_by_property(
             .replay(gen_fault_scenario, no_skipped_rounds)
             .map_err(|e| e.to_string()),
         other => Err(format!("no registered generator for property `{other}`")),
+    }
+}
+
+/// Replays `chain` (genesis first) from `genesis`'s allocation through
+/// `validate_block`, each block on its parent's post-state, and returns
+/// the tip's post-state.
+///
+/// A proposer commits the state its builder sealed and never executes
+/// its block again, so this is where a builder that disagrees with
+/// `apply_block`, or an `apply` that is not all-or-nothing, shows. The
+/// panic names `label` (the strategy, run and shard) and the first
+/// height that does not replay. Every block was built from a batch of
+/// `offered` transactions, and the chain must hold some but not all of
+/// them, so that the replay covers both what a builder accepts and what
+/// it rejects.
+pub fn replay_from_genesis(
+    label: &str,
+    genesis: &GenesisConfig,
+    chain: &[&Block],
+    offered: usize,
+) -> WorldState {
+    let (first, blocks) = chain.split_first().expect("a chain starts at its genesis");
+    assert_eq!(
+        first.id(),
+        genesis.genesis_block().id(),
+        "{label}: the chain does not start at the genesis given"
+    );
+    let committed: usize = blocks.iter().map(|b| b.transactions().len()).sum();
+    assert!(
+        0 < committed && committed < blocks.len() * offered,
+        "{label}: {committed} transactions committed of {offered} offered to each of {} blocks; \
+         the run must accept some and reject some",
+        blocks.len()
+    );
+    let mut parent = *first.header();
+    let mut state = genesis.initial_state();
+    for block in blocks {
+        state = validate_block(block, &parent, &state).unwrap_or_else(|e| {
+            panic!(
+                "{label}: height {} does not replay from genesis: {e}",
+                block.height()
+            )
+        });
+        parent = *block.header();
+    }
+    assert_eq!(state.root(), parent.state_root, "{label}: tip state root");
+    state
+}
+
+/// A workload whose every transfer moves more than half of the balance
+/// a run funds each account with (`ici_sim` gives each
+/// `u64::MAX / 1_000_000`). A sender not paid since its last transfer
+/// overspends, and every later transaction of it carries a nonce its
+/// ledger never reached, so blocks mix accepted and rejected
+/// transactions.
+pub fn overspending_workload(seed: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        accounts: 32,
+        amount: u64::MAX / 1_000_000 / 2 + 1,
+        seed,
+        ..WorkloadConfig::default()
+    }
+}
+
+/// Crashes and restarts every round, under equivocating proposers and
+/// lying, flipped and withheld verdicts.
+pub fn crash_and_byzantine() -> FaultProfile {
+    FaultProfile {
+        seed: 23,
+        rounds: 12,
+        churn: ChurnConfig {
+            crash_prob: 0.08,
+            restart_prob: 0.4,
+            cluster_churn_prob: 0.0,
+            min_live_per_cluster: 3,
+            ..ChurnConfig::default()
+        },
+        byzantine: ByzantineConfig {
+            equivocation_prob: 0.3,
+            false_verdict_fraction: 0.4,
+            flip_prob: 0.8,
+            withhold_prob: 0.15,
+        },
+        ..FaultProfile::default()
     }
 }

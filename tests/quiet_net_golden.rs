@@ -3,9 +3,10 @@
 //!
 //! On such a network no send turns its sequence number into randomness,
 //! which is the property `ici-consensus` uses to run its vote rounds in
-//! closed form instead of message by message. Every committed
-//! `results/e*.json` runs on the jittery default link, so no record
-//! walks that path; these literals do. The first three were captured
+//! closed form instead of message by message. The committed
+//! `results/e*.json` rows built through `ici_bench::ici_builder` run on
+//! that quiet link too, so the records walk this path as well; these
+//! literals pin it at small sizes. The first three were captured
 //! with the per-message vote exchange, so they pin the closed form
 //! against it; the other three were captured before the vote rounds'
 //! quorum selection moved to a sorting network, so they pin the network

@@ -3,21 +3,25 @@
 //! The three strategies run back to back with telemetry on, opening more
 //! span instances than a 4 096-event ring could hold; the tree keeps
 //! every one. The same runs hold the quiet/fault boundary: a quiet run
-//! neither repairs nor audits, nor keeps fault bookkeeping. One test,
-//! because the enable flag is process-global.
+//! neither repairs nor audits, nor keeps fault bookkeeping; and the
+//! one-execution rule: a proposer builds each block once and no run
+//! validates a block it built. One test, because the enable flag is
+//! process-global.
 
 use std::collections::BTreeMap;
 
 use ici_baselines::full::FullConfig;
 use ici_baselines::rapidchain::RapidChainConfig;
 use ici_core::config::IciConfig;
-use ici_sim::{run_full, run_ici, run_rapidchain};
+use ici_sim::{run_full, run_ici, run_rapidchain, RunSummary};
 use ici_telemetry::{render_flamegraph, TelemetrySnapshot};
 use ici_workload::WorkloadConfig;
 
 const BLOCKS: usize = 40;
 
-fn three_runs() -> TelemetrySnapshot {
+/// The three runs' telemetry, and each run's root span name with the
+/// blocks it committed (in a quiet run, every block it proposed).
+fn three_runs() -> (TelemetrySnapshot, [(&'static str, u64); 3]) {
     let workload = WorkloadConfig {
         accounts: 64,
         seed: 11,
@@ -44,18 +48,27 @@ fn three_runs() -> TelemetrySnapshot {
     };
     ici_telemetry::set_enabled(true);
     ici_telemetry::reset();
-    let _ = run_full(full, BLOCKS, 10, workload);
-    let _ = run_rapidchain(rapidchain, BLOCKS, 10, workload);
-    let _ = run_ici(ici, BLOCKS, 10, workload);
+    let blocks = |summary: RunSummary| summary.committed_blocks;
+    let proposed = [
+        (
+            "sim/run_full",
+            blocks(run_full(full, BLOCKS, 10, workload).1),
+        ),
+        (
+            "sim/run_rapidchain",
+            blocks(run_rapidchain(rapidchain, BLOCKS, 10, workload).1),
+        ),
+        ("sim/run_ici", blocks(run_ici(ici, BLOCKS, 10, workload).1)),
+    ];
     let snap = ici_telemetry::snapshot();
     ici_telemetry::set_enabled(false);
     ici_telemetry::reset();
-    snap
+    (snap, proposed)
 }
 
 #[test]
 fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
-    let snap = three_runs();
+    let (snap, proposed) = three_runs();
     let instances: u64 = snap.spans.iter().map(|s| s.count).sum();
     assert!(instances > 4096, "only {instances} span instances");
 
@@ -88,6 +101,35 @@ fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
         snap.span("faults/round").is_none(),
         "a quiet run opened faults/round"
     );
+
+    // A block is executed once, by the proposer that builds it: every
+    // proposed block is built once under its run, and no run validates
+    // one (the commit installs the state the build sealed).
+    let root_of = |mut i: usize| {
+        while let Some(parent) = snap.calls[i].parent {
+            i = parent;
+        }
+        snap.calls[i].span.name
+    };
+    let under = |run: &str, name: &str| -> u64 {
+        (0..snap.calls.len())
+            .filter(|&i| snap.calls[i].span.name == name && root_of(i) == run)
+            .map(|i| snap.calls[i].span.count)
+            .sum()
+    };
+    for (run, blocks) in proposed {
+        assert!(blocks > 0, "{run} committed nothing");
+        assert_eq!(
+            under(run, "chain/block_build"),
+            blocks,
+            "{run}: chain/block_build"
+        );
+        assert_eq!(
+            under(run, "chain/block_validate"),
+            0,
+            "{run}: chain/block_validate"
+        );
+    }
 
     // Per name and label, the call paths sum to the flat entry.
     let mut folded: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
