@@ -261,13 +261,17 @@ fn bench_locator() {
     });
 }
 
+/// Balanced k-means at 512 nodes (16 and 32 clusters; `ici_wide`
+/// clusters 512 nodes into 32) and at 4 096 nodes in clusters of 64.
 fn bench_clustering() {
-    let topo = Topology::generate(512, &Placement::default(), 3);
-    bench_with_setup(
-        "clustering/balanced_kmeans_512_k16",
-        || (),
-        |()| balanced_kmeans(&topo, &KMeansConfig::with_k(16, 3)),
-    );
+    for (nodes, k) in [(512, 16), (512, 32), (4_096, 64)] {
+        let topo = Topology::generate(nodes, &Placement::default(), 3);
+        bench_with_setup(
+            &format!("clustering/balanced_kmeans_{nodes}_k{k}"),
+            || (),
+            |()| balanced_kmeans(&topo, &KMeansConfig::with_k(k, 3)),
+        );
+    }
 }
 
 /// The simulated network's own cost per message, in batches large

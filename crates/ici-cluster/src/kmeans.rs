@@ -12,6 +12,27 @@
 //!   so a tiny cluster would overload its members).
 //!
 //! Plus [`random_partition`], the baseline for experiment E8.
+//!
+//! Both phases return what their plain forms return, to the bit, for
+//! less work:
+//! * Lloyd keeps Hamerly's (2010) bounds per point (an upper bound on
+//!   the distance to its centroid, a lower bound on the distance to any
+//!   other) and skips a point only when the two are apart by more than a
+//!   `1e-9` relative slack, far more than the bounds' rounding. So a
+//!   point whose computed nearest centroid could change, or that sits on
+//!   an exact tie, is always scanned, and a scan keeps the lowest index
+//!   on a tie. The assignments, and so every centroid bit and the
+//!   iteration count, are the full scan's.
+//! * The capacity fill takes the `(distance, node, cluster)` triples
+//!   in ascending order, as a sort of all `n·k` of them would, but
+//!   lazily from a heap of one triple per unplaced node (see
+//!   [`balanced_kmeans`]).
+//!
+//! Every `Coord::distance` call here is counted, per call of [`kmeans`]
+//! or [`balanced_kmeans`], in the `cluster/distance_evals` counter.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use ici_rng::Xoshiro256;
 
@@ -88,24 +109,6 @@ fn kmeans_pp_init(coords: &[Coord], k: usize, rng: &mut Xoshiro256) -> Vec<Coord
     centroids
 }
 
-fn nearest(centroids: &[Coord], point: &Coord) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let d = point.distance(c);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Lloyd assignment step: nearest centroid per point.
-fn assign_step(coords: &[Coord], centroids: &[Coord]) -> Vec<usize> {
-    coords.iter().map(|c| nearest(centroids, c)).collect()
-}
-
 /// Lloyd update step: per-cluster coordinate sums, accumulated per
 /// [`CHUNK_POINTS`]-wide chunk and reduced in chunk order.
 fn recompute_centroids(
@@ -145,28 +148,164 @@ fn recompute_centroids(
         .collect()
 }
 
-/// Lloyd's iterations from a k-means++ seeding: the final centroids.
-fn lloyd(coords: &[Coord], k: usize, config: &KMeansConfig) -> Vec<Coord> {
+/// Whether a point whose distance to its own centroid is at most
+/// `upper`, and to every other centroid at least `bound`, is certainly
+/// nearest its own centroid: the gap must exceed a slack of `1e-9`
+/// relative to both sides (and `1e-9` absolute). The bounds are sums
+/// and differences of distances, each a few ulps off per Lloyd
+/// iteration; over at most [`MAX_ITERS`] iterations at latency-space
+/// magnitudes (distances far below 10⁴ ms) that stays far inside the
+/// slack, so a point whose computed nearest centroid could change is
+/// never skipped. An exact tie is never skipped either.
+fn separated(upper: f64, bound: f64) -> bool {
+    upper + 1e-9 * (1.0 + upper.abs() + bound.abs()) < bound
+}
+
+/// Lloyd's assignment under Hamerly's (2010) bounds, kept across
+/// iterations.
+///
+/// Per point: its centroid, an upper bound on the distance to it and a
+/// lower bound on the distance to every other centroid. Per centroid:
+/// half the distance to its nearest other centroid, so that a point
+/// within it of its own centroid is nearer that one than any other. A
+/// point whose upper bound is [`separated`] from the larger of its two
+/// lower bounds is not scanned; otherwise its upper bound is tightened
+/// to the exact distance, tested again, and only then are all centroids
+/// scanned. Each update step loosens the bounds by how far the centroids
+/// moved.
+struct Lloyd<'a> {
+    coords: &'a [Coord],
+    centroids: Vec<Coord>,
+    assignment: Vec<usize>,
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+    half_gap: Vec<f64>,
+    drift: Vec<f64>,
+    /// `Coord::distance` calls so far, the k-means++ seeding's included.
+    evals: u64,
+}
+
+impl<'a> Lloyd<'a> {
+    /// Bounds before any pass: every point sits on centroid 0 at an
+    /// unknown distance, so the first pass tightens and scans it.
+    fn new(coords: &'a [Coord], centroids: Vec<Coord>, evals: u64) -> Lloyd<'a> {
+        let (n, k) = (coords.len(), centroids.len());
+        Lloyd {
+            coords,
+            centroids,
+            assignment: vec![0; n],
+            upper: vec![f64::INFINITY; n],
+            lower: vec![0.0; n],
+            half_gap: vec![f64::INFINITY; k],
+            drift: vec![0.0; k],
+            evals,
+        }
+    }
+
+    /// Lloyd assignment step: every point to its nearest centroid, ties
+    /// to the lowest index — what a full scan of every point gives.
+    fn assign(&mut self) {
+        let k = self.centroids.len();
+        self.half_gap.fill(f64::INFINITY);
+        for (j, a) in self.centroids.iter().enumerate() {
+            for (other, b) in self.centroids.iter().enumerate().skip(j + 1) {
+                let d = a.distance(b);
+                self.half_gap[j] = self.half_gap[j].min(d);
+                self.half_gap[other] = self.half_gap[other].min(d);
+            }
+        }
+        self.half_gap.iter_mut().for_each(|gap| *gap *= 0.5);
+        let mut evals = (k * (k - 1) / 2) as u64;
+
+        for (i, point) in self.coords.iter().enumerate() {
+            let own = self.assignment[i];
+            let bound = self.half_gap[own].max(self.lower[i]);
+            if separated(self.upper[i], bound) {
+                continue;
+            }
+            let own_d = point.distance(&self.centroids[own]);
+            evals += 1;
+            self.upper[i] = own_d;
+            if separated(own_d, bound) {
+                continue;
+            }
+            // Strict `<` in index order: the lowest index wins a tie.
+            let (mut best, mut best_d, mut second_d) = (0, f64::INFINITY, f64::INFINITY);
+            for (j, centroid) in self.centroids.iter().enumerate() {
+                let d = if j == own {
+                    own_d
+                } else {
+                    point.distance(centroid)
+                };
+                if d < best_d {
+                    (second_d, best_d, best) = (best_d, d, j);
+                } else if d < second_d {
+                    second_d = d;
+                }
+            }
+            evals += (k - 1) as u64;
+            self.assignment[i] = best;
+            self.upper[i] = best_d;
+            self.lower[i] = second_d;
+        }
+        self.evals += evals;
+    }
+
+    /// Lloyd update step, then each point's bounds loosened: its upper
+    /// bound by its own centroid's drift, its lower bound by the largest
+    /// drift among the others. Returns the largest drift.
+    fn update(&mut self) -> f64 {
+        let next = recompute_centroids(
+            self.coords,
+            &self.assignment,
+            self.centroids.len(),
+            &self.centroids,
+        );
+        for ((drift, old), new) in self.drift.iter_mut().zip(&self.centroids).zip(&next) {
+            *drift = old.distance(new);
+        }
+        self.evals += self.drift.len() as u64;
+        self.centroids = next;
+
+        let (mut first, mut first_at, mut second) = (0.0f64, usize::MAX, 0.0f64);
+        for (j, &d) in self.drift.iter().enumerate() {
+            if d > first {
+                (second, first, first_at) = (first, d, j);
+            } else if d > second {
+                second = d;
+            }
+        }
+        for ((upper, lower), &own) in self
+            .upper
+            .iter_mut()
+            .zip(&mut self.lower)
+            .zip(&self.assignment)
+        {
+            *upper += self.drift[own];
+            *lower -= if own == first_at { second } else { first };
+        }
+        self.drift.iter().copied().fold(0.0f64, f64::max)
+    }
+}
+
+/// Lloyd's iterations from a k-means++ seeding: the final centroids,
+/// with the last assignment's bounds loosened to them, ready for the
+/// caller's final [`Lloyd::assign`].
+fn lloyd<'a>(coords: &'a [Coord], k: usize, config: &KMeansConfig) -> Lloyd<'a> {
     let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x6B6D_6561_6E73);
-    let mut centroids = kmeans_pp_init(coords, k, &mut rng);
+    let centroids = kmeans_pp_init(coords, k, &mut rng);
+    let mut lloyd = Lloyd::new(coords, centroids, (coords.len() * k) as u64);
     let mut iters = 0u64;
     for _ in 0..MAX_ITERS {
         let _iter_span = ici_telemetry::span!("cluster/kmeans_iter");
         iters += 1;
-        let assignment = assign_step(coords, &centroids);
-        let next = recompute_centroids(coords, &assignment, k, &centroids);
-        let moved = centroids
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| a.distance(b))
-            .fold(0.0f64, f64::max);
-        centroids = next;
-        if moved <= TOLERANCE_MS {
+        lloyd.assign();
+        if lloyd.update() <= TOLERANCE_MS {
             break;
         }
     }
     ici_telemetry::counter_add("cluster/kmeans_iters", ici_telemetry::Label::Global, iters);
-    centroids
+    lloyd
 }
 
 /// Runs Lloyd's k-means over the topology's coordinates.
@@ -179,21 +318,68 @@ pub fn kmeans(topology: &Topology, config: &KMeansConfig) -> Partition {
     if coords.is_empty() {
         return Partition::from_assignment(Vec::new());
     }
-    let centroids = lloyd(coords, config.k.clamp(1, coords.len()), config);
+    let mut lloyd = lloyd(coords, config.k.clamp(1, coords.len()), config);
+    lloyd.assign();
+    ici_telemetry::counter_add(
+        "cluster/distance_evals",
+        ici_telemetry::Label::Global,
+        lloyd.evals,
+    );
     Partition::from_assignment(
-        assign_step(coords, &centroids)
+        lloyd
+            .assignment
             .into_iter()
             .map(|c| ClusterId::new(c as u32))
             .collect(),
     )
 }
 
+/// A fill candidate `(distance, node, cluster)` packed into one integer
+/// that orders as the tuple does: a non-negative distance's bits order
+/// as its value.
+fn candidate(distance: f64, node: usize, cluster: usize) -> u128 {
+    (u128::from(distance.to_bits()) << 64) | ((node as u128) << 32) | cluster as u128
+}
+
+/// `point`'s nearest centroid among those with room left, ties to the
+/// lowest index, as `node`'s fill candidate. Counts its distances into
+/// `evals`. The first open cluster stands even at an infinite or NaN
+/// distance, so the candidate always names a cluster with room and the
+/// fill cannot re-scan forever.
+fn nearest_open(
+    point: &Coord,
+    node: usize,
+    centroids: &[Coord],
+    capacity: &[usize],
+    evals: &mut u64,
+) -> u128 {
+    let (mut best, mut best_d) = (usize::MAX, f64::INFINITY);
+    for (c, (centroid, room)) in centroids.iter().zip(capacity).enumerate() {
+        if *room > 0 {
+            let d = point.distance(centroid);
+            *evals += 1;
+            if best == usize::MAX || d < best_d {
+                (best, best_d) = (c, d);
+            }
+        }
+    }
+    candidate(best_d, node, best)
+}
+
 /// Balanced k-means: k-means centroids, then capacity-constrained
 /// assignment. Every cluster ends with `⌊n/k⌋` or `⌈n/k⌉` members.
 ///
-/// Assignment sorts all `(node, centroid)` pairs by distance and fills
-/// greedily, so each node gets the closest centroid that still has room —
-/// `O(nk log nk)`, fast enough for the paper-scale 4,000-node sweeps.
+/// The assignment is the greedy fill over every `(distance, node,
+/// cluster)` triple in ascending order, taking a triple when its node is
+/// unplaced and its cluster has room, so each node gets the closest
+/// centroid that still has room. It runs lazily: a min-heap holds one
+/// triple per unplaced node, its nearest centroid with room when the
+/// triple was made (ties to the lowest cluster). The minimum is taken if
+/// its cluster still has room; otherwise its node is re-scanned over the
+/// clusters with room and its triple replaced. A full cluster never
+/// reopens, so a node's triple is never greater than its next valid one,
+/// and the fill takes exactly the sorted greedy's triples in the same
+/// order, in `O(n + k)` memory.
 ///
 /// As with [`kmeans`], a `config.k` of zero runs as one cluster and an
 /// empty topology gives a partition of no nodes.
@@ -230,39 +416,36 @@ pub fn balanced_kmeans(topology: &Topology, config: &KMeansConfig) -> Partition 
         .map(|i| if i < n_high { cap_high } else { n / k })
         .collect();
 
-    // Sort every (node, centroid) pair by distance; fill greedily. Distance
-    // ties break on (node, cluster) index for determinism.
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * k);
-    for (i, coord) in coords.iter().enumerate() {
-        for (c, centroid) in centroids.iter().enumerate() {
-            pairs.push((coord.distance(centroid), i, c));
-        }
-    }
-    pairs.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    let mut assignment = vec![usize::MAX; n];
-    let mut placed = 0;
-    for (_, node, cluster) in pairs {
-        if placed == n {
-            break;
-        }
-        if assignment[node] == usize::MAX && capacity[cluster] > 0 {
-            assignment[node] = cluster;
+    let mut evals = 0u64;
+    let mut heap: BinaryHeap<Reverse<u128>> = coords
+        .iter()
+        .enumerate()
+        .map(|(i, coord)| Reverse(nearest_open(coord, i, &centroids, &capacity, &mut evals)))
+        .collect();
+    let mut assignment = vec![ClusterId::new(0); n];
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse(key) = *top;
+        let (node, cluster) = ((key >> 32) as u32 as usize, key as u32 as usize);
+        if capacity[cluster] > 0 {
             capacity[cluster] -= 1;
-            placed += 1;
+            assignment[node] = ClusterId::new(cluster as u32);
+            PeekMut::pop(top);
+        } else {
+            *top = Reverse(nearest_open(
+                &coords[node],
+                node,
+                &centroids,
+                &capacity,
+                &mut evals,
+            ));
         }
     }
-
-    Partition::from_assignment(
-        assignment
-            .into_iter()
-            .map(|c| ClusterId::new(c as u32))
-            .collect(),
-    )
+    ici_telemetry::counter_add(
+        "cluster/distance_evals",
+        ici_telemetry::Label::Global,
+        evals,
+    );
+    Partition::from_assignment(assignment)
 }
 
 /// Uniform random partition into `k` near-equal clusters (round-robin over
@@ -312,6 +495,7 @@ mod tests {
         // sum over all points lands on different low bits.
         let topo = wan(2500, 13);
         let bits: Vec<(u64, u64)> = lloyd(topo.coords(), 8, &KMeansConfig::with_k(8, 21))
+            .centroids
             .iter()
             .map(|c| (c.x.to_bits(), c.y.to_bits()))
             .collect();

@@ -216,8 +216,7 @@ impl Strategy for IciNetwork {
         let mut builder =
             BlockBuilder::new(&parent, self.state().clone(), leader.get(), timestamp_ms);
         builder.fill(batch.to_vec());
-        let block = builder.seal();
-        (BlockHeader::ENCODED_LEN as u64, block.body_len() as u64)
+        (BlockHeader::ENCODED_LEN as u64, builder.body_len() as u64)
     }
 
     fn payload(&self, rank: usize, header: u64, body: u64) -> (MessageKind, u64) {

@@ -87,6 +87,12 @@ if printf '%s\n' "$TEST_BUILD" | grep -q '^warning'; then
 fi
 cargo test -q --workspace
 
+echo "==> k-means at 4 096 and 16 384 nodes against the plain algorithms (release)"
+# Too slow for the debug build above: the plain reference sorts a
+# million triples at 16 384 nodes. Also bounds balanced k-means there
+# at 0.2 s.
+cargo test --release -q --test kmeans_differential -- --ignored
+
 echo "==> rustdoc, warnings denied"
 # A doc link to a private item, or to an item that was deleted, fails
 # here instead of rendering as dead text. Writes only under target/.
