@@ -280,10 +280,7 @@ fn bench_clustering() {
 /// broadcast on the voter's own sequence stream, as a vote round on a
 /// jittery or faulty network sends it.
 fn bench_net() {
-    let quiet = LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    };
+    let quiet = LinkModel::quiet();
     let nodes = 512u64;
     let mut net = Network::new(
         Topology::generate(nodes as usize, &Placement::default(), 3),
@@ -322,10 +319,7 @@ fn bench_net() {
 /// `VoteScratch` (the pair-delay table filled on every call) and with
 /// the cluster's kept one (filled once, then reused).
 fn bench_vote_table() {
-    let quiet = LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    };
+    let quiet = LinkModel::quiet();
     let mut net = Network::new(Topology::generate(512, &Placement::default(), 3), quiet);
     let cluster: Vec<NodeId> = (0..16).map(|i| NodeId::new(i * 31 + 5)).collect();
     let commit = |net: &mut Network, scratch: &mut VoteScratch| {

@@ -26,17 +26,10 @@ use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Coord, Placement, Topology};
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
-fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
-}
-
 fn fresh_network(n: usize) -> Network {
     Network::new(
         Topology::generate(n, &Placement::default(), 9),
-        quiet_link(),
+        LinkModel::quiet(),
     )
 }
 
@@ -61,7 +54,7 @@ fn ici_network(nodes: usize, c: usize) -> IciNetwork {
             .nodes(nodes)
             .cluster_size(c)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .genesis(ici_chain::genesis::GenesisConfig::uniform(
                 64,
                 u64::MAX / 1_000_000,
@@ -111,13 +104,13 @@ fn bench_pbft() {
         net
     };
     for (name, size, link, lossy) in [
-        ("pbft/commit_c8/quiet", 8usize, quiet_link(), false),
-        ("pbft/commit_c16/quiet", 16, quiet_link(), false),
+        ("pbft/commit_c8/quiet", 8usize, LinkModel::quiet(), false),
+        ("pbft/commit_c16/quiet", 16, LinkModel::quiet(), false),
         ("pbft/commit_c16/jittery", 16, LinkModel::default(), false),
         ("pbft/commit_c16/faulty", 16, LinkModel::default(), true),
-        ("pbft/commit_c32/quiet", 32, quiet_link(), false),
-        ("pbft/commit_c64/quiet", 64, quiet_link(), false),
-        ("pbft/commit_c128/quiet", 128, quiet_link(), false),
+        ("pbft/commit_c32/quiet", 32, LinkModel::quiet(), false),
+        ("pbft/commit_c64/quiet", 64, LinkModel::quiet(), false),
+        ("pbft/commit_c128/quiet", 128, LinkModel::quiet(), false),
     ] {
         let members: Vec<NodeId> = (0..size as u64).map(NodeId::new).collect();
         let base = network(size, link, lossy);
@@ -148,7 +141,7 @@ fn bench_full_block() {
             (
                 FullReplicationNetwork::new(FullConfig {
                     nodes: 256,
-                    link: quiet_link(),
+                    link: LinkModel::quiet(),
                     genesis: ici_chain::genesis::GenesisConfig::uniform(64, u64::MAX / 1_000_000),
                     seed: 9,
                     ..FullConfig::default()
@@ -172,7 +165,7 @@ fn bench_rapidchain_block() {
                 RapidChainNetwork::new(RapidChainConfig {
                     nodes: 256,
                     committee_size: 64,
-                    link: quiet_link(),
+                    link: LinkModel::quiet(),
                     genesis: ici_chain::genesis::GenesisConfig::uniform(64, u64::MAX / 1_000_000),
                     seed: 9,
                 }),

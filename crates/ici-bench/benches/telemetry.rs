@@ -28,14 +28,25 @@ use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Placement, Topology};
+use ici_trace::{TraceEvent, TraceKind};
+
+/// One stage hook as every emitter writes it: the caller checks the
+/// flag, then builds the event by name and records it.
+fn trace_stage() {
+    if ici_trace::enabled() {
+        ici_trace::record(TraceEvent {
+            kind: TraceKind::Stage,
+            name: "bench/noop",
+            id: 1,
+            ..TraceEvent::default()
+        });
+    }
+}
 
 fn fresh_network(n: usize) -> Network {
     Network::new(
         Topology::generate(n, &Placement::default(), 9),
-        LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        },
+        LinkModel::quiet(),
     )
 }
 
@@ -68,19 +79,24 @@ fn main() {
 
     println!("\n== trace primitives (disabled path) ==");
     ici_trace::set_enabled(false);
-    bench("trace/stage_disabled", || {
-        ici_trace::stage("bench/noop", 0, 0, 0, None, None, 0, 1, 0);
-    });
+    bench("trace/stage_disabled", trace_stage);
     bench("trace/send_gate_disabled", || {
-        ici_trace::send("bench/noop", 0, 0, 0, 1, 0, 0, None, 1, 0);
+        if ici_trace::enabled() {
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Send,
+                name: "bench/noop",
+                node: Some(0),
+                peer: Some(1),
+                id: 1,
+                ..TraceEvent::default()
+            });
+        }
     });
 
     println!("\n== trace primitives (enabled path) ==");
     ici_trace::set_enabled(true);
     ici_trace::reset();
-    bench("trace/stage_enabled", || {
-        ici_trace::stage("bench/noop", 0, 0, 0, None, None, 0, 1, 0);
-    });
+    bench("trace/stage_enabled", trace_stage);
     ici_trace::set_enabled(false);
     ici_trace::reset();
 

@@ -85,12 +85,10 @@ pub fn standard_workload(seed: u64) -> WorkloadConfig {
     }
 }
 
-/// Jitter-free link model so experiment tables are exactly reproducible.
+/// The jitter-free [`LinkModel::quiet`], so experiment tables are
+/// exactly reproducible.
 pub fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
+    LinkModel::quiet()
 }
 
 /// Blocks per run at each scale.

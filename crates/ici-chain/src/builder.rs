@@ -137,13 +137,6 @@ impl BlockBuilder {
         self.transactions.is_empty()
     }
 
-    /// Encoded size of the accepted transactions: the
-    /// [`Block::body_len`] of the block [`BlockBuilder::seal`] would
-    /// make, read without sealing it.
-    pub fn body_len(&self) -> usize {
-        self.body_len
-    }
-
     /// Validates and appends `tx`.
     ///
     /// # Errors
@@ -486,42 +479,6 @@ mod tests {
             });
             assert_eq!(sized, reference, "round {round}");
             assert_eq!(unsized_, reference, "round {round}");
-        }
-    }
-
-    /// `body_len` before sealing is the sealed block's, over batches that
-    /// overspend: every transfer moves over half a sender's genesis
-    /// balance, so a block mixes accepted transfers with overspends and
-    /// the bad nonces after them.
-    #[test]
-    fn body_len_is_the_sealed_body_len_over_overspending_batches() {
-        use ici_rng::Xoshiro256;
-        let (accounts, balance) = (32u64, 10_000u64);
-        let cfg = GenesisConfig::uniform(accounts, balance);
-        let (genesis, state) = (cfg.genesis_block(), cfg.initial_state());
-        let mut rng = Xoshiro256::seed_from_u64(0xB0D1);
-        for round in 0..8 {
-            let mut nonces = vec![0u64; accounts as usize];
-            let batch: Vec<Transaction> = (0..96)
-                .map(|_| {
-                    let seed = rng.gen_range(0..accounts);
-                    let nonce = nonces[seed as usize];
-                    nonces[seed as usize] += 1;
-                    Transaction::signed(
-                        &Keypair::from_seed(seed),
-                        Address::from_seed(rng.gen_range(0..accounts)),
-                        balance / 2 + 1,
-                        1,
-                        nonce,
-                        vec![3; rng.gen_range(0usize..300)],
-                    )
-                })
-                .collect();
-            let mut b = BlockBuilder::new(genesis.header(), state.clone(), 1, 0);
-            let accepted = b.fill(batch);
-            assert!(0 < accepted && accepted < 96, "round {round}: {accepted}");
-            let body_len = b.body_len();
-            assert_eq!(body_len, b.seal().body_len(), "round {round}");
         }
     }
 

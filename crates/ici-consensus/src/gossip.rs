@@ -170,13 +170,7 @@ mod tests {
 
     fn network(n: usize) -> Network {
         let topo = Topology::generate(n, &Placement::Uniform { side: 30.0 }, 5);
-        Network::new(
-            topo,
-            LinkModel {
-                max_jitter_ms: 0.0,
-                ..LinkModel::default()
-            },
-        )
+        Network::new(topo, LinkModel::quiet())
     }
 
     fn peers(n: u64) -> Vec<NodeId> {

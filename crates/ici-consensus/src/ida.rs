@@ -166,13 +166,7 @@ mod tests {
 
     fn network(n: usize) -> Network {
         let topo = Topology::generate(n, &Placement::Uniform { side: 20.0 }, 7);
-        Network::new(
-            topo,
-            LinkModel {
-                max_jitter_ms: 0.0,
-                ..LinkModel::default()
-            },
-        )
+        Network::new(topo, LinkModel::quiet())
     }
 
     fn members(n: u64) -> Vec<NodeId> {

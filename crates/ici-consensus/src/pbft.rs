@@ -48,6 +48,7 @@ use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 use ici_net::topology::Topology;
+use ici_trace::{TraceEvent, TraceKind};
 
 use crate::quorum::quorum;
 
@@ -270,19 +271,22 @@ where
         // becoming vote-ready, keyed by the network's causal context.
         let ctx = net.trace_ctx();
         let done = rounds.instants().map(|(_, at)| at).max();
-        ici_trace::stage(
-            "consensus/preprepare",
-            inputs.start.as_micros(),
-            done.unwrap_or(inputs.start)
+        ici_trace::record(TraceEvent {
+            kind: TraceKind::Stage,
+            name: "consensus/preprepare",
+            at_us: inputs.start.as_micros(),
+            dur_us: done
+                .unwrap_or(inputs.start)
                 .saturating_since(inputs.start)
                 .as_micros(),
-            ctx.height,
-            ctx.cluster,
-            Some(inputs.leader.get()),
-            payload_bytes,
-            ici_trace::derive_id(ctx.parent, 1),
-            ctx.parent,
-        );
+            height: ctx.height,
+            cluster: ctx.cluster,
+            node: Some(inputs.leader.get()),
+            bytes: payload_bytes,
+            id: ici_trace::derive_id(ctx.parent, 1),
+            parent: ctx.parent,
+            ..TraceEvent::default()
+        });
     }
 
     // Phase 2 — prepare: each ready member broadcasts a vote; a member is
@@ -313,17 +317,18 @@ where
         );
         if ici_trace::enabled() {
             let ctx = net.trace_ctx();
-            ici_trace::stage(
-                "consensus/commit",
-                inputs.start.as_micros(),
-                at.saturating_since(inputs.start).as_micros(),
-                ctx.height,
-                ctx.cluster,
-                Some(inputs.leader.get()),
-                0,
-                ici_trace::derive_id(ctx.parent, 2),
-                ctx.parent,
-            );
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Stage,
+                name: "consensus/commit",
+                at_us: inputs.start.as_micros(),
+                dur_us: at.saturating_since(inputs.start).as_micros(),
+                height: ctx.height,
+                cluster: ctx.cluster,
+                node: Some(inputs.leader.get()),
+                id: ici_trace::derive_id(ctx.parent, 2),
+                parent: ctx.parent,
+                ..TraceEvent::default()
+            });
         }
     }
     (commit, q)
@@ -704,13 +709,7 @@ mod tests {
 
     fn network(n: usize) -> Network {
         let topo = Topology::generate(n, &Placement::Uniform { side: 20.0 }, 3);
-        Network::new(
-            topo,
-            LinkModel {
-                max_jitter_ms: 0.0,
-                ..LinkModel::default()
-            },
-        )
+        Network::new(topo, LinkModel::quiet())
     }
 
     fn members(n: u64) -> Vec<NodeId> {

@@ -91,6 +91,7 @@ use ici_net::metrics::{Counter, MessageKind};
 use ici_net::network::{Network, Stream};
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
+use ici_trace::{TraceEvent, TraceKind};
 
 use crate::error::IciError;
 use crate::network::{slot_of, IciNetwork, OwnerTable};
@@ -401,28 +402,28 @@ impl IciNetwork {
         );
         ici_telemetry::observe("core/body_bytes", ici_telemetry::Label::Global, body_bytes);
         if ici_trace::enabled() {
-            ici_trace::stage(
-                "core/block",
-                proposed_at.as_micros(),
-                network_commit.saturating_since(proposed_at).as_micros(),
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Stage,
+                name: "core/block",
+                at_us: proposed_at.as_micros(),
+                dur_us: network_commit.saturating_since(proposed_at).as_micros(),
                 height,
-                Some(u64::from(home_cluster.get())),
-                Some(proposer.get()),
-                body_bytes,
-                block_tid,
-                0,
-            );
-            ici_trace::stage(
-                "core/store",
-                network_commit.as_micros(),
-                0,
+                cluster: Some(u64::from(home_cluster.get())),
+                node: Some(proposer.get()),
+                bytes: body_bytes,
+                id: block_tid,
+                ..TraceEvent::default()
+            });
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Stage,
+                name: "core/store",
+                at_us: network_commit.as_micros(),
                 height,
-                None,
-                None,
-                body_bytes,
-                ici_trace::derive_id(block_tid, 3),
-                block_tid,
-            );
+                bytes: body_bytes,
+                id: ici_trace::derive_id(block_tid, 3),
+                parent: block_tid,
+                ..TraceEvent::default()
+            });
         }
         Ok(self.commit_log.push_mut(BlockCommitRecord {
             height,
@@ -677,17 +678,19 @@ fn stage_distribute(
         });
     }
     if tracing {
-        ici_trace::stage(
-            "core/distribute",
-            proposed_at.as_micros(),
-            home_commit.saturating_since(proposed_at).as_micros(),
+        ici_trace::record(TraceEvent {
+            kind: TraceKind::Stage,
+            name: "core/distribute",
+            at_us: proposed_at.as_micros(),
+            dur_us: home_commit.saturating_since(proposed_at).as_micros(),
             height,
-            Some(u64::from(flight.home.cluster.get())),
-            Some(flight.proposer.get()),
-            body_bytes + cert_bytes,
-            ici_trace::derive_id(block_tid, 4),
-            block_tid,
-        );
+            cluster: Some(u64::from(flight.home.cluster.get())),
+            node: Some(flight.proposer.get()),
+            bytes: body_bytes + cert_bytes,
+            id: ici_trace::derive_id(block_tid, 4),
+            parent: block_tid,
+            ..TraceEvent::default()
+        });
     }
     Ok(home_commit)
 }
@@ -709,17 +712,17 @@ fn stage_verify(round: &mut VoteRound<'_>, flight: &mut HeightInFlight, home_com
         }
     }
     if ici_trace::enabled() {
-        ici_trace::stage(
-            "core/verify",
-            home_commit.as_micros(),
-            network_commit.saturating_since(home_commit).as_micros(),
-            flight.block.height(),
-            None,
-            None,
-            flight.block.body_len() as u64,
-            ici_trace::derive_id(flight.block_tid, 5),
-            flight.block_tid,
-        );
+        ici_trace::record(TraceEvent {
+            kind: TraceKind::Stage,
+            name: "core/verify",
+            at_us: home_commit.as_micros(),
+            dur_us: network_commit.saturating_since(home_commit).as_micros(),
+            height: flight.block.height(),
+            bytes: flight.block.body_len() as u64,
+            id: ici_trace::derive_id(flight.block_tid, 5),
+            parent: flight.block_tid,
+            ..TraceEvent::default()
+        });
     }
 }
 

@@ -63,11 +63,15 @@ impl IciNetwork {
     /// across the blocks, then one sort), however low its own height;
     /// later queries find their transaction with one id confirmed.
     ///
+    /// Holders are asked in the order [`IciNetwork::query_body`] asks
+    /// them; one whose request or response the installed faults drop is
+    /// passed over for the next.
+    ///
     /// # Errors
     ///
     /// * [`IciError::UnknownNode`] / [`IciError::NodeDown`] — bad requester;
     /// * [`IciError::UnknownTransaction`] — the transaction is not on chain;
-    /// * [`IciError::BodyUnavailable`] — no live owner can serve it.
+    /// * [`IciError::BodyUnavailable`] — no live holder answered.
     pub fn query_transaction(
         &mut self,
         requester: NodeId,
@@ -83,46 +87,47 @@ impl IciNetwork {
         let (height, index) = self
             .locate_transaction(tx_id)
             .ok_or(IciError::UnknownTransaction(*tx_id))?;
-        // The first live holder: intra-cluster owners first, then anywhere.
-        let server = self
-            .first_served(requester, height, |_, holder, _| Some(holder))
-            .ok_or(IciError::BodyUnavailable(height))?;
-        let block = &self.chain[height as usize];
-        let tx_root = block.header().tx_root;
-
-        // The server builds the proof from its stored body: the leaves
-        // of the transaction's 8-leaf subtree and the block's kept
-        // subtree roots. `locate_transaction` returned this (height,
-        // index), so both are on-chain; surface a typed error anyway
-        // instead of panicking.
-        let proof = block
-            .prove_tx(index as usize)
-            .ok_or(IciError::UnknownHeight(height))?;
-        let transaction = block
+        // `locate_transaction` returned this (height, index), so it is
+        // on chain; surface a typed error anyway instead of panicking.
+        let transaction = self.chain[height as usize]
             .transactions()
             .get(index as usize)
             .ok_or(IciError::UnknownHeight(height))?
             .clone();
-        let response_bytes = transaction.encoded_len() as u64 + proof.encoded_len() as u64;
 
-        let there = self
-            .net
-            .send(requester, server, MessageKind::Query, QUERY_BYTES)
-            .delay()
-            .ok_or(IciError::NodeDown(server))?;
-        let back = self
-            .net
-            .send(server, requester, MessageKind::Response, response_bytes)
-            .delay()
-            .ok_or(IciError::NodeDown(server))?;
+        // The first live holder that answers, as for a body. The first
+        // one the request reaches builds the proof from its stored body
+        // (the leaves of the transaction's 8-leaf subtree and the
+        // block's kept subtree roots); the proof is the same from every
+        // holder, so a lost response re-sends it rather than rebuilding.
+        let mut proof = None;
+        let served = self.first_served(requester, height, |net, server, _| {
+            let there = net
+                .net
+                .send(requester, server, MessageKind::Query, QUERY_BYTES)
+                .delay()?;
+            if proof.is_none() {
+                proof = net.chain[height as usize].prove_tx(index as usize);
+            }
+            let bytes = transaction.encoded_len() as u64 + proof.as_ref()?.encoded_len() as u64;
+            let back = net
+                .net
+                .send(server, requester, MessageKind::Response, bytes)
+                .delay()?;
+            Some((server, there + back, bytes))
+        });
+        let (Some((server, round_trip, response_bytes)), Some(proof)) = (served, proof) else {
+            return Err(IciError::BodyUnavailable(height));
+        };
 
         // Requester-side verification against its own header.
+        let tx_root = self.chain[height as usize].header().tx_root;
         let verified = proof.verify_leaf_hash(transaction.leaf_hash(), tx_root);
         debug_assert!(verified, "server produced an invalid proof");
         if !verified {
             return Err(IciError::BodyUnavailable(height));
         }
-        let latency = there + back + cost::hash(response_bytes);
+        let latency = round_trip + cost::hash(response_bytes);
 
         Ok(TxProofReport {
             height,

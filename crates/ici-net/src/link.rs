@@ -39,6 +39,17 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
+    /// The [`Default`] link without jitter: a transit is a pure function
+    /// of the topology, the payload and nothing else, so experiment
+    /// tables over it are exactly reproducible and a vote round on a
+    /// network without faults or traced sends settles in closed form.
+    pub fn quiet() -> LinkModel {
+        LinkModel {
+            max_jitter_ms: 0.0,
+            ..LinkModel::default()
+        }
+    }
+
     /// Serialization delay for `bytes` at the configured bandwidth.
     pub fn serialization(&self, bytes: u64) -> Duration {
         let ms = (bytes as f64 * 8.0) / (self.bandwidth_mbps * 1_000.0);
@@ -153,10 +164,7 @@ mod tests {
 
     #[test]
     fn zero_jitter_configuration() {
-        let model = LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        };
+        let model = LinkModel::quiet();
         assert_eq!(
             model.jitter(NodeId::new(0), NodeId::new(1), 9),
             Duration::ZERO

@@ -336,19 +336,21 @@ impl Network {
         bytes: u64,
         outcome: SendOutcome,
     ) {
-        let dur_us = outcome.delay().map_or(0, Duration::as_micros);
-        ici_trace::send(
-            kind.name(),
-            self.at.trace.at_us,
-            dur_us,
-            from.get(),
-            to.get(),
+        let ctx = self.at.trace;
+        ici_trace::record(ici_trace::TraceEvent {
+            kind: ici_trace::TraceKind::Send,
+            name: kind.name(),
+            at_us: ctx.at_us,
+            dur_us: outcome.delay().map_or(0, Duration::as_micros),
+            height: ctx.height,
+            cluster: ctx.cluster,
+            node: Some(from.get()),
+            peer: Some(to.get()),
             bytes,
-            self.at.trace.height,
-            self.at.trace.cluster,
-            ici_trace::send_id(seq),
-            self.at.trace.parent,
-        );
+            id: ici_trace::send_id(seq),
+            parent: ctx.parent,
+            ..ici_trace::TraceEvent::default()
+        });
     }
 
     /// Adds a node at `coord` (e.g. a bootstrapping joiner). Returns its id.
@@ -421,10 +423,7 @@ mod tests {
 
     fn net(n: usize) -> Network {
         let topo = Topology::generate(n, &Placement::Uniform { side: 50.0 }, 1);
-        let link = LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        };
+        let link = LinkModel::quiet();
         Network::new(topo, link)
     }
 

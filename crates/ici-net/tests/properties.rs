@@ -55,10 +55,7 @@ fn transit_monotone_in_bytes() {
         let small = rng.gen_range(0u64..10_000);
         let extra = rng.gen_range(1u64..1_000_000);
         let topo = Topology::generate(n, &Placement::Uniform { side: 50.0 }, 7);
-        let link = LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        };
+        let link = LinkModel::quiet();
         let from = NodeId::new(rng.gen_range(0usize..n) as u64);
         let to = NodeId::new(rng.gen_range(0usize..n) as u64);
         let t1 = link.transit(&topo, from, to, small, 0);

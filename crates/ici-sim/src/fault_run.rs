@@ -18,6 +18,8 @@
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
+use ici_chain::block::BlockHeader;
+use ici_chain::codec::Encode;
 use ici_chain::transaction::Transaction;
 use ici_consensus::leader::elect_live_leader;
 use ici_consensus::pbft::VOTE_BYTES;
@@ -33,6 +35,7 @@ use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_telemetry::Label;
+use ici_trace::{TraceEvent, TraceKind};
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
 
 use crate::latency::LatencyStats;
@@ -304,6 +307,15 @@ impl Proposer {
     }
 }
 
+/// `(header, body)` bytes of a block holding all of `batch`: the price
+/// of a block nobody commits. Every batch the driver prices is fully
+/// valid (see [`crate::strategy`]), so this is the size the block would
+/// have if it were built.
+fn block_bytes(batch: &[Transaction]) -> (u64, u64) {
+    let body = batch.iter().map(|tx| tx.encoded_len() as u64).sum();
+    (BlockHeader::ENCODED_LEN as u64, body)
+}
+
 /// One all-pairs vote round among `members`.
 fn all_pairs_votes(net: &mut Network, members: &[NodeId]) {
     for from in members {
@@ -424,15 +436,15 @@ impl<S: Strategy> FaultRun<S> {
         let at_us = self.strategy.now().as_micros();
         for node in nodes {
             let group = self.groups.iter().position(|g| g.contains(node));
-            ici_trace::mark(
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Mark,
                 name,
                 at_us,
-                0,
-                group.map(|g| g as u64),
-                Some(node.get()),
-                ici_trace::derive_id(FAULT_MARK_SALT ^ round as u64, node.get()),
-                0,
-            );
+                cluster: group.map(|g| g as u64),
+                node: Some(node.get()),
+                id: ici_trace::derive_id(FAULT_MARK_SALT ^ round as u64, node.get()),
+                ..TraceEvent::default()
+            });
         }
     }
 
@@ -473,17 +485,18 @@ impl<S: Strategy> FaultRun<S> {
         };
         let leader = proposer.leader;
         if ici_trace::enabled() {
-            ici_trace::mark(
-                "byz/equivocation",
-                self.strategy.now().as_micros(),
-                proposer.height,
-                Some(proposer.home as u64),
-                Some(leader.get()),
-                ici_trace::derive_id(FAULT_MARK_SALT ^ 0xE9, round as u64 ^ leader.get()),
-                0,
-            );
+            ici_trace::record(TraceEvent {
+                kind: TraceKind::Mark,
+                name: "byz/equivocation",
+                at_us: self.strategy.now().as_micros(),
+                height: proposer.height,
+                cluster: Some(proposer.home as u64),
+                node: Some(leader.get()),
+                id: ici_trace::derive_id(FAULT_MARK_SALT ^ 0xE9, round as u64 ^ leader.get()),
+                ..TraceEvent::default()
+            });
         }
-        let sizes = self.strategy.block_bytes(lane, leader, batch);
+        let sizes = block_bytes(batch);
         let audience: Vec<NodeId> = proposer.followers().collect();
         let (half_a, half_b) = audience.split_at(audience.len() / 2);
 
@@ -549,7 +562,7 @@ impl<S: Strategy> FaultRun<S> {
         let Some(proposer) = self.elect(lane) else {
             return 0;
         };
-        let sizes = self.strategy.block_bytes(lane, proposer.leader, batch);
+        let sizes = block_bytes(batch);
         let before = self.metered();
         self.disseminate(proposer.leader, proposer.followers(), sizes);
         all_pairs_votes(self.strategy.net_mut(), &proposer.live);
@@ -837,19 +850,12 @@ mod tests {
         }
     }
 
-    fn quiet_link() -> LinkModel {
-        LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        }
-    }
-
     fn config() -> IciConfig {
         IciConfig::builder()
             .nodes(24)
             .cluster_size(8)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(7)
             .build()
             .expect("valid")
@@ -1110,7 +1116,7 @@ mod tests {
         FullConfig {
             nodes: 24,
             fanout: 4,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 2,
             ..FullConfig::default()
         }
@@ -1120,7 +1126,7 @@ mod tests {
         RapidChainConfig {
             nodes: 24,
             committee_size: 8,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 2,
             ..RapidChainConfig::default()
         }
@@ -1255,10 +1261,7 @@ mod tests {
 
         // Everyone live: 7 followers split 3 + 4, both halves witness.
         let mut run = fault_run::<S>(config());
-        let sizes = {
-            let leader = run.elect(0).expect("live").leader;
-            run.strategy.block_bytes(0, leader, &batch)
-        };
+        let sizes = block_bytes(&batch);
         let (detected, wasted) = run.equivocate(0, &batch, 0);
         assert!(detected, "{}: both halves hold a witness", S::LABEL);
         let meter = run.strategy.net().meter();
@@ -1300,7 +1303,7 @@ mod tests {
             .nodes(8)
             .cluster_size(8)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(7)
             .build()
             .expect("valid")
@@ -1331,8 +1334,7 @@ mod tests {
         let batch = WorkloadGenerator::new(workload()).batch(4);
         let mut run = fault_run::<S>(config());
         thin_home_group(&mut run, 0, 4);
-        let leader = run.elect(0).expect("live").leader;
-        let sizes = run.strategy.block_bytes(0, leader, &batch);
+        let sizes = block_bytes(&batch);
         // The leader reaches its 4 live followers, then all 5 vote.
         let expected = dissemination_bytes(&run.strategy, 4, sizes) + 5 * 4 * VOTE_BYTES;
         assert_eq!(run.charge_stalled(0, &batch), expected, "{}", S::LABEL);

@@ -181,20 +181,13 @@ mod tests {
         }
     }
 
-    fn quiet_link() -> LinkModel {
-        LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        }
-    }
-
     #[test]
     fn ici_run_produces_consistent_summary() {
         let config = IciConfig::builder()
             .nodes(24)
             .cluster_size(8)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .build()
             .expect("valid");
         let (network, summary) = run_ici(config, 4, 6, workload());
@@ -210,7 +203,7 @@ mod tests {
     fn full_run_stores_everything() {
         let config = FullConfig {
             nodes: 24,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 1,
             ..FullConfig::default()
         };
@@ -224,7 +217,7 @@ mod tests {
         let config = RapidChainConfig {
             nodes: 40,
             committee_size: 10,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 1,
             ..RapidChainConfig::default()
         };
@@ -242,13 +235,13 @@ mod tests {
             .nodes(32)
             .cluster_size(16)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .build()
             .expect("valid");
         let (_, ici) = run_ici(ici_cfg, 5, 8, workload());
         let full_cfg = FullConfig {
             nodes: 32,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 1,
             ..FullConfig::default()
         };
@@ -268,7 +261,7 @@ mod tests {
                 .nodes(16)
                 .cluster_size(8)
                 .replication(2)
-                .link(quiet_link())
+                .link(LinkModel::quiet())
                 .build()
                 .expect("valid")
         };

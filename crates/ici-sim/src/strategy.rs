@@ -14,24 +14,28 @@
 //! | plan groups | formed clusters | the whole network | committees |
 //! | lanes (ledgers) | 1 | 1 | one per shard; every shard proposes every round |
 //! | dissemination | body to the first `r` members, header to the rest | full block to everyone | full block to the committee |
-//! | block priced by | sealing it against the state | encoded transactions | encoded transactions |
+//! | a block nobody commits is priced by | header + encoded transactions | header + encoded transactions | header + encoded transactions |
 //! | vote round ([`VerdictScope`]) | every cluster (a home stall burns the round) | none: solo validation | each proposing committee, on its own block |
 //! | an equivocator's twins meet in | the all-pairs vote round | the gossip relay ring | the all-pairs vote round |
 //! | stage-boundary crashes | yes | no stages | no stages |
 //! | after each fault round | repair + Merkle audit of churned clusters | nothing | nothing |
 //! | after the plan ends | final repair, whole-network audit | nothing | nothing |
 //!
-//! Pricing a baseline block by its encoded transactions rather than
-//! building it against the baseline's private shard state is a
-//! modelling substitution: it keeps the traffic honest without
-//! widening the baselines' APIs.
+//! A block nobody commits (an equivocator's twin, a stalled proposal)
+//! is priced by its header and encoded transactions rather than built
+//! against the strategy's ledger state. The two agree because every
+//! batch the driver prices is fully valid: the run's genesis funds
+//! every sender for the whole run (for any workload whose transfers fit
+//! that balance, as every experiment's do), nonces are sequential, and
+//! a lane whose block was refused retries the same batch. So every
+//! committed block holds its whole batch, and a built twin would too;
+//! `tests/runner_golden.rs` asserts the first under every fault
+//! profile it pins.
 
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_baselines::record::BaselineCommitRecord;
 use ici_chain::block::BlockHeader;
-use ici_chain::builder::BlockBuilder;
-use ici_chain::codec::Encode;
 use ici_chain::genesis::GenesisConfig;
 use ici_chain::transaction::Transaction;
 use ici_core::config::IciConfig;
@@ -111,14 +115,6 @@ pub trait Strategy: Sized {
     /// The group (by index) that proposes next on `lane` and the header
     /// it builds on; `None` if no group can propose.
     fn next_proposal(&self, lane: usize) -> Option<(usize, BlockHeader)>;
-
-    /// `(header, body)` bytes of the block `leader` would build from
-    /// `batch` on `lane`. By default the header plus the encoded
-    /// transactions, priced without a ledger state to build against.
-    fn block_bytes(&self, _lane: usize, _leader: NodeId, batch: &[Transaction]) -> (u64, u64) {
-        let body = batch.iter().map(|tx| tx.to_bytes().len() as u64).sum();
-        (BlockHeader::ENCODED_LEN as u64, body)
-    }
 
     /// What the leader sends the `rank`-th recipient of a block: by
     /// default the full block, whoever it is.
@@ -208,15 +204,6 @@ impl Strategy for IciNetwork {
         let tip = *self.tip();
         let home = self.proposer_cluster(tip.height + 1)?;
         Some((home.index(), tip))
-    }
-
-    fn block_bytes(&self, _lane: usize, leader: NodeId, batch: &[Transaction]) -> (u64, u64) {
-        let parent = *self.tip();
-        let timestamp_ms = (parent.timestamp_ms + 1).max(self.now().as_millis());
-        let mut builder =
-            BlockBuilder::new(&parent, self.state().clone(), leader.get(), timestamp_ms);
-        builder.fill(batch.to_vec());
-        (BlockHeader::ENCODED_LEN as u64, builder.body_len() as u64)
     }
 
     fn payload(&self, rank: usize, header: u64, body: u64) -> (MessageKind, u64) {

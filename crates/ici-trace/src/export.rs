@@ -252,8 +252,8 @@ mod tests {
                 None
             },
             bytes: if kind == TraceKind::Mark { 0 } else { 512 },
-            id: crate::mint_id(seq),
-            parent: if seq == 0 { 0 } else { crate::mint_id(seq - 1) },
+            id: crate::send_id(seq),
+            parent: if seq == 0 { 0 } else { crate::send_id(seq - 1) },
         }
     }
 
@@ -291,7 +291,7 @@ mod tests {
         let root = json.lines().find(|l| l.contains("\"seq\": 0")).unwrap();
         assert!(!root.contains("\"parent\""));
         let child = json.lines().find(|l| l.contains("\"seq\": 1")).unwrap();
-        assert!(child.contains(&format!("\"parent\": \"{}\"", hex_id(crate::mint_id(0)))));
+        assert!(child.contains(&format!("\"parent\": \"{}\"", hex_id(crate::send_id(0)))));
         assert_eq!(canonical_json("TRACE_test", &sample()), json);
     }
 

@@ -12,11 +12,14 @@
 //!
 //! # Gating
 //!
-//! Tracing is off by default. [`enabled`] is a single relaxed atomic
-//! load and every recording wrapper is `#[inline(always)]` with a
-//! `#[cold]`-outlined body, so the disabled path costs ~a nanosecond
-//! per hook (measured by `ici-bench`'s telemetry bench, alongside the
-//! span figure). Enable with `ICI_TRACE=1` (see [`init_from_env`]) or
+//! Tracing is off by default. Every event goes through one entry
+//! point, [`record`], which an emitter calls with a [`TraceEvent`]
+//! built field by field, after checking [`enabled`] — a single relaxed
+//! atomic load — so the disabled path builds nothing and costs ~a
+//! nanosecond per hook (measured by `ici-bench`'s telemetry bench,
+//! alongside the span figure). `record` checks the flag again, so a
+//! call that skips the check still records nothing while tracing is
+//! off. Enable with `ICI_TRACE=1` (see [`init_from_env`]) or
 //! [`set_enabled`] in tests.
 //!
 //! # Collectors
@@ -88,13 +91,15 @@ pub fn out_dir() -> String {
 }
 
 /// Event class, coarser than the event name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceKind {
     /// A network transmission (one `Network::send` that opted in).
     Send,
     /// A lifecycle stage with a begin time and a duration.
     Stage,
-    /// An instantaneous annotation (crash, restart, …).
+    /// An instantaneous annotation (crash, restart, …); the default,
+    /// as the event whose duration and bytes are zero.
+    #[default]
     Mark,
 }
 
@@ -110,7 +115,11 @@ impl TraceKind {
 }
 
 /// One recorded event. All times are virtual microseconds.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Emitters name every field they set and take the rest from
+/// [`Default`] (`..TraceEvent::default()`): zero times and bytes, no
+/// cluster, node or peer. [`record`] assigns `seq`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global record order, assigned by the collector. A run records on
     /// one thread into one ring, so this is the order events happened
@@ -134,8 +143,8 @@ pub struct TraceEvent {
     pub peer: Option<u64>,
     /// Payload bytes attributed to the event (0 when not applicable).
     pub bytes: u64,
-    /// Causal id of this event (non-zero; mint via [`mint_id`],
-    /// [`send_id`] or [`derive_id`]).
+    /// Causal id of this event (non-zero; from [`send_id`] or
+    /// [`derive_id`]).
     pub id: u64,
     /// Causal id of the event this one descends from (0 = root).
     pub parent: u64,
@@ -177,11 +186,6 @@ fn nonzero(id: u64) -> u64 {
     }
 }
 
-/// Mints a causal id from a deterministic seed (never 0).
-pub fn mint_id(seed: u64) -> u64 {
-    nonzero(mix(seed))
-}
-
 /// The id a send with network sequence number `seq` will carry. Pure
 /// function of the sequence counter, so sender and
 /// receiver sides agree without any shared mutable state.
@@ -221,159 +225,15 @@ fn with_collector<T>(f: impl FnOnce(&mut Collector) -> T) -> Option<T> {
     COLLECTOR.with(|cell| cell.try_borrow_mut().ok().map(|mut c| f(&mut c)))
 }
 
-fn record(event: TraceEvent) {
-    with_collector(|c| c.push(event));
-}
-
-/// Records a lifecycle stage event (begin at `at_us`, lasting
-/// `dur_us`). No-op unless tracing is enabled; the disabled path is
-/// one relaxed atomic load.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub fn stage(
-    name: &'static str,
-    at_us: u64,
-    dur_us: u64,
-    height: u64,
-    cluster: Option<u64>,
-    node: Option<u64>,
-    bytes: u64,
-    id: u64,
-    parent: u64,
-) {
-    if enabled() {
-        record_stage(
-            name, at_us, dur_us, height, cluster, node, bytes, id, parent,
-        );
-    }
-}
-
+/// Records `event` on the calling thread's collector, which assigns its
+/// [`TraceEvent::seq`]. No-op unless tracing is enabled. Emitters check
+/// [`enabled`] before they build an event, so an untraced run never
+/// constructs one; `#[cold]` keeps that construction off their hot path.
 #[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn record_stage(
-    name: &'static str,
-    at_us: u64,
-    dur_us: u64,
-    height: u64,
-    cluster: Option<u64>,
-    node: Option<u64>,
-    bytes: u64,
-    id: u64,
-    parent: u64,
-) {
-    record(TraceEvent {
-        seq: 0,
-        kind: TraceKind::Stage,
-        name,
-        at_us,
-        dur_us,
-        height,
-        cluster,
-        node,
-        peer: None,
-        bytes,
-        id,
-        parent,
-    });
-}
-
-/// Records one network transmission `from -> to`. No-op unless tracing
-/// is enabled.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub fn send(
-    name: &'static str,
-    at_us: u64,
-    dur_us: u64,
-    from: u64,
-    to: u64,
-    bytes: u64,
-    height: u64,
-    cluster: Option<u64>,
-    id: u64,
-    parent: u64,
-) {
+pub fn record(event: TraceEvent) {
     if enabled() {
-        record_send(
-            name, at_us, dur_us, from, to, bytes, height, cluster, id, parent,
-        );
+        with_collector(|c| c.push(event));
     }
-}
-
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn record_send(
-    name: &'static str,
-    at_us: u64,
-    dur_us: u64,
-    from: u64,
-    to: u64,
-    bytes: u64,
-    height: u64,
-    cluster: Option<u64>,
-    id: u64,
-    parent: u64,
-) {
-    record(TraceEvent {
-        seq: 0,
-        kind: TraceKind::Send,
-        name,
-        at_us,
-        dur_us,
-        height,
-        cluster,
-        node: Some(from),
-        peer: Some(to),
-        bytes,
-        id,
-        parent,
-    });
-}
-
-/// Records an instantaneous annotation (crash, restart, …). No-op
-/// unless tracing is enabled.
-#[inline(always)]
-pub fn mark(
-    name: &'static str,
-    at_us: u64,
-    height: u64,
-    cluster: Option<u64>,
-    node: Option<u64>,
-    id: u64,
-    parent: u64,
-) {
-    if enabled() {
-        record_mark(name, at_us, height, cluster, node, id, parent);
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn record_mark(
-    name: &'static str,
-    at_us: u64,
-    height: u64,
-    cluster: Option<u64>,
-    node: Option<u64>,
-    id: u64,
-    parent: u64,
-) {
-    record(TraceEvent {
-        seq: 0,
-        kind: TraceKind::Mark,
-        name,
-        at_us,
-        dur_us: 0,
-        height,
-        cluster,
-        node,
-        peer: None,
-        bytes: 0,
-        id,
-        parent,
-    });
 }
 
 /// Everything the calling thread's collector holds right now.
@@ -414,8 +274,47 @@ mod tests {
         FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn stage_named(name: &'static str) {
-        stage(name, 10, 5, 1, Some(2), Some(3), 100, mint_id(7), 0);
+    fn stage(name: &'static str) -> TraceEvent {
+        TraceEvent {
+            kind: TraceKind::Stage,
+            name,
+            at_us: 10,
+            dur_us: 5,
+            height: 1,
+            cluster: Some(2),
+            node: Some(3),
+            bytes: 100,
+            id: derive_id(7, 0),
+            ..TraceEvent::default()
+        }
+    }
+
+    fn send(name: &'static str) -> TraceEvent {
+        TraceEvent {
+            kind: TraceKind::Send,
+            name,
+            at_us: 1,
+            dur_us: 2,
+            height: 6,
+            cluster: Some(7),
+            node: Some(3),
+            peer: Some(4),
+            bytes: 5,
+            id: send_id(9),
+            parent: 8,
+            ..TraceEvent::default()
+        }
+    }
+
+    fn mark(name: &'static str) -> TraceEvent {
+        TraceEvent {
+            kind: TraceKind::Mark,
+            name,
+            at_us: 2,
+            node: Some(1),
+            id: derive_id(2, 0),
+            ..TraceEvent::default()
+        }
     }
 
     #[test]
@@ -423,9 +322,9 @@ mod tests {
         let _flag = flag_guard();
         set_enabled(false);
         reset();
-        stage_named("t/never");
-        send("t/never", 0, 1, 2, 3, 4, 5, None, send_id(0), 0);
-        mark("t/never", 0, 0, None, None, mint_id(1), 0);
+        record(stage("t/never"));
+        record(send("t/never"));
+        record(mark("t/never"));
         assert!(snapshot().events.is_empty());
     }
 
@@ -434,9 +333,9 @@ mod tests {
         let _flag = flag_guard();
         set_enabled(true);
         reset();
-        stage_named("t/a");
-        send("t/b", 1, 2, 3, 4, 5, 6, Some(7), send_id(9), 8);
-        mark("t/c", 2, 0, None, Some(1), mint_id(2), 0);
+        record(stage("t/a"));
+        record(send("t/b"));
+        record(mark("t/c"));
         set_enabled(false);
         let snap = snapshot();
         let names: Vec<_> = snap.events.iter().map(|e| e.name).collect();
@@ -451,13 +350,12 @@ mod tests {
 
     #[test]
     fn ids_are_nonzero_and_stable() {
-        assert_ne!(mint_id(0), 0);
         assert_ne!(send_id(0), 0);
         assert_ne!(derive_id(0, 0), 0);
         assert_eq!(send_id(42), send_id(42));
         assert_ne!(send_id(42), send_id(43));
         assert_ne!(derive_id(7, 1), derive_id(7, 2));
-        assert_ne!(mint_id(5), send_id(5));
+        assert_ne!(derive_id(5, 0), send_id(5));
     }
 
     #[test]
@@ -466,7 +364,13 @@ mod tests {
         set_enabled(true);
         reset();
         for i in 0..(EVENT_CAPACITY as u64 + 3) {
-            stage("t/wrap", i, 0, 0, None, None, 0, mint_id(i), 0);
+            record(TraceEvent {
+                kind: TraceKind::Stage,
+                name: "t/wrap",
+                at_us: i,
+                id: derive_id(i, 0),
+                ..TraceEvent::default()
+            });
         }
         set_enabled(false);
         let snap = snapshot();

@@ -20,10 +20,7 @@ fn main() {
         accounts: 128,
         ..WorkloadConfig::default()
     };
-    let link = LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    };
+    let link = LinkModel::quiet();
 
     let (_, full) = run_full(
         FullConfig {

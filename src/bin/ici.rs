@@ -144,13 +144,6 @@ fn workload(seed: u64) -> WorkloadConfig {
     }
 }
 
-fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
-}
-
 fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
     match name {
         "ici" => {
@@ -158,7 +151,7 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
                 .nodes(opts.nodes)
                 .cluster_size(opts.cluster_size)
                 .replication(opts.replication)
-                .link(quiet_link())
+                .link(LinkModel::quiet())
                 .seed(opts.seed)
                 .build()
                 .map_err(|e| e.to_string())?;
@@ -167,7 +160,7 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
         "full" => Ok(run_full(
             FullConfig {
                 nodes: opts.nodes,
-                link: quiet_link(),
+                link: LinkModel::quiet(),
                 seed: opts.seed,
                 ..FullConfig::default()
             },
@@ -182,7 +175,7 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
                 RapidChainConfig {
                     nodes: opts.nodes,
                     committee_size: opts.nodes.div_ceil(shards),
-                    link: quiet_link(),
+                    link: LinkModel::quiet(),
                     seed: opts.seed,
                     ..RapidChainConfig::default()
                 },

@@ -19,13 +19,6 @@ use icistrategy::net::link::LinkModel;
 use icistrategy::prelude::*;
 use icistrategy::workload::PayloadSize;
 
-fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
-}
-
 fn workload(seed: u64) -> WorkloadConfig {
     WorkloadConfig {
         accounts: 96,
@@ -84,7 +77,7 @@ fn measured_per_node_storage_is_the_analytic_model() {
             .nodes(nodes)
             .cluster_size(c)
             .replication(r)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(seed)
             .build()
             .expect("a valid deployment");
@@ -100,7 +93,7 @@ fn measured_per_node_storage_is_the_analytic_model() {
 
         let full_config = FullConfig {
             nodes,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed,
             ..FullConfig::default()
         };
@@ -117,7 +110,7 @@ fn measured_per_node_storage_is_the_analytic_model() {
         let rapid_config = RapidChainConfig {
             nodes,
             committee_size: committee,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed,
             ..RapidChainConfig::default()
         };

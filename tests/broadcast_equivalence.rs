@@ -141,18 +141,20 @@ impl ModelNet {
             }
         };
         if self.ctx.sends {
-            ici_trace::send(
-                kind.name(),
-                self.ctx.at_us,
-                outcome.delay().map_or(0, Duration::as_micros),
-                from.get(),
-                to.get(),
+            ici_trace::record(ici_trace::TraceEvent {
+                kind: ici_trace::TraceKind::Send,
+                name: kind.name(),
+                at_us: self.ctx.at_us,
+                dur_us: outcome.delay().map_or(0, Duration::as_micros),
+                height: self.ctx.height,
+                cluster: self.ctx.cluster,
+                node: Some(from.get()),
+                peer: Some(to.get()),
                 bytes,
-                self.ctx.height,
-                self.ctx.cluster,
-                ici_trace::send_id(seq),
-                self.ctx.parent,
-            );
+                id: ici_trace::send_id(seq),
+                parent: self.ctx.parent,
+                ..ici_trace::TraceEvent::default()
+            });
         }
         outcome
     }

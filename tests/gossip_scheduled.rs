@@ -25,13 +25,7 @@ const NODES: usize = 512;
 /// `placement`.
 fn flood(placement: &Placement) -> (u64, u64) {
     let topology = Topology::generate(NODES, placement, 17);
-    let mut net = Network::new(
-        topology,
-        LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        },
-    );
+    let mut net = Network::new(topology, LinkModel::quiet());
     let peers: Vec<NodeId> = (0..NODES as u64).map(NodeId::new).collect();
     ici_telemetry::reset();
     let receipts = gossip_flood(

@@ -8,13 +8,6 @@ use icistrategy::prelude::*;
 use icistrategy::sim::{run_full_under_faults, run_rapidchain_under_faults};
 use prop_support::{crash_and_byzantine, overspending_workload, replay_from_genesis};
 
-fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
-}
-
 fn workload(seed: u64) -> WorkloadConfig {
     WorkloadConfig {
         accounts: 128,
@@ -38,7 +31,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
     let (_, full) = run_full(
         FullConfig {
             nodes: n,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 2,
             ..FullConfig::default()
         },
@@ -50,7 +43,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
         RapidChainConfig {
             nodes: n,
             committee_size: 32, // 4 shards
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 2,
             ..RapidChainConfig::default()
         },
@@ -63,7 +56,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
             .nodes(n)
             .cluster_size(32)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(2)
             .build()
             .expect("valid configuration"),
@@ -93,7 +86,7 @@ fn communication_per_block_ici_below_full_replication() {
     let (_, full) = run_full(
         FullConfig {
             nodes: n,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 3,
             ..FullConfig::default()
         },
@@ -106,7 +99,7 @@ fn communication_per_block_ici_below_full_replication() {
             .nodes(n)
             .cluster_size(16)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(3)
             .build()
             .expect("valid configuration"),
@@ -129,7 +122,7 @@ fn bootstrap_ordering_matches_the_abstract() {
     let (mut full_net, _) = run_full(
         FullConfig {
             nodes: n,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 4,
             ..FullConfig::default()
         },
@@ -143,7 +136,7 @@ fn bootstrap_ordering_matches_the_abstract() {
         RapidChainConfig {
             nodes: n,
             committee_size: 24, // 4 shards
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 4,
             ..RapidChainConfig::default()
         },
@@ -158,7 +151,7 @@ fn bootstrap_ordering_matches_the_abstract() {
             .nodes(n)
             .cluster_size(24)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(4)
             .build()
             .expect("valid configuration"),
@@ -188,7 +181,7 @@ fn all_strategies_commit_the_same_transactions() {
     let (_, full) = run_full(
         FullConfig {
             nodes: 48,
-            link: quiet_link(),
+            link: LinkModel::quiet(),
             seed: 6,
             ..FullConfig::default()
         },
@@ -201,7 +194,7 @@ fn all_strategies_commit_the_same_transactions() {
             .nodes(48)
             .cluster_size(12)
             .replication(2)
-            .link(quiet_link())
+            .link(LinkModel::quiet())
             .seed(6)
             .build()
             .expect("valid configuration"),
@@ -222,7 +215,7 @@ fn rapidchain_parallelism_shows_in_throughput() {
             RapidChainConfig {
                 nodes,
                 committee_size: 24,
-                link: quiet_link(),
+                link: LinkModel::quiet(),
                 seed: 7,
                 ..RapidChainConfig::default()
             },
@@ -249,14 +242,14 @@ fn rapidchain_parallelism_shows_in_throughput() {
 fn committed_chains_replay_from_genesis() {
     let full = || FullConfig {
         nodes: 32,
-        link: quiet_link(),
+        link: LinkModel::quiet(),
         seed: 9,
         ..FullConfig::default()
     };
     let rapidchain = || RapidChainConfig {
         nodes: 32,
         committee_size: 8,
-        link: quiet_link(),
+        link: LinkModel::quiet(),
         seed: 9,
         ..RapidChainConfig::default()
     };

@@ -81,6 +81,59 @@ fn spv_proof_exists_for_every_committed_transaction() {
     }
 }
 
+/// A transaction proof falls through to the next holder, as a body
+/// read does, when the installed faults cut the first one off: a
+/// partition isolates the requester's first intra-cluster owner of the
+/// height, and the second owner serves the proof.
+#[test]
+fn spv_proof_falls_through_a_partitioned_owner() {
+    use icistrategy::net::faults::{FaultConfig, PartitionSpec};
+
+    let mut net = network();
+    let batch = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 64,
+        seed: 58,
+        ..WorkloadConfig::default()
+    })
+    .batch(8);
+    let id = batch[3].id();
+    net.propose_block(batch).expect("commits");
+    let height = net.chain_len() - 1;
+
+    // The first node that does not own the height itself.
+    let owners_of = |net: &IciNetwork, node| -> Vec<NodeId> {
+        net.owners_at(net.membership().cluster_of(node), height)
+            .collect()
+    };
+    let nodes = net.config().nodes;
+    let requester = (0..nodes as u64)
+        .map(NodeId::new)
+        .find(|node| !owners_of(&net, *node).contains(node))
+        .expect("a cluster of 12 has non-owners");
+    let owners = owners_of(&net, requester);
+    assert_eq!(owners.len(), 2, "r = 2 owners in the requester's cluster");
+    let (first, second) = (owners[0], owners[1]);
+    net.net_mut().set_faults(FaultConfig {
+        partition: Some(PartitionSpec::split(nodes, &[first])),
+        ..FaultConfig::default()
+    });
+
+    let report = net
+        .query_transaction(requester, &id)
+        .unwrap_or_else(|e| panic!("the second owner should answer: {e}"));
+    assert_eq!(report.server, second);
+    assert_eq!(report.transaction.id(), id);
+    let header = *net.block(height).expect("block").header();
+    assert!(report.proof.verify(
+        &icistrategy::chain::codec::Encode::to_bytes(&report.transaction),
+        header.tx_root
+    ));
+
+    // A body read of the same height takes the same path.
+    let body = net.query_body(requester, height).expect("served");
+    assert_eq!(body.server, second);
+}
+
 #[test]
 fn pool_refills_between_blocks_and_nonces_stay_valid() {
     let mut net = network();

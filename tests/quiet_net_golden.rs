@@ -27,13 +27,6 @@ use ici_net::metrics::TrafficMeter;
 use icistrategy::crypto::Sha256;
 use icistrategy::prelude::*;
 
-fn quiet_link() -> LinkModel {
-    LinkModel {
-        max_jitter_ms: 0.0,
-        ..LinkModel::default()
-    }
-}
-
 fn workload() -> WorkloadGenerator {
     WorkloadGenerator::new(WorkloadConfig {
         seed: 19,
@@ -71,7 +64,7 @@ fn ici_network(nodes: usize, cluster_size: usize) -> IciNetwork {
         .nodes(nodes)
         .cluster_size(cluster_size)
         .replication(2)
-        .link(quiet_link())
+        .link(LinkModel::quiet())
         .seed(13)
         .build()
         .expect("valid");
@@ -168,7 +161,7 @@ fn rapidchain_line(
     let mut net = RapidChainNetwork::new(RapidChainConfig {
         nodes,
         committee_size,
-        link: quiet_link(),
+        link: LinkModel::quiet(),
         seed: 13,
         ..RapidChainConfig::default()
     });
@@ -213,7 +206,7 @@ fn full_line() -> String {
     let mut net = FullReplicationNetwork::new(FullConfig {
         nodes: 24,
         fanout: 4,
-        link: quiet_link(),
+        link: LinkModel::quiet(),
         seed: 13,
         ..FullConfig::default()
     });

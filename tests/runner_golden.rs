@@ -113,10 +113,31 @@ fn stage_churn() -> FaultProfile {
     }
 }
 
-/// One fault run as a line of exact values.
+/// Transactions offered to every block of a fault run.
+const TXS_PER_BLOCK: usize = 5;
+
+/// Every block `network` committed holds its whole batch. The fault
+/// driver prices a block nobody commits (an equivocator's twin, a
+/// stalled proposal) by its header and encoded batch without building
+/// it, which is the built size only while no batch loses a transaction.
+fn assert_whole_batches<S: Strategy>(network: &S) {
+    for commit in network.commits() {
+        assert_eq!(
+            commit.tx_count as usize,
+            TXS_PER_BLOCK,
+            "{} height {}: a committed block dropped part of its batch",
+            S::LABEL,
+            commit.height
+        );
+    }
+}
+
+/// One fault run as a line of exact values, after checking that every
+/// committed block holds its whole batch.
 macro_rules! fault_line {
     ($run:expr) => {{
         let (network, s) = $run.expect("plan builds");
+        assert_whole_batches(&network);
         let txs: u64 = network.commit_log().iter().map(|r| r.tx_count as u64).sum();
         let meter = network.net().meter().total();
         format!(
@@ -146,7 +167,7 @@ macro_rules! fault_line {
 
 /// The ICI-only half of a fault run: repair, audit and stage churn.
 fn ici_fault_line(profile: FaultProfile) -> String {
-    let run = run_ici_under_faults(ici_config(), 5, workload(), profile);
+    let run = run_ici_under_faults(ici_config(), TXS_PER_BLOCK, workload(), profile);
     let (_, s) = run.as_ref().expect("plan builds");
     let ici_only = format!(
         " repair_bytes={} transfers={} recoveries={}/{} cross={} lost={} missed_verdicts={} \
@@ -169,13 +190,18 @@ fn ici_fault_line(profile: FaultProfile) -> String {
 }
 
 fn full_fault_line(profile: FaultProfile) -> String {
-    fault_line!(run_full_under_faults(full_config(), 5, workload(), profile))
+    fault_line!(run_full_under_faults(
+        full_config(),
+        TXS_PER_BLOCK,
+        workload(),
+        profile
+    ))
 }
 
 fn rapidchain_fault_line(profile: FaultProfile) -> String {
     fault_line!(run_rapidchain_under_faults(
         rapidchain_config(),
-        5,
+        TXS_PER_BLOCK,
         workload(),
         profile
     ))

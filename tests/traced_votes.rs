@@ -34,13 +34,7 @@ fn traced_sends_keep_every_vote_on_the_wire() {
     let members: Vec<NodeId> = (0..20).map(NodeId::new).collect();
     let quiet = || {
         let topo = Topology::generate(20, &Placement::Uniform { side: 20.0 }, 3);
-        let mut net = Network::new(
-            topo,
-            LinkModel {
-                max_jitter_ms: 0.0,
-                ..LinkModel::default()
-            },
-        );
+        let mut net = Network::new(topo, LinkModel::quiet());
         net.crash(NodeId::new(7));
         net
     };

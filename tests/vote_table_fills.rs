@@ -33,10 +33,7 @@ fn each_committee_fills_its_delay_table_once_per_run() {
     let mut net = RapidChainNetwork::new(RapidChainConfig {
         nodes,
         committee_size: committee,
-        link: LinkModel {
-            max_jitter_ms: 0.0,
-            ..LinkModel::default()
-        },
+        link: LinkModel::quiet(),
         genesis: GenesisConfig::uniform(64, 1_000_000),
         seed: 5,
     });
