@@ -156,24 +156,11 @@ impl RapidChainNetwork {
         &self.commit_log
     }
 
-    /// Commits one block of `pending` in `shard`: leader election,
-    /// IDA-gossip dissemination, solo validation (RapidChain members all
-    /// validate the full block), two vote rounds.
-    ///
-    /// Returns `None` if the committee has no live leader or no quorum.
-    pub fn propose_block(
-        &mut self,
-        shard: usize,
-        pending: Vec<Transaction>,
-    ) -> Option<&BaselineCommitRecord> {
-        match self.propose_round(vec![(shard, pending)]).first() {
-            Some(Some(_)) => self.commit_log.last(),
-            _ => None,
-        }
-    }
-
     /// Commits one block per entry of `batches` (shard id, pending txs) —
-    /// committees are disjoint, so shards only meet at the meter.
+    /// committees are disjoint, so shards only meet at the meter. Each
+    /// block goes through leader election, IDA-gossip dissemination,
+    /// solo validation (RapidChain members all validate the full block)
+    /// and two vote rounds.
     ///
     /// Each proposal runs on its own [`Network::stream`] (id = shard id),
     /// all taken before the round's first proposal runs; a record's
@@ -374,7 +361,8 @@ mod tests {
     #[test]
     fn shard_block_commits_with_quorum() {
         let mut net = network(60, 20);
-        let record = net.propose_block(1, txs(5, 0)).expect("commits").clone();
+        net.propose_round(vec![(1, txs(5, 0))])[0].expect("commits");
+        let record = net.commit_log().last().expect("logged").clone();
         assert_eq!(record.height, 1);
         assert!(record.reached >= quorum(20));
         assert_eq!(net.shard_chain_len(1), 2);
@@ -385,9 +373,9 @@ mod tests {
     fn storage_is_own_shard_only() {
         let mut net = network(60, 20);
         for round in 0..3 {
-            net.propose_block(0, txs(4, round)).expect("commits");
+            net.propose_round(vec![(0, txs(4, round))])[0].expect("commits");
         }
-        net.propose_block(1, txs(4, 0)).expect("commits");
+        net.propose_round(vec![(1, txs(4, 0))])[0].expect("commits");
 
         let storage = net.storage_bytes();
         let shard0_member = net.committee(0)[0];
@@ -403,9 +391,9 @@ mod tests {
     #[test]
     fn shards_progress_independently() {
         let mut net = network(60, 20);
-        net.propose_block(0, txs(3, 0)).expect("commits");
-        net.propose_block(1, txs(3, 0)).expect("commits");
-        net.propose_block(0, txs(3, 1)).expect("commits");
+        net.propose_round(vec![(0, txs(3, 0))])[0].expect("commits");
+        net.propose_round(vec![(1, txs(3, 0))])[0].expect("commits");
+        net.propose_round(vec![(0, txs(3, 1))])[0].expect("commits");
         assert_eq!(net.shard_chain_len(0), 3);
         assert_eq!(net.shard_chain_len(1), 2);
         assert_eq!(net.shard_chain_len(2), 1);
@@ -416,7 +404,7 @@ mod tests {
     fn bootstrap_downloads_the_shard() {
         let mut net = network(60, 20);
         for round in 0..3 {
-            net.propose_block(0, txs(4, round)).expect("commits");
+            net.propose_round(vec![(0, txs(4, round))])[0].expect("commits");
         }
         let expected: u64 = (0..4)
             .map(|h| {
@@ -433,7 +421,8 @@ mod tests {
     #[test]
     fn ida_shard_traffic_dominates_commit_bytes() {
         let mut net = network(40, 40);
-        let record = net.propose_block(0, txs(10, 0)).expect("commits").clone();
+        net.propose_round(vec![(0, txs(10, 0))])[0].expect("commits");
+        let record = net.commit_log().last().expect("logged").clone();
         let shard_bytes = net.net().meter().kind(MessageKind::BlockShard).bytes;
         assert!(shard_bytes > 0);
         assert!(record.bytes >= shard_bytes);
@@ -445,6 +434,6 @@ mod tests {
         for &m in net.committee(0).to_vec().iter() {
             net.net_mut().crash(m);
         }
-        assert!(net.propose_block(0, txs(2, 0)).is_none());
+        assert!(net.propose_round(vec![(0, txs(2, 0))])[0].is_none());
     }
 }

@@ -173,7 +173,7 @@ fn bench_rapidchain_block() {
             )
         },
         |(mut network, batch)| {
-            network.propose_block(0, batch).expect("commits");
+            network.propose_round(vec![(0, batch)])[0].expect("commits");
             network
         },
     );

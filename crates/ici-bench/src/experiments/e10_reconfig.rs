@@ -11,8 +11,9 @@
 use ici_bench::{ici_builder, standard_workload, Report, Scale};
 use ici_cluster::membership::JoinPolicy;
 use ici_core::config::Clustering;
+use ici_core::network::IciNetwork;
 use ici_net::topology::Coord;
-use ici_sim::runner::run_ici;
+use ici_sim::runner;
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 use ici_workload::WorkloadGenerator;
@@ -51,7 +52,7 @@ pub fn run(scale: Scale) -> Report {
         ("random", Clustering::Random),
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
-        let (mut network, _) = run_ici(
+        let (mut network, _) = runner::run::<IciNetwork>(
             ici_builder(n, c, 2, 41)
                 .clustering(clustering)
                 .build()

@@ -48,7 +48,7 @@ pub fn run(scale: Scale) -> Report {
             let is_ici = summary.strategy == "ICIStrategy";
             measured.row([
                 n.to_string(),
-                summary.strategy.clone(),
+                summary.strategy.to_string(),
                 format_bytes(summary.storage.mean as u64),
                 format_bytes(summary.storage.max),
                 format!("{:.4}", summary.storage_fraction()),

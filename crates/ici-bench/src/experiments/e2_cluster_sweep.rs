@@ -13,7 +13,8 @@
 use ici_baselines::analytic::{ici_per_node, LedgerShape};
 use ici_bench::{block_count, ici_config, standard_workload, txs_per_block, Report, Scale};
 use ici_chain::block::BlockHeader;
-use ici_sim::runner::run_ici;
+use ici_core::network::IciNetwork;
+use ici_sim::runner;
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -49,8 +50,12 @@ pub fn run(scale: Scale) -> Report {
             if r > c {
                 continue;
             }
-            let (network, summary) =
-                run_ici(ici_config(n, c, r, 11), blocks, txs, standard_workload(11));
+            let (network, summary) = runner::run::<IciNetwork>(
+                ici_config(n, c, r, 11),
+                blocks,
+                txs,
+                standard_workload(11),
+            );
             // Analytic prediction with the *actual* measured ledger shape.
             let chain_blocks = network.chain_len();
             let mean_body = if chain_blocks > 0 {

@@ -44,7 +44,7 @@ pub fn run(scale: Scale) -> Report {
             };
             per_block.row([
                 n.to_string(),
-                summary.strategy.clone(),
+                summary.strategy.to_string(),
                 format_bytes(summary.mean_block_bytes as u64),
                 fmt_f64(summary.mean_block_messages),
                 format_bytes(per_tx as u64),

@@ -10,13 +10,16 @@
 
 use ici_baselines::analytic::bootstrap as analytic_bootstrap;
 use ici_baselines::analytic::LedgerShape;
+use ici_baselines::full::FullReplicationNetwork;
+use ici_baselines::rapidchain::RapidChainNetwork;
 use ici_bench::{
     cluster_size, committee_size, full_config, ici_config, rapidchain_config, standard_workload,
     Report, Scale,
 };
 use ici_cluster::membership::JoinPolicy;
+use ici_core::network::IciNetwork;
 use ici_net::topology::Coord;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
+use ici_sim::runner;
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -48,12 +51,13 @@ pub fn run(scale: Scale) -> Report {
         let workload = standard_workload(9);
 
         // Full replication joiner.
-        let (mut full_net, _) = run_full(full_config(n, 9), blocks, txs, workload);
+        let (mut full_net, _) =
+            runner::run::<FullReplicationNetwork>(full_config(n, 9), blocks, txs, workload);
         let (full_bytes, full_time) = full_net.bootstrap_cost();
 
         // RapidChain joiner (assigned to shard 0).
         let shards = n.div_ceil(m);
-        let (mut rapid_net, _) = run_rapidchain(
+        let (mut rapid_net, _) = runner::run::<RapidChainNetwork>(
             rapidchain_config(n, m, 9),
             (blocks / shards).max(1),
             txs,
@@ -62,7 +66,8 @@ pub fn run(scale: Scale) -> Report {
         let (rapid_bytes, rapid_time) = rapid_net.bootstrap_cost(0);
 
         // ICI joiner.
-        let (mut ici_net, _) = run_ici(ici_config(n, c, 2, 9), blocks, txs, workload);
+        let (mut ici_net, _) =
+            runner::run::<IciNetwork>(ici_config(n, c, 2, 9), blocks, txs, workload);
         let report = ici_net
             .bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::NearestCentroid)
             .expect("join succeeds");

@@ -10,9 +10,10 @@
 //! Run: `cargo run --release -p ici-bench -- e6 [--paper]`
 
 use ici_bench::{cluster_size, ici_config, standard_workload, Report, Scale};
+use ici_core::network::IciNetwork;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
-use ici_sim::runner::run_ici;
+use ici_sim::runner;
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -59,8 +60,12 @@ pub fn run(scale: Scale) -> Report {
 
     for r in [1usize, 2, 3] {
         for &frac in &fractions {
-            let (mut network, _) =
-                run_ici(ici_config(n, c, r, 21), blocks, txs, standard_workload(21));
+            let (mut network, _) = runner::run::<IciNetwork>(
+                ici_config(n, c, r, 21),
+                blocks,
+                txs,
+                standard_workload(21),
+            );
 
             let crashed = crash_set(n, (n as f64 * frac) as usize, 77 + r as u64);
             for node in &crashed {

@@ -38,7 +38,7 @@ pub fn run(scale: Scale) -> Report {
         for summary in &summaries {
             table.row([
                 n.to_string(),
-                summary.strategy.clone(),
+                summary.strategy.to_string(),
                 fmt_f64(summary.throughput_tps),
                 fmt_f64(summary.commit_latency.p50_ms),
                 fmt_f64(summary.commit_latency.p95_ms),

@@ -13,8 +13,9 @@ use ici_bench::{cluster_size, ici_builder, standard_workload, Report, Scale};
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::partition::Partition;
 use ici_core::config::Clustering;
+use ici_core::network::IciNetwork;
 use ici_net::topology::{Placement, Topology};
-use ici_sim::runner::run_ici;
+use ici_sim::runner;
 use ici_sim::table::Table;
 
 fn quality(partition: &Partition, topology: &Topology) -> (f64, f64) {
@@ -79,7 +80,7 @@ pub fn run(scale: Scale) -> Report {
         ("k-means", Clustering::KMeans),
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
-        let (network, summary) = run_ici(
+        let (network, summary) = runner::run::<IciNetwork>(
             ici_builder(n, c, 2, 25)
                 .clustering(algorithm)
                 .build()

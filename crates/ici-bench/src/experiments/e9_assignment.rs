@@ -15,10 +15,11 @@
 use ici_bench::{ici_builder, standard_workload, Report, Scale};
 use ici_cluster::membership::JoinPolicy;
 use ici_core::config::Assignment;
+use ici_core::network::IciNetwork;
 use ici_crypto::sha256::{Digest, Sha256};
 use ici_net::node::NodeId;
 use ici_net::topology::Coord;
-use ici_sim::runner::run_ici;
+use ici_sim::runner;
 use ici_sim::table::Table;
 use ici_storage::assignment::{churn_disruption, ownership_histogram};
 use ici_storage::stats::format_bytes;
@@ -87,7 +88,7 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     for (name, assignment) in STRATEGIES {
-        let (mut network, _) = run_ici(
+        let (mut network, _) = runner::run::<IciNetwork>(
             ici_builder(128, c, r, 33)
                 .assignment(assignment)
                 .build()

@@ -21,14 +21,14 @@
 //!
 //! Run: `cargo run --release -p ici-bench -- e_byz [--paper] [--seed N]`
 
+use ici_baselines::full::FullReplicationNetwork;
+use ici_baselines::rapidchain::RapidChainNetwork;
 use ici_bench::{
     full_config, ici_config, metric_table, rapidchain_config, standard_workload, Report, Scale,
 };
+use ici_core::network::IciNetwork;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig};
-use ici_sim::fault_run::{
-    run_full_under_faults, run_ici_under_faults, run_rapidchain_under_faults, FaultProfile,
-    FaultRunSummary,
-};
+use ici_sim::fault_run::{run_under_faults, FaultProfile, RunSummary};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -62,7 +62,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     };
     let txs_per_block = 30;
 
-    let (_, ici) = run_ici_under_faults(
+    let (_, ici) = run_under_faults::<IciNetwork>(
         ici_config(nodes, cluster_size, 2, seed),
         txs_per_block,
         standard_workload(seed),
@@ -70,7 +70,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     )
     .expect("fault plan builds over the formed clusters");
 
-    let (_, full) = run_full_under_faults(
+    let (_, full) = run_under_faults::<FullReplicationNetwork>(
         full_config(nodes, seed),
         txs_per_block,
         standard_workload(seed),
@@ -78,7 +78,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     )
     .expect("fault plan builds over the node set");
 
-    let (_, rapidchain) = run_rapidchain_under_faults(
+    let (_, rapidchain) = run_under_faults::<RapidChainNetwork>(
         rapidchain_config(nodes, cluster_size, seed),
         txs_per_block,
         standard_workload(seed),
@@ -92,7 +92,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         format!("E-byz: Byzantine survivability, N={nodes}, c={cluster_size}, seed={seed}"),
         ["metric", "ici", "full", "rapidchain"],
     );
-    let metrics: [(&str, fn(&FaultRunSummary) -> String); 16] = [
+    let metrics: [(&str, fn(&RunSummary) -> String); 16] = [
         ("committed blocks", |c| c.committed_blocks.to_string()),
         ("skipped rounds", |c| c.skipped_rounds.to_string()),
         ("rounds lost to Byzantine action", |c| {

@@ -15,8 +15,9 @@
 //! Run: `cargo run --release -p ici-bench -- e_fault [--paper] [--seed N]`
 
 use ici_bench::{ici_config, metric_table, standard_workload, Report, Scale};
+use ici_core::network::IciNetwork;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig, MessageFaultSpec, PartitionPolicy};
-use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
+use ici_sim::fault_run::{run_under_faults, FaultProfile, StageChurn};
 use ici_sim::table::Table;
 use ici_storage::stats::format_bytes;
 
@@ -57,8 +58,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         stage_churn: StageChurn { interval: 3 },
     };
 
-    let (network, summary) = run_ici_under_faults(config, 30, standard_workload(seed), profile)
-        .expect("fault plan builds over the formed clusters");
+    let (network, summary) =
+        run_under_faults::<IciNetwork>(config, 30, standard_workload(seed), profile)
+            .expect("fault plan builds over the formed clusters");
 
     let s = &summary;
     let survivability = metric_table(

@@ -25,14 +25,14 @@ pub mod harness;
 
 use std::path::PathBuf;
 
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
+use ici_baselines::full::{FullConfig, FullReplicationNetwork};
+use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_core::config::{IciConfig, IciConfigBuilder};
 use ici_core::network::IciNetwork;
 use ici_net::link::LinkModel;
 use ici_sim::report::ExperimentRecord;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain, RunSummary};
 use ici_sim::table::Table;
+use ici_sim::{run, RunSummary};
 use ici_workload::{PayloadSize, WorkloadConfig};
 
 /// Experiment scale selected on the command line.
@@ -174,10 +174,11 @@ pub fn compare_strategies(
     let (blocks, txs) = (block_count(scale), txs_per_block(scale));
     let (c, m) = (cluster_size(scale), committee_size(scale));
     let workload = standard_workload(seed);
-    let (_, full) = run_full(full_config(nodes, seed), blocks, txs, workload);
+    let (_, full) = run::<FullReplicationNetwork>(full_config(nodes, seed), blocks, txs, workload);
     let rounds = (blocks / nodes.div_ceil(m)).max(1);
-    let (_, rapid) = run_rapidchain(rapidchain_config(nodes, m, seed), rounds, txs, workload);
-    let (ici_net, ici) = run_ici(
+    let (_, rapid) =
+        run::<RapidChainNetwork>(rapidchain_config(nodes, m, seed), rounds, txs, workload);
+    let (ici_net, ici) = run::<IciNetwork>(
         ici_config(nodes, c, replication, seed),
         blocks,
         txs,

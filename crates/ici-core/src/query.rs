@@ -69,32 +69,70 @@ impl IciNetwork {
         requester: NodeId,
         height: Height,
     ) -> Result<QueryReport, IciError> {
+        self.check_requester(requester)?;
+        let block = self
+            .chain
+            .get(height as usize)
+            .ok_or(IciError::UnknownHeight(height))?;
+        let body_bytes = block.header().body_len as u64;
+        self.read(requester, height, body_bytes)
+    }
+
+    /// The first step of every read: `requester` must be a known, live
+    /// node.
+    pub(crate) fn check_requester(&self, requester: NodeId) -> Result<(), IciError> {
         if requester.index() >= self.holdings.len() {
             return Err(IciError::UnknownNode(requester));
         }
         if !self.net.is_up(requester) {
             return Err(IciError::NodeDown(requester));
         }
-        let block = self
-            .chain
-            .get(height as usize)
-            .ok_or(IciError::UnknownHeight(height))?;
-        let body_bytes = block.header().body_len as u64;
+        Ok(())
+    }
 
-        // Tier 1: local.
+    /// Serves `requester` a read of the committed `height` whose answer
+    /// is `response_bytes` long, tier by tier: from its own store when
+    /// it holds the body (no traffic), else from the first live holder
+    /// ([`IciNetwork::first_served`]) whose request and response both
+    /// arrive. The latency ends with the requester hashing the answer
+    /// to check it against its header. `requester` has passed
+    /// [`IciNetwork::check_requester`].
+    ///
+    /// # Errors
+    ///
+    /// [`IciError::BodyUnavailable`] when no holder answers.
+    pub(crate) fn read(
+        &mut self,
+        requester: NodeId,
+        height: Height,
+        response_bytes: u64,
+    ) -> Result<QueryReport, IciError> {
+        let check = cost::hash(response_bytes);
         if self.holdings[requester.index()].has_body(height) {
             return Ok(QueryReport {
                 height,
                 tier: QueryTier::Local,
                 server: requester,
-                latency: cost::hash(body_bytes),
+                latency: check,
                 bytes: 0,
             });
         }
-
-        // Tiers 2 and 3: the first live holder that answers.
         self.first_served(requester, height, |net, server, tier| {
-            net.round_trip(requester, server, height, body_bytes, tier)
+            let there = net
+                .net
+                .send(requester, server, MessageKind::Query, QUERY_BYTES)
+                .delay()?;
+            let back = net
+                .net
+                .send(server, requester, MessageKind::Response, response_bytes)
+                .delay()?;
+            Some(QueryReport {
+                height,
+                tier,
+                server,
+                latency: there + back + check,
+                bytes: response_bytes,
+            })
         })
         .ok_or(IciError::BodyUnavailable(height))
     }
@@ -141,33 +179,6 @@ impl IciNetwork {
         self.cluster_ids()
             .filter(|cluster| *cluster != my_cluster)
             .find_map(|cluster| ask_cluster(self, cluster, QueryTier::CrossCluster))
-    }
-
-    /// One request/response exchange with `server`, a live holder of the
-    /// body.
-    fn round_trip(
-        &mut self,
-        requester: NodeId,
-        server: NodeId,
-        height: Height,
-        body_bytes: u64,
-        tier: QueryTier,
-    ) -> Option<QueryReport> {
-        let there = self
-            .net
-            .send(requester, server, MessageKind::Query, QUERY_BYTES)
-            .delay()?;
-        let back = self
-            .net
-            .send(server, requester, MessageKind::Response, body_bytes)
-            .delay()?;
-        Some(QueryReport {
-            height,
-            tier,
-            server,
-            latency: there + back + cost::hash(body_bytes),
-            bytes: body_bytes,
-        })
     }
 }
 

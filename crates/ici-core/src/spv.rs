@@ -11,14 +11,11 @@ use ici_chain::block::Height;
 use ici_chain::codec::Encode;
 use ici_chain::transaction::{Transaction, TxId};
 use ici_crypto::merkle::MerkleProof;
-use ici_net::cost;
-use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
 use ici_net::time::Duration;
 
 use crate::error::IciError;
 use crate::network::IciNetwork;
-use crate::query::QUERY_BYTES;
 
 /// Result of a light transaction query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,11 +29,11 @@ pub struct TxProofReport {
     /// The Merkle inclusion proof, already verified by the requester
     /// against its local header chain.
     pub proof: MerkleProof,
-    /// The serving node.
+    /// The serving node (the requester itself when it holds the body).
     pub server: NodeId,
     /// Request→verification latency.
     pub latency: Duration,
-    /// Response bytes (transaction + proof).
+    /// Response bytes (transaction + proof; 0 when served locally).
     pub bytes: u64,
 }
 
@@ -63,9 +60,11 @@ impl IciNetwork {
     /// across the blocks, then one sort), however low its own height;
     /// later queries find their transaction with one id confirmed.
     ///
-    /// Holders are asked in the order [`IciNetwork::query_body`] asks
-    /// them; one whose request or response the installed faults drop is
-    /// passed over for the next.
+    /// Served like [`IciNetwork::query_body`]: a requester that holds
+    /// the body proves the transaction from its own copy and sends
+    /// nothing, paying only the check; otherwise holders are asked in
+    /// the order `query_body` asks them, and one whose request or
+    /// response the installed faults drop is passed over for the next.
     ///
     /// # Errors
     ///
@@ -77,48 +76,29 @@ impl IciNetwork {
         requester: NodeId,
         tx_id: &TxId,
     ) -> Result<TxProofReport, IciError> {
-        if requester.index() >= self.holdings.len() {
-            return Err(IciError::UnknownNode(requester));
-        }
-        if !self.net.is_up(requester) {
-            return Err(IciError::NodeDown(requester));
-        }
+        self.check_requester(requester)?;
         self.locator.catch_up(&self.chain);
         let (height, index) = self
             .locate_transaction(tx_id)
             .ok_or(IciError::UnknownTransaction(*tx_id))?;
         // `locate_transaction` returned this (height, index), so it is
         // on chain; surface a typed error anyway instead of panicking.
-        let transaction = self.chain[height as usize]
+        let block = &self.chain[height as usize];
+        let transaction = block
             .transactions()
             .get(index as usize)
             .ok_or(IciError::UnknownHeight(height))?
             .clone();
 
-        // The first live holder that answers, as for a body. The first
-        // one the request reaches builds the proof from its stored body
-        // (the leaves of the transaction's 8-leaf subtree and the
-        // block's kept subtree roots); the proof is the same from every
-        // holder, so a lost response re-sends it rather than rebuilding.
-        let mut proof = None;
-        let served = self.first_served(requester, height, |net, server, _| {
-            let there = net
-                .net
-                .send(requester, server, MessageKind::Query, QUERY_BYTES)
-                .delay()?;
-            if proof.is_none() {
-                proof = net.chain[height as usize].prove_tx(index as usize);
-            }
-            let bytes = transaction.encoded_len() as u64 + proof.as_ref()?.encoded_len() as u64;
-            let back = net
-                .net
-                .send(server, requester, MessageKind::Response, bytes)
-                .delay()?;
-            Some((server, there + back, bytes))
-        });
-        let (Some((server, round_trip, response_bytes)), Some(proof)) = (served, proof) else {
-            return Err(IciError::BodyUnavailable(height));
-        };
+        // Whoever serves it, the proof is built from the same body (the
+        // leaves of the transaction's 8-leaf subtree and the block's
+        // kept subtree roots): the requester's own copy when it holds
+        // one, else the first live holder's, read like a body.
+        let proof = block
+            .prove_tx(index as usize)
+            .ok_or(IciError::BodyUnavailable(height))?;
+        let response_bytes = transaction.encoded_len() as u64 + proof.encoded_len() as u64;
+        let read = self.read(requester, height, response_bytes)?;
 
         // Requester-side verification against its own header.
         let tx_root = self.chain[height as usize].header().tx_root;
@@ -127,16 +107,15 @@ impl IciNetwork {
         if !verified {
             return Err(IciError::BodyUnavailable(height));
         }
-        let latency = round_trip + cost::hash(response_bytes);
 
         Ok(TxProofReport {
             height,
             index,
             transaction,
             proof,
-            server,
-            latency,
-            bytes: response_bytes,
+            server: read.server,
+            latency: read.latency,
+            bytes: read.bytes,
         })
     }
 }

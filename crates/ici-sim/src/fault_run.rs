@@ -2,22 +2,20 @@
 //!
 //! [`run_under_faults`] takes any [`Strategy`] through a deterministic
 //! [`ici_faults::plan::FaultPlan`] of churn, partitions, message faults
-//! and Byzantine action, and reduces the run to a [`FaultRunSummary`].
-//! [`run_ici_under_faults`], [`run_full_under_faults`] and
-//! [`run_rapidchain_under_faults`] instantiate it, so the adversary
-//! never changes between the columns of a comparison: same seed, same
-//! churn draws, same Byzantine designations, one loop. The fault-free
-//! [`crate::runner::run`] is the same loop under a plan whose every
-//! round is quiet. What each system *experiences* differently is the
-//! table in [`crate::strategy`].
+//! and Byzantine action, and reduces the run to a [`RunSummary`]. The
+//! caller names the strategy once (`run_under_faults::<IciNetwork>`),
+//! so the adversary never changes between the columns of a comparison:
+//! same seed, same churn draws, same Byzantine designations, one loop.
+//! The fault-free [`crate::runner::run`] is the same loop under a plan
+//! whose every round is quiet, reduced into the same [`RunSummary`].
+//! What each system *experiences* differently is the table in
+//! [`crate::strategy`].
 //!
 //! All draws come from the plan: same seed ⇒ same plan ⇒ same commits,
 //! same repair traffic, same summary, byte for byte — which is what
 //! lets CI assert on survivability numbers and diff two runs of
 //! `e_fault` or `e_byz` directly.
 
-use ici_baselines::full::{FullConfig, FullReplicationNetwork};
-use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_chain::block::BlockHeader;
 use ici_chain::codec::Encode;
 use ici_chain::transaction::Transaction;
@@ -34,6 +32,7 @@ use ici_faults::plan::{
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
+use ici_storage::stats::StorageStats;
 use ici_telemetry::Label;
 use ici_trace::{TraceEvent, TraceKind};
 use ici_workload::{WorkloadConfig, WorkloadGenerator};
@@ -113,12 +112,15 @@ impl Default for FaultProfile {
     }
 }
 
-/// One fault run, reduced to the survivability quantities the
-/// `e_fault` and `e_byz` tables report. One flat shape for every
-/// strategy: the repair and audit fields are ICIStrategy's and stay at
-/// their empty values for the baselines, which have no such step.
+/// One run, reduced once by the round loop: the quantities the paper's
+/// tables report (per-node storage, per-block communication, commit
+/// latency, throughput) and the survivability quantities the `e_fault`
+/// and `e_byz` tables report. One flat shape for every strategy and
+/// every run: the fault fields stay at their empty values in a quiet
+/// run, and the repair and audit fields are ICIStrategy's, empty for
+/// the baselines, which have no such step.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultRunSummary {
+pub struct RunSummary {
     /// Which strategy ran ([`Strategy::LABEL`]).
     pub strategy: &'static str,
     /// Nodes simulated.
@@ -128,8 +130,25 @@ pub struct FaultRunSummary {
     pub clusters: usize,
     /// Rounds executed (== the plan's length).
     pub rounds: usize,
-    /// Blocks committed despite the faults (excluding genesis).
+    /// Blocks committed (excluding genesis; RapidChain counts all
+    /// shards).
     pub committed_blocks: u64,
+    /// Transactions committed.
+    pub total_txs: u64,
+    /// Per-node storage statistics.
+    pub storage: StorageStats,
+    /// Bytes of one full ledger replica (denominator for ratios).
+    pub ledger_bytes: u64,
+    /// Mean messages per committed block.
+    pub mean_block_messages: f64,
+    /// Mean bytes per committed block.
+    pub mean_block_bytes: f64,
+    /// Commit latency over the committed blocks.
+    pub commit_latency: LatencyStats,
+    /// Committed transactions per simulated second.
+    pub throughput_tps: f64,
+    /// Final simulated clock in milliseconds.
+    pub final_clock_ms: f64,
     /// Lane rounds (one per lane a round) whose proposal failed (no
     /// quorum / partitioned leader) or was burned by Byzantine action;
     /// the batch is retried next round, so these measure liveness loss
@@ -166,14 +185,12 @@ pub struct FaultRunSummary {
     /// Worst per-cluster availability observed after any round's repairs.
     pub min_availability: f64,
     /// Whether every cluster's final shard-level Merkle audit was clean
-    /// (`false` when no audit ran: a plan that scheduled nothing).
+    /// (`false` when no audit ran: a quiet run, or a baseline).
     pub final_audit_clean: bool,
     /// Live body replicas the final audit's verdicts cover (one per
     /// live holder per height; each height's tree is derived once, from
     /// the canonical block).
     pub merkle_shards_verified: usize,
-    /// Commit latency over the committed blocks.
-    pub commit_latency: LatencyStats,
     /// Rounds in which the elected proposer equivocated (two conflicting
     /// blocks for the height, shown to disjoint audience halves).
     pub equivocation_attempts: usize,
@@ -211,7 +228,12 @@ pub struct FaultRunSummary {
     pub plan_render: String,
 }
 
-impl FaultRunSummary {
+impl RunSummary {
+    /// Per-node mean storage over the full-replica size, in `[0, 1]`.
+    pub fn storage_fraction(&self) -> f64 {
+        ratio(self.storage.mean, self.ledger_bytes as f64, 0.0)
+    }
+
     /// Fraction of repair attempts that fully recovered, in `[0, 1]`
     /// (1.0 when nothing needed repair).
     pub fn recovery_success_rate(&self) -> f64 {
@@ -235,6 +257,28 @@ impl FaultRunSummary {
     /// Fraction of all wire bytes Byzantine action wasted, in `[0, 1]`.
     pub fn wasted_fraction(&self) -> f64 {
         ratio(self.wasted_bytes as f64, self.total_bytes as f64, 0.0)
+    }
+
+    /// Reads what the finished run left behind: its commit log, stores,
+    /// meter and clock.
+    fn reduce<S: Strategy>(&mut self, strategy: &S) {
+        let (mut txs, mut messages, mut bytes) = (0u64, 0u64, 0u64);
+        for commit in strategy.commits() {
+            txs += u64::from(commit.tx_count);
+            messages += commit.messages;
+            bytes += commit.bytes;
+        }
+        let blocks = self.committed_blocks as f64;
+        let final_clock_ms = strategy.now().as_micros() as f64 / 1_000.0;
+        self.total_txs = txs;
+        self.storage = StorageStats::from_bytes(strategy.stored_bytes());
+        self.ledger_bytes = strategy.ledger_bytes();
+        self.mean_block_messages = ratio(messages as f64, blocks, 0.0);
+        self.mean_block_bytes = ratio(bytes as f64, blocks, 0.0);
+        self.commit_latency = LatencyStats::from_durations(strategy.commits().map(|c| c.latency));
+        self.throughput_tps = ratio(txs as f64, final_clock_ms / 1_000.0, 0.0);
+        self.final_clock_ms = final_clock_ms;
+        self.total_bytes = strategy.net().meter().total().bytes;
     }
 }
 
@@ -338,7 +382,7 @@ fn all_pairs_votes(net: &mut Network, members: &[NodeId]) {
 fn tally_group(
     live: &[NodeId],
     faults: &[(NodeId, VerdictFault)],
-    summary: &mut FaultRunSummary,
+    summary: &mut RunSummary,
 ) -> bool {
     let count = |kind: VerdictFault| {
         let hit = |(n, k): &&(NodeId, VerdictFault)| *k == kind && live.contains(n);
@@ -363,7 +407,7 @@ fn tally_group(
 struct FaultRun<S> {
     strategy: S,
     groups: Vec<Vec<NodeId>>,
-    summary: FaultRunSummary,
+    summary: RunSummary,
 }
 
 impl<S: Strategy> FaultRun<S> {
@@ -570,7 +614,8 @@ impl<S: Strategy> FaultRun<S> {
     }
 }
 
-/// Runs `S` under the given fault profile.
+/// Runs `S` under the given fault profile, under the root span
+/// [`Strategy::FAULT_RUN_SPAN`] (`sim/run_ici_faults`, …).
 ///
 /// The network is built from `config` (its genesis is replaced by one
 /// derived from the workload) and the fault plan over the groups the
@@ -600,7 +645,8 @@ pub fn run_under_faults<S: Strategy>(
     txs_per_block: usize,
     workload: WorkloadConfig,
     profile: FaultProfile,
-) -> Result<(S, FaultRunSummary), FaultError> {
+) -> Result<(S, RunSummary), FaultError> {
+    let _span = ici_telemetry::span!(S::FAULT_RUN_SPAN);
     let strategy = S::build(config, genesis_for(&workload));
     let plan = FaultPlanConfig::new(profile.seed, profile.rounds, strategy.groups())
         .churn(profile.churn)
@@ -634,12 +680,12 @@ pub(crate) fn drive<S: Strategy>(
     stage_churn: StageChurn,
     txs_per_block: usize,
     workload: WorkloadConfig,
-) -> (S, FaultRunSummary) {
+) -> (S, RunSummary) {
     let quiet = plan.is_quiet() && !(S::STAGED && stage_churn.interval > 0);
     let (seed, groups) = (plan.seed(), plan.clusters().to_vec());
     let nodes = strategy.net().len();
     let plan_render = plan.render();
-    let summary = FaultRunSummary {
+    let summary = RunSummary {
         strategy: S::LABEL,
         nodes,
         clusters: groups.len(),
@@ -649,7 +695,7 @@ pub(crate) fn drive<S: Strategy>(
         min_availability: 1.0,
         plan_fingerprint: FaultPlan::fingerprint_of(&plan_render),
         plan_render,
-        ..FaultRunSummary::default()
+        ..RunSummary::default()
     };
     let mut run = FaultRun {
         strategy,
@@ -791,55 +837,30 @@ pub(crate) fn drive<S: Strategy>(
             ici_telemetry::counter_add(name, Label::Global, value);
         }
     }
-    summary.commit_latency = LatencyStats::from_durations(strategy.commits().map(|c| c.latency));
-    summary.total_bytes = strategy.net().meter().total().bytes;
+    summary.reduce(&strategy);
     strategy.net().meter().publish_telemetry();
     (strategy, summary)
 }
 
-/// [`run_under_faults`] for ICIStrategy: the formed clusters are the
-/// plan's groups, churned clusters are repaired and Merkle-audited
-/// every round.
+// Kept for the frozen benchmark only: `benchmark/src/surface.rs` calls
+// it by name. The next `benchmark` PR calls
+// `run_under_faults::<IciNetwork>` and removes it; nothing else may call
+// it.
+#[doc(hidden)]
 pub fn run_ici_under_faults(
     config: IciConfig,
     txs_per_block: usize,
     workload: WorkloadConfig,
     profile: FaultProfile,
-) -> Result<(IciNetwork, FaultRunSummary), FaultError> {
-    let _span = ici_telemetry::span!("sim/run_ici_faults");
-    run_under_faults(config, txs_per_block, workload, profile)
-}
-
-/// [`run_under_faults`] for full replication: the whole network is one
-/// plan group, so the churn floor, partition windows and Byzantine
-/// designations draw over the entire population.
-pub fn run_full_under_faults(
-    config: FullConfig,
-    txs_per_block: usize,
-    workload: WorkloadConfig,
-    profile: FaultProfile,
-) -> Result<(FullReplicationNetwork, FaultRunSummary), FaultError> {
-    let _span = ici_telemetry::span!("sim/run_full_faults");
-    run_under_faults(config, txs_per_block, workload, profile)
-}
-
-/// [`run_under_faults`] for RapidChain: committees are the plan's
-/// groups and every committee proposes on its shard each round; a
-/// round's equivocation burns the shard `round % shards`, and each
-/// proposing committee tallies its own liars.
-pub fn run_rapidchain_under_faults(
-    config: RapidChainConfig,
-    txs_per_block: usize,
-    workload: WorkloadConfig,
-    profile: FaultProfile,
-) -> Result<(RapidChainNetwork, FaultRunSummary), FaultError> {
-    let _span = ici_telemetry::span!("sim/run_rapidchain_faults");
+) -> Result<(IciNetwork, RunSummary), FaultError> {
     run_under_faults(config, txs_per_block, workload, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ici_baselines::full::{FullConfig, FullReplicationNetwork};
+    use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
     use ici_faults::plan::RoundFaults;
     use ici_net::link::LinkModel;
 
@@ -879,7 +900,8 @@ mod tests {
     #[test]
     fn faulted_run_commits_and_recovers() {
         let (network, summary) =
-            run_ici_under_faults(config(), 5, workload(), profile(3)).expect("plan builds");
+            run_under_faults::<IciNetwork>(config(), 5, workload(), profile(3))
+                .expect("plan builds");
         assert_eq!(summary.rounds, 10);
         assert!(summary.crash_events > 0, "{}", summary.plan_render);
         assert!(summary.committed_blocks + summary.skipped_rounds as u64 == 10);
@@ -897,7 +919,8 @@ mod tests {
     fn summary_fingerprint_is_its_renders() {
         for seed in [3, 11] {
             let (_, summary) =
-                run_ici_under_faults(config(), 4, workload(), profile(seed)).expect("plan");
+                run_under_faults::<IciNetwork>(config(), 4, workload(), profile(seed))
+                    .expect("plan");
             assert!(summary.plan_render.starts_with("plan seed="));
             assert_eq!(
                 FaultPlan::fingerprint_of(&summary.plan_render),
@@ -909,16 +932,20 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_summary() {
-        let (_, a) = run_ici_under_faults(config(), 4, workload(), profile(11)).expect("plan");
-        let (_, b) = run_ici_under_faults(config(), 4, workload(), profile(11)).expect("plan");
+        let (_, a) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(11)).expect("plan");
+        let (_, b) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(11)).expect("plan");
         assert_eq!(a, b);
-        let (_, c) = run_ici_under_faults(config(), 4, workload(), profile(12)).expect("plan");
+        let (_, c) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(12)).expect("plan");
         assert_ne!(a.plan_render, c.plan_render);
     }
 
     #[test]
     fn guaranteed_cycles_cover_every_cluster() {
-        let (_, summary) = run_ici_under_faults(config(), 4, workload(), profile(5)).expect("plan");
+        let (_, summary) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(5)).expect("plan");
         assert_eq!(summary.cycles_per_cluster.len(), summary.clusters);
         assert!(summary.cycles_per_cluster.iter().all(|c| *c >= 1));
     }
@@ -927,8 +954,8 @@ mod tests {
     fn churn_events_become_trace_marks() {
         ici_trace::set_enabled(true);
         ici_trace::reset();
-        let (_, summary) =
-            run_ici_under_faults(config(), 4, workload(), profile(3)).expect("plan builds");
+        let (_, summary) = run_under_faults::<IciNetwork>(config(), 4, workload(), profile(3))
+            .expect("plan builds");
         let snap = ici_trace::snapshot();
         ici_trace::set_enabled(false);
         ici_trace::reset();
@@ -966,7 +993,8 @@ mod tests {
 
     #[test]
     fn crash_only_profiles_report_no_byzantine_activity() {
-        let (_, summary) = run_ici_under_faults(config(), 4, workload(), profile(3)).expect("plan");
+        let (_, summary) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(3)).expect("plan");
         assert_eq!(summary.equivocation_attempts, 0);
         assert_eq!(summary.verdict_flips + summary.verdict_withholds, 0);
         assert_eq!(summary.wasted_bytes, 0);
@@ -977,7 +1005,7 @@ mod tests {
     #[test]
     fn byzantine_run_detects_every_equivocation_and_stays_clean() {
         let (network, summary) =
-            run_ici_under_faults(config(), 5, workload(), byz_profile(23)).expect("plan");
+            run_under_faults::<IciNetwork>(config(), 5, workload(), byz_profile(23)).expect("plan");
         assert!(summary.equivocation_attempts > 0, "{}", summary.plan_render);
         // 8-member clusters with a floor of 3 live: both audience halves
         // always hold an honest witness, so detection is total and no
@@ -996,8 +1024,10 @@ mod tests {
 
     #[test]
     fn byzantine_run_is_deterministic() {
-        let (_, a) = run_ici_under_faults(config(), 4, workload(), byz_profile(29)).expect("plan");
-        let (_, b) = run_ici_under_faults(config(), 4, workload(), byz_profile(29)).expect("plan");
+        let (_, a) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), byz_profile(29)).expect("plan");
+        let (_, b) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), byz_profile(29)).expect("plan");
         assert_eq!(a, b);
     }
 
@@ -1012,7 +1042,8 @@ mod tests {
             },
             ..profile(13)
         };
-        let (_, summary) = run_ici_under_faults(config(), 4, workload(), flood).expect("plan");
+        let (_, summary) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), flood).expect("plan");
         assert!(summary.verdict_flips > 0);
         assert!(
             summary.byz_skipped_rounds > 0,
@@ -1035,7 +1066,8 @@ mod tests {
     #[test]
     fn stage_churn_rounds_recover_and_stay_auditable() {
         let (network, summary) =
-            run_ici_under_faults(config(), 4, workload(), stage_profile(3)).expect("plan");
+            run_under_faults::<IciNetwork>(config(), 4, workload(), stage_profile(3))
+                .expect("plan");
         assert!(summary.stage_crash_events > 0, "{}", summary.plan_render);
         assert!(summary.stage_crash_commits <= summary.stage_crash_events);
         // Every mid-proposal crash is restarted and its cluster repaired
@@ -1052,12 +1084,14 @@ mod tests {
 
     #[test]
     fn inert_stage_churn_leaves_crash_only_runs_byte_stable() {
-        let (_, plain) = run_ici_under_faults(config(), 4, workload(), profile(11)).expect("plan");
+        let (_, plain) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), profile(11)).expect("plan");
         let explicit = FaultProfile {
             stage_churn: StageChurn { interval: 0 },
             ..profile(11)
         };
-        let (_, zeroed) = run_ici_under_faults(config(), 4, workload(), explicit).expect("plan");
+        let (_, zeroed) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), explicit).expect("plan");
         assert_eq!(plain, zeroed);
         assert_eq!(plain.stage_crash_events, 0);
     }
@@ -1091,7 +1125,7 @@ mod tests {
             ..FaultProfile::default()
         };
         assert!(matches!(
-            run_ici_under_faults(config(), 4, workload(), bad),
+            run_under_faults::<IciNetwork>(config(), 4, workload(), bad),
             Err(FaultError::MinLiveTooHigh { .. })
         ));
     }
@@ -1107,7 +1141,8 @@ mod tests {
             },
             ..profile(9)
         };
-        let (_, summary) = run_ici_under_faults(config(), 4, workload(), lossy).expect("plan");
+        let (_, summary) =
+            run_under_faults::<IciNetwork>(config(), 4, workload(), lossy).expect("plan");
         assert!(summary.final_audit_clean, "{summary:?}");
         assert_eq!(summary.recovery_success_rate(), 1.0);
     }
@@ -1135,7 +1170,8 @@ mod tests {
     #[test]
     fn full_baseline_survives_crash_churn() {
         let (network, summary) =
-            run_full_under_faults(full_config(), 4, workload(), profile(3)).expect("plan");
+            run_under_faults::<FullReplicationNetwork>(full_config(), 4, workload(), profile(3))
+                .expect("plan");
         assert_eq!(summary.strategy, "FullReplication");
         assert_eq!(summary.clusters, 1);
         assert!(summary.crash_events > 0, "{}", summary.plan_render);
@@ -1152,7 +1188,8 @@ mod tests {
     #[test]
     fn rapidchain_baseline_survives_crash_churn() {
         let (network, summary) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), profile(3)).expect("plan");
+            run_under_faults::<RapidChainNetwork>(rc_config(), 4, workload(), profile(3))
+                .expect("plan");
         assert_eq!(summary.strategy, "RapidChain");
         assert_eq!(summary.clusters, 3);
         assert!(summary.crash_events > 0, "{}", summary.plan_render);
@@ -1169,8 +1206,13 @@ mod tests {
 
     #[test]
     fn full_baseline_detects_equivocation() {
-        let (_, summary) =
-            run_full_under_faults(full_config(), 4, workload(), byz_profile(23)).expect("plan");
+        let (_, summary) = run_under_faults::<FullReplicationNetwork>(
+            full_config(),
+            4,
+            workload(),
+            byz_profile(23),
+        )
+        .expect("plan");
         assert!(summary.equivocation_attempts > 0, "{}", summary.plan_render);
         // A live floor of 3 over one 24-node cluster keeps an honest
         // witness in both audience halves: detection is total.
@@ -1184,7 +1226,8 @@ mod tests {
     #[test]
     fn rapidchain_baseline_detects_equivocation_and_names_liars() {
         let (_, summary) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(23)).expect("plan");
+            run_under_faults::<RapidChainNetwork>(rc_config(), 4, workload(), byz_profile(23))
+                .expect("plan");
         assert!(summary.equivocation_attempts > 0, "{}", summary.plan_render);
         assert_eq!(summary.equivocation_detection_rate(), 1.0, "{summary:?}");
         assert_eq!(summary.safety_breaches, 0);
@@ -1204,7 +1247,7 @@ mod tests {
             ..profile(13)
         };
         let (_, summary) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), flood).expect("plan");
+            run_under_faults::<RapidChainNetwork>(rc_config(), 4, workload(), flood).expect("plan");
         assert!(summary.verdict_flips > 0, "{}", summary.plan_render);
         // 3 liars in an 8-member committee leave 5 accepts < quorum 6.
         assert!(summary.byz_skipped_rounds > 0, "{summary:?}");
@@ -1214,15 +1257,27 @@ mod tests {
 
     #[test]
     fn baseline_fault_runs_are_deterministic() {
-        let (_, a) =
-            run_full_under_faults(full_config(), 4, workload(), byz_profile(29)).expect("plan");
-        let (_, b) =
-            run_full_under_faults(full_config(), 4, workload(), byz_profile(29)).expect("plan");
+        let (_, a) = run_under_faults::<FullReplicationNetwork>(
+            full_config(),
+            4,
+            workload(),
+            byz_profile(29),
+        )
+        .expect("plan");
+        let (_, b) = run_under_faults::<FullReplicationNetwork>(
+            full_config(),
+            4,
+            workload(),
+            byz_profile(29),
+        )
+        .expect("plan");
         assert_eq!(a, b);
         let (_, c) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(29)).expect("plan");
+            run_under_faults::<RapidChainNetwork>(rc_config(), 4, workload(), byz_profile(29))
+                .expect("plan");
         let (_, d) =
-            run_rapidchain_under_faults(rc_config(), 4, workload(), byz_profile(29)).expect("plan");
+            run_under_faults::<RapidChainNetwork>(rc_config(), 4, workload(), byz_profile(29))
+                .expect("plan");
         assert_eq!(c, d);
         assert_ne!(a.plan_render, c.plan_render, "different cluster maps");
     }
@@ -1235,7 +1290,7 @@ mod tests {
         FaultRun {
             groups: strategy.groups(),
             strategy,
-            summary: FaultRunSummary::default(),
+            summary: RunSummary::default(),
         }
     }
 
@@ -1364,23 +1419,23 @@ mod tests {
         };
         // quorum(8) = 6: two liars leave exactly a quorum of accepts,
         // a third breaks it.
-        let mut summary = FaultRunSummary::default();
+        let mut summary = RunSummary::default();
         assert!(tally_group(&live, &flips(2), &mut summary));
         assert!(!tally_group(&live, &flips(3), &mut summary));
         assert_eq!((summary.verdict_flips, summary.liars_detected), (5, 5));
 
         // Nobody honest is left to re-verify: the flips are counted,
         // no liar is named.
-        let mut summary = FaultRunSummary::default();
+        let mut summary = RunSummary::default();
         assert!(!tally_group(&live, &flips(8), &mut summary));
         assert_eq!((summary.verdict_flips, summary.liars_detected), (8, 0));
 
         // Faults of nodes outside the live set (crashed, other groups)
         // never vote.
-        let mut summary = FaultRunSummary::default();
+        let mut summary = RunSummary::default();
         let strangers = vec![(NodeId::new(40), VerdictFault::Withhold)];
         assert!(tally_group(&live, &strangers, &mut summary));
-        assert_eq!(summary, FaultRunSummary::default());
+        assert_eq!(summary, RunSummary::default());
 
         // A singleton is its own quorum: it accepts alone, and stalls
         // when its one verdict is a lie.
@@ -1407,7 +1462,7 @@ mod tests {
         let flipped = (0..flips).map(|i| (NodeId::new(i), VerdictFault::Flip));
         let silent = (flips..flips + withholds).map(|i| (NodeId::new(i), VerdictFault::Withhold));
         let faults: Vec<_> = flipped.chain(silent).collect();
-        tally_group(&live, &faults, &mut FaultRunSummary::default())
+        tally_group(&live, &faults, &mut RunSummary::default())
     }
 
     /// A round's verdict faults: flips by `liars`.
@@ -1454,6 +1509,6 @@ mod tests {
         let mut run = fault_run::<FullReplicationNetwork>(full_config());
         let liars = run.groups[0][..12].to_vec();
         assert!(!run.verdict_round_stalls(0, &flips_by(&liars)));
-        assert_eq!(run.summary, FaultRunSummary::default());
+        assert_eq!(run.summary, RunSummary::default());
     }
 }

@@ -46,7 +46,7 @@ use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 
-use crate::fault_run::FaultRunSummary;
+use crate::fault_run::RunSummary;
 
 /// What every strategy records about one committed block.
 #[derive(Clone, Copy, Debug)]
@@ -85,6 +85,11 @@ pub trait Strategy: Sized {
     type Config;
     /// Label in tables, series names and summaries.
     const LABEL: &'static str;
+    /// Root telemetry span of a quiet run ([`crate::runner::run`]).
+    const RUN_SPAN: &'static str;
+    /// Root telemetry span of a fault run
+    /// ([`crate::fault_run::run_under_faults`]).
+    const FAULT_RUN_SPAN: &'static str;
     /// Where verdict faults bite.
     const VERDICTS: VerdictScope;
     /// Whether proposals have stage boundaries a crash can land on.
@@ -146,11 +151,11 @@ pub trait Strategy: Sized {
     /// Runs after each round's proposals, unless the plan schedules
     /// nothing; `touched` are the nodes whose liveness changed this
     /// round.
-    fn after_fault_round(&mut self, _touched: &[NodeId], _summary: &mut FaultRunSummary) {}
+    fn after_fault_round(&mut self, _touched: &[NodeId], _summary: &mut RunSummary) {}
 
     /// Runs once the plan is exhausted and message faults are lifted,
     /// unless the plan scheduled nothing.
-    fn finish_fault_run(&mut self, _summary: &mut FaultRunSummary) {}
+    fn finish_fault_run(&mut self, _summary: &mut RunSummary) {}
 }
 
 /// The network and clock accessors: all three networks already have
@@ -172,7 +177,7 @@ macro_rules! forward_accessors {
 }
 
 /// Adds one cluster repair's transfers, traffic and losses to the run's.
-fn absorb_repair(summary: &mut FaultRunSummary, report: &RepairReport) {
+fn absorb_repair(summary: &mut RunSummary, report: &RepairReport) {
     summary.repair_transfers += report.transfers;
     summary.repair_bytes += report.bytes;
     summary.cross_cluster_fetches += report.cross_cluster_fetches.len();
@@ -183,6 +188,8 @@ fn absorb_repair(summary: &mut FaultRunSummary, report: &RepairReport) {
 impl Strategy for IciNetwork {
     type Config = IciConfig;
     const LABEL: &'static str = "ICIStrategy";
+    const RUN_SPAN: &'static str = "sim/run_ici";
+    const FAULT_RUN_SPAN: &'static str = "sim/run_ici_faults";
     const VERDICTS: VerdictScope = VerdictScope::AllGroups;
     const STAGED: bool = true;
 
@@ -259,7 +266,7 @@ impl Strategy for IciNetwork {
     /// Survivors re-replicate every cluster touched by churn, and the
     /// shard-level Merkle audit certifies each repair by hashing what
     /// it wrote (and the round's new height).
-    fn after_fault_round(&mut self, touched: &[NodeId], summary: &mut FaultRunSummary) {
+    fn after_fault_round(&mut self, touched: &[NodeId], summary: &mut RunSummary) {
         let mut affected: Vec<_> = touched
             .iter()
             .map(|n| self.membership().cluster_of(*n))
@@ -281,7 +288,7 @@ impl Strategy for IciNetwork {
 
     /// A final repair pass heals anything the last round left degraded,
     /// then the audit rules on the whole run.
-    fn finish_fault_run(&mut self, summary: &mut FaultRunSummary) {
+    fn finish_fault_run(&mut self, summary: &mut RunSummary) {
         for report in self.repair_all() {
             absorb_repair(summary, &report);
         }
@@ -297,6 +304,8 @@ impl Strategy for IciNetwork {
 impl Strategy for FullReplicationNetwork {
     type Config = FullConfig;
     const LABEL: &'static str = "FullReplication";
+    const RUN_SPAN: &'static str = "sim/run_full";
+    const FAULT_RUN_SPAN: &'static str = "sim/run_full_faults";
     const VERDICTS: VerdictScope = VerdictScope::Solo;
 
     fn build(mut config: FullConfig, genesis: GenesisConfig) -> FullReplicationNetwork {
@@ -343,6 +352,8 @@ impl Strategy for FullReplicationNetwork {
 impl Strategy for RapidChainNetwork {
     type Config = RapidChainConfig;
     const LABEL: &'static str = "RapidChain";
+    const RUN_SPAN: &'static str = "sim/run_rapidchain";
+    const FAULT_RUN_SPAN: &'static str = "sim/run_rapidchain_faults";
     const VERDICTS: VerdictScope = VerdictScope::HomeGroup;
 
     fn build(mut config: RapidChainConfig, genesis: GenesisConfig) -> RapidChainNetwork {

@@ -97,7 +97,7 @@ fn main() {
         byzantine: ByzantineConfig::default(),
         stage_churn: ici_sim::fault_run::StageChurn::default(),
     };
-    let (network, summary) = run_ici_under_faults(
+    let (network, summary) = run_under_faults::<IciNetwork>(
         config,
         20,
         WorkloadConfig {

@@ -22,7 +22,7 @@ fn main() {
     };
     let link = LinkModel::quiet();
 
-    let (_, full) = run_full(
+    let (_, full) = run::<FullReplicationNetwork>(
         FullConfig {
             nodes,
             link,
@@ -33,7 +33,7 @@ fn main() {
         txs,
         workload,
     );
-    let (_, rapid) = run_rapidchain(
+    let (_, rapid) = run::<RapidChainNetwork>(
         RapidChainConfig {
             nodes,
             committee_size: 32, // 4 shards
@@ -45,7 +45,7 @@ fn main() {
         txs,
         workload,
     );
-    let (_, ici) = run_ici(
+    let (_, ici) = run::<IciNetwork>(
         IciConfig::builder()
             .nodes(nodes)
             .cluster_size(16)
@@ -72,7 +72,7 @@ fn main() {
     );
     for s in [&full, &rapid, &ici] {
         table.row([
-            s.strategy.clone(),
+            s.strategy.to_string(),
             format_bytes(s.storage.mean as u64),
             format!("{:.1}%", 100.0 * s.storage_fraction()),
             format_bytes(s.mean_block_bytes as u64),

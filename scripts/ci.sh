@@ -72,6 +72,11 @@ if grep -qw avx512f /proc/cpuinfo 2>/dev/null && grep -qw avx512bw /proc/cpuinfo
     exit 1
 fi
 
+# The non-test source lines simplicity changes quote; informational,
+# nothing is gated on the number.
+echo "==> non-test source lines (scripts/loc.sh)"
+bash scripts/loc.sh | tail -n 1 | sed 's/^/    /'
+
 echo "==> cargo test (includes the ici-lint gate, tests/lint_gate.rs)"
 # Zero rustc warnings. Compiling the tests first builds what the run
 # below runs, and cargo replays a cached crate's warnings, so a warm

@@ -18,7 +18,6 @@ use icistrategy::baselines::analytic::{
 };
 use icistrategy::net::link::LinkModel;
 use icistrategy::prelude::*;
-use icistrategy::sim::runner::RunSummary;
 use icistrategy::sim::table::{fmt_f64, Table};
 use icistrategy::storage::stats::format_bytes;
 
@@ -155,9 +154,9 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
                 .seed(opts.seed)
                 .build()
                 .map_err(|e| e.to_string())?;
-            Ok(run_ici(config, opts.blocks, opts.txs, workload(opts.seed)).1)
+            Ok(run::<IciNetwork>(config, opts.blocks, opts.txs, workload(opts.seed)).1)
         }
-        "full" => Ok(run_full(
+        "full" => Ok(run::<FullReplicationNetwork>(
             FullConfig {
                 nodes: opts.nodes,
                 link: LinkModel::quiet(),
@@ -171,7 +170,7 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
         .1),
         "rapidchain" => {
             let shards = opts.nodes.div_ceil(opts.cluster_size * 2).max(1);
-            Ok(run_rapidchain(
+            Ok(run::<RapidChainNetwork>(
                 RapidChainConfig {
                     nodes: opts.nodes,
                     committee_size: opts.nodes.div_ceil(shards),
@@ -203,7 +202,7 @@ fn summary_table(title: &str, summaries: &[&RunSummary]) -> Table {
     );
     for s in summaries {
         table.row([
-            s.strategy.clone(),
+            s.strategy.to_string(),
             format_bytes(s.storage.mean as u64),
             format!("{:.1}%", 100.0 * s.storage_fraction()),
             format_bytes(s.mean_block_bytes as u64),

@@ -2,7 +2,10 @@
 //! Storage Strategy via Clustering in Blockchain Network"* (Li, Qin, Liu &
 //! Chu, ICDCS 2020).
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the twelve library crates below. The
+//! causal trace (`ici-trace`), the seeded RNG (`ici-rng`), the property
+//! harness (`ici-prop`) and the tool crates (`ici-bench`, `ici-lint`,
+//! `ici-par`) are not re-exported; depend on them by name.
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -75,7 +78,6 @@ pub mod prelude {
     pub use ici_crypto::{Digest, Keypair, Sha256};
     pub use ici_faults::{FaultPlan, FaultPlanConfig};
     pub use ici_net::{Coord, NodeId};
-    pub use ici_sim::fault_run::{run_ici_under_faults, FaultProfile};
-    pub use ici_sim::runner::{run_full, run_ici, run_rapidchain};
+    pub use ici_sim::{run, run_under_faults, FaultProfile, RunSummary};
     pub use ici_workload::{WorkloadConfig, WorkloadGenerator};
 }

@@ -81,7 +81,7 @@ fn measured_per_node_storage_is_the_analytic_model() {
             .seed(seed)
             .build()
             .expect("a valid deployment");
-        let (ici, _) = run_ici(config, blocks, txs, workload(seed));
+        let (ici, _) = run::<IciNetwork>(config, blocks, txs, workload(seed));
         let (ledger, dropped) = shape((0..ici.chain_len()).filter_map(|h| ici.block(h)));
         assert_matches(
             &format!("ICI ici_per_node, {case}"),
@@ -97,7 +97,7 @@ fn measured_per_node_storage_is_the_analytic_model() {
             seed,
             ..FullConfig::default()
         };
-        let (full, _) = run_full(full_config, blocks, txs, workload(seed));
+        let (full, _) = run::<FullReplicationNetwork>(full_config, blocks, txs, workload(seed));
         let (ledger, dropped) = shape((0..full.chain_len()).filter_map(|h| full.block(h)));
         assert_matches(
             &format!("full_replication_per_node, {case}"),
@@ -115,7 +115,8 @@ fn measured_per_node_storage_is_the_analytic_model() {
             ..RapidChainConfig::default()
         };
         let k = nodes / committee;
-        let (rapid, _) = run_rapidchain(rapid_config, blocks / k + 1, txs, workload(seed));
+        let (rapid, _) =
+            run::<RapidChainNetwork>(rapid_config, blocks / k + 1, txs, workload(seed));
         assert_eq!(rapid.shard_count(), k, "shards, {case}");
         let rapid = &rapid;
         let shard_blocks = (0..k).flat_map(|shard| {

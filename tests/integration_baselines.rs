@@ -5,7 +5,6 @@ mod prop_support;
 
 use icistrategy::net::link::LinkModel;
 use icistrategy::prelude::*;
-use icistrategy::sim::{run_full_under_faults, run_rapidchain_under_faults};
 use prop_support::{crash_and_byzantine, overspending_workload, replay_from_genesis};
 
 fn workload(seed: u64) -> WorkloadConfig {
@@ -28,7 +27,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
         seed,
         ..WorkloadConfig::default()
     };
-    let (_, full) = run_full(
+    let (_, full) = run::<FullReplicationNetwork>(
         FullConfig {
             nodes: n,
             link: LinkModel::quiet(),
@@ -39,7 +38,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
         20,
         workload(2),
     );
-    let (_, rapid) = run_rapidchain(
+    let (_, rapid) = run::<RapidChainNetwork>(
         RapidChainConfig {
             nodes: n,
             committee_size: 32, // 4 shards
@@ -51,7 +50,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
         20,
         workload(2),
     );
-    let (_, ici) = run_ici(
+    let (_, ici) = run::<IciNetwork>(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(32)
@@ -83,7 +82,7 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
 #[test]
 fn communication_per_block_ici_below_full_replication() {
     let n = 96;
-    let (_, full) = run_full(
+    let (_, full) = run::<FullReplicationNetwork>(
         FullConfig {
             nodes: n,
             link: LinkModel::quiet(),
@@ -94,7 +93,7 @@ fn communication_per_block_ici_below_full_replication() {
         20,
         workload(3),
     );
-    let (_, ici) = run_ici(
+    let (_, ici) = run::<IciNetwork>(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(16)
@@ -119,7 +118,7 @@ fn communication_per_block_ici_below_full_replication() {
 fn bootstrap_ordering_matches_the_abstract() {
     let n = 96;
     let blocks = 20;
-    let (mut full_net, _) = run_full(
+    let (mut full_net, _) = run::<FullReplicationNetwork>(
         FullConfig {
             nodes: n,
             link: LinkModel::quiet(),
@@ -132,7 +131,7 @@ fn bootstrap_ordering_matches_the_abstract() {
     );
     let (full_bytes, _) = full_net.bootstrap_cost();
 
-    let (mut rapid_net, _) = run_rapidchain(
+    let (mut rapid_net, _) = run::<RapidChainNetwork>(
         RapidChainConfig {
             nodes: n,
             committee_size: 24, // 4 shards
@@ -146,7 +145,7 @@ fn bootstrap_ordering_matches_the_abstract() {
     );
     let (rapid_bytes, _) = rapid_net.bootstrap_cost(0);
 
-    let (mut ici_net, _) = run_ici(
+    let (mut ici_net, _) = run::<IciNetwork>(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(24)
@@ -178,7 +177,7 @@ fn all_strategies_commit_the_same_transactions() {
     // system; each must commit all of them.
     let txs = 18;
     let blocks = 5;
-    let (_, full) = run_full(
+    let (_, full) = run::<FullReplicationNetwork>(
         FullConfig {
             nodes: 48,
             link: LinkModel::quiet(),
@@ -189,7 +188,7 @@ fn all_strategies_commit_the_same_transactions() {
         txs,
         workload(6),
     );
-    let (_, ici) = run_ici(
+    let (_, ici) = run::<IciNetwork>(
         IciConfig::builder()
             .nodes(48)
             .cluster_size(12)
@@ -211,7 +210,7 @@ fn rapidchain_parallelism_shows_in_throughput() {
     // More shards at the same committee size ⇒ more parallel commits ⇒
     // higher aggregate tps.
     let tps = |nodes: usize| {
-        let (_, summary) = run_rapidchain(
+        let (_, summary) = run::<RapidChainNetwork>(
             RapidChainConfig {
                 nodes,
                 committee_size: 24,
@@ -254,16 +253,18 @@ fn committed_chains_replay_from_genesis() {
         ..RapidChainConfig::default()
     };
     let (blocks, txs) = (8, 20);
-    let (quiet_full, _) = run_full(full(), blocks, txs, overspending_workload(9));
-    let (faulted_full, full_faults) = run_full_under_faults(
+    let (quiet_full, _) =
+        run::<FullReplicationNetwork>(full(), blocks, txs, overspending_workload(9));
+    let (faulted_full, full_faults) = run_under_faults::<FullReplicationNetwork>(
         full(),
         txs,
         overspending_workload(10),
         crash_and_byzantine(),
     )
     .expect("plan builds");
-    let (quiet_rapid, _) = run_rapidchain(rapidchain(), blocks, txs, overspending_workload(9));
-    let (faulted_rapid, rapid_faults) = run_rapidchain_under_faults(
+    let (quiet_rapid, _) =
+        run::<RapidChainNetwork>(rapidchain(), blocks, txs, overspending_workload(9));
+    let (faulted_rapid, rapid_faults) = run_under_faults::<RapidChainNetwork>(
         rapidchain(),
         txs,
         overspending_workload(10),

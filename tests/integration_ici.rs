@@ -226,8 +226,8 @@ fn committed_chains_replay_from_genesis() {
             .expect("valid configuration")
     };
     let (blocks, txs) = (8, 20);
-    let (quiet, _) = run_ici(config(), blocks, txs, overspending_workload(5));
-    let (faulted, faults) = run_ici_under_faults(
+    let (quiet, _) = run::<IciNetwork>(config(), blocks, txs, overspending_workload(5));
+    let (faulted, faults) = run_under_faults::<IciNetwork>(
         config(),
         txs,
         overspending_workload(6),

@@ -135,6 +135,49 @@ fn spv_proof_falls_through_a_partitioned_owner() {
 }
 
 #[test]
+fn an_owner_proves_a_transaction_from_its_own_copy() {
+    use icistrategy::chain::codec::Encode;
+    use icistrategy::net::cost;
+
+    let mut net = network();
+    let batch = WorkloadGenerator::new(WorkloadConfig {
+        accounts: 64,
+        seed: 55,
+        ..WorkloadConfig::default()
+    })
+    .batch(8);
+    let id = batch[3].id();
+    net.propose_block(batch).expect("commits");
+    let height = net.chain_len() - 1;
+    let cluster = net.membership().cluster_of(NodeId::new(0));
+    let owner = net
+        .owners_at(cluster, height)
+        .next()
+        .expect("r = 2 owners in every cluster");
+
+    let before = net.net().meter().total();
+    let report = net.query_transaction(owner, &id).expect("proven");
+    let after = net.net().meter().total();
+    assert_eq!(
+        (after.messages, after.bytes),
+        (before.messages, before.bytes),
+        "an owner proves from its own copy and sends nothing"
+    );
+    assert_eq!((report.server, report.bytes), (owner, 0));
+    let header = *net.block(height).expect("block").header();
+    assert!(report
+        .proof
+        .verify(&report.transaction.to_bytes(), header.tx_root));
+    // The latency is the requester's check alone, as for a remote proof.
+    let response = report.transaction.encoded_len() + report.proof.encoded_len();
+    assert_eq!(report.latency, cost::hash(response as u64));
+
+    // A body read by the same node is local too.
+    let body = net.query_body(owner, height).expect("served");
+    assert_eq!((body.tier, body.server), (QueryTier::Local, owner));
+}
+
+#[test]
 fn pool_refills_between_blocks_and_nonces_stay_valid() {
     let mut net = network();
     let mut pool = Mempool::new(500);

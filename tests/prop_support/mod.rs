@@ -27,7 +27,6 @@ use ici_rng::Xoshiro256;
 use icistrategy::chain::validation::validate_block;
 use icistrategy::faults::plan::{ByzantineConfig, ChurnConfig};
 use icistrategy::prelude::*;
-use icistrategy::sim::fault_run::FaultRunSummary;
 
 /// A deployment-plus-fault-schedule scenario, discrete in every knob.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,14 +111,14 @@ impl FaultScenario {
 
     /// Runs the scenario; `None` when it is invalid or the plan cannot
     /// be built over the formed clusters.
-    pub fn run(&self) -> Option<(IciNetwork, FaultRunSummary)> {
+    pub fn run(&self) -> Option<(IciNetwork, RunSummary)> {
         let config = self.config()?;
         let workload = WorkloadConfig {
             accounts: 32,
             seed: self.net_seed,
             ..WorkloadConfig::default()
         };
-        run_ici_under_faults(config, self.txs_per_block, workload, self.profile()).ok()
+        run_under_faults::<IciNetwork>(config, self.txs_per_block, workload, self.profile()).ok()
     }
 }
 

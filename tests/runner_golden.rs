@@ -1,4 +1,5 @@
-//! Golden values for `ici-sim`'s six run entry points.
+//! Golden values for `ici-sim`'s two run functions, each under all
+//! three strategies.
 //!
 //! Every committed `results/e*.json` goes through these runners, so a
 //! change to the round loop that moves one send, one draw or one clock
@@ -12,8 +13,8 @@
 //! The lines read only what every strategy's network and summary
 //! expose under the same name, so the same text checks all three.
 
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
+use ici_baselines::full::{FullConfig, FullReplicationNetwork};
+use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_cluster::membership::JoinPolicy;
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
@@ -23,10 +24,7 @@ use ici_net::node::NodeId;
 use ici_net::topology::Coord;
 use ici_sim::fault_run::{FaultProfile, StageChurn};
 use ici_sim::strategy::Strategy;
-use ici_sim::{
-    run_full, run_full_under_faults, run_ici, run_ici_under_faults, run_rapidchain,
-    run_rapidchain_under_faults,
-};
+use ici_sim::{run, run_under_faults, RunSummary};
 use ici_workload::WorkloadConfig;
 
 fn workload() -> WorkloadConfig {
@@ -167,7 +165,7 @@ macro_rules! fault_line {
 
 /// The ICI-only half of a fault run: repair, audit and stage churn.
 fn ici_fault_line(profile: FaultProfile) -> String {
-    let run = run_ici_under_faults(ici_config(), TXS_PER_BLOCK, workload(), profile);
+    let run = run_under_faults::<IciNetwork>(ici_config(), TXS_PER_BLOCK, workload(), profile);
     let (_, s) = run.as_ref().expect("plan builds");
     let ici_only = format!(
         " repair_bytes={} transfers={} recoveries={}/{} cross={} lost={} missed_verdicts={} \
@@ -190,7 +188,7 @@ fn ici_fault_line(profile: FaultProfile) -> String {
 }
 
 fn full_fault_line(profile: FaultProfile) -> String {
-    fault_line!(run_full_under_faults(
+    fault_line!(run_under_faults::<FullReplicationNetwork>(
         full_config(),
         TXS_PER_BLOCK,
         workload(),
@@ -199,7 +197,7 @@ fn full_fault_line(profile: FaultProfile) -> String {
 }
 
 fn rapidchain_fault_line(profile: FaultProfile) -> String {
-    fault_line!(run_rapidchain_under_faults(
+    fault_line!(run_under_faults::<RapidChainNetwork>(
         rapidchain_config(),
         TXS_PER_BLOCK,
         workload(),
@@ -285,17 +283,17 @@ fn rapidchain_fault_run_stage_churn() {
 
 #[test]
 fn ici_fault_free_run() {
-    assert_eq!(run_line!(run_ici(ici_config(), 5, 6, workload())), "ICIStrategy n=24 blocks=5 txs=30 ledger=9006 stored=68724/816..5730 block_msgs=359.0 block_bytes=54033.2 latency_ms=282.20300000000003/277.927/322.317 tps=21.26023591775123 clock_ms=1411.085 bytes=270166 msgs=1795 clock_us=1411085");
+    assert_eq!(run_line!(run::<IciNetwork>(ici_config(), 5, 6, workload())), "ICIStrategy n=24 blocks=5 txs=30 ledger=9006 stored=68724/816..5730 block_msgs=359.0 block_bytes=54033.2 latency_ms=282.20300000000003/277.927/322.317 tps=21.26023591775123 clock_ms=1411.085 bytes=270166 msgs=1795 clock_us=1411085");
 }
 
 #[test]
 fn full_fault_free_run() {
-    assert_eq!(run_line!(run_full(full_config(), 5, 6, workload())), "FullReplication n=24 blocks=5 txs=30 ledger=9006 stored=216144/9006..9006 block_msgs=95.2 block_bytes=168884.8 latency_ms=284.62/255.944/369.256 tps=21.07970235460275 clock_ms=1423.17 bytes=844424 msgs=476 clock_us=1423170");
+    assert_eq!(run_line!(run::<FullReplicationNetwork>(full_config(), 5, 6, workload())), "FullReplication n=24 blocks=5 txs=30 ledger=9006 stored=216144/9006..9006 block_msgs=95.2 block_bytes=168884.8 latency_ms=284.62/255.944/369.256 tps=21.07970235460275 clock_ms=1423.17 bytes=844424 msgs=476 clock_us=1423170");
 }
 
 #[test]
 fn rapidchain_fault_free_run() {
-    assert_eq!(run_line!(run_rapidchain(rapidchain_config(), 3, 6, workload())), "RapidChain n=24 blocks=9 txs=54 ledger=16374 stored=130992/5458..5458 block_msgs=224.0 block_bytes=46480.0 latency_ms=400.97355555555555/403.577/418.256 tps=43.14680861434024 clock_ms=1251.541 bytes=418320 msgs=2016 clock_us=1251541");
+    assert_eq!(run_line!(run::<RapidChainNetwork>(rapidchain_config(), 3, 6, workload())), "RapidChain n=24 blocks=9 txs=54 ledger=16374 stored=130992/5458..5458 block_msgs=224.0 block_bytes=46480.0 latency_ms=400.97355555555555/403.577/418.256 tps=43.14680861434024 clock_ms=1251.541 bytes=418320 msgs=2016 clock_us=1251541");
 }
 
 /// A profile whose plan schedules nothing: no churn, no guaranteed
@@ -339,24 +337,64 @@ fn end_state<S: Strategy>(strategy: &S) -> String {
     )
 }
 
+/// The paper-table fields of a summary, in shortest round-trip form.
+fn paper_table(s: &RunSummary) -> String {
+    format!(
+        "{:?}",
+        (
+            s.strategy,
+            s.nodes,
+            s.committed_blocks,
+            s.total_txs,
+            s.storage,
+            s.ledger_bytes,
+            s.mean_block_messages,
+            s.mean_block_bytes,
+            s.commit_latency,
+            s.throughput_tps,
+            s.final_clock_ms,
+            s.storage_fraction(),
+        )
+    )
+}
+
 #[test]
 fn a_quiet_run_is_a_fault_run_whose_plan_schedules_nothing() {
     let (rounds, txs) = (5, 6);
-    let (quiet, _) = run_ici(ici_config(), rounds, txs, workload());
-    let (faulted, _) =
-        run_ici_under_faults(ici_config(), txs, workload(), zero(rounds)).expect("plan builds");
+    let (quiet, quiet_summary) = run::<IciNetwork>(ici_config(), rounds, txs, workload());
+    let (faulted, faulted_summary) =
+        run_under_faults::<IciNetwork>(ici_config(), txs, workload(), zero(rounds))
+            .expect("plan builds");
     assert_eq!(end_state(&faulted), end_state(&quiet), "ICIStrategy");
+    assert_eq!(
+        paper_table(&faulted_summary),
+        paper_table(&quiet_summary),
+        "ICIStrategy"
+    );
 
-    let (quiet, _) = run_full(full_config(), rounds, txs, workload());
-    let (faulted, _) =
-        run_full_under_faults(full_config(), txs, workload(), zero(rounds)).expect("plan builds");
+    let (quiet, quiet_summary) =
+        run::<FullReplicationNetwork>(full_config(), rounds, txs, workload());
+    let (faulted, faulted_summary) =
+        run_under_faults::<FullReplicationNetwork>(full_config(), txs, workload(), zero(rounds))
+            .expect("plan builds");
     assert_eq!(end_state(&faulted), end_state(&quiet), "FullReplication");
+    assert_eq!(
+        paper_table(&faulted_summary),
+        paper_table(&quiet_summary),
+        "FullReplication"
+    );
 
-    let (quiet, _) = run_rapidchain(rapidchain_config(), rounds, txs, workload());
-    let (faulted, _) =
-        run_rapidchain_under_faults(rapidchain_config(), txs, workload(), zero(rounds))
+    let (quiet, quiet_summary) =
+        run::<RapidChainNetwork>(rapidchain_config(), rounds, txs, workload());
+    let (faulted, faulted_summary) =
+        run_under_faults::<RapidChainNetwork>(rapidchain_config(), txs, workload(), zero(rounds))
             .expect("plan builds");
     assert_eq!(end_state(&faulted), end_state(&quiet), "RapidChain");
+    assert_eq!(
+        paper_table(&faulted_summary),
+        paper_table(&quiet_summary),
+        "RapidChain"
+    );
 }
 
 /// The post-commit body traffic a network has metered, and its clock.
@@ -376,7 +414,7 @@ fn post_commit_line(network: &IciNetwork) -> String {
 
 #[test]
 fn ici_join_after_run() {
-    let (mut network, _) = run_ici(ici_config(), 16, 6, workload());
+    let (mut network, _) = run::<IciNetwork>(ici_config(), 16, 6, workload());
     network.crash_node(NodeId::new(3)).expect("known node");
     let r = network
         .bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::NearestCentroid)
@@ -396,7 +434,7 @@ fn ici_join_after_run() {
 
 #[test]
 fn ici_reconfigure_after_joins() {
-    let (mut network, _) = run_ici(ici_config(), 5, 6, workload());
+    let (mut network, _) = run::<IciNetwork>(ici_config(), 5, 6, workload());
     for i in 0..4 {
         network
             .bootstrap_node(

@@ -1,27 +1,31 @@
 //! The span call tree against the flat span aggregates folded from it.
 //!
-//! The three strategies run back to back with telemetry on, opening more
-//! span instances than a 4 096-event ring could hold; the tree keeps
-//! every one. The same runs hold the quiet/fault boundary: a quiet run
-//! neither repairs nor audits, nor keeps fault bookkeeping; and the
+//! The three strategies run back to back with telemetry on, quiet and
+//! then under a fault profile that schedules nothing, opening more span
+//! instances than a 4 096-event ring could hold; the tree keeps every
+//! one. Each run is a root of its own. The same runs hold the
+//! quiet/fault boundary: a quiet run neither repairs nor audits, nor
+//! keeps fault bookkeeping; and the
 //! one-execution rule: a proposer builds each block once and no run
 //! validates a block it built. One test, because the enable flag is
 //! process-global.
 
 use std::collections::BTreeMap;
 
-use ici_baselines::full::FullConfig;
-use ici_baselines::rapidchain::RapidChainConfig;
+use ici_baselines::full::{FullConfig, FullReplicationNetwork};
+use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_core::config::IciConfig;
-use ici_sim::{run_full, run_ici, run_rapidchain, RunSummary};
+use ici_core::network::IciNetwork;
+use ici_faults::plan::ChurnConfig;
+use ici_sim::{run, run_under_faults, FaultProfile, RunSummary};
 use ici_telemetry::{render_flamegraph, TelemetrySnapshot};
 use ici_workload::WorkloadConfig;
 
 const BLOCKS: usize = 40;
 
-/// The three runs' telemetry, and each run's root span name with the
+/// The six runs' telemetry, and each run's root span name with the
 /// blocks it committed (in a quiet run, every block it proposed).
-fn three_runs() -> (TelemetrySnapshot, [(&'static str, u64); 3]) {
+fn six_runs() -> (TelemetrySnapshot, [(&'static str, u64); 6]) {
     let workload = WorkloadConfig {
         accounts: 64,
         seed: 11,
@@ -46,19 +50,58 @@ fn three_runs() -> (TelemetrySnapshot, [(&'static str, u64); 3]) {
         seed: 7,
         ..RapidChainConfig::default()
     };
+    // A plan that schedules nothing is as quiet as `run`'s own.
+    let zero = FaultProfile {
+        rounds: BLOCKS,
+        churn: ChurnConfig {
+            crash_prob: 0.0,
+            restart_prob: 0.0,
+            cluster_churn_prob: 0.0,
+            ensure_cycle_per_cluster: false,
+            ..ChurnConfig::default()
+        },
+        ..FaultProfile::default()
+    };
     ici_telemetry::set_enabled(true);
     ici_telemetry::reset();
     let blocks = |summary: RunSummary| summary.committed_blocks;
     let proposed = [
         (
             "sim/run_full",
-            blocks(run_full(full, BLOCKS, 10, workload).1),
+            blocks(run::<FullReplicationNetwork>(full.clone(), BLOCKS, 10, workload).1),
         ),
         (
             "sim/run_rapidchain",
-            blocks(run_rapidchain(rapidchain, BLOCKS, 10, workload).1),
+            blocks(run::<RapidChainNetwork>(rapidchain.clone(), BLOCKS, 10, workload).1),
         ),
-        ("sim/run_ici", blocks(run_ici(ici, BLOCKS, 10, workload).1)),
+        (
+            "sim/run_ici",
+            blocks(run::<IciNetwork>(ici.clone(), BLOCKS, 10, workload).1),
+        ),
+        (
+            "sim/run_full_faults",
+            blocks(
+                run_under_faults::<FullReplicationNetwork>(full, 10, workload, zero)
+                    .expect("plan builds")
+                    .1,
+            ),
+        ),
+        (
+            "sim/run_rapidchain_faults",
+            blocks(
+                run_under_faults::<RapidChainNetwork>(rapidchain, 10, workload, zero)
+                    .expect("plan builds")
+                    .1,
+            ),
+        ),
+        (
+            "sim/run_ici_faults",
+            blocks(
+                run_under_faults::<IciNetwork>(ici, 10, workload, zero)
+                    .expect("plan builds")
+                    .1,
+            ),
+        ),
     ];
     let snap = ici_telemetry::snapshot();
     ici_telemetry::set_enabled(false);
@@ -68,7 +111,7 @@ fn three_runs() -> (TelemetrySnapshot, [(&'static str, u64); 3]) {
 
 #[test]
 fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
-    let (snap, proposed) = three_runs();
+    let (snap, proposed) = six_runs();
     let instances: u64 = snap.spans.iter().map(|s| s.count).sum();
     assert!(instances > 4096, "only {instances} span instances");
 
@@ -79,6 +122,17 @@ fn the_call_tree_folds_to_the_flat_spans_and_drops_nothing() {
         let count: u64 = paths.iter().map(|c| c.span.count).sum();
         assert_eq!(snap.span(run).map(|s| s.count), Some(count), "{run}");
         assert_eq!(count, 1, "{run}");
+    }
+    // So is each zero-profile fault run, under its strategy's fault root.
+    for run in [
+        "sim/run_full_faults",
+        "sim/run_rapidchain_faults",
+        "sim/run_ici_faults",
+    ] {
+        let paths: Vec<_> = snap.calls.iter().filter(|c| c.span.name == run).collect();
+        assert!(!paths.is_empty(), "{run} is not a span");
+        assert!(paths.iter().all(|c| c.parent.is_none()), "{run} is nested");
+        assert_eq!(paths.iter().map(|c| c.span.count).sum::<u64>(), 1, "{run}");
     }
 
     // A quiet run is the fault loop under a plan that schedules nothing:
