@@ -5,6 +5,9 @@
 //! in the tables (they agree to within header rounding), and the analytic
 //! forms extend the sweeps to scales the simulator need not materialise.
 //!
+//! A joiner downloads what a member of its group stores, so each per-node
+//! formula is also its strategy's bootstrap download.
+//!
 //! Notation: a ledger of `B` blocks with mean body size `s` and header size
 //! `H`; network of `N` nodes; ICI clusters of size `c` with replication
 //! `r`; RapidChain committees of size `m` giving `k = ⌈N/m⌉` shards.
@@ -61,32 +64,6 @@ pub fn ici_to_rapidchain_ratio(
         / rapidchain_per_node(shape, nodes, committee_size)
 }
 
-/// Bootstrap download bytes per strategy.
-pub mod bootstrap {
-    use super::LedgerShape;
-    use ici_chain::block::BlockHeader;
-
-    /// Full replication: the whole ledger.
-    pub fn full(shape: LedgerShape) -> f64 {
-        shape.total_bytes() as f64
-    }
-
-    /// RapidChain: the joiner's shard.
-    pub fn rapidchain(shape: LedgerShape, nodes: usize, committee_size: usize) -> f64 {
-        super::rapidchain_per_node(shape, nodes, committee_size)
-    }
-
-    /// ICIStrategy: all headers + the joiner's `1/c` body share × `r`...
-    /// a joiner is assigned `≈ r/c` of blocks (it becomes one of the `r`
-    /// owners for an `r/c` fraction), so it downloads headers plus that
-    /// share of bodies.
-    pub fn ici(shape: LedgerShape, cluster_size: usize, replication: usize) -> f64 {
-        let headers = shape.blocks as f64 * BlockHeader::ENCODED_LEN as f64;
-        let share = replication as f64 / cluster_size as f64;
-        headers + shape.blocks as f64 * shape.mean_body_bytes as f64 * share
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,8 +89,10 @@ mod tests {
     fn full_replication_dominates_everything() {
         let s = shape();
         let full = full_replication_per_node(s);
-        assert!(full > rapidchain_per_node(s, 4_000, 250));
+        let rapid = rapidchain_per_node(s, 4_000, 250);
+        assert!(full > rapid);
         assert!(full > ici_per_node(s, 64, 2));
+        assert!(ici_per_node(s, 64, 1) < rapid);
     }
 
     #[test]
@@ -138,15 +117,6 @@ mod tests {
     fn rapidchain_shrinks_with_more_shards() {
         let s = shape();
         assert!(rapidchain_per_node(s, 8_000, 250) < rapidchain_per_node(s, 4_000, 250));
-    }
-
-    #[test]
-    fn bootstrap_ordering_matches_storage_ordering() {
-        let s = shape();
-        let full = bootstrap::full(s);
-        let rapid = bootstrap::rapidchain(s, 4_000, 250);
-        let ici = bootstrap::ici(s, 64, 1);
-        assert!(ici < rapid && rapid < full);
     }
 
     #[test]

@@ -40,9 +40,7 @@ use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::time::{Duration, SimTime};
 use ici_net::topology::{Placement, Topology};
-use ici_storage::assignment::{
-    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
-};
+use ici_storage::assignment::{Assignment, AssignmentStrategy};
 use ici_storage::audit::Holdings;
 use ici_storage::recovery::{plan_recovery, BlockRef};
 use ici_workload::{PayloadSize, SenderDistribution, WorkloadConfig, WorkloadGenerator};
@@ -193,13 +191,13 @@ fn bench_assignment() {
     let members: Vec<NodeId> = (0..64).map(NodeId::new).collect();
     let id = Sha256::digest(b"block");
     bench("assignment/rendezvous/c64_r2", || {
-        RendezvousAssignment.owners(&id, 7, &members, 2)
+        Assignment::Rendezvous.owners(&id, 7, &members, 2)
     });
     bench("assignment/ring/c64_r2", || {
-        RingAssignment::default().owners(&id, 7, &members, 2)
+        Assignment::Ring.owners(&id, 7, &members, 2)
     });
     bench("assignment/round_robin/c64_r2", || {
-        RoundRobinAssignment.owners(&id, 7, &members, 2)
+        Assignment::RoundRobin.owners(&id, 7, &members, 2)
     });
 }
 
@@ -607,7 +605,7 @@ fn bench_holdings_and_audits() {
             })
             .collect();
         bench(&format!("repair/plan_c16_one_crash/h{heights}"), || {
-            plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2)
+            plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2)
         });
 
         // The certificate after a member crashed: the repair re-homes

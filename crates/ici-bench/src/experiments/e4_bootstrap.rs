@@ -8,8 +8,9 @@
 //!
 //! Run: `cargo run --release -p ici-bench -- e4 [--paper]`
 
-use ici_baselines::analytic::bootstrap as analytic_bootstrap;
-use ici_baselines::analytic::LedgerShape;
+use ici_baselines::analytic::{
+    full_replication_per_node, ici_per_node, rapidchain_per_node, LedgerShape,
+};
 use ici_baselines::full::FullReplicationNetwork;
 use ici_baselines::rapidchain::RapidChainNetwork;
 use ici_bench::{
@@ -100,17 +101,14 @@ pub fn run(scale: Scale) -> Report {
         "E4 (analytic): bootstrap bytes for a 100 GB ledger (100k x 1 MB)",
         ["strategy", "download", "vs full (%)"],
     );
-    let full_b = analytic_bootstrap::full(shape);
+    let full_b = full_replication_per_node(shape);
     for (name, bytes) in [
         ("FullReplication", full_b),
         (
             "RapidChain (N=4000, committees of 250)",
-            analytic_bootstrap::rapidchain(shape, 4_000, 250),
+            rapidchain_per_node(shape, 4_000, 250),
         ),
-        (
-            "ICIStrategy (c=64, r=1)",
-            analytic_bootstrap::ici(shape, 64, 1),
-        ),
+        ("ICIStrategy (c=64, r=1)", ici_per_node(shape, 64, 1)),
     ] {
         analytic.row([
             name.to_string(),

@@ -24,10 +24,10 @@ use ici_sim::table::Table;
 use ici_storage::assignment::{churn_disruption, ownership_histogram};
 use ici_storage::stats::format_bytes;
 
-const STRATEGIES: [(&str, Assignment); 3] = [
-    ("rendezvous", Assignment::Rendezvous),
-    ("consistent-ring", Assignment::Ring),
-    ("round-robin", Assignment::RoundRobin),
+const STRATEGIES: [Assignment; 3] = [
+    Assignment::Rendezvous,
+    Assignment::Ring,
+    Assignment::RoundRobin,
 ];
 
 pub fn run(scale: Scale) -> Report {
@@ -56,19 +56,19 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let ideal = chain_blocks as f64 * r as f64 / c as f64;
-    for (name, strategy) in STRATEGIES {
-        let hist = ownership_histogram(&strategy, &block_ids, &members, r);
+    for assignment in STRATEGIES {
+        let hist = ownership_histogram(assignment, &block_ids, &members, r);
         let min = hist.values().min().copied().unwrap_or(0);
         let max = hist.values().max().copied().unwrap_or(0);
         let disruption = churn_disruption(
-            &strategy,
+            assignment,
             &block_ids,
             &members,
             NodeId::new(c as u64 / 2),
             r,
         );
         properties.row([
-            name.to_string(),
+            assignment.name().to_string(),
             min.to_string(),
             max.to_string(),
             format!("{:.2}", max as f64 / ideal),
@@ -87,7 +87,7 @@ pub fn run(scale: Scale) -> Report {
             "join duration (ms)",
         ],
     );
-    for (name, assignment) in STRATEGIES {
+    for assignment in STRATEGIES {
         let (mut network, _) = runner::run::<IciNetwork>(
             ici_builder(128, c, r, 33)
                 .assignment(assignment)
@@ -101,7 +101,7 @@ pub fn run(scale: Scale) -> Report {
             .bootstrap_node(Coord::new(50.0, 50.0), JoinPolicy::NearestCentroid)
             .expect("join succeeds");
         migration.row([
-            name.to_string(),
+            assignment.name().to_string(),
             format_bytes(report.total_bytes()),
             report.pruned_bodies.to_string(),
             format!("{:.1}", report.duration.as_millis_f64()),

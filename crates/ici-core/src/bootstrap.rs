@@ -67,8 +67,10 @@ impl IciNetwork {
     ///
     /// # Errors
     ///
-    /// [`IciError::BodyUnavailable`] if an assigned body has no live
-    /// source (a cluster that already violated integrity).
+    /// [`IciError::HeadersUnavailable`] if no node at all is live to
+    /// send the header chain, and [`IciError::BodyUnavailable`] if an
+    /// assigned body has no live source (a cluster that already violated
+    /// integrity).
     pub fn bootstrap_node(
         &mut self,
         coord: Coord,
@@ -84,6 +86,9 @@ impl IciNetwork {
         let cluster = self
             .membership
             .choose_cluster(coord, self.net.topology(), policy);
+        let header_source = self
+            .header_source(cluster, coord)
+            .ok_or(IciError::HeadersUnavailable)?;
         let mut column = std::mem::take(&mut self.join_column);
         let mut prefixes = std::mem::take(&mut self.join_prefixes);
         let decided = self.join_owners(cluster, node, &mut column, &mut prefixes);
@@ -94,33 +99,17 @@ impl IciNetwork {
         self.join_prefixes = prefixes;
         decided?;
 
-        // 1. Header chain from the closest live cluster member.
+        // 1. Header chain from the chosen source.
         self.net.join(coord);
         let chain_len = self.chain_len();
         let header_bytes = chain_len * BlockHeader::ENCODED_LEN as u64;
-        let header_source = self
-            .membership
-            .members(cluster)
-            .iter()
-            .copied()
-            .filter(|m| self.net.is_up(*m))
-            .min_by(|a, b| {
-                let da = self.net.topology().distance_ms(node, *a);
-                let db = self.net.topology().distance_ms(node, *b);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            });
         self.membership.admit(cluster);
         self.holdings.push(NodeHoldings::new());
-        let mut header_delay = Duration::ZERO;
-        if let Some(source) = header_source {
-            if let Some(delay) = self
-                .net
-                .send(source, node, MessageKind::Bootstrap, header_bytes)
-                .delay()
-            {
-                header_delay = delay;
-            }
-        }
+        let header_delay = self
+            .net
+            .send(header_source, node, MessageKind::Bootstrap, header_bytes)
+            .delay()
+            .unwrap_or(Duration::ZERO);
         for _ in 0..chain_len {
             self.holdings[node.index()].add_header();
         }
@@ -160,6 +149,22 @@ impl IciNetwork {
             pruned_bodies: pruned,
             duration,
         })
+    }
+
+    /// Where a node joining `cluster` at `coord` downloads the header
+    /// chain from: the live member of `cluster` nearest to it, else, in a
+    /// cluster with no live member, the nearest live node anywhere.
+    /// `None` when no node is live.
+    fn header_source(&self, cluster: ClusterId, coord: Coord) -> Option<NodeId> {
+        let distance = |m: &NodeId| coord.distance(&self.net.topology().coord(*m));
+        let nearest = |nodes: &mut dyn Iterator<Item = NodeId>| {
+            nodes
+                .filter(|m| self.net.is_up(*m))
+                .min_by(|a, b| distance(a).total_cmp(&distance(b)))
+        };
+        let everyone = 0..self.net.topology().len() as u64;
+        nearest(&mut self.membership.members(cluster).iter().copied())
+            .or_else(|| nearest(&mut everyone.map(NodeId::new)))
     }
 
     /// Works out `cluster`'s owners of every committed height once

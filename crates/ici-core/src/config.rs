@@ -1,16 +1,12 @@
 //! Configuration of an ICIStrategy network.
 
-use ici_chain::block::Height;
 use ici_chain::genesis::GenesisConfig;
 use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfig};
 use ici_cluster::partition::Partition;
-use ici_crypto::sha256::Digest;
 use ici_net::link::LinkModel;
-use ici_net::node::NodeId;
 use ici_net::topology::Topology;
-use ici_storage::assignment::{
-    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
-};
+
+pub use ici_storage::assignment::Assignment;
 
 /// A violated configuration constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,37 +67,6 @@ impl Clustering {
             Clustering::BalancedKMeans => balanced_kmeans(topology, &KMeansConfig::with_k(k, seed)),
             Clustering::KMeans => kmeans(topology, &KMeansConfig::with_k(k, seed)),
             Clustering::Random => random_partition(topology.len(), k, seed),
-        }
-    }
-}
-
-/// Which block→owner assignment runs inside each cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Assignment {
-    /// Rendezvous (HRW) hashing — default, minimal churn disruption.
-    #[default]
-    Rendezvous,
-    /// Consistent-hash ring with 16 virtual nodes per member.
-    Ring,
-    /// Round-robin striping by height.
-    RoundRobin,
-}
-
-/// The configured assignment is the strategy it names.
-impl AssignmentStrategy for Assignment {
-    fn owners(&self, id: &Digest, height: Height, members: &[NodeId], r: usize) -> Vec<NodeId> {
-        match self {
-            Assignment::Rendezvous => RendezvousAssignment.owners(id, height, members, r),
-            Assignment::Ring => RingAssignment::default().owners(id, height, members, r),
-            Assignment::RoundRobin => RoundRobinAssignment.owners(id, height, members, r),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Assignment::Rendezvous => RendezvousAssignment.name(),
-            Assignment::Ring => RingAssignment::default().name(),
-            Assignment::RoundRobin => RoundRobinAssignment.name(),
         }
     }
 }

@@ -30,6 +30,8 @@ pub enum IciError {
     UnknownTransaction(TxId),
     /// The queried body is not retrievable from any live node.
     BodyUnavailable(Height),
+    /// No live node can send a joiner the header chain.
+    HeadersUnavailable,
     /// The node id is not part of the network.
     UnknownNode(NodeId),
     /// Operation requires a live node but it is crashed.
@@ -53,6 +55,9 @@ impl fmt::Display for IciError {
             IciError::UnknownTransaction(id) => write!(f, "no transaction {id} on chain"),
             IciError::BodyUnavailable(h) => {
                 write!(f, "body at height {h} unavailable from any live node")
+            }
+            IciError::HeadersUnavailable => {
+                f.write_str("header chain unavailable from any live node")
             }
             IciError::UnknownNode(n) => write!(f, "unknown node {n}"),
             IciError::NodeDown(n) => write!(f, "node {n} is crashed"),

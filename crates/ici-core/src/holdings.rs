@@ -3,9 +3,10 @@
 //! Large sweeps (4,000 nodes × thousands of blocks) cannot afford to
 //! materialise every replica's transaction data; what the experiments need
 //! is byte-exact *accounting*. [`NodeHoldings`] tracks, per node, which
-//! body heights it holds and the exact bytes, with headers accounted
-//! analytically (every node keeps the full header chain). These holdings
-//! are the only per-node store a run writes.
+//! body heights it holds, their exact bytes and a header count. A node
+//! takes a height's header only if it is up when its cluster commits, and
+//! nothing (restart, repair, reconfiguration) returns one it missed. These
+//! holdings are the only per-node store a run writes.
 
 use ici_chain::block::{BlockHeader, Height};
 use ici_storage::audit::HeightSet;
@@ -13,7 +14,7 @@ use ici_storage::audit::HeightSet;
 /// What one node stores.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeHoldings {
-    /// Number of headers held (== chain length known to the node).
+    /// Number of headers held (fewer than the chain after a missed commit).
     headers: u64,
     /// Heights whose bodies are held.
     bodies: HeightSet,

@@ -170,7 +170,7 @@ fn plan_transfers<S: AssignmentStrategy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::RendezvousAssignment;
+    use crate::assignment::Assignment;
     use ici_crypto::sha256::Sha256;
 
     fn block(h: Height) -> BlockRef {
@@ -186,7 +186,7 @@ mod tests {
         let blocks: Vec<BlockRef> = (0..chain).map(block).collect();
         let mut holdings = Holdings::new();
         for b in &blocks {
-            for owner in RendezvousAssignment.owners(&b.id, b.height, &members, r) {
+            for owner in Assignment::Rendezvous.owners(&b.id, b.height, &members, r) {
                 holdings.entry(owner).or_default().insert(b.height);
             }
         }
@@ -197,7 +197,7 @@ mod tests {
     fn healthy_cluster_needs_no_plan() {
         let (blocks, holdings) = full_cluster(8, 40, 2);
         let live: BTreeSet<NodeId> = (0..8).map(NodeId::new).collect();
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         assert!(plan.is_empty());
     }
 
@@ -207,7 +207,7 @@ mod tests {
         let mut live: BTreeSet<NodeId> = (0..8).map(NodeId::new).collect();
         live.remove(&NodeId::new(3));
 
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         assert!(plan.unrecoverable.is_empty());
         // Every block n3 owned needs exactly one new replica.
         let lost: usize = holdings.get(&NodeId::new(3)).map(|h| h.len()).unwrap_or(0);
@@ -231,12 +231,12 @@ mod tests {
         live.remove(&NodeId::new(1));
         live.remove(&NodeId::new(7));
 
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         for t in &plan.transfers {
             holdings.entry(t.destination).or_default().insert(t.height);
         }
         // Re-plan: nothing left to do.
-        let again = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let again = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         assert!(again.transfers.is_empty(), "second plan: {again:?}");
     }
 
@@ -253,7 +253,7 @@ mod tests {
         let mut live: BTreeSet<NodeId> = (0..4).map(NodeId::new).collect();
         live.remove(&holder_of_0);
 
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 1);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 1);
         assert!(plan.unrecoverable.contains(&0));
     }
 
@@ -262,7 +262,7 @@ mod tests {
         // 2 live members, r=3: target replication is effectively 2.
         let (blocks, holdings) = full_cluster(2, 10, 3);
         let live: BTreeSet<NodeId> = (0..2).map(NodeId::new).collect();
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 3);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 3);
         assert!(plan.transfers.is_empty());
     }
 
@@ -271,7 +271,7 @@ mod tests {
         let (blocks, holdings) = full_cluster(6, 25, 2);
         // Every holder crashed; the only live members never stored anything.
         let live: BTreeSet<NodeId> = (6..9).map(NodeId::new).collect();
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         assert!(plan.transfers.is_empty());
         assert_eq!(plan.total_bytes(), 0);
         assert_eq!(plan.unrecoverable, (0..25).collect::<Vec<Height>>());
@@ -289,7 +289,7 @@ mod tests {
         let mut live: BTreeSet<NodeId> = (0..8).map(NodeId::new).collect();
         live.remove(&NodeId::new(2));
 
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 2);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 2);
         assert!(plan.unrecoverable.is_empty());
         let mut seen = BTreeSet::new();
         for t in &plan.transfers {
@@ -326,7 +326,7 @@ mod tests {
         let (blocks, holdings) = full_cluster(6, 30, 3);
         let mut live: BTreeSet<NodeId> = (0..6).map(NodeId::new).collect();
         live.remove(&NodeId::new(0));
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, 3);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, 3);
         if plan.transfers.len() >= 4 {
             let sources: BTreeSet<NodeId> = plan.transfers.iter().map(|t| t.source).collect();
             assert!(sources.len() > 1, "all repairs from one source");

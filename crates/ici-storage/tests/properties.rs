@@ -9,21 +9,17 @@ use std::collections::BTreeSet;
 use ici_crypto::sha256::Sha256;
 use ici_net::node::NodeId;
 use ici_rng::Xoshiro256;
-use ici_storage::assignment::{
-    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
-};
+use ici_storage::assignment::{Assignment, AssignmentStrategy};
 use ici_storage::audit::{audit_cluster, Holdings};
 use ici_storage::recovery::{plan_recovery, BlockRef};
 
 const CASES: usize = 48;
 
-fn all_strategies() -> Vec<Box<dyn AssignmentStrategy>> {
-    vec![
-        Box::new(RendezvousAssignment),
-        Box::new(RingAssignment::default()),
-        Box::new(RoundRobinAssignment),
-    ]
-}
+const ALL: [Assignment; 3] = [
+    Assignment::Rendezvous,
+    Assignment::Ring,
+    Assignment::RoundRobin,
+];
 
 /// Owner sets are always: distinct, members, of size min(r, c), and
 /// deterministic — for every strategy and any shape.
@@ -37,7 +33,7 @@ fn owner_sets_are_well_formed() {
         let key = rng.next_u64();
         let members: Vec<NodeId> = (0..c as u64).map(NodeId::new).collect();
         let id = Sha256::digest(&key.to_be_bytes());
-        for strategy in all_strategies() {
+        for strategy in ALL {
             let owners = strategy.owners(&id, height, &members, r);
             assert_eq!(owners.len(), r.min(c), "{}", strategy.name());
             let set: BTreeSet<&NodeId> = owners.iter().collect();
@@ -66,13 +62,13 @@ fn rendezvous_ignores_non_owner_departures() {
         let members: Vec<NodeId> = (0..c as u64).map(NodeId::new).collect();
         let id = Sha256::digest(&key.to_be_bytes());
         let r = 2.min(c);
-        let owners = RendezvousAssignment.owners(&id, 0, &members, r);
+        let owners = Assignment::Rendezvous.owners(&id, 0, &members, r);
         let gone = members[rng.gen_range(0usize..c)];
         if owners.contains(&gone) {
             continue; // departure of an owner must change the set
         }
         let survivors: Vec<NodeId> = members.iter().copied().filter(|m| *m != gone).collect();
-        assert_eq!(RendezvousAssignment.owners(&id, 0, &survivors, r), owners);
+        assert_eq!(Assignment::Rendezvous.owners(&id, 0, &survivors, r), owners);
     }
 }
 
@@ -98,7 +94,7 @@ fn recovery_plan_restores_replication() {
         // Initial holdings per the assignment.
         let mut holdings = Holdings::new();
         for b in &blocks {
-            for owner in RendezvousAssignment.owners(&b.id, b.height, &members, r) {
+            for owner in Assignment::Rendezvous.owners(&b.id, b.height, &members, r) {
                 holdings.entry(owner).or_default().insert(b.height);
             }
         }
@@ -110,7 +106,7 @@ fn recovery_plan_restores_replication() {
             continue;
         }
 
-        let plan = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, r);
+        let plan = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, r);
         for t in &plan.transfers {
             assert!(live.contains(&t.source));
             assert!(live.contains(&t.destination));
@@ -118,7 +114,7 @@ fn recovery_plan_restores_replication() {
         }
 
         // Re-plan: nothing further to move.
-        let again = plan_recovery(&blocks, &holdings, &live, &RendezvousAssignment, r);
+        let again = plan_recovery(&blocks, &holdings, &live, &Assignment::Rendezvous, r);
         assert!(again.transfers.is_empty());
 
         // Every block with a live holder reaches min(r, live) replicas.

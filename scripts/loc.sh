@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Non-test source lines: one line per crate (the lines of its `src`)
-# and the total. A file counts up to its `#[cfg(test)]` `mod tests`, so
-# unit tests are left out; every other line counts, blank lines and
-# comments included. Only `crates/*/src` is read, so integration tests,
-# benches and `crates/ici-lint/tests/fixtures` never count.
+# and the total. Every `#[cfg(test)]` item is left out, from the
+# attribute to the end of the item (its closing brace, or its `;`):
+# unit-test modules and test-only helpers alike. Every other line
+# counts, blank lines and comments included. Only `crates/*/src` is
+# read, so integration tests, benches and `crates/ici-lint/tests/fixtures`
+# never count.
 #
 #   scripts/loc.sh          per crate, then the total
 
@@ -13,17 +15,26 @@ cd "$(dirname "$0")/.."
 total=0
 for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
-    # A `#[cfg(test)]` line is held until the next line shows whether it
-    # opens `mod tests` (the file stops counting) or something else.
+    # Inside a skipped item, braces are counted on each line with its
+    # string and char literals and its `//` comment removed; the item
+    # ends when its braces close, or at a line ending in `;` before any
+    # brace opened. Attributes between `#[cfg(test)]` and the item are
+    # part of it.
     lines=$(find "$src" -name '*.rs' -print0 | xargs -0 awk '
-        FNR == 1 { counting = 1; held = 0 }
-        !counting { next }
-        held {
-            held = 0
-            if ($0 ~ /^mod tests/) { counting = 0; next }
-            n++
+        FNR == 1 { skipping = 0 }
+        skipping {
+            line = $0
+            gsub(/"([^"\\]|\\.)*"/, "", line)
+            gsub(/\047([^\047\\]|\\.)\047/, "", line)
+            sub(/\/\/.*/, "", line)
+            if (!opened && line ~ /^[ \t]*#\[/) next
+            open_n = gsub(/\{/, "", line)
+            depth += open_n - gsub(/\}/, "", line)
+            if (open_n) opened = 1
+            if (opened ? depth <= 0 : line ~ /;[ \t]*$/) skipping = 0
+            next
         }
-        /^#\[cfg\(test\)\]$/ { held = 1; next }
+        /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { skipping = 1; depth = 0; opened = 0; next }
         { n++ }
         END { print n + 0 }
     ')

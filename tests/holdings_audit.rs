@@ -21,9 +21,7 @@ use ici_prop::{check, Config, Shrink};
 use ici_rng::Xoshiro256;
 use icistrategy::chain::block::Height;
 use icistrategy::prelude::*;
-use icistrategy::storage::assignment::{
-    AssignmentStrategy, RendezvousAssignment, RingAssignment, RoundRobinAssignment,
-};
+use icistrategy::storage::assignment::AssignmentStrategy;
 use icistrategy::storage::audit::{
     audit_cluster, HeightSet, Holdings, IntegrityReport, ReplicaCount,
 };
@@ -454,12 +452,12 @@ fn audit_and_planner_match_their_references(case: &ClusterCase) -> Result<(), St
         .copied()
         .collect();
     // One assignment per case; the seed rotates through all three.
-    let strategies: [&dyn AssignmentStrategy; 3] = [
-        &RendezvousAssignment,
-        &RingAssignment::default(),
-        &RoundRobinAssignment,
+    let strategies = [
+        Assignment::Rendezvous,
+        Assignment::Ring,
+        Assignment::RoundRobin,
     ];
-    let strategy = strategies[(case.id_seed % 3) as usize];
+    let strategy = &strategies[(case.id_seed % 3) as usize];
     let nothing = HeightSet::new();
     let live_sets: Vec<(NodeId, &HeightSet)> = live
         .iter()
@@ -619,7 +617,7 @@ fn certificates_match_the_references(s: &FaultScenario) -> Result<(), String> {
                 &chain,
                 &reference,
                 &live,
-                &RendezvousAssignment,
+                &Assignment::Rendezvous,
                 s.replication,
             );
 

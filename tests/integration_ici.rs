@@ -5,6 +5,8 @@
 mod prop_support;
 
 use icistrategy::core::config::Clustering;
+use icistrategy::net::metrics::MessageKind;
+use icistrategy::net::time::Duration;
 use icistrategy::prelude::*;
 use prop_support::{crash_and_byzantine, overspending_workload, replay_from_genesis};
 
@@ -186,6 +188,81 @@ fn join_crash_repair_cycle_keeps_chain_alive_and_intact() {
         assert!(report.is_intact(), "{report:?}");
     }
     assert_eq!(net.chain_len(), 11);
+}
+
+/// A node that joins a cluster whose every member is down still gets
+/// the header chain, from the nearest live node outside it: one
+/// bootstrap message of the chain's header bytes, which takes time.
+#[test]
+fn a_join_into_a_dead_cluster_takes_its_headers_from_a_live_node() {
+    let config = IciConfig::builder()
+        .nodes(24)
+        .cluster_size(8)
+        .replication(2)
+        .assignment(Assignment::RoundRobin)
+        .seed(5)
+        .build()
+        .expect("valid configuration");
+    let mut net = IciNetwork::new(config).expect("constructs");
+    for _ in 0..2 {
+        net.propose_block(Vec::new()).expect("block commits");
+    }
+    let dead = ClusterId::new(0);
+    for member in net.membership().members(dead).to_vec() {
+        net.crash_node(member).expect("known node");
+    }
+    let nodes = net.net().topology().len() as u64;
+    let sent = |net: &IciNetwork| -> Vec<_> {
+        (0..nodes)
+            .map(|n| net.net().meter().sent_by(NodeId::new(n)))
+            .collect()
+    };
+    let meter = net.net().meter();
+    let (total, bootstrap) = (meter.total(), meter.kind(MessageKind::Bootstrap));
+    let sent_before = sent(&net);
+
+    let report = net
+        .bootstrap_node(Coord::new(50.0, 50.0), JoinPolicy::SmallestCluster)
+        .expect("joins");
+    assert_eq!(
+        report.cluster,
+        dead.get(),
+        "the join must land in the dead cluster"
+    );
+    assert_eq!(report.header_bytes, 3 * BlockHeader::ENCODED_LEN as u64);
+    let after = net.net().meter().total();
+    assert_eq!(
+        (after.messages, after.bytes),
+        (total.messages + 1, total.bytes + report.header_bytes),
+        "one header message, and nothing else"
+    );
+    let headers = net.net().meter().kind(MessageKind::Bootstrap);
+    assert_eq!(headers.messages, bootstrap.messages + 1);
+    assert_eq!(headers.bytes, bootstrap.bytes + report.header_bytes);
+    let senders: Vec<NodeId> = sent(&net)
+        .iter()
+        .zip(&sent_before)
+        .enumerate()
+        .filter(|(_, (now, then))| now != then)
+        .map(|(n, _)| NodeId::new(n as u64))
+        .collect();
+    assert_eq!(senders.len(), 1, "one sender, got {senders:?}");
+    assert_ne!(net.membership().cluster_of(senders[0]), dead);
+    assert!(net.net().is_up(senders[0]));
+    assert!(report.duration > Duration::ZERO);
+
+    // With no node live at all, the next join is refused before anything
+    // changes.
+    for n in 0..net.net().topology().len() as u64 {
+        net.crash_node(NodeId::new(n)).expect("known node");
+    }
+    let (nodes, meter) = (net.net().topology().len(), net.net().meter().total());
+    assert_eq!(
+        net.bootstrap_node(Coord::new(50.0, 50.0), JoinPolicy::SmallestCluster),
+        Err(IciError::HeadersUnavailable)
+    );
+    assert_eq!(net.net().topology().len(), nodes);
+    assert_eq!(net.net().meter().total(), meter);
 }
 
 #[test]

@@ -281,3 +281,53 @@ fn the_owner_table_matches_a_fresh_ranking_under_every_assignment() {
         );
     }
 }
+
+/// The owners each rule picks, hashed over a seeded grid: member counts
+/// 1 to 20, `r` from 1 to 4 and 64 blocks. A rule whose picks move, in
+/// order or in membership, changes its digest; the digests were taken
+/// before the rules moved into one type, and pin them across it.
+#[test]
+fn each_rule_picks_the_owners_it_always_picked() {
+    let mut rng = Xoshiro256::seed_from_u64(0x0E9);
+    let blocks: Vec<(Digest, u64)> = (0..64)
+        .map(|_| {
+            let height = rng.gen_range(0u64..10_000);
+            (Sha256::digest(&rng.next_u64().to_be_bytes()), height)
+        })
+        .collect();
+    let ids: Vec<NodeId> = (0..20)
+        .map(|_| NodeId::new(rng.gen_range(0u64..1 << 20)))
+        .collect();
+    let pinned = [
+        (
+            Assignment::Rendezvous,
+            "6b0508ac00f9f3829170ebe36a2821155b1cf16402c7dab1798669324b54a296",
+        ),
+        (
+            Assignment::Ring,
+            "2562e1b51960d8ce3c8a46c3d3b094e35b4b866d925fd97754dd4e14e2ef208f",
+        ),
+        (
+            Assignment::RoundRobin,
+            "12647e7579b35d7638f1b4e7a39e1ad7bf6481621f00be42796e71686ad1d200",
+        ),
+    ];
+    for (assignment, want) in pinned {
+        let mut hasher = Sha256::new();
+        for count in 1..=ids.len() {
+            let mut members = ids[..count].to_vec();
+            members.sort_unstable();
+            members.dedup();
+            for r in 1..=4 {
+                for (id, height) in &blocks {
+                    let owners = assignment.owners(id, *height, &members, r);
+                    hasher.update(&(owners.len() as u64).to_be_bytes());
+                    for owner in owners {
+                        hasher.update(&owner.get().to_be_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(hasher.finalize().to_hex(), want, "{assignment:?}");
+    }
+}
